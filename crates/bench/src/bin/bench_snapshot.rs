@@ -14,8 +14,9 @@
 //! overlap section: the threaded and socket solves run A/B with the
 //! communication/computation overlap off vs on (`PMG_OVERLAP`), recording
 //! the blocked halo wait, the hidden-behind-compute window, the
-//! interior/boundary row split, and the allreduce count so the wait-time
-//! reduction and the fused PCG collective are visible in one file; and the
+//! interior/boundary row split, and the allreduce count (equal on both
+//! sides: the flag selects only the halo schedule) so the wait-time
+//! reduction is visible in one file; and the
 //! PR-6 fine-operator section: the assembled fine-grid operator (scalar
 //! CSR plus its BSR3 promotion, both resident in the promoted form) vs
 //! the element-loop matrix-free operator A/B — bytes held by each
@@ -27,7 +28,8 @@
 //! speedups over the single apply, plus the `apply_ratio` headline
 //! (matrix-free apply time / BSR3 apply time) of the batched element-loop
 //! rewrite; and the PR-8 setup weak-scaling section:
-//! `RankHierarchy::build_distributed` over 1/2/4 threaded ranks at a fixed
+//! `plan_ingest` → `RankHierarchy::build_from_shards` over 1/2/4 threaded
+//! ranks at a fixed
 //! ~40k dofs per rank, with per-phase scope times (MIS, Delaunay,
 //! restriction, classification, RAP, distribution, smoother) and
 //! wall-clock / per-phase weak-scaling efficiencies relative to the
@@ -387,28 +389,29 @@ fn main() {
         max_iters: 200,
         ..Default::default()
     };
-    // A: overlap off (blocking halo exchange, scalar allreduces).
+    let crhs = std::slice::from_ref(&csys.rhs);
+    // A: overlap off (blocking halo exchange).
     let thr_start = Instant::now();
-    let spmd_block = prometheus::solve_threads_opts(&psolver.mg, &csys.rhs, popts, false)
+    let spmd_block = prometheus::solve_threads(&psolver.mg, crhs, popts, false)
         .expect("threaded-rank blocking solve");
     let threads_blocking_s = thr_start.elapsed().as_secs_f64();
-    // B: overlap on (interior rows hidden behind the halo, fused allreduce).
+    // B: overlap on (interior rows hidden behind the halo). Same messages
+    // and allreduces as A — the flag selects only the halo schedule.
     let thr_start = Instant::now();
-    let spmd = prometheus::solve_threads_opts(&psolver.mg, &csys.rhs, popts, true)
-        .expect("threaded-rank solve");
+    let spmd =
+        prometheus::solve_threads(&psolver.mg, crhs, popts, true).expect("threaded-rank solve");
     let threads_solve_s = thr_start.elapsed().as_secs_f64();
     assert!(
-        spmd.x
+        spmd.xs[0]
             .iter()
             .zip(&x_sim)
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "threaded-rank solution differs from sim bitwise"
     );
     assert!(
-        spmd_block
-            .x
+        spmd_block.xs[0]
             .iter()
-            .zip(&spmd.x)
+            .zip(&spmd.xs[0])
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "blocking threaded-rank solution differs from overlapped bitwise"
     );
@@ -438,8 +441,8 @@ fn main() {
     }
 
     // --- PR-8: distributed-setup weak scaling ---------------------------
-    // `RankHierarchy::build_distributed` over 1/2/4 threaded ranks with
-    // ~`PMG_BENCH_SETUP_DOF` dofs per rank (default 40k): a block
+    // `plan_ingest` → `RankHierarchy::build_from_shards` over 1/2/4 threaded
+    // ranks with ~`PMG_BENCH_SETUP_DOF` dofs per rank (default 40k): a block
     // elasticity bar that grows along x with the rank count, so the
     // per-rank share stays fixed. Per-phase seconds are telemetry scope
     // sums over *all* rank threads, so with perfect weak scaling the sum
@@ -510,20 +513,25 @@ fn main() {
             let graph = mesh.vertex_graph();
             let classes = prometheus::classify_mesh_parallel(&mesh, 0.7, p);
             let mg_opts = MgOptions::default();
+            // The loader's share (partition, level-0 coarsening, seeds, the
+            // owned-row cut) stays outside the timed per-rank build.
+            let plan = prometheus::plan_ingest(&mesh.coords, &graph, &classes, &[], p, &mg_opts);
+            let vlayout = pmg_parallel::Layout::from_part(plan.part().to_vec(), p);
+            let layout = pmg_parallel::Layout::expand_dofs(&vlayout, mg_opts.dofs_per_vertex);
+            let owned: Vec<_> = (0..p).map(|r| a.extract_rows(layout.owned(r))).collect();
 
             pmg_telemetry::reset();
             pmg_telemetry::set_enabled(true);
             let wall = Instant::now();
             let levels = pmg_comm::LocalTransport::run_ranks(p, |mut t| {
-                prometheus::RankHierarchy::build_distributed(
+                let rank = pmg_comm::Transport::rank(&t);
+                prometheus::RankHierarchy::build_from_shards(
                     &mut t,
-                    &a,
-                    &mesh.coords,
-                    &graph,
-                    &classes,
+                    &plan.seeds[rank],
+                    &owned[rank],
                     mg_opts,
                 )
-                .expect("distributed setup over threaded ranks")
+                .expect("sharded setup over threaded ranks")
                 .num_levels()
             });
             let wall_s = wall.elapsed().as_secs_f64();

@@ -433,7 +433,7 @@ pub fn classify_mesh_parallel(mesh: &pmg_mesh::Mesh, tol: f64, nproc: usize) -> 
 /// face-identification passes execute on the transport ranks and merge
 /// through [`identify_faces_transport`]'s allgather. Produces the
 /// **bitwise-identical** [`VertexClasses`] on every rank — the oracle
-/// parity `RankHierarchy::build_distributed` relies on.
+/// parity `RankHierarchy::build_from_shards` relies on.
 pub fn classify_mesh_transport<T: pmg_comm::Transport>(
     t: &mut T,
     mesh: &pmg_mesh::Mesh,

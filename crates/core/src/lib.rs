@@ -57,7 +57,6 @@ pub use mis::{greedy_mis, parallel_mis, parallel_mis_transport, MisOrdering};
 pub use sa::{build_sa_hierarchy, SaOptions};
 pub use solver::{Prometheus, PrometheusOptions, SolveSummary};
 pub use spmd::{
-    solve_threads, solve_threads_multi, solve_threads_multi_opts, solve_threads_opts, spmd_pcg,
-    spmd_pcg_multi, DistributedSetup, PhaseWaits, RankHierarchy, SpmdMultiOutcome,
+    solve_threads, spmd_pcg, spmd_pcg_multi, DistributedSetup, PhaseWaits, RankHierarchy,
     SpmdSolveOutcome,
 };

@@ -280,6 +280,36 @@ impl MgHierarchy {
             }
         };
 
+        // The coarsest level — reached by size, by the level cap, or by
+        // stalled coarsening: operator share, smoother, direct factor.
+        let bottom_level = |sim: &mut Sim,
+                            a: &CsrMatrix,
+                            layout: &Arc<Layout>,
+                            promote: bool,
+                            num_vertices: usize| {
+            sim.phase("matrix setup");
+            let da = make_da(a, layout, promote);
+            let smoother = {
+                let _t = pmg_telemetry::scope("smoother");
+                Smoother::build(sim, &da, &opts)
+            };
+            let coarse = {
+                let _t = pmg_telemetry::scope("coarse_direct");
+                CoarseDirect::new(&da)
+            };
+            charge_setup_flops(sim);
+            MgLevel {
+                a: da,
+                smoother,
+                r: None,
+                p: None,
+                coarse: Some(coarse),
+                num_vertices,
+                r_global: None,
+                rap_plan: None,
+            }
+        };
+
         let mut levels: Vec<MgLevel> = Vec::new();
         let mut coarsen_info = Vec::new();
         let fine_nnz = a_fine.nnz();
@@ -305,27 +335,13 @@ impl MgHierarchy {
                 || cur_coords.len() < 24;
 
             if at_bottom {
-                sim.phase("matrix setup");
-                let da = make_da(&cur_a, &cur_layout, promote);
-                let smoother = {
-                    let _t = pmg_telemetry::scope("smoother");
-                    Smoother::build(sim, &da, &opts)
-                };
-                let coarse = {
-                    let _t = pmg_telemetry::scope("coarse_direct");
-                    CoarseDirect::new(&da)
-                };
-                charge_setup_flops(sim);
-                levels.push(MgLevel {
-                    a: da,
-                    smoother,
-                    r: None,
-                    p: None,
-                    coarse: Some(coarse),
-                    num_vertices: cur_coords.len(),
-                    r_global: None,
-                    rap_plan: None,
-                });
+                levels.push(bottom_level(
+                    sim,
+                    &cur_a,
+                    &cur_layout,
+                    promote,
+                    cur_coords.len(),
+                ));
                 break;
             }
 
@@ -345,27 +361,13 @@ impl MgHierarchy {
 
             if nc * 100 >= cur_coords.len() * 95 || nc < 4 {
                 // Coarsening stalled: finish with a direct solve here.
-                sim.phase("matrix setup");
-                let da = make_da(&cur_a, &cur_layout, promote);
-                let smoother = {
-                    let _t = pmg_telemetry::scope("smoother");
-                    Smoother::build(sim, &da, &opts)
-                };
-                let coarse = {
-                    let _t = pmg_telemetry::scope("coarse_direct");
-                    CoarseDirect::new(&da)
-                };
-                charge_setup_flops(sim);
-                levels.push(MgLevel {
-                    a: da,
-                    smoother,
-                    r: None,
-                    p: None,
-                    coarse: Some(coarse),
-                    num_vertices: cur_coords.len(),
-                    r_global: None,
-                    rap_plan: None,
-                });
+                levels.push(bottom_level(
+                    sim,
+                    &cur_a,
+                    &cur_layout,
+                    promote,
+                    cur_coords.len(),
+                ));
                 break;
             }
 

@@ -14,9 +14,10 @@
 //! [`RankSmoother::apply`], [`CoarseDirect::solve_global`]), every reduction
 //! combines in the fixed binomial-tree order of [`pmg_comm::tree_combine`]
 //! (which [`DistVec::dot`](pmg_parallel::DistVec::dot) also uses), and the
-//! control flow of [`spmd_pcg`] mirrors [`pmg_solver::pcg()`] statement for
-//! statement — so the solution and the residual history match the simulated
-//! solve bit for bit, at any rank count, on any transport.
+//! Krylov recurrence is the *same code* — [`pmg_solver::pcg_blocked`] —
+//! driven through a transport backend instead of the simulator's. So the
+//! solution and the residual history match the simulated solve bit for bit,
+//! at any rank count, on any transport.
 
 use crate::classify::VertexClasses;
 use crate::coarsen::coarsen_level_transport;
@@ -27,8 +28,11 @@ use pmg_comm::{bytes_to_f64s, f64s_to_bytes, CommError, CommStats, LocalTranspor
 use pmg_geometry::Vec3;
 use pmg_parallel::{Layout, MfRankOp, OverlapInfo, RankMatrix, RankOp};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
-use pmg_solver::{CoarseDirect, PcgOptions, PcgResult, RankJacobi, RankSmoother};
-use pmg_sparse::{rap_local_rows, vector, CsrMatrix, RapPlan};
+use pmg_solver::{
+    pcg_blocked, CoarseDirect, PcgBackend, PcgOptions, PcgResult, RankJacobi, RankSmoother,
+};
+use pmg_sparse::{rap_local_rows, vector, CsrMatrix};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Real time (seconds) a rank spent blocked on each communication phase,
@@ -172,12 +176,21 @@ pub struct RankHierarchy<'a> {
     cycle: CycleType,
     pre_smooth: usize,
     post_smooth: usize,
-    /// Latency hiding (default on): operator, restriction, and
+    /// The halo schedule (default on): operator, restriction, and
     /// prolongation products — including the smoother's residual refresh —
-    /// compute interior rows between halo `start`/`finish`, and the PCG
-    /// `r·r`/`r·z` reductions ride one fused allreduce per iteration. The
-    /// arithmetic is bitwise identical either way (see `docs/comm.md`);
-    /// flip off for A/B wait-time measurements of the blocking schedule.
+    /// compute interior rows between halo `start` and `finish`
+    /// (`spmv_overlapped`) instead of waiting for the ghosts first
+    /// (`spmv`). Nothing else depends on it: both settings send the same
+    /// messages, enter the same allreduces, and produce the same bits (see
+    /// `docs/comm.md`); flip off for A/B wait-time measurements of the
+    /// blocking schedule.
+    ///
+    /// Until PR 13 the flag also made PCG apply the preconditioner *before*
+    /// the convergence test so `r·r` and `r·z` could share one allreduce.
+    /// That cost one discarded MG cycle per solve (14 cycles for 13
+    /// iterations in BENCH_PR7/PR8, against 13 allreduces saved) and is why
+    /// those snapshots show the overlapped solve slower than the blocking
+    /// one.
     pub overlap: bool,
 }
 
@@ -197,17 +210,16 @@ fn setup_tag(lvl: usize) -> u32 {
 
 /// One grid level of a distributed setup: this rank's **owned** share of
 /// the operator, restriction, and prolongation, its block-Jacobi factors,
-/// and (on the coarsest grid) the replicated direct factor.
+/// and (on the gather root's coarsest grid) the direct factor.
 struct DistLevel {
     a: RankMatrix,
     r: Option<RankMatrix>,
     p: Option<RankMatrix>,
     smoother: RankJacobi,
-    /// The coarsest-grid factor. The replicated setup paths build it from
-    /// the (constant-size, §5) coarse operator on *every* rank; the
-    /// sharded path tree-gathers the owned rows and factors on rank 0
-    /// alone, leaving `None` elsewhere — only rank 0's copy ever solves,
-    /// and the bottom-level marker is `r.is_none()`, not this field.
+    /// The coarsest-grid factor: the owned rows are tree-gathered and
+    /// factored on rank 0 alone, leaving `None` elsewhere — only rank 0's
+    /// copy ever solves, and the bottom-level marker is `r.is_none()`, not
+    /// this field.
     coarse: Option<CoarseDirect>,
     layout: Arc<Layout>,
 }
@@ -216,31 +228,28 @@ struct DistLevel {
 /// owning counterpart of [`RankHierarchy`], which borrows a replicated
 /// [`MgHierarchy`].
 ///
-/// Produced by [`RankHierarchy::build_distributed`]: every rank runs the
-/// same setup loop as [`MgHierarchy::build`], but the MIS executes as the
-/// §4.2 rounds over the transport, the reclassification merges face ids
-/// through the §4.5 collective, each rank assembles only its own operator
-/// blocks (ghost columns resolved by one ghost-list allgather per
-/// operator), and the Galerkin product computes only owned coarse rows
-/// through the per-rank [`RapPlan`] before one value-segment allgather
-/// rebuilds the (replicated) coarse matrix for the next level.
+/// Produced by [`RankHierarchy::build_from_shards`] from a
+/// partition-at-ingest seed and this rank's owned fine rows: every level is
+/// held as owned rows only, coarse grids are coarsened by the §4.2 MIS
+/// rounds and the §4.5 face-ID merge over the transport, and the Galerkin
+/// product fetches the few off-rank rows it needs point-to-point.
 ///
 /// Call [`DistributedSetup::rank_hierarchy`] to borrow the solve view;
 /// its shares are **bitwise identical** to
 /// `RankHierarchy::extract(&MgHierarchy::build(..), rank)` on the same
-/// inputs — the parity the `distributed_setup_matches_extract_oracle`
-/// tests pin on every transport.
+/// global problem — the parity the `shards_match_extract_oracle` tests pin
+/// on every transport.
 ///
 /// # Example
 ///
-/// Distributed setup + solve on two SPMD rank threads (a scalar graph
-/// Laplacian on a structured cube mesh):
+/// Ingest planning, sharded setup and solve on two SPMD rank threads (a
+/// scalar graph Laplacian on a structured cube mesh):
 ///
 /// ```
-/// use pmg_comm::LocalTransport;
+/// use pmg_comm::{LocalTransport, Transport};
 /// use pmg_solver::PcgOptions;
 /// use pmg_sparse::CooBuilder;
-/// use prometheus::{classify_mesh, spmd::RankHierarchy, spmd_pcg, MgOptions};
+/// use prometheus::{classify_mesh, plan_ingest, spmd::RankHierarchy, spmd_pcg, MgOptions};
 ///
 /// let mesh = pmg_mesh::generators::cube(5);
 /// let graph = mesh.vertex_graph();
@@ -261,16 +270,22 @@ struct DistLevel {
 ///     ..Default::default()
 /// };
 ///
+/// // The loader partitions the fine vertices and plans one seed per rank ...
+/// let plan = plan_ingest(&mesh.coords, &graph, &classes, &[], 2, &opts);
+/// let layout = pmg_parallel::Layout::from_part(plan.part().to_vec(), 2);
+///
 /// let converged = LocalTransport::run_ranks(2, |mut t| {
-///     // Every rank builds its own hierarchy over the transport ...
-///     let setup = RankHierarchy::build_distributed(
-///         &mut t, &a, &mesh.coords, &graph, &classes, opts,
-///     )
-///     .unwrap();
+///     // ... every rank brings only its owned fine rows (a real program
+///     // assembles them from its mesh shard; here they are cut from `a`) ...
+///     let rank = t.rank();
+///     let a_owned = a.extract_rows(layout.owned(rank));
+///     // ... builds its share of the hierarchy over the transport ...
+///     let setup =
+///         RankHierarchy::build_from_shards(&mut t, &plan.seeds[rank], &a_owned, opts).unwrap();
 ///     // ... scatters the global right-hand side into its owned slice ...
-///     let layout = setup.fine_layout().clone();
-///     let b_local: Vec<f64> = layout
-///         .owned(setup.rank())
+///     let b_local: Vec<f64> = setup
+///         .fine_layout()
+///         .owned(rank)
 ///         .iter()
 ///         .map(|&g| rhs[g as usize])
 ///         .collect();
@@ -367,61 +382,6 @@ fn exchange_ghosts<T: Transport>(t: &mut T, m: &mut RankMatrix) -> Result<(), Co
     let lists = pmg_comm::allgather_u32s(t, m.ghosts())?;
     m.install_plan(&lists);
     Ok(())
-}
-
-/// Distribute one (replicated) global operator: build this rank's owned
-/// blocks, optionally promote to BSR3, and run the ghost-list collective.
-/// Mirrors `make_da` in [`MgHierarchy::build`] share for share.
-fn distribute_mat<T: Transport>(
-    t: &mut T,
-    a: &CsrMatrix,
-    row_layout: &Arc<Layout>,
-    col_layout: &Arc<Layout>,
-    promote_block3: bool,
-) -> Result<RankMatrix, CommError> {
-    let mut m = RankMatrix::from_owned_rows(a, row_layout.clone(), col_layout.clone(), t.rank());
-    if promote_block3 {
-        m.try_block3();
-    }
-    exchange_ghosts(t, &mut m)?;
-    Ok(m)
-}
-
-/// Build the coarsest [`DistLevel`]: operator share, smoother factors, and
-/// the (replicated) direct factor.
-fn build_bottom_level<T: Transport>(
-    t: &mut T,
-    a: &CsrMatrix,
-    layout: &Arc<Layout>,
-    promote: bool,
-    opts: &MgOptions,
-) -> Result<DistLevel, CommError> {
-    let ra = {
-        let _t = pmg_telemetry::scope("distribute");
-        distribute_mat(
-            t,
-            a,
-            layout,
-            layout,
-            promote && opts.dofs_per_vertex == 3 && opts.block3,
-        )?
-    };
-    let smoother = {
-        let _t = pmg_telemetry::scope("smoother");
-        RankJacobi::new(ra.local_block(), opts.blocks_per_1000, opts.omega)
-    };
-    let coarse = {
-        let _t = pmg_telemetry::scope("coarse_direct");
-        CoarseDirect::from_csr(a)
-    };
-    Ok(DistLevel {
-        a: ra,
-        r: None,
-        p: None,
-        smoother,
-        coarse: Some(coarse),
-        layout: layout.clone(),
-    })
 }
 
 fn u32s_to_bytes(v: &[u32]) -> Vec<u8> {
@@ -552,8 +512,12 @@ fn fetch_rows<T: Transport>(
     let mut cursors: Vec<RowCursor> = payloads.iter().map(|b| RowCursor::new(b)).collect();
     let mut row_ptr = Vec::with_capacity(need.len() + 1);
     row_ptr.push(0usize);
-    let mut col_idx = Vec::new();
-    let mut vals = Vec::new();
+    // An upper bound on the entries (each wire entry costs 12 bytes): the
+    // result is most of a rank's operator share, and growing it by doubling
+    // leaves as much again behind in freed buffers.
+    let nnz_bound = a_owned.nnz() + payloads.iter().map(|b| b.len() / 12).sum::<usize>();
+    let mut col_idx = Vec::with_capacity(nnz_bound);
+    let mut vals = Vec::with_capacity(nnz_bound);
     for &g in need {
         let o = layout.owner(g as usize) as usize;
         if o == rank {
@@ -622,7 +586,7 @@ fn peak_rss_bytes() -> Option<u64> {
 /// rank 0 — reversing the §5 replication: the full (constant-size)
 /// coarsest matrix exists on the gather root alone, and only there is it
 /// factored. Other ranks carry `coarse: None`.
-fn build_bottom_from_local<T: Transport>(
+fn bottom_level<T: Transport>(
     t: &mut T,
     ra: RankMatrix,
     a_owned: &CsrMatrix,
@@ -665,6 +629,132 @@ fn build_bottom_from_local<T: Transport>(
         coarse,
         layout: layout.clone(),
     })
+}
+
+/// The dof layout of a grid (RCB over its vertex coordinates, `dofs`
+/// unknowns per vertex) plus the vertex partition's load imbalance (max
+/// part over ideal share; 1.0 = perfectly balanced).
+fn dof_layout(coords: &[Vec3], nranks: usize, dofs: usize) -> (Arc<Layout>, f64) {
+    let part = recursive_coordinate_bisection(coords, nranks);
+    let imbalance = pmg_partition::part_imbalance(&part, nranks);
+    let vlayout = Layout::from_part(part, nranks);
+    (Layout::expand_dofs(&vlayout, dofs), imbalance)
+}
+
+/// Replicated geometry of one coarse grid (coarse grids shrink
+/// geometrically, §5; the fine grid is never held this way).
+struct Grid {
+    coords: Vec<Vec3>,
+    graph: Graph,
+    classes: VertexClasses,
+}
+
+/// How one level reaches the next: this rank's owned rows of `R` and of
+/// `P = Rᵀ` (dof-expanded, global column ids), the `Rᵀ` rows its Galerkin
+/// product reads, and the coarse grid with its layout.
+struct Transfer {
+    r_owned: CsrMatrix,
+    p_owned: CsrMatrix,
+    /// Ascending global fine dof ids of `rt_rows`' rows.
+    rt_ids: Vec<u32>,
+    /// Full `Rᵀ` rows covering whatever the Galerkin product can touch
+    /// ([`rap_local_rows`] tolerates a superset).
+    rt_rows: CsrMatrix,
+    grid: Grid,
+    layout: Arc<Layout>,
+    imbalance: f64,
+}
+
+/// Level 0's transfer, from the ingest seed: the fine grid was coarsened
+/// once at load time and split into per-rank restriction tiles. `None` when
+/// the plan found the fine grid to be the coarsest.
+fn seed_transfer(seed: &RankSeed, fine_vlayout: &Layout, dofs: usize) -> Option<Transfer> {
+    let cs = seed.coarse.as_ref()?;
+    let (nranks, d) = (seed.nranks as usize, dofs as u32);
+    // Owned prolongation rows: the Rᵀ rows of this rank's own fine
+    // vertices, which the seed's support set is guaranteed to cover.
+    let pos: Vec<u32> = fine_vlayout
+        .owned(seed.rank as usize)
+        .iter()
+        .map(|&g| {
+            cs.rt_ids
+                .binary_search(&g)
+                .expect("seed covers owned fine vertices") as u32
+        })
+        .collect();
+    let (layout, imbalance) = dof_layout(&cs.coords, nranks, dofs);
+    Some(Transfer {
+        r_owned: expand_rows_dofs(&cs.r_rows, dofs),
+        p_owned: expand_rows_dofs(&cs.rt_rows.extract_rows(&pos), dofs),
+        rt_ids: cs
+            .rt_ids
+            .iter()
+            .flat_map(|&g| (0..d).map(move |c| g * d + c))
+            .collect(),
+        rt_rows: expand_rows_dofs(&cs.rt_rows, dofs),
+        grid: Grid {
+            coords: cs.coords.clone(),
+            graph: cs.graph.clone(),
+            classes: cs.classes.clone(),
+        },
+        layout,
+        imbalance,
+    })
+}
+
+/// A coarse level's transfer: coarsen the replicated grid over the
+/// transport (distributed MIS + face-ID merge) and cut this rank's rows out
+/// of the replicated restriction. `None` when this grid is the bottom —
+/// small enough, at the level cap, or coarsening stalled.
+fn coarsen_transfer<T: Transport>(
+    t: &mut T,
+    grid: &Grid,
+    layout: &Layout,
+    lvl: usize,
+    opts: &MgOptions,
+) -> Result<Option<Transfer>, CommError> {
+    let (nranks, rank, dofs) = (t.size(), t.rank(), opts.dofs_per_vertex);
+    let nv = grid.coords.len();
+    if layout.num_global() <= opts.coarse_dof_threshold || lvl + 1 >= opts.max_levels || nv < 24 {
+        return Ok(None);
+    }
+    let mut copts = opts.coarsen;
+    copts.nproc = nranks;
+    // Paper: reclassify the third and subsequent grids.
+    copts.reclassify = lvl >= 1;
+    let cl = {
+        let _t = pmg_telemetry::scope("coarsen");
+        coarsen_level_transport(
+            t,
+            &grid.coords,
+            &grid.graph,
+            &grid.classes,
+            &copts,
+            setup_tag(lvl),
+        )?
+    };
+    let nc = cl.selected.len();
+    if nc * 100 >= nv * 95 || nc < 4 {
+        return Ok(None); // stalled: finish with a direct solve here
+    }
+    let r_dof = expand_restriction(&cl.restriction, dofs);
+    let rt_dof = r_dof.transpose();
+    let (next_layout, imbalance) = dof_layout(&cl.coords, nranks, dofs);
+    Ok(Some(Transfer {
+        r_owned: r_dof.extract_rows(next_layout.owned(rank)),
+        p_owned: rt_dof.extract_rows(layout.owned(rank)),
+        // The restriction is replicated coarse-scale metadata, so every Rᵀ
+        // row is at hand.
+        rt_ids: (0..rt_dof.nrows() as u32).collect(),
+        rt_rows: rt_dof,
+        grid: Grid {
+            coords: cl.coords,
+            graph: cl.graph,
+            classes: cl.classes,
+        },
+        layout: next_layout,
+        imbalance,
+    }))
 }
 
 impl<'a> RankHierarchy<'a> {
@@ -713,218 +803,10 @@ impl<'a> RankHierarchy<'a> {
         }
     }
 
-    /// Run the **setup** pipeline SPMD over a real transport: every rank
-    /// executes the same level loop as [`MgHierarchy::build`], with the
-    /// communicating stages distributed —
-    ///
-    /// * the MIS runs as the §4.2 BSP rounds
-    ///   ([`crate::mis::parallel_mis_transport`]),
-    /// * reclassification merges per-processor face ids through the §4.5
-    ///   collective ([`crate::classify::identify_faces_transport`]),
-    /// * each rank assembles only its own operator/R/P blocks from its
-    ///   owned rows, resolving ghost columns with one ghost-list
-    ///   allgather per operator,
-    /// * the Galerkin triple product computes only this rank's owned
-    ///   coarse rows through the per-rank [`RapPlan`]
-    ///   ([`RapPlan::execute_rows`]) and rebuilds the coarse operator
-    ///   from one value-segment allgather,
-    ///
-    /// while the stages that are pure functions of replicated level
-    /// geometry (RCB layouts, Delaunay remesh, restriction weights, MIS
-    /// ordering) are computed redundantly on every rank — deterministic,
-    /// so identical everywhere. The coarsest direct factor is replicated
-    /// too: it is constant-size as the problem scales (§5) and only rank
-    /// 0's copy solves.
-    ///
-    /// The resulting per-rank shares are **bitwise identical** to
-    /// `RankHierarchy::extract(&MgHierarchy::build(..), t.rank())` on the
-    /// same inputs, on every transport — the parity contract the
-    /// distributed-setup oracle tests pin.
-    ///
-    /// Telemetry: the whole build runs under a `setup` scope with the
-    /// same child phases as the orchestrated path (`coarsen` with
-    /// `mis`/`delaunay`/`restriction`/`classify`, `rap`, `smoother`,
-    /// `coarse_direct`) plus the distribution phase `distribute`; rank 0
-    /// additionally records the real transport traffic of the build as
-    /// `comm/setup_msgs` / `comm/setup_bytes` counters and the
-    /// `comm/setup_wait_s` gauge.
-    ///
-    /// Panics if `opts` asks for the Chebyshev smoother or the
-    /// matrix-free fine operator — the SPMD path supports the paper's
-    /// block-Jacobi smoother and the assembled fine grid.
-    pub fn build_distributed<T: Transport>(
-        t: &mut T,
-        a_fine: &CsrMatrix,
-        coords: &[Vec3],
-        graph: &Graph,
-        classes: &VertexClasses,
-        opts: MgOptions,
-    ) -> Result<DistributedSetup, CommError> {
-        assert!(
-            matches!(opts.smoother, SmootherType::BlockJacobi),
-            "distributed setup supports the block-Jacobi smoother only"
-        );
-        assert_eq!(
-            opts.fine_operator,
-            FineOperator::Assembled,
-            "distributed setup supports the assembled fine operator only"
-        );
-        let _setup_scope = pmg_telemetry::scope("setup");
-        let stats0 = t.stats();
-        let nranks = t.size();
-        let rank = t.rank();
-        let dofs = opts.dofs_per_vertex;
-        assert_eq!(a_fine.nrows(), coords.len() * dofs);
-
-        // Returns the dof layout for a grid plus the vertex-partition load
-        // imbalance (max part over ideal share; 1.0 = perfectly balanced).
-        let make_layout = |coords: &[Vec3]| -> (Arc<Layout>, f64) {
-            let part = recursive_coordinate_bisection(coords, nranks);
-            let imbalance = pmg_partition::part_imbalance(&part, nranks);
-            let vlayout = Layout::from_part(part, nranks);
-            (Layout::expand_dofs(&vlayout, dofs), imbalance)
-        };
-
-        let mut levels: Vec<DistLevel> = Vec::new();
-        let fine_nnz = a_fine.nnz();
-        let mut total_nnz = 0usize;
-
-        let mut cur_a = a_fine.clone();
-        let mut cur_coords = coords.to_vec();
-        let mut cur_graph = graph.clone();
-        let mut cur_classes = classes.clone();
-        let (mut cur_layout, mut cur_imbalance) = make_layout(&cur_coords);
-
-        loop {
-            let n = cur_a.nrows();
-            let lvl_index = levels.len();
-            let promote = lvl_index != 0 || opts.fine_operator == FineOperator::Assembled;
-            total_nnz += cur_a.nnz();
-            if rank == 0 && pmg_telemetry::enabled() {
-                pmg_telemetry::gauge_set(&format!("mg/level{lvl_index}/rows"), n as f64);
-                pmg_telemetry::gauge_set(&format!("mg/level{lvl_index}/nnz"), cur_a.nnz() as f64);
-                pmg_telemetry::gauge_set(&format!("mg/level{lvl_index}/imbalance"), cur_imbalance);
-            }
-            let at_bottom = n <= opts.coarse_dof_threshold
-                || lvl_index + 1 >= opts.max_levels
-                || cur_coords.len() < 24;
-
-            if at_bottom {
-                levels.push(build_bottom_level(t, &cur_a, &cur_layout, promote, &opts)?);
-                break;
-            }
-
-            // Coarsen the grid: distributed MIS + face-ID merge.
-            let mut copts = opts.coarsen;
-            copts.nproc = nranks;
-            // Paper: reclassify the third and subsequent grids.
-            copts.reclassify = lvl_index >= 1;
-            let cl = {
-                let _t = pmg_telemetry::scope("coarsen");
-                coarsen_level_transport(
-                    t,
-                    &cur_coords,
-                    &cur_graph,
-                    &cur_classes,
-                    &copts,
-                    setup_tag(lvl_index),
-                )?
-            };
-            let nc = cl.selected.len();
-
-            if nc * 100 >= cur_coords.len() * 95 || nc < 4 {
-                // Coarsening stalled: finish with a direct solve here.
-                levels.push(build_bottom_level(t, &cur_a, &cur_layout, promote, &opts)?);
-                break;
-            }
-
-            // Distributed Galerkin product: every rank carries the same
-            // symbolic plan, computes only its owned coarse rows, and the
-            // value segments merge in one allgather. Per entry this is
-            // bitwise `plan.execute(&cur_a)` — the partition test in
-            // `pmg_sparse::plan` pins it.
-            let r_dof = expand_restriction(&cl.restriction, dofs);
-            let (coarse_layout, coarse_imbalance) = make_layout(&cl.coords);
-            let a_coarse = {
-                let _t = pmg_telemetry::scope("rap");
-                let mut plan = RapPlan::new(&cur_a, &r_dof);
-                let mine = plan.execute_rows(&cur_a, coarse_layout.owned(rank));
-                let parts = pmg_comm::allgather(t, &f64s_to_bytes(&mine))?;
-                let mut vals = vec![0.0; plan.coarse_nnz()];
-                for (rk, blob) in parts.iter().enumerate() {
-                    let seg = bytes_to_f64s(blob);
-                    let mut at = 0usize;
-                    for &c in coarse_layout.owned(rk) {
-                        let range = plan.coarse_row_range(c as usize);
-                        let len = range.len();
-                        vals[range].copy_from_slice(&seg[at..at + len]);
-                        at += len;
-                    }
-                }
-                plan.coarse_from_values(vals)
-            };
-
-            // Distribute this level's operators (owned blocks + halo
-            // plans from the ghost-list collective).
-            let (ra, rr, rp) = {
-                let _t = pmg_telemetry::scope("distribute");
-                let ra = distribute_mat(
-                    t,
-                    &cur_a,
-                    &cur_layout,
-                    &cur_layout,
-                    promote && dofs == 3 && opts.block3,
-                )?;
-                let rr = distribute_mat(t, &r_dof, &coarse_layout, &cur_layout, false)?;
-                let rp = distribute_mat(t, &r_dof.transpose(), &cur_layout, &coarse_layout, false)?;
-                (ra, rr, rp)
-            };
-            let smoother = {
-                let _t = pmg_telemetry::scope("smoother");
-                RankJacobi::new(ra.local_block(), opts.blocks_per_1000, opts.omega)
-            };
-
-            levels.push(DistLevel {
-                a: ra,
-                r: Some(rr),
-                p: Some(rp),
-                smoother,
-                coarse: None,
-                layout: cur_layout.clone(),
-            });
-
-            cur_a = a_coarse;
-            cur_coords = cl.coords;
-            cur_graph = cl.graph;
-            cur_classes = cl.classes;
-            cur_layout = coarse_layout;
-            cur_imbalance = coarse_imbalance;
-        }
-
-        if rank == 0 && pmg_telemetry::enabled() {
-            pmg_telemetry::gauge_set("mg/levels", levels.len() as f64);
-            pmg_telemetry::gauge_set(
-                "mg/operator_complexity",
-                total_nnz as f64 / fine_nnz.max(1) as f64,
-            );
-            let ds = t.stats();
-            pmg_telemetry::counter_add("comm/setup_msgs", ds.msgs - stats0.msgs);
-            pmg_telemetry::counter_add("comm/setup_bytes", ds.bytes - stats0.bytes);
-            pmg_telemetry::gauge_set("comm/setup_wait_s", ds.wait_s - stats0.wait_s);
-        }
-
-        Ok(DistributedSetup {
-            levels,
-            cycle: opts.cycle,
-            pre_smooth: opts.pre_smooth,
-            post_smooth: opts.post_smooth,
-            rank,
-        })
-    }
-
-    /// Run the setup from a **partition-at-ingest seed**: no rank — this
-    /// one included — ever materializes the global fine mesh, the global
-    /// fine matrix, or a global fine vector.
+    /// Run the **setup** pipeline SPMD over a real transport, from a
+    /// **partition-at-ingest seed**: no rank — this one included — ever
+    /// materializes the global fine mesh, the global fine matrix, or a
+    /// global fine vector.
     ///
     /// The inputs are what the ingest pipeline hands a rank:
     ///
@@ -940,30 +822,41 @@ impl<'a> RankHierarchy<'a> {
     ///   sparsity stays inside the vertex adjacency of the graph the seed
     ///   was planned on (the Galerkin kernel panics otherwise).
     ///
-    /// Differences from [`RankHierarchy::build_distributed`], level by level:
+    /// Every level runs the same step: distribute the owned operator rows
+    /// (ghost columns resolved by one ghost-list allgather), compute the
+    /// owned Galerkin rows ([`rap_local_rows`] over the few off-rank `A`
+    /// rows fetched point-to-point — no value allgather, no replicated
+    /// coarse matrix), distribute the owned `R`/`P` rows, factor the
+    /// block-Jacobi smoother. Only *where `R` and `Rᵀ` come from* differs:
+    /// level 0 reads the seed's restriction tiles (the fine grid was
+    /// coarsened once, at load time); coarser grids are replicated and
+    /// coarsened here — the MIS as the §4.2 BSP rounds
+    /// ([`crate::mis::parallel_mis_transport`]), the reclassification
+    /// through the §4.5 face-ID collective
+    /// ([`crate::classify::identify_faces_transport`]). **The coarsest
+    /// factor** lives on rank 0 alone: owned rows are tree-gathered there,
+    /// factored once, and the solve's gather-solve-scatter serves every
+    /// rank (other ranks hold `coarse: None`).
     ///
-    /// * **Level 0** never exists globally: the operator share comes
-    ///   straight from `a_owned`, the Galerkin product reads the seed's
-    ///   restriction tiles and fetches the few off-rank A rows it needs
-    ///   point-to-point ([`rap_local_rows`]) — there is **no value
-    ///   allgather** and no replicated coarse matrix,
-    /// * **coarse levels** stay owned shares: each rank keeps only its
-    ///   owned rows (+ ghost columns) of every `A_l`, `R_l`, `P_l`,
-    /// * **the coarsest factor** lives on rank 0 alone: owned rows are
-    ///   tree-gathered there, factored once, and the solve's existing
-    ///   gather-solve-scatter serves every rank (other ranks hold
-    ///   `coarse: None`).
+    /// The level shares and the solve are **bitwise identical** to the
+    /// `MgHierarchy::build` + [`RankHierarchy::extract`] oracle on the same
+    /// global problem; the `shards_match_extract_oracle` tests pin it on
+    /// every transport.
     ///
-    /// The level shares and the solve are **bitwise identical** to
-    /// [`RankHierarchy::build_distributed`] — and therefore to the
-    /// `MgHierarchy::build` + [`RankHierarchy::extract`] oracle — on the
-    /// same global problem; the `shards_match_extract_oracle` tests pin
-    /// it on every transport.
+    /// Telemetry: the whole build runs under a `setup` scope with the same
+    /// child phases as the orchestrated path (`coarsen` with
+    /// `mis`/`delaunay`/`restriction`/`classify`, `rap`, `smoother`,
+    /// `coarse_direct`) plus the distribution phase `distribute`; rank 0
+    /// additionally records the real transport traffic of the build as
+    /// `comm/setup_msgs` / `comm/setup_bytes` counters and the
+    /// `comm/setup_wait_s` gauge, per-level `mem/level{N}/operator_bytes`
+    /// (its resident share) and `mem/peak_rss` gauges, plus
+    /// `mg/level0/element_imbalance` when the seed carries ingest-time
+    /// element counts.
     ///
-    /// Telemetry adds to the usual setup phases: per-level
-    /// `mem/level{N}/operator_bytes` (rank 0's resident share) and
-    /// `mem/peak_rss` gauges, plus `mg/level0/element_imbalance` when the
-    /// seed carries ingest-time element counts.
+    /// Panics if `opts` asks for the Chebyshev smoother or the
+    /// matrix-free fine operator — the SPMD setup supports the paper's
+    /// block-Jacobi smoother and the assembled fine grid.
     pub fn build_from_shards<T: Transport>(
         t: &mut T,
         seed: &RankSeed,
@@ -998,247 +891,89 @@ impl<'a> RankHierarchy<'a> {
         let fine_layout = Layout::expand_dofs(&fine_vlayout, dofs);
         assert_eq!(a_owned.nrows(), fine_layout.owned(rank).len());
         assert_eq!(a_owned.ncols(), fine_layout.num_global());
-
-        let make_layout = |coords: &[Vec3]| -> (Arc<Layout>, f64) {
-            let part = recursive_coordinate_bisection(coords, nranks);
-            let imbalance = pmg_partition::part_imbalance(&part, nranks);
-            let vlayout = Layout::from_part(part, nranks);
-            (Layout::expand_dofs(&vlayout, dofs), imbalance)
-        };
-        // Level nnz is summed over the ranks' shares — nobody holds the
-        // global matrix to count. The allreduce is collective, so every
-        // rank runs it regardless of who records the gauge.
-        let level_nnz = |t: &mut T, local: usize| -> Result<f64, CommError> {
-            pmg_comm::allreduce_scalar(t, local as f64)
-        };
-
-        let mut levels: Vec<DistLevel> = Vec::new();
-        let fine_nnz = level_nnz(t, a_owned.nnz())?;
-        let mut total_nnz = fine_nnz;
-
-        if rank == 0 && pmg_telemetry::enabled() {
-            pmg_telemetry::gauge_set("mg/level0/rows", fine_layout.num_global() as f64);
-            pmg_telemetry::gauge_set("mg/level0/nnz", fine_nnz);
+        let record = rank == 0 && pmg_telemetry::enabled();
+        if record && !seed.elem_counts.is_empty() {
+            let counts: Vec<usize> = seed.elem_counts.iter().map(|&c| c as usize).collect();
             pmg_telemetry::gauge_set(
-                "mg/level0/imbalance",
-                pmg_partition::part_imbalance(&seed.part, nranks),
+                "mg/level0/element_imbalance",
+                pmg_mesh::element_imbalance(&counts),
             );
-            if !seed.elem_counts.is_empty() {
-                let counts: Vec<usize> = seed.elem_counts.iter().map(|&c| c as usize).collect();
-                pmg_telemetry::gauge_set(
-                    "mg/level0/element_imbalance",
-                    pmg_mesh::element_imbalance(&counts),
-                );
-            }
         }
 
-        // Fine-grid operator share, straight from the rank's own assembly.
-        let ra0 = {
-            let _t = pmg_telemetry::scope("distribute");
-            let mut m = RankMatrix::from_local_rows(
-                a_owned,
-                fine_layout.clone(),
-                fine_layout.clone(),
-                rank,
-            );
-            if dofs == 3 && opts.block3 {
-                m.try_block3();
-            }
-            exchange_ghosts(t, &mut m)?;
-            m
-        };
-
-        let cs = match &seed.coarse {
-            None => {
-                // The fine grid is the coarsest grid.
-                levels.push(build_bottom_from_local(
-                    t,
-                    ra0,
-                    a_owned,
-                    &fine_layout,
-                    &opts,
-                )?);
-                return Self::finish_shards(t, levels, total_nnz, fine_nnz, stats0, opts, rank);
-            }
-            Some(cs) => cs,
-        };
-
-        // Level-0 Galerkin product from the seed's restriction tiles: the
-        // off-rank A rows under the owned restriction support arrive
-        // point-to-point; everything else is already local.
-        let (coarse_layout, coarse_imbalance) = make_layout(&cs.coords);
-        let r_dof_owned = expand_rows_dofs(&cs.r_rows, dofs);
-        assert_eq!(r_dof_owned.nrows(), coarse_layout.owned(rank).len());
-        let a_coarse_owned = {
-            let _t = pmg_telemetry::scope("rap");
-            let mut a_ids: Vec<u32> = r_dof_owned.col_idx().iter().map(|&c| c as u32).collect();
-            a_ids.sort_unstable();
-            a_ids.dedup();
-            let a_rows = fetch_rows(t, a_owned, &fine_layout, &a_ids, setup_tag(0) + 8)?;
-            let rt_ids_dof: Vec<u32> = cs
-                .rt_ids
-                .iter()
-                .flat_map(|&g| (0..dofs as u32).map(move |d| g * dofs as u32 + d))
-                .collect();
-            let rt_dof = expand_rows_dofs(&cs.rt_rows, dofs);
-            rap_local_rows(&r_dof_owned, &a_ids, &a_rows, &rt_ids_dof, &rt_dof)
-        };
-
-        // Owned prolongation rows: the Rᵀ rows of this rank's own fine
-        // vertices, which the seed's support set is guaranteed to cover.
-        let rp_owned = {
-            let pos: Vec<u32> = fine_vlayout
-                .owned(rank)
-                .iter()
-                .map(|&g| {
-                    cs.rt_ids
-                        .binary_search(&g)
-                        .expect("seed covers owned fine vertices") as u32
-                })
-                .collect();
-            expand_rows_dofs(&cs.rt_rows.extract_rows(&pos), dofs)
-        };
-
-        let (rr, rp) = {
-            let _t = pmg_telemetry::scope("distribute");
-            let mut rr = RankMatrix::from_local_rows(
-                &r_dof_owned,
-                coarse_layout.clone(),
-                fine_layout.clone(),
-                rank,
-            );
-            exchange_ghosts(t, &mut rr)?;
-            let mut rp = RankMatrix::from_local_rows(
-                &rp_owned,
-                fine_layout.clone(),
-                coarse_layout.clone(),
-                rank,
-            );
-            exchange_ghosts(t, &mut rp)?;
-            (rr, rp)
-        };
-        let smoother = {
-            let _t = pmg_telemetry::scope("smoother");
-            RankJacobi::new(ra0.local_block(), opts.blocks_per_1000, opts.omega)
-        };
-        levels.push(DistLevel {
-            a: ra0,
-            r: Some(rr),
-            p: Some(rp),
-            smoother,
-            coarse: None,
-            layout: fine_layout,
-        });
-
-        // From level 1 on the geometry is replicated (coarse grids shrink
-        // geometrically, §5) and the loop mirrors `build_distributed` —
-        // except the operators never leave owned-rows form: the Galerkin
-        // rows come from [`rap_local_rows`] over p2p-fetched A rows, and
-        // no value allgather ever rebuilds a full coarse matrix.
-        let mut cur_owned = a_coarse_owned;
-        let mut cur_coords = cs.coords.clone();
-        let mut cur_graph = cs.graph.clone();
-        let mut cur_classes = cs.classes.clone();
-        let mut cur_layout = coarse_layout;
-        let mut cur_imbalance = coarse_imbalance;
+        let mut levels: Vec<DistLevel> = Vec::new();
+        let mut level_nnz: Vec<f64> = Vec::new();
+        // The current level: owned operator rows, dof layout, and — below
+        // the fine grid — the replicated geometry.
+        let mut cur_owned = Cow::Borrowed(a_owned);
+        let mut cur_layout = fine_layout;
+        let mut cur_imbalance = pmg_partition::part_imbalance(&seed.part, nranks);
+        let mut cur_grid: Option<Grid> = None;
 
         loop {
-            let n = cur_layout.num_global();
-            let lvl_index = levels.len();
-            let nnz = level_nnz(t, cur_owned.nnz())?;
-            total_nnz += nnz;
-            if rank == 0 && pmg_telemetry::enabled() {
-                pmg_telemetry::gauge_set(&format!("mg/level{lvl_index}/rows"), n as f64);
-                pmg_telemetry::gauge_set(&format!("mg/level{lvl_index}/nnz"), nnz);
-                pmg_telemetry::gauge_set(&format!("mg/level{lvl_index}/imbalance"), cur_imbalance);
+            let lvl = levels.len();
+            // Level nnz is summed over the ranks' shares — nobody holds the
+            // global matrix to count. The allreduce is collective, so every
+            // rank runs it regardless of who records the gauge.
+            let nnz = pmg_comm::allreduce_scalar(t, cur_owned.nnz() as f64)?;
+            level_nnz.push(nnz);
+            if record {
+                let n = cur_layout.num_global();
+                pmg_telemetry::gauge_set(&format!("mg/level{lvl}/rows"), n as f64);
+                pmg_telemetry::gauge_set(&format!("mg/level{lvl}/nnz"), nnz);
+                pmg_telemetry::gauge_set(&format!("mg/level{lvl}/imbalance"), cur_imbalance);
             }
-            let at_bottom = n <= opts.coarse_dof_threshold
-                || lvl_index + 1 >= opts.max_levels
-                || cur_coords.len() < 24;
 
-            let make_ra = |t: &mut T, owned: &CsrMatrix, layout: &Arc<Layout>| {
-                let _s = pmg_telemetry::scope("distribute");
-                let mut m =
-                    RankMatrix::from_local_rows(owned, layout.clone(), layout.clone(), rank);
+            let ra = {
+                let _t = pmg_telemetry::scope("distribute");
+                let mut m = RankMatrix::from_local_rows(
+                    &cur_owned,
+                    cur_layout.clone(),
+                    cur_layout.clone(),
+                    rank,
+                );
                 if dofs == 3 && opts.block3 {
                     m.try_block3();
                 }
-                exchange_ghosts(t, &mut m).map(|_| m)
+                exchange_ghosts(t, &mut m)?;
+                m
             };
 
-            if at_bottom {
-                let ra = make_ra(t, &cur_owned, &cur_layout)?;
-                levels.push(build_bottom_from_local(
-                    t,
-                    ra,
-                    &cur_owned,
-                    &cur_layout,
-                    &opts,
-                )?);
-                break;
-            }
-
-            let mut copts = opts.coarsen;
-            copts.nproc = nranks;
-            copts.reclassify = lvl_index >= 1;
-            let cl = {
-                let _t = pmg_telemetry::scope("coarsen");
-                coarsen_level_transport(
-                    t,
-                    &cur_coords,
-                    &cur_graph,
-                    &cur_classes,
-                    &copts,
-                    setup_tag(lvl_index),
-                )?
+            let transfer = match &cur_grid {
+                None => seed_transfer(seed, &fine_vlayout, dofs),
+                Some(grid) => coarsen_transfer(t, grid, &cur_layout, lvl, &opts)?,
             };
-            let nc = cl.selected.len();
-
-            if nc * 100 >= cur_coords.len() * 95 || nc < 4 {
-                let ra = make_ra(t, &cur_owned, &cur_layout)?;
-                levels.push(build_bottom_from_local(
-                    t,
-                    ra,
-                    &cur_owned,
-                    &cur_layout,
-                    &opts,
-                )?);
+            let Some(tr) = transfer else {
+                levels.push(bottom_level(t, ra, &cur_owned, &cur_layout, &opts)?);
                 break;
-            }
+            };
+            assert_eq!(tr.r_owned.nrows(), tr.layout.owned(rank).len());
 
-            let r_dof = expand_restriction(&cl.restriction, dofs);
-            let rt_dof = r_dof.transpose();
-            let (next_layout, next_imbalance) = make_layout(&cl.coords);
-            let r_rows = r_dof.extract_rows(next_layout.owned(rank));
+            // Galerkin product: the off-rank A rows under the owned
+            // restriction support arrive point-to-point; everything else is
+            // already local. The Rᵀ rows are read only here, so they move in
+            // and are freed before the smoother factors.
             let next_owned = {
                 let _t = pmg_telemetry::scope("rap");
-                let mut a_ids: Vec<u32> = r_rows.col_idx().iter().map(|&c| c as u32).collect();
+                let (rt_ids, rt_rows) = (tr.rt_ids, tr.rt_rows);
+                let mut a_ids: Vec<u32> = tr.r_owned.col_idx().iter().map(|&c| c as u32).collect();
                 a_ids.sort_unstable();
                 a_ids.dedup();
-                let a_rows =
-                    fetch_rows(t, &cur_owned, &cur_layout, &a_ids, setup_tag(lvl_index) + 8)?;
-                // This level's restriction is already replicated
-                // (coarse-scale geometry metadata), so every Rᵀ row is at
-                // hand — `rap_local_rows` tolerates the superset.
-                let rt_ids: Vec<u32> = (0..rt_dof.nrows() as u32).collect();
-                rap_local_rows(&r_rows, &a_ids, &a_rows, &rt_ids, &rt_dof)
+                let a_rows = fetch_rows(t, &cur_owned, &cur_layout, &a_ids, setup_tag(lvl) + 8)?;
+                rap_local_rows(&tr.r_owned, &a_ids, &a_rows, &rt_ids, &rt_rows)
             };
-
-            let ra = make_ra(t, &cur_owned, &cur_layout)?;
             let (rr, rp) = {
                 let _t = pmg_telemetry::scope("distribute");
                 let mut rr = RankMatrix::from_local_rows(
-                    &r_rows,
-                    next_layout.clone(),
+                    &tr.r_owned,
+                    tr.layout.clone(),
                     cur_layout.clone(),
                     rank,
                 );
                 exchange_ghosts(t, &mut rr)?;
-                let rp_rows = rt_dof.extract_rows(cur_layout.owned(rank));
                 let mut rp = RankMatrix::from_local_rows(
-                    &rp_rows,
+                    &tr.p_owned,
                     cur_layout.clone(),
-                    next_layout.clone(),
+                    tr.layout.clone(),
                     rank,
                 );
                 exchange_ghosts(t, &mut rp)?;
@@ -1254,35 +989,19 @@ impl<'a> RankHierarchy<'a> {
                 p: Some(rp),
                 smoother,
                 coarse: None,
-                layout: cur_layout.clone(),
+                layout: cur_layout,
             });
 
-            cur_owned = next_owned;
-            cur_coords = cl.coords;
-            cur_graph = cl.graph;
-            cur_classes = cl.classes;
-            cur_layout = next_layout;
-            cur_imbalance = next_imbalance;
+            cur_owned = Cow::Owned(next_owned);
+            cur_layout = tr.layout;
+            cur_imbalance = tr.imbalance;
+            cur_grid = Some(tr.grid);
         }
 
-        Self::finish_shards(t, levels, total_nnz, fine_nnz, stats0, opts, rank)
-    }
-
-    /// Shared tail of [`build_from_shards`]: summary gauges (level count,
-    /// operator complexity, per-level resident bytes, peak RSS, setup
-    /// traffic) and the [`DistributedSetup`] assembly.
-    fn finish_shards<T: Transport>(
-        t: &mut T,
-        levels: Vec<DistLevel>,
-        total_nnz: f64,
-        fine_nnz: f64,
-        stats0: CommStats,
-        opts: MgOptions,
-        rank: usize,
-    ) -> Result<DistributedSetup, CommError> {
-        if rank == 0 && pmg_telemetry::enabled() {
+        if record {
             pmg_telemetry::gauge_set("mg/levels", levels.len() as f64);
-            pmg_telemetry::gauge_set("mg/operator_complexity", total_nnz / fine_nnz.max(1.0));
+            let total_nnz: f64 = level_nnz.iter().sum();
+            pmg_telemetry::gauge_set("mg/operator_complexity", total_nnz / level_nnz[0].max(1.0));
             for (i, level) in levels.iter().enumerate() {
                 pmg_telemetry::gauge_set(
                     &format!("mem/level{i}/operator_bytes"),
@@ -1486,65 +1205,76 @@ fn halo_spmv<T: Transport>(
     Ok(())
 }
 
-/// Global inner product: local partial, then the deterministic binomial
-/// allreduce — the same combine order as `DistVec::dot`.
-fn dot_all<T: Transport>(
-    t: &mut T,
-    w: &mut PhaseWaits,
-    a: &[f64],
-    b: &[f64],
-) -> Result<f64, CommError> {
-    let partial = vector::dot(a, b);
-    let before = t.stats().wait_s;
-    let s = pmg_comm::allreduce_scalar(t, partial)?;
-    w.allreduce_s += t.stats().wait_s - before;
-    Ok(s)
+/// The message-passing backend of [`pcg_blocked`]: vectors are this rank's
+/// owned slices, the operator and preconditioner come from the rank's
+/// [`RankHierarchy`], and every reduction point is one `allreduce_many`.
+struct TransportPcg<'a, 'h, T: Transport> {
+    t: &'a mut T,
+    h: &'a RankHierarchy<'h>,
+    waits: PhaseWaits,
 }
 
-/// Two global inner products fused into **one** batched allreduce.
-///
-/// [`pmg_comm::allreduce_many`] reduces the pair elementwise through the
-/// same binomial tree, so each component is bitwise identical to its own
-/// [`dot_all`] — fusing halves the collective rounds without touching the
-/// arithmetic.
-fn dot2_all<T: Transport>(
-    t: &mut T,
-    w: &mut PhaseWaits,
-    a: (&[f64], &[f64]),
-    b: (&[f64], &[f64]),
-) -> Result<(f64, f64), CommError> {
-    let mut partials = [vector::dot(a.0, a.1), vector::dot(b.0, b.1)];
-    let before = t.stats().wait_s;
-    pmg_comm::allreduce_many(t, &mut partials)?;
-    w.allreduce_s += t.stats().wait_s - before;
-    Ok((partials[0], partials[1]))
-}
+impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
+    type Vector = Vec<f64>;
+    type Error = CommError;
 
-/// Any number of inner-product partials fused into one batched allreduce;
-/// each component is bitwise its own [`dot_all`] (same tree, elementwise
-/// combine). The blocked solve fuses all active columns' reductions here.
-fn dots_all<T: Transport>(
-    t: &mut T,
-    w: &mut PhaseWaits,
-    partials: &mut [f64],
-) -> Result<(), CommError> {
-    let before = t.stats().wait_s;
-    pmg_comm::allreduce_many(t, partials)?;
-    w.allreduce_s += t.stats().wait_s - before;
-    Ok(())
+    fn zeros(&self) -> Vec<f64> {
+        vec![0.0; self.h.levels[0].a.local_rows()]
+    }
+
+    fn apply(&mut self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) -> Result<(), CommError> {
+        let fine = &self.h.levels[0].a;
+        halo_spmv_multi(self.t, &mut self.waits, fine, self.h.overlap, xs, ys)
+    }
+
+    fn precond(&mut self, r: &Vec<f64>, z: &mut Vec<f64>) -> Result<(), CommError> {
+        *z = self.h.precond(self.t, &mut self.waits, r)?;
+        Ok(())
+    }
+
+    /// Local partials, then one batched binomial allreduce: it reduces
+    /// elementwise through the same tree as `DistVec::dot`, so each
+    /// component is bitwise its own scalar allreduce.
+    fn dots(&mut self, pairs: &[(&Vec<f64>, &Vec<f64>)]) -> Result<Vec<f64>, CommError> {
+        let mut partials: Vec<f64> = pairs.iter().map(|(u, v)| vector::dot(u, v)).collect();
+        let before = self.t.stats().wait_s;
+        pmg_comm::allreduce_many(self.t, &mut partials)?;
+        self.waits.allreduce_s += self.t.stats().wait_s - before;
+        Ok(partials)
+    }
+
+    fn axpy(&mut self, alpha: f64, x: &Vec<f64>, y: &mut Vec<f64>) {
+        vector::axpy(alpha, x, y);
+    }
+
+    fn aypx(&mut self, beta: f64, x: &Vec<f64>, y: &mut Vec<f64>) {
+        vector::aypx(beta, x, y);
+    }
+
+    // Rank 0 only, so SPMD runs record once like the orchestrated path.
+    fn record_iteration(&mut self) {
+        if self.t.rank() == 0 {
+            pmg_telemetry::counter_add("pcg/iterations", 1);
+        }
+    }
+
+    fn record_residual(&mut self, rnorm: f64) {
+        if self.t.rank() == 0 {
+            pmg_telemetry::series_push("pcg/residuals", rnorm);
+        }
+    }
 }
 
 /// PCG over a real transport, preconditioned by one MG cycle per
-/// [`RankHierarchy`], mirroring [`pmg_solver::pcg()`] statement for
-/// statement. `b_local`/`x_local` are this rank's shares in the fine
-/// layout's owned order; `x_local` holds the initial guess and the
-/// solution.
+/// [`RankHierarchy`]: [`spmd_pcg_multi`] at k = 1, and so the same
+/// recurrence as [`pmg_solver::pcg()`]. `b_local`/`x_local` are this rank's
+/// shares in the fine layout's owned order; `x_local` holds the initial
+/// guess and the solution.
 ///
-/// Telemetry (rank 0 only, so SPMD runs record once like the orchestrated
-/// path): `pcg/iterations`, the `pcg/residuals` series, the real per-phase
-/// wait gauges `comm/wait/{halo,allreduce,coarse}`, and the overlap
-/// accounting `comm/overlap/{interior_rows,boundary_rows}` counters plus
-/// the `comm/overlap/halo_hidden_s` gauge.
+/// Telemetry (rank 0 only): `pcg/iterations`, the `pcg/residuals` series,
+/// the real per-phase wait gauges `comm/wait/{halo,allreduce,coarse}`, and
+/// the overlap accounting `comm/overlap/{interior_rows,boundary_rows}`
+/// counters plus the `comm/overlap/halo_hidden_s` gauge.
 pub fn spmd_pcg<T: Transport>(
     t: &mut T,
     h: &RankHierarchy<'_>,
@@ -1552,135 +1282,25 @@ pub fn spmd_pcg<T: Transport>(
     x_local: &mut [f64],
     opts: PcgOptions,
 ) -> Result<(PcgResult, PhaseWaits), CommError> {
-    let root = t.rank() == 0;
-    let mut w = PhaseWaits::default();
-    let mut r = vec![0.0; b_local.len()];
-    let fine = &h.levels[0].a;
-
-    // r = b - A x.
-    halo_spmv(t, &mut w, fine, h.overlap, x_local, &mut r)?;
-    vector::aypx(-1.0, b_local, &mut r);
-
-    // ‖b‖ and ‖r‖ are independent, so with overlap their reductions ride
-    // one fused collective; each component is bitwise identical to its own
-    // scalar allreduce (same tree, elementwise combine).
-    let (bnorm, mut rnorm) = if h.overlap {
-        let (bb, rr) = dot2_all(t, &mut w, (b_local, b_local), (&r, &r))?;
-        (bb.sqrt().max(1e-300), rr.sqrt())
-    } else {
-        (
-            dot_all(t, &mut w, b_local, b_local)?.sqrt().max(1e-300),
-            dot_all(t, &mut w, &r, &r)?.sqrt(),
-        )
-    };
-    let mut residuals = vec![rnorm];
-    if root {
-        pmg_telemetry::series_push("pcg/residuals", rnorm);
-    }
-    if rnorm <= opts.rtol * bnorm || rnorm <= opts.atol {
-        if root {
-            w.publish();
-        }
-        return Ok((
-            PcgResult {
-                iterations: 0,
-                converged: true,
-                rel_residual: rnorm / bnorm,
-                residuals,
-            },
-            w,
-        ));
-    }
-
-    let mut z = h.precond(t, &mut w, &r)?;
-    let mut p = z.clone();
-    let mut wv = vec![0.0; b_local.len()];
-    let mut rz = dot_all(t, &mut w, &r, &z)?;
-    let mut converged = false;
-    let mut iterations = 0;
-
-    for it in 1..=opts.max_iters {
-        iterations = it;
-        if root {
-            pmg_telemetry::counter_add("pcg/iterations", 1);
-        }
-        halo_spmv(t, &mut w, fine, h.overlap, &p, &mut wv)?;
-        let pw = dot_all(t, &mut w, &p, &wv)?;
-        if pw <= 0.0 || !pw.is_finite() {
-            // Loss of positive definiteness (or breakdown): stop.
-            break;
-        }
-        let alpha = rz / pw;
-        vector::axpy(alpha, &p, x_local);
-        vector::axpy(-alpha, &wv, &mut r);
-        if h.overlap {
-            // Speculative preconditioner application: z = M⁻¹r is computed
-            // *before* the convergence test so the r·r and r·z reductions
-            // ride one fused collective instead of two rounds (`p·w` cannot
-            // join them — α depends on it before r is updated). Costs one
-            // discarded MG cycle on the final, converged iteration; both
-            // reduced values are bitwise what the unfused path computes, so
-            // the residual history and iteration path are unchanged.
-            z = h.precond(t, &mut w, &r)?;
-            let (rr, rz_new) = dot2_all(t, &mut w, (&r, &r), (&r, &z))?;
-            rnorm = rr.sqrt();
-            residuals.push(rnorm);
-            if root {
-                pmg_telemetry::series_push("pcg/residuals", rnorm);
-            }
-            if rnorm <= opts.rtol * bnorm || rnorm <= opts.atol {
-                converged = true;
-                break;
-            }
-            let beta = rz_new / rz;
-            rz = rz_new;
-            vector::aypx(beta, &z, &mut p);
-        } else {
-            rnorm = dot_all(t, &mut w, &r, &r)?.sqrt();
-            residuals.push(rnorm);
-            if root {
-                pmg_telemetry::series_push("pcg/residuals", rnorm);
-            }
-            if rnorm <= opts.rtol * bnorm || rnorm <= opts.atol {
-                converged = true;
-                break;
-            }
-            z = h.precond(t, &mut w, &r)?;
-            let rz_new = dot_all(t, &mut w, &r, &z)?;
-            let beta = rz_new / rz;
-            rz = rz_new;
-            vector::aypx(beta, &z, &mut p);
-        }
-    }
-    if root {
-        w.publish();
-    }
-    Ok((
-        PcgResult {
-            iterations,
-            converged,
-            rel_residual: rnorm / bnorm,
-            residuals,
-        },
-        w,
-    ))
+    let mut xs = [x_local.to_vec()];
+    let (mut res, waits) = spmd_pcg_multi(t, h, &[b_local.to_vec()], &mut xs, opts)?;
+    x_local.copy_from_slice(&xs[0]);
+    Ok((res.pop().expect("one column in, one result out"), waits))
 }
 
 /// Blocked PCG over a real transport: k systems `A x = bs[c]` advance in
-/// lockstep, sharing one batched fine-grid product per iteration (through
-/// `halo_spmv_multi`) and fusing the active columns' inner-product
-/// partials into one collective per reduction point.
+/// lockstep through [`pmg_solver::pcg_blocked`], sharing one batched
+/// fine-grid product per iteration (through `halo_spmv_multi`) and fusing
+/// the active columns' inner-product partials into one collective per
+/// reduction point.
 ///
 /// Column `c` of the result — solution, iteration count, convergence flag,
 /// residual history — is **bitwise identical** to [`spmd_pcg`] on
-/// `bs_local[c]` alone: the recurrence scalars are per-column, every fused
-/// allreduce component is bitwise its own scalar allreduce, and the batched
-/// operator applies are bitwise per column. Columns that converge or break
-/// down freeze (their x/r/p stop updating; the stale direction still rides
-/// in the batched product, harmlessly) while the rest keep iterating.
+/// `bs_local[c]` alone. The schedule is the same for either setting of
+/// [`RankHierarchy::overlap`]: same messages, same allreduces.
 ///
-/// Telemetry: `pcg/iterations` ticks once per blocked iteration on rank 0;
-/// the per-column residual series is returned, not recorded.
+/// Telemetry is [`spmd_pcg`]'s; `pcg/iterations` ticks once per blocked
+/// iteration.
 pub fn spmd_pcg_multi<T: Transport>(
     t: &mut T,
     h: &RankHierarchy<'_>,
@@ -1688,262 +1308,23 @@ pub fn spmd_pcg_multi<T: Transport>(
     xs_local: &mut [Vec<f64>],
     opts: PcgOptions,
 ) -> Result<(Vec<PcgResult>, PhaseWaits), CommError> {
-    let k = bs_local.len();
-    assert_eq!(
-        xs_local.len(),
-        k,
-        "spmd_pcg_multi needs matching b/x counts"
-    );
     let root = t.rank() == 0;
-    let mut w = PhaseWaits::default();
-    if k == 0 {
-        return Ok((Vec::new(), w));
+    let mut be = TransportPcg {
+        t,
+        h,
+        waits: PhaseWaits::default(),
+    };
+    let results = pcg_blocked(&mut be, bs_local, xs_local, &vec![opts; bs_local.len()])?;
+    if root && !results.is_empty() {
+        be.waits.publish();
     }
-    let fine = &h.levels[0].a;
-    let nl = bs_local[0].len();
-
-    // rs[c] = bs[c] - A xs[c], one batched product.
-    let mut rs: Vec<Vec<f64>> = vec![vec![0.0; nl]; k];
-    halo_spmv_multi(t, &mut w, fine, h.overlap, xs_local, &mut rs)?;
-    for (r, b) in rs.iter_mut().zip(bs_local) {
-        vector::aypx(-1.0, b, r);
-    }
-
-    let mut bnorms = vec![0.0; k];
-    let mut rnorms = vec![0.0; k];
-    if h.overlap {
-        let mut partials = Vec::with_capacity(2 * k);
-        for c in 0..k {
-            partials.push(vector::dot(&bs_local[c], &bs_local[c]));
-            partials.push(vector::dot(&rs[c], &rs[c]));
-        }
-        dots_all(t, &mut w, &mut partials)?;
-        for c in 0..k {
-            bnorms[c] = partials[2 * c].sqrt().max(1e-300);
-            rnorms[c] = partials[2 * c + 1].sqrt();
-        }
-    } else {
-        for c in 0..k {
-            bnorms[c] = dot_all(t, &mut w, &bs_local[c], &bs_local[c])?
-                .sqrt()
-                .max(1e-300);
-            rnorms[c] = dot_all(t, &mut w, &rs[c], &rs[c])?.sqrt();
-        }
-    }
-    let mut residuals: Vec<Vec<f64>> = rnorms.iter().map(|&r| vec![r]).collect();
-    let mut converged = vec![false; k];
-    let mut iterations = vec![0usize; k];
-    let mut active = vec![true; k];
-    for c in 0..k {
-        if rnorms[c] <= opts.rtol * bnorms[c] || rnorms[c] <= opts.atol {
-            converged[c] = true;
-            active[c] = false;
-        }
-    }
-
-    let mut zs: Vec<Vec<f64>> = vec![Vec::new(); k];
-    let mut ps: Vec<Vec<f64>> = vec![vec![0.0; nl]; k];
-    let mut wvs: Vec<Vec<f64>> = vec![vec![0.0; nl]; k];
-    let mut rzs = vec![0.0; k];
-    if active.iter().any(|&a| a) {
-        for c in 0..k {
-            if active[c] {
-                zs[c] = h.precond(t, &mut w, &rs[c])?;
-                ps[c].copy_from_slice(&zs[c]);
-            }
-        }
-        if h.overlap {
-            let act: Vec<usize> = (0..k).filter(|&c| active[c]).collect();
-            let mut partials: Vec<f64> = act.iter().map(|&c| vector::dot(&rs[c], &zs[c])).collect();
-            dots_all(t, &mut w, &mut partials)?;
-            for (&c, &v) in act.iter().zip(&partials) {
-                rzs[c] = v;
-            }
-        } else {
-            for c in 0..k {
-                if active[c] {
-                    rzs[c] = dot_all(t, &mut w, &rs[c], &zs[c])?;
-                }
-            }
-        }
-    }
-
-    for it in 1..=opts.max_iters {
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-        if root {
-            pmg_telemetry::counter_add("pcg/iterations", 1);
-        }
-        for c in 0..k {
-            if active[c] {
-                iterations[c] = it;
-            }
-        }
-        // One batched product covers every column; frozen columns' stale
-        // directions ride along and their outputs are ignored.
-        halo_spmv_multi(t, &mut w, fine, h.overlap, &ps, &mut wvs)?;
-        let act: Vec<usize> = (0..k).filter(|&c| active[c]).collect();
-        let mut pws: Vec<f64> = act.iter().map(|&c| vector::dot(&ps[c], &wvs[c])).collect();
-        if h.overlap {
-            dots_all(t, &mut w, &mut pws)?;
-        } else {
-            for pw in pws.iter_mut() {
-                let before = t.stats().wait_s;
-                *pw = pmg_comm::allreduce_scalar(t, *pw)?;
-                w.allreduce_s += t.stats().wait_s - before;
-            }
-        }
-        for (&c, &pw) in act.iter().zip(&pws) {
-            if pw <= 0.0 || !pw.is_finite() {
-                // Loss of positive definiteness (or breakdown): freeze.
-                active[c] = false;
-                continue;
-            }
-            let alpha = rzs[c] / pw;
-            vector::axpy(alpha, &ps[c], &mut xs_local[c]);
-            vector::axpy(-alpha, &wvs[c], &mut rs[c]);
-        }
-        let act: Vec<usize> = (0..k).filter(|&c| active[c]).collect();
-        if h.overlap {
-            // Speculative preconditioner applications first (mirroring the
-            // single-vector fused path), then every active column's r·r and
-            // r·z partials ride one collective.
-            for &c in &act {
-                zs[c] = h.precond(t, &mut w, &rs[c])?;
-            }
-            let mut partials = Vec::with_capacity(2 * act.len());
-            for &c in &act {
-                partials.push(vector::dot(&rs[c], &rs[c]));
-                partials.push(vector::dot(&rs[c], &zs[c]));
-            }
-            dots_all(t, &mut w, &mut partials)?;
-            for (i, &c) in act.iter().enumerate() {
-                rnorms[c] = partials[2 * i].sqrt();
-                residuals[c].push(rnorms[c]);
-                if rnorms[c] <= opts.rtol * bnorms[c] || rnorms[c] <= opts.atol {
-                    converged[c] = true;
-                    active[c] = false;
-                    continue;
-                }
-                let rz_new = partials[2 * i + 1];
-                let beta = rz_new / rzs[c];
-                rzs[c] = rz_new;
-                vector::aypx(beta, &zs[c], &mut ps[c]);
-            }
-        } else {
-            for &c in &act {
-                rnorms[c] = dot_all(t, &mut w, &rs[c], &rs[c])?.sqrt();
-                residuals[c].push(rnorms[c]);
-                if rnorms[c] <= opts.rtol * bnorms[c] || rnorms[c] <= opts.atol {
-                    converged[c] = true;
-                    active[c] = false;
-                    continue;
-                }
-                zs[c] = h.precond(t, &mut w, &rs[c])?;
-                let rz_new = dot_all(t, &mut w, &rs[c], &zs[c])?;
-                let beta = rz_new / rzs[c];
-                rzs[c] = rz_new;
-                vector::aypx(beta, &zs[c], &mut ps[c]);
-            }
-        }
-    }
-    if root {
-        w.publish();
-    }
-    let results = (0..k)
-        .map(|c| PcgResult {
-            iterations: iterations[c],
-            converged: converged[c],
-            rel_residual: rnorms[c] / bnorms[c],
-            residuals: std::mem::take(&mut residuals[c]),
-        })
-        .collect();
-    Ok((results, w))
+    Ok((results, be.waits))
 }
 
-/// Outcome of an SPMD solve: the assembled global solution plus per-rank
-/// real communication statistics.
+/// Outcome of a threaded SPMD solve: one assembled global solution and
+/// result per right-hand side, plus per-rank real communication statistics
+/// for the whole (blocked) run.
 pub struct SpmdSolveOutcome {
-    /// The assembled global solution.
-    pub x: Vec<f64>,
-    /// Rank 0's solve result (identical on every rank by construction).
-    pub result: PcgResult,
-    /// Per-rank transport statistics (messages, bytes, real wait time).
-    pub stats: Vec<CommStats>,
-    /// Per-rank per-phase wait breakdown.
-    pub waits: Vec<PhaseWaits>,
-}
-
-/// Run the solve as a threaded SPMD program: one OS thread per rank of the
-/// hierarchy's fine layout, connected by a [`LocalTransport`] machine. The
-/// hierarchy is borrowed read-only by every rank (the setup is shared; only
-/// the solve runs SPMD), and the returned solution is bitwise identical to
-/// the orchestrated [`pmg_solver::pcg()`] path at any rank count.
-pub fn solve_threads(
-    mg: &MgHierarchy,
-    b: &[f64],
-    opts: PcgOptions,
-) -> Result<SpmdSolveOutcome, CommError> {
-    solve_threads_opts(mg, b, opts, true)
-}
-
-/// [`solve_threads`] with the communication/computation overlap toggled
-/// explicitly. Both schedules produce bitwise-identical solutions and
-/// residual histories; `overlap: false` exists for A/B wait-time
-/// measurements of the blocking exchange (see `bench_snapshot`).
-pub fn solve_threads_opts(
-    mg: &MgHierarchy,
-    b: &[f64],
-    opts: PcgOptions,
-    overlap: bool,
-) -> Result<SpmdSolveOutcome, CommError> {
-    let layout = mg.levels[0].a.row_layout().clone();
-    let nranks = layout.num_ranks();
-    assert_eq!(b.len(), layout.num_global(), "rhs length");
-
-    let layout_ref = &layout;
-    let per_rank = LocalTransport::run_ranks(nranks, move |mut t| {
-        let rank = t.rank();
-        let mut h = RankHierarchy::extract(mg, rank);
-        h.overlap = overlap;
-        let bl: Vec<f64> = layout_ref
-            .owned(rank)
-            .iter()
-            .map(|&g| b[g as usize])
-            .collect();
-        let mut xl = vec![0.0; bl.len()];
-        let (result, waits) = spmd_pcg(&mut t, &h, &bl, &mut xl, opts)?;
-        Ok::<_, CommError>((xl, result, waits, t.stats()))
-    });
-
-    let mut x = vec![0.0; layout.num_global()];
-    let mut result = None;
-    let mut stats = Vec::with_capacity(nranks);
-    let mut waits = Vec::with_capacity(nranks);
-    for (rank, out) in per_rank.into_iter().enumerate() {
-        let (xl, res, wt, st) = out?;
-        for (&g, &v) in layout.owned(rank).iter().zip(&xl) {
-            x[g as usize] = v;
-        }
-        if rank == 0 {
-            result = Some(res);
-        }
-        waits.push(wt);
-        stats.push(st);
-    }
-    Ok(SpmdSolveOutcome {
-        x,
-        result: result.expect("at least one rank"),
-        stats,
-        waits,
-    })
-}
-
-/// Outcome of a blocked SPMD solve: one assembled solution and result per
-/// right-hand side, plus per-rank communication statistics for the whole
-/// blocked run.
-pub struct SpmdMultiOutcome {
     /// Assembled global solutions, one per right-hand side.
     pub xs: Vec<Vec<f64>>,
     /// Per-column solve results (identical on every rank by construction).
@@ -1954,30 +1335,25 @@ pub struct SpmdMultiOutcome {
     pub waits: Vec<PhaseWaits>,
 }
 
-/// Run k solves `A x = bs[c]` as one threaded SPMD program through
-/// [`spmd_pcg_multi`]: each column's solution and residual history is
-/// bitwise identical to its own [`solve_threads`] run, but the fine-grid
-/// operator is read once per iteration for all k systems and the columns'
-/// reductions share collectives.
-pub fn solve_threads_multi(
-    mg: &MgHierarchy,
-    bs: &[Vec<f64>],
-    opts: PcgOptions,
-) -> Result<SpmdMultiOutcome, CommError> {
-    solve_threads_multi_opts(mg, bs, opts, true)
-}
-
-/// [`solve_threads_multi`] with the communication/computation overlap
-/// toggled explicitly (both schedules are bitwise identical per column).
-pub fn solve_threads_multi_opts(
+/// Run the solves `A x = bs[c]` as one threaded SPMD program through
+/// [`spmd_pcg_multi`]: one OS thread per rank of the hierarchy's fine
+/// layout, connected by a [`LocalTransport`] machine. The hierarchy is
+/// borrowed read-only by every rank (the setup is shared; only the solve
+/// runs SPMD), and each returned solution is bitwise identical to the
+/// orchestrated [`pmg_solver::pcg()`] path at any rank count.
+///
+/// `overlap` picks the halo schedule ([`RankHierarchy::overlap`]); both
+/// produce bitwise-identical solutions, residual histories and message
+/// counts, and `false` exists for A/B wait-time measurements of the
+/// blocking exchange (see `bench_snapshot`).
+pub fn solve_threads(
     mg: &MgHierarchy,
     bs: &[Vec<f64>],
     opts: PcgOptions,
     overlap: bool,
-) -> Result<SpmdMultiOutcome, CommError> {
+) -> Result<SpmdSolveOutcome, CommError> {
     let layout = mg.levels[0].a.row_layout().clone();
     let nranks = layout.num_ranks();
-    let k = bs.len();
     for b in bs {
         assert_eq!(b.len(), layout.num_global(), "rhs length");
     }
@@ -1987,22 +1363,17 @@ pub fn solve_threads_multi_opts(
         let rank = t.rank();
         let mut h = RankHierarchy::extract(mg, rank);
         h.overlap = overlap;
+        let owned = layout_ref.owned(rank);
         let bls: Vec<Vec<f64>> = bs
             .iter()
-            .map(|b| {
-                layout_ref
-                    .owned(rank)
-                    .iter()
-                    .map(|&g| b[g as usize])
-                    .collect()
-            })
+            .map(|b| owned.iter().map(|&g| b[g as usize]).collect())
             .collect();
-        let mut xls: Vec<Vec<f64>> = bls.iter().map(|bl| vec![0.0; bl.len()]).collect();
+        let mut xls = vec![vec![0.0; owned.len()]; bs.len()];
         let (results, waits) = spmd_pcg_multi(&mut t, &h, &bls, &mut xls, opts)?;
         Ok::<_, CommError>((xls, results, waits, t.stats()))
     });
 
-    let mut xs = vec![vec![0.0; layout.num_global()]; k];
+    let mut xs = vec![vec![0.0; layout.num_global()]; bs.len()];
     let mut results = None;
     let mut stats = Vec::with_capacity(nranks);
     let mut waits = Vec::with_capacity(nranks);
@@ -2019,7 +1390,7 @@ pub fn solve_threads_multi_opts(
         waits.push(wt);
         stats.push(st);
     }
-    Ok(SpmdMultiOutcome {
+    Ok(SpmdSolveOutcome {
         xs,
         results: results.expect("at least one rank"),
         stats,
@@ -2077,40 +1448,39 @@ mod tests {
             let sim_res = pcg(&mut sim, &mg.levels[0].a, &mg, &db, &mut dx, opts);
             let expect = dx.to_global();
 
-            let spmd = solve_threads(&mg, &bg, opts).unwrap();
-            assert_eq!(spmd.result.converged, sim_res.converged, "p={p}");
-            assert_eq!(spmd.result.iterations, sim_res.iterations, "p={p}");
-            assert_eq!(
-                spmd.result.residuals.len(),
-                sim_res.residuals.len(),
-                "p={p}"
-            );
-            for (a, b) in spmd.result.residuals.iter().zip(&sim_res.residuals) {
+            let spmd = solve_threads(&mg, std::slice::from_ref(&bg), opts, true).unwrap();
+            let res = &spmd.results[0];
+            assert_eq!(res.converged, sim_res.converged, "p={p}");
+            assert_eq!(res.iterations, sim_res.iterations, "p={p}");
+            assert_eq!(res.residuals.len(), sim_res.residuals.len(), "p={p}");
+            for (a, b) in res.residuals.iter().zip(&sim_res.residuals) {
                 assert_eq!(a.to_bits(), b.to_bits(), "p={p} residual history");
             }
-            for (a, b) in spmd.x.iter().zip(&expect) {
+            for (a, b) in spmd.xs[0].iter().zip(&expect) {
                 assert_eq!(a.to_bits(), b.to_bits(), "p={p} solution");
             }
             assert!(spmd.stats.iter().any(|s| s.msgs > 0) || p == 1, "p={p}");
 
-            // The blocking schedule is the same arithmetic: identical
-            // solution and residual history, but more allreduce rounds
-            // (the r·r / r·z pair is unfused) and no hidden halo window.
-            let blocking = solve_threads_opts(&mg, &bg, opts, false).unwrap();
-            assert_eq!(blocking.result.iterations, sim_res.iterations, "p={p}");
-            for (a, b) in blocking.x.iter().zip(&spmd.x) {
+            // The schedule flag changes only the schedule: the blocking
+            // run is the same arithmetic *and* the same traffic — every
+            // rank sends the same messages and enters the same allreduces —
+            // it just hides no halo window.
+            let blocking = solve_threads(&mg, std::slice::from_ref(&bg), opts, false).unwrap();
+            let bres = &blocking.results[0];
+            assert_eq!(bres.iterations, res.iterations, "p={p}");
+            for (a, b) in blocking.xs[0].iter().zip(&spmd.xs[0]) {
                 assert_eq!(a.to_bits(), b.to_bits(), "p={p} blocking solution");
             }
-            for (a, b) in blocking.result.residuals.iter().zip(&spmd.result.residuals) {
+            for (a, b) in bres.residuals.iter().zip(&res.residuals) {
                 assert_eq!(a.to_bits(), b.to_bits(), "p={p} blocking residuals");
             }
-            assert!(
-                spmd.stats[0].allreduces < blocking.stats[0].allreduces,
-                "p={p}: fused path must enter fewer collectives \
-                 ({} vs {})",
-                spmd.stats[0].allreduces,
-                blocking.stats[0].allreduces
-            );
+            for (rank, (o, b)) in spmd.stats.iter().zip(&blocking.stats).enumerate() {
+                assert_eq!(
+                    (o.msgs, o.bytes, o.allreduces),
+                    (b.msgs, b.bytes, b.allreduces),
+                    "p={p} rank={rank}: overlap must not change (msgs, bytes, allreduces)"
+                );
+            }
             let w0 = spmd.waits[0];
             assert!(
                 w0.interior_rows + w0.boundary_rows > 0,
@@ -2135,126 +1505,41 @@ mod tests {
     }
 
     #[test]
-    fn distributed_setup_matches_extract_oracle() {
-        // The PR's acceptance bar: every rank building its own hierarchy
-        // over a real transport — distributed MIS, face-ID merge, per-rank
-        // RAP, ghost-list collectives — holds shares bitwise identical to
-        // extracting from the replicated `MgHierarchy::build`, and the
-        // solve over those shares reproduces the oracle solve bitwise.
-        for (dofs, n) in [(1usize, 7usize), (3, 5)] {
-            let (a, coords, g) = if dofs == 1 {
-                scalar_problem(n)
-            } else {
-                vector_problem(n)
-            };
-            let m = pmg_mesh::generators::cube(n);
-            let classes = classify_mesh(&m, 0.7);
-            let nv = a.nrows();
-            let bg: Vec<f64> = (0..nv).map(|i| (i as f64 * 0.23).sin()).collect();
-            let opts = PcgOptions {
-                rtol: 1e-8,
-                max_iters: 60,
-                ..Default::default()
-            };
-            for p in [1usize, 2, 4] {
+    fn breakdown_is_reported_over_the_transport() {
+        // The message-passing backend reports loss of positive definiteness
+        // and non-finite data the way the simulator's does: `breakdown`,
+        // not a silent `converged: false`.
+        let n = 4;
+        let m = pmg_mesh::generators::cube(n);
+        let classes = classify_mesh(&m, 0.7);
+        let (spd, coords, g) = scalar_problem(n);
+        let nv = spd.nrows();
+        // Indefinite diagonal, right-hand side on its negative part: with
+        // the one-level hierarchy's exact preconditioner, p·Ap = bᵀA⁻¹b < 0.
+        let mut diag = CooBuilder::new(nv, nv);
+        for i in 0..nv {
+            diag.push(i, i, if i < nv / 2 { 2.0 } else { -1.0 });
+        }
+        let on_negative: Vec<f64> = (0..nv)
+            .map(|i| if i < nv / 2 { 0.0 } else { 1.0 })
+            .collect();
+        let mut poisoned = vec![1.0; nv];
+        poisoned[nv / 3] = f64::NAN;
+        for (a, b) in [(diag.build(), on_negative), (spd, poisoned)] {
+            for p in [1usize, 2] {
                 let mut sim = Sim::new(p, MachineModel::default());
                 let mg_opts = MgOptions {
-                    dofs_per_vertex: dofs,
-                    coarse_dof_threshold: 60 * dofs,
+                    dofs_per_vertex: 1,
+                    coarse_dof_threshold: nv,
                     ..Default::default()
                 };
                 let mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &classes, mg_opts);
-                let oracle = solve_threads(&mg, &bg, opts).unwrap();
-                let layout = mg.levels[0].a.row_layout().clone();
-
-                let mg_ref = &mg;
-                let a_ref = &a;
-                let coords_ref = &coords;
-                let g_ref = &g;
-                let classes_ref = &classes;
-                let bg_ref = &bg;
-                let layout_ref = &layout;
-                let per_rank = LocalTransport::run_ranks(p, move |mut t| {
-                    let rank = t.rank();
-                    let setup = RankHierarchy::build_distributed(
-                        &mut t,
-                        a_ref,
-                        coords_ref,
-                        g_ref,
-                        classes_ref,
-                        mg_opts,
-                    )?;
-                    // Structural parity: every level's owned blocks match
-                    // the extract oracle's bit for bit.
-                    assert_eq!(setup.num_levels(), mg_ref.levels.len(), "p={p} rank={rank}");
-                    for (lvl, dl) in setup.levels.iter().enumerate() {
-                        let ml = &mg_ref.levels[lvl];
-                        assert_eq!(
-                            dl.a.bsr3_routed(),
-                            ml.a.bsr3_routed(),
-                            "p={p} rank={rank} lvl={lvl} bsr3"
-                        );
-                        assert_eq!(dl.coarse.is_some(), ml.coarse.is_some());
-                        let pairs = [
-                            (Some(dl.a.local_block()), Some(ml.a.local_block(rank))),
-                            (
-                                dl.r.as_ref().map(|m| m.local_block()),
-                                ml.r.as_ref().map(|m| m.local_block(rank)),
-                            ),
-                            (
-                                dl.p.as_ref().map(|m| m.local_block()),
-                                ml.p.as_ref().map(|m| m.local_block(rank)),
-                            ),
-                        ];
-                        for (got, want) in pairs {
-                            match (got, want) {
-                                (Some(x), Some(y)) => {
-                                    assert_eq!(x.nrows(), y.nrows(), "p={p} lvl={lvl}");
-                                    assert_eq!(x.nnz(), y.nnz(), "p={p} lvl={lvl}");
-                                    for (u, v) in x.vals().iter().zip(y.vals()) {
-                                        assert_eq!(
-                                            u.to_bits(),
-                                            v.to_bits(),
-                                            "p={p} rank={rank} lvl={lvl} values"
-                                        );
-                                    }
-                                }
-                                (None, None) => {}
-                                _ => panic!("p={p} lvl={lvl}: R/P presence diverged"),
-                            }
-                        }
-                    }
-                    // End-to-end: the solve over the self-built shares is
-                    // the oracle solve, bit for bit.
-                    let h = setup.rank_hierarchy();
-                    let bl: Vec<f64> = layout_ref
-                        .owned(rank)
-                        .iter()
-                        .map(|&gi| bg_ref[gi as usize])
-                        .collect();
-                    let mut xl = vec![0.0; bl.len()];
-                    let (result, _w) = spmd_pcg(&mut t, &h, &bl, &mut xl, opts)?;
-                    Ok::<_, CommError>((xl, result))
-                });
-
-                let mut x = vec![0.0; layout.num_global()];
-                for (rank, out) in per_rank.into_iter().enumerate() {
-                    let (xl, res) = out.unwrap();
-                    for (&gi, &v) in layout.owned(rank).iter().zip(&xl) {
-                        x[gi as usize] = v;
-                    }
-                    assert_eq!(
-                        res.iterations, oracle.result.iterations,
-                        "p={p} dofs={dofs}"
-                    );
-                    assert_eq!(res.converged, oracle.result.converged);
-                    for (u, v) in res.residuals.iter().zip(&oracle.result.residuals) {
-                        assert_eq!(u.to_bits(), v.to_bits(), "p={p} dofs={dofs} residuals");
-                    }
-                }
-                for (u, v) in x.iter().zip(&oracle.x) {
-                    assert_eq!(u.to_bits(), v.to_bits(), "p={p} dofs={dofs} solution");
-                }
+                let out = solve_threads(&mg, std::slice::from_ref(&b), PcgOptions::default(), true)
+                    .unwrap();
+                let res = &out.results[0];
+                assert!(res.breakdown && !res.converged, "p={p}: {res:?}");
+                assert_eq!(res.iterations, 1, "p={p}");
+                assert!(out.xs[0].iter().all(|&v| v == 0.0), "p={p}: x untouched");
             }
         }
     }
@@ -2288,30 +1573,31 @@ mod tests {
             };
             let mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &classes, mg_opts);
             for overlap in [true, false] {
-                let multi = solve_threads_multi_opts(&mg, &bs, opts, overlap).unwrap();
+                let multi = solve_threads(&mg, &bs, opts, overlap).unwrap();
                 for (c, b) in bs.iter().enumerate() {
-                    let single = solve_threads_opts(&mg, b, opts, overlap).unwrap();
+                    let single =
+                        solve_threads(&mg, std::slice::from_ref(b), opts, overlap).unwrap();
                     assert_eq!(
-                        multi.results[c].iterations, single.result.iterations,
+                        multi.results[c].iterations, single.results[0].iterations,
                         "p={p} c={c} overlap={overlap}"
                     );
                     assert_eq!(
-                        multi.results[c].converged, single.result.converged,
+                        multi.results[c].converged, single.results[0].converged,
                         "p={p} c={c} overlap={overlap}"
                     );
                     assert_eq!(
                         multi.results[c].residuals.len(),
-                        single.result.residuals.len(),
+                        single.results[0].residuals.len(),
                         "p={p} c={c} overlap={overlap}"
                     );
                     for (x, y) in multi.results[c]
                         .residuals
                         .iter()
-                        .zip(&single.result.residuals)
+                        .zip(&single.results[0].residuals)
                     {
                         assert_eq!(x.to_bits(), y.to_bits(), "p={p} c={c} residuals");
                     }
-                    for (x, y) in multi.xs[c].iter().zip(&single.x) {
+                    for (x, y) in multi.xs[c].iter().zip(&single.xs[0]) {
                         assert_eq!(x.to_bits(), y.to_bits(), "p={p} c={c} solution");
                     }
                 }
@@ -2377,21 +1663,22 @@ mod tests {
                 scales: scales.clone(),
             });
             for overlap in [true, false] {
-                let multi = solve_threads_multi_opts(&mg, &bs, opts, overlap).unwrap();
+                let multi = solve_threads(&mg, &bs, opts, overlap).unwrap();
                 for (c, b) in bs.iter().enumerate() {
-                    let single = solve_threads_opts(&mg, b, opts, overlap).unwrap();
+                    let single =
+                        solve_threads(&mg, std::slice::from_ref(b), opts, overlap).unwrap();
                     assert_eq!(
-                        multi.results[c].iterations, single.result.iterations,
+                        multi.results[c].iterations, single.results[0].iterations,
                         "p={p} c={c} overlap={overlap}"
                     );
                     for (x, y) in multi.results[c]
                         .residuals
                         .iter()
-                        .zip(&single.result.residuals)
+                        .zip(&single.results[0].residuals)
                     {
                         assert_eq!(x.to_bits(), y.to_bits(), "p={p} c={c} mf residuals");
                     }
-                    for (x, y) in multi.xs[c].iter().zip(&single.x) {
+                    for (x, y) in multi.xs[c].iter().zip(&single.xs[0]) {
                         assert_eq!(x.to_bits(), y.to_bits(), "p={p} c={c} mf solution");
                     }
                 }
@@ -2430,7 +1717,7 @@ mod tests {
                     ..Default::default()
                 };
                 let mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &classes, mg_opts);
-                let oracle = solve_threads(&mg, &bg, opts).unwrap();
+                let oracle = solve_threads(&mg, std::slice::from_ref(&bg), opts, true).unwrap();
                 let layout = mg.levels[0].a.row_layout().clone();
 
                 // The ingest side: the loader plans seeds once ...
@@ -2518,15 +1805,15 @@ mod tests {
                         x[gi as usize] = v;
                     }
                     assert_eq!(
-                        res.iterations, oracle.result.iterations,
+                        res.iterations, oracle.results[0].iterations,
                         "p={p} dofs={dofs}"
                     );
-                    assert_eq!(res.converged, oracle.result.converged);
-                    for (u, v) in res.residuals.iter().zip(&oracle.result.residuals) {
+                    assert_eq!(res.converged, oracle.results[0].converged);
+                    for (u, v) in res.residuals.iter().zip(&oracle.results[0].residuals) {
                         assert_eq!(u.to_bits(), v.to_bits(), "p={p} dofs={dofs} residuals");
                     }
                 }
-                for (u, v) in x.iter().zip(&oracle.x) {
+                for (u, v) in x.iter().zip(&oracle.xs[0]) {
                     assert_eq!(u.to_bits(), v.to_bits(), "p={p} dofs={dofs} solution");
                 }
             }

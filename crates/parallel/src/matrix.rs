@@ -66,11 +66,12 @@ pub struct DistMatrix {
 /// rows into the diagonal (owned-column) and off-diagonal (ghost-column)
 /// blocks and classify rows for the communication/computation overlap.
 ///
-/// This is the one construction path for per-rank operator blocks — both
-/// the orchestrated [`DistMatrix::from_global`] and the SPMD distributed
-/// setup ([`RankMatrix::from_owned_rows`]) call it, which is what makes
-/// the two bitwise identical by construction: only the owned rows of `a`
-/// are ever read.
+/// This is the construction path of the orchestrated
+/// [`DistMatrix::from_global`]; the SPMD setup's
+/// [`RankMatrix::from_local_rows`] runs its local-rows twin
+/// `build_rank_mat_local` in the identical iteration order, which is what
+/// makes the two bitwise identical: only the owned rows of `a` are ever
+/// read.
 fn build_rank_mat(a: &CsrMatrix, row_layout: &Layout, col_layout: &Layout, r: usize) -> RankMat {
     let rows = row_layout.owned(r);
     // Collect ghost columns.
@@ -500,7 +501,7 @@ impl DistMatrix {
 /// the `RankHierarchy::extract` oracle tests pin.
 ///
 /// Construction is two-phase because the halo-exchange plan needs every
-/// rank's ghost list: build locally ([`RankMatrix::from_owned_rows`]),
+/// rank's ghost list: build locally ([`RankMatrix::from_local_rows`]),
 /// exchange [`RankMatrix::ghosts`] over a transport collective, then
 /// [`RankMatrix::install_plan`] with all ranks' lists (each rank builds the
 /// identical plan from the identical inputs, cached on the layout).
@@ -514,32 +515,12 @@ pub struct RankMatrix {
 }
 
 impl RankMatrix {
-    /// Build this rank's diagonal/off-diagonal blocks from its owned rows
-    /// of `a`. Only `row_layout.owned(rank)` rows of `a` are read.
-    pub fn from_owned_rows(
-        a: &CsrMatrix,
-        row_layout: Arc<Layout>,
-        col_layout: Arc<Layout>,
-        rank: usize,
-    ) -> RankMatrix {
-        assert_eq!(a.nrows(), row_layout.num_global());
-        assert_eq!(a.ncols(), col_layout.num_global());
-        let mat = build_rank_mat(a, &row_layout, &col_layout, rank);
-        RankMatrix {
-            rank,
-            row_layout,
-            col_layout,
-            mat,
-            plan: None,
-        }
-    }
-
     /// Build this rank's blocks from an **owned-rows** CSR: one row per
     /// owned global row (row `li` = global row `row_layout.owned(rank)[li]`,
     /// columns global), as produced by per-rank assembly or the sharded
-    /// Galerkin kernel. Bitwise identical to [`RankMatrix::from_owned_rows`]
-    /// on a global matrix with the same owned rows — but no rank ever holds
-    /// that global matrix.
+    /// Galerkin kernel. Bitwise identical to this rank's share of
+    /// [`DistMatrix::from_global`] on a global matrix with the same owned
+    /// rows — but no rank ever holds that global matrix.
     pub fn from_local_rows(
         a_local: &CsrMatrix,
         row_layout: Arc<Layout>,
@@ -823,41 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn from_local_rows_is_bitwise_from_owned_rows() {
-        // The sharded-ingest construction contract: building from an
-        // owned-rows CSR (no global matrix in sight) reproduces the
-        // global-matrix construction bit for bit, including the BSR3
-        // promotion decision.
-        let nb = 9;
-        let a = block_laplacian(nb);
-        let n = 3 * nb;
-        for p in [1usize, 2, 4] {
-            let l = Layout::block(n, p);
-            for rank in 0..p {
-                let mut global = RankMatrix::from_owned_rows(&a, l.clone(), l.clone(), rank);
-                let local_rows = a.extract_rows(l.owned(rank));
-                let mut sharded =
-                    RankMatrix::from_local_rows(&local_rows, l.clone(), l.clone(), rank);
-                assert_eq!(sharded.ghosts(), global.ghosts(), "p={p} rank={rank}");
-                assert_eq!(sharded.nnz_local(), global.nnz_local());
-                let (gd, sd) = (global.local_block(), sharded.local_block());
-                assert_eq!(sd.row_ptr(), gd.row_ptr());
-                assert_eq!(sd.col_idx(), gd.col_idx());
-                for (x, y) in sd.vals().iter().zip(gd.vals()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-                // Same structural promotion decision (layouts only), same
-                // resident accounting afterward.
-                assert_eq!(sharded.try_block3(), global.try_block3());
-                assert_eq!(sharded.memory_bytes(), global.memory_bytes());
-                if rank < p.min(l.local_len(rank)) {
-                    assert!(sharded.memory_bytes() > 0);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn blocked_spmv_pads_partial_ghost_blocks() {
         // Inter-vertex coupling through a single scalar column, so ghost
         // columns do NOT form whole vertex blocks (as after Dirichlet
@@ -920,10 +866,11 @@ mod tests {
 
     #[test]
     fn rank_matrix_matches_dist_matrix_shares() {
-        // The SPMD-setup path (each rank builds only its own share) must
-        // produce exactly the orchestrated distribution's per-rank blocks,
-        // plans, and BSR3 promotion — the bitwise-parity foundation of
-        // RankHierarchy::build_distributed.
+        // The SPMD-setup path (each rank builds only its own share, from an
+        // owned-rows CSR with no global matrix in sight) must produce
+        // exactly the orchestrated distribution's per-rank blocks, plans,
+        // and BSR3 promotion — the bitwise-parity foundation of
+        // RankHierarchy::build_from_shards.
         let nb = 9;
         let a = block_laplacian(nb);
         let p = 3;
@@ -940,7 +887,9 @@ mod tests {
         // Each "rank" builds locally, then the ghost lists are exchanged
         // (here: collected in a plain Vec, standing in for the allgather).
         let mut shares: Vec<RankMatrix> = (0..p)
-            .map(|r| RankMatrix::from_owned_rows(&a, l.clone(), l.clone(), r))
+            .map(|r| {
+                RankMatrix::from_local_rows(&a.extract_rows(l.owned(r)), l.clone(), l.clone(), r)
+            })
             .collect();
         let ghost_lists: Vec<Vec<u32>> = shares.iter().map(|s| s.ghosts().to_vec()).collect();
         for s in &mut shares {
@@ -958,6 +907,8 @@ mod tests {
             assert_eq!(s.mat.boundary, m.boundary, "rank {r} boundary");
             assert_eq!(s.mat.interior_b, m.interior_b, "rank {r} interior_b");
             assert_eq!(s.mat.boundary_b, m.boundary_b, "rank {r} boundary_b");
+            assert_eq!(s.nnz_local(), m.diag.nnz() + m.off.nnz(), "rank {r} nnz");
+            assert!(s.memory_bytes() > 0, "rank {r} resident accounting");
             // The plan is structurally the same object contents.
             let sp = s.plan.as_ref().unwrap();
             assert_eq!(sp.ranks.len(), dist.plan.ranks.len());

@@ -29,6 +29,6 @@ pub use chebyshev::Chebyshev;
 pub use direct::CoarseDirect;
 pub use gmres::{gmres, GmresOptions, GmresResult};
 pub use lanczos::{lanczos_spectrum, SpectrumEstimate};
-pub use pcg::{pcg, pcg_multi, pcg_multi_each, PcgOptions, PcgResult};
+pub use pcg::{pcg, pcg_blocked, pcg_multi, pcg_multi_each, PcgBackend, PcgOptions, PcgResult};
 pub use precond::{IdentityPrecond, JacobiPrecond, Precond};
 pub use smoother::{BlockJacobi, RankJacobi, RankSmoother};

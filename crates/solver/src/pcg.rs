@@ -6,6 +6,7 @@
 
 use crate::precond::Precond;
 use pmg_parallel::{DistVec, Sim, SimOperator};
+use std::convert::Infallible;
 
 /// Options for [`pcg`].
 #[derive(Clone, Copy, Debug)]
@@ -32,14 +33,249 @@ impl Default for PcgOptions {
 pub struct PcgResult {
     pub iterations: usize,
     pub converged: bool,
+    /// The solve stopped because `p·Ap` was non-positive or non-finite: the
+    /// operator (or preconditioner) is not positive definite, or the data
+    /// carried a NaN/Inf. Distinguishes that stop from running out of
+    /// `max_iters` — both leave `converged` false.
+    pub breakdown: bool,
     /// `‖r‖ / ‖b‖` at exit.
     pub rel_residual: f64,
     /// `‖r‖` after every iteration (index 0 is the initial residual).
     pub residuals: Vec<f64>,
 }
 
+/// Where a PCG solve's vectors live and how its partial sums meet.
+///
+/// [`pcg_blocked`] is the one Krylov recurrence in the workspace; a backend
+/// tells it how to apply `A` and `M⁻¹`, update a vector, and reduce inner
+/// products. The virtual-rank runtime implements it over [`Sim`] +
+/// [`DistVec`] (charging the machine model), the message-passing runtime
+/// over a transport and owned slices (`prometheus::spmd_pcg`), and the tests
+/// substitute a counting fake.
+pub trait PcgBackend {
+    /// One column's storage (all ranks' parts, or this rank's share).
+    type Vector;
+    /// What a communication step can fail with.
+    type Error;
+    /// A zero work vector shaped like the right-hand sides.
+    fn zeros(&self) -> Self::Vector;
+    /// `ys[c] = A xs[c]` for every column in one batched apply; column `c`
+    /// must be bitwise what a single-column apply of `xs[c]` gives.
+    fn apply(&mut self, xs: &[Self::Vector], ys: &mut [Self::Vector]) -> Result<(), Self::Error>;
+    /// `z = M⁻¹ r` (overwrites `z` whatever it held).
+    fn precond(&mut self, r: &Self::Vector, z: &mut Self::Vector) -> Result<(), Self::Error>;
+    /// The global inner product of every pair — one reduction point, so a
+    /// backend may fuse them into one collective. Each value must be
+    /// bitwise what reducing that pair alone gives.
+    fn dots(&mut self, pairs: &[(&Self::Vector, &Self::Vector)]) -> Result<Vec<f64>, Self::Error>;
+    /// `y += alpha x`.
+    fn axpy(&mut self, alpha: f64, x: &Self::Vector, y: &mut Self::Vector);
+    /// `y = x + beta y`.
+    fn aypx(&mut self, beta: f64, x: &Self::Vector, y: &mut Self::Vector);
+    /// Telemetry: one blocked iteration is starting.
+    fn record_iteration(&mut self);
+    /// Telemetry: a column's new `‖r‖`.
+    fn record_residual(&mut self, rnorm: f64);
+}
+
+/// Inner products `us[c]·vs[c]` over the columns `cols`; no reduction is
+/// entered when `cols` is empty.
+fn dots_of<B: PcgBackend>(
+    be: &mut B,
+    cols: &[usize],
+    us: &[B::Vector],
+    vs: &[B::Vector],
+) -> Result<Vec<f64>, B::Error> {
+    if cols.is_empty() {
+        return Ok(Vec::new());
+    }
+    let pairs: Vec<_> = cols.iter().map(|&c| (&us[c], &vs[c])).collect();
+    be.dots(&pairs)
+}
+
+/// Blocked preconditioned CG: k systems `A xs[c] = bs[c]` advance in
+/// lockstep through one batched operator apply per iteration, each under
+/// its own `opts[c]` (tolerances and iteration cap). `xs` holds the initial
+/// guesses and receives the solutions.
+///
+/// The columns do **not** share a Krylov space — each keeps its own `α`,
+/// `β` and preconditioner applications — so column `c`'s iterates, residual
+/// history and exit state are **bitwise identical** to a k = 1 call on
+/// `(bs[c], xs[c], opts[c])`. A column that converges, breaks down
+/// (`p·Ap ≤ 0` or non-finite) or reaches its own cap freezes: its `x`, `r`
+/// and `p` stop updating, and the batched apply's work on its stale `p` is
+/// discarded.
+///
+/// The order is the textbook one — test `‖r‖`, *then* precondition — so a
+/// solve that converges after `n ≥ 1` iterations applies `M⁻¹` exactly `n`
+/// times and `A` `n + 1` times.
+pub fn pcg_blocked<B: PcgBackend>(
+    be: &mut B,
+    bs: &[B::Vector],
+    xs: &mut [B::Vector],
+    opts: &[PcgOptions],
+) -> Result<Vec<PcgResult>, B::Error> {
+    let k = bs.len();
+    assert_eq!(xs.len(), k, "blocked PCG needs matching b/x counts");
+    assert_eq!(opts.len(), k, "blocked PCG needs one PcgOptions per column");
+    if k == 0 {
+        return Ok(Vec::new());
+    }
+    let work = |be: &B| -> Vec<B::Vector> { (0..k).map(|_| be.zeros()).collect() };
+    let (mut rs, mut zs, mut ps, mut ws) = (work(be), work(be), work(be), work(be));
+
+    // rs[c] = bs[c] - A xs[c].
+    be.apply(xs, &mut rs)?;
+    for (r, b) in rs.iter_mut().zip(bs) {
+        be.aypx(-1.0, b, r);
+    }
+
+    // ‖b‖ and ‖r‖ are independent: every column's pair shares one
+    // reduction point.
+    let norm_pairs: Vec<_> = bs
+        .iter()
+        .zip(&rs)
+        .flat_map(|(b, r)| [(b, b), (r, r)])
+        .collect();
+    let norms = be.dots(&norm_pairs)?;
+    let bnorms: Vec<f64> = (0..k).map(|c| norms[2 * c].sqrt().max(1e-300)).collect();
+    let mut rnorms: Vec<f64> = (0..k).map(|c| norms[2 * c + 1].sqrt()).collect();
+    let done = |c: usize, rnorm: f64| rnorm <= opts[c].rtol * bnorms[c] || rnorm <= opts[c].atol;
+
+    let mut residuals: Vec<Vec<f64>> = rnorms.iter().map(|&rn| vec![rn]).collect();
+    let mut active = vec![false; k];
+    let mut converged = vec![false; k];
+    let mut breakdown = vec![false; k];
+    let mut iterations = vec![0usize; k];
+    let mut rz = vec![0.0f64; k];
+    for c in 0..k {
+        be.record_residual(rnorms[c]);
+        converged[c] = done(c, rnorms[c]);
+        active[c] = !converged[c];
+    }
+    let open = |active: &[bool]| -> Vec<usize> { (0..k).filter(|&c| active[c]).collect() };
+
+    // The first direction is z itself, so M⁻¹ r lands straight in p.
+    let act = open(&active);
+    for &c in &act {
+        be.precond(&rs[c], &mut ps[c])?;
+    }
+    for (&c, rz0) in act.iter().zip(dots_of(be, &act, &rs, &ps)?) {
+        rz[c] = rz0;
+    }
+
+    let it_cap = opts.iter().map(|o| o.max_iters).max().unwrap_or(0);
+    for it in 1..=it_cap {
+        // A column past its own cap freezes exactly where a k = 1 solve
+        // would have returned (converged = false, iterations = cap).
+        for c in 0..k {
+            active[c] &= it <= opts[c].max_iters;
+        }
+        let act = open(&active);
+        if act.is_empty() {
+            break;
+        }
+        be.record_iteration();
+        // Frozen columns ride along with a stale p; their slot of the
+        // batched product is ignored below.
+        be.apply(&ps, &mut ws)?;
+        for (&c, pw) in act.iter().zip(dots_of(be, &act, &ps, &ws)?) {
+            iterations[c] = it;
+            if pw <= 0.0 || !pw.is_finite() {
+                breakdown[c] = true;
+                active[c] = false;
+                continue;
+            }
+            let alpha = rz[c] / pw;
+            be.axpy(alpha, &ps[c], &mut xs[c]);
+            be.axpy(-alpha, &ws[c], &mut rs[c]);
+        }
+        let act = open(&active);
+        for (&c, rr) in act.iter().zip(dots_of(be, &act, &rs, &rs)?) {
+            rnorms[c] = rr.sqrt();
+            residuals[c].push(rnorms[c]);
+            be.record_residual(rnorms[c]);
+            converged[c] = done(c, rnorms[c]);
+            active[c] = !converged[c];
+        }
+        let act = open(&active);
+        for &c in &act {
+            be.precond(&rs[c], &mut zs[c])?;
+        }
+        for (&c, rz_new) in act.iter().zip(dots_of(be, &act, &rs, &zs)?) {
+            let beta = rz_new / rz[c];
+            rz[c] = rz_new;
+            be.aypx(beta, &zs[c], &mut ps[c]);
+        }
+    }
+    Ok((0..k)
+        .map(|c| PcgResult {
+            iterations: iterations[c],
+            converged: converged[c],
+            breakdown: breakdown[c],
+            rel_residual: rnorms[c] / bnorms[c],
+            residuals: std::mem::take(&mut residuals[c]),
+        })
+        .collect())
+}
+
+/// The virtual-rank backend: every rank's part lives in one [`DistVec`],
+/// and every flop and message is charged to the [`Sim`] machine model.
+struct SimBackend<'a> {
+    sim: &'a mut Sim,
+    a: &'a dyn SimOperator,
+    m: &'a dyn Precond,
+}
+
+impl PcgBackend for SimBackend<'_> {
+    type Vector = DistVec;
+    type Error = Infallible;
+
+    fn zeros(&self) -> DistVec {
+        DistVec::zeros(self.a.row_layout().clone())
+    }
+
+    fn apply(&mut self, xs: &[DistVec], ys: &mut [DistVec]) -> Result<(), Infallible> {
+        // A single column stays on the single-vector kernel (same bits by
+        // the `spmv_multi` contract; keeps its flop charges and counters).
+        match (xs, ys) {
+            ([x], [y]) => self.a.spmv(self.sim, x, y),
+            (xs, ys) => self.a.spmv_multi(self.sim, xs, ys),
+        }
+        Ok(())
+    }
+
+    fn precond(&mut self, r: &DistVec, z: &mut DistVec) -> Result<(), Infallible> {
+        self.m.apply(self.sim, r, z);
+        Ok(())
+    }
+
+    fn dots(&mut self, pairs: &[(&DistVec, &DistVec)]) -> Result<Vec<f64>, Infallible> {
+        // One modeled allreduce per inner product, through the same fixed
+        // reduction tree the real transports run.
+        Ok(pairs.iter().map(|(u, v)| u.dot(self.sim, v)).collect())
+    }
+
+    fn axpy(&mut self, alpha: f64, x: &DistVec, y: &mut DistVec) {
+        y.axpy(self.sim, alpha, x);
+    }
+
+    fn aypx(&mut self, beta: f64, x: &DistVec, y: &mut DistVec) {
+        y.aypx(self.sim, beta, x);
+    }
+
+    fn record_iteration(&mut self) {
+        pmg_telemetry::counter_add("pcg/iterations", 1);
+    }
+
+    fn record_residual(&mut self, rnorm: f64) {
+        pmg_telemetry::series_push("pcg/residuals", rnorm);
+    }
+}
+
 /// Solve `A x = b` by preconditioned CG, starting from the initial guess in
-/// `x`. Every flop and message is charged to `sim`.
+/// `x`. Every flop and message is charged to `sim`. This is
+/// [`pcg_multi_each`] at k = 1.
 ///
 /// Telemetry: runs under a `pcg` scope, counts `pcg/iterations`, and
 /// appends each `‖r‖` to the `pcg/residuals` series (the preconditioner
@@ -52,81 +288,15 @@ pub fn pcg(
     x: &mut DistVec,
     opts: PcgOptions,
 ) -> PcgResult {
-    let _t = pmg_telemetry::scope("pcg");
-    let layout = b.layout().clone();
-    let mut r = DistVec::zeros(layout.clone());
-    let mut z = DistVec::zeros(layout.clone());
-    let mut p = DistVec::zeros(layout.clone());
-    let mut w = DistVec::zeros(layout);
-
-    // r = b - A x.
-    a.spmv(sim, x, &mut r);
-    r.aypx(sim, -1.0, b);
-
-    let bnorm = b.clone().norm2(sim).max(1e-300);
-    let mut rnorm = r.norm2(sim);
-    let mut residuals = vec![rnorm];
-    pmg_telemetry::series_push("pcg/residuals", rnorm);
-    if rnorm <= opts.rtol * bnorm || rnorm <= opts.atol {
-        return PcgResult {
-            iterations: 0,
-            converged: true,
-            rel_residual: rnorm / bnorm,
-            residuals,
-        };
-    }
-
-    m.apply(sim, &r, &mut z);
-    p.copy_from(&z);
-    let mut rz = r.dot(sim, &z);
-    let mut converged = false;
-    let mut iterations = 0;
-
-    for it in 1..=opts.max_iters {
-        iterations = it;
-        pmg_telemetry::counter_add("pcg/iterations", 1);
-        a.spmv(sim, &p, &mut w);
-        let pw = p.dot(sim, &w);
-        if pw <= 0.0 || !pw.is_finite() {
-            // Loss of positive definiteness (or breakdown): stop.
-            break;
-        }
-        let alpha = rz / pw;
-        x.axpy(sim, alpha, &p);
-        r.axpy(sim, -alpha, &w);
-        rnorm = r.norm2(sim);
-        residuals.push(rnorm);
-        pmg_telemetry::series_push("pcg/residuals", rnorm);
-        if rnorm <= opts.rtol * bnorm || rnorm <= opts.atol {
-            converged = true;
-            break;
-        }
-        m.apply(sim, &r, &mut z);
-        let rz_new = r.dot(sim, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        p.aypx(sim, beta, &z);
-    }
-    PcgResult {
-        iterations,
-        converged,
-        rel_residual: rnorm / bnorm,
-        residuals,
-    }
+    let (bs, xs) = (std::slice::from_ref(b), std::slice::from_mut(x));
+    let mut res = pcg_multi_each(sim, a, m, bs, xs, &[opts]);
+    res.pop().expect("one column in, one result out")
 }
 
-/// Solve k systems `A xs[c] = bs[c]` by blocked PCG: one batched
-/// [`SimOperator::spmv_multi`] per iteration feeds every column's
-/// independent CG recurrence, so the operator (element data or matrix
-/// values) is read once per iteration instead of k times.
-///
-/// The columns do **not** share a Krylov space — each keeps its own
-/// `α`, `β`, and preconditioner applications, and its inner products run
-/// through the same fixed reduction tree as [`pcg`]'s. Column `c`'s
-/// iterates, residual history, and exit state are therefore **bitwise
-/// identical** to an independent `pcg` call on `(bs[c], xs[c])`. Converged
-/// (or broken-down) columns freeze: their `x`, `r`, and `p` stop updating,
-/// and the batched apply's work on their stale `p` is discarded.
+/// Solve k systems `A xs[c] = bs[c]` by blocked PCG under uniform options:
+/// one batched [`SimOperator::spmv_multi`] per iteration feeds every
+/// column's independent CG recurrence, so the operator (element data or
+/// matrix values) is read once per iteration instead of k times.
 pub fn pcg_multi(
     sim: &mut Sim,
     a: &dyn SimOperator,
@@ -138,13 +308,11 @@ pub fn pcg_multi(
     pcg_multi_each(sim, a, m, bs, xs, &vec![opts; bs.len()])
 }
 
-/// [`pcg_multi`] with per-column options: column `c` runs under
-/// `opts[c]`'s tolerances and iteration cap. This is the ragged-batch
-/// entry the solver daemon feeds — concurrent requests for the same
-/// operator may each carry their own `rtol` — and it keeps the blocked
-/// guarantee: column `c` is **bitwise identical** to an independent
-/// [`pcg`] call with `opts[c]`. Columns whose cap is below the batch
-/// maximum simply freeze early and ride along.
+/// [`pcg_blocked`] on the virtual-rank runtime with per-column options:
+/// column `c` runs under `opts[c]`'s tolerances and iteration cap. This is
+/// the ragged-batch entry the solver daemon feeds — concurrent requests for
+/// the same operator may each carry their own `rtol` — and column `c` is
+/// **bitwise identical** to an independent [`pcg`] call with `opts[c]`.
 pub fn pcg_multi_each(
     sim: &mut Sim,
     a: &dyn SimOperator,
@@ -153,104 +321,15 @@ pub fn pcg_multi_each(
     xs: &mut [DistVec],
     opts: &[PcgOptions],
 ) -> Vec<PcgResult> {
-    let k = bs.len();
-    assert_eq!(xs.len(), k, "pcg_multi needs matching b/x counts");
-    assert_eq!(
-        opts.len(),
-        k,
-        "pcg_multi_each needs one PcgOptions per column"
-    );
-    if k == 0 {
+    if bs.is_empty() {
         return Vec::new();
     }
     let _t = pmg_telemetry::scope("pcg");
-    let layout = bs[0].layout().clone();
-    let mut rs: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(layout.clone())).collect();
-    let mut zs: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(layout.clone())).collect();
-    let mut ps: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(layout.clone())).collect();
-    let mut ws: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(layout.clone())).collect();
-
-    // rs[c] = bs[c] - A xs[c], all columns in one batched apply.
-    a.spmv_multi(sim, xs, &mut rs);
-    for (r, b) in rs.iter_mut().zip(bs) {
-        r.aypx(sim, -1.0, b);
+    let mut be = SimBackend { sim, a, m };
+    match pcg_blocked(&mut be, bs, xs, opts) {
+        Ok(res) => res,
+        Err(never) => match never {},
     }
-
-    let bnorms: Vec<f64> = bs
-        .iter()
-        .map(|b| b.clone().norm2(sim).max(1e-300))
-        .collect();
-    let mut rnorms: Vec<f64> = rs.iter().map(|r| r.norm2(sim)).collect();
-    let mut residuals: Vec<Vec<f64>> = rnorms.iter().map(|&rn| vec![rn]).collect();
-    let mut active = vec![false; k];
-    let mut converged = vec![false; k];
-    let mut iterations = vec![0usize; k];
-    let mut rz = vec![0.0f64; k];
-    for c in 0..k {
-        pmg_telemetry::series_push("pcg/residuals", rnorms[c]);
-        if rnorms[c] <= opts[c].rtol * bnorms[c] || rnorms[c] <= opts[c].atol {
-            converged[c] = true;
-        } else {
-            active[c] = true;
-            m.apply(sim, &rs[c], &mut zs[c]);
-            ps[c].copy_from(&zs[c]);
-            rz[c] = rs[c].dot(sim, &zs[c]);
-        }
-    }
-
-    let it_cap = opts.iter().map(|o| o.max_iters).max().unwrap_or(0);
-    for it in 1..=it_cap {
-        // A column past its own cap freezes exactly where an independent
-        // solve would have returned (converged = false, iterations = cap).
-        for c in 0..k {
-            if active[c] && it > opts[c].max_iters {
-                active[c] = false;
-            }
-        }
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-        pmg_telemetry::counter_add("pcg/iterations", 1);
-        // Frozen columns ride along with a stale p; their slot of the
-        // batched product is simply ignored below.
-        a.spmv_multi(sim, &ps, &mut ws);
-        for c in 0..k {
-            if !active[c] {
-                continue;
-            }
-            iterations[c] = it;
-            let pw = ps[c].dot(sim, &ws[c]);
-            if pw <= 0.0 || !pw.is_finite() {
-                // Loss of positive definiteness (or breakdown): freeze.
-                active[c] = false;
-                continue;
-            }
-            let alpha = rz[c] / pw;
-            xs[c].axpy(sim, alpha, &ps[c]);
-            rs[c].axpy(sim, -alpha, &ws[c]);
-            rnorms[c] = rs[c].norm2(sim);
-            residuals[c].push(rnorms[c]);
-            pmg_telemetry::series_push("pcg/residuals", rnorms[c]);
-            if rnorms[c] <= opts[c].rtol * bnorms[c] || rnorms[c] <= opts[c].atol {
-                converged[c] = true;
-                active[c] = false;
-                continue;
-            }
-            m.apply(sim, &rs[c], &mut zs[c]);
-            let rz_new = rs[c].dot(sim, &zs[c]);
-            let beta = rz_new / rz[c];
-            rz[c] = rz_new;
-            ps[c].aypx(sim, beta, &zs[c]);
-        }
-    }
-    (0..k)
-        .map(|c| PcgResult {
-            iterations: iterations[c],
-            converged: converged[c],
-            rel_residual: rnorms[c] / bnorms[c],
-            residuals: std::mem::take(&mut residuals[c]),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -512,6 +591,10 @@ mod tests {
         // The capped column really did freeze unconverged.
         assert!(!multi[2].converged);
         assert_eq!(multi[2].iterations, 3);
+        assert!(
+            !multi[2].breakdown,
+            "running out of iterations is not a breakdown"
+        );
     }
 
     #[test]
@@ -558,5 +641,275 @@ mod tests {
         );
         assert_eq!(res.iterations, 0);
         assert!(res.converged);
+    }
+
+    /// Serial textbook PCG (Saad, Alg. 9.1) on the same BLAS-1 kernels —
+    /// the anchor the generic loop is pinned to. Returns the `‖r‖` history.
+    fn textbook_pcg(
+        a: &CsrMatrix,
+        minv: &dyn Fn(&[f64], &mut [f64]),
+        b: &[f64],
+        x: &mut [f64],
+        opts: PcgOptions,
+    ) -> Vec<f64> {
+        use pmg_sparse::vector::{axpy, aypx, dot};
+        let n = b.len();
+        let (mut r, mut z, mut w) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        a.spmv(x, &mut r);
+        aypx(-1.0, b, &mut r);
+        let bnorm = dot(b, b).sqrt().max(1e-300);
+        let stop = |rn: f64| rn <= opts.rtol * bnorm || rn <= opts.atol;
+        let mut hist = vec![dot(&r, &r).sqrt()];
+        if stop(hist[0]) {
+            return hist;
+        }
+        minv(&r, &mut z);
+        let mut p = z.clone();
+        let mut rz = dot(&r, &z);
+        for _ in 0..opts.max_iters {
+            a.spmv(&p, &mut w);
+            let alpha = rz / dot(&p, &w);
+            axpy(alpha, &p, x);
+            axpy(-alpha, &w, &mut r);
+            hist.push(dot(&r, &r).sqrt());
+            if stop(hist[hist.len() - 1]) {
+                break;
+            }
+            minv(&r, &mut z);
+            let rz_new = dot(&r, &z);
+            aypx(rz_new / rz, &z, &mut p);
+            rz = rz_new;
+        }
+        hist
+    }
+
+    #[test]
+    fn generic_loop_is_bitwise_the_textbook_recurrence() {
+        // With `pcg` being the k = 1 case of the blocked loop, "blocked
+        // equals independent" says nothing about the recurrence itself;
+        // this does. One rank, so every reduction is a plain serial dot.
+        let n = 40;
+        let a = laplacian(n);
+        let l = Layout::block(n, 1);
+        let da = pmg_parallel::DistMatrix::from_global(&a, l.clone(), l.clone());
+        let jac = JacobiPrecond::new(&da);
+        let inv_diag: Vec<f64> = a.diag().iter().map(|&d| 1.0 / d).collect();
+        let jacobi = |r: &[f64], z: &mut [f64]| {
+            for ((zi, ri), di) in z.iter_mut().zip(r).zip(&inv_diag) {
+                *zi = ri * di;
+            }
+        };
+        let identity = |r: &[f64], z: &mut [f64]| z.copy_from_slice(r);
+        let wavy: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.1).collect();
+        let mut a_ones = vec![0.0; n];
+        a.spmv(&vec![1.0; n], &mut a_ones);
+        let opts = PcgOptions {
+            rtol: 1e-10,
+            max_iters: 100,
+            ..Default::default()
+        };
+        // (rhs, initial guess): cold start, zero rhs, exact warm start,
+        // inexact warm start.
+        let cases = [
+            (wavy.clone(), vec![0.0; n]),
+            (vec![0.0; n], vec![0.0; n]),
+            (a_ones, vec![1.0; n]),
+            (wavy.clone(), vec![0.5; n]),
+        ];
+        for (case, (b, x0)) in cases.iter().enumerate() {
+            type Minv<'a> = &'a dyn Fn(&[f64], &mut [f64]);
+            let preconds: [(&dyn Precond, Minv); 2] =
+                [(&jac, &jacobi), (&IdentityPrecond, &identity)];
+            for (which, (m, minv)) in preconds.into_iter().enumerate() {
+                let mut x_ref = x0.clone();
+                let hist = textbook_pcg(&a, minv, b, &mut x_ref, opts);
+                let mut sim = Sim::new(1, MachineModel::default());
+                let db = DistVec::from_global(l.clone(), b);
+                let mut dx = DistVec::from_global(l.clone(), x0);
+                let res = pcg(&mut sim, &da, m, &db, &mut dx, opts);
+                assert!(res.converged && !res.breakdown, "case {case}/{which}");
+                assert_eq!(res.iterations + 1, hist.len(), "case {case}/{which}");
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&res.residuals), bits(&hist), "case {case}/{which}");
+                assert_eq!(bits(&dx.to_global()), bits(&x_ref), "case {case}/{which}");
+            }
+        }
+    }
+
+    /// A serial vector that counts the `axpy`s it receives.
+    struct CountedVec {
+        v: Vec<f64>,
+        axpys: usize,
+    }
+
+    /// Serial backend (identity preconditioner) that counts what the loop
+    /// asks of it.
+    struct CountingBackend<'a> {
+        a: &'a CsrMatrix,
+        applies: usize,
+        preconds: usize,
+    }
+
+    impl PcgBackend for CountingBackend<'_> {
+        type Vector = CountedVec;
+        type Error = Infallible;
+
+        fn zeros(&self) -> CountedVec {
+            CountedVec {
+                v: vec![0.0; self.a.nrows()],
+                axpys: 0,
+            }
+        }
+
+        fn apply(&mut self, xs: &[CountedVec], ys: &mut [CountedVec]) -> Result<(), Infallible> {
+            self.applies += 1;
+            for (x, y) in xs.iter().zip(ys) {
+                self.a.spmv(&x.v, &mut y.v);
+            }
+            Ok(())
+        }
+
+        fn precond(&mut self, r: &CountedVec, z: &mut CountedVec) -> Result<(), Infallible> {
+            self.preconds += 1;
+            z.v.copy_from_slice(&r.v);
+            Ok(())
+        }
+
+        fn dots(&mut self, pairs: &[(&CountedVec, &CountedVec)]) -> Result<Vec<f64>, Infallible> {
+            Ok(pairs
+                .iter()
+                .map(|(u, v)| pmg_sparse::vector::dot(&u.v, &v.v))
+                .collect())
+        }
+
+        fn axpy(&mut self, alpha: f64, x: &CountedVec, y: &mut CountedVec) {
+            y.axpys += 1;
+            pmg_sparse::vector::axpy(alpha, &x.v, &mut y.v);
+        }
+
+        fn aypx(&mut self, beta: f64, x: &CountedVec, y: &mut CountedVec) {
+            pmg_sparse::vector::aypx(beta, &x.v, &mut y.v);
+        }
+
+        fn record_iteration(&mut self) {}
+
+        fn record_residual(&mut self, _rnorm: f64) {}
+    }
+
+    #[test]
+    fn converged_solve_applies_precond_n_and_operator_n_plus_one_times() {
+        let n = 30;
+        let a = laplacian(n);
+        let counted = |v: Vec<f64>| CountedVec { v, axpys: 0 };
+        let rhs =
+            |c: usize| -> Vec<f64> { (0..n).map(|i| ((i + 3 * c) as f64 * 0.29).cos()).collect() };
+        let tight = PcgOptions {
+            rtol: 1e-10,
+            max_iters: 100,
+            ..Default::default()
+        };
+
+        let mut be = CountingBackend {
+            a: &a,
+            applies: 0,
+            preconds: 0,
+        };
+        let mut xs = [counted(vec![0.0; n])];
+        let res = pcg_blocked(&mut be, &[counted(rhs(0))], &mut xs, &[tight]).unwrap();
+        let iters = res[0].iterations;
+        assert!(res[0].converged && iters >= 1);
+        assert_eq!(
+            be.preconds, iters,
+            "no preconditioner application is discarded"
+        );
+        assert_eq!(
+            be.applies,
+            iters + 1,
+            "initial residual + one per iteration"
+        );
+
+        // Three columns that stop at different iterations (loose tolerance,
+        // tight tolerance, own cap): a frozen column's x receives no
+        // further axpy while the others keep iterating.
+        let loose = PcgOptions {
+            rtol: 1e-2,
+            ..tight
+        };
+        let capped = PcgOptions {
+            max_iters: 2,
+            ..tight
+        };
+        let mut be = CountingBackend {
+            a: &a,
+            applies: 0,
+            preconds: 0,
+        };
+        let bs = [counted(rhs(0)), counted(rhs(1)), counted(rhs(2))];
+        let mut xs = [
+            counted(vec![0.0; n]),
+            counted(vec![0.0; n]),
+            counted(vec![0.0; n]),
+        ];
+        let res = pcg_blocked(&mut be, &bs, &mut xs, &[loose, tight, capped]).unwrap();
+        assert!(res[0].converged && res[1].converged && !res[2].converged);
+        assert!(res[0].iterations < res[1].iterations, "{res:?}");
+        assert_eq!(res[2].iterations, 2);
+        for (x, r) in xs.iter().zip(&res) {
+            assert_eq!(x.axpys, r.iterations, "one x update per active iteration");
+        }
+        assert_eq!(
+            be.applies,
+            res[1].iterations + 1,
+            "batched applies follow the longest column"
+        );
+    }
+
+    #[test]
+    fn breakdown_is_reported_not_silent() {
+        // Indefinite diagonal operator, right-hand side on the negative
+        // part: p·Ap < 0 at the first iteration.
+        let n = 12;
+        let mut bld = CooBuilder::new(n, n);
+        for i in 0..n {
+            bld.push(i, i, if i < n / 2 { 2.0 } else { -1.0 });
+        }
+        let a = bld.build();
+        let l = Layout::block(n, 2);
+        let da = pmg_parallel::DistMatrix::from_global(&a, l.clone(), l.clone());
+        let indefinite: Vec<f64> = (0..n).map(|i| if i < n / 2 { 0.0 } else { 1.0 }).collect();
+        let mut poisoned = vec![1.0; n];
+        poisoned[3] = f64::NAN;
+        let spd = laplacian(n);
+        let dspd = pmg_parallel::DistMatrix::from_global(&spd, l.clone(), l.clone());
+        for (op, b) in [(&da, &indefinite), (&dspd, &poisoned)] {
+            let mut sim = Sim::new(2, MachineModel::default());
+            let db = DistVec::from_global(l.clone(), b);
+            let mut x = DistVec::zeros(l.clone());
+            let res = pcg(
+                &mut sim,
+                op,
+                &IdentityPrecond,
+                &db,
+                &mut x,
+                PcgOptions::default(),
+            );
+            assert!(res.breakdown && !res.converged, "{res:?}");
+            assert_eq!(res.iterations, 1);
+            assert!(x.to_global().iter().all(|&v| v == 0.0), "x untouched");
+        }
+        // Running out of iterations on an SPD system is not a breakdown.
+        let mut sim = Sim::new(2, MachineModel::default());
+        let db = DistVec::from_global(l.clone(), &vec![1.0; n]);
+        let mut x = DistVec::zeros(l);
+        let opts = PcgOptions {
+            rtol: 1e-14,
+            max_iters: 2,
+            ..Default::default()
+        };
+        let res = pcg(&mut sim, &dspd, &IdentityPrecond, &db, &mut x, opts);
+        assert!(
+            !res.converged && !res.breakdown && res.iterations == 2,
+            "{res:?}"
+        );
     }
 }

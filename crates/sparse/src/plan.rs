@@ -244,85 +244,6 @@ impl RapPlan {
             && pattern_fingerprint(a) == self.a_fingerprint
     }
 
-    /// Rows of the coarse operator the plan produces.
-    pub fn coarse_rows(&self) -> usize {
-        self.stage2.nrows
-    }
-
-    /// Stored nonzeros of the coarse operator the plan produces.
-    pub fn coarse_nnz(&self) -> usize {
-        self.stage2.nnz()
-    }
-
-    /// Half-open range of the coarse operator's value array covered by
-    /// coarse row `c` (the planned output pattern is fixed, so callers can
-    /// scatter per-rank row values into a full value vector).
-    pub fn coarse_row_range(&self, c: usize) -> std::ops::Range<usize> {
-        self.stage2.row_ptr[c]..self.stage2.row_ptr[c + 1]
-    }
-
-    /// Assemble the coarse operator from a complete value vector laid out
-    /// on the planned pattern (the concatenation, in coarse-row order, of
-    /// per-row segments as addressed by [`RapPlan::coarse_row_range`]).
-    pub fn coarse_from_values(&self, vals: Vec<f64>) -> CsrMatrix {
-        assert_eq!(vals.len(), self.stage2.nnz());
-        CsrMatrix::from_parts(
-            self.stage2.nrows,
-            self.stage2.ncols,
-            self.stage2.row_ptr.clone(),
-            self.stage2.col_idx.clone(),
-            vals,
-        )
-    }
-
-    /// Numeric phase restricted to a subset of coarse rows: compute the
-    /// planned `R A Rᵀ` values for exactly the rows in `rows`, returned as
-    /// the concatenation of their pattern segments (row order as given).
-    ///
-    /// Stage 2's gather list for coarse row `c` references only stage-1
-    /// entries inside row `c` of `RA` (the plan records `src = t` with
-    /// `t ∈ stage1.row_ptr[c]..row_ptr[c+1]`), so running both stages over
-    /// a row subset is self-contained — and every output entry is the same
-    /// fixed-order gather-multiply-accumulate as [`RapPlan::execute`], so
-    /// the values are **bitwise identical** to the corresponding segments
-    /// of the full product. This is the per-rank kernel of the distributed
-    /// Galerkin RAP: each rank executes its owned coarse rows and the
-    /// segments are merged by an allgather.
-    pub fn execute_rows(&mut self, a: &CsrMatrix, rows: &[u32]) -> Vec<f64> {
-        assert!(
-            self.matches(a),
-            "RapPlan::execute_rows: A's sparsity pattern changed since the \
-             plan was built (rebuild with RapPlan::new)"
-        );
-        pmg_telemetry::counter_add("rap/plan_reuse", 1);
-        let mut out = Vec::new();
-        let mut contribs = 0u64;
-        let a_vals = a.vals();
-        for &c in rows {
-            let c = c as usize;
-            // Stage 1: the RA entries of row c.
-            for t in self.stage1.row_ptr[c]..self.stage1.row_ptr[c + 1] {
-                let mut acc = 0.0;
-                for p in self.stage1.offsets[t]..self.stage1.offsets[t + 1] {
-                    acc += self.stage1.coeff[p] * a_vals[self.stage1.src[p] as usize];
-                }
-                self.ra_vals[t] = acc;
-                contribs += (self.stage1.offsets[t + 1] - self.stage1.offsets[t]) as u64;
-            }
-            // Stage 2: the coarse entries of row c, gathering from stage 1.
-            for t in self.stage2.row_ptr[c]..self.stage2.row_ptr[c + 1] {
-                let mut acc = 0.0;
-                for p in self.stage2.offsets[t]..self.stage2.offsets[t + 1] {
-                    acc += self.stage2.coeff[p] * self.ra_vals[self.stage2.src[p] as usize];
-                }
-                out.push(acc);
-                contribs += (self.stage2.offsets[t + 1] - self.stage2.offsets[t]) as u64;
-            }
-        }
-        flops::add(2 * contribs);
-        out
-    }
-
     /// Numeric phase: compute `R A Rᵀ` for a new `A` with the planned
     /// pattern. Panics if the pattern changed — callers that cannot
     /// guarantee stability should guard with [`RapPlan::matches`] and
@@ -373,7 +294,7 @@ impl RapPlan {
 /// in stored order, then `RA` entries ascending × `Rᵀ` row entries in
 /// stored order), grouped by the same unstable sort (whose permutation
 /// depends only on the — identical — output-column sequence), and
-/// accumulated in the same order as [`RapPlan::execute_rows`]. The output
+/// accumulated in the same order as [`RapPlan::execute`]. The output
 /// values are therefore **bitwise identical** to the corresponding row
 /// segments of the full planned product; the partition tests and the
 /// ownership-map proptest below pin this.
@@ -558,38 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_rows_partition_is_bitwise_full_execute() {
-        // The distributed-RAP contract: executing any partition of the
-        // coarse rows and concatenating the segments reproduces the full
-        // numeric product bit for bit.
-        let a = random_sym(50, 4, 17);
-        let r = random_restriction(18, 50, 18);
-        let mut plan = RapPlan::new(&a, &r);
-        let full = plan.execute(&a);
-        for nparts in [1usize, 2, 3, 5] {
-            let mut vals = vec![0.0f64; full.nnz()];
-            for part in 0..nparts {
-                let rows: Vec<u32> = (0..plan.coarse_rows() as u32)
-                    .filter(|c| *c as usize % nparts == part)
-                    .collect();
-                let seg = plan.execute_rows(&a, &rows);
-                let mut at = 0;
-                for &c in &rows {
-                    let rng = plan.coarse_row_range(c as usize);
-                    let len = rng.len();
-                    vals[rng].copy_from_slice(&seg[at..at + len]);
-                    at += len;
-                }
-                assert_eq!(at, seg.len());
-            }
-            let merged = plan.coarse_from_values(vals);
-            for (x, y) in merged.vals().iter().zip(full.vals()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "nparts={nparts}");
-            }
-        }
-    }
-
-    #[test]
     fn pattern_change_detected() {
         let a = random_sym(30, 3, 21);
         let r = random_restriction(10, 30, 22);
@@ -640,10 +529,10 @@ mod tests {
     }
 
     #[test]
-    fn local_rows_are_bitwise_execute_rows() {
+    fn local_rows_are_bitwise_planned_rows() {
         // The sharded-RAP contract: a rank holding only its owned R rows,
         // the referenced A rows, and the referenced full Rᵀ rows computes
-        // exactly the value segments plan.execute_rows produces.
+        // exactly its rows of the full planned product.
         let a = random_sym(50, 4, 17);
         let r = random_restriction(18, 50, 18);
         let rt = r.transpose();
@@ -654,24 +543,18 @@ mod tests {
                 let owned: Vec<u32> = (0..r.nrows() as u32)
                     .filter(|c| *c as usize % nparts == part)
                     .collect();
-                let seg = plan.execute_rows(&a, &owned);
                 let (r_rows, a_ids, a_rows, rt_ids, rt_rows) = local_inputs(&a, &r, &rt, &owned);
                 let local = rap_local_rows(&r_rows, &a_ids, &a_rows, &rt_ids, &rt_rows);
                 assert_eq!(local.nrows(), owned.len());
                 assert_eq!(local.ncols(), r.nrows());
-                // Values bitwise == the planned segments, pattern == the
-                // full product's rows.
-                let mut at = 0usize;
                 for (lc, &c) in owned.iter().enumerate() {
-                    let (gcols, _) = full.row(c as usize);
+                    let (gcols, gvals) = full.row(c as usize);
                     let (lcols, lvals) = local.row(lc);
                     assert_eq!(lcols, gcols, "row {c} pattern (nparts={nparts})");
-                    for &v in lvals {
-                        assert_eq!(v.to_bits(), seg[at].to_bits(), "row {c}");
-                        at += 1;
+                    for (x, y) in lvals.iter().zip(gvals) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "row {c}");
                     }
                 }
-                assert_eq!(at, seg.len());
             }
         }
     }
@@ -694,17 +577,15 @@ mod tests {
         let a = random_sym(40, 4, 9);
         let r = random_restriction(14, 40, 10);
         let rt = r.transpose();
-        let mut plan = RapPlan::new(&a, &r);
         let owned: Vec<u32> = vec![2, 3, 7, 11];
-        let seg = plan.execute_rows(&a, &owned);
+        let want = RapPlan::new(&a, &r).execute(&a).extract_rows(&owned);
         let r_rows = r.extract_rows(&owned);
         let all: Vec<u32> = (0..40).collect();
         let a_rows = a.extract_rows(&all);
         let rt_rows = rt.extract_rows(&all);
         let local = rap_local_rows(&r_rows, &all, &a_rows, &all, &rt_rows);
-        let flat: Vec<f64> = local.vals().to_vec();
-        assert_eq!(flat.len(), seg.len());
-        for (x, y) in flat.iter().zip(&seg) {
+        assert_eq!(local.nnz(), want.nnz());
+        for (x, y) in local.vals().iter().zip(want.vals()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
@@ -731,7 +612,7 @@ mod tests {
                     local_inputs(&a, &r, &rt, &owned);
                 let local = rap_local_rows(&r_rows, &a_ids, &a_rows, &rt_ids, &rt_rows);
                 for (lc, &c) in owned.iter().enumerate() {
-                    let rng = plan.coarse_row_range(c as usize);
+                    let rng = full.row_ptr()[c as usize]..full.row_ptr()[c as usize + 1];
                     let (lcols, lvals) = local.row(lc);
                     let (gcols, _) = full.row(c as usize);
                     prop_assert_eq!(lcols, gcols);

@@ -102,12 +102,13 @@ fn main() {
             let t0 = Instant::now();
             let outcome = solve_threads(
                 &solver.mg,
-                &rhs,
+                std::slice::from_ref(&rhs),
                 PcgOptions {
                     rtol: 1e-4,
                     max_iters: 300,
                     ..Default::default()
                 },
+                true,
             )
             .expect("threaded-rank solve");
             (outcome, t0.elapsed().as_secs_f64())
@@ -140,9 +141,8 @@ fn main() {
         if let Some((spmd, thr_wall)) = spmd {
             // Same solve, but every rank is a real thread over the
             // in-process transport: measured traffic, not the BSP model.
-            let bitwise = spmd.result.iterations == res.iterations
-                && spmd
-                    .x
+            let bitwise = spmd.results[0].iterations == res.iterations
+                && spmd.xs[0]
                     .iter()
                     .zip(&x_sim)
                     .all(|(a, b)| a.to_bits() == b.to_bits());

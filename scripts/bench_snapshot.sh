@@ -13,9 +13,9 @@
 # with real measured message counts and per-phase wait times, the
 # overlap section running the threaded and socket solves A/B with the
 # comm/compute overlap off vs on (blocked halo wait, hidden window,
-# interior/boundary row split, allreduce fusion), and the setup
-# weak-scaling section: RankHierarchy::build_distributed over 1/2/4
-# threaded ranks at ~40k dofs per rank with per-phase times and
+# interior/boundary row split, equal allreduce counts), and the setup
+# weak-scaling section: plan_ingest -> RankHierarchy::build_from_shards
+# over 1/2/4 threaded ranks at ~40k dofs per rank with per-phase times and
 # weak-scaling efficiencies (marked degenerate on 1-core hosts). The meta
 # block records the pool size, git SHA, and host core count so snapshots
 # are comparable across machines.

@@ -2,22 +2,23 @@
 //!
 //! Spawned `n` at a time by `pmg-launch` (which sets `PMG_COMM_RANK`,
 //! `PMG_COMM_SIZE`, and `PMG_COMM_DIR`), each process builds the tiny
-//! spheres first-solve system and its multigrid hierarchy deterministically,
-//! then solves over the Unix-domain-socket transport. By default the setup
-//! is replicated (each process runs the full in-process build and extracts
-//! its rank's share); `PMG_DIST_SETUP=1` instead runs the distributed setup
-//! pipeline — transport MIS, face-ID merge, per-rank Galerkin rows, and the
-//! ghost-list collectives — which is bitwise-identical by construction.
+//! spheres first-solve system deterministically, grows its share of the
+//! multigrid hierarchy by partition-at-ingest (rank 0 plans and scatters
+//! per-rank seeds; every rank then runs `RankHierarchy::build_from_shards`
+//! over the Unix-domain-socket transport — transport MIS, face-ID merge,
+//! per-rank Galerkin rows, ghost-list collectives), and solves SPMD.
+//! The one input the sharded builder rejects is the matrix-free fine
+//! operator (`PMG_FINE_OP=matrixfree`): then each process runs the full
+//! in-process build and extracts its rank's share instead.
 //! Rank 0 gathers the solution and, when `--out PATH` (or `PMG_OUT`) is
 //! given, writes the iteration count, convergence flag, and the solution /
 //! residual-history bit patterns for the parity test to compare against the
 //! simulated solve.
 //!
-//! `PMG_OVERLAP=0` disables the communication/computation overlap (and the
-//! fused PCG allreduce) for A/B wait-time measurements; the solve is
-//! bitwise identical either way. The rank-0 artifact records the overlap
-//! accounting on an `overlap <interior_rows> <boundary_rows> <hidden_s>`
-//! line.
+//! `PMG_OVERLAP=0` selects the blocking halo schedule for A/B wait-time
+//! measurements; the solve — bits, messages, allreduces — is identical
+//! either way. The rank-0 artifact records the overlap accounting on an
+//! `overlap <interior_rows> <boundary_rows> <hidden_s>` line.
 //!
 //! Exits 0 iff the solve converged.
 
@@ -51,125 +52,74 @@ fn main() -> ExitCode {
         .map(|v| v != "0")
         .unwrap_or(true);
 
-    let dist_setup = std::env::var("PMG_DIST_SETUP")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-
-    let shard_ingest = std::env::var("PMG_SHARD_INGEST")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-
     let sys = pmg_bench::spheres_first_solve(0);
     let opts = pmg_bench::parity_options(t.size());
+    let nranks = t.size();
+    let rank = t.rank();
+
+    // Keep whichever hierarchy was built alive for the borrowed solve view.
+    let (replicated, sharded);
+    let (layout, mut h) = match prometheus::FineOperator::from_env() {
+        prometheus::FineOperator::MatrixFree => {
+            // The element-loop fine apply lives on the replicated
+            // hierarchy only; the setup stays replicated and deterministic.
+            replicated = pmg_bench::parity_solver(&sys, opts);
+            let layout = replicated.mg.levels[0].a.row_layout().clone();
+            (layout, RankHierarchy::extract(&replicated.mg, rank))
+        }
+        prometheus::FineOperator::Assembled => {
+            // Partition-at-ingest: rank 0 plans the seeds (RCB partition,
+            // owned level-0 restriction rows, replicated coarse geometry)
+            // and scatters each rank its share. Every process still
+            // *builds* the global spheres system here (this harness checks
+            // parity, not footprint — the counting-allocator test owns the
+            // memory claim), but the setup consumes only this rank's owned
+            // rows of it.
+            let plan = (rank == 0).then(|| {
+                let graph = sys.mesh.vertex_graph();
+                let classes = prometheus::classify_mesh_parallel(&sys.mesh, opts.face_tol, nranks);
+                let part = pmg_partition::recursive_coordinate_bisection(&sys.mesh.coords, nranks);
+                let shards = pmg_mesh::shard_mesh(&sys.mesh, &part, nranks);
+                let elem_counts: Vec<u32> = shards
+                    .iter()
+                    .map(|s| s.mesh.num_elements() as u32)
+                    .collect();
+                prometheus::plan_ingest_with_part(
+                    &sys.mesh.coords,
+                    &graph,
+                    &classes,
+                    &elem_counts,
+                    part,
+                    nranks,
+                    &opts.mg,
+                )
+            });
+            let seed = prometheus::scatter_seeds(&mut t, plan.as_ref()).expect("seed scatter");
+            let vlayout = pmg_parallel::Layout::from_part(seed.part.clone(), nranks);
+            let layout = pmg_parallel::Layout::expand_dofs(&vlayout, opts.mg.dofs_per_vertex);
+            let a_owned = sys.matrix.extract_rows(layout.owned(rank));
+            sharded = RankHierarchy::build_from_shards(&mut t, &seed, &a_owned, opts.mg)
+                .expect("sharded setup over sockets");
+            (layout, sharded.rank_hierarchy())
+        }
+    };
+    h.overlap = overlap;
+
+    let bl: Vec<f64> = layout
+        .owned(rank)
+        .iter()
+        .map(|&g| sys.rhs[g as usize])
+        .collect();
+    let mut xl = vec![0.0; bl.len()];
     let solve_opts = PcgOptions {
         rtol: pmg_bench::PARITY_RTOL,
         max_iters: 200,
         ..Default::default()
     };
-
-    let (layout, res, waits, xl, solve_s) = if shard_ingest {
-        // Partition-at-ingest: rank 0 plans the seeds (RCB partition,
-        // owned level-0 restriction rows, replicated coarse geometry) and
-        // scatters each rank its share; the hierarchy then grows through
-        // `build_from_shards` — no coarse value allgather, direct factor
-        // on rank 0 only. Every process still *builds* the global spheres
-        // system here (this harness checks parity, not footprint — the
-        // counting-allocator test owns the memory claim), but the setup
-        // consumes only this rank's owned rows of it.
-        let nranks = t.size();
-        let rank = t.rank();
-        let plan = if rank == 0 {
-            let graph = sys.mesh.vertex_graph();
-            let classes = prometheus::classify_mesh_parallel(&sys.mesh, opts.face_tol, nranks);
-            let part = pmg_partition::recursive_coordinate_bisection(&sys.mesh.coords, nranks);
-            let shards = pmg_mesh::shard_mesh(&sys.mesh, &part, nranks);
-            let elem_counts: Vec<u32> = shards
-                .iter()
-                .map(|s| s.mesh.num_elements() as u32)
-                .collect();
-            Some(prometheus::plan_ingest_with_part(
-                &sys.mesh.coords,
-                &graph,
-                &classes,
-                &elem_counts,
-                part,
-                nranks,
-                &opts.mg,
-            ))
-        } else {
-            None
-        };
-        let seed = prometheus::scatter_seeds(&mut t, plan.as_ref()).expect("seed scatter");
-        let vlayout = pmg_parallel::Layout::from_part(seed.part.clone(), nranks);
-        let layout = pmg_parallel::Layout::expand_dofs(&vlayout, opts.mg.dofs_per_vertex);
-        let a_owned = sys.matrix.extract_rows(layout.owned(rank));
-        let setup = RankHierarchy::build_from_shards(&mut t, &seed, &a_owned, opts.mg)
-            .expect("sharded setup over sockets");
-        let layout = setup.fine_layout().clone();
-        let mut h = setup.rank_hierarchy();
-        h.overlap = overlap;
-
-        let bl: Vec<f64> = layout
-            .owned(rank)
-            .iter()
-            .map(|&g| sys.rhs[g as usize])
-            .collect();
-        let mut xl = vec![0.0; bl.len()];
-        let solve_start = std::time::Instant::now();
-        let (res, waits) =
-            spmd_pcg(&mut t, &h, &bl, &mut xl, solve_opts).expect("SPMD solve over sockets");
-        (layout, res, waits, xl, solve_start.elapsed().as_secs_f64())
-    } else if dist_setup {
-        // Distributed setup: the fine classification and every setup phase
-        // (MIS, face-ID merge, Galerkin rows, ghost lists) run over the
-        // socket transport. `PMG_FINE_OP` does not apply here — the
-        // distributed pipeline distributes the assembled operator.
-        let graph = sys.mesh.vertex_graph();
-        let nproc = t.size();
-        let classes = prometheus::classify_mesh_transport(&mut t, &sys.mesh, opts.face_tol, nproc)
-            .expect("transport classification");
-        let setup = RankHierarchy::build_distributed(
-            &mut t,
-            &sys.matrix,
-            &sys.mesh.coords,
-            &graph,
-            &classes,
-            opts.mg,
-        )
-        .expect("distributed setup over sockets");
-        let layout = setup.fine_layout().clone();
-        let mut h = setup.rank_hierarchy();
-        h.overlap = overlap;
-
-        let bl: Vec<f64> = layout
-            .owned(t.rank())
-            .iter()
-            .map(|&g| sys.rhs[g as usize])
-            .collect();
-        let mut xl = vec![0.0; bl.len()];
-        let solve_start = std::time::Instant::now();
-        let (res, waits) =
-            spmd_pcg(&mut t, &h, &bl, &mut xl, solve_opts).expect("SPMD solve over sockets");
-        (layout, res, waits, xl, solve_start.elapsed().as_secs_f64())
-    } else {
-        // `PMG_FINE_OP=matrixfree` swaps the fine-grid apply for the
-        // element-loop kernels; the setup stays replicated and deterministic.
-        let solver = pmg_bench::parity_solver(&sys, opts);
-        let layout = solver.mg.levels[0].a.row_layout().clone();
-        let mut h = RankHierarchy::extract(&solver.mg, t.rank());
-        h.overlap = overlap;
-
-        let bl: Vec<f64> = layout
-            .owned(t.rank())
-            .iter()
-            .map(|&g| sys.rhs[g as usize])
-            .collect();
-        let mut xl = vec![0.0; bl.len()];
-        let solve_start = std::time::Instant::now();
-        let (res, waits) =
-            spmd_pcg(&mut t, &h, &bl, &mut xl, solve_opts).expect("SPMD solve over sockets");
-        (layout, res, waits, xl, solve_start.elapsed().as_secs_f64())
-    };
+    let solve_start = std::time::Instant::now();
+    let (res, waits) =
+        spmd_pcg(&mut t, &h, &bl, &mut xl, solve_opts).expect("SPMD solve over sockets");
+    let solve_s = solve_start.elapsed().as_secs_f64();
     let stats = t.stats(); // snapshot before the result gather adds traffic
 
     let gathered = pmg_comm::gather(&mut t, &f64s_to_bytes(&xl)).expect("gather solution");

@@ -176,12 +176,13 @@ fn spheres_solve_bitwise_identical_across_transports() {
         let (x_sim, res_sim) = solver.solve(&sys.rhs, None, pmg_bench::PARITY_RTOL);
         assert!(res_sim.converged, "p={p}: {res_sim:?}");
 
-        let spmd = prometheus::solve_threads(&solver.mg, &sys.rhs, pcg_opts).unwrap();
-        assert_eq!(spmd.result.iterations, res_sim.iterations, "p={p}");
-        for (a, b) in spmd.result.residuals.iter().zip(&res_sim.residuals) {
+        let rhs = std::slice::from_ref(&sys.rhs);
+        let spmd = prometheus::solve_threads(&solver.mg, rhs, pcg_opts, true).unwrap();
+        assert_eq!(spmd.results[0].iterations, res_sim.iterations, "p={p}");
+        for (a, b) in spmd.results[0].residuals.iter().zip(&res_sim.residuals) {
             assert_eq!(a.to_bits(), b.to_bits(), "p={p} residual history");
         }
-        for (a, b) in spmd.x.iter().zip(&x_sim) {
+        for (a, b) in spmd.xs[0].iter().zip(&x_sim) {
             assert_eq!(a.to_bits(), b.to_bits(), "p={p} solution");
         }
         if p > 1 {
@@ -247,52 +248,89 @@ fn spheres_solve_bitwise_identical_across_transports() {
 }
 
 #[test]
-fn spheres_distributed_setup_bitwise_identical_over_sockets() {
-    // PR 8's acceptance bar: `PMG_DIST_SETUP=1` routes the worker through
-    // `RankHierarchy::build_distributed` — transport MIS, face-ID merge,
-    // per-rank Galerkin rows, ghost-list collectives — and the resulting
-    // 2-process solve must still reproduce the in-process replicated-setup
-    // solve bitwise.
+fn overlap_flag_changes_only_the_halo_schedule() {
+    // `RankHierarchy::overlap` picks `spmv_overlapped` over `spmv` and
+    // nothing else: on the spheres solve both settings give the same
+    // result bits *and* the same traffic on every rank. (Until PR 13 the
+    // flag also fused r·r with r·z behind a speculative preconditioner
+    // application: 28 vs 41 allreduces here, and one extra FMG cycle.)
     let sys = pmg_bench::spheres_first_solve(0);
-    let opts = pmg_bench::parity_options(2);
-    let mut solver = prometheus::Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
-    let (x_ref, res_ref) = solver.solve(&sys.rhs, None, pmg_bench::PARITY_RTOL);
-    assert!(res_ref.converged, "{res_ref:?}");
-
-    let dir = std::env::temp_dir().join(format!("pmg-dist-setup-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("rank0.out");
-    let exits = pmg_comm::launch::launch_with_env(
-        2,
-        std::path::Path::new(env!("CARGO_BIN_EXE_spheres_rank")),
-        &["--out", out.to_str().unwrap()],
-        None,
-        &[("PMG_DIST_SETUP", "1"), ("PMG_FINE_OP", "assembled")],
-    )
-    .expect("launch 2 socket ranks with distributed setup");
-    assert!(
-        exits.iter().all(|e| e.status.success()),
-        "distributed-setup socket ranks failed: {exits:?}"
-    );
-    let (iters, converged, x_bits, res_bits, _) =
-        parse_rank_out(&std::fs::read_to_string(&out).unwrap());
-    std::fs::remove_dir_all(&dir).ok();
-    assert!(converged);
-    assert_eq!(iters, res_ref.iterations, "distributed-setup iterations");
-    assert_eq!(x_bits.len(), x_ref.len());
-    for (got, want) in x_bits.iter().zip(&x_ref) {
-        assert_eq!(*got, want.to_bits(), "distributed-setup solution bits");
-    }
-    assert_eq!(res_bits.len(), res_ref.residuals.len());
-    for (got, want) in res_bits.iter().zip(&res_ref.residuals) {
-        assert_eq!(*got, want.to_bits(), "distributed-setup residual bits");
+    let rhs = std::slice::from_ref(&sys.rhs);
+    let pcg_opts = pmg_solver::PcgOptions {
+        rtol: pmg_bench::PARITY_RTOL,
+        max_iters: 200,
+        ..Default::default()
+    };
+    for p in [1usize, 2, 4] {
+        let solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(p));
+        let over = prometheus::solve_threads(&solver.mg, rhs, pcg_opts, true).unwrap();
+        let block = prometheus::solve_threads(&solver.mg, rhs, pcg_opts, false).unwrap();
+        let (ro, rb) = (&over.results[0], &block.results[0]);
+        assert!(ro.converged, "p={p}: {ro:?}");
+        assert_eq!(
+            (ro.iterations, ro.converged, ro.breakdown),
+            (rb.iterations, rb.converged, rb.breakdown),
+            "p={p}"
+        );
+        assert_eq!(
+            ro.rel_residual.to_bits(),
+            rb.rel_residual.to_bits(),
+            "p={p}"
+        );
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&ro.residuals),
+            bits(&rb.residuals),
+            "p={p} residual history"
+        );
+        assert_eq!(bits(&over.xs[0]), bits(&block.xs[0]), "p={p} solution");
+        for (rank, (o, b)) in over.stats.iter().zip(&block.stats).enumerate() {
+            assert_eq!(
+                (o.msgs, o.bytes, o.allreduces),
+                (b.msgs, b.bytes, b.allreduces),
+                "p={p} rank={rank}: (msgs, bytes, allreduces)"
+            );
+        }
+        // Textbook PCG: ‖b‖/‖r‖ fused, the first r·z, then p·w, r·r, r·z per
+        // iteration — the last iteration stops before its r·z.
+        assert_eq!(
+            over.stats[0].allreduces,
+            3 * ro.iterations as u64 + 1,
+            "p={p}"
+        );
     }
 }
 
 #[test]
+fn non_finite_rhs_is_a_reported_breakdown_on_both_runtimes() {
+    // A NaN in the right-hand side used to end as `converged: false`,
+    // indistinguishable from running out of iterations. Both runtimes —
+    // virtual ranks and rank threads — now say what happened.
+    let sys = pmg_bench::spheres_first_solve(0);
+    let mut rhs = sys.rhs.clone();
+    rhs[sys.rhs.len() / 2] = f64::NAN;
+    let mut solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(2));
+    let (_, res_sim) = solver.solve(&rhs, None, pmg_bench::PARITY_RTOL);
+    assert!(res_sim.breakdown && !res_sim.converged, "{res_sim:?}");
+    let pcg_opts = pmg_solver::PcgOptions {
+        rtol: pmg_bench::PARITY_RTOL,
+        max_iters: 200,
+        ..Default::default()
+    };
+    let spmd =
+        prometheus::solve_threads(&solver.mg, std::slice::from_ref(&rhs), pcg_opts, true).unwrap();
+    let res = &spmd.results[0];
+    assert!(res.breakdown && !res.converged, "{res:?}");
+    assert_eq!(res.iterations, res_sim.iterations);
+    // And a clean solve on the same hierarchy reports none.
+    let (_, clean) = solver.solve(&sys.rhs, None, pmg_bench::PARITY_RTOL);
+    assert!(clean.converged && !clean.breakdown, "{clean:?}");
+}
+
+#[test]
 fn spheres_sharded_ingest_bitwise_identical_over_sockets() {
-    // PR 10's acceptance bar: `PMG_SHARD_INGEST=1` routes the workers
-    // through partition-at-ingest — rank 0 plans and scatters per-rank
+    // PR 10's acceptance bar: on the assembled fine operator the workers
+    // run partition-at-ingest — rank 0 plans and scatters per-rank
     // seeds, each rank assembles only its owned fine rows, the Galerkin
     // rows come from p2p-fetched A rows with no coarse value allgather,
     // and the coarsest factor lives on rank 0 alone. The resulting 2- and
@@ -313,7 +351,7 @@ fn spheres_sharded_ingest_bitwise_identical_over_sockets() {
             std::path::Path::new(env!("CARGO_BIN_EXE_spheres_rank")),
             &["--out", out.to_str().unwrap()],
             None,
-            &[("PMG_SHARD_INGEST", "1"), ("PMG_FINE_OP", "assembled")],
+            &[("PMG_FINE_OP", "assembled")],
         )
         .expect("launch socket ranks with sharded ingest");
         assert!(

@@ -9,16 +9,13 @@
 //! * per-rank setup allocation **shrinks with the rank count** at a fixed
 //!   problem (a path that materialized the global mesh/matrix/vectors on
 //!   every rank would stay flat),
-//! * the sharded path allocates strictly less per rank than
-//!   `build_distributed` at the same rank count (which replicates every
-//!   level's matrix on every rank),
 //! * no single tracked allocation on any rank at p = 4 reaches the global
 //!   fine matrix's smallest component array — the direct "no rank ever
 //!   held the fine CSR" witness.
 //!
 //! Tracking is per-thread: rank work on `LocalTransport` threads is
 //! counted, anything a kernel offloads to the shared rayon pool is not —
-//! identically for both compared paths, so the comparisons stay fair.
+//! identically at every rank count, so the comparisons stay fair.
 
 use pmg_comm::{CommError, LocalTransport, Transport};
 use pmg_parallel::Layout;
@@ -96,43 +93,28 @@ fn fine_problem(n: usize) -> (CsrMatrix, pmg_mesh::Mesh, pmg_partition::Graph) {
     (b.build(), m, g)
 }
 
-/// Build the hierarchy on `p` ranks via the given path and return each
-/// rank's (total tracked bytes, largest tracked allocation) for the build
-/// window alone — the owned-rows input is assembled before tracking starts.
+/// Build the hierarchy on `p` ranks and return each rank's (total tracked
+/// bytes, largest tracked allocation) for the build window alone — the
+/// owned-rows input is assembled before tracking starts.
 fn build_footprint(
     a: &CsrMatrix,
     mesh: &pmg_mesh::Mesh,
     g: &pmg_partition::Graph,
     p: usize,
     opts: MgOptions,
-    sharded: bool,
 ) -> Vec<(u64, u64)> {
     let classes = classify_mesh(mesh, 0.7);
     let plan = plan_ingest(&mesh.coords, g, &classes, &[], p, &opts);
     let layout = Layout::from_part(plan.part().to_vec(), p);
-    let (a_ref, coords_ref, g_ref, classes_ref, plan_ref, layout_ref) =
-        (a, &mesh.coords, g, &classes, &plan, &layout);
+    let (a_ref, plan_ref, layout_ref) = (a, &plan, &layout);
     LocalTransport::run_ranks(p, move |mut t| {
         let rank = t.rank();
         let a_owned = a_ref.extract_rows(layout_ref.owned(rank));
         let ((), total, largest) = tracked(|| {
-            if sharded {
-                let setup =
-                    RankHierarchy::build_from_shards(&mut t, &plan_ref.seeds[rank], &a_owned, opts)
-                        .unwrap();
-                assert!(setup.num_levels() >= 2, "hierarchy must coarsen");
-            } else {
-                let setup = RankHierarchy::build_distributed(
-                    &mut t,
-                    a_ref,
-                    coords_ref,
-                    g_ref,
-                    classes_ref,
-                    opts,
-                )
-                .unwrap();
-                assert!(setup.num_levels() >= 2, "hierarchy must coarsen");
-            }
+            let setup =
+                RankHierarchy::build_from_shards(&mut t, &plan_ref.seeds[rank], &a_owned, opts)
+                    .unwrap();
+            assert!(setup.num_levels() >= 2, "hierarchy must coarsen");
         });
         Ok::<_, CommError>((total, largest))
     })
@@ -150,8 +132,8 @@ fn sharded_setup_allocation_shrinks_with_ranks() {
         ..Default::default()
     };
 
-    let p1 = build_footprint(&a, &mesh, &g, 1, opts, true);
-    let p4 = build_footprint(&a, &mesh, &g, 4, opts, true);
+    let p1 = build_footprint(&a, &mesh, &g, 1, opts);
+    let p4 = build_footprint(&a, &mesh, &g, 4, opts);
     let p1_total = p1[0].0;
     let p4_worst = p4.iter().map(|&(t, _)| t).max().unwrap();
     assert!(
@@ -168,28 +150,6 @@ fn sharded_setup_allocation_shrinks_with_ranks() {
             largest < global_cols_bytes,
             "rank {rank} allocated {largest} B in one block — \
              global fine col_idx is {global_cols_bytes} B"
-        );
-    }
-}
-
-#[test]
-fn sharded_setup_allocates_less_than_distributed_setup() {
-    let (a, mesh, g) = fine_problem(16); // 4096 vertices, scalar
-    let opts = MgOptions {
-        dofs_per_vertex: 1,
-        coarse_dof_threshold: 400,
-        ..Default::default()
-    };
-    let p = 4;
-    let shards = build_footprint(&a, &mesh, &g, p, opts, true);
-    let dist = build_footprint(&a, &mesh, &g, p, opts, false);
-    for rank in 0..p {
-        assert!(
-            shards[rank].0 < dist[rank].0,
-            "rank {rank}: sharded build allocated {} B, \
-             replicated-matrix distributed build {} B",
-            shards[rank].0,
-            dist[rank].0
         );
     }
 }
