@@ -87,6 +87,16 @@ impl Smoother {
         }
     }
 
+    /// Re-setup for a new operator on the same grid. Block Jacobi keeps
+    /// its blocks and only refactors them while the sparsity pattern holds
+    /// ([`BlockJacobi::refactor`]); anything else is built afresh.
+    fn refactor(&mut self, sim: &mut Sim, a: &DistMatrix, opts: &MgOptions) {
+        match (&mut *self, opts.smoother) {
+            (Smoother::BlockJacobi(s), SmootherType::BlockJacobi) => s.refactor(a),
+            _ => *self = Smoother::build(sim, a, opts),
+        }
+    }
+
     /// `sweeps` stationary smoothing passes on `A x = b`. The operator is
     /// only *applied* here, so assembled and matrix-free backends are both
     /// accepted; the smoother's setup-time factorizations always come from
@@ -472,47 +482,51 @@ impl MgHierarchy {
     /// grids, layouts, and restriction operators. This is what each Newton
     /// iteration pays in the paper (the mesh setup is amortized, §6).
     ///
-    /// Each level's Galerkin product re-executes its cached [`RapPlan`]
-    /// numerically — no symbolic work — as long as the level's sparsity
-    /// pattern is unchanged (the common case: Newton only changes values).
-    /// A pattern change is detected and the plan rebuilt transparently.
+    /// As long as a level's sparsity pattern is unchanged (the common case:
+    /// Newton only changes values) its re-setup is numeric-only: the
+    /// Galerkin product re-executes its cached [`RapPlan`] and the
+    /// block-Jacobi smoother refactors its cached blocks — no symbolic
+    /// product, no graph, no partition. A pattern change is detected and
+    /// both are rebuilt transparently.
     pub fn update_operator(&mut self, sim: &mut Sim, a_fine: &CsrMatrix) {
         sim.phase("matrix setup");
         // Any installed matrix-free kernels linearize the *previous*
         // operator; drop them so the hierarchy falls back to the fresh
         // assembled matrix until install_fine_matrix_free is called again.
         self.fine_mf = None;
-        let dofs = self.opts.dofs_per_vertex;
-        let mut cur = a_fine.clone();
+        let opts = self.opts;
+        // Level 0 reads the caller's matrix; only the Galerkin products
+        // below it are owned here.
+        let mut coarse: Option<CsrMatrix> = None;
         for lvl in 0..self.levels.len() {
-            let row_layout = self.levels[lvl].a.row_layout().clone();
+            let cur = coarse.as_ref().unwrap_or(a_fine);
+            let level = &mut self.levels[lvl];
+            let row_layout = level.a.row_layout().clone();
             assert_eq!(
                 cur.nrows(),
                 row_layout.num_global(),
                 "operator size changed"
             );
-            let promote = lvl != 0 || self.opts.fine_operator == FineOperator::Assembled;
-            let da = if promote && dofs == 3 && self.opts.block3 {
-                DistMatrix::from_global_blocked(&cur, row_layout.clone(), row_layout)
+            let promote = lvl != 0 || opts.fine_operator == FineOperator::Assembled;
+            let da = if promote && opts.dofs_per_vertex == 3 && opts.block3 {
+                DistMatrix::from_global_blocked(cur, row_layout.clone(), row_layout)
             } else {
-                DistMatrix::from_global(&cur, row_layout.clone(), row_layout)
+                DistMatrix::from_global(cur, row_layout.clone(), row_layout)
             };
-            let opts = self.opts;
-            let smoother = {
+            {
                 let _t = pmg_telemetry::scope("smoother");
-                Smoother::build(sim, &da, &opts)
-            };
-            let level = &mut self.levels[lvl];
+                level.smoother.refactor(sim, &da, &opts);
+            }
             let next = level.r_global.is_some().then(|| {
                 let _t = pmg_telemetry::scope("rap");
-                let planned = level.rap_plan.as_ref().is_some_and(|p| p.matches(&cur));
+                let planned = level.rap_plan.as_ref().is_some_and(|p| p.matches(cur));
                 if !planned {
                     let r = level.r_global.as_ref().expect("checked above");
-                    let (plan, _) = pmg_sparse::flops::measure(|| RapPlan::new(&cur, r));
+                    let (plan, _) = pmg_sparse::flops::measure(|| RapPlan::new(cur, r));
                     level.rap_plan = Some(plan);
                 }
                 let plan = level.rap_plan.as_mut().expect("plan set above");
-                let (ac, _) = pmg_sparse::flops::measure(|| plan.execute(&cur));
+                let (ac, _) = pmg_sparse::flops::measure(|| plan.execute(cur));
                 ac
             });
             if level.coarse.is_some() {
@@ -520,9 +534,8 @@ impl MgHierarchy {
                 level.coarse = Some(CoarseDirect::new(&da));
             }
             level.a = da;
-            level.smoother = smoother;
             match next {
-                Some(ac) => cur = ac,
+                Some(ac) => coarse = Some(ac),
                 None => break,
             }
         }
@@ -829,8 +842,74 @@ mod tests {
         let (a, coords, g, c) = scalar_problem(8);
         let mut sim = Sim::new(2, MachineModel::default());
         let mut mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &c, opts_scalar());
+        // Every level's smoother must be bit for bit the one a fresh build
+        // on that level's operator gives.
+        let smoothers_are_fresh = |mg: &MgHierarchy, sim: &mut Sim| {
+            for (lvl, level) in mg.levels.iter().enumerate() {
+                let Smoother::BlockJacobi(kept) = &level.smoother else {
+                    panic!("default smoother is block Jacobi");
+                };
+                let fresh = BlockJacobi::new(&level.a, mg.opts.blocks_per_1000, mg.opts.omega);
+                let layout = level.a.row_layout().clone();
+                let rg: Vec<f64> = (0..layout.num_global())
+                    .map(|i| (i as f64 * 0.37).cos())
+                    .collect();
+                let r = DistVec::from_global(layout.clone(), &rg);
+                let mut z_kept = DistVec::zeros(layout.clone());
+                let mut z_fresh = DistVec::zeros(layout);
+                kept.apply(sim, &r, &mut z_kept);
+                fresh.apply(sim, &r, &mut z_fresh);
+                let bits = |z: &DistVec| -> Vec<u64> {
+                    z.to_global().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&z_kept), bits(&z_fresh), "level {lvl}");
+            }
+        };
+        // Other tests of this binary may add to the process-global
+        // counters meanwhile, never subtract: lower bounds only (the exact
+        // counts are pinned in tests/symbolic_numeric.rs).
+        let counter = |name: &str| -> u64 {
+            pmg_telemetry::snapshot()
+                .counters
+                .get(name)
+                .copied()
+                .unwrap_or(0)
+        };
+        pmg_telemetry::set_enabled(true);
+
         let mut a2 = a.clone();
         a2.scale(3.0);
+        let reuse_before = counter("smoother/plan_reuse");
+        mg.update_operator(&mut sim, &a2);
+        // Same pattern: one numeric-only refactor per rank per level.
+        assert!(
+            counter("smoother/plan_reuse") - reuse_before >= 2 * mg.num_levels() as u64,
+            "a value-only update must reuse every rank's block plan"
+        );
+        smoothers_are_fresh(&mg, &mut sim);
+
+        // A new coupling between two vertices of rank 0 changes its local
+        // pattern: the cached partition is stale and must be rebuilt.
+        let n = a.nrows();
+        let owned = mg.levels[0].a.row_layout().owned(0);
+        let (i, j) = (owned[0] as usize, *owned.last().unwrap() as usize);
+        assert_eq!(a2.get(i, j), 0.0, "pick an uncoupled pair");
+        let mut b3 = CooBuilder::new(n, n);
+        for (r, c, v) in a2.iter() {
+            b3.push(r, c, v);
+        }
+        b3.push(i, j, -0.01);
+        b3.push(j, i, -0.01);
+        let a3 = b3.build();
+        let build_before = counter("smoother/plan_build");
+        mg.update_operator(&mut sim, &a3);
+        assert!(
+            counter("smoother/plan_build") > build_before,
+            "a pattern change must rebuild the block plan"
+        );
+        pmg_telemetry::set_enabled(false);
+        smoothers_are_fresh(&mg, &mut sim);
+
         mg.update_operator(&mut sim, &a2);
         let layout = mg.levels[0].a.row_layout().clone();
         let n = a.nrows();

@@ -37,6 +37,56 @@ impl Graph {
         Graph { xadj, adjncy }
     }
 
+    /// The graph of a square sparsity pattern in CSR form (`row_ptr`,
+    /// `col_idx` with sorted, unique columns per row): vertices `i != j` are
+    /// adjacent when `(i, j)` or `(j, i)` is stored. Equal to
+    /// [`from_edges`](Self::from_edges) over the stored off-diagonal
+    /// entries, but built by counting — transpose the pattern, then merge
+    /// each row with its transpose — so it is linear in the entry count.
+    pub fn from_pattern(row_ptr: &[usize], col_idx: &[usize]) -> Graph {
+        let n = row_ptr.len() - 1;
+        assert!(n <= u32::MAX as usize, "vertex ids are u32");
+        assert!(col_idx.iter().all(|&j| j < n), "pattern is not square");
+        let row = |i: usize| &col_idx[row_ptr[i]..row_ptr[i + 1]];
+        // Transposed pattern; filling by ascending row keeps it sorted.
+        let mut t_ptr = vec![0usize; n + 1];
+        for &j in col_idx {
+            t_ptr[j + 1] += 1;
+        }
+        for j in 0..n {
+            t_ptr[j + 1] += t_ptr[j];
+        }
+        let mut t_idx = vec![0u32; col_idx.len()];
+        let mut next = t_ptr.clone();
+        for i in 0..n {
+            for &j in row(i) {
+                t_idx[next[j]] = i as u32;
+                next[j] += 1;
+            }
+        }
+        let mut xadj = Vec::with_capacity(n + 1);
+        xadj.push(0);
+        let mut adjncy = Vec::with_capacity(col_idx.len());
+        for i in 0..n {
+            // Sorted-unique union of the row and its transpose, minus the
+            // diagonal. Ids are below `u32::MAX`, which marks a spent list.
+            let (a, b) = (row(i), &t_idx[t_ptr[i]..t_ptr[i + 1]]);
+            let (mut p, mut q) = (0, 0);
+            while p < a.len() || q < b.len() {
+                let x = a.get(p).map_or(u32::MAX, |&j| j as u32);
+                let y = b.get(q).copied().unwrap_or(u32::MAX);
+                let j = x.min(y);
+                p += usize::from(x == j);
+                q += usize::from(y == j);
+                if j as usize != i {
+                    adjncy.push(j);
+                }
+            }
+            xadj.push(adjncy.len());
+        }
+        Graph { xadj, adjncy }
+    }
+
     /// Build from per-vertex neighbor lists (must already be symmetric; this
     /// is validated in debug builds).
     pub fn from_adjacency(lists: &[Vec<u32>]) -> Graph {
@@ -247,6 +297,45 @@ mod tests {
         assert_eq!(s.num_vertices(), 3);
         assert_eq!(s.num_edges(), 2); // 0-1, 1-2 survive; 2-3 and 4-0 cut
         assert_eq!(map, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn from_pattern_is_from_edges() {
+        // A structurally nonsymmetric pattern with a diagonal, an empty row
+        // and an isolated vertex: (0,0) (0,2) | (1,0) (1,1) | - | (3,3).
+        let row_ptr = [0, 2, 4, 4, 5];
+        let col_idx = [0, 2, 0, 1, 3];
+        let g = Graph::from_pattern(&row_ptr, &col_idx);
+        assert_eq!(g, Graph::from_edges(4, [(0, 2), (1, 0)]));
+        assert!(g.is_symmetric());
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(g.degree(3), 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_from_pattern_is_from_edges(
+            n in 1usize..30,
+            entries in proptest::collection::vec((0usize..1000, 0usize..1000), 0..200),
+        ) {
+            let mut stored: Vec<(usize, usize)> =
+                entries.iter().map(|&(i, j)| (i % n, j % n)).collect();
+            stored.sort_unstable();
+            stored.dedup();
+            let mut row_ptr = vec![0usize; n + 1];
+            for &(i, _) in &stored {
+                row_ptr[i + 1] += 1;
+            }
+            for i in 0..n {
+                row_ptr[i + 1] += row_ptr[i];
+            }
+            let col_idx: Vec<usize> = stored.iter().map(|&(_, j)| j).collect();
+            let edges = stored.iter().map(|&(i, j)| (i as u32, j as u32));
+            proptest::prop_assert_eq!(
+                Graph::from_pattern(&row_ptr, &col_idx),
+                Graph::from_edges(n, edges)
+            );
+        }
     }
 
     #[test]

@@ -6,12 +6,18 @@
 //! needs no communication beyond the residual's matrix product), factored
 //! densely once per matrix setup, and applied with damping `ω` so the
 //! smoothing iteration contracts the high-frequency error.
+//!
+//! The setup has a symbolic half (graph, partition, block index maps — a
+//! function of the sparsity pattern alone) and a numeric half (extract and
+//! factor each block). [`BlockJacobi::refactor`] keeps the first and redoes
+//! only the second while the pattern is unchanged, which is every Newton
+//! iteration on a fixed mesh.
 
 use crate::precond::Precond;
 use pmg_parallel::{DistMatrix, DistVec, Sim, SimOperator};
 use pmg_partition::{partition_graph, Graph};
-use pmg_sparse::dense::{Cholesky, Lu};
-use pmg_sparse::CsrMatrix;
+use pmg_sparse::dense::{Cholesky, DenseMatrix, Lu};
+use pmg_sparse::{CsrMatrix, PatternFingerprint};
 use rayon::prelude::*;
 
 enum BlockFactor {
@@ -22,11 +28,33 @@ enum BlockFactor {
 }
 
 impl BlockFactor {
-    fn solve(&self, b: &[f64]) -> Vec<f64> {
+    /// Cholesky, else pivoted LU (block lost definiteness), else the
+    /// inverse diagonal (block is singular).
+    fn new(sub: &DenseMatrix) -> BlockFactor {
+        if let Some(c) = Cholesky::factor(sub) {
+            BlockFactor::Chol(c)
+        } else if let Some(l) = Lu::factor(sub) {
+            BlockFactor::Lu(l)
+        } else {
+            let d: Vec<f64> = (0..sub.nrows())
+                .map(|i| {
+                    let v = sub[(i, i)];
+                    if v != 0.0 {
+                        1.0 / v
+                    } else {
+                        1.0
+                    }
+                })
+                .collect();
+            BlockFactor::Diag(d)
+        }
+    }
+
+    fn solve_in_place(&self, b: &mut [f64]) {
         match self {
-            BlockFactor::Chol(c) => c.solve(b),
-            BlockFactor::Lu(l) => l.solve(b),
-            BlockFactor::Diag(d) => b.iter().zip(d).map(|(x, di)| x * di).collect(),
+            BlockFactor::Chol(c) => c.solve_in_place(b),
+            BlockFactor::Lu(l) => b.copy_from_slice(&l.solve(b)),
+            BlockFactor::Diag(d) => b.iter_mut().zip(d).for_each(|(x, di)| *x *= di),
         }
     }
 
@@ -39,23 +67,130 @@ impl BlockFactor {
     }
 }
 
+/// One rank's blocks, split like `RapPlan` splits the Galerkin product:
+/// a *symbolic* half — the partition of the local block's graph into
+/// sub-domains, a function of the sparsity pattern alone — and a *numeric*
+/// half, the dense factor of each sub-domain's principal submatrix.
+/// [`refactor`](Self::refactor) redoes only the numeric half while the
+/// pattern is unchanged.
 struct RankBlocks {
-    /// Local dof indices per block.
+    /// Pattern of the local block the symbolic half was built for.
+    pattern: PatternFingerprint,
+    blocks_per_1000: f64,
+    /// Local dof indices per block (ascending within a block).
     blocks: Vec<Vec<u32>>,
+    /// Per local dof: the block it belongs to and its position inside it.
+    home: Vec<(u32, u32)>,
     factors: Vec<BlockFactor>,
     apply_flops: u64,
 }
 
 impl RankBlocks {
+    /// Partition one rank's local block into METIS-style sub-domains and
+    /// factor each densely. The single per-rank build both the orchestrated
+    /// [`BlockJacobi::new`] and the SPMD-setup [`RankJacobi::new`] run — the
+    /// factorizations depend only on this rank's local block, so the two
+    /// paths are bitwise identical by construction.
+    fn new(local: &CsrMatrix, blocks_per_1000: f64) -> RankBlocks {
+        pmg_telemetry::counter_add("smoother/plan_build", 1);
+        let n = local.nrows();
+        let mut blocks = Vec::new();
+        if n > 0 {
+            let nblocks = ((blocks_per_1000 * n as f64 / 1000.0).round() as usize).clamp(1, n);
+            let g = Graph::from_pattern(local.row_ptr(), local.col_idx());
+            let part = partition_graph(&g, nblocks);
+            blocks = vec![Vec::new(); nblocks];
+            for (v, &p) in part.iter().enumerate() {
+                blocks[p as usize].push(v as u32);
+            }
+            blocks.retain(|b| !b.is_empty());
+        }
+        let mut home = vec![(0u32, 0u32); n];
+        for (b, blk) in blocks.iter().enumerate() {
+            for (l, &v) in blk.iter().enumerate() {
+                home[v as usize] = (b as u32, l as u32);
+            }
+        }
+        let mut rb = RankBlocks {
+            pattern: PatternFingerprint::of(local),
+            blocks_per_1000,
+            blocks,
+            home,
+            factors: Vec::new(),
+            apply_flops: 0,
+        };
+        rb.factor(local);
+        rb
+    }
+
+    /// Refactor for a new local block: numeric-only when its sparsity
+    /// pattern is the one the blocks were planned for (the values may have
+    /// changed freely), a transparent rebuild otherwise. Either way the
+    /// result is bitwise what [`RankBlocks::new`] gives on `local`.
+    fn refactor(&mut self, local: &CsrMatrix) {
+        if self.pattern.matches(local) {
+            pmg_telemetry::counter_add("smoother/plan_reuse", 1);
+            self.factor(local);
+        } else {
+            *self = RankBlocks::new(local, self.blocks_per_1000);
+        }
+    }
+
+    /// The numeric half: extract and factor every block (independent, so
+    /// in parallel; results land in block order on any pool size).
+    fn factor(&mut self, local: &CsrMatrix) {
+        self.factors = (0..self.blocks.len())
+            .into_par_iter()
+            .map(|b| BlockFactor::new(&self.extract(local, b)))
+            .collect();
+        self.apply_flops = self.factors.iter().map(|f| f.solve_flops()).sum();
+        let (mut chol, mut lu, mut diag) = (0, 0, 0);
+        for f in &self.factors {
+            match f {
+                BlockFactor::Chol(_) => chol += 1,
+                BlockFactor::Lu(_) => lu += 1,
+                BlockFactor::Diag(_) => diag += 1,
+            }
+        }
+        pmg_telemetry::counter_add("smoother/blocks_chol", chol);
+        pmg_telemetry::counter_add("smoother/blocks_lu", lu);
+        pmg_telemetry::counter_add("smoother/blocks_diag", diag);
+    }
+
+    /// Dense principal submatrix of `local` on block `b`: each of the
+    /// block's CSR rows is scattered through the plan's dof → (block, slot)
+    /// maps; entries whose column lies in another block are dropped.
+    fn extract(&self, local: &CsrMatrix, b: usize) -> DenseMatrix {
+        let blk = &self.blocks[b];
+        let mut sub = DenseMatrix::zeros(blk.len(), blk.len());
+        for (l, &g) in blk.iter().enumerate() {
+            let (cols, vals) = local.row(g as usize);
+            let row = sub.row_mut(l);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let (block, slot) = self.home[j];
+                if block as usize == b {
+                    row[slot as usize] = v;
+                }
+            }
+        }
+        sub
+    }
+
     /// `zp = ω · B⁻¹ rp` for this rank's blocks (zeroes `zp` first). The
     /// single per-rank kernel both the orchestrated path and the SPMD
     /// [`RankSmoother`] run, so their results are bitwise identical.
     fn apply_into(&self, omega: f64, rp: &[f64], zp: &mut [f64]) {
         zp.iter_mut().for_each(|v| *v = 0.0);
+        // One buffer for the whole call: gather, solve in place, scatter.
+        let widest = self.blocks.iter().map(Vec::len).max().unwrap_or(0);
+        let mut buf = vec![0.0; widest];
         for (blk, fac) in self.blocks.iter().zip(&self.factors) {
-            let rb_vals: Vec<f64> = blk.iter().map(|&v| rp[v as usize]).collect();
-            let sol = fac.solve(&rb_vals);
-            for (&v, &s) in blk.iter().zip(&sol) {
+            let x = &mut buf[..blk.len()];
+            for (xi, &v) in x.iter_mut().zip(blk) {
+                *xi = rp[v as usize];
+            }
+            fac.solve_in_place(x);
+            for (&v, &s) in blk.iter().zip(x.iter()) {
                 zp[v as usize] = omega * s;
             }
         }
@@ -84,74 +219,6 @@ pub struct BlockJacobi {
     apply_flops: Vec<u64>,
 }
 
-/// Adjacency graph of a CSR matrix's off-diagonal sparsity.
-fn csr_graph(a: &CsrMatrix) -> Graph {
-    let mut edges = Vec::new();
-    for i in 0..a.nrows() {
-        let (cols, _) = a.row(i);
-        for &j in cols {
-            if j != i {
-                edges.push((i as u32, j as u32));
-            }
-        }
-    }
-    Graph::from_edges(a.nrows(), edges)
-}
-
-/// Partition one rank's local block into METIS-style sub-domains and
-/// factor each densely. The single per-rank build both the orchestrated
-/// [`BlockJacobi::new`] and the SPMD-setup [`RankJacobi::new`] run — the
-/// factorizations depend only on this rank's local block, so the two paths
-/// are bitwise identical by construction.
-fn build_rank_blocks(local: &CsrMatrix, blocks_per_1000: f64) -> RankBlocks {
-    let n = local.nrows();
-    if n == 0 {
-        return RankBlocks {
-            blocks: Vec::new(),
-            factors: Vec::new(),
-            apply_flops: 0,
-        };
-    }
-    let nblocks = ((blocks_per_1000 * n as f64 / 1000.0).round() as usize).clamp(1, n);
-    let g = csr_graph(local);
-    let part = partition_graph(&g, nblocks);
-    let mut blocks = vec![Vec::new(); nblocks];
-    for (v, &p) in part.iter().enumerate() {
-        blocks[p as usize].push(v as u32);
-    }
-    blocks.retain(|b| !b.is_empty());
-    let factors: Vec<BlockFactor> = blocks
-        .iter()
-        .map(|blk| {
-            let idx: Vec<usize> = blk.iter().map(|&v| v as usize).collect();
-            let sub = local.principal_submatrix(&idx).to_dense();
-            if let Some(c) = Cholesky::factor(&sub) {
-                BlockFactor::Chol(c)
-            } else if let Some(l) = Lu::factor(&sub) {
-                BlockFactor::Lu(l)
-            } else {
-                let d: Vec<f64> = (0..sub.nrows())
-                    .map(|i| {
-                        let v = sub[(i, i)];
-                        if v != 0.0 {
-                            1.0 / v
-                        } else {
-                            1.0
-                        }
-                    })
-                    .collect();
-                BlockFactor::Diag(d)
-            }
-        })
-        .collect();
-    let apply_flops = factors.iter().map(|f| f.solve_flops()).sum();
-    RankBlocks {
-        blocks,
-        factors,
-        apply_flops,
-    }
-}
-
 /// **One** rank's owned block-Jacobi smoother — the SPMD-setup counterpart
 /// of [`BlockJacobi`], which factors every rank's blocks. Block Jacobi is
 /// purely rank-local, so the distributed setup builds exactly this rank's
@@ -168,9 +235,14 @@ impl RankJacobi {
     /// block at the paper's `blocks_per_1000` density.
     pub fn new(local: &CsrMatrix, blocks_per_1000: f64, omega: f64) -> RankJacobi {
         RankJacobi {
-            blocks: build_rank_blocks(local, blocks_per_1000),
+            blocks: RankBlocks::new(local, blocks_per_1000),
             omega,
         }
+    }
+
+    /// Refactor for a new local block; see [`BlockJacobi::refactor`].
+    pub fn refactor(&mut self, local: &CsrMatrix) {
+        self.blocks.refactor(local);
     }
 
     /// Number of sub-domain blocks (diagnostics).
@@ -195,7 +267,7 @@ impl BlockJacobi {
         let nranks = a.row_layout().num_ranks();
         let ranks: Vec<RankBlocks> = (0..nranks)
             .into_par_iter()
-            .map(|r| build_rank_blocks(a.local_block(r), blocks_per_1000))
+            .map(|r| RankBlocks::new(a.local_block(r), blocks_per_1000))
             .collect();
         let apply_flops = ranks.iter().map(|r| r.apply_flops).collect();
         BlockJacobi {
@@ -203,6 +275,25 @@ impl BlockJacobi {
             omega,
             apply_flops,
         }
+    }
+
+    /// Refactor for a new operator on the same ranks, at the density and
+    /// damping the smoother was built with. While a rank's local sparsity
+    /// pattern is unchanged (Newton only changes values) this is
+    /// numeric-only — no graph, no partition, just extract and factor the
+    /// planned blocks; a rank whose pattern changed is rebuilt
+    /// transparently. The result is bitwise a fresh [`BlockJacobi::new`].
+    pub fn refactor(&mut self, a: &DistMatrix) {
+        assert_eq!(
+            a.row_layout().num_ranks(),
+            self.ranks.len(),
+            "rank count changed"
+        );
+        self.ranks
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(r, rb)| rb.refactor(a.local_block(r)));
+        self.apply_flops = self.ranks.iter().map(|r| r.apply_flops).collect();
     }
 
     pub fn omega(&self) -> f64 {
@@ -357,6 +448,126 @@ mod tests {
         // 500 unknowns per rank -> 3 blocks per rank.
         assert_eq!(bj.num_blocks(0), 3);
         assert_eq!(bj.num_blocks(1), 3);
+    }
+
+    /// 2-D five-point Laplacian on an `nx x nx` grid, `shift` added to the
+    /// diagonal.
+    fn grid_laplacian(nx: usize, shift: f64) -> CsrMatrix {
+        let id = |i: usize, j: usize| i * nx + j;
+        let mut b = CooBuilder::new(nx * nx, nx * nx);
+        for i in 0..nx {
+            for j in 0..nx {
+                b.push(id(i, j), id(i, j), 4.0 + shift);
+                if i + 1 < nx {
+                    b.push(id(i, j), id(i + 1, j), -1.0);
+                    b.push(id(i + 1, j), id(i, j), -1.0);
+                }
+                if j + 1 < nx {
+                    b.push(id(i, j), id(i, j + 1), -1.0);
+                    b.push(id(i, j + 1), id(i, j), -1.0);
+                }
+            }
+        }
+        b.build()
+    }
+
+    fn apply_bits(bj: &BlockJacobi, l: &std::sync::Arc<Layout>) -> Vec<u64> {
+        let mut sim = Sim::new(l.num_ranks(), MachineModel::default());
+        let rg: Vec<f64> = (0..l.num_global())
+            .map(|i| (i as f64 * 0.61).sin())
+            .collect();
+        let r = DistVec::from_global(l.clone(), &rg);
+        let mut z = DistVec::zeros(l.clone());
+        bj.apply(&mut sim, &r, &mut z);
+        z.to_global().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn extracted_blocks_are_the_principal_submatrices() {
+        let a = grid_laplacian(9, 0.25);
+        let rb = RankBlocks::new(&a, 50.0); // 81 dofs -> 4 blocks
+        assert_eq!(rb.blocks.len(), 4);
+        let mut covered = 0;
+        for (b, blk) in rb.blocks.iter().enumerate() {
+            let want = DenseMatrix::from_fn(blk.len(), blk.len(), |i, j| {
+                a.get(blk[i] as usize, blk[j] as usize)
+            });
+            assert_eq!(rb.extract(&a, b), want, "block {b}");
+            covered += blk.len();
+        }
+        assert_eq!(covered, 81);
+    }
+
+    #[test]
+    fn refactor_is_bitwise_a_fresh_build() {
+        let l = Layout::block(144, 2);
+        let dist = |a: &CsrMatrix| DistMatrix::from_global(a, l.clone(), l.clone());
+        let a = grid_laplacian(12, 0.0);
+        let mut bj = BlockJacobi::new(&dist(&a), 60.0, 0.7); // 4 blocks a rank
+        let blocks_before: Vec<Vec<u32>> = bj.ranks[0].blocks.clone();
+
+        // Values change, pattern holds: the blocks are kept, the factors
+        // are those of a fresh build.
+        let a2 = grid_laplacian(12, 1.5);
+        bj.refactor(&dist(&a2));
+        assert_eq!(bj.ranks[0].blocks, blocks_before);
+        assert_eq!(
+            apply_bits(&bj, &l),
+            apply_bits(&BlockJacobi::new(&dist(&a2), 60.0, 0.7), &l)
+        );
+
+        // The one-rank SPMD smoother shares the kernel and the contract.
+        let view_bits = |rj: &RankJacobi| -> Vec<u64> {
+            let r: Vec<f64> = (0..144).map(|i| (i as f64 * 0.61).sin()).collect();
+            let mut z = vec![0.0; 144];
+            rj.view().apply(&r, &mut z);
+            z.iter().map(|v| v.to_bits()).collect()
+        };
+        let mut rj = RankJacobi::new(&a, 60.0, 0.7);
+        rj.refactor(&a2);
+        assert_eq!(view_bits(&rj), view_bits(&RankJacobi::new(&a2, 60.0, 0.7)));
+
+        // Pattern changes (a different grid numbering of the same size):
+        // the stale plan is dropped and rebuilt.
+        let mut b3 = CooBuilder::new(144, 144);
+        for (i, j, v) in a2.iter() {
+            b3.push(143 - i, 143 - j, v);
+        }
+        b3.push(0, 70, -0.5);
+        b3.push(70, 0, -0.5);
+        let a3 = b3.build();
+        bj.refactor(&dist(&a3));
+        assert_eq!(
+            apply_bits(&bj, &l),
+            apply_bits(&BlockJacobi::new(&dist(&a3), 60.0, 0.7), &l)
+        );
+    }
+
+    #[test]
+    fn indefinite_and_singular_blocks_fall_back() {
+        // One block per matrix (density rounds to the minimum of one).
+        // Indefinite: Cholesky refuses, pivoted LU solves it exactly.
+        let mut b = CooBuilder::new(2, 2);
+        b.push(0, 0, 1.0);
+        b.push(0, 1, 2.0);
+        b.push(1, 0, 2.0);
+        b.push(1, 1, 1.0);
+        let rb = RankBlocks::new(&b.build(), 1.0);
+        assert!(matches!(rb.factors[0], BlockFactor::Lu(_)));
+        let mut z = [0.0; 2];
+        rb.apply_into(1.0, &[5.0, 4.0], &mut z);
+        assert!((z[0] - 1.0).abs() < 1e-14 && (z[1] - 2.0).abs() < 1e-14);
+
+        // Singular: LU refuses too, the inverse diagonal is what is left.
+        let mut b = CooBuilder::new(2, 2);
+        for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            b.push(i, j, 4.0);
+        }
+        let rb = RankBlocks::new(&b.build(), 1.0);
+        assert!(matches!(rb.factors[0], BlockFactor::Diag(_)));
+        let mut z = [0.0; 2];
+        rb.apply_into(0.5, &[8.0, 4.0], &mut z);
+        assert_eq!(z, [1.0, 0.5]);
     }
 
     #[test]

@@ -550,25 +550,6 @@ impl CsrMatrix {
         d
     }
 
-    /// Principal submatrix on `rows` (re-indexed 0..rows.len()); entries
-    /// whose column is outside `rows` are dropped.
-    pub fn principal_submatrix(&self, rows: &[usize]) -> CsrMatrix {
-        let mut global_to_local = std::collections::HashMap::with_capacity(rows.len());
-        for (l, &g) in rows.iter().enumerate() {
-            global_to_local.insert(g, l);
-        }
-        let mut b = CooBuilder::new(rows.len(), rows.len());
-        for (l, &g) in rows.iter().enumerate() {
-            let (cols, vals) = self.row(g);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if let Some(&lj) = global_to_local.get(&j) {
-                    b.push(l, lj, v);
-                }
-            }
-        }
-        b.build()
-    }
-
     /// Dense copy (small matrices only).
     pub fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.nrows, self.ncols);
@@ -879,17 +860,6 @@ mod tests {
         let r = rb.build();
         let ac = a.rap(&r);
         assert!(ac.is_symmetric(1e-14));
-    }
-
-    #[test]
-    fn principal_submatrix_values() {
-        let a = small();
-        let s = a.principal_submatrix(&[0, 2]);
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.get(0, 0), 2.0);
-        assert_eq!(s.get(0, 1), 1.0);
-        assert_eq!(s.get(1, 0), 4.0);
-        assert_eq!(s.get(1, 1), 5.0);
     }
 
     #[test]

@@ -70,6 +70,11 @@ impl DenseMatrix {
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.ncols..(i + 1) * self.ncols]
     }
+
+    /// Row `i` as a mutable slice.
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.data[i * self.ncols..(i + 1) * self.ncols]
+    }
 }
 
 impl Index<(usize, usize)> for DenseMatrix {
@@ -88,61 +93,92 @@ impl IndexMut<(usize, usize)> for DenseMatrix {
 }
 
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive definite matrix.
+///
+/// The factor is stored as packed row-major `U = Lᵀ`: row `k` holds
+/// `U[k, k..n]` contiguously, so both the factorization's and the forward
+/// solve's inner loops are contiguous axpys with independent lanes (they
+/// vectorize without reassociating anything) and the backward solve is a
+/// contiguous dot over one row. Every element still receives the same
+/// subtractions, in the same ascending-`k` order, as the textbook
+/// row-by-row dot-product form — the factor and the solutions are bit for
+/// bit the ones that form computes (the unit tests keep it as an oracle).
 #[derive(Clone, Debug)]
 pub struct Cholesky {
-    l: DenseMatrix,
+    n: usize,
+    /// `U[k, j]` (`j >= k`) at `row_start(k) + j - k`; `n (n + 1) / 2` long.
+    u: Vec<f64>,
 }
 
 impl Cholesky {
-    /// Factor `a`; returns `None` if the matrix is not (numerically) SPD.
+    /// Offset of `U[k, k]` in the packed storage.
+    #[inline]
+    fn row_start(&self, k: usize) -> usize {
+        k * (2 * self.n - k + 1) / 2
+    }
+
+    /// Factor `a` (only its lower triangle is read); returns `None` if the
+    /// matrix is not (numerically) SPD.
     pub fn factor(a: &DenseMatrix) -> Option<Cholesky> {
         assert_eq!(a.nrows, a.ncols);
         let n = a.nrows;
-        let mut l = DenseMatrix::zeros(n, n);
+        let mut ch = Cholesky {
+            n,
+            u: vec![0.0; n * (n + 1) / 2],
+        };
+        // Up-looking: column `i` of `U` (row `i` of `L`) starts as
+        // `A[i, 0..=i]` in `x`; eliminating with row `k < i` finalizes
+        // `x[k] = L[i, k]` and subtracts `L[i, k] · L[j, k]` from every
+        // later `x[j]`, `j <= i` — the update `U[k, k+1..=i]` is contiguous.
+        let mut x = vec![0.0; n];
         for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
+            x[..=i].copy_from_slice(&a.row(i)[..=i]);
+            for k in 0..i {
+                let rk = ch.row_start(k);
+                let xk = x[k] / ch.u[rk];
+                ch.u[rk + i - k] = xk;
+                let urow = &ch.u[rk + 1..=rk + i - k];
+                for (xj, ukj) in x[k + 1..=i].iter_mut().zip(urow) {
+                    *xj -= xk * ukj;
                 }
             }
+            let d = x[i];
+            if d <= 0.0 || !d.is_finite() {
+                return None;
+            }
+            let ri = ch.row_start(i);
+            ch.u[ri] = d.sqrt();
         }
         flops::add((n * n * n / 3).max(1) as u64);
-        Some(Cholesky { l })
+        Some(ch)
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.l.nrows
+        self.n
     }
 
     /// Solve `A x = b` in place.
     pub fn solve_in_place(&self, b: &mut [f64]) {
-        let n = self.l.nrows;
+        let n = self.n;
         assert_eq!(b.len(), n);
-        // Forward: L y = b.
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * b[k];
+        // Forward: Uᵀ y = b, one axpy per finished `y[k]`.
+        for k in 0..n {
+            let rk = self.row_start(k);
+            let yk = b[k] / self.u[rk];
+            b[k] = yk;
+            let urow = &self.u[rk + 1..rk + n - k];
+            for (bj, ukj) in b[k + 1..].iter_mut().zip(urow) {
+                *bj -= ukj * yk;
             }
-            b[i] = sum / self.l[(i, i)];
         }
-        // Backward: Lᵀ x = y.
+        // Backward: U x = y, one dot over row `i` per unknown.
         for i in (0..n).rev() {
+            let ri = self.row_start(i);
             let mut sum = b[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * b[k];
+            for (uik, bk) in self.u[ri + 1..ri + n - i].iter().zip(&b[i + 1..]) {
+                sum -= uik * bk;
             }
-            b[i] = sum / self.l[(i, i)];
+            b[i] = sum / self.u[ri];
         }
         flops::add((2 * n * n) as u64);
     }
@@ -242,6 +278,65 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The textbook row-by-row dot-product Cholesky (unpacked row-major
+    /// `L`) the packed axpy form replaced. Kept as the bitwise oracle: the
+    /// packed factor must reproduce its solutions bit for bit.
+    struct DotCholesky {
+        l: DenseMatrix,
+    }
+
+    impl DotCholesky {
+        fn factor(a: &DenseMatrix) -> Option<DotCholesky> {
+            let n = a.nrows;
+            let mut l = DenseMatrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..=i {
+                    let mut sum = a[(i, j)];
+                    for k in 0..j {
+                        sum -= l[(i, k)] * l[(j, k)];
+                    }
+                    if i == j {
+                        if sum <= 0.0 || !sum.is_finite() {
+                            return None;
+                        }
+                        l[(i, j)] = sum.sqrt();
+                    } else {
+                        l[(i, j)] = sum / l[(j, j)];
+                    }
+                }
+            }
+            Some(DotCholesky { l })
+        }
+
+        fn solve(&self, b: &[f64]) -> Vec<f64> {
+            let n = self.l.nrows;
+            let mut b = b.to_vec();
+            for i in 0..n {
+                let mut sum = b[i];
+                for k in 0..i {
+                    sum -= self.l[(i, k)] * b[k];
+                }
+                b[i] = sum / self.l[(i, i)];
+            }
+            for i in (0..n).rev() {
+                let mut sum = b[i];
+                for k in (i + 1)..n {
+                    sum -= self.l[(k, i)] * b[k];
+                }
+                b[i] = sum / self.l[(i, i)];
+            }
+            b
+        }
+    }
+
+    /// `M Mᵀ + shift·I` from the leading `n x n` of `vals`.
+    fn gram(n: usize, vals: &[f64], shift: f64) -> DenseMatrix {
+        DenseMatrix::from_fn(n, n, |i, j| {
+            let dot: f64 = (0..n).map(|k| vals[i * n + k] * vals[j * n + k]).sum();
+            dot + if i == j { shift } else { 0.0 }
+        })
+    }
+
     fn spd3() -> DenseMatrix {
         // Diagonally dominant symmetric => SPD.
         DenseMatrix::from_fn(3, 3, |i, j| if i == j { 4.0 } else { -1.0 })
@@ -309,7 +404,66 @@ mod tests {
         assert_eq!(x, y);
     }
 
+    #[test]
+    fn packed_factor_entries_match_the_oracle() {
+        // U[k, j] == L[j, k] bit for bit, at a size with ragged vector tails.
+        let n = 37;
+        let vals: Vec<f64> = (0..n * n)
+            .map(|t| ((t * 37 % 101) as f64 / 50.0 - 1.0) * 0.7)
+            .collect();
+        let a = gram(n, &vals, 0.5);
+        let ch = Cholesky::factor(&a).unwrap();
+        let oracle = DotCholesky::factor(&a).unwrap();
+        for k in 0..n {
+            for j in k..n {
+                assert_eq!(
+                    ch.u[ch.row_start(k) + j - k].to_bits(),
+                    oracle.l[(j, k)].to_bits(),
+                    "U[{k},{j}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cholesky_rejects_non_finite() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (i, j) in [(0, 0), (2, 1), (2, 2)] {
+                let mut a = spd3();
+                a[(i, j)] = bad;
+                a[(j, i)] = bad;
+                assert!(Cholesky::factor(&a).is_none(), "{bad} at ({i},{j})");
+            }
+        }
+        // Zero pivot: positive semi-definite is not positive definite.
+        assert!(Cholesky::factor(&DenseMatrix::zeros(1, 1)).is_none());
+    }
+
     proptest! {
+        #[test]
+        fn prop_packed_cholesky_is_bitwise_the_dot_form(
+            n in 1usize..24,
+            vals in proptest::collection::vec(-1.0f64..1.0, 23 * 23),
+            b in proptest::collection::vec(-5.0f64..5.0, 23),
+            shift in 0.0f64..2.0,
+        ) {
+            // A small shift leaves some draws indefinite: the two forms
+            // must then agree on the rejection as well.
+            let a = gram(n, &vals, shift - 0.5);
+            let b = &b[..n];
+            match (Cholesky::factor(&a), DotCholesky::factor(&a)) {
+                (Some(ch), Some(oracle)) => {
+                    let x = ch.solve(b);
+                    let want = oracle.solve(b);
+                    for (u, v) in x.iter().zip(&want) {
+                        prop_assert_eq!(u.to_bits(), v.to_bits());
+                    }
+                }
+                (None, None) => {}
+                (got, _) => prop_assert!(false, "packed accepted = {}", got.is_some()),
+            }
+        }
+
         #[test]
         fn prop_cholesky_random_spd(
             vals in proptest::collection::vec(-1.0f64..1.0, 16),

@@ -66,4 +66,4 @@ pub use bsr::Bsr3Matrix;
 pub use csr::{CooBuilder, CsrMatrix};
 pub use dense::DenseMatrix;
 pub use op::{MatrixFreeFactory, MatrixFreeKernel, Operator};
-pub use plan::{rap_local_rows, RapPlan};
+pub use plan::{rap_local_rows, PatternFingerprint, RapPlan};

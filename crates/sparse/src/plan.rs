@@ -84,24 +84,47 @@ fn flush_row(
     }
 }
 
-/// FNV-1a over a CSR pattern — the cheap fingerprint [`RapPlan::matches`]
-/// uses to detect pattern drift between executions.
-fn pattern_fingerprint(a: &CsrMatrix) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |x: usize| {
-        h ^= x as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    eat(a.nrows());
-    eat(a.ncols());
-    for i in 0..a.nrows() {
-        let (cols, _) = a.row(i);
-        eat(cols.len());
-        for &j in cols {
-            eat(j);
+/// Identity of a CSR sparsity pattern: the row count, the stored-entry
+/// count, and an FNV-1a hash of the full `(row lengths, column indices)`
+/// structure — explicitly *not* of the values. The key the symbolic caches
+/// ([`RapPlan`], the block-Jacobi smoother's block plan) hold to detect
+/// pattern drift between numeric re-executions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PatternFingerprint {
+    rows: usize,
+    nnz: usize,
+    hash: u64,
+}
+
+impl PatternFingerprint {
+    /// Fingerprint `a`'s pattern.
+    pub fn of(a: &CsrMatrix) -> PatternFingerprint {
+        let mut h: u64 = 0xcbf29ce484222325;
+        let mut eat = |x: usize| {
+            h ^= x as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        };
+        eat(a.nrows());
+        eat(a.ncols());
+        for i in 0..a.nrows() {
+            let (cols, _) = a.row(i);
+            eat(cols.len());
+            for &j in cols {
+                eat(j);
+            }
+        }
+        PatternFingerprint {
+            rows: a.nrows(),
+            nnz: a.nnz(),
+            hash: h,
         }
     }
-    h
+
+    /// Whether `a` has exactly the fingerprinted pattern (the cheap shape
+    /// comparison runs first; the hash only when it passes).
+    pub fn matches(&self, a: &CsrMatrix) -> bool {
+        a.nrows() == self.rows && a.nnz() == self.nnz && *self == PatternFingerprint::of(a)
+    }
 }
 
 /// A reusable execution plan for the Galerkin triple product
@@ -138,10 +161,8 @@ fn pattern_fingerprint(a: &CsrMatrix) -> u64 {
 /// assert!((ac.get(0, 0) - a.rap(&r).get(0, 0)).abs() < 1e-14);
 /// ```
 pub struct RapPlan {
-    /// Pattern fingerprint of the `A` the plan was built for.
-    a_rows: usize,
-    a_nnz: usize,
-    a_fingerprint: u64,
+    /// Pattern of the `A` the plan was built for.
+    a_pattern: PatternFingerprint,
     stage1: PlannedProduct,
     stage2: PlannedProduct,
     /// Scratch for the stage-1 output values (reused across executions).
@@ -228,9 +249,7 @@ impl RapPlan {
 
         let ra_vals = vec![0.0; stage1.nnz()];
         RapPlan {
-            a_rows: a.nrows(),
-            a_nnz: a.nnz(),
-            a_fingerprint: pattern_fingerprint(a),
+            a_pattern: PatternFingerprint::of(a),
             stage1,
             stage2,
             ra_vals,
@@ -239,9 +258,7 @@ impl RapPlan {
 
     /// Whether `a` has the exact sparsity pattern this plan was built for.
     pub fn matches(&self, a: &CsrMatrix) -> bool {
-        a.nrows() == self.a_rows
-            && a.nnz() == self.a_nnz
-            && pattern_fingerprint(a) == self.a_fingerprint
+        self.a_pattern.matches(a)
     }
 
     /// Numeric phase: compute `R A Rᵀ` for a new `A` with the planned

@@ -2,8 +2,9 @@
 //! after a hierarchy is built and a first Newton-style operator update has
 //! happened, a second re-assembly + `update_operator` round on the same
 //! sparsity pattern must perform **zero** symbolic work — no new RAP plan
-//! builds, no new assembly pattern builds — while the plan-reuse and
-//! pattern-reuse counters keep climbing. The planned Galerkin products are
+//! builds, no new assembly pattern builds, no new smoother block
+//! partitions — while the plan-reuse and pattern-reuse counters keep
+//! climbing. The planned Galerkin products are
 //! also checked numerically, level by level, against the unplanned
 //! `CsrMatrix::rap` reference.
 //!
@@ -87,6 +88,19 @@ fn second_update_round_is_numeric_only() {
     // The hierarchy was built with collection on, so the build itself is
     // accounted: one plan per non-coarsest level, built exactly once.
     assert_eq!(counter(&c2, "rap/plan_build"), (nlevels - 1) as u64);
+
+    // The smoother has the same split: its block partition is planned once
+    // per rank per level at build, and every update refactors the planned
+    // blocks without touching the graph or the partitioner.
+    let rank_levels = 2 * nlevels as u64;
+    assert_eq!(counter(&c2, "smoother/plan_build"), rank_levels);
+    assert_eq!(counter(&c1, "smoother/plan_reuse"), rank_levels);
+    assert_eq!(counter(&c2, "smoother/plan_reuse"), 2 * rank_levels);
+    // Every block of an SPD operator takes the Cholesky path; a fallback to
+    // LU or to the inverse diagonal would show here.
+    assert!(counter(&c2, "smoother/blocks_chol") > 0);
+    assert_eq!(counter(&c2, "smoother/blocks_lu"), 0);
+    assert_eq!(counter(&c2, "smoother/blocks_diag"), 0);
 
     // Numeric check: every planned coarse operator matches the unplanned
     // triple product to 1e-12, level by level.
