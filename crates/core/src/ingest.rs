@@ -533,8 +533,9 @@ mod tests {
                 a_ids.sort_unstable();
                 a_ids.dedup();
                 let a_rows = a.extract_rows(&a_ids);
-                let mine =
-                    pmg_sparse::rap_local_rows(&c.r_rows, &a_ids, &a_rows, &c.rt_ids, &c.rt_rows);
+                let mine = pmg_sparse::rap_local_rows(
+                    1, &c.r_rows, &a_ids, &a_rows, &c.rt_ids, &c.rt_rows,
+                );
                 let expect = full.extract_rows(cvlayout.owned(r));
                 assert_eq!(mine.nnz(), expect.nnz(), "rank {r} segment length");
                 for (x, y) in mine.vals().iter().zip(expect.vals()) {

@@ -7,7 +7,7 @@ use pmg_geometry::Vec3;
 use pmg_parallel::{DistMatFree, DistMatrix, DistVec, Layout, Sim, SimOperator};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
 use pmg_solver::{BlockJacobi, Chebyshev, CoarseDirect, Precond};
-use pmg_sparse::{CooBuilder, CsrMatrix, MatrixFreeFactory, RapPlan};
+use pmg_sparse::{CsrMatrix, MatrixFreeFactory, RapPlan};
 use std::sync::Arc;
 
 /// Multigrid cycle used as the CG preconditioner.
@@ -215,15 +215,11 @@ pub struct MgHierarchy {
     pub fine_mf: Option<DistMatFree>,
 }
 
-/// Expand a scalar (per-vertex) restriction to `dofs` unknowns per vertex.
+/// Expand a scalar (per-vertex) restriction — or any run of its rows — to
+/// `dofs` unknowns per vertex: `R_v ⊗ I_dofs`, the structure
+/// [`RapPlan`] recognizes to run the Galerkin product in vertex blocks.
 pub fn expand_restriction(r: &CsrMatrix, dofs: usize) -> CsrMatrix {
-    let mut b = CooBuilder::new(r.nrows() * dofs, r.ncols() * dofs);
-    for (c, f, w) in r.iter() {
-        for d in 0..dofs {
-            b.push(c * dofs + d, f * dofs + d, w);
-        }
-    }
-    b.build()
+    r.kron_identity(dofs)
 }
 
 impl MgHierarchy {
@@ -433,6 +429,11 @@ impl MgHierarchy {
                 "mg/operator_complexity",
                 total_nnz as f64 / fine_nnz.max(1) as f64,
             );
+            let plans = levels.iter().filter_map(|l| l.rap_plan.as_ref());
+            pmg_telemetry::gauge_set(
+                "mem/rap_plan_bytes",
+                plans.map(RapPlan::memory_bytes).sum::<usize>() as f64,
+            );
         }
         let fine_mf = if opts.fine_operator == FineOperator::MatrixFree {
             let factory = factory.expect(
@@ -519,15 +520,14 @@ impl MgHierarchy {
             }
             let next = level.r_global.is_some().then(|| {
                 let _t = pmg_telemetry::scope("rap");
-                let planned = level.rap_plan.as_ref().is_some_and(|p| p.matches(cur));
-                if !planned {
+                // One pattern check per level: the plan declines an operator
+                // it was not built for, and only then is it rebuilt.
+                let reused = level.rap_plan.as_mut().and_then(|p| p.try_execute(cur));
+                reused.unwrap_or_else(|| {
                     let r = level.r_global.as_ref().expect("checked above");
-                    let (plan, _) = pmg_sparse::flops::measure(|| RapPlan::new(cur, r));
-                    level.rap_plan = Some(plan);
-                }
-                let plan = level.rap_plan.as_mut().expect("plan set above");
-                let (ac, _) = pmg_sparse::flops::measure(|| plan.execute(cur));
-                ac
+                    let plan = level.rap_plan.insert(RapPlan::new(cur, r));
+                    plan.execute(cur)
+                })
             });
             if level.coarse.is_some() {
                 let _t = pmg_telemetry::scope("coarse_direct");
@@ -704,6 +704,7 @@ mod tests {
     use crate::classify::classify_mesh;
     use pmg_parallel::MachineModel;
     use pmg_solver::{pcg, PcgOptions};
+    use pmg_sparse::CooBuilder;
 
     /// 3D Laplacian (scalar) on an n^3-element cube mesh with Dirichlet
     /// conditions baked in by keeping the operator SPD: A = graph Laplacian

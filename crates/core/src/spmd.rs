@@ -538,33 +538,6 @@ fn fetch_rows<T: Transport>(
     ))
 }
 
-/// Expand a run of scalar restriction rows to `dofs` dof rows each (row
-/// `l` becomes rows `l*dofs + d`, entry `(f, w)` becomes `(f*dofs + d, w)`
-/// in stored column order). On column-sorted rows — everything the
-/// coarsener produces — this is bitwise the corresponding row run of
-/// [`expand_restriction`], without ever forming the full operator.
-fn expand_rows_dofs(rows: &CsrMatrix, dofs: usize) -> CsrMatrix {
-    if dofs == 1 {
-        return rows.clone();
-    }
-    let nl = rows.nrows();
-    let mut row_ptr = Vec::with_capacity(nl * dofs + 1);
-    row_ptr.push(0usize);
-    let mut col_idx = Vec::with_capacity(rows.nnz() * dofs);
-    let mut vals = Vec::with_capacity(rows.nnz() * dofs);
-    for l in 0..nl {
-        let (cols, ws) = rows.row(l);
-        for d in 0..dofs {
-            for (&f, &w) in cols.iter().zip(ws) {
-                col_idx.push(f * dofs + d);
-                vals.push(w);
-            }
-            row_ptr.push(col_idx.len());
-        }
-    }
-    CsrMatrix::from_parts(nl * dofs, rows.ncols() * dofs, row_ptr, col_idx, vals)
-}
-
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`); `None` where procfs is unavailable.
 fn peak_rss_bytes() -> Option<u64> {
@@ -641,6 +614,13 @@ fn dof_layout(coords: &[Vec3], nranks: usize, dofs: usize) -> (Arc<Layout>, f64)
     (Layout::expand_dofs(&vlayout, dofs), imbalance)
 }
 
+/// The vertices behind `rank`'s owned dofs of a [`Layout::expand_dofs`]
+/// layout, ascending.
+fn owned_vertices(layout: &Layout, rank: usize, dofs: usize) -> Vec<u32> {
+    let owned = layout.owned(rank).iter().step_by(dofs);
+    owned.map(|&g| g / dofs as u32).collect()
+}
+
 /// Replicated geometry of one coarse grid (coarse grids shrink
 /// geometrically, §5; the fine grid is never held this way).
 struct Grid {
@@ -650,14 +630,18 @@ struct Grid {
 }
 
 /// How one level reaches the next: this rank's owned rows of `R` and of
-/// `P = Rᵀ` (dof-expanded, global column ids), the `Rᵀ` rows its Galerkin
-/// product reads, and the coarse grid with its layout.
+/// `P = Rᵀ` (dof-expanded, global column ids) for the solve, the
+/// vertex-level tiles its Galerkin product reads, and the coarse grid with
+/// its layout.
 struct Transfer {
     r_owned: CsrMatrix,
     p_owned: CsrMatrix,
-    /// Ascending global fine dof ids of `rt_rows`' rows.
+    /// Owned coarse-vertex rows of the scalar restriction `R_v`
+    /// (`r_owned` before dof expansion).
+    rv_owned: CsrMatrix,
+    /// Ascending global fine vertex ids of `rt_rows`' rows.
     rt_ids: Vec<u32>,
-    /// Full `Rᵀ` rows covering whatever the Galerkin product can touch
+    /// Full `R_vᵀ` rows covering whatever the Galerkin product can touch
     /// ([`rap_local_rows`] tolerates a superset).
     rt_rows: CsrMatrix,
     grid: Grid,
@@ -670,7 +654,7 @@ struct Transfer {
 /// the plan found the fine grid to be the coarsest.
 fn seed_transfer(seed: &RankSeed, fine_vlayout: &Layout, dofs: usize) -> Option<Transfer> {
     let cs = seed.coarse.as_ref()?;
-    let (nranks, d) = (seed.nranks as usize, dofs as u32);
+    let nranks = seed.nranks as usize;
     // Owned prolongation rows: the Rᵀ rows of this rank's own fine
     // vertices, which the seed's support set is guaranteed to cover.
     let pos: Vec<u32> = fine_vlayout
@@ -684,14 +668,11 @@ fn seed_transfer(seed: &RankSeed, fine_vlayout: &Layout, dofs: usize) -> Option<
         .collect();
     let (layout, imbalance) = dof_layout(&cs.coords, nranks, dofs);
     Some(Transfer {
-        r_owned: expand_rows_dofs(&cs.r_rows, dofs),
-        p_owned: expand_rows_dofs(&cs.rt_rows.extract_rows(&pos), dofs),
-        rt_ids: cs
-            .rt_ids
-            .iter()
-            .flat_map(|&g| (0..d).map(move |c| g * d + c))
-            .collect(),
-        rt_rows: expand_rows_dofs(&cs.rt_rows, dofs),
+        r_owned: expand_restriction(&cs.r_rows, dofs),
+        p_owned: expand_restriction(&cs.rt_rows.extract_rows(&pos), dofs),
+        rv_owned: cs.r_rows.clone(),
+        rt_ids: cs.rt_ids.clone(),
+        rt_rows: cs.rt_rows.clone(),
         grid: Grid {
             coords: cs.coords.clone(),
             graph: cs.graph.clone(),
@@ -737,16 +718,20 @@ fn coarsen_transfer<T: Transport>(
     if nc * 100 >= nv * 95 || nc < 4 {
         return Ok(None); // stalled: finish with a direct solve here
     }
-    let r_dof = expand_restriction(&cl.restriction, dofs);
-    let rt_dof = r_dof.transpose();
+    let rt_v = cl.restriction.transpose();
     let (next_layout, imbalance) = dof_layout(&cl.coords, nranks, dofs);
+    let rv_owned = cl
+        .restriction
+        .extract_rows(&owned_vertices(&next_layout, rank, dofs));
+    let pv_owned = rt_v.extract_rows(&owned_vertices(layout, rank, dofs));
     Ok(Some(Transfer {
-        r_owned: r_dof.extract_rows(next_layout.owned(rank)),
-        p_owned: rt_dof.extract_rows(layout.owned(rank)),
+        r_owned: expand_restriction(&rv_owned, dofs),
+        p_owned: expand_restriction(&pv_owned, dofs),
+        rv_owned,
         // The restriction is replicated coarse-scale metadata, so every Rᵀ
         // row is at hand.
-        rt_ids: (0..rt_dof.nrows() as u32).collect(),
-        rt_rows: rt_dof,
+        rt_ids: (0..rt_v.nrows() as u32).collect(),
+        rt_rows: rt_v,
         grid: Grid {
             coords: cl.coords,
             graph: cl.graph,
@@ -950,16 +935,21 @@ impl<'a> RankHierarchy<'a> {
 
             // Galerkin product: the off-rank A rows under the owned
             // restriction support arrive point-to-point; everything else is
-            // already local. The Rᵀ rows are read only here, so they move in
-            // and are freed before the smoother factors.
+            // already local. The vertex-level tiles are read only here, so
+            // they move in and are freed before the smoother factors.
             let next_owned = {
                 let _t = pmg_telemetry::scope("rap");
-                let (rt_ids, rt_rows) = (tr.rt_ids, tr.rt_rows);
-                let mut a_ids: Vec<u32> = tr.r_owned.col_idx().iter().map(|&c| c as u32).collect();
+                let (rv_owned, rt_ids, rt_rows) = (tr.rv_owned, tr.rt_ids, tr.rt_rows);
+                let mut a_ids: Vec<u32> = rv_owned.col_idx().iter().map(|&v| v as u32).collect();
                 a_ids.sort_unstable();
                 a_ids.dedup();
-                let a_rows = fetch_rows(t, &cur_owned, &cur_layout, &a_ids, setup_tag(lvl) + 8)?;
-                rap_local_rows(&tr.r_owned, &a_ids, &a_rows, &rt_ids, &rt_rows)
+                let d = dofs as u32;
+                let a_dofs: Vec<u32> = a_ids
+                    .iter()
+                    .flat_map(|&v| (0..d).map(move |c| v * d + c))
+                    .collect();
+                let a_rows = fetch_rows(t, &cur_owned, &cur_layout, &a_dofs, setup_tag(lvl) + 8)?;
+                rap_local_rows(dofs, &rv_owned, &a_ids, &a_rows, &rt_ids, &rt_rows)
             };
             let (rr, rp) = {
                 let _t = pmg_telemetry::scope("distribute");

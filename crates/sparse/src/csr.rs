@@ -224,6 +224,30 @@ impl CsrMatrix {
         CsrMatrix::from_parts(rows.len(), self.ncols(), row_ptr, col_idx, vals)
     }
 
+    /// The Kronecker product `self ⊗ I_n`: row `i` becomes rows `i*n + d`,
+    /// entry `(j, w)` becomes `(j*n + d, w)` in stored column order — how a
+    /// per-vertex restriction acts on `n` unknowns per vertex. Rows are
+    /// built in place, so the image of a row subset is bitwise the
+    /// corresponding row run of the full matrix's image.
+    pub fn kron_identity(&self, n: usize) -> CsrMatrix {
+        if n == 1 {
+            return self.clone();
+        }
+        let mut row_ptr = Vec::with_capacity(self.nrows * n + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::with_capacity(self.nnz() * n);
+        let mut vals = Vec::with_capacity(self.nnz() * n);
+        for i in 0..self.nrows {
+            let (cols, ws) = self.row(i);
+            for d in 0..n {
+                col_idx.extend(cols.iter().map(|&j| j * n + d));
+                vals.extend_from_slice(ws);
+                row_ptr.push(col_idx.len());
+            }
+        }
+        CsrMatrix::from_parts(self.nrows * n, self.ncols * n, row_ptr, col_idx, vals)
+    }
+
     /// Value at `(i, j)`, or 0 if not stored.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (cols, vals) = self.row(i);

@@ -104,3 +104,43 @@ fn assembly_deterministic_across_thread_counts() {
         );
     }
 }
+
+#[test]
+fn planned_galerkin_product_deterministic_across_thread_counts() {
+    // `RapPlan::execute` hands one coarse vertex row to each task; every
+    // output entry is summed inside one task in the plan's fixed order, so
+    // the coarse operator's bits must not depend on the pool size.
+    let sys = tiny::build();
+    let classes = prometheus::classify_mesh(&sys.mesh, 0.7);
+    let level = prometheus::coarsen_level(
+        &sys.mesh.coords,
+        &sys.mesh.vertex_graph(),
+        &classes,
+        &prometheus::CoarsenOptions::default(),
+    );
+    let r = prometheus::mg::expand_restriction(&level.restriction, 3);
+    let coarse_with = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let mut plan = pmg_sparse::RapPlan::new(&sys.matrix, &r);
+            assert_eq!(plan.block_size(), 3);
+            plan.execute(&sys.matrix)
+        })
+    };
+    let c1 = coarse_with(1);
+    for threads in [2usize, 4] {
+        let ct = coarse_with(threads);
+        assert_eq!(c1.row_ptr(), ct.row_ptr(), "threads={threads}");
+        assert_eq!(c1.col_idx(), ct.col_idx(), "threads={threads}");
+        assert!(
+            c1.vals()
+                .iter()
+                .zip(ct.vals())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "threads={threads}: coarse operator differs"
+        );
+    }
+}

@@ -88,6 +88,9 @@ fn second_update_round_is_numeric_only() {
     // The hierarchy was built with collection on, so the build itself is
     // accounted: one plan per non-coarsest level, built exactly once.
     assert_eq!(counter(&c2, "rap/plan_build"), (nlevels - 1) as u64);
+    // Every one of them recognized its `R_v ⊗ I₃` restriction and runs in
+    // 3×3 vertex tiles; a silent fall-back to scalars would show here.
+    assert_eq!(counter(&c2, "rap/block_plans"), (nlevels - 1) as u64);
 
     // The smoother has the same split: its block partition is planned once
     // per rank per level at build, and every update refactors the planned
