@@ -2,11 +2,12 @@
 //! triple product, MIS, face identification, Delaunay tetrahedralization,
 //! the block-Jacobi application, and one V-cycle/FMG cycle.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{machine, spheres_first_solve};
 use pmg_geometry::{Delaunay, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
 use pmg_parallel::{DistVec, Sim};
+use pmg_sparse::dense::{Cholesky, DenseMatrix};
 use prometheus::{
     classify_mesh, coarsen_level, greedy_mis, identify_faces, CoarsenOptions, MgHierarchy,
     MgOptions, MisOrdering,
@@ -162,6 +163,68 @@ fn bench_smoother(c: &mut Criterion) {
     });
 }
 
+/// The fine-grid smoother's block solves at the paper's density on the
+/// 9.8k-dof spheres: 59 packed 166-dof Cholesky factors (6.5 MB, past L2)
+/// solved one after the other, next to a pure read of the same bytes — the
+/// floor a solve that streams each factor once from memory can reach.
+fn bench_block_solve(_c: &mut Criterion) {
+    const BLOCKS: usize = 59;
+    const N: usize = 166;
+    let factors: Vec<Cholesky> = (0..BLOCKS)
+        .map(|b| {
+            let spd = DenseMatrix::from_fn(N, N, |i, j| {
+                let off = 1.0 / (1.0 + (i as f64 - j as f64).abs() + b as f64 * 0.01);
+                if i == j {
+                    N as f64
+                } else {
+                    off
+                }
+            });
+            Cholesky::factor(&spd).expect("diagonally dominant")
+        })
+        .collect();
+    let stream: Vec<Vec<f64>> = vec![vec![1.0; N * (N + 1) / 2]; BLOCKS];
+    let bytes = (BLOCKS * N * (N + 1) / 2 * 8) as f64;
+    let mut rhs = vec![0.0; N];
+
+    // Fastest of a fixed number of passes: the floor is what is compared.
+    let fastest = |f: &mut dyn FnMut()| -> f64 {
+        f(); // warm-up
+        (0..200)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                f();
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let solve = fastest(&mut || {
+        for f in &factors {
+            rhs.iter_mut()
+                .enumerate()
+                .for_each(|(i, v)| *v = 1.0 + (i % 5) as f64);
+            f.solve_in_place(black_box(&mut rhs));
+        }
+    });
+    let read = fastest(&mut || {
+        for v in &stream {
+            // Integer xor reassociates freely, so the read vectorizes.
+            black_box(black_box(v).iter().fold(0u64, |a, x| a ^ x.to_bits()));
+        }
+    });
+    println!(
+        "# group: block_solve_166 ({BLOCKS} blocks, {:.1} MB of factors)",
+        bytes / 1e6
+    );
+    for (name, t) in [("solve", solve), ("stream", read)] {
+        println!(
+            "block_solve_166/{name:<24} min {:>9.3} ms   {:>6.2} GB/s",
+            t * 1e3,
+            bytes / t / 1e9
+        );
+    }
+}
+
 criterion_group!(
     benches,
     bench_spmv,
@@ -172,6 +235,7 @@ criterion_group!(
     bench_face_identification,
     bench_delaunay,
     bench_cycles,
-    bench_smoother
+    bench_smoother,
+    bench_block_solve
 );
 criterion_main!(benches);

@@ -228,12 +228,17 @@ pub fn f64s_to_bytes(vals: &[f64]) -> Vec<u8> {
     out
 }
 
-/// Deserialize little-endian bytes into `f64` values.
-pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
+/// The `f64` values of little-endian bytes, in order, without a buffer of
+/// their own.
+pub fn f64s_from_bytes(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
     bytes
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect()
+}
+
+/// Deserialize little-endian bytes into `f64` values.
+pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
+    f64s_from_bytes(bytes).collect()
 }
 
 #[cfg(test)]

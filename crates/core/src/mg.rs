@@ -114,6 +114,28 @@ impl Smoother {
             Smoother::Chebyshev(s) => s.smooth(sim, a, b, x, sweeps),
         }
     }
+
+    /// [`smooth`](Self::smooth) from the zero guess, ignoring what `x`
+    /// holds on entry — how every cycle visit starts. Block Jacobi skips
+    /// the `A·0` product of its first sweep
+    /// ([`BlockJacobi::smooth_from_zero`]); Chebyshev zeroes `x` and
+    /// smooths as usual.
+    pub fn smooth_from_zero(
+        &self,
+        sim: &mut Sim,
+        a: &dyn SimOperator,
+        b: &DistVec,
+        x: &mut DistVec,
+        sweeps: usize,
+    ) {
+        match self {
+            Smoother::BlockJacobi(s) => s.smooth_from_zero(sim, a, b, x, sweeps),
+            Smoother::Chebyshev(s) => {
+                x.set_zero();
+                s.smooth(sim, a, b, x, sweeps);
+            }
+        }
+    }
 }
 
 /// Hierarchy construction and cycling options (paper defaults).
@@ -213,6 +235,73 @@ pub struct MgHierarchy {
     /// it — but every solve-time level-0 `A x` routes through this
     /// operator instead.
     pub fine_mf: Option<DistMatFree>,
+}
+
+/// Work vectors of a V- or W-cycle's visit to one non-coarsest level.
+pub(crate) struct VScratch<V> {
+    /// This level: the residual to restrict, then the prolongated
+    /// correction.
+    pub tmp: V,
+    /// Next level: the right-hand side handed down ...
+    pub rc: V,
+    /// ... and the correction handed back.
+    pub xc: V,
+}
+
+/// What a full multigrid cycle adds per non-coarsest level.
+pub(crate) struct FScratch<V> {
+    /// This level: right-hand side and result of the correcting V-cycle.
+    pub res: V,
+    pub corr: V,
+    /// Next level: the restricted right-hand side and the FMG solution.
+    pub rc: V,
+    pub xc: V,
+}
+
+/// Every temporary of one preconditioner application, allocated once for
+/// the whole cycle instead of on every level visit — by
+/// [`MgHierarchy`]'s `Precond::apply` per application (the hierarchy type
+/// has no place to keep them), by the SPMD solve once per solve. Every
+/// vector is written in full before it is read, so the set can be reused
+/// from one application to the next as is.
+pub(crate) struct CycleScratch<V> {
+    /// Per non-coarsest level, from the cycle's entry level down.
+    pub v: Vec<VScratch<V>>,
+    /// Likewise, under [`CycleType::Fmg`]; empty otherwise.
+    pub f: Vec<FScratch<V>>,
+}
+
+impl<V> CycleScratch<V> {
+    /// Scratch for `cycle` entered on level `first` of `num_levels`;
+    /// `zeros(l)` makes a level-`l` vector.
+    pub fn new(
+        first: usize,
+        num_levels: usize,
+        cycle: CycleType,
+        zeros: impl Fn(usize) -> V,
+    ) -> CycleScratch<V> {
+        let visited = first..num_levels - 1;
+        let framed = if cycle == CycleType::Fmg {
+            visited.clone()
+        } else {
+            0..0
+        };
+        let v = visited.map(|l| VScratch {
+            tmp: zeros(l),
+            rc: zeros(l + 1),
+            xc: zeros(l + 1),
+        });
+        let f = framed.map(|l| FScratch {
+            res: zeros(l),
+            corr: zeros(l),
+            rc: zeros(l + 1),
+            xc: zeros(l + 1),
+        });
+        CycleScratch {
+            v: v.collect(),
+            f: f.collect(),
+        }
+    }
 }
 
 /// Expand a scalar (per-vertex) restriction — or any run of its rows — to
@@ -567,53 +656,98 @@ impl MgHierarchy {
 
     /// One V-cycle at `lvl` for right-hand side `r`; returns the correction.
     pub fn vcycle(&self, sim: &mut Sim, lvl: usize, r: &DistVec) -> DistVec {
-        self.cycle(sim, lvl, r, 1)
+        self.run_new(sim, lvl, r, CycleType::V)
     }
 
     /// One W-cycle (two coarse-grid visits per level).
     pub fn wcycle(&self, sim: &mut Sim, lvl: usize, r: &DistVec) -> DistVec {
-        self.cycle(sim, lvl, r, 2)
+        self.run_new(sim, lvl, r, CycleType::W)
     }
 
-    /// The µ-cycle: `mu` = 1 gives the V-cycle, `mu` = 2 the W-cycle.
+    /// One full multigrid cycle: restrict the right-hand side to every
+    /// grid, solve the coarsest directly, then work back up — prolongate,
+    /// correct with a V-cycle on each grid (§2).
+    pub fn fmg(&self, sim: &mut Sim, r: &DistVec) -> DistVec {
+        self.run_new(sim, 0, r, CycleType::Fmg)
+    }
+
+    /// [`run`](Self::run) into a fresh vector.
+    fn run_new(&self, sim: &mut Sim, lvl: usize, r: &DistVec, cycle: CycleType) -> DistVec {
+        let mut x = DistVec::zeros(r.layout().clone());
+        self.run(sim, lvl, r, &mut x, cycle);
+        x
+    }
+
+    /// One `cycle` entered at `lvl` for right-hand side `r`, written into
+    /// `x` (whatever it held): allocates the cycle's one scratch set and
+    /// dispatches.
+    fn run(&self, sim: &mut Sim, lvl: usize, r: &DistVec, x: &mut DistVec, cycle: CycleType) {
+        // The entry level's vectors live on the caller's layout, every
+        // deeper level's on the layout its restriction maps onto.
+        let zeros = |l: usize| {
+            DistVec::zeros(if l == lvl {
+                r.layout().clone()
+            } else {
+                let rmat = self.levels[l - 1].r.as_ref();
+                rmat.expect("non-coarsest level has R").row_layout().clone()
+            })
+        };
+        let mut ws = CycleScratch::new(lvl, self.levels.len(), cycle, zeros);
+        match cycle {
+            CycleType::V => self.cycle(sim, lvl, r, x, &mut ws.v, 1),
+            CycleType::W => self.cycle(sim, lvl, r, x, &mut ws.v, 2),
+            CycleType::Fmg => self.fmg_level(sim, lvl, r, x, &mut ws.f, &mut ws.v),
+        }
+    }
+
+    /// The µ-cycle on `A x = r` from the zero guess, written into `x`
+    /// (whatever it held): `mu` = 1 gives the V-cycle, `mu` = 2 the
+    /// W-cycle. `ws[0]` is this level's scratch, `ws[1..]` the deeper
+    /// levels'.
     ///
     /// Telemetry: each level records `level{lvl}/smooth`, `level{lvl}/
     /// restrict`, `level{lvl}/prolong` and (on the coarsest) `level{lvl}/
     /// coarse` under the caller's current path. The scopes are opened
     /// around individual kernels — not the recursion — so every level's
     /// records are siblings, ready for flat per-level aggregation.
-    fn cycle(&self, sim: &mut Sim, lvl: usize, r: &DistVec, mu: usize) -> DistVec {
+    fn cycle(
+        &self,
+        sim: &mut Sim,
+        lvl: usize,
+        r: &DistVec,
+        x: &mut DistVec,
+        ws: &mut [VScratch<DistVec>],
+        mu: usize,
+    ) {
         let level = &self.levels[lvl];
-        let mut x = DistVec::zeros(r.layout().clone());
         if let Some(direct) = &level.coarse {
             let _t = pmg_telemetry::scoped!("level{lvl}/coarse");
-            direct.apply(sim, r, &mut x);
-            return x;
+            direct.apply(sim, r, x);
+            return;
         }
+        let (w, below) = ws.split_first_mut().expect("scratch for every level");
         {
             let _t = pmg_telemetry::scoped!("level{lvl}/smooth");
+            let sweeps = self.opts.pre_smooth;
             level
                 .smoother
-                .smooth(sim, self.level_op(lvl), r, &mut x, self.opts.pre_smooth);
+                .smooth_from_zero(sim, self.level_op(lvl), r, x, sweeps);
         }
 
         let rmat = level.r.as_ref().expect("non-coarsest level has R");
         let pmat = level.p.as_ref().expect("non-coarsest level has P");
         for _ in 0..mu {
-            let mut rc = DistVec::zeros(rmat.row_layout().clone());
             {
                 let _t = pmg_telemetry::scoped!("level{lvl}/restrict");
-                let mut res = DistVec::zeros(r.layout().clone());
-                self.level_op(lvl).spmv(sim, &x, &mut res);
-                res.aypx(sim, -1.0, r); // res = r - A x
-                rmat.spmv(sim, &res, &mut rc);
+                self.level_op(lvl).spmv(sim, x, &mut w.tmp);
+                w.tmp.aypx(sim, -1.0, r); // tmp = r - A x
+                rmat.spmv(sim, &w.tmp, &mut w.rc);
             }
-            let xc = self.cycle(sim, lvl + 1, &rc, mu);
+            self.cycle(sim, lvl + 1, &w.rc, &mut w.xc, below, mu);
             {
                 let _t = pmg_telemetry::scoped!("level{lvl}/prolong");
-                let mut corr = DistVec::zeros(r.layout().clone());
-                pmat.spmv(sim, &xc, &mut corr);
-                x.axpy(sim, 1.0, &corr);
+                pmat.spmv(sim, &w.xc, &mut w.tmp);
+                x.axpy(sim, 1.0, &w.tmp);
             }
             if self.levels[lvl + 1].coarse.is_some() {
                 break; // next level is a direct solve: revisiting is a no-op
@@ -624,67 +758,54 @@ impl MgHierarchy {
             let _t = pmg_telemetry::scoped!("level{lvl}/smooth");
             level
                 .smoother
-                .smooth(sim, self.level_op(lvl), r, &mut x, self.opts.post_smooth);
+                .smooth(sim, self.level_op(lvl), r, x, self.opts.post_smooth);
         }
-        x
     }
 
-    /// One full multigrid cycle: restrict the right-hand side to every
-    /// grid, solve the coarsest directly, then work back up — prolongate,
-    /// correct with a V-cycle on each grid (§2).
-    pub fn fmg(&self, sim: &mut Sim, r: &DistVec) -> DistVec {
-        let nl = self.levels.len();
-        // Restrict r through all levels.
-        let mut rs: Vec<DistVec> = Vec::with_capacity(nl);
-        rs.push(r.clone());
-        for lvl in 0..nl - 1 {
+    /// Full multigrid on `A x = b` from level `lvl` down, written into `x`:
+    /// restrict `b`, solve the coarser problem the same way, prolongate its
+    /// solution, correct it with one V-cycle on this level's residual.
+    /// Unrolled over the levels: every restriction on the way down, the
+    /// direct solve, then prolongate-and-correct on the way back up.
+    fn fmg_level(
+        &self,
+        sim: &mut Sim,
+        lvl: usize,
+        b: &DistVec,
+        x: &mut DistVec,
+        fs: &mut [FScratch<DistVec>],
+        vs: &mut [VScratch<DistVec>],
+    ) {
+        let level = &self.levels[lvl];
+        if let Some(direct) = &level.coarse {
+            let _t = pmg_telemetry::scoped!("level{lvl}/coarse");
+            direct.apply(sim, b, x);
+            return;
+        }
+        let (f, below) = fs.split_first_mut().expect("scratch for every level");
+        {
             let _t = pmg_telemetry::scoped!("level{lvl}/restrict");
-            let rmat = self.levels[lvl].r.as_ref().unwrap();
-            let mut rc = DistVec::zeros(rmat.row_layout().clone());
-            rmat.spmv(sim, &rs[lvl], &mut rc);
-            rs.push(rc);
+            let rmat = level.r.as_ref().expect("non-coarsest level has R");
+            rmat.spmv(sim, b, &mut f.rc);
         }
-        // Coarsest: direct solve.
-        let mut x = {
-            let _t = pmg_telemetry::scoped!("level{}/coarse", nl - 1);
-            let level = &self.levels[nl - 1];
-            let mut z = DistVec::zeros(rs[nl - 1].layout().clone());
-            level
-                .coarse
-                .as_ref()
-                .unwrap()
-                .apply(sim, &rs[nl - 1], &mut z);
-            z
-        };
-        // Work up: prolongate, V-cycle-correct.
-        for lvl in (0..nl - 1).rev() {
-            let pmat = self.levels[lvl].p.as_ref().unwrap();
-            let mut xf = DistVec::zeros(pmat.row_layout().clone());
-            {
-                let _t = pmg_telemetry::scoped!("level{lvl}/prolong");
-                pmat.spmv(sim, &x, &mut xf);
-            }
-            // Residual on this grid, then V-cycle correction.
-            let mut res = DistVec::zeros(xf.layout().clone());
-            self.level_op(lvl).spmv(sim, &xf, &mut res);
-            res.aypx(sim, -1.0, &rs[lvl]);
-            let corr = self.vcycle(sim, lvl, &res);
-            xf.axpy(sim, 1.0, &corr);
-            x = xf;
+        self.fmg_level(sim, lvl + 1, &f.rc, &mut f.xc, below, &mut vs[1..]);
+        {
+            let _t = pmg_telemetry::scoped!("level{lvl}/prolong");
+            let pmat = level.p.as_ref().expect("non-coarsest level has P");
+            pmat.spmv(sim, &f.xc, x);
         }
-        x
+        // Residual on this grid, then V-cycle correction.
+        self.level_op(lvl).spmv(sim, x, &mut f.res);
+        f.res.aypx(sim, -1.0, b);
+        self.cycle(sim, lvl, &f.res, &mut f.corr, vs, 1);
+        x.axpy(sim, 1.0, &f.corr);
     }
 }
 
 impl Precond for MgHierarchy {
     fn apply(&self, sim: &mut Sim, r: &DistVec, z: &mut DistVec) {
         let _t = pmg_telemetry::scope("precond");
-        let x = match self.opts.cycle {
-            CycleType::V => self.vcycle(sim, 0, r),
-            CycleType::W => self.wcycle(sim, 0, r),
-            CycleType::Fmg => self.fmg(sim, r),
-        };
-        z.copy_from(&x);
+        self.run(sim, 0, r, z, self.opts.cycle);
     }
 }
 

@@ -11,9 +11,10 @@
 //!
 //! Bitwise parity is the design contract. Every kernel is the identical
 //! per-rank code the orchestrated path runs ([`RankOp::spmv`],
-//! [`RankSmoother::apply`], [`CoarseDirect::solve_global`]), every reduction
-//! combines in the fixed binomial-tree order of [`pmg_comm::tree_combine`]
-//! (which [`DistVec::dot`](pmg_parallel::DistVec::dot) also uses), and the
+//! [`RankSmoother::solve_add`], [`CoarseDirect::solve_global_in_place`]),
+//! every reduction combines in the fixed binomial-tree order of
+//! [`pmg_comm::tree_combine`] (which
+//! [`DistVec::dot`](pmg_parallel::DistVec::dot) also uses), and the
 //! Krylov recurrence is the *same code* — [`pmg_solver::pcg_blocked`] —
 //! driven through a transport backend instead of the simulator's. So the
 //! solution and the residual history match the simulated solve bit for bit,
@@ -23,8 +24,11 @@ use crate::classify::VertexClasses;
 use crate::coarsen::coarsen_level_transport;
 use crate::ingest::RankSeed;
 use crate::mg::MgOptions;
-use crate::mg::{expand_restriction, CycleType, FineOperator, MgHierarchy, Smoother, SmootherType};
-use pmg_comm::{bytes_to_f64s, f64s_to_bytes, CommError, CommStats, LocalTransport, Transport};
+use crate::mg::{
+    expand_restriction, CycleScratch, CycleType, FScratch, FineOperator, MgHierarchy, Smoother,
+    SmootherType, VScratch,
+};
+use pmg_comm::{f64s_from_bytes, f64s_to_bytes, CommError, CommStats, LocalTransport, Transport};
 use pmg_geometry::Vec3;
 use pmg_parallel::{Layout, MfRankOp, OverlapInfo, RankMatrix, RankOp};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
@@ -1015,23 +1019,34 @@ impl<'a> RankHierarchy<'a> {
         })
     }
 
-    /// Apply the preconditioner (one MG cycle), mirroring
-    /// `MgHierarchy::apply`.
+    /// The scratch set of this rank's cycles: allocated once per solve,
+    /// reused by every preconditioner application.
+    fn scratch(&self) -> CycleScratch<Vec<f64>> {
+        CycleScratch::new(0, self.levels.len(), self.cycle, |l| {
+            vec![0.0; self.levels[l].a.local_rows()]
+        })
+    }
+
+    /// Apply the preconditioner (one MG cycle) to `r`, written into `z`,
+    /// mirroring `MgHierarchy::apply`.
     fn precond<T: Transport>(
         &self,
         t: &mut T,
         w: &mut PhaseWaits,
         r: &[f64],
-    ) -> Result<Vec<f64>, CommError> {
+        z: &mut [f64],
+        ws: &mut CycleScratch<Vec<f64>>,
+    ) -> Result<(), CommError> {
         match self.cycle {
-            CycleType::V => self.cycle(t, w, 0, r, 1),
-            CycleType::W => self.cycle(t, w, 0, r, 2),
-            CycleType::Fmg => self.fmg(t, w, r),
+            CycleType::V => self.cycle(t, w, 0, r, z, &mut ws.v, 1),
+            CycleType::W => self.cycle(t, w, 0, r, z, &mut ws.v, 2),
+            CycleType::Fmg => self.fmg_level(t, w, 0, r, z, &mut ws.f, &mut ws.v),
         }
     }
 
     /// `sweeps` stationary smoothing passes `x ← x + ω B⁻¹ (b − A x)`,
-    /// mirroring `BlockJacobi::smooth`.
+    /// mirroring `BlockJacobi::smooth`; `res` holds the residual.
+    #[allow(clippy::too_many_arguments)]
     fn smooth<T: Transport>(
         &self,
         t: &mut T,
@@ -1039,106 +1054,109 @@ impl<'a> RankHierarchy<'a> {
         lvl: usize,
         b: &[f64],
         x: &mut [f64],
+        res: &mut [f64],
         sweeps: usize,
     ) -> Result<(), CommError> {
         let level = &self.levels[lvl];
-        let mut r = vec![0.0; b.len()];
-        let mut z = vec![0.0; b.len()];
         for _ in 0..sweeps {
-            halo_spmv(t, w, &level.a, self.overlap, x, &mut r)?; // r = A x
-            vector::aypx(-1.0, b, &mut r); // r = b - A x
-            level.smoother.apply(&r, &mut z);
-            vector::axpy(1.0, &z, x);
+            halo_spmv(t, w, &level.a, self.overlap, x, res)?; // res = A x
+            vector::aypx(-1.0, b, res); // res = b - A x
+            level.smoother.solve_add(res, x);
         }
         Ok(())
     }
 
-    /// The µ-cycle, mirroring `MgHierarchy::cycle` (µ = 1 V-cycle, 2 W).
+    /// The µ-cycle on `A x = r` from the zero guess, written into `x`,
+    /// mirroring `MgHierarchy::cycle` (µ = 1 V-cycle, 2 W).
+    #[allow(clippy::too_many_arguments)]
     fn cycle<T: Transport>(
         &self,
         t: &mut T,
         w: &mut PhaseWaits,
         lvl: usize,
         r: &[f64],
+        x: &mut [f64],
+        ws: &mut [VScratch<Vec<f64>>],
         mu: usize,
-    ) -> Result<Vec<f64>, CommError> {
+    ) -> Result<(), CommError> {
         let level = &self.levels[lvl];
-        let mut x = vec![0.0; r.len()];
         // The coarsest level is the one with no restriction below it; the
         // direct factor itself may live on rank 0 alone (sharded setup) or
         // everywhere (replicated hierarchy), so it is not the marker.
-        if level.r.is_none() {
-            return self.coarse_apply(t, w, lvl, r);
+        let (Some(rmat), Some(pmat)) = (&level.r, &level.p) else {
+            return self.coarse_apply(t, w, lvl, r, x);
+        };
+        let (s, below) = ws.split_first_mut().expect("scratch for every level");
+        // From the zero guess, as `BlockJacobi::smooth_from_zero`: the
+        // first sweep needs no product, so no halo exchange either.
+        match self.pre_smooth.checked_sub(1) {
+            None => x.fill(0.0),
+            Some(more) => {
+                level.smoother.solve_from_zero(r, x);
+                self.smooth(t, w, lvl, r, x, &mut s.tmp, more)?;
+            }
         }
-        self.smooth(t, w, lvl, r, &mut x, self.pre_smooth)?;
 
-        let rmat = level.r.as_ref().expect("non-coarsest level has R");
-        let pmat = level.p.as_ref().expect("non-coarsest level has P");
         for _ in 0..mu {
-            let mut rc = vec![0.0; rmat.local_rows()];
-            let mut res = vec![0.0; r.len()];
-            halo_spmv(t, w, &level.a, self.overlap, &x, &mut res)?;
-            vector::aypx(-1.0, r, &mut res); // res = r - A x
-            halo_spmv(t, w, rmat, self.overlap, &res, &mut rc)?;
-            let xc = self.cycle(t, w, lvl + 1, &rc, mu)?;
-            let mut corr = vec![0.0; r.len()];
-            halo_spmv(t, w, pmat, self.overlap, &xc, &mut corr)?;
-            vector::axpy(1.0, &corr, &mut x);
+            halo_spmv(t, w, &level.a, self.overlap, x, &mut s.tmp)?;
+            vector::aypx(-1.0, r, &mut s.tmp); // tmp = r - A x
+            halo_spmv(t, w, rmat, self.overlap, &s.tmp, &mut s.rc)?;
+            self.cycle(t, w, lvl + 1, &s.rc, &mut s.xc, below, mu)?;
+            halo_spmv(t, w, pmat, self.overlap, &s.xc, &mut s.tmp)?;
+            vector::axpy(1.0, &s.tmp, x);
             if self.levels[lvl + 1].r.is_none() {
                 break; // next level is a direct solve: revisiting is a no-op
             }
         }
 
-        self.smooth(t, w, lvl, r, &mut x, self.post_smooth)?;
-        Ok(x)
+        self.smooth(t, w, lvl, r, x, &mut s.tmp, self.post_smooth)
     }
 
-    /// One full multigrid cycle, mirroring `MgHierarchy::fmg`.
-    fn fmg<T: Transport>(
+    /// Full multigrid on `A x = b` from level `lvl` down, written into `x`,
+    /// mirroring `MgHierarchy::fmg_level`.
+    #[allow(clippy::too_many_arguments)]
+    fn fmg_level<T: Transport>(
         &self,
         t: &mut T,
         w: &mut PhaseWaits,
-        r: &[f64],
-    ) -> Result<Vec<f64>, CommError> {
-        let nl = self.levels.len();
-        let mut rs: Vec<Vec<f64>> = Vec::with_capacity(nl);
-        rs.push(r.to_vec());
-        for lvl in 0..nl - 1 {
-            let rmat = self.levels[lvl].r.as_ref().unwrap();
-            let mut rc = vec![0.0; rmat.local_rows()];
-            halo_spmv(t, w, rmat, self.overlap, &rs[lvl], &mut rc)?;
-            rs.push(rc);
-        }
-        let mut x = self.coarse_apply(t, w, nl - 1, &rs[nl - 1])?;
-        for lvl in (0..nl - 1).rev() {
-            let pmat = self.levels[lvl].p.as_ref().unwrap();
-            let mut xf = vec![0.0; pmat.local_rows()];
-            halo_spmv(t, w, pmat, self.overlap, &x, &mut xf)?;
-            let mut res = vec![0.0; xf.len()];
-            halo_spmv(t, w, &self.levels[lvl].a, self.overlap, &xf, &mut res)?;
-            vector::aypx(-1.0, &rs[lvl], &mut res);
-            let corr = self.cycle(t, w, lvl, &res, 1)?;
-            vector::axpy(1.0, &corr, &mut xf);
-            x = xf;
-        }
-        Ok(x)
+        lvl: usize,
+        b: &[f64],
+        x: &mut [f64],
+        fs: &mut [FScratch<Vec<f64>>],
+        vs: &mut [VScratch<Vec<f64>>],
+    ) -> Result<(), CommError> {
+        let level = &self.levels[lvl];
+        let (Some(rmat), Some(pmat)) = (&level.r, &level.p) else {
+            return self.coarse_apply(t, w, lvl, b, x);
+        };
+        let (f, below) = fs.split_first_mut().expect("scratch for every level");
+        halo_spmv(t, w, rmat, self.overlap, b, &mut f.rc)?;
+        self.fmg_level(t, w, lvl + 1, &f.rc, &mut f.xc, below, &mut vs[1..])?;
+        halo_spmv(t, w, pmat, self.overlap, &f.xc, x)?;
+        halo_spmv(t, w, &level.a, self.overlap, x, &mut f.res)?;
+        vector::aypx(-1.0, b, &mut f.res);
+        self.cycle(t, w, lvl, &f.res, &mut f.corr, vs, 1)?;
+        vector::axpy(1.0, &f.corr, x);
+        Ok(())
     }
 
-    /// Coarsest-grid direct solve: gather the right-hand side to rank 0 in
-    /// the layout's owned order (exactly `DistVec::to_global`), solve with
-    /// the already-factored operator, then *scatter* each rank its owned
-    /// share (exactly `DistVec::from_global`). The gather and scatter both
-    /// travel the binomial tree as one coalesced message per edge, and the
-    /// scatter ships each rank only its own values instead of broadcasting
-    /// the full coarse vector — which is also precisely the mirror traffic
-    /// `CoarseDirect::apply` charges the BSP model.
+    /// Coarsest-grid direct solve of `A x = r`, written into `x`: gather
+    /// the right-hand side to rank 0 in the layout's owned order (exactly
+    /// `DistVec::to_global`), solve in the gathered buffer with the
+    /// already-factored operator, then *scatter* each rank its owned share
+    /// (exactly `DistVec::scatter_from_global`). The gather and scatter
+    /// both travel the binomial tree as one coalesced message per edge, and
+    /// the scatter ships each rank only its own values instead of
+    /// broadcasting the full coarse vector — which is also precisely the
+    /// mirror traffic `CoarseDirect::apply` charges the BSP model.
     fn coarse_apply<T: Transport>(
         &self,
         t: &mut T,
         w: &mut PhaseWaits,
         lvl: usize,
         r: &[f64],
-    ) -> Result<Vec<f64>, CommError> {
+        x: &mut [f64],
+    ) -> Result<(), CommError> {
         let level = &self.levels[lvl];
         let layout = level.layout;
         let before = t.stats().wait_s;
@@ -1149,23 +1167,28 @@ impl<'a> RankHierarchy<'a> {
             let direct = level.coarse.expect("rank 0 holds the coarsest-grid factor");
             let mut global = vec![0.0; layout.num_global()];
             for (rk, blob) in parts.iter().enumerate() {
-                let vals = bytes_to_f64s(blob);
-                for (&g, &v) in layout.owned(rk).iter().zip(&vals) {
+                for (&g, v) in layout.owned(rk).iter().zip(f64s_from_bytes(blob)) {
                     global[g as usize] = v;
                 }
             }
-            let xg = direct.solve_global(&global);
+            direct.solve_global_in_place(&mut global);
             (0..t.size())
                 .map(|rk| {
-                    let share: Vec<f64> =
-                        layout.owned(rk).iter().map(|&g| xg[g as usize]).collect();
+                    let share: Vec<f64> = layout
+                        .owned(rk)
+                        .iter()
+                        .map(|&g| global[g as usize])
+                        .collect();
                     f64s_to_bytes(&share)
                 })
                 .collect()
         });
         let mine = pmg_comm::scatter(t, shares)?;
         w.coarse_s += t.stats().wait_s - before;
-        Ok(bytes_to_f64s(&mine))
+        for (xi, v) in x.iter_mut().zip(f64s_from_bytes(&mine)) {
+            *xi = v;
+        }
+        Ok(())
     }
 }
 
@@ -1202,6 +1225,8 @@ struct TransportPcg<'a, 'h, T: Transport> {
     t: &'a mut T,
     h: &'a RankHierarchy<'h>,
     waits: PhaseWaits,
+    /// The cycle's temporaries, shared by every application of the solve.
+    scratch: CycleScratch<Vec<f64>>,
 }
 
 impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
@@ -1218,8 +1243,8 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
     }
 
     fn precond(&mut self, r: &Vec<f64>, z: &mut Vec<f64>) -> Result<(), CommError> {
-        *z = self.h.precond(self.t, &mut self.waits, r)?;
-        Ok(())
+        self.h
+            .precond(self.t, &mut self.waits, r, z, &mut self.scratch)
     }
 
     /// Local partials, then one batched binomial allreduce: it reduces
@@ -1303,6 +1328,7 @@ pub fn spmd_pcg_multi<T: Transport>(
         t,
         h,
         waits: PhaseWaits::default(),
+        scratch: h.scratch(),
     };
     let results = pcg_blocked(&mut be, bs_local, xs_local, &vec![opts; bs_local.len()])?;
     if root && !results.is_empty() {

@@ -410,14 +410,24 @@ impl DistMatrix {
 
         // Replay the persistent plan: each rank's ghost buffer is filled
         // from its peers' send lists (reads other ranks' parts — the
-        // simulated message payloads), then compute rank-locally in
-        // parallel. Same pack order as the real transports.
+        // simulated message payloads), then the rank computes its rows
+        // straight into its part of `y`, all ranks in parallel. Same pack
+        // order as the real transports. A rank without ghosts — every rank
+        // of a one-rank run — allocates nothing.
         let plan = &self.plan;
-        let ghost_vals: Vec<Vec<f64>> = self
-            .ranks
+        self.ranks
             .par_iter()
+            .zip(y.par_parts_mut())
             .enumerate()
-            .map(|(r, m)| {
+            .for_each(|(r, (m, yl))| {
+                let xl = x.part(r);
+                match &m.diag_bsr {
+                    Some(db) => db.spmv(xl, yl),
+                    None => m.diag.spmv(xl, yl),
+                }
+                if m.off.nnz() == 0 {
+                    return;
+                }
                 let mut gv = vec![0.0; m.ghosts.len()];
                 for msg in &plan.ranks[r].recv {
                     let peer = msg.peer as usize;
@@ -426,43 +436,21 @@ impl DistMatrix {
                         gv[slot as usize] = x.part(peer)[li as usize];
                     }
                 }
-                gv
-            })
-            .collect();
-
-        let parts: Vec<Vec<f64>> = self
-            .ranks
-            .par_iter()
-            .enumerate()
-            .map(|(r, m)| {
-                let xl = x.part(r);
-                let mut yl = vec![0.0; m.diag.nrows()];
-                match &m.diag_bsr {
-                    Some(db) => db.spmv(xl, &mut yl),
-                    None => m.diag.spmv(xl, &mut yl),
-                }
-                if m.off.nnz() > 0 {
-                    let mut tmp = vec![0.0; m.off.nrows()];
-                    match &m.off_bsr {
-                        Some(ob) => {
-                            let mut padded = vec![0.0; ob.ncols()];
-                            for (l, &p) in m.ghost_pad.iter().enumerate() {
-                                padded[p as usize] = ghost_vals[r][l];
-                            }
-                            ob.spmv(&padded, &mut tmp);
+                let mut tmp = vec![0.0; m.off.nrows()];
+                match &m.off_bsr {
+                    Some(ob) => {
+                        let mut padded = vec![0.0; ob.ncols()];
+                        for (l, &p) in m.ghost_pad.iter().enumerate() {
+                            padded[p as usize] = gv[l];
                         }
-                        None => m.off.spmv(&ghost_vals[r], &mut tmp),
+                        ob.spmv(&padded, &mut tmp);
                     }
-                    for (a, b) in yl.iter_mut().zip(&tmp) {
-                        *a += b;
-                    }
+                    None => m.off.spmv(&gv, &mut tmp),
                 }
-                yl
-            })
-            .collect();
-        for (r, p) in parts.into_iter().enumerate() {
-            y.part_mut(r).copy_from_slice(&p);
-        }
+                for (a, b) in yl.iter_mut().zip(&tmp) {
+                    *a += b;
+                }
+            });
         sim.compute(&self.spmv_flops);
     }
 

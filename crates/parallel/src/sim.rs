@@ -160,11 +160,20 @@ impl Sim {
     /// slowest rank.
     pub fn compute(&mut self, flops: &[u64]) {
         assert_eq!(flops.len(), self.nranks);
+        self.compute_each(|r| flops[r]);
+    }
+
+    /// [`compute`](Self::compute) with rank `r`'s flops given by
+    /// `flops(r)`, for callers that would build the charge vector only to
+    /// pass it here.
+    pub fn compute_each(&mut self, flops: impl Fn(usize) -> u64) {
         let rate = self.model.flop_rate;
-        let max = *flops.iter().max().unwrap_or(&0);
+        let mut max = 0;
         let p = self.cur();
-        for (c, &f) in p.ranks.iter_mut().zip(flops) {
+        for (r, c) in p.ranks.iter_mut().enumerate() {
+            let f = flops(r);
             c.flops += f;
+            max = max.max(f);
         }
         p.modeled_time += max as f64 / rate;
         p.supersteps += 1;

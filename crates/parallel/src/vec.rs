@@ -2,6 +2,7 @@
 
 use crate::layout::Layout;
 use crate::sim::Sim;
+use rayon::prelude::*;
 use std::sync::Arc;
 
 /// A vector distributed over the ranks of a [`Layout`]: rank `r` stores the
@@ -22,17 +23,19 @@ impl DistVec {
 
     /// Scatter a global vector.
     pub fn from_global(layout: Arc<Layout>, global: &[f64]) -> DistVec {
-        assert_eq!(global.len(), layout.num_global());
-        let parts = (0..layout.num_ranks())
-            .map(|r| {
-                layout
-                    .owned(r)
-                    .iter()
-                    .map(|&g| global[g as usize])
-                    .collect()
-            })
-            .collect();
-        DistVec { layout, parts }
+        let mut v = DistVec::zeros(layout);
+        v.scatter_from_global(global);
+        v
+    }
+
+    /// Scatter a global vector into the existing parts.
+    pub fn scatter_from_global(&mut self, global: &[f64]) {
+        assert_eq!(global.len(), self.layout.num_global());
+        for (r, part) in self.parts.iter_mut().enumerate() {
+            for (v, &g) in part.iter_mut().zip(self.layout.owned(r)) {
+                *v = global[g as usize];
+            }
+        }
     }
 
     /// Gather to a global vector.
@@ -58,6 +61,12 @@ impl DistVec {
         &mut self.parts[r]
     }
 
+    /// Every rank's part at once, for rank-parallel kernels that write
+    /// their own share (item `r` is [`part_mut`](Self::part_mut)`(r)`).
+    pub fn par_parts_mut(&mut self) -> impl ParallelIterator<Item = &mut [f64]> {
+        self.parts.par_iter_mut().map(Vec::as_mut_slice)
+    }
+
     pub fn num_global(&self) -> usize {
         self.layout.num_global()
     }
@@ -69,11 +78,9 @@ impl DistVec {
         );
     }
 
-    fn local_flops(&self, per_entry: u64) -> Vec<u64> {
-        self.parts
-            .iter()
-            .map(|p| per_entry * p.len() as u64)
-            .collect()
+    /// Charge `per_entry` flops per local entry on every rank.
+    fn charge(&self, sim: &mut Sim, per_entry: u64) {
+        sim.compute_each(|r| per_entry * self.parts[r].len() as u64);
     }
 
     /// `self += alpha * x` (embarrassingly parallel).
@@ -82,7 +89,7 @@ impl DistVec {
         for (yp, xp) in self.parts.iter_mut().zip(&x.parts) {
             pmg_sparse::vector::axpy(alpha, xp, yp);
         }
-        sim.compute(&self.local_flops(2));
+        self.charge(sim, 2);
     }
 
     /// `self = x + beta * self`.
@@ -91,7 +98,7 @@ impl DistVec {
         for (yp, xp) in self.parts.iter_mut().zip(&x.parts) {
             pmg_sparse::vector::aypx(beta, xp, yp);
         }
-        sim.compute(&self.local_flops(2));
+        self.charge(sim, 2);
     }
 
     /// Inner product: per-rank partials then an allreduce.
@@ -108,7 +115,7 @@ impl DistVec {
             .zip(&x.parts)
             .map(|(yp, xp)| pmg_sparse::vector::dot(yp, xp))
             .collect();
-        sim.compute(&self.local_flops(2));
+        self.charge(sim, 2);
         sim.allreduce(1);
         pmg_comm::tree_combine(&partials)
     }
@@ -122,7 +129,7 @@ impl DistVec {
         for p in self.parts.iter_mut() {
             pmg_sparse::vector::scale(p, s);
         }
-        sim.compute(&self.local_flops(1));
+        self.charge(sim, 1);
     }
 
     /// Copy values from `x`.

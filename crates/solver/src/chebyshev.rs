@@ -11,7 +11,7 @@
 //! call reuses them, so steady-state smoothing performs **no per-iteration
 //! allocation** (the vector updates run through `pmg_sparse::vector` on the
 //! parts directly, with precomputed flop charges). That is pinned by the
-//! counting-allocator test in `tests/cheb_alloc.rs`.
+//! counting-allocator test in `tests/smoother_alloc.rs`.
 
 use crate::precond::Precond;
 use pmg_parallel::{DistMatrix, DistVec, Layout, Sim, SimOperator};

@@ -20,7 +20,6 @@ enum Factor {
 pub struct CoarseDirect {
     factor: Factor,
     n: usize,
-    nranks: usize,
     gather_traffic: Vec<(u64, u64)>,
 }
 
@@ -53,7 +52,6 @@ impl CoarseDirect {
         CoarseDirect {
             factor,
             n,
-            nranks: 1,
             gather_traffic: vec![(0, 0)],
         }
     }
@@ -77,7 +75,6 @@ impl CoarseDirect {
         CoarseDirect {
             factor,
             n,
-            nranks,
             gather_traffic,
         }
     }
@@ -89,9 +86,16 @@ impl CoarseDirect {
     /// Solve against the factored coarse operator for an already-gathered
     /// global right-hand side (the root rank's step of an SPMD apply).
     pub fn solve_global(&self, r: &[f64]) -> Vec<f64> {
+        let mut x = r.to_vec();
+        self.solve_global_in_place(&mut x);
+        x
+    }
+
+    /// [`solve_global`](Self::solve_global) in the gathered buffer itself.
+    pub fn solve_global_in_place(&self, r: &mut [f64]) {
         match &self.factor {
-            Factor::Chol(c) => c.solve(r),
-            Factor::Lu(l) => l.solve(r),
+            Factor::Chol(c) => c.solve_in_place(r),
+            Factor::Lu(l) => l.solve_in_place(r),
         }
     }
 }
@@ -101,14 +105,17 @@ impl Precond for CoarseDirect {
         // Gather r to root, solve, scatter (charged as two exchanges plus a
         // root-only compute).
         sim.exchange(&self.gather_traffic);
-        let global = r.to_global();
-        let x = self.solve_global(&global);
-        let mut flops = vec![0u64; self.nranks];
-        flops[0] = 2 * (self.n * self.n) as u64;
-        sim.compute(&flops);
+        let mut global = r.to_global();
+        self.solve_global_in_place(&mut global);
+        sim.compute_each(|rank| {
+            if rank == 0 {
+                2 * (self.n * self.n) as u64
+            } else {
+                0
+            }
+        });
         sim.exchange(&self.gather_traffic); // scatter (mirror traffic)
-        let solved = DistVec::from_global(r.layout().clone(), &x);
-        z.copy_from(&solved);
+        z.scatter_from_global(&global);
     }
 }
 

@@ -19,6 +19,7 @@ use pmg_partition::{partition_graph, Graph};
 use pmg_sparse::dense::{Cholesky, DenseMatrix, Lu};
 use pmg_sparse::{CsrMatrix, PatternFingerprint};
 use rayon::prelude::*;
+use std::sync::{Arc, Mutex};
 
 enum BlockFactor {
     Chol(Cholesky),
@@ -53,7 +54,7 @@ impl BlockFactor {
     fn solve_in_place(&self, b: &mut [f64]) {
         match self {
             BlockFactor::Chol(c) => c.solve_in_place(b),
-            BlockFactor::Lu(l) => b.copy_from_slice(&l.solve(b)),
+            BlockFactor::Lu(l) => l.solve_in_place(b),
             BlockFactor::Diag(d) => b.iter_mut().zip(d).for_each(|(x, di)| *x *= di),
         }
     }
@@ -81,6 +82,10 @@ struct RankBlocks {
     blocks: Vec<Vec<u32>>,
     /// Per local dof: the block it belongs to and its position inside it.
     home: Vec<(u32, u32)>,
+    /// A sweep's gather buffer, as long as the longest block: sized with
+    /// the plan, so no sweep allocates. One sweep at a time per rank; the
+    /// lock is uncontended in every solve path.
+    buf: Mutex<Vec<f64>>,
     factors: Vec<BlockFactor>,
     apply_flops: u64,
 }
@@ -114,6 +119,7 @@ impl RankBlocks {
         let mut rb = RankBlocks {
             pattern: PatternFingerprint::of(local),
             blocks_per_1000,
+            buf: Mutex::new(vec![0.0; blocks.iter().map(Vec::len).max().unwrap_or(0)]),
             blocks,
             home,
             factors: Vec::new(),
@@ -176,22 +182,23 @@ impl RankBlocks {
         sub
     }
 
-    /// `zp = ω · B⁻¹ rp` for this rank's blocks (zeroes `zp` first). The
-    /// single per-rank kernel both the orchestrated path and the SPMD
+    /// `x += ω · B⁻¹ r` on this rank's blocks: gather a block's residual,
+    /// solve in place, scatter-add the damped result straight into `x` —
+    /// bitwise `z = ω B⁻¹ r` followed by `x += 1.0 · z`, without the `z`.
+    /// The single per-rank kernel both the orchestrated path and the SPMD
     /// [`RankSmoother`] run, so their results are bitwise identical.
-    fn apply_into(&self, omega: f64, rp: &[f64], zp: &mut [f64]) {
-        zp.iter_mut().for_each(|v| *v = 0.0);
-        // One buffer for the whole call: gather, solve in place, scatter.
-        let widest = self.blocks.iter().map(Vec::len).max().unwrap_or(0);
-        let mut buf = vec![0.0; widest];
+    fn solve_add(&self, omega: f64, r: &[f64], x: &mut [f64]) {
+        // The buffer carries nothing from sweep to sweep, so one left by a
+        // sweep that panicked is as good as new.
+        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
         for (blk, fac) in self.blocks.iter().zip(&self.factors) {
-            let x = &mut buf[..blk.len()];
-            for (xi, &v) in x.iter_mut().zip(blk) {
-                *xi = rp[v as usize];
+            let s = &mut buf[..blk.len()];
+            for (si, &v) in s.iter_mut().zip(blk) {
+                *si = r[v as usize];
             }
-            fac.solve_in_place(x);
-            for (&v, &s) in blk.iter().zip(x.iter()) {
-                zp[v as usize] = omega * s;
+            fac.solve_in_place(s);
+            for (&v, &si) in blk.iter().zip(s.iter()) {
+                x[v as usize] += omega * si;
             }
         }
     }
@@ -206,9 +213,17 @@ pub struct RankSmoother<'a> {
 }
 
 impl RankSmoother<'_> {
-    /// `zp = ω · B⁻¹ rp` on this rank's share.
-    pub fn apply(&self, rp: &[f64], zp: &mut [f64]) {
-        self.blocks.apply_into(self.omega, rp, zp);
+    /// `x += ω · B⁻¹ r` on this rank's share.
+    pub fn solve_add(&self, r: &[f64], x: &mut [f64]) {
+        self.blocks.solve_add(self.omega, r, x);
+    }
+
+    /// `x = ω · B⁻¹ b` on this rank's share: the sweep from the zero guess
+    /// (see [`BlockJacobi::smooth_from_zero`]), as
+    /// [`solve_add`](Self::solve_add) of `b` into a zero-filled `x`.
+    pub fn solve_from_zero(&self, b: &[f64], x: &mut [f64]) {
+        x.fill(0.0);
+        self.solve_add(b, x);
     }
 }
 
@@ -217,6 +232,10 @@ pub struct BlockJacobi {
     ranks: Vec<RankBlocks>,
     omega: f64,
     apply_flops: Vec<u64>,
+    /// A sweep's residual `b − A x`, kept between sweeps so that smoothing
+    /// allocates nothing (`tests/smoother_alloc.rs`). One sweep at a time;
+    /// the lock is uncontended in every solve path.
+    residual: Mutex<DistVec>,
 }
 
 /// **One** rank's owned block-Jacobi smoother — the SPMD-setup counterpart
@@ -274,6 +293,7 @@ impl BlockJacobi {
             ranks,
             omega,
             apply_flops,
+            residual: Mutex::new(DistVec::zeros(a.row_layout().clone())),
         }
     }
 
@@ -313,31 +333,23 @@ impl BlockJacobi {
         }
     }
 
-    /// `z = ω · B⁻¹ r` where `B` is the block diagonal.
-    fn apply_inner(&self, sim: &mut Sim, r: &DistVec, z: &mut DistVec) {
+    /// `x += ω · B⁻¹ r`: every rank's block solves on its own parts (in
+    /// parallel over ranks), plus the model's charge for them.
+    fn solve_add(&self, sim: &mut Sim, r: &DistVec, x: &mut DistVec) {
         let omega = self.omega;
-        let parts: Vec<Vec<f64>> = self
-            .ranks
+        self.ranks
             .par_iter()
+            .zip(x.par_parts_mut())
             .enumerate()
-            .map(|(rank, rb)| {
-                let rp = r.part(rank);
-                let mut zp = vec![0.0; rp.len()];
-                rb.apply_into(omega, rp, &mut zp);
-                zp
-            })
-            .collect();
-        for (rank, p) in parts.into_iter().enumerate() {
-            z.part_mut(rank).copy_from_slice(&p);
-        }
+            .for_each(|(rank, (rb, xp))| rb.solve_add(omega, r.part(rank), xp));
         sim.compute(&self.apply_flops);
     }
 
-    /// One (or more) stationary smoothing sweeps
-    /// `x ← x + ω B⁻¹ (b − A x)`. The residual refresh goes through the
-    /// [`SimOperator`] abstraction, so the operator may be assembled or
-    /// matrix-free (the block factors themselves always come from an
-    /// assembled local block at setup).
+    /// `sweeps` stationary smoothing sweeps `x ← x + ω B⁻¹ (b − A x)`. The
+    /// residual refresh goes through the [`SimOperator`] abstraction, so
+    /// the operator may be assembled or matrix-free (the block factors
+    /// themselves always come from an assembled local block at setup). The
+    /// damped block solves are scatter-added straight into `x`.
     pub fn smooth(
         &self,
         sim: &mut Sim,
@@ -346,20 +358,57 @@ impl BlockJacobi {
         x: &mut DistVec,
         sweeps: usize,
     ) {
-        let mut r = DistVec::zeros(b.layout().clone());
-        let mut z = DistVec::zeros(b.layout().clone());
+        // Nothing is carried from sweep to sweep, so a residual left by a
+        // sweep that panicked is as good as new.
+        let mut r = self.residual.lock().unwrap_or_else(|e| e.into_inner());
+        if !Arc::ptr_eq(r.layout(), b.layout()) {
+            // A caller with an equal layout of its own.
+            *r = DistVec::zeros(b.layout().clone());
+        }
+        let r = &mut *r;
         for _ in 0..sweeps {
-            a.spmv(sim, x, &mut r); // r = A x
+            a.spmv(sim, x, r); // r = A x
             r.aypx(sim, -1.0, b); // r = b - A x
-            self.apply_inner(sim, &r, &mut z);
-            x.axpy(sim, 1.0, &z);
+            self.solve_add(sim, r, x);
+            // The `x +=` of the scatter-add, charged as the `axpy` it is.
+            sim.compute_each(|rank| 2 * x.part(rank).len() as u64);
+        }
+    }
+
+    /// [`smooth`](Self::smooth) for the zero initial guess, which is how
+    /// every multigrid cycle visit starts: the first sweep is
+    /// `x = ω B⁻¹ b` directly — no `A·0` product (so no halo exchange of
+    /// zeros either), no `b − 0`, and none of their modeled charges — and
+    /// the remaining `sweeps − 1` are ordinary. What `x` held on entry is
+    /// ignored.
+    ///
+    /// Bitwise `x.set_zero()` followed by [`smooth`](Self::smooth) for a
+    /// finite operator: every product kernel accumulates from `+0.0`, so
+    /// `A·0` is `+0.0` and `b − A·0` is `b` bit for bit, `-0.0` included;
+    /// and the scatter-add into the zero-filled `x` is that sweep's
+    /// `0 + z`, so a block solve that returns `-0.0` lands as `+0.0` on
+    /// both routes.
+    pub fn smooth_from_zero(
+        &self,
+        sim: &mut Sim,
+        a: &dyn SimOperator,
+        b: &DistVec,
+        x: &mut DistVec,
+        sweeps: usize,
+    ) {
+        x.set_zero();
+        if sweeps > 0 {
+            self.solve_add(sim, b, x);
+            self.smooth(sim, a, b, x, sweeps - 1);
         }
     }
 }
 
 impl Precond for BlockJacobi {
+    /// `z = ω · B⁻¹ r` where `B` is the block diagonal.
     fn apply(&self, sim: &mut Sim, r: &DistVec, z: &mut DistVec) {
-        self.apply_inner(sim, r, z);
+        z.set_zero();
+        self.solve_add(sim, r, z);
     }
 }
 
@@ -519,8 +568,8 @@ mod tests {
         // The one-rank SPMD smoother shares the kernel and the contract.
         let view_bits = |rj: &RankJacobi| -> Vec<u64> {
             let r: Vec<f64> = (0..144).map(|i| (i as f64 * 0.61).sin()).collect();
-            let mut z = vec![0.0; 144];
-            rj.view().apply(&r, &mut z);
+            let mut z = vec![f64::NAN; 144];
+            rj.view().solve_from_zero(&r, &mut z);
             z.iter().map(|v| v.to_bits()).collect()
         };
         let mut rj = RankJacobi::new(&a, 60.0, 0.7);
@@ -554,8 +603,8 @@ mod tests {
         b.push(1, 1, 1.0);
         let rb = RankBlocks::new(&b.build(), 1.0);
         assert!(matches!(rb.factors[0], BlockFactor::Lu(_)));
-        let mut z = [0.0; 2];
-        rb.apply_into(1.0, &[5.0, 4.0], &mut z);
+        let mut z = [0.0f64; 2];
+        rb.solve_add(1.0, &[5.0, 4.0], &mut z);
         assert!((z[0] - 1.0).abs() < 1e-14 && (z[1] - 2.0).abs() < 1e-14);
 
         // Singular: LU refuses too, the inverse diagonal is what is left.
@@ -566,8 +615,132 @@ mod tests {
         let rb = RankBlocks::new(&b.build(), 1.0);
         assert!(matches!(rb.factors[0], BlockFactor::Diag(_)));
         let mut z = [0.0; 2];
-        rb.apply_into(0.5, &[8.0, 4.0], &mut z);
+        rb.solve_add(0.5, &[8.0, 4.0], &mut z);
         assert_eq!(z, [1.0, 0.5]);
+    }
+
+    /// Four ranks, 44 dofs: rank 0 owns a 40-dof SPD chain (four Cholesky
+    /// blocks), rank 1 owns nothing, rank 2 an indefinite pair (pivoted
+    /// LU), rank 3 a singular pair (inverse diagonal).
+    fn fallback_problem() -> (DistMatrix, Arc<Layout>, BlockJacobi) {
+        let mut b = CooBuilder::new(44, 44);
+        for i in 0..40 {
+            b.push(i, i, 2.5);
+            if i + 1 < 40 {
+                b.push(i, i + 1, -1.0);
+                b.push(i + 1, i, -1.0);
+            }
+        }
+        for (i, j, v) in [(40, 40, 1.0), (40, 41, 2.0), (41, 40, 2.0), (41, 41, 1.0)] {
+            b.push(i, j, v);
+        }
+        for (i, j) in [(42, 42), (42, 43), (43, 42), (43, 43)] {
+            b.push(i, j, 4.0);
+        }
+        // Couplings across ranks, so the residual refresh has a halo.
+        for (i, j) in [(39, 40), (41, 42)] {
+            b.push(i, j, -0.25);
+            b.push(j, i, -0.25);
+        }
+        let part = (0..44).map(|i| [0, 2, 3][(i.max(38) - 38) / 2]).collect();
+        let l = Layout::from_part(part, 4);
+        let da = DistMatrix::from_global(&b.build(), l.clone(), l.clone());
+        let bj = BlockJacobi::new(&da, 100.0, 0.7);
+        assert_eq!(l.local_len(1), 0);
+        assert_eq!(bj.num_blocks(0), 4);
+        assert!(matches!(bj.ranks[2].factors[..], [BlockFactor::Lu(_)]));
+        assert!(matches!(bj.ranks[3].factors[..], [BlockFactor::Diag(_)]));
+        (da, l, bj)
+    }
+
+    fn bits(v: &DistVec) -> Vec<u64> {
+        v.to_global().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Ordinary values, zeros, and `-0.0` — on dof 42, the singular pair's
+    /// first, among others.
+    fn signed_zero_rhs(l: &Arc<Layout>) -> DistVec {
+        let g: Vec<f64> = (0..l.num_global())
+            .map(|i| match i % 7 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => (i as f64 * 0.61).sin(),
+            })
+            .collect();
+        DistVec::from_global(l.clone(), &g)
+    }
+
+    #[test]
+    fn from_zero_sweep_is_bitwise_a_sweep_on_zeros() {
+        let (da, l, bj) = fallback_problem();
+        let b = signed_zero_rhs(&l);
+        let mut sim = Sim::new(4, MachineModel::default());
+        for sweeps in 0..=3 {
+            let mut want = DistVec::zeros(l.clone());
+            bj.smooth(&mut sim, &da, &b, &mut want, sweeps);
+            // What `x` holds on entry must not matter.
+            let mut x = DistVec::from_global(l.clone(), &[f64::NAN; 44]);
+            bj.smooth_from_zero(&mut sim, &da, &b, &mut x, sweeps);
+            assert_eq!(bits(&x), bits(&want), "{sweeps} sweeps");
+        }
+        // The per-rank entry the SPMD cycle calls is the same kernel.
+        let mut want = DistVec::zeros(l.clone());
+        bj.smooth(&mut sim, &da, &b, &mut want, 1);
+        for rank in 0..4 {
+            let mut xp = vec![f64::NAN; l.local_len(rank)];
+            bj.rank_view(rank).solve_from_zero(b.part(rank), &mut xp);
+            let got: Vec<u64> = xp.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = want.part(rank).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn scatter_add_is_bitwise_apply_then_axpy() {
+        // The unfused form, spelled out: `z = ω B⁻¹ r` into a vector of
+        // its own, then `x += 1.0 · z`.
+        let (_, l, bj) = fallback_problem();
+        let r = signed_zero_rhs(&l);
+        let x0: Vec<f64> = (0..44)
+            .map(|i| {
+                if i % 3 == 0 {
+                    -0.0
+                } else {
+                    (i as f64 * 0.3).cos()
+                }
+            })
+            .collect();
+        for rank in 0..4 {
+            let rb = &bj.ranks[rank];
+            let (rp, n) = (r.part(rank), l.local_len(rank));
+            let mut z = vec![0.0; n];
+            for (blk, fac) in rb.blocks.iter().zip(&rb.factors) {
+                let mut s: Vec<f64> = blk.iter().map(|&v| rp[v as usize]).collect();
+                fac.solve_in_place(&mut s);
+                for (&v, &si) in blk.iter().zip(&s) {
+                    z[v as usize] = bj.omega * si;
+                }
+            }
+            let x0p: Vec<f64> = l.owned(rank).iter().map(|&g| x0[g as usize]).collect();
+            let mut want = x0p.clone();
+            pmg_sparse::vector::axpy(1.0, &z, &mut want);
+            let mut got = x0p;
+            bj.rank_view(rank).solve_add(rp, &mut got);
+            // Bit for bit, signed zeros included: `x + 1.0·(ω s)` and
+            // `x + ω s` are the same sum, so a `-0.0` in `x` survives a
+            // `-0.0` update on both routes.
+            let as_bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(as_bits(&got), as_bits(&want), "rank {rank}");
+        }
+        // From zero the update lands on `+0.0`: a block solve that returns
+        // `-0.0` (the singular pair's, from a `-0.0` residual) reads
+        // `+0.0` in `x` — as `0.0 + z` always did in `smooth`, and unlike
+        // the `z` of the unfused `Precond::apply`, which kept the sign.
+        let mut sim = Sim::new(4, MachineModel::default());
+        let mut z = DistVec::zeros(l.clone());
+        bj.apply(&mut sim, &r, &mut z);
+        assert_eq!(r.part(3)[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(z.part(3)[0].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! Steady-state Chebyshev smoothing must not allocate: the smoother runs
-//! on every level of every V-cycle, and its scratch (`r`, `d`, the flop
-//! charge vectors) lives in a workspace reused across calls. The first
-//! `smooth` on a layout builds that workspace; every later call must be
-//! allocation-free.
+//! Steady-state smoothing must not allocate: the smoother runs on every
+//! level of every V-cycle. Chebyshev keeps its scratch (`r`, `d`, the flop
+//! charge vectors) in a workspace the first `smooth` on a layout builds;
+//! block Jacobi keeps its residual and per-rank gather buffers from
+//! construction. Every later sweep must be allocation-free.
 //!
 //! Asserted with a counting global allocator, so this lives in its own
 //! integration-test binary (the `#[global_allocator]` must not leak into
 //! other tests). The operator under smooth is a diagonal `SimOperator`
-//! whose `spmv` writes parts in place — `DistMatrix::spmv` keeps internal
-//! send-buffer scratch of its own, which is not what this test pins.
+//! whose `spmv` writes parts in place — what `DistMatrix::spmv` allocates
+//! for its ghost values is its own business, not what these tests pin.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use pmg_parallel::{DistVec, Layout, MachineModel, Sim, SimOperator};
-use pmg_solver::Chebyshev;
+use pmg_solver::{BlockJacobi, Chebyshev};
 use pmg_sparse::CooBuilder;
 
 struct CountingAlloc;
@@ -40,6 +40,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The counter is process-global: one test at a time, so that one test's
+/// set-up is never charged to the other's measured sweeps.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -105,6 +109,7 @@ impl SimOperator for DiagOp {
 
 #[test]
 fn steady_state_smooth_allocates_nothing() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let n = 64;
     let nranks = 2;
     let l = Layout::block(n, nranks);
@@ -137,5 +142,54 @@ fn steady_state_smooth_allocates_nothing() {
     assert_eq!(
         n_alloc, 0,
         "steady-state Chebyshev smoothing allocated {n_alloc} times"
+    );
+}
+
+#[test]
+fn block_jacobi_sweeps_allocate_nothing() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 96;
+    let nranks = 2;
+    let l = Layout::block(n, nranks);
+    let mut sim = Sim::new(nranks, MachineModel::default());
+
+    // Tridiagonal blocks for the factors (three sub-domains a rank), the
+    // no-alloc DiagOp with the same diagonal for the residual refresh.
+    let mut b = CooBuilder::new(n, n);
+    let dg: Vec<f64> = (0..n).map(|i| 3.0 + (i % 7) as f64 * 0.25).collect();
+    for (i, &v) in dg.iter().enumerate() {
+        b.push(i, i, v);
+        if i + 1 < n {
+            b.push(i, i + 1, -1.0);
+            b.push(i + 1, i, -1.0);
+        }
+    }
+    let da = pmg_parallel::DistMatrix::from_global(&b.build(), l.clone(), l.clone());
+    let bj = BlockJacobi::new(&da, 60.0, 0.6);
+    assert_eq!(bj.num_blocks(0), 3);
+    let op = DiagOp::new(l.clone(), &dg);
+
+    let bg: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.13).sin()).collect();
+    let rhs = DistVec::from_global(l.clone(), &bg);
+    let mut x = DistVec::zeros(l.clone());
+
+    // The one sweep that may allocate is the first. A one-thread pool
+    // runs the rank-parallel region inline: a larger pool allocates its
+    // own bookkeeping per region, which is not the smoother's doing.
+    bj.smooth(&mut sim, &op, &rhs, &mut x, 1);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+
+    let n_alloc = min_allocations_during(|| {
+        pool.install(|| {
+            bj.smooth_from_zero(&mut sim, &op, &rhs, &mut x, 2);
+            bj.smooth(&mut sim, &op, &rhs, &mut x, 1);
+        })
+    });
+    assert_eq!(
+        n_alloc, 0,
+        "steady-state block-Jacobi smoothing allocated {n_alloc} times"
     );
 }

@@ -92,16 +92,61 @@ impl IndexMut<(usize, usize)> for DenseMatrix {
     }
 }
 
+/// Partial sums of [`lane_dot`]; part of [`Cholesky`]'s bit contract.
+const LANES: usize = 8;
+
+/// `Σ u[j]·x[j]` in a defined, chain-free order. The groups of [`LANES`]
+/// consecutive entries are anchored at the **end** of the slices and taken
+/// from the last group towards the front; lane `l` sums the products at
+/// position `l` of each group. The lanes combine as
+/// `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))` (the shape a halving vector
+/// reduction has), and the `len % LANES` entries left at the front are then
+/// added one by one, entry 0 last.
+///
+/// Back to front because of who calls it: in the backward solve `x[0]` is
+/// the unknown the previous row just produced, so it enters last and the
+/// lanes of one row run while the previous row's division is in flight.
+#[inline]
+fn lane_dot(u: &[f64], x: &[f64]) -> f64 {
+    debug_assert_eq!(u.len(), x.len());
+    let mut s = [0.0f64; LANES];
+    let (mut ug, mut xg) = (u.rchunks_exact(LANES), x.rchunks_exact(LANES));
+    for (uc, xc) in (&mut ug).zip(&mut xg) {
+        for l in 0..LANES {
+            s[l] += uc[l] * xc[l];
+        }
+    }
+    let mut sum = ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+    for (uj, xj) in ug.remainder().iter().zip(xg.remainder()).rev() {
+        sum += uj * xj;
+    }
+    sum
+}
+
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive definite matrix.
 ///
 /// The factor is stored as packed row-major `U = Lᵀ`: row `k` holds
-/// `U[k, k..n]` contiguously, so both the factorization's and the forward
+/// `U[k, k..n]` contiguously, so the factorization's and the forward
 /// solve's inner loops are contiguous axpys with independent lanes (they
 /// vectorize without reassociating anything) and the backward solve is a
-/// contiguous dot over one row. Every element still receives the same
-/// subtractions, in the same ascending-`k` order, as the textbook
-/// row-by-row dot-product form — the factor and the solutions are bit for
-/// bit the ones that form computes (the unit tests keep it as an oracle).
+/// contiguous dot over one row.
+///
+/// **Bit contract.** The *factor* is textbook: every entry receives the
+/// same subtractions, in the same ascending-`k` order, as the row-by-row
+/// dot-product form (the unit tests keep that form as an oracle). The
+/// *solve* bits are defined here. The forward pass is the textbook order.
+/// The backward pass computes
+/// `x[i] = (y[i] − U[i, i+1..n] · x[i+1..n]) / U[i, i]` with the dot taken
+/// in 8 independent partial sums (lanes) over the groups of 8 consecutive
+/// entries counted from the row's end, one fixed combine tree
+/// `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, then the fewer than 8 entries
+/// next to the diagonal one by one, the nearest last. That order is
+/// spelled out in scalar code (and again, independently, in the unit
+/// tests' oracle), so it does not depend on the vector width the compiler
+/// picks or on the pool size. A serial `sum -= u·x` chain would pin bits
+/// just as well but cannot be vectorized under strict IEEE semantics, and
+/// at the smoother's 166-dof blocks its add latency — not the factor's
+/// bytes — set the sweep time.
 #[derive(Clone, Debug)]
 pub struct Cholesky {
     n: usize,
@@ -171,14 +216,11 @@ impl Cholesky {
                 *bj -= ukj * yk;
             }
         }
-        // Backward: U x = y, one dot over row `i` per unknown.
+        // Backward: U x = y, one lane dot over row `i` per unknown.
         for i in (0..n).rev() {
             let ri = self.row_start(i);
-            let mut sum = b[i];
-            for (uik, bk) in self.u[ri + 1..ri + n - i].iter().zip(&b[i + 1..]) {
-                sum -= uik * bk;
-            }
-            b[i] = sum / self.u[ri];
+            let dot = lane_dot(&self.u[ri + 1..ri + n - i], &b[i + 1..]);
+            b[i] = (b[i] - dot) / self.u[ri];
         }
         flops::add((2 * n * n) as u64);
     }
@@ -196,7 +238,8 @@ impl Cholesky {
 #[derive(Clone, Debug)]
 pub struct Lu {
     lu: DenseMatrix,
-    piv: Vec<usize>,
+    /// Row `k` was swapped with row `swaps[k] >= k` at elimination step `k`.
+    swaps: Vec<usize>,
 }
 
 impl Lu {
@@ -205,7 +248,7 @@ impl Lu {
         assert_eq!(a.nrows, a.ncols);
         let n = a.nrows;
         let mut lu = a.clone();
-        let mut piv: Vec<usize> = (0..n).collect();
+        let mut swaps = Vec::with_capacity(n);
         for k in 0..n {
             // Pivot search.
             let mut p = k;
@@ -226,8 +269,8 @@ impl Lu {
                     lu[(k, j)] = lu[(p, j)];
                     lu[(p, j)] = tmp;
                 }
-                piv.swap(k, p);
             }
+            swaps.push(p);
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
                 let m = lu[(i, k)] / pivot;
@@ -239,7 +282,7 @@ impl Lu {
             }
         }
         flops::add((2 * n * n * n / 3).max(1) as u64);
-        Some(Lu { lu, piv })
+        Some(Lu { lu, swaps })
     }
 
     /// Dimension of the factored matrix.
@@ -247,28 +290,37 @@ impl Lu {
         self.lu.nrows
     }
 
-    /// Solve `A x = b`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    /// Solve `A x = b` in place.
+    pub fn solve_in_place(&self, b: &mut [f64]) {
         let n = self.lu.nrows;
         assert_eq!(b.len(), n);
-        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
+        // b ← P b: replay the elimination's row swaps.
+        for (k, &p) in self.swaps.iter().enumerate() {
+            b.swap(k, p);
+        }
         // Forward: L y = P b (unit diagonal).
         for i in 0..n {
-            let mut sum = x[i];
+            let mut sum = b[i];
             for k in 0..i {
-                sum -= self.lu[(i, k)] * x[k];
+                sum -= self.lu[(i, k)] * b[k];
             }
-            x[i] = sum;
+            b[i] = sum;
         }
         // Backward: U x = y.
         for i in (0..n).rev() {
-            let mut sum = x[i];
+            let mut sum = b[i];
             for k in (i + 1)..n {
-                sum -= self.lu[(i, k)] * x[k];
+                sum -= self.lu[(i, k)] * b[k];
             }
-            x[i] = sum / self.lu[(i, i)];
+            b[i] = sum / self.lu[(i, i)];
         }
         flops::add((2 * n * n) as u64);
+    }
+
+    /// Solve `A x = b`, returning a fresh `x`.
+    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x);
         x
     }
 }
@@ -280,7 +332,8 @@ mod tests {
 
     /// The textbook row-by-row dot-product Cholesky (unpacked row-major
     /// `L`) the packed axpy form replaced. Kept as the bitwise oracle: the
-    /// packed factor must reproduce its solutions bit for bit.
+    /// packed factor must reproduce its entries bit for bit, and its
+    /// solutions in the summation order the bit contract defines.
     struct DotCholesky {
         l: DenseMatrix,
     }
@@ -308,6 +361,12 @@ mod tests {
             Some(DotCholesky { l })
         }
 
+        /// The solve in the order `Cholesky`'s bit contract defines,
+        /// written index by index with no slices, chunks or helpers shared
+        /// with the implementation: textbook forward pass; backward pass
+        /// with eight lanes over the groups of eight columns counted from
+        /// the last one, the fixed combine tree, then the leftover columns
+        /// next to the diagonal in descending order.
         fn solve(&self, b: &[f64]) -> Vec<f64> {
             let n = self.l.nrows;
             let mut b = b.to_vec();
@@ -319,11 +378,19 @@ mod tests {
                 b[i] = sum / self.l[(i, i)];
             }
             for i in (0..n).rev() {
-                let mut sum = b[i];
-                for k in (i + 1)..n {
-                    sum -= self.l[(k, i)] * b[k];
+                let groups = (n - i - 1) / 8;
+                let mut s = [0.0f64; 8];
+                for g in 1..=groups {
+                    for (lane, acc) in s.iter_mut().enumerate() {
+                        let k = n - 8 * g + lane;
+                        *acc += self.l[(k, i)] * b[k];
+                    }
                 }
-                b[i] = sum / self.l[(i, i)];
+                let mut dot = ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+                for k in (i + 1..n - 8 * groups).rev() {
+                    dot += self.l[(k, i)] * b[k];
+                }
+                b[i] = (b[i] - dot) / self.l[(i, i)];
             }
             b
         }
@@ -439,31 +506,75 @@ mod tests {
         assert!(Cholesky::factor(&DenseMatrix::zeros(1, 1)).is_none());
     }
 
-    proptest! {
-        #[test]
-        fn prop_packed_cholesky_is_bitwise_the_dot_form(
-            n in 1usize..24,
-            vals in proptest::collection::vec(-1.0f64..1.0, 23 * 23),
-            b in proptest::collection::vec(-5.0f64..5.0, 23),
-            shift in 0.0f64..2.0,
-        ) {
-            // A small shift leaves some draws indefinite: the two forms
-            // must then agree on the rejection as well.
-            let a = gram(n, &vals, shift - 0.5);
-            let b = &b[..n];
-            match (Cholesky::factor(&a), DotCholesky::factor(&a)) {
-                (Some(ch), Some(oracle)) => {
-                    let x = ch.solve(b);
-                    let want = oracle.solve(b);
-                    for (u, v) in x.iter().zip(&want) {
-                        prop_assert_eq!(u.to_bits(), v.to_bits());
-                    }
-                }
-                (None, None) => {}
-                (got, _) => prop_assert!(false, "packed accepted = {}", got.is_some()),
+    #[test]
+    fn solve_is_bitwise_the_lane_order_oracle() {
+        // Every row length from 0 to 39 occurs — rows shorter than one lane
+        // group, every leftover count, several groups — and, across `n`,
+        // every alignment of the groups against the diagonal.
+        for n in 1..=40usize {
+            let vals: Vec<f64> = (0..n * n)
+                .map(|t| ((t * 37 + n) % 101) as f64 / 50.0 - 1.0)
+                .collect();
+            let a = gram(n, &vals, 0.5);
+            let b: Vec<f64> = (0..n)
+                .map(|i| ((i * 29 + n) % 23) as f64 / 4.0 - 2.5)
+                .collect();
+            let ch = Cholesky::factor(&a).unwrap();
+            let oracle = DotCholesky::factor(&a).unwrap();
+            let (x, want) = (ch.solve(&b), oracle.solve(&b));
+            for (i, (u, v)) in x.iter().zip(&want).enumerate() {
+                assert_eq!(u.to_bits(), v.to_bits(), "n = {n}, x[{i}]: {u} vs {v}");
+            }
+            let mut ax = vec![0.0; n];
+            a.matvec(&x, &mut ax);
+            for (u, v) in ax.iter().zip(&b) {
+                assert!((u - v).abs() < 1e-9, "n = {n}: residual {}", u - v);
             }
         }
+    }
 
+    #[test]
+    fn non_finite_right_hand_sides_propagate() {
+        let n = 19;
+        let vals: Vec<f64> = (0..n * n).map(|t| (t % 13) as f64 / 6.0 - 1.0).collect();
+        let ch = Cholesky::factor(&gram(n, &vals, 1.0)).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 7, n - 1] {
+                let mut b = vec![1.0; n];
+                b[at] = bad;
+                ch.solve_in_place(&mut b);
+                assert!(b.iter().any(|v| !v.is_finite()), "{bad} at {at} vanished");
+            }
+        }
+    }
+
+    #[test]
+    fn lu_solves_in_place_through_several_row_swaps() {
+        // The dominant entry of column `j` sits in row `j - 2 (mod 5)`, so
+        // elimination swaps rows at more than one step.
+        let a = DenseMatrix::from_fn(5, 5, |i, j| {
+            ((i * 7 + j * 3) % 11) as f64 - 4.0 + if (i + 2) % 5 == j { 9.0 } else { 0.0 }
+        });
+        let lu = Lu::factor(&a).unwrap();
+        assert!(
+            lu.swaps
+                .iter()
+                .enumerate()
+                .filter(|&(k, &p)| p != k)
+                .count()
+                > 1
+        );
+        let b = [3.0, -1.0, 4.0, 1.5, -2.5];
+        let mut x = b;
+        lu.solve_in_place(&mut x);
+        let mut ax = vec![0.0; 5];
+        a.matvec(&x, &mut ax);
+        for (u, v) in ax.iter().zip(&b) {
+            assert!((u - v).abs() < 1e-10);
+        }
+    }
+
+    proptest! {
         #[test]
         fn prop_cholesky_random_spd(
             vals in proptest::collection::vec(-1.0f64..1.0, 16),

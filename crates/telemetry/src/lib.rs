@@ -76,6 +76,16 @@ struct PhaseAccum {
     count: u64,
 }
 
+/// `map[key]`, inserted as the default first if absent. Only that first
+/// insertion copies the key: recording under a name seen before — every
+/// scope of every cycle after the first — allocates nothing.
+fn entry_mut<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("present or just inserted")
+}
+
 fn state() -> &'static Mutex<State> {
     static STATE: OnceLock<Mutex<State>> = OnceLock::new();
     STATE.get_or_init(|| Mutex::new(State::default()))
@@ -123,6 +133,13 @@ impl Scope {
 /// scopes currently open on this thread; drop the guard to record.
 #[inline]
 pub fn scope(name: &str) -> Scope {
+    scope_fmt(format_args!("{name}"))
+}
+
+/// [`scope`] for a formatted name, written straight onto this thread's
+/// path — no intermediate `String`. Prefer [`scoped!`], which skips even
+/// building the arguments when telemetry is disabled.
+pub fn scope_fmt(name: std::fmt::Arguments<'_>) -> Scope {
     if !enabled() {
         // Instant::now() is unavoidable for the struct, but cheap (vDSO)
         // and allocation-free; the path stack is untouched.
@@ -137,20 +154,13 @@ pub fn scope(name: &str) -> Scope {
         if !p.is_empty() {
             p.push('/');
         }
-        p.push_str(name);
+        std::fmt::Write::write_fmt(&mut *p, name).expect("writing to a String cannot fail");
         prev
     });
     Scope {
         prev_len,
         start: Instant::now(),
     }
-}
-
-/// [`scope`] for an owned (formatted) name. Prefer [`scoped!`], which
-/// skips the formatting entirely when telemetry is disabled.
-#[inline]
-pub fn scope_owned(name: String) -> Scope {
-    scope(&name)
 }
 
 impl Drop for Scope {
@@ -164,7 +174,7 @@ impl Drop for Scope {
             {
                 let path: &str = &p;
                 let mut s = state().lock().unwrap();
-                let acc = s.phases.entry(path.to_string()).or_default();
+                let acc = entry_mut(&mut s.phases, path);
                 acc.total_s += elapsed;
                 acc.count += 1;
             }
@@ -180,7 +190,7 @@ impl Drop for Scope {
 macro_rules! scoped {
     ($($arg:tt)*) => {
         if $crate::enabled() {
-            ::std::option::Option::Some($crate::scope_owned(format!($($arg)*)))
+            ::std::option::Option::Some($crate::scope_fmt(format_args!($($arg)*)))
         } else {
             ::std::option::Option::None
         }
@@ -194,7 +204,7 @@ pub fn counter_add(name: &str, delta: u64) {
         return;
     }
     let mut s = state().lock().unwrap();
-    *s.counters.entry(name.to_string()).or_insert(0) += delta;
+    *entry_mut(&mut s.counters, name) += delta;
 }
 
 /// Set the named gauge (last write wins).
@@ -224,7 +234,7 @@ pub fn series_push(name: &str, value: f64) {
         return;
     }
     let mut s = state().lock().unwrap();
-    s.series.entry(name.to_string()).or_default().push(value);
+    entry_mut(&mut s.series, name).push(value);
 }
 
 /// Attach a free-form label to the report (run id, problem name, ...).
@@ -368,7 +378,7 @@ mod tests {
                     for _ in 0..250 {
                         counter_add("thread_total", 1);
                     }
-                    let _sc = scope_owned(format!("worker{t}"));
+                    let _sc = scope_fmt(format_args!("worker{t}"));
                     counter_add(&format!("per_thread/{t}"), 1);
                 });
             }

@@ -302,6 +302,76 @@ fn overlap_flag_changes_only_the_halo_schedule() {
 }
 
 #[test]
+fn solve_messages_follow_the_cycle_schedule() {
+    // Message counts derived from the schedule, not pinned as numbers: a
+    // V-cycle visit to a non-coarsest level starts from the zero guess, so
+    // its first pre-sweep needs no `A x` and sends no halo — one exchange
+    // fewer per such visit than a schedule that smooths `x = 0` like any
+    // other iterate. The BSP model charges the same messages the
+    // transport sends.
+    use prometheus::CycleType;
+    let sys = pmg_bench::spheres_first_solve(0);
+    let rhs = std::slice::from_ref(&sys.rhs);
+    let pcg_opts = pmg_solver::PcgOptions {
+        rtol: pmg_bench::PARITY_RTOL,
+        max_iters: 200,
+        ..Default::default()
+    };
+    for p in [2usize, 4] {
+        let solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(p));
+        let mg = &solver.mg;
+        assert_eq!(mg.opts.cycle, CycleType::Fmg);
+        let coarsest = mg.num_levels() - 1;
+        assert!(coarsest >= 1, "the parity problem is multi-level");
+        // Messages of one halo exchange (over all ranks), per operator.
+        let halo = |m: &pmg_parallel::DistMatrix| -> u64 {
+            let plan = m.halo_plan();
+            plan.ranks.iter().map(|r| r.send.len() as u64).sum()
+        };
+        // Tree collectives: every non-root rank sends once on the way up
+        // and receives once on the way down.
+        let collective = 2 * (p as u64 - 1);
+
+        // One FMG application: each non-coarsest level `l` restricts,
+        // prolongates and takes one residual on the FMG frame, and is
+        // visited by the correcting V-cycles of levels 0..=l; the coarsest
+        // level solves once on the frame and once per V-cycle.
+        let (pre, post) = (mg.opts.pre_smooth as u64, mg.opts.post_smooth as u64);
+        assert!(pre >= 1, "the zero-guess sweep is the first pre-sweep");
+        let visit_products_like_any_iterate = pre + 1 + post;
+        let visit_products = visit_products_like_any_iterate - 1;
+        let mut application = (coarsest as u64 + 1) * collective;
+        for (l, level) in mg.levels[..coarsest].iter().enumerate() {
+            let visits = l as u64 + 1;
+            let transfers = halo(level.r.as_ref().unwrap()) + halo(level.p.as_ref().unwrap());
+            application += (1 + visits) * transfers;
+            application += (1 + visits * visit_products) * halo(&level.a);
+        }
+
+        // The model: one application charged to a fresh machine.
+        let layout = mg.levels[0].a.row_layout().clone();
+        let mut sim = Sim::new(p, MachineModel::default());
+        let r = DistVec::from_global(layout.clone(), &sys.rhs);
+        let mut z = DistVec::zeros(layout);
+        pmg_solver::Precond::apply(mg, &mut sim, &r, &mut z);
+        let modeled: u64 = sim.finish()["default"].ranks.iter().map(|c| c.msgs).sum();
+        assert_eq!(modeled, application, "p={p}: modeled messages per cycle");
+
+        // The transport: n iterations are n applications, n + 1 fine
+        // products and 3 n + 1 allreduces.
+        let spmd = prometheus::solve_threads(mg, rhs, pcg_opts, true).unwrap();
+        let n = spmd.results[0].iterations as u64;
+        assert_eq!(spmd.stats[0].allreduces, 3 * n + 1, "p={p}");
+        let sent: u64 = spmd.stats.iter().map(|s| s.msgs).sum();
+        assert_eq!(
+            sent,
+            n * application + (n + 1) * halo(&mg.levels[0].a) + (3 * n + 1) * collective,
+            "p={p}: messages of a {n}-iteration solve"
+        );
+    }
+}
+
+#[test]
 fn non_finite_rhs_is_a_reported_breakdown_on_both_runtimes() {
     // A NaN in the right-hand side used to end as `converged: false`,
     // indistinguishable from running out of iterations. Both runtimes —
