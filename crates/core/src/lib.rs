@@ -32,6 +32,7 @@
 
 pub mod classify;
 pub mod coarsen;
+mod cycle;
 pub mod fingerprint;
 pub mod ingest;
 pub mod inspect;

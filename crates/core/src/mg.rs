@@ -1,13 +1,16 @@
-//! The multigrid hierarchy: Galerkin coarse operators, V-cycle, and full
-//! multigrid (the "Epimetheus" layer plus Figure 1 of the paper).
+//! The multigrid hierarchy: Galerkin coarse operators (the "Epimetheus"
+//! layer) and the simulator's backend of the cycle — Figure 1 and full
+//! multigrid themselves are written once, in `cycle.rs`.
 
 use crate::classify::VertexClasses;
 use crate::coarsen::{coarsen_level, CoarseLevel, CoarsenOptions};
+use crate::cycle::{self, CycleScratch, Done, LevelOps};
 use pmg_geometry::Vec3;
 use pmg_parallel::{DistMatFree, DistMatrix, DistVec, Layout, Sim, SimOperator};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
 use pmg_solver::{BlockJacobi, Chebyshev, CoarseDirect, Precond};
 use pmg_sparse::{CsrMatrix, MatrixFreeFactory, RapPlan};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Multigrid cycle used as the CG preconditioner.
@@ -114,28 +117,6 @@ impl Smoother {
             Smoother::Chebyshev(s) => s.smooth(sim, a, b, x, sweeps),
         }
     }
-
-    /// [`smooth`](Self::smooth) from the zero guess, ignoring what `x`
-    /// holds on entry — how every cycle visit starts. Block Jacobi skips
-    /// the `A·0` product of its first sweep
-    /// ([`BlockJacobi::smooth_from_zero`]); Chebyshev zeroes `x` and
-    /// smooths as usual.
-    pub fn smooth_from_zero(
-        &self,
-        sim: &mut Sim,
-        a: &dyn SimOperator,
-        b: &DistVec,
-        x: &mut DistVec,
-        sweeps: usize,
-    ) {
-        match self {
-            Smoother::BlockJacobi(s) => s.smooth_from_zero(sim, a, b, x, sweeps),
-            Smoother::Chebyshev(s) => {
-                x.set_zero();
-                s.smooth(sim, a, b, x, sweeps);
-            }
-        }
-    }
 }
 
 /// Hierarchy construction and cycling options (paper defaults).
@@ -235,73 +216,6 @@ pub struct MgHierarchy {
     /// it — but every solve-time level-0 `A x` routes through this
     /// operator instead.
     pub fine_mf: Option<DistMatFree>,
-}
-
-/// Work vectors of a V- or W-cycle's visit to one non-coarsest level.
-pub(crate) struct VScratch<V> {
-    /// This level: the residual to restrict, then the prolongated
-    /// correction.
-    pub tmp: V,
-    /// Next level: the right-hand side handed down ...
-    pub rc: V,
-    /// ... and the correction handed back.
-    pub xc: V,
-}
-
-/// What a full multigrid cycle adds per non-coarsest level.
-pub(crate) struct FScratch<V> {
-    /// This level: right-hand side and result of the correcting V-cycle.
-    pub res: V,
-    pub corr: V,
-    /// Next level: the restricted right-hand side and the FMG solution.
-    pub rc: V,
-    pub xc: V,
-}
-
-/// Every temporary of one preconditioner application, allocated once for
-/// the whole cycle instead of on every level visit — by
-/// [`MgHierarchy`]'s `Precond::apply` per application (the hierarchy type
-/// has no place to keep them), by the SPMD solve once per solve. Every
-/// vector is written in full before it is read, so the set can be reused
-/// from one application to the next as is.
-pub(crate) struct CycleScratch<V> {
-    /// Per non-coarsest level, from the cycle's entry level down.
-    pub v: Vec<VScratch<V>>,
-    /// Likewise, under [`CycleType::Fmg`]; empty otherwise.
-    pub f: Vec<FScratch<V>>,
-}
-
-impl<V> CycleScratch<V> {
-    /// Scratch for `cycle` entered on level `first` of `num_levels`;
-    /// `zeros(l)` makes a level-`l` vector.
-    pub fn new(
-        first: usize,
-        num_levels: usize,
-        cycle: CycleType,
-        zeros: impl Fn(usize) -> V,
-    ) -> CycleScratch<V> {
-        let visited = first..num_levels - 1;
-        let framed = if cycle == CycleType::Fmg {
-            visited.clone()
-        } else {
-            0..0
-        };
-        let v = visited.map(|l| VScratch {
-            tmp: zeros(l),
-            rc: zeros(l + 1),
-            xc: zeros(l + 1),
-        });
-        let f = framed.map(|l| FScratch {
-            res: zeros(l),
-            corr: zeros(l),
-            rc: zeros(l + 1),
-            xc: zeros(l + 1),
-        });
-        CycleScratch {
-            v: v.collect(),
-            f: f.collect(),
-        }
-    }
 }
 
 /// Expand a scalar (per-vertex) restriction — or any run of its rows — to
@@ -656,155 +570,139 @@ impl MgHierarchy {
 
     /// One V-cycle at `lvl` for right-hand side `r`; returns the correction.
     pub fn vcycle(&self, sim: &mut Sim, lvl: usize, r: &DistVec) -> DistVec {
-        self.run_new(sim, lvl, r, CycleType::V)
-    }
-
-    /// One W-cycle (two coarse-grid visits per level).
-    pub fn wcycle(&self, sim: &mut Sim, lvl: usize, r: &DistVec) -> DistVec {
-        self.run_new(sim, lvl, r, CycleType::W)
+        let mut x = DistVec::zeros(r.layout().clone());
+        self.run(sim, lvl, r, &mut x, CycleType::V);
+        x
     }
 
     /// One full multigrid cycle: restrict the right-hand side to every
     /// grid, solve the coarsest directly, then work back up — prolongate,
     /// correct with a V-cycle on each grid (§2).
     pub fn fmg(&self, sim: &mut Sim, r: &DistVec) -> DistVec {
-        self.run_new(sim, 0, r, CycleType::Fmg)
-    }
-
-    /// [`run`](Self::run) into a fresh vector.
-    fn run_new(&self, sim: &mut Sim, lvl: usize, r: &DistVec, cycle: CycleType) -> DistVec {
         let mut x = DistVec::zeros(r.layout().clone());
-        self.run(sim, lvl, r, &mut x, cycle);
+        self.run(sim, 0, r, &mut x, CycleType::Fmg);
         x
     }
 
-    /// One `cycle` entered at `lvl` for right-hand side `r`, written into
-    /// `x` (whatever it held): allocates the cycle's one scratch set and
-    /// dispatches.
-    fn run(&self, sim: &mut Sim, lvl: usize, r: &DistVec, x: &mut DistVec, cycle: CycleType) {
-        // The entry level's vectors live on the caller's layout, every
-        // deeper level's on the layout its restriction maps onto.
-        let zeros = |l: usize| {
-            DistVec::zeros(if l == lvl {
-                r.layout().clone()
-            } else {
-                let rmat = self.levels[l - 1].r.as_ref();
-                rmat.expect("non-coarsest level has R").row_layout().clone()
-            })
-        };
-        let mut ws = CycleScratch::new(lvl, self.levels.len(), cycle, zeros);
-        match cycle {
-            CycleType::V => self.cycle(sim, lvl, r, x, &mut ws.v, 1),
-            CycleType::W => self.cycle(sim, lvl, r, x, &mut ws.v, 2),
-            CycleType::Fmg => self.fmg_level(sim, lvl, r, x, &mut ws.f, &mut ws.v),
-        }
-    }
-
-    /// The µ-cycle on `A x = r` from the zero guess, written into `x`
-    /// (whatever it held): `mu` = 1 gives the V-cycle, `mu` = 2 the
-    /// W-cycle. `ws[0]` is this level's scratch, `ws[1..]` the deeper
-    /// levels'.
+    /// One `cycle` ([`cycle::apply`]) entered at `lvl` for right-hand side
+    /// `r`, written into `x` (whatever it held). The scratch set is
+    /// allocated per application: the hierarchy type has no place to keep it.
     ///
-    /// Telemetry: each level records `level{lvl}/smooth`, `level{lvl}/
-    /// restrict`, `level{lvl}/prolong` and (on the coarsest) `level{lvl}/
-    /// coarse` under the caller's current path. The scopes are opened
-    /// around individual kernels — not the recursion — so every level's
-    /// records are siblings, ready for flat per-level aggregation.
-    fn cycle(
-        &self,
-        sim: &mut Sim,
-        lvl: usize,
-        r: &DistVec,
-        x: &mut DistVec,
-        ws: &mut [VScratch<DistVec>],
-        mu: usize,
-    ) {
-        let level = &self.levels[lvl];
-        if let Some(direct) = &level.coarse {
-            let _t = pmg_telemetry::scoped!("level{lvl}/coarse");
-            direct.apply(sim, r, x);
-            return;
+    /// Panics unless the hierarchy has the shape the cycle runs on — a direct
+    /// solver on the last level, `R` and `P` on every other (the fields are
+    /// public, so a hand-built hierarchy can lack them).
+    fn run(&self, sim: &mut Sim, lvl: usize, r: &DistVec, x: &mut DistVec, cycle: CycleType) {
+        let (last, above) = self.levels.split_last().expect("hierarchy has a level");
+        assert!(
+            last.coarse.is_some(),
+            "level {} is the coarsest but holds no CoarseDirect",
+            above.len()
+        );
+        for (l, level) in above.iter().enumerate() {
+            let complete = level.r.is_some() && level.p.is_some();
+            assert!(complete, "level {l} is not the coarsest but lacks R or P");
         }
-        let (w, below) = ws.split_first_mut().expect("scratch for every level");
-        {
-            let _t = pmg_telemetry::scoped!("level{lvl}/smooth");
-            let sweeps = self.opts.pre_smooth;
-            level
-                .smoother
-                .smooth_from_zero(sim, self.level_op(lvl), r, x, sweeps);
-        }
+        let opts = MgOptions { cycle, ..self.opts };
+        let entry = (lvl, r.layout());
+        let mut be = SimLevels {
+            mg: self,
+            sim,
+            entry,
+        };
+        let mut ws = CycleScratch::new(&be, lvl, cycle);
+        let Ok(()) = cycle::apply(&mut be, &opts, lvl, r, x, &mut ws);
+    }
+}
 
-        let rmat = level.r.as_ref().expect("non-coarsest level has R");
-        let pmat = level.p.as_ref().expect("non-coarsest level has P");
-        for _ in 0..mu {
-            {
-                let _t = pmg_telemetry::scoped!("level{lvl}/restrict");
-                self.level_op(lvl).spmv(sim, x, &mut w.tmp);
-                w.tmp.aypx(sim, -1.0, r); // tmp = r - A x
-                rmat.spmv(sim, &w.tmp, &mut w.rc);
-            }
-            self.cycle(sim, lvl + 1, &w.rc, &mut w.xc, below, mu);
-            {
-                let _t = pmg_telemetry::scoped!("level{lvl}/prolong");
-                pmat.spmv(sim, &w.xc, &mut w.tmp);
-                x.axpy(sim, 1.0, &w.tmp);
-            }
-            if self.levels[lvl + 1].coarse.is_some() {
-                break; // next level is a direct solve: revisiting is a no-op
-            }
-        }
+/// The simulator's backend of the cycle: every kernel runs over all virtual
+/// ranks and is charged to the machine model.
+struct SimLevels<'a> {
+    mg: &'a MgHierarchy,
+    sim: &'a mut Sim,
+    /// The cycle's entry level and the caller's layout for it: vector
+    /// updates need both operands on one `Arc`, so the entry level's scratch
+    /// lives on the layout of the caller's vectors, every deeper level's on
+    /// the layout its restriction maps onto.
+    entry: (usize, &'a Arc<Layout>),
+}
 
-        {
-            let _t = pmg_telemetry::scoped!("level{lvl}/smooth");
-            level
-                .smoother
-                .smooth(sim, self.level_op(lvl), r, x, self.opts.post_smooth);
-        }
+impl LevelOps for SimLevels<'_> {
+    type Vector = DistVec;
+    type Error = Infallible;
+
+    fn num_levels(&self) -> usize {
+        self.mg.levels.len()
     }
 
-    /// Full multigrid on `A x = b` from level `lvl` down, written into `x`:
-    /// restrict `b`, solve the coarser problem the same way, prolongate its
-    /// solution, correct it with one V-cycle on this level's residual.
-    /// Unrolled over the levels: every restriction on the way down, the
-    /// direct solve, then prolongate-and-correct on the way back up.
-    fn fmg_level(
-        &self,
-        sim: &mut Sim,
+    fn zeros(&self, lvl: usize) -> DistVec {
+        let (first, layout) = self.entry;
+        DistVec::zeros(if lvl == first {
+            layout.clone()
+        } else {
+            let rmat = self.mg.levels[lvl - 1].r.as_ref();
+            rmat.expect("checked on entry").row_layout().clone()
+        })
+    }
+
+    /// The smoothers keep their own residual vector: `_scratch` is unused.
+    fn smooth(
+        &mut self,
         lvl: usize,
         b: &DistVec,
         x: &mut DistVec,
-        fs: &mut [FScratch<DistVec>],
-        vs: &mut [VScratch<DistVec>],
-    ) {
-        let level = &self.levels[lvl];
-        if let Some(direct) = &level.coarse {
-            let _t = pmg_telemetry::scoped!("level{lvl}/coarse");
-            direct.apply(sim, b, x);
-            return;
+        _scratch: &mut DistVec,
+        sweeps: usize,
+        from_zero: bool,
+    ) -> Done<Self> {
+        let a = self.mg.level_op(lvl);
+        match (&self.mg.levels[lvl].smoother, from_zero) {
+            // Block Jacobi skips the `A·0` product of its first sweep.
+            (Smoother::BlockJacobi(s), true) => s.smooth_from_zero(self.sim, a, b, x, sweeps),
+            (s, _) => {
+                if from_zero {
+                    x.set_zero();
+                }
+                s.smooth(self.sim, a, b, x, sweeps);
+            }
         }
-        let (f, below) = fs.split_first_mut().expect("scratch for every level");
-        {
-            let _t = pmg_telemetry::scoped!("level{lvl}/restrict");
-            let rmat = level.r.as_ref().expect("non-coarsest level has R");
-            rmat.spmv(sim, b, &mut f.rc);
-        }
-        self.fmg_level(sim, lvl + 1, &f.rc, &mut f.xc, below, &mut vs[1..]);
-        {
-            let _t = pmg_telemetry::scoped!("level{lvl}/prolong");
-            let pmat = level.p.as_ref().expect("non-coarsest level has P");
-            pmat.spmv(sim, &f.xc, x);
-        }
-        // Residual on this grid, then V-cycle correction.
-        self.level_op(lvl).spmv(sim, x, &mut f.res);
-        f.res.aypx(sim, -1.0, b);
-        self.cycle(sim, lvl, &f.res, &mut f.corr, vs, 1);
-        x.axpy(sim, 1.0, &f.corr);
+        Ok(())
+    }
+
+    fn residual(&mut self, lvl: usize, b: &DistVec, x: &DistVec, r: &mut DistVec) -> Done<Self> {
+        self.mg.level_op(lvl).spmv(self.sim, x, r);
+        r.aypx(self.sim, -1.0, b);
+        Ok(())
+    }
+
+    fn restrict(&mut self, lvl: usize, f: &DistVec, c: &mut DistVec) -> Done<Self> {
+        let rmat = self.mg.levels[lvl].r.as_ref().expect("checked on entry");
+        rmat.spmv(self.sim, f, c);
+        Ok(())
+    }
+
+    fn prolong(&mut self, lvl: usize, c: &DistVec, f: &mut DistVec) -> Done<Self> {
+        let pmat = self.mg.levels[lvl].p.as_ref().expect("checked on entry");
+        pmat.spmv(self.sim, c, f);
+        Ok(())
+    }
+
+    fn coarse_solve(&mut self, b: &DistVec, x: &mut DistVec) -> Done<Self> {
+        let direct = self.mg.levels.last().and_then(|l| l.coarse.as_ref());
+        direct.expect("checked on entry").apply(self.sim, b, x);
+        Ok(())
+    }
+
+    fn add(&mut self, x: &mut DistVec, y: &DistVec) {
+        x.axpy(self.sim, 1.0, y);
+    }
+
+    fn traced(&self) -> bool {
+        true
     }
 }
 
 impl Precond for MgHierarchy {
     fn apply(&self, sim: &mut Sim, r: &DistVec, z: &mut DistVec) {
-        let _t = pmg_telemetry::scope("precond");
         self.run(sim, 0, r, z, self.opts.cycle);
     }
 }
@@ -890,6 +788,21 @@ mod tests {
             norms[3] < 0.2 * norms[0],
             "V-cycle contraction too weak: {norms:?}"
         );
+    }
+
+    /// A hand-built hierarchy (the fields are public) whose last level has
+    /// no direct solver is refused on entry, by name — not deep in the
+    /// recursion with "scratch for every level".
+    #[test]
+    #[should_panic(expected = "level 1 is the coarsest but holds no CoarseDirect")]
+    fn a_bottom_level_without_a_direct_solver_is_named() {
+        let (a, coords, g, c) = scalar_problem(4); // 125 vertices: two levels
+        let mut sim = Sim::new(1, MachineModel::default());
+        let mut mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &c, opts_scalar());
+        assert_eq!(mg.num_levels(), 2);
+        mg.levels[1].coarse = None;
+        let r = DistVec::zeros(mg.levels[0].a.row_layout().clone());
+        mg.vcycle(&mut sim, 0, &r);
     }
 
     #[test]

@@ -22,12 +22,9 @@
 
 use crate::classify::VertexClasses;
 use crate::coarsen::coarsen_level_transport;
+use crate::cycle::{self, CycleScratch, Done, LevelOps};
 use crate::ingest::RankSeed;
-use crate::mg::MgOptions;
-use crate::mg::{
-    expand_restriction, CycleScratch, CycleType, FScratch, FineOperator, MgHierarchy, Smoother,
-    SmootherType, VScratch,
-};
+use crate::mg::{expand_restriction, FineOperator, MgHierarchy, MgOptions, Smoother, SmootherType};
 use pmg_comm::{f64s_from_bytes, f64s_to_bytes, CommError, CommStats, LocalTransport, Transport};
 use pmg_geometry::Vec3;
 use pmg_parallel::{Layout, MfRankOp, OverlapInfo, RankMatrix, RankOp};
@@ -177,9 +174,8 @@ struct RankLevel<'a> {
 /// counterpart of the hierarchy's `Precond` implementation.
 pub struct RankHierarchy<'a> {
     levels: Vec<RankLevel<'a>>,
-    cycle: CycleType,
-    pre_smooth: usize,
-    post_smooth: usize,
+    /// Which cycle to run (`cycle`, `pre_smooth`, `post_smooth`).
+    opts: MgOptions,
     /// The halo schedule (default on): operator, restriction, and
     /// prolongation products — including the smoother's residual refresh —
     /// compute interior rows between halo `start` and `finish`
@@ -188,13 +184,6 @@ pub struct RankHierarchy<'a> {
     /// messages, enter the same allreduces, and produce the same bits (see
     /// `docs/comm.md`); flip off for A/B wait-time measurements of the
     /// blocking schedule.
-    ///
-    /// Until PR 13 the flag also made PCG apply the preconditioner *before*
-    /// the convergence test so `r·r` and `r·z` could share one allreduce.
-    /// That cost one discarded MG cycle per solve (14 cycles for 13
-    /// iterations in BENCH_PR7/PR8, against 13 allreduces saved) and is why
-    /// those snapshots show the overlapped solve slower than the blocking
-    /// one.
     pub overlap: bool,
 }
 
@@ -222,8 +211,8 @@ struct DistLevel {
     smoother: RankJacobi,
     /// The coarsest-grid factor: the owned rows are tree-gathered and
     /// factored on rank 0 alone, leaving `None` elsewhere — only rank 0's
-    /// copy ever solves, and the bottom-level marker is `r.is_none()`, not
-    /// this field.
+    /// copy ever solves. The bottom level is the last one, whatever this
+    /// field holds.
     coarse: Option<CoarseDirect>,
     layout: Arc<Layout>,
 }
@@ -304,9 +293,7 @@ struct DistLevel {
 /// ```
 pub struct DistributedSetup {
     levels: Vec<DistLevel>,
-    cycle: CycleType,
-    pre_smooth: usize,
-    post_smooth: usize,
+    opts: MgOptions,
     rank: usize,
 }
 
@@ -370,9 +357,7 @@ impl DistributedSetup {
             .collect();
         RankHierarchy {
             levels,
-            cycle: self.cycle,
-            pre_smooth: self.pre_smooth,
-            post_smooth: self.post_smooth,
+            opts: self.opts,
             overlap: true,
         }
     }
@@ -785,9 +770,7 @@ impl<'a> RankHierarchy<'a> {
             .collect();
         RankHierarchy {
             levels,
-            cycle: mg.opts.cycle,
-            pre_smooth: mg.opts.pre_smooth,
-            post_smooth: mg.opts.post_smooth,
+            opts: mg.opts,
             overlap: true,
         }
     }
@@ -1010,134 +993,78 @@ impl<'a> RankHierarchy<'a> {
             pmg_telemetry::counter_add("comm/setup_bytes", ds.bytes - stats0.bytes);
             pmg_telemetry::gauge_set("comm/setup_wait_s", ds.wait_s - stats0.wait_s);
         }
-        Ok(DistributedSetup {
-            levels,
-            cycle: opts.cycle,
-            pre_smooth: opts.pre_smooth,
-            post_smooth: opts.post_smooth,
-            rank,
-        })
+        Ok(DistributedSetup { levels, opts, rank })
+    }
+}
+
+/// One rank's backend of the cycle: vectors are the rank's owned slices,
+/// every product is a real halo exchange, and the bottom level is one
+/// gather-solve-scatter through rank 0.
+struct RankLevels<'a, 'h, T: Transport> {
+    t: &'a mut T,
+    h: &'a RankHierarchy<'h>,
+    waits: PhaseWaits,
+}
+
+impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
+    type Vector = Vec<f64>;
+    type Error = CommError;
+
+    fn num_levels(&self) -> usize {
+        self.h.levels.len()
     }
 
-    /// The scratch set of this rank's cycles: allocated once per solve,
-    /// reused by every preconditioner application.
-    fn scratch(&self) -> CycleScratch<Vec<f64>> {
-        CycleScratch::new(0, self.levels.len(), self.cycle, |l| {
-            vec![0.0; self.levels[l].a.local_rows()]
-        })
+    fn zeros(&self, lvl: usize) -> Vec<f64> {
+        vec![0.0; self.h.levels[lvl].a.local_rows()]
     }
 
-    /// Apply the preconditioner (one MG cycle) to `r`, written into `z`,
-    /// mirroring `MgHierarchy::apply`.
-    fn precond<T: Transport>(
-        &self,
-        t: &mut T,
-        w: &mut PhaseWaits,
-        r: &[f64],
-        z: &mut [f64],
-        ws: &mut CycleScratch<Vec<f64>>,
-    ) -> Result<(), CommError> {
-        match self.cycle {
-            CycleType::V => self.cycle(t, w, 0, r, z, &mut ws.v, 1),
-            CycleType::W => self.cycle(t, w, 0, r, z, &mut ws.v, 2),
-            CycleType::Fmg => self.fmg_level(t, w, 0, r, z, &mut ws.f, &mut ws.v),
-        }
-    }
-
-    /// `sweeps` stationary smoothing passes `x ← x + ω B⁻¹ (b − A x)`,
-    /// mirroring `BlockJacobi::smooth`; `res` holds the residual.
-    #[allow(clippy::too_many_arguments)]
-    fn smooth<T: Transport>(
-        &self,
-        t: &mut T,
-        w: &mut PhaseWaits,
+    /// Stationary sweeps `x ← x + ω B⁻¹ (b − A x)`, as
+    /// `BlockJacobi::smooth[_from_zero]`: `res` holds the residual, and the
+    /// first sweep from the zero guess needs no product, so no halo
+    /// exchange either.
+    fn smooth(
+        &mut self,
         lvl: usize,
-        b: &[f64],
-        x: &mut [f64],
-        res: &mut [f64],
-        sweeps: usize,
-    ) -> Result<(), CommError> {
-        let level = &self.levels[lvl];
+        b: &Vec<f64>,
+        x: &mut Vec<f64>,
+        res: &mut Vec<f64>,
+        mut sweeps: usize,
+        from_zero: bool,
+    ) -> Done<Self> {
+        let smoother = &self.h.levels[lvl].smoother;
+        if from_zero {
+            match sweeps.checked_sub(1) {
+                None => x.fill(0.0),
+                Some(more) => {
+                    smoother.solve_from_zero(b, x);
+                    sweeps = more;
+                }
+            }
+        }
         for _ in 0..sweeps {
-            halo_spmv(t, w, &level.a, self.overlap, x, res)?; // res = A x
-            vector::aypx(-1.0, b, res); // res = b - A x
-            level.smoother.solve_add(res, x);
+            self.residual(lvl, b, x, res)?;
+            smoother.solve_add(res, x);
         }
         Ok(())
     }
 
-    /// The µ-cycle on `A x = r` from the zero guess, written into `x`,
-    /// mirroring `MgHierarchy::cycle` (µ = 1 V-cycle, 2 W).
-    #[allow(clippy::too_many_arguments)]
-    fn cycle<T: Transport>(
-        &self,
-        t: &mut T,
-        w: &mut PhaseWaits,
-        lvl: usize,
-        r: &[f64],
-        x: &mut [f64],
-        ws: &mut [VScratch<Vec<f64>>],
-        mu: usize,
-    ) -> Result<(), CommError> {
-        let level = &self.levels[lvl];
-        // The coarsest level is the one with no restriction below it; the
-        // direct factor itself may live on rank 0 alone (sharded setup) or
-        // everywhere (replicated hierarchy), so it is not the marker.
-        let (Some(rmat), Some(pmat)) = (&level.r, &level.p) else {
-            return self.coarse_apply(t, w, lvl, r, x);
-        };
-        let (s, below) = ws.split_first_mut().expect("scratch for every level");
-        // From the zero guess, as `BlockJacobi::smooth_from_zero`: the
-        // first sweep needs no product, so no halo exchange either.
-        match self.pre_smooth.checked_sub(1) {
-            None => x.fill(0.0),
-            Some(more) => {
-                level.smoother.solve_from_zero(r, x);
-                self.smooth(t, w, lvl, r, x, &mut s.tmp, more)?;
-            }
-        }
-
-        for _ in 0..mu {
-            halo_spmv(t, w, &level.a, self.overlap, x, &mut s.tmp)?;
-            vector::aypx(-1.0, r, &mut s.tmp); // tmp = r - A x
-            halo_spmv(t, w, rmat, self.overlap, &s.tmp, &mut s.rc)?;
-            self.cycle(t, w, lvl + 1, &s.rc, &mut s.xc, below, mu)?;
-            halo_spmv(t, w, pmat, self.overlap, &s.xc, &mut s.tmp)?;
-            vector::axpy(1.0, &s.tmp, x);
-            if self.levels[lvl + 1].r.is_none() {
-                break; // next level is a direct solve: revisiting is a no-op
-            }
-        }
-
-        self.smooth(t, w, lvl, r, x, &mut s.tmp, self.post_smooth)
+    fn residual(&mut self, lvl: usize, b: &Vec<f64>, x: &Vec<f64>, r: &mut Vec<f64>) -> Done<Self> {
+        let a = &self.h.levels[lvl].a;
+        halo_spmv(self.t, &mut self.waits, a, self.h.overlap, x, r)?;
+        vector::aypx(-1.0, b, r);
+        Ok(())
     }
 
-    /// Full multigrid on `A x = b` from level `lvl` down, written into `x`,
-    /// mirroring `MgHierarchy::fmg_level`.
-    #[allow(clippy::too_many_arguments)]
-    fn fmg_level<T: Transport>(
-        &self,
-        t: &mut T,
-        w: &mut PhaseWaits,
-        lvl: usize,
-        b: &[f64],
-        x: &mut [f64],
-        fs: &mut [FScratch<Vec<f64>>],
-        vs: &mut [VScratch<Vec<f64>>],
-    ) -> Result<(), CommError> {
-        let level = &self.levels[lvl];
-        let (Some(rmat), Some(pmat)) = (&level.r, &level.p) else {
-            return self.coarse_apply(t, w, lvl, b, x);
-        };
-        let (f, below) = fs.split_first_mut().expect("scratch for every level");
-        halo_spmv(t, w, rmat, self.overlap, b, &mut f.rc)?;
-        self.fmg_level(t, w, lvl + 1, &f.rc, &mut f.xc, below, &mut vs[1..])?;
-        halo_spmv(t, w, pmat, self.overlap, &f.xc, x)?;
-        halo_spmv(t, w, &level.a, self.overlap, x, &mut f.res)?;
-        vector::aypx(-1.0, b, &mut f.res);
-        self.cycle(t, w, lvl, &f.res, &mut f.corr, vs, 1)?;
-        vector::axpy(1.0, &f.corr, x);
-        Ok(())
+    fn restrict(&mut self, lvl: usize, f: &Vec<f64>, c: &mut Vec<f64>) -> Done<Self> {
+        let rmat = self.h.levels[lvl].r.as_ref();
+        let rmat = rmat.expect("level above the bottom has R");
+        halo_spmv(self.t, &mut self.waits, rmat, self.h.overlap, f, c)
+    }
+
+    fn prolong(&mut self, lvl: usize, c: &Vec<f64>, f: &mut Vec<f64>) -> Done<Self> {
+        let pmat = self.h.levels[lvl].p.as_ref();
+        let pmat = pmat.expect("level above the bottom has P");
+        halo_spmv(self.t, &mut self.waits, pmat, self.h.overlap, c, f)
     }
 
     /// Coarsest-grid direct solve of `A x = r`, written into `x`: gather
@@ -1148,17 +1075,10 @@ impl<'a> RankHierarchy<'a> {
     /// both travel the binomial tree as one coalesced message per edge, and
     /// the scatter ships each rank only its own values instead of
     /// broadcasting the full coarse vector — which is also precisely the
-    /// mirror traffic `CoarseDirect::apply` charges the BSP model.
-    fn coarse_apply<T: Transport>(
-        &self,
-        t: &mut T,
-        w: &mut PhaseWaits,
-        lvl: usize,
-        r: &[f64],
-        x: &mut [f64],
-    ) -> Result<(), CommError> {
-        let level = &self.levels[lvl];
-        let layout = level.layout;
+    /// traffic `CoarseDirect::apply` charges the BSP model.
+    fn coarse_solve(&mut self, r: &Vec<f64>, x: &mut Vec<f64>) -> Done<Self> {
+        let level = self.h.levels.last().expect("hierarchy has a level");
+        let (t, layout) = (&mut *self.t, level.layout);
         let before = t.stats().wait_s;
         let gathered = pmg_comm::gather(t, &f64s_to_bytes(r))?;
         let shares = gathered.map(|parts| {
@@ -1184,11 +1104,20 @@ impl<'a> RankHierarchy<'a> {
                 .collect()
         });
         let mine = pmg_comm::scatter(t, shares)?;
-        w.coarse_s += t.stats().wait_s - before;
+        self.waits.coarse_s += t.stats().wait_s - before;
         for (xi, v) in x.iter_mut().zip(f64s_from_bytes(&mine)) {
             *xi = v;
         }
         Ok(())
+    }
+
+    fn add(&mut self, x: &mut Vec<f64>, y: &Vec<f64>) {
+        vector::axpy(1.0, y, x);
+    }
+
+    // Rank 0 only, so SPMD runs record once like the orchestrated path.
+    fn traced(&self) -> bool {
+        self.t.rank() == 0
     }
 }
 
@@ -1222,10 +1151,9 @@ fn halo_spmv<T: Transport>(
 /// owned slices, the operator and preconditioner come from the rank's
 /// [`RankHierarchy`], and every reduction point is one `allreduce_many`.
 struct TransportPcg<'a, 'h, T: Transport> {
-    t: &'a mut T,
-    h: &'a RankHierarchy<'h>,
-    waits: PhaseWaits,
-    /// The cycle's temporaries, shared by every application of the solve.
+    ops: RankLevels<'a, 'h, T>,
+    /// The cycle's temporaries, allocated once per solve and shared by
+    /// every preconditioner application.
     scratch: CycleScratch<Vec<f64>>,
 }
 
@@ -1234,17 +1162,17 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
     type Error = CommError;
 
     fn zeros(&self) -> Vec<f64> {
-        vec![0.0; self.h.levels[0].a.local_rows()]
+        self.ops.zeros(0)
     }
 
     fn apply(&mut self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) -> Result<(), CommError> {
-        let fine = &self.h.levels[0].a;
-        halo_spmv_multi(self.t, &mut self.waits, fine, self.h.overlap, xs, ys)
+        let (h, ops) = (self.ops.h, &mut self.ops);
+        halo_spmv_multi(ops.t, &mut ops.waits, &h.levels[0].a, h.overlap, xs, ys)
     }
 
     fn precond(&mut self, r: &Vec<f64>, z: &mut Vec<f64>) -> Result<(), CommError> {
-        self.h
-            .precond(self.t, &mut self.waits, r, z, &mut self.scratch)
+        let opts = &self.ops.h.opts;
+        cycle::apply(&mut self.ops, opts, 0, r, z, &mut self.scratch)
     }
 
     /// Local partials, then one batched binomial allreduce: it reduces
@@ -1252,9 +1180,10 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
     /// component is bitwise its own scalar allreduce.
     fn dots(&mut self, pairs: &[(&Vec<f64>, &Vec<f64>)]) -> Result<Vec<f64>, CommError> {
         let mut partials: Vec<f64> = pairs.iter().map(|(u, v)| vector::dot(u, v)).collect();
-        let before = self.t.stats().wait_s;
-        pmg_comm::allreduce_many(self.t, &mut partials)?;
-        self.waits.allreduce_s += self.t.stats().wait_s - before;
+        let ops = &mut self.ops;
+        let before = ops.t.stats().wait_s;
+        pmg_comm::allreduce_many(ops.t, &mut partials)?;
+        ops.waits.allreduce_s += ops.t.stats().wait_s - before;
         Ok(partials)
     }
 
@@ -1266,15 +1195,14 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
         vector::aypx(beta, x, y);
     }
 
-    // Rank 0 only, so SPMD runs record once like the orchestrated path.
     fn record_iteration(&mut self) {
-        if self.t.rank() == 0 {
+        if self.ops.traced() {
             pmg_telemetry::counter_add("pcg/iterations", 1);
         }
     }
 
     fn record_residual(&mut self, rnorm: f64) {
-        if self.t.rank() == 0 {
+        if self.ops.traced() {
             pmg_telemetry::series_push("pcg/residuals", rnorm);
         }
     }
@@ -1287,9 +1215,12 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
 /// guess and the solution.
 ///
 /// Telemetry (rank 0 only): `pcg/iterations`, the `pcg/residuals` series,
-/// the real per-phase wait gauges `comm/wait/{halo,allreduce,coarse}`, and
-/// the overlap accounting `comm/overlap/{interior_rows,boundary_rows}`
-/// counters plus the `comm/overlap/halo_hidden_s` gauge.
+/// the cycle's scopes — `precond` and under it
+/// `level{N}/{smooth,restrict,prolong,coarse}`, entered as often as the
+/// simulator enters them — the real per-phase wait gauges
+/// `comm/wait/{halo,allreduce,coarse}`, and the overlap accounting
+/// `comm/overlap/{interior_rows,boundary_rows}` counters plus the
+/// `comm/overlap/halo_hidden_s` gauge.
 pub fn spmd_pcg<T: Transport>(
     t: &mut T,
     h: &RankHierarchy<'_>,
@@ -1323,18 +1254,18 @@ pub fn spmd_pcg_multi<T: Transport>(
     xs_local: &mut [Vec<f64>],
     opts: PcgOptions,
 ) -> Result<(Vec<PcgResult>, PhaseWaits), CommError> {
-    let root = t.rank() == 0;
-    let mut be = TransportPcg {
+    let ops = RankLevels {
         t,
         h,
         waits: PhaseWaits::default(),
-        scratch: h.scratch(),
     };
+    let scratch = CycleScratch::new(&ops, 0, h.opts.cycle);
+    let mut be = TransportPcg { ops, scratch };
     let results = pcg_blocked(&mut be, bs_local, xs_local, &vec![opts; bs_local.len()])?;
-    if root && !results.is_empty() {
-        be.waits.publish();
+    if be.ops.traced() && !results.is_empty() {
+        be.ops.waits.publish();
     }
-    Ok((results, be.waits))
+    Ok((results, be.ops.waits))
 }
 
 /// Outcome of a threaded SPMD solve: one assembled global solution and

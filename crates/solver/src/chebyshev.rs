@@ -17,15 +17,11 @@ use crate::precond::Precond;
 use pmg_parallel::{DistMatrix, DistVec, Layout, Sim, SimOperator};
 use std::sync::{Arc, Mutex};
 
-/// Reused smoothing scratch: single-vector `r`/`d`, the k-column buffers of
-/// [`Chebyshev::smooth_multi`], and the per-rank flop charges of the
-/// BLAS-1 updates (so no charge vector is built per call).
+/// Reused smoothing scratch: the vectors `r`/`d` and the per-rank flop
+/// charges of the BLAS-1 updates (so no charge vector is built per call).
 struct ChebWorkspace {
     r: DistVec,
     d: DistVec,
-    /// `smooth_multi` buffers: residuals `multi[0..k]`, directions
-    /// `multi[k..2k]` (grown to the largest k seen).
-    multi: Vec<DistVec>,
     flops1: Vec<u64>,
     flops2: Vec<u64>,
 }
@@ -39,7 +35,6 @@ impl ChebWorkspace {
         ChebWorkspace {
             r: DistVec::zeros(layout.clone()),
             d: DistVec::zeros(layout.clone()),
-            multi: Vec::new(),
             flops1,
             flops2,
         }
@@ -174,7 +169,6 @@ impl Chebyshev {
             d,
             flops1,
             flops2,
-            ..
         } = ws;
 
         for _ in 0..steps {
@@ -201,74 +195,6 @@ impl Chebyshev {
                 scale_parts(sim, flops1, d, rho * rho_prev);
                 axpy_parts(sim, flops2, 2.0 * rho / delta, r, d);
                 axpy_parts(sim, flops2, 1.0, d, x);
-                rho_prev = rho;
-            }
-        }
-    }
-
-    /// Smooth k systems `A xs[c] = bs[c]` at once through the operator's
-    /// batched [`SimOperator::spmv_multi`]: the recurrence scalars are
-    /// column-independent, so column `c` after this call is **bitwise**
-    /// what [`Chebyshev::smooth`] leaves in `xs[c]` — the element/matrix
-    /// data is just read once per recurrence step instead of k times.
-    pub fn smooth_multi(
-        &self,
-        sim: &mut Sim,
-        a: &dyn SimOperator,
-        bs: &[DistVec],
-        xs: &mut [DistVec],
-        steps: usize,
-    ) {
-        let k = bs.len();
-        assert_eq!(xs.len(), k, "smooth_multi needs matching b/x counts");
-        if k == 0 {
-            return;
-        }
-        let layout = bs[0].layout().clone();
-        let lmax = self.lambda_max;
-        let lmin = lmax / self.ratio;
-        let theta = 0.5 * (lmax + lmin);
-        let delta = 0.5 * (lmax - lmin);
-
-        let mut guard = self.workspace.lock().unwrap_or_else(|e| e.into_inner());
-        if !matches!(&*guard, Some(ws) if Arc::ptr_eq(ws.r.layout(), &layout)) {
-            *guard = Some(ChebWorkspace::new(&layout));
-        }
-        let ws = guard.as_mut().unwrap();
-        while ws.multi.len() < 2 * k {
-            ws.multi.push(DistVec::zeros(layout.clone()));
-        }
-        let ChebWorkspace {
-            multi,
-            flops1,
-            flops2,
-            ..
-        } = ws;
-        let (rs, ds) = multi.split_at_mut(k);
-        let rs = &mut rs[..k];
-        let ds = &mut ds[..k];
-
-        for _ in 0..steps {
-            a.spmv_multi(sim, xs, rs);
-            for c in 0..k {
-                aypx_parts(sim, flops2, -1.0, &bs[c], &mut rs[c]);
-                self.dinv_apply(sim, &mut rs[c]);
-                ds[c].copy_from(&rs[c]);
-                scale_parts(sim, flops1, &mut ds[c], 1.0 / theta);
-                axpy_parts(sim, flops2, 1.0, &ds[c], &mut xs[c]);
-            }
-            let sigma = theta / delta;
-            let mut rho_prev = 1.0 / sigma;
-            for _ in 1..self.degree {
-                a.spmv_multi(sim, xs, rs);
-                let rho = 1.0 / (2.0 * sigma - rho_prev);
-                for c in 0..k {
-                    aypx_parts(sim, flops2, -1.0, &bs[c], &mut rs[c]);
-                    self.dinv_apply(sim, &mut rs[c]);
-                    scale_parts(sim, flops1, &mut ds[c], rho * rho_prev);
-                    axpy_parts(sim, flops2, 2.0 * rho / delta, &rs[c], &mut ds[c]);
-                    axpy_parts(sim, flops2, 1.0, &ds[c], &mut xs[c]);
-                }
                 rho_prev = rho;
             }
         }
@@ -371,34 +297,5 @@ mod tests {
             .sum::<f64>()
             .sqrt();
         assert!(err < 0.2 * (n as f64).sqrt(), "residual {err}");
-    }
-
-    #[test]
-    fn smooth_multi_bitwise_matches_k_single_smooths() {
-        let n = 48;
-        let k = 3;
-        let a = laplacian(n);
-        let l = Layout::block(n, 2);
-        let mut sim = Sim::new(2, MachineModel::default());
-        let da = pmg_parallel::DistMatrix::from_global(&a, l.clone(), l.clone());
-        let cheb = Chebyshev::new(&mut sim, &da, 4, 25.0);
-        let bs: Vec<DistVec> = (0..k)
-            .map(|c| {
-                let b: Vec<f64> = (0..n).map(|i| ((i + 11 * c) as f64 * 0.37).sin()).collect();
-                DistVec::from_global(l.clone(), &b)
-            })
-            .collect();
-        let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).cos()).collect();
-        let mut xs: Vec<DistVec> = (0..k)
-            .map(|_| DistVec::from_global(l.clone(), &x0))
-            .collect();
-        cheb.smooth_multi(&mut sim, &da, &bs, &mut xs, 2);
-        for c in 0..k {
-            let mut x1 = DistVec::from_global(l.clone(), &x0);
-            cheb.smooth(&mut sim, &da, &bs[c], &mut x1, 2);
-            for (a, b) in xs[c].to_global().iter().zip(x1.to_global()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "c={c}");
-            }
-        }
     }
 }

@@ -15,7 +15,6 @@
 //! * [`precond`] — the preconditioner interface shared with the multigrid
 //!   crate.
 
-pub mod bicgstab;
 pub mod chebyshev;
 pub mod direct;
 pub mod gmres;
@@ -24,7 +23,6 @@ pub mod pcg;
 pub mod precond;
 pub mod smoother;
 
-pub use bicgstab::{bicgstab, BiCgStabOptions, BiCgStabResult};
 pub use chebyshev::Chebyshev;
 pub use direct::CoarseDirect;
 pub use gmres::{gmres, GmresOptions, GmresResult};

@@ -7,31 +7,29 @@
 //!   Delaunay remesh, restriction, `R A Rᵀ`, smoother, coarse direct) and
 //!   per-level solve phase (smooth / restrict / prolong / coarse) with
 //!   nonzero time,
-//! - iteration count and residual history land in the report, and
-//! - the whole artifact round-trips through one JSON-lines document.
+//! - iteration count and residual history land in the report,
+//! - the whole artifact round-trips through one JSON-lines document, and
+//! - the message-passing runtime records the cycle's per-level scopes as
+//!   often as the simulator does.
 //!
-//! Telemetry is process-global, so this test lives alone in its own
-//! integration-test binary.
+//! Telemetry is process-global, so these tests live alone in their own
+//! integration-test binary and take turns under [`TELEMETRY`].
 
-use pmg_bench::spheres_first_solve;
+use pmg_bench::{spheres_first_solve, FirstSolveSystem};
+use pmg_solver::PcgOptions;
 use pmg_telemetry::{JsonLinesSink, Report, Sink};
-use prometheus::{MgOptions, Prometheus, PrometheusOptions};
-use std::collections::BTreeSet;
+use prometheus::{solve_threads, MgOptions, Prometheus, PrometheusOptions};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
+use std::sync::Mutex;
 
-/// Recorded band for the tiny spheres first solve at rtol 1e-6 (measured:
-/// 13 iterations). The problem, seed, and machine model are fixed, so a
-/// drift outside this band means the solver or coarsening changed.
-const ITER_BAND: std::ops::RangeInclusive<usize> = 8..=25;
+/// Serialises the tests that reset and read the process-global registry.
+static TELEMETRY: Mutex<()> = Mutex::new(());
 
-#[test]
-fn spheres_solve_emits_full_telemetry_report() {
-    pmg_telemetry::reset();
-    pmg_telemetry::set_enabled(true);
-    pmg_telemetry::label("problem", "spheres-tiny");
-
+/// The tiny spheres system and its two-rank solver, built with whatever
+/// telemetry setting is current.
+fn tiny_spheres() -> (FirstSolveSystem, Prometheus) {
     let sys = spheres_first_solve(0);
-    let ndof = sys.mesh.num_dof();
     let opts = PrometheusOptions {
         nranks: 2,
         mg: MgOptions {
@@ -41,7 +39,24 @@ fn spheres_solve_emits_full_telemetry_report() {
         max_iters: 200,
         ..Default::default()
     };
-    let mut solver = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
+    let solver = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
+    (sys, solver)
+}
+
+/// Recorded band for the tiny spheres first solve at rtol 1e-6 (measured:
+/// 13 iterations). The problem, seed, and machine model are fixed, so a
+/// drift outside this band means the solver or coarsening changed.
+const ITER_BAND: std::ops::RangeInclusive<usize> = 8..=25;
+
+#[test]
+fn spheres_solve_emits_full_telemetry_report() {
+    let _turn = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    pmg_telemetry::reset();
+    pmg_telemetry::set_enabled(true);
+    pmg_telemetry::label("problem", "spheres-tiny");
+
+    let (sys, mut solver) = tiny_spheres();
+    let ndof = sys.mesh.num_dof();
     let (x, res) = solver.solve(&sys.rhs, None, 1e-6);
     let report = solver.report();
     pmg_telemetry::set_enabled(false);
@@ -132,6 +147,51 @@ fn spheres_solve_emits_full_telemetry_report() {
     let text = String::from_utf8(buf).unwrap();
     let parsed = Report::from_json_lines(&text).unwrap();
     assert_eq!(parsed, report);
+}
+
+/// Enter counts of the cycle's scopes in `report`, keyed from `precond`
+/// down (the simulator records them under `solve/pcg/`, a rank thread at
+/// its root).
+fn cycle_scopes(report: &Report) -> BTreeMap<String, u64> {
+    let scopes = report.phases.iter().filter_map(|p| {
+        let at = p.path.find("precond")?;
+        Some((p.path[at..].to_string(), p.count))
+    });
+    scopes.collect()
+}
+
+/// One cycle, two runtimes: the same system solved by the simulator and by
+/// two message-passing rank threads enters `precond` and every
+/// `precond/level{N}/{smooth,restrict,prolong,coarse}` scope equally often —
+/// rank 0 records, rank 1 does not double it.
+#[test]
+fn spmd_per_level_scopes_match_the_simulator() {
+    let _turn = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    let (sys, mut solver) = tiny_spheres();
+    let opts = PcgOptions {
+        rtol: 1e-6,
+        max_iters: 200,
+        ..Default::default()
+    };
+
+    pmg_telemetry::reset();
+    pmg_telemetry::set_enabled(true);
+    let (_, sim_res) = solver.solve(&sys.rhs, None, opts.rtol);
+    let sim_scopes = cycle_scopes(&pmg_telemetry::snapshot());
+
+    pmg_telemetry::reset();
+    let spmd = solve_threads(&solver.mg, std::slice::from_ref(&sys.rhs), opts, true).unwrap();
+    let spmd_scopes = cycle_scopes(&pmg_telemetry::snapshot());
+    pmg_telemetry::set_enabled(false);
+
+    assert_eq!(spmd.results[0].iterations, sim_res.iterations);
+    let nlevels = solver.level_sizes().len();
+    // precond + three scopes per level above the bottom + the bottom's.
+    assert_eq!(sim_scopes.len(), 3 * nlevels - 1, "{sim_scopes:?}");
+    // One application starts the recurrence, every iteration but the
+    // converging one ends with another.
+    assert_eq!(sim_scopes["precond"], sim_res.iterations as u64);
+    assert_eq!(spmd_scopes, sim_scopes);
 }
 
 /// Scrape the counter/gauge names emitted by `src` into `out`. Handles
