@@ -1,12 +1,13 @@
 //! Criterion microbenchmarks of the solver's kernels: SpMV, the Galerkin
 //! triple product, MIS, face identification, Delaunay tetrahedralization,
-//! the block-Jacobi application, and one V-cycle/FMG cycle.
+//! the block-Jacobi application and factorisation, a level operator's cold
+//! distribution against its value-only refresh, and one V-cycle/FMG cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{machine, spheres_first_solve};
 use pmg_geometry::{Delaunay, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
-use pmg_parallel::{DistVec, Sim};
+use pmg_parallel::{DistMatrix, DistVec, Layout, Sim};
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
 use prometheus::{
     classify_mesh, coarsen_level, greedy_mis, identify_faces, CoarsenOptions, MgHierarchy,
@@ -225,6 +226,69 @@ fn bench_block_solve(_c: &mut Criterion) {
     }
 }
 
+/// The numeric half of the fine-grid smoother set-up at the same size: 59
+/// SPD 166-dof blocks factored one after the other (`n³/3` flops each).
+fn bench_block_factor(_c: &mut Criterion) {
+    const BLOCKS: usize = 59;
+    const N: usize = 166;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(166);
+    let blocks: Vec<DenseMatrix> = (0..BLOCKS)
+        .map(|_| {
+            let m: Vec<f64> = (0..N * N).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            DenseMatrix::from_fn(N, N, |i, j| {
+                let (ri, rj) = (&m[i * N..][..N], &m[j * N..][..N]);
+                let dot: f64 = ri.iter().zip(rj).map(|(a, b)| a * b).sum();
+                dot + if i == j { 1.0 } else { 0.0 }
+            })
+        })
+        .collect();
+    let mut times: Vec<f64> = (0..41)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            for a in &blocks {
+                black_box(Cholesky::factor(black_box(a)).expect("SPD"));
+            }
+            t.elapsed().as_secs_f64()
+        })
+        .skip(1) // warm-up
+        .collect();
+    times.sort_by(f64::total_cmp);
+    let flops = (BLOCKS * N * N * N) as f64 / 3.0;
+    println!("# group: cholesky_factor_166 ({BLOCKS} blocks)");
+    for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
+        println!(
+            "cholesky_factor_166/{name:<21} {:>9.3} ms   {:>6.2} Gflop/s",
+            t * 1e3,
+            flops / t / 1e9
+        );
+    }
+}
+
+/// A level operator distributed from scratch against the value-only
+/// refresh a Newton iteration takes on an unchanged pattern: the fine
+/// operator of the 9.8k-dof spheres (ladder point 1 on a 6-cell surface
+/// grid, the benchmark's `newton10k` problem), one rank, BSR3 storage.
+fn bench_distribute(c: &mut Criterion) {
+    let params = pmg_mesh::SpheresParams {
+        n_surf: 6,
+        ..pmg_mesh::SpheresParams::ladder(1)
+    };
+    let mut problem = pmg_fem::spheres_problem(&params);
+    let (k, r) = problem.fem.assemble(&vec![0.0; problem.fem.ndof()]);
+    let fixed: Vec<(u32, f64)> = (problem.bcs_for_step(1, 10).iter())
+        .map(|b| (b.dof, b.value))
+        .collect();
+    let (a, _) = pmg_fem::bc::constrain_system(&k, &r, &fixed);
+    let l = Layout::serial(a.nrows());
+    let cold = || DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
+    let mut warm = cold();
+    assert!(warm.bsr3_routed());
+    c.bench_function("distribute_cold", |b| b.iter(cold));
+    c.bench_function("distribute_refresh", |b| {
+        b.iter(|| warm.refresh_from_global(&a))
+    });
+}
+
 criterion_group!(
     benches,
     bench_spmv,
@@ -236,6 +300,8 @@ criterion_group!(
     bench_delaunay,
     bench_cycles,
     bench_smoother,
-    bench_block_solve
+    bench_block_solve,
+    bench_block_factor,
+    bench_distribute
 );
 criterion_main!(benches);

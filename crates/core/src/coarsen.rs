@@ -195,6 +195,8 @@ fn coarsen_from_mask(
     // 3. Restriction operator.
     let _restriction_scope = pmg_telemetry::scope("restriction");
     let mut b = CooBuilder::new(nc, n);
+    // A fine vertex interpolates from one tetrahedron at most.
+    b.reserve(4 * n);
     let mut lost = 0usize;
     let mut hint = 0usize;
     for f in 0..n {

@@ -488,10 +488,12 @@ impl MgHierarchy {
     ///
     /// As long as a level's sparsity pattern is unchanged (the common case:
     /// Newton only changes values) its re-setup is numeric-only: the
-    /// Galerkin product re-executes its cached [`RapPlan`] and the
-    /// block-Jacobi smoother refactors its cached blocks — no symbolic
+    /// distributed operator takes the new values in place
+    /// ([`DistMatrix::refresh_from_global`]), the Galerkin product
+    /// re-executes its cached [`RapPlan`] and the block-Jacobi smoother
+    /// refactors its cached blocks — no redistribution, no symbolic
     /// product, no graph, no partition. A pattern change is detected and
-    /// both are rebuilt transparently.
+    /// all three are rebuilt transparently.
     pub fn update_operator(&mut self, sim: &mut Sim, a_fine: &CsrMatrix) {
         sim.phase("matrix setup");
         // Any installed matrix-free kernels linearize the *previous*
@@ -505,21 +507,17 @@ impl MgHierarchy {
         for lvl in 0..self.levels.len() {
             let cur = coarse.as_ref().unwrap_or(a_fine);
             let level = &mut self.levels[lvl];
-            let row_layout = level.a.row_layout().clone();
             assert_eq!(
                 cur.nrows(),
-                row_layout.num_global(),
+                level.a.num_global_rows(),
                 "operator size changed"
             );
-            let promote = lvl != 0 || opts.fine_operator == FineOperator::Assembled;
-            let da = if promote && opts.dofs_per_vertex == 3 && opts.block3 {
-                DistMatrix::from_global_blocked(cur, row_layout.clone(), row_layout)
-            } else {
-                DistMatrix::from_global(cur, row_layout.clone(), row_layout)
-            };
+            // Values only while the pattern holds; a changed pattern is
+            // redistributed as at build, blocked iff the level was.
+            level.a.refresh_from_global(cur);
             {
                 let _t = pmg_telemetry::scope("smoother");
-                level.smoother.refactor(sim, &da, &opts);
+                level.smoother.refactor(sim, &level.a, &opts);
             }
             let next = level.r_global.is_some().then(|| {
                 let _t = pmg_telemetry::scope("rap");
@@ -534,9 +532,8 @@ impl MgHierarchy {
             });
             if level.coarse.is_some() {
                 let _t = pmg_telemetry::scope("coarse_direct");
-                level.coarse = Some(CoarseDirect::new(&da));
+                level.coarse = Some(CoarseDirect::new(&level.a));
             }
-            level.a = da;
             match next {
                 Some(ac) => coarse = Some(ac),
                 None => break,

@@ -210,6 +210,7 @@ impl RankAssembly {
         assert_eq!(u_local.len(), 3 * self.global_vertices.len());
         let (k, f) = self.fem.assemble(u_local);
         let mut b = CooBuilder::new(3 * self.num_owned, num_global_dof);
+        b.reserve(k.row_ptr()[3 * self.num_owned]);
         let mut f_owned = vec![0.0; 3 * self.num_owned];
         for lv in 0..self.num_owned {
             for c in 0..3 {

@@ -8,12 +8,12 @@
 //! owners — one message per neighbor rank, 8 bytes per ghost value — which
 //! is exactly what the BSP machine model charges.
 
-use crate::halo::HaloPlan;
+use crate::halo::{HaloPlan, RankHalo};
 use crate::layout::Layout;
 use crate::rank::RankOp;
 use crate::sim::Sim;
 use crate::vec::DistVec;
-use pmg_sparse::{Bsr3Matrix, CooBuilder, CsrMatrix};
+use pmg_sparse::{Bsr3Matrix, CsrMatrix, PatternFingerprint};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -58,66 +58,70 @@ pub struct DistMatrix {
     /// Persistent coalesced ghost-exchange plan over `col_layout` (built
     /// once at distribution time, cached on the layout).
     plan: Arc<HaloPlan>,
+    /// Pattern of the global matrix this was distributed from: while it
+    /// holds, [`DistMatrix::refresh_from_global`] only rewrites values.
+    pattern: PatternFingerprint,
     spmv_flops: Vec<u64>,
     spmv_traffic: Vec<(u64, u64)>,
 }
 
-/// Build rank `r`'s share of a row-distributed matrix: split its owned
-/// rows into the diagonal (owned-column) and off-diagonal (ghost-column)
-/// blocks and classify rows for the communication/computation overlap.
-///
-/// This is the construction path of the orchestrated
-/// [`DistMatrix::from_global`]; the SPMD setup's
-/// [`RankMatrix::from_local_rows`] runs its local-rows twin
-/// `build_rank_mat_local` in the identical iteration order, which is what
-/// makes the two bitwise identical: only the owned rows of `a` are ever
-/// read.
-fn build_rank_mat(a: &CsrMatrix, row_layout: &Layout, col_layout: &Layout, r: usize) -> RankMat {
-    let rows = row_layout.owned(r);
-    // Collect ghost columns.
+/// One owned row, as `(global columns, values)`.
+type Row<'a> = (&'a [usize], &'a [f64]);
+
+/// Build rank `r`'s share from its `nlocal` owned rows, `row(li)` being
+/// local row `li` — read out of a global CSR
+/// through the row layout ([`DistMatrix`]) or straight from an owned-rows
+/// CSR ([`RankMatrix`]); one function for both is what makes the two
+/// bitwise identical. Two passes, count then fill: a source row ascends in
+/// global column and owned and ghost columns keep that order locally, so
+/// the entries of both blocks land in CSR order as they come.
+fn build_rank_mat<'a>(
+    nlocal: usize,
+    row: impl Fn(usize) -> Row<'a>,
+    col_layout: &Layout,
+    r: usize,
+) -> RankMat {
+    let mine = |j: usize| col_layout.owner(j) as usize == r;
+    // Until deduplicated, `ghosts` has one entry per off-diagonal entry.
     let mut ghosts: Vec<u32> = Vec::new();
-    for &g in rows {
-        let (cols, _) = a.row(g as usize);
-        for &j in cols {
-            if col_layout.owner(j) as usize != r {
-                ghosts.push(j as u32);
-            }
-        }
+    let (mut diag_ptr, mut off_ptr) = (vec![0usize], vec![0usize]);
+    let mut seen = 0;
+    for li in 0..nlocal {
+        let (cols, _) = row(li);
+        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row not ascending");
+        ghosts.extend(cols.iter().filter(|&&j| !mine(j)).map(|&j| j as u32));
+        seen += cols.len();
+        off_ptr.push(ghosts.len());
+        diag_ptr.push(seen - ghosts.len());
     }
+    // Row classes for the overlap: a row with any ghost-column entry is
+    // boundary, the rest are interior and can be computed while the halo
+    // messages are in flight.
+    let (interior, boundary) =
+        (0..nlocal as u32).partition(|&li| off_ptr[li as usize] == off_ptr[li as usize + 1]);
+    let (ndiag, noff) = (diag_ptr[nlocal], off_ptr[nlocal]);
     ghosts.sort_unstable();
     ghosts.dedup();
-    let ghost_local: std::collections::HashMap<u32, usize> =
-        ghosts.iter().enumerate().map(|(l, &g)| (g, l)).collect();
 
-    let nlocal = rows.len();
-    let mut diag = CooBuilder::new(nlocal, col_layout.local_len(r));
-    let mut off = CooBuilder::new(nlocal, ghosts.len());
-    for (li, &g) in rows.iter().enumerate() {
-        let (cols, vals) = a.row(g as usize);
+    let (mut diag_cols, mut diag_vals) = (Vec::with_capacity(ndiag), Vec::with_capacity(ndiag));
+    let (mut off_cols, mut off_vals) = (Vec::with_capacity(noff), Vec::with_capacity(noff));
+    for li in 0..nlocal {
+        let (cols, vals) = row(li);
         for (&j, &v) in cols.iter().zip(vals) {
-            if col_layout.owner(j) as usize == r {
-                diag.push(li, col_layout.local_index(j) as usize, v);
+            if mine(j) {
+                diag_cols.push(col_layout.local_index(j) as usize);
+                diag_vals.push(v);
             } else {
-                off.push(li, ghost_local[&(j as u32)], v);
+                let ghost = ghosts.binary_search(&(j as u32));
+                off_cols.push(ghost.expect("collected in the first pass"));
+                off_vals.push(v);
             }
         }
     }
-    let off = off.build();
-    // Classify rows once: a row with any ghost-column entry is
-    // boundary, the rest are interior and can be computed while
-    // the halo messages are in flight.
-    let mut interior = Vec::new();
-    let mut boundary = Vec::new();
-    for li in 0..nlocal {
-        if off.row(li).0.is_empty() {
-            interior.push(li as u32);
-        } else {
-            boundary.push(li as u32);
-        }
-    }
+    let ncols = col_layout.local_len(r);
     RankMat {
-        diag: diag.build(),
-        off,
+        diag: CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals),
+        off: CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals),
         diag_bsr: None,
         off_bsr: None,
         ghost_pad: Vec::new(),
@@ -129,71 +133,54 @@ fn build_rank_mat(a: &CsrMatrix, row_layout: &Layout, col_layout: &Layout, r: us
     }
 }
 
-/// Twin of [`build_rank_mat`] reading an **owned-rows** CSR instead of a
-/// global one: `a_local` has one row per owned global row (row `li` is
-/// global row `row_layout.owned(r)[li]`, column ids global). The iteration
-/// order — ghost collection, then the diag/off split — is identical to
-/// [`build_rank_mat`] on a global matrix whose owned rows equal
-/// `a_local`'s, so the resulting blocks are **bitwise identical**; this is
-/// what lets the sharded ingest path build rank shares without any rank
-/// materializing a global CSR.
-fn build_rank_mat_local(
-    a_local: &CsrMatrix,
-    row_layout: &Layout,
-    col_layout: &Layout,
-    r: usize,
-) -> RankMat {
-    let rows = row_layout.owned(r);
-    assert_eq!(a_local.nrows(), rows.len(), "one local row per owned row");
-    // Collect ghost columns.
-    let mut ghosts: Vec<u32> = Vec::new();
-    for li in 0..rows.len() {
-        let (cols, _) = a_local.row(li);
-        for &j in cols {
-            if col_layout.owner(j) as usize != r {
-                ghosts.push(j as u32);
+impl RankMat {
+    /// The numeric half of [`build_rank_mat`] and [`promote_block3`], for
+    /// rows of the pattern this share was built from: one ordered walk
+    /// rewrites the values of `diag` and `off` through a running cursor
+    /// each — same classification, same order, so same slots — then the
+    /// blocked copies take theirs. Nothing is allocated, sorted or looked up.
+    fn refresh<'a>(&mut self, row: impl Fn(usize) -> Row<'a>, col_layout: &Layout, r: usize) {
+        let nlocal = self.diag.nrows();
+        let (diag_vals, off_vals) = (self.diag.vals_mut(), self.off.vals_mut());
+        let (mut d, mut o) = (0, 0);
+        for li in 0..nlocal {
+            let (cols, vals) = row(li);
+            for (&j, &v) in cols.iter().zip(vals) {
+                if col_layout.owner(j) as usize == r {
+                    diag_vals[d] = v;
+                    d += 1;
+                } else {
+                    off_vals[o] = v;
+                    o += 1;
+                }
             }
         }
+        assert_eq!((d, o), (diag_vals.len(), off_vals.len()), "pattern changed");
+        if let Some(b) = &mut self.diag_bsr {
+            b.refresh_from_csr(&self.diag, |j| j);
+        }
+        if let Some(b) = &mut self.off_bsr {
+            b.refresh_from_csr(&self.off, |j| self.ghost_pad[j] as usize);
+        }
     }
-    ghosts.sort_unstable();
-    ghosts.dedup();
-    let ghost_local: std::collections::HashMap<u32, usize> =
-        ghosts.iter().enumerate().map(|(l, &g)| (g, l)).collect();
 
-    let nlocal = rows.len();
-    let mut diag = CooBuilder::new(nlocal, col_layout.local_len(r));
-    let mut off = CooBuilder::new(nlocal, ghosts.len());
-    for li in 0..nlocal {
-        let (cols, vals) = a_local.row(li);
-        for (&j, &v) in cols.iter().zip(vals) {
-            if col_layout.owner(j) as usize == r {
-                diag.push(li, col_layout.local_index(j) as usize, v);
-            } else {
-                off.push(li, ghost_local[&(j as u32)], v);
-            }
+    /// This share's operator view for SPMD execution over its part of the
+    /// halo plan, bound to message tag `tag`.
+    fn op<'a>(&'a self, halo: &'a RankHalo, tag: u32) -> RankOp<'a> {
+        RankOp {
+            diag: &self.diag,
+            off: &self.off,
+            diag_bsr: self.diag_bsr.as_ref(),
+            off_bsr: self.off_bsr.as_ref(),
+            ghost_pad: &self.ghost_pad,
+            nghosts: self.ghosts.len(),
+            interior: &self.interior,
+            boundary: &self.boundary,
+            interior_b: &self.interior_b,
+            boundary_b: &self.boundary_b,
+            halo,
+            tag,
         }
-    }
-    let off = off.build();
-    let mut interior = Vec::new();
-    let mut boundary = Vec::new();
-    for li in 0..nlocal {
-        if off.row(li).0.is_empty() {
-            interior.push(li as u32);
-        } else {
-            boundary.push(li as u32);
-        }
-    }
-    RankMat {
-        diag: diag.build(),
-        off,
-        diag_bsr: None,
-        off_bsr: None,
-        ghost_pad: Vec::new(),
-        ghosts,
-        interior,
-        boundary,
-        interior_b: Vec::new(),
-        boundary_b: Vec::new(),
     }
 }
 
@@ -219,19 +206,10 @@ fn promote_block3(m: &mut RankMat) {
     // is preserved.
     let mut blocks: Vec<u32> = m.ghosts.iter().map(|&g| g / 3).collect();
     blocks.dedup();
-    m.ghost_pad = m
-        .ghosts
-        .iter()
-        .map(|&g| {
-            let b = blocks.partition_point(|&w| w < g / 3) as u32;
-            3 * b + g % 3
-        })
-        .collect();
-    let mut pad = CooBuilder::new(m.off.nrows(), 3 * blocks.len());
-    for (i, j, v) in m.off.iter() {
-        pad.push(i, m.ghost_pad[j] as usize, v);
-    }
-    m.off_bsr = Some(Bsr3Matrix::from_csr(&pad.build()));
+    let padded = |g: u32| 3 * blocks.partition_point(|&w| w < g / 3) as u32 + g % 3;
+    m.ghost_pad = m.ghosts.iter().map(|&g| padded(g)).collect();
+    let pad = |j: usize| m.ghost_pad[j] as usize;
+    m.off_bsr = Some(Bsr3Matrix::from_csr_cols(&m.off, 3 * blocks.len(), pad));
     // Block-row classes: a block row is boundary when any of its
     // three scalar rows references a ghost. `boundary` is
     // ascending, so mapping to block ids and deduplicating keeps
@@ -258,7 +236,10 @@ impl DistMatrix {
 
         let ranks: Vec<RankMat> = (0..nranks)
             .into_par_iter()
-            .map(|r| build_rank_mat(a, &row_layout, &col_layout, r))
+            .map(|r| {
+                let owned = row_layout.owned(r);
+                build_rank_mat(owned.len(), |li| a.row(owned[li] as usize), &col_layout, r)
+            })
             .collect();
 
         // Persistent exchange plan: the Sim charges exactly the plan's
@@ -280,6 +261,7 @@ impl DistMatrix {
             col_layout,
             ranks,
             plan,
+            pattern: PatternFingerprint::of(a),
             spmv_flops,
             spmv_traffic,
         }
@@ -296,6 +278,33 @@ impl DistMatrix {
         let mut m = DistMatrix::from_global(a, row_layout, col_layout);
         m.try_block3();
         m
+    }
+
+    /// Take the values of `a`, a new state of the global matrix this was
+    /// distributed from, in place. While `a` keeps that matrix's sparsity
+    /// pattern (Newton on a fixed mesh) only values move — ghost lists, halo
+    /// plan, row classes and the blocked copies' structure stay, nothing is
+    /// allocated — and the result is bitwise what
+    /// [`from_global`](Self::from_global) (`_blocked`, if this one is) builds
+    /// from `a`; a changed pattern is exactly that rebuild. Returns whether
+    /// the pattern held (counted: `distribute/refresh` / `distribute/rebuild`).
+    pub fn refresh_from_global(&mut self, a: &CsrMatrix) -> bool {
+        if !self.pattern.matches(a) {
+            pmg_telemetry::counter_add("distribute/rebuild", 1);
+            let blocked = self.bsr3_routed();
+            *self = DistMatrix::from_global(a, self.row_layout.clone(), self.col_layout.clone());
+            if blocked {
+                self.try_block3();
+            }
+            return false;
+        }
+        pmg_telemetry::counter_add("distribute/refresh", 1);
+        let (row_layout, col_layout) = (&self.row_layout, &self.col_layout);
+        self.ranks.par_iter_mut().enumerate().for_each(|(r, m)| {
+            let owned = row_layout.owned(r);
+            m.refresh(|li| a.row(owned[li] as usize), col_layout, r)
+        });
+        true
     }
 
     /// Promote the per-rank `diag`/`off` blocks to [`Bsr3Matrix`] storage so
@@ -366,21 +375,7 @@ impl DistMatrix {
     /// bound to message tag `tag`. The view computes bitwise the same
     /// product as [`DistMatrix::spmv`] (including the BSR3 branch).
     pub fn rank_op(&self, r: usize, tag: u32) -> RankOp<'_> {
-        let m = &self.ranks[r];
-        RankOp {
-            diag: &m.diag,
-            off: &m.off,
-            diag_bsr: m.diag_bsr.as_ref(),
-            off_bsr: m.off_bsr.as_ref(),
-            ghost_pad: &m.ghost_pad,
-            nghosts: m.ghosts.len(),
-            interior: &m.interior,
-            boundary: &m.boundary,
-            interior_b: &m.interior_b,
-            boundary_b: &m.boundary_b,
-            halo: &self.plan.ranks[r],
-            tag,
-        }
+        self.ranks[r].op(&self.plan.ranks[r], tag)
     }
 
     /// Per-rank `(interior, boundary)` row counts of the overlap row split
@@ -436,44 +431,38 @@ impl DistMatrix {
                         gv[slot as usize] = x.part(peer)[li as usize];
                     }
                 }
-                let mut tmp = vec![0.0; m.off.nrows()];
-                match &m.off_bsr {
-                    Some(ob) => {
-                        let mut padded = vec![0.0; ob.ncols()];
-                        for (l, &p) in m.ghost_pad.iter().enumerate() {
-                            padded[p as usize] = gv[l];
-                        }
-                        ob.spmv(&padded, &mut tmp);
-                    }
-                    None => m.off.spmv(&gv, &mut tmp),
-                }
-                for (a, b) in yl.iter_mut().zip(&tmp) {
-                    *a += b;
-                }
+                m.op(&plan.ranks[r], 0).off_accumulate(&gv, yl);
             });
         sim.compute(&self.spmv_flops);
     }
 
-    /// Reassemble the global matrix (testing / coarse-grid gather).
+    /// Reassemble the global matrix (testing / coarse-grid gather): a row is
+    /// its owner's diag and off runs, each ascending in global id, merged.
     pub fn to_global(&self) -> CsrMatrix {
         let n = self.row_layout.num_global();
-        let m = self.col_layout.num_global();
-        let mut b = CooBuilder::new(n, m);
-        for (r, mat) in self.ranks.iter().enumerate() {
-            let rows = self.row_layout.owned(r);
-            let cols_owned = self.col_layout.owned(r);
-            for (li, &g) in rows.iter().enumerate() {
-                let (cols, vals) = mat.diag.row(li);
-                for (&lj, &v) in cols.iter().zip(vals) {
-                    b.push(g as usize, cols_owned[lj] as usize, v);
-                }
-                let (gcols, gvals) = mat.off.row(li);
-                for (&lj, &v) in gcols.iter().zip(gvals) {
-                    b.push(g as usize, mat.ghosts[lj] as usize, v);
+        let mut row_ptr = vec![0usize];
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut vals = Vec::with_capacity(self.nnz());
+        for g in 0..n {
+            let r = self.row_layout.owner(g) as usize;
+            let (mat, li) = (&self.ranks[r], self.row_layout.local_index(g) as usize);
+            let (owned, ghosts) = (self.col_layout.owned(r), &mat.ghosts);
+            let ((dc, dv), (oc, ov)) = (mat.diag.row(li), mat.off.row(li));
+            let (mut d, mut o) = (0, 0);
+            while d < dc.len() || o < oc.len() {
+                if o == oc.len() || (d < dc.len() && owned[dc[d]] < ghosts[oc[o]]) {
+                    col_idx.push(owned[dc[d]] as usize);
+                    vals.push(dv[d]);
+                    d += 1;
+                } else {
+                    col_idx.push(ghosts[oc[o]] as usize);
+                    vals.push(ov[o]);
+                    o += 1;
                 }
             }
+            row_ptr.push(col_idx.len());
         }
-        b.build()
+        CsrMatrix::from_parts(n, self.col_layout.num_global(), row_ptr, col_idx, vals)
     }
 }
 
@@ -483,7 +472,7 @@ impl DistMatrix {
 /// Built by the distributed setup pipeline, where each rank constructs
 /// only its own operator blocks from the rows it owns (reading nothing of
 /// other ranks' rows beyond the replicated layout). The construction goes
-/// through the same `build_rank_mat` path as [`DistMatrix::from_global`],
+/// through the same `build_rank_mat` as [`DistMatrix::from_global`],
 /// so for the same layouts and the same global values the per-rank blocks
 /// are **bitwise identical** to the orchestrated distribution — the parity
 /// the `RankHierarchy::extract` oracle tests pin.
@@ -500,6 +489,8 @@ pub struct RankMatrix {
     col_layout: Arc<Layout>,
     mat: RankMat,
     plan: Option<Arc<HaloPlan>>,
+    /// Pattern of the owned-rows matrix the share was built from.
+    pattern: PatternFingerprint,
 }
 
 impl RankMatrix {
@@ -516,14 +507,36 @@ impl RankMatrix {
         rank: usize,
     ) -> RankMatrix {
         assert_eq!(a_local.ncols(), col_layout.num_global());
-        let mat = build_rank_mat_local(a_local, &row_layout, &col_layout, rank);
+        assert_eq!(
+            a_local.nrows(),
+            row_layout.local_len(rank),
+            "one local row per owned row"
+        );
+        let mat = build_rank_mat(a_local.nrows(), |li| a_local.row(li), &col_layout, rank);
         RankMatrix {
             rank,
             row_layout,
             col_layout,
             mat,
             plan: None,
+            pattern: PatternFingerprint::of(a_local),
         }
+    }
+
+    /// [`DistMatrix::refresh_from_global`] for one rank's share: take the
+    /// values of a new state of the owned-rows matrix in place (same
+    /// kernel, so bitwise a fresh [`from_local_rows`](Self::from_local_rows)
+    /// plus promotion). A changed pattern changes the ghost list, which
+    /// every rank's halo plan depends on: the share is then left as it
+    /// was and `false` returned, for the caller to go through the
+    /// two-phase construction again.
+    pub fn refresh_from_local_rows(&mut self, a_local: &CsrMatrix) -> bool {
+        if !self.pattern.matches(a_local) {
+            return false;
+        }
+        self.mat
+            .refresh(|li| a_local.row(li), &self.col_layout, self.rank);
+        true
     }
 
     /// Resident bytes of this rank's share: scalar diag/off CSR blocks plus
@@ -615,21 +628,7 @@ impl RankMatrix {
             .plan
             .as_ref()
             .expect("RankMatrix::rank_op before install_plan (halo plan missing)");
-        let m = &self.mat;
-        RankOp {
-            diag: &m.diag,
-            off: &m.off,
-            diag_bsr: m.diag_bsr.as_ref(),
-            off_bsr: m.off_bsr.as_ref(),
-            ghost_pad: &m.ghost_pad,
-            nghosts: m.ghosts.len(),
-            interior: &m.interior,
-            boundary: &m.boundary,
-            interior_b: &m.interior_b,
-            boundary_b: &m.boundary_b,
-            halo: &plan.ranks[self.rank],
-            tag,
-        }
+        self.mat.op(&plan.ranks[self.rank], tag)
     }
 }
 
@@ -645,6 +644,7 @@ fn aligned_triples(ids: &[u32]) -> bool {
 mod tests {
     use super::*;
     use crate::sim::MachineModel;
+    use pmg_sparse::CooBuilder;
     use rand::{Rng, SeedableRng};
 
     /// 1D Laplacian.
@@ -905,6 +905,124 @@ mod tests {
                 dist.plan.ranks[r].recv.len(),
                 "rank {r} recv manifest"
             );
+        }
+    }
+
+    /// Vertex blocks coupled through single scalar columns (so ghost
+    /// columns form *partial* vertex blocks, as after Dirichlet column
+    /// elimination), `nbr x nbc` vertices; `t` varies the values — zeros of
+    /// both signs included — on one fixed pattern.
+    fn partial_block_matrix(nbr: usize, nbc: usize, t: usize) -> CsrMatrix {
+        let val = |i: usize, j: usize| match (i * 7 + j * 3 + t) % 5 {
+            0 => -0.0,
+            1 => 0.0,
+            k => (k as f64 - 2.5) * (1.0 + t as f64) + (i + j) as f64 * 0.125,
+        };
+        let mut b = CooBuilder::new(3 * nbr, 3 * nbc);
+        for v in 0..nbr {
+            for i in 0..3 {
+                let row = 3 * v + i;
+                for j in 0..3 {
+                    b.push(row, 3 * (v % nbc) + j, val(row, j));
+                }
+                b.push(row, 3 * ((v + 1) % nbc) + 1, val(row, 4));
+                b.push(row, 3 * ((v + 4) % nbc) + 2, val(row, 5));
+            }
+        }
+        b.build()
+    }
+
+    /// Vertex-aligned scattered ownership over four ranks, rank 2 empty.
+    fn scattered_layout(nb: usize) -> Arc<Layout> {
+        let owner = (0..3 * nb).map(|d| [0, 1, 3][(d / 3) % 3]).collect();
+        Layout::from_part(owner, 4)
+    }
+
+    fn spmv_bits(m: &DistMatrix) -> Vec<u64> {
+        let x: Vec<f64> = (0..m.col_layout.num_global())
+            .map(|i| (i as f64 * 0.7).sin())
+            .collect();
+        let dx = DistVec::from_global(m.col_layout.clone(), &x);
+        let mut dy = DistVec::zeros(m.row_layout.clone());
+        let mut sim = Sim::new(4, MachineModel::default());
+        m.spmv(&mut sim, &dx, &mut dy);
+        dy.to_global().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every field, private ones and the sign of every zero included.
+    fn fields(m: &DistMatrix) -> String {
+        format!("{m:?}")
+    }
+
+    #[test]
+    fn refresh_is_field_for_field_a_rebuild() {
+        type Build = fn(&CsrMatrix, Arc<Layout>, Arc<Layout>) -> DistMatrix;
+        let (fine, coarse) = (scattered_layout(9), scattered_layout(5));
+        assert_eq!(fine.local_len(2), 0);
+        // Square and blocked, square and scalar (eligible but unpromoted:
+        // the matrix-free level 0), rectangular like a restriction.
+        let cases: [(usize, &Arc<Layout>, Build, bool); 3] = [
+            (9, &fine, DistMatrix::from_global_blocked, true),
+            (9, &fine, DistMatrix::from_global, false),
+            (5, &fine, DistMatrix::from_global, false),
+        ];
+        for (nbr, cols, build, blocked) in cases {
+            let rows = if nbr == 9 { &fine } else { &coarse };
+            let build = |a: &CsrMatrix| build(a, rows.clone(), cols.clone());
+            let (a1, a2) = (
+                partial_block_matrix(nbr, 9, 0),
+                partial_block_matrix(nbr, 9, 1),
+            );
+            let mut m = build(&a1);
+            assert_eq!(m.bsr3_routed(), blocked);
+            let partial = |r: &RankMat| {
+                let mut blocks: Vec<u32> = r.ghosts.iter().map(|g| g / 3).collect();
+                blocks.dedup();
+                3 * blocks.len() > r.ghosts.len()
+            };
+            assert!(m.ranks.iter().any(partial), "no partial ghost block");
+
+            assert!(m.refresh_from_global(&a2), "same pattern");
+            let cold = build(&a2);
+            assert_eq!(
+                fields(&m),
+                fields(&cold),
+                "nbr = {nbr}, blocked = {blocked}"
+            );
+            assert_eq!(spmv_bits(&m), spmv_bits(&cold));
+            assert_eq!(m.to_global(), a2);
+
+            // One more stored entry: rebuilt, in the storage it had.
+            let mut b = CooBuilder::new(a2.nrows(), a2.ncols());
+            a2.iter().for_each(|(i, j, v)| b.push(i, j, v));
+            b.push(1, 3 * 7 + 2, 0.5);
+            let a3 = b.build();
+            assert_eq!(a3.nnz(), a2.nnz() + 1);
+            assert!(!m.refresh_from_global(&a3), "changed pattern");
+            assert_eq!(fields(&m), fields(&build(&a3)));
+            assert_eq!(m.bsr3_routed(), blocked);
+            assert!(m.refresh_from_global(&a3), "and refreshed from there on");
+        }
+    }
+
+    #[test]
+    fn rank_share_refresh_is_the_orchestrated_refresh() {
+        let l = scattered_layout(9);
+        let (a1, a2) = (partial_block_matrix(9, 9, 0), partial_block_matrix(9, 9, 1));
+        let cold = DistMatrix::from_global_blocked(&a2, l.clone(), l.clone());
+        for r in 0..4 {
+            let local = |a: &CsrMatrix| a.extract_rows(l.owned(r));
+            let mut share = RankMatrix::from_local_rows(&local(&a1), l.clone(), l.clone(), r);
+            assert!(share.try_block3());
+            assert!(share.refresh_from_local_rows(&local(&a2)));
+            assert_eq!(format!("{:?}", share.mat), format!("{:?}", cold.ranks[r]));
+            // A changed pattern changes the ghost list under the other
+            // ranks' halo plans: declined, and the share left as it was.
+            let changed = local(&partial_block_matrix(9, 9, 0).transpose());
+            if changed.nnz() > 0 {
+                assert!(!share.refresh_from_local_rows(&changed));
+                assert_eq!(format!("{:?}", share.mat), format!("{:?}", cold.ranks[r]));
+            }
         }
     }
 

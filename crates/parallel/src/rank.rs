@@ -77,12 +77,11 @@ impl<'a> RankOp<'a> {
     }
 
     /// The off-diagonal (ghost-column) product accumulated into `y_local`,
-    /// shared verbatim between the blocking and overlapped paths — and
-    /// structurally identical to `DistMatrix::spmv`'s, which the bitwise
-    /// parity contract rests on (the full-vector `+=` is kept even for
-    /// rows whose `tmp` entry is zero, so `-0.0 + 0.0 = +0.0` rounding is
-    /// reproduced exactly).
-    fn off_accumulate(&self, ghost_vals: &[f64], y_local: &mut [f64]) {
+    /// shared verbatim between the blocking and overlapped paths and the
+    /// simulated `DistMatrix::spmv`, which the bitwise parity contract rests
+    /// on (the full-vector `+=` is kept even for rows whose `tmp` entry is
+    /// zero, so `-0.0 + 0.0 = +0.0` rounding is reproduced exactly).
+    pub(crate) fn off_accumulate(&self, ghost_vals: &[f64], y_local: &mut [f64]) {
         if self.off.nnz() > 0 {
             let mut tmp = vec![0.0; self.off.nrows()];
             match self.off_bsr {

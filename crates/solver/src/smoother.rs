@@ -8,10 +8,11 @@
 //! smoothing iteration contracts the high-frequency error.
 //!
 //! The setup has a symbolic half (graph, partition, block index maps — a
-//! function of the sparsity pattern alone) and a numeric half (extract and
-//! factor each block). [`BlockJacobi::refactor`] keeps the first and redoes
-//! only the second while the pattern is unchanged, which is every Newton
-//! iteration on a fixed mesh.
+//! function of the sparsity pattern alone) and a numeric half (scatter each
+//! block into its factor's packed storage and factor it there).
+//! [`BlockJacobi::refactor`] keeps the first and redoes only the second —
+//! allocating nothing — while the pattern is unchanged, which is every
+//! Newton iteration on a fixed mesh.
 
 use crate::precond::Precond;
 use pmg_parallel::{DistMatrix, DistVec, Sim, SimOperator};
@@ -29,25 +30,47 @@ enum BlockFactor {
 }
 
 impl BlockFactor {
-    /// Cholesky, else pivoted LU (block lost definiteness), else the
-    /// inverse diagonal (block is singular).
-    fn new(sub: &DenseMatrix) -> BlockFactor {
-        if let Some(c) = Cholesky::factor(sub) {
-            BlockFactor::Chol(c)
-        } else if let Some(l) = Lu::factor(sub) {
-            BlockFactor::Lu(l)
-        } else {
-            let d: Vec<f64> = (0..sub.nrows())
-                .map(|i| {
-                    let v = sub[(i, i)];
-                    if v != 0.0 {
-                        1.0 / v
-                    } else {
-                        1.0
+    /// Factor block `b` of `plan` out of `local`, where the factor lives:
+    /// the block's CSR rows are scattered straight into the packed storage
+    /// a Cholesky slot already owns — the lower triangle, row `l`'s entries
+    /// with slot `<= l`, which is all Cholesky ever read, so round-off
+    /// asymmetry in a Galerkin operator cannot reach the factor — and
+    /// factored in place. Only a block that is not SPD is extracted densely,
+    /// for pivoted LU (it lost definiteness) or, if singular too, the
+    /// inverse diagonal.
+    fn refactor(&mut self, plan: &RankBlocks, local: &CsrMatrix, b: usize) {
+        let blk = &plan.blocks[b];
+        let n = blk.len();
+        if !matches!(self, BlockFactor::Chol(c) if c.dim() == n) {
+            *self = BlockFactor::Chol(Cholesky::with_dim(n));
+        }
+        let BlockFactor::Chol(chol) = self else {
+            unreachable!("set just above")
+        };
+        let spd = chol.factor_in_place(|u| {
+            for (l, &g) in blk.iter().enumerate() {
+                let (cols, vals) = local.row(g as usize);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    let (block, slot) = plan.home[j];
+                    if block as usize == b && slot as usize <= l {
+                        u[Cholesky::packed_index(n, l, slot as usize)] = v;
                     }
-                })
-                .collect();
-            BlockFactor::Diag(d)
+                }
+            }
+        });
+        if !spd {
+            let sub = plan.extract(local, b);
+            let inv = |i: usize| {
+                if sub[(i, i)] != 0.0 {
+                    1.0 / sub[(i, i)]
+                } else {
+                    1.0
+                }
+            };
+            *self = match Lu::factor(&sub) {
+                Some(lu) => BlockFactor::Lu(lu),
+                None => BlockFactor::Diag((0..n).map(inv).collect()),
+            };
         }
     }
 
@@ -120,9 +143,11 @@ impl RankBlocks {
             pattern: PatternFingerprint::of(local),
             blocks_per_1000,
             buf: Mutex::new(vec![0.0; blocks.iter().map(Vec::len).max().unwrap_or(0)]),
+            factors: (blocks.iter())
+                .map(|blk| BlockFactor::Chol(Cholesky::with_dim(blk.len())))
+                .collect(),
             blocks,
             home,
-            factors: Vec::new(),
             apply_flops: 0,
         };
         rb.factor(local);
@@ -142,13 +167,16 @@ impl RankBlocks {
         }
     }
 
-    /// The numeric half: extract and factor every block (independent, so
-    /// in parallel; results land in block order on any pool size).
+    /// The numeric half: factor every block in the storage its factor
+    /// already owns (independent, so in parallel, each into its own slot;
+    /// nothing is allocated while every block stays SPD).
     fn factor(&mut self, local: &CsrMatrix) {
-        self.factors = (0..self.blocks.len())
-            .into_par_iter()
-            .map(|b| BlockFactor::new(&self.extract(local, b)))
-            .collect();
+        let mut factors = std::mem::take(&mut self.factors);
+        factors
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(b, f)| f.refactor(self, local, b));
+        self.factors = factors;
         self.apply_flops = self.factors.iter().map(|f| f.solve_flops()).sum();
         let (mut chol, mut lu, mut diag) = (0, 0, 0);
         for f in &self.factors {
@@ -163,9 +191,10 @@ impl RankBlocks {
         pmg_telemetry::counter_add("smoother/blocks_diag", diag);
     }
 
-    /// Dense principal submatrix of `local` on block `b`: each of the
-    /// block's CSR rows is scattered through the plan's dof → (block, slot)
-    /// maps; entries whose column lies in another block are dropped.
+    /// Dense principal submatrix of `local` on block `b` (what a block that
+    /// is not SPD falls back on): each of the block's CSR rows is scattered
+    /// through the plan's dof → (block, slot) maps; entries whose column
+    /// lies in another block are dropped.
     fn extract(&self, local: &CsrMatrix, b: usize) -> DenseMatrix {
         let blk = &self.blocks[b];
         let mut sub = DenseMatrix::zeros(blk.len(), blk.len());
@@ -313,7 +342,9 @@ impl BlockJacobi {
             .par_iter_mut()
             .enumerate()
             .for_each(|(r, rb)| rb.refactor(a.local_block(r)));
-        self.apply_flops = self.ranks.iter().map(|r| r.apply_flops).collect();
+        for (flops, rb) in self.apply_flops.iter_mut().zip(&self.ranks) {
+            *flops = rb.apply_flops;
+        }
     }
 
     pub fn omega(&self) -> f64 {

@@ -2,7 +2,10 @@
 //! level of every V-cycle. Chebyshev keeps its scratch (`r`, `d`, the flop
 //! charge vectors) in a workspace the first `smooth` on a layout builds;
 //! block Jacobi keeps its residual and per-rank gather buffers from
-//! construction. Every later sweep must be allocation-free.
+//! construction. Every later sweep must be allocation-free — and so must
+//! the numeric half of a Newton re-setup: a value-only
+//! `DistMatrix::refresh_from_global` and the `BlockJacobi::refactor` that
+//! follows it on an unchanged pattern.
 //!
 //! Asserted with a counting global allocator, so this lives in its own
 //! integration-test binary (the `#[global_allocator]` must not leak into
@@ -191,5 +194,50 @@ fn block_jacobi_sweeps_allocate_nothing() {
     assert_eq!(
         n_alloc, 0,
         "steady-state block-Jacobi smoothing allocated {n_alloc} times"
+    );
+}
+
+#[test]
+fn same_pattern_refresh_and_refactor_allocate_nothing() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // 32 vertices of 3 dofs in a chain, dense 3x3 couplings: two ranks,
+    // blocked storage, ghosts on both, two sub-domains a rank.
+    let nb = 32;
+    let operator = |shift: f64| {
+        let mut b = CooBuilder::new(3 * nb, 3 * nb);
+        for v in 0..nb {
+            for i in 0..3 {
+                for w in v.saturating_sub(1)..(v + 2).min(nb) {
+                    for j in 0..3 {
+                        let d = if (v, i) == (w, j) { 8.0 + shift } else { -0.5 };
+                        b.push(3 * v + i, 3 * w + j, d);
+                    }
+                }
+            }
+        }
+        b.build()
+    };
+    let l = Layout::block(3 * nb, 2);
+    let mut da = pmg_parallel::DistMatrix::from_global_blocked(&operator(0.0), l.clone(), l);
+    assert!(da.bsr3_routed());
+    let mut bj = BlockJacobi::new(&da, 40.0, 0.6);
+    assert_eq!(bj.num_blocks(0), 2);
+
+    let states = [operator(1.0), operator(2.0)];
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let mut round = 0;
+    let n_alloc = min_allocations_during(|| {
+        pool.install(|| {
+            assert!(da.refresh_from_global(&states[round % 2]));
+            bj.refactor(&da);
+            round += 1;
+        })
+    });
+    assert_eq!(
+        n_alloc, 0,
+        "a value-only operator refresh + smoother refactor allocated {n_alloc} times"
     );
 }

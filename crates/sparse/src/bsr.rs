@@ -41,10 +41,19 @@ impl Bsr3Matrix {
     /// Any scalar entry inside a touched block materializes the full block
     /// (absent entries are zero).
     pub fn from_csr(a: &CsrMatrix) -> Bsr3Matrix {
+        Self::from_csr_cols(a, a.ncols(), |j| j)
+    }
+
+    /// [`from_csr`](Self::from_csr) of `a` with column `j` moved to
+    /// `col(j)` in a space of `ncols` columns — how a distributed
+    /// operator's ghost columns are padded to whole vertex triples without
+    /// building the padded CSR. `col` must be strictly increasing, so every
+    /// row keeps its entry order.
+    pub fn from_csr_cols(a: &CsrMatrix, ncols: usize, col: impl Fn(usize) -> usize) -> Bsr3Matrix {
         assert_eq!(a.nrows() % 3, 0, "rows not a multiple of 3");
-        assert_eq!(a.ncols() % 3, 0, "cols not a multiple of 3");
+        assert_eq!(ncols % 3, 0, "cols not a multiple of 3");
         let nbr = a.nrows() / 3;
-        let nbc = a.ncols() / 3;
+        let nbc = ncols / 3;
         let mut row_ptr = Vec::with_capacity(nbr + 1);
         row_ptr.push(0usize);
         let mut col_idx = Vec::new();
@@ -59,6 +68,7 @@ impl Bsr3Matrix {
                 let i = 3 * br + local;
                 let (cols, vals) = a.row(i);
                 for (&j, &v) in cols.iter().zip(vals) {
+                    let j = col(j);
                     let bc = j / 3;
                     let k = if slot[bc] == usize::MAX {
                         let k = base + touched.len();
@@ -91,6 +101,39 @@ impl Bsr3Matrix {
             row_ptr,
             col_idx,
             blocks,
+        }
+    }
+
+    /// Overwrite the stored values with those of `a`, which must have the
+    /// sparsity pattern this matrix was built from (with the same `col`,
+    /// see [`from_csr_cols`](Self::from_csr_cols)): one ordered walk with a
+    /// cursor per scalar row over the block row's ascending blocks — no
+    /// allocation, and the explicit zeros inside blocks stay zero.
+    ///
+    /// # Panics
+    /// If an entry of `a` falls in a block this matrix does not store. An
+    /// entry *missing* from `a` is not detected (its old value stays), so
+    /// callers compare pattern fingerprints first.
+    pub fn refresh_from_csr(&mut self, a: &CsrMatrix, col: impl Fn(usize) -> usize) {
+        assert_eq!(a.nrows(), self.nrows(), "pattern changed: rows");
+        for br in 0..self.nblock_rows {
+            let end = self.row_ptr[br + 1];
+            for local in 0..3 {
+                let mut k = self.row_ptr[br];
+                let (cols, vals) = a.row(3 * br + local);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    let j = col(j);
+                    while k < end && self.col_idx[k] < j / 3 {
+                        k += 1;
+                    }
+                    assert!(
+                        k < end && self.col_idx[k] == j / 3,
+                        "pattern changed: no block for entry ({}, {j})",
+                        3 * br + local
+                    );
+                    self.blocks[k][3 * local + j % 3] = v;
+                }
+            }
         }
     }
 
@@ -270,6 +313,7 @@ impl Bsr3Matrix {
     /// Back to scalar CSR (explicit zeros inside blocks are dropped).
     pub fn to_csr(&self) -> CsrMatrix {
         let mut b = crate::csr::CooBuilder::new(self.nrows(), self.ncols());
+        b.reserve(self.nnz_stored());
         for br in 0..self.nblock_rows {
             for k in self.row_ptr[br]..self.row_ptr[br + 1] {
                 let bc = self.col_idx[k];
@@ -318,6 +362,17 @@ mod tests {
         let b = Bsr3Matrix::from_csr(&a);
         assert_eq!(b.num_blocks(), 7 + 2 * 6);
         assert_eq!(b.to_csr(), a);
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern changed")]
+    fn refresh_rejects_an_entry_outside_the_stored_blocks() {
+        // Block (0, 4) is in range but not stored by the tridiagonal
+        // pattern: the walk must stop at the row's end, not write elsewhere.
+        let mut b = Bsr3Matrix::from_csr(&block_laplacian(5));
+        let mut other = CooBuilder::new(15, 15);
+        other.push(0, 13, 1.0);
+        b.refresh_from_csr(&other.build(), |j| j);
     }
 
     #[test]

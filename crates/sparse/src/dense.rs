@@ -123,6 +123,67 @@ fn lane_dot(u: &[f64], x: &[f64]) -> f64 {
     sum
 }
 
+/// Rows of `U` finished together, and eliminating rows subtracted per pass,
+/// in [`Cholesky::factor_in_place`] (the two kernels below are written out
+/// for four). Throughput only: every entry receives its subtractions one by
+/// one in ascending row order whatever the grouping.
+const PANEL: usize = 4;
+
+/// Offset of `U[k, k]` in the packed storage of an `n`-row factor.
+#[inline]
+fn packed_row_start(n: usize, k: usize) -> usize {
+    k * (2 * n - k + 1) / 2
+}
+
+/// `t[j] -= c[q] · e[q][j]` for the four eliminating rows `q` in ascending
+/// order: one load and one store of `t` per four updates, independent lanes
+/// across `j`.
+#[inline]
+fn eliminate_row(t: &mut [f64], e: [&[f64]; PANEL], c: [f64; PANEL]) {
+    let len = t.len();
+    let [e0, e1, e2, e3] = e.map(|s| &s[..len]);
+    for j in 0..len {
+        let mut v = t[j];
+        v -= c[0] * e0[j];
+        v -= c[1] * e1[j];
+        v -= c[2] * e2[j];
+        v -= c[3] * e3[j];
+        t[j] = v;
+    }
+}
+
+/// [`eliminate_row`] on four target rows at once (`c[q][p]` multiplies
+/// eliminating row `q` into target `p`), so each eliminating entry is also
+/// loaded once per four targets. The references are separate parameters so
+/// that none can alias another inside the loop.
+#[inline(never)]
+fn eliminate_panel(
+    t0: &mut [f64],
+    t1: &mut [f64],
+    t2: &mut [f64],
+    t3: &mut [f64],
+    e: [&[f64]; PANEL],
+    c: &[[f64; PANEL]; PANEL],
+) {
+    let len = t0.len();
+    let (t1, t2, t3) = (&mut t1[..len], &mut t2[..len], &mut t3[..len]);
+    let [e0, e1, e2, e3] = e.map(|s| &s[..len]);
+    for j in 0..len {
+        let a = [e0[j], e1[j], e2[j], e3[j]];
+        let sub = |mut v: f64, p: usize| {
+            v -= c[0][p] * a[0];
+            v -= c[1][p] * a[1];
+            v -= c[2][p] * a[2];
+            v -= c[3][p] * a[3];
+            v
+        };
+        t0[j] = sub(t0[j], 0);
+        t1[j] = sub(t1[j], 1);
+        t2[j] = sub(t2[j], 2);
+        t3[j] = sub(t3[j], 3);
+    }
+}
+
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive definite matrix.
 ///
 /// The factor is stored as packed row-major `U = Lᵀ`: row `k` holds
@@ -131,10 +192,25 @@ fn lane_dot(u: &[f64], x: &[f64]) -> f64 {
 /// vectorize without reassociating anything) and the backward solve is a
 /// contiguous dot over one row.
 ///
+/// **Row form.** The packed storage starts as `A`'s lower triangle
+/// (`U[k, j] = A[j, k]`) and is factored in place, row by row: row `k` is
+/// finished by subtracting every earlier row's contribution
+/// `U[m, k] · U[m, k..n]` in ascending `m`, then taking one square root and
+/// dividing the finished row by its pivot — independent lanes. The
+/// up-looking form this replaced computed `L[i, k] = x[k] / U[k, k]` and
+/// needed it before `x[k + 1]` was final: a divide → multiply → subtract
+/// chain taken `n²/2` times per factor, which — not flops or bytes — set
+/// the time of a 166-dof block. Rows are finished four at a time against
+/// four eliminating rows per pass, so an entry is loaded and stored once
+/// per four updates.
+///
 /// **Bit contract.** The *factor* is textbook: every entry receives the
-/// same subtractions, in the same ascending-`k` order, as the row-by-row
-/// dot-product form (the unit tests keep that form as an oracle). The
-/// *solve* bits are defined here. The forward pass is the textbook order.
+/// same subtractions `U[m, k] · U[m, j]`, one by one in the same
+/// ascending-`m` order, as the row-by-row dot-product form (the unit tests
+/// keep that form as an oracle) — the row form only changes *when* an
+/// entry's turn comes, not what is subtracted from it or in which order,
+/// so its bits are those of the up-looking loop. The *solve* bits are
+/// defined here. The forward pass is the textbook order.
 /// The backward pass computes
 /// `x[i] = (y[i] − U[i, i+1..n] · x[i+1..n]) / U[i, i]` with the dot taken
 /// in 8 independent partial sums (lanes) over the groups of 8 consecutive
@@ -158,7 +234,25 @@ impl Cholesky {
     /// Offset of `U[k, k]` in the packed storage.
     #[inline]
     fn row_start(&self, k: usize) -> usize {
-        k * (2 * self.n - k + 1) / 2
+        packed_row_start(self.n, k)
+    }
+
+    /// Packed storage for an `n`-row factor, to be filled and factored by
+    /// [`factor_in_place`](Self::factor_in_place); it solves nothing
+    /// before that has returned `true`.
+    pub fn with_dim(n: usize) -> Cholesky {
+        Cholesky {
+            n,
+            u: vec![0.0; n * (n + 1) / 2],
+        }
+    }
+
+    /// Where `A[j, k]` (`k <= j < n`, the lower triangle) goes in the
+    /// storage [`factor_in_place`](Self::factor_in_place) hands to `fill`.
+    #[inline]
+    pub fn packed_index(n: usize, j: usize, k: usize) -> usize {
+        debug_assert!(k <= j && j < n);
+        packed_row_start(n, k) + j - k
     }
 
     /// Factor `a` (only its lower triangle is read); returns `None` if the
@@ -166,35 +260,102 @@ impl Cholesky {
     pub fn factor(a: &DenseMatrix) -> Option<Cholesky> {
         assert_eq!(a.nrows, a.ncols);
         let n = a.nrows;
-        let mut ch = Cholesky {
-            n,
-            u: vec![0.0; n * (n + 1) / 2],
-        };
-        // Up-looking: column `i` of `U` (row `i` of `L`) starts as
-        // `A[i, 0..=i]` in `x`; eliminating with row `k < i` finalizes
-        // `x[k] = L[i, k]` and subtracts `L[i, k] · L[j, k]` from every
-        // later `x[j]`, `j <= i` — the update `U[k, k+1..=i]` is contiguous.
-        let mut x = vec![0.0; n];
-        for i in 0..n {
-            x[..=i].copy_from_slice(&a.row(i)[..=i]);
-            for k in 0..i {
-                let rk = ch.row_start(k);
-                let xk = x[k] / ch.u[rk];
-                ch.u[rk + i - k] = xk;
-                let urow = &ch.u[rk + 1..=rk + i - k];
-                for (xj, ukj) in x[k + 1..=i].iter_mut().zip(urow) {
-                    *xj -= xk * ukj;
+        let mut ch = Cholesky::with_dim(n);
+        ch.factor_in_place(|u| {
+            for j in 0..n {
+                for (k, &v) in a.row(j)[..=j].iter().enumerate() {
+                    u[Cholesky::packed_index(n, j, k)] = v;
                 }
             }
-            let d = x[i];
-            if d <= 0.0 || !d.is_finite() {
-                return None;
+        })
+        .then_some(ch)
+    }
+
+    /// Factor, in the storage this factor already owns, the matrix whose
+    /// lower triangle `fill` writes into the zero-filled packed array
+    /// (`A[j, k]` at [`packed_index`](Self::packed_index)`(n, j, k)`) —
+    /// bit for bit [`factor`](Self::factor) of the same entries, without
+    /// the dense copy or a new allocation. Returns `false` if the matrix
+    /// is not (numerically) SPD; the storage then holds no factor.
+    pub fn factor_in_place(&mut self, fill: impl FnOnce(&mut [f64])) -> bool {
+        let n = self.n;
+        self.u.fill(0.0);
+        fill(&mut self.u);
+        let start = |k: usize| packed_row_start(n, k);
+        for k0 in (0..n).step_by(PANEL) {
+            let k1 = (k0 + PANEL).min(n);
+            let (done, panel) = self.u.split_at_mut(start(k0));
+            // Columns `from..n` of the finished rows `m..m + PANEL`.
+            let rows = |m: usize, from: usize| -> [&[f64]; PANEL] {
+                std::array::from_fn(|q| {
+                    let r = start(m + q);
+                    &done[r + from - (m + q)..r + n - (m + q)]
+                })
+            };
+            // Rows above the panel, PANEL at a time (`k0` is a multiple).
+            if k1 - k0 == PANEL {
+                let (t0, rest) = panel.split_at_mut(n - k0);
+                let (t1, rest) = rest.split_at_mut(n - k0 - 1);
+                let (t2, rest) = rest.split_at_mut(n - k0 - 2);
+                let t3 = &mut rest[..n - k0 - 3];
+                for m in (0..k0).step_by(PANEL) {
+                    let e = rows(m, k0);
+                    let c: [[f64; PANEL]; PANEL] =
+                        std::array::from_fn(|q| std::array::from_fn(|p| e[q][p]));
+                    // The panel's own triangle (columns `k0..k1`), whose
+                    // eliminating entries are the coefficients themselves...
+                    let heads: [&mut [f64]; PANEL] =
+                        [&mut t0[..4], &mut t1[..3], &mut t2[..2], &mut t3[..1]];
+                    for (p, head) in heads.into_iter().enumerate() {
+                        for (v, j) in head.iter_mut().zip(p..) {
+                            for cq in &c {
+                                *v -= cq[p] * cq[j];
+                            }
+                        }
+                    }
+                    // ...then columns `k1..n` of all four rows together.
+                    eliminate_panel(
+                        &mut t0[4..],
+                        &mut t1[3..],
+                        &mut t2[2..],
+                        &mut t3[1..],
+                        e.map(|s| &s[PANEL..]),
+                        &c,
+                    );
+                }
+            } else {
+                for p in k0..k1 {
+                    let t = &mut panel[start(p) - start(k0)..][..n - p];
+                    for m in (0..k0).step_by(PANEL) {
+                        let e = rows(m, p);
+                        eliminate_row(t, e, e.map(|s| s[0]));
+                    }
+                }
             }
-            let ri = ch.row_start(i);
-            ch.u[ri] = d.sqrt();
+            // Inside the panel: the rows just above, then the pivot.
+            for p in k0..k1 {
+                let (above, t) = panel.split_at_mut(start(p) - start(k0));
+                let t = &mut t[..n - p];
+                for m in k0..p {
+                    let e = &above[start(m) - start(k0) + p - m..][..n - p];
+                    let c = e[0];
+                    for (tj, ej) in t.iter_mut().zip(e) {
+                        *tj -= c * ej;
+                    }
+                }
+                let d = t[0];
+                if d <= 0.0 || !d.is_finite() {
+                    return false;
+                }
+                let pivot = d.sqrt();
+                t[0] = pivot;
+                for v in &mut t[1..] {
+                    *v /= pivot;
+                }
+            }
         }
         flops::add((n * n * n / 3).max(1) as u64);
-        Some(ch)
+        true
     }
 
     /// Dimension of the factored matrix.
@@ -331,7 +492,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// The textbook row-by-row dot-product Cholesky (unpacked row-major
-    /// `L`) the packed axpy form replaced. Kept as the bitwise oracle: the
+    /// `L`). Kept as the bitwise oracle: the
     /// packed factor must reproduce its entries bit for bit, and its
     /// solutions in the summation order the bit contract defines.
     struct DotCholesky {
@@ -490,6 +651,121 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn assert_factor_is_the_oracle(a: &DenseMatrix, what: &str) {
+        let (ch, oracle) = (Cholesky::factor(a), DotCholesky::factor(a));
+        assert_eq!(ch.is_some(), oracle.is_some(), "{what}: SPD verdict");
+        let (Some(ch), Some(oracle)) = (ch, oracle) else {
+            return;
+        };
+        for k in 0..a.nrows {
+            for j in k..a.nrows {
+                let u = ch.u[ch.row_start(k) + j - k];
+                assert_eq!(
+                    u.to_bits(),
+                    oracle.l[(j, k)].to_bits(),
+                    "{what}: U[{k},{j}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_form_factor_is_bitwise_the_oracle_at_every_panel_remainder() {
+        // Every size up to ten panels — each remainder against the panel
+        // and pass widths, panels with and without rows above them — and
+        // the smoother's block size.
+        for n in (1..=40).chain([166]) {
+            let vals: Vec<f64> = (0..n * n)
+                .map(|t| ((t * 37 + n) % 101) as f64 / 50.0 - 1.0)
+                .collect();
+            assert_factor_is_the_oracle(&gram(n, &vals, 0.5), &format!("n = {n}"));
+        }
+    }
+
+    #[test]
+    fn row_form_rejects_what_the_oracle_rejects() {
+        // A failing pivot at every position of every panel shape: the
+        // verdict must be the oracle's whether the bad row is the panel's
+        // first, its last, or in a short last panel.
+        for n in 1..=13usize {
+            let vals: Vec<f64> = (0..n * n).map(|t| (t % 13) as f64 / 6.0 - 1.0).collect();
+            let spd = gram(n, &vals, 1.0);
+            assert!(Cholesky::factor(&spd).is_some());
+            for p in 0..n {
+                // Indefinite: the pivot goes negative at `p`.
+                let mut a = spd.clone();
+                a[(p, p)] = -a[(p, p)];
+                assert!(Cholesky::factor(&a).is_none(), "n = {n}: indefinite at {p}");
+                assert_factor_is_the_oracle(&a, &format!("n = {n}, indefinite at {p}"));
+                // Zero pivot: row and column `p` vanish.
+                let mut a = spd.clone();
+                for k in 0..n {
+                    a[(p, k)] = 0.0;
+                    a[(k, p)] = 0.0;
+                }
+                assert!(Cholesky::factor(&a).is_none(), "n = {n}: zero pivot at {p}");
+                // NaN anywhere in row `p` of the triangle.
+                for k in 0..=p {
+                    let mut a = spd.clone();
+                    a[(p, k)] = f64::NAN;
+                    assert!(Cholesky::factor(&a).is_none(), "n = {n}: NaN at ({p},{k})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_lower_triangle_is_read() {
+        let n = 11;
+        let vals: Vec<f64> = (0..n * n).map(|t| (t % 17) as f64 / 8.0 - 1.0).collect();
+        let a = gram(n, &vals, 0.75);
+        let mut garbage = a.clone();
+        for i in 0..n {
+            for j in i + 1..n {
+                garbage[(i, j)] = if (i + j) % 2 == 0 { f64::NAN } else { 1e300 };
+            }
+        }
+        let (want, got) = (
+            Cholesky::factor(&a).unwrap(),
+            Cholesky::factor(&garbage).unwrap(),
+        );
+        let bits = |c: &Cholesky| -> Vec<u64> { c.u.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn in_place_factor_is_entry_for_entry_the_dense_one() {
+        // One storage factored three times: a matrix, a sparser one (the
+        // entries it does not write must read zero again, not the last
+        // factor), and a non-SPD one.
+        let n = 23;
+        let vals: Vec<f64> = (0..n * n).map(|t| (t % 19) as f64 / 9.0 - 1.0).collect();
+        let full = gram(n, &vals, 0.5);
+        let banded = DenseMatrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+            0 => 4.0,
+            1 | 5 => -1.0,
+            _ => 0.0,
+        });
+        let mut ch = Cholesky::with_dim(n);
+        for a in [&full, &banded] {
+            let spd = ch.factor_in_place(|u| {
+                for j in 0..n {
+                    for k in 0..=j {
+                        if a[(j, k)] != 0.0 {
+                            u[Cholesky::packed_index(n, j, k)] = a[(j, k)];
+                        }
+                    }
+                }
+            });
+            assert!(spd);
+            let want = Cholesky::factor(a).unwrap();
+            for (i, (u, v)) in ch.u.iter().zip(&want.u).enumerate() {
+                assert_eq!(u.to_bits(), v.to_bits(), "packed entry {i}");
+            }
+        }
+        assert!(!ch.factor_in_place(|u| u[Cholesky::packed_index(n, 7, 7)] = 1.0));
     }
 
     #[test]

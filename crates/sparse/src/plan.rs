@@ -668,14 +668,17 @@ impl RapPlan {
             rest_vals = tail;
             outs.push((cols, vals));
         }
-        outs.into_par_iter()
-            .enumerate()
-            .for_each(|(c, (out_cols, out_vals))| {
+        // A run of coarse vertices per task shares one pair of tile
+        // buffers (every tile is overwritten before it is read).
+        const RUN: usize = 32;
+        outs.par_chunks_mut(RUN).enumerate().for_each(|(k, run)| {
+            let (mut ra_tiles, mut c_tiles) = (Vec::new(), Vec::new());
+            for (c, (out_cols, out_vals)) in (k * RUN..).zip(run) {
                 let ra = self.rows1[c] as usize..self.rows1[c + 1] as usize;
                 let out = self.rows2[c] as usize..self.rows2[c + 1] as usize;
-                let mut ra_tiles = vec![0.0; ra.len() * BB];
+                ra_tiles.resize(ra.len() * BB, 0.0);
                 self.stage1.accumulate::<BB>(ra, &a_tiles, &mut ra_tiles);
-                let mut c_tiles = vec![0.0; out.len() * BB];
+                c_tiles.resize(out.len() * BB, 0.0);
                 self.stage2
                     .accumulate::<BB>(out.clone(), &ra_tiles, &mut c_tiles);
                 emit_row::<B, BB>(
@@ -685,7 +688,8 @@ impl RapPlan {
                     out_cols,
                     out_vals,
                 );
-            });
+            }
+        });
         flops::add(2 * (self.stage1.scalar_madds + self.stage2.scalar_madds));
         CsrMatrix::from_parts(nc * B, nc * B, self.c_row_ptr.clone(), col_idx, vals)
     }

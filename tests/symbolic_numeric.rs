@@ -3,8 +3,11 @@
 //! happened, a second re-assembly + `update_operator` round on the same
 //! sparsity pattern must perform **zero** symbolic work — no new RAP plan
 //! builds, no new assembly pattern builds, no new smoother block
-//! partitions — while the plan-reuse and pattern-reuse counters keep
-//! climbing. The planned Galerkin products are
+//! partitions, no redistribution of a level operator — while the
+//! plan-reuse and pattern-reuse counters keep climbing, and every level
+//! operator refreshed in place is the one a cold distribution would have
+//! built. A third round on a *changed* pattern must say so and rebuild.
+//! The planned Galerkin products are
 //! also checked numerically, level by level, against the unplanned
 //! `CsrMatrix::rap` reference.
 //!
@@ -13,6 +16,8 @@
 
 use pmg_bench::spheres_first_solve;
 use pmg_fem::bc::constrain_system;
+use pmg_parallel::{DistMatrix, DistVec, MachineModel, Sim};
+use pmg_sparse::{CooBuilder, CsrMatrix};
 use prometheus::{MgOptions, Prometheus, PrometheusOptions};
 
 fn counter(report: &pmg_telemetry::Report, name: &str) -> u64 {
@@ -56,11 +61,21 @@ fn second_update_round_is_numeric_only() {
         kc
     };
 
+    let c0 = pmg_telemetry::snapshot();
     let _k1 = round(1e-4, &mut solver);
     let c1 = pmg_telemetry::snapshot();
     let k2 = round(2e-4, &mut solver);
     let c2 = pmg_telemetry::snapshot();
-    pmg_telemetry::set_enabled(false);
+
+    // Every level operator was refreshed in place — values only, once per
+    // level per update — and is what a cold distribution of the same level
+    // operator builds, entry for entry and in SpMV bits.
+    for (before, after) in [(&c0, &c1), (&c1, &c2)] {
+        let per_update = |name| counter(after, name) - counter(before, name);
+        assert_eq!(per_update("distribute/refresh"), nlevels as u64);
+        assert_eq!(per_update("distribute/rebuild"), 0);
+    }
+    assert_levels_are_cold_distributions(&mut solver, &k2);
 
     // Round 2 did real work...
     assert!(
@@ -107,7 +122,7 @@ fn second_update_round_is_numeric_only() {
 
     // Numeric check: every planned coarse operator matches the unplanned
     // triple product to 1e-12, level by level.
-    let mut cur = k2;
+    let mut cur = k2.clone();
     for lvl in 0..nlevels - 1 {
         let r = solver.mg.levels[lvl]
             .r_global
@@ -129,5 +144,61 @@ fn second_update_round_is_numeric_only() {
             );
         }
         cur = reference;
+    }
+
+    // One more stored entry (an explicit zero, both triangles): level 0's
+    // pattern is not the distributed one any more, which is rebuilt and
+    // counted; nothing else about the update changes.
+    let k3 = {
+        let (i, j) = (0..ndof)
+            .map(|j| (ndof - 1, j))
+            .find(|&(i, j)| k2.row(i).0.binary_search(&j).is_err())
+            .expect("the last row is not dense");
+        let mut b = CooBuilder::new(ndof, ndof);
+        k2.iter().for_each(|(i, j, v)| b.push(i, j, v));
+        b.push(i, j, 0.0);
+        b.push(j, i, 0.0);
+        b.build()
+    };
+    solver.update_matrix(&k3);
+    let c3 = pmg_telemetry::snapshot();
+    pmg_telemetry::set_enabled(false);
+    let rebuilt = counter(&c3, "distribute/rebuild");
+    assert!(rebuilt >= 1, "a changed fine pattern was not redistributed");
+    assert_eq!(
+        counter(&c3, "distribute/refresh") - counter(&c2, "distribute/refresh") + rebuilt,
+        nlevels as u64
+    );
+    assert_levels_are_cold_distributions(&mut solver, &k3);
+}
+
+/// Level by level down the cached Galerkin plans from `fine`: the
+/// hierarchy's operator is bitwise the cold distribution of that level's
+/// global operator, in its entries and in a product.
+fn assert_levels_are_cold_distributions(solver: &mut Prometheus, fine: &CsrMatrix) {
+    let mut sim = Sim::new(2, MachineModel::default());
+    let mut cur = fine.clone();
+    for (lvl, level) in solver.mg.levels.iter_mut().enumerate() {
+        let layout = level.a.row_layout().clone();
+        let cold = DistMatrix::from_global_blocked(&cur, layout.clone(), layout.clone());
+        assert_eq!(level.a.bsr3_routed(), cold.bsr3_routed(), "level {lvl}");
+        assert_eq!(level.a.to_global(), cold.to_global(), "level {lvl}");
+        assert_eq!(level.a.to_global(), cur, "level {lvl}");
+        let x: Vec<f64> = (0..cur.nrows()).map(|i| (i as f64 * 0.37).sin()).collect();
+        let dx = DistVec::from_global(layout.clone(), &x);
+        let product = |a: &DistMatrix, sim: &mut Sim| -> Vec<u64> {
+            let mut y = DistVec::zeros(layout.clone());
+            a.spmv(sim, &dx, &mut y);
+            y.to_global().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            product(&level.a, &mut sim),
+            product(&cold, &mut sim),
+            "level {lvl}"
+        );
+        match level.rap_plan.as_mut() {
+            Some(plan) => cur = plan.execute(&cur),
+            None => break,
+        }
     }
 }
