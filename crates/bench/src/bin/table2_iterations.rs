@@ -17,7 +17,8 @@
 //! ten-step Newton study.
 
 use pmg_bench::{
-    env_max_k, machine, ranks_for, spheres_first_solve, telemetry_from_env, PAPER_FIRST_SOLVE_ITERS,
+    env_depth, env_max_k, machine, ranks_for, spheres_first_solve, telemetry_from_env,
+    PAPER_FIRST_SOLVE_ITERS,
 };
 use pmg_fem::{NewtonDriver, NewtonOptions};
 use prometheus::{MgOptions, Prometheus, PrometheusOptions};
@@ -27,10 +28,7 @@ fn main() {
     let max_k = env_max_k(2);
     // The ten-step Newton study multiplies cost ~50x; cap its ladder depth
     // separately (PMG_NONLINEAR_MAX_K, default 2; 0 disables it).
-    let nonlinear_max_k: usize = std::env::var("PMG_NONLINEAR_MAX_K")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
+    let nonlinear_max_k = env_depth("PMG_NONLINEAR_MAX_K", 2);
     let nsteps = 10;
 
     println!("# Table 2 reproduction (paper values in parentheses where applicable)");

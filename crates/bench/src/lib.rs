@@ -27,10 +27,26 @@ pub fn ranks_for(k: usize) -> usize {
 /// Ladder depth from the environment (`PMG_MAX_K`), with a default chosen
 /// for the binary's runtime.
 pub fn env_max_k(default: usize) -> usize {
-    std::env::var("PMG_MAX_K")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    env_depth("PMG_MAX_K", default)
+}
+
+/// A ladder depth read from variable `name`: unset or empty is `default`.
+///
+/// # Panics
+/// On anything but a non-negative integer — a mistyped depth must not
+/// silently run the default ladder.
+pub fn env_depth(name: &str, default: usize) -> usize {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_depth(name, value.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn parse_depth(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None | Some("") => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v}: expected a non-negative integer")),
+    }
 }
 
 /// The machine model used throughout (the paper's PowerPC cluster numbers).
@@ -104,7 +120,7 @@ pub fn spheres_first_solve(k: usize) -> FirstSolveSystem {
 pub const PARITY_RTOL: f64 = 1e-6;
 
 /// Options for the transport-parity runs (the consistency tests, the
-/// `spheres_rank` worker, and the comm section of the bench snapshot): the
+/// `spheres_rank` worker, and the daemon smoke client): the
 /// tiny spheres problem over `nranks` ranks with a coarse threshold low
 /// enough to give a multi-level hierarchy. Every transport must reproduce
 /// the simulated solve bitwise under these options, so both the test and
@@ -142,17 +158,18 @@ pub fn parity_solver(
     }
 }
 
-/// Format a floating value in fixed width or `-` for None.
-pub fn fmt_opt(v: Option<f64>, prec: usize) -> String {
-    match v {
-        Some(x) => format!("{x:.prec$}"),
-        None => "-".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn depth_switches_reject_anything_but_an_integer() {
+        assert_eq!(parse_depth("PMG_MAX_K", None, 2), Ok(2));
+        assert_eq!(parse_depth("PMG_MAX_K", Some(""), 2), Ok(2));
+        assert_eq!(parse_depth("PMG_NONLINEAR_MAX_K", Some("0"), 2), Ok(0));
+        let err = parse_depth("PMG_NONLINEAR_MAX_K", Some("x"), 2).unwrap_err();
+        assert!(err.contains("PMG_NONLINEAR_MAX_K=x") && err.contains("integer"));
+    }
 
     #[test]
     fn first_solve_system_builds() {

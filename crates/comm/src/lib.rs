@@ -145,15 +145,6 @@ impl CommStats {
     pub fn on_wait(&mut self, dt: f64) {
         self.wait_s += dt;
     }
-
-    /// Fold another endpoint's statistics into this one.
-    pub fn merge(&mut self, o: &CommStats) {
-        self.msgs += o.msgs;
-        self.bytes += o.bytes;
-        self.wait_s += o.wait_s;
-        self.retries += o.retries;
-        self.allreduces += o.allreduces;
-    }
 }
 
 /// One rank's endpoint of a message-passing machine.

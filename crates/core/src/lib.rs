@@ -26,9 +26,6 @@
 //!    ([`coarsen`]), recovering "lost" fine vertices from nearby elements.
 //! 5. Form **Galerkin coarse operators** `A_c = R A Rᵀ` and recurse
 //!    ([`mg`]); solve with FMG-preconditioned CG ([`solver`]).
-//!
-//! A smoothed-aggregation AMG baseline ([`sa`]) is included as the paper's
-//! named alternative (Vanek et al., their future-work comparison).
 
 pub mod classify;
 pub mod coarsen;
@@ -38,7 +35,6 @@ pub mod ingest;
 pub mod inspect;
 pub mod mg;
 pub mod mis;
-pub mod sa;
 pub mod solver;
 pub mod spmd;
 
@@ -55,7 +51,6 @@ pub use ingest::{
 pub use inspect::{classify_mesh_levels, tets_to_obj, LevelInfo};
 pub use mg::{CycleType, FineOperator, MgHierarchy, MgOptions};
 pub use mis::{greedy_mis, parallel_mis, parallel_mis_transport, MisOrdering};
-pub use sa::{build_sa_hierarchy, SaOptions};
 pub use solver::{Prometheus, PrometheusOptions, SolveSummary};
 pub use spmd::{
     solve_threads, spmd_pcg, spmd_pcg_multi, DistributedSetup, PhaseWaits, RankHierarchy,

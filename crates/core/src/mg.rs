@@ -58,14 +58,24 @@ pub enum FineOperator {
 }
 
 impl FineOperator {
-    /// Read the backend from `PMG_FINE_OP` (`matrixfree` / `mf` selects
-    /// the matrix-free path; anything else, or unset, is assembled).
+    /// Read the backend from `PMG_FINE_OP`: `matrixfree` / `mf` selects
+    /// the matrix-free path, `assembled` (or unset / empty) the default.
+    ///
+    /// # Panics
+    /// On any other value — a misspelt backend must not silently run the
+    /// default one.
     pub fn from_env() -> FineOperator {
-        match std::env::var("PMG_FINE_OP") {
-            Ok(v) if v.eq_ignore_ascii_case("matrixfree") || v.eq_ignore_ascii_case("mf") => {
-                FineOperator::MatrixFree
-            }
-            _ => FineOperator::Assembled,
+        let value = std::env::var_os("PMG_FINE_OP").map(|v| v.to_string_lossy().into_owned());
+        Self::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn parse(value: Option<&str>) -> Result<FineOperator, String> {
+        match value.map(str::to_ascii_lowercase).as_deref() {
+            None | Some("" | "assembled") => Ok(FineOperator::Assembled),
+            Some("matrixfree" | "mf") => Ok(FineOperator::MatrixFree),
+            Some(other) => Err(format!(
+                "PMG_FINE_OP={other}: expected assembled|matrixfree|mf"
+            )),
         }
     }
 }
@@ -721,6 +731,18 @@ mod tests {
     use pmg_parallel::MachineModel;
     use pmg_solver::{pcg, PcgOptions};
     use pmg_sparse::CooBuilder;
+
+    #[test]
+    fn fine_operator_switch_rejects_unrecognised_values() {
+        for v in [None, Some(""), Some("assembled")] {
+            assert_eq!(FineOperator::parse(v), Ok(FineOperator::Assembled));
+        }
+        for v in ["matrixfree", "mf", "MatrixFree"] {
+            assert_eq!(FineOperator::parse(Some(v)), Ok(FineOperator::MatrixFree));
+        }
+        let err = FineOperator::parse(Some("matrxfree")).unwrap_err();
+        assert!(err.contains("PMG_FINE_OP") && err.contains("assembled|matrixfree|mf"));
+    }
 
     /// 3D Laplacian (scalar) on an n^3-element cube mesh with Dirichlet
     /// conditions baked in by keeping the operator SPD: A = graph Laplacian

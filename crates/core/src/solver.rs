@@ -2,12 +2,9 @@
 //! an assembled operator, get solutions back — with the whole simulated
 //! parallel machine and its per-phase statistics inside.
 
-use crate::classify::VertexClasses;
 use crate::mg::{MgHierarchy, MgOptions};
-use pmg_geometry::Vec3;
 use pmg_mesh::Mesh;
 use pmg_parallel::{DistVec, MachineModel, PhaseStats, Sim};
-use pmg_partition::Graph;
 use pmg_solver::{pcg, pcg_multi_each, PcgOptions, PcgResult};
 use pmg_sparse::{CsrMatrix, MatrixFreeFactory};
 use std::collections::BTreeMap;
@@ -130,29 +127,6 @@ impl Prometheus {
                 opts.mg,
                 Some(factory),
             );
-            (sim, mg)
-        });
-        Prometheus {
-            sim,
-            mg,
-            opts,
-            pool,
-        }
-    }
-
-    /// Build from raw grid data (coords + vertex graph + classification).
-    pub fn from_graph(
-        a: &CsrMatrix,
-        coords: &[Vec3],
-        graph: &Graph,
-        classes: &VertexClasses,
-        opts: PrometheusOptions,
-    ) -> Prometheus {
-        let _t = pmg_telemetry::scope("setup");
-        let pool = pool_for(&opts);
-        let (sim, mg) = on_pool(&pool, || {
-            let mut sim = Sim::new(opts.nranks, opts.model);
-            let mg = MgHierarchy::build(&mut sim, a, coords, graph, classes, opts.mg);
             (sim, mg)
         });
         Prometheus {
@@ -313,6 +287,7 @@ pub fn sim_phase_record(name: &str, stats: &PhaseStats) -> pmg_telemetry::SimPha
 mod tests {
     use super::*;
     use pmg_fem::{FemProblem, LinearElastic};
+    use pmg_geometry::Vec3;
     use pmg_mesh::generators::block;
     use std::sync::Arc;
 

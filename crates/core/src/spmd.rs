@@ -1292,7 +1292,7 @@ pub struct SpmdSolveOutcome {
 /// `overlap` picks the halo schedule ([`RankHierarchy::overlap`]); both
 /// produce bitwise-identical solutions, residual histories and message
 /// counts, and `false` exists for A/B wait-time measurements of the
-/// blocking exchange (see `bench_snapshot`).
+/// blocking exchange.
 pub fn solve_threads(
     mg: &MgHierarchy,
     bs: &[Vec<f64>],

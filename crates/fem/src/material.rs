@@ -18,7 +18,6 @@
 pub type Mat3 = [[f64; 3]; 3];
 
 pub const MAT3_ZERO: Mat3 = [[0.0; 3]; 3];
-pub const MAT3_EYE: Mat3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]];
 
 /// Fourth-order nominal tangent `A[i][J][k][L]` stored flat.
 #[derive(Clone)]

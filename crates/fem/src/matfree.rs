@@ -85,16 +85,24 @@ const DEFAULT_BATCH: usize = 32;
 /// so scheduling overhead is amortized over the batch instead of paid per
 /// element. Read once from `PMG_MF_BATCH`; any positive value produces the
 /// same bits (only the task decomposition changes — the scatter order does
-/// not).
+/// not). Unset or empty is the default; anything but a positive integer
+/// panics at the first apply rather than silently running the default.
 fn batch_size() -> usize {
     static BATCH: OnceLock<usize> = OnceLock::new();
     *BATCH.get_or_init(|| {
-        std::env::var("PMG_MF_BATCH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&b| b > 0)
-            .unwrap_or(DEFAULT_BATCH)
+        let value = std::env::var_os("PMG_MF_BATCH").map(|v| v.to_string_lossy().into_owned());
+        parse_batch(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
     })
+}
+
+fn parse_batch(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        None | Some("") => Ok(DEFAULT_BATCH),
+        Some(v) => match v.parse() {
+            Ok(b) if b > 0 => Ok(b),
+            _ => Err(format!("PMG_MF_BATCH={v}: expected a positive integer")),
+        },
+    }
 }
 
 /// Weighted tangent of one Gauss point (construction-time classification;
@@ -2236,6 +2244,17 @@ mod tests {
     use crate::material::{J2Plasticity, LinearElastic, Material, NeoHookean};
     use pmg_geometry::Vec3;
     use pmg_mesh::generators::block;
+
+    #[test]
+    fn batch_switch_rejects_anything_but_a_positive_integer() {
+        assert_eq!(parse_batch(None), Ok(DEFAULT_BATCH));
+        assert_eq!(parse_batch(Some("")), Ok(DEFAULT_BATCH));
+        assert_eq!(parse_batch(Some("5")), Ok(5));
+        for bad in ["0", "abc", "-3"] {
+            let err = parse_batch(Some(bad)).unwrap_err();
+            assert!(err.contains("PMG_MF_BATCH") && err.contains("positive integer"));
+        }
+    }
 
     fn block_problem(mat: Arc<dyn Material>) -> FemProblem {
         let mesh = block(2, 2, 2, Vec3::splat(1.0), |_| 0);

@@ -71,16 +71,6 @@ pub struct NewtonStats {
     pub yielded: Vec<f64>,
 }
 
-impl NewtonStats {
-    pub fn total_newton_iters(&self) -> usize {
-        self.steps.iter().map(|s| s.newton_iters).sum()
-    }
-
-    pub fn total_linear_iters(&self) -> usize {
-        self.steps.iter().flat_map(|s| s.linear_iters.iter()).sum()
-    }
-}
-
 /// The linear solver callback: `(K, rhs, rtol) -> (Δu, iterations)`.
 pub type LinearSolve<'a> = dyn FnMut(&CsrMatrix, &[f64], f64) -> (Vec<f64>, usize) + 'a;
 

@@ -57,16 +57,6 @@ impl MeshShard {
         self.mesh.num_vertices() - self.num_owned
     }
 
-    /// Global ids of the owned vertices, ascending.
-    pub fn owned_global(&self) -> &[u32] {
-        &self.global_vertices[..self.num_owned]
-    }
-
-    /// Whether local vertex `lv` is owned by this rank.
-    pub fn is_owned(&self, lv: usize) -> bool {
-        lv < self.num_owned
-    }
-
     /// Local index of global vertex `g`, if present in this shard. Both
     /// the owned prefix and the ghost suffix are sorted ascending, so two
     /// binary searches suffice — no hash map is stored.

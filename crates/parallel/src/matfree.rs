@@ -138,20 +138,6 @@ impl DistMatFree {
         self.kernels.iter().map(|k| k.ghosts().len()).collect()
     }
 
-    /// Per-rank `(interior, boundary)` row counts of the overlap split.
-    pub fn overlap_row_counts(&self) -> Vec<(usize, usize)> {
-        self.kernels
-            .iter()
-            .map(|k| (k.interior_rows() as usize, k.boundary_rows() as usize))
-            .collect()
-    }
-
-    /// Estimated resident bytes of rank `r`'s kernel (shared element data
-    /// plus its maps; ranks sharing `Arc`ed element data each report it).
-    pub fn kernel_memory_bytes(&self, r: usize) -> u64 {
-        self.kernels[r].memory_bytes()
-    }
-
     /// Rank `r`'s borrowed view for SPMD execution over a real transport,
     /// bound to message tag `tag`. Computes bitwise the same product as
     /// [`DistMatFree::spmv`].

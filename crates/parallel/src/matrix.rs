@@ -378,16 +378,6 @@ impl DistMatrix {
         self.ranks[r].op(&self.plan.ranks[r], tag)
     }
 
-    /// Per-rank `(interior, boundary)` row counts of the overlap row split
-    /// (diagnostics; boundary rows are the ones whose product must wait for
-    /// the halo).
-    pub fn overlap_row_counts(&self) -> Vec<(usize, usize)> {
-        self.ranks
-            .iter()
-            .map(|m| (m.interior.len(), m.boundary.len()))
-            .collect()
-    }
-
     /// `y = A x`, charging one ghost exchange plus one compute superstep.
     pub fn spmv(&self, sim: &mut Sim, x: &DistVec, y: &mut DistVec) {
         assert!(

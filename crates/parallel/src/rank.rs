@@ -51,11 +51,6 @@ impl<'a> RankOp<'a> {
         self.diag.nrows()
     }
 
-    /// Columns of this rank's owned share (length of the local input).
-    pub fn local_cols(&self) -> usize {
-        self.diag.ncols()
-    }
-
     /// Post this operator's halo sends (packing `x_local` per the plan)
     /// and return the in-flight exchange.
     fn start_exchange<T: Transport>(

@@ -70,10 +70,8 @@ impl Default for ServeConfig {
 }
 
 /// A running daemon. Dropping the handle does **not** stop it; send a
-/// `shutdown` request (or flip [`ServerHandle::shutdown_flag`]) and
-/// [`wait`](ServerHandle::wait).
+/// `shutdown` request and [`wait`](ServerHandle::wait).
 pub struct ServerHandle {
-    shutdown: Arc<AtomicBool>,
     accept_threads: Vec<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     dispatcher: Option<JoinHandle<()>>,
@@ -86,12 +84,6 @@ impl ServerHandle {
     /// is how a `tcp_addr` of port 0 reports the picked port).
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
         self.tcp_addr
-    }
-
-    /// The shutdown flag shared with every daemon thread. Storing `true`
-    /// initiates the same graceful drain as a `shutdown` request.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
     }
 
     /// Block until the daemon has fully drained and every thread has
@@ -213,7 +205,6 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
 
     drop(tx); // dispatcher exit tracks accept + connection senders only
     Ok(ServerHandle {
-        shutdown,
         accept_threads,
         conn_threads,
         dispatcher: Some(dispatcher),

@@ -83,6 +83,7 @@ fn concurrent_solves_match_offline_bitwise_and_daemon_drains() {
     for r in &replies {
         assert!(r.converged);
         assert_eq!(r.fingerprint, fp);
+        assert!(r.cache_hit && r.setup_s == 0.0, "{}: warm hit", r.id);
         assert!(
             bits_equal(&r.x, &oracle),
             "{}: bits differ from offline",
@@ -92,6 +93,7 @@ fn concurrent_solves_match_offline_bitwise_and_daemon_drains() {
 
     let stats = c.stats().expect("stats");
     assert!(stats.cache_hit > 0, "warm hierarchy was never hit");
+    assert_eq!(stats.cache_miss, 1, "only the first warm may build");
     assert!(stats.requests >= 5);
 
     c.shutdown().expect("shutdown ack");

@@ -17,7 +17,6 @@
 
 pub mod chebyshev;
 pub mod direct;
-pub mod gmres;
 pub mod lanczos;
 pub mod pcg;
 pub mod precond;
@@ -25,7 +24,6 @@ pub mod smoother;
 
 pub use chebyshev::Chebyshev;
 pub use direct::CoarseDirect;
-pub use gmres::{gmres, GmresOptions, GmresResult};
 pub use lanczos::{lanczos_spectrum, SpectrumEstimate};
 pub use pcg::{pcg, pcg_blocked, pcg_multi, pcg_multi_each, PcgBackend, PcgOptions, PcgResult};
 pub use precond::{IdentityPrecond, JacobiPrecond, Precond};

@@ -630,44 +630,10 @@ impl CsrMatrix {
         }
     }
 
-    /// Zero all stored values, keeping the sparsity pattern (for repeated
-    /// assembly into a fixed structure).
-    pub fn zero_values(&mut self) {
-        self.vals.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Scale all values by `s`.
     pub fn scale(&mut self, s: f64) {
         for v in &mut self.vals {
             *v *= s;
-        }
-        flops::add(self.vals.len() as u64);
-    }
-
-    /// Sparse sum `C = self + alpha · other`.
-    pub fn add_scaled(&self, other: &CsrMatrix, alpha: f64) -> CsrMatrix {
-        assert_eq!(self.nrows, other.nrows);
-        assert_eq!(self.ncols, other.ncols);
-        let mut b = CooBuilder::new(self.nrows, self.ncols);
-        b.reserve(self.nnz() + other.nnz());
-        for (i, j, v) in self.iter() {
-            b.push(i, j, v);
-        }
-        for (i, j, v) in other.iter() {
-            b.push(i, j, alpha * v);
-        }
-        flops::add(other.nnz() as u64 * 2);
-        b.build()
-    }
-
-    /// Scale row `i` by `d[i]`.
-    pub fn scale_rows(&mut self, d: &[f64]) {
-        assert_eq!(d.len(), self.nrows);
-        for i in 0..self.nrows {
-            let (a, b) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            for v in &mut self.vals[a..b] {
-                *v *= d[i];
-            }
         }
         flops::add(self.vals.len() as u64);
     }

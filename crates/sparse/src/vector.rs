@@ -8,7 +8,7 @@
 //! combined recursively, and the recursion shape depends only on the
 //! vector length — never on how many threads happen to execute the two
 //! halves. A 1-thread pool and a 16-thread pool therefore produce the
-//! same floating-point result bit for bit, which keeps CG/GMRES residual
+//! same floating-point result bit for bit, which keeps CG residual
 //! histories reproducible across `PMG_THREADS` settings.
 
 use crate::flops;

@@ -1,6 +1,7 @@
 //! Pluggable report sinks: human-readable table, JSON-lines, no-op.
 
 use crate::report::Report;
+use std::ffi::OsString;
 use std::io::{self, Write};
 
 /// Destination for a finished [`Report`].
@@ -39,21 +40,33 @@ impl Sink for NoopSink {
 
 /// Sink selected by the environment, for the bench binaries:
 ///
-/// - `PMG_TELEMETRY=off` (or unset) → [`NoopSink`];
+/// - `PMG_TELEMETRY=off` (or unset / empty) → [`NoopSink`];
 /// - `PMG_TELEMETRY=table` → [`TableSink`] on stdout;
 /// - `PMG_TELEMETRY=json` → [`JsonLinesSink`] on the file named by
-///   `PMG_TELEMETRY_FILE` (stdout when unset).
+///   `PMG_TELEMETRY_FILE` (stdout when unset);
+/// - anything else → an [`io::ErrorKind::InvalidInput`] error naming the
+///   variable, so a misspelt mode does not silently report nothing.
 ///
 /// Callers that want collection on should also call
 /// [`crate::set_enabled`]`(true)` when this returns a non-noop sink.
 pub fn sink_from_env() -> io::Result<Box<dyn Sink>> {
-    match std::env::var("PMG_TELEMETRY").as_deref() {
-        Ok("table") => Ok(Box::new(TableSink(io::stdout()))),
-        Ok("json") => match std::env::var("PMG_TELEMETRY_FILE") {
-            Ok(path) => Ok(Box::new(JsonLinesSink(std::fs::File::create(path)?))),
-            Err(_) => Ok(Box::new(JsonLinesSink(io::stdout()))),
+    let mode = std::env::var_os("PMG_TELEMETRY").map(|v| v.to_string_lossy().into_owned());
+    let file = std::env::var_os("PMG_TELEMETRY_FILE");
+    sink_for(mode.as_deref(), file)
+}
+
+fn sink_for(mode: Option<&str>, file: Option<OsString>) -> io::Result<Box<dyn Sink>> {
+    match mode {
+        None | Some("" | "off") => Ok(Box::new(NoopSink)),
+        Some("table") => Ok(Box::new(TableSink(io::stdout()))),
+        Some("json") => match file {
+            Some(path) => Ok(Box::new(JsonLinesSink(std::fs::File::create(path)?))),
+            None => Ok(Box::new(JsonLinesSink(io::stdout()))),
         },
-        _ => Ok(Box::new(NoopSink)),
+        Some(other) => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("PMG_TELEMETRY={other}: expected off|table|json"),
+        )),
     }
 }
 
@@ -71,6 +84,17 @@ mod tests {
             }],
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn telemetry_switch_rejects_unrecognised_modes() {
+        for mode in [None, Some(""), Some("off"), Some("table"), Some("json")] {
+            assert!(sink_for(mode, None).is_ok(), "{mode:?}");
+        }
+        let err = sink_for(Some("jsno"), None).err().expect("typo rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let msg = err.to_string();
+        assert!(msg.contains("PMG_TELEMETRY=jsno") && msg.contains("off|table|json"));
     }
 
     #[test]

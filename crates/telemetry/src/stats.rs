@@ -25,18 +25,6 @@ pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
     Some(sorted[rank.saturating_sub(1)])
 }
 
-/// Publish `p50`/`p90`/`p99` gauges for one latency phase under
-/// `{prefix}_p{q}` (e.g. `serve/latency/solve_p99`), in seconds. Empty
-/// sample sets publish nothing, so the gauges only exist once at least
-/// one request has completed the phase.
-pub fn publish_percentiles(prefix: &str, samples: &[f64]) {
-    for (label, q) in SUMMARY_QUANTILES {
-        if let Some(v) = percentile(samples, q) {
-            crate::gauge_set(&format!("{prefix}_p{label}"), v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,7 +29,6 @@ run ordering_ablation
 run smoother_ablation
 run face_tol_study
 run coarse_size_study
-run sa_comparison
 
 echo
 echo "all artifacts regenerated (ladder depth PMG_MAX_K=$PMG_MAX_K)"

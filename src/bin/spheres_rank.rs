@@ -10,8 +10,8 @@
 //! The one input the sharded builder rejects is the matrix-free fine
 //! operator (`PMG_FINE_OP=matrixfree`): then each process runs the full
 //! in-process build and extracts its rank's share instead.
-//! Rank 0 gathers the solution and, when `--out PATH` (or `PMG_OUT`) is
-//! given, writes the iteration count, convergence flag, and the solution /
+//! Rank 0 gathers the solution and, when `--out PATH` is given, writes
+//! the iteration count, convergence flag, and the solution /
 //! residual-history bit patterns for the parity test to compare against the
 //! simulated solve.
 //!
@@ -29,7 +29,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut out_path = std::env::var("PMG_OUT").ok();
+    let mut out_path = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {

@@ -241,13 +241,16 @@ fn matrix_free_solve_reproduces_assembled_history() {
     let den: f64 = xa.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-30);
     assert!(num / den < 1e-8, "solution drift {}", num / den);
 
-    // The memory story the matrix-free path exists for: its operator
-    // footprint must undercut the assembled fine matrix.
+    // The memory story the matrix-free path exists for: the assembled fine
+    // operator keeps the scalar CSR (block Jacobi factors its diagonal) and
+    // its BSR3 promotion resident; the element kernel replaces both and
+    // must be at least 2x smaller — deterministic byte counts.
     use pmg_sparse::Operator;
+    let assembled =
+        sys.matrix.memory_bytes() + pmg_sparse::Bsr3Matrix::from_csr(&sys.matrix).memory_bytes();
     assert!(
-        mf.memory_bytes() < sys.matrix.memory_bytes(),
-        "matrix-free {} bytes vs assembled {}",
-        mf.memory_bytes(),
-        sys.matrix.memory_bytes()
+        assembled as f64 >= 2.0 * mf.memory_bytes() as f64,
+        "matrix-free {} bytes vs assembled resident {assembled}",
+        mf.memory_bytes()
     );
 }

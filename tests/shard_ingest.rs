@@ -95,14 +95,16 @@ fn fine_problem(n: usize) -> (CsrMatrix, pmg_mesh::Mesh, pmg_partition::Graph) {
 
 /// Build the hierarchy on `p` ranks and return each rank's (total tracked
 /// bytes, largest tracked allocation) for the build window alone — the
-/// owned-rows input is assembled before tracking starts.
+/// owned-rows input is assembled before tracking starts — and the bytes of
+/// the coarse-level (levels >= 1) operator rows the rank keeps, at the CSR
+/// cost `pmg_serve::sharded_bytes` charges.
 fn build_footprint(
     a: &CsrMatrix,
     mesh: &pmg_mesh::Mesh,
     g: &pmg_partition::Graph,
     p: usize,
     opts: MgOptions,
-) -> Vec<(u64, u64)> {
+) -> Vec<(u64, u64, usize)> {
     let classes = classify_mesh(mesh, 0.7);
     let plan = plan_ingest(&mesh.coords, g, &classes, &[], p, &opts);
     let layout = Layout::from_part(plan.part().to_vec(), p);
@@ -110,13 +112,14 @@ fn build_footprint(
     LocalTransport::run_ranks(p, move |mut t| {
         let rank = t.rank();
         let a_owned = a_ref.extract_rows(layout_ref.owned(rank));
-        let ((), total, largest) = tracked(|| {
-            let setup =
-                RankHierarchy::build_from_shards(&mut t, &plan_ref.seeds[rank], &a_owned, opts)
-                    .unwrap();
-            assert!(setup.num_levels() >= 2, "hierarchy must coarsen");
+        let (setup, total, largest) = tracked(|| {
+            RankHierarchy::build_from_shards(&mut t, &plan_ref.seeds[rank], &a_owned, opts).unwrap()
         });
-        Ok::<_, CommError>((total, largest))
+        assert!(setup.num_levels() >= 2, "hierarchy must coarsen");
+        let coarse = (1..setup.num_levels())
+            .map(|l| setup.level_nnz_local(l) * 12 + setup.level_rows_local(l) * 32)
+            .sum();
+        Ok::<_, CommError>((total, largest, coarse))
     })
     .into_iter()
     .map(|r| r.unwrap())
@@ -135,17 +138,25 @@ fn sharded_setup_allocation_shrinks_with_ranks() {
     let p1 = build_footprint(&a, &mesh, &g, 1, opts);
     let p4 = build_footprint(&a, &mesh, &g, 4, opts);
     let p1_total = p1[0].0;
-    let p4_worst = p4.iter().map(|&(t, _)| t).max().unwrap();
+    let p4_worst = p4.iter().map(|&(t, _, _)| t).max().unwrap();
     assert!(
         p4_worst as f64 <= 0.6 * p1_total as f64,
         "per-rank setup allocation must shrink with ranks: \
          p=1 rank total {p1_total} B, p=4 worst rank {p4_worst} B"
     );
 
+    // Coarse levels are owned shares, not replicas: the worst rank at p = 4
+    // keeps at most 0.6x of what the single rank (every coarse row) keeps.
+    let (replicated, p4_coarse) = (p1[0].2, p4.iter().map(|f| f.2).max().unwrap());
+    assert!(
+        p4_coarse as f64 <= 0.6 * replicated as f64,
+        "owned coarse share at p=4 is {p4_coarse} B of {replicated} B replicated"
+    );
+
     // Direct witness at p = 4: nothing as large as even the global fine
     // matrix's column-index array was ever allocated on a rank.
     let global_cols_bytes = (a.nnz() * std::mem::size_of::<usize>()) as u64;
-    for (rank, &(_, largest)) in p4.iter().enumerate() {
+    for (rank, &(_, largest, _)) in p4.iter().enumerate() {
         assert!(
             largest < global_cols_bytes,
             "rank {rank} allocated {largest} B in one block — \

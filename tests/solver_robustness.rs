@@ -1,6 +1,5 @@
 //! Solver robustness across the regimes the paper highlights: large
-//! material jumps, near-incompressibility, thin bodies, and the smoothed
-//! aggregation alternative.
+//! material jumps, near-incompressibility, and thin bodies.
 
 use pmg_fem::{FemProblem, LinearElastic, NeoHookean};
 use pmg_geometry::Vec3;
@@ -118,49 +117,6 @@ fn v_w_and_fmg_cycles_all_work() {
     assert!(v <= 60 && w <= 60 && f <= 60, "V: {v}, W: {w}, FMG: {f}");
     // The W-cycle is at least as strong per application as the V-cycle.
     assert!(w <= v + 2, "W {w} should not trail V {v}");
-}
-
-#[test]
-fn sa_baseline_solves_elasticity() {
-    use pmg_parallel::{DistVec, MachineModel, Sim};
-    use pmg_solver::{pcg, PcgOptions};
-    use prometheus::{build_sa_hierarchy, SaOptions};
-
-    let mesh = block(5, 5, 5, Vec3::splat(1.0), |_| 0);
-    let mats: Vec<Arc<dyn pmg_fem::Material>> = vec![Arc::new(LinearElastic::from_e_nu(1.0, 0.3))];
-    let (k, b) = constrained_system(&mesh, mats);
-    let mut sim = Sim::new(2, MachineModel::default());
-    let sa = build_sa_hierarchy(
-        &mut sim,
-        &k,
-        &mesh.coords,
-        SaOptions {
-            mg: MgOptions {
-                coarse_dof_threshold: 300,
-                cycle: CycleType::V,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    assert!(sa.num_levels() >= 2);
-    let layout = sa.levels[0].a.row_layout().clone();
-    let db = DistVec::from_global(layout.clone(), &b);
-    let mut x = DistVec::zeros(layout);
-    let res = pcg(
-        &mut sim,
-        &sa.levels[0].a,
-        &sa,
-        &db,
-        &mut x,
-        PcgOptions {
-            rtol: 1e-8,
-            max_iters: 300,
-            ..Default::default()
-        },
-    );
-    assert!(res.converged);
-    assert!(res.iterations <= 120, "SA iterations: {}", res.iterations);
 }
 
 #[test]
