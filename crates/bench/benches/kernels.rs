@@ -1,11 +1,13 @@
 //! Criterion microbenchmarks of the solver's kernels: SpMV, the Galerkin
-//! triple product, MIS, face identification, Delaunay tetrahedralization,
-//! the block-Jacobi application and factorisation, a level operator's cold
-//! distribution against its value-only refresh, and one V-cycle/FMG cycle.
+//! triple product, MIS, face identification, Delaunay tetrahedralization
+//! (random points, and the benchmark's first coarse grid with its exact
+//! `insphere` stage on its own), the block-Jacobi application and
+//! factorisation, a level operator's cold distribution against its
+//! value-only refresh, and one V-cycle/FMG cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{machine, spheres_first_solve};
-use pmg_geometry::{Delaunay, Vec3};
+use pmg_geometry::{Delaunay, Predicates, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
 use pmg_parallel::{DistMatrix, DistVec, Layout, Sim};
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
@@ -226,6 +228,20 @@ fn bench_block_solve(_c: &mut Criterion) {
     }
 }
 
+/// Sorted wall times of `runs` calls of `f` after one warm-up call.
+fn sorted_times(runs: usize, mut f: impl FnMut()) -> Vec<f64> {
+    let mut times: Vec<f64> = (0..=runs)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .skip(1)
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times
+}
+
 /// The numeric half of the fine-grid smoother set-up at the same size: 59
 /// SPD 166-dof blocks factored one after the other (`n³/3` flops each).
 fn bench_block_factor(_c: &mut Criterion) {
@@ -242,17 +258,11 @@ fn bench_block_factor(_c: &mut Criterion) {
             })
         })
         .collect();
-    let mut times: Vec<f64> = (0..41)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            for a in &blocks {
-                black_box(Cholesky::factor(black_box(a)).expect("SPD"));
-            }
-            t.elapsed().as_secs_f64()
-        })
-        .skip(1) // warm-up
-        .collect();
-    times.sort_by(f64::total_cmp);
+    let times = sorted_times(40, || {
+        for a in &blocks {
+            black_box(Cholesky::factor(black_box(a)).expect("SPD"));
+        }
+    });
     let flops = (BLOCKS * N * N * N) as f64 / 3.0;
     println!("# group: cholesky_factor_166 ({BLOCKS} blocks)");
     for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
@@ -260,6 +270,86 @@ fn bench_block_factor(_c: &mut Criterion) {
             "cholesky_factor_166/{name:<21} {:>9.3} ms   {:>6.2} Gflop/s",
             t * 1e3,
             flops / t / 1e9
+        );
+    }
+}
+
+/// The remesh layer at the benchmark's size: the first coarse grid of the
+/// 9.8k-dof spheres (`cold10k`'s mesh; 1250 points on concentric shells,
+/// so coarse cells have cospherical corners and 7 % of the predicate calls
+/// defeat the f64 filter), and the exact-diff `insphere` stage those calls
+/// land in, on a fixed near-cospherical set.
+fn bench_remesh(_c: &mut Criterion) {
+    let mesh = pmg_mesh::sphere_in_cube(&pmg_mesh::SpheresParams {
+        n_surf: 6,
+        ..pmg_mesh::SpheresParams::ladder(1)
+    });
+    let classes = classify_mesh(&mesh, 0.7);
+    let lvl = coarsen_level(
+        &mesh.coords,
+        &mesh.vertex_graph(),
+        &classes,
+        &CoarsenOptions::default(),
+    );
+    let pts = lvl.coords;
+    let (filter, exact_diff, full_exact) = Delaunay::new(&pts)
+        .expect("triangulation")
+        .predicate_counts();
+    let times = sorted_times(20, || {
+        black_box(Delaunay::new(black_box(&pts)));
+    });
+    println!(
+        "# group: delaunay_spheres_{} ({} predicate calls, {exact_diff} exact-diff + {full_exact} full-exact fallbacks)",
+        pts.len(),
+        filter + exact_diff + full_exact
+    );
+    for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
+        println!(
+            "delaunay_spheres_{}/{name:<19} {:>9.3} ms   {:>6.2} us/point",
+            pts.len(),
+            t * 1e3,
+            t * 1e6 / pts.len() as f64
+        );
+    }
+
+    // Quintuples rounded onto a common sphere and a 2^-24 lattice: every
+    // coordinate difference is exact, and the ones kept defeat the filter.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5208);
+    let mut on_sphere = || loop {
+        let v = Vec3::new(
+            rng.gen_range(-1.0..1.0),
+            rng.gen_range(-1.0..1.0),
+            rng.gen_range(-1.0..1.0),
+        );
+        if v.norm2() > 0.01 && v.norm2() <= 1.0 {
+            let p = Vec3::new(1.5, -0.25, 2.0) + 5.0 / v.norm() * v;
+            let q = |x: f64| (x * 16_777_216.0).round() / 16_777_216.0;
+            return Vec3::new(q(p.x), q(p.y), q(p.z));
+        }
+    };
+    let mut predicates = Predicates::new();
+    let mut set: Vec<[Vec3; 5]> = Vec::new();
+    while set.len() < 1000 {
+        let q = [(); 5].map(|_| on_sphere());
+        let before = predicates.counts().1;
+        predicates.insphere(q[0], q[1], q[2], q[3], q[4]);
+        if predicates.counts().1 > before {
+            set.push(q);
+        }
+    }
+    let times = sorted_times(40, || {
+        for q in &set {
+            black_box(predicates.insphere(q[0], q[1], q[2], q[3], black_box(q[4])));
+        }
+    });
+    println!(
+        "# group: insphere_exact_diff ({} near-cospherical quintuples)",
+        set.len()
+    );
+    for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
+        println!(
+            "insphere_exact_diff/{name:<21} {:>9.3} us/call",
+            t * 1e6 / set.len() as f64
         );
     }
 }
@@ -298,6 +388,7 @@ criterion_group!(
     bench_mis,
     bench_face_identification,
     bench_delaunay,
+    bench_remesh,
     bench_cycles,
     bench_smoother,
     bench_block_solve,

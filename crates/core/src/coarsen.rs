@@ -181,7 +181,7 @@ fn coarsen_from_mask(
         for (_, t) in dt.real_tets() {
             // Delaunay tets carry the Shewchuk orientation (negative
             // standard volume); swap two vertices for the mesh convention.
-            let v = t.verts;
+            let v = t.verts();
             tets.push([
                 dt.canonical_index(v[1]) as u32,
                 dt.canonical_index(v[0]) as u32,
@@ -308,30 +308,34 @@ fn coarsen_from_mask(
 fn best_interpolant(dt: &Delaunay, t0: usize, p: Vec3, tol: f64) -> Option<([usize; 4], [f64; 4])> {
     const MAX_VISIT: usize = 64;
     let mut best: Option<([usize; 4], [f64; 4], f64)> = None;
-    let mut visited = std::collections::HashSet::new();
-    let mut queue = std::collections::VecDeque::from([t0]);
-    visited.insert(t0);
-    while let Some(t) = queue.pop_front() {
-        if visited.len() > MAX_VISIT {
-            break;
-        }
+    // Tets in the order they were reached, which is the order breadth-first
+    // search serves them: the queue is the tail `seen[head..len]`. A tet is
+    // served only while at most MAX_VISIT were reached, and reaches at most
+    // four new ones.
+    let mut seen = [t0; MAX_VISIT + 4];
+    let (mut head, mut len) = (0, 1);
+    while head < len && len <= MAX_VISIT {
+        let t = seen[head];
+        head += 1;
         let tet = dt.tet(t);
-        let is_real = tet.verts.iter().all(|&v| !dt.is_bounding_vertex(v));
+        let verts = tet.verts();
+        let is_real = verts.iter().all(|&v| !dt.is_bounding_vertex(v));
         if is_real {
             let w = dt.barycentric(t, p);
             if w.iter().all(|x| x.is_finite()) {
                 let score = w.iter().cloned().fold(f64::INFINITY, f64::min);
                 if best.as_ref().is_none_or(|(_, _, s)| score > *s) {
-                    best = Some((tet.verts, w, score));
+                    best = Some((verts, w, score));
                 }
                 if score >= 0.0 {
                     break; // inside this tet: no better candidate exists
                 }
             }
         }
-        for nb in tet.neighbors.into_iter().flatten() {
-            if visited.insert(nb) {
-                queue.push_back(nb);
+        for nb in tet.neighbors().into_iter().flatten() {
+            if !seen[..len].contains(&nb) {
+                seen[len] = nb;
+                len += 1;
             }
         }
     }

@@ -24,5 +24,5 @@ pub mod vec3;
 
 pub use aabb::Aabb;
 pub use delaunay::{Delaunay, Tet};
-pub use predicates::{insphere, orient3d, Orientation};
+pub use predicates::{insphere, orient3d, Orientation, Predicates};
 pub use vec3::Vec3;

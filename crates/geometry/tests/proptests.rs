@@ -74,7 +74,7 @@ proptest! {
         prop_assert!(dt.verify_delaunay());
         // Positive orientation of every real tet.
         for (_, t) in dt.real_tets() {
-            let v = t.verts.map(|i| dt.points()[i]);
+            let v = t.verts().map(|i| dt.points()[i]);
             prop_assert_eq!(orient3d(v[0], v[1], v[2], v[3]), Orientation::Positive);
         }
     }
@@ -88,7 +88,7 @@ proptest! {
             let t = dt.locate(p, 0).expect("point inside bounding tet");
             // The located tet's barycentric weights reproduce the point.
             let w = dt.barycentric(t, p);
-            let verts = dt.tet(t).verts;
+            let verts = dt.tet(t).verts();
             let mut rec = Vec3::ZERO;
             for (wi, vi) in w.iter().zip(verts.iter()) {
                 rec += *wi * dt.points()[*vi];
@@ -106,7 +106,7 @@ proptest! {
         let dt = Delaunay::new(&pts).expect("triangulation");
         let mut vol = 0.0;
         for (_, t) in dt.real_tets() {
-            let v = t.verts.map(|i| dt.points()[i]);
+            let v = t.verts().map(|i| dt.points()[i]);
             vol += pmg_geometry::predicates::orient3d_fast(v[0], v[1], v[2], v[3]) / 6.0;
         }
         let bb = pmg_geometry::Aabb::from_points(pts.iter().copied());
@@ -129,10 +129,10 @@ fn adaptive_stage_resolves_grid_degeneracies_without_full_exact() {
             }
         }
     }
-    pmg_geometry::predicates::stats::reset();
     let dt = Delaunay::new(&pts).expect("triangulation");
     assert!(dt.verify_delaunay());
-    let (filter, exact_diff, full_exact) = pmg_geometry::predicates::stats::snapshot();
+    // Counted per triangulation: other tests' predicates do not show here.
+    let (filter, exact_diff, full_exact) = dt.predicate_counts();
     assert!(filter > 0);
     assert!(exact_diff > 0, "grid ties must hit the exact-diff shortcut");
     assert_eq!(
@@ -158,7 +158,11 @@ fn adaptive_stage_agrees_with_full_exact_on_perturbed_grids() {
             }
         }
     }
-    pmg_geometry::predicates::stats::reset();
     let dt = Delaunay::new(&pts).expect("triangulation");
     assert!(dt.verify_delaunay());
+    let (_, _, full_exact) = dt.predicate_counts();
+    assert!(
+        full_exact > 0,
+        "inexact differences engage the full exact path"
+    );
 }

@@ -252,19 +252,33 @@ thread_local! {
 }
 
 /// Pool size from the environment: `PMG_THREADS`, else `RAYON_NUM_THREADS`,
-/// else the machine's available parallelism.
+/// else the machine's available parallelism. Unset or empty `PMG_THREADS`
+/// falls through; anything else but a positive integer panics here, at the
+/// first use of the global pool, rather than silently sizing it by default.
 pub fn default_threads() -> usize {
-    for var in ["PMG_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(var)
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            return n.max(1);
-        }
+    let value = std::env::var_os("PMG_THREADS").map(|v| v.to_string_lossy().into_owned());
+    if let Some(n) = parse_threads(value.as_deref()).unwrap_or_else(|e| panic!("{e}")) {
+        return n;
+    }
+    if let Some(n) = std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+    {
+        return n.max(1);
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+fn parse_threads(value: Option<&str>) -> Result<Option<usize>, String> {
+    match value {
+        None | Some("") => Ok(None),
+        Some(v) => match v.parse() {
+            Ok(n) if n > 0 => Ok(Some(n)),
+            _ => Err(format!("PMG_THREADS={v}: expected a positive integer")),
+        },
+    }
 }
 
 fn global() -> &'static ThreadPool {
@@ -398,4 +412,21 @@ where
         ra.into_inner().expect("join left result missing"),
         rb.into_inner().expect("join right result missing"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_threads;
+
+    #[test]
+    fn threads_switch_rejects_anything_but_a_positive_integer() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("")), Ok(None));
+        assert_eq!(parse_threads(Some("1")), Ok(Some(1)));
+        assert_eq!(parse_threads(Some("2")), Ok(Some(2)));
+        for bad in ["0", "two", "-1", "1.5"] {
+            let err = parse_threads(Some(bad)).unwrap_err();
+            assert!(err.contains("PMG_THREADS") && err.contains("positive integer"));
+        }
+    }
 }

@@ -16,8 +16,9 @@
 //! simulated solve.
 //!
 //! `PMG_OVERLAP=0` selects the blocking halo schedule for A/B wait-time
-//! measurements; the solve — bits, messages, allreduces — is identical
-//! either way. The rank-0 artifact records the overlap accounting on an
+//! measurements (`1`, unset or empty: overlapped; anything else is refused
+//! before the rendezvous); the solve — bits, messages, allreduces — is
+//! identical either way. The rank-0 artifact records the overlap accounting on an
 //! `overlap <interior_rows> <boundary_rows> <hidden_s>` line.
 //!
 //! Exits 0 iff the solve converged.
@@ -27,6 +28,16 @@ use pmg_solver::PcgOptions;
 use prometheus::{spmd_pcg, RankHierarchy};
 use std::io::Write;
 use std::process::ExitCode;
+
+/// `PMG_OVERLAP`: `0` for the blocking halo schedule, `1` (or unset, or
+/// empty) for the overlapped one.
+fn parse_overlap(value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None | Some("") | Some("1") => Ok(true),
+        Some("0") => Ok(false),
+        Some(v) => Err(format!("PMG_OVERLAP={v}: expected 0|1")),
+    }
+}
 
 fn main() -> ExitCode {
     let mut out_path = None;
@@ -45,12 +56,19 @@ fn main() -> ExitCode {
         }
     }
 
+    let overlap = {
+        let value = std::env::var_os("PMG_OVERLAP").map(|v| v.to_string_lossy().into_owned());
+        match parse_overlap(value.as_deref()) {
+            Ok(overlap) => overlap,
+            Err(e) => {
+                eprintln!("spheres_rank: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    };
+
     let mut t = SocketTransport::connect_from_env()
         .expect("PMG_COMM_RANK/SIZE/DIR must be set (run under pmg-launch)");
-
-    let overlap = std::env::var("PMG_OVERLAP")
-        .map(|v| v != "0")
-        .unwrap_or(true);
 
     let sys = pmg_bench::spheres_first_solve(0);
     let opts = pmg_bench::parity_options(t.size());
@@ -175,5 +193,22 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_overlap;
+
+    #[test]
+    fn overlap_switch_rejects_anything_but_0_or_1() {
+        assert_eq!(parse_overlap(None), Ok(true));
+        assert_eq!(parse_overlap(Some("")), Ok(true));
+        assert_eq!(parse_overlap(Some("1")), Ok(true));
+        assert_eq!(parse_overlap(Some("0")), Ok(false));
+        for bad in ["false", "off", "2", "no"] {
+            let err = parse_overlap(Some(bad)).unwrap_err();
+            assert!(err.contains("PMG_OVERLAP") && err.contains("0|1"));
+        }
     }
 }

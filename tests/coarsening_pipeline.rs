@@ -143,3 +143,69 @@ fn deep_hierarchy_terminates() {
         .count();
     assert!(corners >= 1, "all corners vanished");
 }
+
+/// FNV-1a over the restriction's shape, pattern and value bits.
+fn restriction_hash(r: &pmg_sparse::CsrMatrix) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(r.nrows() as u64);
+    eat(r.ncols() as u64);
+    for row in 0..r.nrows() {
+        let (cols, vals) = r.row(row);
+        eat(cols.len() as u64);
+        for (&c, &v) in cols.iter().zip(vals) {
+            eat(c as u64);
+            eat(v.to_bits());
+        }
+    }
+    h
+}
+
+#[test]
+fn spheres10k_hierarchy_is_pinned_bit_for_bit() {
+    // The benchmark's `cold10k` mesh through the hierarchy builder's
+    // coarsening loop (one rank, reclassify from the second coarsening on,
+    // stop at 600 dof). The numbers were recorded from the parent of the
+    // PR that rewrote the remesh layer (exact predicates on flat scratch,
+    // Bowyer–Watson on epoch marks): that rewrite, and any later one, must
+    // return the same tetrahedra and therefore the same restriction bits.
+    let mesh = sphere_in_cube(&SpheresParams {
+        n_surf: 6,
+        ..SpheresParams::ladder(1)
+    });
+    let mut coords = mesh.coords.clone();
+    let mut graph = mesh.vertex_graph();
+    let mut classes = classify_mesh(&mesh, 0.7);
+    let mut sizes = vec![coords.len()];
+    let mut tets = Vec::new();
+    let mut hashes = Vec::new();
+    while 3 * coords.len() > 600 {
+        let opts = CoarsenOptions {
+            reclassify: sizes.len() >= 2,
+            ..Default::default()
+        };
+        let lvl = coarsen_level(&coords, &graph, &classes, &opts);
+        sizes.push(lvl.selected.len());
+        tets.push(lvl.tets.len());
+        hashes.push(restriction_hash(&lvl.restriction));
+        coords = lvl.coords;
+        graph = lvl.graph;
+        classes = lvl.classes;
+    }
+    assert_eq!(sizes, [3264, 1250, 1046, 207, 52]);
+    assert_eq!(tets[0], 5380);
+    assert_eq!(tets, PINNED_TETS);
+    assert_eq!(hashes, PINNED_RESTRICTION_HASHES);
+}
+
+const PINNED_TETS: [usize; 4] = [5380, 4374, 636, 119];
+const PINNED_RESTRICTION_HASHES: [u64; 4] = [
+    0x9b9b_cbab_57b8_995e,
+    0x89cf_64d9_3b2f_4912,
+    0x5d7f_6a46_bb28_ed2f,
+    0xb691_4ce5_de85_8e4d,
+];
