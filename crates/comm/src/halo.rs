@@ -75,36 +75,6 @@ impl<'a> HaloExchange<'a> {
         }
         Ok(())
     }
-
-    /// Drain a `k`-vector exchange: each message carries `k` contiguous
-    /// values per plan index, and slot `s` of column `c` lands at
-    /// `ghost_vals[s * k + c]`. With `k = 1` this is exactly
-    /// [`HaloExchange::finish`] — the wire order and peer order are the
-    /// same, only the per-slot payload widens.
-    pub fn finish_multi<T: Transport>(
-        self,
-        t: &mut T,
-        ghost_vals: &mut [f64],
-        k: usize,
-    ) -> Result<(), CommError> {
-        for (peer, slots) in self.recvs {
-            let vals = bytes_to_f64s(&t.recv(peer, self.tag)?);
-            if vals.len() != slots.len() * k {
-                return Err(CommError::Invalid(format!(
-                    "halo message from rank {} has {} values, plan expects {} x {}",
-                    peer,
-                    vals.len(),
-                    slots.len(),
-                    k
-                )));
-            }
-            for (i, &slot) in slots.iter().enumerate() {
-                ghost_vals[slot as usize * k..slot as usize * k + k]
-                    .copy_from_slice(&vals[i * k..(i + 1) * k]);
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -137,31 +107,6 @@ mod tests {
         for (r, got) in results.iter().enumerate() {
             let prev = (r + size - 1) % size;
             assert_eq!(*got, prev as f64 + 0.5, "rank {r}");
-        }
-    }
-
-    #[test]
-    fn finish_multi_unpacks_k_values_per_slot() {
-        // Ring exchange of k=3 packed values per ghost slot.
-        let size = 3usize;
-        let k = 3usize;
-        let results = LocalTransport::run_ranks(size, move |mut t| {
-            let r = t.rank();
-            let next = (r + 1) % size;
-            let prev = (r + size - 1) % size;
-            let payload: Vec<f64> = (0..k).map(|c| (r * 10 + c) as f64).collect();
-            let slots: Vec<u32> = vec![0];
-            let hx =
-                HaloExchange::start(&mut t, 5, [(next, payload)], vec![(prev, slots.as_slice())])
-                    .unwrap();
-            let mut ghosts = vec![0.0; k];
-            hx.finish_multi(&mut t, &mut ghosts, k).unwrap();
-            ghosts
-        });
-        for (r, got) in results.iter().enumerate() {
-            let prev = (r + size - 1) % size;
-            let want: Vec<f64> = (0..k).map(|c| (prev * 10 + c) as f64).collect();
-            assert_eq!(*got, want, "rank {r}");
         }
     }
 

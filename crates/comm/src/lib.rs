@@ -232,9 +232,86 @@ pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
     f64s_from_bytes(bytes).collect()
 }
 
+/// Checked little-endian reader over bytes received from a peer: every
+/// accessor returns `None` rather than read past the end, so a decoder
+/// turns a short blob into a typed error instead of a slice panic, and
+/// [`LeReader::is_empty`] lets it reject an over-long one.
+pub struct LeReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> LeReader<'a> {
+    /// Start reading at the front of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> LeReader<'a> {
+        LeReader { rest: bytes }
+    }
+
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.rest.len() {
+            return None;
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Some(head)
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        self.take(1).map(|b| b[0])
+    }
+
+    /// The next `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.u32s(1)?.next()
+    }
+
+    /// The next `f64`, bit for bit.
+    pub fn f64(&mut self) -> Option<f64> {
+        self.f64s(1)?.next()
+    }
+
+    /// The next `n` `u32` values. The length is checked against the bytes
+    /// left before anything is read, so a hostile count cannot make the
+    /// caller allocate for values that are not there.
+    pub fn u32s(&mut self, n: usize) -> Option<impl Iterator<Item = u32> + 'a> {
+        let bytes = self.take(n.checked_mul(4)?)?;
+        Some(
+            bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+        )
+    }
+
+    /// The next `n` `f64` values, bit for bit; checked like [`LeReader::u32s`].
+    pub fn f64s(&mut self, n: usize) -> Option<impl Iterator<Item = f64> + 'a> {
+        Some(f64s_from_bytes(self.take(n.checked_mul(8)?)?))
+    }
+
+    /// Whether the blob is fully consumed.
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reader_stops_at_the_end_instead_of_panicking() {
+        let mut blob = 7u32.to_le_bytes().to_vec();
+        blob.extend_from_slice(&(-0.0f64).to_le_bytes());
+        blob.push(9);
+        let mut r = LeReader::new(&blob);
+        assert_eq!(r.u32(), Some(7));
+        assert_eq!(r.f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert!(r.u32().is_none() && r.f64().is_none(), "one byte left");
+        assert!(r.u32s(usize::MAX).is_none() && r.f64s(usize::MAX / 8 + 1).is_none());
+        assert!(!r.is_empty());
+        assert_eq!(r.u8(), Some(9));
+        assert!(r.is_empty() && r.u8().is_none());
+        assert_eq!(r.u32s(0).map(|it| it.count()), Some(0));
+    }
 
     #[test]
     fn tree_combine_matches_manual_fold() {

@@ -97,75 +97,102 @@ pub fn identify_faces(facets: &[Facet], adjacency: &Graph, tol: f64) -> Vec<u32>
     face_id
 }
 
-/// The parallel face identification algorithm (§4.5): facets are divided
-/// among `nproc` processors; each processor runs the serial algorithm on
-/// its own facets (seeded by already-identified ghost facets from
-/// higher-numbered processors), and face ids that meet across a boundary
-/// are merged through the face-id graph `G_fid`, each facet taking the
-/// largest id reachable from its own.
-pub fn identify_faces_parallel(
+/// What the §4.5 per-processor passes produce, as id pairs.
+#[derive(Default)]
+struct FacePasses {
+    /// `(facet, id)` for every facet of the processors that ran.
+    assigned: Vec<(u32, u32)>,
+    /// `G_fid` edges between two ids of one processor.
+    edges: Vec<(u32, u32)>,
+    /// `(facet f1, my_id)`: an admissible neighbor on a higher processor,
+    /// whose id completes the `G_fid` edge once every pass is known.
+    candidates: Vec<(u32, u32)>,
+}
+
+impl FacePasses {
+    fn lists(&self) -> [&Vec<(u32, u32)>; 3] {
+        [&self.assigned, &self.edges, &self.candidates]
+    }
+
+    fn lists_mut(&mut self) -> [&mut Vec<(u32, u32)>; 3] {
+        [&mut self.assigned, &mut self.edges, &mut self.candidates]
+    }
+}
+
+/// Processor `p`'s face-identification pass (§4.5), appended to `out`: the
+/// serial BFS over its own facets, with ids `p * stride + counter` (the
+/// paper's `<p, Current_ID>` tuple flattened).
+///
+/// A pass reads other processors' facets only to *record* `G_fid` edges,
+/// never to steer its own traversal (it assigns ids only to own-processor
+/// facets), so what it appends depends on nothing but
+/// `(facets, adjacency, tol, proc_of_facet, p)` and it can run on any
+/// rank. In the paper's high→low processor order a cross-processor
+/// neighbor `f1` is "already identified" at `p`'s turn **iff**
+/// `proc_of_facet[f1] > p`, which is why exactly those become candidates.
+fn proc_pass(
     facets: &[Facet],
     adjacency: &Graph,
     tol: f64,
     proc_of_facet: &[u32],
-    nproc: usize,
-) -> Vec<u32> {
+    p: u32,
+    out: &mut FacePasses,
+) {
     let n = facets.len();
-    assert_eq!(proc_of_facet.len(), n);
-    let mut face_id = vec![0u32; n];
-    // Unique ids per processor: id = proc * n + local_counter (the paper's
-    // <p, Current_ID> tuple flattened).
     let stride = n as u32 + 1;
-    let mut fid_edges: Vec<(u32, u32)> = Vec::new();
-
-    // Processors run from highest to lowest (the highest "starts the
-    // process"); each sees seeds (already-identified neighbor facets on
-    // higher processors).
-    for p in (0..nproc as u32).rev() {
-        let mut counter = 0u32;
-        for root in 0..n {
-            if proc_of_facet[root] != p || face_id[root] != 0 {
-                continue;
-            }
-            counter += 1;
-            let my_id = p * stride + counter;
-            let root_norm = facets[root].normal;
-            face_id[root] = my_id;
-            let mut queue = std::collections::VecDeque::from([root]);
-            while let Some(f) = queue.pop_front() {
-                let fn_ = facets[f].normal;
-                for &f1 in adjacency.neighbors(f) {
-                    let f1 = f1 as usize;
-                    let n1 = facets[f1].normal;
-                    let admissible = root_norm.dot(n1) > tol && fn_.dot(n1) > tol;
-                    if !admissible {
-                        continue;
+    let mut face_id = vec![0u32; n];
+    let mut counter = 0u32;
+    for root in 0..n {
+        if proc_of_facet[root] != p || face_id[root] != 0 {
+            continue;
+        }
+        counter += 1;
+        let my_id = p * stride + counter;
+        let root_norm = facets[root].normal;
+        face_id[root] = my_id;
+        out.assigned.push((root as u32, my_id));
+        let mut queue = std::collections::VecDeque::from([root]);
+        while let Some(f) = queue.pop_front() {
+            let fn_ = facets[f].normal;
+            for &f1 in adjacency.neighbors(f) {
+                let f1 = f1 as usize;
+                let n1 = facets[f1].normal;
+                let admissible = root_norm.dot(n1) > tol && fn_.dot(n1) > tol;
+                if !admissible {
+                    continue;
+                }
+                if proc_of_facet[f1] != p {
+                    if proc_of_facet[f1] > p {
+                        out.candidates.push((f1 as u32, my_id));
                     }
-                    if proc_of_facet[f1] != p {
-                        // Cross-processor seed: if already identified, link
-                        // the two ids in G_fid.
-                        if face_id[f1] != 0 {
-                            fid_edges.push((face_id[f1], my_id));
-                        }
-                        continue;
-                    }
-                    if face_id[f1] == 0 {
-                        face_id[f1] = my_id;
-                        queue.push_back(f1);
-                    } else if face_id[f1] != my_id {
-                        fid_edges.push((face_id[f1], my_id));
-                    }
+                    continue;
+                }
+                if face_id[f1] == 0 {
+                    face_id[f1] = my_id;
+                    out.assigned.push((f1 as u32, my_id));
+                    queue.push_back(f1);
+                } else if face_id[f1] != my_id {
+                    out.edges.push((face_id[f1], my_id));
                 }
             }
         }
     }
+}
 
-    // Global reduction of G_fid: every facet takes the largest id reachable
-    // from its own (union-find by max).
+/// Global reduction of `G_fid` over every processor's pass: each facet
+/// takes the largest id reachable from its own (union-find by max), so the
+/// result depends only on the edge *set*, not on the order the passes
+/// arrived in. `None` if a pair names a facet outside the grid or an id no
+/// facet carries — impossible for passes computed here, possible for
+/// passes decoded from a peer.
+fn merge_face_ids(n: usize, all: &FacePasses) -> Option<Vec<u32>> {
+    let mut face_id = vec![0u32; n];
+    for &(f, id) in &all.assigned {
+        *face_id.get_mut(f as usize)? = id;
+    }
     let mut ids: Vec<u32> = face_id.clone();
     ids.sort_unstable();
     ids.dedup();
-    let index_of = |id: u32| ids.binary_search(&id).unwrap();
     let mut parent: Vec<usize> = (0..ids.len()).collect();
     fn find(parent: &mut [usize], x: usize) -> usize {
         let mut root = x;
@@ -180,11 +207,14 @@ pub fn identify_faces_parallel(
         }
         root
     }
-    for &(a, b) in &fid_edges {
-        let (ra, rb) = (
-            find(&mut parent, index_of(a)),
-            find(&mut parent, index_of(b)),
-        );
+    let completed = all
+        .candidates
+        .iter()
+        .map(|&(f1, my_id)| Some((*face_id.get(f1 as usize)?, my_id)));
+    for edge in all.edges.iter().map(|&e| Some(e)).chain(completed) {
+        let (a, b) = edge?;
+        let ra = find(&mut parent, ids.binary_search(&a).ok()?);
+        let rb = find(&mut parent, ids.binary_search(&b).ok()?);
         if ra != rb {
             parent[ra] = rb;
         }
@@ -195,37 +225,73 @@ pub fn identify_faces_parallel(
         let r = find(&mut parent, k);
         max_of[r] = max_of[r].max(id);
     }
-    face_id
-        .iter()
-        .map(|&id| {
-            let r = find(&mut parent, index_of(id));
-            max_of[r]
-        })
-        .collect()
+    let index_of = |id: u32| ids.binary_search(&id).expect("ids lists every facet's id");
+    Some(
+        face_id
+            .iter()
+            .map(|&id| max_of[find(&mut parent, index_of(id))])
+            .collect(),
+    )
+}
+
+/// The parallel face identification algorithm (§4.5): facets are divided
+/// among `nproc` processors; each processor runs the serial algorithm on
+/// its own facets, and face ids that meet across a boundary are merged
+/// through the face-id graph `G_fid`, each facet taking the largest id
+/// reachable from its own. Processors run from highest to lowest (the
+/// highest "starts the process").
+pub fn identify_faces_parallel(
+    facets: &[Facet],
+    adjacency: &Graph,
+    tol: f64,
+    proc_of_facet: &[u32],
+    nproc: usize,
+) -> Vec<u32> {
+    assert_eq!(proc_of_facet.len(), facets.len());
+    let mut all = FacePasses::default();
+    for p in (0..nproc as u32).rev() {
+        proc_pass(facets, adjacency, tol, proc_of_facet, p, &mut all);
+    }
+    merge_face_ids(facets.len(), &all).expect("local passes name only local facets and ids")
+}
+
+/// Wire form of a rank's passes: the three pair lists, each
+/// `[count u32] ([a u32][b u32])*`, little-endian.
+fn pack_passes(passes: &FacePasses) -> Vec<u8> {
+    let mut blob = Vec::new();
+    for pairs in passes.lists() {
+        blob.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        for &(a, b) in pairs {
+            blob.extend_from_slice(&a.to_le_bytes());
+            blob.extend_from_slice(&b.to_le_bytes());
+        }
+    }
+    blob
+}
+
+/// Append the passes of one [`pack_passes`] blob to `all`.
+fn unpack_passes(blob: &[u8], all: &mut FacePasses) -> Result<(), pmg_comm::CommError> {
+    let r = &mut pmg_comm::LeReader::new(blob);
+    let mut decode = || {
+        for pairs in all.lists_mut() {
+            let count = r.u32()? as usize;
+            let flat: Vec<u32> = r.u32s(count.checked_mul(2)?)?.collect();
+            pairs.extend(flat.chunks_exact(2).map(|ab| (ab[0], ab[1])));
+        }
+        r.is_empty().then_some(())
+    };
+    decode().ok_or_else(|| pmg_comm::CommError::Invalid("malformed face-ID merge blob".into()))
 }
 
 /// SPMD face identification over a real [`Transport`](pmg_comm::Transport) (§4.5): the virtual
 /// processors of [`identify_faces_parallel`] are distributed round-robin
 /// over the transport ranks (`p % size == rank`), each rank runs the
-/// per-processor BFS passes **only for its own processors**, and the
+/// per-processor passes **only for its own processors**, and the
 /// per-processor id assignments plus face-id-graph edges are merged in one
-/// allgather — the paper's face-ID merge collective.
-///
-/// Why this reproduces the serial-loop result bitwise:
-///
-/// * a processor's BFS pass reads other processors' `face_id` state only
-///   to *record* `G_fid` edges, never to steer its own traversal (it
-///   assigns ids only to own-processor facets, and only its own pass
-///   writes those), so every pass is a pure function of
-///   `(facets, adjacency, tol, proc_of_facet, p)` and can run on any rank;
-/// * in the serial high→low processor loop, a cross-processor neighbor
-///   `f1` is "already identified" at processor `p`'s turn **iff**
-///   `proc_of_facet[f1] > p` — a condition computable locally from the
-///   replicated `proc_of_facet` — so each rank records the candidate pair
-///   `(f1, my_id)` for exactly those neighbors and the edge
-///   `(face_id[f1], my_id)` is completed after the allgather;
-/// * the union-find max-merge's result depends only on the edge *set*,
-///   not the order edges are processed.
+/// allgather — the paper's face-ID merge collective. The passes append the
+/// same pairs wherever they run and the merge depends only on the set of
+/// edges, so the result is bitwise [`identify_faces_parallel`]'s on every
+/// rank.
 pub fn identify_faces_transport<T: pmg_comm::Transport>(
     t: &mut T,
     facets: &[Facet],
@@ -234,148 +300,22 @@ pub fn identify_faces_transport<T: pmg_comm::Transport>(
     proc_of_facet: &[u32],
     nproc: usize,
 ) -> Result<Vec<u32>, pmg_comm::CommError> {
-    let n = facets.len();
-    assert_eq!(proc_of_facet.len(), n);
+    assert_eq!(proc_of_facet.len(), facets.len());
     let (rank, size) = (t.rank(), t.size());
-    let stride = n as u32 + 1;
-
-    // Local work: the per-processor passes this rank owns. `face_id` is
-    // written only at own-processor facets, so one array serves all of
-    // this rank's processors.
-    let mut face_id = vec![0u32; n];
-    let mut assigned: Vec<(u32, u32)> = Vec::new(); // (facet, id)
-    let mut edges: Vec<(u32, u32)> = Vec::new(); // intra-processor id pairs
-    let mut candidates: Vec<(u32, u32)> = Vec::new(); // (facet f1, my_id)
-    for p in (0..nproc as u32).rev() {
-        if p as usize % size != rank {
-            continue;
-        }
-        let mut counter = 0u32;
-        for root in 0..n {
-            if proc_of_facet[root] != p || face_id[root] != 0 {
-                continue;
-            }
-            counter += 1;
-            let my_id = p * stride + counter;
-            let root_norm = facets[root].normal;
-            face_id[root] = my_id;
-            assigned.push((root as u32, my_id));
-            let mut queue = std::collections::VecDeque::from([root]);
-            while let Some(f) = queue.pop_front() {
-                let fn_ = facets[f].normal;
-                for &f1 in adjacency.neighbors(f) {
-                    let f1 = f1 as usize;
-                    let n1 = facets[f1].normal;
-                    let admissible = root_norm.dot(n1) > tol && fn_.dot(n1) > tol;
-                    if !admissible {
-                        continue;
-                    }
-                    if proc_of_facet[f1] != p {
-                        // In the serial high→low loop, f1 is already
-                        // identified at p's turn exactly when its
-                        // processor comes later, i.e. is higher.
-                        if proc_of_facet[f1] > p {
-                            candidates.push((f1 as u32, my_id));
-                        }
-                        continue;
-                    }
-                    if face_id[f1] == 0 {
-                        face_id[f1] = my_id;
-                        assigned.push((f1 as u32, my_id));
-                        queue.push_back(f1);
-                    } else if face_id[f1] != my_id {
-                        edges.push((face_id[f1], my_id));
-                    }
-                }
-            }
-        }
+    let mut mine = FacePasses::default();
+    for p in (0..nproc as u32)
+        .rev()
+        .filter(|&p| p as usize % size == rank)
+    {
+        proc_pass(facets, adjacency, tol, proc_of_facet, p, &mut mine);
     }
-
-    // The face-ID merge collective: one allgather of (assignments,
-    // intra-processor edges, cross-processor candidates).
-    let mut blob = Vec::new();
-    let put_pairs = |blob: &mut Vec<u8>, pairs: &[(u32, u32)]| {
-        blob.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-        for &(a, b) in pairs {
-            blob.extend_from_slice(&a.to_le_bytes());
-            blob.extend_from_slice(&b.to_le_bytes());
-        }
-    };
-    put_pairs(&mut blob, &assigned);
-    put_pairs(&mut blob, &edges);
-    put_pairs(&mut blob, &candidates);
-    let parts = pmg_comm::allgather(t, &blob)?;
-
-    // Reconstruct the full id assignment and edge set (identical on every
-    // rank: same parts, same rank order).
-    let mut face_id = vec![0u32; n];
-    let mut fid_edges: Vec<(u32, u32)> = Vec::new();
-    let mut all_candidates: Vec<(u32, u32)> = Vec::new();
-    for part in &parts {
-        let mut at = 0usize;
-        let take_pairs = |at: &mut usize| {
-            let cnt = u32::from_le_bytes(part[*at..*at + 4].try_into().unwrap()) as usize;
-            *at += 4;
-            let mut out = Vec::with_capacity(cnt);
-            for _ in 0..cnt {
-                let a = u32::from_le_bytes(part[*at..*at + 4].try_into().unwrap());
-                let b = u32::from_le_bytes(part[*at + 4..*at + 8].try_into().unwrap());
-                *at += 8;
-                out.push((a, b));
-            }
-            out
-        };
-        for (f, id) in take_pairs(&mut at) {
-            face_id[f as usize] = id;
-        }
-        fid_edges.extend(take_pairs(&mut at));
-        all_candidates.extend(take_pairs(&mut at));
+    let mut all = FacePasses::default();
+    for part in pmg_comm::allgather(t, &pack_passes(&mine))? {
+        unpack_passes(&part, &mut all)?;
     }
-    for (f1, my_id) in all_candidates {
-        fid_edges.push((face_id[f1 as usize], my_id));
-    }
-
-    // Global reduction of G_fid — the same union-find max-merge as
-    // `identify_faces_parallel` (order-independent outcome).
-    let mut ids: Vec<u32> = face_id.clone();
-    ids.sort_unstable();
-    ids.dedup();
-    let index_of = |id: u32| ids.binary_search(&id).unwrap();
-    let mut parent: Vec<usize> = (0..ids.len()).collect();
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        let mut root = x;
-        while parent[root] != root {
-            root = parent[root];
-        }
-        let mut cur = x;
-        while parent[cur] != root {
-            let next = parent[cur];
-            parent[cur] = root;
-            cur = next;
-        }
-        root
-    }
-    for &(a, b) in &fid_edges {
-        let (ra, rb) = (
-            find(&mut parent, index_of(a)),
-            find(&mut parent, index_of(b)),
-        );
-        if ra != rb {
-            parent[ra] = rb;
-        }
-    }
-    let mut max_of = vec![0u32; ids.len()];
-    for (k, &id) in ids.iter().enumerate() {
-        let r = find(&mut parent, k);
-        max_of[r] = max_of[r].max(id);
-    }
-    Ok(face_id
-        .iter()
-        .map(|&id| {
-            let r = find(&mut parent, index_of(id));
-            max_of[r]
-        })
-        .collect())
+    merge_face_ids(facets.len(), &all).ok_or_else(|| {
+        pmg_comm::CommError::Invalid("face-ID merge names an unknown facet or id".into())
+    })
 }
 
 /// Classify vertices from facet face-ids (§4.4 item 1).
@@ -612,6 +552,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn malformed_face_merge_blob_is_a_typed_error() {
+        let passes = FacePasses {
+            assigned: vec![(0, 5), (1, 5)],
+            edges: vec![(5, 6)],
+            candidates: vec![(1, 9)],
+        };
+        let blob = pack_passes(&passes);
+        let mut back = FacePasses::default();
+        unpack_passes(&blob, &mut back).unwrap();
+        assert_eq!(back.lists(), passes.lists());
+        let malformed = Err(pmg_comm::CommError::Invalid(
+            "malformed face-ID merge blob".into(),
+        ));
+        let over_long = [&blob[..], &[0u8; 8]].concat();
+        // Truncated mid-pair, truncated at a list boundary, over-long.
+        for bad in [&blob[..blob.len() - 5], &blob[..20], &over_long[..]] {
+            assert_eq!(unpack_passes(bad, &mut FacePasses::default()), malformed);
+        }
+        // Well-formed bytes naming a facet or an id the grid does not have.
+        assert!(
+            merge_face_ids(2, &passes).is_none(),
+            "ids 6 and 9 are unassigned"
+        );
+        assert!(
+            merge_face_ids(1, &passes).is_none(),
+            "facet 1 is out of range"
+        );
     }
 
     #[test]

@@ -63,6 +63,16 @@ pub struct CoarseLevel {
     pub lost_vertices: usize,
 }
 
+impl CoarseLevel {
+    /// Whether coarsening a grid of `nv` vertices stalled — it kept 95 % of
+    /// them or more, or fewer than four: the grid then finishes with a
+    /// direct solve instead of another level.
+    pub fn stalled(&self, nv: usize) -> bool {
+        let nc = self.selected.len();
+        nc * 100 >= nv * 95 || nc < 4
+    }
+}
+
 /// The MIS inputs shared by the in-process and transport coarsening paths:
 /// the (possibly §4.6-modified) selection graph, per-vertex topological
 /// ranks, the virtual-processor assignment, and the selection order. Both

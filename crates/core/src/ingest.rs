@@ -32,7 +32,7 @@
 use crate::classify::{VertexClass, VertexClasses};
 use crate::coarsen::coarsen_level;
 use crate::mg::MgOptions;
-use pmg_comm::{CommError, Transport};
+use pmg_comm::{CommError, LeReader, Transport};
 use pmg_geometry::Vec3;
 use pmg_parallel::Layout;
 use pmg_partition::{recursive_coordinate_bisection, Graph};
@@ -138,22 +138,12 @@ pub fn plan_ingest_with_part(
     let dofs = opts.dofs_per_vertex;
     let n = coords.len() * dofs;
 
-    let at_bottom = n <= opts.coarse_dof_threshold || opts.max_levels <= 1 || coords.len() < 24;
-    let cl = if at_bottom {
-        None
-    } else {
-        let mut copts = opts.coarsen;
-        copts.nproc = nranks;
-        // Paper: reclassify the third and subsequent grids — not level 0.
-        copts.reclassify = false;
-        let cl = coarsen_level(coords, graph, classes, &copts);
-        let nc = cl.selected.len();
-        if nc * 100 >= coords.len() * 95 || nc < 4 {
-            None // stalled: the fine grid finishes with a direct solve
-        } else {
-            Some(cl)
-        }
-    };
+    // `None`: the fine grid is the bottom (by the schedule, or stalled) and
+    // finishes with a direct solve.
+    let cl = opts
+        .level_coarsen_options(0, nranks, n, coords.len())
+        .map(|copts| coarsen_level(coords, graph, classes, &copts))
+        .filter(|cl| !cl.stalled(coords.len()));
 
     let mut seeds = Vec::with_capacity(nranks);
     match cl {
@@ -289,110 +279,67 @@ fn put_classes(b: &mut Vec<u8>, c: &VertexClasses) {
     }
 }
 
-struct Cur<'a> {
-    b: &'a [u8],
-    at: usize,
+/// A length-prefixed `u32` list ([`put_u32s`]).
+fn get_u32s(c: &mut LeReader) -> Option<Vec<u32>> {
+    let n = c.u32()? as usize;
+    Some(c.u32s(n)?.collect())
 }
 
-impl Cur<'_> {
-    fn u32(&mut self) -> Option<u32> {
-        let s = self.b.get(self.at..self.at + 4)?;
-        self.at += 4;
-        Some(u32::from_le_bytes(s.try_into().unwrap()))
+fn get_csr(c: &mut LeReader) -> Option<CsrMatrix> {
+    let nrows = c.u32()? as usize;
+    let ncols = c.u32()? as usize;
+    let nnz = c.u32()? as usize;
+    let mut row_ptr = vec![0usize];
+    for len in c.u32s(nrows)? {
+        row_ptr.push(row_ptr.last().unwrap() + len as usize);
     }
+    if *row_ptr.last().unwrap() != nnz {
+        return None;
+    }
+    let col_idx: Vec<usize> = c.u32s(nnz)?.map(|j| j as usize).collect();
+    if col_idx.iter().any(|&j| j >= ncols) {
+        return None;
+    }
+    let vals = c.f64s(nnz)?.collect();
+    Some(CsrMatrix::from_parts(nrows, ncols, row_ptr, col_idx, vals))
+}
 
-    fn u8(&mut self) -> Option<u8> {
-        let v = *self.b.get(self.at)?;
-        self.at += 1;
-        Some(v)
-    }
+fn get_vec3s(c: &mut LeReader) -> Option<Vec<Vec3>> {
+    let n = c.u32()? as usize;
+    let xyz: Vec<f64> = c.f64s(n.checked_mul(3)?)?.collect();
+    let points = xyz.chunks_exact(3).map(|p| Vec3::new(p[0], p[1], p[2]));
+    Some(points.collect())
+}
 
-    fn f64(&mut self) -> Option<f64> {
-        let s = self.b.get(self.at..self.at + 8)?;
-        self.at += 8;
-        Some(f64::from_bits(u64::from_le_bytes(s.try_into().unwrap())))
+fn get_graph(c: &mut LeReader) -> Option<Graph> {
+    let n = c.u32()? as usize;
+    let mut adj = Vec::new();
+    for _ in 0..n {
+        adj.push(get_u32s(c)?);
     }
+    Some(Graph::from_adjacency(&adj))
+}
 
-    fn u32s(&mut self) -> Option<Vec<u32>> {
-        let n = self.u32()? as usize;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u32()?);
-        }
-        Some(v)
+fn get_classes(c: &mut LeReader) -> Option<VertexClasses> {
+    let n = c.u32()? as usize;
+    let mut class = Vec::new();
+    for _ in 0..n {
+        class.push(match c.u8()? {
+            0 => VertexClass::Interior,
+            1 => VertexClass::Surface,
+            2 => VertexClass::Edge,
+            3 => VertexClass::Corner,
+            _ => return None,
+        });
     }
-
-    fn csr(&mut self) -> Option<CsrMatrix> {
-        let nrows = self.u32()? as usize;
-        let ncols = self.u32()? as usize;
-        let nnz = self.u32()? as usize;
-        let mut row_ptr = Vec::with_capacity(nrows + 1);
-        row_ptr.push(0usize);
-        for _ in 0..nrows {
-            let len = self.u32()? as usize;
-            row_ptr.push(row_ptr.last().unwrap() + len);
-        }
-        if *row_ptr.last().unwrap() != nnz {
-            return None;
-        }
-        let mut col_idx = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            let c = self.u32()? as usize;
-            if c >= ncols {
-                return None;
-            }
-            col_idx.push(c);
-        }
-        let mut vals = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            vals.push(self.f64()?);
-        }
-        Some(CsrMatrix::from_parts(nrows, ncols, row_ptr, col_idx, vals))
+    if c.u32()? as usize != n {
+        return None;
     }
-
-    fn vec3s(&mut self) -> Option<Vec<Vec3>> {
-        let n = self.u32()? as usize;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            let x = self.f64()?;
-            let y = self.f64()?;
-            let z = self.f64()?;
-            v.push(Vec3::new(x, y, z));
-        }
-        Some(v)
+    let mut faces = Vec::new();
+    for _ in 0..n {
+        faces.push(get_u32s(c)?);
     }
-
-    fn graph(&mut self) -> Option<Graph> {
-        let n = self.u32()? as usize;
-        let mut adj = Vec::with_capacity(n);
-        for _ in 0..n {
-            adj.push(self.u32s()?);
-        }
-        Some(Graph::from_adjacency(&adj))
-    }
-
-    fn classes(&mut self) -> Option<VertexClasses> {
-        let n = self.u32()? as usize;
-        let mut class = Vec::with_capacity(n);
-        for _ in 0..n {
-            class.push(match self.u8()? {
-                0 => VertexClass::Interior,
-                1 => VertexClass::Surface,
-                2 => VertexClass::Edge,
-                3 => VertexClass::Corner,
-                _ => return None,
-            });
-        }
-        let nf = self.u32()? as usize;
-        if nf != n {
-            return None;
-        }
-        let mut faces = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            faces.push(self.u32s()?);
-        }
-        Some(VertexClasses { class, faces })
-    }
+    Some(VertexClasses { class, faces })
 }
 
 impl RankSeed {
@@ -423,28 +370,28 @@ impl RankSeed {
     /// Decode a payload produced by [`RankSeed::encode`]; `None` on a
     /// malformed buffer.
     pub fn decode(bytes: &[u8]) -> Option<RankSeed> {
-        let mut c = Cur { b: bytes, at: 0 };
+        let c = &mut LeReader::new(bytes);
         if c.u32()? != SEED_MAGIC {
             return None;
         }
         let rank = c.u32()?;
         let nranks = c.u32()?;
         let dofs = c.u32()?;
-        let part = c.u32s()?;
-        let elem_counts = c.u32s()?;
+        let part = get_u32s(c)?;
+        let elem_counts = get_u32s(c)?;
         let coarse = match c.u32()? {
             0 => None,
             1 => Some(CoarseSeed {
-                r_rows: c.csr()?,
-                rt_rows: c.csr()?,
-                rt_ids: c.u32s()?,
-                coords: c.vec3s()?,
-                graph: c.graph()?,
-                classes: c.classes()?,
+                r_rows: get_csr(c)?,
+                rt_rows: get_csr(c)?,
+                rt_ids: get_u32s(c)?,
+                coords: get_vec3s(c)?,
+                graph: get_graph(c)?,
+                classes: get_classes(c)?,
             }),
             _ => return None,
         };
-        if c.at != bytes.len() {
+        if !c.is_empty() {
             return None;
         }
         Some(RankSeed {

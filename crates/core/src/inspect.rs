@@ -4,6 +4,7 @@
 
 use crate::classify::{classify_mesh, VertexClass};
 use crate::coarsen::{coarsen_level, CoarsenOptions};
+use crate::mg::MgOptions;
 use pmg_geometry::Vec3;
 use pmg_mesh::Mesh;
 
@@ -50,13 +51,23 @@ pub fn classify_mesh_levels(
     let mut coords = mesh.coords.clone();
     let mut graph = mesh.vertex_graph();
     let mut cls = classes;
-    for level in 1..max_levels {
-        if coords.len() < 30 {
+    // The solver's level schedule, minus the size below which it would
+    // rather solve directly.
+    let schedule = MgOptions {
+        max_levels,
+        coarse_dof_threshold: 0,
+        coarsen: *opts,
+        ..Default::default()
+    };
+    for level in 0.. {
+        let nv = coords.len();
+        let Some(o) = schedule.level_coarsen_options(level, opts.nproc, nv, nv) else {
+            break;
+        };
+        let lvl = coarsen_level(&coords, &graph, &cls, &o);
+        if lvl.stalled(nv) {
             break;
         }
-        let mut o = *opts;
-        o.reclassify = level >= 2;
-        let lvl = coarsen_level(&coords, &graph, &cls, &o);
         out.push(LevelInfo {
             vertices: lvl.selected.len(),
             elements: lvl.tets.len(),

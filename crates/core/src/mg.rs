@@ -3,7 +3,7 @@
 //! multigrid themselves are written once, in `cycle.rs`.
 
 use crate::classify::VertexClasses;
-use crate::coarsen::{coarsen_level, CoarseLevel, CoarsenOptions};
+use crate::coarsen::{coarsen_level, CoarsenOptions};
 use crate::cycle::{self, CycleScratch, Done, LevelOps};
 use pmg_geometry::Vec3;
 use pmg_parallel::{DistMatFree, DistMatrix, DistVec, Layout, Sim, SimOperator};
@@ -185,6 +185,30 @@ impl Default for MgOptions {
     }
 }
 
+impl MgOptions {
+    /// The level schedule: how grid `lvl` (0 = fine), with `rows` dofs on
+    /// `nv` vertices, is coarsened over `nranks` ranks — or `None` when it
+    /// is the bottom: small enough to solve directly, at the level cap, or
+    /// too few vertices to remesh. §4.6 reclassifies "the third and
+    /// subsequent grids", which are the products of levels 1 and up.
+    pub fn level_coarsen_options(
+        &self,
+        lvl: usize,
+        nranks: usize,
+        rows: usize,
+        nv: usize,
+    ) -> Option<CoarsenOptions> {
+        if rows <= self.coarse_dof_threshold || lvl + 1 >= self.max_levels || nv < 24 {
+            return None;
+        }
+        Some(CoarsenOptions {
+            nproc: nranks,
+            reclassify: lvl >= 1,
+            ..self.coarsen
+        })
+    }
+}
+
 /// One grid of the hierarchy.
 pub struct MgLevel {
     /// The level operator, partitioned over the virtual ranks.
@@ -349,11 +373,22 @@ impl MgHierarchy {
                 pmg_telemetry::gauge_set(&format!("mg/level{lvl_index}/rows"), n as f64);
                 pmg_telemetry::gauge_set(&format!("mg/level{lvl_index}/nnz"), cur_a.nnz() as f64);
             }
-            let at_bottom = n <= opts.coarse_dof_threshold
-                || lvl_index + 1 >= opts.max_levels
-                || cur_coords.len() < 24;
-
-            if at_bottom {
+            // Coarsen the grid (mesh setup) unless this is the bottom —
+            // by the schedule, or because coarsening stalled.
+            let coarser = opts
+                .level_coarsen_options(lvl_index, nranks, n, cur_coords.len())
+                .map(|copts| {
+                    sim.phase("mesh setup");
+                    let cl = {
+                        let _t = pmg_telemetry::scope("coarsen");
+                        coarsen_level(&cur_coords, &cur_graph, &cur_classes, &copts)
+                    };
+                    coarsen_info.push((cl.selected.len(), cl.lost_vertices));
+                    charge_setup_flops(sim);
+                    cl
+                })
+                .filter(|cl| !cl.stalled(cur_coords.len()));
+            let Some(cl) = coarser else {
                 levels.push(bottom_level(
                     sim,
                     &cur_a,
@@ -362,33 +397,7 @@ impl MgHierarchy {
                     cur_coords.len(),
                 ));
                 break;
-            }
-
-            // Coarsen the grid (mesh setup).
-            sim.phase("mesh setup");
-            let mut copts = opts.coarsen;
-            copts.nproc = nranks;
-            // Paper: reclassify the third and subsequent grids.
-            copts.reclassify = lvl_index >= 1;
-            let cl: CoarseLevel = {
-                let _t = pmg_telemetry::scope("coarsen");
-                coarsen_level(&cur_coords, &cur_graph, &cur_classes, &copts)
             };
-            let nc = cl.selected.len();
-            coarsen_info.push((nc, cl.lost_vertices));
-            charge_setup_flops(sim);
-
-            if nc * 100 >= cur_coords.len() * 95 || nc < 4 {
-                // Coarsening stalled: finish with a direct solve here.
-                levels.push(bottom_level(
-                    sim,
-                    &cur_a,
-                    &cur_layout,
-                    promote,
-                    cur_coords.len(),
-                ));
-                break;
-            }
 
             // Galerkin coarse operator and distributed operators (matrix
             // setup).
@@ -742,6 +751,48 @@ mod tests {
         }
         let err = FineOperator::parse(Some("matrxfree")).unwrap_err();
         assert!(err.contains("PMG_FINE_OP") && err.contains("assembled|matrixfree|mf"));
+    }
+
+    #[test]
+    fn level_schedule_table() {
+        let opts = MgOptions {
+            max_levels: 4,
+            coarse_dof_threshold: 600,
+            ..Default::default()
+        };
+        // (lvl, rows, vertices) -> None at the bottom, else "reclassify".
+        let cases = [
+            (0, 601, 200, Some(false)), // second grid inherits its classes
+            (1, 601, 200, Some(true)),  // third and subsequent are reclassified
+            (2, 601, 200, Some(true)),
+            (3, 601, 200, None), // level cap
+            (0, 600, 200, None), // small enough to factor
+            (0, 601, 23, None),  // too few vertices to remesh
+            (0, 601, 24, Some(false)),
+        ];
+        for (lvl, rows, nv, want) in cases {
+            let got = opts.level_coarsen_options(lvl, 7, rows, nv);
+            assert_eq!(
+                got.map(|c| c.reclassify),
+                want,
+                "lvl={lvl} rows={rows} nv={nv}"
+            );
+            assert!(got.is_none_or(|c| c.nproc == 7 && c.face_tol == opts.coarsen.face_tol));
+        }
+
+        // The stall rule, by vertices kept out of 100.
+        let kept = |nc: u32| crate::coarsen::CoarseLevel {
+            selected: (0..nc).collect(),
+            restriction: CsrMatrix::from_parts(0, 0, vec![0], vec![], vec![]),
+            coords: Vec::new(),
+            graph: Graph::from_edges(0, []),
+            classes: VertexClasses::all_interior(0),
+            tets: Vec::new(),
+            lost_vertices: 0,
+        };
+        for (nc, stalled) in [(94, false), (95, true), (100, true), (4, false), (3, true)] {
+            assert_eq!(kept(nc).stalled(100), stalled, "kept {nc} of 100");
+        }
     }
 
     /// 3D Laplacian (scalar) on an n^3-element cube mesh with Dirichlet

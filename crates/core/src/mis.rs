@@ -290,7 +290,9 @@ pub fn parallel_mis_transport<T: pmg_comm::Transport>(
         let mut by_proc: Vec<Option<(Vec<u32>, Vec<u32>)>> = vec![None; nproc];
         for rank_blob in &all {
             for (p, lists) in unpack_decisions(rank_blob)? {
-                by_proc[p as usize] = Some(lists);
+                *by_proc.get_mut(p as usize).ok_or_else(|| {
+                    pmg_comm::CommError::Invalid(format!("MIS decisions for processor {p}"))
+                })? = Some(lists);
             }
         }
         let decisions: Vec<(Vec<u32>, Vec<u32>)> = by_proc.into_iter().flatten().collect();
@@ -333,33 +335,21 @@ fn pack_decisions(mine: &ProcDecisions) -> Vec<u8> {
 }
 
 fn unpack_decisions(buf: &[u8]) -> Result<ProcDecisions, pmg_comm::CommError> {
-    let bad = || pmg_comm::CommError::Invalid("malformed MIS decision blob".into());
-    let mut pos = 0usize;
-    let take_u32 = |pos: &mut usize| -> Result<u32, pmg_comm::CommError> {
-        let b = buf.get(*pos..*pos + 4).ok_or_else(bad)?;
-        *pos += 4;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
-    };
-    let count = take_u32(&mut pos)? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let p = take_u32(&mut pos)?;
-        let nsel = take_u32(&mut pos)? as usize;
-        let mut sel = Vec::with_capacity(nsel);
-        for _ in 0..nsel {
-            sel.push(take_u32(&mut pos)?);
+    fn decode(r: &mut pmg_comm::LeReader) -> Option<ProcDecisions> {
+        let count = r.u32()? as usize;
+        let mut out = Vec::new();
+        for _ in 0..count {
+            let p = r.u32()?;
+            let nsel = r.u32()? as usize;
+            let sel = r.u32s(nsel)?.collect();
+            let ndel = r.u32()? as usize;
+            let del = r.u32s(ndel)?.collect();
+            out.push((p, (sel, del)));
         }
-        let ndel = take_u32(&mut pos)? as usize;
-        let mut del = Vec::with_capacity(ndel);
-        for _ in 0..ndel {
-            del.push(take_u32(&mut pos)?);
-        }
-        out.push((p, (sel, del)));
+        r.is_empty().then_some(out)
     }
-    if pos != buf.len() {
-        return Err(bad());
-    }
-    Ok(out)
+    decode(&mut pmg_comm::LeReader::new(buf))
+        .ok_or_else(|| pmg_comm::CommError::Invalid("malformed MIS decision blob".into()))
 }
 
 /// Check independence: no two selected vertices are adjacent.
@@ -530,6 +520,22 @@ mod tests {
         let ord = MisOrdering::NaturalExteriorRandomInterior(1).order(n, &rank);
         assert_eq!(ord[0], 7); // highest rank first
         assert_eq!(ord[1], 3);
+    }
+
+    #[test]
+    fn malformed_decision_blob_is_a_typed_error() {
+        let mine: ProcDecisions = vec![(2, (vec![4, 7], vec![1])), (5, (vec![], vec![3]))];
+        let blob = pack_decisions(&mine);
+        assert_eq!(unpack_decisions(&blob).unwrap(), mine);
+        let over_long = [&blob[..], &[0u8; 4]].concat();
+        for bad in [&blob[..blob.len() - 1], &blob[..6], &over_long[..]] {
+            assert_eq!(
+                unpack_decisions(bad),
+                Err(pmg_comm::CommError::Invalid(
+                    "malformed MIS decision blob".into()
+                ))
+            );
+        }
     }
 
     #[test]

@@ -171,9 +171,8 @@ impl Prometheus {
     }
 
     /// Solve `k` systems `A xs[c] = bs[c]` in one blocked PCG sweep: the
-    /// operator is applied once per iteration for all columns
-    /// ([`pmg_sparse::Operator::apply_multi`] / SpMM underneath) while each
-    /// column keeps its own Krylov recurrence and its own `rtol`. Column
+    /// columns advance in lockstep and share every reduction point while
+    /// each keeps its own Krylov recurrence and its own `rtol`. Column
     /// `c`'s solution and statistics are **bitwise identical** to
     /// `self.solve(&bs[c], None, rtols[c])` — this is the entry the
     /// `pmg-serve` daemon routes coalesced concurrent requests through,

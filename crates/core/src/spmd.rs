@@ -25,7 +25,9 @@ use crate::coarsen::coarsen_level_transport;
 use crate::cycle::{self, CycleScratch, Done, LevelOps};
 use crate::ingest::RankSeed;
 use crate::mg::{expand_restriction, FineOperator, MgHierarchy, MgOptions, Smoother, SmootherType};
-use pmg_comm::{f64s_from_bytes, f64s_to_bytes, CommError, CommStats, LocalTransport, Transport};
+use pmg_comm::{
+    f64s_from_bytes, f64s_to_bytes, CommError, CommStats, LeReader, LocalTransport, Transport,
+};
 use pmg_geometry::Vec3;
 use pmg_parallel::{Layout, MfRankOp, OverlapInfo, RankMatrix, RankOp};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
@@ -108,56 +110,6 @@ impl LevelOp<'_> {
             LevelOp::MatFree(op) => op.spmv_overlapped(t, x, y),
         }
     }
-}
-
-/// `ys[c] = op · xs[c]` for all k columns, wait time booked to the halo
-/// phase. The matrix-free backend routes through the batched rank kernels
-/// (one exchange carrying k values per plan index, one element sweep);
-/// assembled rows apply one column at a time. Either way column `c` is
-/// **bitwise** [`halo_spmv`] on `xs[c]` — blocked SPMD solves rely on it.
-fn halo_spmv_multi<T: Transport>(
-    t: &mut T,
-    w: &mut PhaseWaits,
-    op: &LevelOp<'_>,
-    overlap: bool,
-    xs: &[Vec<f64>],
-    ys: &mut [Vec<f64>],
-) -> Result<(), CommError> {
-    let k = xs.len();
-    assert_eq!(ys.len(), k, "halo_spmv_multi needs matching x/y counts");
-    let mf = match op {
-        LevelOp::MatFree(mf) if k > 1 => mf,
-        _ => {
-            for (x, y) in xs.iter().zip(ys.iter_mut()) {
-                halo_spmv(t, w, op, overlap, x, y)?;
-            }
-            return Ok(());
-        }
-    };
-    let nl = op.local_rows();
-    let mut xi = vec![0.0; nl * k];
-    for (c, x) in xs.iter().enumerate() {
-        for (s, &v) in x.iter().enumerate() {
-            xi[s * k + c] = v;
-        }
-    }
-    let mut yi = vec![0.0; nl * k];
-    let before = t.stats().wait_s;
-    if overlap {
-        let info = mf.spmv_multi_overlapped(t, &xi, &mut yi, k)?;
-        w.halo_hidden_s += info.hidden_s;
-        w.interior_rows += info.interior_rows * k as u64;
-        w.boundary_rows += info.boundary_rows * k as u64;
-    } else {
-        mf.spmv_multi(t, &xi, &mut yi, k)?;
-    }
-    w.halo_s += t.stats().wait_s - before;
-    for (c, y) in ys.iter_mut().enumerate() {
-        for (s, v) in y.iter_mut().enumerate() {
-            *v = yi[s * k + c];
-        }
-    }
-    Ok(())
 }
 
 /// One rank's borrowed view of one grid level.
@@ -381,11 +333,13 @@ fn u32s_to_bytes(v: &[u32]) -> Vec<u8> {
     b
 }
 
-fn bytes_to_u32s(b: &[u8]) -> Vec<u32> {
-    assert_eq!(b.len() % 4, 0, "u32 payload length");
-    b.chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+fn bytes_to_u32s(b: &[u8]) -> Result<Vec<u32>, CommError> {
+    let mut r = LeReader::new(b);
+    let vals: Vec<u32> = r.u32s(b.len() / 4).expect("length taken from b").collect();
+    if !r.is_empty() {
+        return Err(CommError::Invalid("malformed u32 list blob".into()));
+    }
+    Ok(vals)
 }
 
 /// Encode a run of CSR rows as `[len, cols.., valbits..]` per row — the
@@ -404,32 +358,54 @@ fn encode_rows_into(b: &mut Vec<u8>, a: &CsrMatrix, rows: impl Iterator<Item = u
     }
 }
 
-/// Cursor over a blob of [`encode_rows_into`] rows; panics on truncation
-/// (the transports are reliable — a short blob is a program error).
-struct RowCursor<'a> {
-    b: &'a [u8],
-    at: usize,
+/// Where [`rows_from_blobs`] takes a row from.
+enum RowSource<'a> {
+    /// A row this rank holds: `(cols, vals)`.
+    Local(&'a [usize], &'a [f64]),
+    /// The next undecoded row of the blob at this index.
+    Blob(usize),
 }
 
-impl<'a> RowCursor<'a> {
-    fn new(b: &'a [u8]) -> RowCursor<'a> {
-        RowCursor { b, at: 0 }
-    }
-
-    fn next_row(&mut self, cols: &mut Vec<usize>, vals: &mut Vec<f64>) {
-        let len = u32::from_le_bytes(self.b[self.at..self.at + 4].try_into().unwrap()) as usize;
-        self.at += 4;
-        for _ in 0..len {
-            let c = u32::from_le_bytes(self.b[self.at..self.at + 4].try_into().unwrap());
-            self.at += 4;
-            cols.push(c as usize);
+/// Reassemble a matrix of `ncols` columns row by row: row `i` comes from
+/// `sources`' `i`-th item, peers' rows being decoded from their
+/// [`encode_rows_into`] blobs in order. A blob that runs short, names a
+/// column outside the matrix or is not used up is a malformed message.
+fn rows_from_blobs<'a>(
+    blobs: &[Vec<u8>],
+    ncols: usize,
+    nnz_bound: usize,
+    sources: impl ExactSizeIterator<Item = RowSource<'a>>,
+) -> Result<CsrMatrix, CommError> {
+    let bad = || CommError::Invalid("malformed row blob".into());
+    let mut readers: Vec<LeReader> = blobs.iter().map(|b| LeReader::new(b)).collect();
+    let nrows = sources.len();
+    let mut row_ptr = Vec::with_capacity(nrows + 1);
+    row_ptr.push(0usize);
+    let mut col_idx = Vec::with_capacity(nnz_bound);
+    let mut vals = Vec::with_capacity(nnz_bound);
+    for source in sources {
+        match source {
+            RowSource::Local(cols, vs) => {
+                col_idx.extend_from_slice(cols);
+                vals.extend_from_slice(vs);
+            }
+            RowSource::Blob(q) => {
+                let r = &mut readers[q];
+                let len = r.u32().ok_or_else(bad)? as usize;
+                let at = col_idx.len();
+                col_idx.extend(r.u32s(len).ok_or_else(bad)?.map(|c| c as usize));
+                vals.extend(r.f64s(len).ok_or_else(bad)?);
+                if col_idx[at..].iter().any(|&c| c >= ncols) {
+                    return Err(bad());
+                }
+            }
         }
-        for _ in 0..len {
-            let v = u64::from_le_bytes(self.b[self.at..self.at + 8].try_into().unwrap());
-            self.at += 8;
-            vals.push(f64::from_bits(v));
-        }
+        row_ptr.push(col_idx.len());
     }
+    if !readers.iter().all(LeReader::is_empty) {
+        return Err(bad());
+    }
+    Ok(CsrMatrix::from_parts(nrows, ncols, row_ptr, col_idx, vals))
 }
 
 /// Fetch the global rows `need` (ascending) of an operator stored as
@@ -469,10 +445,17 @@ fn fetch_rows<T: Transport>(
         let mine = u32s_to_bytes(&wanted[q]);
         if rank < q {
             t.send(q, tag, &mine)?;
-            asked_of_me[q] = bytes_to_u32s(&t.recv(q, tag)?);
+            asked_of_me[q] = bytes_to_u32s(&t.recv(q, tag)?)?;
         } else {
-            asked_of_me[q] = bytes_to_u32s(&t.recv(q, tag)?);
+            asked_of_me[q] = bytes_to_u32s(&t.recv(q, tag)?)?;
             t.send(q, tag, &mine)?;
+        }
+        let n = layout.num_global();
+        let mine_to_give = |&g: &u32| (g as usize) < n && layout.owner(g as usize) as usize == rank;
+        if !asked_of_me[q].iter().all(mine_to_give) {
+            return Err(CommError::Invalid(format!(
+                "rank {q} asked rank {rank} for a row it does not own"
+            )));
         }
     }
     let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); p];
@@ -484,10 +467,9 @@ fn fetch_rows<T: Transport>(
         encode_rows_into(
             &mut blob,
             a_owned,
-            asked_of_me[q].iter().map(|&g| {
-                debug_assert_eq!(layout.owner(g as usize) as usize, rank);
-                layout.local_index(g as usize) as usize
-            }),
+            asked_of_me[q]
+                .iter()
+                .map(|&g| layout.local_index(g as usize) as usize),
         );
         if rank < q {
             t.send(q, tag + 1, &blob)?;
@@ -498,33 +480,20 @@ fn fetch_rows<T: Transport>(
         }
     }
 
-    let mut cursors: Vec<RowCursor> = payloads.iter().map(|b| RowCursor::new(b)).collect();
-    let mut row_ptr = Vec::with_capacity(need.len() + 1);
-    row_ptr.push(0usize);
     // An upper bound on the entries (each wire entry costs 12 bytes): the
     // result is most of a rank's operator share, and growing it by doubling
     // leaves as much again behind in freed buffers.
     let nnz_bound = a_owned.nnz() + payloads.iter().map(|b| b.len() / 12).sum::<usize>();
-    let mut col_idx = Vec::with_capacity(nnz_bound);
-    let mut vals = Vec::with_capacity(nnz_bound);
-    for &g in need {
+    let sources = need.iter().map(|&g| {
         let o = layout.owner(g as usize) as usize;
         if o == rank {
             let (cols, vs) = a_owned.row(layout.local_index(g as usize) as usize);
-            col_idx.extend_from_slice(cols);
-            vals.extend_from_slice(vs);
+            RowSource::Local(cols, vs)
         } else {
-            cursors[o].next_row(&mut col_idx, &mut vals);
+            RowSource::Blob(o)
         }
-        row_ptr.push(col_idx.len());
-    }
-    Ok(CsrMatrix::from_parts(
-        need.len(),
-        layout.num_global(),
-        row_ptr,
-        col_idx,
-        vals,
-    ))
+    });
+    rows_from_blobs(&payloads, layout.num_global(), nnz_bound, sources)
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -563,25 +532,19 @@ fn bottom_level<T: Transport>(
         let _t = pmg_telemetry::scope("coarse_direct");
         let mut blob = Vec::new();
         encode_rows_into(&mut blob, a_owned, 0..a_owned.nrows());
-        let gathered = pmg_comm::gather(t, &blob)?;
-        gathered.map(|parts| {
-            // Owned lists are ascending and tile 0..n, so walking the
-            // global rows and pulling each owner's next row reassembles
-            // the matrix the replicated path would have held — verbatim.
-            let n = layout.num_global();
-            let mut cursors: Vec<RowCursor> = parts.iter().map(|b| RowCursor::new(b)).collect();
-            let mut row_ptr = Vec::with_capacity(n + 1);
-            row_ptr.push(0usize);
-            let mut col_idx = Vec::new();
-            let mut vals = Vec::new();
-            for g in 0..n {
-                let o = layout.owner(g) as usize;
-                cursors[o].next_row(&mut col_idx, &mut vals);
-                row_ptr.push(col_idx.len());
+        match pmg_comm::gather(t, &blob)? {
+            None => None,
+            Some(parts) => {
+                // Owned lists are ascending and tile 0..n, so walking the
+                // global rows and pulling each owner's next row reassembles
+                // the matrix the replicated path would have held — verbatim.
+                let n = layout.num_global();
+                let owners = (0..n).map(|g| RowSource::Blob(layout.owner(g) as usize));
+                Some(CoarseDirect::from_csr(&rows_from_blobs(
+                    &parts, n, 0, owners,
+                )?))
             }
-            let full = CsrMatrix::from_parts(n, n, row_ptr, col_idx, vals);
-            CoarseDirect::from_csr(&full)
-        })
+        }
     };
     Ok(DistLevel {
         a: ra,
@@ -685,13 +648,9 @@ fn coarsen_transfer<T: Transport>(
 ) -> Result<Option<Transfer>, CommError> {
     let (nranks, rank, dofs) = (t.size(), t.rank(), opts.dofs_per_vertex);
     let nv = grid.coords.len();
-    if layout.num_global() <= opts.coarse_dof_threshold || lvl + 1 >= opts.max_levels || nv < 24 {
+    let Some(copts) = opts.level_coarsen_options(lvl, nranks, layout.num_global(), nv) else {
         return Ok(None);
-    }
-    let mut copts = opts.coarsen;
-    copts.nproc = nranks;
-    // Paper: reclassify the third and subsequent grids.
-    copts.reclassify = lvl >= 1;
+    };
     let cl = {
         let _t = pmg_telemetry::scope("coarsen");
         coarsen_level_transport(
@@ -703,9 +662,8 @@ fn coarsen_transfer<T: Transport>(
             setup_tag(lvl),
         )?
     };
-    let nc = cl.selected.len();
-    if nc * 100 >= nv * 95 || nc < 4 {
-        return Ok(None); // stalled: finish with a direct solve here
+    if cl.stalled(nv) {
+        return Ok(None); // finish with a direct solve here
     }
     let rt_v = cl.restriction.transpose();
     let (next_layout, imbalance) = dof_layout(&cl.coords, nranks, dofs);
@@ -1165,9 +1123,9 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
         self.ops.zeros(0)
     }
 
-    fn apply(&mut self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) -> Result<(), CommError> {
+    fn apply(&mut self, x: &Vec<f64>, y: &mut Vec<f64>) -> Result<(), CommError> {
         let (h, ops) = (self.ops.h, &mut self.ops);
-        halo_spmv_multi(ops.t, &mut ops.waits, &h.levels[0].a, h.overlap, xs, ys)
+        halo_spmv(ops.t, &mut ops.waits, &h.levels[0].a, h.overlap, x, y)
     }
 
     fn precond(&mut self, r: &Vec<f64>, z: &mut Vec<f64>) -> Result<(), CommError> {
@@ -1235,10 +1193,9 @@ pub fn spmd_pcg<T: Transport>(
 }
 
 /// Blocked PCG over a real transport: k systems `A x = bs[c]` advance in
-/// lockstep through [`pmg_solver::pcg_blocked`], sharing one batched
-/// fine-grid product per iteration (through `halo_spmv_multi`) and fusing
-/// the active columns' inner-product partials into one collective per
-/// reduction point.
+/// lockstep through [`pmg_solver::pcg_blocked`], fusing the active
+/// columns' inner-product partials into one collective per reduction
+/// point.
 ///
 /// Column `c` of the result — solution, iteration count, convergence flag,
 /// residual history — is **bitwise identical** to [`spmd_pcg`] on
@@ -1366,6 +1323,52 @@ mod tests {
             }
         }
         (b.build(), m.coords.clone(), g)
+    }
+
+    #[test]
+    fn malformed_row_and_request_blobs_are_typed_errors() {
+        // The wire form fetch_rows and the bottom-level gather both decode.
+        let a = scalar_problem(2).0;
+        let mut blob = Vec::new();
+        encode_rows_into(&mut blob, &a, 0..a.nrows());
+        let decode = |blob: Vec<u8>, ncols: usize| {
+            let rows = (0..a.nrows()).map(|_| RowSource::Blob(0));
+            rows_from_blobs(&[blob], ncols, 0, rows)
+        };
+        assert_eq!(decode(blob.clone(), a.ncols()).unwrap(), a);
+        let malformed = Err(CommError::Invalid("malformed row blob".into()));
+        assert_eq!(
+            decode(blob[..blob.len() - 3].to_vec(), a.ncols()),
+            malformed
+        );
+        assert_eq!(
+            decode([&blob[..], &[0u8; 4]].concat(), a.ncols()),
+            malformed
+        );
+        assert_eq!(
+            decode(blob.clone(), a.ncols() - 1),
+            malformed,
+            "column out of range"
+        );
+        // A row count that promises more than the blob holds.
+        assert_eq!(
+            decode(u32::MAX.to_le_bytes().to_vec(), a.ncols()),
+            malformed
+        );
+
+        // The request lists of fetch_rows' first phase.
+        let ids = [3u32, 1, 4];
+        let bytes = u32s_to_bytes(&ids);
+        assert_eq!(bytes_to_u32s(&bytes).unwrap(), ids);
+        for ragged in [
+            &bytes[..bytes.len() - 1],
+            &[&bytes[..], &[7u8][..]].concat()[..],
+        ] {
+            assert_eq!(
+                bytes_to_u32s(ragged),
+                Err(CommError::Invalid("malformed u32 list blob".into()))
+            );
+        }
     }
 
     #[test]
@@ -1555,10 +1558,8 @@ mod tests {
 
     #[test]
     fn blocked_matrixfree_solve_matches_independent_solves_bitwise() {
-        // Same parity contract with the fine grid on the batched
-        // matrix-free rank kernels: the blocked fine product routes
-        // through MfRankOp::spmv_multi{,_overlapped} (one exchange with k
-        // values per plan index) instead of a per-column loop.
+        // Same parity contract with the fine grid on matrix-free rank
+        // kernels.
         use pmg_parallel::matfree::test_kernel::ChainKernel;
         use pmg_sparse::{MatrixFreeFactory, MatrixFreeKernel};
 

@@ -1,4 +1,4 @@
-//! Matrix-free application of the constrained tangent stiffness, batched.
+//! Matrix-free application of the constrained tangent stiffness.
 //!
 //! Instead of assembling CSR/BSR3 and multiplying stored values, the
 //! product `y = K̂ x` is computed by an on-the-fly element loop. The
@@ -32,21 +32,15 @@
 //! aligned run (rank-boundary stragglers, list tails) index the same
 //! blocked data at a single lane.
 //!
-//! The apply processes elements in fixed-size batches (`PMG_MF_BATCH`,
-//! default 32): one parallel task gathers nothing and scatters nothing — it
-//! only computes its batch's element products into a staging region that
-//! also carries the task's gradient/stress scratch, so the inner loops are
-//! allocation-free and auto-vectorizable. Gather and scatter run serially
-//! through a reusable per-kernel scratch, in fixed element order.
-//!
-//! All kernels take `k` interleaved input/output vectors (`x[dof·k + c]`
-//! holds column `c`). Column counts 1, 2, 4, and 8 dispatch to
-//! monomorphized kernels (`k = 1` vectorizes across Gauss points, the
-//! multi-column widths across columns); every other `k` runs a generic
-//! fallback. All of them execute the same floating-point operation
-//! sequence per column, so `apply_multi` is bitwise identical per column
-//! to k single applies by construction while reading the folded element
-//! data once.
+//! One apply takes one vector. With a single pool worker the loop fuses
+//! gather → kernel → scatter per element (or per aligned run of eight)
+//! through L1-resident scratch. With more workers the elements are cut into
+//! fixed batches of `BATCH` (32): one parallel task gathers nothing and
+//! scatters nothing — it only computes its batch's element products into a
+//! staging region, so the inner loops are allocation-free and
+//! auto-vectorizable — while gather and scatter run serially through a
+//! reusable per-kernel scratch, in fixed element order. Which shape runs is
+//! decided from the observed pool size; both produce the same bits.
 //!
 //! Dirichlet rows are treated bitwise identically to
 //! [`constrain_system`](crate::bc::constrain_system): constrained sources
@@ -57,53 +51,31 @@
 //!
 //! Element contributions are computed in parallel batch tasks but scattered
 //! serially in a fixed element order (the assembler's scheme), so the
-//! result is bitwise identical for every `PMG_THREADS` and every
-//! `PMG_MF_BATCH`. Each rank applies interior elements (no ghost dofs) in
-//! ascending order, then boundary elements in ascending order — the same
-//! order whether the halo exchange is blocking or overlapped, so every
-//! transport/schedule combination of `pmg-parallel` reproduces the same
-//! bits at a fixed rank layout.
+//! result is bitwise identical for every `PMG_THREADS`. Each rank applies
+//! interior elements (no ghost dofs) in ascending order, then boundary
+//! elements in ascending order — the same order whether the halo exchange
+//! is blocking or overlapped, so every transport/schedule combination of
+//! `pmg-parallel` reproduces the same bits at a fixed rank layout.
 //!
 //! Telemetry: counts `op/mf_elements` (element loops executed),
-//! `op/mf_batches` (parallel batch tasks), `op/mf_flops` and `op/mf_bytes`
-//! (estimated bytes touched) per apply.
+//! `op/mf_batches` (batches of `BATCH` elements), `op/mf_flops` and
+//! `op/mf_bytes` (estimated bytes touched) per apply.
 
 use crate::assembly::FemProblem;
 use crate::material::{elastic_tangent, Mat3, MAT3_ZERO};
 use pmg_sparse::op::{MatrixFreeFactory, MatrixFreeKernel, Operator};
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Elements per outer chunk (bounds staging memory; mirrors the
 /// assembler's bound).
 const CHUNK: usize = 2048;
 
-/// Default elements per parallel batch task.
-const DEFAULT_BATCH: usize = 32;
-
-/// Elements per batch task: each task runs `batch` whole element kernels,
-/// so scheduling overhead is amortized over the batch instead of paid per
-/// element. Read once from `PMG_MF_BATCH`; any positive value produces the
-/// same bits (only the task decomposition changes — the scatter order does
-/// not). Unset or empty is the default; anything but a positive integer
-/// panics at the first apply rather than silently running the default.
-fn batch_size() -> usize {
-    static BATCH: OnceLock<usize> = OnceLock::new();
-    *BATCH.get_or_init(|| {
-        let value = std::env::var_os("PMG_MF_BATCH").map(|v| v.to_string_lossy().into_owned());
-        parse_batch(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    })
-}
-
-fn parse_batch(value: Option<&str>) -> Result<usize, String> {
-    match value {
-        None | Some("") => Ok(DEFAULT_BATCH),
-        Some(v) => match v.parse() {
-            Ok(b) if b > 0 => Ok(b),
-            _ => Err(format!("PMG_MF_BATCH={v}: expected a positive integer")),
-        },
-    }
-}
+/// Elements per parallel batch task: each task runs `BATCH` whole element
+/// kernels, so scheduling overhead is amortized over the batch instead of
+/// paid per element. Only the task decomposition depends on it — the
+/// scatter order, and so the bits, do not.
+const BATCH: usize = 32;
 
 /// Weighted tangent of one Gauss point (construction-time classification;
 /// the apply reads the folded SoA buffers, not this).
@@ -179,44 +151,16 @@ impl MfData {
         false
     }
 
-    /// `ye = ke · xe` on `k` interleaved columns, dispatching on the
-    /// element's class and the column count. `gm`/`s` are caller scratch of
-    /// `9k` values each, used only by the generic-`k` fallback; the
-    /// monomorphized widths carry their scratch on the stack. Per column
-    /// the arithmetic sequence is independent of `k` and of the dispatch
-    /// taken, so column `c` of the result is bitwise the `k = 1` product
-    /// of that column.
+    /// `ye = ke · xe` for one element, dispatching on its class. Isotropic
+    /// elements reach this only off an aligned lane run (the hot apply goes
+    /// through `iso_block8`) and take the scalar reference.
     #[inline]
-    fn element_apply_k(
-        &self,
-        e: usize,
-        xe: &[f64],
-        ye: &mut [f64],
-        k: usize,
-        gm: &mut [f64],
-        s: &mut [f64],
-    ) {
+    fn element_apply(&self, e: usize, xe: &[f64], ye: &mut [f64]) {
         let slot = self.elem_slot[e];
         if slot >= 0 {
-            let slot = slot as usize;
-            match k {
-                2 => self.iso_apply_ck::<2>(slot, xe, ye),
-                4 => self.iso_apply_ck::<4>(slot, xe, ye),
-                8 => self.iso_apply_ck::<8>(slot, xe, ye),
-                // k = 1 included: single isotropic elements off an aligned
-                // lane run take the scalar reference path (the hot apply
-                // goes through `iso_block8` instead).
-                _ => self.iso_apply_k(slot, xe, ye, k, gm, s),
-            }
+            self.iso_apply_1(slot as usize, xe, ye);
         } else {
-            let slot = (-slot - 1) as usize;
-            match k {
-                1 => self.full_apply_1(slot, xe, ye),
-                2 => self.full_apply_ck::<2>(slot, xe, ye),
-                4 => self.full_apply_ck::<4>(slot, xe, ye),
-                8 => self.full_apply_ck::<8>(slot, xe, ye),
-                _ => self.full_apply_k(slot, xe, ye, k, gm, s),
-            }
+            self.full_apply_1((-slot - 1) as usize, xe, ye);
         }
     }
 
@@ -244,18 +188,16 @@ impl MfData {
     }
 
     /// Element-lane block kernel: eight isotropic elements (slot block
-    /// `blk`), one column each, lane-major operands. Dof `j` of lane `l`
-    /// lives at `(j * cstr + coff) * 8 + l` — a multi-column tile stores
-    /// its k columns dof-interleaved (`cstr = k`, column `coff`), so one
-    /// tile transpose serves every column; single-column callers pass
-    /// `(1, 0)`. Every operation is a vertical fused multiply-add across
-    /// the eight lanes, and lane `l`'s operation sequence — gradient
+    /// `blk`), operands as tiles of eight lanes per dof — dof `j` of lane
+    /// `l` lives at `j * 8 + l`. Every operation is a vertical fused
+    /// multiply-add across the eight lanes, and lane `l`'s operation
+    /// sequence — gradient
     /// accumulation in ascending `b` order, stress with the per-point
     /// trace, scatter products joining the dof sums in ascending `gp`
-    /// order from 0.0 — is exactly the scalar reference (`iso_apply_k` at
-    /// `k = 1`), so each lane's bits equal the one-element product.
+    /// order from 0.0 — is exactly the scalar reference (`iso_apply_1`),
+    /// so each lane's bits equal the one-element product.
     #[inline]
-    fn iso_block8(&self, blk: usize, xe8: &[f64], ye8: &mut [f64], cstr: usize, coff: usize) {
+    fn iso_block8(&self, blk: usize, xe8: &[f64], ye8: &mut [f64]) {
         let nv = self.nv;
         let ngp = self.ngp;
         let rec = &self.iso_soa[blk * self.iso_blk()..][..self.iso_blk()];
@@ -263,20 +205,18 @@ impl MfData {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
-                unsafe { x86::iso_block8_512(nv, ngp, grads, tail, xe8, ye8, cstr, coff) };
+                unsafe { x86::iso_block8_512(nv, ngp, grads, tail, xe8, ye8) };
                 return;
             }
         }
-        for d in 0..3 * nv {
-            ye8[(d * cstr + coff) * ILANES..][..ILANES].fill(0.0);
-        }
+        ye8[..3 * nv * ILANES].fill(0.0);
         for gp in 0..ngp {
             let lw = &tail[gp * ILANES..][..ILANES];
             let mw = &tail[(ngp + gp) * ILANES..][..ILANES];
             let mut gm = [[0.0f64; ILANES]; 9];
             for b in 0..nv {
                 for r in 0..3 {
-                    let xb = &xe8[((3 * b + r) * cstr + coff) * ILANES..][..ILANES];
+                    let xb = &xe8[(3 * b + r) * ILANES..][..ILANES];
                     for l in 0..3 {
                         let gl = &grads[((3 * b + l) * ngp + gp) * ILANES..][..ILANES];
                         let dst = &mut gm[r * 3 + l];
@@ -305,7 +245,7 @@ impl MfData {
                 let ga1 = &grads[((3 * a + 1) * ngp + gp) * ILANES..][..ILANES];
                 let ga2 = &grads[((3 * a + 2) * ngp + gp) * ILANES..][..ILANES];
                 for i in 0..3 {
-                    let dst = &mut ye8[((3 * a + i) * cstr + coff) * ILANES..][..ILANES];
+                    let dst = &mut ye8[(3 * a + i) * ILANES..][..ILANES];
                     for c in 0..ILANES {
                         let t = s[i * 3 + 2][c].mul_add(
                             ga2[c],
@@ -318,18 +258,16 @@ impl MfData {
         }
     }
 
-    /// Single-column general kernel: the 81-component contraction with the
-    /// same Gauss-point vectorization and in-order per-dof reduction.
+    /// General-class kernel: the 81-component contraction, every Gauss
+    /// point of the element at once on unit-stride rows, with an in-order
+    /// per-dof reduction. The AVX forms execute `full_apply_1_scalar`'s
+    /// operation sequence.
     #[inline]
     fn full_apply_1(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
-        let nv = self.nv;
-        let ngp = self.ngp;
-        debug_assert!(ngp <= MAX_GP);
-        let stride = self.full_stride();
-        let rec = &self.full_soa[slot * stride * ngp..][..stride * ngp];
-        let (grads, aw) = rec.split_at(3 * nv * ngp);
         #[cfg(target_arch = "x86_64")]
         {
+            let (nv, ngp) = (self.nv, self.ngp);
+            let (grads, aw) = self.full_record(slot);
             if std::arch::is_x86_feature_detected!("avx512f") {
                 unsafe { x86::full_apply_1_512(nv, ngp, grads, aw, xe, ye) };
                 return;
@@ -341,6 +279,23 @@ impl MfData {
                 return;
             }
         }
+        self.full_apply_1_scalar(slot, xe, ye);
+    }
+
+    /// General record `slot` as `(gradients, weighted tangent)` rows.
+    #[inline]
+    fn full_record(&self, slot: usize) -> (&[f64], &[f64]) {
+        let len = self.full_stride() * self.ngp;
+        self.full_soa[slot * len..][..len].split_at(3 * self.nv * self.ngp)
+    }
+
+    /// Portable body of [`MfData::full_apply_1`]: the only path off x86-64
+    /// and the reference the vector forms are tested against.
+    fn full_apply_1_scalar(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
+        let nv = self.nv;
+        let ngp = self.ngp;
+        debug_assert!(ngp <= MAX_GP);
+        let (grads, aw) = self.full_record(slot);
         let mut gmbuf = [0.0f64; 9 * MAX_GP];
         let gm = &mut gmbuf[..9 * ngp];
         for b in 0..nv {
@@ -376,265 +331,64 @@ impl MfData {
         scatter_1(grads, ngp, s, ye, nv);
     }
 
-    /// Monomorphized multi-column isotropic kernel: per Gauss point, every
-    /// inner loop is a unit-stride pass over the `K` interleaved columns.
-    #[inline]
-    fn iso_apply_ck<const K: usize>(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
+    /// Single isotropic element, scalar: the reference operation sequence
+    /// every lane of `iso_block8` replicates.
+    fn iso_apply_1(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
         let nv = self.nv;
         let ngp = self.ngp;
         let rec = &self.iso_soa[(slot / ILANES) * self.iso_blk()..][..self.iso_blk()];
         let lane = slot % ILANES;
         let (grads, tail) = rec.split_at(3 * nv * ngp * ILANES);
-        ye.fill(0.0);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if K.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx512f") {
-                unsafe { x86::iso_apply_ck8(nv, ngp, grads, tail, lane, xe, ye, K) };
-                return;
-            }
-            if K.is_multiple_of(4)
-                && std::arch::is_x86_feature_detected!("avx")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                unsafe { x86::iso_apply_ck(nv, ngp, grads, tail, lane, xe, ye, K) };
-                return;
-            }
-        }
-        for gp in 0..ngp {
-            let lw = tail[gp * ILANES + lane];
-            let mw = tail[(ngp + gp) * ILANES + lane];
-            let mut gm = [[0.0f64; K]; 9];
-            for b in 0..nv {
-                for r in 0..3 {
-                    let xb = &xe[(3 * b + r) * K..][..K];
-                    for l in 0..3 {
-                        let gl = grads[((3 * b + l) * ngp + gp) * ILANES + lane];
-                        let dst = &mut gm[r * 3 + l];
-                        for c in 0..K {
-                            dst[c] = xb[c].mul_add(gl, dst[c]);
-                        }
-                    }
-                }
-            }
-            let mut s = [[0.0f64; K]; 9];
-            for i in 0..3 {
-                for j in 0..3 {
-                    for c in 0..K {
-                        s[i * 3 + j][c] = mw * (gm[i * 3 + j][c] + gm[j * 3 + i][c]);
-                    }
-                }
-            }
-            for i in 0..3 {
-                for c in 0..K {
-                    let tr = gm[0][c] + gm[4][c] + gm[8][c];
-                    s[i * 3 + i][c] = lw.mul_add(tr, s[i * 3 + i][c]);
-                }
-            }
-            for a in 0..nv {
-                let ga = [
-                    grads[(3 * a * ngp + gp) * ILANES + lane],
-                    grads[((3 * a + 1) * ngp + gp) * ILANES + lane],
-                    grads[((3 * a + 2) * ngp + gp) * ILANES + lane],
-                ];
-                for i in 0..3 {
-                    let dst = &mut ye[(3 * a + i) * K..][..K];
-                    for c in 0..K {
-                        let t = s[i * 3 + 2][c]
-                            .mul_add(ga[2], s[i * 3 + 1][c].mul_add(ga[1], s[i * 3][c] * ga[0]));
-                        dst[c] += t;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Monomorphized multi-column general kernel.
-    #[inline]
-    fn full_apply_ck<const K: usize>(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
-        let nv = self.nv;
-        let ngp = self.ngp;
-        let stride = self.full_stride();
-        let rec = &self.full_soa[slot * stride * ngp..][..stride * ngp];
-        let (grads, aw) = rec.split_at(3 * nv * ngp);
-        ye.fill(0.0);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if K.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx512f") {
-                unsafe { x86::full_apply_ck8(nv, ngp, grads, aw, xe, ye, K) };
-                return;
-            }
-            if K.is_multiple_of(4)
-                && std::arch::is_x86_feature_detected!("avx")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                unsafe { x86::full_apply_ck(nv, ngp, grads, aw, xe, ye, K) };
-                return;
-            }
-        }
-        for gp in 0..ngp {
-            let mut gm = [[0.0f64; K]; 9];
-            for b in 0..nv {
-                for r in 0..3 {
-                    let xb = &xe[(3 * b + r) * K..][..K];
-                    for l in 0..3 {
-                        let gl = grads[(3 * b + l) * ngp + gp];
-                        let dst = &mut gm[r * 3 + l];
-                        for c in 0..K {
-                            dst[c] = xb[c].mul_add(gl, dst[c]);
-                        }
-                    }
-                }
-            }
-            let mut s = [[0.0f64; K]; 9];
-            for i in 0..3 {
-                for j in 0..3 {
-                    let srow = &mut s[i * 3 + j];
-                    for kk in 0..3 {
-                        for l in 0..3 {
-                            let a = aw[(((i * 3 + j) * 3 + kk) * 3 + l) * ngp + gp];
-                            let gr = &gm[kk * 3 + l];
-                            for c in 0..K {
-                                srow[c] = a.mul_add(gr[c], srow[c]);
-                            }
-                        }
-                    }
-                }
-            }
-            for a in 0..nv {
-                let ga = [
-                    grads[3 * a * ngp + gp],
-                    grads[(3 * a + 1) * ngp + gp],
-                    grads[(3 * a + 2) * ngp + gp],
-                ];
-                for i in 0..3 {
-                    let dst = &mut ye[(3 * a + i) * K..][..K];
-                    for c in 0..K {
-                        let t = s[i * 3 + 2][c]
-                            .mul_add(ga[2], s[i * 3 + 1][c].mul_add(ga[1], s[i * 3][c] * ga[0]));
-                        dst[c] += t;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Generic-`k` isotropic fallback (any column count, any quadrature):
-    /// the reference operation sequence the monomorphized kernels replicate.
-    fn iso_apply_k(
-        &self,
-        slot: usize,
-        xe: &[f64],
-        ye: &mut [f64],
-        k: usize,
-        gm: &mut [f64],
-        s: &mut [f64],
-    ) {
-        let nv = self.nv;
-        let ngp = self.ngp;
-        let rec = &self.iso_soa[(slot / ILANES) * self.iso_blk()..][..self.iso_blk()];
-        let lane = slot % ILANES;
-        let (grads, tail) = rec.split_at(3 * nv * ngp * ILANES);
+        let at = |comp: usize, gp: usize| grads[(comp * ngp + gp) * ILANES + lane];
         ye.fill(0.0);
         for gp in 0..ngp {
             let lw = tail[gp * ILANES + lane];
             let mw = tail[(ngp + gp) * ILANES + lane];
-            // Input-field gradient G[r][l][c] = Σ_b xe[(3b+r)k+c] ∂N_b/∂X_l.
-            gm.fill(0.0);
+            // Input-field gradient G[r][l] = Σ_b xe[3b+r] ∂N_b/∂X_l.
+            let mut gm = [0.0f64; 9];
             for b in 0..nv {
                 for r in 0..3 {
-                    let xb = &xe[(3 * b + r) * k..][..k];
+                    let xb = xe[3 * b + r];
                     for l in 0..3 {
-                        let gl = grads[((3 * b + l) * ngp + gp) * ILANES + lane];
-                        let dst = &mut gm[(r * 3 + l) * k..][..k];
-                        for (d, &xc) in dst.iter_mut().zip(xb) {
-                            *d = xc.mul_add(gl, *d);
-                        }
+                        gm[r * 3 + l] = xb.mul_add(at(3 * b + l, gp), gm[r * 3 + l]);
                     }
                 }
             }
-            // Weighted stress S = μw (G + Gᵀ) + λw tr(G) I, per column.
+            // Weighted stress S = μw (G + Gᵀ) + λw tr(G) I.
+            let mut s = [0.0f64; 9];
             for i in 0..3 {
                 for j in 0..3 {
-                    for c in 0..k {
-                        s[(i * 3 + j) * k + c] =
-                            mw * (gm[(i * 3 + j) * k + c] + gm[(j * 3 + i) * k + c]);
-                    }
+                    s[i * 3 + j] = mw * (gm[i * 3 + j] + gm[j * 3 + i]);
                 }
             }
+            let tr = gm[0] + gm[4] + gm[8];
             for i in 0..3 {
-                for c in 0..k {
-                    let tr = gm[c] + gm[4 * k + c] + gm[8 * k + c];
-                    s[(i * 3 + i) * k + c] = lw.mul_add(tr, s[(i * 3 + i) * k + c]);
+                s[i * 3 + i] = lw.mul_add(tr, s[i * 3 + i]);
+            }
+            // ye[3a+i] += Σ_J S[i][J] ∂N_a/∂X_J |_gp.
+            for a in 0..nv {
+                let ga = [at(3 * a, gp), at(3 * a + 1, gp), at(3 * a + 2, gp)];
+                for i in 0..3 {
+                    ye[3 * a + i] +=
+                        s[i * 3 + 2].mul_add(ga[2], s[i * 3 + 1].mul_add(ga[1], s[i * 3] * ga[0]));
                 }
             }
-            scatter_k(grads, ngp, gp, s, ye, nv, k, ILANES, lane);
-        }
-    }
-
-    /// Generic-`k` general fallback: full 81-component contraction.
-    fn full_apply_k(
-        &self,
-        slot: usize,
-        xe: &[f64],
-        ye: &mut [f64],
-        k: usize,
-        gm: &mut [f64],
-        s: &mut [f64],
-    ) {
-        let nv = self.nv;
-        let ngp = self.ngp;
-        let stride = self.full_stride();
-        let rec = &self.full_soa[slot * stride * ngp..][..stride * ngp];
-        let (grads, aw) = rec.split_at(3 * nv * ngp);
-        ye.fill(0.0);
-        for gp in 0..ngp {
-            gm.fill(0.0);
-            for b in 0..nv {
-                for r in 0..3 {
-                    let xb = &xe[(3 * b + r) * k..][..k];
-                    for l in 0..3 {
-                        let gl = grads[(3 * b + l) * ngp + gp];
-                        let dst = &mut gm[(r * 3 + l) * k..][..k];
-                        for (d, &xc) in dst.iter_mut().zip(xb) {
-                            *d = xc.mul_add(gl, *d);
-                        }
-                    }
-                }
-            }
-            // S[i][J][c] = Σ_{kL} wA[i][J][k][L] G[k][L][c].
-            for i in 0..3 {
-                for j in 0..3 {
-                    let srow = &mut s[(i * 3 + j) * k..][..k];
-                    srow.fill(0.0);
-                    for kk in 0..3 {
-                        for l in 0..3 {
-                            let a = aw[(((i * 3 + j) * 3 + kk) * 3 + l) * ngp + gp];
-                            let gr = &gm[(kk * 3 + l) * k..][..k];
-                            for (sv, &gv) in srow.iter_mut().zip(gr) {
-                                *sv = a.mul_add(gv, *sv);
-                            }
-                        }
-                    }
-                }
-            }
-            scatter_k(grads, ngp, gp, s, ye, nv, k, 1, 0);
         }
     }
 }
 
 /// Largest supported quadrature (Hex20's 3×3×3 rule) — bounds the
-/// single-column kernels' stack rows.
+/// general kernel's stack rows.
 const MAX_GP: usize = 27;
 
 /// Element lanes per isotropic SoA block: eight consecutive slots share one
-/// interleaved record so the single-column apply can run eight elements per
-/// vector register, each lane executing the reference scalar sequence.
+/// interleaved record so the apply can run eight elements per vector
+/// register, each lane executing the reference scalar sequence.
 const ILANES: usize = 8;
 
-/// Single-column scatter: `ye[3a+i] = Σ_gp S[i]·∇N_a |_gp`. The per-point
+/// General-class scatter: `ye[3a+i] = Σ_gp S[i]·∇N_a |_gp`. The per-point
 /// products are one vectorizable unit-stride pass; the reduction over
-/// points runs in ascending `gp` order starting from 0.0, bitwise the
-/// generic path's gp-loop accumulation.
+/// points runs in ascending `gp` order starting from 0.0.
 #[inline]
 fn scatter_1(grads: &[f64], ngp: usize, s: &[f64], ye: &mut [f64], nv: usize) {
     let mut tvbuf = [0.0f64; MAX_GP];
@@ -653,42 +407,6 @@ fn scatter_1(grads: &[f64], ngp: usize, s: &[f64], ye: &mut [f64], nv: usize) {
                 acc += t;
             }
             ye[3 * a + i] = acc;
-        }
-    }
-}
-
-/// `ye[(3a+i)k+c] += Σ_J S[i][J][c] ∂N_a/∂X_J |_gp` — the shared scatter
-/// of the generic fallbacks. `lstr`/`lane` select the gradient layout:
-/// `1, 0` reads a Gauss-transposed general record, `ILANES, lane` one lane
-/// of a slot-blocked isotropic record.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn scatter_k(
-    grads: &[f64],
-    ngp: usize,
-    gp: usize,
-    s: &[f64],
-    ye: &mut [f64],
-    nv: usize,
-    k: usize,
-    lstr: usize,
-    lane: usize,
-) {
-    for a in 0..nv {
-        let ga = [
-            grads[(3 * a * ngp + gp) * lstr + lane],
-            grads[((3 * a + 1) * ngp + gp) * lstr + lane],
-            grads[((3 * a + 2) * ngp + gp) * lstr + lane],
-        ];
-        for i in 0..3 {
-            let dst = &mut ye[(3 * a + i) * k..][..k];
-            for (c, d) in dst.iter_mut().enumerate() {
-                let t = s[(i * 3 + 2) * k + c].mul_add(
-                    ga[2],
-                    s[(i * 3 + 1) * k + c].mul_add(ga[1], s[(i * 3) * k + c] * ga[0]),
-                );
-                *d += t;
-            }
         }
     }
 }
@@ -902,13 +620,6 @@ impl Operator for MatFreeOperator {
         self.serial.apply_boundary(x, &[], y);
     }
 
-    fn apply_multi(&self, x: &[f64], y: &mut [f64], k: usize) {
-        pmg_telemetry::counter_add("spmv/multi_mf", 1);
-        pmg_telemetry::counter_add("spmv/multi_cols", k as u64);
-        self.serial.apply_interior_multi(x, y, k);
-        self.serial.apply_boundary_multi(x, &[], y, k);
-    }
-
     fn diag(&self) -> Vec<f64> {
         self.serial.diag_local().to_vec()
     }
@@ -967,69 +678,6 @@ fn tile_to_lanes(src: &[f64], dst: &mut [f64], n: usize) {
     for m in 0..n {
         for l in 0..ILANES {
             dst[l * n + m] = src[m * ILANES + l];
-        }
-    }
-}
-
-/// One aligned eight-element run of the fused multi-column apply: one code
-/// lookup per (lane, dof) feeds all K columns through contiguous K-wide
-/// copies, one vectorized transpose builds the dof-interleaved tile, and
-/// the block kernel runs once per column over the cache-resident record —
-/// the per-column cost approaches the single apply's arithmetic floor.
-/// `codes8` holds the run's 8·edof resolved codes; `xe`/`ye` are
-/// `2 · edof · K · 8` scratch halves (lane-major staging + tile).
-///
-/// Per column the gather is pure reads and the scatter is the same
-/// ascending lane-by-lane `y += yv` sequence as the single-column path,
-/// hence bitwise equal to K single applies.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn fused_block_columns<const K: usize>(
-    d: &MfData,
-    blk: usize,
-    codes8: &[i32],
-    xo: &[f64],
-    xg: &[f64],
-    y: &mut [f64],
-    xe: &mut [f64],
-    ye: &mut [f64],
-) {
-    let edof = codes8.len() / ILANES;
-    let n = edof * K;
-    let (xl, xt) = xe.split_at_mut(n * ILANES);
-    let (yt, yl) = ye.split_at_mut(n * ILANES);
-    for l in 0..ILANES {
-        let row = &mut xl[l * n..][..n];
-        let ec = &codes8[l * edof..][..edof];
-        for (j, &c) in ec.iter().enumerate() {
-            let dst: &mut [f64; K] = (&mut row[j * K..j * K + K]).try_into().unwrap();
-            if c >= 0 {
-                let s = c as usize * K;
-                *dst = *<&[f64; K]>::try_from(&xo[s..s + K]).unwrap();
-            } else if c < -1 {
-                let s = (-c - 2) as usize * K;
-                *dst = *<&[f64; K]>::try_from(&xg[s..s + K]).unwrap();
-            } else {
-                *dst = [0.0; K];
-            }
-        }
-    }
-    lanes_to_tile(xl, xt, n);
-    for cc in 0..K {
-        d.iso_block8(blk, xt, yt, K, cc);
-    }
-    tile_to_lanes(yt, yl, n);
-    for l in 0..ILANES {
-        let row = &yl[l * n..][..n];
-        let ec = &codes8[l * edof..][..edof];
-        for (j, &c) in ec.iter().enumerate() {
-            if c >= 0 {
-                let s = c as usize * K;
-                let dst = &mut y[s..s + K];
-                for (dv, &sv) in dst.iter_mut().zip(&row[j * K..j * K + K]) {
-                    *dv += sv;
-                }
-            }
         }
     }
 }
@@ -1166,8 +814,6 @@ impl MfRankKernel {
         let edof = 3 * nv;
         let mut xe = vec![0.0f64; edof];
         let mut ye = vec![0.0f64; edof];
-        let mut gm = [0.0f64; 9];
-        let mut sm = [0.0f64; 9];
         for &e in elems_int.iter().chain(&elems_bnd) {
             let e = e as usize;
             for a in 0..nv {
@@ -1181,7 +827,7 @@ impl MfRankKernel {
                     // this element; setup-only cost.
                     xe.fill(0.0);
                     xe[3 * a + i] = 1.0;
-                    data.element_apply_k(e, &xe, &mut ye, 1, &mut gm, &mut sm);
+                    data.element_apply(e, &xe, &mut ye);
                     diag[c as usize] += ye[3 * a + i];
                 }
             }
@@ -1218,31 +864,19 @@ impl MfRankKernel {
         }
     }
 
-    /// Run the element loop over `elems` on `k` interleaved columns,
-    /// accumulating into `y` in fixed element order. With more than one
-    /// pool worker: serial gather into the reused staging, parallel
-    /// per-batch compute (each batch task carries its own gradient/stress
-    /// scratch inside its staging region), serial fixed-order scatter.
-    /// With one worker the loop fuses gather → kernel → scatter per
-    /// element through L1-resident scratch instead of streaming staged
+    /// Run the element loop over `elems`, accumulating into `y` in fixed
+    /// element order. With more than one pool worker: serial gather into
+    /// the reused staging, parallel per-batch compute, serial fixed-order
+    /// scatter. With one worker the loop fuses gather → kernel → scatter
+    /// per element through L1-resident scratch instead of streaming staged
     /// chunks; elements run in the same ascending order and every owned
     /// dof receives its element contributions in that order either way,
     /// so both shapes produce the same bits. Aligned eight-slot isotropic
-    /// runs route through the element-lane block kernel in both shapes and
-    /// at every k — multi-column applies gather all k columns off one code
-    /// lookup and run the kernel once per column over the cache-resident
-    /// block record. Each lane is bitwise the single-element product and
-    /// lanes gather/scatter in ascending element order per column, so run
-    /// detection cannot change the bits either.
-    fn run_elements(
-        &self,
-        elems: &[u32],
-        codes: &[i32],
-        xo: &[f64],
-        xg: &[f64],
-        y: &mut [f64],
-        k: usize,
-    ) {
+    /// runs route through the element-lane block kernel in both shapes.
+    /// Each lane is bitwise the single-element product and lanes
+    /// gather/scatter in ascending element order, so run detection cannot
+    /// change the bits either.
+    fn run_elements(&self, elems: &[u32], codes: &[i32], xo: &[f64], xg: &[f64], y: &mut [f64]) {
         let d = &self.data;
         let nv = d.nv;
         let edof = 3 * nv;
@@ -1252,41 +886,25 @@ impl MfRankKernel {
         pmg_telemetry::counter_add("op/mf_elements", elems.len() as u64);
         pmg_telemetry::counter_add(
             "op/mf_bytes",
-            (elems.len() * (d.ngp * d.iso_stride() + (2 * edof) * k + nv) * 8) as u64,
+            (elems.len() * (d.ngp * d.iso_stride() + 2 * edof + nv) * 8) as u64,
         );
-        let batch = batch_size();
-        // Each batch's staging region: its elements' outputs, the
-        // task-local gradient/stress scratch (9k + 9k values), and the
-        // lane-major xe8/ye8 buffers of the eight-element block kernel
-        // (k column planes each).
-        let lane_extra = 2 * edof * k * ILANES;
-        let region = batch * edof * k + 18 * k + lane_extra;
+        pmg_telemetry::counter_add("op/mf_batches", elems.len().div_ceil(BATCH) as u64);
         let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         let sc = &mut *guard;
 
-        // The `k == 1` gather/scatter arms avoid per-dof subslice traffic
-        // on the hot single apply.
-        let gather = |xe: &mut [f64], ec: &[i32]| {
-            if k == 1 {
-                for (xv, &c) in xe.iter_mut().zip(ec) {
-                    *xv = if c >= 0 {
-                        xo[c as usize]
-                    } else if c < -1 {
-                        xg[(-c - 2) as usize]
-                    } else {
-                        0.0 // constrained column: eliminated
-                    };
-                }
-                return;
+        let source = |c: i32| {
+            if c >= 0 {
+                xo[c as usize]
+            } else if c < -1 {
+                xg[(-c - 2) as usize]
+            } else {
+                0.0 // constrained column: eliminated
             }
-            for (j, &c) in ec.iter().enumerate() {
-                let dst = &mut xe[j * k..][..k];
+        };
+        let scatter = |y: &mut [f64], ec: &[i32], ye: &[f64]| {
+            for (&c, &yv) in ec.iter().zip(ye) {
                 if c >= 0 {
-                    dst.copy_from_slice(&xo[(c as usize) * k..][..k]);
-                } else if c < -1 {
-                    dst.copy_from_slice(&xg[((-c - 2) as usize) * k..][..k]);
-                } else {
-                    dst.fill(0.0); // constrained column: eliminated
+                    y[c as usize] += yv;
                 }
             }
         };
@@ -1295,206 +913,117 @@ impl MfRankKernel {
         // available: a 1-thread pool, or a pool of any size on a
         // single-core machine (where parallel staging is pure scheduling
         // overhead). Both arms produce identical bits at every thread
-        // count and batch size, so this routing is a pure perf choice.
+        // count, so this routing is a pure perf choice.
         let serial_hw = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
         if rayon::current_num_threads() == 1 || serial_hw {
-            // The fused loop sizes its element buffers for the eight-lane
-            // block kernel at every k: aligned isotropic runs stage k
-            // columns lane-major plus the dof-interleaved tile the kernel
-            // reads (two n·8 halves each side).
-            let need_x = 2 * edof * k * ILANES;
-            let need_y = 2 * edof * k * ILANES + 18 * k;
-            if sc.xbuf.len() < need_x {
-                sc.xbuf.resize(need_x, 0.0);
+            // Element buffers sized for the eight-lane block kernel.
+            let need = edof * ILANES;
+            if sc.xbuf.len() < need {
+                sc.xbuf.resize(need, 0.0);
             }
-            if sc.ybuf.len() < need_y {
-                sc.ybuf.resize(need_y, 0.0);
+            if sc.ybuf.len() < need {
+                sc.ybuf.resize(need, 0.0);
             }
-            let xe = &mut sc.xbuf[..need_x];
-            let (ye, tail) = sc.ybuf[..need_y].split_at_mut(2 * edof * k * ILANES);
-            let (gm, s) = tail.split_at_mut(9 * k);
+            let (xe, ye) = (&mut sc.xbuf[..need], &mut sc.ybuf[..need]);
             let mut off = 0usize;
             while off < elems.len() {
-                if k == 1 {
-                    if let Some(blk) = d.aligned_block(elems, off) {
-                        // Lane-major gather: lane l is element elems[off+l].
-                        for j in 0..edof {
-                            for l in 0..ILANES {
-                                let c = codes[(off + l) * edof + j];
-                                xe[j * ILANES + l] = if c >= 0 {
-                                    xo[c as usize]
-                                } else if c < -1 {
-                                    xg[(-c - 2) as usize]
-                                } else {
-                                    0.0
-                                };
-                            }
-                        }
-                        d.iso_block8(blk, xe, ye, 1, 0);
-                        // Scatter lane by lane in ascending element order —
-                        // the same `y[c] += yv` operation sequence as eight
-                        // consecutive single-element loops.
+                if let Some(blk) = d.aligned_block(elems, off) {
+                    // Gather straight into the tile: lane l is element
+                    // elems[off+l].
+                    for j in 0..edof {
                         for l in 0..ILANES {
-                            let ec = &codes[(off + l) * edof..][..edof];
-                            for (j, &c) in ec.iter().enumerate() {
-                                if c >= 0 {
-                                    y[c as usize] += ye[j * ILANES + l];
-                                }
+                            xe[j * ILANES + l] = source(codes[(off + l) * edof + j]);
+                        }
+                    }
+                    d.iso_block8(blk, xe, ye);
+                    // Scatter lane by lane in ascending element order —
+                    // the same `y[c] += yv` operation sequence as eight
+                    // consecutive single-element loops.
+                    for l in 0..ILANES {
+                        let ec = &codes[(off + l) * edof..][..edof];
+                        for (j, &c) in ec.iter().enumerate() {
+                            if c >= 0 {
+                                y[c as usize] += ye[j * ILANES + l];
                             }
                         }
-                        off += ILANES;
-                        continue;
                     }
-                } else if matches!(k, 2 | 4 | 8) {
-                    // Multi-column block path, monomorphized over k so the
-                    // per-dof column copies compile to fixed vector moves
-                    // instead of runtime-length memcpys.
-                    if let Some(blk) = d.aligned_block(elems, off) {
-                        let codes8 = &codes[off * edof..][..ILANES * edof];
-                        match k {
-                            2 => fused_block_columns::<2>(d, blk, codes8, xo, xg, y, xe, ye),
-                            4 => fused_block_columns::<4>(d, blk, codes8, xo, xg, y, xe, ye),
-                            _ => fused_block_columns::<8>(d, blk, codes8, xo, xg, y, xe, ye),
-                        }
-                        off += ILANES;
-                        continue;
-                    }
+                    off += ILANES;
+                    continue;
                 }
                 let ec = &codes[off * edof..][..edof];
-                gather(&mut xe[..edof * k], ec);
-                d.element_apply_k(
-                    elems[off] as usize,
-                    &xe[..edof * k],
-                    &mut ye[..edof * k],
-                    k,
-                    gm,
-                    s,
-                );
-                if k == 1 {
-                    for (&c, &yv) in ec.iter().zip(ye.iter()) {
-                        if c >= 0 {
-                            y[c as usize] += yv;
-                        }
-                    }
-                } else {
-                    for (j, &c) in ec.iter().enumerate() {
-                        if c >= 0 {
-                            let dst = &mut y[(c as usize) * k..][..k];
-                            for (dv, &sv) in dst.iter_mut().zip(&ye[j * k..][..k]) {
-                                *dv += sv;
-                            }
-                        }
-                    }
+                for (xv, &c) in xe.iter_mut().zip(ec) {
+                    *xv = source(c);
                 }
+                d.element_apply(elems[off] as usize, &xe[..edof], &mut ye[..edof]);
+                scatter(y, ec, &ye[..edof]);
                 off += 1;
             }
-            pmg_telemetry::counter_add("op/mf_batches", elems.len().div_ceil(batch) as u64);
             return;
         }
 
+        // Each batch's staging region: its elements' outputs plus the in
+        // and out tiles of the eight-element block kernel.
+        let region = BATCH * edof + 2 * edof * ILANES;
         let mut start = 0usize;
         while start < elems.len() {
             let end = (start + CHUNK).min(elems.len());
             let cnt = end - start;
-            let nb = cnt.div_ceil(batch);
-            if sc.xbuf.len() < cnt * edof * k {
-                sc.xbuf.resize(cnt * edof * k, 0.0);
+            let nb = cnt.div_ceil(BATCH);
+            if sc.xbuf.len() < cnt * edof {
+                sc.xbuf.resize(cnt * edof, 0.0);
             }
             if sc.ybuf.len() < nb * region {
                 sc.ybuf.resize(nb * region, 0.0);
             }
             // Gather is cheap and deterministic; do it serially so the
             // parallel part carries no slice-of-x aliasing.
-            for off in 0..cnt {
-                let xe = &mut sc.xbuf[off * edof * k..(off + 1) * edof * k];
-                gather(xe, &codes[(start + off) * edof..][..edof]);
+            let chunk_codes = &codes[start * edof..end * edof];
+            for (xv, &c) in sc.xbuf.iter_mut().zip(chunk_codes) {
+                *xv = source(c);
             }
             {
-                let xb = &sc.xbuf[..cnt * edof * k];
+                let xb = &sc.xbuf[..cnt * edof];
                 sc.ybuf[..nb * region]
                     .par_chunks_mut(region)
                     .enumerate()
                     .for_each(|(bi, reg)| {
-                        let b0 = bi * batch;
-                        let bcnt = batch.min(cnt - b0);
-                        let (ye_all, rest) = reg.split_at_mut(batch * edof * k);
-                        let (gs, lane_buf) = rest.split_at_mut(18 * k);
-                        let (gm, s) = gs.split_at_mut(9 * k);
+                        let b0 = bi * BATCH;
+                        let bcnt = BATCH.min(cnt - b0);
+                        let (ye_all, lane_buf) = reg.split_at_mut(BATCH * edof);
                         let mut off = 0usize;
                         while off < bcnt {
                             if off + ILANES <= bcnt {
                                 if let Some(blk) = d.aligned_block(elems, start + b0 + off) {
                                     // The eight staged per-element source
                                     // rows are contiguous: transpose them
-                                    // into the dof-interleaved tile, run
-                                    // the block kernel once per column
-                                    // over the cache-resident record, and
-                                    // transpose the products back into
-                                    // the per-element staging slots the
-                                    // serial scatter reads — the staged
-                                    // values are bitwise the
-                                    // single-element results per column.
-                                    let n = edof * k;
-                                    let (xt, yt) = lane_buf.split_at_mut(n * ILANES);
-                                    lanes_to_tile(&xb[(b0 + off) * n..][..ILANES * n], xt, n);
-                                    for cc in 0..k {
-                                        d.iso_block8(blk, xt, yt, k, cc);
-                                    }
-                                    tile_to_lanes(yt, &mut ye_all[off * n..][..ILANES * n], n);
+                                    // into the kernel's tile, run the
+                                    // block kernel, and transpose the
+                                    // products back into the per-element
+                                    // staging slots the serial scatter
+                                    // reads — the staged values are
+                                    // bitwise the single-element results.
+                                    let (xt, yt) = lane_buf.split_at_mut(edof * ILANES);
+                                    let rows = ILANES * edof;
+                                    lanes_to_tile(&xb[(b0 + off) * edof..][..rows], xt, edof);
+                                    d.iso_block8(blk, xt, yt);
+                                    tile_to_lanes(yt, &mut ye_all[off * edof..][..rows], edof);
                                     off += ILANES;
                                     continue;
                                 }
                             }
                             let e = elems[start + b0 + off] as usize;
-                            let xe = &xb[(b0 + off) * edof * k..][..edof * k];
-                            let ye = &mut ye_all[off * edof * k..][..edof * k];
-                            d.element_apply_k(e, xe, ye, k, gm, s);
+                            let xe = &xb[(b0 + off) * edof..][..edof];
+                            d.element_apply(e, xe, &mut ye_all[off * edof..][..edof]);
                             off += 1;
                         }
                     });
             }
-            pmg_telemetry::counter_add("op/mf_batches", nb as u64);
             for off in 0..cnt {
-                let ye = &sc.ybuf[(off / batch) * region + (off % batch) * edof * k..][..edof * k];
-                let ec = &codes[(start + off) * edof..][..edof];
-                if k == 1 {
-                    for (&c, &yv) in ec.iter().zip(ye.iter()) {
-                        if c >= 0 {
-                            y[c as usize] += yv;
-                        }
-                    }
-                    continue;
-                }
-                for (j, &c) in ec.iter().enumerate() {
-                    if c >= 0 {
-                        let dst = &mut y[(c as usize) * k..][..k];
-                        for (dv, &sv) in dst.iter_mut().zip(&ye[j * k..][..k]) {
-                            *dv += sv;
-                        }
-                    }
-                }
+                let ye = &sc.ybuf[(off / BATCH) * region + (off % BATCH) * edof..][..edof];
+                scatter(y, &codes[(start + off) * edof..][..edof], ye);
             }
             start = end;
         }
-    }
-
-    fn interior_k(&self, x_owned: &[f64], y: &mut [f64], k: usize) {
-        assert_eq!(x_owned.len(), self.local_rows * k);
-        assert_eq!(y.len(), self.local_rows * k);
-        y.fill(0.0);
-        for &slot in &self.fixed_slots {
-            let s = slot as usize;
-            for c in 0..k {
-                y[s * k + c] = self.data.scale * x_owned[s * k + c];
-            }
-        }
-        self.run_elements(&self.elems_int, &self.codes_int, x_owned, &[], y, k);
-    }
-
-    fn boundary_k(&self, x_owned: &[f64], x_ghost: &[f64], y: &mut [f64], k: usize) {
-        assert_eq!(x_ghost.len(), self.ghosts.len() * k);
-        self.run_elements(&self.elems_bnd, &self.codes_bnd, x_owned, x_ghost, y, k);
-        pmg_telemetry::counter_add("op/mf_flops", self.flops * k as u64);
     }
 }
 
@@ -1508,21 +1037,19 @@ impl MatrixFreeKernel for MfRankKernel {
     }
 
     fn apply_interior(&self, x_owned: &[f64], y: &mut [f64]) {
-        self.interior_k(x_owned, y, 1);
+        assert_eq!(x_owned.len(), self.local_rows);
+        assert_eq!(y.len(), self.local_rows);
+        y.fill(0.0);
+        for &slot in &self.fixed_slots {
+            y[slot as usize] = self.data.scale * x_owned[slot as usize];
+        }
+        self.run_elements(&self.elems_int, &self.codes_int, x_owned, &[], y);
     }
 
     fn apply_boundary(&self, x_owned: &[f64], x_ghost: &[f64], y: &mut [f64]) {
-        self.boundary_k(x_owned, x_ghost, y, 1);
-    }
-
-    fn apply_interior_multi(&self, x_owned: &[f64], y: &mut [f64], k: usize) {
-        assert!(k > 0, "apply_interior_multi needs at least one column");
-        self.interior_k(x_owned, y, k);
-    }
-
-    fn apply_boundary_multi(&self, x_owned: &[f64], x_ghost: &[f64], y: &mut [f64], k: usize) {
-        assert!(k > 0, "apply_boundary_multi needs at least one column");
-        self.boundary_k(x_owned, x_ghost, y, k);
+        assert_eq!(x_ghost.len(), self.ghosts.len());
+        self.run_elements(&self.elems_bnd, &self.codes_bnd, x_owned, x_ghost, y);
+        pmg_telemetry::counter_add("op/mf_flops", self.flops);
     }
 
     fn interior_rows(&self) -> u64 {
@@ -1567,10 +1094,9 @@ impl MatrixFreeKernel for MfRankKernel {
 /// reassociation — and per-dof
 /// reductions over Gauss points run in ascending `gp` order, so each
 /// kernel executes exactly the portable reference's floating-point
-/// sequence per column and produces the same bits. The single-column
-/// kernels vectorize across Gauss points (4 per `__m256d`, scalar tail in
-/// the same order); the multi-column kernels vectorize across columns
-/// (`k` a multiple of 4).
+/// sequence and produces the same bits. The general-class kernels
+/// vectorize across Gauss points (4 per `__m256d`, 8 per `__m512d`, scalar
+/// tail in the same order); the isotropic block kernel across elements.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::ILANES;
@@ -1644,9 +1170,8 @@ mod x86 {
     /// # Safety
     /// Requires AVX-512F. `grads` is `3nv · ngp` lane groups of 8, `tail`
     /// the `[λw, μw]` lane groups, `xe8`/`ye8` hold dof `d` at lane group
-    /// `d * cstr + coff` (multi-column tiles interleave columns per dof).
+    /// `d`.
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
     pub unsafe fn iso_block8_512(
         nv: usize,
         ngp: usize,
@@ -1654,8 +1179,6 @@ mod x86 {
         tail: &[f64],
         xe8: &[f64],
         ye8: &mut [f64],
-        cstr: usize,
-        coff: usize,
     ) {
         let mut acc = [_mm512_setzero_pd(); MAX_EDOF];
         for gp in 0..ngp {
@@ -1665,8 +1188,7 @@ mod x86 {
                 let g1 = _mm512_loadu_pd(grads.as_ptr().add(((3 * b + 1) * ngp + gp) * ILANES));
                 let g2 = _mm512_loadu_pd(grads.as_ptr().add(((3 * b + 2) * ngp + gp) * ILANES));
                 for r in 0..3 {
-                    let xb =
-                        _mm512_loadu_pd(xe8.as_ptr().add(((3 * b + r) * cstr + coff) * ILANES));
+                    let xb = _mm512_loadu_pd(xe8.as_ptr().add((3 * b + r) * ILANES));
                     gm[r * 3] = _mm512_fmadd_pd(xb, g0, gm[r * 3]);
                     gm[r * 3 + 1] = _mm512_fmadd_pd(xb, g1, gm[r * 3 + 1]);
                     gm[r * 3 + 2] = _mm512_fmadd_pd(xb, g2, gm[r * 3 + 2]);
@@ -1700,7 +1222,7 @@ mod x86 {
             }
         }
         for d in 0..3 * nv {
-            _mm512_storeu_pd(ye8.as_mut_ptr().add((d * cstr + coff) * ILANES), acc[d]);
+            _mm512_storeu_pd(ye8.as_mut_ptr().add(d * ILANES), acc[d]);
         }
     }
 
@@ -1893,132 +1415,6 @@ mod x86 {
         }
     }
 
-    /// 8-column-chunk form of `iso_apply_ck` (AVX-512F, `k % 8 == 0`),
-    /// reading lane `lane` of a slot-blocked isotropic record.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and `k % 8 == 0`; slices as in `iso_apply_ck`.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn iso_apply_ck8(
-        nv: usize,
-        ngp: usize,
-        grads: &[f64],
-        tail: &[f64],
-        lane: usize,
-        xe: &[f64],
-        ye: &mut [f64],
-        k: usize,
-    ) {
-        for c0 in (0..k).step_by(8) {
-            for gp in 0..ngp {
-                let mut gm = [_mm512_setzero_pd(); 9];
-                for b in 0..nv {
-                    let g0 = _mm512_set1_pd(grads[(3 * b * ngp + gp) * ILANES + lane]);
-                    let g1 = _mm512_set1_pd(grads[((3 * b + 1) * ngp + gp) * ILANES + lane]);
-                    let g2 = _mm512_set1_pd(grads[((3 * b + 2) * ngp + gp) * ILANES + lane]);
-                    for r in 0..3 {
-                        let xb = _mm512_loadu_pd(xe.as_ptr().add((3 * b + r) * k + c0));
-                        gm[r * 3] = _mm512_fmadd_pd(xb, g0, gm[r * 3]);
-                        gm[r * 3 + 1] = _mm512_fmadd_pd(xb, g1, gm[r * 3 + 1]);
-                        gm[r * 3 + 2] = _mm512_fmadd_pd(xb, g2, gm[r * 3 + 2]);
-                    }
-                }
-                let lwv = _mm512_set1_pd(tail[gp * ILANES + lane]);
-                let mwv = _mm512_set1_pd(tail[(ngp + gp) * ILANES + lane]);
-                let mut s = [_mm512_setzero_pd(); 9];
-                for i in 0..3 {
-                    for j in 0..3 {
-                        s[i * 3 + j] =
-                            _mm512_mul_pd(mwv, _mm512_add_pd(gm[i * 3 + j], gm[j * 3 + i]));
-                    }
-                }
-                let tr = _mm512_add_pd(_mm512_add_pd(gm[0], gm[4]), gm[8]);
-                for i in 0..3 {
-                    s[i * 3 + i] = _mm512_fmadd_pd(lwv, tr, s[i * 3 + i]);
-                }
-                scatter_ck8_gp(nv, ngp, gp, grads, ILANES, lane, &s, ye, k, c0);
-            }
-        }
-    }
-
-    /// 8-column-chunk form of `full_apply_ck` (AVX-512F, `k % 8 == 0`).
-    ///
-    /// # Safety
-    /// Requires AVX-512F and `k % 8 == 0`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn full_apply_ck8(
-        nv: usize,
-        ngp: usize,
-        grads: &[f64],
-        aw: &[f64],
-        xe: &[f64],
-        ye: &mut [f64],
-        k: usize,
-    ) {
-        for c0 in (0..k).step_by(8) {
-            for gp in 0..ngp {
-                let mut gm = [_mm512_setzero_pd(); 9];
-                for b in 0..nv {
-                    let g0 = _mm512_set1_pd(grads[3 * b * ngp + gp]);
-                    let g1 = _mm512_set1_pd(grads[(3 * b + 1) * ngp + gp]);
-                    let g2 = _mm512_set1_pd(grads[(3 * b + 2) * ngp + gp]);
-                    for r in 0..3 {
-                        let xb = _mm512_loadu_pd(xe.as_ptr().add((3 * b + r) * k + c0));
-                        gm[r * 3] = _mm512_fmadd_pd(xb, g0, gm[r * 3]);
-                        gm[r * 3 + 1] = _mm512_fmadd_pd(xb, g1, gm[r * 3 + 1]);
-                        gm[r * 3 + 2] = _mm512_fmadd_pd(xb, g2, gm[r * 3 + 2]);
-                    }
-                }
-                let mut s = [_mm512_setzero_pd(); 9];
-                for i in 0..3 {
-                    for j in 0..3 {
-                        let mut sv = _mm512_setzero_pd();
-                        for kk in 0..3 {
-                            for l in 0..3 {
-                                let av =
-                                    _mm512_set1_pd(aw[(((i * 3 + j) * 3 + kk) * 3 + l) * ngp + gp]);
-                                sv = _mm512_fmadd_pd(av, gm[kk * 3 + l], sv);
-                            }
-                        }
-                        s[i * 3 + j] = sv;
-                    }
-                }
-                scatter_ck8_gp(nv, ngp, gp, grads, 1, 0, &s, ye, k, c0);
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn scatter_ck8_gp(
-        nv: usize,
-        ngp: usize,
-        gp: usize,
-        grads: &[f64],
-        lstr: usize,
-        lane: usize,
-        s: &[__m512d; 9],
-        ye: &mut [f64],
-        k: usize,
-        c0: usize,
-    ) {
-        for a in 0..nv {
-            let ga0 = _mm512_set1_pd(grads[(3 * a * ngp + gp) * lstr + lane]);
-            let ga1 = _mm512_set1_pd(grads[((3 * a + 1) * ngp + gp) * lstr + lane]);
-            let ga2 = _mm512_set1_pd(grads[((3 * a + 2) * ngp + gp) * lstr + lane]);
-            for i in 0..3 {
-                let t = _mm512_fmadd_pd(
-                    s[i * 3 + 2],
-                    ga2,
-                    _mm512_fmadd_pd(s[i * 3 + 1], ga1, _mm512_mul_pd(s[i * 3], ga0)),
-                );
-                let dst = ye.as_mut_ptr().add((3 * a + i) * k + c0);
-                _mm512_storeu_pd(dst, _mm512_add_pd(_mm512_loadu_pd(dst), t));
-            }
-        }
-    }
-
     /// Scatter one 4-point chunk: the per-point products are vertical; the
     /// four lane contributions join each dof's running sum in ascending
     /// lane (gp) order.
@@ -2106,135 +1502,6 @@ mod x86 {
             }
         }
     }
-
-    /// Multi-column isotropic kernel: one column chunk of 4 at a time,
-    /// every operation vertical across columns, reading lane `lane` of a
-    /// slot-blocked record. `ye` must be zeroed by the caller (matching
-    /// the portable path's fill-then-accumulate).
-    ///
-    /// # Safety
-    /// Requires AVX and `k % 4 == 0`; `tail` is the `[λw, μw]` lane groups
-    /// following the gradients in the block.
-    #[target_feature(enable = "avx,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn iso_apply_ck(
-        nv: usize,
-        ngp: usize,
-        grads: &[f64],
-        tail: &[f64],
-        lane: usize,
-        xe: &[f64],
-        ye: &mut [f64],
-        k: usize,
-    ) {
-        for c0 in (0..k).step_by(4) {
-            for gp in 0..ngp {
-                let mut gm = [_mm256_setzero_pd(); 9];
-                for b in 0..nv {
-                    let g0 = _mm256_set1_pd(grads[(3 * b * ngp + gp) * ILANES + lane]);
-                    let g1 = _mm256_set1_pd(grads[((3 * b + 1) * ngp + gp) * ILANES + lane]);
-                    let g2 = _mm256_set1_pd(grads[((3 * b + 2) * ngp + gp) * ILANES + lane]);
-                    for r in 0..3 {
-                        let xb = _mm256_loadu_pd(xe.as_ptr().add((3 * b + r) * k + c0));
-                        gm[r * 3] = _mm256_fmadd_pd(xb, g0, gm[r * 3]);
-                        gm[r * 3 + 1] = _mm256_fmadd_pd(xb, g1, gm[r * 3 + 1]);
-                        gm[r * 3 + 2] = _mm256_fmadd_pd(xb, g2, gm[r * 3 + 2]);
-                    }
-                }
-                let lwv = _mm256_set1_pd(tail[gp * ILANES + lane]);
-                let mwv = _mm256_set1_pd(tail[(ngp + gp) * ILANES + lane]);
-                let mut s = [_mm256_setzero_pd(); 9];
-                for i in 0..3 {
-                    for j in 0..3 {
-                        s[i * 3 + j] =
-                            _mm256_mul_pd(mwv, _mm256_add_pd(gm[i * 3 + j], gm[j * 3 + i]));
-                    }
-                }
-                let tr = _mm256_add_pd(_mm256_add_pd(gm[0], gm[4]), gm[8]);
-                for i in 0..3 {
-                    s[i * 3 + i] = _mm256_fmadd_pd(lwv, tr, s[i * 3 + i]);
-                }
-                scatter_ck_gp(nv, ngp, gp, grads, ILANES, lane, &s, ye, k, c0);
-            }
-        }
-    }
-
-    /// Multi-column general kernel (same chunking).
-    ///
-    /// # Safety
-    /// Requires AVX and `k % 4 == 0`.
-    #[target_feature(enable = "avx,fma")]
-    pub unsafe fn full_apply_ck(
-        nv: usize,
-        ngp: usize,
-        grads: &[f64],
-        aw: &[f64],
-        xe: &[f64],
-        ye: &mut [f64],
-        k: usize,
-    ) {
-        for c0 in (0..k).step_by(4) {
-            for gp in 0..ngp {
-                let mut gm = [_mm256_setzero_pd(); 9];
-                for b in 0..nv {
-                    let g0 = _mm256_set1_pd(grads[3 * b * ngp + gp]);
-                    let g1 = _mm256_set1_pd(grads[(3 * b + 1) * ngp + gp]);
-                    let g2 = _mm256_set1_pd(grads[(3 * b + 2) * ngp + gp]);
-                    for r in 0..3 {
-                        let xb = _mm256_loadu_pd(xe.as_ptr().add((3 * b + r) * k + c0));
-                        gm[r * 3] = _mm256_fmadd_pd(xb, g0, gm[r * 3]);
-                        gm[r * 3 + 1] = _mm256_fmadd_pd(xb, g1, gm[r * 3 + 1]);
-                        gm[r * 3 + 2] = _mm256_fmadd_pd(xb, g2, gm[r * 3 + 2]);
-                    }
-                }
-                let mut s = [_mm256_setzero_pd(); 9];
-                for i in 0..3 {
-                    for j in 0..3 {
-                        let mut sv = _mm256_setzero_pd();
-                        for kk in 0..3 {
-                            for l in 0..3 {
-                                let av =
-                                    _mm256_set1_pd(aw[(((i * 3 + j) * 3 + kk) * 3 + l) * ngp + gp]);
-                                sv = _mm256_fmadd_pd(av, gm[kk * 3 + l], sv);
-                            }
-                        }
-                        s[i * 3 + j] = sv;
-                    }
-                }
-                scatter_ck_gp(nv, ngp, gp, grads, 1, 0, &s, ye, k, c0);
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn scatter_ck_gp(
-        nv: usize,
-        ngp: usize,
-        gp: usize,
-        grads: &[f64],
-        lstr: usize,
-        lane: usize,
-        s: &[__m256d; 9],
-        ye: &mut [f64],
-        k: usize,
-        c0: usize,
-    ) {
-        for a in 0..nv {
-            let ga0 = _mm256_set1_pd(grads[(3 * a * ngp + gp) * lstr + lane]);
-            let ga1 = _mm256_set1_pd(grads[((3 * a + 1) * ngp + gp) * lstr + lane]);
-            let ga2 = _mm256_set1_pd(grads[((3 * a + 2) * ngp + gp) * lstr + lane]);
-            for i in 0..3 {
-                let t = _mm256_fmadd_pd(
-                    s[i * 3 + 2],
-                    ga2,
-                    _mm256_fmadd_pd(s[i * 3 + 1], ga1, _mm256_mul_pd(s[i * 3], ga0)),
-                );
-                let dst = ye.as_mut_ptr().add((3 * a + i) * k + c0);
-                _mm256_storeu_pd(dst, _mm256_add_pd(_mm256_loadu_pd(dst), t));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2244,17 +1511,6 @@ mod tests {
     use crate::material::{J2Plasticity, LinearElastic, Material, NeoHookean};
     use pmg_geometry::Vec3;
     use pmg_mesh::generators::block;
-
-    #[test]
-    fn batch_switch_rejects_anything_but_a_positive_integer() {
-        assert_eq!(parse_batch(None), Ok(DEFAULT_BATCH));
-        assert_eq!(parse_batch(Some("")), Ok(DEFAULT_BATCH));
-        assert_eq!(parse_batch(Some("5")), Ok(5));
-        for bad in ["0", "abc", "-3"] {
-            let err = parse_batch(Some(bad)).unwrap_err();
-            assert!(err.contains("PMG_MF_BATCH") && err.contains("positive integer"));
-        }
-    }
 
     fn block_problem(mat: Arc<dyn Material>) -> FemProblem {
         let mesh = block(2, 2, 2, Vec3::splat(1.0), |_| 0);
@@ -2359,38 +1615,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_multi_bitwise_matches_k_single_applies() {
-        // Finite-strain Neo-Hookean so both element classes are exercised,
-        // plus Dirichlet rows.
-        let p = block_problem(Arc::new(NeoHookean::from_e_nu(2.0, 0.3)));
-        let n = p.ndof();
-        let u: Vec<f64> = (0..n)
-            .map(|i| 0.05 * ((i * 5 % 13) as f64 / 13.0 - 0.5))
-            .collect();
-        let fixed: Vec<u32> = (0..n as u32).step_by(9).collect();
-        let op = MatFreeOperator::new(&p, &u, &fixed, 1.5);
-        for k in [1usize, 2, 4, 8] {
-            let x: Vec<f64> = (0..n * k)
-                .map(|i| ((i * 17 % 31) as f64 - 15.0) * 0.07)
-                .collect();
-            let mut ym = vec![0.0; n * k];
-            op.apply_multi(&x, &mut ym, k);
-            for c in 0..k {
-                let xc: Vec<f64> = (0..n).map(|i| x[i * k + c]).collect();
-                let mut yc = vec![0.0; n];
-                op.apply(&xc, &mut yc);
-                for i in 0..n {
-                    assert_eq!(
-                        ym[i * k + c].to_bits(),
-                        yc[i].to_bits(),
-                        "k={k} col={c} row={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn rank_kernels_partition_the_serial_apply() {
         let mut p = block_problem(Arc::new(LinearElastic::from_e_nu(1.0, 0.25)));
         let n = p.ndof();
@@ -2431,42 +1655,70 @@ mod tests {
     }
 
     #[test]
-    fn rank_kernel_multi_bitwise_matches_singles() {
-        let p = block_problem(Arc::new(LinearElastic::from_e_nu(1.0, 0.3)));
+    fn ragged_mixed_list_is_bitwise_the_per_element_scalar_reference() {
+        // A 45-element bar (a multiple of neither 8 nor BATCH) in which
+        // four finite-strain Neo-Hookean elements (general class) cut the
+        // linear-elastic ones into aligned eight-slot runs, runs broken by
+        // a general element, a run straddling the first batch boundary and
+        // a short tail — every routing decision of both loop shapes.
+        let general = [3usize, 20, 21, 40];
+        let mesh = block(45, 1, 1, Vec3::new(45.0, 1.0, 1.0), |c| {
+            u32::from(general.contains(&(c.x as usize)))
+        });
+        let p = FemProblem::new(
+            mesh,
+            vec![
+                Arc::new(LinearElastic::from_e_nu(1.0, 0.3)) as Arc<dyn Material>,
+                Arc::new(NeoHookean::from_e_nu(2.0, 0.3)),
+            ],
+        );
         let n = p.ndof();
-        let fixed: Vec<u32> = (0..n as u32).step_by(13).collect();
-        let op = MatFreeOperator::new(&p, &vec![0.0; n], &fixed, 2.0);
-        let owned: Vec<Vec<u32>> = (0..2)
-            .map(|r| (0..n as u32).filter(|d| (d % 2) as usize == r).collect())
+        let u: Vec<f64> = (0..n)
+            .map(|i| 0.05 * ((i * 7 % 11) as f64 / 11.0 - 0.5))
             .collect();
-        let refs: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-        let kernels = op.build_kernels(&refs);
-        let k = 4usize;
-        for (r, kern) in kernels.iter().enumerate() {
-            let nl = kern.local_rows();
-            let ng = kern.ghosts().len();
-            let xo: Vec<f64> = (0..nl * k)
-                .map(|i| ((i * 3 % 11) as f64 - 5.0) * 0.3)
-                .collect();
-            let xg: Vec<f64> = (0..ng * k)
-                .map(|i| ((i * 7 % 13) as f64 - 6.0) * 0.2)
-                .collect();
-            let mut ym = vec![0.0; nl * k];
-            kern.apply_interior_multi(&xo, &mut ym, k);
-            kern.apply_boundary_multi(&xo, &xg, &mut ym, k);
-            for c in 0..k {
-                let xoc: Vec<f64> = (0..nl).map(|i| xo[i * k + c]).collect();
-                let xgc: Vec<f64> = (0..ng).map(|i| xg[i * k + c]).collect();
-                let mut yc = vec![0.0; nl];
-                kern.apply_interior(&xoc, &mut yc);
-                kern.apply_boundary(&xoc, &xgc, &mut yc);
-                for i in 0..nl {
-                    assert_eq!(
-                        ym[i * k + c].to_bits(),
-                        yc[i].to_bits(),
-                        "r={r} c={c} i={i}"
-                    );
+        let fixed: Vec<u32> = (0..n as u32).step_by(17).collect();
+        let op = MatFreeOperator::new(&p, &u, &fixed, 1.5);
+        let (kern, d) = (&op.serial, &op.data);
+        let (elems, edof) = (&kern.elems_int, 3 * d.nv);
+        assert!(elems.len() % ILANES != 0 && elems.len() % BATCH != 0);
+        let runs: Vec<usize> = (0..elems.len())
+            .filter(|&off| d.aligned_block(elems, off).is_some())
+            .collect();
+        assert_eq!(runs, [9, 27], "two aligned runs, one across the batch edge");
+        for &e in &general {
+            assert!(d.elem_slot[e] < 0, "element {e} is general-class");
+        }
+
+        let x: Vec<f64> = (0..n).map(|i| ((i * 31 % 19) as f64 * 0.2).cos()).collect();
+        let mut want = vec![0.0; n];
+        for &slot in &kern.fixed_slots {
+            want[slot as usize] = d.scale * x[slot as usize];
+        }
+        let (mut xe, mut ye) = (vec![0.0; edof], vec![0.0; edof]);
+        for (pos, &e) in elems.iter().enumerate() {
+            let ec = &kern.codes_int[pos * edof..][..edof];
+            for (xv, &c) in xe.iter_mut().zip(ec) {
+                *xv = if c >= 0 { x[c as usize] } else { 0.0 };
+            }
+            match d.elem_slot[e as usize] {
+                slot if slot >= 0 => d.iso_apply_1(slot as usize, &xe, &mut ye),
+                slot => d.full_apply_1_scalar((-slot - 1) as usize, &xe, &mut ye),
+            }
+            for (&c, &yv) in ec.iter().zip(&ye) {
+                if c >= 0 {
+                    want[c as usize] += yv;
                 }
+            }
+        }
+        for threads in [1usize, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut y = vec![0.0; n];
+            pool.install(|| op.apply(&x, &mut y));
+            for (i, (a, b)) in y.iter().zip(&want).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} row={i}");
             }
         }
     }

@@ -14,7 +14,9 @@
 //! interior-then-boundary in that fixed order makes the blocking and
 //! overlapped schedules bitwise identical — the same argument as the
 //! assembled row-split, except rows may receive contributions from *both*
-//! phases (an owned row shared by interior and boundary elements).
+//! phases (an owned row shared by interior and boundary elements). One
+//! product takes one vector: a blocked solve applies the operator to each
+//! of its active columns in turn.
 //!
 //! [`SimOperator`] abstracts "something `spmv`-shaped under the Sim" so the
 //! Krylov loop and the multigrid cycle can hold either representation.
@@ -39,19 +41,6 @@ pub trait SimOperator: Send + Sync {
     fn row_layout(&self) -> &Arc<Layout>;
     /// `y = A x`, charging one ghost exchange plus one compute superstep.
     fn spmv(&self, sim: &mut Sim, x: &DistVec, y: &mut DistVec);
-    /// `ys[c] = A xs[c]` for `k = xs.len()` vectors in one pass. Column `c`
-    /// of the result must be **bitwise identical** to
-    /// [`SimOperator::spmv`] on `xs[c]` — blocked smoothing/Krylov relies
-    /// on this to keep per-column histories exactly equal to k independent
-    /// solves. The default applies one vector at a time; batched backends
-    /// override it to read the operator once for all k vectors (one wider
-    /// ghost exchange, one compute superstep).
-    fn spmv_multi(&self, sim: &mut Sim, xs: &[DistVec], ys: &mut [DistVec]) {
-        assert_eq!(xs.len(), ys.len(), "spmv_multi needs matching x/y counts");
-        for (x, y) in xs.iter().zip(ys) {
-            self.spmv(sim, x, y);
-        }
-    }
     /// Global diagonal (Jacobi-type setup and diagnostics).
     fn diag_global(&self) -> Vec<f64>;
 }
@@ -193,77 +182,6 @@ impl DistMatFree {
         }
         sim.compute(&self.spmv_flops);
     }
-
-    /// `ys[c] = A xs[c]` for all k vectors through the batched kernels:
-    /// one ghost exchange carrying k values per plan slot, one element
-    /// sweep reading the folded element data once. Bitwise identical per
-    /// column to [`DistMatFree::spmv`] (the batched kernels guarantee it).
-    pub fn spmv_multi(&self, sim: &mut Sim, xs: &[DistVec], ys: &mut [DistVec]) {
-        let k = xs.len();
-        assert_eq!(ys.len(), k, "spmv_multi needs matching x/y counts");
-        if k == 0 {
-            return;
-        }
-        for v in xs.iter().chain(ys.iter()) {
-            assert!(Arc::ptr_eq(v.layout(), &self.layout), "layout mismatch");
-        }
-        let traffic: Vec<(u64, u64)> = self
-            .spmv_traffic
-            .iter()
-            .map(|&(m, b)| (m, b * k as u64))
-            .collect();
-        sim.exchange(&traffic);
-        pmg_telemetry::counter_add("spmv/multi_mf_routed", 1);
-        pmg_telemetry::counter_add("spmv/multi_cols", k as u64);
-
-        let plan = &self.plan;
-        let ghost_vals: Vec<Vec<f64>> = self
-            .kernels
-            .par_iter()
-            .enumerate()
-            .map(|(r, kn)| {
-                let mut gv = vec![0.0; kn.ghosts().len() * k];
-                for msg in &plan.ranks[r].recv {
-                    let peer = msg.peer as usize;
-                    let send = plan.ranks[peer].send_to(r);
-                    for (&slot, &li) in msg.idx.iter().zip(&send.idx) {
-                        for (c, x) in xs.iter().enumerate() {
-                            gv[slot as usize * k + c] = x.part(peer)[li as usize];
-                        }
-                    }
-                }
-                gv
-            })
-            .collect();
-
-        let parts: Vec<Vec<f64>> = self
-            .kernels
-            .par_iter()
-            .enumerate()
-            .map(|(r, kn)| {
-                let nl = kn.local_rows();
-                let mut xl = vec![0.0; nl * k];
-                for (c, x) in xs.iter().enumerate() {
-                    for (s, &v) in x.part(r).iter().enumerate() {
-                        xl[s * k + c] = v;
-                    }
-                }
-                let mut yl = vec![0.0; nl * k];
-                kn.apply_interior_multi(&xl, &mut yl, k);
-                kn.apply_boundary_multi(&xl, &ghost_vals[r], &mut yl, k);
-                yl
-            })
-            .collect();
-        for (r, p) in parts.into_iter().enumerate() {
-            for (c, y) in ys.iter_mut().enumerate() {
-                for (s, v) in y.part_mut(r).iter_mut().enumerate() {
-                    *v = p[s * k + c];
-                }
-            }
-        }
-        let flops: Vec<u64> = self.spmv_flops.iter().map(|f| f * k as u64).collect();
-        sim.compute(&flops);
-    }
 }
 
 impl SimOperator for DistMatFree {
@@ -273,10 +191,6 @@ impl SimOperator for DistMatFree {
 
     fn spmv(&self, sim: &mut Sim, x: &DistVec, y: &mut DistVec) {
         DistMatFree::spmv(self, sim, x, y)
-    }
-
-    fn spmv_multi(&self, sim: &mut Sim, xs: &[DistVec], ys: &mut [DistVec]) {
-        DistMatFree::spmv_multi(self, sim, xs, ys)
     }
 
     fn diag_global(&self) -> Vec<f64> {
@@ -313,31 +227,6 @@ impl<'a> MfRankOp<'a> {
     ) -> Result<HaloExchange<'a>, CommError> {
         let sends = self.halo.send.iter().map(|msg| {
             let packed: Vec<f64> = msg.idx.iter().map(|&li| x_local[li as usize]).collect();
-            (msg.peer as usize, packed)
-        });
-        let recvs = self
-            .halo
-            .recv
-            .iter()
-            .map(|msg| (msg.peer as usize, msg.idx.as_slice()))
-            .collect();
-        HaloExchange::start(t, self.tag, sends, recvs)
-    }
-
-    /// Post the k-vector halo sends: each plan index packs its k
-    /// interleaved values contiguously, in the same index order as the
-    /// single exchange.
-    fn start_exchange_multi<T: Transport>(
-        &self,
-        t: &mut T,
-        x_local: &[f64],
-        k: usize,
-    ) -> Result<HaloExchange<'a>, CommError> {
-        let sends = self.halo.send.iter().map(|msg| {
-            let mut packed = Vec::with_capacity(msg.idx.len() * k);
-            for &li in &msg.idx {
-                packed.extend_from_slice(&x_local[li as usize * k..li as usize * k + k]);
-            }
             (msg.peer as usize, packed)
         });
         let recvs = self
@@ -389,74 +278,6 @@ impl<'a> MfRankOp<'a> {
         let mut ghost_vals = vec![0.0; self.kernel.ghosts().len()];
         hx.finish(t, &mut ghost_vals)?;
         self.kernel.apply_boundary(x_local, &ghost_vals, y_local);
-        Ok(OverlapInfo {
-            hidden_s,
-            interior_rows: self.kernel.interior_rows(),
-            boundary_rows: self.kernel.boundary_rows(),
-        })
-    }
-
-    /// k-vector product on interleaved local storage (`x_local[slot*k+c]`
-    /// holds column `c`), blocking exchange. One message per peer carrying
-    /// k values per plan index; column `c` of the result is bitwise
-    /// [`spmv`](MfRankOp::spmv) on that column.
-    pub fn spmv_multi<T: Transport>(
-        &self,
-        t: &mut T,
-        x_local: &[f64],
-        y_local: &mut [f64],
-        k: usize,
-    ) -> Result<(), CommError> {
-        assert!(k > 0, "spmv_multi needs at least one column");
-        assert_eq!(
-            x_local.len(),
-            self.kernel.local_rows() * k,
-            "x_local length"
-        );
-        assert_eq!(
-            y_local.len(),
-            self.kernel.local_rows() * k,
-            "y_local length"
-        );
-        let hx = self.start_exchange_multi(t, x_local, k)?;
-        let mut ghost_vals = vec![0.0; self.kernel.ghosts().len() * k];
-        hx.finish_multi(t, &mut ghost_vals, k)?;
-        self.kernel.apply_interior_multi(x_local, y_local, k);
-        self.kernel
-            .apply_boundary_multi(x_local, &ghost_vals, y_local, k);
-        Ok(())
-    }
-
-    /// k-vector product with communication/computation overlap: the
-    /// batched interior sweep runs inside the halo window. Bitwise
-    /// identical to [`spmv_multi`](MfRankOp::spmv_multi) — only the
-    /// schedule differs.
-    pub fn spmv_multi_overlapped<T: Transport>(
-        &self,
-        t: &mut T,
-        x_local: &[f64],
-        y_local: &mut [f64],
-        k: usize,
-    ) -> Result<OverlapInfo, CommError> {
-        assert!(k > 0, "spmv_multi needs at least one column");
-        assert_eq!(
-            x_local.len(),
-            self.kernel.local_rows() * k,
-            "x_local length"
-        );
-        assert_eq!(
-            y_local.len(),
-            self.kernel.local_rows() * k,
-            "y_local length"
-        );
-        let hx = self.start_exchange_multi(t, x_local, k)?;
-        let window = Instant::now();
-        self.kernel.apply_interior_multi(x_local, y_local, k);
-        let hidden_s = window.elapsed().as_secs_f64();
-        let mut ghost_vals = vec![0.0; self.kernel.ghosts().len() * k];
-        hx.finish_multi(t, &mut ghost_vals, k)?;
-        self.kernel
-            .apply_boundary_multi(x_local, &ghost_vals, y_local, k);
         Ok(OverlapInfo {
             hidden_s,
             interior_rows: self.kernel.interior_rows(),
@@ -595,30 +416,6 @@ pub mod test_kernel {
                 }
             }
         }
-
-        /// Interleaved k-column element loop: per column the operation
-        /// sequence is exactly [`ChainKernel::run`]'s, so each column is
-        /// bitwise the single apply.
-        fn run_multi(&self, elems: &[u32], xo: &[f64], xg: &[f64], y: &mut [f64], k: usize) {
-            for &e in elems {
-                let s = self.scales[e as usize];
-                let vs = [e as usize, (e as usize + 1) % self.n];
-                for c in 0..k {
-                    let xv = vs.map(|v| match self.code[v] {
-                        cc if cc >= 0 => xo[cc as usize * k + c],
-                        cc if cc < -1 => xg[(-cc - 2) as usize * k + c],
-                        _ => 0.0,
-                    });
-                    let ye = [s * (2.0 * xv[0] - xv[1]), s * (2.0 * xv[1] - xv[0])];
-                    for (i, &v) in vs.iter().enumerate() {
-                        let cc = self.code[v];
-                        if cc >= 0 {
-                            y[cc as usize * k + c] += ye[i];
-                        }
-                    }
-                }
-            }
-        }
     }
 
     impl MatrixFreeKernel for ChainKernel {
@@ -637,17 +434,6 @@ pub mod test_kernel {
 
         fn apply_boundary(&self, x_owned: &[f64], x_ghost: &[f64], y: &mut [f64]) {
             self.run(&self.elems_bnd, x_owned, x_ghost, y);
-        }
-
-        fn apply_interior_multi(&self, x_owned: &[f64], y: &mut [f64], k: usize) {
-            assert!(k > 0, "apply_interior_multi needs at least one column");
-            y.fill(0.0);
-            self.run_multi(&self.elems_int, x_owned, &[], y, k);
-        }
-
-        fn apply_boundary_multi(&self, x_owned: &[f64], x_ghost: &[f64], y: &mut [f64], k: usize) {
-            assert!(k > 0, "apply_boundary_multi needs at least one column");
-            self.run_multi(&self.elems_bnd, x_owned, x_ghost, y, k);
         }
 
         fn interior_rows(&self) -> u64 {
@@ -773,100 +559,6 @@ mod tests {
             }
             for (a, b) in got.iter().zip(&expect) {
                 assert_eq!(a.to_bits(), b.to_bits(), "p={p} transport vs sim");
-            }
-        }
-    }
-
-    #[test]
-    fn sim_spmv_multi_bitwise_matches_singles() {
-        let n = 21;
-        let k = 4usize;
-        for p in [1, 3] {
-            let l = Layout::block(n, p);
-            let mf = chain_matfree(n, true, &l);
-            let xs: Vec<DistVec> = (0..k)
-                .map(|c| {
-                    let x: Vec<f64> = (0..n).map(|i| ((i * (c + 2)) as f64 * 0.3).sin()).collect();
-                    DistVec::from_global(l.clone(), &x)
-                })
-                .collect();
-            let mut ys: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(l.clone())).collect();
-            let mut sim = Sim::new(p, MachineModel::default());
-            mf.spmv_multi(&mut sim, &xs, &mut ys);
-            for c in 0..k {
-                let mut y1 = DistVec::zeros(l.clone());
-                SimOperator::spmv(&mf, &mut sim, &xs[c], &mut y1);
-                for (a, b) in ys[c].to_global().iter().zip(y1.to_global()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "p={p} c={c}");
-                }
-            }
-            // The SimOperator default (loop of singles) agrees too.
-            let da_like: &dyn SimOperator = &mf;
-            let mut yd: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(l.clone())).collect();
-            da_like.spmv_multi(&mut sim, &xs, &mut yd);
-            for c in 0..k {
-                for (a, b) in ys[c].to_global().iter().zip(yd[c].to_global()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transport_spmv_multi_bitwise_matches_sim_and_overlap() {
-        let n = 17;
-        let k = 3usize;
-        for p in [1, 2, 4] {
-            let l = Layout::block(n, p);
-            let mf = chain_matfree(n, true, &l);
-            let xs: Vec<Vec<f64>> = (0..k)
-                .map(|c| (0..n).map(|i| ((i + 3 * c) as f64 * 0.41).cos()).collect())
-                .collect();
-            let dxs: Vec<DistVec> = xs
-                .iter()
-                .map(|x| DistVec::from_global(l.clone(), x))
-                .collect();
-            let mut dys: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(l.clone())).collect();
-            let mut sim = Sim::new(p, MachineModel::default());
-            mf.spmv_multi(&mut sim, &dxs, &mut dys);
-            let expect: Vec<Vec<f64>> = dys.iter().map(|y| y.to_global()).collect();
-
-            let mfr = &mf;
-            let l2 = &l;
-            let xs2 = &xs;
-            let parts = LocalTransport::run_ranks(p, move |mut t| {
-                let r = t.rank();
-                let op = mfr.rank_op(r, 7);
-                let nl = op.local_rows();
-                let mut xl = vec![0.0; nl * k];
-                for (c, x) in xs2.iter().enumerate() {
-                    for (s, &g) in l2.owned(r).iter().enumerate() {
-                        xl[s * k + c] = x[g as usize];
-                    }
-                }
-                let mut y1 = vec![0.0; nl * k];
-                op.spmv_multi(&mut t, &xl, &mut y1, k).unwrap();
-                let mut y2 = vec![0.0; nl * k];
-                op.spmv_multi_overlapped(&mut t, &xl, &mut y2, k).unwrap();
-                (y1, y2)
-            });
-            for (r, (y1, y2)) in parts.iter().enumerate() {
-                for (a, b) in y1.iter().zip(y2) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "blocking vs overlapped p={p} r={r}"
-                    );
-                }
-                for (s, &g) in l.owned(r).iter().enumerate() {
-                    for c in 0..k {
-                        assert_eq!(
-                            y1[s * k + c].to_bits(),
-                            expect[c][g as usize].to_bits(),
-                            "transport vs sim p={p} r={r} c={c}"
-                        );
-                    }
-                }
             }
         }
     }

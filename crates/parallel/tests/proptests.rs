@@ -74,94 +74,6 @@ fn run_both_mf_spmvs(
     })
 }
 
-/// Per rank: the k-column batched transport product (blocking and
-/// overlapped, interleaved storage) plus k single-column products, all in
-/// one lockstep `run_ranks` call.
-#[allow(clippy::type_complexity)]
-fn run_mf_multi(
-    da: &DistMatFree,
-    p: usize,
-    xs: &[Vec<f64>],
-) -> Vec<(Vec<f64>, Vec<f64>, Vec<Vec<f64>>)> {
-    let l = da.row_layout().clone();
-    let l = &l;
-    let k = xs.len();
-    LocalTransport::run_ranks(p, move |mut t| {
-        let r = t.rank();
-        let op = da.rank_op(r, 11);
-        let nl = op.local_rows();
-        let mut xi = vec![0.0; nl * k];
-        for (c, x) in xs.iter().enumerate() {
-            for (s, &g) in l.owned(r).iter().enumerate() {
-                xi[s * k + c] = x[g as usize];
-            }
-        }
-        let mut ym = vec![0.0; nl * k];
-        op.spmv_multi(&mut t, &xi, &mut ym, k).unwrap();
-        let mut yo = vec![0.0; nl * k];
-        op.spmv_multi_overlapped(&mut t, &xi, &mut yo, k).unwrap();
-        let singles: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|x| {
-                let xl: Vec<f64> = l.owned(r).iter().map(|&g| x[g as usize]).collect();
-                let mut y = vec![0.0; nl];
-                op.spmv(&mut t, &xl, &mut y).unwrap();
-                y
-            })
-            .collect();
-        (ym, yo, singles)
-    })
-}
-
-/// Assert the batched sim product and both batched transport schedules are
-/// bitwise-per-column what k single applies produce, for every rank of `da`.
-fn check_mf_multi_bitwise(
-    da: &DistMatFree,
-    p: usize,
-    xs: &[Vec<f64>],
-) -> Result<(), TestCaseError> {
-    let k = xs.len();
-    let l = da.row_layout().clone();
-    let mut sim = Sim::new(p, MachineModel::default());
-    let dxs: Vec<DistVec> = xs
-        .iter()
-        .map(|x| DistVec::from_global(l.clone(), x))
-        .collect();
-    let mut dys: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(l.clone())).collect();
-    da.spmv_multi(&mut sim, &dxs, &mut dys);
-    for (c, dx) in dxs.iter().enumerate() {
-        let mut dy = DistVec::zeros(l.clone());
-        da.spmv(&mut sim, dx, &mut dy);
-        for (u, v) in dys[c].to_global().iter().zip(dy.to_global()) {
-            prop_assert_eq!(u.to_bits(), v.to_bits());
-        }
-    }
-    for (r, (ym, yo, singles)) in run_mf_multi(da, p, xs).iter().enumerate() {
-        for (c, y1) in singles.iter().enumerate() {
-            prop_assert_eq!(y1.len(), l.local_len(r));
-            for (s, v) in y1.iter().enumerate() {
-                prop_assert_eq!(ym[s * k + c].to_bits(), v.to_bits());
-                prop_assert_eq!(yo[s * k + c].to_bits(), v.to_bits());
-            }
-            // Transport == sim, bitwise, per rank and column.
-            for (u, v) in y1.iter().zip(dys[c].part(r)) {
-                prop_assert_eq!(u.to_bits(), v.to_bits());
-            }
-        }
-    }
-    Ok(())
-}
-
-fn multi_columns(n: usize, k: usize) -> Vec<Vec<f64>> {
-    (0..k)
-        .map(|c| {
-            (0..n)
-                .map(|i| ((i + 5 * c) as f64 * 0.41).sin() - 0.2 * c as f64)
-                .collect()
-        })
-        .collect()
-}
-
 proptest! {
     #[test]
     fn layout_roundtrip(owner in proptest::collection::vec(0u32..5, 1..60)) {
@@ -473,14 +385,13 @@ proptest! {
     }
 
     #[test]
-    fn csr_bsr3_apply_multi_bitwise_per_column(
+    fn bsr3_spmm_bitwise_per_column(
         entries in proptest::collection::vec((0usize..12, 0usize..12, -5.0f64..5.0), 1..100),
         nb in 2usize..5,
         k in 1usize..6,
     ) {
-        // Arbitrary sparsity: apply_multi on interleaved storage must be
-        // bitwise, column for column, what k single applies produce — for
-        // scalar CSR rows and 3x3-blocked BSR3 rows alike.
+        // Arbitrary sparsity: spmm on interleaved storage must be bitwise,
+        // column for column, what k single spmvs produce.
         let n = 3 * nb;
         let mut b = CooBuilder::new(n, n);
         for (i, j, v) in entries {
@@ -488,65 +399,17 @@ proptest! {
                 b.push(i, j, v);
             }
         }
-        let a = b.build();
-        let bsr = pmg_sparse::Bsr3Matrix::from_csr(&a);
-        let ops: [&dyn pmg_sparse::Operator; 2] = [&a, &bsr];
+        let bsr = pmg_sparse::Bsr3Matrix::from_csr(&b.build());
         let x: Vec<f64> = (0..n * k).map(|i| ((i * 11 % 17) as f64 - 8.0) * 0.23).collect();
-        for op in ops {
-            let mut ym = vec![0.0; n * k];
-            op.apply_multi(&x, &mut ym, k);
-            for c in 0..k {
-                let xc: Vec<f64> = (0..n).map(|i| x[i * k + c]).collect();
-                let mut yc = vec![0.0; n];
-                op.apply(&xc, &mut yc);
-                for (s, v) in yc.iter().enumerate() {
-                    prop_assert_eq!(ym[s * k + c].to_bits(), v.to_bits());
-                }
+        let mut ym = vec![0.0; n * k];
+        bsr.spmm(&x, &mut ym, k);
+        for c in 0..k {
+            let xc: Vec<f64> = (0..n).map(|i| x[i * k + c]).collect();
+            let mut yc = vec![0.0; n];
+            bsr.spmv(&xc, &mut yc);
+            for (s, v) in yc.iter().enumerate() {
+                prop_assert_eq!(ym[s * k + c].to_bits(), v.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn matfree_multi_bitwise_per_column_any_ownership(
-        owner in proptest::collection::vec(0u32..4, 10..40),
-        k in 1usize..6,
-    ) {
-        // The batched matrix-free product under an arbitrary ownership
-        // map: sim routing and both transport schedules must each be
-        // bitwise-per-column equal to k single applies.
-        let (da, _) = chain_matfree(&owner, 4);
-        let xs = multi_columns(owner.len(), k);
-        check_mf_multi_bitwise(&da, 4, &xs)?;
-    }
-
-    #[test]
-    fn matfree_multi_bitwise_with_empty_ranks(
-        owner in proptest::collection::vec(0u32..3, 5..30),
-        k in 1usize..5,
-    ) {
-        // Odd ranks of a 6-rank layout own nothing: the k-wide exchange
-        // and empty batched kernels must stay lockstep and bitwise.
-        let owner: Vec<u32> = owner.into_iter().map(|r| 2 * r).collect();
-        if owner.len() < 3 {
-            return Ok(()); // a 2-ring degenerates to a double edge
-        }
-        let (da, _) = chain_matfree(&owner, 6);
-        let xs = multi_columns(owner.len(), k);
-        check_mf_multi_bitwise(&da, 6, &xs)?;
-    }
-
-    #[test]
-    fn matfree_multi_bitwise_all_boundary(
-        h in 2usize..12,
-        k in 1usize..5,
-    ) {
-        // Alternating ownership of the ring: every element straddles the
-        // rank boundary, the interior class is empty everywhere, and the
-        // whole batched element loop runs after finish_multi().
-        let n = 2 * h;
-        let owner: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let (da, _) = chain_matfree(&owner, 2);
-        let xs = multi_columns(n, k);
-        check_mf_multi_bitwise(&da, 2, &xs)?;
     }
 }

@@ -59,9 +59,8 @@ pub trait PcgBackend {
     type Error;
     /// A zero work vector shaped like the right-hand sides.
     fn zeros(&self) -> Self::Vector;
-    /// `ys[c] = A xs[c]` for every column in one batched apply; column `c`
-    /// must be bitwise what a single-column apply of `xs[c]` gives.
-    fn apply(&mut self, xs: &[Self::Vector], ys: &mut [Self::Vector]) -> Result<(), Self::Error>;
+    /// `y = A x` (overwrites `y` whatever it held).
+    fn apply(&mut self, x: &Self::Vector, y: &mut Self::Vector) -> Result<(), Self::Error>;
     /// `z = M⁻¹ r` (overwrites `z` whatever it held).
     fn precond(&mut self, r: &Self::Vector, z: &mut Self::Vector) -> Result<(), Self::Error>;
     /// The global inner product of every pair — one reduction point, so a
@@ -94,21 +93,20 @@ fn dots_of<B: PcgBackend>(
 }
 
 /// Blocked preconditioned CG: k systems `A xs[c] = bs[c]` advance in
-/// lockstep through one batched operator apply per iteration, each under
-/// its own `opts[c]` (tolerances and iteration cap). `xs` holds the initial
-/// guesses and receives the solutions.
+/// lockstep, sharing every reduction point, each under its own `opts[c]`
+/// (tolerances and iteration cap). `xs` holds the initial guesses and
+/// receives the solutions.
 ///
 /// The columns do **not** share a Krylov space — each keeps its own `α`,
 /// `β` and preconditioner applications — so column `c`'s iterates, residual
 /// history and exit state are **bitwise identical** to a k = 1 call on
 /// `(bs[c], xs[c], opts[c])`. A column that converges, breaks down
 /// (`p·Ap ≤ 0` or non-finite) or reaches its own cap freezes: its `x`, `r`
-/// and `p` stop updating, and the batched apply's work on its stale `p` is
-/// discarded.
+/// and `p` stop updating and `A` is no longer applied to it.
 ///
 /// The order is the textbook one — test `‖r‖`, *then* precondition — so a
 /// solve that converges after `n ≥ 1` iterations applies `M⁻¹` exactly `n`
-/// times and `A` `n + 1` times.
+/// times and `A` `n + 1` times — per column.
 pub fn pcg_blocked<B: PcgBackend>(
     be: &mut B,
     bs: &[B::Vector],
@@ -125,8 +123,8 @@ pub fn pcg_blocked<B: PcgBackend>(
     let (mut rs, mut zs, mut ps, mut ws) = (work(be), work(be), work(be), work(be));
 
     // rs[c] = bs[c] - A xs[c].
-    be.apply(xs, &mut rs)?;
-    for (r, b) in rs.iter_mut().zip(bs) {
+    for ((x, r), b) in xs.iter().zip(&mut rs).zip(bs) {
+        be.apply(x, r)?;
         be.aypx(-1.0, b, r);
     }
 
@@ -176,9 +174,9 @@ pub fn pcg_blocked<B: PcgBackend>(
             break;
         }
         be.record_iteration();
-        // Frozen columns ride along with a stale p; their slot of the
-        // batched product is ignored below.
-        be.apply(&ps, &mut ws)?;
+        for &c in &act {
+            be.apply(&ps[c], &mut ws[c])?;
+        }
         for (&c, pw) in act.iter().zip(dots_of(be, &act, &ps, &ws)?) {
             iterations[c] = it;
             if pw <= 0.0 || !pw.is_finite() {
@@ -235,13 +233,8 @@ impl PcgBackend for SimBackend<'_> {
         DistVec::zeros(self.a.row_layout().clone())
     }
 
-    fn apply(&mut self, xs: &[DistVec], ys: &mut [DistVec]) -> Result<(), Infallible> {
-        // A single column stays on the single-vector kernel (same bits by
-        // the `spmv_multi` contract; keeps its flop charges and counters).
-        match (xs, ys) {
-            ([x], [y]) => self.a.spmv(self.sim, x, y),
-            (xs, ys) => self.a.spmv_multi(self.sim, xs, ys),
-        }
+    fn apply(&mut self, x: &DistVec, y: &mut DistVec) -> Result<(), Infallible> {
+        self.a.spmv(self.sim, x, y);
         Ok(())
     }
 
@@ -294,9 +287,7 @@ pub fn pcg(
 }
 
 /// Solve k systems `A xs[c] = bs[c]` by blocked PCG under uniform options:
-/// one batched [`SimOperator::spmv_multi`] per iteration feeds every
-/// column's independent CG recurrence, so the operator (element data or
-/// matrix values) is read once per iteration instead of k times.
+/// [`pcg_multi_each`] with the same `opts` for every column.
 pub fn pcg_multi(
     sim: &mut Sim,
     a: &dyn SimOperator,
@@ -736,17 +727,22 @@ mod tests {
         }
     }
 
-    /// A serial vector that counts the `axpy`s it receives.
+    /// A serial vector that counts the `axpy`s it receives and remembers
+    /// which column it belongs to: the test tags `b` and `x`, and the
+    /// backend hands the tag from input to output, so every work vector of
+    /// column `c` carries `c` by the time `A` is applied to it.
     struct CountedVec {
         v: Vec<f64>,
         axpys: usize,
+        col: Option<usize>,
     }
 
     /// Serial backend (identity preconditioner) that counts what the loop
     /// asks of it.
     struct CountingBackend<'a> {
         a: &'a CsrMatrix,
-        applies: usize,
+        /// Operator applications per column.
+        applies: Vec<usize>,
         preconds: usize,
     }
 
@@ -758,19 +754,20 @@ mod tests {
             CountedVec {
                 v: vec![0.0; self.a.nrows()],
                 axpys: 0,
+                col: None,
             }
         }
 
-        fn apply(&mut self, xs: &[CountedVec], ys: &mut [CountedVec]) -> Result<(), Infallible> {
-            self.applies += 1;
-            for (x, y) in xs.iter().zip(ys) {
-                self.a.spmv(&x.v, &mut y.v);
-            }
+        fn apply(&mut self, x: &CountedVec, y: &mut CountedVec) -> Result<(), Infallible> {
+            y.col = x.col;
+            self.applies[x.col.expect("applied to a tagged vector")] += 1;
+            self.a.spmv(&x.v, &mut y.v);
             Ok(())
         }
 
         fn precond(&mut self, r: &CountedVec, z: &mut CountedVec) -> Result<(), Infallible> {
             self.preconds += 1;
+            z.col = r.col;
             z.v.copy_from_slice(&r.v);
             Ok(())
         }
@@ -800,7 +797,11 @@ mod tests {
     fn converged_solve_applies_precond_n_and_operator_n_plus_one_times() {
         let n = 30;
         let a = laplacian(n);
-        let counted = |v: Vec<f64>| CountedVec { v, axpys: 0 };
+        let counted = |col: usize, v: Vec<f64>| CountedVec {
+            v,
+            axpys: 0,
+            col: Some(col),
+        };
         let rhs =
             |c: usize| -> Vec<f64> { (0..n).map(|i| ((i + 3 * c) as f64 * 0.29).cos()).collect() };
         let tight = PcgOptions {
@@ -808,29 +809,8 @@ mod tests {
             max_iters: 100,
             ..Default::default()
         };
-
-        let mut be = CountingBackend {
-            a: &a,
-            applies: 0,
-            preconds: 0,
-        };
-        let mut xs = [counted(vec![0.0; n])];
-        let res = pcg_blocked(&mut be, &[counted(rhs(0))], &mut xs, &[tight]).unwrap();
-        let iters = res[0].iterations;
-        assert!(res[0].converged && iters >= 1);
-        assert_eq!(
-            be.preconds, iters,
-            "no preconditioner application is discarded"
-        );
-        assert_eq!(
-            be.applies,
-            iters + 1,
-            "initial residual + one per iteration"
-        );
-
-        // Three columns that stop at different iterations (loose tolerance,
-        // tight tolerance, own cap): a frozen column's x receives no
-        // further axpy while the others keep iterating.
+        // Three columns that stop at different iterations: loose
+        // tolerance, tight tolerance, own cap.
         let loose = PcgOptions {
             rtol: 1e-2,
             ..tight
@@ -839,29 +819,53 @@ mod tests {
             max_iters: 2,
             ..tight
         };
+        let opts = [loose, tight, capped];
+
+        // Each column alone: M⁻¹ n times, A n + 1 times.
+        let mut alone = Vec::new();
+        for (c, o) in opts.iter().enumerate() {
+            let mut be = CountingBackend {
+                a: &a,
+                applies: vec![0],
+                preconds: 0,
+            };
+            let mut xs = [counted(0, vec![0.0; n])];
+            let res = pcg_blocked(&mut be, &[counted(0, rhs(c))], &mut xs, &[*o]).unwrap();
+            let iters = res[0].iterations;
+            assert!(iters >= 1);
+            if res[0].converged {
+                assert_eq!(be.preconds, iters, "no M⁻¹ application is discarded");
+            }
+            assert_eq!(
+                be.applies[0],
+                iters + 1,
+                "column {c}: residual + one per iteration"
+            );
+            alone.push((res, xs));
+        }
+
+        // Blocked: a frozen column's x receives no further axpy and A is
+        // no longer applied to it, while the others keep iterating on
+        // exactly the bits of their own k = 1 solve.
         let mut be = CountingBackend {
             a: &a,
-            applies: 0,
+            applies: vec![0; 3],
             preconds: 0,
         };
-        let bs = [counted(rhs(0)), counted(rhs(1)), counted(rhs(2))];
-        let mut xs = [
-            counted(vec![0.0; n]),
-            counted(vec![0.0; n]),
-            counted(vec![0.0; n]),
-        ];
-        let res = pcg_blocked(&mut be, &bs, &mut xs, &[loose, tight, capped]).unwrap();
+        let bs = [counted(0, rhs(0)), counted(1, rhs(1)), counted(2, rhs(2))];
+        let mut xs = [0, 1, 2].map(|c| counted(c, vec![0.0; n]));
+        let res = pcg_blocked(&mut be, &bs, &mut xs, &opts).unwrap();
         assert!(res[0].converged && res[1].converged && !res[2].converged);
         assert!(res[0].iterations < res[1].iterations, "{res:?}");
         assert_eq!(res[2].iterations, 2);
-        for (x, r) in xs.iter().zip(&res) {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (c, (r, x)) in res.iter().zip(&xs).enumerate() {
             assert_eq!(x.axpys, r.iterations, "one x update per active iteration");
+            assert_eq!(be.applies[c], r.iterations + 1, "column {c}");
+            let (single, x1) = &alone[c];
+            assert_eq!(bits(&r.residuals), bits(&single[0].residuals), "column {c}");
+            assert_eq!(bits(&x.v), bits(&x1[0].v), "column {c}");
         }
-        assert_eq!(
-            be.applies,
-            res[1].iterations + 1,
-            "batched applies follow the longest column"
-        );
     }
 
     #[test]

@@ -196,9 +196,9 @@ impl Bsr3Matrix {
         assert!(k > 0, "spmm needs at least one column");
         assert_eq!(x.len(), self.ncols() * k);
         assert_eq!(y.len(), self.nrows() * k);
-        // Monomorphized bodies for the column counts the solve path uses:
-        // const-width accumulators turn the per-entry update into fixed
-        // vector fmas. Each column's adds run in the same order either way.
+        // Monomorphized bodies for the common column counts: const-width
+        // accumulators turn the per-entry update into fixed vector fmas.
+        // Each column's adds run in the same order either way.
         match k {
             1 => self.spmm_const::<1>(x, y),
             2 => self.spmm_const::<2>(x, y),
@@ -230,7 +230,6 @@ impl Bsr3Matrix {
         }
         flops::add(2 * self.nnz_stored() as u64 * k as u64);
         pmg_telemetry::counter_add("spmv/multi_bsr3", 1);
-        pmg_telemetry::counter_add("spmv/multi_cols", k as u64);
     }
 
     /// [`spmm`] body for a compile-time column count (same accumulation
@@ -389,6 +388,45 @@ mod tests {
         for ((u, v), w) in y1.iter().zip(&y2).zip(&y3) {
             assert!((u - v).abs() < 1e-14);
             assert!((u - w).abs() < 1e-14);
+        }
+    }
+
+    #[test]
+    fn spmm_is_bitwise_spmv_per_column() {
+        // A 9x9 block-structured matrix with an irregular stencil so block
+        // rows have varying lengths; every monomorphized width plus the
+        // generic fallback (k = 3).
+        let n = 9;
+        let mut b = CooBuilder::new(n, n);
+        for i in 0..n {
+            b.push(i, i, 3.0 + (i as f64) * 0.17);
+            if i + 3 < n {
+                b.push(i, i + 3, -1.25 + (i as f64) * 0.01);
+                b.push(i + 3, i, -0.75);
+            }
+            if i % 2 == 0 && i + 1 < n {
+                b.push(i, i + 1, 0.31 * (i as f64 + 1.0));
+            }
+        }
+        let bsr = Bsr3Matrix::from_csr(&b.build());
+        for k in [1usize, 2, 3, 4, 8] {
+            let x: Vec<f64> = (0..n * k)
+                .map(|i| ((i * 7 % 13) as f64 - 6.0) * 0.3)
+                .collect();
+            let mut ym = vec![0.0; n * k];
+            bsr.spmm(&x, &mut ym, k);
+            for c in 0..k {
+                let xc: Vec<f64> = (0..n).map(|i| x[i * k + c]).collect();
+                let mut yc = vec![0.0; n];
+                bsr.spmv(&xc, &mut yc);
+                for i in 0..n {
+                    assert_eq!(
+                        ym[i * k + c].to_bits(),
+                        yc[i].to_bits(),
+                        "k={k} c={c} i={i}"
+                    );
+                }
+            }
         }
     }
 

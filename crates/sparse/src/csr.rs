@@ -272,67 +272,6 @@ impl CsrMatrix {
         flops::add(2 * self.nnz() as u64);
     }
 
-    /// Sparse-times-multiple-vectors (SpMM): `Y = A X` on `k` interleaved
-    /// vectors, where column `c` of `X` lives at `x[j * k + c]` and column
-    /// `c` of `Y` at `y[i * k + c]`.
-    ///
-    /// Each column's accumulation walks the nonzeros in exactly [`spmv`]'s
-    /// order, so column `c` of the result is bitwise identical to a single
-    /// `spmv` on that column — the matrix values and indices are simply
-    /// read once for all `k` columns instead of `k` times.
-    ///
-    /// [`spmv`]: CsrMatrix::spmv
-    pub fn spmm(&self, x: &[f64], y: &mut [f64], k: usize) {
-        assert!(k > 0, "spmm needs at least one column");
-        assert_eq!(x.len(), self.ncols * k);
-        assert_eq!(y.len(), self.nrows * k);
-        // Monomorphized bodies for the column counts the solve path uses:
-        // with a const-width accumulator the inner update is a fixed-width
-        // vector fma instead of a runtime-length loop per nonzero. Each
-        // column's adds run in the same order either way.
-        match k {
-            1 => self.spmm_const::<1>(x, y),
-            2 => self.spmm_const::<2>(x, y),
-            4 => self.spmm_const::<4>(x, y),
-            8 => self.spmm_const::<8>(x, y),
-            _ => {
-                let mut acc = vec![0.0f64; k];
-                for i in 0..self.nrows {
-                    acc.fill(0.0);
-                    let (cols, vals) = self.row(i);
-                    for (&j, &v) in cols.iter().zip(vals) {
-                        let xb = &x[j * k..j * k + k];
-                        for (a, &xc) in acc.iter_mut().zip(xb) {
-                            *a += v * xc;
-                        }
-                    }
-                    y[i * k..i * k + k].copy_from_slice(&acc);
-                }
-            }
-        }
-        flops::add(2 * self.nnz() as u64 * k as u64);
-        pmg_telemetry::counter_add("spmv/multi_csr", 1);
-        pmg_telemetry::counter_add("spmv/multi_cols", k as u64);
-    }
-
-    /// [`spmm`] body for a compile-time column count (same accumulation
-    /// order, so bitwise identical to the runtime-`k` form).
-    ///
-    /// [`spmm`]: CsrMatrix::spmm
-    fn spmm_const<const K: usize>(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..self.nrows {
-            let mut acc = [0.0f64; K];
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                let xb: &[f64; K] = x[j * K..j * K + K].try_into().unwrap();
-                for (a, &xc) in acc.iter_mut().zip(xb) {
-                    *a += v * xc;
-                }
-            }
-            y[i * K..i * K + K].copy_from_slice(&acc);
-        }
-    }
-
     /// `y[i] = (A x)[i]` for the listed `rows` only; other entries of `y`
     /// are untouched. The per-row accumulation is identical to [`spmv`]
     /// (same loop body, same order), so computing a partition of the rows

@@ -44,35 +44,6 @@ pub trait Operator: Send + Sync {
     /// `y = A x` (overwrites `y`). Must be bitwise deterministic across
     /// thread counts.
     fn apply(&self, x: &[f64], y: &mut [f64]);
-    /// Multi-vector product `Y = A X` on `k` interleaved vectors: column
-    /// `c` of `X` lives at `x[j * k + c]`, column `c` of `Y` at
-    /// `y[i * k + c]`.
-    ///
-    /// Contract: column `c` of the result must be **bitwise identical** to
-    /// a single [`Operator::apply`] on that column — blocked Krylov and
-    /// multi-RHS batching rely on this to keep per-column convergence
-    /// histories exactly equal to k independent solves. The default
-    /// implementation applies one column at a time through scratch buffers
-    /// (trivially bitwise-equal); assembled backends override it with SpMM
-    /// kernels that read the matrix once for all k columns, matrix-free
-    /// backends with batched element kernels that gather k values per dof.
-    fn apply_multi(&self, x: &[f64], y: &mut [f64], k: usize) {
-        assert!(k > 0, "apply_multi needs at least one column");
-        assert_eq!(x.len(), self.ncols() * k);
-        assert_eq!(y.len(), self.nrows() * k);
-        let mut xc = vec![0.0f64; self.ncols()];
-        let mut yc = vec![0.0f64; self.nrows()];
-        for c in 0..k {
-            for (j, v) in xc.iter_mut().enumerate() {
-                *v = x[j * k + c];
-            }
-            self.apply(&xc, &mut yc);
-            for (i, v) in yc.iter().enumerate() {
-                y[i * k + c] = *v;
-            }
-        }
-    }
-
     /// The main diagonal (missing entries are `0.0`).
     fn diag(&self) -> Vec<f64>;
     /// Bytes the representation holds resident to support [`Operator::apply`]
@@ -94,10 +65,6 @@ impl Operator for CsrMatrix {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.spmv(x, y);
-    }
-
-    fn apply_multi(&self, x: &[f64], y: &mut [f64], k: usize) {
-        self.spmm(x, y, k);
     }
 
     fn diag(&self) -> Vec<f64> {
@@ -125,10 +92,6 @@ impl Operator for Bsr3Matrix {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.spmv(x, y);
-    }
-
-    fn apply_multi(&self, x: &[f64], y: &mut [f64], k: usize) {
-        self.spmm(x, y, k);
     }
 
     fn diag(&self) -> Vec<f64> {
@@ -179,60 +142,6 @@ pub trait MatrixFreeKernel: Send + Sync {
     /// Phase 2: accumulate the ghost-dependent contributions. `x_ghost`
     /// holds the gathered values in [`MatrixFreeKernel::ghosts`] order.
     fn apply_boundary(&self, x_owned: &[f64], x_ghost: &[f64], y: &mut [f64]);
-    /// Phase 1 on `k` interleaved vectors: column `c` of the owned input
-    /// lives at `x_owned[slot * k + c]`, column `c` of the output at
-    /// `y[slot * k + c]`. Column `c` of the result must be bitwise
-    /// identical to [`MatrixFreeKernel::apply_interior`] on that column.
-    /// The default deinterleaves and applies one column at a time; batched
-    /// element kernels override it to gather/scatter k values per dof.
-    fn apply_interior_multi(&self, x_owned: &[f64], y: &mut [f64], k: usize) {
-        assert!(k > 0, "apply_interior_multi needs at least one column");
-        let n = self.local_rows();
-        assert_eq!(x_owned.len(), n * k);
-        assert_eq!(y.len(), n * k);
-        let mut xc = vec![0.0f64; n];
-        let mut yc = vec![0.0f64; n];
-        for c in 0..k {
-            for (s, v) in xc.iter_mut().enumerate() {
-                *v = x_owned[s * k + c];
-            }
-            self.apply_interior(&xc, &mut yc);
-            for (s, v) in yc.iter().enumerate() {
-                y[s * k + c] = *v;
-            }
-        }
-    }
-    /// Phase 2 on `k` interleaved vectors (`x_ghost[slot * k + c]` holds
-    /// ghost column `c`), accumulating into `y` bitwise per column like
-    /// [`MatrixFreeKernel::apply_boundary`].
-    fn apply_boundary_multi(&self, x_owned: &[f64], x_ghost: &[f64], y: &mut [f64], k: usize) {
-        assert!(k > 0, "apply_boundary_multi needs at least one column");
-        let n = self.local_rows();
-        let ng = self.ghosts().len();
-        assert_eq!(x_owned.len(), n * k);
-        assert_eq!(x_ghost.len(), ng * k);
-        assert_eq!(y.len(), n * k);
-        let mut xc = vec![0.0f64; n];
-        let mut gc = vec![0.0f64; ng];
-        let mut yc = vec![0.0f64; n];
-        for c in 0..k {
-            for (s, v) in xc.iter_mut().enumerate() {
-                *v = x_owned[s * k + c];
-            }
-            for (s, v) in gc.iter_mut().enumerate() {
-                *v = x_ghost[s * k + c];
-            }
-            // Phase 2 accumulates: seed the scratch with this column's
-            // current partial sums so the += lands on the right values.
-            for (s, v) in yc.iter_mut().enumerate() {
-                *v = y[s * k + c];
-            }
-            self.apply_boundary(&xc, &gc, &mut yc);
-            for (s, v) in yc.iter().enumerate() {
-                y[s * k + c] = *v;
-            }
-        }
-    }
     /// Owned rows finalized entirely by `apply_interior` (touched by no
     /// ghost-dependent contribution) — the overlap accounting analogue of
     /// the assembled path's interior row class.
@@ -283,76 +192,5 @@ mod tests {
         assert_eq!(Operator::diag(&a), Operator::diag(&bsr));
         assert!(a.memory_bytes() > 0 && bsr.memory_bytes() > 0);
         assert_eq!(a.flops_per_apply(), 2 * a.nnz() as u64);
-    }
-
-    /// Wraps an operator hiding its `apply_multi` override, so the trait's
-    /// default deinterleave path is what gets exercised.
-    struct DefaultMulti<'a>(&'a dyn Operator);
-
-    impl Operator for DefaultMulti<'_> {
-        fn nrows(&self) -> usize {
-            self.0.nrows()
-        }
-        fn ncols(&self) -> usize {
-            self.0.ncols()
-        }
-        fn apply(&self, x: &[f64], y: &mut [f64]) {
-            self.0.apply(x, y);
-        }
-        fn diag(&self) -> Vec<f64> {
-            self.0.diag()
-        }
-        fn memory_bytes(&self) -> u64 {
-            self.0.memory_bytes()
-        }
-        fn flops_per_apply(&self) -> u64 {
-            self.0.flops_per_apply()
-        }
-    }
-
-    #[test]
-    fn apply_multi_is_bitwise_per_column_for_all_backends() {
-        // A 9x9 block-structured matrix with an irregular stencil so CSR
-        // and BSR3 rows have varying lengths.
-        let n = 9;
-        let mut b = CooBuilder::new(n, n);
-        for i in 0..n {
-            b.push(i, i, 3.0 + (i as f64) * 0.17);
-            if i + 3 < n {
-                b.push(i, i + 3, -1.25 + (i as f64) * 0.01);
-                b.push(i + 3, i, -0.75);
-            }
-            if i % 2 == 0 && i + 1 < n {
-                b.push(i, i + 1, 0.31 * (i as f64 + 1.0));
-            }
-        }
-        let a = b.build();
-        let bsr = Bsr3Matrix::from_csr(&a);
-        let ops: [&dyn Operator; 2] = [&a, &bsr];
-        for op in ops {
-            let wrapped = DefaultMulti(op);
-            for k in [1usize, 2, 4, 8] {
-                let x: Vec<f64> = (0..n * k)
-                    .map(|i| ((i * 7 % 13) as f64 - 6.0) * 0.3)
-                    .collect();
-                let mut ym = vec![0.0; n * k];
-                op.apply_multi(&x, &mut ym, k);
-                let mut yd = vec![0.0; n * k];
-                wrapped.apply_multi(&x, &mut yd, k);
-                for c in 0..k {
-                    let xc: Vec<f64> = (0..n).map(|i| x[i * k + c]).collect();
-                    let mut yc = vec![0.0; n];
-                    op.apply(&xc, &mut yc);
-                    for i in 0..n {
-                        assert_eq!(
-                            ym[i * k + c].to_bits(),
-                            yc[i].to_bits(),
-                            "k={k} c={c} i={i}"
-                        );
-                        assert_eq!(yd[i * k + c].to_bits(), yc[i].to_bits(), "default impl");
-                    }
-                }
-            }
-        }
     }
 }
