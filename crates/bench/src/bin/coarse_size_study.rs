@@ -9,7 +9,7 @@
 //!
 //! Usage: `coarse_size_study [k]` (ladder point, default 1).
 
-use pmg_bench::{machine, ranks_for, spheres_first_solve};
+use pmg_bench::{hierarchy_shape, machine, operator_complexity, ranks_for, spheres_first_solve};
 use prometheus::{MgOptions, Prometheus, PrometheusOptions};
 
 fn main() {
@@ -24,9 +24,10 @@ fn main() {
         sys.mesh.num_dof()
     );
     println!(
-        "{:>10} {:>7} {:>6} {:>13} {:>13} | hierarchy",
-        "threshold", "levels", "iters", "setup mdl s", "solve mdl s"
+        "{:>10} {:>7} {:>6} {:>8} {:>13} {:>13} | hierarchy",
+        "threshold", "levels", "iters", "op cx", "setup mdl s", "solve mdl s"
     );
+    let mut at_default = String::new();
     for threshold in [100, 300, 600, 1500, 4000] {
         let opts = PrometheusOptions {
             nranks: p,
@@ -40,10 +41,14 @@ fn main() {
         };
         let mut solver = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
         let sizes = solver.level_sizes();
+        let complexity = operator_complexity(&solver);
         let (_, res) = solver.solve(&sys.rhs, None, 1e-4);
+        if threshold == MgOptions::default().coarse_dof_threshold {
+            at_default = hierarchy_shape("at the default threshold", &solver);
+        }
         let phases = solver.finish();
         println!(
-            "{:>10} {:>7} {:>6} {:>13.3} {:>13.3} | {:?}",
+            "{:>10} {:>7} {:>6} {:>8.2} {:>13.3} {:>13.3} | {:?}",
             threshold,
             sizes.len(),
             if res.converged {
@@ -51,11 +56,13 @@ fn main() {
             } else {
                 format!(">{}", res.iterations)
             },
+            complexity,
             phases["matrix setup"].modeled_time,
             phases["solve"].modeled_time,
             sizes,
         );
     }
+    print!("{at_default}");
     println!("\n(deep hierarchies pay per-level latency; shallow ones pay the dense");
     println!(" coarse factorization and its gather — the sweet spot is in between)");
 }

@@ -6,8 +6,8 @@
 //! Usage: `fig7_grids [k]` (ladder point, default 1; writes
 //! `target/fig7_level<i>.obj`).
 
-use pmg_bench::spheres_first_solve;
-use prometheus::{classify_mesh_levels, CoarsenOptions};
+use pmg_bench::{hierarchy_shape, spheres_first_solve};
+use prometheus::{classify_mesh_levels, CoarsenOptions, Prometheus, PrometheusOptions};
 
 fn main() {
     let k: usize = std::env::args()
@@ -15,12 +15,12 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
     let sys = spheres_first_solve(k);
-    let mesh = sys.mesh;
+    let mesh = &sys.mesh;
     println!(
         "# Figure 7 reproduction: grid hierarchy of the {} dof spheres problem",
         mesh.num_dof()
     );
-    let levels = classify_mesh_levels(&mesh, &CoarsenOptions::default(), 6);
+    let levels = classify_mesh_levels(mesh, &CoarsenOptions::default(), 6);
     println!(
         "{:>5} {:>10} {:>10} {:>7} | {:>9} {:>9} {:>7} {:>7}",
         "level", "vertices", "elements", "lost", "interior", "surface", "edge", "corner"
@@ -50,6 +50,12 @@ fn main() {
             }
         }
     }
+    // What the solver builds of that ladder (it stops at 600 dof), and
+    // what the first solve costs on it.
+    let mut solver = Prometheus::from_mesh(mesh, &sys.matrix, PrometheusOptions::default());
+    let (_, res) = solver.solve(&sys.rhs, None, 1e-4);
+    print!("{}", hierarchy_shape("solver hierarchy", &solver));
+    println!("    first solve (rtol 1e-4): {} iterations", res.iterations);
     println!("\n(paper's Figure 7 shows the fine hex grid and three automatically");
     println!(" generated tetrahedral coarse grids; load the OBJ files in any viewer)");
 }

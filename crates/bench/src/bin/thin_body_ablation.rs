@@ -9,6 +9,7 @@
 //!
 //! Usage: `thin_body_ablation [n]` (plate is n x n x 1 elements, default 14).
 
+use pmg_bench::hierarchy_shape;
 use pmg_fem::bc::constrain_system;
 use pmg_fem::{FemProblem, LinearElastic};
 use pmg_mesh::generators::thin_plate;
@@ -76,7 +77,7 @@ fn main() {
     let b: Vec<f64> = rhs.iter().map(|v| -v).collect();
 
     println!("\n  solver comparison (FMG-PCG, rtol 1e-8):");
-    for (label, modify) in [("modified   ", true), ("unmodified ", false)] {
+    for (label, modify) in [("modified", true), ("unmodified", false)] {
         let opts = PrometheusOptions {
             nranks: 2,
             mg: MgOptions {
@@ -91,12 +92,12 @@ fn main() {
             ..Default::default()
         };
         let mut solver = Prometheus::from_mesh(&mesh, &kc, opts);
-        let levels = solver.level_sizes();
         let (_, res) = solver.solve(&b, None, 1e-8);
-        println!(
-            "    {label}: {} iterations (converged: {}), hierarchy {:?}",
-            res.iterations, res.converged, levels
+        let title = format!(
+            "{label} graph: {} iterations (converged: {})",
+            res.iterations, res.converged
         );
+        print!("{}", hierarchy_shape(&title, &solver));
     }
     println!("\n(the unmodified variant loses one plate surface on the coarse grids; the");
     println!(" paper's fix keeps both and with it the multigrid convergence rate)");

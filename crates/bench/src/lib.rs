@@ -93,12 +93,17 @@ impl FirstSolveSystem {
 /// Build ladder point `k`'s first-solve system (`k = 0` selects the tiny
 /// test configuration).
 pub fn spheres_first_solve(k: usize) -> FirstSolveSystem {
-    let params = if k == 0 {
+    spheres_first_solve_of(&if k == 0 {
         SpheresParams::tiny()
     } else {
         SpheresParams::ladder(k)
-    };
-    let mut problem = pmg_fem::spheres_problem(&params);
+    })
+}
+
+/// [`spheres_first_solve`] for any spheres mesh — the benchmark's `cold10k`
+/// is ladder point 1 with a coarser surface grid.
+pub fn spheres_first_solve_of(params: &SpheresParams) -> FirstSolveSystem {
+    let mut problem = pmg_fem::spheres_problem(params);
     let mesh = problem.fem.mesh.clone();
     let ndof = mesh.num_dof();
     let (kmat, r) = problem.fem.assemble(&vec![0.0; ndof]);
@@ -114,6 +119,37 @@ pub fn spheres_first_solve(k: usize) -> FirstSolveSystem {
         fixed: fixed_pairs.iter().map(|&(d, _)| d).collect(),
         scale,
     }
+}
+
+/// Operator complexity of a built hierarchy: Σ level nnz / fine nnz.
+pub fn operator_complexity(solver: &prometheus::Prometheus) -> f64 {
+    let nnz = solver.mg.levels.iter().map(|l| l.a.nnz());
+    nnz.sum::<usize>() as f64 / solver.mg.levels[0].a.nnz() as f64
+}
+
+/// A built hierarchy's shape as an indented table under `label`:
+/// per-level vertices, operator nonzeros and vertex reduction to the next
+/// grid, then the operator complexity (Σ level nnz / fine nnz).
+pub fn hierarchy_shape(label: &str, solver: &prometheus::Prometheus) -> String {
+    use std::fmt::Write;
+    let levels = &solver.mg.levels;
+    let mut out = format!(
+        "  {label}:\n    {:>5} {:>9} {:>10} {:>10}\n",
+        "level", "vertices", "nnz", "reduction"
+    );
+    for (i, level) in levels.iter().enumerate() {
+        let reduction = levels.get(i + 1).map_or("-".into(), |next| {
+            format!(
+                "{:.2}",
+                level.num_vertices as f64 / next.num_vertices as f64
+            )
+        });
+        let (nv, nnz) = (level.num_vertices, level.a.nnz());
+        writeln!(out, "    {i:>5} {nv:>9} {nnz:>10} {reduction:>10}").unwrap();
+    }
+    let complexity = operator_complexity(solver);
+    writeln!(out, "    operator complexity {complexity:.2}").unwrap();
+    out
 }
 
 /// Relative tolerance used by the transport-parity runs.

@@ -3,7 +3,7 @@
 //! from linear tetrahedral shape functions.
 
 use crate::classify::{
-    classify_mesh_parallel, classify_mesh_transport, modified_mis_graph, VertexClasses,
+    classify_mesh_parallel, classify_mesh_transport, modified_mis_graph, VertexClass, VertexClasses,
 };
 use crate::mis::{parallel_mis, parallel_mis_transport, MisOrdering};
 use pmg_geometry::{Delaunay, Vec3};
@@ -20,8 +20,11 @@ pub struct CoarsenOptions {
     pub nproc: usize,
     /// Face identification normal tolerance used when reclassifying.
     pub face_tol: f64,
-    /// Recompute the topological classification from the coarse tet mesh
-    /// (the paper reclassifies the third and subsequent grids).
+    /// Always recompute the topological classification from the coarse tet
+    /// mesh (the paper reclassifies the third and subsequent grids). When
+    /// `false` the product grid inherits its classes unless more than a
+    /// third of its vertices are inherited corners, which would stall the
+    /// next coarsening step; then it is reclassified all the same.
     pub reclassify: bool,
     /// Interpolation weights below `-extrapolation_tol` are rejected and
     /// the vertex falls back to a nearby element / nearest-vertex rule.
@@ -120,7 +123,7 @@ pub fn coarsen_level(
     let reclassify = |mesh: &Mesh| -> Result<VertexClasses, pmg_comm::CommError> {
         Ok(classify_mesh_parallel(mesh, opts.face_tol, opts.nproc))
     };
-    match coarsen_from_mask(coords, graph, classes, opts, &sel_mask, reclassify) {
+    match coarsen_from_mask(coords, graph, classes, opts, &sel_mask, true, reclassify) {
         Ok(lvl) => lvl,
         Err(e) => unreachable!("in-process reclassification cannot fail: {e}"),
     }
@@ -153,21 +156,34 @@ pub fn coarsen_level_transport<T: pmg_comm::Transport>(
         let (mgraph, ranks, proc, order) = mis_inputs(coords, graph, classes, opts);
         parallel_mis_transport(t, &mgraph, &ranks, &proc, &order, tag)?
     };
+    let record = t.rank() == 0;
     let reclassify = |mesh: &Mesh| classify_mesh_transport(t, mesh, opts.face_tol, opts.nproc);
-    coarsen_from_mask(coords, graph, classes, opts, &sel_mask, reclassify)
+    coarsen_from_mask(coords, graph, classes, opts, &sel_mask, record, reclassify)
 }
+
+/// A product grid inherits its classification only while it holds at least
+/// this many vertices per inherited corner. §4.6 never deletes a corner, so
+/// the next MIS keeps at least the `C` corners of `nc` vertices; with the
+/// rest thinning at the ≈ 4× a 3-D MIS delivers, `C > nc / 3` predicts a
+/// reduction below 2 — a level that costs a remesh, a Galerkin product and
+/// a smoother for less than half its vertices. (At ½ the 46 % of spheres
+/// ladder point 2 slips through and leaves a 1.88× level.)
+const MIN_VERTICES_PER_INHERITED_CORNER: usize = 3;
 
 /// Steps 2–5 of one coarsening pass (remesh, restriction, coarse graph,
 /// reclassification) from an already-computed MIS mask. Deterministic and
 /// communication-free except for the injected `reclassify` step, so the
 /// in-process and transport paths share it verbatim — the parity argument
 /// for distributed setup reduces to "same mask, same classifier output".
+/// `record` says whether this caller counts a crowded reclassification
+/// (rank 0 only under SPMD, so both runtimes report one per firing).
 fn coarsen_from_mask(
     coords: &[Vec3],
     graph: &Graph,
     classes: &VertexClasses,
     opts: &CoarsenOptions,
     sel_mask: &[bool],
+    record: bool,
     reclassify: impl FnOnce(&Mesh) -> Result<VertexClasses, pmg_comm::CommError>,
 ) -> Result<CoarseLevel, pmg_comm::CommError> {
     let n = coords.len();
@@ -275,10 +291,20 @@ fn coarsen_from_mask(
         Graph::from_edges(nc, edges)
     };
 
-    // 5. Coarse classification: inherit, or reclassify from the coarse tet
-    // mesh geometry (the injected classifier: the §4.5 parallel face
-    // identification in-process, its transport twin under SPMD).
-    let classes_out = if opts.reclassify && !tets.is_empty() {
+    // 5. Coarse classification: inherit while the inherited corners leave
+    // room to coarsen, else classify the coarse tet mesh's own geometry
+    // (the injected classifier: the §4.5 parallel face identification
+    // in-process, its transport twin under SPMD — every rank counts the
+    // same replicated corners, so the collective stays matched).
+    let corners = selected
+        .iter()
+        .filter(|&&f| classes.class[f as usize] == VertexClass::Corner)
+        .count();
+    let crowded = corners * MIN_VERTICES_PER_INHERITED_CORNER > nc;
+    let classes_out = if (opts.reclassify || crowded) && !tets.is_empty() {
+        if !opts.reclassify && record {
+            pmg_telemetry::counter_add("coarsen/reclassified_crowded", 1);
+        }
         let flat: Vec<u32> = tets.iter().flatten().copied().collect();
         let mesh = Mesh::new(
             coarse_coords.clone(),
@@ -380,14 +406,43 @@ fn contracted_graph(fine: &Graph, coarse_of: &[u32], nc: usize) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{classify_mesh, VertexClass};
+    use crate::classify::classify_mesh;
     use pmg_mesh::generators::cube;
 
+    fn grid_of(m: &Mesh) -> (Vec<Vec3>, Graph, VertexClasses) {
+        (m.coords.clone(), m.vertex_graph(), classify_mesh(m, 0.7))
+    }
+
     fn setup(n: usize) -> (Vec<Vec3>, Graph, VertexClasses) {
-        let m = cube(n);
-        let g = m.vertex_graph();
-        let c = classify_mesh(&m, 0.7);
-        (m.coords.clone(), g, c)
+        grid_of(&cube(n))
+    }
+
+    /// The tiny spheres: 17 faceted shells, so the first coarse grid
+    /// inherits 224 "corners" among its 249 vertices.
+    fn tiny_spheres() -> (Vec<Vec3>, Graph, VertexClasses) {
+        grid_of(&pmg_mesh::sphere_in_cube(&pmg_mesh::SpheresParams::tiny()))
+    }
+
+    /// Two coarsening products agree in every field, restriction bits
+    /// included.
+    fn assert_same_level(got: &CoarseLevel, want: &CoarseLevel, ctx: &str) {
+        assert_eq!(got.selected, want.selected, "{ctx}");
+        assert_eq!(got.tets, want.tets, "{ctx}");
+        assert_eq!(got.lost_vertices, want.lost_vertices, "{ctx}");
+        assert_eq!(got.classes.class, want.classes.class, "{ctx}");
+        assert_eq!(got.classes.faces, want.classes.faces, "{ctx}");
+        assert_eq!(got.graph, want.graph, "{ctx}");
+        let (gr, gw) = (&got.restriction, &want.restriction);
+        assert_eq!(gr.nrows(), gw.nrows(), "{ctx}");
+        assert_eq!(gr.nnz(), gw.nnz(), "{ctx}");
+        for row in 0..gr.nrows() {
+            let (ci, vi) = gr.row(row);
+            let (cj, vj) = gw.row(row);
+            assert_eq!(ci, cj, "{ctx} row {row}");
+            for (a, b) in vi.iter().zip(vj) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{ctx} row {row}");
+            }
+        }
     }
 
     #[test]
@@ -474,24 +529,50 @@ mod tests {
 
     #[test]
     fn repeated_coarsening_shrinks() {
-        let (coords, g, c) = setup(6);
-        let mut cur = (coords, g, c);
-        let mut sizes = vec![cur.0.len()];
-        for depth in 0..4 {
-            let opts = CoarsenOptions {
-                reclassify: depth >= 1,
-                ..Default::default()
-            };
-            let lvl = coarsen_level(&cur.0, &cur.1, &cur.2, &opts);
-            if lvl.selected.len() < 10 {
-                break;
+        for (name, grid) in [("cube(6)", setup(6)), ("tiny spheres", tiny_spheres())] {
+            let mut cur = grid;
+            let mut sizes = vec![cur.0.len()];
+            for depth in 0..4 {
+                let opts = CoarsenOptions {
+                    reclassify: depth >= 1,
+                    ..Default::default()
+                };
+                let lvl = coarsen_level(&cur.0, &cur.1, &cur.2, &opts);
+                if lvl.selected.len() < 10 {
+                    break;
+                }
+                sizes.push(lvl.selected.len());
+                cur = (lvl.coords, lvl.graph, lvl.classes);
             }
-            sizes.push(lvl.selected.len());
-            cur = (lvl.coords, lvl.graph, lvl.classes);
+            assert!(sizes.len() >= 3, "{name}: coarsening stalled: {sizes:?}");
+            for w in sizes.windows(2) {
+                assert!(w[1] * 2 <= w[0], "{name}: {sizes:?}");
+            }
         }
-        assert!(sizes.len() >= 3, "coarsening stalled: {sizes:?}");
-        for w in sizes.windows(2) {
-            assert!(w[1] * 2 < w[0] * 2 && w[1] < w[0], "{sizes:?}");
+    }
+
+    #[test]
+    fn crowded_product_is_reclassified_and_sparse_one_inherits() {
+        let corners_among = |c: &VertexClasses, selected: &[u32]| {
+            let is_corner = |&&f: &&u32| c.class[f as usize] == VertexClass::Corner;
+            selected.iter().filter(is_corner).count()
+        };
+        // Crowded: the inherited corners would leave the next MIS 25 of
+        // 249 vertices to choose from; the remesh has the cube's 8.
+        let (coords, g, c) = tiny_spheres();
+        let lvl = coarsen_level(&coords, &g, &c, &CoarsenOptions::default());
+        assert_eq!(lvl.selected.len(), 249);
+        assert_eq!(corners_among(&c, &lvl.selected), 224);
+        assert_eq!(lvl.classes.count(VertexClass::Corner), 8);
+        // Sparse: 8 corners of 63 vertices, and the product keeps the fine
+        // grid's classes and face ids.
+        let (coords, g, c) = setup(6);
+        let lvl = coarsen_level(&coords, &g, &c, &CoarsenOptions::default());
+        assert_eq!(lvl.selected.len(), 63);
+        assert_eq!(corners_among(&c, &lvl.selected), 8);
+        for (k, &f) in lvl.selected.iter().enumerate() {
+            assert_eq!(lvl.classes.class[k], c.class[f as usize]);
+            assert_eq!(lvl.classes.faces[k], c.faces[f as usize]);
         }
     }
 
@@ -547,40 +628,37 @@ mod tests {
         // The distributed-setup parity cornerstone: one coarsening pass
         // over a real transport — MIS rounds and the face-ID merge
         // collective included — reproduces `coarsen_level` bitwise, on
-        // every rank, for several rank counts.
-        let (coords, g, c) = setup(5);
-        for nranks in [1usize, 2, 3] {
+        // every rank, for several rank counts. The cube reclassifies
+        // because it is told to, the spheres because every rank measures
+        // the same crowd of inherited corners.
+        for (name, (coords, g, c), reclassify) in [
+            ("cube(5)", setup(5), true),
+            ("tiny spheres", tiny_spheres(), false),
+        ] {
             let opts = CoarsenOptions {
                 nproc: 4,
-                reclassify: true,
+                reclassify,
                 ..Default::default()
             };
             let want = coarsen_level(&coords, &g, &c, &opts);
-            let outs = {
-                let coords = coords.clone();
-                let g = g.clone();
-                let c = c.clone();
-                pmg_comm::LocalTransport::run_ranks(nranks, move |mut t| {
-                    coarsen_level_transport(&mut t, &coords, &g, &c, &opts, 0x40).unwrap()
-                })
-            };
-            for (r, got) in outs.iter().enumerate() {
-                assert_eq!(got.selected, want.selected, "ranks={nranks} r={r}");
-                assert_eq!(got.tets, want.tets, "ranks={nranks} r={r}");
-                assert_eq!(got.lost_vertices, want.lost_vertices);
-                assert_eq!(got.classes.class, want.classes.class);
-                assert_eq!(got.classes.faces, want.classes.faces);
-                assert_eq!(got.graph, want.graph, "ranks={nranks} r={r}");
-                let (gr, gw) = (&got.restriction, &want.restriction);
-                assert_eq!(gr.nrows(), gw.nrows());
-                assert_eq!(gr.nnz(), gw.nnz());
-                for row in 0..gr.nrows() {
-                    let (ci, vi) = gr.row(row);
-                    let (cj, vj) = gw.row(row);
-                    assert_eq!(ci, cj, "ranks={nranks} r={r} row {row}");
-                    for (a, b) in vi.iter().zip(vj) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "ranks={nranks} r={r}");
-                    }
+            if !reclassify {
+                assert_eq!(
+                    want.classes.count(VertexClass::Corner),
+                    8,
+                    "{name}: the rule did not fire"
+                );
+            }
+            for nranks in [1usize, 2, 3] {
+                let outs = {
+                    let coords = coords.clone();
+                    let g = g.clone();
+                    let c = c.clone();
+                    pmg_comm::LocalTransport::run_ranks(nranks, move |mut t| {
+                        coarsen_level_transport(&mut t, &coords, &g, &c, &opts, 0x40).unwrap()
+                    })
+                };
+                for (r, got) in outs.iter().enumerate() {
+                    assert_same_level(got, &want, &format!("{name} ranks={nranks} r={r}"));
                 }
             }
         }

@@ -10,6 +10,8 @@ use pmg_mesh::Mesh;
 
 /// Statistics of one grid in the coarsening ladder.
 pub struct LevelInfo {
+    /// Vertex coordinates of this grid.
+    pub coords: Vec<Vec3>,
     /// Vertices on this grid.
     pub vertices: usize,
     /// Elements on this grid.
@@ -38,6 +40,7 @@ pub fn classify_mesh_levels(
     let mut out = Vec::new();
     let classes = classify_mesh(mesh, opts.face_tol);
     out.push(LevelInfo {
+        coords: mesh.coords.clone(),
         vertices: mesh.num_vertices(),
         elements: mesh.num_elements(),
         lost: 0,
@@ -69,6 +72,7 @@ pub fn classify_mesh_levels(
             break;
         }
         out.push(LevelInfo {
+            coords: lvl.coords.clone(),
             vertices: lvl.selected.len(),
             elements: lvl.tets.len(),
             lost: lvl.lost_vertices,

@@ -190,7 +190,9 @@ impl MgOptions {
     /// `nv` vertices, is coarsened over `nranks` ranks — or `None` when it
     /// is the bottom: small enough to solve directly, at the level cap, or
     /// too few vertices to remesh. §4.6 reclassifies "the third and
-    /// subsequent grids", which are the products of levels 1 and up.
+    /// subsequent grids", which are the products of levels 1 and up; the
+    /// second grid inherits, unless the coarsening step finds it crowded
+    /// with inherited corners ([`CoarsenOptions::reclassify`]).
     pub fn level_coarsen_options(
         &self,
         lvl: usize,

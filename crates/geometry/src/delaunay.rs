@@ -982,11 +982,12 @@ mod tests {
         let mut coords = mesh.coords.clone();
         let mut graph = mesh.vertex_graph();
         let mut classes = prometheus::classify_mesh(mesh, 0.7);
+        let schedule = prometheus::MgOptions::default();
         for level in 0..levels {
-            let opts = prometheus::CoarsenOptions {
-                reclassify: level >= 1,
-                ..Default::default()
-            };
+            let nv = coords.len();
+            let opts = schedule
+                .level_coarsen_options(level, 1, 3 * nv, nv)
+                .expect("a grid above the bottom");
             let lvl = prometheus::coarsen_level(&coords, &graph, &classes, &opts);
             sets.push(here(lvl.coords.iter().map(|p| p.to_array())));
             (coords, graph, classes) = (lvl.coords, lvl.graph, lvl.classes);
@@ -1004,7 +1005,7 @@ mod tests {
         });
         let sets = vertex_sets(&spheres, 3);
         let sizes: Vec<usize> = sets.iter().map(Vec::len).collect();
-        assert_eq!(sizes, [3264, 1250, 1046, 207]);
+        assert_eq!(sizes, [3264, 1250, 260, 57]);
         for set in &sets[1..] {
             assert_matches_oracle(&format!("spheres, {} points", set.len()), set);
         }

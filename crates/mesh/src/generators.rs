@@ -209,6 +209,43 @@ pub fn l_bracket(n: usize) -> Mesh {
     })
 }
 
+/// [`l_bracket`] with the element spacing in `x` and `z` shrinking
+/// geometrically toward the re-entrant edge (`x = z = 0.5`, `y` free):
+/// `ratio` is the largest element edge over the smallest along a graded
+/// axis, `1.0` the uniform bracket. Unstructured geometric coarsening is
+/// at its weakest where spacing varies fastest, which no quasi-uniform
+/// mesh shows. `n` must be even so the edge lies on a grid line.
+pub fn graded_bracket(n: usize, ratio: f64) -> Mesh {
+    assert!(
+        n >= 2 && n.is_multiple_of(2),
+        "the re-entrant edge must lie on a grid line"
+    );
+    assert!(ratio >= 1.0, "ratio is largest over smallest edge");
+    let half = n / 2;
+    // Cell widths `q^i` outward from the edge with `q^(half-1) = ratio`;
+    // `dist[k]` is grid line `k`'s distance from it, scaled to end at 1/2.
+    let q = ratio.powf(1.0 / (half.max(2) - 1) as f64);
+    let mut dist = vec![0.0; half + 1];
+    for k in 0..half {
+        dist[k + 1] = dist[k] + q.powi(k as i32);
+    }
+    let graded = |x: f64| {
+        let i = (x * n as f64).round() as usize;
+        let d = 0.5 * dist[i.abs_diff(half)] / dist[half];
+        if i >= half {
+            0.5 + d
+        } else {
+            0.5 - d
+        }
+    };
+    let mut mesh = l_bracket(n);
+    for p in &mut mesh.coords {
+        p.x = graded(p.x);
+        p.z = graded(p.z);
+    }
+    mesh
+}
+
 /// A uniform cube of `n^3` elements with unit side (the §4.7 MIS-size
 /// study mesh).
 pub fn cube(n: usize) -> Mesh {
@@ -292,6 +329,30 @@ mod tests {
         assert_eq!(m.num_elements(), 64);
         let bb = m.bounding_box();
         assert_eq!(bb.extent(), Vec3::new(8.0, 8.0, 0.5));
+    }
+
+    #[test]
+    fn graded_bracket_grades_toward_the_edge() {
+        for ratio in [1.0, 2.0, 8.0] {
+            let m = graded_bracket(10, ratio);
+            assert!(m.validate_volumes().is_ok());
+            assert!((m.total_volume() - 0.75).abs() < 1e-12);
+            // Grid lines along x, from the edge at 0.5 outward.
+            let mut xs: Vec<f64> = m.coords.iter().map(|p| p.x).filter(|&x| x >= 0.5).collect();
+            xs.sort_by(f64::total_cmp);
+            xs.dedup();
+            assert_eq!(xs.len(), 6);
+            assert_eq!((xs[0], xs[5]), (0.5, 1.0));
+            let widths: Vec<f64> = xs.windows(2).map(|w| w[1] - w[0]).collect();
+            assert!(widths.windows(2).all(|w| w[1] >= w[0] * (1.0 - 1e-12)));
+            assert!((widths[4] / widths[0] - ratio).abs() < 1e-9, "{widths:?}");
+        }
+        // Ratio 1 is the uniform bracket.
+        let (g, u) = (graded_bracket(8, 1.0), l_bracket(8));
+        assert_eq!(g.elem_verts, u.elem_verts);
+        for (a, b) in g.coords.iter().zip(&u.coords) {
+            assert!((*a - *b).norm() < 1e-15);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use pmg_geometry::Vec3;
 use pmg_mesh::{sphere_in_cube, SpheresParams};
-use prometheus::{classify_mesh, coarsen_level, CoarsenOptions, VertexClass};
+use prometheus::{classify_mesh, coarsen_level, CoarsenOptions, MgOptions, VertexClass};
 
 #[test]
 fn spheres_restriction_partition_of_unity() {
@@ -168,26 +168,28 @@ fn restriction_hash(r: &pmg_sparse::CsrMatrix) -> u64 {
 #[test]
 fn spheres10k_hierarchy_is_pinned_bit_for_bit() {
     // The benchmark's `cold10k` mesh through the hierarchy builder's
-    // coarsening loop (one rank, reclassify from the second coarsening on,
-    // stop at 600 dof). The numbers were recorded from the parent of the
-    // PR that rewrote the remesh layer (exact predicates on flat scratch,
-    // Bowyer–Watson on epoch marks): that rewrite, and any later one, must
-    // return the same tetrahedra and therefore the same restriction bits.
+    // coarsening loop (one rank, the level schedule `MgHierarchy::build`
+    // asks `MgOptions` for). Level 0's remesh is upstream of every
+    // classification rule: its 5380 tetrahedra and its restriction hash
+    // were recorded from the parent of the PR that rewrote the remesh layer
+    // (exact predicates on flat scratch, Bowyer–Watson on epoch marks).
+    // The coarser levels were re-pinned once, when a grid crowded with
+    // inherited corners (1034 of grid 1's 1250 vertices here) began to be
+    // classified from its own remesh: `[.., 1046, 207, 52]` before.
     let mesh = sphere_in_cube(&SpheresParams {
         n_surf: 6,
         ..SpheresParams::ladder(1)
     });
+    let schedule = MgOptions::default();
     let mut coords = mesh.coords.clone();
     let mut graph = mesh.vertex_graph();
     let mut classes = classify_mesh(&mesh, 0.7);
     let mut sizes = vec![coords.len()];
     let mut tets = Vec::new();
     let mut hashes = Vec::new();
-    while 3 * coords.len() > 600 {
-        let opts = CoarsenOptions {
-            reclassify: sizes.len() >= 2,
-            ..Default::default()
-        };
+    while let Some(opts) =
+        schedule.level_coarsen_options(tets.len(), 1, 3 * coords.len(), coords.len())
+    {
         let lvl = coarsen_level(&coords, &graph, &classes, &opts);
         sizes.push(lvl.selected.len());
         tets.push(lvl.tets.len());
@@ -196,16 +198,15 @@ fn spheres10k_hierarchy_is_pinned_bit_for_bit() {
         graph = lvl.graph;
         classes = lvl.classes;
     }
-    assert_eq!(sizes, [3264, 1250, 1046, 207, 52]);
+    assert_eq!(sizes, [3264, 1250, 260, 57]);
     assert_eq!(tets[0], 5380);
     assert_eq!(tets, PINNED_TETS);
     assert_eq!(hashes, PINNED_RESTRICTION_HASHES);
 }
 
-const PINNED_TETS: [usize; 4] = [5380, 4374, 636, 119];
-const PINNED_RESTRICTION_HASHES: [u64; 4] = [
+const PINNED_TETS: [usize; 3] = [5380, 912, 148];
+const PINNED_RESTRICTION_HASHES: [u64; 3] = [
     0x9b9b_cbab_57b8_995e,
-    0x89cf_64d9_3b2f_4912,
-    0x5d7f_6a46_bb28_ed2f,
-    0xb691_4ce5_de85_8e4d,
+    0x8fc5_443e_dd4d_683d,
+    0xf09f_e06d_226e_3732,
 ];

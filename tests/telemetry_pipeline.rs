@@ -129,6 +129,16 @@ fn spheres_solve_emits_full_telemetry_report() {
     assert_eq!(report.gauges["mg/levels"], nlevels as f64);
     assert_eq!(report.gauges["mg/level0/rows"], ndof as f64);
     assert!(report.gauges["mg/operator_complexity"] > 1.0);
+    // Which classification rule fired, and what each step bought: grid 1
+    // of the spheres inherits 224 corners among 249 vertices, so it is
+    // reclassified unasked — once; the later steps are told to.
+    assert_eq!(report.counters["coarsen/reclassified_crowded"], 1);
+    let rows: Vec<f64> = (0..nlevels)
+        .map(|lvl| report.gauges[&format!("mg/level{lvl}/rows")])
+        .collect();
+    for w in rows.windows(2) {
+        assert!(w[0] >= 2.0 * w[1], "{rows:?}");
+    }
     assert_eq!(report.labels["problem"], "spheres-tiny");
 
     // The bridged machine-model phases arrive in the same artifact.
@@ -192,6 +202,34 @@ fn spmd_per_level_scopes_match_the_simulator() {
     // converging one ends with another.
     assert_eq!(sim_scopes["precond"], sim_res.iterations as u64);
     assert_eq!(spmd_scopes, sim_scopes);
+}
+
+/// One coarsening step over two rank threads counts its crowded
+/// reclassification once, like the in-process step: every rank takes the
+/// decision, rank 0 records it.
+#[test]
+fn rank_threads_count_a_crowded_reclassification_once() {
+    use pmg_comm::LocalTransport;
+    use prometheus::{classify_mesh_parallel, coarsen_level_transport, CoarsenOptions};
+
+    let _turn = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    let mesh = spheres_first_solve(0).mesh;
+    let (graph, classes) = (mesh.vertex_graph(), classify_mesh_parallel(&mesh, 0.7, 2));
+    let opts = CoarsenOptions {
+        nproc: 2,
+        ..Default::default()
+    };
+    pmg_telemetry::reset();
+    pmg_telemetry::set_enabled(true);
+    let (coords, graph, classes) = (&mesh.coords, &graph, &classes);
+    LocalTransport::run_ranks(2, move |mut t| {
+        coarsen_level_transport(&mut t, coords, graph, classes, &opts, 0x40).map(|_| ())
+    })
+    .into_iter()
+    .for_each(|coarsened| coarsened.unwrap());
+    let report = pmg_telemetry::snapshot();
+    pmg_telemetry::set_enabled(false);
+    assert_eq!(report.counters["coarsen/reclassified_crowded"], 1);
 }
 
 /// Scrape the counter/gauge names emitted by `src` into `out`. Handles
