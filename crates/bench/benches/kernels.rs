@@ -6,14 +6,15 @@
 //! value-only refresh, and one V-cycle/FMG cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use pmg_bench::{machine, spheres_first_solve};
+use pmg_bench::{machine, spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
 use pmg_geometry::{Delaunay, Predicates, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
 use pmg_parallel::{DistMatrix, DistVec, Layout, Sim};
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
+use pmg_sparse::{Bsr3Matrix, Operator};
 use prometheus::{
     classify_mesh, coarsen_level, greedy_mis, identify_faces, CoarsenOptions, MgHierarchy,
-    MgOptions, MisOrdering,
+    MgOptions, MisOrdering, Prometheus, PrometheusOptions,
 };
 use rand::{Rng, SeedableRng};
 
@@ -28,18 +29,66 @@ fn bench_spmv(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_bsr(c: &mut Criterion) {
-    // CSR vs 3x3-blocked SpMV on the elasticity operator.
-    let sys = spheres_first_solve(1);
-    let bsr = pmg_sparse::Bsr3Matrix::from_csr(&sys.matrix);
-    let n = sys.matrix.nrows();
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-    let mut y = vec![0.0; n];
-    let mut g = c.benchmark_group("spmv_blocked");
-    g.bench_function("csr", |b| b.iter(|| sys.matrix.spmv(&x, &mut y)));
-    g.bench_function("bsr3", |b| b.iter(|| bsr.spmv(&x, &mut y)));
-    g.bench_function("bsr3_rayon", |b| b.iter(|| bsr.spmv_par(&x, &mut y)));
-    g.finish();
+/// First-solve system of the 9.8k-dof spheres (ladder point 1 on a 6-cell
+/// surface grid): the benchmark's `cold10k` / `newton10k` problem.
+fn newton10k_system() -> FirstSolveSystem {
+    spheres_first_solve_of(&pmg_mesh::SpheresParams {
+        n_surf: 6,
+        ..pmg_mesh::SpheresParams::ladder(1)
+    })
+}
+
+/// CSR against the 3x3-blocked product on what the benchmark's `newton10k`
+/// reads: the 9.8k-dof fine operator and its level-1 Galerkin operator.
+/// `bsr3_block_rows` is the product as one rank of two runs it around its
+/// halo wait — its share's interior block rows, then the boundary ones.
+/// Every row prints ns per stored tile and GB/s over the resident bytes,
+/// to be read against the floor of 76 B per tile at the host's L3 rate.
+fn bench_bsr(_c: &mut Criterion) {
+    let sys = newton10k_system();
+    let solver = Prometheus::from_mesh(&sys.mesh, &sys.matrix, PrometheusOptions::default());
+    let level1 = solver.mg.levels[1].a.to_global();
+    println!("# group: spmv_blocked");
+    for (level, a) in [("fine", &sys.matrix), ("level1", &level1)] {
+        let n = a.nrows();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
+        let mut y = vec![0.0; n];
+        let bsr = Bsr3Matrix::from_csr(a);
+
+        let layout = Layout::expand_dofs(&Layout::block(n / 3, 2), 3);
+        let owned = layout.owned(0);
+        let dist = DistMatrix::from_global_blocked(a, layout.clone(), layout.clone());
+        let share = Bsr3Matrix::from_csr(dist.local_block(0));
+        let (boundary, interior): (Vec<u32>, Vec<u32>) =
+            (0..owned.len() as u32 / 3).partition(|&lb| {
+                let rows = &owned[3 * lb as usize..][..3];
+                (rows.iter()).any(|&g| a.row(g as usize).0.iter().any(|&j| layout.owner(j) != 0))
+            });
+        let (xs, mut ys) = (&x[..share.ncols()], vec![0.0; share.nrows()]);
+
+        // Bytes one product reads and writes: the operator plus `x` and `y`.
+        let report = |name: &str, tiles: usize, bytes: u64, times: Vec<f64>| {
+            let t = times[times.len() / 2];
+            println!(
+                "spmv_blocked/{:<22} median {:>8.1} us {:>6.2} ns/tile {:>6.2} GB/s",
+                format!("{level}/{name}"),
+                t * 1e6,
+                t * 1e9 / tiles as f64,
+                bytes as f64 / t / 1e9
+            );
+        };
+        let (tiles, vectors) = (bsr.num_blocks(), 16 * n as u64);
+        let t = sorted_times(200, || a.spmv(black_box(&x), &mut y));
+        report("csr", tiles, a.memory_bytes() + vectors, t);
+        let t = sorted_times(200, || bsr.spmv(black_box(&x), &mut y));
+        report("bsr3", tiles, bsr.memory_bytes() + vectors, t);
+        let t = sorted_times(200, || {
+            share.spmv_block_rows(black_box(xs), &mut ys, &interior);
+            share.spmv_block_rows(black_box(xs), &mut ys, &boundary);
+        });
+        let bytes = share.memory_bytes() + 16 * share.nrows() as u64;
+        report("bsr3_block_rows", share.num_blocks(), bytes, t);
+    }
 }
 
 fn bench_rap(c: &mut Criterion) {
@@ -359,16 +408,7 @@ fn bench_remesh(_c: &mut Criterion) {
 /// operator of the 9.8k-dof spheres (ladder point 1 on a 6-cell surface
 /// grid, the benchmark's `newton10k` problem), one rank, BSR3 storage.
 fn bench_distribute(c: &mut Criterion) {
-    let params = pmg_mesh::SpheresParams {
-        n_surf: 6,
-        ..pmg_mesh::SpheresParams::ladder(1)
-    };
-    let mut problem = pmg_fem::spheres_problem(&params);
-    let (k, r) = problem.fem.assemble(&vec![0.0; problem.fem.ndof()]);
-    let fixed: Vec<(u32, f64)> = (problem.bcs_for_step(1, 10).iter())
-        .map(|b| (b.dof, b.value))
-        .collect();
-    let (a, _) = pmg_fem::bc::constrain_system(&k, &r, &fixed);
+    let a = newton10k_system().matrix;
     let l = Layout::serial(a.nrows());
     let cold = || DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
     let mut warm = cold();

@@ -530,10 +530,11 @@ impl RankMatrix {
     }
 
     /// Resident bytes of this rank's share: scalar diag/off CSR blocks plus
-    /// any promoted BSR3 copies (which keep the scalar blocks alive — the
-    /// block-Jacobi smoother factors `diag` directly) and the ghost-column
-    /// map. Feeds the `mem/level{N}/operator_bytes` gauges of the sharded
-    /// setup path.
+    /// any promoted BSR3 copies as they are stored (76 B per tile, see
+    /// [`Bsr3Matrix::memory_bytes`]; they keep the scalar blocks alive — the
+    /// block-Jacobi smoother factors `diag` directly), the ghost-column map
+    /// and the overlap row classes. Feeds the
+    /// `mem/level{N}/operator_bytes` gauges of the sharded setup path.
     pub fn memory_bytes(&self) -> u64 {
         use pmg_sparse::Operator;
         let m = &self.mat;
@@ -545,7 +546,8 @@ impl RankMatrix {
             bytes += b.memory_bytes();
         }
         bytes += (m.ghosts.len() * 4 + m.ghost_pad.len() * 4) as u64;
-        bytes += ((m.interior.len() + m.boundary.len()) * 4) as u64;
+        let classes = [&m.interior, &m.boundary, &m.interior_b, &m.boundary_b];
+        bytes += classes.iter().map(|c| c.len() as u64 * 4).sum::<u64>();
         bytes
     }
 

@@ -101,8 +101,7 @@ impl Operator for Bsr3Matrix {
     }
 
     fn memory_bytes(&self) -> u64 {
-        // 9 values per block + one column index, plus block-row pointers.
-        (self.num_blocks() * (9 * 8 + 8) + (Bsr3Matrix::nrows(self) / 3 + 1) * 8) as u64
+        Bsr3Matrix::memory_bytes(self)
     }
 
     fn flops_per_apply(&self) -> u64 {
