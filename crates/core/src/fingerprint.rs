@@ -4,8 +4,8 @@
 //! A multigrid hierarchy is a pure function of the fine mesh
 //! (coordinates and connectivity) and the construction options, so a fingerprint over
 //! exactly those inputs is a sound cache key for warm hierarchies: two
-//! requests with equal fingerprints may share one setup (and one batched
-//! solve), two requests with different fingerprints never may. The solver
+//! requests with equal fingerprints may share one setup, two requests
+//! with different fingerprints never may. The solver
 //! daemon (`pmg-serve`) keys its warm-hierarchy cache on this value.
 //!
 //! The hash is the same FNV-1a scheme the symbolic caches already use

@@ -5,7 +5,7 @@
 use crate::mg::{MgHierarchy, MgOptions};
 use pmg_mesh::Mesh;
 use pmg_parallel::{DistVec, MachineModel, PhaseStats, Sim};
-use pmg_solver::{pcg, pcg_multi_each, PcgOptions, PcgResult};
+use pmg_solver::{pcg, PcgOptions, PcgResult};
 use pmg_sparse::{CsrMatrix, MatrixFreeFactory};
 use std::collections::BTreeMap;
 
@@ -170,55 +170,6 @@ impl Prometheus {
         out
     }
 
-    /// Solve `k` systems `A xs[c] = bs[c]` in one blocked PCG sweep: the
-    /// columns advance in lockstep and share every reduction point while
-    /// each keeps its own Krylov recurrence and its own `rtol`. Column
-    /// `c`'s solution and statistics are **bitwise identical** to
-    /// `self.solve(&bs[c], None, rtols[c])` — this is the entry the
-    /// `pmg-serve` daemon routes coalesced concurrent requests through,
-    /// where that guarantee is what makes batching transparent to clients.
-    pub fn solve_multi(&mut self, bs: &[Vec<f64>], rtols: &[f64]) -> Vec<(Vec<f64>, PcgResult)> {
-        let _t = pmg_telemetry::scope("solve");
-        assert_eq!(bs.len(), rtols.len(), "one rtol per right-hand side");
-        if bs.is_empty() {
-            return Vec::new();
-        }
-        let pool = self.pool.take();
-        let out = on_pool(&pool, || {
-            let layout = self.mg.levels[0].a.row_layout().clone();
-            self.sim.phase("solve");
-            let dbs: Vec<DistVec> = bs
-                .iter()
-                .map(|b| {
-                    assert_eq!(b.len(), layout.num_global());
-                    DistVec::from_global(layout.clone(), b)
-                })
-                .collect();
-            let mut dxs: Vec<DistVec> = (0..bs.len())
-                .map(|_| DistVec::zeros(layout.clone()))
-                .collect();
-            let opts_each: Vec<PcgOptions> = rtols
-                .iter()
-                .map(|&rtol| PcgOptions {
-                    rtol,
-                    max_iters: self.opts.max_iters,
-                    ..Default::default()
-                })
-                .collect();
-            let res = pcg_multi_each(
-                &mut self.sim,
-                self.mg.fine_op(),
-                &self.mg,
-                &dbs,
-                &mut dxs,
-                &opts_each,
-            );
-            dxs.iter().map(DistVec::to_global).zip(res).collect()
-        });
-        self.pool = pool;
-        out
-    }
-
     /// Replace the operator (new Newton tangent on the same mesh): re-runs
     /// only the matrix-setup phase, keeping the grid hierarchy.
     pub fn update_matrix(&mut self, a: &CsrMatrix) {
@@ -367,61 +318,5 @@ mod tests {
         let (x, _) = solver.solve(&b, None, 1e-10);
         let (_, res2) = solver.solve(&b, Some(&x), 1e-10);
         assert_eq!(res2.iterations, 0, "warm start from the answer");
-    }
-
-    #[test]
-    fn solve_multi_k1_is_bitwise_the_scalar_path() {
-        let (mesh, k, b) = elasticity_system(5);
-        let opts = PrometheusOptions {
-            mg: MgOptions {
-                coarse_dof_threshold: 150,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut scalar = Prometheus::from_mesh(&mesh, &k, opts);
-        let (x, res) = scalar.solve(&b, None, 1e-8);
-        let mut multi = Prometheus::from_mesh(&mesh, &k, opts);
-        let mut out = multi.solve_multi(std::slice::from_ref(&b), &[1e-8]);
-        assert_eq!(out.len(), 1);
-        let (x1, res1) = out.pop().unwrap();
-        assert_eq!(res1.iterations, res.iterations);
-        assert_eq!(res1.converged, res.converged);
-        for (a, b) in x1.iter().zip(&x) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "k=1 batch must match solve() bitwise"
-            );
-        }
-    }
-
-    #[test]
-    fn solve_multi_columns_match_independent_solves() {
-        let (mesh, k, b) = elasticity_system(5);
-        let b2: Vec<f64> = b.iter().map(|v| 2.5 * v + 1e-3).collect();
-        let opts = PrometheusOptions {
-            mg: MgOptions {
-                coarse_dof_threshold: 150,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let rtols = [1e-8, 1e-5];
-        let mut multi = Prometheus::from_mesh(&mesh, &k, opts);
-        let out = multi.solve_multi(&[b.clone(), b2.clone()], &rtols);
-        assert_eq!(out.len(), 2);
-        for (c, rhs) in [b, b2].iter().enumerate() {
-            let mut solo = Prometheus::from_mesh(&mesh, &k, opts);
-            let (x, res) = solo.solve(rhs, None, rtols[c]);
-            assert_eq!(out[c].1.iterations, res.iterations, "column {c}");
-            for (a, b) in out[c].0.iter().zip(&x) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "column {c} differs from solo solve"
-                );
-            }
-        }
     }
 }

@@ -15,8 +15,7 @@
 //! overlapped schedules bitwise identical — the same argument as the
 //! assembled row-split, except rows may receive contributions from *both*
 //! phases (an owned row shared by interior and boundary elements). One
-//! product takes one vector: a blocked solve applies the operator to each
-//! of its active columns in turn.
+//! product takes one vector.
 //!
 //! [`SimOperator`] abstracts "something `spmv`-shaped under the Sim" so the
 //! Krylov loop and the multigrid cycle can hold either representation.

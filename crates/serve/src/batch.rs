@@ -1,17 +1,17 @@
-//! The dispatcher: one thread that owns every solver and turns the
-//! request queue into blocked solves.
+//! The dispatcher: one thread that owns every solver and answers the
+//! request queue one job per turn, in arrival order.
 //!
 //! Connection threads never touch a hierarchy — they submit jobs
 //! over a **bounded** channel (the bound *is* the admission control: a
 //! full queue rejects with `busy` at the connection layer) and block on
-//! a per-request reply channel. The dispatcher pulls one solve job,
-//! then lingers briefly collecting concurrent jobs with the **same
-//! batch key** into one blocked PCG solve via
-//! [`prometheus::Prometheus::solve_multi`] — each column keeps its own
-//! tolerance and recurrence, so every client receives exactly the bits
-//! an unbatched solve would have produced. Jobs with a different key
-//! seen during the linger window are stashed, never mixed: two
-//! fingerprints never share a batch.
+//! a per-request reply channel. The dispatcher takes the next job —
+//! solve, warm-up, ingest or stats — handles it to completion and replies
+//! before it looks at the queue again, so a solve is exactly
+//! [`prometheus::Prometheus::solve`] (or the sharded SPMD solve) on one
+//! right-hand side and every client receives the bits an offline solve
+//! produces. It does not wait for company: concurrent solves share no
+//! arithmetic and no reduction, so a collection window would only add its
+//! length to every request (`docs/server.md`, "Dispatch").
 
 use crate::cache::{
     hierarchy_bytes, ingest_cache_key, ingest_options, sharded_bytes, solver_cache_key, CacheEntry,
@@ -21,10 +21,10 @@ use crate::protocol::{
     IngestReply, IngestRequest, ProblemSpec, Response, SolveReply, SolveRequest, SolveTarget,
     StatsReply,
 };
+use crate::server::ServeConfig;
 use pmg_comm::{LocalTransport, Transport};
 use pmg_sparse::CooBuilder;
 use prometheus::RankHierarchy;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -54,34 +54,18 @@ pub(crate) enum Job {
 /// A solve request as it travels the queue.
 pub(crate) struct SolveJob {
     pub req: SolveRequest,
-    /// Pre-setup coalescing key: canonical spec string or fingerprint
-    /// hex. Only jobs with equal keys may share a batch.
-    pub batch_key: String,
     pub enqueued: Instant,
     pub reply: mpsc::Sender<Response>,
 }
 
-/// Dispatcher tuning (subset of the server config).
-pub(crate) struct BatchConfig {
-    pub max_batch: usize,
-    pub linger: Duration,
-    pub cache_bytes: usize,
-    /// Test/bench knob: sleep this long inside each batch, making
-    /// queue-full (`busy`) and batch-coalescing timings deterministic.
-    pub hold_ms: u64,
-}
-
 pub(crate) struct Dispatcher {
     rx: mpsc::Receiver<Job>,
-    /// Jobs seen during a linger window that don't match the batch
-    /// being collected; processed before the channel is polled again.
-    stash: VecDeque<Job>,
     cache: WarmCache,
-    cfg: BatchConfig,
+    /// [`ServeConfig::hold_ms`]: the dwell inside each solve turn.
+    hold_ms: u64,
     shutdown: Arc<AtomicBool>,
     shared: Arc<SharedCounters>,
     requests: u64,
-    batched: u64,
     warm: u64,
     ingest: u64,
     lat_queue: Vec<f64>,
@@ -92,20 +76,17 @@ pub(crate) struct Dispatcher {
 impl Dispatcher {
     pub fn new(
         rx: mpsc::Receiver<Job>,
-        cfg: BatchConfig,
+        config: &ServeConfig,
         shutdown: Arc<AtomicBool>,
         shared: Arc<SharedCounters>,
     ) -> Dispatcher {
-        let cache = WarmCache::new(cfg.cache_bytes);
         Dispatcher {
             rx,
-            stash: VecDeque::new(),
-            cache,
-            cfg,
+            cache: WarmCache::new(config.cache_bytes),
+            hold_ms: config.hold_ms,
             shutdown,
             shared,
             requests: 0,
-            batched: 0,
             warm: 0,
             ingest: 0,
             lat_queue: Vec::new(),
@@ -135,20 +116,19 @@ impl Dispatcher {
                 Job::Stats(reply) => {
                     let _ = reply.send(Response::Stats(self.stats_reply()));
                 }
-                Job::Solve(first) => {
-                    let batch = self.collect_batch(first);
-                    self.process_batch(batch);
+                Job::Solve(job) => {
+                    self.requests += 1;
+                    pmg_telemetry::counter_add("serve/requests", 1);
+                    let resp = self.handle_solve(&job);
+                    let _ = job.reply.send(resp);
                 }
             }
         }
         self.publish_gauges();
     }
 
-    /// Stashed jobs first, then the channel; `None` ends the loop.
+    /// The next job in arrival order; `None` ends the loop.
     fn next_job(&mut self) -> Option<Job> {
-        if let Some(j) = self.stash.pop_front() {
-            return Some(j);
-        }
         loop {
             match self.rx.recv_timeout(Duration::from_millis(25)) {
                 Ok(j) => return Some(j),
@@ -160,41 +140,6 @@ impl Dispatcher {
                 Err(mpsc::RecvTimeoutError::Disconnected) => return None,
             }
         }
-    }
-
-    /// Collect up to `max_batch` same-key solves within the linger
-    /// window. Non-matching jobs (different key, warms, stats) are
-    /// stashed for afterwards — a batch holds one key only.
-    fn collect_batch(&mut self, first: SolveJob) -> Vec<SolveJob> {
-        let mut batch = vec![first];
-        // Same-key solves stashed during an earlier window join first —
-        // without this, concurrent requests that arrived while a
-        // different key was lingering would each solve alone.
-        let mut i = 0;
-        while i < self.stash.len() && batch.len() < self.cfg.max_batch {
-            let matches =
-                matches!(&self.stash[i], Job::Solve(j) if j.batch_key == batch[0].batch_key);
-            if matches {
-                if let Some(Job::Solve(j)) = self.stash.remove(i) {
-                    batch.push(j);
-                }
-            } else {
-                i += 1;
-            }
-        }
-        let deadline = Instant::now() + self.cfg.linger;
-        while batch.len() < self.cfg.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.rx.recv_timeout(deadline - now) {
-                Ok(Job::Solve(j)) if j.batch_key == batch[0].batch_key => batch.push(j),
-                Ok(other) => self.stash.push_back(other),
-                Err(_) => break,
-            }
-        }
-        batch
     }
 
     /// Build the hierarchy for `spec` (or find it warm). Returns the
@@ -358,21 +303,12 @@ impl Dispatcher {
         })
     }
 
-    /// Resolve the batch's hierarchy, run one blocked solve, demux the
-    /// columns back to their reply channels.
-    fn process_batch(&mut self, batch: Vec<SolveJob>) {
-        let picked_up = Instant::now();
-        let k = batch.len();
-        self.requests += k as u64;
-        pmg_telemetry::counter_add("serve/requests", k as u64);
-        if k > 1 {
-            self.batched += k as u64;
-            pmg_telemetry::counter_add("serve/batched", k as u64);
-        }
-
-        // All jobs in a batch share one key, so the first job's target
-        // resolves the hierarchy for all of them.
-        let resolved = match &batch[0].req.target {
+    /// One solve: resolve the hierarchy, check the right-hand side's
+    /// length, solve, build the reply.
+    fn handle_solve(&mut self, job: &SolveJob) -> Response {
+        let queue_s = job.enqueued.elapsed().as_secs_f64();
+        let req = &job.req;
+        let resolved = match &req.target {
             SolveTarget::Spec(spec) => self.ensure_spec(spec),
             SolveTarget::Fingerprint(fp) => {
                 if self.cache.get_mut(*fp).is_some() {
@@ -389,76 +325,46 @@ impl Dispatcher {
         };
         let (key, cache_hit, setup_s) = match resolved {
             Ok(r) => r,
-            Err(msg) => {
-                for job in batch {
-                    let _ = job.reply.send(Response::Error(msg.clone()));
-                }
-                return;
-            }
+            Err(msg) => return Response::Error(msg),
         };
 
-        if self.cfg.hold_ms > 0 {
-            std::thread::sleep(Duration::from_millis(self.cfg.hold_ms));
+        if self.hold_ms > 0 {
+            std::thread::sleep(Duration::from_millis(self.hold_ms));
         }
 
         let entry = self
             .cache
             .peek_mut(key)
             .expect("resolved entry is resident");
+        let b = req.rhs.as_deref().unwrap_or(&entry.default_rhs);
         let ndof = entry.default_rhs.len();
-
-        // Partition out jobs whose RHS has the wrong length; they error
-        // individually without poisoning the batch.
-        let mut jobs = Vec::with_capacity(k);
-        let mut bs: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let mut rtols = Vec::with_capacity(k);
-        for job in batch {
-            match &job.req.rhs {
-                Some(r) if r.len() != ndof => {
-                    let _ = job.reply.send(Response::Error(format!(
-                        "rhs has {} entries, problem has {ndof} dofs",
-                        r.len()
-                    )));
-                }
-                Some(r) => {
-                    bs.push(r.clone());
-                    rtols.push(job.req.rtol);
-                    jobs.push(job);
-                }
-                None => {
-                    bs.push(entry.default_rhs.clone());
-                    rtols.push(job.req.rtol);
-                    jobs.push(job);
-                }
-            }
-        }
-        if jobs.is_empty() {
-            return;
+        if b.len() != ndof {
+            return Response::Error(format!(
+                "rhs has {} entries, problem has {ndof} dofs",
+                b.len()
+            ));
         }
 
         let t0 = Instant::now();
-        let results = entry.solver.solve_multi(&bs, &rtols);
+        let (x, res) = entry.solver.solve(b, req.rtol);
         let solve_s = t0.elapsed().as_secs_f64();
 
-        let batched = jobs.len();
-        for (job, (x, res)) in jobs.into_iter().zip(results) {
-            let queue_s = picked_up.duration_since(job.enqueued).as_secs_f64();
-            self.lat_queue.push(queue_s);
-            self.lat_setup.push(setup_s);
-            self.lat_solve.push(solve_s);
-            let _ = job.reply.send(Response::Solved(SolveReply {
-                id: job.req.id,
-                fingerprint: key,
-                cache_hit,
-                batched,
-                iterations: res.iterations,
-                converged: res.converged,
-                queue_s,
-                setup_s,
-                solve_s,
-                x,
-            }));
-        }
+        self.lat_queue.push(queue_s);
+        self.lat_setup.push(setup_s);
+        self.lat_solve.push(solve_s);
+        Response::Solved(SolveReply {
+            id: req.id.clone(),
+            fingerprint: key,
+            cache_hit,
+            batched: 1,
+            iterations: res.iterations,
+            converged: res.converged,
+            breakdown: res.breakdown,
+            queue_s,
+            setup_s,
+            solve_s,
+            x,
+        })
     }
 
     fn stats_reply(&mut self) -> StatsReply {
@@ -478,7 +384,6 @@ impl Dispatcher {
         }
         StatsReply {
             requests: self.requests,
-            batched: self.batched,
             cache_hit: c.hits,
             cache_miss: c.misses,
             cache_evict: c.evictions,

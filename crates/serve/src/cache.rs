@@ -76,18 +76,8 @@ pub struct ShardedWarm {
 }
 
 impl ShardedWarm {
-    /// Solve the columns one at a time. Sharded entries gain nothing
-    /// from blocking (each solve already spans every rank thread), but
-    /// every column's bits equal its unbatched solve by construction —
-    /// the daemon's batching-transparency invariant holds trivially.
-    pub fn solve_multi(&self, bs: &[Vec<f64>], rtols: &[f64]) -> Vec<(Vec<f64>, PcgResult)> {
-        bs.iter()
-            .zip(rtols)
-            .map(|(b, &rtol)| self.solve_one(b, rtol))
-            .collect()
-    }
-
-    fn solve_one(&self, b: &[f64], rtol: f64) -> (Vec<f64>, PcgResult) {
+    /// Solve `A x = b` as the real SPMD program, one thread per rank.
+    pub fn solve(&self, b: &[f64], rtol: f64) -> (Vec<f64>, PcgResult) {
         // Mirror `Prometheus::solve`: rtol from the request, the
         // standard iteration cap, default atol.
         let opts = PcgOptions {
@@ -125,8 +115,8 @@ impl ShardedWarm {
 }
 
 /// The two warm-hierarchy shapes the daemon serves: spec-built
-/// replicated solvers (simulated machine, blocked multi-RHS solves) and
-/// ingested sharded setups (owned level shares per rank).
+/// replicated solvers (simulated machine) and ingested sharded setups
+/// (owned level shares per rank).
 pub enum WarmSolver {
     /// A spec-built hierarchy over the simulated machine (boxed: a
     /// `Prometheus` is hundreds of bytes and entries live in a map).
@@ -136,12 +126,12 @@ pub enum WarmSolver {
 }
 
 impl WarmSolver {
-    /// Solve `k` systems; column `c` is bitwise what an unbatched solve
-    /// of `bs[c]` at `rtols[c]` produces, whichever shape serves it.
-    pub fn solve_multi(&mut self, bs: &[Vec<f64>], rtols: &[f64]) -> Vec<(Vec<f64>, PcgResult)> {
+    /// Solve `A x = b` from a zero guess to `rtol`, whichever shape
+    /// serves it: bitwise the offline solve of the same system.
+    pub fn solve(&mut self, b: &[f64], rtol: f64) -> (Vec<f64>, PcgResult) {
         match self {
-            WarmSolver::Replicated(s) => s.solve_multi(bs, rtols),
-            WarmSolver::Sharded(s) => s.solve_multi(bs, rtols),
+            WarmSolver::Replicated(s) => s.solve(b, None, rtol),
+            WarmSolver::Sharded(s) => s.solve(b, rtol),
         }
     }
 }

@@ -7,25 +7,24 @@
 //! a process that answers one request and exits wastes almost all of
 //! its work. This crate keeps the hierarchy **warm**: a daemon listens
 //! on a Unix and/or TCP socket, caches built hierarchies by
-//! mesh/options fingerprint (LRU under a byte budget), and coalesces
-//! concurrent requests against the same hierarchy into one blocked PCG
-//! solve through [`prometheus::Prometheus::solve_multi`].
+//! mesh/options fingerprint (LRU under a byte budget), and answers each
+//! solve request with one [`prometheus::Prometheus::solve`] on the warm
+//! hierarchy, one request at a time in arrival order.
 //!
 //! The load-bearing invariant is **bitwise transparency**: whatever the
-//! daemon does to a request — cache-hit it, batch it with seven
-//! strangers, queue it behind a warm-up — the solution bits returned
-//! are exactly what a standalone offline solve of that system produces.
-//! Batching is safe to enable because it is unobservable in the answer.
+//! daemon does to a request — cache-hit it, queue it behind seven
+//! strangers or a warm-up — the solution bits returned are exactly what
+//! a standalone offline solve of that system produces.
 //!
 //! Architecture (one dispatcher owns all solvers; see [`batch`]):
 //!
 //! ```text
 //!   clients ── unix/tcp ──► conn threads ── bounded queue ──► dispatcher
 //!                            (frame/parse)    (admission:        (warm cache,
-//!                                             full = busy)        batched solves)
+//!                                             full = busy)        one solve per turn)
 //! ```
 //!
-//! The protocol, cache keying, batching semantics, and backpressure
+//! The protocol, cache keying, dispatch order, and backpressure
 //! behaviour are documented in `docs/server.md`; the `serve/*`
 //! telemetry schema in `docs/telemetry.md`.
 

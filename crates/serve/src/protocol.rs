@@ -83,8 +83,9 @@ pub struct ProblemSpec {
 }
 
 impl ProblemSpec {
-    /// Canonical one-line rendering, used as the pre-setup batching key
-    /// (two requests may only coalesce when these strings agree).
+    /// Canonical one-line rendering: the warm cache's alias key, so a
+    /// spec-addressed request finds its hierarchy without rebuilding the
+    /// mesh to fingerprint it.
     pub fn canon(&self) -> String {
         format!("{}/k{}/nranks{}", self.name, self.k, self.nranks)
     }
@@ -136,7 +137,7 @@ pub struct SolveRequest {
     /// Right-hand side; `None` uses the problem's canonical first-solve
     /// RHS (the one the offline parity artifacts solve).
     pub rhs: Option<Vec<f64>>,
-    /// Relative residual tolerance for this column.
+    /// Relative residual tolerance.
     pub rtol: f64,
 }
 
@@ -176,8 +177,7 @@ pub struct IngestReply {
 /// A parsed request frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Solve one system (may be coalesced with concurrent same-key
-    /// requests into a blocked solve).
+    /// Solve one system.
     Solve(SolveRequest),
     /// Build the hierarchy now so later solves hit the warm cache.
     Warm(ProblemSpec),
@@ -189,7 +189,7 @@ pub enum Request {
     Shutdown,
 }
 
-/// One solved column, as returned to its client.
+/// One solve, as returned to its client.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveReply {
     /// Echo of the request ID.
@@ -198,17 +198,24 @@ pub struct SolveReply {
     pub fingerprint: u64,
     /// Whether the hierarchy was already warm.
     pub cache_hit: bool,
-    /// How many requests shared the blocked solve (1 = solo).
+    /// Always `1`: a solve is one right-hand side. Still on the wire only
+    /// because `benchmark/`'s `serve.batch_mean` reads it; it leaves with
+    /// that metric at the benchmark re-baseline (ROADMAP item 1).
     pub batched: usize,
-    /// Krylov iterations this column took.
+    /// Krylov iterations taken.
     pub iterations: usize,
-    /// Whether this column reached its tolerance.
+    /// Whether the solve reached its tolerance.
     pub converged: bool,
-    /// Seconds spent queued before the batch was picked up.
+    /// [`pmg_solver::PcgResult::breakdown`]: the solve stopped on
+    /// `p·Ap ≤ 0` or non-finite data — the operator is not positive
+    /// definite — so `converged` is false for a reason more iterations
+    /// would not fix.
+    pub breakdown: bool,
+    /// Seconds spent queued before the dispatcher picked the job up.
     pub queue_s: f64,
     /// Hierarchy construction seconds (0 on a cache hit).
     pub setup_s: f64,
-    /// Blocked-solve seconds (shared by every column of the batch).
+    /// Solve seconds.
     pub solve_s: f64,
     /// The solution vector, bitwise exact.
     pub x: Vec<f64>,
@@ -217,10 +224,8 @@ pub struct SolveReply {
 /// The `stats` response payload.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsReply {
-    /// Solve requests admitted (including batched ones).
+    /// Solve requests admitted.
     pub requests: u64,
-    /// Solve requests that shared a batch with at least one other.
-    pub batched: u64,
     /// Warm-cache hits.
     pub cache_hit: u64,
     /// Warm-cache misses.
@@ -246,7 +251,7 @@ pub struct StatsReply {
 /// A parsed response frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
-    /// A solved column.
+    /// A completed `solve`.
     Solved(SolveReply),
     /// A completed `warm`.
     Warmed {
@@ -282,16 +287,21 @@ fn get_f64(v: &Value, key: &str) -> Option<f64> {
     v.get(key).and_then(Value::as_f64)
 }
 
-fn f64_array(v: &Value) -> Result<Vec<f64>, String> {
+/// An array of finite numbers. JSON has no spelling for NaN, but `1e999`
+/// is a well-formed number that parses to `+∞`; `what` names the field in
+/// the error.
+fn f64_array(v: &Value, what: &str) -> Result<Vec<f64>, String> {
     match v {
         Value::Arr(items) => items
             .iter()
-            .map(|i| {
-                i.as_f64()
-                    .ok_or_else(|| "non-numeric array entry".to_string())
+            .enumerate()
+            .map(|(i, item)| match item.as_f64() {
+                Some(x) if x.is_finite() => Ok(x),
+                Some(x) => Err(format!("{what}[{i}] is not finite ({x})")),
+                None => Err(format!("{what}[{i}] is not a number")),
             })
             .collect(),
-        _ => Err("expected an array of numbers".into()),
+        _ => Err(format!("{what} must be an array of numbers")),
     }
 }
 
@@ -409,7 +419,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
                 (None, None) => return Err("solve needs a problem or a fingerprint".into()),
             };
             let rhs = match v.get("rhs") {
-                Some(r) => Some(f64_array(r)?),
+                Some(r) => Some(f64_array(r, "rhs")?),
                 None => None,
             };
             Ok(Request::Solve(SolveRequest {
@@ -466,6 +476,8 @@ pub fn render_response(resp: &Response) -> String {
             json::write_u64(&mut out, r.iterations as u64);
             out.push_str(",\"converged\":");
             out.push_str(if r.converged { "true" } else { "false" });
+            out.push_str(",\"breakdown\":");
+            out.push_str(if r.breakdown { "true" } else { "false" });
             out.push_str(",\"queue_s\":");
             json::write_num(&mut out, r.queue_s);
             out.push_str(",\"setup_s\":");
@@ -506,7 +518,6 @@ pub fn render_response(resp: &Response) -> String {
             out.push_str("{\"ok\":true,\"op\":\"stats\"");
             for (key, val) in [
                 ("requests", s.requests),
-                ("batched", s.batched),
                 ("cache_hit", s.cache_hit),
                 ("cache_miss", s.cache_miss),
                 ("cache_evict", s.cache_evict),
@@ -580,10 +591,11 @@ pub fn parse_response(payload: &[u8]) -> Result<Response, String> {
             batched: get_usize(&v, "batched").ok_or("batched missing")?,
             iterations: get_usize(&v, "iterations").ok_or("iterations missing")?,
             converged: matches!(v.get("converged"), Some(Value::Bool(true))),
+            breakdown: matches!(v.get("breakdown"), Some(Value::Bool(true))),
             queue_s: get_f64(&v, "queue_s").unwrap_or(0.0),
             setup_s: get_f64(&v, "setup_s").unwrap_or(0.0),
             solve_s: get_f64(&v, "solve_s").unwrap_or(0.0),
-            x: f64_array(v.get("x").ok_or("x missing")?)?,
+            x: f64_array(v.get("x").ok_or("x missing")?, "x")?,
         })),
         "warm" => Ok(Response::Warmed {
             fingerprint: fingerprint(&v)?,
@@ -600,7 +612,6 @@ pub fn parse_response(payload: &[u8]) -> Result<Response, String> {
         "stats" => {
             let mut s = StatsReply {
                 requests: get_u64(&v, "requests"),
-                batched: get_u64(&v, "batched"),
                 cache_hit: get_u64(&v, "cache_hit"),
                 cache_miss: get_u64(&v, "cache_miss"),
                 cache_evict: get_u64(&v, "cache_evict"),
@@ -714,9 +725,10 @@ mod tests {
             id: "q".into(),
             fingerprint: 0x0123456789abcdef,
             cache_hit: true,
-            batched: 3,
+            batched: 1,
             iterations: 13,
-            converged: true,
+            converged: false,
+            breakdown: true,
             queue_s: 0.001,
             setup_s: 0.0,
             solve_s: 0.25,
@@ -729,7 +741,8 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
                 assert!(r.cache_hit);
-                assert_eq!(r.batched, 3);
+                assert_eq!(r.batched, 1);
+                assert!(r.breakdown && !r.converged);
             }
             other => panic!("{other:?}"),
         }
@@ -748,7 +761,6 @@ mod tests {
             }),
             Response::Stats(StatsReply {
                 requests: 10,
-                batched: 4,
                 cache_hit: 8,
                 cache_miss: 2,
                 cache_evict: 1,
@@ -790,6 +802,16 @@ mod tests {
             "{\"op\":\"ingest\",\"nranks\":0,\"mesh\":\"ff\"}",
         ] {
             assert!(parse_request(bad.as_bytes()).is_err(), "{bad}");
+        }
+        // A well-formed JSON number can still overflow to an infinity.
+        for (huge, shown) in [("1e999", "inf"), ("-1e999", "-inf")] {
+            let req = format!(
+                "{{\"op\":\"solve\",\"fingerprint\":\"0000000000000000\",\"rhs\":[1.5,0,{huge}]}}"
+            );
+            assert_eq!(
+                parse_request(req.as_bytes()),
+                Err(format!("rhs[2] is not finite ({shown})"))
+            );
         }
     }
 }

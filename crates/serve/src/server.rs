@@ -12,14 +12,12 @@
 //! A client that disappears mid-message costs exactly one connection
 //! thread its loop: the framing layer reports `UnexpectedEof`, the
 //! thread counts a disconnect and exits. Nothing was queued (jobs are
-//! submitted only after a complete frame parses), so no batch can wedge
+//! submitted only after a complete frame parses), so no solve can wedge
 //! on a vanished peer; a client that dies *after* submitting merely
 //! makes the reply send a no-op.
 
-use crate::batch::{BatchConfig, Dispatcher, Job, SharedCounters, SolveJob};
-use crate::protocol::{
-    parse_request, render_response, write_frame, Request, Response, SolveTarget,
-};
+use crate::batch::{Dispatcher, Job, SharedCounters, SolveJob};
+use crate::protocol::{parse_request, render_response, write_frame, Request, Response};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -43,15 +41,11 @@ pub struct ServeConfig {
     /// Job-queue bound — the admission-control depth. A full queue
     /// rejects new requests with `busy`.
     pub queue_cap: usize,
-    /// Most requests one blocked solve may carry.
-    pub max_batch: usize,
-    /// How long the dispatcher lingers collecting same-key requests
-    /// into a batch after picking up the first.
-    pub linger_ms: u64,
     /// Warm-hierarchy cache byte budget (LRU beyond it).
     pub cache_bytes: usize,
-    /// Test/bench knob: hold each batch this long before solving, so
-    /// queue-full and coalescing windows are deterministic in tests.
+    /// Test knob: the dispatcher dwells this long in each solve before
+    /// solving, so the back-pressure test's queue-full window is
+    /// deterministic.
     pub hold_ms: u64,
 }
 
@@ -61,8 +55,6 @@ impl Default for ServeConfig {
             unix_path: None,
             tcp_addr: None,
             queue_cap: 64,
-            max_batch: 8,
-            linger_ms: 2,
             cache_bytes: 256 << 20,
             hold_ms: 0,
         }
@@ -123,18 +115,11 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
     let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_cap);
     let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-    let batch_cfg = BatchConfig {
-        max_batch: config.max_batch.max(1),
-        linger: Duration::from_millis(config.linger_ms),
-        cache_bytes: config.cache_bytes,
-        hold_ms: config.hold_ms,
-    };
     let dispatcher = {
-        let shutdown = Arc::clone(&shutdown);
-        let shared = Arc::clone(&shared);
+        let dispatcher = Dispatcher::new(rx, &config, Arc::clone(&shutdown), Arc::clone(&shared));
         std::thread::Builder::new()
             .name("pmg-serve-dispatch".into())
-            .spawn(move || Dispatcher::new(rx, batch_cfg, shutdown, shared).run())?
+            .spawn(move || dispatcher.run())?
     };
 
     let mut accept_threads = Vec::new();
@@ -364,7 +349,7 @@ fn serve_conn<S: ConnStream>(
             Err(_) => {
                 // Mid-message close or stall: the per-connection error
                 // path. Nothing was enqueued for this frame, so no queue
-                // slot or batch is held; just count it and go.
+                // slot is held; just count it and go.
                 shared.disconnects.fetch_add(1, Ordering::SeqCst);
                 pmg_telemetry::counter_add("serve/disconnects", 1);
                 return;
@@ -392,16 +377,9 @@ fn serve_conn<S: ConnStream>(
                 if shutdown.load(Ordering::SeqCst) {
                     Response::Error("shutting down".into())
                 } else {
-                    let batch_key = match &req.target {
-                        SolveTarget::Spec(spec) => format!("spec/{}", spec.canon()),
-                        SolveTarget::Fingerprint(fp) => {
-                            format!("fp/{}", prometheus::fingerprint_hex(*fp))
-                        }
-                    };
                     submit(tx, shared, move |reply| {
                         Job::Solve(SolveJob {
                             req,
-                            batch_key,
                             enqueued: Instant::now(),
                             reply,
                         })

@@ -1,11 +1,12 @@
 //! End-to-end daemon tests: a real server on a real socket, real
 //! clients, real solves — exercising the bitwise-transparency
-//! invariant, the warm cache, batching shape, backpressure, disconnect
+//! invariant, the warm cache, backpressure, disconnect and hostile-input
 //! handling, and graceful drain.
 
 #![cfg(unix)]
 
-use pmg_serve::{serve, Client, ClientError, ProblemSpec, ServeConfig};
+use pmg_serve::protocol::{parse_response, read_frame, write_frame};
+use pmg_serve::{serve, Client, ClientError, ProblemSpec, Response, ServeConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -37,9 +38,9 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Concurrent daemon solves are bitwise the offline solves, a single
-/// request degenerates to an unbatched (k = 1) solve, fingerprint
-/// routing hits the warm entry, and shutdown drains cleanly.
+/// Concurrent daemon solves are bitwise the offline solves, every one of
+/// them a solve of its own, fingerprint routing hits the warm entry, and
+/// shutdown drains cleanly.
 #[test]
 fn concurrent_solves_match_offline_bitwise_and_daemon_drains() {
     let path = sock("e2e");
@@ -51,7 +52,6 @@ fn concurrent_solves_match_offline_bitwise_and_daemon_drains() {
     let rtol = pmg_bench::PARITY_RTOL;
     let oracle = offline_bits(0, 2, rtol);
 
-    // A lone request is an unbatched solve: k = 1 exactly.
     let mut c = Client::connect_unix(&path).expect("connect");
     let (fp, warm_hit, _) = c.warm(&spec(2)).expect("warm");
     assert!(!warm_hit, "first warm must build");
@@ -62,7 +62,7 @@ fn concurrent_solves_match_offline_bitwise_and_daemon_drains() {
     assert!(bits_equal(&solo.x, &oracle));
 
     // Concurrent requests — spec-addressed and fingerprint-addressed —
-    // all return the same bits regardless of how they were batched.
+    // all return the same bits, each from its own dispatcher turn.
     let replies: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -81,7 +81,8 @@ fn concurrent_solves_match_offline_bitwise_and_daemon_drains() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for r in &replies {
-        assert!(r.converged);
+        assert!(r.converged && !r.breakdown);
+        assert_eq!(r.batched, 1, "{}: one right-hand side per solve", r.id);
         assert_eq!(r.fingerprint, fp);
         assert!(r.cache_hit && r.setup_s == 0.0, "{}: warm hit", r.id);
         assert!(
@@ -94,7 +95,7 @@ fn concurrent_solves_match_offline_bitwise_and_daemon_drains() {
     let stats = c.stats().expect("stats");
     assert!(stats.cache_hit > 0, "warm hierarchy was never hit");
     assert_eq!(stats.cache_miss, 1, "only the first warm may build");
-    assert!(stats.requests >= 5);
+    assert_eq!(stats.requests, 5);
 
     c.shutdown().expect("shutdown ack");
     handle.wait(); // graceful drain: every thread joins
@@ -102,7 +103,7 @@ fn concurrent_solves_match_offline_bitwise_and_daemon_drains() {
 }
 
 /// A client that dies mid-message (partial frame, then close) costs the
-/// daemon nothing: no panic, no wedged batch, no occupied queue slot —
+/// daemon nothing: no panic, no wedged solve, no occupied queue slot —
 /// just a counted disconnect. A client that dies after submitting but
 /// before reading its reply is equally harmless.
 #[test]
@@ -181,7 +182,22 @@ fn client_killed_mid_request_leaves_daemon_healthy() {
         other => panic!("unexpected error kind: {other}"),
     }
 
+    // A right-hand side that overflows to an infinity is a well-formed
+    // JSON number; it is refused by name at the parser, not solved.
+    let mut raw = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    let hostile = r#"{"op":"solve","problem":{"name":"spheres","k":0,"nranks":2},"rhs":[0,1e999]}"#;
+    write_frame(&mut raw, hostile.as_bytes()).unwrap();
+    match parse_response(&read_frame(&mut raw).unwrap().expect("a reply")).unwrap() {
+        Response::Error(msg) => assert!(msg.contains("rhs[1] is not finite"), "{msg}"),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+
+    // And the daemon answers a clean request afterwards.
     let mut c = Client::connect_unix(&path).expect("connect");
+    let clean = c
+        .solve_spec(&spec(2), None, pmg_bench::PARITY_RTOL, "after-hostile")
+        .expect("clean solve");
+    assert!(clean.converged && !clean.breakdown);
     c.shutdown().expect("shutdown ack");
     handle.wait();
 }
@@ -195,9 +211,7 @@ fn full_queue_rejects_with_busy() {
     let handle = serve(ServeConfig {
         unix_path: Some(path.clone()),
         queue_cap: 1,
-        max_batch: 1,
-        linger_ms: 0,
-        hold_ms: 900, // dispatcher dwells in each batch: windows are deterministic
+        hold_ms: 900, // dispatcher dwells in each solve: windows are deterministic
         ..Default::default()
     })
     .expect("start daemon");
@@ -239,76 +253,6 @@ fn full_queue_rejects_with_busy() {
     let mut c = Client::connect_unix(&path).expect("connect");
     let stats = c.stats().expect("stats");
     assert!(stats.rejected >= 1, "busy rejection must be counted");
-    c.shutdown().expect("shutdown ack");
-    handle.wait();
-}
-
-/// Batching shape: a linger window that expires with 3 of 8 slots
-/// filled solves those 3 together (ragged batch), and requests for a
-/// different fingerprint never ride in it.
-#[test]
-fn ragged_batches_coalesce_and_keys_never_mix() {
-    let path = sock("ragged");
-    let handle = serve(ServeConfig {
-        unix_path: Some(path.clone()),
-        queue_cap: 16,
-        max_batch: 8,
-        linger_ms: 400,
-        ..Default::default()
-    })
-    .expect("start daemon");
-    let rtol = pmg_bench::PARITY_RTOL;
-
-    // Two distinct hierarchies: nranks widens the cache key.
-    let mut c = Client::connect_unix(&path).expect("connect");
-    let (fp_a, _, _) = c.warm(&spec(2)).expect("warm A");
-    let (fp_b, _, _) = c.warm(&spec(3)).expect("warm B");
-    assert_ne!(fp_a, fp_b);
-
-    let (a_reply, b_replies) = std::thread::scope(|scope| {
-        let p = &path;
-        // One spec-A request opens a linger window...
-        let ta = scope.spawn(move || {
-            let mut c = Client::connect_unix(p).unwrap();
-            c.solve_spec(&spec(2), None, rtol, "a-0").unwrap()
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        // ...and 3 spec-B requests arrive inside it. They must not join
-        // A's batch; they coalesce with each other instead, and their
-        // window expires ragged (3 of 8 slots).
-        let tbs: Vec<_> = (0..3)
-            .map(|i| {
-                scope.spawn(move || {
-                    let mut c = Client::connect_unix(p).unwrap();
-                    c.solve_spec(&spec(3), None, rtol, &format!("b-{i}"))
-                        .unwrap()
-                })
-            })
-            .collect();
-        (
-            ta.join().unwrap(),
-            tbs.into_iter()
-                .map(|t| t.join().unwrap())
-                .collect::<Vec<_>>(),
-        )
-    });
-
-    assert_eq!(a_reply.fingerprint, fp_a);
-    assert_eq!(
-        a_reply.batched, 1,
-        "the A request must not share a batch with B requests"
-    );
-    for r in &b_replies {
-        assert!(r.converged);
-        assert_eq!(r.fingerprint, fp_b);
-        assert_eq!(
-            r.batched, 3,
-            "{}: expected the ragged 3-of-8 batch, got {}",
-            r.id, r.batched
-        );
-    }
-
-    let mut c = Client::connect_unix(&path).expect("connect");
     c.shutdown().expect("shutdown ack");
     handle.wait();
 }

@@ -20,6 +20,20 @@
 //! opens its own parallel region. Nested batches cannot deadlock: each
 //! region's issuer drains its own batch.
 //!
+//! # Sleeping and waking
+//!
+//! An idle worker parks on the pool's condvar, and that condvar guards two
+//! pieces of state, both read under the queue's mutex just before parking:
+//! the queued batches and the `shutdown` flag. Whoever changes either must
+//! do so **while holding that mutex** and notify afterwards — otherwise a
+//! worker that has just found the queue empty and `shutdown` false, but has
+//! not parked yet, misses the only wake-up it will ever get. Both therefore
+//! live *inside* the mutex (`Injector`): `run_batch` pushes under the lock
+//! and `ThreadPool::drop` sets `shutdown` under it. (`shutdown` was once an
+//! atomic beside the mutex, stored without the lock, and a dropped pool's
+//! `join` hung about once in 10⁵ drops.) Each batch has a condvar of its
+//! own for its issuer, guarding `finished` the same way.
+//!
 //! # Determinism
 //!
 //! The pool never decides *what* the tasks are, only *who* runs them. Task
@@ -106,10 +120,17 @@ pub struct PoolStats {
     pub stolen_tasks: u64,
 }
 
+/// What an idle worker looks at before it parks, and so what `Shared::cv`
+/// guards: both fields change only under the one mutex around them.
+#[derive(Default)]
+struct Injector {
+    batches: std::collections::VecDeque<Arc<Batch>>,
+    shutdown: bool,
+}
+
 struct Shared {
-    queue: Mutex<std::collections::VecDeque<Arc<Batch>>>,
+    queue: Mutex<Injector>,
     cv: Condvar,
-    shutdown: AtomicBool,
     threads: usize,
     batches: AtomicU64,
     tasks: AtomicU64,
@@ -123,10 +144,10 @@ impl Shared {
             let batch = {
                 let mut q = self.queue.lock().unwrap();
                 loop {
-                    if let Some(b) = q.pop_front() {
+                    if let Some(b) = q.batches.pop_front() {
                         break b;
                     }
-                    if self.shutdown.load(Ordering::Relaxed) {
+                    if q.shutdown {
                         return;
                     }
                     q = self.cv.wait(q).unwrap();
@@ -153,9 +174,8 @@ impl ThreadPool {
     fn new(threads: usize) -> ThreadPool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(std::collections::VecDeque::new()),
+            queue: Mutex::new(Injector::default()),
             cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             threads,
             batches: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
@@ -205,7 +225,13 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // Every update of the injector leaves it valid, so a poisoned lock
+        // is recovered rather than panicked on inside a drop.
+        self.shared
+            .queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .shutdown = true;
         self.shared.cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -352,7 +378,7 @@ pub(crate) fn run_batch(ntasks: usize, body: &(dyn Fn(usize) + Sync)) {
     {
         let mut q = shared.queue.lock().unwrap();
         for _ in 0..helpers {
-            q.push_back(Arc::clone(&batch));
+            q.batches.push_back(Arc::clone(&batch));
         }
     }
     if helpers == 1 {
@@ -416,7 +442,32 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::parse_threads;
+    use super::{join, parse_threads, ThreadPoolBuilder};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+
+    #[test]
+    fn dropping_a_pool_never_loses_the_shutdown_wakeup() {
+        // Every `Prometheus` with `MgOptions::threads: Some(n)` drops a
+        // dedicated pool. With `shutdown` stored without the queue's lock
+        // this loop hung between cycle 100 000 and 150 000 of a release
+        // build; it runs on a helper thread so that a regression fails at
+        // the deadline instead of hanging the suite.
+        const CYCLES: usize = 200_000;
+        let (done, finished) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            for _ in 0..CYCLES {
+                let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+                assert_eq!(pool.install(|| join(|| 1, || 2)), (1, 2));
+                drop(pool);
+            }
+            let _ = done.send(());
+        });
+        if finished.recv_timeout(Duration::from_secs(120)) == Err(RecvTimeoutError::Timeout) {
+            panic!("a dropped pool's join() did not return within 120 s of {CYCLES} cycles");
+        }
+        helper.join().expect("drop loop");
+    }
 
     #[test]
     fn threads_switch_rejects_anything_but_a_positive_integer() {

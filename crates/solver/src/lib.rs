@@ -25,6 +25,6 @@ pub mod smoother;
 pub use chebyshev::Chebyshev;
 pub use direct::CoarseDirect;
 pub use lanczos::{lanczos_spectrum, SpectrumEstimate};
-pub use pcg::{pcg, pcg_blocked, pcg_multi, pcg_multi_each, PcgBackend, PcgOptions, PcgResult};
+pub use pcg::{pcg, pcg_generic, PcgBackend, PcgOptions, PcgResult};
 pub use precond::{IdentityPrecond, JacobiPrecond, Precond};
 pub use smoother::{BlockJacobi, RankJacobi, RankSmoother};

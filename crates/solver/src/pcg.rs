@@ -33,10 +33,11 @@ impl Default for PcgOptions {
 pub struct PcgResult {
     pub iterations: usize,
     pub converged: bool,
-    /// The solve stopped because `p·Ap` was non-positive or non-finite: the
-    /// operator (or preconditioner) is not positive definite, or the data
-    /// carried a NaN/Inf. Distinguishes that stop from running out of
-    /// `max_iters` — both leave `converged` false.
+    /// The solve stopped because `p·Ap` was non-positive or non-finite (the
+    /// operator or preconditioner is not positive definite) or because
+    /// `‖b‖` or the initial `‖r‖` was (the data carried a NaN or `±∞`).
+    /// Distinguishes that stop from running out of `max_iters` — both leave
+    /// `converged` false.
     pub breakdown: bool,
     /// `‖r‖ / ‖b‖` at exit.
     pub rel_residual: f64,
@@ -46,18 +47,18 @@ pub struct PcgResult {
 
 /// Where a PCG solve's vectors live and how its partial sums meet.
 ///
-/// [`pcg_blocked`] is the one Krylov recurrence in the workspace; a backend
+/// [`pcg_generic`] is the one Krylov recurrence in the workspace; a backend
 /// tells it how to apply `A` and `M⁻¹`, update a vector, and reduce inner
 /// products. The virtual-rank runtime implements it over [`Sim`] +
 /// [`DistVec`] (charging the machine model), the message-passing runtime
 /// over a transport and owned slices (`prometheus::spmd_pcg`), and the tests
 /// substitute a counting fake.
 pub trait PcgBackend {
-    /// One column's storage (all ranks' parts, or this rank's share).
+    /// The vector's storage (all ranks' parts, or this rank's share).
     type Vector;
     /// What a communication step can fail with.
     type Error;
-    /// A zero work vector shaped like the right-hand sides.
+    /// A zero work vector shaped like the right-hand side.
     fn zeros(&self) -> Self::Vector;
     /// `y = A x` (overwrites `y` whatever it held).
     fn apply(&mut self, x: &Self::Vector, y: &mut Self::Vector) -> Result<(), Self::Error>;
@@ -71,150 +72,87 @@ pub trait PcgBackend {
     fn axpy(&mut self, alpha: f64, x: &Self::Vector, y: &mut Self::Vector);
     /// `y = x + beta y`.
     fn aypx(&mut self, beta: f64, x: &Self::Vector, y: &mut Self::Vector);
-    /// Telemetry: one blocked iteration is starting.
+    /// Telemetry: one iteration is starting.
     fn record_iteration(&mut self);
-    /// Telemetry: a column's new `‖r‖`.
+    /// Telemetry: the new `‖r‖`.
     fn record_residual(&mut self, rnorm: f64);
 }
 
-/// Inner products `us[c]·vs[c]` over the columns `cols`; no reduction is
-/// entered when `cols` is empty.
-fn dots_of<B: PcgBackend>(
-    be: &mut B,
-    cols: &[usize],
-    us: &[B::Vector],
-    vs: &[B::Vector],
-) -> Result<Vec<f64>, B::Error> {
-    if cols.is_empty() {
-        return Ok(Vec::new());
-    }
-    let pairs: Vec<_> = cols.iter().map(|&c| (&us[c], &vs[c])).collect();
-    be.dots(&pairs)
-}
-
-/// Blocked preconditioned CG: k systems `A xs[c] = bs[c]` advance in
-/// lockstep, sharing every reduction point, each under its own `opts[c]`
-/// (tolerances and iteration cap). `xs` holds the initial guesses and
-/// receives the solutions.
-///
-/// The columns do **not** share a Krylov space — each keeps its own `α`,
-/// `β` and preconditioner applications — so column `c`'s iterates, residual
-/// history and exit state are **bitwise identical** to a k = 1 call on
-/// `(bs[c], xs[c], opts[c])`. A column that converges, breaks down
-/// (`p·Ap ≤ 0` or non-finite) or reaches its own cap freezes: its `x`, `r`
-/// and `p` stop updating and `A` is no longer applied to it.
+/// Preconditioned CG on `A x = b` over any [`PcgBackend`]; `x` holds the
+/// initial guess and receives the solution.
 ///
 /// The order is the textbook one — test `‖r‖`, *then* precondition — so a
 /// solve that converges after `n ≥ 1` iterations applies `M⁻¹` exactly `n`
-/// times and `A` `n + 1` times — per column.
-pub fn pcg_blocked<B: PcgBackend>(
+/// times and `A` `n + 1` times. Its reduction points are `(b·b, r·r)`
+/// fused, `r·z₀`, then `p·w`, `r·r` and `r·z` per iteration, the last
+/// skipped by the iteration that converges: `3n + 1` collectives (one when
+/// the initial residual already meets the tolerance).
+///
+/// A non-finite `‖b‖` or `‖r₀‖` (a NaN or `±∞` in the data) is a
+/// [`breakdown`](PcgResult::breakdown) reported at iteration 0, before
+/// `M⁻¹` is applied at all; `p·Ap ≤ 0` or non-finite is one at the
+/// iteration that meets it. Either way `x` is left as it was.
+pub fn pcg_generic<B: PcgBackend>(
     be: &mut B,
-    bs: &[B::Vector],
-    xs: &mut [B::Vector],
-    opts: &[PcgOptions],
-) -> Result<Vec<PcgResult>, B::Error> {
-    let k = bs.len();
-    assert_eq!(xs.len(), k, "blocked PCG needs matching b/x counts");
-    assert_eq!(opts.len(), k, "blocked PCG needs one PcgOptions per column");
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let work = |be: &B| -> Vec<B::Vector> { (0..k).map(|_| be.zeros()).collect() };
-    let (mut rs, mut zs, mut ps, mut ws) = (work(be), work(be), work(be), work(be));
+    b: &B::Vector,
+    x: &mut B::Vector,
+    opts: PcgOptions,
+) -> Result<PcgResult, B::Error> {
+    let (mut r, mut z, mut p, mut w) = (be.zeros(), be.zeros(), be.zeros(), be.zeros());
 
-    // rs[c] = bs[c] - A xs[c].
-    for ((x, r), b) in xs.iter().zip(&mut rs).zip(bs) {
-        be.apply(x, r)?;
-        be.aypx(-1.0, b, r);
-    }
+    // r = b - A x.
+    be.apply(x, &mut r)?;
+    be.aypx(-1.0, b, &mut r);
 
-    // ‖b‖ and ‖r‖ are independent: every column's pair shares one
-    // reduction point.
-    let norm_pairs: Vec<_> = bs
-        .iter()
-        .zip(&rs)
-        .flat_map(|(b, r)| [(b, b), (r, r)])
-        .collect();
-    let norms = be.dots(&norm_pairs)?;
-    let bnorms: Vec<f64> = (0..k).map(|c| norms[2 * c].sqrt().max(1e-300)).collect();
-    let mut rnorms: Vec<f64> = (0..k).map(|c| norms[2 * c + 1].sqrt()).collect();
-    let done = |c: usize, rnorm: f64| rnorm <= opts[c].rtol * bnorms[c] || rnorm <= opts[c].atol;
+    // ‖b‖ and ‖r‖ are independent: one reduction point.
+    let norms = be.dots(&[(b, b), (&r, &r)])?;
+    let bnorm = norms[0].sqrt().max(1e-300);
+    let mut rnorm = norms[1].sqrt();
+    let done = |rnorm: f64| rnorm <= opts.rtol * bnorm || rnorm <= opts.atol;
 
-    let mut residuals: Vec<Vec<f64>> = rnorms.iter().map(|&rn| vec![rn]).collect();
-    let mut active = vec![false; k];
-    let mut converged = vec![false; k];
-    let mut breakdown = vec![false; k];
-    let mut iterations = vec![0usize; k];
-    let mut rz = vec![0.0f64; k];
-    for c in 0..k {
-        be.record_residual(rnorms[c]);
-        converged[c] = done(c, rnorms[c]);
-        active[c] = !converged[c];
+    // `∞ ≤ rtol · ∞` holds, so finiteness is asked first.
+    let breakdown = !(bnorm.is_finite() && rnorm.is_finite());
+    let mut res = PcgResult {
+        iterations: 0,
+        converged: !breakdown && done(rnorm),
+        breakdown,
+        rel_residual: rnorm / bnorm,
+        residuals: vec![rnorm],
+    };
+    be.record_residual(rnorm);
+    if res.converged || res.breakdown {
+        return Ok(res);
     }
-    let open = |active: &[bool]| -> Vec<usize> { (0..k).filter(|&c| active[c]).collect() };
 
     // The first direction is z itself, so M⁻¹ r lands straight in p.
-    let act = open(&active);
-    for &c in &act {
-        be.precond(&rs[c], &mut ps[c])?;
-    }
-    for (&c, rz0) in act.iter().zip(dots_of(be, &act, &rs, &ps)?) {
-        rz[c] = rz0;
-    }
-
-    let it_cap = opts.iter().map(|o| o.max_iters).max().unwrap_or(0);
-    for it in 1..=it_cap {
-        // A column past its own cap freezes exactly where a k = 1 solve
-        // would have returned (converged = false, iterations = cap).
-        for c in 0..k {
-            active[c] &= it <= opts[c].max_iters;
-        }
-        let act = open(&active);
-        if act.is_empty() {
+    be.precond(&r, &mut p)?;
+    let mut rz = be.dots(&[(&r, &p)])?[0];
+    for it in 1..=opts.max_iters {
+        be.record_iteration();
+        res.iterations = it;
+        be.apply(&p, &mut w)?;
+        let pw = be.dots(&[(&p, &w)])?[0];
+        if pw <= 0.0 || !pw.is_finite() {
+            res.breakdown = true;
             break;
         }
-        be.record_iteration();
-        for &c in &act {
-            be.apply(&ps[c], &mut ws[c])?;
+        let alpha = rz / pw;
+        be.axpy(alpha, &p, x);
+        be.axpy(-alpha, &w, &mut r);
+        rnorm = be.dots(&[(&r, &r)])?[0].sqrt();
+        res.residuals.push(rnorm);
+        be.record_residual(rnorm);
+        res.converged = done(rnorm);
+        if res.converged {
+            break;
         }
-        for (&c, pw) in act.iter().zip(dots_of(be, &act, &ps, &ws)?) {
-            iterations[c] = it;
-            if pw <= 0.0 || !pw.is_finite() {
-                breakdown[c] = true;
-                active[c] = false;
-                continue;
-            }
-            let alpha = rz[c] / pw;
-            be.axpy(alpha, &ps[c], &mut xs[c]);
-            be.axpy(-alpha, &ws[c], &mut rs[c]);
-        }
-        let act = open(&active);
-        for (&c, rr) in act.iter().zip(dots_of(be, &act, &rs, &rs)?) {
-            rnorms[c] = rr.sqrt();
-            residuals[c].push(rnorms[c]);
-            be.record_residual(rnorms[c]);
-            converged[c] = done(c, rnorms[c]);
-            active[c] = !converged[c];
-        }
-        let act = open(&active);
-        for &c in &act {
-            be.precond(&rs[c], &mut zs[c])?;
-        }
-        for (&c, rz_new) in act.iter().zip(dots_of(be, &act, &rs, &zs)?) {
-            let beta = rz_new / rz[c];
-            rz[c] = rz_new;
-            be.aypx(beta, &zs[c], &mut ps[c]);
-        }
+        be.precond(&r, &mut z)?;
+        let rz_new = be.dots(&[(&r, &z)])?[0];
+        be.aypx(rz_new / rz, &z, &mut p);
+        rz = rz_new;
     }
-    Ok((0..k)
-        .map(|c| PcgResult {
-            iterations: iterations[c],
-            converged: converged[c],
-            breakdown: breakdown[c],
-            rel_residual: rnorms[c] / bnorms[c],
-            residuals: std::mem::take(&mut residuals[c]),
-        })
-        .collect())
+    res.rel_residual = rnorm / bnorm;
+    Ok(res)
 }
 
 /// The virtual-rank backend: every rank's part lives in one [`DistVec`],
@@ -268,7 +206,7 @@ impl PcgBackend for SimBackend<'_> {
 
 /// Solve `A x = b` by preconditioned CG, starting from the initial guess in
 /// `x`. Every flop and message is charged to `sim`. This is
-/// [`pcg_multi_each`] at k = 1.
+/// [`pcg_generic`] on the virtual-rank runtime.
 ///
 /// Telemetry: runs under a `pcg` scope, counts `pcg/iterations`, and
 /// appends each `‖r‖` to the `pcg/residuals` series (the preconditioner
@@ -281,43 +219,9 @@ pub fn pcg(
     x: &mut DistVec,
     opts: PcgOptions,
 ) -> PcgResult {
-    let (bs, xs) = (std::slice::from_ref(b), std::slice::from_mut(x));
-    let mut res = pcg_multi_each(sim, a, m, bs, xs, &[opts]);
-    res.pop().expect("one column in, one result out")
-}
-
-/// Solve k systems `A xs[c] = bs[c]` by blocked PCG under uniform options:
-/// [`pcg_multi_each`] with the same `opts` for every column.
-pub fn pcg_multi(
-    sim: &mut Sim,
-    a: &dyn SimOperator,
-    m: &dyn Precond,
-    bs: &[DistVec],
-    xs: &mut [DistVec],
-    opts: PcgOptions,
-) -> Vec<PcgResult> {
-    pcg_multi_each(sim, a, m, bs, xs, &vec![opts; bs.len()])
-}
-
-/// [`pcg_blocked`] on the virtual-rank runtime with per-column options:
-/// column `c` runs under `opts[c]`'s tolerances and iteration cap. This is
-/// the ragged-batch entry the solver daemon feeds — concurrent requests for
-/// the same operator may each carry their own `rtol` — and column `c` is
-/// **bitwise identical** to an independent [`pcg`] call with `opts[c]`.
-pub fn pcg_multi_each(
-    sim: &mut Sim,
-    a: &dyn SimOperator,
-    m: &dyn Precond,
-    bs: &[DistVec],
-    xs: &mut [DistVec],
-    opts: &[PcgOptions],
-) -> Vec<PcgResult> {
-    if bs.is_empty() {
-        return Vec::new();
-    }
     let _t = pmg_telemetry::scope("pcg");
     let mut be = SimBackend { sim, a, m };
-    match pcg_blocked(&mut be, bs, xs, opts) {
+    match pcg_generic(&mut be, b, x, opts) {
         Ok(res) => res,
         Err(never) => match never {},
     }
@@ -487,108 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn pcg_multi_bitwise_matches_independent_solves() {
-        // Columns with different right-hand sides (and so different
-        // convergence points, exercising the freeze path) must land on
-        // exactly the bits of k independent solves.
-        let n = 40;
-        let k = 3;
-        let a = laplacian(n);
-        let l = Layout::block(n, 2);
-        let da = pmg_parallel::DistMatrix::from_global(&a, l.clone(), l.clone());
-        let opts = PcgOptions {
-            rtol: 1e-8,
-            max_iters: 200,
-            ..Default::default()
-        };
-        let bs: Vec<DistVec> = (0..k)
-            .map(|c| {
-                let b: Vec<f64> = (0..n)
-                    .map(|i| ((i * (c + 1)) as f64 * 0.23).sin() * (1.0 + c as f64))
-                    .collect();
-                DistVec::from_global(l.clone(), &b)
-            })
-            .collect();
-        let jac = JacobiPrecond::new(&da);
-        let mut sim = Sim::new(2, MachineModel::default());
-        let mut xs: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(l.clone())).collect();
-        let multi = pcg_multi(&mut sim, &da, &jac, &bs, &mut xs, opts);
-        for c in 0..k {
-            let mut sim1 = Sim::new(2, MachineModel::default());
-            let mut x1 = DistVec::zeros(l.clone());
-            let single = pcg(&mut sim1, &da, &jac, &bs[c], &mut x1, opts);
-            assert_eq!(multi[c].iterations, single.iterations, "c={c}");
-            assert_eq!(multi[c].converged, single.converged, "c={c}");
-            assert_eq!(multi[c].residuals, single.residuals, "c={c}");
-            for (a, b) in xs[c].to_global().iter().zip(x1.to_global()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "c={c}");
-            }
-        }
-        // They did not all stop at the same iteration (the freeze path ran).
-        assert!(
-            multi.iter().any(|r| r.iterations != multi[0].iterations)
-                || multi.iter().all(|r| r.converged),
-        );
-    }
-
-    #[test]
-    fn pcg_multi_each_matches_independent_solves_per_column() {
-        // Ragged options: every column carries its own rtol and iteration
-        // cap, and each must land on exactly the bits of an independent
-        // pcg call under those options — including a column whose cap is
-        // hit before convergence.
-        let n = 40;
-        let a = laplacian(n);
-        let l = Layout::block(n, 2);
-        let da = pmg_parallel::DistMatrix::from_global(&a, l.clone(), l.clone());
-        let opts_each = [
-            PcgOptions {
-                rtol: 1e-10,
-                max_iters: 200,
-                ..Default::default()
-            },
-            PcgOptions {
-                rtol: 1e-4,
-                max_iters: 200,
-                ..Default::default()
-            },
-            PcgOptions {
-                rtol: 1e-12,
-                max_iters: 3, // cap hit: freezes unconverged
-                ..Default::default()
-            },
-        ];
-        let bs: Vec<DistVec> = (0..3)
-            .map(|c| {
-                let b: Vec<f64> = (0..n).map(|i| ((i + 7 * c) as f64 * 0.31).cos()).collect();
-                DistVec::from_global(l.clone(), &b)
-            })
-            .collect();
-        let jac = JacobiPrecond::new(&da);
-        let mut sim = Sim::new(2, MachineModel::default());
-        let mut xs: Vec<DistVec> = (0..3).map(|_| DistVec::zeros(l.clone())).collect();
-        let multi = pcg_multi_each(&mut sim, &da, &jac, &bs, &mut xs, &opts_each);
-        for c in 0..3 {
-            let mut sim1 = Sim::new(2, MachineModel::default());
-            let mut x1 = DistVec::zeros(l.clone());
-            let single = pcg(&mut sim1, &da, &jac, &bs[c], &mut x1, opts_each[c]);
-            assert_eq!(multi[c].iterations, single.iterations, "c={c}");
-            assert_eq!(multi[c].converged, single.converged, "c={c}");
-            assert_eq!(multi[c].residuals, single.residuals, "c={c}");
-            for (a, b) in xs[c].to_global().iter().zip(x1.to_global()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "c={c}");
-            }
-        }
-        // The capped column really did freeze unconverged.
-        assert!(!multi[2].converged);
-        assert_eq!(multi[2].iterations, 3);
-        assert!(
-            !multi[2].breakdown,
-            "running out of iterations is not a breakdown"
-        );
-    }
-
-    #[test]
     fn zero_rhs_is_immediate() {
         let n = 10;
         let a = laplacian(n);
@@ -676,9 +478,9 @@ mod tests {
 
     #[test]
     fn generic_loop_is_bitwise_the_textbook_recurrence() {
-        // With `pcg` being the k = 1 case of the blocked loop, "blocked
-        // equals independent" says nothing about the recurrence itself;
-        // this does. One rank, so every reduction is a plain serial dot.
+        // The anchor for the recurrence itself: every other parity test
+        // compares two runs of this one loop. One rank, so every reduction
+        // is a plain serial dot.
         let n = 40;
         let a = laplacian(n);
         let l = Layout::block(n, 1);
@@ -727,23 +529,20 @@ mod tests {
         }
     }
 
-    /// A serial vector that counts the `axpy`s it receives and remembers
-    /// which column it belongs to: the test tags `b` and `x`, and the
-    /// backend hands the tag from input to output, so every work vector of
-    /// column `c` carries `c` by the time `A` is applied to it.
+    /// A serial vector that counts the `axpy`s it receives.
     struct CountedVec {
         v: Vec<f64>,
         axpys: usize,
-        col: Option<usize>,
     }
 
     /// Serial backend (identity preconditioner) that counts what the loop
     /// asks of it.
     struct CountingBackend<'a> {
         a: &'a CsrMatrix,
-        /// Operator applications per column.
-        applies: Vec<usize>,
+        applies: usize,
         preconds: usize,
+        /// Calls of `dots`: the reduction points a transport would enter.
+        reductions: usize,
     }
 
     impl PcgBackend for CountingBackend<'_> {
@@ -754,25 +553,23 @@ mod tests {
             CountedVec {
                 v: vec![0.0; self.a.nrows()],
                 axpys: 0,
-                col: None,
             }
         }
 
         fn apply(&mut self, x: &CountedVec, y: &mut CountedVec) -> Result<(), Infallible> {
-            y.col = x.col;
-            self.applies[x.col.expect("applied to a tagged vector")] += 1;
+            self.applies += 1;
             self.a.spmv(&x.v, &mut y.v);
             Ok(())
         }
 
         fn precond(&mut self, r: &CountedVec, z: &mut CountedVec) -> Result<(), Infallible> {
             self.preconds += 1;
-            z.col = r.col;
             z.v.copy_from_slice(&r.v);
             Ok(())
         }
 
         fn dots(&mut self, pairs: &[(&CountedVec, &CountedVec)]) -> Result<Vec<f64>, Infallible> {
+            self.reductions += 1;
             Ok(pairs
                 .iter()
                 .map(|(u, v)| pmg_sparse::vector::dot(&u.v, &v.v))
@@ -797,20 +594,13 @@ mod tests {
     fn converged_solve_applies_precond_n_and_operator_n_plus_one_times() {
         let n = 30;
         let a = laplacian(n);
-        let counted = |col: usize, v: Vec<f64>| CountedVec {
-            v,
-            axpys: 0,
-            col: Some(col),
-        };
-        let rhs =
-            |c: usize| -> Vec<f64> { (0..n).map(|i| ((i + 3 * c) as f64 * 0.29).cos()).collect() };
+        let counted = |v: Vec<f64>| CountedVec { v, axpys: 0 };
+        let wavy: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos()).collect();
         let tight = PcgOptions {
             rtol: 1e-10,
             max_iters: 100,
             ..Default::default()
         };
-        // Three columns that stop at different iterations: loose
-        // tolerance, tight tolerance, own cap.
         let loose = PcgOptions {
             rtol: 1e-2,
             ..tight
@@ -819,53 +609,47 @@ mod tests {
             max_iters: 2,
             ..tight
         };
-        let opts = [loose, tight, capped];
-
-        // Each column alone: M⁻¹ n times, A n + 1 times.
-        let mut alone = Vec::new();
-        for (c, o) in opts.iter().enumerate() {
+        // Stops at different iterations: loose tolerance, tight tolerance,
+        // the cap, a zero right-hand side (iteration 0), and ±∞ in the data.
+        let mut poisoned = wavy.clone();
+        poisoned[n / 2] = f64::NEG_INFINITY;
+        let cases = [
+            (&wavy, loose),
+            (&wavy, tight),
+            (&wavy, capped),
+            (&vec![0.0; n], tight),
+            (&poisoned, tight),
+        ];
+        let outcomes = cases.map(|(rhs, opts)| {
             let mut be = CountingBackend {
                 a: &a,
-                applies: vec![0],
+                applies: 0,
                 preconds: 0,
+                reductions: 0,
             };
-            let mut xs = [counted(0, vec![0.0; n])];
-            let res = pcg_blocked(&mut be, &[counted(0, rhs(c))], &mut xs, &[*o]).unwrap();
-            let iters = res[0].iterations;
-            assert!(iters >= 1);
-            if res[0].converged {
-                assert_eq!(be.preconds, iters, "no M⁻¹ application is discarded");
+            let mut x = counted(vec![0.0; n]);
+            let res = pcg_generic(&mut be, &counted(rhs.clone()), &mut x, opts).unwrap();
+            let iters = res.iterations;
+            assert_eq!(x.axpys, iters, "one x update per iteration: {res:?}");
+            assert_eq!(be.applies, iters + 1, "the residual, then one each");
+            if res.breakdown {
+                // Reported from the first reduction, before M⁻¹ is touched.
+                assert_eq!((be.preconds, be.reductions), (0, 1), "{res:?}");
+            } else if res.converged {
+                assert_eq!(be.preconds, iters, "no M⁻¹ is discarded: {res:?}");
+                assert_eq!(be.reductions, 3 * iters + 1, "{res:?}");
+            } else {
+                // Out of iterations: the last r·z was computed for a
+                // direction nobody took.
+                assert_eq!(be.reductions, 3 * iters + 2, "{res:?}");
             }
-            assert_eq!(
-                be.applies[0],
-                iters + 1,
-                "column {c}: residual + one per iteration"
-            );
-            alone.push((res, xs));
-        }
-
-        // Blocked: a frozen column's x receives no further axpy and A is
-        // no longer applied to it, while the others keep iterating on
-        // exactly the bits of their own k = 1 solve.
-        let mut be = CountingBackend {
-            a: &a,
-            applies: vec![0; 3],
-            preconds: 0,
-        };
-        let bs = [counted(0, rhs(0)), counted(1, rhs(1)), counted(2, rhs(2))];
-        let mut xs = [0, 1, 2].map(|c| counted(c, vec![0.0; n]));
-        let res = pcg_blocked(&mut be, &bs, &mut xs, &opts).unwrap();
-        assert!(res[0].converged && res[1].converged && !res[2].converged);
-        assert!(res[0].iterations < res[1].iterations, "{res:?}");
-        assert_eq!(res[2].iterations, 2);
-        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        for (c, (r, x)) in res.iter().zip(&xs).enumerate() {
-            assert_eq!(x.axpys, r.iterations, "one x update per active iteration");
-            assert_eq!(be.applies[c], r.iterations + 1, "column {c}");
-            let (single, x1) = &alone[c];
-            assert_eq!(bits(&r.residuals), bits(&single[0].residuals), "column {c}");
-            assert_eq!(bits(&x.v), bits(&x1[0].v), "column {c}");
-        }
+            (iters, res.converged, res.breakdown)
+        });
+        let [loose, tight, capped, zero, poisoned] = outcomes;
+        assert!(loose.1 && tight.1 && 1 <= loose.0 && loose.0 < tight.0);
+        assert_eq!(capped, (2, false, false));
+        assert_eq!(zero, (0, true, false), "one reduction, no M⁻¹");
+        assert_eq!(poisoned, (0, false, true));
     }
 
     #[test]
@@ -885,7 +669,8 @@ mod tests {
         poisoned[3] = f64::NAN;
         let spd = laplacian(n);
         let dspd = pmg_parallel::DistMatrix::from_global(&spd, l.clone(), l.clone());
-        for (op, b) in [(&da, &indefinite), (&dspd, &poisoned)] {
+        // p·Ap < 0 shows at the first iteration, a NaN at the first reduction.
+        for (op, b, iters) in [(&da, &indefinite, 1), (&dspd, &poisoned, 0)] {
             let mut sim = Sim::new(2, MachineModel::default());
             let db = DistVec::from_global(l.clone(), b);
             let mut x = DistVec::zeros(l.clone());
@@ -898,7 +683,7 @@ mod tests {
                 PcgOptions::default(),
             );
             assert!(res.breakdown && !res.converged, "{res:?}");
-            assert_eq!(res.iterations, 1);
+            assert_eq!(res.iterations, iters);
             assert!(x.to_global().iter().all(|&v| v == 0.0), "x untouched");
         }
         // Running out of iterations on an SPD system is not a breakdown.

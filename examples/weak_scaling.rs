@@ -102,7 +102,7 @@ fn main() {
             let t0 = Instant::now();
             let outcome = solve_threads(
                 &solver.mg,
-                std::slice::from_ref(&rhs),
+                &rhs,
                 PcgOptions {
                     rtol: 1e-4,
                     max_iters: 300,
@@ -141,8 +141,9 @@ fn main() {
         if let Some((spmd, thr_wall)) = spmd {
             // Same solve, but every rank is a real thread over the
             // in-process transport: measured traffic, not the BSP model.
-            let bitwise = spmd.results[0].iterations == res.iterations
-                && spmd.xs[0]
+            let bitwise = spmd.result.iterations == res.iterations
+                && spmd
+                    .x
                     .iter()
                     .zip(&x_sim)
                     .all(|(a, b)| a.to_bits() == b.to_bits());

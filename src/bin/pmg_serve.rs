@@ -1,14 +1,13 @@
 //! `pmg-serve` — the persistent solver daemon.
 //!
 //! Listens on a Unix-domain socket and/or TCP, keeps built multigrid
-//! hierarchies warm in an LRU byte-budgeted cache, and coalesces
-//! concurrent same-hierarchy requests into blocked multi-RHS solves.
+//! hierarchies warm in an LRU byte-budgeted cache, and answers solve
+//! requests one at a time in arrival order.
 //! Protocol and semantics: `docs/server.md`.
 //!
 //! ```text
 //! pmg_serve --unix /tmp/pmg.sock [--tcp 127.0.0.1:7070]
-//!           [--queue-cap 64] [--max-batch 8] [--linger-ms 2]
-//!           [--cache-mb 256] [--hold-ms 0]
+//!           [--queue-cap 64] [--cache-mb 256] [--hold-ms 0]
 //! ```
 //!
 //! Telemetry rides the usual env switches: `PMG_TELEMETRY=table|json`
@@ -21,7 +20,7 @@ use pmg_serve::{serve, ServeConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: pmg_serve [--unix PATH] [--tcp ADDR] [--queue-cap N] \
-         [--max-batch N] [--linger-ms N] [--cache-mb N] [--hold-ms N]"
+         [--cache-mb N] [--hold-ms N]"
     );
     std::process::exit(2);
 }
@@ -35,8 +34,6 @@ fn main() {
             "--unix" => config.unix_path = Some(value().into()),
             "--tcp" => config.tcp_addr = Some(value()),
             "--queue-cap" => config.queue_cap = parse(&value()),
-            "--max-batch" => config.max_batch = parse(&value()),
-            "--linger-ms" => config.linger_ms = parse(&value()),
             "--cache-mb" => config.cache_bytes = parse::<usize>(&value()) << 20,
             "--hold-ms" => config.hold_ms = parse(&value()),
             _ => usage(),

@@ -128,9 +128,9 @@ fn smoke(target: &Target) {
         }
         if bits_equal(&r.x, oracle) {
             eprintln!(
-                "ok   smoke-{i} [{name}] {} iters, batched {}, cache {}, bitwise == offline",
+                "ok   smoke-{i} [{name}] {} iters, breakdown {}, cache {}, bitwise == offline",
                 r.iterations,
-                r.batched,
+                r.breakdown,
                 if r.cache_hit { "hit" } else { "miss" }
             );
         } else {
@@ -148,8 +148,8 @@ fn smoke(target: &Target) {
         .stats()
         .expect("stats");
     eprintln!(
-        "smoke: stats requests={} batched={} cache_hit={} cache_miss={} rejected={}",
-        stats.requests, stats.batched, stats.cache_hit, stats.cache_miss, stats.rejected
+        "smoke: stats requests={} cache_hit={} cache_miss={} rejected={}",
+        stats.requests, stats.cache_hit, stats.cache_miss, stats.rejected
     );
     if stats.cache_hit == 0 {
         eprintln!("FAIL smoke: expected serve/cache_hit > 0 (hierarchy was pre-warmed)");

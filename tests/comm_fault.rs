@@ -52,8 +52,8 @@ fn solve_is_bitwise_exact_under_injected_faults() {
     };
 
     // Clean reference over the in-process transport.
-    let clean = solve_threads(&mg, std::slice::from_ref(&b), opts, true).unwrap();
-    assert!(clean.results[0].converged);
+    let clean = solve_threads(&mg, &b, opts, true).unwrap();
+    assert!(clean.result.converged);
 
     // Same solve with 1% of messages delayed, 1% duplicated, and 1%
     // dropped (recovered by timeout + retransmission).
@@ -84,14 +84,14 @@ fn solve_is_bitwise_exact_under_injected_faults() {
     let mut retries = 0u64;
     for (rank, out) in per_rank.into_iter().enumerate() {
         let (xl, res, stats) = out.unwrap_or_else(|e| panic!("rank {rank}: {e}"));
-        assert_eq!(res.iterations, clean.results[0].iterations, "rank {rank}");
-        for (got, want) in res.residuals.iter().zip(&clean.results[0].residuals) {
+        assert_eq!(res.iterations, clean.result.iterations, "rank {rank}");
+        for (got, want) in res.residuals.iter().zip(&clean.result.residuals) {
             assert_eq!(got.to_bits(), want.to_bits(), "rank {rank} residuals");
         }
         for (&g, &v) in layout.owned(rank).iter().zip(&xl) {
             assert_eq!(
                 v.to_bits(),
-                clean.xs[0][g as usize].to_bits(),
+                clean.x[g as usize].to_bits(),
                 "rank {rank} solution"
             );
         }

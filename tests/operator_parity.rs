@@ -117,20 +117,19 @@ fn matrix_free_spmd_solve_bitwise_across_transports_and_schedules() {
         // Threaded SPMD, overlapped and blocking: all three executions
         // must agree bit for bit — solution and residual history.
         for overlap in [true, false] {
-            let rhs = std::slice::from_ref(&sys.rhs);
-            let spmd = prometheus::solve_threads(&solver.mg, rhs, pcg_opts, overlap).unwrap();
+            let spmd = prometheus::solve_threads(&solver.mg, &sys.rhs, pcg_opts, overlap).unwrap();
             assert_eq!(
-                spmd.results[0].iterations, res_sim.iterations,
+                spmd.result.iterations, res_sim.iterations,
                 "p={p} overlap={overlap}"
             );
-            for (a, b) in spmd.results[0].residuals.iter().zip(&res_sim.residuals) {
+            for (a, b) in spmd.result.residuals.iter().zip(&res_sim.residuals) {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
                     "p={p} overlap={overlap} residual history"
                 );
             }
-            for (a, b) in spmd.xs[0].iter().zip(&x_sim) {
+            for (a, b) in spmd.x.iter().zip(&x_sim) {
                 assert_eq!(a.to_bits(), b.to_bits(), "p={p} overlap={overlap} solution");
             }
             if overlap && p > 1 {

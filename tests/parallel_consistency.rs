@@ -176,13 +176,12 @@ fn spheres_solve_bitwise_identical_across_transports() {
         let (x_sim, res_sim) = solver.solve(&sys.rhs, None, pmg_bench::PARITY_RTOL);
         assert!(res_sim.converged, "p={p}: {res_sim:?}");
 
-        let rhs = std::slice::from_ref(&sys.rhs);
-        let spmd = prometheus::solve_threads(&solver.mg, rhs, pcg_opts, true).unwrap();
-        assert_eq!(spmd.results[0].iterations, res_sim.iterations, "p={p}");
-        for (a, b) in spmd.results[0].residuals.iter().zip(&res_sim.residuals) {
+        let spmd = prometheus::solve_threads(&solver.mg, &sys.rhs, pcg_opts, true).unwrap();
+        assert_eq!(spmd.result.iterations, res_sim.iterations, "p={p}");
+        for (a, b) in spmd.result.residuals.iter().zip(&res_sim.residuals) {
             assert_eq!(a.to_bits(), b.to_bits(), "p={p} residual history");
         }
-        for (a, b) in spmd.xs[0].iter().zip(&x_sim) {
+        for (a, b) in spmd.x.iter().zip(&x_sim) {
             assert_eq!(a.to_bits(), b.to_bits(), "p={p} solution");
         }
         if p > 1 {
@@ -255,7 +254,6 @@ fn overlap_flag_changes_only_the_halo_schedule() {
     // flag also fused r·r with r·z behind a speculative preconditioner
     // application: 28 vs 41 allreduces here, and one extra FMG cycle.)
     let sys = pmg_bench::spheres_first_solve(0);
-    let rhs = std::slice::from_ref(&sys.rhs);
     let pcg_opts = pmg_solver::PcgOptions {
         rtol: pmg_bench::PARITY_RTOL,
         max_iters: 200,
@@ -263,9 +261,9 @@ fn overlap_flag_changes_only_the_halo_schedule() {
     };
     for p in [1usize, 2, 4] {
         let solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(p));
-        let over = prometheus::solve_threads(&solver.mg, rhs, pcg_opts, true).unwrap();
-        let block = prometheus::solve_threads(&solver.mg, rhs, pcg_opts, false).unwrap();
-        let (ro, rb) = (&over.results[0], &block.results[0]);
+        let over = prometheus::solve_threads(&solver.mg, &sys.rhs, pcg_opts, true).unwrap();
+        let block = prometheus::solve_threads(&solver.mg, &sys.rhs, pcg_opts, false).unwrap();
+        let (ro, rb) = (&over.result, &block.result);
         assert!(ro.converged, "p={p}: {ro:?}");
         assert_eq!(
             (ro.iterations, ro.converged, ro.breakdown),
@@ -283,7 +281,7 @@ fn overlap_flag_changes_only_the_halo_schedule() {
             bits(&rb.residuals),
             "p={p} residual history"
         );
-        assert_eq!(bits(&over.xs[0]), bits(&block.xs[0]), "p={p} solution");
+        assert_eq!(bits(&over.x), bits(&block.x), "p={p} solution");
         for (rank, (o, b)) in over.stats.iter().zip(&block.stats).enumerate() {
             assert_eq!(
                 (o.msgs, o.bytes, o.allreduces),
@@ -311,7 +309,6 @@ fn solve_messages_follow_the_cycle_schedule() {
     // transport sends.
     use prometheus::CycleType;
     let sys = pmg_bench::spheres_first_solve(0);
-    let rhs = std::slice::from_ref(&sys.rhs);
     let pcg_opts = pmg_solver::PcgOptions {
         rtol: pmg_bench::PARITY_RTOL,
         max_iters: 200,
@@ -359,8 +356,8 @@ fn solve_messages_follow_the_cycle_schedule() {
 
         // The transport: n iterations are n applications, n + 1 fine
         // products and 3 n + 1 allreduces.
-        let spmd = prometheus::solve_threads(mg, rhs, pcg_opts, true).unwrap();
-        let n = spmd.results[0].iterations as u64;
+        let spmd = prometheus::solve_threads(mg, &sys.rhs, pcg_opts, true).unwrap();
+        let n = spmd.result.iterations as u64;
         assert_eq!(spmd.stats[0].allreduces, 3 * n + 1, "p={p}");
         let sent: u64 = spmd.stats.iter().map(|s| s.msgs).sum();
         assert_eq!(
@@ -374,24 +371,26 @@ fn solve_messages_follow_the_cycle_schedule() {
 #[test]
 fn non_finite_rhs_is_a_reported_breakdown_on_both_runtimes() {
     // A NaN in the right-hand side used to end as `converged: false`,
-    // indistinguishable from running out of iterations. Both runtimes —
+    // indistinguishable from running out of iterations, and an infinity as
+    // `converged: true` with `x = 0` (`∞ ≤ rtol · ∞`). Both runtimes —
     // virtual ranks and rank threads — now say what happened.
     let sys = pmg_bench::spheres_first_solve(0);
-    let mut rhs = sys.rhs.clone();
-    rhs[sys.rhs.len() / 2] = f64::NAN;
     let mut solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(2));
-    let (_, res_sim) = solver.solve(&rhs, None, pmg_bench::PARITY_RTOL);
-    assert!(res_sim.breakdown && !res_sim.converged, "{res_sim:?}");
     let pcg_opts = pmg_solver::PcgOptions {
         rtol: pmg_bench::PARITY_RTOL,
         max_iters: 200,
         ..Default::default()
     };
-    let spmd =
-        prometheus::solve_threads(&solver.mg, std::slice::from_ref(&rhs), pcg_opts, true).unwrap();
-    let res = &spmd.results[0];
-    assert!(res.breakdown && !res.converged, "{res:?}");
-    assert_eq!(res.iterations, res_sim.iterations);
+    for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut rhs = sys.rhs.clone();
+        rhs[sys.rhs.len() / 2] = poison;
+        let (_, res_sim) = solver.solve(&rhs, None, pmg_bench::PARITY_RTOL);
+        assert!(res_sim.breakdown && !res_sim.converged, "{res_sim:?}");
+        let spmd = prometheus::solve_threads(&solver.mg, &rhs, pcg_opts, true).unwrap();
+        let res = &spmd.result;
+        assert!(res.breakdown && !res.converged, "{poison}: {res:?}");
+        assert_eq!(res.iterations, res_sim.iterations, "{poison}");
+    }
     // And a clean solve on the same hierarchy reports none.
     let (_, clean) = solver.solve(&sys.rhs, None, pmg_bench::PARITY_RTOL);
     assert!(clean.converged && !clean.breakdown, "{clean:?}");

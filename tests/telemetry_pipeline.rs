@@ -190,11 +190,11 @@ fn spmd_per_level_scopes_match_the_simulator() {
     let sim_scopes = cycle_scopes(&pmg_telemetry::snapshot());
 
     pmg_telemetry::reset();
-    let spmd = solve_threads(&solver.mg, std::slice::from_ref(&sys.rhs), opts, true).unwrap();
+    let spmd = solve_threads(&solver.mg, &sys.rhs, opts, true).unwrap();
     let spmd_scopes = cycle_scopes(&pmg_telemetry::snapshot());
     pmg_telemetry::set_enabled(false);
 
-    assert_eq!(spmd.results[0].iterations, sim_res.iterations);
+    assert_eq!(spmd.result.iterations, sim_res.iterations);
     let nlevels = solver.level_sizes().len();
     // precond + three scopes per level above the bottom + the bottom's.
     assert_eq!(sim_scopes.len(), 3 * nlevels - 1, "{sim_scopes:?}");
