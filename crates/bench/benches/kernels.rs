@@ -1,15 +1,16 @@
 //! Criterion microbenchmarks of the solver's kernels: SpMV, the Galerkin
 //! triple product, MIS, face identification, Delaunay tetrahedralization
 //! (random points, and the benchmark's first coarse grid with its exact
-//! `insphere` stage on its own), the block-Jacobi application and
-//! factorisation, a level operator's cold distribution against its
-//! value-only refresh, and one V-cycle/FMG cycle.
+//! `insphere` stage on its own), the block-Jacobi application,
+//! factorisation and block partition, a level operator's cold distribution
+//! against its value-only refresh, and one V-cycle/FMG cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{machine, spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
 use pmg_geometry::{Delaunay, Predicates, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
 use pmg_parallel::{DistMatrix, DistVec, Layout, Sim};
+use pmg_partition::{partition_graph, refine_kl, Graph};
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
 use pmg_sparse::{Bsr3Matrix, Operator};
 use prometheus::{
@@ -323,6 +324,47 @@ fn bench_block_factor(_c: &mut Criterion) {
     }
 }
 
+/// The symbolic half of the fine-grid smoother set-up at the same size: the
+/// 9.8k-dof spheres operator's pattern cut into 6 blocks per 1000 dofs, as
+/// one rank's block is. `refine_kl` runs its 4 passes from index runs of the
+/// regions' size, so `partition_graph` less `refine_kl` is about what the
+/// seed search and region growth cost.
+fn bench_block_partition(_c: &mut Criterion) {
+    let a = newton10k_system().matrix;
+    let n = a.nrows();
+    let per_1000 = MgOptions::default().blocks_per_1000;
+    let nblocks = ((per_1000 * n as f64 / 1000.0).round() as usize).clamp(1, n);
+    let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
+    let g = Graph::from_pattern(row_ptr, col_idx);
+    let runs: Vec<u32> = (0..n).map(|v| (v / n.div_ceil(nblocks)) as u32).collect();
+    let from_pattern = sorted_times(40, || {
+        black_box(Graph::from_pattern(black_box(row_ptr), col_idx));
+    });
+    let partition = sorted_times(40, || {
+        black_box(partition_graph(black_box(&g), nblocks));
+    });
+    let refine = sorted_times(40, || {
+        let mut part = runs.clone();
+        refine_kl(black_box(&g), &mut part, nblocks, 4);
+        black_box(part);
+    });
+    println!(
+        "# group: block_partition (n = {n}, nnz = {}, {nblocks} blocks)",
+        col_idx.len()
+    );
+    for (name, times) in [
+        ("from_pattern", from_pattern),
+        ("partition_graph", partition),
+        ("refine_kl", refine),
+    ] {
+        println!(
+            "block_partition/{name:<17} min {:>8.3} ms   median {:>8.3} ms",
+            times[0] * 1e3,
+            times[times.len() / 2] * 1e3
+        );
+    }
+}
+
 /// The remesh layer at the benchmark's size: the first coarse grid of the
 /// 9.8k-dof spheres (`cold10k`'s mesh; 1250 points on concentric shells,
 /// so coarse cells have cospherical corners and 7 % of the predicate calls
@@ -433,6 +475,7 @@ criterion_group!(
     bench_smoother,
     bench_block_solve,
     bench_block_factor,
+    bench_block_partition,
     bench_distribute
 );
 criterion_main!(benches);

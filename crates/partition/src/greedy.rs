@@ -9,8 +9,12 @@ use crate::graph::Graph;
 /// Partition `g` into `nparts` parts of near-equal size by repeated greedy
 /// region growing, then improve the edge cut with [`refine_kl`].
 ///
-/// Linear in `n + E` apart from the pseudo-peripheral seed search, which
-/// walks the unassigned remainder of the seed's component once per region.
+/// Each region is a plain FIFO breadth-first search from a pseudo-peripheral
+/// seed of the unassigned remainder, enqueuing neighbours in ascending
+/// order, until it holds `⌈n / nparts⌉` vertices. Linear in `n + E` apart
+/// from the seed search, which is still one search per region, but over
+/// the twin quotient: runs of consecutive vertices with equal closed
+/// neighbourhoods (the dofs of one mesh vertex) are searched as one class.
 pub fn partition_graph(g: &Graph, nparts: usize) -> Vec<u32> {
     assert!(nparts >= 1);
     let n = g.num_vertices();
@@ -26,16 +30,13 @@ pub fn partition_graph(g: &Graph, nparts: usize) -> Vec<u32> {
     // Assignments are never undone, so the first unassigned vertex only
     // moves forward.
     let mut first_unassigned = 0usize;
-    let mut seen = SeedSearch::new(n);
+    let mut quotient = TwinQuotient::new(g);
     let mut queue = std::collections::VecDeque::new();
-    // Deterministic seeds: grow each region from a pseudo-peripheral vertex
-    // of the unassigned remainder, BFS preferring vertices with the most
-    // assigned-to-current neighbors (compact regions).
     while assigned < n {
         while part[first_unassigned] != u32::MAX {
             first_unassigned += 1;
         }
-        let seed = seen.peripheral_unassigned(g, &part, first_unassigned);
+        let seed = quotient.peripheral_unassigned(&part, first_unassigned);
         queue.clear();
         queue.push_back(seed as u32);
         while let Some(v) = queue.pop_front() {
@@ -44,6 +45,7 @@ pub fn partition_graph(g: &Graph, nparts: usize) -> Vec<u32> {
                 continue;
             }
             part[v] = current;
+            quotient.assign(v);
             assigned += 1;
             count += 1;
             if count >= target && current + 1 < nparts as u32 {
@@ -64,46 +66,132 @@ pub fn partition_graph(g: &Graph, nparts: usize) -> Vec<u32> {
     part
 }
 
-/// Scratch of the seed search, reused across regions: `stamp[v] == epoch`
-/// marks `v` visited by the current search, so starting a search is a
-/// counter bump, not an O(n) clear.
-struct SeedSearch {
+/// The seed search's graph: the quotient of `g` by its twin classes,
+/// maximal runs of consecutive vertices whose closed neighbourhoods
+/// `adj(v) ∪ {v}` are equal, with a per-class count of unassigned members.
+///
+/// A search over classes finds the vertex the scalar BFS over unassigned
+/// vertices finds (`oracle::peripheral_unassigned`). Every vertex adjacent
+/// to one member of a class is adjacent to all of them, and a class's
+/// members are consecutive, so the first scan that reaches a class appends
+/// all of its unassigned members together, in ascending order; their twins
+/// scan the same neighbourhood and find nothing new. The root's own class
+/// is the one exception: the root's scan appends the class's other
+/// unassigned members at the class's sorted position. The root is the
+/// lowest unassigned vertex, so no class below its own has an unassigned
+/// member and that position is first, right after the root: the class
+/// order is the scalar order with each class's run collapsed.
+///
+/// `stamp[c] == epoch` marks class `c` visited by the current search, so
+/// starting a search is a counter bump, not a clear.
+struct TwinQuotient {
+    /// The class of each vertex.
+    class_of: Vec<u32>,
+    /// Class `c` is the vertex run `start[c]..start[c + 1]`.
+    start: Vec<u32>,
+    /// Class adjacency in CSR form, ascending, without self loops.
+    xadj: Vec<usize>,
+    adjncy: Vec<u32>,
+    unassigned: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
     order: Vec<u32>,
 }
 
-impl SeedSearch {
-    fn new(n: usize) -> SeedSearch {
-        SeedSearch {
-            stamp: vec![0; n],
+impl TwinQuotient {
+    /// O(n + E): each list is compared with the next one, and a class's
+    /// adjacency is read off its first member's list.
+    fn new(g: &Graph) -> TwinQuotient {
+        let n = g.num_vertices();
+        let mut class_of = Vec::with_capacity(n);
+        let mut start = vec![0u32];
+        for v in 0..n {
+            if v > 0 && !closed_twins(g, v - 1) {
+                start.push(v as u32);
+            }
+            class_of.push(start.len() as u32 - 1);
+        }
+        let classes = start.len();
+        start.push(n as u32);
+        let mut xadj = Vec::with_capacity(classes + 1);
+        xadj.push(0);
+        let mut adjncy = Vec::new();
+        for (c, &first) in start[..classes].iter().enumerate() {
+            // The list is sorted and classes are index runs, so the class
+            // ids come non-decreasing: a repeat is the last one pushed.
+            let row = adjncy.len();
+            for &w in g.neighbors(first as usize) {
+                let d = class_of[w as usize];
+                if d as usize != c && adjncy[row..].last() != Some(&d) {
+                    adjncy.push(d);
+                }
+            }
+            xadj.push(adjncy.len());
+        }
+        TwinQuotient {
+            class_of,
+            unassigned: start.windows(2).map(|r| r[1] - r[0]).collect(),
+            start,
+            xadj,
+            adjncy,
+            stamp: vec![0; classes],
             epoch: 0,
             order: Vec::new(),
         }
     }
 
-    /// BFS-farthest unassigned vertex from `seed` restricted to unassigned
-    /// vertices (a cheap pseudo-peripheral heuristic).
-    fn peripheral_unassigned(&mut self, g: &Graph, part: &[u32], seed: usize) -> usize {
+    /// Record that vertex `v` was assigned to a part.
+    fn assign(&mut self, v: usize) {
+        self.unassigned[self.class_of[v] as usize] -= 1;
+    }
+
+    /// BFS-farthest vertex from `root`, the lowest unassigned vertex,
+    /// restricted to unassigned vertices (a cheap pseudo-peripheral
+    /// heuristic): the highest unassigned member of the last class the
+    /// search appends, the root's own class if it appends no other.
+    fn peripheral_unassigned(&mut self, part: &[u32], root: usize) -> usize {
         // At most one search per vertex, so the epoch cannot wrap.
         self.epoch += 1;
+        let root_class = self.class_of[root];
         self.order.clear();
-        self.order.push(seed as u32);
-        self.stamp[seed] = self.epoch;
+        self.order.push(root_class);
+        self.stamp[root_class as usize] = self.epoch;
         let mut head = 0;
         while head < self.order.len() {
-            let v = self.order[head] as usize;
+            self.scan(self.order[head]);
             head += 1;
-            for &w in g.neighbors(v) {
-                let w = w as usize;
-                if self.stamp[w] != self.epoch && part[w] == u32::MAX {
-                    self.stamp[w] = self.epoch;
-                    self.order.push(w as u32);
-                }
+        }
+        let last = self.order[self.order.len() - 1];
+        let mut v = self.start[last as usize + 1] as usize - 1;
+        while part[v] != u32::MAX {
+            v -= 1;
+        }
+        v
+    }
+
+    /// Append the unvisited classes next to `c` that still have an
+    /// unassigned member, in ascending order.
+    fn scan(&mut self, c: u32) {
+        let c = c as usize;
+        for &d in &self.adjncy[self.xadj[c]..self.xadj[c + 1]] {
+            if self.stamp[d as usize] != self.epoch && self.unassigned[d as usize] > 0 {
+                self.stamp[d as usize] = self.epoch;
+                self.order.push(d);
             }
         }
-        *self.order.last().expect("the seed is in the order") as usize
     }
+}
+
+/// Whether `v` and `v + 1` are closed twins: `v + 1` is in `adj(v)` and
+/// stands where `v` stands in `adj(v + 1)`, every other entry equal.
+fn closed_twins(g: &Graph, v: usize) -> bool {
+    let (a, b) = (g.neighbors(v), g.neighbors(v + 1));
+    let (v, next) = (v as u32, v as u32 + 1);
+    a.len() == b.len()
+        && a.binary_search(&next).is_ok()
+        && a.iter()
+            .zip(b)
+            .all(|(&x, &y)| x == y || (x == next && y == v))
 }
 
 /// Greedy boundary refinement: repeatedly move boundary vertices to the
@@ -202,7 +290,8 @@ pub fn part_imbalance(part: &[u32], nparts: usize) -> f64 {
 }
 
 /// The quadratic partitioner the linear-time kernels above replaced — an
-/// O(n) seed scan, a fresh visited array and BFS per region, an O(deg²)
+/// O(n) seed scan, a fresh visited array and a BFS over vertices per region
+/// (the scalar seed search the twin quotient replaced), an O(deg²)
 /// refinement step — kept verbatim as the oracle: the fast kernels must
 /// return the identical `part` vector (the smoother's blocks, and with
 /// them every solution bit, depend on it).
@@ -452,6 +541,64 @@ mod tests {
         Graph::from_edges(n, edges)
     }
 
+    /// `base` with each vertex `i` blown up into a run of `runs[i] % 4 + 1`
+    /// consecutive closed twins, adjacent to one another and to every member
+    /// of `i`'s neighbours as a mesh vertex's dofs are; then the members
+    /// `fixed` names lose every edge, as a Dirichlet dof does.
+    fn twin_graph(base: &Graph, runs: &[usize], fixed: &[usize]) -> Graph {
+        let m = base.num_vertices();
+        let mut first = vec![0usize; m + 1];
+        for i in 0..m {
+            first[i + 1] = first[i] + runs[i] % 4 + 1;
+        }
+        let n = first[m];
+        let mut free = vec![true; n];
+        for &f in fixed {
+            free[f % n] = false;
+        }
+        let mut edges = Vec::new();
+        for i in 0..m {
+            let coupled = base.neighbors(i).iter().map(|&j| j as usize);
+            for j in std::iter::once(i).chain(coupled.filter(|&j| j > i)) {
+                for a in first[i]..first[i + 1] {
+                    for b in first[j]..first[j + 1] {
+                        if free[a] && free[b] {
+                            edges.push((a as u32, b as u32));
+                        }
+                    }
+                }
+            }
+        }
+        Graph::from_edges(n, edges)
+    }
+
+    #[test]
+    fn twin_classes_of_an_fe_pattern() {
+        // A 3 x 2 grid of mesh vertices under two quads, 3 dofs a vertex,
+        // with vertex 1 on a symmetry plane: its z dof (5) is fixed, so its
+        // row and column keep only the diagonal.
+        let quads = [[0, 1, 3, 4], [1, 2, 4, 5]];
+        let fixed = 5;
+        let (mut row_ptr, mut col_idx) = (vec![0], Vec::new());
+        for i in 0..18 {
+            col_idx.extend((0..18).filter(|&j| {
+                let coupled = (quads.iter()).any(|q| q.contains(&(i / 3)) && q.contains(&(j / 3)));
+                i == j || (coupled && i != fixed && j != fixed)
+            }));
+            row_ptr.push(col_idx.len());
+        }
+        let g = Graph::from_pattern(&row_ptr, &col_idx);
+        let q = TwinQuotient::new(&g);
+        // Classes of 3, 2 (vertex 1's free dofs) and 1 (its fixed dof).
+        assert_eq!(q.start, [0, 3, 5, 6, 9, 12, 15, 18]);
+        assert_eq!(q.unassigned, [3, 2, 1, 3, 3, 3, 3]);
+        // Regions of ⌈18 / 4⌉ = 5 dofs: the first, seeded at dof 17, is
+        // {17, 3, 4, 6, 7}, splitting the classes {6, 7, 8} and {15, 16, 17}.
+        let part = [2, 2, 2, 2, 2, 3, 1, 0, 1, 2, 2, 2, 2, 2, 2, 3, 2, 0];
+        assert_eq!(oracle::partition_graph(&g, 4), part);
+        assert_eq!(partition_graph(&g, 4), part);
+    }
+
     proptest! {
         #[test]
         fn prop_partition_is_the_oracles(
@@ -464,6 +611,29 @@ mod tests {
             // Sparse to dense (degree far above the part count), connected
             // or in islands (plus whatever vertices no draw touched).
             let g = island_graph(n, islands, &draws[..(n * density).min(draws.len())]);
+            for nparts in [1, 2, 1 + nparts_draw % n, n] {
+                prop_assert_eq!(
+                    (nparts, partition_graph(&g, nparts)),
+                    (nparts, oracle::partition_graph(&g, nparts))
+                );
+            }
+        }
+
+        #[test]
+        fn prop_partition_is_the_oracles_on_twins(
+            m in 1usize..30,
+            islands in 1usize..4,
+            density in 0usize..8,
+            draws in proptest::collection::vec((0usize..1000, 0usize..1000), 240),
+            runs in proptest::collection::vec(0usize..1000, 30),
+            fixed in proptest::collection::vec(0usize..1000, 0..4),
+            nparts_draw in 0usize..1000,
+        ) {
+            // Runs of 1-4 twins a vertex, so regions and seeds land inside
+            // classes, with a few members cut loose mid-run.
+            let base = island_graph(m, islands, &draws[..(m * density).min(draws.len())]);
+            let g = twin_graph(&base, &runs[..m], &fixed);
+            let n = g.num_vertices();
             for nparts in [1, 2, 1 + nparts_draw % n, n] {
                 prop_assert_eq!(
                     (nparts, partition_graph(&g, nparts)),
