@@ -24,20 +24,16 @@
 pub mod assembly;
 pub mod athena;
 pub mod bc;
-pub mod mass;
 pub mod material;
 pub mod matfree;
 pub mod newton;
 pub mod problem;
-pub mod rediscretize;
 pub mod shape;
 
 pub use assembly::FemProblem;
-pub use athena::{assemble_distributed, partition_mesh, RankAssembly, SubMesh};
+pub use athena::RankAssembly;
 pub use bc::DirichletBc;
-pub use mass::{consistent_mass, lumped_mass};
 pub use material::{J2Plasticity, LinearElastic, Material, NeoHookean};
 pub use matfree::{MatFreeOperator, MfRankKernel};
 pub use newton::{NewtonDriver, NewtonOptions, NewtonStats};
 pub use problem::{spheres_problem, table1_materials, SpheresProblem};
-pub use rediscretize::{assemble_tet_operator, TetOperatorCache};

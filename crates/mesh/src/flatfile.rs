@@ -1,11 +1,16 @@
-//! The "flat" finite element input file and its parallel reader (§5).
+//! The "flat" finite element input file (§5).
 //!
 //! "Athena reads a large 'flat' finite element mesh input file in parallel
 //! (ie, each processor seeks and reads only the part of the input file
 //! that it, and it alone, is responsible for)". The format here is a
-//! simple self-describing text format with a byte-offset directory, so a
-//! rank can seek directly to its contiguous share of the vertex and
-//! element sections without touching the rest of the file.
+//! simple self-describing text format with a byte-offset directory and
+//! fixed-width records, so any record sits at a computable byte offset.
+//! No reader seeks today: the directory and the padding are kept so that
+//! existing files and uploads stay byte-compatible.
+//! One parser reads it: [`read_flat`] from disk and [`read_flat_bytes`]
+//! for the daemon's uploads. Ingest then partitions the mesh and ships
+//! each rank only its share as a [`crate::MeshShard`], so a compute rank
+//! never holds the global mesh even though one reader parses the file.
 //!
 //! Layout:
 //! ```text
@@ -16,12 +21,11 @@
 //! <one vertex per line: x y z>
 //! <one element per line: material v0 v1 ...>
 //! ```
-//! Every vertex and element line is padded to a fixed width so the i-th
-//! record sits at a computable byte offset.
+//! Every vertex and element line is padded to a fixed width.
 
 use crate::mesh::{ElementKind, Mesh};
 use pmg_geometry::Vec3;
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, Write};
 use std::path::Path;
 
 /// Fixed record widths (bytes, including the newline).
@@ -105,67 +109,58 @@ fn write_flat_to<W: Write>(mesh: &Mesh, f: &mut W) -> std::io::Result<()> {
 }
 
 /// Parsed header of a flat file.
-#[derive(Clone, Copy, Debug)]
-pub struct FlatHeader {
-    pub kind: ElementKind,
-    pub num_vertices: usize,
-    pub num_elements: usize,
+struct FlatHeader {
+    kind: ElementKind,
+    num_vertices: usize,
+    num_elements: usize,
     vertex_off: u64,
     elem_off: u64,
 }
 
-/// Read only the header (cheap).
-pub fn read_header(path: &Path) -> std::io::Result<FlatHeader> {
-    let f = std::fs::File::open(path)?;
-    let mut r = BufReader::new(f);
-    parse_header(&mut r)
-}
-
 fn parse_header<R: BufRead>(r: &mut R) -> std::io::Result<FlatHeader> {
     let mut line = String::new();
-    let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
     r.read_line(&mut line)?;
     if line.trim() != "pmgmesh 1" {
-        return Err(bad("not a pmgmesh file"));
+        return Err(bad_data("not a pmgmesh file"));
     }
     line.clear();
     r.read_line(&mut line)?;
     let kind = kind_from_name(
         line.trim()
             .strip_prefix("kind ")
-            .ok_or_else(|| bad("kind"))?,
+            .ok_or_else(|| bad_data("kind"))?,
     )
-    .ok_or_else(|| bad("unknown element kind"))?;
+    .ok_or_else(|| bad_data("unknown element kind"))?;
     line.clear();
     r.read_line(&mut line)?;
     let rest = line
         .trim()
         .strip_prefix("counts ")
-        .ok_or_else(|| bad("counts"))?;
+        .ok_or_else(|| bad_data("counts"))?;
     let mut it = rest.split_whitespace();
     let num_vertices: usize = it
         .next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("nv"))?;
+        .ok_or_else(|| bad_data("nv"))?;
     let num_elements: usize = it
         .next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("ne"))?;
+        .ok_or_else(|| bad_data("ne"))?;
     line.clear();
     r.read_line(&mut line)?;
     let rest = line
         .trim()
         .strip_prefix("offsets ")
-        .ok_or_else(|| bad("offsets"))?;
+        .ok_or_else(|| bad_data("offsets"))?;
     let mut it = rest.split_whitespace();
     let vertex_off: u64 = it
         .next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("voff"))?;
+        .ok_or_else(|| bad_data("voff"))?;
     let elem_off: u64 = it
         .next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("eoff"))?;
+        .ok_or_else(|| bad_data("eoff"))?;
     Ok(FlatHeader {
         kind,
         num_vertices,
@@ -175,38 +170,22 @@ fn parse_header<R: BufRead>(r: &mut R) -> std::io::Result<FlatHeader> {
     })
 }
 
-/// A rank's contiguous share of the file (block distribution, the form in
-/// which Athena ingests the mesh before repartitioning with ParMetis).
-#[derive(Clone, Debug)]
-pub struct FlatSlice {
-    pub header: FlatHeader,
-    /// Global index of the first vertex in this slice.
-    pub vertex_start: usize,
-    pub coords: Vec<Vec3>,
-    /// Global index of the first element in this slice.
-    pub elem_start: usize,
-    /// Flattened global vertex ids of the slice's elements.
-    pub elem_verts: Vec<u32>,
-    pub materials: Vec<u32>,
-}
-
-fn block_range(n: usize, rank: usize, nranks: usize) -> (usize, usize) {
-    let lo = n * rank / nranks;
-    let hi = n * (rank + 1) / nranks;
-    (lo, hi)
-}
-
 fn bad_data(m: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string())
 }
 
+/// Byte length of `n` records of `width` bytes, if `buf` holds them (a
+/// count from the header may be hostile, so the product is checked).
+fn section_len(buf: &[u8], width: usize, n: usize) -> Option<usize> {
+    width.checked_mul(n).filter(|&len| len <= buf.len())
+}
+
 /// Parse `n` fixed-width vertex records from `buf`.
 fn parse_vertices(buf: &[u8], n: usize) -> std::io::Result<Vec<Vec3>> {
-    if buf.len() < VERTEX_RECORD * n {
-        return Err(bad_data("truncated vertex section"));
-    }
+    let len =
+        section_len(buf, VERTEX_RECORD, n).ok_or_else(|| bad_data("truncated vertex section"))?;
     let mut coords = Vec::with_capacity(n);
-    for rec in buf[..VERTEX_RECORD * n].chunks(VERTEX_RECORD) {
+    for rec in buf[..len].chunks(VERTEX_RECORD) {
         let s = std::str::from_utf8(rec).map_err(|_| bad_data("utf8"))?;
         let mut it = s.split_whitespace();
         let x: f64 = it
@@ -229,12 +208,10 @@ fn parse_vertices(buf: &[u8], n: usize) -> std::io::Result<Vec<Vec3>> {
 /// Parse `n` fixed-width element records from `buf`.
 fn parse_elems(buf: &[u8], kind: ElementKind, n: usize) -> std::io::Result<(Vec<u32>, Vec<u32>)> {
     let erl = elem_record_len(kind);
-    if buf.len() < erl * n {
-        return Err(bad_data("truncated element section"));
-    }
+    let len = section_len(buf, erl, n).ok_or_else(|| bad_data("truncated element section"))?;
     let mut elem_verts = Vec::with_capacity(n * kind.nodes());
     let mut materials = Vec::with_capacity(n);
-    for rec in buf[..erl * n].chunks(erl) {
+    for rec in buf[..len].chunks(erl) {
         let s = std::str::from_utf8(rec).map_err(|_| bad_data("utf8"))?;
         let mut it = s.split_whitespace();
         materials.push(
@@ -271,45 +248,9 @@ pub fn read_flat_bytes(bytes: &[u8]) -> std::io::Result<Mesh> {
     Ok(Mesh::new(coords, header.kind, elem_verts, materials))
 }
 
-/// Read only rank `rank`'s share of the file: seeks straight to its vertex
-/// and element byte ranges (no other bytes are read).
-pub fn read_flat_slice(path: &Path, rank: usize, nranks: usize) -> std::io::Result<FlatSlice> {
-    let header = read_header(path)?;
-    let mut f = std::fs::File::open(path)?;
-
-    let (v_lo, v_hi) = block_range(header.num_vertices, rank, nranks);
-    f.seek(SeekFrom::Start(
-        header.vertex_off + (VERTEX_RECORD * v_lo) as u64,
-    ))?;
-    let mut buf = vec![0u8; VERTEX_RECORD * (v_hi - v_lo)];
-    f.read_exact(&mut buf)?;
-    let coords = parse_vertices(&buf, v_hi - v_lo)?;
-
-    let erl = elem_record_len(header.kind);
-    let (e_lo, e_hi) = block_range(header.num_elements, rank, nranks);
-    f.seek(SeekFrom::Start(header.elem_off + (erl * e_lo) as u64))?;
-    let mut buf = vec![0u8; erl * (e_hi - e_lo)];
-    f.read_exact(&mut buf)?;
-    let (elem_verts, materials) = parse_elems(&buf, header.kind, e_hi - e_lo)?;
-    Ok(FlatSlice {
-        header,
-        vertex_start: v_lo,
-        coords,
-        elem_start: e_lo,
-        elem_verts,
-        materials,
-    })
-}
-
-/// Read the whole mesh (assembles the slices of a 1-rank read).
+/// Read a whole flat file (the same parser as [`read_flat_bytes`]).
 pub fn read_flat(path: &Path) -> std::io::Result<Mesh> {
-    let s = read_flat_slice(path, 0, 1)?;
-    Ok(Mesh::new(
-        s.coords,
-        s.header.kind,
-        s.elem_verts,
-        s.materials,
-    ))
+    read_flat_bytes(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -350,49 +291,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_slices_tile_the_mesh() {
-        let m = block(4, 3, 2, Vec3::new(4.0, 3.0, 2.0), |_| 0);
-        let path = tmp("slices");
-        write_flat(&m, &path).unwrap();
-        for nranks in [1, 2, 3, 5] {
-            let mut nv = 0;
-            let mut ne = 0;
-            let mut coords = Vec::new();
-            let mut elems = Vec::new();
-            for r in 0..nranks {
-                let s = read_flat_slice(&path, r, nranks).unwrap();
-                assert_eq!(s.vertex_start, nv);
-                assert_eq!(s.elem_start, ne);
-                nv += s.coords.len();
-                ne += s.materials.len();
-                coords.extend(s.coords);
-                elems.extend(s.elem_verts);
-            }
-            assert_eq!(nv, m.num_vertices(), "nranks={nranks}");
-            assert_eq!(ne, m.num_elements());
-            assert_eq!(coords, m.coords);
-            assert_eq!(elems, m.elem_verts);
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn header_only_read() {
-        let m = block(2, 2, 2, Vec3::splat(1.0), |_| 0);
-        let path = tmp("header");
-        write_flat(&m, &path).unwrap();
-        let h = read_header(&path).unwrap();
-        assert_eq!(h.num_vertices, 27);
-        assert_eq!(h.num_elements, 8);
-        assert_eq!(h.kind, ElementKind::Hex8);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn rejects_garbage() {
         let path = tmp("garbage");
         std::fs::write(&path, "not a mesh\n").unwrap();
-        assert!(read_header(&path).is_err());
+        let err = read_flat(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn rejects_out_of_range_vertex_id() {
+        let m = block(2, 2, 2, Vec3::splat(1.0), |_| 0);
+        let mut bytes = write_flat_bytes(&m);
+        // Element 0's first vertex field (after the 10-wide material and
+        // a space) cites vertex n, one past the last.
+        let header = parse_header(&mut std::io::Cursor::new(&bytes)).unwrap();
+        let field = header.elem_off as usize + 11;
+        let bad = format!("{:>9}", m.num_vertices());
+        bytes[field..field + 9].copy_from_slice(bad.as_bytes());
+        let path = tmp("bad_vertex");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_flat(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(path).ok();
     }
 
@@ -422,5 +342,11 @@ mod tests {
         let bytes = write_flat_bytes(&m);
         assert!(read_flat_bytes(&bytes[..bytes.len() - 40]).is_err());
         assert!(read_flat_bytes(b"not a mesh\n").is_err());
+        // A count whose section length overflows (72 · 2^61 wraps to 0) is
+        // an error, not a capacity panic.
+        let text = String::from_utf8(bytes).unwrap();
+        let huge = text.replacen("counts 27 8", &format!("counts {} 8", 1u64 << 61), 1);
+        let err = read_flat_bytes(huge.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

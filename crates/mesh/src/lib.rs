@@ -21,7 +21,7 @@ pub mod shard;
 pub mod spheres;
 
 pub use facets::{boundary_facets, facet_adjacency, facet_centroids, Facet};
-pub use flatfile::{read_flat, read_flat_bytes, read_flat_slice, write_flat, write_flat_bytes};
+pub use flatfile::{read_flat, read_flat_bytes, write_flat, write_flat_bytes};
 pub use io::to_vtk;
 pub use mesh::{ElementKind, Mesh};
 pub use shard::{element_imbalance, shard_mesh, MeshShard};

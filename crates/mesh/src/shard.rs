@@ -8,10 +8,10 @@
 //! ghost closure. [`MeshShard`] is that per-rank payload — a self-contained
 //! local [`Mesh`] with the local→global maps needed to place assembled
 //! rows into the global dof space — and [`shard_mesh`] carves a global
-//! mesh into shards with exactly the sub-domain construction the
-//! `pmg_fem` Athena layer uses (every element touching at least one owned
+//! mesh into those sub-domains (every element touching at least one owned
 //! vertex, owned vertices first in ascending global order so local
-//! numbering lines up with `pmg_parallel::Layout`).
+//! numbering lines up with `pmg_parallel::Layout`); `pmg_fem::RankAssembly`
+//! assembles each rank's owned rows from its shard.
 //!
 //! Shards serialize to a flat little-endian byte image ([`MeshShard::encode`]
 //! / [`MeshShard::decode`]) so rank 0 can scatter them over any transport;
@@ -202,11 +202,12 @@ impl Reader<'_> {
 /// `pmg_partition::recursive_coordinate_bisection` over the coordinates).
 ///
 /// Runs on the ingest side (rank 0, or whatever reads the file); compute
-/// ranks only ever see the returned shards. The sub-domain construction is
-/// identical to the Athena layer's `partition_mesh`: each rank gets every
-/// element touching at least one of its owned vertices, local vertices are
-/// owned-ascending then ghost-ascending, so a `pmg_fem::RankAssembly`
-/// built from a shard reproduces the `partition_mesh` one bitwise.
+/// ranks only ever see the returned shards. This is §5's Athena
+/// sub-domain: each rank gets every element touching at least one of its
+/// owned vertices, in ascending global order, and local vertices are
+/// owned-ascending then ghost-ascending. So a `pmg_fem::RankAssembly`
+/// built from a shard computes its owned rows bit for bit as a serial
+/// assembly of the global mesh would.
 pub fn shard_mesh(mesh: &Mesh, part: &[u32], nranks: usize) -> Vec<MeshShard> {
     assert_eq!(part.len(), mesh.num_vertices());
     let nv_per_elem = mesh.kind.nodes();
@@ -389,6 +390,21 @@ mod tests {
         let back = MeshShard::decode(&shards[1].encode()).unwrap();
         assert_eq!(back.mesh.num_vertices(), 0);
         assert_eq!(shards[0].mesh.num_elements(), m.num_elements());
+    }
+
+    #[test]
+    fn ghost_layer_is_one_element_deep() {
+        let m = block(6, 1, 1, Vec3::new(6.0, 1.0, 1.0), |_| 0);
+        // Split in half along x: rank 0 owns the x = 0..3 vertex planes and
+        // sees elements 0-3, rank 1 owns x = 4..6 and sees elements 3-5.
+        // The shared element 3 is evaluated twice — the redundant work.
+        let part: Vec<u32> = m.coords.iter().map(|p| u32::from(p.x > 3.0)).collect();
+        let shards = shard_mesh(&m, &part, 2);
+        assert_eq!(shards[0].global_elements, [0, 1, 2, 3]);
+        assert_eq!(shards[1].global_elements, [3, 4, 5]);
+        for s in &shards {
+            assert!(s.num_ghost() > 0, "rank {}", s.rank);
+        }
     }
 
     #[test]

@@ -17,14 +17,12 @@
 
 pub mod chebyshev;
 pub mod direct;
-pub mod lanczos;
 pub mod pcg;
 pub mod precond;
 pub mod smoother;
 
 pub use chebyshev::Chebyshev;
 pub use direct::CoarseDirect;
-pub use lanczos::{lanczos_spectrum, SpectrumEstimate};
 pub use pcg::{pcg, pcg_generic, PcgBackend, PcgOptions, PcgResult};
 pub use precond::{IdentityPrecond, JacobiPrecond, Precond};
 pub use smoother::{BlockJacobi, RankJacobi, RankSmoother};

@@ -2,15 +2,14 @@
 //! that can be easily integrated with existing finite element codes (ie,
 //! requiring only data that is easily available in most finite element
 //! applications)". This example plays the existing FE code: it writes a
-//! mesh to the flat input file, then the solver side reads it back
-//! (slice-wise, as Athena would), assembles, solves, and exports VTK.
+//! mesh to the flat input file, then the solver side reads it back,
+//! assembles, solves on 4 virtual ranks, and exports VTK.
 //!
 //! Run with: `cargo run --release --example external_mesh`
 
 use prometheus_repro::fem::{bc::constrain_system, FemProblem, LinearElastic};
-use prometheus_repro::mesh::flatfile::{read_flat_slice, write_flat};
 use prometheus_repro::mesh::generators::l_bracket;
-use prometheus_repro::mesh::{to_vtk, Mesh};
+use prometheus_repro::mesh::{read_flat, to_vtk, write_flat};
 use prometheus_repro::solver::{MgOptions, Prometheus, PrometheusOptions};
 use std::sync::Arc;
 
@@ -26,27 +25,9 @@ fn main() {
         mesh_out.num_elements()
     );
 
-    // --- The solver side: parallel read (4 ranks), assemble, solve. ---
-    let nranks = 4;
-    let mut coords = Vec::new();
-    let mut elem_verts = Vec::new();
-    let mut materials = Vec::new();
-    let mut kind = None;
-    for r in 0..nranks {
-        let s = read_flat_slice(&path, r, nranks).expect("read slice");
-        println!(
-            "  rank {r} read vertices [{}..{}) and {} elements",
-            s.vertex_start,
-            s.vertex_start + s.coords.len(),
-            s.materials.len()
-        );
-        kind = Some(s.header.kind);
-        coords.extend(s.coords);
-        elem_verts.extend(s.elem_verts);
-        materials.extend(s.materials);
-    }
+    // --- The solver side: read, assemble, solve. ---
+    let mesh = read_flat(&path).expect("read mesh file");
     std::fs::remove_file(&path).ok();
-    let mesh = Mesh::new(coords, kind.unwrap(), elem_verts, materials);
 
     let ndof = mesh.num_dof();
     let mut fem = FemProblem::new(
@@ -70,7 +51,7 @@ fn main() {
     let b: Vec<f64> = rhs.iter().map(|v| -v).collect();
 
     let opts = PrometheusOptions {
-        nranks,
+        nranks: 4,
         mg: MgOptions {
             coarse_dof_threshold: 400,
             ..Default::default()

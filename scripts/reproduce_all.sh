@@ -27,6 +27,7 @@ run mis_ordering_study
 run thin_body_ablation
 run ordering_ablation
 run smoother_ablation
+run smoother_ablation 10k
 run face_tol_study
 run coarse_size_study
 

@@ -4,13 +4,94 @@
 //! SPD, spectrally comparable, and both must work inside a two-grid
 //! preconditioner.
 
-use pmg_fem::{assemble_tet_operator, FemProblem, LinearElastic};
+use pmg_fem::{FemProblem, LinearElastic, Material};
+use pmg_geometry::Vec3;
 use pmg_mesh::generators::cube;
+use pmg_mesh::{ElementKind, Mesh};
 use pmg_parallel::{DistMatrix, DistVec, Layout, MachineModel, Sim};
 use pmg_solver::{pcg, BlockJacobi, CoarseDirect, PcgOptions, Precond};
 use pmg_sparse::CsrMatrix;
 use prometheus::{classify_mesh, coarsen_level, mg::expand_restriction, CoarsenOptions};
 use std::sync::Arc;
+
+/// The rediscretized route: assemble a fresh single-material finite
+/// element problem on a tetrahedral grid (as produced by the multigrid
+/// coarsener; tets positive-volume oriented).
+fn assemble_tet_operator(
+    coords: &[Vec3],
+    tets: &[[u32; 4]],
+    material: Arc<dyn Material>,
+) -> CsrMatrix {
+    let flat: Vec<u32> = tets.iter().flatten().copied().collect();
+    let mesh = Mesh::new(
+        coords.to_vec(),
+        ElementKind::Tet4,
+        flat,
+        vec![0; tets.len()],
+    );
+    let ndof = mesh.num_dof();
+    FemProblem::new(mesh, vec![material])
+        .assemble(&vec![0.0; ndof])
+        .0
+}
+
+#[test]
+fn tet_operator_annihilates_rigid_translation() {
+    let coords = [
+        Vec3::new(0.0, 0.0, 0.0),
+        Vec3::new(1.0, 0.0, 0.0),
+        Vec3::new(0.0, 1.0, 0.0),
+        Vec3::new(0.0, 0.0, 1.0),
+    ];
+    let k = assemble_tet_operator(
+        &coords,
+        &[[0, 1, 2, 3]],
+        Arc::new(LinearElastic::from_e_nu(1.0, 0.3)),
+    );
+    assert_eq!(k.nrows(), 12);
+    assert!(k.is_symmetric(1e-12));
+    let mut t = vec![0.0; 12];
+    for a in 0..4 {
+        t[3 * a + 1] = 1.0;
+    }
+    let mut kt = vec![0.0; 12];
+    k.spmv(&t, &mut kt);
+    assert!(kt.iter().all(|v| v.abs() < 1e-12), "{kt:?}");
+}
+
+#[test]
+fn tet_grid_volume_consistency() {
+    // Two tets filling a prism: stiffness scales linearly with E.
+    let coords = [
+        Vec3::new(0.0, 0.0, 0.0),
+        Vec3::new(1.0, 0.0, 0.0),
+        Vec3::new(0.0, 1.0, 0.0),
+        Vec3::new(0.0, 0.0, 1.0),
+        Vec3::new(1.0, 1.0, 1.0),
+    ];
+    // Orient each tet to positive volume; flip if needed.
+    let v = |t: &[u32; 4]| {
+        let p: Vec<Vec3> = t.iter().map(|&i| coords[i as usize]).collect();
+        (p[1] - p[0]).cross(p[2] - p[0]).dot(p[3] - p[0])
+    };
+    let tets: Vec<[u32; 4]> = [[0u32, 1, 2, 3], [1, 2, 3, 4]]
+        .iter()
+        .map(|t| {
+            if v(t) > 0.0 {
+                *t
+            } else {
+                [t[1], t[0], t[2], t[3]]
+            }
+        })
+        .collect();
+    let k1 = assemble_tet_operator(&coords, &tets, Arc::new(LinearElastic::from_e_nu(1.0, 0.3)));
+    let k2 = assemble_tet_operator(&coords, &tets, Arc::new(LinearElastic::from_e_nu(2.0, 0.3)));
+    assert_eq!(k1.nnz(), k2.nnz());
+    for (a, b) in k1.iter().zip(k2.iter()) {
+        assert_eq!((a.0, a.1), (b.0, b.1));
+        assert!((2.0 * a.2 - b.2).abs() < 1e-12);
+    }
+}
 
 fn fine_system() -> (pmg_mesh::Mesh, CsrMatrix) {
     let mesh = cube(5);
