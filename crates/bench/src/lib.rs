@@ -156,7 +156,7 @@ pub fn hierarchy_shape(label: &str, solver: &prometheus::Prometheus) -> String {
 pub const PARITY_RTOL: f64 = 1e-6;
 
 /// Options for the transport-parity runs (the consistency tests, the
-/// `spheres_rank` worker, and the daemon smoke client): the
+/// `spheres_rank` worker, and the daemon's spec entries): the
 /// tiny spheres problem over `nranks` ranks with a coarse threshold low
 /// enough to give a multi-level hierarchy. Every transport must reproduce
 /// the simulated solve bitwise under these options, so both the test and
@@ -172,26 +172,48 @@ pub fn parity_options(nranks: usize) -> prometheus::PrometheusOptions {
     }
 }
 
-/// Build the parity solver on whichever fine-operator backend
-/// `PMG_FINE_OP` selects. The consistency tests and the `spheres_rank`
-/// worker both construct through here, so a matrix run with
-/// `PMG_FINE_OP=matrixfree` exercises the element-loop fine apply across
-/// every transport without touching the callers.
-pub fn parity_solver(
+/// The parity problem's ingest plan over `nranks` ranks: classified,
+/// partitioned and planned the way `Prometheus::from_mesh` lays it out
+/// under [`parity_options`], so a hierarchy built from it by
+/// `build_from_shards` solves bit for bit like the simulated solver. The
+/// `spheres_rank` worker's rank 0 plans with it; in-process callers build
+/// through [`parity_setups`].
+pub fn parity_plan(sys: &FirstSolveSystem, nranks: usize) -> prometheus::IngestPlan {
+    let (mesh, opts) = (&sys.mesh, parity_options(nranks));
+    let graph = mesh.vertex_graph();
+    let classes = prometheus::classify_mesh_parallel(mesh, opts.face_tol, nranks);
+    let part = pmg_partition::recursive_coordinate_bisection(&mesh.coords, nranks);
+    let elem_counts: Vec<u32> = pmg_mesh::shard_mesh(mesh, &part, nranks)
+        .iter()
+        .map(|s| s.mesh.num_elements() as u32)
+        .collect();
+    prometheus::plan_ingest_with_part(
+        &mesh.coords,
+        &graph,
+        &classes,
+        &elem_counts,
+        part,
+        nranks,
+        &opts.mg,
+    )
+}
+
+/// The parity problem's sharded hierarchy over `nranks` rank threads
+/// ([`parity_plan`], each rank taking its owned rows of `sys.matrix`), in
+/// rank order for `prometheus::solve_threads`.
+pub fn parity_setups(
     sys: &FirstSolveSystem,
-    opts: prometheus::PrometheusOptions,
-) -> prometheus::Prometheus {
-    match prometheus::FineOperator::from_env() {
-        prometheus::FineOperator::MatrixFree => {
-            let mut opts = opts;
-            opts.mg.fine_operator = prometheus::FineOperator::MatrixFree;
-            let mf = sys.matrix_free();
-            prometheus::Prometheus::from_mesh_matrix_free(&sys.mesh, &sys.matrix, opts, &mf)
-        }
-        prometheus::FineOperator::Assembled => {
-            prometheus::Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts)
-        }
-    }
+    nranks: usize,
+) -> Result<Vec<prometheus::DistributedSetup>, pmg_comm::CommError> {
+    let plan = parity_plan(sys, nranks);
+    let opts = parity_options(nranks).mg;
+    let vlayout = pmg_parallel::Layout::from_part(plan.part().to_vec(), nranks);
+    let layout = pmg_parallel::Layout::expand_dofs(&vlayout, opts.dofs_per_vertex);
+    prometheus::build_threads(
+        &plan,
+        |rank| sys.matrix.extract_rows(layout.owned(rank)),
+        opts,
+    )
 }
 
 #[cfg(test)]

@@ -26,8 +26,8 @@
 //! The level-0 coarsening runs in-process here with `nproc = nranks`
 //! virtual processors, which is bitwise identical to the transport MIS the
 //! ranks would have run (`transport_coarsening_matches_in_process_exactly`
-//! pins it) — so a hierarchy grown from seeds matches the extract oracle
-//! bit for bit.
+//! pins it) — so a hierarchy grown from seeds matches the simulated
+//! `MgHierarchy::build` bit for bit.
 
 use crate::classify::{VertexClass, VertexClasses};
 use crate::coarsen::coarsen_level;

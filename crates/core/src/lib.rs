@@ -53,5 +53,6 @@ pub use mg::{CycleType, FineOperator, MgHierarchy, MgOptions};
 pub use mis::{greedy_mis, parallel_mis, parallel_mis_transport, MisOrdering};
 pub use solver::{Prometheus, PrometheusOptions, SolveSummary};
 pub use spmd::{
-    solve_threads, spmd_pcg, DistributedSetup, PhaseWaits, RankHierarchy, SpmdSolveOutcome,
+    build_threads, solve_threads, spmd_pcg, DistributedSetup, PhaseWaits, RankHierarchy,
+    SpmdSolveOutcome,
 };

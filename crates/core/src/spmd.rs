@@ -1,13 +1,14 @@
-//! SPMD execution of the multigrid-preconditioned CG solve over a real
-//! [`Transport`].
+//! SPMD execution of the multigrid setup and the multigrid-preconditioned
+//! CG solve over a real [`Transport`].
 //!
 //! The orchestrated path ([`crate::solver::Prometheus`]) loops over virtual
 //! ranks in one address space and charges a BSP machine model. This module
-//! runs the *same* solve as a true single-program-multiple-data program:
-//! every rank (a thread over [`LocalTransport`], or a process over
-//! `pmg_comm::SocketTransport`) holds only its own share of each level and
-//! exchanges halos, inner-product partials, and the coarse-grid gather as
-//! real messages.
+//! runs the *same* setup and solve as a true single-program-multiple-data
+//! program: every rank (a thread over [`LocalTransport`], or a process over
+//! `pmg_comm::SocketTransport`) builds and holds only its own share of each
+//! level ([`RankHierarchy::build_from_shards`], the only way an SPMD
+//! hierarchy comes into being) and exchanges halos, inner-product partials,
+//! and the coarse-grid gather as real messages.
 //!
 //! Bitwise parity is the design contract. Every kernel is the identical
 //! per-rank code the orchestrated path runs ([`RankOp::spmv`],
@@ -23,13 +24,13 @@
 use crate::classify::VertexClasses;
 use crate::coarsen::coarsen_level_transport;
 use crate::cycle::{self, CycleScratch, Done, LevelOps};
-use crate::ingest::RankSeed;
-use crate::mg::{expand_restriction, FineOperator, MgHierarchy, MgOptions, Smoother, SmootherType};
+use crate::ingest::{IngestPlan, RankSeed};
+use crate::mg::{expand_restriction, FineOperator, MgOptions, SmootherType};
 use pmg_comm::{
     f64s_from_bytes, f64s_to_bytes, CommError, CommStats, LeReader, LocalTransport, Transport,
 };
 use pmg_geometry::Vec3;
-use pmg_parallel::{Layout, MfRankOp, OverlapInfo, RankMatrix, RankOp};
+use pmg_parallel::{Layout, RankMatrix, RankOp};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
 use pmg_solver::{
     pcg_generic, CoarseDirect, PcgBackend, PcgOptions, PcgResult, RankJacobi, RankSmoother,
@@ -74,56 +75,18 @@ impl PhaseWaits {
     }
 }
 
-/// One rank's level/restriction/prolongation apply: assembled rows or the
-/// matrix-free element kernel. Both backends run the identical two-phase
-/// interior-then-boundary schedule with the same halo plan, so the
-/// blocking and overlapped paths dispatch through here without changing
-/// the bitwise contract of either.
-enum LevelOp<'a> {
-    Mat(RankOp<'a>),
-    MatFree(MfRankOp<'a>),
-}
-
-impl LevelOp<'_> {
-    fn local_rows(&self) -> usize {
-        match self {
-            LevelOp::Mat(op) => op.local_rows(),
-            LevelOp::MatFree(op) => op.local_rows(),
-        }
-    }
-
-    fn spmv<T: Transport>(&self, t: &mut T, x: &[f64], y: &mut [f64]) -> Result<(), CommError> {
-        match self {
-            LevelOp::Mat(op) => op.spmv(t, x, y),
-            LevelOp::MatFree(op) => op.spmv(t, x, y),
-        }
-    }
-
-    fn spmv_overlapped<T: Transport>(
-        &self,
-        t: &mut T,
-        x: &[f64],
-        y: &mut [f64],
-    ) -> Result<OverlapInfo, CommError> {
-        match self {
-            LevelOp::Mat(op) => op.spmv_overlapped(t, x, y),
-            LevelOp::MatFree(op) => op.spmv_overlapped(t, x, y),
-        }
-    }
-}
-
 /// One rank's borrowed view of one grid level.
 struct RankLevel<'a> {
-    a: LevelOp<'a>,
-    r: Option<LevelOp<'a>>,
-    p: Option<LevelOp<'a>>,
+    a: RankOp<'a>,
+    r: Option<RankOp<'a>>,
+    p: Option<RankOp<'a>>,
     smoother: RankSmoother<'a>,
     coarse: Option<&'a CoarseDirect>,
     layout: &'a Arc<Layout>,
 }
 
-/// One rank's borrowed view of a whole [`MgHierarchy`]: the SPMD
-/// counterpart of the hierarchy's `Precond` implementation.
+/// One rank's borrowed view of a whole [`DistributedSetup`]: the SPMD
+/// counterpart of the simulated hierarchy's `Precond` implementation.
 pub struct RankHierarchy<'a> {
     levels: Vec<RankLevel<'a>>,
     /// Which cycle to run (`cycle`, `pre_smooth`, `post_smooth`).
@@ -169,9 +132,9 @@ struct DistLevel {
     layout: Arc<Layout>,
 }
 
-/// A multigrid hierarchy built **by** the SPMD ranks themselves — the
-/// owning counterpart of [`RankHierarchy`], which borrows a replicated
-/// [`MgHierarchy`].
+/// A multigrid hierarchy built **by** the SPMD ranks themselves: this
+/// rank's share of every level, which [`RankHierarchy`] borrows for the
+/// solve. It is the only way a message-passing hierarchy comes into being.
 ///
 /// Produced by [`RankHierarchy::build_from_shards`] from a
 /// partition-at-ingest seed and this rank's owned fine rows: every level is
@@ -179,11 +142,12 @@ struct DistLevel {
 /// rounds and the §4.5 face-ID merge over the transport, and the Galerkin
 /// product fetches the few off-rank rows it needs point-to-point.
 ///
-/// Call [`DistributedSetup::rank_hierarchy`] to borrow the solve view;
-/// its shares are **bitwise identical** to
-/// `RankHierarchy::extract(&MgHierarchy::build(..), rank)` on the same
-/// global problem — the parity the `shards_match_extract_oracle` tests pin
-/// on every transport.
+/// Call [`DistributedSetup::rank_hierarchy`] to borrow the solve view.
+/// Its shares are **bitwise identical** to rank `rank`'s local blocks of
+/// the simulated [`MgHierarchy::build`](crate::MgHierarchy::build) on the
+/// same global problem, and its solve to the simulated
+/// [`pmg_solver::pcg()`] — the parity the
+/// `shards_match_the_simulated_hierarchy` test pins.
 ///
 /// # Example
 ///
@@ -288,8 +252,7 @@ impl DistributedSetup {
         &self.levels[0].layout
     }
 
-    /// Borrow this rank's solve view: the same [`RankHierarchy`] the
-    /// extract path produces, ready for [`spmd_pcg`].
+    /// Borrow this rank's solve view, ready for [`spmd_pcg`].
     pub fn rank_hierarchy(&self) -> RankHierarchy<'_> {
         let levels = self
             .levels
@@ -298,9 +261,9 @@ impl DistributedSetup {
             .map(|(lvl, level)| {
                 let (ta, tr, tp) = tags(lvl);
                 RankLevel {
-                    a: LevelOp::Mat(level.a.rank_op(ta)),
-                    r: level.r.as_ref().map(|m| LevelOp::Mat(m.rank_op(tr))),
-                    p: level.p.as_ref().map(|m| LevelOp::Mat(m.rank_op(tp))),
+                    a: level.a.rank_op(ta),
+                    r: level.r.as_ref().map(|m| m.rank_op(tr)),
+                    p: level.p.as_ref().map(|m| m.rank_op(tp)),
                     smoother: level.smoother.view(),
                     coarse: level.coarse.as_ref(),
                     layout: &level.layout,
@@ -689,50 +652,7 @@ fn coarsen_transfer<T: Transport>(
     }))
 }
 
-impl<'a> RankHierarchy<'a> {
-    /// Borrow rank `rank`'s share of every level.
-    ///
-    /// Panics if the hierarchy uses the Chebyshev smoother — its eigenvalue
-    /// bounds are estimated with inner products the SPMD path does not
-    /// carry; the paper's block-Jacobi smoother is fully local.
-    pub fn extract(mg: &'a MgHierarchy, rank: usize) -> RankHierarchy<'a> {
-        let levels = mg
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(lvl, level)| {
-                let (ta, tr, tp) = tags(lvl);
-                let smoother = match &level.smoother {
-                    Smoother::BlockJacobi(bj) => bj.rank_view(rank),
-                    Smoother::Chebyshev(_) => {
-                        panic!("SPMD execution supports the block-Jacobi smoother only")
-                    }
-                };
-                // The fine grid routes through the matrix-free kernels
-                // when the hierarchy has them installed; the tag and the
-                // halo plan are the same either way (the kernels' ghost
-                // sets match the assembled matrix by construction).
-                let a = match &mg.fine_mf {
-                    Some(mf) if lvl == 0 => LevelOp::MatFree(mf.rank_op(rank, ta)),
-                    _ => LevelOp::Mat(level.a.rank_op(rank, ta)),
-                };
-                RankLevel {
-                    a,
-                    r: level.r.as_ref().map(|m| LevelOp::Mat(m.rank_op(rank, tr))),
-                    p: level.p.as_ref().map(|m| LevelOp::Mat(m.rank_op(rank, tp))),
-                    smoother,
-                    coarse: level.coarse.as_ref(),
-                    layout: level.a.row_layout(),
-                }
-            })
-            .collect();
-        RankHierarchy {
-            levels,
-            opts: mg.opts,
-            overlap: true,
-        }
-    }
-
+impl RankHierarchy<'_> {
     /// Run the **setup** pipeline SPMD over a real transport, from a
     /// **partition-at-ingest seed**: no rank — this one included — ever
     /// materializes the global fine mesh, the global fine matrix, or a
@@ -769,9 +689,10 @@ impl<'a> RankHierarchy<'a> {
     /// rank (other ranks hold `coarse: None`).
     ///
     /// The level shares and the solve are **bitwise identical** to the
-    /// `MgHierarchy::build` + [`RankHierarchy::extract`] oracle on the same
-    /// global problem; the `shards_match_extract_oracle` tests pin it on
-    /// every transport.
+    /// simulated `MgHierarchy::build` and its solve on the same global
+    /// problem, for the RCB partition both derive; the
+    /// `shards_match_the_simulated_hierarchy` test pins it on rank threads
+    /// and `tests/parallel_consistency.rs` over sockets.
     ///
     /// Telemetry: the whole build runs under a `setup` scope with the same
     /// child phases as the orchestrated path (`coarsen` with
@@ -784,24 +705,27 @@ impl<'a> RankHierarchy<'a> {
     /// `mg/level0/element_imbalance` when the seed carries ingest-time
     /// element counts.
     ///
-    /// Panics if `opts` asks for the Chebyshev smoother or the
-    /// matrix-free fine operator — the SPMD setup supports the paper's
-    /// block-Jacobi smoother and the assembled fine grid.
+    /// `opts` asking for the Chebyshev smoother or the matrix-free fine
+    /// operator is [`CommError::Invalid`], returned before the first
+    /// message — the SPMD setup supports the paper's block-Jacobi smoother
+    /// and the assembled fine grid, and every rank holds the same options,
+    /// so every rank refuses and none is left waiting.
     pub fn build_from_shards<T: Transport>(
         t: &mut T,
         seed: &RankSeed,
         a_owned: &CsrMatrix,
         opts: MgOptions,
     ) -> Result<DistributedSetup, CommError> {
-        assert!(
-            matches!(opts.smoother, SmootherType::BlockJacobi),
-            "sharded setup supports the block-Jacobi smoother only"
-        );
-        assert_eq!(
-            opts.fine_operator,
-            FineOperator::Assembled,
-            "sharded setup supports the assembled fine operator only"
-        );
+        if !matches!(opts.smoother, SmootherType::BlockJacobi) {
+            return Err(CommError::Invalid(
+                "sharded setup supports the block-Jacobi smoother only".into(),
+            ));
+        }
+        if opts.fine_operator != FineOperator::Assembled {
+            return Err(CommError::Invalid(
+                "sharded setup supports the assembled fine operator only".into(),
+            ));
+        }
         let _setup_scope = pmg_telemetry::scope("setup");
         let stats0 = t.stats();
         let nranks = t.size();
@@ -1040,8 +964,7 @@ impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
         let before = t.stats().wait_s;
         let gathered = pmg_comm::gather(t, &f64s_to_bytes(r))?;
         let shares = gathered.map(|parts| {
-            // Only the gather root ever needs the factor: sharded setups
-            // hold it on rank 0 alone, replicated hierarchies everywhere.
+            // Only the gather root needs the factor, and only it holds one.
             let direct = level.coarse.expect("rank 0 holds the coarsest-grid factor");
             let mut global = vec![0.0; layout.num_global()];
             for (rk, blob) in parts.iter().enumerate() {
@@ -1087,7 +1010,7 @@ impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
 fn halo_spmv<T: Transport>(
     t: &mut T,
     w: &mut PhaseWaits,
-    op: &LevelOp<'_>,
+    op: &RankOp<'_>,
     overlap: bool,
     x: &[f64],
     y: &mut [f64],
@@ -1218,33 +1141,51 @@ pub struct SpmdSolveOutcome {
     pub waits: Vec<PhaseWaits>,
 }
 
+/// Run [`RankHierarchy::build_from_shards`] as one threaded SPMD program:
+/// one OS thread per seed of `plan`, connected by a [`LocalTransport`]
+/// machine, rank `r` building from its seed and its owned fine rows
+/// `rows(r)`. Returns the setups in rank order (what [`solve_threads`]
+/// takes), or the error of the lowest rank that failed.
+pub fn build_threads(
+    plan: &IngestPlan,
+    rows: impl Fn(usize) -> CsrMatrix + Sync,
+    opts: MgOptions,
+) -> Result<Vec<DistributedSetup>, CommError> {
+    LocalTransport::run_ranks(plan.seeds.len(), |mut t| {
+        let rank = t.rank();
+        RankHierarchy::build_from_shards(&mut t, &plan.seeds[rank], &rows(rank), opts)
+    })
+    .into_iter()
+    .collect()
+}
+
 /// Run the solve `A x = b` as one threaded SPMD program through
-/// [`spmd_pcg`]: one OS thread per rank of the hierarchy's fine layout,
-/// connected by a [`LocalTransport`] machine. The hierarchy is borrowed
-/// read-only by every rank (the setup is shared; only the solve runs SPMD),
-/// and the returned solution is bitwise identical to the orchestrated
-/// [`pmg_solver::pcg()`] path at any rank count.
+/// [`spmd_pcg`]: one OS thread per setup (`setups[r]` is rank `r`'s, as
+/// [`build_threads`] returns them), connected by a [`LocalTransport`]
+/// machine. The returned solution is bitwise identical to the simulated
+/// [`pmg_solver::pcg()`] solve of the same problem at any rank count.
 ///
 /// `overlap` picks the halo schedule ([`RankHierarchy::overlap`]); both
 /// produce bitwise-identical solutions, residual histories and message
 /// counts, and `false` exists for A/B wait-time measurements of the
 /// blocking exchange.
 pub fn solve_threads(
-    mg: &MgHierarchy,
+    setups: &[DistributedSetup],
     b: &[f64],
     opts: PcgOptions,
     overlap: bool,
 ) -> Result<SpmdSolveOutcome, CommError> {
-    let layout = mg.levels[0].a.row_layout().clone();
-    let nranks = layout.num_ranks();
+    let layout = setups.first().expect("one setup per rank").fine_layout();
+    let nranks = setups.len();
     assert_eq!(b.len(), layout.num_global(), "rhs length");
 
-    let layout_ref = &layout;
-    let per_rank = LocalTransport::run_ranks(nranks, move |mut t| {
+    let per_rank = LocalTransport::run_ranks(nranks, |mut t| {
         let rank = t.rank();
-        let mut h = RankHierarchy::extract(mg, rank);
+        let setup = &setups[rank];
+        assert_eq!(setup.rank(), rank, "setups in rank order");
+        let mut h = setup.rank_hierarchy();
         h.overlap = overlap;
-        let owned = layout_ref.owned(rank);
+        let owned = layout.owned(rank);
         let bl: Vec<f64> = owned.iter().map(|&g| b[g as usize]).collect();
         let mut xl = vec![0.0; owned.len()];
         let (result, waits) = spmd_pcg(&mut t, &h, &bl, &mut xl, opts)?;
@@ -1278,7 +1219,7 @@ pub fn solve_threads(
 mod tests {
     use super::*;
     use crate::classify::classify_mesh;
-    use crate::mg::MgOptions;
+    use crate::mg::MgHierarchy;
     use pmg_parallel::{DistVec, MachineModel, Sim};
     use pmg_solver::pcg;
     use pmg_sparse::{CooBuilder, CsrMatrix};
@@ -1343,75 +1284,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn threaded_solve_matches_sim_bitwise() {
-        let n = 7;
-        let m = pmg_mesh::generators::cube(n);
-        let classes = classify_mesh(&m, 0.7);
-        let (a, coords, g) = scalar_problem(n);
-        let nv = a.nrows();
-        let bg: Vec<f64> = (0..nv).map(|i| (i as f64 * 0.23).sin()).collect();
-        let opts = PcgOptions {
-            rtol: 1e-8,
-            max_iters: 60,
-            ..Default::default()
-        };
-        for p in [1usize, 2, 4] {
-            let mut sim = Sim::new(p, MachineModel::default());
-            let mg_opts = MgOptions {
-                dofs_per_vertex: 1,
-                coarse_dof_threshold: 60,
-                ..Default::default()
-            };
-            let mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &classes, mg_opts);
-            let layout = mg.levels[0].a.row_layout().clone();
-            let db = DistVec::from_global(layout.clone(), &bg);
-            let mut dx = DistVec::zeros(layout);
-            let sim_res = pcg(&mut sim, &mg.levels[0].a, &mg, &db, &mut dx, opts);
-            let expect = dx.to_global();
-
-            let spmd = solve_threads(&mg, &bg, opts, true).unwrap();
-            let res = &spmd.result;
-            assert_eq!(res.converged, sim_res.converged, "p={p}");
-            assert_eq!(res.iterations, sim_res.iterations, "p={p}");
-            assert_eq!(res.residuals.len(), sim_res.residuals.len(), "p={p}");
-            for (a, b) in res.residuals.iter().zip(&sim_res.residuals) {
-                assert_eq!(a.to_bits(), b.to_bits(), "p={p} residual history");
-            }
-            for (a, b) in spmd.x.iter().zip(&expect) {
-                assert_eq!(a.to_bits(), b.to_bits(), "p={p} solution");
-            }
-            assert!(spmd.stats.iter().any(|s| s.msgs > 0) || p == 1, "p={p}");
-
-            // The schedule flag changes only the schedule: the blocking
-            // run is the same arithmetic *and* the same traffic — every
-            // rank sends the same messages and enters the same allreduces —
-            // it just hides no halo window.
-            let blocking = solve_threads(&mg, &bg, opts, false).unwrap();
-            let bres = &blocking.result;
-            assert_eq!(bres.iterations, res.iterations, "p={p}");
-            for (a, b) in blocking.x.iter().zip(&spmd.x) {
-                assert_eq!(a.to_bits(), b.to_bits(), "p={p} blocking solution");
-            }
-            for (a, b) in bres.residuals.iter().zip(&res.residuals) {
-                assert_eq!(a.to_bits(), b.to_bits(), "p={p} blocking residuals");
-            }
-            for (rank, (o, b)) in spmd.stats.iter().zip(&blocking.stats).enumerate() {
-                assert_eq!(
-                    (o.msgs, o.bytes, o.allreduces),
-                    (b.msgs, b.bytes, b.allreduces),
-                    "p={p} rank={rank}: overlap must not change (msgs, bytes, allreduces)"
-                );
-            }
-            let w0 = spmd.waits[0];
-            assert!(
-                w0.interior_rows + w0.boundary_rows > 0,
-                "p={p}: overlap row accounting must tick"
-            );
-            assert_eq!(blocking.waits[0].interior_rows, 0, "p={p}");
-        }
-    }
-
     /// 3-dof expansion of the scalar cube problem: each scalar entry
     /// becomes `v·I₃`, so the matrix is SPD, vertex-aligned, and exercises
     /// the BSR3 promotion on every level.
@@ -1426,14 +1298,134 @@ mod tests {
         (b.build(), coords, g)
     }
 
+    /// Sharded setups of `a` over `p` rank threads, planned from the RCB
+    /// partition the simulated build derives itself.
+    fn sharded(
+        a: &CsrMatrix,
+        coords: &[Vec3],
+        g: &Graph,
+        classes: &VertexClasses,
+        p: usize,
+        opts: MgOptions,
+    ) -> Vec<DistributedSetup> {
+        let plan = crate::ingest::plan_ingest(coords, g, classes, &[], p, &opts);
+        let vlayout = Layout::from_part(plan.part().to_vec(), p);
+        let layout = Layout::expand_dofs(&vlayout, opts.dofs_per_vertex);
+        build_threads(&plan, |rank| a.extract_rows(layout.owned(rank)), opts).unwrap()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn shards_match_the_simulated_hierarchy() {
+        // A hierarchy grown from partition-at-ingest seeds and per-rank
+        // owned fine rows — no rank ever holding the global mesh, matrix, or
+        // vectors, no coarse value allgather, the direct factor on rank 0
+        // alone — holds level shares bitwise the simulated hierarchy's
+        // local blocks, and its solve reproduces the simulated solve bit for
+        // bit under either halo schedule.
+        let opts = PcgOptions {
+            rtol: 1e-8,
+            max_iters: 60,
+            ..Default::default()
+        };
+        for (dofs, n) in [(1usize, 7usize), (3, 5)] {
+            let (a, coords, g) = if dofs == 1 {
+                scalar_problem(n)
+            } else {
+                vector_problem(n)
+            };
+            let classes = classify_mesh(&pmg_mesh::generators::cube(n), 0.7);
+            let bg: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.23).sin()).collect();
+            for p in [1usize, 2, 4] {
+                let mg_opts = MgOptions {
+                    dofs_per_vertex: dofs,
+                    coarse_dof_threshold: 60 * dofs,
+                    ..Default::default()
+                };
+                let mut sim = Sim::new(p, MachineModel::default());
+                let mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &classes, mg_opts);
+                let layout = mg.levels[0].a.row_layout().clone();
+                let db = DistVec::from_global(layout.clone(), &bg);
+                let mut dx = DistVec::zeros(layout.clone());
+                let sim_res = pcg(&mut sim, &mg.levels[0].a, &mg, &db, &mut dx, opts);
+                let sim_x = dx.to_global();
+
+                let setups = sharded(&a, &coords, &g, &classes, p, mg_opts);
+                for (rank, setup) in setups.iter().enumerate() {
+                    // Same RCB ownership the simulated build derived itself.
+                    assert_eq!(setup.fine_layout().owned(rank), layout.owned(rank));
+                    assert_eq!(setup.num_levels(), mg.levels.len(), "p={p} rank={rank}");
+                    for (lvl, (dl, ml)) in setup.levels.iter().zip(&mg.levels).enumerate() {
+                        let at = format!("dofs={dofs} p={p} rank={rank} lvl={lvl}");
+                        assert_eq!(dl.a.bsr3_routed(), ml.a.bsr3_routed(), "{at} bsr3");
+                        // Owned-share coarse: the direct factor exists on the
+                        // gather root's bottom level only.
+                        assert_eq!(
+                            dl.coarse.is_some(),
+                            ml.coarse.is_some() && rank == 0,
+                            "{at} factor placement"
+                        );
+                        let shares = [
+                            (Some(&dl.a), Some(&ml.a)),
+                            (dl.r.as_ref(), ml.r.as_ref()),
+                            (dl.p.as_ref(), ml.p.as_ref()),
+                        ];
+                        for (got, want) in shares {
+                            let got = got.map(|m| m.local_block());
+                            let want = want.map(|m| m.local_block(rank));
+                            let shape = |m: &CsrMatrix| {
+                                (m.row_ptr().to_vec(), m.col_idx().to_vec(), bits(m.vals()))
+                            };
+                            assert_eq!(got.map(shape), want.map(shape), "{at} share");
+                        }
+                    }
+                }
+
+                // The schedule flag changes only the schedule: the blocking
+                // run is the same arithmetic *and* the same traffic — every
+                // rank sends the same messages and enters the same
+                // allreduces — it just hides no halo window.
+                let over = solve_threads(&setups, &bg, opts, true).unwrap();
+                let block = solve_threads(&setups, &bg, opts, false).unwrap();
+                for (spmd, overlap) in [(&over, true), (&block, false)] {
+                    let at = format!("dofs={dofs} p={p} overlap={overlap}");
+                    let res = &spmd.result;
+                    assert_eq!(
+                        (res.converged, res.iterations),
+                        (sim_res.converged, sim_res.iterations),
+                        "{at}"
+                    );
+                    assert_eq!(bits(&res.residuals), bits(&sim_res.residuals), "{at}");
+                    assert_eq!(bits(&spmd.x), bits(&sim_x), "{at} solution");
+                }
+                assert!(over.stats.iter().any(|s| s.msgs > 0) || p == 1, "p={p}");
+                for (rank, (o, b)) in over.stats.iter().zip(&block.stats).enumerate() {
+                    assert_eq!(
+                        (o.msgs, o.bytes, o.allreduces),
+                        (b.msgs, b.bytes, b.allreduces),
+                        "p={p} rank={rank}: overlap must not change (msgs, bytes, allreduces)"
+                    );
+                }
+                let w0 = over.waits[0];
+                assert!(
+                    w0.interior_rows + w0.boundary_rows > 0,
+                    "p={p}: overlap row accounting must tick"
+                );
+                assert_eq!(block.waits[0].interior_rows, 0, "p={p}");
+            }
+        }
+    }
+
     #[test]
     fn breakdown_is_reported_over_the_transport() {
         // The message-passing backend reports loss of positive definiteness
         // and non-finite data the way the simulator's does: `breakdown`,
         // not a silent `converged: false`.
         let n = 4;
-        let m = pmg_mesh::generators::cube(n);
-        let classes = classify_mesh(&m, 0.7);
+        let classes = classify_mesh(&pmg_mesh::generators::cube(n), 0.7);
         let (spd, coords, g) = scalar_problem(n);
         let nv = spd.nrows();
         // Indefinite diagonal, right-hand side on its negative part: with
@@ -1450,14 +1442,13 @@ mod tests {
         // p·Ap < 0 shows at the first iteration, a NaN at the first reduction.
         for (a, b, iters) in [(diag.build(), on_negative, 1), (spd, poisoned, 0)] {
             for p in [1usize, 2] {
-                let mut sim = Sim::new(p, MachineModel::default());
                 let mg_opts = MgOptions {
                     dofs_per_vertex: 1,
                     coarse_dof_threshold: nv,
                     ..Default::default()
                 };
-                let mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &classes, mg_opts);
-                let out = solve_threads(&mg, &b, PcgOptions::default(), true).unwrap();
+                let setups = sharded(&a, &coords, &g, &classes, p, mg_opts);
+                let out = solve_threads(&setups, &b, PcgOptions::default(), true).unwrap();
                 let res = &out.result;
                 assert!(res.breakdown && !res.converged, "p={p}: {res:?}");
                 assert_eq!(res.iterations, iters, "p={p}");
@@ -1466,138 +1457,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shards_match_extract_oracle() {
-        // The PR's tentpole bar: a hierarchy grown from partition-at-ingest
-        // seeds and per-rank owned fine rows — no rank ever holding the
-        // global mesh, matrix, or vectors, no coarse value allgather, the
-        // direct factor on rank 0 alone — holds level shares bitwise
-        // identical to the extract oracle, and the solve reproduces the
-        // oracle solve bit for bit.
-        for (dofs, n) in [(1usize, 7usize), (3, 5)] {
-            let (a, coords, g) = if dofs == 1 {
-                scalar_problem(n)
-            } else {
-                vector_problem(n)
-            };
-            let m = pmg_mesh::generators::cube(n);
-            let classes = classify_mesh(&m, 0.7);
-            let nv = a.nrows();
-            let bg: Vec<f64> = (0..nv).map(|i| (i as f64 * 0.23).sin()).collect();
-            let opts = PcgOptions {
-                rtol: 1e-8,
-                max_iters: 60,
-                ..Default::default()
-            };
-            for p in [1usize, 2, 4] {
-                let mut sim = Sim::new(p, MachineModel::default());
-                let mg_opts = MgOptions {
-                    dofs_per_vertex: dofs,
-                    coarse_dof_threshold: 60 * dofs,
-                    ..Default::default()
-                };
-                let mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &classes, mg_opts);
-                let oracle = solve_threads(&mg, &bg, opts, true).unwrap();
-                let layout = mg.levels[0].a.row_layout().clone();
-
-                // The ingest side: the loader plans seeds once ...
-                let plan = crate::ingest::plan_ingest(&coords, &g, &classes, &[], p, &mg_opts);
-                // Same RCB ownership the replicated build derived itself.
-                for (v, &o) in plan.part().iter().enumerate() {
-                    assert_eq!(o, layout.owner(v * dofs), "vertex {v} owner");
-                }
-
-                let mg_ref = &mg;
-                let a_ref = &a;
-                let bg_ref = &bg;
-                let layout_ref = &layout;
-                let plan_ref = &plan;
-                let per_rank = LocalTransport::run_ranks(p, move |mut t| {
-                    let rank = t.rank();
-                    // ... each rank receives its seed over the scatter tree
-                    // and assembles only its owned fine rows (extracted from
-                    // the test's global matrix here; `RankAssembly` produces
-                    // the same bits from a real mesh shard).
-                    let give = if rank == 0 { Some(plan_ref) } else { None };
-                    let seed = crate::ingest::scatter_seeds(&mut t, give)?;
-                    let a_owned = a_ref.extract_rows(layout_ref.owned(rank));
-                    let setup = RankHierarchy::build_from_shards(&mut t, &seed, &a_owned, mg_opts)?;
-                    assert_eq!(setup.num_levels(), mg_ref.levels.len(), "p={p} rank={rank}");
-                    for (lvl, dl) in setup.levels.iter().enumerate() {
-                        let ml = &mg_ref.levels[lvl];
-                        assert_eq!(
-                            dl.a.bsr3_routed(),
-                            ml.a.bsr3_routed(),
-                            "p={p} rank={rank} lvl={lvl} bsr3"
-                        );
-                        // Owned-share coarse: the direct factor exists on the
-                        // gather root's bottom level only.
-                        assert_eq!(
-                            dl.coarse.is_some(),
-                            ml.coarse.is_some() && rank == 0,
-                            "p={p} rank={rank} lvl={lvl} factor placement"
-                        );
-                        assert_eq!(dl.r.is_none(), ml.r.is_none(), "bottom marker");
-                        let pairs = [
-                            (Some(dl.a.local_block()), Some(ml.a.local_block(rank))),
-                            (
-                                dl.r.as_ref().map(|m| m.local_block()),
-                                ml.r.as_ref().map(|m| m.local_block(rank)),
-                            ),
-                            (
-                                dl.p.as_ref().map(|m| m.local_block()),
-                                ml.p.as_ref().map(|m| m.local_block(rank)),
-                            ),
-                        ];
-                        for (got, want) in pairs {
-                            match (got, want) {
-                                (Some(x), Some(y)) => {
-                                    assert_eq!(x.nrows(), y.nrows(), "p={p} lvl={lvl}");
-                                    assert_eq!(x.nnz(), y.nnz(), "p={p} lvl={lvl}");
-                                    for (u, v) in x.vals().iter().zip(y.vals()) {
-                                        assert_eq!(
-                                            u.to_bits(),
-                                            v.to_bits(),
-                                            "p={p} rank={rank} lvl={lvl} values"
-                                        );
-                                    }
-                                }
-                                (None, None) => {}
-                                _ => panic!("p={p} lvl={lvl}: R/P presence diverged"),
-                            }
-                        }
-                    }
-                    let h = setup.rank_hierarchy();
-                    let bl: Vec<f64> = layout_ref
-                        .owned(rank)
-                        .iter()
-                        .map(|&gi| bg_ref[gi as usize])
-                        .collect();
-                    let mut xl = vec![0.0; bl.len()];
-                    let (result, _w) = spmd_pcg(&mut t, &h, &bl, &mut xl, opts)?;
-                    Ok::<_, CommError>((xl, result))
-                });
-
-                let mut x = vec![0.0; layout.num_global()];
-                for (rank, out) in per_rank.into_iter().enumerate() {
-                    let (xl, res) = out.unwrap();
-                    for (&gi, &v) in layout.owned(rank).iter().zip(&xl) {
-                        x[gi as usize] = v;
-                    }
-                    assert_eq!(
-                        res.iterations, oracle.result.iterations,
-                        "p={p} dofs={dofs}"
-                    );
-                    assert_eq!(res.converged, oracle.result.converged);
-                    for (u, v) in res.residuals.iter().zip(&oracle.result.residuals) {
-                        assert_eq!(u.to_bits(), v.to_bits(), "p={p} dofs={dofs} residuals");
-                    }
-                }
-                for (u, v) in x.iter().zip(&oracle.x) {
-                    assert_eq!(u.to_bits(), v.to_bits(), "p={p} dofs={dofs} solution");
-                }
-            }
+    /// Every rank of a two-rank machine refuses `opts` with the same typed
+    /// error before it sends anything: the options are identical on all
+    /// ranks, so none is left waiting for a peer that gave up.
+    fn assert_refused(opts: MgOptions, why: &str) {
+        let (a, coords, g) = scalar_problem(4);
+        let classes = classify_mesh(&pmg_mesh::generators::cube(4), 0.7);
+        let plan = crate::ingest::plan_ingest(&coords, &g, &classes, &[], 2, &opts);
+        let layout = Layout::from_part(plan.part().to_vec(), 2);
+        let outcomes = LocalTransport::run_ranks(2, |mut t| {
+            let rank = t.rank();
+            let a_owned = a.extract_rows(layout.owned(rank));
+            let built = RankHierarchy::build_from_shards(&mut t, &plan.seeds[rank], &a_owned, opts);
+            (built.err(), t.stats().msgs)
+        });
+        for (rank, outcome) in outcomes.into_iter().enumerate() {
+            assert_eq!(
+                outcome,
+                (Some(CommError::Invalid(why.into())), 0),
+                "rank {rank}"
+            );
         }
+    }
+
+    #[test]
+    fn chebyshev_smoother_is_a_typed_error_on_every_rank() {
+        let opts = MgOptions {
+            dofs_per_vertex: 1,
+            smoother: SmootherType::Chebyshev { degree: 2 },
+            ..Default::default()
+        };
+        assert_refused(
+            opts,
+            "sharded setup supports the block-Jacobi smoother only",
+        );
+    }
+
+    #[test]
+    fn matrix_free_fine_operator_is_a_typed_error_on_every_rank() {
+        let opts = MgOptions {
+            dofs_per_vertex: 1,
+            fine_operator: FineOperator::MatrixFree,
+            ..Default::default()
+        };
+        assert_refused(
+            opts,
+            "sharded setup supports the assembled fine operator only",
+        );
     }
 
     #[test]

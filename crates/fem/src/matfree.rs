@@ -53,9 +53,8 @@
 //! serially in a fixed element order (the assembler's scheme), so the
 //! result is bitwise identical for every `PMG_THREADS`. Each rank applies
 //! interior elements (no ghost dofs) in ascending order, then boundary
-//! elements in ascending order — the same order whether the halo exchange
-//! is blocking or overlapped, so every transport/schedule combination of
-//! `pmg-parallel` reproduces the same bits at a fixed rank layout.
+//! elements in ascending order, so a fixed rank layout reproduces the
+//! same bits.
 //!
 //! Telemetry: counts `op/mf_elements` (element loops executed),
 //! `op/mf_batches` (batches of `BATCH` elements), `op/mf_flops` and
@@ -711,8 +710,6 @@ pub struct MfRankKernel {
     codes_int: Vec<i32>,
     /// Same for `elems_bnd`.
     codes_bnd: Vec<i32>,
-    interior_rows: u64,
-    boundary_rows: u64,
     diag: Vec<f64>,
     flops: u64,
     /// Gather/staging reuse. One apply runs at a time per kernel (ranks
@@ -768,27 +765,9 @@ impl MfRankKernel {
             code[g as usize] = -(s as i32 + 2);
         }
 
-        let mut elems_int = Vec::new();
-        let mut elems_bnd = Vec::new();
-        let mut row_is_boundary = vec![false; owned.len()];
-        for &e in &listed {
-            if data.gather_codes(e as usize, &code) {
-                elems_bnd.push(e);
-                for a in 0..nv {
-                    let v = data.conn[e as usize * nv + a] as usize;
-                    for i in 0..3 {
-                        let c = code[3 * v + i];
-                        if c >= 0 {
-                            row_is_boundary[c as usize] = true;
-                        }
-                    }
-                }
-            } else {
-                elems_int.push(e);
-            }
-        }
-        let boundary_rows = row_is_boundary.iter().filter(|&&b| b).count() as u64;
-        let interior_rows = owned.len() as u64 - boundary_rows;
+        let (elems_bnd, elems_int): (Vec<u32>, Vec<u32>) = listed
+            .iter()
+            .partition(|&&e| data.gather_codes(e as usize, &code));
 
         let resolve = |elems: &[u32]| -> Vec<i32> {
             let mut codes = Vec::with_capacity(elems.len() * 3 * nv);
@@ -856,8 +835,6 @@ impl MfRankKernel {
             elems_bnd,
             codes_int,
             codes_bnd,
-            interior_rows,
-            boundary_rows,
             diag,
             flops,
             scratch: Mutex::new(MfScratch::default()),
@@ -1050,14 +1027,6 @@ impl MatrixFreeKernel for MfRankKernel {
         assert_eq!(x_ghost.len(), self.ghosts.len());
         self.run_elements(&self.elems_bnd, &self.codes_bnd, x_owned, x_ghost, y);
         pmg_telemetry::counter_add("op/mf_flops", self.flops);
-    }
-
-    fn interior_rows(&self) -> u64 {
-        self.interior_rows
-    }
-
-    fn boundary_rows(&self) -> u64 {
-        self.boundary_rows
     }
 
     fn diag_local(&self) -> &[f64] {
@@ -1637,17 +1606,12 @@ mod tests {
             let mut y = vec![0.0; kern.local_rows()];
             kern.apply_interior(&xo, &mut y);
             kern.apply_boundary(&xo, &xg, &mut y);
-            assert_eq!(
-                kern.interior_rows() + kern.boundary_rows(),
-                kern.local_rows() as u64
-            );
             for (slot, &g) in owned[r].iter().enumerate() {
                 y_dist[g as usize] = y[slot];
             }
         }
         // Same element loops, different per-row accumulation order across
-        // ranks: tolerance, not bitwise (fixed rank layout IS bitwise-
-        // reproducible; that is pinned in tests/operator_parity.rs).
+        // ranks: tolerance, not bitwise.
         let norm: f64 = y_serial.iter().map(|v| v * v).sum::<f64>().sqrt();
         for (a, b) in y_dist.iter().zip(&y_serial) {
             assert!((a - b).abs() <= 1e-13 * norm.max(1.0));

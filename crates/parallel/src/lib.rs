@@ -29,7 +29,7 @@ pub mod vec;
 
 pub use halo::{HaloMsg, HaloPlan, RankHalo};
 pub use layout::Layout;
-pub use matfree::{DistMatFree, MfRankOp, SimOperator};
+pub use matfree::{DistMatFree, SimOperator};
 pub use matrix::{DistMatrix, RankMatrix};
 pub use rank::{OverlapInfo, RankOp};
 pub use sim::{MachineModel, PhaseStats, RankCounters, Sim};

@@ -10,27 +10,23 @@
 //!
 //! The kernel contract splits the product in two phases. `apply_interior`
 //! needs only owned values (interior elements plus Dirichlet rows);
-//! `apply_boundary` accumulates the ghost-touching elements. Running
-//! interior-then-boundary in that fixed order makes the blocking and
-//! overlapped schedules bitwise identical — the same argument as the
-//! assembled row-split, except rows may receive contributions from *both*
-//! phases (an owned row shared by interior and boundary elements). One
-//! product takes one vector.
+//! `apply_boundary` accumulates the ghost-touching elements, always in
+//! that order, so a product's bits do not depend on when the ghosts
+//! arrived. One product takes one vector.
+//!
+//! The operator lives on the simulator only: message-passing ranks build
+//! their hierarchy with `build_from_shards`, which assembles the fine grid.
 //!
 //! [`SimOperator`] abstracts "something `spmv`-shaped under the Sim" so the
 //! Krylov loop and the multigrid cycle can hold either representation.
 
-use crate::halo::RankHalo;
 use crate::layout::Layout;
-use crate::rank::OverlapInfo;
 use crate::sim::Sim;
 use crate::vec::DistVec;
 use crate::DistMatrix;
-use pmg_comm::{CommError, HaloExchange, Transport};
 use pmg_sparse::MatrixFreeKernel;
 use rayon::prelude::*;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A distributed operator the orchestrated (Sim) solve can apply: either an
 /// assembled [`DistMatrix`] or a matrix-free [`DistMatFree`]. Square
@@ -116,30 +112,9 @@ impl DistMatFree {
         &self.layout
     }
 
-    /// The persistent ghost-exchange plan this operator replays.
-    pub fn halo_plan(&self) -> &Arc<crate::halo::HaloPlan> {
-        &self.plan
-    }
-
-    /// Per-rank ghost counts (diagnostics).
-    pub fn ghost_counts(&self) -> Vec<usize> {
-        self.kernels.iter().map(|k| k.ghosts().len()).collect()
-    }
-
-    /// Rank `r`'s borrowed view for SPMD execution over a real transport,
-    /// bound to message tag `tag`. Computes bitwise the same product as
-    /// [`DistMatFree::spmv`].
-    pub fn rank_op(&self, r: usize, tag: u32) -> MfRankOp<'_> {
-        MfRankOp {
-            kernel: self.kernels[r].as_ref(),
-            halo: &self.plan.ranks[r],
-            tag,
-        }
-    }
-
     /// `y = A x`, charging one ghost exchange plus one compute superstep.
-    /// Same plan replay and ghost pack order as the real transports, so the
-    /// simulated and SPMD paths agree bitwise at a fixed layout.
+    /// Each rank gathers its ghosts in plan order, then runs both kernel
+    /// phases.
     pub fn spmv(&self, sim: &mut Sim, x: &DistVec, y: &mut DistVec) {
         assert!(Arc::ptr_eq(x.layout(), &self.layout), "x layout mismatch");
         assert!(Arc::ptr_eq(y.layout(), &self.layout), "y layout mismatch");
@@ -203,88 +178,6 @@ impl SimOperator for DistMatFree {
     }
 }
 
-/// One rank's borrowed matrix-free view, bound to a message tag — the
-/// element-loop analogue of [`RankOp`](crate::rank::RankOp).
-pub struct MfRankOp<'a> {
-    kernel: &'a dyn MatrixFreeKernel,
-    halo: &'a RankHalo,
-    tag: u32,
-}
-
-impl<'a> MfRankOp<'a> {
-    /// Rows (= owned columns) of this rank's share.
-    pub fn local_rows(&self) -> usize {
-        self.kernel.local_rows()
-    }
-
-    /// Post this operator's halo sends (packing `x_local` per the plan)
-    /// and return the in-flight exchange.
-    fn start_exchange<T: Transport>(
-        &self,
-        t: &mut T,
-        x_local: &[f64],
-    ) -> Result<HaloExchange<'a>, CommError> {
-        let sends = self.halo.send.iter().map(|msg| {
-            let packed: Vec<f64> = msg.idx.iter().map(|&li| x_local[li as usize]).collect();
-            (msg.peer as usize, packed)
-        });
-        let recvs = self
-            .halo
-            .recv
-            .iter()
-            .map(|msg| (msg.peer as usize, msg.idx.as_slice()))
-            .collect();
-        HaloExchange::start(t, self.tag, sends, recvs)
-    }
-
-    /// `y_local = A_rank · x` with a blocking halo exchange. The interior
-    /// phase runs only after the exchange drains, but in the *same*
-    /// interior-then-boundary order as the overlapped schedule, so the two
-    /// are bitwise identical. Lockstep across ranks.
-    pub fn spmv<T: Transport>(
-        &self,
-        t: &mut T,
-        x_local: &[f64],
-        y_local: &mut [f64],
-    ) -> Result<(), CommError> {
-        assert_eq!(x_local.len(), self.kernel.local_rows(), "x_local length");
-        assert_eq!(y_local.len(), self.kernel.local_rows(), "y_local length");
-        let hx = self.start_exchange(t, x_local)?;
-        let mut ghost_vals = vec![0.0; self.kernel.ghosts().len()];
-        hx.finish(t, &mut ghost_vals)?;
-        self.kernel.apply_interior(x_local, y_local);
-        self.kernel.apply_boundary(x_local, &ghost_vals, y_local);
-        Ok(())
-    }
-
-    /// `y_local = A_rank · x` with communication/computation overlap: the
-    /// interior phase (elements with no ghost dof, plus Dirichlet rows)
-    /// runs while the halo messages are in flight; the boundary elements
-    /// accumulate after the ghosts arrive. Bitwise identical to
-    /// [`spmv`](MfRankOp::spmv) — only the schedule differs.
-    pub fn spmv_overlapped<T: Transport>(
-        &self,
-        t: &mut T,
-        x_local: &[f64],
-        y_local: &mut [f64],
-    ) -> Result<OverlapInfo, CommError> {
-        assert_eq!(x_local.len(), self.kernel.local_rows(), "x_local length");
-        assert_eq!(y_local.len(), self.kernel.local_rows(), "y_local length");
-        let hx = self.start_exchange(t, x_local)?;
-        let window = Instant::now();
-        self.kernel.apply_interior(x_local, y_local);
-        let hidden_s = window.elapsed().as_secs_f64();
-        let mut ghost_vals = vec![0.0; self.kernel.ghosts().len()];
-        hx.finish(t, &mut ghost_vals)?;
-        self.kernel.apply_boundary(x_local, &ghost_vals, y_local);
-        Ok(OverlapInfo {
-            hidden_s,
-            interior_rows: self.kernel.interior_rows(),
-            boundary_rows: self.kernel.boundary_rows(),
-        })
-    }
-}
-
 #[doc(hidden)]
 pub mod test_kernel {
     //! A miniature element-loop kernel over 1D two-node "elements", used by
@@ -309,8 +202,6 @@ pub mod test_kernel {
         pub n: usize,
         pub wrap: bool,
         pub diag: Vec<f64>,
-        pub interior_rows: u64,
-        pub boundary_rows: u64,
     }
 
     impl ChainKernel {
@@ -341,23 +232,9 @@ pub mod test_kernel {
             for (s, &g) in ghosts.iter().enumerate() {
                 code[g as usize] = -(s as i32 + 2);
             }
-            let mut elems_int = Vec::new();
-            let mut elems_bnd = Vec::new();
-            let mut row_bnd = vec![false; owned.len()];
-            for &e in &listed {
-                let vs = ends(e as usize);
-                if vs.iter().any(|&v| code[v as usize] < -1) {
-                    elems_bnd.push(e);
-                    for &v in &vs {
-                        if code[v as usize] >= 0 {
-                            row_bnd[code[v as usize] as usize] = true;
-                        }
-                    }
-                } else {
-                    elems_int.push(e);
-                }
-            }
-            let boundary_rows = row_bnd.iter().filter(|&&b| b).count() as u64;
+            let (elems_bnd, elems_int): (Vec<u32>, Vec<u32>) = listed
+                .iter()
+                .partition(|&&e| ends(e as usize).iter().any(|&v| code[v as usize] < -1));
             let mut diag = vec![0.0; owned.len()];
             for &e in listed.iter() {
                 for &v in &ends(e as usize) {
@@ -368,8 +245,6 @@ pub mod test_kernel {
                 }
             }
             ChainKernel {
-                interior_rows: owned.len() as u64 - boundary_rows,
-                boundary_rows,
                 owned,
                 code,
                 ghosts,
@@ -435,14 +310,6 @@ pub mod test_kernel {
             self.run(&self.elems_bnd, x_owned, x_ghost, y);
         }
 
-        fn interior_rows(&self) -> u64 {
-            self.interior_rows
-        }
-
-        fn boundary_rows(&self) -> u64 {
-            self.boundary_rows
-        }
-
         fn diag_local(&self) -> &[f64] {
             &self.diag
         }
@@ -462,7 +329,6 @@ mod tests {
     use super::test_kernel::ChainKernel;
     use super::*;
     use crate::sim::MachineModel;
-    use pmg_comm::LocalTransport;
     use pmg_sparse::MatrixFreeFactory;
 
     fn chain_matfree(n: usize, wrap: bool, layout: &Arc<Layout>) -> DistMatFree {
@@ -516,53 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn transport_spmv_bitwise_matches_sim() {
-        let n = 17;
-        for p in [1, 2, 4] {
-            let l = Layout::block(n, p);
-            let mf = chain_matfree(n, true, &l);
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.41).cos()).collect();
-            let dx = DistVec::from_global(l.clone(), &x);
-            let mut dy = DistVec::zeros(l.clone());
-            let mut sim = Sim::new(p, MachineModel::default());
-            SimOperator::spmv(&mf, &mut sim, &dx, &mut dy);
-            let expect = dy.to_global();
-
-            let mfr = &mf;
-            let l2 = &l;
-            let x2 = &x;
-            let parts = LocalTransport::run_ranks(p, move |mut t| {
-                let r = t.rank();
-                let op = mfr.rank_op(r, 3);
-                let xl: Vec<f64> = l2.owned(r).iter().map(|&g| x2[g as usize]).collect();
-                let mut y1 = vec![0.0; op.local_rows()];
-                op.spmv(&mut t, &xl, &mut y1).unwrap();
-                let mut y2 = vec![0.0; op.local_rows()];
-                let info = op.spmv_overlapped(&mut t, &xl, &mut y2).unwrap();
-                (y1, y2, info)
-            });
-            let mut got = vec![0.0; n];
-            for (r, (y1, y2, info)) in parts.iter().enumerate() {
-                assert_eq!(
-                    info.interior_rows + info.boundary_rows,
-                    y1.len() as u64,
-                    "row accounting partitions the local rows"
-                );
-                // Blocking and overlapped schedules agree bitwise.
-                for (a, b) in y1.iter().zip(y2) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "p={p} r={r}");
-                }
-                for (&g, &v) in l.owned(r).iter().zip(y1) {
-                    got[g as usize] = v;
-                }
-            }
-            for (a, b) in got.iter().zip(&expect) {
-                assert_eq!(a.to_bits(), b.to_bits(), "p={p} transport vs sim");
-            }
-        }
-    }
-
-    #[test]
     fn plan_shared_with_assembled_operator() {
         // A matrix-free operator whose ghost sets equal the assembled
         // operator's hits the layout's plan cache instead of rebuilding.
@@ -572,8 +391,9 @@ mod tests {
         let l = Layout::block(n, 3);
         let da = DistMatrix::from_global(&a, l.clone(), l.clone());
         let mf = chain_matfree(n, false, &l);
-        assert!(Arc::ptr_eq(da.halo_plan(), mf.halo_plan()));
-        assert_eq!(da.ghost_counts(), mf.ghost_counts());
+        assert!(Arc::ptr_eq(da.halo_plan(), &mf.plan));
+        let ghosts: Vec<usize> = mf.kernels.iter().map(|k| k.ghosts().len()).collect();
+        assert_eq!(da.ghost_counts(), ghosts);
     }
 
     #[test]

@@ -465,7 +465,7 @@ impl DistMatrix {
 /// through the same `build_rank_mat` as [`DistMatrix::from_global`],
 /// so for the same layouts and the same global values the per-rank blocks
 /// are **bitwise identical** to the orchestrated distribution — the parity
-/// the `RankHierarchy::extract` oracle tests pin.
+/// the sharded setup's tests pin against the simulated hierarchy.
 ///
 /// Construction is two-phase because the halo-exchange plan needs every
 /// rank's ghost list: build locally ([`RankMatrix::from_local_rows`]),

@@ -7,24 +7,23 @@
 //! a per-request reply channel. The dispatcher takes the next job —
 //! solve, warm-up, ingest or stats — handles it to completion and replies
 //! before it looks at the queue again, so a solve is exactly
-//! [`prometheus::Prometheus::solve`] (or the sharded SPMD solve) on one
-//! right-hand side and every client receives the bits an offline solve
-//! produces. It does not wait for company: concurrent solves share no
-//! arithmetic and no reduction, so a collection window would only add its
-//! length to every request (`docs/server.md`, "Dispatch").
+//! [`prometheus::solve_threads`] on the entry's sharded setups and one
+//! right-hand side, and every client receives the bits an offline
+//! [`prometheus::Prometheus::solve`] produces. It does not wait for
+//! company: concurrent solves share no arithmetic and no reduction, so a
+//! collection window would only add its length to every request
+//! (`docs/server.md`, "Dispatch").
 
 use crate::cache::{
-    hierarchy_bytes, ingest_cache_key, ingest_options, sharded_bytes, solver_cache_key, CacheEntry,
-    ShardedWarm, WarmCache, WarmSolver,
+    ingest_cache_key, ingest_options, sharded_bytes, solver_cache_key, CacheEntry, WarmCache,
 };
 use crate::protocol::{
     IngestReply, IngestRequest, ProblemSpec, Response, SolveReply, SolveRequest, SolveTarget,
     StatsReply,
 };
 use crate::server::ServeConfig;
-use pmg_comm::{LocalTransport, Transport};
+use pmg_solver::PcgOptions;
 use pmg_sparse::CooBuilder;
-use prometheus::RankHierarchy;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -142,8 +141,10 @@ impl Dispatcher {
         }
     }
 
-    /// Build the hierarchy for `spec` (or find it warm). Returns the
-    /// cache key, whether it was a hit, and the setup seconds (0 on hit).
+    /// Build the hierarchy for `spec` (or find it warm): the spheres
+    /// first-solve system, planned with `parity_options` and built sharded,
+    /// each rank taking its owned rows. Returns the cache key, whether it
+    /// was a hit, and the setup seconds (0 on hit).
     fn ensure_spec(&mut self, spec: &ProblemSpec) -> Result<(u64, bool, f64), String> {
         if let Some(key) = self.cache.key_for_spec(&spec.canon()) {
             if self.cache.get_mut(key).is_some() {
@@ -158,11 +159,11 @@ impl Dispatcher {
         }
         let t0 = Instant::now();
         let sys = pmg_bench::spheres_first_solve(spec.k);
-        let opts = pmg_bench::parity_options(spec.nranks);
-        let key = solver_cache_key(&sys, &opts);
-        let solver = pmg_bench::parity_solver(&sys, opts);
+        let key = solver_cache_key(&sys, &pmg_bench::parity_options(spec.nranks));
+        let setups = pmg_bench::parity_setups(&sys, spec.nranks)
+            .map_err(|e| format!("sharded setup failed: {e}"))?;
         let setup_s = t0.elapsed().as_secs_f64();
-        let bytes = hierarchy_bytes(&solver) + sys.rhs.len() * 8;
+        let bytes = sharded_bytes(&setups) + sys.rhs.len() * 8;
         if self.cache.key_for_spec(&spec.canon()).is_none() {
             // First sight of this spec: the alias lookup above already
             // counted nothing, so count the miss here.
@@ -172,7 +173,7 @@ impl Dispatcher {
         let evicted = self.cache.insert(
             key,
             CacheEntry {
-                solver: WarmSolver::Replicated(Box::new(solver)),
+                setups,
                 spec: spec.clone(),
                 default_rhs: sys.rhs,
                 setup_s,
@@ -248,8 +249,7 @@ impl Dispatcher {
         );
         let n = mesh.num_vertices();
         let layout = pmg_parallel::Layout::from_part(plan.part().to_vec(), req.nranks);
-        let results = LocalTransport::run_ranks(req.nranks, |mut t| {
-            let rank = t.rank();
+        let rows = |rank: usize| {
             let owned = layout.owned(rank);
             let mut b = CooBuilder::new(owned.len(), n);
             for (i, &g) in owned.iter().enumerate() {
@@ -259,16 +259,12 @@ impl Dispatcher {
                     b.push(i, w as usize, -1.0);
                 }
             }
-            let a_owned = b.build();
-            RankHierarchy::build_from_shards(&mut t, &plan.seeds[rank], &a_owned, opts.mg)
-        });
-        let mut setups = Vec::with_capacity(req.nranks);
-        for r in results {
-            match r {
-                Ok(s) => setups.push(s),
-                Err(e) => return Response::Error(format!("sharded setup failed: {e}")),
-            }
-        }
+            b.build()
+        };
+        let setups = match prometheus::build_threads(&plan, rows, opts.mg) {
+            Ok(setups) => setups,
+            Err(e) => return Response::Error(format!("sharded setup failed: {e}")),
+        };
         let setup_s = t0.elapsed().as_secs_f64();
 
         let default_rhs = vec![1.0; n];
@@ -283,7 +279,7 @@ impl Dispatcher {
         let evicted = self.cache.insert(
             key,
             CacheEntry {
-                solver: WarmSolver::Sharded(ShardedWarm { setups }),
+                setups,
                 spec,
                 default_rhs,
                 setup_s,
@@ -345,9 +341,20 @@ impl Dispatcher {
             ));
         }
 
+        // Mirror `Prometheus::solve`: rtol from the request, the
+        // iteration cap and atol of the options every entry is built with.
+        let opts = PcgOptions {
+            rtol: req.rtol,
+            max_iters: prometheus::PrometheusOptions::default().max_iters,
+            ..Default::default()
+        };
         let t0 = Instant::now();
-        let (x, res) = entry.solver.solve(b, req.rtol);
+        let solved = prometheus::solve_threads(&entry.setups, b, opts, true);
         let solve_s = t0.elapsed().as_secs_f64();
+        let (x, res) = match solved {
+            Ok(out) => (out.x, out.result),
+            Err(e) => return Response::Error(format!("solve failed: {e}")),
+        };
 
         self.lat_queue.push(queue_s);
         self.lat_setup.push(setup_s);

@@ -6,14 +6,19 @@
 //! a persistent daemon lives or dies on reuse: a request whose
 //! fingerprint is already cached skips setup entirely (`setup_s = 0` in
 //! its reply). The key is [`solver_cache_key`]: the mesh/options
-//! fingerprint from [`prometheus::solver_fingerprint`] with the virtual
-//! rank count mixed in — rank decomposition changes solve bits, so two
-//! rank counts must never share a hierarchy.
+//! fingerprint from [`prometheus::solver_fingerprint`] with the rank count
+//! mixed in — rank decomposition changes solve bits, so two rank counts
+//! must never share a hierarchy.
+//!
+//! Every entry has one shape: one [`DistributedSetup`] per rank, each
+//! holding only that rank's owned level shares (the coarsest-grid direct
+//! factor lives on rank 0 alone), built by `build_from_shards` and solved
+//! by [`prometheus::solve_threads`] — the real SPMD program over an
+//! in-process transport, whose bits the setup-parity suite pins to the
+//! simulated solve for RCB partitions.
 
 use crate::protocol::ProblemSpec;
-use pmg_comm::{LocalTransport, Transport};
-use pmg_solver::{PcgOptions, PcgResult};
-use prometheus::{spmd_pcg, DistributedSetup, Prometheus};
+use prometheus::DistributedSetup;
 use std::collections::BTreeMap;
 
 /// Mix `nranks` into a mesh/options fingerprint with the same FNV-1a
@@ -28,8 +33,8 @@ fn mix_nranks(mut h: u64, nranks: usize) -> u64 {
     h
 }
 
-/// The daemon's cache key for a spec-built (replicated) hierarchy: the
-/// mesh/options fingerprint widened by the virtual rank count.
+/// The daemon's cache key for a spec-built hierarchy: the mesh/options
+/// fingerprint widened by the rank count.
 pub fn solver_cache_key(
     sys: &pmg_bench::FirstSolveSystem,
     opts: &prometheus::PrometheusOptions,
@@ -64,82 +69,10 @@ pub fn ingest_options(nranks: usize) -> prometheus::PrometheusOptions {
     }
 }
 
-/// A hierarchy built by partition-at-ingest: one [`DistributedSetup`]
-/// per rank, each holding only that rank's owned level shares (the
-/// coarsest-grid direct factor lives on rank 0 alone). Solves run the
-/// real SPMD program over a [`LocalTransport`] machine, so the answer
-/// bits are the sharded-path bits — which the setup-parity suite pins
-/// bitwise to the replicated/simulated paths for RCB partitions.
-pub struct ShardedWarm {
-    /// Rank-indexed setups from `RankHierarchy::build_from_shards`.
-    pub setups: Vec<DistributedSetup>,
-}
-
-impl ShardedWarm {
-    /// Solve `A x = b` as the real SPMD program, one thread per rank.
-    pub fn solve(&self, b: &[f64], rtol: f64) -> (Vec<f64>, PcgResult) {
-        // Mirror `Prometheus::solve`: rtol from the request, the
-        // standard iteration cap, default atol.
-        let opts = PcgOptions {
-            rtol,
-            max_iters: 200,
-            ..Default::default()
-        };
-        let parts = LocalTransport::run_ranks(self.setups.len(), |mut t| {
-            let setup = &self.setups[t.rank()];
-            let h = setup.rank_hierarchy();
-            let bl: Vec<f64> = setup
-                .fine_layout()
-                .owned(t.rank())
-                .iter()
-                .map(|&g| b[g as usize])
-                .collect();
-            let mut xl = vec![0.0; bl.len()];
-            let (res, _waits) =
-                spmd_pcg(&mut t, &h, &bl, &mut xl, opts).expect("in-process transport solve");
-            (xl, res)
-        });
-        let layout = self.setups[0].fine_layout();
-        let mut x = vec![0.0; layout.num_global()];
-        let mut result = None;
-        for (rank, (xl, res)) in parts.into_iter().enumerate() {
-            for (&g, &v) in layout.owned(rank).iter().zip(&xl) {
-                x[g as usize] = v;
-            }
-            if rank == 0 {
-                result = Some(res);
-            }
-        }
-        (x, result.expect("rank 0 always reports"))
-    }
-}
-
-/// The two warm-hierarchy shapes the daemon serves: spec-built
-/// replicated solvers (simulated machine) and ingested sharded setups
-/// (owned level shares per rank).
-pub enum WarmSolver {
-    /// A spec-built hierarchy over the simulated machine (boxed: a
-    /// `Prometheus` is hundreds of bytes and entries live in a map).
-    Replicated(Box<Prometheus>),
-    /// A partitioned-at-ingest hierarchy of per-rank owned shares.
-    Sharded(ShardedWarm),
-}
-
-impl WarmSolver {
-    /// Solve `A x = b` from a zero guess to `rtol`, whichever shape
-    /// serves it: bitwise the offline solve of the same system.
-    pub fn solve(&mut self, b: &[f64], rtol: f64) -> (Vec<f64>, PcgResult) {
-        match self {
-            WarmSolver::Replicated(s) => s.solve(b, None, rtol),
-            WarmSolver::Sharded(s) => s.solve(b, rtol),
-        }
-    }
-}
-
 /// One warm hierarchy and everything needed to solve on it.
 pub struct CacheEntry {
-    /// The built solver (replicated hierarchy or sharded setups).
-    pub solver: WarmSolver,
+    /// Rank-indexed setups from `RankHierarchy::build_from_shards`.
+    pub setups: Vec<DistributedSetup>,
     /// The spec it was built from (ingested entries carry a synthetic
     /// spec whose name embeds their fingerprint, keeping aliases unique).
     pub spec: ProblemSpec,
@@ -150,28 +83,16 @@ pub struct CacheEntry {
     pub setup_s: f64,
     /// Estimated resident bytes (operator nonzeros across all levels).
     pub bytes: usize,
-    /// Element imbalance of the ingest partition (0 when not measured —
-    /// spec-built entries never shard a mesh).
+    /// Element imbalance of the ingest partition (0 for spec entries:
+    /// only ingest replies report it).
     pub element_imbalance: f64,
 }
 
-/// Estimate the resident bytes of a built hierarchy: every level's
-/// operator nonzeros at CSR cost (8-byte value + 4-byte column index)
-/// plus per-row overhead. An estimate is enough — the budget bounds
+/// Estimate the resident bytes of an entry: every rank's owned nonzeros at
+/// CSR cost (8-byte value + 4-byte column index) plus per-row overhead.
+/// The shares partition the levels, so the sum is roughly one hierarchy,
+/// not `nranks` of them. An estimate is enough — the budget bounds
 /// growth, it is not an allocator.
-pub fn hierarchy_bytes(solver: &Prometheus) -> usize {
-    solver
-        .mg
-        .levels
-        .iter()
-        .map(|l| l.a.nnz() * 12 + l.a.row_layout().num_global() * 32)
-        .sum()
-}
-
-/// [`hierarchy_bytes`] for a sharded entry: every rank's owned nonzeros
-/// and rows at the same estimated CSR cost. The sum across ranks is the
-/// daemon's resident cost — the shares partition the levels, so this is
-/// roughly one replicated hierarchy, not `nranks` of them.
 pub fn sharded_bytes(setups: &[DistributedSetup]) -> usize {
     setups
         .iter()
@@ -301,16 +222,14 @@ mod tests {
     use super::*;
 
     fn entry(bytes: usize, k: usize) -> CacheEntry {
-        let sys = pmg_bench::spheres_first_solve(0);
-        let opts = pmg_bench::parity_options(1);
         CacheEntry {
-            solver: WarmSolver::Replicated(Box::new(pmg_bench::parity_solver(&sys, opts))),
+            setups: Vec::new(),
             spec: ProblemSpec {
                 name: "spheres".into(),
                 k,
                 nranks: 1,
             },
-            default_rhs: sys.rhs,
+            default_rhs: Vec::new(),
             setup_s: 0.0,
             bytes,
             element_imbalance: 0.0,

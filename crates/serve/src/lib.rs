@@ -8,13 +8,14 @@
 //! its work. This crate keeps the hierarchy **warm**: a daemon listens
 //! on a Unix and/or TCP socket, caches built hierarchies by
 //! mesh/options fingerprint (LRU under a byte budget), and answers each
-//! solve request with one [`prometheus::Prometheus::solve`] on the warm
-//! hierarchy, one request at a time in arrival order.
+//! solve request with one [`prometheus::solve_threads`] on the warm
+//! hierarchy's sharded setups, one request at a time in arrival order.
 //!
 //! The load-bearing invariant is **bitwise transparency**: whatever the
 //! daemon does to a request — cache-hit it, queue it behind seven
 //! strangers or a warm-up — the solution bits returned are exactly what
-//! a standalone offline solve of that system produces.
+//! a standalone offline [`prometheus::Prometheus::solve`] of that system
+//! produces.
 //!
 //! Architecture (one dispatcher owns all solvers; see [`batch`]):
 //!
@@ -35,8 +36,7 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{
-    hierarchy_bytes, ingest_cache_key, ingest_options, sharded_bytes, solver_cache_key, CacheStats,
-    ShardedWarm, WarmCache, WarmSolver,
+    ingest_cache_key, ingest_options, sharded_bytes, solver_cache_key, CacheStats, WarmCache,
 };
 pub use client::{Client, ClientError};
 pub use protocol::{

@@ -24,11 +24,13 @@ fn spec(nranks: usize) -> ProblemSpec {
     }
 }
 
-/// The offline oracle the daemon must match bitwise: the same
-/// transport-parity construction the `spheres_rank` artifacts pin.
+/// The offline oracle the daemon must match bitwise: the simulated
+/// solve of the same system under the same options, which the
+/// `spheres_rank` artifacts pin to the sharded solve.
 fn offline_bits(k: usize, nranks: usize, rtol: f64) -> Vec<f64> {
     let sys = pmg_bench::spheres_first_solve(k);
-    let mut solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(nranks));
+    let opts = pmg_bench::parity_options(nranks);
+    let mut solver = prometheus::Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
     let (x, res) = solver.solve(&sys.rhs, None, rtol);
     assert!(res.converged);
     x

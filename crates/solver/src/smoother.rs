@@ -233,7 +233,7 @@ impl RankBlocks {
     }
 }
 
-/// One rank's borrowed view of a [`BlockJacobi`] smoother: block Jacobi
+/// One rank's borrowed view of a [`RankJacobi`] smoother: block Jacobi
 /// needs no communication beyond the residual's product, so the view is a
 /// purely local kernel for SPMD execution.
 pub struct RankSmoother<'a> {
@@ -271,8 +271,8 @@ pub struct BlockJacobi {
 /// of [`BlockJacobi`], which factors every rank's blocks. Block Jacobi is
 /// purely rank-local, so the distributed setup builds exactly this rank's
 /// sub-domain factorizations from its local operator block and nothing
-/// else; [`RankJacobi::view`] yields the same [`RankSmoother`] kernel the
-/// borrowed path uses.
+/// else; [`RankJacobi::view`] yields the [`RankSmoother`] kernel the
+/// SPMD cycle runs — per rank, the kernel [`BlockJacobi`] runs.
 pub struct RankJacobi {
     blocks: RankBlocks,
     omega: f64,
@@ -298,8 +298,7 @@ impl RankJacobi {
         self.blocks.blocks.len()
     }
 
-    /// The per-rank application kernel (same type the borrowed
-    /// [`BlockJacobi::rank_view`] returns).
+    /// The per-rank application kernel.
     pub fn view(&self) -> RankSmoother<'_> {
         RankSmoother {
             blocks: &self.blocks,
@@ -354,14 +353,6 @@ impl BlockJacobi {
     /// Number of blocks on rank `r` (diagnostics).
     pub fn num_blocks(&self, r: usize) -> usize {
         self.ranks[r].blocks.len()
-    }
-
-    /// Rank `r`'s borrowed view for SPMD execution.
-    pub fn rank_view(&self, r: usize) -> RankSmoother<'_> {
-        RankSmoother {
-            blocks: &self.ranks[r],
-            omega: self.omega,
-        }
     }
 
     /// `x += ω · B⁻¹ r`: every rank's block solves on its own parts (in
@@ -448,6 +439,16 @@ mod tests {
     use super::*;
     use pmg_parallel::{Layout, MachineModel};
     use pmg_sparse::CooBuilder;
+
+    impl BlockJacobi {
+        /// Rank `r`'s kernel, as an SPMD rank holds it.
+        fn rank(&self, r: usize) -> RankSmoother<'_> {
+            RankSmoother {
+                blocks: &self.ranks[r],
+                omega: self.omega,
+            }
+        }
+    }
 
     fn laplacian(n: usize) -> CsrMatrix {
         let mut b = CooBuilder::new(n, n);
@@ -719,7 +720,7 @@ mod tests {
         bj.smooth(&mut sim, &da, &b, &mut want, 1);
         for rank in 0..4 {
             let mut xp = vec![f64::NAN; l.local_len(rank)];
-            bj.rank_view(rank).solve_from_zero(b.part(rank), &mut xp);
+            bj.rank(rank).solve_from_zero(b.part(rank), &mut xp);
             let got: Vec<u64> = xp.iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = want.part(rank).iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "rank {rank}");
@@ -756,7 +757,7 @@ mod tests {
             let mut want = x0p.clone();
             pmg_sparse::vector::axpy(1.0, &z, &mut want);
             let mut got = x0p;
-            bj.rank_view(rank).solve_add(rp, &mut got);
+            bj.rank(rank).solve_add(rp, &mut got);
             // Bit for bit, signed zeros included: `x + 1.0·(ω s)` and
             // `x + ω s` are the same sum, so a `-0.0` in `x` survives a
             // `-0.0` update on both routes.

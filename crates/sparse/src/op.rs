@@ -127,9 +127,8 @@ impl Operator for Bsr3Matrix {
 /// `apply_boundary` adds the contributions of ghost-touching elements.
 /// Unlike the assembled row-split, a row may receive contributions from
 /// *both* phases — correctness only requires that within each phase the
-/// accumulation order is fixed, so the blocking schedule (finish the halo,
-/// then run both phases) and the overlapped schedule (run `apply_interior`
-/// inside the halo window) are bitwise identical.
+/// accumulation order is fixed, so a product's bits do not depend on when
+/// the ghost values arrived.
 pub trait MatrixFreeKernel: Send + Sync {
     /// Rows owned by this rank.
     fn local_rows(&self) -> usize;
@@ -141,12 +140,6 @@ pub trait MatrixFreeKernel: Send + Sync {
     /// Phase 2: accumulate the ghost-dependent contributions. `x_ghost`
     /// holds the gathered values in [`MatrixFreeKernel::ghosts`] order.
     fn apply_boundary(&self, x_owned: &[f64], x_ghost: &[f64], y: &mut [f64]);
-    /// Owned rows finalized entirely by `apply_interior` (touched by no
-    /// ghost-dependent contribution) — the overlap accounting analogue of
-    /// the assembled path's interior row class.
-    fn interior_rows(&self) -> u64;
-    /// Owned rows that receive at least one phase-2 contribution.
-    fn boundary_rows(&self) -> u64;
     /// Diagonal of the owned rows (layout order).
     fn diag_local(&self) -> &[f64];
     /// Flops one full (both-phase) product costs on this rank.

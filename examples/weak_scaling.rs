@@ -10,19 +10,24 @@
 //!
 //! `--transport sim` (default) runs only the orchestrated single-address-
 //! space solve, whose comm columns are *modeled* BSP quantities.
-//! `--transport threads` additionally re-runs each solve with every rank as
-//! a real OS thread exchanging messages over the in-process transport, and
-//! prints the *measured* traffic (messages, bytes, per-phase wait time)
-//! under the modeled row — the solution is verified bitwise identical to
-//! the sim path. Note each ladder point spawns P real threads, so this mode
-//! is only sensible for the small ladder points.
+//! `--transport threads` additionally re-runs each set-up and solve with
+//! every rank as a real OS thread that builds its own share of the
+//! hierarchy and exchanges messages over the in-process transport, and
+//! prints the *measured* solve traffic (messages, bytes, per-phase wait
+//! time) under the modeled row — the solution is verified bitwise
+//! identical to the sim path. Note each ladder point spawns P real
+//! threads, so this mode is only sensible for the small ladder points.
 //!
 //! The full study with all series lives in `crates/bench/src/bin/`.
 
 use prometheus_repro::fem::bc::constrain_system;
 use prometheus_repro::krylov::PcgOptions;
 use prometheus_repro::mesh::SpheresParams;
-use prometheus_repro::solver::{solve_threads, MgOptions, Prometheus, PrometheusOptions};
+use prometheus_repro::parallel::Layout;
+use prometheus_repro::solver::{
+    build_threads, classify_mesh_parallel, plan_ingest, solve_threads, MgOptions, Prometheus,
+    PrometheusOptions,
+};
 use std::time::Instant;
 
 /// Rank ladder mirroring the paper's processor counts at ~8.5k dof/rank.
@@ -96,12 +101,19 @@ fn main() {
         let (x_sim, res) = solver.solve(&rhs, None, 1e-4);
         let wall = wall.elapsed().as_secs_f64();
 
-        // Run the threaded-rank solve before `finish()` consumes the
-        // solver (and with it the hierarchy the ranks are extracted from).
+        // The threaded ranks plan the problem the way `from_mesh` lays it
+        // out, then build their own shares and solve.
         let spmd = threads_mode.then(|| {
             let t0 = Instant::now();
+            let graph = mesh.vertex_graph();
+            let classes = classify_mesh_parallel(&mesh, opts.face_tol, p);
+            let plan = plan_ingest(&mesh.coords, &graph, &classes, &[], p, &opts.mg);
+            let vlayout = Layout::from_part(plan.part().to_vec(), p);
+            let layout = Layout::expand_dofs(&vlayout, opts.mg.dofs_per_vertex);
+            let setups = build_threads(&plan, |r| kc.extract_rows(layout.owned(r)), opts.mg)
+                .expect("threaded-rank set-up");
             let outcome = solve_threads(
-                &solver.mg,
+                &setups,
                 &rhs,
                 PcgOptions {
                     rtol: 1e-4,

@@ -2,9 +2,9 @@
 //! daemon.
 //!
 //! Fires 8 concurrent requests across two fingerprints at the daemon,
-//! checks every answer **bitwise** against offline in-process solves of
-//! the same systems (the same construction path the `spheres_rank` parity
-//! artifacts pin), checks the warm cache was hit and that hits report
+//! checks every answer **bitwise** against offline simulated solves of
+//! the same systems (the oracle the `spheres_rank` parity artifacts are
+//! pinned to), checks the warm cache was hit and that hits report
 //! zero set-up, then requests shutdown and confirms the daemon drains.
 //! Exits nonzero on any failure. (Timing the daemon is `benchmark/`'s
 //! `serve2` workload.)
@@ -45,14 +45,14 @@ fn solve_retry(
     Err(ClientError::Busy)
 }
 
-/// The offline oracle: the same system solved in-process through the
-/// transport-parity construction (`parity_solver` + `parity_options`),
-/// which the repo's consistency tests pin bitwise against the
-/// `spheres_rank` socket artifacts. Daemon answers must equal these
-/// bits exactly.
+/// The offline oracle: the same system solved by the simulated solver
+/// under `parity_options`, which the repo's consistency tests pin bitwise
+/// against the sharded solve on rank threads and the `spheres_rank`
+/// socket artifacts. Daemon answers must equal these bits exactly.
 fn offline_bits(k: usize, nranks: usize, rtol: f64) -> Vec<f64> {
     let sys = pmg_bench::spheres_first_solve(k);
-    let mut solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(nranks));
+    let opts = pmg_bench::parity_options(nranks);
+    let mut solver = prometheus::Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
     let (x, res) = solver.solve(&sys.rhs, None, rtol);
     assert!(res.converged, "offline oracle solve diverged");
     x

@@ -7,9 +7,6 @@
 //! per-rank seeds; every rank then runs `RankHierarchy::build_from_shards`
 //! over the Unix-domain-socket transport — transport MIS, face-ID merge,
 //! per-rank Galerkin rows, ghost-list collectives), and solves SPMD.
-//! The one input the sharded builder rejects is the matrix-free fine
-//! operator (`PMG_FINE_OP=matrixfree`): then each process runs the full
-//! in-process build and extracts its rank's share instead.
 //! Rank 0 gathers the solution and, when `--out PATH` is given, writes
 //! the iteration count, convergence flag, and the solution /
 //! residual-history bit patterns for the parity test to compare against the
@@ -75,52 +72,20 @@ fn main() -> ExitCode {
     let nranks = t.size();
     let rank = t.rank();
 
-    // Keep whichever hierarchy was built alive for the borrowed solve view.
-    let (replicated, sharded);
-    let (layout, mut h) = match prometheus::FineOperator::from_env() {
-        prometheus::FineOperator::MatrixFree => {
-            // The element-loop fine apply lives on the replicated
-            // hierarchy only; the setup stays replicated and deterministic.
-            replicated = pmg_bench::parity_solver(&sys, opts);
-            let layout = replicated.mg.levels[0].a.row_layout().clone();
-            (layout, RankHierarchy::extract(&replicated.mg, rank))
-        }
-        prometheus::FineOperator::Assembled => {
-            // Partition-at-ingest: rank 0 plans the seeds (RCB partition,
-            // owned level-0 restriction rows, replicated coarse geometry)
-            // and scatters each rank its share. Every process still
-            // *builds* the global spheres system here (this harness checks
-            // parity, not footprint — the counting-allocator test owns the
-            // memory claim), but the setup consumes only this rank's owned
-            // rows of it.
-            let plan = (rank == 0).then(|| {
-                let graph = sys.mesh.vertex_graph();
-                let classes = prometheus::classify_mesh_parallel(&sys.mesh, opts.face_tol, nranks);
-                let part = pmg_partition::recursive_coordinate_bisection(&sys.mesh.coords, nranks);
-                let shards = pmg_mesh::shard_mesh(&sys.mesh, &part, nranks);
-                let elem_counts: Vec<u32> = shards
-                    .iter()
-                    .map(|s| s.mesh.num_elements() as u32)
-                    .collect();
-                prometheus::plan_ingest_with_part(
-                    &sys.mesh.coords,
-                    &graph,
-                    &classes,
-                    &elem_counts,
-                    part,
-                    nranks,
-                    &opts.mg,
-                )
-            });
-            let seed = prometheus::scatter_seeds(&mut t, plan.as_ref()).expect("seed scatter");
-            let vlayout = pmg_parallel::Layout::from_part(seed.part.clone(), nranks);
-            let layout = pmg_parallel::Layout::expand_dofs(&vlayout, opts.mg.dofs_per_vertex);
-            let a_owned = sys.matrix.extract_rows(layout.owned(rank));
-            sharded = RankHierarchy::build_from_shards(&mut t, &seed, &a_owned, opts.mg)
-                .expect("sharded setup over sockets");
-            (layout, sharded.rank_hierarchy())
-        }
-    };
+    // Partition-at-ingest: rank 0 plans the seeds (RCB partition, owned
+    // level-0 restriction rows, replicated coarse geometry) and scatters
+    // each rank its share. Every process still *builds* the global spheres
+    // system here (this harness checks parity, not footprint — the
+    // counting-allocator test owns the memory claim), but the setup
+    // consumes only this rank's owned rows of it.
+    let plan = (rank == 0).then(|| pmg_bench::parity_plan(&sys, nranks));
+    let seed = prometheus::scatter_seeds(&mut t, plan.as_ref()).expect("seed scatter");
+    let vlayout = pmg_parallel::Layout::from_part(seed.part.clone(), nranks);
+    let layout = pmg_parallel::Layout::expand_dofs(&vlayout, opts.mg.dofs_per_vertex);
+    let a_owned = sys.matrix.extract_rows(layout.owned(rank));
+    let setup = RankHierarchy::build_from_shards(&mut t, &seed, &a_owned, opts.mg)
+        .expect("sharded setup over sockets");
+    let mut h = setup.rank_hierarchy();
     h.overlap = overlap;
 
     let bl: Vec<f64> = layout

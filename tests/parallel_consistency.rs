@@ -157,9 +157,10 @@ fn parse_rank_out(text: &str) -> (usize, bool, Vec<u64>, Vec<u64>, u64) {
 fn spheres_solve_bitwise_identical_across_transports() {
     // The PR's acceptance bar: the full setup + solve on the spheres
     // problem produces a bitwise-identical solution and residual history
-    // whether the ranks are simulated (counting instead of sending),
-    // threads over an in-process transport, or separate processes over
-    // Unix-domain sockets.
+    // whether the ranks are simulated (counting instead of sending and
+    // holding every rank's share in one address space), threads that build
+    // their own shares over an in-process transport, or separate processes
+    // over Unix-domain sockets.
     let sys = pmg_bench::spheres_first_solve(0);
     let pcg_opts = pmg_solver::PcgOptions {
         rtol: pmg_bench::PARITY_RTOL,
@@ -169,14 +170,12 @@ fn spheres_solve_bitwise_identical_across_transports() {
     let mut two_rank_reference = None;
     for p in [1usize, 2, 4] {
         let opts = pmg_bench::parity_options(p);
-        // Route through the PMG_FINE_OP-aware constructor: the spawned
-        // worker ranks inherit that env var, so the in-process reference
-        // must run on the same fine-operator backend to compare bitwise.
-        let mut solver = pmg_bench::parity_solver(&sys, opts);
+        let mut solver = prometheus::Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
         let (x_sim, res_sim) = solver.solve(&sys.rhs, None, pmg_bench::PARITY_RTOL);
         assert!(res_sim.converged, "p={p}: {res_sim:?}");
 
-        let spmd = prometheus::solve_threads(&solver.mg, &sys.rhs, pcg_opts, true).unwrap();
+        let setups = pmg_bench::parity_setups(&sys, p).unwrap();
+        let spmd = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts, true).unwrap();
         assert_eq!(spmd.result.iterations, res_sim.iterations, "p={p}");
         for (a, b) in spmd.result.residuals.iter().zip(&res_sim.residuals) {
             assert_eq!(a.to_bits(), b.to_bits(), "p={p} residual history");
@@ -260,9 +259,9 @@ fn overlap_flag_changes_only_the_halo_schedule() {
         ..Default::default()
     };
     for p in [1usize, 2, 4] {
-        let solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(p));
-        let over = prometheus::solve_threads(&solver.mg, &sys.rhs, pcg_opts, true).unwrap();
-        let block = prometheus::solve_threads(&solver.mg, &sys.rhs, pcg_opts, false).unwrap();
+        let setups = pmg_bench::parity_setups(&sys, p).unwrap();
+        let over = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts, true).unwrap();
+        let block = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts, false).unwrap();
         let (ro, rb) = (&over.result, &block.result);
         assert!(ro.converged, "p={p}: {ro:?}");
         assert_eq!(
@@ -315,7 +314,8 @@ fn solve_messages_follow_the_cycle_schedule() {
         ..Default::default()
     };
     for p in [2usize, 4] {
-        let solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(p));
+        let opts = pmg_bench::parity_options(p);
+        let solver = prometheus::Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
         let mg = &solver.mg;
         assert_eq!(mg.opts.cycle, CycleType::Fmg);
         let coarsest = mg.num_levels() - 1;
@@ -354,9 +354,11 @@ fn solve_messages_follow_the_cycle_schedule() {
         let modeled: u64 = sim.finish()["default"].ranks.iter().map(|c| c.msgs).sum();
         assert_eq!(modeled, application, "p={p}: modeled messages per cycle");
 
-        // The transport: n iterations are n applications, n + 1 fine
+        // The transport, on shares the ranks built themselves (the same
+        // halo plans): n iterations are n applications, n + 1 fine
         // products and 3 n + 1 allreduces.
-        let spmd = prometheus::solve_threads(mg, &sys.rhs, pcg_opts, true).unwrap();
+        let setups = pmg_bench::parity_setups(&sys, p).unwrap();
+        let spmd = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts, true).unwrap();
         let n = spmd.result.iterations as u64;
         assert_eq!(spmd.stats[0].allreduces, 3 * n + 1, "p={p}");
         let sent: u64 = spmd.stats.iter().map(|s| s.msgs).sum();
@@ -375,7 +377,9 @@ fn non_finite_rhs_is_a_reported_breakdown_on_both_runtimes() {
     // `converged: true` with `x = 0` (`∞ ≤ rtol · ∞`). Both runtimes —
     // virtual ranks and rank threads — now say what happened.
     let sys = pmg_bench::spheres_first_solve(0);
-    let mut solver = pmg_bench::parity_solver(&sys, pmg_bench::parity_options(2));
+    let opts = pmg_bench::parity_options(2);
+    let mut solver = prometheus::Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
+    let setups = pmg_bench::parity_setups(&sys, 2).unwrap();
     let pcg_opts = pmg_solver::PcgOptions {
         rtol: pmg_bench::PARITY_RTOL,
         max_iters: 200,
@@ -386,7 +390,7 @@ fn non_finite_rhs_is_a_reported_breakdown_on_both_runtimes() {
         rhs[sys.rhs.len() / 2] = poison;
         let (_, res_sim) = solver.solve(&rhs, None, pmg_bench::PARITY_RTOL);
         assert!(res_sim.breakdown && !res_sim.converged, "{res_sim:?}");
-        let spmd = prometheus::solve_threads(&solver.mg, &rhs, pcg_opts, true).unwrap();
+        let spmd = prometheus::solve_threads(&setups, &rhs, pcg_opts, true).unwrap();
         let res = &spmd.result;
         assert!(res.breakdown && !res.converged, "{poison}: {res:?}");
         assert_eq!(res.iterations, res_sim.iterations, "{poison}");
@@ -398,13 +402,12 @@ fn non_finite_rhs_is_a_reported_breakdown_on_both_runtimes() {
 
 #[test]
 fn spheres_sharded_ingest_bitwise_identical_over_sockets() {
-    // PR 10's acceptance bar: on the assembled fine operator the workers
-    // run partition-at-ingest — rank 0 plans and scatters per-rank
-    // seeds, each rank assembles only its owned fine rows, the Galerkin
-    // rows come from p2p-fetched A rows with no coarse value allgather,
-    // and the coarsest factor lives on rank 0 alone. The resulting 2- and
-    // 4-process solves must reproduce the in-process replicated-setup
-    // solve bitwise.
+    // PR 10's acceptance bar: the workers run partition-at-ingest — rank 0
+    // plans and scatters per-rank seeds, each rank takes only its owned
+    // fine rows, the Galerkin rows come from p2p-fetched A rows with no
+    // coarse value allgather, and the coarsest factor lives on rank 0
+    // alone. The resulting 2- and 4-process solves must reproduce the
+    // simulated solve bitwise.
     let sys = pmg_bench::spheres_first_solve(0);
     for p in [2usize, 4] {
         let opts = pmg_bench::parity_options(p);
@@ -420,7 +423,7 @@ fn spheres_sharded_ingest_bitwise_identical_over_sockets() {
             std::path::Path::new(env!("CARGO_BIN_EXE_spheres_rank")),
             &["--out", out.to_str().unwrap()],
             None,
-            &[("PMG_FINE_OP", "assembled")],
+            &[],
         )
         .expect("launch socket ranks with sharded ingest");
         assert!(

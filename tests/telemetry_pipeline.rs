@@ -171,13 +171,15 @@ fn cycle_scopes(report: &Report) -> BTreeMap<String, u64> {
 }
 
 /// One cycle, two runtimes: the same system solved by the simulator and by
-/// two message-passing rank threads enters `precond` and every
+/// two message-passing rank threads (on shares they built themselves)
+/// enters `precond` and every
 /// `precond/level{N}/{smooth,restrict,prolong,coarse}` scope equally often —
 /// rank 0 records, rank 1 does not double it.
 #[test]
 fn spmd_per_level_scopes_match_the_simulator() {
     let _turn = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     let (sys, mut solver) = tiny_spheres();
+    let setups = pmg_bench::parity_setups(&sys, 2).unwrap();
     let opts = PcgOptions {
         rtol: 1e-6,
         max_iters: 200,
@@ -190,7 +192,7 @@ fn spmd_per_level_scopes_match_the_simulator() {
     let sim_scopes = cycle_scopes(&pmg_telemetry::snapshot());
 
     pmg_telemetry::reset();
-    let spmd = solve_threads(&solver.mg, &sys.rhs, opts, true).unwrap();
+    let spmd = solve_threads(&setups, &sys.rhs, opts, true).unwrap();
     let spmd_scopes = cycle_scopes(&pmg_telemetry::snapshot());
     pmg_telemetry::set_enabled(false);
 
