@@ -1,4 +1,4 @@
-//! The multigrid cycle, written once: Figure 1's µ-cycle inside §2's full
+//! The multigrid cycle, written once: Figure 1's V-cycle inside §2's full
 //! multigrid recursion, over a backend of per-level operations.
 //!
 //! Both runtimes run this code — the virtual-rank simulator through
@@ -8,7 +8,7 @@
 //! coarse solve and prolongation, and with it the bits of the result, cannot
 //! differ between them.
 
-use crate::mg::{CycleType, MgOptions};
+use crate::mg::MgOptions;
 
 /// What a backend kernel returns.
 pub(crate) type Done<B> = Result<(), <B as LevelOps>::Error>;
@@ -84,32 +84,32 @@ struct VScratch<V> {
 pub(crate) struct CycleScratch<V> {
     /// Per level above the bottom, from the cycle's entry level down.
     v: Vec<VScratch<V>>,
-    /// Likewise, what [`CycleType::Fmg`] adds (empty otherwise): right-hand
-    /// side and result of the level's correcting V-cycle.
+    /// Likewise, what full multigrid adds: right-hand side and result of the
+    /// level's correcting V-cycle.
     f: Vec<(V, V)>,
 }
 
 impl<V> CycleScratch<V> {
-    /// Scratch for a `kind` cycle entered on level `first` of `be`.
-    pub fn new<B: LevelOps<Vector = V>>(be: &B, first: usize, kind: CycleType) -> Self {
+    /// Scratch for a cycle entered on level `first` of `be`.
+    pub fn new<B: LevelOps<Vector = V>>(be: &B, first: usize) -> Self {
         let visited = first..be.num_levels() - 1;
         let v = visited.clone().map(|l| VScratch {
             tmp: be.zeros(l),
             rc: be.zeros(l + 1),
             xc: be.zeros(l + 1),
         });
-        let framed = visited.filter(|_| kind == CycleType::Fmg);
         CycleScratch {
             v: v.collect(),
-            f: framed.map(|l| (be.zeros(l), be.zeros(l))).collect(),
+            f: visited.map(|l| (be.zeros(l), be.zeros(l))).collect(),
         }
     }
 }
 
-/// One preconditioner application: the cycle `opts` asks for (`cycle`,
-/// `pre_smooth`, `post_smooth`) on `A x = r`, entered at level `first`, from
-/// the zero guess, written into `x` (whatever it held). `ws` is
-/// [`CycleScratch::new`] for the same backend, entry level and cycle type.
+/// One preconditioner application: a full multigrid cycle with the
+/// smoothing counts `opts` asks for (`pre_smooth`, `post_smooth`) on
+/// `A x = r`, entered at level `first`, from the zero guess, written into
+/// `x` (whatever it held). `ws` is [`CycleScratch::new`] for the same
+/// backend and entry level.
 ///
 /// Telemetry (when the backend is [`traced`](LevelOps::traced)): a
 /// `precond` scope under the caller's current path and, inside it, per
@@ -117,7 +117,7 @@ impl<V> CycleScratch<V> {
 /// the bottom) `level{N}/coarse`. The level scopes are opened around
 /// individual kernels — not the recursion — so every level's records are
 /// siblings, ready for flat per-level aggregation.
-pub(crate) fn apply<B: LevelOps>(
+pub(crate) fn fmg<B: LevelOps>(
     be: &mut B,
     opts: &MgOptions,
     first: usize,
@@ -126,11 +126,20 @@ pub(crate) fn apply<B: LevelOps>(
     ws: &mut CycleScratch<B::Vector>,
 ) -> Done<B> {
     let _t = be.traced().then(|| pmg_telemetry::scope("precond"));
-    match opts.cycle {
-        CycleType::V => mu_cycle(be, opts, first, r, x, &mut ws.v, 1),
-        CycleType::W => mu_cycle(be, opts, first, r, x, &mut ws.v, 2),
-        CycleType::Fmg => fmg_level(be, opts, first, r, x, &mut ws.f, &mut ws.v),
-    }
+    fmg_level(be, opts, first, r, x, &mut ws.f, &mut ws.v)
+}
+
+/// [`fmg`], with one V-cycle in place of the full multigrid cycle.
+pub(crate) fn vcycle<B: LevelOps>(
+    be: &mut B,
+    opts: &MgOptions,
+    first: usize,
+    r: &B::Vector,
+    x: &mut B::Vector,
+    ws: &mut CycleScratch<B::Vector>,
+) -> Done<B> {
+    let _t = be.traced().then(|| pmg_telemetry::scope("precond"));
+    v_cycle(be, opts, first, r, x, &mut ws.v)
 }
 
 /// The `level{lvl}/{op}` scope, on a traced backend with telemetry on.
@@ -140,20 +149,17 @@ fn scope<B: LevelOps>(be: &B, lvl: usize, op: &str) -> Option<pmg_telemetry::Sco
         .flatten()
 }
 
-/// The µ-cycle on `A x = r` from the zero guess, written into `x`: `mu` = 1
-/// gives the V-cycle, `mu` = 2 the W-cycle. `ws[0]` is this level's
-/// scratch, `ws[1..]` the deeper levels'.
-fn mu_cycle<B: LevelOps>(
+/// Figure 1's V-cycle on `A x = r` from the zero guess, written into `x`.
+/// `ws[0]` is this level's scratch, `ws[1..]` the deeper levels'.
+fn v_cycle<B: LevelOps>(
     be: &mut B,
     opts: &MgOptions,
     lvl: usize,
     r: &B::Vector,
     x: &mut B::Vector,
     ws: &mut [VScratch<B::Vector>],
-    mu: usize,
 ) -> Done<B> {
-    let bottom = be.num_levels() - 1;
-    if lvl == bottom {
+    if lvl == be.num_levels() - 1 {
         let _t = scope(be, lvl, "coarse");
         return be.coarse_solve(r, x);
     }
@@ -162,21 +168,16 @@ fn mu_cycle<B: LevelOps>(
         let _t = scope(be, lvl, "smooth");
         be.smooth(lvl, r, x, &mut w.tmp, opts.pre_smooth, true)?;
     }
-    for _ in 0..mu {
-        {
-            let _t = scope(be, lvl, "restrict");
-            be.residual(lvl, r, x, &mut w.tmp)?;
-            be.restrict(lvl, &w.tmp, &mut w.rc)?;
-        }
-        mu_cycle(be, opts, lvl + 1, &w.rc, &mut w.xc, below, mu)?;
-        {
-            let _t = scope(be, lvl, "prolong");
-            be.prolong(lvl, &w.xc, &mut w.tmp)?;
-            be.add(x, &w.tmp);
-        }
-        if lvl + 1 == bottom {
-            break; // next level is a direct solve: revisiting is a no-op
-        }
+    {
+        let _t = scope(be, lvl, "restrict");
+        be.residual(lvl, r, x, &mut w.tmp)?;
+        be.restrict(lvl, &w.tmp, &mut w.rc)?;
+    }
+    v_cycle(be, opts, lvl + 1, &w.rc, &mut w.xc, below)?;
+    {
+        let _t = scope(be, lvl, "prolong");
+        be.prolong(lvl, &w.xc, &mut w.tmp)?;
+        be.add(x, &w.tmp);
     }
     if opts.post_smooth > 0 {
         let _t = scope(be, lvl, "smooth");
@@ -215,7 +216,7 @@ fn fmg_level<B: LevelOps>(
         be.prolong(lvl, &w.xc, x)?;
     }
     be.residual(lvl, b, x, res)?;
-    mu_cycle(be, opts, lvl, res, corr, vs, 1)?;
+    v_cycle(be, opts, lvl, res, corr, vs)?;
     be.add(x, corr);
     Ok(())
 }
@@ -284,55 +285,45 @@ mod tests {
         }
     }
 
-    /// The operations of one `cycle` with `pre`/`post` sweeps on `levels`
-    /// levels, space-separated.
-    fn schedule_of(cycle: CycleType, levels: usize, pre: usize, post: usize) -> String {
+    /// The operations of one full multigrid cycle (with `fmg`) or V-cycle
+    /// with `pre`/`post` sweeps on `levels` levels, space-separated.
+    fn schedule_of(fmg: bool, levels: usize, pre: usize, post: usize) -> String {
         let opts = MgOptions {
-            cycle,
             pre_smooth: pre,
             post_smooth: post,
             ..Default::default()
         };
         let log = Vec::new();
         let mut be = Recorder { levels, log };
-        let mut ws = CycleScratch::new(&be, 0, cycle);
-        let Ok(()) = apply(&mut be, &opts, 0, &(), &mut (), &mut ws);
+        let mut ws = CycleScratch::new(&be, 0);
+        let cycle = if fmg { super::fmg } else { vcycle };
+        let Ok(()) = cycle(&mut be, &opts, 0, &(), &mut (), &mut ws);
         be.log.join(" ")
     }
 
     #[test]
     fn one_level_is_the_direct_solve() {
-        for kind in [CycleType::V, CycleType::W, CycleType::Fmg] {
-            assert_eq!(schedule_of(kind, 1, 1, 1), "coarse0", "{kind:?}");
+        for fmg in [false, true] {
+            assert_eq!(schedule_of(fmg, 1, 1, 1), "coarse0", "fmg={fmg}");
         }
     }
 
     #[test]
     fn two_levels() {
         let v = "pre0 res0 R0 coarse1 P0 add post0";
-        assert_eq!(schedule_of(CycleType::V, 2, 1, 1), v);
-        // The next level is the bottom: W does not revisit it.
-        assert_eq!(schedule_of(CycleType::W, 2, 1, 1), v);
+        assert_eq!(schedule_of(false, 2, 1, 1), v);
         assert_eq!(
-            schedule_of(CycleType::Fmg, 2, 1, 1),
+            schedule_of(true, 2, 1, 1),
             format!("R0 coarse1 P0 res0 {v} add")
         );
     }
 
     #[test]
-    fn four_level_v_and_w() {
+    fn four_level_v() {
         assert_eq!(
-            schedule_of(CycleType::V, 4, 1, 1),
+            schedule_of(false, 4, 1, 1),
             "pre0 res0 R0 pre1 res1 R1 pre2 res2 R2 coarse3 \
              P2 add post2 P1 add post1 P0 add post0"
-        );
-        // Two visits of the next level from levels 0 and 1, one from level
-        // 2 (whose next level is the bottom).
-        let w2 = "pre2 res2 R2 coarse3 P2 add post2";
-        let w1 = format!("pre1 res1 R1 {w2} P1 add res1 R1 {w2} P1 add post1");
-        assert_eq!(
-            schedule_of(CycleType::W, 4, 1, 1),
-            format!("pre0 res0 R0 {w1} P0 add res0 R0 {w1} P0 add post0")
         );
     }
 
@@ -341,7 +332,7 @@ mod tests {
         let v2 = "pre2 res2 R2 coarse3 P2 add post2";
         let v1 = format!("pre1 res1 R1 {v2} P1 add post1");
         let v0 = format!("pre0 res0 R0 {v1} P0 add post0");
-        let fmg = schedule_of(CycleType::Fmg, 4, 1, 1);
+        let fmg = schedule_of(true, 4, 1, 1);
         assert_eq!(
             fmg,
             format!(
@@ -358,19 +349,16 @@ mod tests {
     #[test]
     fn no_pre_smoothing_still_zero_fills_before_the_residual() {
         assert_eq!(
-            schedule_of(CycleType::V, 2, 0, 1),
+            schedule_of(false, 2, 0, 1),
             "zero0 res0 R0 coarse1 P0 add post0"
         );
     }
 
     #[test]
     fn no_post_smoothing_ends_on_add() {
+        assert_eq!(schedule_of(false, 2, 1, 0), "pre0 res0 R0 coarse1 P0 add");
         assert_eq!(
-            schedule_of(CycleType::V, 2, 1, 0),
-            "pre0 res0 R0 coarse1 P0 add"
-        );
-        assert_eq!(
-            schedule_of(CycleType::V, 4, 2, 0),
+            schedule_of(false, 4, 2, 0),
             "pre0 res0 R0 pre1 res1 R1 pre2 res2 R2 coarse3 P2 add P1 add P0 add"
         );
     }

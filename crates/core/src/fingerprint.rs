@@ -130,11 +130,11 @@ mod tests {
             ..Default::default()
         };
         assert_ne!(base, solver_fingerprint(&m, &coarser));
-        let wcycle = MgOptions {
-            cycle: crate::CycleType::W,
+        let smoother = MgOptions {
+            post_smooth: 2,
             ..Default::default()
         };
-        assert_ne!(base, solver_fingerprint(&m, &wcycle));
+        assert_ne!(base, solver_fingerprint(&m, &smoother));
         // Nested coarsening options widen the key too.
         let tol = MgOptions {
             coarsen: crate::CoarsenOptions {

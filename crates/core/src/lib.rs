@@ -49,9 +49,9 @@ pub use ingest::{
     plan_ingest, plan_ingest_with_part, scatter_seeds, CoarseSeed, IngestPlan, RankSeed,
 };
 pub use inspect::{classify_mesh_levels, tets_to_obj, LevelInfo};
-pub use mg::{CycleType, FineOperator, MgHierarchy, MgOptions};
+pub use mg::{FineOperator, MgHierarchy, MgOptions};
 pub use mis::{greedy_mis, parallel_mis, parallel_mis_transport, MisOrdering};
-pub use solver::{Prometheus, PrometheusOptions, SolveSummary};
+pub use solver::{Prometheus, PrometheusOptions};
 pub use spmd::{
     build_threads, solve_threads, spmd_pcg, DistributedSetup, PhaseWaits, RankHierarchy,
     SpmdSolveOutcome,

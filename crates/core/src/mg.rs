@@ -9,22 +9,9 @@ use pmg_geometry::Vec3;
 use pmg_parallel::{DistMatFree, DistMatrix, DistVec, Layout, Sim, SimOperator};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
 use pmg_solver::{BlockJacobi, Chebyshev, CoarseDirect, Precond};
-use pmg_sparse::{CsrMatrix, MatrixFreeFactory, RapPlan};
+use pmg_sparse::{CsrMatrix, Operator, RapPlan};
 use std::convert::Infallible;
 use std::sync::Arc;
-
-/// Multigrid cycle used as the CG preconditioner.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CycleType {
-    /// One V-cycle (Figure 1).
-    V,
-    /// One full multigrid cycle (the paper's choice, §2: "we use the 'full'
-    /// multigrid algorithm (FMG) in our numerical experiments").
-    Fmg,
-    /// W-cycle: visit the coarse grid twice per level (more robust on hard
-    /// coefficients, more coarse-grid work).
-    W,
-}
 
 /// Which smoother the hierarchy uses.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -51,33 +38,9 @@ pub enum FineOperator {
     Assembled,
     /// Element-loop on-the-fly apply: the fine matrix is never promoted
     /// to BSR3 and the solve-time `A x` walks the element geometry
-    /// instead of assembled rows. Requires a
-    /// [`MatrixFreeFactory`] at build time (see
-    /// [`MgHierarchy::build_with_factory`]).
+    /// instead of assembled rows. Requires the matrix-free operator at
+    /// build time (see [`MgHierarchy::build_with_factory`]).
     MatrixFree,
-}
-
-impl FineOperator {
-    /// Read the backend from `PMG_FINE_OP`: `matrixfree` / `mf` selects
-    /// the matrix-free path, `assembled` (or unset / empty) the default.
-    ///
-    /// # Panics
-    /// On any other value — a misspelt backend must not silently run the
-    /// default one.
-    pub fn from_env() -> FineOperator {
-        let value = std::env::var_os("PMG_FINE_OP").map(|v| v.to_string_lossy().into_owned());
-        Self::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn parse(value: Option<&str>) -> Result<FineOperator, String> {
-        match value.map(str::to_ascii_lowercase).as_deref() {
-            None | Some("" | "assembled") => Ok(FineOperator::Assembled),
-            Some("matrixfree" | "mf") => Ok(FineOperator::MatrixFree),
-            Some(other) => Err(format!(
-                "PMG_FINE_OP={other}: expected assembled|matrixfree|mf"
-            )),
-        }
-    }
 }
 
 /// A smoother bound to one grid level.
@@ -144,8 +107,6 @@ pub struct MgOptions {
     pub omega: f64,
     /// Paper: 6 blocks per 1000 unknowns.
     pub blocks_per_1000: f64,
-    /// V-cycle or W-cycle preconditioner.
-    pub cycle: CycleType,
     /// Degrees of freedom per vertex (3 for elasticity, 1 for scalar
     /// tests).
     pub dofs_per_vertex: usize,
@@ -153,9 +114,6 @@ pub struct MgOptions {
     pub smoother: SmootherType,
     /// Coarsening (MIS + remesh) options per level.
     pub coarsen: CoarsenOptions,
-    /// Route 3-dof level operators through 3x3 BSR storage (numerically
-    /// identical to the scalar path; off only for A/B comparisons).
-    pub block3: bool,
     /// Fine-grid (level 0) apply backend; see [`FineOperator`].
     pub fine_operator: FineOperator,
     /// Thread-pool size for this solver's parallel kernels. `None` uses
@@ -174,11 +132,9 @@ impl Default for MgOptions {
             post_smooth: 1,
             omega: 0.6,
             blocks_per_1000: 6.0,
-            cycle: CycleType::Fmg,
             dofs_per_vertex: 3,
             smoother: SmootherType::BlockJacobi,
             coarsen: CoarsenOptions::default(),
-            block3: true,
             fine_operator: FineOperator::Assembled,
             threads: None,
         }
@@ -284,14 +240,13 @@ impl MgHierarchy {
         Self::build_with_factory(sim, a_fine, coords, graph, classes, opts, None)
     }
 
-    /// [`build`](Self::build), plus an optional matrix-free factory for
-    /// the fine-grid apply. Required when
-    /// `opts.fine_operator == FineOperator::MatrixFree`: once the fine
-    /// layout is partitioned, the factory builds one element-loop kernel
-    /// per rank and the hierarchy routes every solve-time level-0 `A x`
-    /// through them (the assembled fine matrix stays — in scalar CSR form
-    /// only, never promoted to BSR3 — for Galerkin products and smoother
-    /// factorizations).
+    /// [`build`](Self::build), plus the matrix-free operator for the
+    /// fine-grid apply. Required when
+    /// `opts.fine_operator == FineOperator::MatrixFree`: the hierarchy
+    /// routes every solve-time level-0 `A x` through it, on the fine
+    /// layout ([`DistMatFree`]); the assembled fine matrix stays — in
+    /// scalar CSR form only, never promoted to BSR3 — for Galerkin products
+    /// and smoother factorizations.
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_factory(
         sim: &mut Sim,
@@ -300,7 +255,7 @@ impl MgHierarchy {
         graph: &Graph,
         classes: &VertexClasses,
         opts: MgOptions,
-        factory: Option<&dyn MatrixFreeFactory>,
+        matrix_free: Option<Box<dyn Operator>>,
     ) -> MgHierarchy {
         let nranks = sim.num_ranks();
         let dofs = opts.dofs_per_vertex;
@@ -318,7 +273,7 @@ impl MgHierarchy {
         // (BSR3) image of the largest matrix would waste exactly the
         // memory the matrix-free path exists to save.
         let make_da = move |a: &CsrMatrix, l: &Arc<Layout>, promote: bool| -> DistMatrix {
-            if promote && dofs == 3 && opts.block3 {
+            if promote && dofs == 3 {
                 DistMatrix::from_global_blocked(a, l.clone(), l.clone())
             } else {
                 DistMatrix::from_global(a, l.clone(), l.clone())
@@ -459,21 +414,13 @@ impl MgHierarchy {
                 plans.map(RapPlan::memory_bytes).sum::<usize>() as f64,
             );
         }
-        let fine_mf = if opts.fine_operator == FineOperator::MatrixFree {
-            let factory = factory.expect(
-                "MgOptions.fine_operator = MatrixFree needs a matrix-free factory: \
-                 call MgHierarchy::build_with_factory (or Prometheus::from_mesh, which \
-                 wires the FEM element loop in automatically)",
+        let fine_mf = (opts.fine_operator == FineOperator::MatrixFree).then(|| {
+            let op = matrix_free.expect(
+                "MgOptions.fine_operator = MatrixFree needs the matrix-free operator: \
+                 call MgHierarchy::build_with_factory or Prometheus::from_mesh_matrix_free",
             );
-            sim.phase("matrix setup");
-            let mf = {
-                let _t = pmg_telemetry::scope("matfree_setup");
-                DistMatFree::from_factory(levels[0].a.row_layout().clone(), factory)
-            };
-            Some(mf)
-        } else {
-            None
-        };
+            DistMatFree::new(op, &levels[0].a)
+        });
         MgHierarchy {
             levels,
             opts,
@@ -483,7 +430,7 @@ impl MgHierarchy {
     }
 
     /// The operator PCG and the cycles apply on the finest grid: the
-    /// matrix-free kernels when installed, the assembled matrix otherwise.
+    /// matrix-free operator when installed, the assembled matrix otherwise.
     pub fn fine_op(&self) -> &dyn SimOperator {
         match &self.fine_mf {
             Some(mf) => mf,
@@ -517,9 +464,8 @@ impl MgHierarchy {
     /// all three are rebuilt transparently.
     pub fn update_operator(&mut self, sim: &mut Sim, a_fine: &CsrMatrix) {
         sim.phase("matrix setup");
-        // Any installed matrix-free kernels linearize the *previous*
-        // operator; drop them so the hierarchy falls back to the fresh
-        // assembled matrix until install_fine_matrix_free is called again.
+        // A matrix-free operator linearizes the *previous* operator; drop
+        // it so the hierarchy runs on the fresh assembled matrix.
         self.fine_mf = None;
         let opts = self.opts;
         // Level 0 reads the caller's matrix; only the Galerkin products
@@ -563,19 +509,6 @@ impl MgHierarchy {
         charge_setup_flops(sim);
     }
 
-    /// (Re-)install the matrix-free fine-grid apply from a factory built
-    /// at the current linearization point.
-    /// [`update_operator`](Self::update_operator) drops the previous
-    /// kernels (they froze the old tangent); call this after it to put
-    /// the solve back on the matrix-free path.
-    pub fn install_fine_matrix_free(&mut self, factory: &dyn MatrixFreeFactory) {
-        let _t = pmg_telemetry::scope("matfree_setup");
-        self.fine_mf = Some(DistMatFree::from_factory(
-            self.levels[0].a.row_layout().clone(),
-            factory,
-        ));
-    }
-
     /// Number of grid levels in the hierarchy.
     pub fn num_levels(&self) -> usize {
         self.levels.len()
@@ -589,7 +522,7 @@ impl MgHierarchy {
     /// One V-cycle at `lvl` for right-hand side `r`; returns the correction.
     pub fn vcycle(&self, sim: &mut Sim, lvl: usize, r: &DistVec) -> DistVec {
         let mut x = DistVec::zeros(r.layout().clone());
-        self.run(sim, lvl, r, &mut x, CycleType::V);
+        self.run(sim, lvl, r, &mut x, false);
         x
     }
 
@@ -598,18 +531,19 @@ impl MgHierarchy {
     /// correct with a V-cycle on each grid (§2).
     pub fn fmg(&self, sim: &mut Sim, r: &DistVec) -> DistVec {
         let mut x = DistVec::zeros(r.layout().clone());
-        self.run(sim, 0, r, &mut x, CycleType::Fmg);
+        self.run(sim, 0, r, &mut x, true);
         x
     }
 
-    /// One `cycle` ([`cycle::apply`]) entered at `lvl` for right-hand side
+    /// One full multigrid cycle ([`cycle::fmg`]) with `fmg`, else one
+    /// V-cycle ([`cycle::vcycle`]), entered at `lvl` for right-hand side
     /// `r`, written into `x` (whatever it held). The scratch set is
     /// allocated per application: the hierarchy type has no place to keep it.
     ///
     /// Panics unless the hierarchy has the shape the cycle runs on — a direct
     /// solver on the last level, `R` and `P` on every other (the fields are
     /// public, so a hand-built hierarchy can lack them).
-    fn run(&self, sim: &mut Sim, lvl: usize, r: &DistVec, x: &mut DistVec, cycle: CycleType) {
+    fn run(&self, sim: &mut Sim, lvl: usize, r: &DistVec, x: &mut DistVec, fmg: bool) {
         let (last, above) = self.levels.split_last().expect("hierarchy has a level");
         assert!(
             last.coarse.is_some(),
@@ -620,15 +554,15 @@ impl MgHierarchy {
             let complete = level.r.is_some() && level.p.is_some();
             assert!(complete, "level {l} is not the coarsest but lacks R or P");
         }
-        let opts = MgOptions { cycle, ..self.opts };
         let entry = (lvl, r.layout());
         let mut be = SimLevels {
             mg: self,
             sim,
             entry,
         };
-        let mut ws = CycleScratch::new(&be, lvl, cycle);
-        let Ok(()) = cycle::apply(&mut be, &opts, lvl, r, x, &mut ws);
+        let mut ws = CycleScratch::new(&be, lvl);
+        let cycle = if fmg { cycle::fmg } else { cycle::vcycle };
+        let Ok(()) = cycle(&mut be, &self.opts, lvl, r, x, &mut ws);
     }
 }
 
@@ -721,7 +655,7 @@ impl LevelOps for SimLevels<'_> {
 
 impl Precond for MgHierarchy {
     fn apply(&self, sim: &mut Sim, r: &DistVec, z: &mut DistVec) {
-        self.run(sim, 0, r, z, self.opts.cycle);
+        self.run(sim, 0, r, z, true);
     }
 }
 
@@ -742,18 +676,6 @@ mod tests {
     use pmg_parallel::MachineModel;
     use pmg_solver::{pcg, PcgOptions};
     use pmg_sparse::CooBuilder;
-
-    #[test]
-    fn fine_operator_switch_rejects_unrecognised_values() {
-        for v in [None, Some(""), Some("assembled")] {
-            assert_eq!(FineOperator::parse(v), Ok(FineOperator::Assembled));
-        }
-        for v in ["matrixfree", "mf", "MatrixFree"] {
-            assert_eq!(FineOperator::parse(Some(v)), Ok(FineOperator::MatrixFree));
-        }
-        let err = FineOperator::parse(Some("matrxfree")).unwrap_err();
-        assert!(err.contains("PMG_FINE_OP") && err.contains("assembled|matrixfree|mf"));
-    }
 
     #[test]
     fn level_schedule_table() {

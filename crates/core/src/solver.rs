@@ -6,7 +6,7 @@ use crate::mg::{MgHierarchy, MgOptions};
 use pmg_mesh::Mesh;
 use pmg_parallel::{DistVec, MachineModel, PhaseStats, Sim};
 use pmg_solver::{pcg, PcgOptions, PcgResult};
-use pmg_sparse::{CsrMatrix, MatrixFreeFactory};
+use pmg_sparse::{CsrMatrix, Operator};
 use std::collections::BTreeMap;
 
 /// Solver configuration.
@@ -34,17 +34,6 @@ impl Default for PrometheusOptions {
             max_iters: 200,
         }
     }
-}
-
-/// Summary of one linear solve.
-#[derive(Clone, Debug)]
-pub struct SolveSummary {
-    /// Krylov iterations taken.
-    pub iterations: usize,
-    /// Whether the relative-residual tolerance was reached.
-    pub converged: bool,
-    /// Final preconditioned relative residual.
-    pub rel_residual: f64,
 }
 
 /// The solver: a multigrid hierarchy bound to a simulated machine.
@@ -82,34 +71,28 @@ impl Prometheus {
     /// per vertex). This is the paper's usage: the solver needs only data
     /// "easily available in most finite element codes".
     pub fn from_mesh(mesh: &Mesh, a: &CsrMatrix, opts: PrometheusOptions) -> Prometheus {
-        let _t = pmg_telemetry::scope("setup");
-        let pool = pool_for(&opts);
-        let (sim, mg) = on_pool(&pool, || {
-            let mut sim = Sim::new(opts.nranks, opts.model);
-            sim.phase("mesh setup");
-            let graph = mesh.vertex_graph();
-            let classes = crate::classify::classify_mesh_parallel(mesh, opts.face_tol, opts.nranks);
-            let mg = MgHierarchy::build(&mut sim, a, &mesh.coords, &graph, &classes, opts.mg);
-            (sim, mg)
-        });
-        Prometheus {
-            sim,
-            mg,
-            opts,
-            pool,
-        }
+        Self::build(mesh, a, opts, None)
     }
 
-    /// [`from_mesh`](Self::from_mesh) with a matrix-free factory for the
+    /// [`from_mesh`](Self::from_mesh) with a matrix-free operator for the
     /// fine-grid apply. Pass `MgOptions { fine_operator: MatrixFree, .. }`
-    /// to route every solve-time level-0 `A x` through the factory's
-    /// element-loop kernels; the assembled `a` is still consumed for the
-    /// Galerkin coarse grids and the smoother factorizations.
+    /// to route every solve-time level-0 `A x` through `matrix_free` (an
+    /// element loop equal to `a`); the assembled `a` is still consumed for
+    /// the Galerkin coarse grids and the smoother factorizations.
     pub fn from_mesh_matrix_free(
         mesh: &Mesh,
         a: &CsrMatrix,
         opts: PrometheusOptions,
-        factory: &dyn MatrixFreeFactory,
+        matrix_free: Box<dyn Operator>,
+    ) -> Prometheus {
+        Self::build(mesh, a, opts, Some(matrix_free))
+    }
+
+    fn build(
+        mesh: &Mesh,
+        a: &CsrMatrix,
+        opts: PrometheusOptions,
+        matrix_free: Option<Box<dyn Operator>>,
     ) -> Prometheus {
         let _t = pmg_telemetry::scope("setup");
         let pool = pool_for(&opts);
@@ -125,7 +108,7 @@ impl Prometheus {
                 &graph,
                 &classes,
                 opts.mg,
-                Some(factory),
+                matrix_free,
             );
             (sim, mg)
         });

@@ -89,7 +89,7 @@ struct RankLevel<'a> {
 /// counterpart of the simulated hierarchy's `Precond` implementation.
 pub struct RankHierarchy<'a> {
     levels: Vec<RankLevel<'a>>,
-    /// Which cycle to run (`cycle`, `pre_smooth`, `post_smooth`).
+    /// The cycle's smoothing counts (`pre_smooth`, `post_smooth`).
     opts: MgOptions,
     /// The halo schedule (default on): operator, restriction, and
     /// prolongation products — including the smoother's residual refresh —
@@ -785,7 +785,7 @@ impl RankHierarchy<'_> {
                     cur_layout.clone(),
                     rank,
                 );
-                if dofs == 3 && opts.block3 {
+                if dofs == 3 {
                     m.try_block3();
                 }
                 exchange_ghosts(t, &mut m)?;
@@ -1053,7 +1053,7 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
 
     fn precond(&mut self, r: &Vec<f64>, z: &mut Vec<f64>) -> Result<(), CommError> {
         let opts = &self.ops.h.opts;
-        cycle::apply(&mut self.ops, opts, 0, r, z, &mut self.scratch)
+        cycle::fmg(&mut self.ops, opts, 0, r, z, &mut self.scratch)
     }
 
     /// Local partials, then one fused binomial allreduce: it reduces
@@ -1115,7 +1115,7 @@ pub fn spmd_pcg<T: Transport>(
         h,
         waits: PhaseWaits::default(),
     };
-    let scratch = CycleScratch::new(&ops, 0, h.opts.cycle);
+    let scratch = CycleScratch::new(&ops, 0);
     let mut be = TransportPcg { ops, scratch };
     // The cycle's vectors are `Vec<f64>`, so the caller's slices are copied
     // in and the solution copied back.

@@ -34,6 +34,6 @@ pub use assembly::FemProblem;
 pub use athena::RankAssembly;
 pub use bc::DirichletBc;
 pub use material::{J2Plasticity, LinearElastic, Material, NeoHookean};
-pub use matfree::{MatFreeOperator, MfRankKernel};
+pub use matfree::MatFreeOperator;
 pub use newton::{NewtonDriver, NewtonOptions, NewtonStats};
 pub use problem::{spheres_problem, table1_materials, SpheresProblem};

@@ -29,8 +29,8 @@
 //! `8b + l` and executes exactly the reference scalar sequence, so the
 //! bits match the one-element kernel while the arithmetic runs eight
 //! elements per instruction with zero cross-lane traffic. Elements off an
-//! aligned run (rank-boundary stragglers, list tails) index the same
-//! blocked data at a single lane.
+//! aligned run (next to a general-class element, the mesh's last few)
+//! index the same blocked data at a single lane.
 //!
 //! One apply takes one vector. With a single pool worker the loop fuses
 //! gather → kernel → scatter per element (or per aligned run of eight)
@@ -39,8 +39,8 @@
 //! scatters nothing — it only computes its batch's element products into a
 //! staging region, so the inner loops are allocation-free and
 //! auto-vectorizable — while gather and scatter run serially through a
-//! reusable per-kernel scratch, in fixed element order. Which shape runs is
-//! decided from the observed pool size; both produce the same bits.
+//! reusable scratch, in fixed element order. Which shape runs is decided
+//! from the observed pool size; both produce the same bits.
 //!
 //! Dirichlet rows are treated bitwise identically to
 //! [`constrain_system`](crate::bc::constrain_system): constrained sources
@@ -50,11 +50,8 @@
 //! # Determinism
 //!
 //! Element contributions are computed in parallel batch tasks but scattered
-//! serially in a fixed element order (the assembler's scheme), so the
-//! result is bitwise identical for every `PMG_THREADS`. Each rank applies
-//! interior elements (no ghost dofs) in ascending order, then boundary
-//! elements in ascending order, so a fixed rank layout reproduces the
-//! same bits.
+//! serially in ascending element order (the assembler's scheme), so the
+//! result is bitwise identical for every `PMG_THREADS`.
 //!
 //! Telemetry: counts `op/mf_elements` (element loops executed),
 //! `op/mf_batches` (batches of `BATCH` elements), `op/mf_flops` and
@@ -62,9 +59,9 @@
 
 use crate::assembly::FemProblem;
 use crate::material::{elastic_tangent, Mat3, MAT3_ZERO};
-use pmg_sparse::op::{MatrixFreeFactory, MatrixFreeKernel, Operator};
+use pmg_sparse::op::Operator;
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Elements per outer chunk (bounds staging memory; mirrors the
 /// assembler's bound).
@@ -88,13 +85,13 @@ enum GpTan {
     Full(Box<[f64; 81]>),
 }
 
-/// Everything the element loop reads, shared by every rank kernel.
-struct MfData {
+/// Matrix-free representation of the Dirichlet-constrained tangent
+/// stiffness at a fixed linearization state: the whole-domain element loop
+/// behind [`Operator`].
+pub struct MatFreeOperator {
     nv: usize,
     ngp: usize,
     ndof: usize,
-    /// Flat element connectivity (`conn[e * nv + a]` = vertex id).
-    conn: Vec<u32>,
     /// Per element: `>= 0` is an index into the isotropic SoA,
     /// `-(i + 1)` an index into the general SoA.
     elem_slot: Vec<i32>,
@@ -112,312 +109,20 @@ struct MfData {
     /// `[g_0 … g_{3nv-1}, 81 weighted tangent components]`
     /// (stride `3nv + 81`).
     full_soa: Vec<f64>,
-    /// Constrained dofs.
-    fixed: Vec<bool>,
+    /// Per element dof (element-major, `3nv` per element): its global dof,
+    /// or `-1` where that dof is constrained — its column gathers as zero
+    /// and its row takes no element contribution. One flat load replaces
+    /// the connectivity → dof lookup in every gather and scatter.
+    codes: Vec<i32>,
+    /// Constrained dofs, ascending.
+    fixed: Vec<u32>,
     /// Dirichlet row scale (see `bc::constraint_scale`).
     scale: f64,
-}
-
-impl MfData {
-    /// Components per Gauss point of an isotropic record (the record is
-    /// slot-blocked and lane-interleaved; see `iso_soa`).
-    fn iso_stride(&self) -> usize {
-        3 * self.nv + 2
-    }
-
-    /// Values per isotropic slot block (eight interleaved element
-    /// records).
-    fn iso_blk(&self) -> usize {
-        self.iso_stride() * self.ngp * ILANES
-    }
-
-    /// Components per Gauss point of a general record (same transposition).
-    fn full_stride(&self) -> usize {
-        3 * self.nv + 81
-    }
-
-    fn gather_codes(&self, e: usize, code: &[i32]) -> bool {
-        // True iff element `e` references any ghost dof (code < -1).
-        let nv = self.nv;
-        for a in 0..nv {
-            let v = self.conn[e * nv + a] as usize;
-            for i in 0..3 {
-                if code[3 * v + i] < -1 {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// `ye = ke · xe` for one element, dispatching on its class. Isotropic
-    /// elements reach this only off an aligned lane run (the hot apply goes
-    /// through `iso_block8`) and take the scalar reference.
-    #[inline]
-    fn element_apply(&self, e: usize, xe: &[f64], ye: &mut [f64]) {
-        let slot = self.elem_slot[e];
-        if slot >= 0 {
-            self.iso_apply_1(slot as usize, xe, ye);
-        } else {
-            self.full_apply_1((-slot - 1) as usize, xe, ye);
-        }
-    }
-
-    /// Slot-block index when `elems[off .. off + 8]` is exactly the
-    /// aligned isotropic lane run `8b .. 8b + 8` in ascending order — the
-    /// only shape the element-lane block kernel accepts. Slots are
-    /// assigned in ascending element order at construction, so every
-    /// contiguous stretch of isotropic elements in an ascending element
-    /// list decomposes into aligned runs plus short single-element edges.
-    #[inline]
-    fn aligned_block(&self, elems: &[u32], off: usize) -> Option<usize> {
-        if off + ILANES > elems.len() {
-            return None;
-        }
-        let s0 = self.elem_slot[elems[off] as usize];
-        if s0 < 0 || !(s0 as usize).is_multiple_of(ILANES) {
-            return None;
-        }
-        for i in 1..ILANES {
-            if self.elem_slot[elems[off + i] as usize] != s0 + i as i32 {
-                return None;
-            }
-        }
-        Some(s0 as usize / ILANES)
-    }
-
-    /// Element-lane block kernel: eight isotropic elements (slot block
-    /// `blk`), operands as tiles of eight lanes per dof — dof `j` of lane
-    /// `l` lives at `j * 8 + l`. Every operation is a vertical fused
-    /// multiply-add across the eight lanes, and lane `l`'s operation
-    /// sequence — gradient
-    /// accumulation in ascending `b` order, stress with the per-point
-    /// trace, scatter products joining the dof sums in ascending `gp`
-    /// order from 0.0 — is exactly the scalar reference (`iso_apply_1`),
-    /// so each lane's bits equal the one-element product.
-    #[inline]
-    fn iso_block8(&self, blk: usize, xe8: &[f64], ye8: &mut [f64]) {
-        let nv = self.nv;
-        let ngp = self.ngp;
-        let rec = &self.iso_soa[blk * self.iso_blk()..][..self.iso_blk()];
-        let (grads, tail) = rec.split_at(3 * nv * ngp * ILANES);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                unsafe { x86::iso_block8_512(nv, ngp, grads, tail, xe8, ye8) };
-                return;
-            }
-        }
-        ye8[..3 * nv * ILANES].fill(0.0);
-        for gp in 0..ngp {
-            let lw = &tail[gp * ILANES..][..ILANES];
-            let mw = &tail[(ngp + gp) * ILANES..][..ILANES];
-            let mut gm = [[0.0f64; ILANES]; 9];
-            for b in 0..nv {
-                for r in 0..3 {
-                    let xb = &xe8[(3 * b + r) * ILANES..][..ILANES];
-                    for l in 0..3 {
-                        let gl = &grads[((3 * b + l) * ngp + gp) * ILANES..][..ILANES];
-                        let dst = &mut gm[r * 3 + l];
-                        for c in 0..ILANES {
-                            dst[c] = xb[c].mul_add(gl[c], dst[c]);
-                        }
-                    }
-                }
-            }
-            let mut s = [[0.0f64; ILANES]; 9];
-            for i in 0..3 {
-                for j in 0..3 {
-                    for c in 0..ILANES {
-                        s[i * 3 + j][c] = mw[c] * (gm[i * 3 + j][c] + gm[j * 3 + i][c]);
-                    }
-                }
-            }
-            for i in 0..3 {
-                for c in 0..ILANES {
-                    let tr = gm[0][c] + gm[4][c] + gm[8][c];
-                    s[i * 3 + i][c] = lw[c].mul_add(tr, s[i * 3 + i][c]);
-                }
-            }
-            for a in 0..nv {
-                let ga0 = &grads[(3 * a * ngp + gp) * ILANES..][..ILANES];
-                let ga1 = &grads[((3 * a + 1) * ngp + gp) * ILANES..][..ILANES];
-                let ga2 = &grads[((3 * a + 2) * ngp + gp) * ILANES..][..ILANES];
-                for i in 0..3 {
-                    let dst = &mut ye8[(3 * a + i) * ILANES..][..ILANES];
-                    for c in 0..ILANES {
-                        let t = s[i * 3 + 2][c].mul_add(
-                            ga2[c],
-                            s[i * 3 + 1][c].mul_add(ga1[c], s[i * 3][c] * ga0[c]),
-                        );
-                        dst[c] += t;
-                    }
-                }
-            }
-        }
-    }
-
-    /// General-class kernel: the 81-component contraction, every Gauss
-    /// point of the element at once on unit-stride rows, with an in-order
-    /// per-dof reduction. The AVX forms execute `full_apply_1_scalar`'s
-    /// operation sequence.
-    #[inline]
-    fn full_apply_1(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (nv, ngp) = (self.nv, self.ngp);
-            let (grads, aw) = self.full_record(slot);
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                unsafe { x86::full_apply_1_512(nv, ngp, grads, aw, xe, ye) };
-                return;
-            }
-            if std::arch::is_x86_feature_detected!("avx")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                unsafe { x86::full_apply_1(nv, ngp, grads, aw, xe, ye) };
-                return;
-            }
-        }
-        self.full_apply_1_scalar(slot, xe, ye);
-    }
-
-    /// General record `slot` as `(gradients, weighted tangent)` rows.
-    #[inline]
-    fn full_record(&self, slot: usize) -> (&[f64], &[f64]) {
-        let len = self.full_stride() * self.ngp;
-        self.full_soa[slot * len..][..len].split_at(3 * self.nv * self.ngp)
-    }
-
-    /// Portable body of [`MfData::full_apply_1`]: the only path off x86-64
-    /// and the reference the vector forms are tested against.
-    fn full_apply_1_scalar(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
-        let nv = self.nv;
-        let ngp = self.ngp;
-        debug_assert!(ngp <= MAX_GP);
-        let (grads, aw) = self.full_record(slot);
-        let mut gmbuf = [0.0f64; 9 * MAX_GP];
-        let gm = &mut gmbuf[..9 * ngp];
-        for b in 0..nv {
-            let gb = &grads[3 * b * ngp..(3 * b + 3) * ngp];
-            for r in 0..3 {
-                let xb = xe[3 * b + r];
-                for l in 0..3 {
-                    let gl = &gb[l * ngp..(l + 1) * ngp];
-                    let dst = &mut gm[(r * 3 + l) * ngp..][..ngp];
-                    for (d, &g) in dst.iter_mut().zip(gl) {
-                        *d = xb.mul_add(g, *d);
-                    }
-                }
-            }
-        }
-        // S[i][J][gp] = Σ_{kL} wA[i][J][k][L]|_gp G[k][L][gp].
-        let mut sbuf = [0.0f64; 9 * MAX_GP];
-        let s = &mut sbuf[..9 * ngp];
-        for i in 0..3 {
-            for j in 0..3 {
-                let srow = &mut s[(i * 3 + j) * ngp..][..ngp];
-                for kk in 0..3 {
-                    for l in 0..3 {
-                        let ar = &aw[(((i * 3 + j) * 3 + kk) * 3 + l) * ngp..][..ngp];
-                        let gr = &gm[(kk * 3 + l) * ngp..][..ngp];
-                        for (sv, (&av, &gv)) in srow.iter_mut().zip(ar.iter().zip(gr)) {
-                            *sv = av.mul_add(gv, *sv);
-                        }
-                    }
-                }
-            }
-        }
-        scatter_1(grads, ngp, s, ye, nv);
-    }
-
-    /// Single isotropic element, scalar: the reference operation sequence
-    /// every lane of `iso_block8` replicates.
-    fn iso_apply_1(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
-        let nv = self.nv;
-        let ngp = self.ngp;
-        let rec = &self.iso_soa[(slot / ILANES) * self.iso_blk()..][..self.iso_blk()];
-        let lane = slot % ILANES;
-        let (grads, tail) = rec.split_at(3 * nv * ngp * ILANES);
-        let at = |comp: usize, gp: usize| grads[(comp * ngp + gp) * ILANES + lane];
-        ye.fill(0.0);
-        for gp in 0..ngp {
-            let lw = tail[gp * ILANES + lane];
-            let mw = tail[(ngp + gp) * ILANES + lane];
-            // Input-field gradient G[r][l] = Σ_b xe[3b+r] ∂N_b/∂X_l.
-            let mut gm = [0.0f64; 9];
-            for b in 0..nv {
-                for r in 0..3 {
-                    let xb = xe[3 * b + r];
-                    for l in 0..3 {
-                        gm[r * 3 + l] = xb.mul_add(at(3 * b + l, gp), gm[r * 3 + l]);
-                    }
-                }
-            }
-            // Weighted stress S = μw (G + Gᵀ) + λw tr(G) I.
-            let mut s = [0.0f64; 9];
-            for i in 0..3 {
-                for j in 0..3 {
-                    s[i * 3 + j] = mw * (gm[i * 3 + j] + gm[j * 3 + i]);
-                }
-            }
-            let tr = gm[0] + gm[4] + gm[8];
-            for i in 0..3 {
-                s[i * 3 + i] = lw.mul_add(tr, s[i * 3 + i]);
-            }
-            // ye[3a+i] += Σ_J S[i][J] ∂N_a/∂X_J |_gp.
-            for a in 0..nv {
-                let ga = [at(3 * a, gp), at(3 * a + 1, gp), at(3 * a + 2, gp)];
-                for i in 0..3 {
-                    ye[3 * a + i] +=
-                        s[i * 3 + 2].mul_add(ga[2], s[i * 3 + 1].mul_add(ga[1], s[i * 3] * ga[0]));
-                }
-            }
-        }
-    }
-}
-
-/// Largest supported quadrature (Hex20's 3×3×3 rule) — bounds the
-/// general kernel's stack rows.
-const MAX_GP: usize = 27;
-
-/// Element lanes per isotropic SoA block: eight consecutive slots share one
-/// interleaved record so the apply can run eight elements per vector
-/// register, each lane executing the reference scalar sequence.
-const ILANES: usize = 8;
-
-/// General-class scatter: `ye[3a+i] = Σ_gp S[i]·∇N_a |_gp`. The per-point
-/// products are one vectorizable unit-stride pass; the reduction over
-/// points runs in ascending `gp` order starting from 0.0.
-#[inline]
-fn scatter_1(grads: &[f64], ngp: usize, s: &[f64], ye: &mut [f64], nv: usize) {
-    let mut tvbuf = [0.0f64; MAX_GP];
-    let tv = &mut tvbuf[..ngp];
-    for a in 0..nv {
-        let ga = &grads[3 * a * ngp..(3 * a + 3) * ngp];
-        for i in 0..3 {
-            for (gp, t) in tv.iter_mut().enumerate() {
-                *t = s[(i * 3 + 2) * ngp + gp].mul_add(
-                    ga[2 * ngp + gp],
-                    s[(i * 3 + 1) * ngp + gp].mul_add(ga[ngp + gp], s[i * 3 * ngp + gp] * ga[gp]),
-                );
-            }
-            let mut acc = 0.0f64;
-            for &t in tv.iter() {
-                acc += t;
-            }
-            ye[3 * a + i] = acc;
-        }
-    }
-}
-
-/// Matrix-free representation of the Dirichlet-constrained tangent
-/// stiffness at a fixed linearization state. Implements the serial
-/// [`Operator`] directly and acts as a [`MatrixFreeFactory`] for the
-/// distributed solve (one two-phase kernel per rank).
-pub struct MatFreeOperator {
-    data: Arc<MfData>,
-    /// Whole-domain kernel backing the serial `Operator` impl.
-    serial: MfRankKernel,
+    diag: Vec<f64>,
+    flops: u64,
+    /// Gather/staging reuse: grown on first use, reused by every later
+    /// apply (no steady-state allocation). One apply runs at a time.
+    scratch: Mutex<MfScratch>,
 }
 
 impl MatFreeOperator {
@@ -447,10 +152,6 @@ impl MatFreeOperator {
         let mut fixed_mask = vec![false; ndof];
         for &d in fixed {
             fixed_mask[d as usize] = true;
-        }
-        let mut conn = vec![0u32; ne * nv];
-        for e in 0..ne {
-            conn[e * nv..(e + 1) * nv].copy_from_slice(mesh.elem(e));
         }
 
         // Linearize every Gauss point once (the cost of one assembly's
@@ -588,56 +289,381 @@ impl MatFreeOperator {
             }
         }
 
-        let data = Arc::new(MfData {
+        let mut codes = Vec::with_capacity(ne * 3 * nv);
+        for e in 0..ne {
+            for &v in mesh.elem(e) {
+                for i in 0..3 {
+                    let g = 3 * v as usize + i;
+                    codes.push(if fixed_mask[g] { -1 } else { g as i32 });
+                }
+            }
+        }
+        let fixed: Vec<u32> = (0..ndof as u32)
+            .filter(|&g| fixed_mask[g as usize])
+            .collect();
+
+        // Flop estimate per apply: gradient build + contraction + scatter
+        // per Gauss point (the branch-free loop runs skipped points too — on
+        // zeros), plus one product per constrained row.
+        let mut flops = fixed.len() as u64;
+        for &slot in &elem_slot {
+            let contraction = if slot >= 0 { 15 } else { 162 };
+            flops += (ngp * (36 * nv + contraction)) as u64;
+        }
+
+        let mut op = MatFreeOperator {
             nv,
             ngp,
             ndof,
-            conn,
             elem_slot,
             iso_soa,
             full_soa,
-            fixed: fixed_mask,
+            codes,
+            fixed,
             scale,
-        });
-        let all: Vec<u32> = (0..ndof as u32).collect();
-        let serial = MfRankKernel::build(data.clone(), &all);
-        MatFreeOperator { data, serial }
+            diag: Vec::new(),
+            flops,
+            scratch: Mutex::new(MfScratch::default()),
+        };
+        op.diag = op.assemble_diag();
+        op
+    }
+
+    /// The diagonal: constrained rows carry `scale`, free rows sum their
+    /// elements' contributions, each `ke[d][d]` taken by one unit-vector
+    /// element apply (set-up only cost).
+    fn assemble_diag(&self) -> Vec<f64> {
+        let mut diag = vec![0.0f64; self.ndof];
+        for &g in &self.fixed {
+            diag[g as usize] = self.scale;
+        }
+        let edof = 3 * self.nv;
+        let mut xe = vec![0.0f64; edof];
+        let mut ye = vec![0.0f64; edof];
+        for (e, ec) in self.codes.chunks_exact(edof).enumerate() {
+            for (d, &c) in ec.iter().enumerate() {
+                if c < 0 {
+                    continue;
+                }
+                xe.fill(0.0);
+                xe[d] = 1.0;
+                self.element_apply(e, &xe, &mut ye);
+                diag[c as usize] += ye[d];
+            }
+        }
+        diag
+    }
+
+    /// Components per Gauss point of an isotropic record (the record is
+    /// slot-blocked and lane-interleaved; see `iso_soa`).
+    fn iso_stride(&self) -> usize {
+        3 * self.nv + 2
+    }
+
+    /// Values per isotropic slot block (eight interleaved element
+    /// records).
+    fn iso_blk(&self) -> usize {
+        self.iso_stride() * self.ngp * ILANES
+    }
+
+    /// Components per Gauss point of a general record (same transposition).
+    fn full_stride(&self) -> usize {
+        3 * self.nv + 81
+    }
+
+    /// `ye = ke · xe` for one element, dispatching on its class. Isotropic
+    /// elements reach this only off an aligned lane run (the hot apply goes
+    /// through `iso_block8`) and take the scalar reference.
+    #[inline]
+    fn element_apply(&self, e: usize, xe: &[f64], ye: &mut [f64]) {
+        let slot = self.elem_slot[e];
+        if slot >= 0 {
+            self.iso_apply_1(slot as usize, xe, ye);
+        } else {
+            self.full_apply_1((-slot - 1) as usize, xe, ye);
+        }
+    }
+
+    /// Slot-block index when elements `e0 .. e0 + 8` are exactly the
+    /// aligned isotropic lane run `8b .. 8b + 8` — the only shape the
+    /// element-lane block kernel accepts. Slots are assigned in ascending
+    /// element order at construction, so every stretch of isotropic
+    /// elements decomposes into aligned runs plus short single-element
+    /// edges.
+    #[inline]
+    fn aligned_block(&self, e0: usize) -> Option<usize> {
+        let slots = self.elem_slot.get(e0..e0 + ILANES)?;
+        let s0 = slots[0];
+        if s0 < 0 || !(s0 as usize).is_multiple_of(ILANES) {
+            return None;
+        }
+        let run = slots.iter().zip(s0..).all(|(&s, want)| s == want);
+        run.then_some(s0 as usize / ILANES)
+    }
+
+    /// Element-lane block kernel: eight isotropic elements (slot block
+    /// `blk`), operands as tiles of eight lanes per dof — dof `j` of lane
+    /// `l` lives at `j * 8 + l`. Every operation is a vertical fused
+    /// multiply-add across the eight lanes, and lane `l`'s operation
+    /// sequence — gradient
+    /// accumulation in ascending `b` order, stress with the per-point
+    /// trace, scatter products joining the dof sums in ascending `gp`
+    /// order from 0.0 — is exactly the scalar reference (`iso_apply_1`),
+    /// so each lane's bits equal the one-element product.
+    #[inline]
+    fn iso_block8(&self, blk: usize, xe8: &[f64], ye8: &mut [f64]) {
+        let nv = self.nv;
+        let ngp = self.ngp;
+        let rec = &self.iso_soa[blk * self.iso_blk()..][..self.iso_blk()];
+        let (grads, tail) = rec.split_at(3 * nv * ngp * ILANES);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                unsafe { x86::iso_block8_512(nv, ngp, grads, tail, xe8, ye8) };
+                return;
+            }
+        }
+        ye8[..3 * nv * ILANES].fill(0.0);
+        for gp in 0..ngp {
+            let lw = &tail[gp * ILANES..][..ILANES];
+            let mw = &tail[(ngp + gp) * ILANES..][..ILANES];
+            let mut gm = [[0.0f64; ILANES]; 9];
+            for b in 0..nv {
+                for r in 0..3 {
+                    let xb = &xe8[(3 * b + r) * ILANES..][..ILANES];
+                    for l in 0..3 {
+                        let gl = &grads[((3 * b + l) * ngp + gp) * ILANES..][..ILANES];
+                        let dst = &mut gm[r * 3 + l];
+                        for c in 0..ILANES {
+                            dst[c] = xb[c].mul_add(gl[c], dst[c]);
+                        }
+                    }
+                }
+            }
+            let mut s = [[0.0f64; ILANES]; 9];
+            for i in 0..3 {
+                for j in 0..3 {
+                    for c in 0..ILANES {
+                        s[i * 3 + j][c] = mw[c] * (gm[i * 3 + j][c] + gm[j * 3 + i][c]);
+                    }
+                }
+            }
+            for i in 0..3 {
+                for c in 0..ILANES {
+                    let tr = gm[0][c] + gm[4][c] + gm[8][c];
+                    s[i * 3 + i][c] = lw[c].mul_add(tr, s[i * 3 + i][c]);
+                }
+            }
+            for a in 0..nv {
+                let ga0 = &grads[(3 * a * ngp + gp) * ILANES..][..ILANES];
+                let ga1 = &grads[((3 * a + 1) * ngp + gp) * ILANES..][..ILANES];
+                let ga2 = &grads[((3 * a + 2) * ngp + gp) * ILANES..][..ILANES];
+                for i in 0..3 {
+                    let dst = &mut ye8[(3 * a + i) * ILANES..][..ILANES];
+                    for c in 0..ILANES {
+                        let t = s[i * 3 + 2][c].mul_add(
+                            ga2[c],
+                            s[i * 3 + 1][c].mul_add(ga1[c], s[i * 3][c] * ga0[c]),
+                        );
+                        dst[c] += t;
+                    }
+                }
+            }
+        }
+    }
+
+    /// General-class kernel: the 81-component contraction, every Gauss
+    /// point of the element at once on unit-stride rows, with an in-order
+    /// per-dof reduction. The AVX forms execute `full_apply_1_scalar`'s
+    /// operation sequence.
+    #[inline]
+    fn full_apply_1(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let (nv, ngp) = (self.nv, self.ngp);
+            let (grads, aw) = self.full_record(slot);
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                unsafe { x86::full_apply_1_512(nv, ngp, grads, aw, xe, ye) };
+                return;
+            }
+            if std::arch::is_x86_feature_detected!("avx")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                unsafe { x86::full_apply_1(nv, ngp, grads, aw, xe, ye) };
+                return;
+            }
+        }
+        self.full_apply_1_scalar(slot, xe, ye);
+    }
+
+    /// General record `slot` as `(gradients, weighted tangent)` rows.
+    #[inline]
+    fn full_record(&self, slot: usize) -> (&[f64], &[f64]) {
+        let len = self.full_stride() * self.ngp;
+        self.full_soa[slot * len..][..len].split_at(3 * self.nv * self.ngp)
+    }
+
+    /// Portable body of [`MatFreeOperator::full_apply_1`]: the only path off x86-64
+    /// and the reference the vector forms are tested against.
+    fn full_apply_1_scalar(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
+        let nv = self.nv;
+        let ngp = self.ngp;
+        debug_assert!(ngp <= MAX_GP);
+        let (grads, aw) = self.full_record(slot);
+        let mut gmbuf = [0.0f64; 9 * MAX_GP];
+        let gm = &mut gmbuf[..9 * ngp];
+        for b in 0..nv {
+            let gb = &grads[3 * b * ngp..(3 * b + 3) * ngp];
+            for r in 0..3 {
+                let xb = xe[3 * b + r];
+                for l in 0..3 {
+                    let gl = &gb[l * ngp..(l + 1) * ngp];
+                    let dst = &mut gm[(r * 3 + l) * ngp..][..ngp];
+                    for (d, &g) in dst.iter_mut().zip(gl) {
+                        *d = xb.mul_add(g, *d);
+                    }
+                }
+            }
+        }
+        // S[i][J][gp] = Σ_{kL} wA[i][J][k][L]|_gp G[k][L][gp].
+        let mut sbuf = [0.0f64; 9 * MAX_GP];
+        let s = &mut sbuf[..9 * ngp];
+        for i in 0..3 {
+            for j in 0..3 {
+                let srow = &mut s[(i * 3 + j) * ngp..][..ngp];
+                for kk in 0..3 {
+                    for l in 0..3 {
+                        let ar = &aw[(((i * 3 + j) * 3 + kk) * 3 + l) * ngp..][..ngp];
+                        let gr = &gm[(kk * 3 + l) * ngp..][..ngp];
+                        for (sv, (&av, &gv)) in srow.iter_mut().zip(ar.iter().zip(gr)) {
+                            *sv = av.mul_add(gv, *sv);
+                        }
+                    }
+                }
+            }
+        }
+        scatter_1(grads, ngp, s, ye, nv);
+    }
+
+    /// Single isotropic element, scalar: the reference operation sequence
+    /// every lane of `iso_block8` replicates.
+    fn iso_apply_1(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
+        let nv = self.nv;
+        let ngp = self.ngp;
+        let rec = &self.iso_soa[(slot / ILANES) * self.iso_blk()..][..self.iso_blk()];
+        let lane = slot % ILANES;
+        let (grads, tail) = rec.split_at(3 * nv * ngp * ILANES);
+        let at = |comp: usize, gp: usize| grads[(comp * ngp + gp) * ILANES + lane];
+        ye.fill(0.0);
+        for gp in 0..ngp {
+            let lw = tail[gp * ILANES + lane];
+            let mw = tail[(ngp + gp) * ILANES + lane];
+            // Input-field gradient G[r][l] = Σ_b xe[3b+r] ∂N_b/∂X_l.
+            let mut gm = [0.0f64; 9];
+            for b in 0..nv {
+                for r in 0..3 {
+                    let xb = xe[3 * b + r];
+                    for l in 0..3 {
+                        gm[r * 3 + l] = xb.mul_add(at(3 * b + l, gp), gm[r * 3 + l]);
+                    }
+                }
+            }
+            // Weighted stress S = μw (G + Gᵀ) + λw tr(G) I.
+            let mut s = [0.0f64; 9];
+            for i in 0..3 {
+                for j in 0..3 {
+                    s[i * 3 + j] = mw * (gm[i * 3 + j] + gm[j * 3 + i]);
+                }
+            }
+            let tr = gm[0] + gm[4] + gm[8];
+            for i in 0..3 {
+                s[i * 3 + i] = lw.mul_add(tr, s[i * 3 + i]);
+            }
+            // ye[3a+i] += Σ_J S[i][J] ∂N_a/∂X_J |_gp.
+            for a in 0..nv {
+                let ga = [at(3 * a, gp), at(3 * a + 1, gp), at(3 * a + 2, gp)];
+                for i in 0..3 {
+                    ye[3 * a + i] +=
+                        s[i * 3 + 2].mul_add(ga[2], s[i * 3 + 1].mul_add(ga[1], s[i * 3] * ga[0]));
+                }
+            }
+        }
+    }
+}
+
+/// Largest supported quadrature (Hex20's 3×3×3 rule) — bounds the
+/// general kernel's stack rows.
+const MAX_GP: usize = 27;
+
+/// Element lanes per isotropic SoA block: eight consecutive slots share one
+/// interleaved record so the apply can run eight elements per vector
+/// register, each lane executing the reference scalar sequence.
+const ILANES: usize = 8;
+
+/// General-class scatter: `ye[3a+i] = Σ_gp S[i]·∇N_a |_gp`. The per-point
+/// products are one vectorizable unit-stride pass; the reduction over
+/// points runs in ascending `gp` order starting from 0.0.
+#[inline]
+fn scatter_1(grads: &[f64], ngp: usize, s: &[f64], ye: &mut [f64], nv: usize) {
+    let mut tvbuf = [0.0f64; MAX_GP];
+    let tv = &mut tvbuf[..ngp];
+    for a in 0..nv {
+        let ga = &grads[3 * a * ngp..(3 * a + 3) * ngp];
+        for i in 0..3 {
+            for (gp, t) in tv.iter_mut().enumerate() {
+                *t = s[(i * 3 + 2) * ngp + gp].mul_add(
+                    ga[2 * ngp + gp],
+                    s[(i * 3 + 1) * ngp + gp].mul_add(ga[ngp + gp], s[i * 3 * ngp + gp] * ga[gp]),
+                );
+            }
+            let mut acc = 0.0f64;
+            for &t in tv.iter() {
+                acc += t;
+            }
+            ye[3 * a + i] = acc;
+        }
     }
 }
 
 impl Operator for MatFreeOperator {
     fn nrows(&self) -> usize {
-        self.data.ndof
+        self.ndof
     }
 
     fn ncols(&self) -> usize {
-        self.data.ndof
+        self.ndof
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.serial.apply_interior(x, y);
-        self.serial.apply_boundary(x, &[], y);
+        assert_eq!(x.len(), self.ndof);
+        assert_eq!(y.len(), self.ndof);
+        y.fill(0.0);
+        for &g in &self.fixed {
+            y[g as usize] = self.scale * x[g as usize];
+        }
+        self.run_elements(x, y);
+        pmg_telemetry::counter_add("op/mf_flops", self.flops);
     }
 
     fn diag(&self) -> Vec<f64> {
-        self.serial.diag_local().to_vec()
+        self.diag.clone()
     }
 
     fn memory_bytes(&self) -> u64 {
-        self.serial.memory_bytes()
+        // The folded SoA buffers are what the apply streams (they subsume
+        // the geometry cache reads and the tangent table of an unbatched
+        // kernel), plus the class map, the per-element dof codes, the
+        // constrained rows and the diagonal.
+        (self.iso_soa.len() * 8
+            + self.full_soa.len() * 8
+            + self.elem_slot.len() * 4
+            + self.codes.len() * 4
+            + self.fixed.len() * 4
+            + self.diag.len() * 8) as u64
     }
 
     fn flops_per_apply(&self) -> u64 {
-        self.serial.flops_per_apply()
-    }
-}
-
-impl MatrixFreeFactory for MatFreeOperator {
-    fn build_kernels(&self, owned: &[&[u32]]) -> Vec<Box<dyn MatrixFreeKernel>> {
-        owned
-            .iter()
-            .map(|rows| Box::new(MfRankKernel::build(self.data.clone(), rows)) as Box<_>)
-            .collect()
+        self.flops
     }
 }
 
@@ -681,203 +707,45 @@ fn tile_to_lanes(src: &[f64], dst: &mut [f64], n: usize) {
     }
 }
 
-/// Reusable gather/staging buffers of one kernel: grown on first use,
-/// reused by every subsequent apply (no steady-state allocation).
+/// The element loop's gather and staging buffers.
 #[derive(Default)]
 struct MfScratch {
     xbuf: Vec<f64>,
     ybuf: Vec<f64>,
 }
 
-/// One rank's two-phase element-loop kernel (see
-/// `pmg_sparse::op::MatrixFreeKernel` for the contract).
-pub struct MfRankKernel {
-    data: Arc<MfData>,
-    /// Per global dof: owned local slot (`>= 0`), ghost slot (`-(s+2)`),
-    /// or `-1` (constrained or untouched by this rank).
-    code: Vec<i32>,
-    ghosts: Vec<u32>,
-    /// Local slots of owned constrained dofs.
-    fixed_slots: Vec<u32>,
-    local_rows: usize,
-    /// Elements with ≥1 owned free dof and no ghost dof, ascending.
-    elems_int: Vec<u32>,
-    /// Elements with ≥1 owned free dof and ≥1 ghost dof, ascending.
-    elems_bnd: Vec<u32>,
-    /// `code[..]` resolved per element dof of `elems_int` (element-major,
-    /// `3nv` per element): one flat load replaces the two-step
-    /// connectivity → code lookup in every gather and scatter.
-    codes_int: Vec<i32>,
-    /// Same for `elems_bnd`.
-    codes_bnd: Vec<i32>,
-    diag: Vec<f64>,
-    flops: u64,
-    /// Gather/staging reuse. One apply runs at a time per kernel (ranks
-    /// own distinct kernels, so rank-parallel applies never contend).
-    scratch: Mutex<MfScratch>,
-}
-
-impl MfRankKernel {
-    fn build(data: Arc<MfData>, owned: &[u32]) -> MfRankKernel {
-        let ndof = data.ndof;
-        let nv = data.nv;
-        let mut code = vec![-1i32; ndof];
-        let mut fixed_slots = Vec::new();
-        for (slot, &g) in owned.iter().enumerate() {
-            if data.fixed[g as usize] {
-                fixed_slots.push(slot as u32);
-            } else {
-                code[g as usize] = slot as i32;
-            }
-        }
-        // Elements with at least one owned free dof; their free non-owned
-        // dofs are the ghosts (ascending global id — the canonical halo
-        // wire order, identical to the assembled operator's ghost columns).
-        let ne = data.conn.len() / nv.max(1);
-        let mut listed = Vec::new();
-        let mut is_ghost = vec![false; ndof];
-        for e in 0..ne {
-            let mut has_owned_free = false;
-            for a in 0..nv {
-                let v = data.conn[e * nv + a] as usize;
-                for i in 0..3 {
-                    if code[3 * v + i] >= 0 {
-                        has_owned_free = true;
-                    }
-                }
-            }
-            if !has_owned_free {
-                continue;
-            }
-            listed.push(e as u32);
-            for a in 0..nv {
-                let v = data.conn[e * nv + a] as usize;
-                for i in 0..3 {
-                    let g = 3 * v + i;
-                    if !data.fixed[g] && code[g] < 0 {
-                        is_ghost[g] = true;
-                    }
-                }
-            }
-        }
-        let ghosts: Vec<u32> = (0..ndof as u32).filter(|&g| is_ghost[g as usize]).collect();
-        for (s, &g) in ghosts.iter().enumerate() {
-            code[g as usize] = -(s as i32 + 2);
-        }
-
-        let (elems_bnd, elems_int): (Vec<u32>, Vec<u32>) = listed
-            .iter()
-            .partition(|&&e| data.gather_codes(e as usize, &code));
-
-        let resolve = |elems: &[u32]| -> Vec<i32> {
-            let mut codes = Vec::with_capacity(elems.len() * 3 * nv);
-            for &e in elems {
-                for a in 0..nv {
-                    let v = data.conn[e as usize * nv + a] as usize;
-                    for i in 0..3 {
-                        codes.push(code[3 * v + i]);
-                    }
-                }
-            }
-            codes
-        };
-        let codes_int = resolve(&elems_int);
-        let codes_bnd = resolve(&elems_bnd);
-
-        // Diagonal of the owned rows: constrained rows carry `scale`, free
-        // rows sum their elements' Gauss-point diagonal contributions.
-        let mut diag = vec![0.0f64; owned.len()];
-        for &slot in &fixed_slots {
-            diag[slot as usize] = data.scale;
-        }
+impl MatFreeOperator {
+    /// Run the element loop over every element, accumulating into `y` in
+    /// ascending element order. With more than one pool worker: serial
+    /// gather into the reused staging, parallel per-batch compute, serial
+    /// fixed-order scatter. With one worker the loop fuses gather → kernel →
+    /// scatter per element through L1-resident scratch instead of streaming
+    /// staged chunks; elements run in the same ascending order and every
+    /// dof receives its element contributions in that order either way, so
+    /// both shapes produce the same bits. Aligned eight-slot isotropic runs
+    /// route through the element-lane block kernel in both shapes. Each lane
+    /// is bitwise the single-element product and lanes gather/scatter in
+    /// ascending element order, so run detection cannot change the bits
+    /// either.
+    fn run_elements(&self, x: &[f64], y: &mut [f64]) {
+        let nv = self.nv;
         let edof = 3 * nv;
-        let mut xe = vec![0.0f64; edof];
-        let mut ye = vec![0.0f64; edof];
-        for &e in elems_int.iter().chain(&elems_bnd) {
-            let e = e as usize;
-            for a in 0..nv {
-                let v = data.conn[e * nv + a] as usize;
-                for i in 0..3 {
-                    let c = code[3 * v + i];
-                    if c < 0 {
-                        continue;
-                    }
-                    // ke[d][d] via one unit-vector apply per local dof of
-                    // this element; setup-only cost.
-                    xe.fill(0.0);
-                    xe[3 * a + i] = 1.0;
-                    data.element_apply(e, &xe, &mut ye);
-                    diag[c as usize] += ye[3 * a + i];
-                }
-            }
-        }
-
-        // Flop estimate per full apply: gradient build + contraction +
-        // scatter per Gauss point (the branch-free loop runs skipped
-        // points too — on zeros).
-        let mut flops = fixed_slots.len() as u64;
-        for &e in elems_int.iter().chain(&elems_bnd) {
-            let per_gp = if data.elem_slot[e as usize] >= 0 {
-                18 * nv + 15 + 18 * nv
-            } else {
-                18 * nv + 162 + 18 * nv
-            };
-            flops += (data.ngp * per_gp) as u64;
-        }
-
-        MfRankKernel {
-            data,
-            code,
-            ghosts,
-            fixed_slots,
-            local_rows: owned.len(),
-            elems_int,
-            elems_bnd,
-            codes_int,
-            codes_bnd,
-            diag,
-            flops,
-            scratch: Mutex::new(MfScratch::default()),
-        }
-    }
-
-    /// Run the element loop over `elems`, accumulating into `y` in fixed
-    /// element order. With more than one pool worker: serial gather into
-    /// the reused staging, parallel per-batch compute, serial fixed-order
-    /// scatter. With one worker the loop fuses gather → kernel → scatter
-    /// per element through L1-resident scratch instead of streaming staged
-    /// chunks; elements run in the same ascending order and every owned
-    /// dof receives its element contributions in that order either way,
-    /// so both shapes produce the same bits. Aligned eight-slot isotropic
-    /// runs route through the element-lane block kernel in both shapes.
-    /// Each lane is bitwise the single-element product and lanes
-    /// gather/scatter in ascending element order, so run detection cannot
-    /// change the bits either.
-    fn run_elements(&self, elems: &[u32], codes: &[i32], xo: &[f64], xg: &[f64], y: &mut [f64]) {
-        let d = &self.data;
-        let nv = d.nv;
-        let edof = 3 * nv;
-        if elems.is_empty() {
+        let ne = self.elem_slot.len();
+        if ne == 0 {
             return;
         }
-        pmg_telemetry::counter_add("op/mf_elements", elems.len() as u64);
+        let codes = &self.codes;
+        pmg_telemetry::counter_add("op/mf_elements", ne as u64);
         pmg_telemetry::counter_add(
             "op/mf_bytes",
-            (elems.len() * (d.ngp * d.iso_stride() + 2 * edof + nv) * 8) as u64,
+            (ne * (self.ngp * self.iso_stride() + 2 * edof + nv) * 8) as u64,
         );
-        pmg_telemetry::counter_add("op/mf_batches", elems.len().div_ceil(BATCH) as u64);
+        pmg_telemetry::counter_add("op/mf_batches", ne.div_ceil(BATCH) as u64);
         let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         let sc = &mut *guard;
 
-        let source = |c: i32| {
-            if c >= 0 {
-                xo[c as usize]
-            } else if c < -1 {
-                xg[(-c - 2) as usize]
-            } else {
-                0.0 // constrained column: eliminated
-            }
-        };
+        // A constrained column is eliminated: it gathers as zero.
+        let source = |c: i32| if c >= 0 { x[c as usize] } else { 0.0 };
         let scatter = |y: &mut [f64], ec: &[i32], ye: &[f64]| {
             for (&c, &yv) in ec.iter().zip(ye) {
                 if c >= 0 {
@@ -902,38 +770,37 @@ impl MfRankKernel {
                 sc.ybuf.resize(need, 0.0);
             }
             let (xe, ye) = (&mut sc.xbuf[..need], &mut sc.ybuf[..need]);
-            let mut off = 0usize;
-            while off < elems.len() {
-                if let Some(blk) = d.aligned_block(elems, off) {
-                    // Gather straight into the tile: lane l is element
-                    // elems[off+l].
+            let mut e = 0usize;
+            while e < ne {
+                if let Some(blk) = self.aligned_block(e) {
+                    // Gather straight into the tile: lane l is element e+l.
                     for j in 0..edof {
                         for l in 0..ILANES {
-                            xe[j * ILANES + l] = source(codes[(off + l) * edof + j]);
+                            xe[j * ILANES + l] = source(codes[(e + l) * edof + j]);
                         }
                     }
-                    d.iso_block8(blk, xe, ye);
+                    self.iso_block8(blk, xe, ye);
                     // Scatter lane by lane in ascending element order —
                     // the same `y[c] += yv` operation sequence as eight
                     // consecutive single-element loops.
                     for l in 0..ILANES {
-                        let ec = &codes[(off + l) * edof..][..edof];
+                        let ec = &codes[(e + l) * edof..][..edof];
                         for (j, &c) in ec.iter().enumerate() {
                             if c >= 0 {
                                 y[c as usize] += ye[j * ILANES + l];
                             }
                         }
                     }
-                    off += ILANES;
+                    e += ILANES;
                     continue;
                 }
-                let ec = &codes[off * edof..][..edof];
+                let ec = &codes[e * edof..][..edof];
                 for (xv, &c) in xe.iter_mut().zip(ec) {
                     *xv = source(c);
                 }
-                d.element_apply(elems[off] as usize, &xe[..edof], &mut ye[..edof]);
+                self.element_apply(e, &xe[..edof], &mut ye[..edof]);
                 scatter(y, ec, &ye[..edof]);
-                off += 1;
+                e += 1;
             }
             return;
         }
@@ -942,8 +809,8 @@ impl MfRankKernel {
         // and out tiles of the eight-element block kernel.
         let region = BATCH * edof + 2 * edof * ILANES;
         let mut start = 0usize;
-        while start < elems.len() {
-            let end = (start + CHUNK).min(elems.len());
+        while start < ne {
+            let end = (start + CHUNK).min(ne);
             let cnt = end - start;
             let nb = cnt.div_ceil(BATCH);
             if sc.xbuf.len() < cnt * edof {
@@ -970,7 +837,7 @@ impl MfRankKernel {
                         let mut off = 0usize;
                         while off < bcnt {
                             if off + ILANES <= bcnt {
-                                if let Some(blk) = d.aligned_block(elems, start + b0 + off) {
+                                if let Some(blk) = self.aligned_block(start + b0 + off) {
                                     // The eight staged per-element source
                                     // rows are contiguous: transpose them
                                     // into the kernel's tile, run the
@@ -982,15 +849,15 @@ impl MfRankKernel {
                                     let (xt, yt) = lane_buf.split_at_mut(edof * ILANES);
                                     let rows = ILANES * edof;
                                     lanes_to_tile(&xb[(b0 + off) * edof..][..rows], xt, edof);
-                                    d.iso_block8(blk, xt, yt);
+                                    self.iso_block8(blk, xt, yt);
                                     tile_to_lanes(yt, &mut ye_all[off * edof..][..rows], edof);
                                     off += ILANES;
                                     continue;
                                 }
                             }
-                            let e = elems[start + b0 + off] as usize;
                             let xe = &xb[(b0 + off) * edof..][..edof];
-                            d.element_apply(e, xe, &mut ye_all[off * edof..][..edof]);
+                            let ye = &mut ye_all[off * edof..][..edof];
+                            self.element_apply(start + b0 + off, xe, ye);
                             off += 1;
                         }
                     });
@@ -1001,59 +868,6 @@ impl MfRankKernel {
             }
             start = end;
         }
-    }
-}
-
-impl MatrixFreeKernel for MfRankKernel {
-    fn local_rows(&self) -> usize {
-        self.local_rows
-    }
-
-    fn ghosts(&self) -> &[u32] {
-        &self.ghosts
-    }
-
-    fn apply_interior(&self, x_owned: &[f64], y: &mut [f64]) {
-        assert_eq!(x_owned.len(), self.local_rows);
-        assert_eq!(y.len(), self.local_rows);
-        y.fill(0.0);
-        for &slot in &self.fixed_slots {
-            y[slot as usize] = self.data.scale * x_owned[slot as usize];
-        }
-        self.run_elements(&self.elems_int, &self.codes_int, x_owned, &[], y);
-    }
-
-    fn apply_boundary(&self, x_owned: &[f64], x_ghost: &[f64], y: &mut [f64]) {
-        assert_eq!(x_ghost.len(), self.ghosts.len());
-        self.run_elements(&self.elems_bnd, &self.codes_bnd, x_owned, x_ghost, y);
-        pmg_telemetry::counter_add("op/mf_flops", self.flops);
-    }
-
-    fn diag_local(&self) -> &[f64] {
-        &self.diag
-    }
-
-    fn flops_per_apply(&self) -> u64 {
-        self.flops
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        let d = &self.data;
-        // The folded SoA buffers are what the apply streams (they subsume
-        // the geometry cache reads and the tangent table of the unbatched
-        // kernel), plus connectivity, class map, constraint mask, and this
-        // rank's maps and diagonal.
-        (d.iso_soa.len() * 8
-            + d.full_soa.len() * 8
-            + d.conn.len() * 4
-            + d.elem_slot.len() * 4
-            + d.fixed.len()) as u64
-            + (self.code.len() * 4
-                + self.ghosts.len() * 4
-                + self.fixed_slots.len() * 4
-                + self.diag.len() * 8
-                + (self.elems_int.len() + self.elems_bnd.len()) * 4
-                + (self.codes_int.len() + self.codes_bnd.len()) * 4) as u64
     }
 }
 
@@ -1480,6 +1294,7 @@ mod tests {
     use crate::material::{J2Plasticity, LinearElastic, Material, NeoHookean};
     use pmg_geometry::Vec3;
     use pmg_mesh::generators::block;
+    use std::sync::Arc;
 
     fn block_problem(mat: Arc<dyn Material>) -> FemProblem {
         let mesh = block(2, 2, 2, Vec3::splat(1.0), |_| 0);
@@ -1584,41 +1399,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_kernels_partition_the_serial_apply() {
-        let mut p = block_problem(Arc::new(LinearElastic::from_e_nu(1.0, 0.25)));
-        let n = p.ndof();
-        let (_, _) = p.assemble(&vec![0.0; n]);
-        let fixed: Vec<u32> = (0..n as u32).step_by(11).collect();
-        let op = MatFreeOperator::new(&p, &vec![0.0; n], &fixed, 2.5);
-        // Split dofs round-robin over 3 ranks.
-        let owned: Vec<Vec<u32>> = (0..3)
-            .map(|r| (0..n as u32).filter(|d| (d % 3) as usize == r).collect())
-            .collect();
-        let refs: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-        let kernels = op.build_kernels(&refs);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 29 % 13) as f64 - 6.0) * 0.2).collect();
-        let mut y_serial = vec![0.0; n];
-        op.apply(&x, &mut y_serial);
-        let mut y_dist = vec![0.0; n];
-        for (r, kern) in kernels.iter().enumerate() {
-            let xo: Vec<f64> = owned[r].iter().map(|&g| x[g as usize]).collect();
-            let xg: Vec<f64> = kern.ghosts().iter().map(|&g| x[g as usize]).collect();
-            let mut y = vec![0.0; kern.local_rows()];
-            kern.apply_interior(&xo, &mut y);
-            kern.apply_boundary(&xo, &xg, &mut y);
-            for (slot, &g) in owned[r].iter().enumerate() {
-                y_dist[g as usize] = y[slot];
-            }
-        }
-        // Same element loops, different per-row accumulation order across
-        // ranks: tolerance, not bitwise.
-        let norm: f64 = y_serial.iter().map(|v| v * v).sum::<f64>().sqrt();
-        for (a, b) in y_dist.iter().zip(&y_serial) {
-            assert!((a - b).abs() <= 1e-13 * norm.max(1.0));
-        }
-    }
-
-    #[test]
     fn ragged_mixed_list_is_bitwise_the_per_element_scalar_reference() {
         // A 45-element bar (a multiple of neither 8 nor BATCH) in which
         // four finite-strain Neo-Hookean elements (general class) cut the
@@ -1642,31 +1422,27 @@ mod tests {
             .collect();
         let fixed: Vec<u32> = (0..n as u32).step_by(17).collect();
         let op = MatFreeOperator::new(&p, &u, &fixed, 1.5);
-        let (kern, d) = (&op.serial, &op.data);
-        let (elems, edof) = (&kern.elems_int, 3 * d.nv);
-        assert!(elems.len() % ILANES != 0 && elems.len() % BATCH != 0);
-        let runs: Vec<usize> = (0..elems.len())
-            .filter(|&off| d.aligned_block(elems, off).is_some())
-            .collect();
+        let (ne, edof) = (op.elem_slot.len(), 3 * op.nv);
+        assert!(ne % ILANES != 0 && ne % BATCH != 0);
+        let runs: Vec<usize> = (0..ne).filter(|&e| op.aligned_block(e).is_some()).collect();
         assert_eq!(runs, [9, 27], "two aligned runs, one across the batch edge");
         for &e in &general {
-            assert!(d.elem_slot[e] < 0, "element {e} is general-class");
+            assert!(op.elem_slot[e] < 0, "element {e} is general-class");
         }
 
         let x: Vec<f64> = (0..n).map(|i| ((i * 31 % 19) as f64 * 0.2).cos()).collect();
         let mut want = vec![0.0; n];
-        for &slot in &kern.fixed_slots {
-            want[slot as usize] = d.scale * x[slot as usize];
+        for &g in &op.fixed {
+            want[g as usize] = op.scale * x[g as usize];
         }
         let (mut xe, mut ye) = (vec![0.0; edof], vec![0.0; edof]);
-        for (pos, &e) in elems.iter().enumerate() {
-            let ec = &kern.codes_int[pos * edof..][..edof];
+        for (e, ec) in op.codes.chunks_exact(edof).enumerate() {
             for (xv, &c) in xe.iter_mut().zip(ec) {
                 *xv = if c >= 0 { x[c as usize] } else { 0.0 };
             }
-            match d.elem_slot[e as usize] {
-                slot if slot >= 0 => d.iso_apply_1(slot as usize, &xe, &mut ye),
-                slot => d.full_apply_1_scalar((-slot - 1) as usize, &xe, &mut ye),
+            match op.elem_slot[e] {
+                slot if slot >= 0 => op.iso_apply_1(slot as usize, &xe, &mut ye),
+                slot => op.full_apply_1_scalar((-slot - 1) as usize, &xe, &mut ye),
             }
             for (&c, &yv) in ec.iter().zip(&ye) {
                 if c >= 0 {

@@ -371,6 +371,12 @@ impl DistMatrix {
         &self.plan
     }
 
+    /// Per rank, the `(messages, bytes)` one product's ghost exchange
+    /// receives.
+    pub(crate) fn spmv_traffic(&self) -> &[(u64, u64)] {
+        &self.spmv_traffic
+    }
+
     /// Rank `r`'s borrowed view for SPMD execution over a real transport,
     /// bound to message tag `tag`. The view computes bitwise the same
     /// product as [`DistMatrix::spmv`] (including the BSR3 branch).

@@ -41,12 +41,18 @@ impl DistVec {
     /// Gather to a global vector.
     pub fn to_global(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.layout.num_global()];
+        self.gather_into(&mut out);
+        out
+    }
+
+    /// Gather into the existing global vector `out`.
+    pub fn gather_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.layout.num_global());
         for (r, part) in self.parts.iter().enumerate() {
             for (&g, &v) in self.layout.owned(r).iter().zip(part) {
                 out[g as usize] = v;
             }
         }
-        out
     }
 
     pub fn layout(&self) -> &Arc<Layout> {

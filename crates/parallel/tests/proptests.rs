@@ -4,9 +4,8 @@
 //! be bitwise identical to the blocking path for every ownership map.
 
 use pmg_comm::{LocalTransport, Transport};
-use pmg_parallel::matfree::test_kernel::ChainKernel;
-use pmg_parallel::{DistMatFree, DistMatrix, DistVec, Layout, MachineModel, Sim, SimOperator};
-use pmg_sparse::{CooBuilder, CsrMatrix, MatrixFreeKernel};
+use pmg_parallel::{DistMatrix, DistVec, Layout, MachineModel, Sim};
+use pmg_sparse::{CooBuilder, CsrMatrix};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -31,26 +30,6 @@ fn run_both_spmvs(
         let info = op.spmv_overlapped(&mut t, &xl, &mut y2).unwrap();
         (y1, y2, info)
     })
-}
-
-/// A matrix-free chain-ring operator distributed per `owner` over `p`
-/// ranks, plus its conventionally assembled reference matrix.
-fn chain_matfree(owner: &[u32], p: usize) -> (DistMatFree, CsrMatrix) {
-    let n = owner.len();
-    let scales: Vec<f64> = (0..n).map(|e| 1.0 + 0.1 * e as f64).collect();
-    let l = Layout::from_part(owner.to_vec(), p);
-    let kernels: Vec<Box<dyn MatrixFreeKernel>> = (0..p)
-        .map(|r| {
-            Box::new(ChainKernel::build(
-                n,
-                true,
-                scales.clone(),
-                l.owned(r).to_vec(),
-            )) as Box<dyn MatrixFreeKernel>
-        })
-        .collect();
-    let a = ChainKernel::global_matrix(n, true, &scales);
-    (DistMatFree::new(l, kernels), a)
 }
 
 proptest! {
@@ -249,35 +228,6 @@ proptest! {
             for (u, v) in y1.iter().zip(y2) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn matfree_spmv_matches_assembled_any_ownership(
-        owner in proptest::collection::vec(0u32..3, 5..40),
-    ) {
-        // The simulated matrix-free product under an arbitrary ownership
-        // map whose odd ranks of a 6-rank layout own nothing: empty kernels
-        // must produce empty products, the result must match the assembled
-        // reference to rounding, and `diag_global` must sum the per-rank
-        // element contributions into the assembled diagonal.
-        let owner: Vec<u32> = owner.into_iter().map(|r| 2 * r).collect();
-        let n = owner.len();
-        let p = 6;
-        let (da, a) = chain_matfree(&owner, p);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).sin()).collect();
-        let l = da.row_layout().clone();
-        let mut sim = Sim::new(p, MachineModel::default());
-        let dx = DistVec::from_global(l.clone(), &x);
-        let mut dy = DistVec::zeros(l);
-        da.spmv(&mut sim, &dx, &mut dy);
-        let mut y_serial = vec![0.0; n];
-        a.spmv(&x, &mut y_serial);
-        for (g, (u, v)) in dy.to_global().iter().zip(&y_serial).enumerate() {
-            prop_assert!((u - v).abs() < 1e-10, "row {}: {} vs {}", g, u, v);
-        }
-        for (u, v) in da.diag_global().iter().zip(&a.diag()) {
-            prop_assert!((u - v).abs() < 1e-10);
         }
     }
 

@@ -104,10 +104,6 @@ impl SimOperator for DiagOp {
         }
         sim.compute(&self.flops);
     }
-
-    fn diag_global(&self) -> Vec<f64> {
-        self.diag.concat()
-    }
 }
 
 #[test]

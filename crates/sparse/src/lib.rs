@@ -65,5 +65,5 @@ pub mod vector;
 pub use bsr::Bsr3Matrix;
 pub use csr::{CooBuilder, CsrMatrix};
 pub use dense::DenseMatrix;
-pub use op::{MatrixFreeFactory, MatrixFreeKernel, Operator};
+pub use op::Operator;
 pub use plan::{rap_local_rows, PatternFingerprint, RapPlan};

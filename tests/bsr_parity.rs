@@ -6,17 +6,27 @@
 //! residual histories, identical solutions.
 
 use pmg_bench::spheres_first_solve;
+use pmg_parallel::DistMatrix;
 use prometheus::{MgOptions, Prometheus, PrometheusOptions};
 
-fn opts(block3: bool) -> PrometheusOptions {
+fn opts() -> PrometheusOptions {
     PrometheusOptions {
         nranks: 2,
         mg: MgOptions {
             coarse_dof_threshold: 200,
-            block3,
             ..Default::default()
         },
         ..Default::default()
+    }
+}
+
+/// Redistribute every level operator of `solver` through the scalar
+/// `DistMatrix::from_global`: the same values on the same layouts, with no
+/// blocked copy.
+fn unblock(solver: &mut Prometheus) {
+    for level in &mut solver.mg.levels {
+        let l = level.a.row_layout().clone();
+        level.a = DistMatrix::from_global(&level.a.to_global(), l.clone(), l);
     }
 }
 
@@ -24,8 +34,9 @@ fn opts(block3: bool) -> PrometheusOptions {
 fn bsr3_routed_pcg_is_bitwise_identical_to_csr() {
     let sys = spheres_first_solve(0);
 
-    let mut blocked = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts(true));
-    let mut scalar = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts(false));
+    let mut blocked = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts());
+    let mut scalar = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts());
+    unblock(&mut scalar);
 
     // The spheres problem is 3 dofs/vertex with vertex-aligned layouts:
     // every level operator must actually take the blocked path.
@@ -33,10 +44,7 @@ fn bsr3_routed_pcg_is_bitwise_identical_to_csr() {
         assert!(level.a.bsr3_routed(), "level {lvl} not BSR3-routed");
     }
     for (lvl, level) in scalar.mg.levels.iter().enumerate() {
-        assert!(
-            !level.a.bsr3_routed(),
-            "level {lvl} routed despite block3=false"
-        );
+        assert!(!level.a.bsr3_routed(), "level {lvl} routed after unblock");
     }
 
     let (xb, rb) = blocked.solve(&sys.rhs, None, 1e-8);
@@ -53,8 +61,9 @@ fn bsr3_smoother_sweep_is_bitwise_identical() {
     use pmg_parallel::DistVec;
 
     let sys = spheres_first_solve(0);
-    let blocked = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts(true));
-    let scalar = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts(false));
+    let blocked = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts());
+    let mut scalar = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts());
+    unblock(&mut scalar);
 
     let run = |solver: &Prometheus| -> (Vec<f64>, Vec<f64>) {
         let mut sim = pmg_parallel::Sim::new(2, pmg_parallel::MachineModel::default());

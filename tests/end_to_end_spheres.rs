@@ -60,19 +60,24 @@ mod pmg_bench_free {
     }
 }
 
-/// Build the solver on whichever fine-operator backend `PMG_FINE_OP`
-/// selects, so the whole file doubles as a matrix-free integration suite
-/// under `PMG_FINE_OP=matrixfree` (the CI matrix run).
-fn solver_for(sys: &pmg_bench_free::System, mut opts: PrometheusOptions) -> Prometheus {
-    match FineOperator::from_env() {
-        FineOperator::MatrixFree => {
-            opts.mg.fine_operator = FineOperator::MatrixFree;
-            let mf = sys.matrix_free();
-            Prometheus::from_mesh_matrix_free(&sys.mesh, &sys.matrix, opts, &mf)
-        }
+/// Build the solver on the `fine` operator backend.
+fn solver_for(
+    sys: &pmg_bench_free::System,
+    mut opts: PrometheusOptions,
+    fine: FineOperator,
+) -> Prometheus {
+    opts.mg.fine_operator = fine;
+    match fine {
         FineOperator::Assembled => Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts),
+        FineOperator::MatrixFree => {
+            let mf = Box::new(sys.matrix_free());
+            Prometheus::from_mesh_matrix_free(&sys.mesh, &sys.matrix, opts, mf)
+        }
     }
 }
+
+/// Both fine-operator backends.
+const BACKENDS: [FineOperator; 2] = [FineOperator::Assembled, FineOperator::MatrixFree];
 
 #[test]
 fn first_linear_solve_converges_quickly() {
@@ -86,32 +91,37 @@ fn first_linear_solve_converges_quickly() {
         max_iters: 200,
         ..Default::default()
     };
-    let mut solver = solver_for(&sys, opts);
-    assert!(solver.level_sizes().len() >= 2);
-    let (x, res) = solver.solve(&sys.rhs, None, 1e-6);
-    assert!(res.converged, "{res:?}");
-    assert!(
-        res.iterations <= 60,
-        "MG-PCG should converge fast on the spheres problem: {} iters",
-        res.iterations
-    );
-    // True residual check against the original operator.
-    let mut ax = vec![0.0; x.len()];
-    sys.matrix.spmv(&x, &mut ax);
-    let err: f64 = ax
-        .iter()
-        .zip(&sys.rhs)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        .sqrt();
-    let bn: f64 = sys.rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
-    assert!(err <= 2e-6 * bn, "true residual {err:.3e} vs b {bn:.3e}");
+    for fine in BACKENDS {
+        let mut solver = solver_for(&sys, opts, fine);
+        assert!(solver.level_sizes().len() >= 2);
+        let (x, res) = solver.solve(&sys.rhs, None, 1e-6);
+        assert!(res.converged, "{fine:?}: {res:?}");
+        assert!(
+            res.iterations <= 60,
+            "MG-PCG should converge fast on the spheres problem: {fine:?}, {} iters",
+            res.iterations
+        );
+        // True residual check against the original operator.
+        let mut ax = vec![0.0; x.len()];
+        sys.matrix.spmv(&x, &mut ax);
+        let err: f64 = ax
+            .iter()
+            .zip(&sys.rhs)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt();
+        let bn: f64 = sys.rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
+        assert!(
+            err <= 2e-6 * bn,
+            "{fine:?}: true residual {err:.3e} vs b {bn:.3e}"
+        );
+    }
 }
 
 #[test]
 fn parallel_ranks_agree_with_serial() {
     let sys = tiny_system();
-    let solve_with = |p: usize| {
+    let solve_with = |p: usize, fine: FineOperator| {
         let opts = PrometheusOptions {
             nranks: p,
             mg: MgOptions {
@@ -121,14 +131,14 @@ fn parallel_ranks_agree_with_serial() {
             max_iters: 200,
             ..Default::default()
         };
-        let mut solver = solver_for(&sys, opts);
+        let mut solver = solver_for(&sys, opts, fine);
         let (x, res) = solver.solve(&sys.rhs, None, 1e-10);
-        assert!(res.converged, "p={p}");
+        assert!(res.converged, "p={p} {fine:?}");
         x
     };
-    let x1 = solve_with(1);
-    for p in [2, 4, 7] {
-        let xp = solve_with(p);
+    let x1 = solve_with(1, FineOperator::Assembled);
+    for (p, fine) in [2, 4, 7].into_iter().flat_map(|p| BACKENDS.map(|f| (p, f))) {
+        let xp = solve_with(p, fine);
         // Same linear system solved to 1e-10: solutions agree to solver
         // tolerance (the hierarchy may differ slightly via the rank-based
         // MIS, but the answer may not).
@@ -139,7 +149,11 @@ fn parallel_ranks_agree_with_serial() {
             .sum::<f64>()
             .sqrt();
         let den: f64 = x1.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-30);
-        assert!(num / den < 1e-6, "p={p}: relative diff {}", num / den);
+        assert!(
+            num / den < 1e-6,
+            "p={p} {fine:?}: relative diff {}",
+            num / den
+        );
     }
 }
 
@@ -214,10 +228,9 @@ fn matrix_free_solve_reproduces_assembled_history() {
     let mut assembled = Prometheus::from_mesh(&sys.mesh, &sys.matrix, base);
     let (xa, ra) = assembled.solve(&sys.rhs, None, 1e-6);
 
-    let mut opts = base;
-    opts.mg.fine_operator = FineOperator::MatrixFree;
-    let mf = sys.matrix_free();
-    let mut matfree = Prometheus::from_mesh_matrix_free(&sys.mesh, &sys.matrix, opts, &mf);
+    use pmg_sparse::Operator;
+    let mf_bytes = sys.matrix_free().memory_bytes();
+    let mut matfree = solver_for(&sys, base, FineOperator::MatrixFree);
     let (xm, rm) = matfree.solve(&sys.rhs, None, 1e-6);
 
     assert!(ra.converged && rm.converged, "{ra:?} vs {rm:?}");
@@ -245,12 +258,10 @@ fn matrix_free_solve_reproduces_assembled_history() {
     // operator keeps the scalar CSR (block Jacobi factors its diagonal) and
     // its BSR3 promotion resident; the element kernel replaces both and
     // must be at least 2x smaller — deterministic byte counts.
-    use pmg_sparse::Operator;
     let assembled =
         sys.matrix.memory_bytes() + pmg_sparse::Bsr3Matrix::from_csr(&sys.matrix).memory_bytes();
     assert!(
-        assembled as f64 >= 2.0 * mf.memory_bytes() as f64,
-        "matrix-free {} bytes vs assembled resident {assembled}",
-        mf.memory_bytes()
+        assembled as f64 >= 2.0 * mf_bytes as f64,
+        "matrix-free {mf_bytes} bytes vs assembled resident {assembled}"
     );
 }

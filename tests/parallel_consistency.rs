@@ -52,6 +52,59 @@ fn distributed_spmv_exact_for_rcb_layouts() {
     }
 }
 
+/// A 3×2×2 elasticity block clamped at `z = 0`: its constrained assembled
+/// operator and the element-loop operator of the same system.
+fn clamped_block() -> (pmg_sparse::CsrMatrix, pmg_fem::MatFreeOperator) {
+    let mesh = block(3, 2, 2, Vec3::splat(1.0), |_| 0);
+    let ndof = mesh.num_dof();
+    let mut fem = FemProblem::new(
+        mesh.clone(),
+        vec![Arc::new(LinearElastic::from_e_nu(1.0, 0.3))],
+    );
+    let (k, _) = fem.assemble(&vec![0.0; ndof]);
+    let clamped = mesh.coords.iter().enumerate().filter(|(_, p)| p.z == 0.0);
+    let fixed: Vec<(u32, f64)> = clamped
+        .flat_map(|(v, _)| (0..3).map(move |c| (3 * v as u32 + c, 0.0)))
+        .collect();
+    let (kc, _) = pmg_fem::bc::constrain_system(&k, &vec![0.0; ndof], &fixed);
+    let scale = pmg_fem::bc::constraint_scale(&k, &fixed);
+    let dofs: Vec<u32> = fixed.iter().map(|&(d, _)| d).collect();
+    let mf = pmg_fem::MatFreeOperator::new(&fem, &vec![0.0; ndof], &dofs, scale);
+    (kc, mf)
+}
+
+proptest::proptest! {
+    /// The simulated matrix-free product is the whole-domain element loop
+    /// on the gathered vector, bit for bit, whatever the layout: p ∈
+    /// {1, 2, 3, 5} ranks, and with `pick >= 4` the same owners on the even
+    /// ranks of 2p, so every odd rank owns nothing.
+    #[test]
+    fn matfree_spmv_is_the_gathered_apply_for_any_layout(
+        owner in proptest::collection::vec(0u32..5, 36),
+        pick in 0usize..8,
+    ) {
+        let p = [1u32, 2, 3, 5][pick % 4];
+        let (stride, nranks) = if pick < 4 { (1, p) } else { (2, 2 * p) };
+        let part: Vec<u32> = owner.iter().map(|&o| stride * (o % p)).collect();
+        let (a, mf) = clamped_block();
+        let n = a.nrows();
+        let layout = Layout::expand_dofs(&Layout::from_part(part, nranks as usize), 3);
+        let x: Vec<f64> = (0..n).map(|i| ((i * 41 % 29) as f64 - 14.0) * 0.1).collect();
+        let mut want = vec![0.0; n];
+        pmg_sparse::Operator::apply(&mf, &x, &mut want);
+
+        let da = DistMatrix::from_global(&a, layout.clone(), layout.clone());
+        let dmf = pmg_parallel::DistMatFree::new(Box::new(mf), &da);
+        let mut sim = Sim::new(nranks as usize, MachineModel::default());
+        let dx = DistVec::from_global(layout.clone(), &x);
+        let mut dy = DistVec::zeros(layout);
+        dmf.spmv(&mut sim, &dx, &mut dy);
+        for (g, (u, v)) in dy.to_global().iter().zip(&want).enumerate() {
+            proptest::prop_assert!(u.to_bits() == v.to_bits(), "row {g}: {u:e} vs {v:e}");
+        }
+    }
+}
+
 #[test]
 fn pcg_iteration_counts_independent_of_ranks_with_identity_precond() {
     // With M = I the PCG recurrence is rank-count independent up to
@@ -306,7 +359,6 @@ fn solve_messages_follow_the_cycle_schedule() {
     // fewer per such visit than a schedule that smooths `x = 0` like any
     // other iterate. The BSP model charges the same messages the
     // transport sends.
-    use prometheus::CycleType;
     let sys = pmg_bench::spheres_first_solve(0);
     let pcg_opts = pmg_solver::PcgOptions {
         rtol: pmg_bench::PARITY_RTOL,
@@ -317,7 +369,6 @@ fn solve_messages_follow_the_cycle_schedule() {
         let opts = pmg_bench::parity_options(p);
         let solver = prometheus::Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
         let mg = &solver.mg;
-        assert_eq!(mg.opts.cycle, CycleType::Fmg);
         let coarsest = mg.num_levels() - 1;
         assert!(coarsest >= 1, "the parity problem is multi-level");
         // Messages of one halo exchange (over all ranks), per operator.
