@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the solver's kernels: SpMV, the Galerkin
-//! triple product, MIS, face identification, Delaunay tetrahedralization
+//! triple product, element assembly (serial, and one rank's owned rows),
+//! MIS, face identification, Delaunay tetrahedralization
 //! (random points, and the benchmark's first coarse grid with its exact
 //! `insphere` stage on its own), the block-Jacobi application,
 //! factorisation and block partition, a level operator's cold distribution
@@ -126,6 +127,21 @@ fn bench_assembly(c: &mut Criterion) {
     let mut fem = pmg_fem::FemProblem::new(mesh.clone(), mats.clone());
     fem.assemble(&u);
     g.bench_function("pattern_reuse", |b| b.iter(|| fem.assemble(&u)));
+
+    // One rank's warm assembly of its owned rows on the benchmark's
+    // `spmd2_17k` block (18^3 vertices, rank 1 of 2): the element kernel
+    // over the shard plus the merge into global columns.
+    let block = pmg_mesh::generators::block(17, 17, 17, Vec3::splat(1.0), |_| 0);
+    let part = pmg_partition::recursive_coordinate_bisection(&block.coords, 2);
+    let shard = &pmg_mesh::shard_mesh(&block, &part, 2)[1];
+    let elastic: Vec<std::sync::Arc<dyn pmg_fem::Material>> = vec![std::sync::Arc::new(
+        pmg_fem::LinearElastic::from_e_nu(1.0, 0.3),
+    )];
+    let mut rank = pmg_fem::RankAssembly::from_shard(shard, &elastic);
+    let u_local = vec![0.0; rank.num_local_dof()];
+    g.bench_function("rank_assemble_owned", |b| {
+        b.iter(|| rank.assemble_owned_local(&u_local, block.num_dof()))
+    });
     g.finish();
 }
 

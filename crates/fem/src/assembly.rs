@@ -9,8 +9,8 @@
 //! like FEAP use.
 
 use crate::material::{Mat3, Material, MAT3_ZERO};
-use crate::shape::{quadrature, shape_grads_phys, QuadPoint};
-use pmg_mesh::Mesh;
+use crate::shape::{quadrature, shape_grads_phys, shape_grads_ref, QuadPoint, MAX_NODES};
+use pmg_mesh::{ElementKind, Mesh};
 use pmg_sparse::CsrMatrix;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -28,11 +28,12 @@ pub struct FemProblem {
     stride: usize,
     quad: Vec<QuadPoint>,
     sparsity: CsrMatrix,
-    /// Per-element scatter map: for element `e` and local entry
-    /// `(row, col)` of its `edof × edof` stiffness, the flat index into the
-    /// CSR value array (`scatter[e * edof² + row * edof + col]`). Built
-    /// once with the sparsity; every re-assembly then writes values by
-    /// direct indexing — no per-entry binary search, no COO sort.
+    /// Per-element scatter map: for element `e` and the entry of its
+    /// stiffness at row `row = 3a + i`, column `3b + k`, the flat index into
+    /// the CSR value array, in the element kernel's `(row, k, b)` order
+    /// (`scatter[e * edof² + (row * 3 + k) * nv + b]`). Built once with the
+    /// sparsity; every re-assembly then writes values by direct indexing —
+    /// no per-entry binary search, no COO sort.
     scatter: Vec<u32>,
     /// Cached physical shape gradients and Jacobian determinant per
     /// (element, Gauss point): `3*nv` gradient components then `det`
@@ -139,6 +140,13 @@ impl FemProblem {
         let stride = self.stride;
         let scatter = &self.scatter;
         let kv = k.vals_mut();
+        // One kernel, compiled per node count so that every node loop has a
+        // fixed trip count.
+        let element_kernel = match mesh.kind {
+            ElementKind::Tet4 => element_kernel::<4>,
+            ElementKind::Hex8 => element_kernel::<8>,
+            ElementKind::Hex20 => element_kernel::<20>,
+        };
 
         // Flat per-chunk element outputs, allocated once and reused — no
         // per-element Vecs on the hot path.
@@ -282,9 +290,21 @@ impl FemProblem {
 /// Compute one element's stiffness and internal force into `ke`/`fe`;
 /// `state` covers all of the element's Gauss points (may be empty for
 /// stateless materials). Geometry comes precomputed from the [`build_geom`]
-/// cache.
+/// cache. `NV` is the element's node count.
+///
+/// `ke` is laid out `(row, k, b)`: the entry at row `3a + i`, column
+/// `3b + k` lives at `ke[(3 * (3a + i) + k) * NV + b]`, so the node `b` is
+/// the unit-stride (SIMD) index. Per Gauss point the gradients are
+/// transposed to `g[J][a]`, then
+/// `T[k][l][a] = ((0 + g[0][a]·A[i0kl]) + g[1][a]·A[i1kl]) + g[2][a]·A[i2kl]`
+/// and `K[(a,i),(b,k)] += (((0 + T[k][0][a]·g[0][b]) + T[k][1][a]·g[1][b])
+/// + T[k][2][a]·g[2][b])·w`: per output entry the scalar contraction's
+/// operations in its order, so the bits are the scalar kernel's. That
+/// kernel skipped `g[J][a] == 0` terms; adding the `±0` product instead is
+/// bit-neutral for a finite tangent, because a sum that starts at `+0`
+/// never becomes `−0` and `x + ±0 == x` for every other `x`.
 #[allow(clippy::too_many_arguments)] // internal hot-loop kernel, called from one place
-fn element_kernel(
+fn element_kernel<const NV: usize>(
     mesh: &Mesh,
     materials: &[Arc<dyn Material>],
     geom: &[f64],
@@ -297,23 +317,27 @@ fn element_kernel(
     fe: &mut [f64],
 ) {
     let verts = mesh.elem(e);
-    let nv = verts.len();
+    debug_assert_eq!(verts.len(), NV);
+    let nv = NV;
     let edof = 3 * nv;
     let mat = &materials[mesh.materials[e] as usize];
     let gstride = 3 * nv + 1;
 
     ke.fill(0.0);
     fe.fill(0.0);
+    // Gradients by component, g[J][a], and one row class's T[k][l][a].
+    let mut g = [[0.0f64; NV]; 3];
+    let mut t = [[[0.0f64; NV]; 3]; 3];
 
     for (gp, q) in quad.iter().enumerate() {
-        let g = &geom[(e * quad.len() + gp) * gstride..][..gstride];
-        let det = g[gstride - 1];
+        let slot = &geom[(e * quad.len() + gp) * gstride..][..gstride];
+        let det = slot[gstride - 1];
         if det <= 0.0 {
             // Inverted element: skip this point; the material fallback plus
             // the Newton line search context recovers or fails loudly later.
             continue;
         }
-        let grads = &g[..3 * nv]; // flat: grads[3*a + j] = ∂N_a/∂X_j
+        let grads = &slot[..3 * nv]; // flat: grads[3*a + j] = ∂N_a/∂X_j
         let w = q.weight * det;
 
         // Displacement gradient H[i][j] = Σ_a u_a,i ∂N_a/∂X_j.
@@ -348,30 +372,26 @@ fn element_kernel(
             }
         }
         for a in 0..nv {
-            let ga = &grads[3 * a..3 * a + 3];
-            for i in 0..3 {
-                // temp[k][l] = Σ_J ga[J] A[i][J][k][L].
-                let mut temp = MAT3_ZERO;
-                for jj in 0..3 {
-                    let gaj = ga[jj];
-                    if gaj == 0.0 {
-                        continue;
-                    }
-                    for kk in 0..3 {
-                        for ll in 0..3 {
-                            temp[kk][ll] += gaj * a4.get(i, jj, kk, ll);
-                        }
+            for jj in 0..3 {
+                g[jj][a] = grads[3 * a + jj];
+            }
+        }
+        let [g0, g1, g2] = [&g[0], &g[1], &g[2]];
+        for i in 0..3 {
+            for kk in 0..3 {
+                for ll in 0..3 {
+                    let c = [0, 1, 2].map(|jj| a4.get(i, jj, kk, ll));
+                    for (a, tv) in t[kk][ll].iter_mut().enumerate() {
+                        *tv = ((0.0 + g0[a] * c[0]) + g1[a] * c[1]) + g2[a] * c[2];
                     }
                 }
-                let row = (3 * a + i) * edof;
-                for b in 0..nv {
-                    let gb = &grads[3 * b..3 * b + 3];
-                    for kk in 0..3 {
-                        let mut acc = 0.0;
-                        for ll in 0..3 {
-                            acc += temp[kk][ll] * gb[ll];
-                        }
-                        ke[row + 3 * b + kk] += acc * w;
+            }
+            for a in 0..nv {
+                let row = &mut ke[(3 * a + i) * edof..][..edof];
+                for (kk, out) in row.as_chunks_mut::<NV>().0.iter_mut().enumerate() {
+                    let [t0, t1, t2] = [0, 1, 2].map(|ll| t[kk][ll][a]);
+                    for b in 0..nv {
+                        out[b] += (((0.0 + t0 * g0[b]) + t1 * g1[b]) + t2 * g2[b]) * w;
                     }
                 }
             }
@@ -385,15 +405,26 @@ fn build_geom(mesh: &Mesh, quad: &[QuadPoint]) -> Vec<f64> {
     let nv = mesh.kind.nodes();
     let gstride = 3 * nv + 1;
     let mut geom = vec![0.0f64; mesh.num_elements() * quad.len() * gstride];
-    for e in 0..mesh.num_elements() {
-        let coords = mesh.elem_coords(e);
-        for (gp, q) in quad.iter().enumerate() {
-            let slot = &mut geom[(e * quad.len() + gp) * gstride..][..gstride];
-            if let Some((grads, det)) = shape_grads_phys(mesh.kind, &coords, q.xi) {
-                for (a, g) in grads.iter().enumerate() {
-                    slot[3 * a..3 * a + 3].copy_from_slice(g);
-                }
-                slot[gstride - 1] = det;
+    // Reference gradients depend on the quadrature point only.
+    let drefs: Vec<[[f64; 3]; MAX_NODES]> = quad
+        .iter()
+        .map(|q| {
+            let mut dref = [[0.0; 3]; MAX_NODES];
+            shape_grads_ref(mesh.kind, q.xi, &mut dref);
+            dref
+        })
+        .collect();
+    let mut coords = [pmg_geometry::Vec3::ZERO; MAX_NODES];
+    for (e, slots) in geom.chunks_exact_mut(quad.len() * gstride).enumerate() {
+        for (x, &v) in coords.iter_mut().zip(mesh.elem(e)) {
+            *x = mesh.coords[v as usize];
+        }
+        for (slot, dref) in slots.chunks_exact_mut(gstride).zip(&drefs) {
+            let (grads, det) = slot.split_at_mut(3 * nv);
+            let grads = grads.as_chunks_mut::<3>().0;
+            // An inverted point writes nothing and keeps `det == 0`.
+            if let Some(d) = shape_grads_phys(&dref[..nv], &coords[..nv], grads) {
+                det[0] = d;
             }
         }
     }
@@ -420,44 +451,40 @@ fn build_sparsity(mesh: &Mesh) -> CsrMatrix {
     let n = mesh.num_vertices();
     let g = mesh.vertex_graph();
     let ndof = 3 * n;
+    let nnz = 9 * (2 * g.num_edges() + n);
     let mut row_ptr = Vec::with_capacity(ndof + 1);
     row_ptr.push(0usize);
-    let mut col_idx: Vec<usize> = Vec::new();
+    let mut col_idx: Vec<usize> = Vec::with_capacity(nnz);
     for v in 0..n {
-        // Sorted neighbor list including self.
+        // The sorted neighbours with `v` itself slotted in, written once as
+        // the vertex's first row and copied for its other two.
         let nbrs = g.neighbors(v);
-        let mut cols: Vec<usize> = Vec::with_capacity(3 * (nbrs.len() + 1));
-        let mut inserted_self = false;
-        for &w in nbrs {
-            let w = w as usize;
-            if !inserted_self && w > v {
-                for c in 0..3 {
-                    cols.push(3 * v + c);
-                }
-                inserted_self = true;
-            }
-            for c in 0..3 {
-                cols.push(3 * w + c);
-            }
+        let split = nbrs.partition_point(|&w| (w as usize) < v);
+        let start = col_idx.len();
+        let cols = nbrs[..split]
+            .iter()
+            .map(|&w| w as usize)
+            .chain([v])
+            .chain(nbrs[split..].iter().map(|&w| w as usize));
+        for w in cols {
+            col_idx.extend([3 * w, 3 * w + 1, 3 * w + 2]);
         }
-        if !inserted_self {
-            for c in 0..3 {
-                cols.push(3 * v + c);
-            }
-        }
-        for _ in 0..3 {
-            col_idx.extend_from_slice(&cols);
+        let end = col_idx.len();
+        row_ptr.push(end);
+        for _ in 0..2 {
+            col_idx.extend_from_within(start..end);
             row_ptr.push(col_idx.len());
         }
     }
-    let nnz = col_idx.len();
+    debug_assert_eq!(col_idx.len(), nnz);
     CsrMatrix::from_parts(ndof, ndof, row_ptr, col_idx, vec![0.0; nnz])
 }
 
-/// Resolve every element's local `(row, col)` stiffness entry to its flat
-/// index in the CSR value array, once. The three dofs of a vertex are
-/// contiguous columns in the pattern, so one binary search per vertex pair
-/// locates the whole 3-wide block.
+/// Resolve every element's local stiffness entry to its flat index in the
+/// CSR value array, once, in the element kernel's `(row, k, b)` order. The
+/// three dofs of a vertex are contiguous columns in the pattern and its
+/// three rows share one column list ([`build_sparsity`]), so one binary
+/// search per vertex pair locates the whole 3×3 block.
 fn build_scatter(mesh: &Mesh, sparsity: &CsrMatrix) -> Vec<u32> {
     assert!(
         sparsity.nnz() <= u32::MAX as usize,
@@ -468,21 +495,19 @@ fn build_scatter(mesh: &Mesh, sparsity: &CsrMatrix) -> Vec<u32> {
     let row_ptr = sparsity.row_ptr();
     let col_idx = sparsity.col_idx();
     let mut scatter = vec![0u32; mesh.num_elements() * edof * edof];
-    for e in 0..mesh.num_elements() {
+    for (e, map) in scatter.chunks_exact_mut(edof * edof).enumerate() {
         let verts = mesh.elem(e);
-        let base = e * edof * edof;
         for a in 0..nv {
-            for i in 0..3 {
-                let gi = 3 * verts[a] as usize + i;
-                let lo = row_ptr[gi];
-                let cols = &col_idx[lo..row_ptr[gi + 1]];
-                let row_off = base + (3 * a + i) * edof;
-                for b in 0..nv {
-                    let gj0 = 3 * verts[b] as usize;
-                    let p = cols.binary_search(&gj0).expect("entry outside sparsity");
+            let gi = 3 * verts[a] as usize;
+            let cols = &col_idx[row_ptr[gi]..row_ptr[gi + 1]];
+            for b in 0..nv {
+                let gj = 3 * verts[b] as usize;
+                let p = cols.binary_search(&gj).expect("entry outside sparsity");
+                for i in 0..3 {
+                    let lo = row_ptr[gi + i] + p;
                     for kk in 0..3 {
-                        debug_assert_eq!(cols[p + kk], gj0 + kk);
-                        scatter[row_off + 3 * b + kk] = (lo + p + kk) as u32;
+                        debug_assert_eq!(col_idx[lo + kk], gj + kk);
+                        map[((3 * a + i) * 3 + kk) * nv + b] = (lo + kk) as u32;
                     }
                 }
             }
@@ -708,5 +733,248 @@ mod tests {
         let stiff = d[0];
         let soft = d[d.len() - 1];
         assert!(stiff > 100.0 * soft);
+    }
+
+    /// The scalar element kernel the node-vectorised one replaced, kept as
+    /// its bitwise oracle: geometry straight from `shape_grads_phys` on the
+    /// element's coordinates, `ke` in `(row, col)` order, `ga[J] == 0`
+    /// terms skipped.
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_element(
+        mesh: &Mesh,
+        mat: &dyn Material,
+        quad: &[QuadPoint],
+        e: usize,
+        u: &[f64],
+        state: &mut [f64],
+        ke: &mut [f64],
+        fe: &mut [f64],
+    ) {
+        let verts = mesh.elem(e);
+        let nv = verts.len();
+        let edof = 3 * nv;
+        let stride = state.len() / quad.len();
+        let coords = mesh.elem_coords(e);
+        for (gp, q) in quad.iter().enumerate() {
+            let mut dref = vec![[0.0; 3]; nv];
+            shape_grads_ref(mesh.kind, q.xi, &mut dref);
+            let mut grads = vec![[0.0; 3]; nv];
+            let Some(det) = shape_grads_phys(&dref, &coords, &mut grads) else {
+                continue;
+            };
+            let w = q.weight * det;
+            let mut h: Mat3 = MAT3_ZERO;
+            for a in 0..nv {
+                for i in 0..3 {
+                    let ua = u[3 * verts[a] as usize + i];
+                    for j in 0..3 {
+                        h[i][j] += ua * grads[a][j];
+                    }
+                }
+            }
+            let st = &mut state[gp * stride..][..mat.state_size()];
+            let (p, a4) = mat.respond(&h, st);
+            for a in 0..nv {
+                for i in 0..3 {
+                    let mut acc = 0.0;
+                    for jj in 0..3 {
+                        acc += p[i][jj] * grads[a][jj];
+                    }
+                    fe[3 * a + i] += acc * w;
+                }
+            }
+            for a in 0..nv {
+                for i in 0..3 {
+                    let mut temp = MAT3_ZERO;
+                    for jj in 0..3 {
+                        let gaj = grads[a][jj];
+                        if gaj == 0.0 {
+                            continue;
+                        }
+                        for kk in 0..3 {
+                            for ll in 0..3 {
+                                temp[kk][ll] += gaj * a4.get(i, jj, kk, ll);
+                            }
+                        }
+                    }
+                    for b in 0..nv {
+                        for kk in 0..3 {
+                            let mut acc = 0.0;
+                            for ll in 0..3 {
+                                acc += temp[kk][ll] * grads[b][ll];
+                            }
+                            ke[(3 * a + i) * edof + 3 * b + kk] += acc * w;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// K, f and the trial history from a fresh history by the scalar
+    /// kernel. The pattern comes from a `CooBuilder` over every element
+    /// entry, and values are added in element order, each entry located by
+    /// binary search — no scatter map, no vertex-block pattern.
+    fn scalar_assembly(
+        mesh: &Mesh,
+        materials: &[Arc<dyn Material>],
+        u: &[f64],
+    ) -> (CsrMatrix, Vec<f64>, Vec<f64>) {
+        let quad = quadrature(mesh.kind);
+        let nv = mesh.kind.nodes();
+        let edof = 3 * nv;
+        let stride = materials.iter().map(|m| m.state_size()).max().unwrap();
+        let mut state = vec![0.0; mesh.num_elements() * quad.len() * stride];
+        let mut pattern = pmg_sparse::CooBuilder::new(mesh.num_dof(), mesh.num_dof());
+        for e in 0..mesh.num_elements() {
+            let mat = &materials[mesh.materials[e] as usize];
+            for gp in state[e * quad.len() * stride..][..quad.len() * stride].chunks_mut(stride) {
+                mat.init_state(&mut gp[..mat.state_size()]);
+            }
+            for &vi in mesh.elem(e) {
+                for &vj in mesh.elem(e) {
+                    for (i, j) in (0..9).map(|c| (c / 3, c % 3)) {
+                        pattern.push(3 * vi as usize + i, 3 * vj as usize + j, 0.0);
+                    }
+                }
+            }
+        }
+        let mut k = pattern.build();
+        let mut f = vec![0.0; mesh.num_dof()];
+        let (mut ke, mut fe) = (vec![0.0; edof * edof], vec![0.0; edof]);
+        for e in 0..mesh.num_elements() {
+            ke.fill(0.0);
+            fe.fill(0.0);
+            let st = &mut state[e * quad.len() * stride..][..quad.len() * stride];
+            let mat = &*materials[mesh.materials[e] as usize];
+            scalar_element(mesh, mat, &quad, e, u, st, &mut ke, &mut fe);
+            let dof = |l: usize| 3 * mesh.elem(e)[l / 3] as usize + l % 3;
+            for r in 0..edof {
+                f[dof(r)] += fe[r];
+                let lo = k.row_ptr()[dof(r)];
+                for c in 0..edof {
+                    let cols = &k.col_idx()[lo..k.row_ptr()[dof(r) + 1]];
+                    let p = lo + cols.binary_search(&dof(c)).unwrap();
+                    k.vals_mut()[p] += ke[r * edof + c];
+                }
+            }
+        }
+        (k, f, state)
+    }
+
+    /// `FemProblem::assemble` from a fresh problem equals the scalar
+    /// oracle in pattern, value bits, residual bits and trial history bits.
+    fn assert_oracle_bits(mesh: &Mesh, materials: &[Arc<dyn Material>], u: &[f64]) {
+        let (k_ref, f_ref, state_ref) = scalar_assembly(mesh, materials, u);
+        let mut p = FemProblem::new(mesh.clone(), materials.to_vec());
+        let (k, f) = p.assemble(u);
+        p.commit();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(k.row_ptr(), k_ref.row_ptr(), "row pointers");
+        assert_eq!(k.col_idx(), k_ref.col_idx(), "columns");
+        assert_eq!(bits(k.vals()), bits(k_ref.vals()), "stiffness bits");
+        assert_eq!(bits(&f), bits(&f_ref), "residual bits");
+        assert_eq!(bits(p.committed_state()), bits(&state_ref), "history bits");
+    }
+
+    /// A smooth displacement field of the given strain magnitude.
+    fn strained(mesh: &Mesh, strain: f64) -> Vec<f64> {
+        mesh.coords
+            .iter()
+            .flat_map(|p| {
+                [
+                    strain * (0.3 * p.x + 0.2 * p.y * p.z.sin()),
+                    strain * (0.1 * p.x - 0.25 * p.y),
+                    -strain * (p.z + 0.1 * p.x * p.y),
+                ]
+            })
+            .collect()
+    }
+
+    fn mixed_materials() -> Vec<Arc<dyn Material>> {
+        vec![
+            Arc::new(LinearElastic::from_e_nu(1.0, 0.3)),
+            Arc::new(NeoHookean::from_e_nu(1e-2, 0.45)),
+            Arc::new(J2Plasticity::from_e_nu(1.0, 0.3, 1e-3, 2e-3)),
+        ]
+    }
+
+    #[test]
+    fn oracle_cold10k_spheres_at_rest_and_yielding() {
+        let params = pmg_mesh::SpheresParams {
+            n_surf: 6,
+            ..pmg_mesh::SpheresParams::ladder(1)
+        };
+        let mesh = pmg_mesh::sphere_in_cube(&params);
+        assert_eq!(mesh.num_dof(), 9792, "the cold10k mesh");
+        let mats = crate::table1_materials();
+        assert_oracle_bits(&mesh, &mats, &vec![0.0; mesh.num_dof()]);
+        let u = strained(&mesh, 1e-2);
+        let mut p = FemProblem::new(mesh.clone(), mats.clone());
+        p.assemble(&u);
+        assert!(
+            p.yielded_fraction(pmg_mesh::spheres::HARD) > 0.0,
+            "J2 points yield"
+        );
+        assert_oracle_bits(&mesh, &mats, &u);
+    }
+
+    #[test]
+    fn oracle_hex20_block() {
+        let mesh = pmg_mesh::generators::block20(2, 2, 1, Vec3::new(2.0, 2.0, 1.0), |c| {
+            u32::from(c.x > 1.0) + u32::from(c.y > 1.0)
+        });
+        let u = strained(&mesh, 5e-3);
+        assert_oracle_bits(&mesh, &mixed_materials(), &u);
+    }
+
+    #[test]
+    fn oracle_tet4_from_split_hexes() {
+        // Six tets per hex around the 0-6 diagonal, each oriented positive.
+        let hexes = block(2, 2, 2, Vec3::splat(1.0), |_| 0);
+        const SPLIT: [[usize; 4]; 6] = [
+            [0, 1, 2, 6],
+            [0, 2, 3, 6],
+            [0, 3, 7, 6],
+            [0, 7, 4, 6],
+            [0, 4, 5, 6],
+            [0, 5, 1, 6],
+        ];
+        let (mut elem_verts, mut materials) = (Vec::new(), Vec::new());
+        for e in 0..hexes.num_elements() {
+            let h = hexes.elem(e);
+            for (t, tet) in SPLIT.iter().enumerate() {
+                let mut v = tet.map(|l| h[l]);
+                let x = v.map(|i| hexes.coords[i as usize]);
+                if (x[1] - x[0]).cross(x[2] - x[0]).dot(x[3] - x[0]) < 0.0 {
+                    v.swap(2, 3);
+                }
+                elem_verts.extend(v);
+                materials.push((t % 3) as u32);
+            }
+        }
+        let mesh = Mesh::new(
+            hexes.coords.clone(),
+            pmg_mesh::ElementKind::Tet4,
+            elem_verts,
+            materials,
+        );
+        assert!(mesh.validate_volumes().is_ok());
+        let u = strained(&mesh, 5e-3);
+        assert_oracle_bits(&mesh, &mixed_materials(), &u);
+    }
+
+    #[test]
+    fn oracle_inverted_element() {
+        let mut mesh = block(2, 1, 1, Vec3::new(2.0, 1.0, 1.0), |c| u32::from(c.x > 1.0));
+        mesh.elem_verts.swap(0, 1); // tangles element 0
+        assert!(FemProblem::new(mesh.clone(), mixed_materials())
+            .geometry()
+            .iter()
+            .skip(24)
+            .step_by(25)
+            .any(|&det| det == 0.0));
+        let u = strained(&mesh, 1e-3);
+        assert_oracle_bits(&mesh, &mixed_materials(), &u);
     }
 }

@@ -19,7 +19,7 @@
 use crate::assembly::FemProblem;
 use crate::material::Material;
 use pmg_mesh::MeshShard;
-use pmg_sparse::{CooBuilder, CsrMatrix};
+use pmg_sparse::CsrMatrix;
 use std::sync::Arc;
 
 /// One rank's persistent assembly context: a [`FemProblem`] over the
@@ -40,6 +40,12 @@ impl RankAssembly {
     /// (pattern + scatter map built here, reused by every subsequent
     /// assembly) — no rank ever sees the global mesh.
     pub fn from_shard(shard: &MeshShard, materials: &[Arc<dyn Material>]) -> RankAssembly {
+        let (owned, ghosts) = shard.global_vertices.split_at(shard.num_owned());
+        let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
+        assert!(
+            ascending(owned) && ascending(ghosts),
+            "shard vertices must be owned-ascending then ghost-ascending"
+        );
         RankAssembly {
             fem: FemProblem::new(shard.mesh.clone(), materials.to_vec()),
             global_vertices: shard.global_vertices.clone(),
@@ -69,6 +75,12 @@ impl RankAssembly {
     /// force. `num_global_dof` only sizes the column space of the returned
     /// rows. The pattern is reused — the `assembly/pattern_reuse` counter
     /// ticks once per call.
+    ///
+    /// The shard numbers its vertices owned-ascending then ghost-ascending
+    /// in global id (checked in [`RankAssembly::from_shard`]), so each local
+    /// row is two runs that both ascend in global column: the owned columns,
+    /// then the ghost ones. One merge per row emits it in global column
+    /// order — no sort, and no second pattern stored.
     pub fn assemble_owned_local(
         &mut self,
         u_local: &[f64],
@@ -76,21 +88,31 @@ impl RankAssembly {
     ) -> (CsrMatrix, Vec<f64>) {
         assert_eq!(u_local.len(), 3 * self.global_vertices.len());
         let (k, f) = self.fem.assemble(u_local);
-        let mut b = CooBuilder::new(3 * self.num_owned, num_global_dof);
-        b.reserve(k.row_ptr()[3 * self.num_owned]);
-        let mut f_owned = vec![0.0; 3 * self.num_owned];
-        for lv in 0..self.num_owned {
-            for c in 0..3 {
-                let li = 3 * lv + c;
-                f_owned[li] = f[li];
-                let (cols, vals) = k.row(li);
-                for (&lj, &v) in cols.iter().zip(vals) {
-                    let gj = 3 * self.global_vertices[lj / 3] as usize + lj % 3;
-                    b.push(li, gj, v);
-                }
+        let owned_dof = 3 * self.num_owned;
+        let nnz = k.row_ptr()[owned_dof];
+        let global = |lj: usize| 3 * self.global_vertices[lj / 3] as usize + lj % 3;
+        let mut row_ptr = Vec::with_capacity(owned_dof + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut vals = Vec::with_capacity(nnz);
+        for li in 0..owned_dof {
+            let (cols, v) = k.row(li);
+            let split = cols.partition_point(|&lj| lj < owned_dof);
+            let (mut p, mut q) = (0, split);
+            while p < split || q < cols.len() {
+                let next = if q == cols.len() || (p < split && global(cols[p]) < global(cols[q])) {
+                    &mut p
+                } else {
+                    &mut q
+                };
+                col_idx.push(global(cols[*next]));
+                vals.push(v[*next]);
+                *next += 1;
             }
+            row_ptr.push(col_idx.len());
         }
-        (b.build(), f_owned)
+        let k_owned = CsrMatrix::from_parts(owned_dof, num_global_dof, row_ptr, col_idx, vals);
+        (k_owned, f[..owned_dof].to_vec())
     }
 
     /// Commit the trial Gauss-point history after a converged step.

@@ -19,13 +19,14 @@ pub type Mat3 = [[f64; 3]; 3];
 
 pub const MAT3_ZERO: Mat3 = [[0.0; 3]; 3];
 
-/// Fourth-order nominal tangent `A[i][J][k][L]` stored flat.
+/// Fourth-order nominal tangent `A[i][J][k][L]` stored flat, by value: a
+/// material evaluation at a Gauss point allocates nothing.
 #[derive(Clone)]
-pub struct Tangent(pub Box<[f64; 81]>);
+pub struct Tangent(pub [f64; 81]);
 
 impl Tangent {
     pub fn zero() -> Tangent {
-        Tangent(Box::new([0.0; 81]))
+        Tangent([0.0; 81])
     }
 
     #[inline]

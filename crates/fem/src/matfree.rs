@@ -193,7 +193,7 @@ impl MatFreeOperator {
                     // canonical elastic tensor built from two probes.
                     let lam = a4.get(0, 0, 1, 1);
                     let mu = a4.get(0, 1, 0, 1);
-                    let iso = *elastic_tangent(lam, mu).0 == *a4.0;
+                    let iso = elastic_tangent(lam, mu).0 == a4.0;
                     *slot = if iso {
                         GpTan::Iso {
                             lw: w * lam,
@@ -204,7 +204,7 @@ impl MatFreeOperator {
                         for v in aw.iter_mut() {
                             *v *= w;
                         }
-                        GpTan::Full(aw)
+                        GpTan::Full(Box::new(aw))
                     };
                 }
             });

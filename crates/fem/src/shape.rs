@@ -42,6 +42,10 @@ const HEX20_NODES: [[f64; 3]; 20] = [
     [-1.0, 1.0, 0.0],
 ];
 
+/// The most nodes any element kind has (Hex20): the size of the fixed
+/// per-element buffers the gradient routines write into.
+pub(crate) const MAX_NODES: usize = 20;
+
 /// A quadrature point: reference coordinates and weight.
 #[derive(Clone, Copy, Debug)]
 pub struct QuadPoint {
@@ -126,78 +130,79 @@ pub fn shape_values(kind: ElementKind, xi: [f64; 3]) -> Vec<f64> {
 }
 
 /// Shape function gradients with respect to reference coordinates, one
-/// `[f64;3]` per node.
-pub fn shape_grads_ref(kind: ElementKind, xi: [f64; 3]) -> Vec<[f64; 3]> {
+/// `[f64;3]` per node, written into `out[..kind.nodes()]`.
+pub fn shape_grads_ref(kind: ElementKind, xi: [f64; 3], out: &mut [[f64; 3]]) {
     match kind {
-        ElementKind::Hex8 => HEX_CORNERS
-            .iter()
-            .map(|c| {
-                [
+        ElementKind::Hex8 => {
+            for (o, c) in out[..8].iter_mut().zip(&HEX_CORNERS) {
+                *o = [
                     0.125 * c[0] * (1.0 + c[1] * xi[1]) * (1.0 + c[2] * xi[2]),
                     0.125 * c[1] * (1.0 + c[0] * xi[0]) * (1.0 + c[2] * xi[2]),
                     0.125 * c[2] * (1.0 + c[0] * xi[0]) * (1.0 + c[1] * xi[1]),
-                ]
-            })
-            .collect(),
-        ElementKind::Tet4 => vec![
-            [-1.0, -1.0, -1.0],
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-        ],
-        ElementKind::Hex20 => HEX20_NODES
-            .iter()
-            .enumerate()
-            .map(|(a, c)| {
-                let [x, y, z] = xi;
-                if a < 8 {
-                    let fx = 1.0 + c[0] * x;
-                    let fy = 1.0 + c[1] * y;
-                    let fz = 1.0 + c[2] * z;
-                    [
-                        0.125 * c[0] * fy * fz * (2.0 * c[0] * x + c[1] * y + c[2] * z - 1.0),
-                        0.125 * c[1] * fx * fz * (c[0] * x + 2.0 * c[1] * y + c[2] * z - 1.0),
-                        0.125 * c[2] * fx * fy * (c[0] * x + c[1] * y + 2.0 * c[2] * z - 1.0),
-                    ]
-                } else if c[0] == 0.0 {
-                    let fy = 1.0 + c[1] * y;
-                    let fz = 1.0 + c[2] * z;
-                    [
-                        -0.5 * x * fy * fz,
-                        0.25 * c[1] * (1.0 - x * x) * fz,
-                        0.25 * c[2] * (1.0 - x * x) * fy,
-                    ]
-                } else if c[1] == 0.0 {
-                    let fx = 1.0 + c[0] * x;
-                    let fz = 1.0 + c[2] * z;
-                    [
-                        0.25 * c[0] * (1.0 - y * y) * fz,
-                        -0.5 * y * fx * fz,
-                        0.25 * c[2] * (1.0 - y * y) * fx,
-                    ]
-                } else {
-                    let fx = 1.0 + c[0] * x;
-                    let fy = 1.0 + c[1] * y;
-                    [
-                        0.25 * c[0] * (1.0 - z * z) * fy,
-                        0.25 * c[1] * (1.0 - z * z) * fx,
-                        -0.5 * z * fx * fy,
-                    ]
-                }
-            })
-            .collect(),
+                ];
+            }
+        }
+        ElementKind::Tet4 => {
+            out[..4].copy_from_slice(&[
+                [-1.0, -1.0, -1.0],
+                [1.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0],
+                [0.0, 0.0, 1.0],
+            ]);
+        }
+        ElementKind::Hex20 => {
+            for (a, (o, c)) in out[..20].iter_mut().zip(&HEX20_NODES).enumerate() {
+                *o = hex20_grad_ref(a, c, xi);
+            }
+        }
     }
 }
 
-/// Physical-space shape gradients and the Jacobian determinant at a
-/// quadrature point. `coords` are the element corner positions. Returns
-/// `None` for non-positive Jacobians (inverted elements).
-pub fn shape_grads_phys(
-    kind: ElementKind,
-    coords: &[Vec3],
-    xi: [f64; 3],
-) -> Option<(Vec<[f64; 3]>, f64)> {
-    let dref = shape_grads_ref(kind, xi);
+/// Reference gradient of Hex20 node `a` (local coordinates `c`) at `xi`.
+fn hex20_grad_ref(a: usize, c: &[f64; 3], xi: [f64; 3]) -> [f64; 3] {
+    let [x, y, z] = xi;
+    if a < 8 {
+        let fx = 1.0 + c[0] * x;
+        let fy = 1.0 + c[1] * y;
+        let fz = 1.0 + c[2] * z;
+        [
+            0.125 * c[0] * fy * fz * (2.0 * c[0] * x + c[1] * y + c[2] * z - 1.0),
+            0.125 * c[1] * fx * fz * (c[0] * x + 2.0 * c[1] * y + c[2] * z - 1.0),
+            0.125 * c[2] * fx * fy * (c[0] * x + c[1] * y + 2.0 * c[2] * z - 1.0),
+        ]
+    } else if c[0] == 0.0 {
+        let fy = 1.0 + c[1] * y;
+        let fz = 1.0 + c[2] * z;
+        [
+            -0.5 * x * fy * fz,
+            0.25 * c[1] * (1.0 - x * x) * fz,
+            0.25 * c[2] * (1.0 - x * x) * fy,
+        ]
+    } else if c[1] == 0.0 {
+        let fx = 1.0 + c[0] * x;
+        let fz = 1.0 + c[2] * z;
+        [
+            0.25 * c[0] * (1.0 - y * y) * fz,
+            -0.5 * y * fx * fz,
+            0.25 * c[2] * (1.0 - y * y) * fx,
+        ]
+    } else {
+        let fx = 1.0 + c[0] * x;
+        let fy = 1.0 + c[1] * y;
+        [
+            0.25 * c[0] * (1.0 - z * z) * fy,
+            0.25 * c[1] * (1.0 - z * z) * fx,
+            -0.5 * z * fx * fy,
+        ]
+    }
+}
+
+/// Physical-space shape gradients at a quadrature point, written into
+/// `grads[..coords.len()]`, from the reference gradients `dref` there
+/// ([`shape_grads_ref`]) and the element's node positions `coords`.
+/// Returns the Jacobian determinant, or `None` (writing nothing) for a
+/// non-positive one (inverted elements).
+pub fn shape_grads_phys(dref: &[[f64; 3]], coords: &[Vec3], grads: &mut [[f64; 3]]) -> Option<f64> {
     // Jacobian J[a][b] = dx_a / dxi_b.
     let mut j = [[0.0f64; 3]; 3];
     for (g, p) in dref.iter().zip(coords) {
@@ -233,22 +238,33 @@ pub fn shape_grads_phys(
         ],
     ];
     // dN/dx_a = dN/dxi_b * dxi_b/dx_a.
-    let grads = dref
-        .iter()
-        .map(|g| {
-            let mut out = [0.0f64; 3];
-            for (a, o) in out.iter_mut().enumerate() {
-                *o = g[0] * jinv[0][a] + g[1] * jinv[1][a] + g[2] * jinv[2][a];
-            }
-            out
-        })
-        .collect();
-    Some((grads, det))
+    for (out, g) in grads[..coords.len()].iter_mut().zip(dref) {
+        for (a, o) in out.iter_mut().enumerate() {
+            *o = g[0] * jinv[0][a] + g[1] * jinv[1][a] + g[2] * jinv[2][a];
+        }
+    }
+    Some(det)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn grads_ref(kind: ElementKind, xi: [f64; 3]) -> Vec<[f64; 3]> {
+        let mut out = vec![[0.0; 3]; kind.nodes()];
+        shape_grads_ref(kind, xi, &mut out);
+        out
+    }
+
+    fn grads_phys(
+        kind: ElementKind,
+        coords: &[Vec3],
+        xi: [f64; 3],
+    ) -> Option<(Vec<[f64; 3]>, f64)> {
+        let mut out = vec![[0.0; 3]; kind.nodes()];
+        let det = shape_grads_phys(&grads_ref(kind, xi), coords, &mut out)?;
+        Some((out, det))
+    }
 
     fn unit_hex_coords() -> Vec<Vec3> {
         HEX_CORNERS
@@ -265,7 +281,7 @@ mod tests {
                 let sum: f64 = n.iter().sum();
                 assert!((sum - 1.0).abs() < 1e-14, "{kind:?}");
                 // Gradients of a partition of unity sum to zero.
-                let g = shape_grads_ref(kind, xi);
+                let g = grads_ref(kind, xi);
                 for a in 0..3 {
                     let s: f64 = g.iter().map(|gi| gi[a]).sum();
                     assert!(s.abs() < 1e-14);
@@ -291,7 +307,7 @@ mod tests {
         let coords = unit_hex_coords();
         let mut vol = 0.0;
         for q in quadrature(ElementKind::Hex8) {
-            let (_, det) = shape_grads_phys(ElementKind::Hex8, &coords, q.xi).unwrap();
+            let (_, det) = grads_phys(ElementKind::Hex8, &coords, q.xi).unwrap();
             vol += q.weight * det;
         }
         assert!((vol - 1.0).abs() < 1e-14);
@@ -307,7 +323,7 @@ mod tests {
         ];
         let mut vol = 0.0;
         for q in quadrature(ElementKind::Tet4) {
-            let (_, det) = shape_grads_phys(ElementKind::Tet4, &coords, q.xi).unwrap();
+            let (_, det) = grads_phys(ElementKind::Tet4, &coords, q.xi).unwrap();
             vol += q.weight * det;
         }
         assert!((vol - 8.0 / 6.0).abs() < 1e-13);
@@ -321,7 +337,7 @@ mod tests {
         coords[6] = Vec3::new(1.4, 1.3, 1.2); // distort one corner
         let nodal: Vec<f64> = coords.iter().map(|p| 3.0 * p.x + 2.0 * p.y - p.z).collect();
         for q in quadrature(ElementKind::Hex8) {
-            let (grads, _) = shape_grads_phys(ElementKind::Hex8, &coords, q.xi).unwrap();
+            let (grads, _) = grads_phys(ElementKind::Hex8, &coords, q.xi).unwrap();
             let mut g = [0.0f64; 3];
             for (ga, &ua) in grads.iter().zip(&nodal) {
                 for a in 0..3 {
@@ -348,7 +364,7 @@ mod tests {
     #[test]
     fn hex20_gradients_match_fd() {
         let xi = [0.21, -0.43, 0.57];
-        let g = shape_grads_ref(ElementKind::Hex20, xi);
+        let g = grads_ref(ElementKind::Hex20, xi);
         let eps = 1e-6;
         for a in 0..20 {
             for c in 0..3 {
@@ -387,7 +403,7 @@ mod tests {
         let coords: Vec<Vec3> = HEX20_NODES.iter().map(|&c| Vec3::from_array(c)).collect();
         let mut vol = 0.0;
         for q in quadrature(ElementKind::Hex20) {
-            let (_, det) = shape_grads_phys(ElementKind::Hex20, &coords, q.xi).unwrap();
+            let (_, det) = grads_phys(ElementKind::Hex20, &coords, q.xi).unwrap();
             vol += q.weight * det;
         }
         assert!((vol - 8.0).abs() < 1e-12);
@@ -399,7 +415,7 @@ mod tests {
         coords.swap(0, 1); // tangled element
         let bad = quadrature(ElementKind::Hex8)
             .iter()
-            .any(|q| shape_grads_phys(ElementKind::Hex8, &coords, q.xi).is_none());
+            .any(|q| grads_phys(ElementKind::Hex8, &coords, q.xi).is_none());
         assert!(bad);
     }
 }

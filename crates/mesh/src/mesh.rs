@@ -198,22 +198,38 @@ impl Mesh {
     pub fn vertex_graph(&self) -> Graph {
         let n = self.num_vertices();
         let (ptr, v2e) = self.vertex_to_elements();
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut scratch: Vec<u32> = Vec::new();
-        for v in 0..n {
-            scratch.clear();
+        // Calls `f` once per distinct neighbour of `v`; `mark[w] == v` says
+        // `w` was already seen from `v`.
+        let each_neighbour = |v: usize, mark: &mut [u32], f: &mut dyn FnMut(u32)| {
             for &e in &v2e[ptr[v]..ptr[v + 1]] {
-                scratch.extend(self.elem(e as usize).iter().copied());
+                for &w in self.elem(e as usize) {
+                    if w as usize != v && mark[w as usize] != v as u32 {
+                        mark[w as usize] = v as u32;
+                        f(w);
+                    }
+                }
             }
-            scratch.sort_unstable();
-            scratch.dedup();
-            lists[v] = scratch
-                .iter()
-                .copied()
-                .filter(|&w| w as usize != v)
-                .collect();
+        };
+        // Count the CSR rows, fill them, then sort each row.
+        let mut mark = vec![u32::MAX; n];
+        let mut xadj = vec![0usize; n + 1];
+        for v in 0..n {
+            let mut degree = 0;
+            each_neighbour(v, &mut mark, &mut |_| degree += 1);
+            xadj[v + 1] = xadj[v] + degree;
         }
-        Graph::from_adjacency(&lists)
+        mark.fill(u32::MAX);
+        let mut adjncy = vec![0u32; xadj[n]];
+        for v in 0..n {
+            let row = &mut adjncy[xadj[v]..xadj[v + 1]];
+            let mut k = 0;
+            each_neighbour(v, &mut mark, &mut |w| {
+                row[k] = w;
+                k += 1;
+            });
+            row.sort_unstable();
+        }
+        Graph::from_csr(xadj, adjncy)
     }
 
     /// Indices of vertices satisfying a coordinate predicate (for boundary
@@ -305,6 +321,40 @@ mod tests {
         // All 8 vertices share the element: complete graph K8.
         assert_eq!(g.num_vertices(), 8);
         assert_eq!(g.num_edges(), 28);
+    }
+
+    /// The graph the CSR fill must reproduce: one sorted, deduplicated
+    /// neighbour list per vertex through `Graph::from_adjacency`.
+    fn vertex_graph_by_lists(m: &Mesh) -> Graph {
+        let (ptr, v2e) = m.vertex_to_elements();
+        let lists: Vec<Vec<u32>> = (0..m.num_vertices())
+            .map(|v| {
+                let mut l: Vec<u32> = v2e[ptr[v]..ptr[v + 1]]
+                    .iter()
+                    .flat_map(|&e| m.elem(e as usize).iter().copied())
+                    .filter(|&w| w as usize != v)
+                    .collect();
+                l.sort_unstable();
+                l.dedup();
+                l
+            })
+            .collect();
+        Graph::from_adjacency(&lists)
+    }
+
+    #[test]
+    fn vertex_graph_equals_per_vertex_lists() {
+        use crate::generators::{block, block20};
+        let meshes = [
+            unit_hex(),
+            unit_tet(),
+            block(4, 3, 2, Vec3::new(4.0, 3.0, 2.0), |_| 0),
+            block20(2, 2, 1, Vec3::new(2.0, 2.0, 1.0), |_| 0),
+            crate::spheres::sphere_in_cube(&crate::spheres::SpheresParams::tiny()),
+        ];
+        for m in &meshes {
+            assert_eq!(m.vertex_graph(), vertex_graph_by_lists(m), "{:?}", m.kind);
+        }
     }
 
     #[test]

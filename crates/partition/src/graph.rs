@@ -87,6 +87,26 @@ impl Graph {
         Graph { xadj, adjncy }
     }
 
+    /// Take CSR arrays as they are: `adjncy[xadj[v]..xadj[v + 1]]` is
+    /// vertex `v`'s neighbour list, sorted, duplicate-free, without `v`
+    /// itself, and symmetric across lists (validated in debug builds).
+    pub fn from_csr(xadj: Vec<usize>, adjncy: Vec<u32>) -> Graph {
+        assert!(!xadj.is_empty() && xadj[0] == 0, "xadj starts at 0");
+        assert_eq!(
+            *xadj.last().unwrap(),
+            adjncy.len(),
+            "xadj ends at the list length"
+        );
+        let g = Graph { xadj, adjncy };
+        debug_assert!(
+            (0..g.num_vertices()).all(|v| g.neighbors(v).windows(2).all(|w| w[0] < w[1])
+                && !g.neighbors(v).contains(&(v as u32))),
+            "neighbour lists not sorted, unique and loop-free"
+        );
+        debug_assert!(g.is_symmetric(), "adjacency lists not symmetric");
+        g
+    }
+
     /// Build from per-vertex neighbor lists (must already be symmetric; this
     /// is validated in debug builds).
     pub fn from_adjacency(lists: &[Vec<u32>]) -> Graph {

@@ -88,6 +88,57 @@ fn flat_file_to_solution() {
     assert!(err < 2e-6 * bn, "residual {err:.3e} vs {bn:.3e}");
 }
 
+/// The owned rows of `k_local` (the first `3 * num_owned` local rows) in
+/// global columns, built the way the rank assembly once did: every entry
+/// pushed through a `CooBuilder` and sorted. The bitwise reference for the
+/// row merge.
+fn coo_owned_rows(
+    k_local: &pmg_sparse::CsrMatrix,
+    global_vertices: &[u32],
+    num_owned: usize,
+    ndof: usize,
+) -> pmg_sparse::CsrMatrix {
+    let mut b = CooBuilder::new(3 * num_owned, ndof);
+    for li in 0..3 * num_owned {
+        let (cols, vals) = k_local.row(li);
+        for (&lj, &v) in cols.iter().zip(vals) {
+            b.push(li, 3 * global_vertices[lj / 3] as usize + lj % 3, v);
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn owned_rows_equal_coo_reference() {
+    let mesh = sphere_in_cube(&SpheresParams::tiny());
+    let ndof = mesh.num_dof();
+    let u: Vec<f64> = mesh
+        .coords
+        .iter()
+        .flat_map(|p| [2e-3 * p.y, -1e-3 * p.x, -4e-3 * p.z])
+        .collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for nranks in [1usize, 2, 3, 5] {
+        let part = recursive_coordinate_bisection(&mesh.coords, nranks);
+        for shard in shard_mesh(&mesh, &part, nranks) {
+            let u_local: Vec<f64> = (shard.global_vertices.iter())
+                .flat_map(|&g| &u[3 * g as usize..3 * g as usize + 3])
+                .copied()
+                .collect();
+            let mats = table1_materials();
+            let (k_local, _) =
+                pmg_fem::FemProblem::new(shard.mesh.clone(), mats.clone()).assemble(&u_local);
+            let want = coo_owned_rows(&k_local, &shard.global_vertices, shard.num_owned(), ndof);
+            let (got, _) =
+                RankAssembly::from_shard(&shard, &mats).assemble_owned_local(&u_local, ndof);
+            let at = format!("rank {} of {nranks}", shard.rank);
+            assert_eq!(got.row_ptr(), want.row_ptr(), "{at}: row pointers");
+            assert_eq!(got.col_idx(), want.col_idx(), "{at}: columns");
+            assert_eq!(bits(got.vals()), bits(want.vals()), "{at}: value bits");
+        }
+    }
+}
+
 /// The paper's redundant work: ghost-layer elements are evaluated on every
 /// rank that owns one of their vertices. Summed shard element counts over
 /// the global element count grow with the rank count but stay bounded.
