@@ -155,7 +155,7 @@ fn bench_mis(c: &mut Criterion) {
         ("natural", MisOrdering::Natural),
         ("random", MisOrdering::Random(5)),
     ] {
-        let order = ord.order(n, &rank);
+        let order = ord.order(&g, &rank);
         grp.bench_function(name, |b| b.iter(|| greedy_mis(&g, &order)));
     }
     grp.finish();

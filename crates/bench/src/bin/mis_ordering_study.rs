@@ -34,7 +34,7 @@ fn main() {
         let nv = mesh.num_vertices();
         let rank = vec![0u8; nv];
         let run = |ordering: MisOrdering| {
-            let order = ordering.order(nv, &rank);
+            let order = ordering.order(&g, &rank);
             greedy_mis(&g, &order).iter().filter(|&&s| s).count()
         };
         let nat = run(MisOrdering::Natural);

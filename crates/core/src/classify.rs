@@ -234,27 +234,6 @@ fn merge_face_ids(n: usize, all: &FacePasses) -> Option<Vec<u32>> {
     )
 }
 
-/// The parallel face identification algorithm (§4.5): facets are divided
-/// among `nproc` processors; each processor runs the serial algorithm on
-/// its own facets, and face ids that meet across a boundary are merged
-/// through the face-id graph `G_fid`, each facet taking the largest id
-/// reachable from its own. Processors run from highest to lowest (the
-/// highest "starts the process").
-pub fn identify_faces_parallel(
-    facets: &[Facet],
-    adjacency: &Graph,
-    tol: f64,
-    proc_of_facet: &[u32],
-    nproc: usize,
-) -> Vec<u32> {
-    assert_eq!(proc_of_facet.len(), facets.len());
-    let mut all = FacePasses::default();
-    for p in (0..nproc as u32).rev() {
-        proc_pass(facets, adjacency, tol, proc_of_facet, p, &mut all);
-    }
-    merge_face_ids(facets.len(), &all).expect("local passes name only local facets and ids")
-}
-
 /// Wire form of a rank's passes: the three pair lists, each
 /// `[count u32] ([a u32][b u32])*`, little-endian.
 fn pack_passes(passes: &FacePasses) -> Vec<u8> {
@@ -283,15 +262,20 @@ fn unpack_passes(blob: &[u8], all: &mut FacePasses) -> Result<(), pmg_comm::Comm
     decode().ok_or_else(|| pmg_comm::CommError::Invalid("malformed face-ID merge blob".into()))
 }
 
-/// SPMD face identification over a real [`Transport`](pmg_comm::Transport) (§4.5): the virtual
-/// processors of [`identify_faces_parallel`] are distributed round-robin
-/// over the transport ranks (`p % size == rank`), each rank runs the
-/// per-processor passes **only for its own processors**, and the
-/// per-processor id assignments plus face-id-graph edges are merged in one
+/// The parallel face identification algorithm (§4.5): facets are divided
+/// among `nproc` virtual processors; each processor runs the serial
+/// algorithm on its own facets, and face ids that meet across a boundary
+/// are merged through the face-id graph `G_fid`, each facet taking the
+/// largest id reachable from its own. Processors run from highest to
+/// lowest (the highest "starts the process").
+///
+/// The processors are distributed round-robin over the transport ranks
+/// (`p % size == rank`), each rank runs the passes of its own processors
+/// only, and the id assignments plus `G_fid` edges are merged in one
 /// allgather — the paper's face-ID merge collective. The passes append the
 /// same pairs wherever they run and the merge depends only on the set of
-/// edges, so the result is bitwise [`identify_faces_parallel`]'s on every
-/// rank.
+/// edges, so every rank count gives every rank the same ids. On a one-rank
+/// endpoint nothing is sent.
 pub fn identify_faces_transport<T: pmg_comm::Transport>(
     t: &mut T,
     facets: &[Facet],
@@ -339,41 +323,33 @@ pub fn classify_vertices(num_vertices: usize, facets: &[Facet], face_ids: &[u32]
     VertexClasses { class, faces }
 }
 
+/// A one-rank endpoint in the calling thread: the in-process runtime of
+/// the §4 message-passing programs, whose collectives never send.
+pub(crate) fn in_process() -> pmg_comm::LocalTransport {
+    pmg_comm::LocalTransport::pairs(1).remove(0)
+}
+
 /// Convenience: extract facets, identify faces, classify (the full §4.3/4.4
-/// pipeline on a mesh).
+/// pipeline on a mesh, with the serial face identification).
 pub fn classify_mesh(mesh: &pmg_mesh::Mesh, tol: f64) -> VertexClasses {
-    let _t = pmg_telemetry::scope("classify");
-    let facets = pmg_mesh::boundary_facets(mesh);
-    let adj = facet_adjacency(&facets);
-    let ids = identify_faces(&facets, &adj, tol);
-    classify_vertices(mesh.num_vertices(), &facets, &ids)
+    classify_mesh_parallel(mesh, tol, 1)
 }
 
-/// The same pipeline with the §4.5 parallel face identification: facets
-/// are distributed geometrically (RCB of facet centroids, standing in for
-/// the vertex-partition-induced distribution) and the per-processor face
-/// ids merged through the face-id graph.
+/// The same pipeline with the §4.5 parallel face identification over
+/// `nproc` virtual processors, in process: [`classify_mesh_transport`] on a
+/// one-rank endpoint.
 pub fn classify_mesh_parallel(mesh: &pmg_mesh::Mesh, tol: f64, nproc: usize) -> VertexClasses {
-    let _t = pmg_telemetry::scope("classify");
-    let facets = pmg_mesh::boundary_facets(mesh);
-    let adj = facet_adjacency(&facets);
-    if nproc <= 1 || facets.is_empty() {
-        let ids = identify_faces(&facets, &adj, tol);
-        return classify_vertices(mesh.num_vertices(), &facets, &ids);
-    }
-    let centroids = pmg_mesh::facet_centroids(mesh, &facets);
-    let proc = pmg_partition::recursive_coordinate_bisection(&centroids, nproc);
-    let ids = identify_faces_parallel(&facets, &adj, tol, &proc, nproc);
-    classify_vertices(mesh.num_vertices(), &facets, &ids)
+    classify_mesh_transport(&mut in_process(), mesh, tol, nproc)
+        .expect("a one-rank classification sends nothing, so cannot fail")
 }
 
-/// The classification pipeline run SPMD over a real [`Transport`](pmg_comm::Transport): same
-/// facet distribution as [`classify_mesh_parallel`] (RCB of facet
-/// centroids over `nproc` virtual processors), but the per-processor
-/// face-identification passes execute on the transport ranks and merge
-/// through [`identify_faces_transport`]'s allgather. Produces the
-/// **bitwise-identical** [`VertexClasses`] on every rank — the oracle
-/// parity `RankHierarchy::build_from_shards` relies on.
+/// The classification pipeline run SPMD over a [`Transport`](pmg_comm::Transport):
+/// facets are distributed geometrically over `nproc` virtual processors
+/// (RCB of facet centroids, standing in for the vertex-partition-induced
+/// distribution), and [`identify_faces_transport`] runs their passes on
+/// the transport ranks and merges them. Produces the same
+/// [`VertexClasses`] on every rank for any rank count — the oracle parity
+/// `RankHierarchy::build_from_shards` relies on.
 pub fn classify_mesh_transport<T: pmg_comm::Transport>(
     t: &mut T,
     mesh: &pmg_mesh::Mesh,
@@ -384,8 +360,7 @@ pub fn classify_mesh_transport<T: pmg_comm::Transport>(
     let facets = pmg_mesh::boundary_facets(mesh);
     let adj = facet_adjacency(&facets);
     if nproc <= 1 || facets.is_empty() {
-        // Degenerate distribution: the serial pass is replicated (cheap,
-        // deterministic, and identical on every rank by construction).
+        // One processor: the serial pass, replicated on every rank.
         let ids = identify_faces(&facets, &adj, tol);
         return Ok(classify_vertices(mesh.num_vertices(), &facets, &ids));
     }
@@ -434,6 +409,11 @@ mod tests {
     use pmg_geometry::Vec3;
     use pmg_mesh::generators::{block, thin_plate};
     use pmg_mesh::{boundary_facets, facet_adjacency};
+
+    /// [`identify_faces_transport`] on a one-rank endpoint at `TOL` 0.7.
+    fn in_process_face_ids(facets: &[Facet], adj: &Graph, proc: &[u32], nproc: usize) -> Vec<u32> {
+        identify_faces_transport(&mut in_process(), facets, adj, 0.7, proc, nproc).unwrap()
+    }
 
     #[test]
     fn cube_has_six_faces_and_correct_classes() {
@@ -513,7 +493,7 @@ mod tests {
         let serial = identify_faces(&facets, &adj, 0.7);
         for nproc in [1, 2, 5] {
             let proc: Vec<u32> = (0..facets.len()).map(|f| (f % nproc) as u32).collect();
-            let par = identify_faces_parallel(&facets, &adj, 0.7, &proc, nproc);
+            let par = in_process_face_ids(&facets, &adj, &proc, nproc);
             // Same grouping: build normalized keys.
             let key = |ids: &[u32]| {
                 let mut groups = std::collections::HashMap::new();
@@ -530,17 +510,17 @@ mod tests {
     }
 
     #[test]
-    fn transport_face_id_matches_serial_loop_exactly() {
-        // The distributed §4.5 merge must reproduce identify_faces_parallel
-        // bit for bit (same ids, not merely the same grouping), for any
-        // rank count and processor count.
+    fn face_ids_are_rank_count_invariant() {
+        // The in-process §4.5 merge (one rank) is what 2, 3 and 4 rank
+        // threads compute — the same ids, not merely the same grouping —
+        // on every rank, for any processor count.
         let m = block(4, 3, 2, Vec3::new(4.0, 3.0, 2.0), |_| 0);
         let facets = boundary_facets(&m);
         let adj = facet_adjacency(&facets);
         for nproc in [1usize, 2, 5, 7] {
             let proc: Vec<u32> = (0..facets.len()).map(|f| (f % nproc) as u32).collect();
-            let reference = identify_faces_parallel(&facets, &adj, 0.7, &proc, nproc);
-            for nranks in [1usize, 2, 3] {
+            let reference = in_process_face_ids(&facets, &adj, &proc, nproc);
+            for nranks in [2usize, 3, 4] {
                 let facets = facets.clone();
                 let adj = adj.clone();
                 let proc = proc.clone();

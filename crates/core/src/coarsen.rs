@@ -3,9 +3,10 @@
 //! from linear tetrahedral shape functions.
 
 use crate::classify::{
-    classify_mesh_parallel, classify_mesh_transport, modified_mis_graph, VertexClass, VertexClasses,
+    classify_mesh_transport, in_process, modified_mis_graph, VertexClass, VertexClasses,
 };
-use crate::mis::{parallel_mis, parallel_mis_transport, MisOrdering};
+use crate::mis::{parallel_mis_transport, MisOrdering};
+use pmg_comm::{CommError, Transport};
 use pmg_geometry::{Delaunay, Vec3};
 use pmg_mesh::{ElementKind, Mesh};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
@@ -76,89 +77,55 @@ impl CoarseLevel {
     }
 }
 
-/// The MIS inputs shared by the in-process and transport coarsening paths:
-/// the (possibly §4.6-modified) selection graph, per-vertex topological
-/// ranks, the virtual-processor assignment, and the selection order. Both
-/// paths derive these identically from the replicated level geometry, so
-/// the two MIS variants see bitwise-identical inputs.
-fn mis_inputs(
-    coords: &[Vec3],
-    graph: &Graph,
-    classes: &VertexClasses,
-    opts: &CoarsenOptions,
-) -> (Graph, Vec<u8>, Vec<u32>, Vec<u32>) {
-    let n = coords.len();
-    let mgraph = if opts.modify_graph {
-        modified_mis_graph(graph, classes)
-    } else {
-        graph.clone()
-    };
-    let ranks = classes.ranks();
-    let order = opts.ordering.order_with_graph(&mgraph, &ranks);
-    let proc = if opts.nproc > 1 {
-        recursive_coordinate_bisection(coords, opts.nproc)
-    } else {
-        vec![0u32; n]
-    };
-    (mgraph, ranks, proc, order)
-}
-
-/// Coarsen one grid level.
+/// Coarsen one grid level in process: [`coarsen_level_transport`] on a
+/// one-rank endpoint built in the calling thread, which never sends. The
+/// `nproc` virtual processors' MIS passes run on the thread pool.
 pub fn coarsen_level(
     coords: &[Vec3],
     graph: &Graph,
     classes: &VertexClasses,
     opts: &CoarsenOptions,
 ) -> CoarseLevel {
-    let n = coords.len();
-    assert_eq!(graph.num_vertices(), n);
-    assert_eq!(classes.class.len(), n);
-
-    // 1. MIS on the modified graph, rank = topological class.
-    let sel_mask = {
-        let _t = pmg_telemetry::scope("mis");
-        let (mgraph, ranks, proc, order) = mis_inputs(coords, graph, classes, opts);
-        parallel_mis(&mgraph, &ranks, &proc, &order)
-    };
-    let reclassify = |mesh: &Mesh| -> Result<VertexClasses, pmg_comm::CommError> {
-        Ok(classify_mesh_parallel(mesh, opts.face_tol, opts.nproc))
-    };
-    match coarsen_from_mask(coords, graph, classes, opts, &sel_mask, true, reclassify) {
-        Ok(lvl) => lvl,
-        Err(e) => unreachable!("in-process reclassification cannot fail: {e}"),
-    }
+    coarsen_level_transport(&mut in_process(), coords, graph, classes, opts)
+        .expect("a one-rank coarsening sends nothing, so cannot fail")
 }
 
-/// [`coarsen_level`] run SPMD over a real [`pmg_comm::Transport`]: the MIS
-/// executes through [`parallel_mis_transport`] (a bitwise drop-in for
-/// [`parallel_mis`], §4.2) and the reclassification through
-/// [`classify_mesh_transport`] (the §4.5 face-ID merge collective); the
-/// remesh and restriction steps are pure functions of the replicated level
-/// geometry and the (identical) MIS mask, so every rank produces the
-/// **bitwise-identical** [`CoarseLevel`].
-///
-/// `tag` namespaces the MIS rounds' point-to-point traffic per grid level
-/// (collectives carry their own tag).
-pub fn coarsen_level_transport<T: pmg_comm::Transport>(
+/// One coarsening step run SPMD over a [`Transport`]: the MIS executes
+/// through [`parallel_mis_transport`] (§4.2) and any reclassification
+/// through [`classify_mesh_transport`] (the §4.5 face-ID merge collective);
+/// the remesh and restriction steps are pure functions of the replicated
+/// level geometry and the (identical) MIS mask, so every rank of any rank
+/// count produces the same [`CoarseLevel`], bit for bit.
+pub fn coarsen_level_transport<T: Transport>(
     t: &mut T,
     coords: &[Vec3],
     graph: &Graph,
     classes: &VertexClasses,
     opts: &CoarsenOptions,
-    tag: u32,
-) -> Result<CoarseLevel, pmg_comm::CommError> {
+) -> Result<CoarseLevel, CommError> {
     let n = coords.len();
     assert_eq!(graph.num_vertices(), n);
     assert_eq!(classes.class.len(), n);
 
+    // 1. MIS on the (§4.6-modified) graph, rank = topological class, over
+    // `nproc` virtual processors cut by RCB.
     let sel_mask = {
         let _t = pmg_telemetry::scope("mis");
-        let (mgraph, ranks, proc, order) = mis_inputs(coords, graph, classes, opts);
-        parallel_mis_transport(t, &mgraph, &ranks, &proc, &order, tag)?
+        let mgraph = if opts.modify_graph {
+            modified_mis_graph(graph, classes)
+        } else {
+            graph.clone()
+        };
+        let ranks = classes.ranks();
+        let order = opts.ordering.order(&mgraph, &ranks);
+        let proc = if opts.nproc > 1 {
+            recursive_coordinate_bisection(coords, opts.nproc)
+        } else {
+            vec![0u32; n]
+        };
+        parallel_mis_transport(t, &mgraph, &ranks, &proc, &order)?
     };
-    let record = t.rank() == 0;
-    let reclassify = |mesh: &Mesh| classify_mesh_transport(t, mesh, opts.face_tol, opts.nproc);
-    coarsen_from_mask(coords, graph, classes, opts, &sel_mask, record, reclassify)
+    coarsen_from_mask(t, coords, graph, classes, opts, &sel_mask)
 }
 
 /// A product grid inherits its classification only while it holds at least
@@ -172,20 +139,16 @@ const MIN_VERTICES_PER_INHERITED_CORNER: usize = 3;
 
 /// Steps 2–5 of one coarsening pass (remesh, restriction, coarse graph,
 /// reclassification) from an already-computed MIS mask. Deterministic and
-/// communication-free except for the injected `reclassify` step, so the
-/// in-process and transport paths share it verbatim — the parity argument
-/// for distributed setup reduces to "same mask, same classifier output".
-/// `record` says whether this caller counts a crowded reclassification
-/// (rank 0 only under SPMD, so both runtimes report one per firing).
-fn coarsen_from_mask(
+/// communication-free except for the reclassification's face-ID merge, so
+/// every rank computes the same level from the same mask.
+fn coarsen_from_mask<T: Transport>(
+    t: &mut T,
     coords: &[Vec3],
     graph: &Graph,
     classes: &VertexClasses,
     opts: &CoarsenOptions,
     sel_mask: &[bool],
-    record: bool,
-    reclassify: impl FnOnce(&Mesh) -> Result<VertexClasses, pmg_comm::CommError>,
-) -> Result<CoarseLevel, pmg_comm::CommError> {
+) -> Result<CoarseLevel, CommError> {
     let n = coords.len();
     let selected: Vec<u32> = (0..n as u32).filter(|&v| sel_mask[v as usize]).collect();
     let nc = selected.len();
@@ -293,16 +256,16 @@ fn coarsen_from_mask(
 
     // 5. Coarse classification: inherit while the inherited corners leave
     // room to coarsen, else classify the coarse tet mesh's own geometry
-    // (the injected classifier: the §4.5 parallel face identification
-    // in-process, its transport twin under SPMD — every rank counts the
-    // same replicated corners, so the collective stays matched).
+    // with the §4.5 parallel face identification (every rank counts the
+    // same replicated corners, so the collective stays matched; rank 0
+    // counts the firing).
     let corners = selected
         .iter()
         .filter(|&&f| classes.class[f as usize] == VertexClass::Corner)
         .count();
     let crowded = corners * MIN_VERTICES_PER_INHERITED_CORNER > nc;
     let classes_out = if (opts.reclassify || crowded) && !tets.is_empty() {
-        if !opts.reclassify && record {
+        if !opts.reclassify && t.rank() == 0 {
             pmg_telemetry::counter_add("coarsen/reclassified_crowded", 1);
         }
         let flat: Vec<u32> = tets.iter().flatten().copied().collect();
@@ -312,7 +275,7 @@ fn coarsen_from_mask(
             flat,
             vec![0; tets.len()],
         );
-        reclassify(&mesh)?
+        classify_mesh_transport(t, &mesh, opts.face_tol, opts.nproc)?
     } else {
         VertexClasses {
             class: selected
@@ -624,13 +587,12 @@ mod tests {
     }
 
     #[test]
-    fn transport_coarsening_matches_in_process_exactly() {
-        // The distributed-setup parity cornerstone: one coarsening pass
-        // over a real transport — MIS rounds and the face-ID merge
-        // collective included — reproduces `coarsen_level` bitwise, on
-        // every rank, for several rank counts. The cube reclassifies
-        // because it is told to, the spheres because every rank measures
-        // the same crowd of inherited corners.
+    fn coarsening_is_rank_count_invariant() {
+        // The distributed-setup parity cornerstone: the in-process step
+        // (one rank) is what 2, 3 and 4 rank threads compute — MIS rounds
+        // and the face-ID merge collective included — on every rank. The
+        // cube reclassifies because it is told to, the spheres because
+        // every rank measures the same crowd of inherited corners.
         for (name, (coords, g, c), reclassify) in [
             ("cube(5)", setup(5), true),
             ("tiny spheres", tiny_spheres(), false),
@@ -648,13 +610,13 @@ mod tests {
                     "{name}: the rule did not fire"
                 );
             }
-            for nranks in [1usize, 2, 3] {
+            for nranks in [2usize, 3, 4] {
                 let outs = {
                     let coords = coords.clone();
                     let g = g.clone();
                     let c = c.clone();
                     pmg_comm::LocalTransport::run_ranks(nranks, move |mut t| {
-                        coarsen_level_transport(&mut t, &coords, &g, &c, &opts, 0x40).unwrap()
+                        coarsen_level_transport(&mut t, &coords, &g, &c, &opts).unwrap()
                     })
                 };
                 for (r, got) in outs.iter().enumerate() {

@@ -24,10 +24,10 @@
 //!   coarse *operators* stay owned-share (see `build_from_shards`).
 //!
 //! The level-0 coarsening runs in-process here with `nproc = nranks`
-//! virtual processors, which is bitwise identical to the transport MIS the
-//! ranks would have run (`transport_coarsening_matches_in_process_exactly`
-//! pins it) — so a hierarchy grown from seeds matches the simulated
-//! `MgHierarchy::build` bit for bit.
+//! virtual processors: [`coarsen_level`] is the ranks' own coarsening step
+//! on a one-rank endpoint, and the step gives every rank count the same
+//! level (`coarsening_is_rank_count_invariant` pins it) — so a hierarchy
+//! grown from seeds matches the simulated `MgHierarchy::build` bit for bit.
 
 use crate::classify::{VertexClass, VertexClasses};
 use crate::coarsen::coarsen_level;

@@ -40,8 +40,7 @@ pub mod spmd;
 
 pub use classify::{
     classify_mesh, classify_mesh_parallel, classify_mesh_transport, classify_vertices,
-    identify_faces, identify_faces_parallel, identify_faces_transport, modified_mis_graph,
-    VertexClass, VertexClasses,
+    identify_faces, identify_faces_transport, modified_mis_graph, VertexClass, VertexClasses,
 };
 pub use coarsen::{coarsen_level, coarsen_level_transport, CoarseLevel, CoarsenOptions};
 pub use fingerprint::{fingerprint_hex, parse_fingerprint_hex, solver_fingerprint};
@@ -49,8 +48,8 @@ pub use ingest::{
     plan_ingest, plan_ingest_with_part, scatter_seeds, CoarseSeed, IngestPlan, RankSeed,
 };
 pub use inspect::{classify_mesh_levels, tets_to_obj, LevelInfo};
-pub use mg::{FineOperator, MgHierarchy, MgOptions};
-pub use mis::{greedy_mis, parallel_mis, parallel_mis_transport, MisOrdering};
+pub use mg::{MgHierarchy, MgOptions};
+pub use mis::{greedy_mis, parallel_mis_transport, MisOrdering};
 pub use solver::{Prometheus, PrometheusOptions};
 pub use spmd::{
     build_threads, solve_threads, spmd_pcg, DistributedSetup, PhaseWaits, RankHierarchy,

@@ -27,22 +27,6 @@ pub enum SmootherType {
     },
 }
 
-/// Which backend applies the fine-grid (level 0) operator during the
-/// solve. Coarse Galerkin levels are always assembled — they are small,
-/// reused by RAP, and their sparsity is the product pattern, not an
-/// element loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FineOperator {
-    /// Assembled CSR (promoted to BSR3 for 3-dof problems): the default.
-    #[default]
-    Assembled,
-    /// Element-loop on-the-fly apply: the fine matrix is never promoted
-    /// to BSR3 and the solve-time `A x` walks the element geometry
-    /// instead of assembled rows. Requires the matrix-free operator at
-    /// build time (see [`MgHierarchy::build_with_factory`]).
-    MatrixFree,
-}
-
 /// A smoother bound to one grid level.
 pub enum Smoother {
     /// The paper's damped block Jacobi.
@@ -114,8 +98,6 @@ pub struct MgOptions {
     pub smoother: SmootherType,
     /// Coarsening (MIS + remesh) options per level.
     pub coarsen: CoarsenOptions,
-    /// Fine-grid (level 0) apply backend; see [`FineOperator`].
-    pub fine_operator: FineOperator,
     /// Thread-pool size for this solver's parallel kernels. `None` uses
     /// the process-global pool (sized by `PMG_THREADS`); `Some(n)` gives
     /// the solver a dedicated pool of `n` threads. Results are bitwise
@@ -135,7 +117,6 @@ impl Default for MgOptions {
             dofs_per_vertex: 3,
             smoother: SmootherType::BlockJacobi,
             coarsen: CoarsenOptions::default(),
-            fine_operator: FineOperator::Assembled,
             threads: None,
         }
     }
@@ -202,8 +183,8 @@ pub struct MgHierarchy {
     /// Per-level coarsening diagnostics (level 1..): selected counts, lost
     /// vertices.
     pub coarsen_info: Vec<(usize, usize)>,
-    /// Matrix-free fine-grid apply (`Some` iff
-    /// `opts.fine_operator == MatrixFree`). The assembled `levels[0].a`
+    /// Matrix-free fine-grid apply (`Some` iff the hierarchy was built
+    /// with a matrix-free operator). The assembled `levels[0].a`
     /// is still kept — Galerkin products and smoother factorizations need
     /// it — but every solve-time level-0 `A x` routes through this
     /// operator instead.
@@ -240,13 +221,13 @@ impl MgHierarchy {
         Self::build_with_factory(sim, a_fine, coords, graph, classes, opts, None)
     }
 
-    /// [`build`](Self::build), plus the matrix-free operator for the
-    /// fine-grid apply. Required when
-    /// `opts.fine_operator == FineOperator::MatrixFree`: the hierarchy
-    /// routes every solve-time level-0 `A x` through it, on the fine
-    /// layout ([`DistMatFree`]); the assembled fine matrix stays — in
-    /// scalar CSR form only, never promoted to BSR3 — for Galerkin products
-    /// and smoother factorizations.
+    /// [`build`](Self::build), optionally with a matrix-free operator for
+    /// the fine-grid apply. `Some(op)` selects it: the hierarchy routes
+    /// every solve-time level-0 `A x` through `op`, on the fine layout
+    /// ([`DistMatFree`]), and the assembled fine matrix stays — in scalar
+    /// CSR form only, never promoted to BSR3 — for Galerkin products and
+    /// smoother factorizations. Coarse Galerkin levels are always
+    /// assembled.
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_factory(
         sim: &mut Sim,
@@ -324,7 +305,7 @@ impl MgHierarchy {
         loop {
             let n = cur_a.nrows();
             let lvl_index = levels.len();
-            let promote = lvl_index != 0 || opts.fine_operator == FineOperator::Assembled;
+            let promote = lvl_index != 0 || matrix_free.is_none();
             total_nnz += cur_a.nnz();
             if pmg_telemetry::enabled() {
                 pmg_telemetry::gauge_set(&format!("mg/level{lvl_index}/rows"), n as f64);
@@ -414,13 +395,7 @@ impl MgHierarchy {
                 plans.map(RapPlan::memory_bytes).sum::<usize>() as f64,
             );
         }
-        let fine_mf = (opts.fine_operator == FineOperator::MatrixFree).then(|| {
-            let op = matrix_free.expect(
-                "MgOptions.fine_operator = MatrixFree needs the matrix-free operator: \
-                 call MgHierarchy::build_with_factory or Prometheus::from_mesh_matrix_free",
-            );
-            DistMatFree::new(op, &levels[0].a)
-        });
+        let fine_mf = matrix_free.map(|op| DistMatFree::new(op, &levels[0].a));
         MgHierarchy {
             levels,
             opts,

@@ -8,12 +8,13 @@
 //! never suppressed by a lower-ranked neighbor — the parallel algorithm
 //! enforces the same dominance rule across processor boundaries.
 
+use pmg_comm::{CommError, LeReader, Transport};
 use pmg_partition::{random_permutation, Graph};
 
 /// Vertex visiting order heuristic (§4.7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MisOrdering {
-    /// The input (or Cuthill–McKee) order: produces denser MISs.
+    /// The input order: produces denser MISs.
     Natural,
     /// Seeded random order: produces sparser MISs.
     Random(u64),
@@ -22,64 +23,39 @@ pub enum MisOrdering {
     /// thinning the interior aggressively).
     NaturalExteriorRandomInterior(u64),
     /// Cuthill–McKee order — the paper's example of a "cache optimizing"
-    /// natural order. Requires the graph: use
-    /// [`MisOrdering::order_with_graph`].
+    /// natural order (a breadth-first traversal of the graph).
     CuthillMcKee,
 }
 
 impl MisOrdering {
-    /// Produce the visit order for `n` vertices with the given ranks
-    /// (rank 0 = interior). Higher ranks are always visited first. For
-    /// [`MisOrdering::CuthillMcKee`] use [`MisOrdering::order_with_graph`];
-    /// this method falls back to the natural order for it.
-    pub fn order(self, n: usize, rank: &[u8]) -> Vec<u32> {
+    /// Produce the visit order for the vertices of `g` with the given ranks
+    /// (rank 0 = interior). Higher ranks are always visited first; within a
+    /// rank class the heuristic's relative order is kept.
+    pub fn order(self, g: &Graph, rank: &[u8]) -> Vec<u32> {
+        let n = g.num_vertices();
         assert_eq!(rank.len(), n);
-        let base: Vec<u32> = match self {
-            MisOrdering::Natural | MisOrdering::CuthillMcKee => (0..n as u32).collect(),
+        let mut idx: Vec<u32> = match self {
+            MisOrdering::Natural => (0..n as u32).collect(),
             MisOrdering::Random(seed) => random_permutation(n, seed),
+            MisOrdering::CuthillMcKee => pmg_partition::cuthill_mckee(g),
             MisOrdering::NaturalExteriorRandomInterior(seed) => {
-                let perm = random_permutation(n, seed);
-                // Exterior keep natural relative order; interior take the
-                // random relative order. (Classes are interleaved below by
-                // the stable sort on rank.)
+                // Exterior vertices keep their natural relative order,
+                // interior ones take the random one.
                 let mut inv = vec![0u32; n];
-                for (k, &v) in perm.iter().enumerate() {
+                for (k, v) in random_permutation(n, seed).into_iter().enumerate() {
                     inv[v as usize] = k as u32;
                 }
                 let mut idx: Vec<u32> = (0..n as u32).collect();
-                idx.sort_by_key(|&v| {
-                    if rank[v as usize] > 0 {
-                        (0u8, v) // exterior: natural order
-                    } else {
-                        (1u8, inv[v as usize]) // interior: random order
-                    }
+                idx.sort_by_key(|&v| match rank[v as usize] {
+                    0 => (1u8, inv[v as usize]),
+                    _ => (0u8, v),
                 });
-                return sort_by_rank_stable(idx, rank);
+                idx
             }
         };
-        sort_by_rank_stable(base, rank)
+        idx.sort_by_key(|&v| std::cmp::Reverse(rank[v as usize]));
+        idx
     }
-}
-
-impl MisOrdering {
-    /// Like [`MisOrdering::order`], but with the graph available so
-    /// Cuthill–McKee can do its breadth-first traversal.
-    pub fn order_with_graph(self, g: &Graph, rank: &[u8]) -> Vec<u32> {
-        match self {
-            MisOrdering::CuthillMcKee => {
-                let cm = pmg_partition::cuthill_mckee(g);
-                sort_by_rank_stable(cm, rank)
-            }
-            other => other.order(g.num_vertices(), rank),
-        }
-    }
-}
-
-/// Stable sort by descending rank, preserving the relative order within
-/// each rank class.
-fn sort_by_rank_stable(mut idx: Vec<u32>, rank: &[u8]) -> Vec<u32> {
-    idx.sort_by_key(|&v| std::cmp::Reverse(rank[v as usize]));
-    idx
 }
 
 /// The greedy serial MIS (Figure 2 of the paper): visit vertices in
@@ -97,12 +73,6 @@ fn sort_by_rank_stable(mut idx: Vec<u32>, rank: &[u8]) -> Vec<u32> {
 pub fn greedy_mis(g: &Graph, order: &[u32]) -> Vec<bool> {
     let n = g.num_vertices();
     assert_eq!(order.len(), n);
-    #[derive(Clone, Copy, PartialEq)]
-    enum S {
-        Undone,
-        Selected,
-        Deleted,
-    }
     let mut state = vec![S::Undone; n];
     for &v in order {
         let v = v as usize;
@@ -116,57 +86,6 @@ pub fn greedy_mis(g: &Graph, order: &[u32]) -> Vec<bool> {
     state.iter().map(|&s| s == S::Selected).collect()
 }
 
-/// The partition-based parallel MIS (§4.2). Each vertex carries an
-/// immutable `rank` and its owning `proc`; processor `p` may select a
-/// vertex `v` only if every adjacent vertex `v1` is already deleted, or
-/// `v.rank > v1.rank`, or (`v.rank == v1.rank` and `v.proc ≥ v1.proc`).
-/// Each processor traverses its local vertices in the order induced by
-/// `order`; rounds repeat until a fixed point. The result is a correct
-/// global MIS respecting any rank heuristic.
-///
-/// Rounds are bulk-synchronous and the per-processor passes really run in
-/// parallel on the workspace thread pool: within a round every processor
-/// reads the round-start state for *remote* vertices and sees its *own*
-/// selections/deletions immediately (a local overlay), then the
-/// per-processor decision lists are merged in processor order. Two
-/// processors can never select adjacent vertices in the same round — that
-/// would require each to dominate the other under the (rank, proc) rule —
-/// so the merge is conflict-free and the result is identical for any pool
-/// size (each processor's pass depends only on the round-start snapshot).
-pub fn parallel_mis(g: &Graph, rank: &[u8], proc: &[u32], order: &[u32]) -> Vec<bool> {
-    use rayon::prelude::*;
-
-    let n = g.num_vertices();
-    assert_eq!(rank.len(), n);
-    assert_eq!(proc.len(), n);
-    assert_eq!(order.len(), n);
-
-    let mut state = vec![S::Undone; n];
-    let local = local_orders(proc, order);
-
-    let mut rounds = 0u64;
-    loop {
-        rounds += 1;
-        // Parallel half-round: every processor decides against the
-        // round-start `state` (shared immutably) plus its own overlay.
-        let decisions: Vec<(Vec<u32>, Vec<u32>)> = local
-            .par_iter()
-            .map(|plist| proc_pass(g, rank, proc, &state, plist))
-            .collect();
-
-        // Merge in processor order (conflict-free, see above).
-        if !merge_decisions(&mut state, decisions.iter()) {
-            break;
-        }
-    }
-    pmg_telemetry::counter_add("mis/rounds", rounds);
-    debug_assert!(
-        state.iter().all(|&s| s != S::Undone),
-        "MIS did not cover the graph"
-    );
-    state.iter().map(|&s| s == S::Selected).collect()
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum S {
     Undone,
@@ -174,21 +93,10 @@ enum S {
     Deleted,
 }
 
-/// Per-processor local traversal orders, indexed by processor id.
-fn local_orders(proc: &[u32], order: &[u32]) -> Vec<Vec<u32>> {
-    let nproc = proc.iter().map(|&p| p as usize + 1).max().unwrap_or(1);
-    let mut local: Vec<Vec<u32>> = vec![Vec::new(); nproc];
-    for &v in order {
-        local[proc[v as usize] as usize].push(v);
-    }
-    local
-}
-
 /// One processor's pass of a BSP round: decide selections/deletions against
 /// the round-start `state` snapshot plus an overlay of the processor's own
 /// in-round updates (remote vertices keep their snapshot state until the
-/// merge). Shared by the rayon and the [`Transport`](pmg_comm::Transport)
-/// drivers so both make bit-for-bit the same decisions.
+/// merge).
 fn proc_pass(
     g: &Graph,
     rank: &[u8],
@@ -227,83 +135,84 @@ fn proc_pass(
     (selected, deleted)
 }
 
-/// Merge per-processor decision lists (in processor order) into `state`.
-/// Returns whether any vertex was selected this round.
-fn merge_decisions<'a>(
-    state: &mut [S],
-    decisions: impl Iterator<Item = &'a (Vec<u32>, Vec<u32>)>,
-) -> bool {
-    let mut progress = false;
-    for (selected, deleted) in decisions {
-        for &v in selected {
-            debug_assert!(state[v as usize] == S::Undone);
-            state[v as usize] = S::Selected;
-            progress = true;
-        }
-        for &w in deleted {
-            debug_assert!(state[w as usize] != S::Selected);
-            state[w as usize] = S::Deleted;
-        }
-    }
-    progress
-}
-
-/// The same BSP MIS with the rounds' supersteps carried over a real
-/// [`Transport`](pmg_comm::Transport): every transport rank owns the
-/// processors `p` with `p % t.size() == t.rank()`, runs their passes against
-/// its replica of the round-start state, and each round's decision lists are
-/// exchanged with one deterministic allgather, then merged in processor
-/// order on every rank. All ranks therefore hold identical replicas, make
-/// identical progress decisions, and return the same mask as
-/// [`parallel_mis`] bit for bit — it is the same algorithm, with the round
-/// barrier realized by messages instead of a rayon join.
-pub fn parallel_mis_transport<T: pmg_comm::Transport>(
+/// The partition-based parallel MIS (§4.2). Each vertex carries an
+/// immutable `rank` and its owning virtual processor `proc`; processor `p`
+/// may select a vertex `v` only if every adjacent vertex `v1` is already
+/// deleted, or `v.rank > v1.rank`, or (`v.rank == v1.rank` and
+/// `v.proc ≥ v1.proc`). Each processor traverses its local vertices in the
+/// order induced by `order`; rounds repeat until a fixed point. The result
+/// is a correct global MIS respecting any rank heuristic.
+///
+/// Rounds are bulk-synchronous. Transport rank `r` owns the processors
+/// `p ≡ r (mod size)` and runs their passes in parallel on the thread pool,
+/// each against its replica of the round-start state plus the processor's
+/// own overlay. One deterministic allgather per round exchanges the
+/// decision lists, which every rank merges in processor order. Two
+/// processors can never select adjacent vertices in the same round — that
+/// would require each to dominate the other under the (rank, proc) rule —
+/// so the merge is conflict-free and every rank returns the same mask for
+/// any rank count and pool size. On a one-rank endpoint nothing is sent.
+pub fn parallel_mis_transport<T: Transport>(
     t: &mut T,
     g: &Graph,
     rank: &[u8],
     proc: &[u32],
     order: &[u32],
-    tag: u32,
-) -> Result<Vec<bool>, pmg_comm::CommError> {
+) -> Result<Vec<bool>, CommError> {
+    use rayon::prelude::*;
+
     let n = g.num_vertices();
     assert_eq!(rank.len(), n);
     assert_eq!(proc.len(), n);
     assert_eq!(order.len(), n);
 
-    let mut state = vec![S::Undone; n];
-    let local = local_orders(proc, order);
-    let nproc = local.len();
+    // Per-processor local traversal orders, indexed by processor id.
+    let nproc = proc.iter().map(|&p| p as usize + 1).max().unwrap_or(1);
+    let mut local: Vec<Vec<u32>> = vec![Vec::new(); nproc];
+    for &v in order {
+        local[proc[v as usize] as usize].push(v);
+    }
+    let mine: Vec<usize> = (t.rank()..nproc).step_by(t.size()).collect();
 
+    let mut state = vec![S::Undone; n];
     let mut rounds = 0u64;
     loop {
         rounds += 1;
-        // My processors' passes, recorded with their processor ids.
-        let mine: ProcDecisions = (0..nproc)
-            .filter(|p| p % t.size() == t.rank())
-            .map(|p| (p as u32, proc_pass(g, rank, proc, &state, &local[p])))
+        let decisions: ProcDecisions = mine
+            .par_iter()
+            .map(|&p| (p as u32, proc_pass(g, rank, proc, &state, &local[p])))
             .collect();
-        let blob = pack_decisions(&mine);
-        let all = pmg_comm::allgather(t, &blob)?;
+        let all = pmg_comm::allgather(t, &pack_decisions(&decisions))?;
 
         // Re-key every rank's decisions by processor id and merge in
-        // processor order — identical to the rayon merge.
+        // processor order.
         let mut by_proc: Vec<Option<(Vec<u32>, Vec<u32>)>> = vec![None; nproc];
         for rank_blob in &all {
             for (p, lists) in unpack_decisions(rank_blob)? {
                 *by_proc.get_mut(p as usize).ok_or_else(|| {
-                    pmg_comm::CommError::Invalid(format!("MIS decisions for processor {p}"))
+                    CommError::Invalid(format!("MIS decisions for processor {p}"))
                 })? = Some(lists);
             }
         }
-        let decisions: Vec<(Vec<u32>, Vec<u32>)> = by_proc.into_iter().flatten().collect();
-        if !merge_decisions(&mut state, decisions.iter()) {
+        let mut progress = false;
+        for (selected, deleted) in by_proc.iter().flatten() {
+            for &v in selected {
+                debug_assert!(state[v as usize] == S::Undone);
+                state[v as usize] = S::Selected;
+                progress = true;
+            }
+            for &w in deleted {
+                debug_assert!(state[w as usize] != S::Selected);
+                state[w as usize] = S::Deleted;
+            }
+        }
+        if !progress {
             break;
         }
     }
     if t.rank() == 0 {
         pmg_telemetry::counter_add("mis/rounds", rounds);
     }
-    let _ = tag; // decisions travel in the allgather's collective tag
     debug_assert!(
         state.iter().all(|&s| s != S::Undone),
         "MIS did not cover the graph"
@@ -334,8 +243,8 @@ fn pack_decisions(mine: &ProcDecisions) -> Vec<u8> {
     out
 }
 
-fn unpack_decisions(buf: &[u8]) -> Result<ProcDecisions, pmg_comm::CommError> {
-    fn decode(r: &mut pmg_comm::LeReader) -> Option<ProcDecisions> {
+fn unpack_decisions(buf: &[u8]) -> Result<ProcDecisions, CommError> {
+    fn decode(r: &mut LeReader) -> Option<ProcDecisions> {
         let count = r.u32()? as usize;
         let mut out = Vec::new();
         for _ in 0..count {
@@ -348,8 +257,8 @@ fn unpack_decisions(buf: &[u8]) -> Result<ProcDecisions, pmg_comm::CommError> {
         }
         r.is_empty().then_some(out)
     }
-    decode(&mut pmg_comm::LeReader::new(buf))
-        .ok_or_else(|| pmg_comm::CommError::Invalid("malformed MIS decision blob".into()))
+    decode(&mut LeReader::new(buf))
+        .ok_or_else(|| CommError::Invalid("malformed MIS decision blob".into()))
 }
 
 /// Check independence: no two selected vertices are adjacent.
@@ -421,12 +330,18 @@ mod tests {
         assert!(is_maximal(&g, &sel));
     }
 
+    /// [`parallel_mis_transport`] on a one-rank endpoint: the in-process MIS.
+    fn in_process_mis(g: &Graph, rank: &[u8], proc: &[u32], order: &[u32]) -> Vec<bool> {
+        let mut t = crate::classify::in_process();
+        parallel_mis_transport(&mut t, g, rank, proc, order).unwrap()
+    }
+
     #[test]
     fn natural_is_denser_than_random() {
         let g = grid3(10);
         let rank = vec![0u8; 1000];
-        let nat = greedy_mis(&g, &MisOrdering::Natural.order(1000, &rank));
-        let rnd = greedy_mis(&g, &MisOrdering::Random(5).order(1000, &rank));
+        let nat = greedy_mis(&g, &MisOrdering::Natural.order(&g, &rank));
+        let rnd = greedy_mis(&g, &MisOrdering::Random(5).order(&g, &rank));
         let n_nat = nat.iter().filter(|&&s| s).count();
         let n_rnd = rnd.iter().filter(|&&s| s).count();
         assert!(
@@ -448,7 +363,7 @@ mod tests {
         rank[0] = 0;
         let proc = vec![0u32; n];
         let order: Vec<u32> = (0..n as u32).collect();
-        let sel = parallel_mis(&g, &rank, &proc, &order);
+        let sel = in_process_mis(&g, &rank, &proc, &order);
         assert!(!sel[0]);
         assert!(sel[1..].iter().all(|&s| s));
         assert!(is_independent(&g, &sel));
@@ -463,7 +378,7 @@ mod tests {
         let order: Vec<u32> = (0..n as u32).collect();
         for nproc in [1, 2, 7] {
             let proc: Vec<u32> = (0..n).map(|v| (v % nproc) as u32).collect();
-            let sel = parallel_mis(&g, &rank, &proc, &order);
+            let sel = in_process_mis(&g, &rank, &proc, &order);
             assert!(is_independent(&g, &sel), "nproc={nproc}");
             assert!(is_maximal(&g, &sel), "nproc={nproc}");
         }
@@ -477,7 +392,7 @@ mod tests {
         let n = g.num_vertices();
         let rank = vec![0u8; n];
         for ordering in [MisOrdering::Natural, MisOrdering::Random(42)] {
-            let sel = greedy_mis(&g, &ordering.order(n, &rank));
+            let sel = greedy_mis(&g, &ordering.order(&g, &rank));
             let frac = sel.iter().filter(|&&s| s).count() as f64 / n as f64;
             // 6-connected grid MIS is denser than the element-graph bound;
             // sanity-check the broad range.
@@ -493,7 +408,7 @@ mod tests {
         let n = g.num_vertices();
         let rank = vec![0u8; n];
         let count = |ord: MisOrdering| {
-            greedy_mis(&g, &ord.order_with_graph(&g, &rank))
+            greedy_mis(&g, &ord.order(&g, &rank))
                 .iter()
                 .filter(|&&s| s)
                 .count()
@@ -506,7 +421,7 @@ mod tests {
             (cm as f64 - nat as f64).abs() < 0.35 * nat as f64,
             "CM {cm} should be near natural {nat}"
         );
-        let sel = greedy_mis(&g, &MisOrdering::CuthillMcKee.order_with_graph(&g, &rank));
+        let sel = greedy_mis(&g, &MisOrdering::CuthillMcKee.order(&g, &rank));
         assert!(is_independent(&g, &sel));
         assert!(is_maximal(&g, &sel));
     }
@@ -517,7 +432,8 @@ mod tests {
         let mut rank = vec![0u8; n];
         rank[3] = 1;
         rank[7] = 2;
-        let ord = MisOrdering::NaturalExteriorRandomInterior(1).order(n, &rank);
+        let g = Graph::from_edges(n, []);
+        let ord = MisOrdering::NaturalExteriorRandomInterior(1).order(&g, &rank);
         assert_eq!(ord[0], 7); // highest rank first
         assert_eq!(ord[1], 3);
     }
@@ -539,18 +455,20 @@ mod tests {
     }
 
     #[test]
-    fn transport_mis_matches_rayon_exactly() {
+    fn mis_is_rank_count_invariant() {
+        // The in-process MIS (one rank) is what 2, 3 and 4 rank threads
+        // compute, on every rank, for any virtual-processor count.
         let g = grid3(5);
         let n = g.num_vertices();
         let rank: Vec<u8> = (0..n).map(|v| (v % 3) as u8).collect();
         let order: Vec<u32> = (0..n as u32).collect();
         for nproc in [1usize, 3, 7] {
             let proc: Vec<u32> = (0..n).map(|v| (v % nproc) as u32).collect();
-            let expect = parallel_mis(&g, &rank, &proc, &order);
-            for nranks in [1usize, 2, 4] {
+            let expect = in_process_mis(&g, &rank, &proc, &order);
+            for nranks in [2usize, 3, 4] {
                 let (g2, rank2, proc2, order2) = (&g, &rank, &proc, &order);
                 let masks = pmg_comm::LocalTransport::run_ranks(nranks, move |mut t| {
-                    parallel_mis_transport(&mut t, g2, rank2, proc2, order2, 0).unwrap()
+                    parallel_mis_transport(&mut t, g2, rank2, proc2, order2).unwrap()
                 });
                 for mask in &masks {
                     assert_eq!(mask, &expect, "nproc={nproc} nranks={nranks}");
@@ -566,7 +484,7 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let g = Graph::from_edges(30, edges);
-            let order = MisOrdering::Random(seed).order(30, &[0u8; 30]);
+            let order = MisOrdering::Random(seed).order(&g, &[0u8; 30]);
             let sel = greedy_mis(&g, &order);
             prop_assert!(is_independent(&g, &sel));
             prop_assert!(is_maximal(&g, &sel));
@@ -581,7 +499,7 @@ mod tests {
             let g = Graph::from_edges(24, edges);
             let proc: Vec<u32> = (0..24).map(|v| v % nproc).collect();
             let order: Vec<u32> = (0..24).collect();
-            let sel = parallel_mis(&g, &ranks, &proc, &order);
+            let sel = in_process_mis(&g, &ranks, &proc, &order);
             prop_assert!(is_independent(&g, &sel));
             prop_assert!(is_maximal(&g, &sel));
             // Rank dominance: a deleted vertex has a selected neighbor of

@@ -75,10 +75,10 @@ impl Prometheus {
     }
 
     /// [`from_mesh`](Self::from_mesh) with a matrix-free operator for the
-    /// fine-grid apply. Pass `MgOptions { fine_operator: MatrixFree, .. }`
-    /// to route every solve-time level-0 `A x` through `matrix_free` (an
-    /// element loop equal to `a`); the assembled `a` is still consumed for
-    /// the Galerkin coarse grids and the smoother factorizations.
+    /// fine-grid apply: every solve-time level-0 `A x` routes through
+    /// `matrix_free` (an element loop equal to `a`); the assembled `a` is
+    /// still consumed for the Galerkin coarse grids and the smoother
+    /// factorizations.
     pub fn from_mesh_matrix_free(
         mesh: &Mesh,
         a: &CsrMatrix,

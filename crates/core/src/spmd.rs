@@ -25,7 +25,7 @@ use crate::classify::VertexClasses;
 use crate::coarsen::coarsen_level_transport;
 use crate::cycle::{self, CycleScratch, Done, LevelOps};
 use crate::ingest::{IngestPlan, RankSeed};
-use crate::mg::{expand_restriction, FineOperator, MgOptions, SmootherType};
+use crate::mg::{expand_restriction, MgOptions, SmootherType};
 use pmg_comm::{
     f64s_from_bytes, f64s_to_bytes, CommError, CommStats, LeReader, LocalTransport, Transport,
 };
@@ -110,8 +110,8 @@ fn tags(lvl: usize) -> (u32, u32, u32) {
 }
 
 /// Setup-phase point-to-point tag space: far above the solve's
-/// `tags(lvl)` so MIS rounds of any level can never alias solve traffic
-/// (collectives carry their own fixed tag).
+/// `tags(lvl)` so the set-up's row fetches of any level can never alias
+/// solve traffic (collectives carry their own fixed tag).
 fn setup_tag(lvl: usize) -> u32 {
     0x5000 + 16 * lvl as u32
 }
@@ -616,14 +616,7 @@ fn coarsen_transfer<T: Transport>(
     };
     let cl = {
         let _t = pmg_telemetry::scope("coarsen");
-        coarsen_level_transport(
-            t,
-            &grid.coords,
-            &grid.graph,
-            &grid.classes,
-            &copts,
-            setup_tag(lvl),
-        )?
+        coarsen_level_transport(t, &grid.coords, &grid.graph, &grid.classes, &copts)?
     };
     if cl.stalled(nv) {
         return Ok(None); // finish with a direct solve here
@@ -683,7 +676,8 @@ impl RankHierarchy<'_> {
     /// coarsened here — the MIS as the §4.2 BSP rounds
     /// ([`crate::mis::parallel_mis_transport`]), the reclassification
     /// through the §4.5 face-ID collective
-    /// ([`crate::classify::identify_faces_transport`]). **The coarsest
+    /// ([`crate::classify::identify_faces_transport`]) — the same step
+    /// [`crate::coarsen::coarsen_level`] runs on one rank. **The coarsest
     /// factor** lives on rank 0 alone: owned rows are tree-gathered there,
     /// factored once, and the solve's gather-solve-scatter serves every
     /// rank (other ranks hold `coarse: None`).
@@ -705,11 +699,11 @@ impl RankHierarchy<'_> {
     /// `mg/level0/element_imbalance` when the seed carries ingest-time
     /// element counts.
     ///
-    /// `opts` asking for the Chebyshev smoother or the matrix-free fine
-    /// operator is [`CommError::Invalid`], returned before the first
-    /// message — the SPMD setup supports the paper's block-Jacobi smoother
-    /// and the assembled fine grid, and every rank holds the same options,
-    /// so every rank refuses and none is left waiting.
+    /// `opts` asking for the Chebyshev smoother is [`CommError::Invalid`],
+    /// returned before the first message — the SPMD setup supports the
+    /// paper's block-Jacobi smoother, and every rank holds the same options,
+    /// so every rank refuses and none is left waiting. (The fine grid is
+    /// always assembled here: a matrix-free operator cannot be handed in.)
     pub fn build_from_shards<T: Transport>(
         t: &mut T,
         seed: &RankSeed,
@@ -719,11 +713,6 @@ impl RankHierarchy<'_> {
         if !matches!(opts.smoother, SmootherType::BlockJacobi) {
             return Err(CommError::Invalid(
                 "sharded setup supports the block-Jacobi smoother only".into(),
-            ));
-        }
-        if opts.fine_operator != FineOperator::Assembled {
-            return Err(CommError::Invalid(
-                "sharded setup supports the assembled fine operator only".into(),
             ));
         }
         let _setup_scope = pmg_telemetry::scope("setup");
@@ -1164,16 +1153,11 @@ pub fn build_threads(
 /// [`build_threads`] returns them), connected by a [`LocalTransport`]
 /// machine. The returned solution is bitwise identical to the simulated
 /// [`pmg_solver::pcg()`] solve of the same problem at any rank count.
-///
-/// `overlap` picks the halo schedule ([`RankHierarchy::overlap`]); both
-/// produce bitwise-identical solutions, residual histories and message
-/// counts, and `false` exists for A/B wait-time measurements of the
-/// blocking exchange.
+/// Halos run on the overlapped schedule ([`RankHierarchy::overlap`]).
 pub fn solve_threads(
     setups: &[DistributedSetup],
     b: &[f64],
     opts: PcgOptions,
-    overlap: bool,
 ) -> Result<SpmdSolveOutcome, CommError> {
     let layout = setups.first().expect("one setup per rank").fine_layout();
     let nranks = setups.len();
@@ -1183,8 +1167,7 @@ pub fn solve_threads(
         let rank = t.rank();
         let setup = &setups[rank];
         assert_eq!(setup.rank(), rank, "setups in rank order");
-        let mut h = setup.rank_hierarchy();
-        h.overlap = overlap;
+        let h = setup.rank_hierarchy();
         let owned = layout.owned(rank);
         let bl: Vec<f64> = owned.iter().map(|&g| b[g as usize]).collect();
         let mut xl = vec![0.0; owned.len()];
@@ -1318,6 +1301,37 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// [`solve_threads`] on the blocking halo schedule: [`spmd_pcg`] with
+    /// [`RankHierarchy::overlap`] off on every rank.
+    fn solve_blocking(
+        setups: &[DistributedSetup],
+        b: &[f64],
+        opts: PcgOptions,
+    ) -> SpmdSolveOutcome {
+        let layout = setups[0].fine_layout();
+        let per_rank = LocalTransport::run_ranks(setups.len(), |mut t| {
+            let rank = t.rank();
+            let mut h = setups[rank].rank_hierarchy();
+            h.overlap = false;
+            let bl: Vec<f64> = layout.owned(rank).iter().map(|&g| b[g as usize]).collect();
+            let mut xl = vec![0.0; bl.len()];
+            let (result, waits) = spmd_pcg(&mut t, &h, &bl, &mut xl, opts).unwrap();
+            (xl, result, waits, t.stats())
+        });
+        let mut x = vec![0.0; layout.num_global()];
+        for (rank, (xl, ..)) in per_rank.iter().enumerate() {
+            for (&g, &v) in layout.owned(rank).iter().zip(xl) {
+                x[g as usize] = v;
+            }
+        }
+        SpmdSolveOutcome {
+            x,
+            result: per_rank[0].1.clone(),
+            stats: per_rank.iter().map(|r| r.3).collect(),
+            waits: per_rank.iter().map(|r| r.2).collect(),
+        }
+    }
+
     #[test]
     fn shards_match_the_simulated_hierarchy() {
         // A hierarchy grown from partition-at-ingest seeds and per-rank
@@ -1388,8 +1402,8 @@ mod tests {
                 // run is the same arithmetic *and* the same traffic — every
                 // rank sends the same messages and enters the same
                 // allreduces — it just hides no halo window.
-                let over = solve_threads(&setups, &bg, opts, true).unwrap();
-                let block = solve_threads(&setups, &bg, opts, false).unwrap();
+                let over = solve_threads(&setups, &bg, opts).unwrap();
+                let block = solve_blocking(&setups, &bg, opts);
                 for (spmd, overlap) in [(&over, true), (&block, false)] {
                     let at = format!("dofs={dofs} p={p} overlap={overlap}");
                     let res = &spmd.result;
@@ -1448,7 +1462,7 @@ mod tests {
                     ..Default::default()
                 };
                 let setups = sharded(&a, &coords, &g, &classes, p, mg_opts);
-                let out = solve_threads(&setups, &b, PcgOptions::default(), true).unwrap();
+                let out = solve_threads(&setups, &b, PcgOptions::default()).unwrap();
                 let res = &out.result;
                 assert!(res.breakdown && !res.converged, "p={p}: {res:?}");
                 assert_eq!(res.iterations, iters, "p={p}");
@@ -1490,19 +1504,6 @@ mod tests {
         assert_refused(
             opts,
             "sharded setup supports the block-Jacobi smoother only",
-        );
-    }
-
-    #[test]
-    fn matrix_free_fine_operator_is_a_typed_error_on_every_rank() {
-        let opts = MgOptions {
-            dofs_per_vertex: 1,
-            fine_operator: FineOperator::MatrixFree,
-            ..Default::default()
-        };
-        assert_refused(
-            opts,
-            "sharded setup supports the assembled fine operator only",
         );
     }
 

@@ -2,40 +2,30 @@
 //!
 //! "Athena reads a large 'flat' finite element mesh input file in parallel
 //! (ie, each processor seeks and reads only the part of the input file
-//! that it, and it alone, is responsible for)". The format here is a
-//! simple self-describing text format with a byte-offset directory and
-//! fixed-width records, so any record sits at a computable byte offset.
-//! No reader seeks today: the directory and the padding are kept so that
-//! existing files and uploads stay byte-compatible.
-//! One parser reads it: [`read_flat`] from disk and [`read_flat_bytes`]
-//! for the daemon's uploads. Ingest then partitions the mesh and ships
-//! each rank only its share as a [`crate::MeshShard`], so a compute rank
-//! never holds the global mesh even though one reader parses the file.
+//! that it, and it alone, is responsible for)". Here one reader parses the
+//! whole file — [`read_flat`] from disk, [`read_flat_bytes`] for the
+//! daemon's uploads — and ingest then partitions the mesh and ships each
+//! rank only its share as a [`crate::MeshShard`], so a compute rank never
+//! holds the global mesh. Nothing seeks, so the records are plain lines.
 //!
 //! Layout:
 //! ```text
-//! pmgmesh 1
+//! pmgmesh 2
 //! kind <hex8|tet4|hex20>
 //! counts <num_vertices> <num_elements>
-//! offsets <vertex_section_byte> <element_section_byte>
 //! <one vertex per line: x y z>
 //! <one element per line: material v0 v1 ...>
 //! ```
-//! Every vertex and element line is padded to a fixed width.
+//! Coordinates are written in the shortest form that reads back to the
+//! same bits; every line, the last included, ends in a newline.
 
 use crate::mesh::{ElementKind, Mesh};
 use pmg_geometry::Vec3;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::Path;
+use std::str::FromStr;
 
-/// Fixed record widths (bytes, including the newline).
-const VERTEX_RECORD: usize = 72;
-const ELEM_RECORD_PER_NODE: usize = 10;
-const ELEM_RECORD_BASE: usize = 12;
-
-fn elem_record_len(kind: ElementKind) -> usize {
-    ELEM_RECORD_BASE + ELEM_RECORD_PER_NODE * kind.nodes()
-}
+const MAGIC: &str = "pmgmesh 2";
 
 fn kind_name(kind: ElementKind) -> &'static str {
     match kind {
@@ -65,187 +55,98 @@ pub fn write_flat(mesh: &Mesh, path: &Path) -> std::io::Result<()> {
 /// the serve `ingest` frame uploads — same bytes as [`write_flat`] puts on
 /// disk).
 pub fn write_flat_bytes(mesh: &Mesh) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        64 + VERTEX_RECORD * mesh.num_vertices() + elem_record_len(mesh.kind) * mesh.num_elements(),
-    );
+    let mut buf = Vec::new();
     write_flat_to(mesh, &mut buf).expect("writing to a Vec cannot fail");
     buf
 }
 
 fn write_flat_to<W: Write>(mesh: &Mesh, f: &mut W) -> std::io::Result<()> {
-    // Header with a placeholder offsets line of fixed width.
-    let header = format!(
-        "pmgmesh 1\nkind {}\ncounts {} {}\n",
-        kind_name(mesh.kind),
-        mesh.num_vertices(),
-        mesh.num_elements()
-    );
-    let offsets_line_len = "offsets ".len() + 20 + 1 + 20 + 1;
-    let vertex_off = header.len() + offsets_line_len;
-    let elem_off = vertex_off + VERTEX_RECORD * mesh.num_vertices();
-    f.write_all(header.as_bytes())?;
-    f.write_all(format!("offsets {vertex_off:020} {elem_off:020}\n").as_bytes())?;
-
+    writeln!(f, "{MAGIC}")?;
+    writeln!(f, "kind {}", kind_name(mesh.kind))?;
+    writeln!(f, "counts {} {}", mesh.num_vertices(), mesh.num_elements())?;
     for p in &mesh.coords {
-        let line = format!("{:.17e} {:.17e} {:.17e}", p.x, p.y, p.z);
-        let mut rec = vec![b' '; VERTEX_RECORD];
-        rec[..line.len()].copy_from_slice(line.as_bytes());
-        rec[VERTEX_RECORD - 1] = b'\n';
-        f.write_all(&rec)?;
+        writeln!(f, "{:e} {:e} {:e}", p.x, p.y, p.z)?;
     }
-    let erl = elem_record_len(mesh.kind);
     for e in 0..mesh.num_elements() {
-        let mut line = format!("{:>10}", mesh.materials[e]);
+        write!(f, "{}", mesh.materials[e])?;
         for &v in mesh.elem(e) {
-            line.push_str(&format!(" {v:>9}"));
+            write!(f, " {v}")?;
         }
-        let mut rec = vec![b' '; erl];
-        assert!(line.len() < erl, "element record overflow");
-        rec[..line.len()].copy_from_slice(line.as_bytes());
-        rec[erl - 1] = b'\n';
-        f.write_all(&rec)?;
+        writeln!(f)?;
     }
     Ok(())
-}
-
-/// Parsed header of a flat file.
-struct FlatHeader {
-    kind: ElementKind,
-    num_vertices: usize,
-    num_elements: usize,
-    vertex_off: u64,
-    elem_off: u64,
-}
-
-fn parse_header<R: BufRead>(r: &mut R) -> std::io::Result<FlatHeader> {
-    let mut line = String::new();
-    r.read_line(&mut line)?;
-    if line.trim() != "pmgmesh 1" {
-        return Err(bad_data("not a pmgmesh file"));
-    }
-    line.clear();
-    r.read_line(&mut line)?;
-    let kind = kind_from_name(
-        line.trim()
-            .strip_prefix("kind ")
-            .ok_or_else(|| bad_data("kind"))?,
-    )
-    .ok_or_else(|| bad_data("unknown element kind"))?;
-    line.clear();
-    r.read_line(&mut line)?;
-    let rest = line
-        .trim()
-        .strip_prefix("counts ")
-        .ok_or_else(|| bad_data("counts"))?;
-    let mut it = rest.split_whitespace();
-    let num_vertices: usize = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad_data("nv"))?;
-    let num_elements: usize = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad_data("ne"))?;
-    line.clear();
-    r.read_line(&mut line)?;
-    let rest = line
-        .trim()
-        .strip_prefix("offsets ")
-        .ok_or_else(|| bad_data("offsets"))?;
-    let mut it = rest.split_whitespace();
-    let vertex_off: u64 = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad_data("voff"))?;
-    let elem_off: u64 = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad_data("eoff"))?;
-    Ok(FlatHeader {
-        kind,
-        num_vertices,
-        num_elements,
-        vertex_off,
-        elem_off,
-    })
 }
 
 fn bad_data(m: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string())
 }
 
-/// Byte length of `n` records of `width` bytes, if `buf` holds them (a
-/// count from the header may be hostile, so the product is checked).
-fn section_len(buf: &[u8], width: usize, n: usize) -> Option<usize> {
-    width.checked_mul(n).filter(|&len| len <= buf.len())
-}
-
-/// Parse `n` fixed-width vertex records from `buf`.
-fn parse_vertices(buf: &[u8], n: usize) -> std::io::Result<Vec<Vec3>> {
-    let len =
-        section_len(buf, VERTEX_RECORD, n).ok_or_else(|| bad_data("truncated vertex section"))?;
-    let mut coords = Vec::with_capacity(n);
-    for rec in buf[..len].chunks(VERTEX_RECORD) {
-        let s = std::str::from_utf8(rec).map_err(|_| bad_data("utf8"))?;
-        let mut it = s.split_whitespace();
-        let x: f64 = it
+/// Parse one `what` record line into exactly `out.len()`
+/// whitespace-separated fields; `None` is a missing record.
+fn record<T: FromStr>(line: Option<&str>, what: &str, out: &mut [T]) -> std::io::Result<()> {
+    let line = line.ok_or_else(|| bad_data(&format!("missing {what} record")))?;
+    let mut it = line.split_ascii_whitespace();
+    for slot in out.iter_mut() {
+        *slot = it
             .next()
             .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad_data("x"))?;
-        let y: f64 = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad_data("y"))?;
-        let z: f64 = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad_data("z"))?;
-        coords.push(Vec3::new(x, y, z));
+            .ok_or_else(|| bad_data(what))?;
     }
-    Ok(coords)
-}
-
-/// Parse `n` fixed-width element records from `buf`.
-fn parse_elems(buf: &[u8], kind: ElementKind, n: usize) -> std::io::Result<(Vec<u32>, Vec<u32>)> {
-    let erl = elem_record_len(kind);
-    let len = section_len(buf, erl, n).ok_or_else(|| bad_data("truncated element section"))?;
-    let mut elem_verts = Vec::with_capacity(n * kind.nodes());
-    let mut materials = Vec::with_capacity(n);
-    for rec in buf[..len].chunks(erl) {
-        let s = std::str::from_utf8(rec).map_err(|_| bad_data("utf8"))?;
-        let mut it = s.split_whitespace();
-        materials.push(
-            it.next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| bad_data("mat"))?,
-        );
-        for _ in 0..kind.nodes() {
-            elem_verts.push(
-                it.next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| bad_data("v"))?,
-            );
-        }
+    match it.next() {
+        Some(_) => Err(bad_data(what)),
+        None => Ok(()),
     }
-    Ok((elem_verts, materials))
 }
 
 /// Parse a whole mesh from an in-memory flat-file image (the serve
 /// `ingest` path: uploaded bytes, never touching the filesystem).
 pub fn read_flat_bytes(bytes: &[u8]) -> std::io::Result<Mesh> {
-    let mut cur = std::io::Cursor::new(bytes);
-    let header = parse_header(&mut cur)?;
-    let voff = header.vertex_off as usize;
-    let eoff = header.elem_off as usize;
-    if voff > bytes.len() || eoff > bytes.len() {
-        return Err(bad_data("section offsets past end of buffer"));
+    let text = std::str::from_utf8(bytes).map_err(|_| bad_data("utf8"))?;
+    let mut lines = text.lines();
+    if lines.next() != Some(MAGIC) {
+        return Err(bad_data("not a pmgmesh 2 file"));
     }
-    let coords = parse_vertices(&bytes[voff..], header.num_vertices)?;
-    let (elem_verts, materials) = parse_elems(&bytes[eoff..], header.kind, header.num_elements)?;
-    if elem_verts.iter().any(|&v| v as usize >= coords.len()) {
-        return Err(bad_data("element vertex id out of range"));
+    let kind = lines
+        .next()
+        .and_then(|l| kind_from_name(l.strip_prefix("kind ")?.trim()))
+        .ok_or_else(|| bad_data("kind"))?;
+    let mut counts = [0usize; 2];
+    record(
+        lines.next().and_then(|l| l.strip_prefix("counts ")),
+        "counts",
+        &mut counts,
+    )?;
+    let [nv, ne] = counts;
+    let nodes = kind.nodes();
+    // A record needs two bytes per field ("0 0 0\n"), so counts the bytes
+    // cannot hold are refused before anything is allocated for them. A
+    // buffer cut inside its last line would parse a shortened number, so
+    // every line must end in its newline.
+    let least = nv
+        .checked_mul(6)
+        .zip(ne.checked_mul(2 * (nodes + 1)))
+        .and_then(|(v, e)| v.checked_add(e));
+    if least.is_none_or(|least| least > bytes.len()) || !text.ends_with('\n') {
+        return Err(bad_data("truncated mesh"));
     }
-    Ok(Mesh::new(coords, header.kind, elem_verts, materials))
+    let mut coords = Vec::with_capacity(nv);
+    let mut xyz = [0.0; 3];
+    for _ in 0..nv {
+        record(lines.next(), "vertex", &mut xyz)?;
+        coords.push(Vec3::new(xyz[0], xyz[1], xyz[2]));
+    }
+    let mut elem_verts = Vec::with_capacity(ne * nodes);
+    let mut materials = Vec::with_capacity(ne);
+    let mut fields = vec![0u32; 1 + nodes];
+    for _ in 0..ne {
+        record(lines.next(), "element", &mut fields)?;
+        if fields[1..].iter().any(|&v| v as usize >= nv) {
+            return Err(bad_data("element vertex id out of range"));
+        }
+        materials.push(fields[0]);
+        elem_verts.extend_from_slice(&fields[1..]);
+    }
+    Ok(Mesh::new(coords, kind, elem_verts, materials))
 }
 
 /// Read a whole flat file (the same parser as [`read_flat_bytes`]).
@@ -302,15 +203,16 @@ mod tests {
     #[test]
     fn rejects_out_of_range_vertex_id() {
         let m = block(2, 2, 2, Vec3::splat(1.0), |_| 0);
-        let mut bytes = write_flat_bytes(&m);
-        // Element 0's first vertex field (after the 10-wide material and
-        // a space) cites vertex n, one past the last.
-        let header = parse_header(&mut std::io::Cursor::new(&bytes)).unwrap();
-        let field = header.elem_off as usize + 11;
-        let bad = format!("{:>9}", m.num_vertices());
-        bytes[field..field + 9].copy_from_slice(bad.as_bytes());
+        let text = String::from_utf8(write_flat_bytes(&m)).unwrap();
+        // Element 0's first vertex (the field after its material) cites
+        // vertex n, one past the last.
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let elem0 = &mut lines[3 + m.num_vertices()];
+        let mut fields: Vec<String> = elem0.split(' ').map(String::from).collect();
+        fields[1] = m.num_vertices().to_string();
+        *elem0 = fields.join(" ");
         let path = tmp("bad_vertex");
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         let err = read_flat(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(path).ok();
@@ -340,13 +242,53 @@ mod tests {
     fn bytes_reader_rejects_truncation() {
         let m = block(2, 2, 2, Vec3::splat(1.0), |_| 0);
         let bytes = write_flat_bytes(&m);
-        assert!(read_flat_bytes(&bytes[..bytes.len() - 40]).is_err());
-        assert!(read_flat_bytes(b"not a mesh\n").is_err());
-        // A count whose section length overflows (72 · 2^61 wraps to 0) is
-        // an error, not a capacity panic.
+        let invalid = |b: &[u8]| read_flat_bytes(b).unwrap_err().kind();
+        // Cut at a line boundary (a missing element), inside the last line
+        // (a shortened vertex id), and not a mesh at all.
+        let last_line = bytes[..bytes.len() - 1]
+            .iter()
+            .rposition(|&c| c == b'\n')
+            .unwrap();
+        for cut in [
+            &bytes[..last_line + 1],
+            &bytes[..bytes.len() - 1],
+            b"not a mesh\n",
+        ] {
+            assert_eq!(invalid(cut), std::io::ErrorKind::InvalidData);
+        }
+        // Counts the bytes cannot hold — including one whose byte length
+        // overflows (6 · 2^61 wraps) — are errors, not capacity panics.
         let text = String::from_utf8(bytes).unwrap();
-        let huge = text.replacen("counts 27 8", &format!("counts {} 8", 1u64 << 61), 1);
-        let err = read_flat_bytes(huge.as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        for counts in [format!("counts {} 8", 1u64 << 61), "counts 27 80".into()] {
+            let huge = text.replacen("counts 27 8", &counts, 1);
+            assert_eq!(invalid(huge.as_bytes()), std::io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
+    fn extreme_coordinates_roundtrip_bit_for_bit() {
+        // Every value reads back to the bits it was written from: long
+        // mantissas at two-digit negative exponents, both signs, the
+        // largest finite value, the smallest subnormal and negative zero.
+        let coords = vec![
+            Vec3::new(1.5e-10, 2.5e-10, -3.5e-10),
+            Vec3::new(-1.5e-10, -2.5e-10, -3.5e-10),
+            Vec3::new(f64::MAX, -f64::MAX, f64::from_bits(1)),
+            Vec3::new(-f64::from_bits(1), -0.0, f64::MIN_POSITIVE),
+        ];
+        let m = Mesh::new(coords, ElementKind::Tet4, vec![0, 1, 2, 3], vec![7]);
+        let back = read_flat_bytes(&write_flat_bytes(&m)).unwrap();
+        assert_eq!(
+            (&back.elem_verts, &back.materials),
+            (&m.elem_verts, &m.materials)
+        );
+        let bits = |m: &Mesh| -> Vec<u64> {
+            m.coords
+                .iter()
+                .flat_map(|p| [p.x, p.y, p.z])
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&m));
     }
 }

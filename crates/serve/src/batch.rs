@@ -349,7 +349,7 @@ impl Dispatcher {
             ..Default::default()
         };
         let t0 = Instant::now();
-        let solved = prometheus::solve_threads(&entry.setups, b, opts, true);
+        let solved = prometheus::solve_threads(&entry.setups, b, opts);
         let solve_s = t0.elapsed().as_secs_f64();
         let (x, res) = match solved {
             Ok(out) => (out.x, out.result),

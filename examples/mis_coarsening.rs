@@ -33,7 +33,7 @@ fn main() {
         ("natural", MisOrdering::Natural),
         ("random ", MisOrdering::Random(7)),
     ] {
-        let order = ordering.order(n, &vec![0u8; n]);
+        let order = ordering.order(&g, &vec![0u8; n]);
         let sel = greedy_mis(&g, &order);
         let ns = sel.iter().filter(|&&s| s).count();
         println!(

@@ -120,7 +120,6 @@ fn main() {
                     max_iters: 300,
                     ..Default::default()
                 },
-                true,
             )
             .expect("threaded-rank solve");
             (outcome, t0.elapsed().as_secs_f64())

@@ -4,7 +4,7 @@
 
 use pmg_fem::{spheres_problem, NewtonDriver, NewtonOptions};
 use pmg_mesh::SpheresParams;
-use prometheus::{FineOperator, MgOptions, Prometheus, PrometheusOptions};
+use prometheus::{MgOptions, Prometheus, PrometheusOptions};
 
 fn tiny_system() -> pmg_bench_free::System {
     pmg_bench_free::build()
@@ -60,24 +60,18 @@ mod pmg_bench_free {
     }
 }
 
-/// Build the solver on the `fine` operator backend.
-fn solver_for(
-    sys: &pmg_bench_free::System,
-    mut opts: PrometheusOptions,
-    fine: FineOperator,
-) -> Prometheus {
-    opts.mg.fine_operator = fine;
-    match fine {
-        FineOperator::Assembled => Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts),
-        FineOperator::MatrixFree => {
-            let mf = Box::new(sys.matrix_free());
-            Prometheus::from_mesh_matrix_free(&sys.mesh, &sys.matrix, opts, mf)
-        }
+/// Build the solver with the matrix-free fine operator or without it.
+fn solver_for(sys: &pmg_bench_free::System, opts: PrometheusOptions, matfree: bool) -> Prometheus {
+    if matfree {
+        let mf = Box::new(sys.matrix_free());
+        Prometheus::from_mesh_matrix_free(&sys.mesh, &sys.matrix, opts, mf)
+    } else {
+        Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts)
     }
 }
 
-/// Both fine-operator backends.
-const BACKENDS: [FineOperator; 2] = [FineOperator::Assembled, FineOperator::MatrixFree];
+/// Without and with the matrix-free fine operator.
+const BACKENDS: [bool; 2] = [false, true];
 
 #[test]
 fn first_linear_solve_converges_quickly() {
@@ -91,14 +85,14 @@ fn first_linear_solve_converges_quickly() {
         max_iters: 200,
         ..Default::default()
     };
-    for fine in BACKENDS {
-        let mut solver = solver_for(&sys, opts, fine);
+    for matfree in BACKENDS {
+        let mut solver = solver_for(&sys, opts, matfree);
         assert!(solver.level_sizes().len() >= 2);
         let (x, res) = solver.solve(&sys.rhs, None, 1e-6);
-        assert!(res.converged, "{fine:?}: {res:?}");
+        assert!(res.converged, "matfree={matfree}: {res:?}");
         assert!(
             res.iterations <= 60,
-            "MG-PCG should converge fast on the spheres problem: {fine:?}, {} iters",
+            "MG-PCG should converge fast on the spheres problem: matfree={matfree}, {} iters",
             res.iterations
         );
         // True residual check against the original operator.
@@ -113,7 +107,7 @@ fn first_linear_solve_converges_quickly() {
         let bn: f64 = sys.rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(
             err <= 2e-6 * bn,
-            "{fine:?}: true residual {err:.3e} vs b {bn:.3e}"
+            "matfree={matfree}: true residual {err:.3e} vs b {bn:.3e}"
         );
     }
 }
@@ -121,7 +115,7 @@ fn first_linear_solve_converges_quickly() {
 #[test]
 fn parallel_ranks_agree_with_serial() {
     let sys = tiny_system();
-    let solve_with = |p: usize, fine: FineOperator| {
+    let solve_with = |p: usize, matfree: bool| {
         let opts = PrometheusOptions {
             nranks: p,
             mg: MgOptions {
@@ -131,14 +125,14 @@ fn parallel_ranks_agree_with_serial() {
             max_iters: 200,
             ..Default::default()
         };
-        let mut solver = solver_for(&sys, opts, fine);
+        let mut solver = solver_for(&sys, opts, matfree);
         let (x, res) = solver.solve(&sys.rhs, None, 1e-10);
-        assert!(res.converged, "p={p} {fine:?}");
+        assert!(res.converged, "p={p} matfree={matfree}");
         x
     };
-    let x1 = solve_with(1, FineOperator::Assembled);
-    for (p, fine) in [2, 4, 7].into_iter().flat_map(|p| BACKENDS.map(|f| (p, f))) {
-        let xp = solve_with(p, fine);
+    let x1 = solve_with(1, false);
+    for (p, matfree) in [2, 4, 7].into_iter().flat_map(|p| BACKENDS.map(|f| (p, f))) {
+        let xp = solve_with(p, matfree);
         // Same linear system solved to 1e-10: solutions agree to solver
         // tolerance (the hierarchy may differ slightly via the rank-based
         // MIS, but the answer may not).
@@ -151,7 +145,7 @@ fn parallel_ranks_agree_with_serial() {
         let den: f64 = x1.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-30);
         assert!(
             num / den < 1e-6,
-            "p={p} {fine:?}: relative diff {}",
+            "p={p} matfree={matfree}: relative diff {}",
             num / den
         );
     }
@@ -230,7 +224,7 @@ fn matrix_free_solve_reproduces_assembled_history() {
 
     use pmg_sparse::Operator;
     let mf_bytes = sys.matrix_free().memory_bytes();
-    let mut matfree = solver_for(&sys, base, FineOperator::MatrixFree);
+    let mut matfree = solver_for(&sys, base, true);
     let (xm, rm) = matfree.solve(&sys.rhs, None, 1e-6);
 
     assert!(ra.converged && rm.converged, "{ra:?} vs {rm:?}");

@@ -228,7 +228,7 @@ fn spheres_solve_bitwise_identical_across_transports() {
         assert!(res_sim.converged, "p={p}: {res_sim:?}");
 
         let setups = pmg_bench::parity_setups(&sys, p).unwrap();
-        let spmd = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts, true).unwrap();
+        let spmd = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts).unwrap();
         assert_eq!(spmd.result.iterations, res_sim.iterations, "p={p}");
         for (a, b) in spmd.result.residuals.iter().zip(&res_sim.residuals) {
             assert_eq!(a.to_bits(), b.to_bits(), "p={p} residual history");
@@ -298,6 +298,37 @@ fn spheres_solve_bitwise_identical_across_transports() {
     }
 }
 
+/// `prometheus::solve_threads` on the blocking halo schedule: `spmd_pcg`
+/// with `RankHierarchy::overlap` off on every rank.
+fn solve_blocking(
+    setups: &[prometheus::DistributedSetup],
+    b: &[f64],
+    opts: PcgOptions,
+) -> prometheus::SpmdSolveOutcome {
+    let layout = setups[0].fine_layout();
+    let per_rank = pmg_comm::LocalTransport::run_ranks(setups.len(), |mut t| {
+        let rank = pmg_comm::Transport::rank(&t);
+        let mut h = setups[rank].rank_hierarchy();
+        h.overlap = false;
+        let bl: Vec<f64> = layout.owned(rank).iter().map(|&g| b[g as usize]).collect();
+        let mut xl = vec![0.0; bl.len()];
+        let (result, waits) = prometheus::spmd_pcg(&mut t, &h, &bl, &mut xl, opts).unwrap();
+        (xl, result, waits, pmg_comm::Transport::stats(&t))
+    });
+    let mut x = vec![0.0; layout.num_global()];
+    for (rank, (xl, ..)) in per_rank.iter().enumerate() {
+        for (&g, &v) in layout.owned(rank).iter().zip(xl) {
+            x[g as usize] = v;
+        }
+    }
+    prometheus::SpmdSolveOutcome {
+        x,
+        result: per_rank[0].1.clone(),
+        stats: per_rank.iter().map(|r| r.3).collect(),
+        waits: per_rank.iter().map(|r| r.2).collect(),
+    }
+}
+
 #[test]
 fn overlap_flag_changes_only_the_halo_schedule() {
     // `RankHierarchy::overlap` picks `spmv_overlapped` over `spmv` and
@@ -313,8 +344,8 @@ fn overlap_flag_changes_only_the_halo_schedule() {
     };
     for p in [1usize, 2, 4] {
         let setups = pmg_bench::parity_setups(&sys, p).unwrap();
-        let over = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts, true).unwrap();
-        let block = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts, false).unwrap();
+        let over = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts).unwrap();
+        let block = solve_blocking(&setups, &sys.rhs, pcg_opts);
         let (ro, rb) = (&over.result, &block.result);
         assert!(ro.converged, "p={p}: {ro:?}");
         assert_eq!(
@@ -409,7 +440,7 @@ fn solve_messages_follow_the_cycle_schedule() {
         // halo plans): n iterations are n applications, n + 1 fine
         // products and 3 n + 1 allreduces.
         let setups = pmg_bench::parity_setups(&sys, p).unwrap();
-        let spmd = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts, true).unwrap();
+        let spmd = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts).unwrap();
         let n = spmd.result.iterations as u64;
         assert_eq!(spmd.stats[0].allreduces, 3 * n + 1, "p={p}");
         let sent: u64 = spmd.stats.iter().map(|s| s.msgs).sum();
@@ -441,7 +472,7 @@ fn non_finite_rhs_is_a_reported_breakdown_on_both_runtimes() {
         rhs[sys.rhs.len() / 2] = poison;
         let (_, res_sim) = solver.solve(&rhs, None, pmg_bench::PARITY_RTOL);
         assert!(res_sim.breakdown && !res_sim.converged, "{res_sim:?}");
-        let spmd = prometheus::solve_threads(&setups, &rhs, pcg_opts, true).unwrap();
+        let spmd = prometheus::solve_threads(&setups, &rhs, pcg_opts).unwrap();
         let res = &spmd.result;
         assert!(res.breakdown && !res.converged, "{poison}: {res:?}");
         assert_eq!(res.iterations, res_sim.iterations, "{poison}");

@@ -192,7 +192,7 @@ fn spmd_per_level_scopes_match_the_simulator() {
     let sim_scopes = cycle_scopes(&pmg_telemetry::snapshot());
 
     pmg_telemetry::reset();
-    let spmd = solve_threads(&setups, &sys.rhs, opts, true).unwrap();
+    let spmd = solve_threads(&setups, &sys.rhs, opts).unwrap();
     let spmd_scopes = cycle_scopes(&pmg_telemetry::snapshot());
     pmg_telemetry::set_enabled(false);
 
@@ -225,13 +225,30 @@ fn rank_threads_count_a_crowded_reclassification_once() {
     pmg_telemetry::set_enabled(true);
     let (coords, graph, classes) = (&mesh.coords, &graph, &classes);
     LocalTransport::run_ranks(2, move |mut t| {
-        coarsen_level_transport(&mut t, coords, graph, classes, &opts, 0x40).map(|_| ())
+        coarsen_level_transport(&mut t, coords, graph, classes, &opts).map(|_| ())
     })
     .into_iter()
     .for_each(|coarsened| coarsened.unwrap());
     let report = pmg_telemetry::snapshot();
     pmg_telemetry::set_enabled(false);
     assert_eq!(report.counters["coarsen/reclassified_crowded"], 1);
+}
+
+/// The in-process set-up runs the §4 message-passing programs (MIS rounds,
+/// face-ID merge) on a one-rank endpoint, so it puts nothing on a wire.
+#[test]
+fn in_process_setup_sends_nothing() {
+    let _turn = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    pmg_telemetry::reset();
+    pmg_telemetry::set_enabled(true);
+    tiny_spheres();
+    let report = pmg_telemetry::snapshot();
+    pmg_telemetry::set_enabled(false);
+    assert!(report.counters["mis/rounds"] > 0);
+    assert_eq!(report.counters["coarsen/reclassified_crowded"], 1);
+    for name in ["comm/msgs", "comm/bytes"] {
+        assert_eq!(report.counters.get(name).copied().unwrap_or(0), 0, "{name}");
+    }
 }
 
 /// Scrape the counter/gauge names emitted by `src` into `out`. Handles
