@@ -19,7 +19,7 @@
 //! untouched. Only the *blocked* time changes: receives that arrived during
 //! the compute window cost nothing in `finish`.
 
-use crate::{bytes_to_f64s, f64s_to_bytes, CommError, Transport};
+use crate::{f64s_from_bytes, f64s_to_bytes, CommError, Transport};
 
 /// An in-flight halo exchange: all sends have been posted, the receive
 /// manifest is recorded, no receive has been drained yet.
@@ -56,20 +56,20 @@ impl<'a> HaloExchange<'a> {
 
     /// Drain every expected receive into `ghost_vals` (indexed by the
     /// manifest's slot lists), blocking only for messages that have not
-    /// yet arrived. Consumes the exchange: each started exchange is
-    /// finished exactly once.
+    /// yet arrived. A message that is not exactly 8 bytes per slot is
+    /// [`CommError::Invalid`]. Consumes the exchange: each started
+    /// exchange is finished exactly once.
     pub fn finish<T: Transport>(self, t: &mut T, ghost_vals: &mut [f64]) -> Result<(), CommError> {
         for (peer, slots) in self.recvs {
-            let vals = bytes_to_f64s(&t.recv(peer, self.tag)?);
-            if vals.len() != slots.len() {
+            let bytes = t.recv(peer, self.tag)?;
+            if bytes.len() != 8 * slots.len() {
                 return Err(CommError::Invalid(format!(
-                    "halo message from rank {} has {} values, plan expects {}",
-                    peer,
-                    vals.len(),
+                    "halo message from rank {peer} has {} bytes, plan expects {} values",
+                    bytes.len(),
                     slots.len()
                 )));
             }
-            for (&slot, v) in slots.iter().zip(vals) {
+            for (&slot, v) in slots.iter().zip(f64s_from_bytes(&bytes)) {
                 ghost_vals[slot as usize] = v;
             }
         }
@@ -126,6 +126,20 @@ mod tests {
             .unwrap();
             let mut ghosts = vec![0.0; 2];
             hx.finish(&mut t, &mut ghosts).is_err()
+        });
+        assert!(results.iter().all(|&bad| bad));
+    }
+
+    #[test]
+    fn finish_rejects_a_ragged_message() {
+        // One value's worth of slots, 11 bytes on the wire: the whole value
+        // plus a ragged tail must not pass as one value.
+        let results = LocalTransport::run_ranks(2, |mut t| {
+            let peer = 1 - t.rank();
+            t.send(peer, 4, &[0u8; 11]).unwrap();
+            let slots: Vec<u32> = vec![0];
+            let hx = HaloExchange::start(&mut t, 4, [], vec![(peer, slots.as_slice())]).unwrap();
+            hx.finish(&mut t, &mut [0.0]).is_err()
         });
         assert!(results.iter().all(|&bad| bad));
     }

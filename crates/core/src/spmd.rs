@@ -10,9 +10,11 @@
 //! hierarchy comes into being) and exchanges halos, inner-product partials,
 //! and the coarse-grid gather as real messages.
 //!
-//! Bitwise parity is the design contract. Every kernel is the identical
-//! per-rank code the orchestrated path runs ([`RankOp::spmv`],
-//! [`RankSmoother::solve_add`], [`CoarseDirect::solve_global_in_place`]),
+//! Bitwise parity is the design contract. A rank's share of a level is the
+//! object the orchestrated path holds one of per virtual rank —
+//! [`RankMatrix`] for `A`, `R` and `P`, [`RankJacobi`] for the smoother —
+//! and runs the same kernels ([`RankMatrix::spmv`],
+//! [`RankJacobi::solve_add`], [`CoarseDirect::solve_global_in_place`]),
 //! every reduction combines in the fixed binomial-tree order of
 //! [`pmg_comm::tree_combine`] (which
 //! [`DistVec::dot`](pmg_parallel::DistVec::dot) also uses), and the
@@ -30,11 +32,9 @@ use pmg_comm::{
     f64s_from_bytes, f64s_to_bytes, CommError, CommStats, LeReader, LocalTransport, Transport,
 };
 use pmg_geometry::Vec3;
-use pmg_parallel::{Layout, RankMatrix, RankOp};
+use pmg_parallel::{Layout, RankMatrix};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
-use pmg_solver::{
-    pcg_generic, CoarseDirect, PcgBackend, PcgOptions, PcgResult, RankJacobi, RankSmoother,
-};
+use pmg_solver::{pcg_generic, CoarseDirect, PcgBackend, PcgOptions, PcgResult, RankJacobi};
 use pmg_sparse::{rap_local_rows, vector, CsrMatrix};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -75,22 +75,10 @@ impl PhaseWaits {
     }
 }
 
-/// One rank's borrowed view of one grid level.
-struct RankLevel<'a> {
-    a: RankOp<'a>,
-    r: Option<RankOp<'a>>,
-    p: Option<RankOp<'a>>,
-    smoother: RankSmoother<'a>,
-    coarse: Option<&'a CoarseDirect>,
-    layout: &'a Arc<Layout>,
-}
-
-/// One rank's borrowed view of a whole [`DistributedSetup`]: the SPMD
+/// One rank's solve handle on its [`DistributedSetup`]: the SPMD
 /// counterpart of the simulated hierarchy's `Precond` implementation.
 pub struct RankHierarchy<'a> {
-    levels: Vec<RankLevel<'a>>,
-    /// The cycle's smoothing counts (`pre_smooth`, `post_smooth`).
-    opts: MgOptions,
+    setup: &'a DistributedSetup,
     /// The halo schedule (default on): operator, restriction, and
     /// prolongation products — including the smoother's residual refresh —
     /// compute interior rows between halo `start` and `finish`
@@ -117,8 +105,9 @@ fn setup_tag(lvl: usize) -> u32 {
 }
 
 /// One grid level of a distributed setup: this rank's **owned** share of
-/// the operator, restriction, and prolongation, its block-Jacobi factors,
-/// and (on the gather root's coarsest grid) the direct factor.
+/// the operator (whose row layout is the level's), restriction, and
+/// prolongation, its block-Jacobi factors, and (on the gather root's
+/// coarsest grid) the direct factor.
 struct DistLevel {
     a: RankMatrix,
     r: Option<RankMatrix>,
@@ -129,12 +118,11 @@ struct DistLevel {
     /// copy ever solves. The bottom level is the last one, whatever this
     /// field holds.
     coarse: Option<CoarseDirect>,
-    layout: Arc<Layout>,
 }
 
 /// A multigrid hierarchy built **by** the SPMD ranks themselves: this
-/// rank's share of every level, which [`RankHierarchy`] borrows for the
-/// solve. It is the only way a message-passing hierarchy comes into being.
+/// rank's share of every level, which [`RankHierarchy`] solves on. It is
+/// the only way a message-passing hierarchy comes into being.
 ///
 /// Produced by [`RankHierarchy::build_from_shards`] from a
 /// partition-at-ingest seed and this rank's owned fine rows: every level is
@@ -142,7 +130,7 @@ struct DistLevel {
 /// rounds and the §4.5 face-ID merge over the transport, and the Galerkin
 /// product fetches the few off-rank rows it needs point-to-point.
 ///
-/// Call [`DistributedSetup::rank_hierarchy`] to borrow the solve view.
+/// Call [`DistributedSetup::rank_hierarchy`] for the solve handle.
 /// Its shares are **bitwise identical** to rank `rank`'s local blocks of
 /// the simulated [`MgHierarchy::build`](crate::MgHierarchy::build) on the
 /// same global problem, and its solve to the simulated
@@ -226,12 +214,12 @@ impl DistributedSetup {
 
     /// Global rows of level `lvl`'s operator.
     pub fn level_rows(&self, lvl: usize) -> usize {
-        self.levels[lvl].layout.num_global()
+        self.levels[lvl].a.row_layout().num_global()
     }
 
     /// Rows of level `lvl` owned by this rank.
     pub fn level_rows_local(&self, lvl: usize) -> usize {
-        self.levels[lvl].layout.local_len(self.rank)
+        self.levels[lvl].a.local_block().nrows()
     }
 
     /// Nonzeros of this rank's share of level `lvl` (diag + off blocks).
@@ -249,30 +237,25 @@ impl DistributedSetup {
     /// The fine-grid dof layout (for scattering a global right-hand side
     /// into this rank's owned slice and gathering the solution back).
     pub fn fine_layout(&self) -> &Arc<Layout> {
-        &self.levels[0].layout
+        self.levels[0].a.row_layout()
     }
 
-    /// Borrow this rank's solve view, ready for [`spmd_pcg`].
+    /// Resident bytes of this rank's share of every level: `A`, `R` and
+    /// `P`, the block-Jacobi factors and, on rank 0, the coarsest factor.
+    pub fn memory_bytes(&self) -> u64 {
+        let level = |l: &DistLevel| {
+            let mats = [Some(&l.a), l.r.as_ref(), l.p.as_ref()];
+            let mats = mats.into_iter().flatten();
+            let coarse = l.coarse.as_ref().map_or(0, CoarseDirect::memory_bytes);
+            mats.map(RankMatrix::memory_bytes).sum::<u64>() + l.smoother.memory_bytes() + coarse
+        };
+        self.levels.iter().map(level).sum()
+    }
+
+    /// This rank's solve handle, ready for [`spmd_pcg`].
     pub fn rank_hierarchy(&self) -> RankHierarchy<'_> {
-        let levels = self
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(lvl, level)| {
-                let (ta, tr, tp) = tags(lvl);
-                RankLevel {
-                    a: level.a.rank_op(ta),
-                    r: level.r.as_ref().map(|m| m.rank_op(tr)),
-                    p: level.p.as_ref().map(|m| m.rank_op(tp)),
-                    smoother: level.smoother.view(),
-                    coarse: level.coarse.as_ref(),
-                    layout: &level.layout,
-                }
-            })
-            .collect();
         RankHierarchy {
-            levels,
-            opts: self.opts,
+            setup: self,
             overlap: true,
         }
     }
@@ -284,8 +267,7 @@ impl DistributedSetup {
 /// the identical exchange plan from the identical lists.
 fn exchange_ghosts<T: Transport>(t: &mut T, m: &mut RankMatrix) -> Result<(), CommError> {
     let lists = pmg_comm::allgather_u32s(t, m.ghosts())?;
-    m.install_plan(&lists);
-    Ok(())
+    m.install_plan(&lists)
 }
 
 fn u32s_to_bytes(v: &[u32]) -> Vec<u8> {
@@ -484,7 +466,6 @@ fn bottom_level<T: Transport>(
     t: &mut T,
     ra: RankMatrix,
     a_owned: &CsrMatrix,
-    layout: &Arc<Layout>,
     opts: &MgOptions,
 ) -> Result<DistLevel, CommError> {
     let smoother = {
@@ -501,6 +482,7 @@ fn bottom_level<T: Transport>(
                 // Owned lists are ascending and tile 0..n, so walking the
                 // global rows and pulling each owner's next row reassembles
                 // the matrix the replicated path would have held — verbatim.
+                let layout = ra.row_layout();
                 let n = layout.num_global();
                 let owners = (0..n).map(|g| RowSource::Blob(layout.owner(g) as usize));
                 Some(CoarseDirect::from_csr(&rows_from_blobs(
@@ -515,7 +497,6 @@ fn bottom_level<T: Transport>(
         p: None,
         smoother,
         coarse,
-        layout: layout.clone(),
     })
 }
 
@@ -786,7 +767,7 @@ impl RankHierarchy<'_> {
                 Some(grid) => coarsen_transfer(t, grid, &cur_layout, lvl, &opts)?,
             };
             let Some(tr) = transfer else {
-                levels.push(bottom_level(t, ra, &cur_owned, &cur_layout, &opts)?);
+                levels.push(bottom_level(t, ra, &cur_owned, &opts)?);
                 break;
             };
             assert_eq!(tr.r_owned.nrows(), tr.layout.owned(rank).len());
@@ -837,7 +818,6 @@ impl RankHierarchy<'_> {
                 p: Some(rp),
                 smoother,
                 coarse: None,
-                layout: cur_layout,
             });
 
             cur_owned = Cow::Owned(next_owned);
@@ -877,16 +857,43 @@ struct RankLevels<'a, 'h, T: Transport> {
     waits: PhaseWaits,
 }
 
+impl<'h, T: Transport> RankLevels<'_, 'h, T> {
+    fn level(&self, lvl: usize) -> &'h DistLevel {
+        &self.h.setup.levels[lvl]
+    }
+
+    /// `y = op · x` on message tag `tag`, with the wait time booked to the
+    /// halo phase. With overlap, the overlapped schedule runs and only the
+    /// blocked remainder reaches `halo_s` (the transport's wait clock ticks
+    /// inside blocking receives only, so latency spent computing interior
+    /// rows never enters it); the hidden window and row-split sizes
+    /// accumulate alongside.
+    fn halo_spmv(&mut self, op: &RankMatrix, tag: u32, x: &[f64], y: &mut [f64]) -> Done<Self> {
+        let (t, w) = (&mut *self.t, &mut self.waits);
+        let before = t.stats().wait_s;
+        if self.h.overlap {
+            let info = op.spmv_overlapped(t, tag, x, y)?;
+            w.halo_hidden_s += info.hidden_s;
+            w.interior_rows += info.interior_rows;
+            w.boundary_rows += info.boundary_rows;
+        } else {
+            op.spmv(t, tag, x, y)?;
+        }
+        w.halo_s += t.stats().wait_s - before;
+        Ok(())
+    }
+}
+
 impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
     type Vector = Vec<f64>;
     type Error = CommError;
 
     fn num_levels(&self) -> usize {
-        self.h.levels.len()
+        self.h.setup.levels.len()
     }
 
     fn zeros(&self, lvl: usize) -> Vec<f64> {
-        vec![0.0; self.h.levels[lvl].a.local_rows()]
+        vec![0.0; self.level(lvl).a.local_block().nrows()]
     }
 
     /// Stationary sweeps `x ← x + ω B⁻¹ (b − A x)`, as
@@ -902,7 +909,7 @@ impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
         mut sweeps: usize,
         from_zero: bool,
     ) -> Done<Self> {
-        let smoother = &self.h.levels[lvl].smoother;
+        let smoother = &self.level(lvl).smoother;
         if from_zero {
             match sweeps.checked_sub(1) {
                 None => x.fill(0.0),
@@ -920,22 +927,21 @@ impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
     }
 
     fn residual(&mut self, lvl: usize, b: &Vec<f64>, x: &Vec<f64>, r: &mut Vec<f64>) -> Done<Self> {
-        let a = &self.h.levels[lvl].a;
-        halo_spmv(self.t, &mut self.waits, a, self.h.overlap, x, r)?;
+        self.halo_spmv(&self.level(lvl).a, tags(lvl).0, x, r)?;
         vector::aypx(-1.0, b, r);
         Ok(())
     }
 
     fn restrict(&mut self, lvl: usize, f: &Vec<f64>, c: &mut Vec<f64>) -> Done<Self> {
-        let rmat = self.h.levels[lvl].r.as_ref();
+        let rmat = self.level(lvl).r.as_ref();
         let rmat = rmat.expect("level above the bottom has R");
-        halo_spmv(self.t, &mut self.waits, rmat, self.h.overlap, f, c)
+        self.halo_spmv(rmat, tags(lvl).1, f, c)
     }
 
     fn prolong(&mut self, lvl: usize, c: &Vec<f64>, f: &mut Vec<f64>) -> Done<Self> {
-        let pmat = self.h.levels[lvl].p.as_ref();
+        let pmat = self.level(lvl).p.as_ref();
         let pmat = pmat.expect("level above the bottom has P");
-        halo_spmv(self.t, &mut self.waits, pmat, self.h.overlap, c, f)
+        self.halo_spmv(pmat, tags(lvl).2, c, f)
     }
 
     /// Coarsest-grid direct solve of `A x = r`, written into `x`: gather
@@ -946,36 +952,36 @@ impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
     /// both travel the binomial tree as one coalesced message per edge, and
     /// the scatter ships each rank only its own values instead of
     /// broadcasting the full coarse vector — which is also precisely the
-    /// traffic `CoarseDirect::apply` charges the BSP model.
+    /// traffic `CoarseDirect::apply` charges the BSP model. A gathered
+    /// part or a scattered share that is not exactly its rank's owned rows
+    /// is a malformed message.
     fn coarse_solve(&mut self, r: &Vec<f64>, x: &mut Vec<f64>) -> Done<Self> {
-        let level = self.h.levels.last().expect("hierarchy has a level");
-        let (t, layout) = (&mut *self.t, level.layout);
+        let level = self.level(self.num_levels() - 1);
+        let (t, layout) = (&mut *self.t, level.a.row_layout());
         let before = t.stats().wait_s;
         let gathered = pmg_comm::gather(t, &f64s_to_bytes(r))?;
         let shares = gathered.map(|parts| {
             // Only the gather root needs the factor, and only it holds one.
-            let direct = level.coarse.expect("rank 0 holds the coarsest-grid factor");
+            let direct = level.coarse.as_ref();
+            let direct = direct.expect("rank 0 holds the coarsest-grid factor");
             let mut global = vec![0.0; layout.num_global()];
             for (rk, blob) in parts.iter().enumerate() {
-                for (&g, v) in layout.owned(rk).iter().zip(f64s_from_bytes(blob)) {
+                let owned = layout.owned(rk);
+                for (&g, v) in owned.iter().zip(coarse_values(blob, owned.len())?) {
                     global[g as usize] = v;
                 }
             }
             direct.solve_global_in_place(&mut global);
-            (0..t.size())
-                .map(|rk| {
-                    let share: Vec<f64> = layout
-                        .owned(rk)
-                        .iter()
-                        .map(|&g| global[g as usize])
-                        .collect();
-                    f64s_to_bytes(&share)
-                })
-                .collect()
+            let shares = (0..t.size()).map(|rk| {
+                let owned = layout.owned(rk).iter();
+                f64s_to_bytes(&owned.map(|&g| global[g as usize]).collect::<Vec<_>>())
+            });
+            Ok::<_, CommError>(shares.collect())
         });
-        let mine = pmg_comm::scatter(t, shares)?;
+        let mine = pmg_comm::scatter(t, shares.transpose()?)?;
         self.waits.coarse_s += t.stats().wait_s - before;
-        for (xi, v) in x.iter_mut().zip(f64s_from_bytes(&mine)) {
+        let mine = coarse_values(&mine, x.len())?;
+        for (xi, v) in x.iter_mut().zip(mine) {
             *xi = v;
         }
         Ok(())
@@ -991,30 +997,17 @@ impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
     }
 }
 
-/// `y = op · x` with the wait time booked to the halo phase. With
-/// `overlap`, the overlapped schedule runs and only the blocked remainder
-/// reaches `halo_s` (the transport's wait clock ticks inside blocking
-/// receives only, so latency spent computing interior rows never enters
-/// it); the hidden window and row-split sizes accumulate alongside.
-fn halo_spmv<T: Transport>(
-    t: &mut T,
-    w: &mut PhaseWaits,
-    op: &RankOp<'_>,
-    overlap: bool,
-    x: &[f64],
-    y: &mut [f64],
-) -> Result<(), CommError> {
-    let before = t.stats().wait_s;
-    if overlap {
-        let info = op.spmv_overlapped(t, x, y)?;
-        w.halo_hidden_s += info.hidden_s;
-        w.interior_rows += info.interior_rows;
-        w.boundary_rows += info.boundary_rows;
-    } else {
-        op.spmv(t, x, y)?;
+/// The values of a coarse-grid gather part or scatter share that must
+/// carry exactly `rows` of them: any other byte length — short, long or
+/// ragged — is [`CommError::Invalid`].
+fn coarse_values(blob: &[u8], rows: usize) -> Result<impl Iterator<Item = f64> + '_, CommError> {
+    if blob.len() != 8 * rows {
+        return Err(CommError::Invalid(format!(
+            "coarse-grid message of {} bytes for {rows} rows",
+            blob.len()
+        )));
     }
-    w.halo_s += t.stats().wait_s - before;
-    Ok(())
+    Ok(f64s_from_bytes(blob))
 }
 
 /// The message-passing backend of [`pcg_generic`]: vectors are this rank's
@@ -1036,12 +1029,11 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
     }
 
     fn apply(&mut self, x: &Vec<f64>, y: &mut Vec<f64>) -> Result<(), CommError> {
-        let (h, ops) = (self.ops.h, &mut self.ops);
-        halo_spmv(ops.t, &mut ops.waits, &h.levels[0].a, h.overlap, x, y)
+        self.ops.halo_spmv(&self.ops.level(0).a, tags(0).0, x, y)
     }
 
     fn precond(&mut self, r: &Vec<f64>, z: &mut Vec<f64>) -> Result<(), CommError> {
-        let opts = &self.ops.h.opts;
+        let opts = &self.ops.h.setup.opts;
         cycle::fmg(&mut self.ops, opts, 0, r, z, &mut self.scratch)
     }
 
@@ -1263,6 +1255,23 @@ mod tests {
             assert_eq!(
                 bytes_to_u32s(ragged),
                 Err(CommError::Invalid("malformed u32 list blob".into()))
+            );
+        }
+    }
+
+    #[test]
+    fn coarse_messages_carry_exactly_the_owned_rows() {
+        let vals = [1.5, -0.0, 3.25];
+        let blob = f64s_to_bytes(&vals);
+        let got: Vec<f64> = coarse_values(&blob, 3).unwrap().collect();
+        assert_eq!(bits(&got), bits(&vals));
+        assert_eq!(coarse_values(&[], 0).unwrap().count(), 0);
+        let long = [&blob[..], &[0u8; 8]].concat();
+        let ragged = [&blob[..], &[0u8; 3]].concat();
+        for (what, blob) in [("short", &blob[..16]), ("long", &long), ("ragged", &ragged)] {
+            assert!(
+                matches!(coarse_values(blob, 3), Err(CommError::Invalid(_))),
+                "{what}"
             );
         }
     }

@@ -17,20 +17,21 @@
 //! * [`layout::Layout`] — ownership map of global indices over ranks,
 //! * [`sim::Sim`] — superstep accounting and the machine model,
 //! * [`vec::DistVec`] — rank-partitioned vectors,
-//! * [`matrix::DistMatrix`] — rank-partitioned CSR with ghost-column plans.
+//! * [`matrix::RankMatrix`] — one rank's share of a matrix and its
+//!   products over a real transport,
+//! * [`matrix::DistMatrix`] — every virtual rank's [`RankMatrix`] on one
+//!   ghost-column plan.
 
 pub mod halo;
 pub mod layout;
 pub mod matfree;
 pub mod matrix;
-pub mod rank;
 pub mod sim;
 pub mod vec;
 
 pub use halo::{HaloMsg, HaloPlan, RankHalo};
 pub use layout::Layout;
 pub use matfree::{DistMatFree, SimOperator};
-pub use matrix::{DistMatrix, RankMatrix};
-pub use rank::{OverlapInfo, RankOp};
+pub use matrix::{DistMatrix, OverlapInfo, RankMatrix};
 pub use sim::{MachineModel, PhaseStats, RankCounters, Sim};
 pub use vec::DistVec;

@@ -7,26 +7,72 @@
 //! are *ghosts*: before a product, ghost values are fetched from their
 //! owners — one message per neighbor rank, 8 bytes per ghost value — which
 //! is exactly what the BSP machine model charges.
+//!
+//! A rank's share is one [`RankMatrix`] on both runtimes: the simulator's
+//! [`DistMatrix`] holds one per virtual rank and replays the halo plan in
+//! memory, a message-passing rank holds its own and sends the plan's
+//! messages ([`RankMatrix::spmv`], [`RankMatrix::spmv_overlapped`]) — the
+//! same kernels on the same storage, so the two are bitwise identical.
 
 use crate::halo::{HaloPlan, RankHalo};
 use crate::layout::Layout;
-use crate::rank::RankOp;
 use crate::sim::Sim;
 use crate::vec::DistVec;
+use pmg_comm::{CommError, HaloExchange, Transport};
 use pmg_sparse::{Bsr3Matrix, CsrMatrix, PatternFingerprint};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// One rank's share of a distributed matrix.
+/// A sparse matrix distributed by rows over `row_layout`, whose columns are
+/// distributed by `col_layout` (square operators share one layout;
+/// restriction operators use coarse rows × fine columns): one
+/// [`RankMatrix`] share per rank.
 #[derive(Clone, Debug)]
-struct RankMat {
+pub struct DistMatrix {
+    row_layout: Arc<Layout>,
+    col_layout: Arc<Layout>,
+    ranks: Vec<RankMatrix>,
+    /// Persistent coalesced ghost-exchange plan over `col_layout` (built
+    /// once at distribution time, cached on the layout, installed in every
+    /// share).
+    plan: Arc<HaloPlan>,
+    spmv_traffic: Vec<(u64, u64)>,
+}
+
+/// One owned row, as `(global columns, values)`.
+type Row<'a> = (&'a [usize], &'a [f64]);
+
+/// **One** rank's owned share of a distributed matrix: its rows split into
+/// the owned-column block `diag` and the ghost-column block `off`, their
+/// 3x3-blocked copies, the row classes of the overlapped product and the
+/// halo plan. A [`DistMatrix`] holds one per virtual rank; a
+/// message-passing rank builds only its own from the rows it owns
+/// (reading nothing of other ranks' rows beyond the replicated layout).
+///
+/// Both go through the same construction, so for the same layouts and the
+/// same global values the shares are **bitwise identical** — the parity
+/// the sharded setup's tests pin against the simulated hierarchy.
+///
+/// A rank-local construction is two-phase because the halo-exchange plan
+/// needs every rank's ghost list: build locally
+/// ([`RankMatrix::from_local_rows`]), exchange [`RankMatrix::ghosts`] over a
+/// transport collective, then [`RankMatrix::install_plan`] with all ranks'
+/// lists (each rank builds the identical plan from the identical inputs,
+/// cached on the layout).
+#[derive(Clone, Debug)]
+pub struct RankMatrix {
+    rank: usize,
+    row_layout: Arc<Layout>,
+    col_layout: Arc<Layout>,
     /// Local rows × owned columns.
     diag: CsrMatrix,
     /// Local rows × ghost columns.
     off: CsrMatrix,
     /// 3x3-blocked copies of `diag`/`off`, present when the operator was
-    /// promoted via [`DistMatrix::try_block3`]. The scalar matrices are
-    /// kept: block-Jacobi factors `diag` directly ([`DistMatrix::local_block`]).
+    /// promoted via [`RankMatrix::try_block3`]. The scalar matrices are
+    /// kept: block-Jacobi factors `diag` directly ([`RankMatrix::local_block`]).
     diag_bsr: Option<Bsr3Matrix>,
     off_bsr: Option<Bsr3Matrix>,
     /// Padded ghost column of each ghost (`off_bsr` works on whole vertex
@@ -45,143 +91,26 @@ struct RankMat {
     /// any of its three scalar rows is), filled by `try_block3`.
     interior_b: Vec<u32>,
     boundary_b: Vec<u32>,
-}
-
-/// A sparse matrix distributed by rows over `row_layout`, whose columns are
-/// distributed by `col_layout` (square operators share one layout;
-/// restriction operators use coarse rows × fine columns).
-#[derive(Clone, Debug)]
-pub struct DistMatrix {
-    row_layout: Arc<Layout>,
-    col_layout: Arc<Layout>,
-    ranks: Vec<RankMat>,
-    /// Persistent coalesced ghost-exchange plan over `col_layout` (built
-    /// once at distribution time, cached on the layout).
-    plan: Arc<HaloPlan>,
-    /// Pattern of the global matrix this was distributed from: while it
-    /// holds, [`DistMatrix::refresh_from_global`] only rewrites values.
+    /// The halo plan over every rank of `col_layout`; `None` until
+    /// [`RankMatrix::install_plan`].
+    plan: Option<Arc<HaloPlan>>,
+    /// Pattern of the owned rows the share was built from.
     pattern: PatternFingerprint,
-    spmv_flops: Vec<u64>,
-    spmv_traffic: Vec<(u64, u64)>,
 }
 
-/// One owned row, as `(global columns, values)`.
-type Row<'a> = (&'a [usize], &'a [f64]);
-
-/// Build rank `r`'s share from its `nlocal` owned rows, `row(li)` being
-/// local row `li` — read out of a global CSR
-/// through the row layout ([`DistMatrix`]) or straight from an owned-rows
-/// CSR ([`RankMatrix`]); one function for both is what makes the two
-/// bitwise identical. Two passes, count then fill: a source row ascends in
-/// global column and owned and ghost columns keep that order locally, so
-/// the entries of both blocks land in CSR order as they come.
-fn build_rank_mat<'a>(
-    nlocal: usize,
-    row: impl Fn(usize) -> Row<'a>,
-    col_layout: &Layout,
-    r: usize,
-) -> RankMat {
-    let mine = |j: usize| col_layout.owner(j) as usize == r;
-    // Until deduplicated, `ghosts` has one entry per off-diagonal entry.
-    let mut ghosts: Vec<u32> = Vec::new();
-    let (mut diag_ptr, mut off_ptr) = (vec![0usize], vec![0usize]);
-    let mut seen = 0;
-    for li in 0..nlocal {
-        let (cols, _) = row(li);
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row not ascending");
-        ghosts.extend(cols.iter().filter(|&&j| !mine(j)).map(|&j| j as u32));
-        seen += cols.len();
-        off_ptr.push(ghosts.len());
-        diag_ptr.push(seen - ghosts.len());
-    }
-    // Row classes for the overlap: a row with any ghost-column entry is
-    // boundary, the rest are interior and can be computed while the halo
-    // messages are in flight.
-    let (interior, boundary) =
-        (0..nlocal as u32).partition(|&li| off_ptr[li as usize] == off_ptr[li as usize + 1]);
-    let (ndiag, noff) = (diag_ptr[nlocal], off_ptr[nlocal]);
-    ghosts.sort_unstable();
-    ghosts.dedup();
-
-    let (mut diag_cols, mut diag_vals) = (Vec::with_capacity(ndiag), Vec::with_capacity(ndiag));
-    let (mut off_cols, mut off_vals) = (Vec::with_capacity(noff), Vec::with_capacity(noff));
-    for li in 0..nlocal {
-        let (cols, vals) = row(li);
-        for (&j, &v) in cols.iter().zip(vals) {
-            if mine(j) {
-                diag_cols.push(col_layout.local_index(j) as usize);
-                diag_vals.push(v);
-            } else {
-                let ghost = ghosts.binary_search(&(j as u32));
-                off_cols.push(ghost.expect("collected in the first pass"));
-                off_vals.push(v);
-            }
-        }
-    }
-    let ncols = col_layout.local_len(r);
-    RankMat {
-        diag: CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals),
-        off: CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals),
-        diag_bsr: None,
-        off_bsr: None,
-        ghost_pad: Vec::new(),
-        ghosts,
-        interior,
-        boundary,
-        interior_b: Vec::new(),
-        boundary_b: Vec::new(),
-    }
-}
-
-impl RankMat {
-    /// The numeric half of [`build_rank_mat`] and [`promote_block3`], for
-    /// rows of the pattern this share was built from: one ordered walk
-    /// rewrites the values of `diag` and `off` through a running cursor
-    /// each — same classification, same order, so same slots — then the
-    /// blocked copies take theirs. Nothing is allocated, sorted or looked up.
-    fn refresh<'a>(&mut self, row: impl Fn(usize) -> Row<'a>, col_layout: &Layout, r: usize) {
-        let nlocal = self.diag.nrows();
-        let (diag_vals, off_vals) = (self.diag.vals_mut(), self.off.vals_mut());
-        let (mut d, mut o) = (0, 0);
-        for li in 0..nlocal {
-            let (cols, vals) = row(li);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if col_layout.owner(j) as usize == r {
-                    diag_vals[d] = v;
-                    d += 1;
-                } else {
-                    off_vals[o] = v;
-                    o += 1;
-                }
-            }
-        }
-        assert_eq!((d, o), (diag_vals.len(), off_vals.len()), "pattern changed");
-        if let Some(b) = &mut self.diag_bsr {
-            b.refresh_from_csr(&self.diag, |j| j);
-        }
-        if let Some(b) = &mut self.off_bsr {
-            b.refresh_from_csr(&self.off, |j| self.ghost_pad[j] as usize);
-        }
-    }
-
-    /// This share's operator view for SPMD execution over its part of the
-    /// halo plan, bound to message tag `tag`.
-    fn op<'a>(&'a self, halo: &'a RankHalo, tag: u32) -> RankOp<'a> {
-        RankOp {
-            diag: &self.diag,
-            off: &self.off,
-            diag_bsr: self.diag_bsr.as_ref(),
-            off_bsr: self.off_bsr.as_ref(),
-            ghost_pad: &self.ghost_pad,
-            nghosts: self.ghosts.len(),
-            interior: &self.interior,
-            boundary: &self.boundary,
-            interior_b: &self.interior_b,
-            boundary_b: &self.boundary_b,
-            halo,
-            tag,
-        }
-    }
+/// What one overlapped product hid: the interior-compute window that ran
+/// while the halo messages were in flight, and the row-split sizes.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OverlapInfo {
+    /// Wall-clock seconds of the interior-compute window between
+    /// [`HaloExchange::start`] and [`HaloExchange::finish`] — latency the
+    /// overlap can hide (the blocked remainder shows up in the transport's
+    /// wait clock, not here).
+    pub hidden_s: f64,
+    /// Scalar rows computed inside the window (no ghost references).
+    pub interior_rows: u64,
+    /// Scalar rows computed after the ghosts arrived.
+    pub boundary_rows: u64,
 }
 
 /// Structural BSR3 eligibility — computable from the (replicated) layouts
@@ -193,33 +122,6 @@ fn block3_eligible(row_layout: &Layout, col_layout: &Layout) -> bool {
         && col_layout.num_global().is_multiple_of(3)
         && (0..nranks)
             .all(|r| aligned_triples(row_layout.owned(r)) && aligned_triples(col_layout.owned(r)))
-}
-
-/// Promote one rank's blocks to BSR3 storage (shared by
-/// [`DistMatrix::try_block3`] and [`RankMatrix::try_block3`]; the caller
-/// has already checked [`block3_eligible`]).
-fn promote_block3(m: &mut RankMat) {
-    m.diag_bsr = Some(Bsr3Matrix::from_csr(&m.diag));
-    // Remap ghost columns onto whole vertex blocks, then block the
-    // padded off-diagonal part. Ghosts are ascending, so padded
-    // columns are ascending too and the scalar accumulation order
-    // is preserved.
-    let mut blocks: Vec<u32> = m.ghosts.iter().map(|&g| g / 3).collect();
-    blocks.dedup();
-    let padded = |g: u32| 3 * blocks.partition_point(|&w| w < g / 3) as u32 + g % 3;
-    m.ghost_pad = m.ghosts.iter().map(|&g| padded(g)).collect();
-    let pad = |j: usize| m.ghost_pad[j] as usize;
-    m.off_bsr = Some(Bsr3Matrix::from_csr_cols(&m.off, 3 * blocks.len(), pad));
-    // Block-row classes: a block row is boundary when any of its
-    // three scalar rows references a ghost. `boundary` is
-    // ascending, so mapping to block ids and deduplicating keeps
-    // the ascending order.
-    let mut bb: Vec<u32> = m.boundary.iter().map(|&r| r / 3).collect();
-    bb.dedup();
-    m.interior_b = (0..(m.diag.nrows() / 3) as u32)
-        .filter(|br| bb.binary_search(br).is_err())
-        .collect();
-    m.boundary_b = bb;
 }
 
 impl DistMatrix {
@@ -234,11 +136,12 @@ impl DistMatrix {
         let nranks = row_layout.num_ranks();
         assert_eq!(nranks, col_layout.num_ranks());
 
-        let ranks: Vec<RankMat> = (0..nranks)
+        let mut ranks: Vec<RankMatrix> = (0..nranks)
             .into_par_iter()
             .map(|r| {
                 let owned = row_layout.owned(r);
-                build_rank_mat(owned.len(), |li| a.row(owned[li] as usize), &col_layout, r)
+                let row = |li: usize| a.row(owned[li] as usize);
+                RankMatrix::build(row, row_layout.clone(), col_layout.clone(), r)
             })
             .collect();
 
@@ -246,11 +149,10 @@ impl DistMatrix {
         // messages, the transports send exactly the plan's messages.
         let ghost_lists: Vec<Vec<u32>> = ranks.iter().map(|m| m.ghosts.clone()).collect();
         let plan = col_layout.halo_plan(&ghost_lists);
+        for m in &mut ranks {
+            m.plan = Some(plan.clone());
+        }
 
-        let spmv_flops = ranks
-            .iter()
-            .map(|m| 2 * (m.diag.nnz() + m.off.nnz()) as u64)
-            .collect();
         let spmv_traffic = plan
             .ranks
             .iter()
@@ -261,8 +163,6 @@ impl DistMatrix {
             col_layout,
             ranks,
             plan,
-            pattern: PatternFingerprint::of(a),
-            spmv_flops,
             spmv_traffic,
         }
     }
@@ -282,29 +182,34 @@ impl DistMatrix {
 
     /// Take the values of `a`, a new state of the global matrix this was
     /// distributed from, in place. While `a` keeps that matrix's sparsity
-    /// pattern (Newton on a fixed mesh) only values move — ghost lists, halo
-    /// plan, row classes and the blocked copies' structure stay, nothing is
-    /// allocated — and the result is bitwise what
-    /// [`from_global`](Self::from_global) (`_blocked`, if this one is) builds
-    /// from `a`; a changed pattern is exactly that rebuild. Returns whether
-    /// the pattern held (counted: `distribute/refresh` / `distribute/rebuild`).
+    /// pattern (Newton on a fixed mesh) only values move — each share
+    /// checks the pattern of its own owned rows and rewrites their values;
+    /// ghost lists, halo plan, row classes and the blocked copies'
+    /// structure stay, nothing is allocated — and the result is bitwise
+    /// what [`from_global`](Self::from_global) (`_blocked`, if this one is)
+    /// builds from `a`; a changed pattern is exactly that rebuild. Returns
+    /// whether the pattern held (counted: `distribute/refresh` /
+    /// `distribute/rebuild`).
     pub fn refresh_from_global(&mut self, a: &CsrMatrix) -> bool {
-        if !self.pattern.matches(a) {
-            pmg_telemetry::counter_add("distribute/rebuild", 1);
-            let blocked = self.bsr3_routed();
-            *self = DistMatrix::from_global(a, self.row_layout.clone(), self.col_layout.clone());
-            if blocked {
-                self.try_block3();
+        assert_eq!(a.nrows(), self.row_layout.num_global(), "row count changed");
+        let (row_layout, changed) = (&self.row_layout, AtomicBool::new(false));
+        self.ranks.par_iter_mut().for_each(|m| {
+            let owned = row_layout.owned(m.rank);
+            if !m.refresh_rows(a.ncols(), |li| a.row(owned[li] as usize)) {
+                changed.store(true, Ordering::Relaxed);
             }
-            return false;
-        }
-        pmg_telemetry::counter_add("distribute/refresh", 1);
-        let (row_layout, col_layout) = (&self.row_layout, &self.col_layout);
-        self.ranks.par_iter_mut().enumerate().for_each(|(r, m)| {
-            let owned = row_layout.owned(r);
-            m.refresh(|li| a.row(owned[li] as usize), col_layout, r)
         });
-        true
+        if !changed.into_inner() {
+            pmg_telemetry::counter_add("distribute/refresh", 1);
+            return true;
+        }
+        pmg_telemetry::counter_add("distribute/rebuild", 1);
+        let blocked = self.bsr3_routed();
+        *self = DistMatrix::from_global(a, self.row_layout.clone(), self.col_layout.clone());
+        if blocked {
+            self.try_block3();
+        }
+        false
     }
 
     /// Promote the per-rank `diag`/`off` blocks to [`Bsr3Matrix`] storage so
@@ -326,17 +231,15 @@ impl DistMatrix {
     /// identical to the scalar one: blocks materialize explicit zeros and
     /// preserve the per-row accumulation order.
     pub fn try_block3(&mut self) -> bool {
-        if !block3_eligible(&self.row_layout, &self.col_layout) {
-            return false;
-        }
-        self.ranks.par_iter_mut().for_each(promote_block3);
-        pmg_telemetry::counter_add("spmv/bsr3_promoted", 1);
-        true
+        self.ranks.par_iter_mut().for_each(|m| {
+            m.try_block3();
+        });
+        self.bsr3_routed()
     }
 
     /// Whether products run through the 3x3-blocked path.
     pub fn bsr3_routed(&self) -> bool {
-        !self.ranks.is_empty() && self.ranks.iter().all(|m| m.diag_bsr.is_some())
+        !self.ranks.is_empty() && self.ranks.iter().all(RankMatrix::bsr3_routed)
     }
 
     pub fn row_layout(&self) -> &Arc<Layout> {
@@ -352,18 +255,19 @@ impl DistMatrix {
     }
 
     pub fn nnz(&self) -> usize {
-        self.ranks.iter().map(|m| m.diag.nnz() + m.off.nnz()).sum()
+        self.ranks.iter().map(RankMatrix::nnz_local).sum()
+    }
+
+    /// Rank `r`'s share — what a message-passing rank holds of this
+    /// operator.
+    pub fn share(&self, r: usize) -> &RankMatrix {
+        &self.ranks[r]
     }
 
     /// The local (owned-rows × owned-columns) block of rank `r` — the
     /// sub-domain matrix the block-Jacobi smoother factors.
     pub fn local_block(&self, r: usize) -> &CsrMatrix {
-        &self.ranks[r].diag
-    }
-
-    /// Per-rank ghost counts (diagnostics).
-    pub fn ghost_counts(&self) -> Vec<usize> {
-        self.ranks.iter().map(|m| m.ghosts.len()).collect()
+        self.ranks[r].local_block()
     }
 
     /// The persistent ghost-exchange plan this operator replays.
@@ -375,13 +279,6 @@ impl DistMatrix {
     /// receives.
     pub(crate) fn spmv_traffic(&self) -> &[(u64, u64)] {
         &self.spmv_traffic
-    }
-
-    /// Rank `r`'s borrowed view for SPMD execution over a real transport,
-    /// bound to message tag `tag`. The view computes bitwise the same
-    /// product as [`DistMatrix::spmv`] (including the BSR3 branch).
-    pub fn rank_op(&self, r: usize, tag: u32) -> RankOp<'_> {
-        self.ranks[r].op(&self.plan.ranks[r], tag)
     }
 
     /// `y = A x`, charging one ghost exchange plus one compute superstep.
@@ -411,11 +308,7 @@ impl DistMatrix {
             .zip(y.par_parts_mut())
             .enumerate()
             .for_each(|(r, (m, yl))| {
-                let xl = x.part(r);
-                match &m.diag_bsr {
-                    Some(db) => db.spmv(xl, yl),
-                    None => m.diag.spmv(xl, yl),
-                }
+                m.diag_spmv(x.part(r), yl);
                 if m.off.nnz() == 0 {
                     return;
                 }
@@ -427,9 +320,9 @@ impl DistMatrix {
                         gv[slot as usize] = x.part(peer)[li as usize];
                     }
                 }
-                m.op(&plan.ranks[r], 0).off_accumulate(&gv, yl);
+                m.off_accumulate(&gv, yl);
             });
-        sim.compute(&self.spmv_flops);
+        sim.compute_each(|r| 2 * self.ranks[r].nnz_local() as u64);
     }
 
     /// Reassemble the global matrix (testing / coarse-grid gather): a row is
@@ -462,34 +355,81 @@ impl DistMatrix {
     }
 }
 
-/// **One** rank's owned share of a distributed matrix — the SPMD-setup
-/// counterpart of [`DistMatrix`], which holds *all* ranks' shares.
-///
-/// Built by the distributed setup pipeline, where each rank constructs
-/// only its own operator blocks from the rows it owns (reading nothing of
-/// other ranks' rows beyond the replicated layout). The construction goes
-/// through the same `build_rank_mat` as [`DistMatrix::from_global`],
-/// so for the same layouts and the same global values the per-rank blocks
-/// are **bitwise identical** to the orchestrated distribution — the parity
-/// the sharded setup's tests pin against the simulated hierarchy.
-///
-/// Construction is two-phase because the halo-exchange plan needs every
-/// rank's ghost list: build locally ([`RankMatrix::from_local_rows`]),
-/// exchange [`RankMatrix::ghosts`] over a transport collective, then
-/// [`RankMatrix::install_plan`] with all ranks' lists (each rank builds the
-/// identical plan from the identical inputs, cached on the layout).
-#[derive(Clone, Debug)]
-pub struct RankMatrix {
-    rank: usize,
-    row_layout: Arc<Layout>,
-    col_layout: Arc<Layout>,
-    mat: RankMat,
-    plan: Option<Arc<HaloPlan>>,
-    /// Pattern of the owned-rows matrix the share was built from.
-    pattern: PatternFingerprint,
-}
-
 impl RankMatrix {
+    /// Build rank `rank`'s share from its owned rows, `row(li)` being local
+    /// row `li` — read out of a global CSR through the row layout
+    /// ([`DistMatrix`]) or straight from an owned-rows CSR
+    /// ([`from_local_rows`](Self::from_local_rows)); one function for both
+    /// is what makes the two bitwise identical. Two passes, count then
+    /// fill: a source row ascends in global column and owned and ghost
+    /// columns keep that order locally, so the entries of both blocks land
+    /// in CSR order as they come. No halo plan yet.
+    fn build<'a>(
+        row: impl Fn(usize) -> Row<'a>,
+        row_layout: Arc<Layout>,
+        col_layout: Arc<Layout>,
+        rank: usize,
+    ) -> RankMatrix {
+        let nlocal = row_layout.local_len(rank);
+        let mine = |j: usize| col_layout.owner(j) as usize == rank;
+        // Until deduplicated, `ghosts` has one entry per off-diagonal entry.
+        let mut ghosts: Vec<u32> = Vec::new();
+        let (mut diag_ptr, mut off_ptr) = (vec![0usize], vec![0usize]);
+        let mut seen = 0;
+        for li in 0..nlocal {
+            let (cols, _) = row(li);
+            debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row not ascending");
+            ghosts.extend(cols.iter().filter(|&&j| !mine(j)).map(|&j| j as u32));
+            seen += cols.len();
+            off_ptr.push(ghosts.len());
+            diag_ptr.push(seen - ghosts.len());
+        }
+        // Row classes for the overlap: a row with any ghost-column entry is
+        // boundary, the rest are interior and can be computed while the halo
+        // messages are in flight.
+        let (interior, boundary) =
+            (0..nlocal as u32).partition(|&li| off_ptr[li as usize] == off_ptr[li as usize + 1]);
+        let (ndiag, noff) = (diag_ptr[nlocal], off_ptr[nlocal]);
+        ghosts.sort_unstable();
+        ghosts.dedup();
+
+        let (mut diag_cols, mut diag_vals) = (Vec::with_capacity(ndiag), Vec::with_capacity(ndiag));
+        let (mut off_cols, mut off_vals) = (Vec::with_capacity(noff), Vec::with_capacity(noff));
+        for li in 0..nlocal {
+            let (cols, vals) = row(li);
+            for (&j, &v) in cols.iter().zip(vals) {
+                if mine(j) {
+                    diag_cols.push(col_layout.local_index(j) as usize);
+                    diag_vals.push(v);
+                } else {
+                    let ghost = ghosts.binary_search(&(j as u32));
+                    off_cols.push(ghost.expect("collected in the first pass"));
+                    off_vals.push(v);
+                }
+            }
+        }
+        let ncols = col_layout.local_len(rank);
+        let pattern =
+            PatternFingerprint::of_rows(col_layout.num_global(), (0..nlocal).map(|li| row(li).0));
+        RankMatrix {
+            diag: CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals),
+            off: CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals),
+            diag_bsr: None,
+            off_bsr: None,
+            ghost_pad: Vec::new(),
+            ghosts,
+            interior,
+            boundary,
+            interior_b: Vec::new(),
+            boundary_b: Vec::new(),
+            plan: None,
+            pattern,
+            rank,
+            row_layout,
+            col_layout,
+        }
+    }
+
     /// Build this rank's blocks from an **owned-rows** CSR: one row per
     /// owned global row (row `li` = global row `row_layout.owned(rank)[li]`,
     /// columns global), as produced by per-rank assembly or the sharded
@@ -508,15 +448,44 @@ impl RankMatrix {
             row_layout.local_len(rank),
             "one local row per owned row"
         );
-        let mat = build_rank_mat(a_local.nrows(), |li| a_local.row(li), &col_layout, rank);
-        RankMatrix {
-            rank,
-            row_layout,
-            col_layout,
-            mat,
-            plan: None,
-            pattern: PatternFingerprint::of(a_local),
+        RankMatrix::build(|li| a_local.row(li), row_layout, col_layout, rank)
+    }
+
+    /// The numeric half of [`build`](Self::build) and
+    /// [`try_block3`](Self::try_block3), for
+    /// owned rows (`ncols` columns) of the pattern this share was built
+    /// from: one ordered walk rewrites the values of `diag` and `off`
+    /// through a running cursor each — same classification, same order, so
+    /// same slots — then the blocked copies take theirs. Nothing is
+    /// allocated, sorted or looked up. Rows of another pattern leave the
+    /// share as it was and return `false`.
+    fn refresh_rows<'a>(&mut self, ncols: usize, row: impl Fn(usize) -> Row<'a>) -> bool {
+        let nlocal = self.diag.nrows();
+        if PatternFingerprint::of_rows(ncols, (0..nlocal).map(|li| row(li).0)) != self.pattern {
+            return false;
         }
+        let (diag_vals, off_vals) = (self.diag.vals_mut(), self.off.vals_mut());
+        let (mut d, mut o) = (0, 0);
+        for li in 0..nlocal {
+            let (cols, vals) = row(li);
+            for (&j, &v) in cols.iter().zip(vals) {
+                if self.col_layout.owner(j) as usize == self.rank {
+                    diag_vals[d] = v;
+                    d += 1;
+                } else {
+                    off_vals[o] = v;
+                    o += 1;
+                }
+            }
+        }
+        assert_eq!((d, o), (diag_vals.len(), off_vals.len()), "pattern changed");
+        if let Some(b) = &mut self.diag_bsr {
+            b.refresh_from_csr(&self.diag, |j| j);
+        }
+        if let Some(b) = &mut self.off_bsr {
+            b.refresh_from_csr(&self.off, |j| self.ghost_pad[j] as usize);
+        }
+        true
     }
 
     /// [`DistMatrix::refresh_from_global`] for one rank's share: take the
@@ -527,12 +496,8 @@ impl RankMatrix {
     /// was and `false` returned, for the caller to go through the
     /// two-phase construction again.
     pub fn refresh_from_local_rows(&mut self, a_local: &CsrMatrix) -> bool {
-        if !self.pattern.matches(a_local) {
-            return false;
-        }
-        self.mat
-            .refresh(|li| a_local.row(li), &self.col_layout, self.rank);
-        true
+        a_local.nrows() == self.diag.nrows()
+            && self.refresh_rows(a_local.ncols(), |li| a_local.row(li))
     }
 
     /// Resident bytes of this rank's share: scalar diag/off CSR blocks plus
@@ -543,59 +508,94 @@ impl RankMatrix {
     /// `mem/level{N}/operator_bytes` gauges of the sharded setup path.
     pub fn memory_bytes(&self) -> u64 {
         use pmg_sparse::Operator;
-        let m = &self.mat;
-        let mut bytes = m.diag.memory_bytes() + m.off.memory_bytes();
-        if let Some(b) = &m.diag_bsr {
+        let mut bytes = self.diag.memory_bytes() + self.off.memory_bytes();
+        if let Some(b) = &self.diag_bsr {
             bytes += b.memory_bytes();
         }
-        if let Some(b) = &m.off_bsr {
+        if let Some(b) = &self.off_bsr {
             bytes += b.memory_bytes();
         }
-        bytes += (m.ghosts.len() * 4 + m.ghost_pad.len() * 4) as u64;
-        let classes = [&m.interior, &m.boundary, &m.interior_b, &m.boundary_b];
-        bytes += classes.iter().map(|c| c.len() as u64 * 4).sum::<u64>();
-        bytes
+        let ghosts = self.ghosts.len() + self.ghost_pad.len();
+        let classes = self.interior.len() + self.boundary.len();
+        let block_classes = self.interior_b.len() + self.boundary_b.len();
+        bytes + 4 * (ghosts + classes + block_classes) as u64
     }
 
     /// This rank's ghost-column global ids (ascending) — the payload each
     /// rank contributes to the setup's ghost-list allgather.
     pub fn ghosts(&self) -> &[u32] {
-        &self.mat.ghosts
+        &self.ghosts
     }
 
     /// Install the halo-exchange plan from **all** ranks' ghost lists (as
     /// returned by the allgather of [`RankMatrix::ghosts`]). Every rank
     /// derives the identical plan from the identical replicated inputs;
     /// the layout's fingerprint cache dedupes plan construction.
-    pub fn install_plan(&mut self, ghost_lists: &[Vec<u32>]) {
-        assert_eq!(ghost_lists.len(), self.col_layout.num_ranks());
-        assert_eq!(ghost_lists[self.rank], self.mat.ghosts);
-        self.plan = Some(self.col_layout.halo_plan(ghost_lists));
+    ///
+    /// The lists arrived from peers, so they are checked first: one list
+    /// per rank, this rank's own unchanged, and every list strictly
+    /// ascending, inside the column range and free of columns its own rank
+    /// owns. Anything else is [`CommError::Invalid`] and installs nothing.
+    pub fn install_plan(&mut self, ghost_lists: &[Vec<u32>]) -> Result<(), CommError> {
+        let layout = &self.col_layout;
+        if ghost_lists.len() != layout.num_ranks() || ghost_lists[self.rank] != self.ghosts {
+            return Err(CommError::Invalid(
+                "ghost lists do not match this rank's machine".into(),
+            ));
+        }
+        for (q, list) in ghost_lists.iter().enumerate() {
+            let off_rank = |&g: &u32| {
+                (g as usize) < layout.num_global() && layout.owner(g as usize) as usize != q
+            };
+            if !list.windows(2).all(|w| w[0] < w[1]) || !list.iter().all(off_rank) {
+                return Err(CommError::Invalid(format!(
+                    "rank {q}'s ghost list is not ascending off-rank columns"
+                )));
+            }
+        }
+        self.plan = Some(layout.halo_plan(ghost_lists));
+        Ok(())
     }
 
     /// Promote this rank's blocks to BSR3 storage when the layouts are
     /// vertex-aligned (same structural test as [`DistMatrix::try_block3`],
     /// evaluated on the replicated layouts — no communication). Returns
-    /// whether promotion happened.
+    /// whether promotion happened (counted once per operator, by rank 0:
+    /// `spmv/bsr3_promoted`).
     pub fn try_block3(&mut self) -> bool {
         if !block3_eligible(&self.row_layout, &self.col_layout) {
             return false;
         }
-        promote_block3(&mut self.mat);
         if self.rank == 0 {
             pmg_telemetry::counter_add("spmv/bsr3_promoted", 1);
         }
+        self.diag_bsr = Some(Bsr3Matrix::from_csr(&self.diag));
+        // Remap ghost columns onto whole vertex blocks, then block the
+        // padded off-diagonal part. Ghosts are ascending, so padded
+        // columns are ascending too and the scalar accumulation order
+        // is preserved.
+        let mut blocks: Vec<u32> = self.ghosts.iter().map(|&g| g / 3).collect();
+        blocks.dedup();
+        let padded = |g: u32| 3 * blocks.partition_point(|&w| w < g / 3) as u32 + g % 3;
+        self.ghost_pad = self.ghosts.iter().map(|&g| padded(g)).collect();
+        let pad = |j: usize| self.ghost_pad[j] as usize;
+        self.off_bsr = Some(Bsr3Matrix::from_csr_cols(&self.off, 3 * blocks.len(), pad));
+        // Block-row classes: a block row is boundary when any of its
+        // three scalar rows references a ghost. `boundary` is
+        // ascending, so mapping to block ids and deduplicating keeps
+        // the ascending order.
+        let mut bb: Vec<u32> = self.boundary.iter().map(|&r| r / 3).collect();
+        bb.dedup();
+        self.interior_b = (0..(self.diag.nrows() / 3) as u32)
+            .filter(|br| bb.binary_search(br).is_err())
+            .collect();
+        self.boundary_b = bb;
         true
     }
 
     /// Whether products run through the 3x3-blocked path.
     pub fn bsr3_routed(&self) -> bool {
-        self.mat.diag_bsr.is_some()
-    }
-
-    /// The rank this share belongs to.
-    pub fn rank(&self) -> usize {
-        self.rank
+        self.diag_bsr.is_some()
     }
 
     /// Row ownership layout (replicated).
@@ -611,22 +611,147 @@ impl RankMatrix {
     /// The local (owned-rows × owned-columns) block — what the block-Jacobi
     /// smoother factors.
     pub fn local_block(&self) -> &CsrMatrix {
-        &self.mat.diag
+        &self.diag
     }
 
     /// Stored nonzeros of this rank's share (diag + off).
     pub fn nnz_local(&self) -> usize {
-        self.mat.diag.nnz() + self.mat.off.nnz()
+        self.diag.nnz() + self.off.nnz()
     }
 
-    /// This rank's operator view for SPMD execution, bound to message tag
-    /// `tag`. Panics if [`RankMatrix::install_plan`] has not run.
-    pub fn rank_op(&self, tag: u32) -> RankOp<'_> {
-        let plan = self
-            .plan
-            .as_ref()
-            .expect("RankMatrix::rank_op before install_plan (halo plan missing)");
-        self.mat.op(&plan.ranks[self.rank], tag)
+    /// This rank's half of the halo plan.
+    fn halo(&self) -> &RankHalo {
+        let plan = self.plan.as_ref();
+        &plan.expect("RankMatrix product before install_plan").ranks[self.rank]
+    }
+
+    /// Post this share's halo sends on `tag` (packing `x_local` per the
+    /// plan) and return the in-flight exchange.
+    fn start_exchange<T: Transport>(
+        &self,
+        t: &mut T,
+        tag: u32,
+        x_local: &[f64],
+    ) -> Result<HaloExchange<'_>, CommError> {
+        let halo = self.halo();
+        let sends = halo.send.iter().map(|msg| {
+            let packed: Vec<f64> = msg.idx.iter().map(|&li| x_local[li as usize]).collect();
+            (msg.peer as usize, packed)
+        });
+        let recvs = halo.recv.iter();
+        let recvs = recvs.map(|msg| (msg.peer as usize, msg.idx.as_slice()));
+        HaloExchange::start(t, tag, sends, recvs.collect())
+    }
+
+    /// `y_local = diag · x_local`, through the blocked copy when there is
+    /// one.
+    fn diag_spmv(&self, x_local: &[f64], y_local: &mut [f64]) {
+        match &self.diag_bsr {
+            Some(db) => db.spmv(x_local, y_local),
+            None => self.diag.spmv(x_local, y_local),
+        }
+    }
+
+    /// The off-diagonal (ghost-column) product accumulated into `y_local`,
+    /// shared verbatim between the blocking and overlapped paths and the
+    /// simulated [`DistMatrix::spmv`], which the bitwise parity contract
+    /// rests on (the full-vector `+=` is kept even for rows whose `tmp`
+    /// entry is zero, so `-0.0 + 0.0 = +0.0` rounding is reproduced
+    /// exactly).
+    fn off_accumulate(&self, ghost_vals: &[f64], y_local: &mut [f64]) {
+        if self.off.nnz() > 0 {
+            let mut tmp = vec![0.0; self.off.nrows()];
+            match &self.off_bsr {
+                Some(ob) => {
+                    let mut padded = vec![0.0; ob.ncols()];
+                    for (l, &p) in self.ghost_pad.iter().enumerate() {
+                        padded[p as usize] = ghost_vals[l];
+                    }
+                    ob.spmv(&padded, &mut tmp);
+                }
+                None => self.off.spmv(ghost_vals, &mut tmp),
+            }
+            for (a, b) in y_local.iter_mut().zip(&tmp) {
+                *a += b;
+            }
+        }
+    }
+
+    /// `y_local = A_rank · x` with a real halo exchange on message tag
+    /// `tag`: sends this rank's owned values per the plan, receives its
+    /// ghosts, computes locally — bitwise this rank's part of
+    /// [`DistMatrix::spmv`] (including the BSR3 branch).
+    ///
+    /// All ranks of the machine must call this in lockstep with their own
+    /// shares of the same operator and the same tag (each operator of a
+    /// lockstep program uses its own tag).
+    pub fn spmv<T: Transport>(
+        &self,
+        t: &mut T,
+        tag: u32,
+        x_local: &[f64],
+        y_local: &mut [f64],
+    ) -> Result<(), CommError> {
+        assert_eq!(x_local.len(), self.diag.ncols(), "x_local length");
+        assert_eq!(y_local.len(), self.diag.nrows(), "y_local length");
+
+        // Sends first (buffered), then blocking receives: the classic
+        // deadlock-free exchange order for eager transports.
+        let hx = self.start_exchange(t, tag, x_local)?;
+        let mut ghost_vals = vec![0.0; self.ghosts.len()];
+        hx.finish(t, &mut ghost_vals)?;
+        self.diag_spmv(x_local, y_local);
+        self.off_accumulate(&ghost_vals, y_local);
+        Ok(())
+    }
+
+    /// `y_local = A_rank · x` with communication/computation overlap:
+    /// sends post, the interior rows (no ghost references) are computed
+    /// while the halo messages are in flight, then receives drain and the
+    /// boundary rows and ghost-column product finish the job.
+    ///
+    /// Bitwise identical to [`spmv`](Self::spmv): interior and boundary
+    /// row classes partition the local rows, each row's accumulation runs
+    /// the unchanged per-row kernel, and the ghost-column accumulate is the
+    /// same full-vector pass — only the *schedule* differs. Lockstep like
+    /// [`spmv`](Self::spmv); blocking and overlapped callers may not be
+    /// mixed across ranks of one product.
+    pub fn spmv_overlapped<T: Transport>(
+        &self,
+        t: &mut T,
+        tag: u32,
+        x_local: &[f64],
+        y_local: &mut [f64],
+    ) -> Result<OverlapInfo, CommError> {
+        assert_eq!(x_local.len(), self.diag.ncols(), "x_local length");
+        assert_eq!(y_local.len(), self.diag.nrows(), "y_local length");
+
+        let hx = self.start_exchange(t, tag, x_local)?;
+        let window = Instant::now();
+        match &self.diag_bsr {
+            Some(db) => db.spmv_block_rows(x_local, y_local, &self.interior_b),
+            None => self.diag.spmv_rows(x_local, y_local, &self.interior),
+        }
+        let hidden_s = window.elapsed().as_secs_f64();
+        let mut ghost_vals = vec![0.0; self.ghosts.len()];
+        hx.finish(t, &mut ghost_vals)?;
+        match &self.diag_bsr {
+            Some(db) => db.spmv_block_rows(x_local, y_local, &self.boundary_b),
+            None => self.diag.spmv_rows(x_local, y_local, &self.boundary),
+        }
+        self.off_accumulate(&ghost_vals, y_local);
+        let (interior_rows, boundary_rows) = match &self.diag_bsr {
+            Some(_) => (
+                3 * self.interior_b.len() as u64,
+                3 * self.boundary_b.len() as u64,
+            ),
+            None => (self.interior.len() as u64, self.boundary.len() as u64),
+        };
+        Ok(OverlapInfo {
+            hidden_s,
+            interior_rows,
+            boundary_rows,
+        })
     }
 }
 
@@ -642,6 +767,7 @@ fn aligned_triples(ids: &[u32]) -> bool {
 mod tests {
     use super::*;
     use crate::sim::MachineModel;
+    use pmg_comm::LocalTransport;
     use pmg_sparse::CooBuilder;
     use rand::{Rng, SeedableRng};
 
@@ -821,7 +947,7 @@ mod tests {
         let blocked = DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
         assert!(blocked.bsr3_routed());
         // Each rank sees exactly one partial ghost block column.
-        assert_eq!(blocked.ghost_counts(), vec![1, 1]);
+        assert_eq!([0, 1].map(|r| blocked.share(r).ghosts().len()), [1, 1]);
 
         let x: Vec<f64> = (0..3 * nb).map(|i| (i as f64 * 1.3).cos()).collect();
         let dx = DistVec::from_global(l.clone(), &x);
@@ -850,12 +976,29 @@ mod tests {
         assert!(!m17.try_block3());
     }
 
+    /// Every rank's share built on its own from its owned rows of `a`, the
+    /// ghost lists then exchanged (here: collected in a plain Vec, standing
+    /// in for the allgather) and the shares promoted.
+    fn local_shares(a: &CsrMatrix, l: &Arc<Layout>) -> Vec<RankMatrix> {
+        let mut shares: Vec<RankMatrix> = (0..l.num_ranks())
+            .map(|r| {
+                RankMatrix::from_local_rows(&a.extract_rows(l.owned(r)), l.clone(), l.clone(), r)
+            })
+            .collect();
+        let ghost_lists: Vec<Vec<u32>> = shares.iter().map(|s| s.ghosts().to_vec()).collect();
+        for s in &mut shares {
+            s.install_plan(&ghost_lists).unwrap();
+            assert!(s.try_block3());
+        }
+        shares
+    }
+
     #[test]
     fn rank_matrix_matches_dist_matrix_shares() {
         // The SPMD-setup path (each rank builds only its own share, from an
         // owned-rows CSR with no global matrix in sight) must produce
-        // exactly the orchestrated distribution's per-rank blocks, plans,
-        // and BSR3 promotion — the bitwise-parity foundation of
+        // exactly the orchestrated distribution's shares — blocks, plan,
+        // BSR3 promotion and pattern — the bitwise-parity foundation of
         // RankHierarchy::build_from_shards.
         let nb = 9;
         let a = block_laplacian(nb);
@@ -869,40 +1012,42 @@ mod tests {
         let l = Layout::from_part(owner, p);
         let dist = DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
         assert!(dist.bsr3_routed());
-
-        // Each "rank" builds locally, then the ghost lists are exchanged
-        // (here: collected in a plain Vec, standing in for the allgather).
-        let mut shares: Vec<RankMatrix> = (0..p)
-            .map(|r| {
-                RankMatrix::from_local_rows(&a.extract_rows(l.owned(r)), l.clone(), l.clone(), r)
-            })
-            .collect();
-        let ghost_lists: Vec<Vec<u32>> = shares.iter().map(|s| s.ghosts().to_vec()).collect();
-        for s in &mut shares {
-            s.install_plan(&ghost_lists);
-            assert!(s.try_block3());
-        }
-
-        for (r, s) in shares.iter().enumerate() {
-            let m = &dist.ranks[r];
-            assert_eq!(s.mat.diag, m.diag, "rank {r} diag");
-            assert_eq!(s.mat.off, m.off, "rank {r} off");
-            assert_eq!(s.mat.ghosts, m.ghosts, "rank {r} ghosts");
-            assert_eq!(s.mat.ghost_pad, m.ghost_pad, "rank {r} ghost_pad");
-            assert_eq!(s.mat.interior, m.interior, "rank {r} interior");
-            assert_eq!(s.mat.boundary, m.boundary, "rank {r} boundary");
-            assert_eq!(s.mat.interior_b, m.interior_b, "rank {r} interior_b");
-            assert_eq!(s.mat.boundary_b, m.boundary_b, "rank {r} boundary_b");
-            assert_eq!(s.nnz_local(), m.diag.nnz() + m.off.nnz(), "rank {r} nnz");
+        for (r, s) in local_shares(&a, &l).iter().enumerate() {
+            assert_eq!(format!("{s:?}"), format!("{:?}", dist.share(r)), "rank {r}");
             assert!(s.memory_bytes() > 0, "rank {r} resident accounting");
-            // The plan is structurally the same object contents.
-            let sp = s.plan.as_ref().unwrap();
-            assert_eq!(sp.ranks.len(), dist.plan.ranks.len());
-            assert_eq!(
-                sp.ranks[r].recv.len(),
-                dist.plan.ranks[r].recv.len(),
-                "rank {r} recv manifest"
+        }
+    }
+
+    #[test]
+    fn corrupt_ghost_lists_are_typed_errors() {
+        // A peer's list arrives off the wire: every kind of corruption is
+        // a typed error, and nothing panics or gets installed.
+        let a = laplacian(12);
+        let l = Layout::block(12, 3);
+        let dist = DistMatrix::from_global(&a, l.clone(), l.clone());
+        let lists: Vec<Vec<u32>> = (0..3).map(|r| dist.share(r).ghosts().to_vec()).collect();
+        assert_eq!(lists, [vec![4], vec![3, 8], vec![7]]);
+        let share = || dist.share(0).clone();
+        assert_eq!(share().install_plan(&lists), Ok(()));
+        type Corrupt = fn(&mut Vec<Vec<u32>>);
+        let corruptions: [(&str, Corrupt); 6] = [
+            ("out of range", |ls| ls[2].push(12)),
+            ("descending", |ls| ls[1].reverse()),
+            ("repeated", |ls| ls[1].insert(1, 3)),
+            ("owned by the lister", |ls| ls[2].push(9)),
+            ("a list short", |ls| drop(ls.pop())),
+            ("own list altered", |ls| ls[0].clear()),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut bad = lists.clone();
+            corrupt(&mut bad);
+            let mut s = share();
+            s.plan = None;
+            assert!(
+                matches!(s.install_plan(&bad), Err(CommError::Invalid(_))),
+                "{what}"
             );
+            assert!(s.plan.is_none(), "{what}: nothing installed");
         }
     }
 
@@ -973,7 +1118,7 @@ mod tests {
             );
             let mut m = build(&a1);
             assert_eq!(m.bsr3_routed(), blocked);
-            let partial = |r: &RankMat| {
+            let partial = |r: &RankMatrix| {
                 let mut blocks: Vec<u32> = r.ghosts.iter().map(|g| g / 3).collect();
                 blocks.dedup();
                 3 * blocks.len() > r.ghosts.len()
@@ -1008,18 +1153,16 @@ mod tests {
         let l = scattered_layout(9);
         let (a1, a2) = (partial_block_matrix(9, 9, 0), partial_block_matrix(9, 9, 1));
         let cold = DistMatrix::from_global_blocked(&a2, l.clone(), l.clone());
-        for r in 0..4 {
+        for (r, mut share) in local_shares(&a1, &l).into_iter().enumerate() {
             let local = |a: &CsrMatrix| a.extract_rows(l.owned(r));
-            let mut share = RankMatrix::from_local_rows(&local(&a1), l.clone(), l.clone(), r);
-            assert!(share.try_block3());
             assert!(share.refresh_from_local_rows(&local(&a2)));
-            assert_eq!(format!("{:?}", share.mat), format!("{:?}", cold.ranks[r]));
+            assert_eq!(format!("{share:?}"), format!("{:?}", cold.share(r)));
             // A changed pattern changes the ghost list under the other
             // ranks' halo plans: declined, and the share left as it was.
             let changed = local(&partial_block_matrix(9, 9, 0).transpose());
             if changed.nnz() > 0 {
                 assert!(!share.refresh_from_local_rows(&changed));
-                assert_eq!(format!("{:?}", share.mat), format!("{:?}", cold.ranks[r]));
+                assert_eq!(format!("{share:?}"), format!("{:?}", cold.share(r)));
             }
         }
     }
@@ -1032,8 +1175,8 @@ mod tests {
         let mut sim = Sim::new(4, MachineModel::default());
         let da = DistMatrix::from_global(&a, l.clone(), l.clone());
         // Interior ranks of a block-partitioned 1D Laplacian have 2 ghosts.
-        let ghosts = da.ghost_counts();
-        assert_eq!(ghosts, vec![1, 2, 2, 1]);
+        let ghosts = [0, 1, 2, 3].map(|r| da.share(r).ghosts().len());
+        assert_eq!(ghosts, [1, 2, 2, 1]);
         let dx = DistVec::zeros(l.clone());
         let mut dy = DistVec::zeros(l);
         da.spmv(&mut sim, &dx, &mut dy);
@@ -1042,5 +1185,114 @@ mod tests {
         assert_eq!(p.ranks[1].msgs, 2);
         assert_eq!(p.ranks[1].bytes, 16);
         assert!(p.modeled_comm_time > 0.0);
+    }
+
+    #[test]
+    fn transport_spmv_bitwise_matches_sim() {
+        let n = 23;
+        let a = laplacian(n);
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        for p in [1, 2, 3, 5] {
+            let l = Layout::block(n, p);
+            let da = DistMatrix::from_global(&a, l.clone(), l.clone());
+            let dx = DistVec::from_global(l.clone(), &x);
+            let mut dy = DistVec::zeros(l.clone());
+            let mut sim = Sim::new(p, MachineModel::default());
+            da.spmv(&mut sim, &dx, &mut dy);
+            let expect = dy.to_global();
+
+            let da = &da;
+            let l2 = &l;
+            let x2 = &x;
+            let parts = LocalTransport::run_ranks(p, move |mut t| {
+                let r = t.rank();
+                let op = da.share(r);
+                let xl: Vec<f64> = l2.owned(r).iter().map(|&g| x2[g as usize]).collect();
+                let mut yl = vec![0.0; op.local_block().nrows()];
+                op.spmv(&mut t, 7, &xl, &mut yl).unwrap();
+                yl
+            });
+            let mut got = vec![0.0; n];
+            for (r, part) in parts.iter().enumerate() {
+                for (&g, &v) in l.owned(r).iter().zip(part) {
+                    got[g as usize] = v;
+                }
+            }
+            for (a, b) in got.iter().zip(&expect) {
+                assert_eq!(a.to_bits(), b.to_bits(), "p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn overlapped_spmv_bitwise_matches_blocking() {
+        let n = 29;
+        let a = laplacian(n);
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
+        for p in [1, 2, 3, 5] {
+            let l = Layout::block(n, p);
+            let da = DistMatrix::from_global(&a, l.clone(), l.clone());
+            let da = &da;
+            let l2 = &l;
+            let x2 = &x;
+            let parts = LocalTransport::run_ranks(p, move |mut t| {
+                let r = t.rank();
+                let op = da.share(r);
+                let xl: Vec<f64> = l2.owned(r).iter().map(|&g| x2[g as usize]).collect();
+                let mut y1 = vec![0.0; op.local_block().nrows()];
+                op.spmv(&mut t, 7, &xl, &mut y1).unwrap();
+                let mut y2 = vec![0.0; op.local_block().nrows()];
+                let info = op.spmv_overlapped(&mut t, 7, &xl, &mut y2).unwrap();
+                (y1, y2, info)
+            });
+            for (r, (y1, y2, info)) in parts.iter().enumerate() {
+                assert_eq!(
+                    info.interior_rows + info.boundary_rows,
+                    y1.len() as u64,
+                    "p={p} r={r} row split must partition the local rows"
+                );
+                for (a, b) in y1.iter().zip(y2) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "p={p} r={r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overlapped_spmv_bitwise_matches_blocking_bsr3() {
+        let nb = 10;
+        let a = block_laplacian(nb);
+        let p = 3;
+        // Contiguous vertex blocks so ranks have both interior and
+        // boundary block rows.
+        let mut owner = vec![0u32; 3 * nb];
+        for v in 0..nb {
+            for c in 0..3 {
+                owner[3 * v + c] = ((v * p / nb) as u32).min(p as u32 - 1);
+            }
+        }
+        let l = Layout::from_part(owner, p);
+        let da = DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
+        assert!(da.bsr3_routed());
+        let x: Vec<f64> = (0..3 * nb).map(|i| (i as f64 * 0.7).sin()).collect();
+        let da = &da;
+        let l2 = &l;
+        let x2 = &x;
+        let parts = LocalTransport::run_ranks(p, move |mut t| {
+            let r = t.rank();
+            let op = da.share(r);
+            let xl: Vec<f64> = l2.owned(r).iter().map(|&g| x2[g as usize]).collect();
+            let mut y1 = vec![0.0; op.local_block().nrows()];
+            op.spmv(&mut t, 5, &xl, &mut y1).unwrap();
+            let mut y2 = vec![0.0; op.local_block().nrows()];
+            let info = op.spmv_overlapped(&mut t, 5, &xl, &mut y2).unwrap();
+            (y1, y2, info)
+        });
+        for (r, (y1, y2, info)) in parts.iter().enumerate() {
+            assert_eq!(info.interior_rows + info.boundary_rows, y1.len() as u64);
+            for (a, b) in y1.iter().zip(y2) {
+                assert_eq!(a.to_bits(), b.to_bits(), "r={r}");
+            }
+        }
     }
 }

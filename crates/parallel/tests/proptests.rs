@@ -9,9 +9,9 @@ use pmg_sparse::{CooBuilder, CsrMatrix};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Run both the blocking and the overlapped SpMV for every rank of `l`
-/// inside one lockstep `run_ranks` call and return, per rank, the two
-/// local products plus the overlap accounting.
+/// Run both the blocking and the overlapped SpMV of every rank's share of
+/// `a` on rank threads, inside one lockstep `run_ranks` call, and return,
+/// per rank, the two local products plus the overlap accounting.
 fn run_both_spmvs(
     a: &CsrMatrix,
     l: &Arc<Layout>,
@@ -22,12 +22,12 @@ fn run_both_spmvs(
     let da = &da;
     LocalTransport::run_ranks(p, move |mut t| {
         let r = t.rank();
-        let op = da.rank_op(r, 11);
+        let share = da.share(r);
         let xl: Vec<f64> = l.owned(r).iter().map(|&g| x[g as usize]).collect();
-        let mut y1 = vec![0.0; op.local_rows()];
-        op.spmv(&mut t, &xl, &mut y1).unwrap();
-        let mut y2 = vec![0.0; op.local_rows()];
-        let info = op.spmv_overlapped(&mut t, &xl, &mut y2).unwrap();
+        let mut y1 = vec![0.0; xl.len()];
+        share.spmv(&mut t, 11, &xl, &mut y1).unwrap();
+        let mut y2 = vec![0.0; xl.len()];
+        let info = share.spmv_overlapped(&mut t, 11, &xl, &mut y2).unwrap();
         (y1, y2, info)
     })
 }

@@ -14,9 +14,7 @@
 //! collection window would only add its length to every request
 //! (`docs/server.md`, "Dispatch").
 
-use crate::cache::{
-    ingest_cache_key, ingest_options, sharded_bytes, solver_cache_key, CacheEntry, WarmCache,
-};
+use crate::cache::{ingest_cache_key, ingest_options, solver_cache_key, CacheEntry, WarmCache};
 use crate::protocol::{
     IngestReply, IngestRequest, ProblemSpec, Response, SolveReply, SolveRequest, SolveTarget,
     StatsReply,
@@ -24,9 +22,17 @@ use crate::protocol::{
 use crate::server::ServeConfig;
 use pmg_solver::PcgOptions;
 use pmg_sparse::CooBuilder;
+use prometheus::DistributedSetup;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// What a cache entry holds: every rank's share of the hierarchy plus the
+/// default right-hand side.
+fn resident_bytes(setups: &[DistributedSetup], rhs: &[f64]) -> usize {
+    let shares: u64 = setups.iter().map(DistributedSetup::memory_bytes).sum();
+    shares as usize + 8 * rhs.len()
+}
 
 /// Counters incremented outside the dispatcher (at the connection
 /// layer), merged into `stats` replies.
@@ -163,7 +169,7 @@ impl Dispatcher {
         let setups = pmg_bench::parity_setups(&sys, spec.nranks)
             .map_err(|e| format!("sharded setup failed: {e}"))?;
         let setup_s = t0.elapsed().as_secs_f64();
-        let bytes = sharded_bytes(&setups) + sys.rhs.len() * 8;
+        let bytes = resident_bytes(&setups, &sys.rhs);
         if self.cache.key_for_spec(&spec.canon()).is_none() {
             // First sight of this spec: the alias lookup above already
             // counted nothing, so count the miss here.
@@ -268,7 +274,7 @@ impl Dispatcher {
         let setup_s = t0.elapsed().as_secs_f64();
 
         let default_rhs = vec![1.0; n];
-        let bytes = sharded_bytes(&setups) + default_rhs.len() * 8;
+        let bytes = resident_bytes(&setups, &default_rhs);
         let spec = ProblemSpec {
             // Synthetic spec: the name embeds the fingerprint so every
             // ingested mesh gets its own alias entry.
@@ -421,5 +427,41 @@ impl Dispatcher {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_ingested_entry_is_charged_what_it_holds() {
+        let (_tx, rx) = mpsc::sync_channel(1);
+        let shared = Arc::new(SharedCounters::default());
+        let mut d = Dispatcher::new(rx, &ServeConfig::default(), Arc::default(), shared);
+        let params = pmg_mesh::spheres::SpheresParams::tiny();
+        let mesh = pmg_mesh::spheres::sphere_in_cube(&params);
+        let req = IngestRequest {
+            id: "tiny".into(),
+            mesh: pmg_mesh::write_flat_bytes(&mesh),
+            nranks: 2,
+        };
+        let Response::Ingested(reply) = d.handle_ingest(&req) else {
+            panic!("ingest failed");
+        };
+        let charged = d.cache.stats().bytes;
+        let entry = d.cache.peek_mut(reply.fingerprint).expect("entry cached");
+        let held: u64 = entry
+            .setups
+            .iter()
+            .map(DistributedSetup::memory_bytes)
+            .sum();
+        assert_eq!(entry.bytes, held as usize + 8 * entry.default_rhs.len());
+        // More than the level operators alone: transfers and factors count.
+        let operators: usize = (entry.setups.iter())
+            .flat_map(|s| (0..s.num_levels()).map(|l| s.level_operator_bytes(l)))
+            .sum();
+        assert!(held as usize > operators, "{held} vs {operators}");
+        assert_eq!(charged, entry.bytes);
     }
 }

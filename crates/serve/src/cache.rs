@@ -81,27 +81,13 @@ pub struct CacheEntry {
     pub default_rhs: Vec<f64>,
     /// Hierarchy construction seconds.
     pub setup_s: f64,
-    /// Estimated resident bytes (operator nonzeros across all levels).
+    /// What the entry is charged against the byte budget: every rank's
+    /// [`DistributedSetup::memory_bytes`] (operators, transfers, smoother
+    /// and coarsest factors) plus the default right-hand side.
     pub bytes: usize,
     /// Element imbalance of the ingest partition (0 for spec entries:
     /// only ingest replies report it).
     pub element_imbalance: f64,
-}
-
-/// Estimate the resident bytes of an entry: every rank's owned nonzeros at
-/// CSR cost (8-byte value + 4-byte column index) plus per-row overhead.
-/// The shares partition the levels, so the sum is roughly one hierarchy,
-/// not `nranks` of them. An estimate is enough — the budget bounds
-/// growth, it is not an allocator.
-pub fn sharded_bytes(setups: &[DistributedSetup]) -> usize {
-    setups
-        .iter()
-        .map(|s| {
-            (0..s.num_levels())
-                .map(|l| s.level_nnz_local(l) * 12 + s.level_rows_local(l) * 32)
-                .sum::<usize>()
-        })
-        .sum()
 }
 
 /// Cumulative cache activity, for `stats` replies and telemetry gauges.
@@ -115,7 +101,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Estimated bytes currently resident.
+    /// Bytes currently charged by resident entries.
     pub bytes: usize,
 }
 

@@ -35,9 +35,7 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{
-    ingest_cache_key, ingest_options, sharded_bytes, solver_cache_key, CacheStats, WarmCache,
-};
+pub use cache::{ingest_cache_key, ingest_options, solver_cache_key, CacheStats, WarmCache};
 pub use client::{Client, ClientError};
 pub use protocol::{
     IngestReply, IngestRequest, ProblemSpec, Request, Response, SolveReply, SolveTarget, StatsReply,

@@ -83,6 +83,14 @@ impl CoarseDirect {
         self.n
     }
 
+    /// Resident bytes of the dense factor.
+    pub fn memory_bytes(&self) -> u64 {
+        match &self.factor {
+            Factor::Chol(c) => c.memory_bytes(),
+            Factor::Lu(l) => l.memory_bytes(),
+        }
+    }
+
     /// Solve against the factored coarse operator for an already-gathered
     /// global right-hand side (the root rank's step of an SPMD apply).
     pub fn solve_global(&self, r: &[f64]) -> Vec<f64> {

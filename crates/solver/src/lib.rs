@@ -25,4 +25,4 @@ pub use chebyshev::Chebyshev;
 pub use direct::CoarseDirect;
 pub use pcg::{pcg, pcg_generic, PcgBackend, PcgOptions, PcgResult};
 pub use precond::{IdentityPrecond, JacobiPrecond, Precond};
-pub use smoother::{BlockJacobi, RankJacobi, RankSmoother};
+pub use smoother::{BlockJacobi, RankJacobi};

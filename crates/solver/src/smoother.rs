@@ -38,7 +38,7 @@ impl BlockFactor {
     /// factored in place. Only a block that is not SPD is extracted densely,
     /// for pivoted LU (it lost definiteness) or, if singular too, the
     /// inverse diagonal.
-    fn refactor(&mut self, plan: &RankBlocks, local: &CsrMatrix, b: usize) {
+    fn refactor(&mut self, plan: &RankJacobi, local: &CsrMatrix, b: usize) {
         let blk = &plan.blocks[b];
         let n = blk.len();
         if !matches!(self, BlockFactor::Chol(c) if c.dim() == n) {
@@ -82,6 +82,14 @@ impl BlockFactor {
         }
     }
 
+    fn memory_bytes(&self) -> u64 {
+        match self {
+            BlockFactor::Chol(c) => c.memory_bytes(),
+            BlockFactor::Lu(l) => l.memory_bytes(),
+            BlockFactor::Diag(d) => 8 * d.len() as u64,
+        }
+    }
+
     fn solve_flops(&self) -> u64 {
         match self {
             BlockFactor::Chol(c) => 2 * (c.dim() * c.dim()) as u64,
@@ -91,16 +99,23 @@ impl BlockFactor {
     }
 }
 
-/// One rank's blocks, split like `RapPlan` splits the Galerkin product:
-/// a *symbolic* half — the partition of the local block's graph into
+/// **One** rank's block-Jacobi smoother: block Jacobi is purely
+/// rank-local, so a rank's share is its sub-domain factorizations of its
+/// local operator block and nothing else. [`BlockJacobi`] holds one per
+/// virtual rank, a message-passing rank its own — the same kernels, so the
+/// two runtimes are bitwise identical.
+///
+/// The blocks are split like `RapPlan` splits the Galerkin product: a
+/// *symbolic* half — the partition of the local block's graph into
 /// sub-domains, a function of the sparsity pattern alone — and a *numeric*
 /// half, the dense factor of each sub-domain's principal submatrix.
 /// [`refactor`](Self::refactor) redoes only the numeric half while the
 /// pattern is unchanged.
-struct RankBlocks {
+pub struct RankJacobi {
     /// Pattern of the local block the symbolic half was built for.
     pattern: PatternFingerprint,
     blocks_per_1000: f64,
+    omega: f64,
     /// Local dof indices per block (ascending within a block).
     blocks: Vec<Vec<u32>>,
     /// Per local dof: the block it belongs to and its position inside it.
@@ -113,13 +128,11 @@ struct RankBlocks {
     apply_flops: u64,
 }
 
-impl RankBlocks {
-    /// Partition one rank's local block into METIS-style sub-domains and
-    /// factor each densely. The single per-rank build both the orchestrated
-    /// [`BlockJacobi::new`] and the SPMD-setup [`RankJacobi::new`] run — the
-    /// factorizations depend only on this rank's local block, so the two
-    /// paths are bitwise identical by construction.
-    fn new(local: &CsrMatrix, blocks_per_1000: f64) -> RankBlocks {
+impl RankJacobi {
+    /// Partition this rank's local (owned × owned) operator block into
+    /// METIS-style sub-domains at the paper's `blocks_per_1000` density
+    /// and factor each densely; sweeps are damped by `omega`.
+    pub fn new(local: &CsrMatrix, blocks_per_1000: f64, omega: f64) -> RankJacobi {
         pmg_telemetry::counter_add("smoother/plan_build", 1);
         let n = local.nrows();
         let mut blocks = Vec::new();
@@ -139,9 +152,10 @@ impl RankBlocks {
                 home[v as usize] = (b as u32, l as u32);
             }
         }
-        let mut rb = RankBlocks {
+        let mut rj = RankJacobi {
             pattern: PatternFingerprint::of(local),
             blocks_per_1000,
+            omega,
             buf: Mutex::new(vec![0.0; blocks.iter().map(Vec::len).max().unwrap_or(0)]),
             factors: (blocks.iter())
                 .map(|blk| BlockFactor::Chol(Cholesky::with_dim(blk.len())))
@@ -150,20 +164,20 @@ impl RankBlocks {
             home,
             apply_flops: 0,
         };
-        rb.factor(local);
-        rb
+        rj.factor(local);
+        rj
     }
 
     /// Refactor for a new local block: numeric-only when its sparsity
     /// pattern is the one the blocks were planned for (the values may have
     /// changed freely), a transparent rebuild otherwise. Either way the
-    /// result is bitwise what [`RankBlocks::new`] gives on `local`.
-    fn refactor(&mut self, local: &CsrMatrix) {
+    /// result is bitwise what [`RankJacobi::new`] gives on `local`.
+    pub fn refactor(&mut self, local: &CsrMatrix) {
         if self.pattern.matches(local) {
             pmg_telemetry::counter_add("smoother/plan_reuse", 1);
             self.factor(local);
         } else {
-            *self = RankBlocks::new(local, self.blocks_per_1000);
+            *self = RankJacobi::new(local, self.blocks_per_1000, self.omega);
         }
     }
 
@@ -211,12 +225,23 @@ impl RankBlocks {
         sub
     }
 
+    /// Number of sub-domain blocks (diagnostics).
+    pub fn num_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Resident bytes: the block factors as stored, the block index maps
+    /// and the sweep buffer.
+    pub fn memory_bytes(&self) -> u64 {
+        let factors: u64 = self.factors.iter().map(BlockFactor::memory_bytes).sum();
+        let buf = self.blocks.iter().map(Vec::len).max().unwrap_or(0);
+        factors + (12 * self.home.len() + 8 * buf) as u64
+    }
+
     /// `x += ω · B⁻¹ r` on this rank's blocks: gather a block's residual,
     /// solve in place, scatter-add the damped result straight into `x` —
     /// bitwise `z = ω B⁻¹ r` followed by `x += 1.0 · z`, without the `z`.
-    /// The single per-rank kernel both the orchestrated path and the SPMD
-    /// [`RankSmoother`] run, so their results are bitwise identical.
-    fn solve_add(&self, omega: f64, r: &[f64], x: &mut [f64]) {
+    pub fn solve_add(&self, r: &[f64], x: &mut [f64]) {
         // The buffer carries nothing from sweep to sweep, so one left by a
         // sweep that panicked is as good as new.
         let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
@@ -227,24 +252,9 @@ impl RankBlocks {
             }
             fac.solve_in_place(s);
             for (&v, &si) in blk.iter().zip(s.iter()) {
-                x[v as usize] += omega * si;
+                x[v as usize] += self.omega * si;
             }
         }
-    }
-}
-
-/// One rank's borrowed view of a [`RankJacobi`] smoother: block Jacobi
-/// needs no communication beyond the residual's product, so the view is a
-/// purely local kernel for SPMD execution.
-pub struct RankSmoother<'a> {
-    blocks: &'a RankBlocks,
-    omega: f64,
-}
-
-impl RankSmoother<'_> {
-    /// `x += ω · B⁻¹ r` on this rank's share.
-    pub fn solve_add(&self, r: &[f64], x: &mut [f64]) {
-        self.blocks.solve_add(self.omega, r, x);
     }
 
     /// `x = ω · B⁻¹ b` on this rank's share: the sweep from the zero guess
@@ -256,55 +266,14 @@ impl RankSmoother<'_> {
     }
 }
 
-/// The block-Jacobi smoother / one-level preconditioner.
+/// The block-Jacobi smoother / one-level preconditioner: one
+/// [`RankJacobi`] per virtual rank.
 pub struct BlockJacobi {
-    ranks: Vec<RankBlocks>,
-    omega: f64,
-    apply_flops: Vec<u64>,
+    ranks: Vec<RankJacobi>,
     /// A sweep's residual `b − A x`, kept between sweeps so that smoothing
     /// allocates nothing (`tests/smoother_alloc.rs`). One sweep at a time;
     /// the lock is uncontended in every solve path.
     residual: Mutex<DistVec>,
-}
-
-/// **One** rank's owned block-Jacobi smoother — the SPMD-setup counterpart
-/// of [`BlockJacobi`], which factors every rank's blocks. Block Jacobi is
-/// purely rank-local, so the distributed setup builds exactly this rank's
-/// sub-domain factorizations from its local operator block and nothing
-/// else; [`RankJacobi::view`] yields the [`RankSmoother`] kernel the
-/// SPMD cycle runs — per rank, the kernel [`BlockJacobi`] runs.
-pub struct RankJacobi {
-    blocks: RankBlocks,
-    omega: f64,
-}
-
-impl RankJacobi {
-    /// Factor this rank's blocks from its local (owned × owned) operator
-    /// block at the paper's `blocks_per_1000` density.
-    pub fn new(local: &CsrMatrix, blocks_per_1000: f64, omega: f64) -> RankJacobi {
-        RankJacobi {
-            blocks: RankBlocks::new(local, blocks_per_1000),
-            omega,
-        }
-    }
-
-    /// Refactor for a new local block; see [`BlockJacobi::refactor`].
-    pub fn refactor(&mut self, local: &CsrMatrix) {
-        self.blocks.refactor(local);
-    }
-
-    /// Number of sub-domain blocks (diagnostics).
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.blocks.len()
-    }
-
-    /// The per-rank application kernel.
-    pub fn view(&self) -> RankSmoother<'_> {
-        RankSmoother {
-            blocks: &self.blocks,
-            omega: self.omega,
-        }
-    }
 }
 
 impl BlockJacobi {
@@ -312,15 +281,12 @@ impl BlockJacobi {
     /// local unknowns and damping `omega`.
     pub fn new(a: &DistMatrix, blocks_per_1000: f64, omega: f64) -> BlockJacobi {
         let nranks = a.row_layout().num_ranks();
-        let ranks: Vec<RankBlocks> = (0..nranks)
+        let ranks: Vec<RankJacobi> = (0..nranks)
             .into_par_iter()
-            .map(|r| RankBlocks::new(a.local_block(r), blocks_per_1000))
+            .map(|r| RankJacobi::new(a.local_block(r), blocks_per_1000, omega))
             .collect();
-        let apply_flops = ranks.iter().map(|r| r.apply_flops).collect();
         BlockJacobi {
             ranks,
-            omega,
-            apply_flops,
             residual: Mutex::new(DistVec::zeros(a.row_layout().clone())),
         }
     }
@@ -340,31 +306,29 @@ impl BlockJacobi {
         self.ranks
             .par_iter_mut()
             .enumerate()
-            .for_each(|(r, rb)| rb.refactor(a.local_block(r)));
-        for (flops, rb) in self.apply_flops.iter_mut().zip(&self.ranks) {
-            *flops = rb.apply_flops;
-        }
-    }
-
-    pub fn omega(&self) -> f64 {
-        self.omega
+            .for_each(|(r, rj)| rj.refactor(a.local_block(r)));
     }
 
     /// Number of blocks on rank `r` (diagnostics).
     pub fn num_blocks(&self, r: usize) -> usize {
-        self.ranks[r].blocks.len()
+        self.ranks[r].num_blocks()
+    }
+
+    /// Rank `r`'s share — what a message-passing rank holds of this
+    /// smoother.
+    pub fn share(&self, r: usize) -> &RankJacobi {
+        &self.ranks[r]
     }
 
     /// `x += ω · B⁻¹ r`: every rank's block solves on its own parts (in
     /// parallel over ranks), plus the model's charge for them.
     fn solve_add(&self, sim: &mut Sim, r: &DistVec, x: &mut DistVec) {
-        let omega = self.omega;
         self.ranks
             .par_iter()
             .zip(x.par_parts_mut())
             .enumerate()
-            .for_each(|(rank, (rb, xp))| rb.solve_add(omega, r.part(rank), xp));
-        sim.compute(&self.apply_flops);
+            .for_each(|(rank, (rj, xp))| rj.solve_add(r.part(rank), xp));
+        sim.compute_each(|rank| self.ranks[rank].apply_flops);
     }
 
     /// `sweeps` stationary smoothing sweeps `x ← x + ω B⁻¹ (b − A x)`. The
@@ -439,16 +403,6 @@ mod tests {
     use super::*;
     use pmg_parallel::{Layout, MachineModel};
     use pmg_sparse::CooBuilder;
-
-    impl BlockJacobi {
-        /// Rank `r`'s kernel, as an SPMD rank holds it.
-        fn rank(&self, r: usize) -> RankSmoother<'_> {
-            RankSmoother {
-                blocks: &self.ranks[r],
-                omega: self.omega,
-            }
-        }
-    }
 
     fn laplacian(n: usize) -> CsrMatrix {
         let mut b = CooBuilder::new(n, n);
@@ -566,7 +520,7 @@ mod tests {
     #[test]
     fn extracted_blocks_are_the_principal_submatrices() {
         let a = grid_laplacian(9, 0.25);
-        let rb = RankBlocks::new(&a, 50.0); // 81 dofs -> 4 blocks
+        let rb = RankJacobi::new(&a, 50.0, 1.0); // 81 dofs -> 4 blocks
         assert_eq!(rb.blocks.len(), 4);
         let mut covered = 0;
         for (b, blk) in rb.blocks.iter().enumerate() {
@@ -597,16 +551,19 @@ mod tests {
             apply_bits(&BlockJacobi::new(&dist(&a2), 60.0, 0.7), &l)
         );
 
-        // The one-rank SPMD smoother shares the kernel and the contract.
-        let view_bits = |rj: &RankJacobi| -> Vec<u64> {
+        // So does one share on its own, as a message-passing rank holds it.
+        let share_bits = |rj: &RankJacobi| -> Vec<u64> {
             let r: Vec<f64> = (0..144).map(|i| (i as f64 * 0.61).sin()).collect();
             let mut z = vec![f64::NAN; 144];
-            rj.view().solve_from_zero(&r, &mut z);
+            rj.solve_from_zero(&r, &mut z);
             z.iter().map(|v| v.to_bits()).collect()
         };
         let mut rj = RankJacobi::new(&a, 60.0, 0.7);
         rj.refactor(&a2);
-        assert_eq!(view_bits(&rj), view_bits(&RankJacobi::new(&a2, 60.0, 0.7)));
+        assert_eq!(
+            share_bits(&rj),
+            share_bits(&RankJacobi::new(&a2, 60.0, 0.7))
+        );
 
         // Pattern changes (a different grid numbering of the same size):
         // the stale plan is dropped and rebuilt.
@@ -633,10 +590,10 @@ mod tests {
         b.push(0, 1, 2.0);
         b.push(1, 0, 2.0);
         b.push(1, 1, 1.0);
-        let rb = RankBlocks::new(&b.build(), 1.0);
+        let rb = RankJacobi::new(&b.build(), 1.0, 1.0);
         assert!(matches!(rb.factors[0], BlockFactor::Lu(_)));
         let mut z = [0.0f64; 2];
-        rb.solve_add(1.0, &[5.0, 4.0], &mut z);
+        rb.solve_add(&[5.0, 4.0], &mut z);
         assert!((z[0] - 1.0).abs() < 1e-14 && (z[1] - 2.0).abs() < 1e-14);
 
         // Singular: LU refuses too, the inverse diagonal is what is left.
@@ -644,10 +601,10 @@ mod tests {
         for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
             b.push(i, j, 4.0);
         }
-        let rb = RankBlocks::new(&b.build(), 1.0);
+        let rb = RankJacobi::new(&b.build(), 1.0, 0.5);
         assert!(matches!(rb.factors[0], BlockFactor::Diag(_)));
         let mut z = [0.0; 2];
-        rb.solve_add(0.5, &[8.0, 4.0], &mut z);
+        rb.solve_add(&[8.0, 4.0], &mut z);
         assert_eq!(z, [1.0, 0.5]);
     }
 
@@ -720,7 +677,7 @@ mod tests {
         bj.smooth(&mut sim, &da, &b, &mut want, 1);
         for rank in 0..4 {
             let mut xp = vec![f64::NAN; l.local_len(rank)];
-            bj.rank(rank).solve_from_zero(b.part(rank), &mut xp);
+            bj.share(rank).solve_from_zero(b.part(rank), &mut xp);
             let got: Vec<u64> = xp.iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = want.part(rank).iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "rank {rank}");
@@ -743,21 +700,21 @@ mod tests {
             })
             .collect();
         for rank in 0..4 {
-            let rb = &bj.ranks[rank];
+            let rb = bj.share(rank);
             let (rp, n) = (r.part(rank), l.local_len(rank));
             let mut z = vec![0.0; n];
             for (blk, fac) in rb.blocks.iter().zip(&rb.factors) {
                 let mut s: Vec<f64> = blk.iter().map(|&v| rp[v as usize]).collect();
                 fac.solve_in_place(&mut s);
                 for (&v, &si) in blk.iter().zip(&s) {
-                    z[v as usize] = bj.omega * si;
+                    z[v as usize] = rb.omega * si;
                 }
             }
             let x0p: Vec<f64> = l.owned(rank).iter().map(|&g| x0[g as usize]).collect();
             let mut want = x0p.clone();
             pmg_sparse::vector::axpy(1.0, &z, &mut want);
             let mut got = x0p;
-            bj.rank(rank).solve_add(rp, &mut got);
+            bj.share(rank).solve_add(rp, &mut got);
             // Bit for bit, signed zeros included: `x + 1.0·(ω s)` and
             // `x + ω s` are the same sum, so a `-0.0` in `x` survives a
             // `-0.0` update on both routes.

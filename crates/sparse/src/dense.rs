@@ -363,6 +363,11 @@ impl Cholesky {
         self.n
     }
 
+    /// Resident bytes of the packed factor.
+    pub fn memory_bytes(&self) -> u64 {
+        8 * self.u.len() as u64
+    }
+
     /// Solve `A x = b` in place.
     pub fn solve_in_place(&self, b: &mut [f64]) {
         let n = self.n;
@@ -449,6 +454,11 @@ impl Lu {
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.lu.nrows
+    }
+
+    /// Resident bytes of the dense factor and its row swaps.
+    pub fn memory_bytes(&self) -> u64 {
+        8 * (self.lu.data.len() + self.swaps.len()) as u64
     }
 
     /// Solve `A x = b` in place.

@@ -436,23 +436,35 @@ pub struct PatternFingerprint {
 impl PatternFingerprint {
     /// Fingerprint `a`'s pattern.
     pub fn of(a: &CsrMatrix) -> PatternFingerprint {
+        PatternFingerprint::of_rows(a.ncols(), (0..a.nrows()).map(|i| a.row(i).0))
+    }
+
+    /// [`of`](Self::of) the matrix of `ncols` columns whose rows have the
+    /// column indices `rows` yields, in order — rows of a larger matrix
+    /// fingerprinted where they are, without being copied out.
+    pub fn of_rows<'a>(
+        ncols: usize,
+        rows: impl ExactSizeIterator<Item = &'a [usize]>,
+    ) -> PatternFingerprint {
         let mut h: u64 = 0xcbf29ce484222325;
         let mut eat = |x: usize| {
             h ^= x as u64;
             h = h.wrapping_mul(0x100000001b3);
         };
-        eat(a.nrows());
-        eat(a.ncols());
-        for i in 0..a.nrows() {
-            let (cols, _) = a.row(i);
+        let nrows = rows.len();
+        eat(nrows);
+        eat(ncols);
+        let mut nnz = 0;
+        for cols in rows {
             eat(cols.len());
             for &j in cols {
                 eat(j);
             }
+            nnz += cols.len();
         }
         PatternFingerprint {
-            rows: a.nrows(),
-            nnz: a.nnz(),
+            rows: nrows,
+            nnz,
             hash: h,
         }
     }

@@ -96,8 +96,8 @@ fn fine_problem(n: usize) -> (CsrMatrix, pmg_mesh::Mesh, pmg_partition::Graph) {
 /// Build the hierarchy on `p` ranks and return each rank's (total tracked
 /// bytes, largest tracked allocation) for the build window alone — the
 /// owned-rows input is assembled before tracking starts — and the bytes of
-/// the coarse-level (levels >= 1) operator rows the rank keeps, at the CSR
-/// cost `pmg_serve::sharded_bytes` charges.
+/// the coarse-level (levels >= 1) operator rows the rank keeps, at CSR cost
+/// (12 B per stored entry, 32 B per row).
 fn build_footprint(
     a: &CsrMatrix,
     mesh: &pmg_mesh::Mesh,
