@@ -12,6 +12,7 @@ use pmg_geometry::{Delaunay, Predicates, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
 use pmg_parallel::{DistMatrix, DistVec, Layout, Sim};
 use pmg_partition::{partition_graph, refine_kl, Graph};
+use pmg_solver::RankJacobi;
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
 use pmg_sparse::{Bsr3Matrix, Operator};
 use prometheus::{
@@ -340,6 +341,38 @@ fn bench_block_factor(_c: &mut Criterion) {
     }
 }
 
+/// The smoother's numeric half and its block solves on the real fine-level
+/// share: one `RankJacobi` of the 9.8k-dof spheres operator at the paper's
+/// density (59 blocks, the `cold10k` / `newton10k` level 0 at one rank),
+/// refactored in place as a Newton re-setup does and swept once from zero,
+/// beside the bytes its envelope factors hold and the bytes dense packed
+/// triangles of the same blocks would. `block_solve_166` and
+/// `cholesky_factor_166` time synthetic dense blocks, whose profile no
+/// smoother block has.
+fn bench_rank_jacobi(_c: &mut Criterion) {
+    let a = newton10k_system().matrix;
+    let opts = MgOptions::default();
+    let mut rj = RankJacobi::new(&a, opts.blocks_per_1000, opts.omega);
+    let dense: u64 = rj.block_sizes().map(|n| 4 * (n * (n + 1)) as u64).sum();
+    let refactor = sorted_times(40, || rj.refactor(black_box(&a)));
+    let r: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
+    let mut x = vec![0.0; a.nrows()];
+    let sweep = sorted_times(300, || rj.solve_from_zero(black_box(&r), &mut x));
+    println!(
+        "# group: block_jacobi_lvl0 ({} blocks, {:.2} MB resident, {:.2} MB as dense packed factors)",
+        rj.num_blocks(),
+        rj.memory_bytes() as f64 / 1e6,
+        dense as f64 / 1e6
+    );
+    for (name, times) in [("refactor", refactor), ("solve_from_zero", sweep)] {
+        println!(
+            "block_jacobi_lvl0/{name:<16} min {:>8.3} ms   median {:>8.3} ms",
+            times[0] * 1e3,
+            times[times.len() / 2] * 1e3
+        );
+    }
+}
+
 /// The symbolic half of the fine-grid smoother set-up at the same size: the
 /// 9.8k-dof spheres operator's pattern cut into 6 blocks per 1000 dofs, as
 /// one rank's block is. `refine_kl` runs its 4 passes from index runs of the
@@ -491,6 +524,7 @@ criterion_group!(
     bench_smoother,
     bench_block_solve,
     bench_block_factor,
+    bench_rank_jacobi,
     bench_block_partition,
     bench_distribute
 );

@@ -2,7 +2,8 @@
 //!
 //! "else x_i ← A_i⁻¹ r_i — solve coarsest problem directly" (Figure 1 of the
 //! paper). The coarsest operator is gathered to a root rank, factored
-//! densely once per matrix setup, and each application gathers the
+//! once per matrix setup (inside the envelope of its nonzeros, see
+//! `Cholesky::factor`), and each application gathers the
 //! right-hand side, solves at the root, and scatters the result. Its size
 //! stays constant as the problem scales, so this is not a scalability
 //! bottleneck (§5).

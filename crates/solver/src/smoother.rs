@@ -4,15 +4,19 @@
 //! 1,000 unknowns (these block Jacobi sub-domains are constructed with
 //! METIS)". Blocks are built *within* each rank's sub-domain (block Jacobi
 //! needs no communication beyond the residual's matrix product), factored
-//! densely once per matrix setup, and applied with damping `ω` so the
-//! smoothing iteration contracts the high-frequency error.
+//! once per matrix setup, and applied with damping `ω` so the smoothing
+//! iteration contracts the high-frequency error.
 //!
-//! The setup has a symbolic half (graph, partition, block index maps — a
-//! function of the sparsity pattern alone) and a numeric half (scatter each
-//! block into its factor's packed storage and factor it there).
-//! [`BlockJacobi::refactor`] keeps the first and redoes only the second —
-//! allocating nothing — while the pattern is unchanged, which is every
-//! Newton iteration on a fixed mesh.
+//! The setup has a symbolic half (graph, partition, block index maps and
+//! each block's envelope — a function of the sparsity pattern alone) and a
+//! numeric half (scatter each block into its factor's envelope and factor
+//! it there). [`BlockJacobi::refactor`] keeps the first and redoes only the
+//! second — allocating nothing — while the pattern is unchanged, which is
+//! every Newton iteration on a fixed mesh. A block's Cholesky factor is
+//! stored, factored and solved only inside the envelope of its principal
+//! submatrix's pattern — about half of the dense triangle and a quarter of
+//! its factor flops at the paper's density on the spheres meshes — with the
+//! bits of the dense factor (see [`Cholesky`]).
 
 use crate::precond::Precond;
 use pmg_parallel::{DistMatrix, DistVec, Sim, SimOperator};
@@ -21,6 +25,15 @@ use pmg_sparse::dense::{Cholesky, DenseMatrix, Lu};
 use pmg_sparse::{CsrMatrix, PatternFingerprint};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex};
+
+/// Row `g` of `local` up to its diagonal. A block lists its dofs in
+/// ascending order and CSR columns are sorted, so of the row's entries in
+/// `g`'s block these are exactly those at or left of `g`'s slot.
+fn lower_row(local: &CsrMatrix, g: u32) -> (&[usize], &[f64]) {
+    let (cols, vals) = local.row(g as usize);
+    let cut = cols.partition_point(|&j| j <= g as usize);
+    (&cols[..cut], &vals[..cut])
+}
 
 enum BlockFactor {
     Chol(Cholesky),
@@ -31,34 +44,34 @@ enum BlockFactor {
 
 impl BlockFactor {
     /// Factor block `b` of `plan` out of `local`, where the factor lives:
-    /// the block's CSR rows are scattered straight into the packed storage
-    /// a Cholesky slot already owns — the lower triangle, row `l`'s entries
+    /// the block's CSR rows are scattered straight into the envelope a
+    /// Cholesky slot already owns — the lower triangle, row `l`'s entries
     /// with slot `<= l`, which is all Cholesky ever read, so round-off
     /// asymmetry in a Galerkin operator cannot reach the factor — and
     /// factored in place. Only a block that is not SPD is extracted densely,
     /// for pivoted LU (it lost definiteness) or, if singular too, the
-    /// inverse diagonal.
+    /// inverse diagonal; the next refactor gives it an envelope again.
     fn refactor(&mut self, plan: &RankJacobi, local: &CsrMatrix, b: usize) {
-        let blk = &plan.blocks[b];
-        let n = blk.len();
-        if !matches!(self, BlockFactor::Chol(c) if c.dim() == n) {
-            *self = BlockFactor::Chol(Cholesky::with_dim(n));
+        if !matches!(self, BlockFactor::Chol(_)) {
+            *self = BlockFactor::Chol(Cholesky::with_profile(&plan.profile(local, b)));
         }
         let BlockFactor::Chol(chol) = self else {
             unreachable!("set just above")
         };
+        let blk = &plan.blocks[b];
         let spd = chol.factor_in_place(|u| {
             for (l, &g) in blk.iter().enumerate() {
-                let (cols, vals) = local.row(g as usize);
+                let (cols, vals) = lower_row(local, g);
                 for (&j, &v) in cols.iter().zip(vals) {
                     let (block, slot) = plan.home[j];
-                    if block as usize == b && slot as usize <= l {
-                        u[Cholesky::packed_index(n, l, slot as usize)] = v;
+                    if block as usize == b {
+                        u.set(l, slot as usize, v);
                     }
                 }
             }
         });
         if !spd {
+            let n = blk.len();
             let sub = plan.extract(local, b);
             let inv = |i: usize| {
                 if sub[(i, i)] != 0.0 {
@@ -92,7 +105,7 @@ impl BlockFactor {
 
     fn solve_flops(&self) -> u64 {
         match self {
-            BlockFactor::Chol(c) => 2 * (c.dim() * c.dim()) as u64,
+            BlockFactor::Chol(c) => c.solve_flops(),
             BlockFactor::Lu(l) => 2 * (l.dim() * l.dim()) as u64,
             BlockFactor::Diag(d) => d.len() as u64,
         }
@@ -107,8 +120,9 @@ impl BlockFactor {
 ///
 /// The blocks are split like `RapPlan` splits the Galerkin product: a
 /// *symbolic* half — the partition of the local block's graph into
-/// sub-domains, a function of the sparsity pattern alone — and a *numeric*
-/// half, the dense factor of each sub-domain's principal submatrix.
+/// sub-domains and each sub-domain's envelope, a function of the sparsity
+/// pattern alone — and a *numeric* half, the envelope Cholesky factor of
+/// each sub-domain's principal submatrix.
 /// [`refactor`](Self::refactor) redoes only the numeric half while the
 /// pattern is unchanged.
 pub struct RankJacobi {
@@ -131,7 +145,7 @@ pub struct RankJacobi {
 impl RankJacobi {
     /// Partition this rank's local (owned × owned) operator block into
     /// METIS-style sub-domains at the paper's `blocks_per_1000` density
-    /// and factor each densely; sweeps are damped by `omega`.
+    /// and factor each inside its envelope; sweeps are damped by `omega`.
     pub fn new(local: &CsrMatrix, blocks_per_1000: f64, omega: f64) -> RankJacobi {
         pmg_telemetry::counter_add("smoother/plan_build", 1);
         let n = local.nrows();
@@ -157,15 +171,32 @@ impl RankJacobi {
             blocks_per_1000,
             omega,
             buf: Mutex::new(vec![0.0; blocks.iter().map(Vec::len).max().unwrap_or(0)]),
-            factors: (blocks.iter())
-                .map(|blk| BlockFactor::Chol(Cholesky::with_dim(blk.len())))
-                .collect(),
+            factors: Vec::new(),
             blocks,
             home,
             apply_flops: 0,
         };
+        rj.factors = (0..rj.blocks.len())
+            .map(|b| BlockFactor::Chol(Cholesky::with_profile(&rj.profile(local, b))))
+            .collect();
         rj.factor(local);
         rj
+    }
+
+    /// Block `b`'s envelope: per row `l`, the lowest slot among its entries
+    /// in the block at or left of the diagonal (the diagonal itself if
+    /// none) — the entries the numeric half scatters, one pass over the
+    /// lower half of the block's rows.
+    fn profile(&self, local: &CsrMatrix, b: usize) -> Vec<usize> {
+        (self.blocks[b].iter().enumerate())
+            .map(|(l, &g)| {
+                let (cols, _) = lower_row(local, g);
+                cols.iter()
+                    .map(|&j| self.home[j])
+                    .filter(|&(block, _)| block as usize == b)
+                    .fold(l, |f, (_, slot)| f.min(slot as usize))
+            })
+            .collect()
     }
 
     /// Refactor for a new local block: numeric-only when its sparsity
@@ -228,6 +259,11 @@ impl RankJacobi {
     /// Number of sub-domain blocks (diagnostics).
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
+    }
+
+    /// Each block's number of dofs (diagnostics).
+    pub fn block_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.blocks.iter().map(Vec::len)
     }
 
     /// Resident bytes: the block factors as stored, the block index maps
@@ -578,6 +614,30 @@ mod tests {
         assert_eq!(
             apply_bits(&bj, &l),
             apply_bits(&BlockJacobi::new(&dist(&a3), 60.0, 0.7), &l)
+        );
+
+        // A pattern change that widens a block's envelope: couple the
+        // first and the last dof of a block of rank 0. Refactoring in the
+        // old extents would have no room for the new entries; the plan is
+        // rebuilt with wider ones, bitwise a fresh build.
+        let before = bj.ranks[0].memory_bytes();
+        let blk = &bj.ranks[0].blocks[0];
+        let (first, last) = (blk[0] as usize, blk[blk.len() - 1] as usize);
+        let mut b4 = CooBuilder::new(144, 144);
+        for (i, j, v) in a3.iter() {
+            b4.push(i, j, v);
+        }
+        b4.push(first, last, -0.25);
+        b4.push(last, first, -0.25);
+        let a4 = b4.build();
+        bj.refactor(&dist(&a4));
+        assert!(
+            bj.ranks[0].memory_bytes() > before,
+            "the envelope did not widen"
+        );
+        assert_eq!(
+            apply_bits(&bj, &l),
+            apply_bits(&BlockJacobi::new(&dist(&a4), 60.0, 0.7), &l)
         );
     }
 

@@ -2,7 +2,11 @@
 //!
 //! Used for the coarsest-grid direct solve and for the block-Jacobi
 //! smoother's per-block factorizations (the paper factors each METIS block
-//! once per matrix setup).
+//! once per matrix setup). [`Cholesky`] stores, factors and solves only
+//! inside the matrix's envelope — the profile of its lower triangle, which
+//! fill never leaves — with the bits of the dense factor: what it skips
+//! subtracts products with exact zeros. A full profile is the dense packed
+//! triangle. [`Lu`] is dense.
 
 use crate::flops;
 use std::ops::{Index, IndexMut};
@@ -126,14 +130,9 @@ fn lane_dot(u: &[f64], x: &[f64]) -> f64 {
 /// Rows of `U` finished together, and eliminating rows subtracted per pass,
 /// in [`Cholesky::factor_in_place`] (the two kernels below are written out
 /// for four). Throughput only: every entry receives its subtractions one by
-/// one in ascending row order whatever the grouping.
+/// one in ascending row order whatever the grouping. The envelope is padded
+/// so that the rows of one panel end in the same column.
 const PANEL: usize = 4;
-
-/// Offset of `U[k, k]` in the packed storage of an `n`-row factor.
-#[inline]
-fn packed_row_start(n: usize, k: usize) -> usize {
-    k * (2 * n - k + 1) / 2
-}
 
 /// `t[j] -= c[q] · e[q][j]` for the four eliminating rows `q` in ascending
 /// order: one load and one store of `t` per four updates, independent lanes
@@ -184,34 +183,46 @@ fn eliminate_panel(
     }
 }
 
-/// Cholesky factorization `A = L Lᵀ` of a symmetric positive definite matrix.
+/// Cholesky factorization `A = L Lᵀ` of a symmetric positive definite
+/// matrix, stored and computed only inside its envelope.
 ///
-/// The factor is stored as packed row-major `U = Lᵀ`: row `k` holds
-/// `U[k, k..n]` contiguously, so the factorization's and the forward
+/// **Envelope.** Let `f_j ≤ j` be the first column of row `j` of `A`'s lower
+/// triangle that can be nonzero. No fill ever reaches left of it
+/// (`L[j, k] = 0` for `k < f_j`), so row `k` of `U = Lᵀ` is nonzero only up
+/// to `e_k = max{j : f_j ≤ k}` (nondecreasing in `k`). Row `k` stores
+/// `U[k, k..=ê_k]` contiguously, all rows in one allocation, where `ê_k` is
+/// `e_k` padded twice: to the `e` of the last row of its panel of 4 rows
+/// (so the rows finished together end together and the 4 × 4 kernels run
+/// on equal slices), then to the end of its group of 8 columns counted
+/// from `n` (so the backward solve's lane groups are the dense row's). A full
+/// profile is the dense packed layout. The factorization's and the forward
 /// solve's inner loops are contiguous axpys with independent lanes (they
 /// vectorize without reassociating anything) and the backward solve is a
 /// contiguous dot over one row.
 ///
-/// **Row form.** The packed storage starts as `A`'s lower triangle
+/// **Row form.** The storage starts as `A`'s lower triangle
 /// (`U[k, j] = A[j, k]`) and is factored in place, row by row: row `k` is
 /// finished by subtracting every earlier row's contribution
-/// `U[m, k] · U[m, k..n]` in ascending `m`, then taking one square root and
-/// dividing the finished row by its pivot — independent lanes. The
+/// `U[m, k] · U[m, k..=ê_m]` in ascending `m`, then taking one square root
+/// and dividing the finished row by its pivot — independent lanes. The
 /// up-looking form this replaced computed `L[i, k] = x[k] / U[k, k]` and
 /// needed it before `x[k + 1]` was final: a divide → multiply → subtract
 /// chain taken `n²/2` times per factor, which — not flops or bytes — set
 /// the time of a 166-dof block. Rows are finished four at a time against
 /// four eliminating rows per pass, so an entry is loaded and stored once
-/// per four updates.
+/// per four updates; a group of eliminating rows that ends left of a panel
+/// is not visited.
 ///
-/// **Bit contract.** The *factor* is textbook: every entry receives the
-/// same subtractions `U[m, k] · U[m, j]`, one by one in the same
-/// ascending-`m` order, as the row-by-row dot-product form (the unit tests
-/// keep that form as an oracle) — the row form only changes *when* an
-/// entry's turn comes, not what is subtracted from it or in which order,
-/// so its bits are those of the up-looking loop. The *solve* bits are
-/// defined here. The forward pass is the textbook order.
-/// The backward pass computes
+/// **Bit contract.** The *factor* is textbook: every stored entry receives
+/// the subtractions `U[m, k] · U[m, j]` of the dense row-by-row dot-product
+/// form (the unit tests keep that form as an oracle), one by one in the
+/// same ascending-`m` order, except those with `j > ê_m`. Each of those
+/// subtracts a product with a structural zero, which the dense form holds
+/// as exactly `+0.0` (it is never written and only ever receives `±0`
+/// subtractions), so skipping it can change nothing but the sign of an
+/// exact zero — and only where `A` holds `-0.0` inside the envelope, the
+/// one way a `-0.0` enters the factor. The *solve* bits are defined here.
+/// The forward pass is the textbook order. The backward pass computes
 /// `x[i] = (y[i] − U[i, i+1..n] · x[i+1..n]) / U[i, i]` with the dot taken
 /// in 8 independent partial sums (lanes) over the groups of 8 consecutive
 /// entries counted from the row's end, one fixed combine tree
@@ -222,49 +233,97 @@ fn eliminate_panel(
 /// picks or on the pool size. A serial `sum -= u·x` chain would pin bits
 /// just as well but cannot be vectorized under strict IEEE semantics, and
 /// at the smoother's 166-dof blocks its add latency — not the factor's
-/// bytes — set the sweep time.
+/// bytes — set the sweep time. The groups past `ê_i` are whole groups of
+/// `+0.0` taken first, into lanes that are still `+0.0`, and the forward
+/// pass's skipped updates subtract `±0`: for finite data the solve, too,
+/// can differ from the dense one only in the sign of an exact zero, and
+/// only where the right-hand side or the factor holds `-0.0`.
 #[derive(Clone, Debug)]
 pub struct Cholesky {
     n: usize,
-    /// `U[k, j]` (`j >= k`) at `row_start(k) + j - k`; `n (n + 1) / 2` long.
+    /// Row `k` of `U` (columns `k..=ê_k`) at `u[start[k]..start[k + 1]]`.
+    start: Vec<usize>,
     u: Vec<f64>,
+    /// Flops of one factorization and of one solve inside the envelope.
+    factor_flops: u64,
+    solve_flops: u64,
+}
+
+/// The zero-filled envelope [`Cholesky::factor_in_place`] hands its `fill`.
+pub struct EnvelopeFill<'a> {
+    start: &'a [usize],
+    u: &'a mut [f64],
+}
+
+impl EnvelopeFill<'_> {
+    /// Store `A[j, k]` (the lower triangle, `k <= j`); it must lie inside
+    /// the envelope the factor was built for (`f_j <= k`), or this panics.
+    #[inline]
+    pub fn set(&mut self, j: usize, k: usize, v: f64) {
+        // `U[k, j]`, in row `k`'s slice: `j < k` wraps past its end.
+        self.u[self.start[k]..self.start[k + 1]][j.wrapping_sub(k)] = v;
+    }
 }
 
 impl Cholesky {
-    /// Offset of `U[k, k]` in the packed storage.
-    #[inline]
-    fn row_start(&self, k: usize) -> usize {
-        packed_row_start(self.n, k)
-    }
-
-    /// Packed storage for an `n`-row factor, to be filled and factored by
+    /// Storage for the factor of an `n × n` matrix whose row `j` has its
+    /// first possibly nonzero lower-triangle entry in column `first[j]`
+    /// (`<= j`; `n = first.len()`), to be filled and factored by
     /// [`factor_in_place`](Self::factor_in_place); it solves nothing
     /// before that has returned `true`.
-    pub fn with_dim(n: usize) -> Cholesky {
+    pub fn with_profile(first: &[usize]) -> Cholesky {
+        let n = first.len();
+        // e[k] = max{j : first[j] <= k}: the last row reaching column k,
+        // as a running maximum (row k itself reaches it).
+        let mut e = vec![0usize; n];
+        for (j, &f) in first.iter().enumerate() {
+            assert!(f <= j, "row {j} starts right of its diagonal");
+            e[f] = e[f].max(j);
+        }
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        let (mut reach, mut factor_flops, mut solve_flops) = (0, 0u64, 0u64);
+        for k0 in (0..n).step_by(PANEL) {
+            let k1 = (k0 + PANEL).min(n);
+            // The panel's rows end where its last row does, rounded up to
+            // a lane group counted from `n`.
+            reach = e[k0..k1].iter().fold(reach, |a, &b| a.max(b));
+            let end = n - 1 - (n - 1 - reach) / LANES * LANES;
+            for k in k0..k1 {
+                // Row `k`'s `l` off-diagonal entries cost the factor
+                // `l (l + 1) / 2` multiply-adds into the rows below, `l`
+                // divides and a square root, and the solve one multiply-add
+                // per entry and one divide in each pass (a multiply-add is
+                // two flops).
+                let l = (end - k) as u64;
+                start.push(start[k] + end - k + 1);
+                factor_flops += l * (l + 1) + l + 1;
+                solve_flops += 4 * l + 2;
+            }
+        }
         Cholesky {
             n,
-            u: vec![0.0; n * (n + 1) / 2],
+            u: vec![0.0; start[n]],
+            start,
+            factor_flops,
+            solve_flops,
         }
     }
 
-    /// Where `A[j, k]` (`k <= j < n`, the lower triangle) goes in the
-    /// storage [`factor_in_place`](Self::factor_in_place) hands to `fill`.
-    #[inline]
-    pub fn packed_index(n: usize, j: usize, k: usize) -> usize {
-        debug_assert!(k <= j && j < n);
-        packed_row_start(n, k) + j - k
-    }
-
-    /// Factor `a` (only its lower triangle is read); returns `None` if the
-    /// matrix is not (numerically) SPD.
+    /// Factor `a` (only its lower triangle is read) inside the envelope of
+    /// its nonzeros: row `j` starts at its first entry that is not `±0.0`.
+    /// Returns `None` if the matrix is not (numerically) SPD.
     pub fn factor(a: &DenseMatrix) -> Option<Cholesky> {
         assert_eq!(a.nrows, a.ncols);
         let n = a.nrows;
-        let mut ch = Cholesky::with_dim(n);
+        let first: Vec<usize> = (0..n)
+            .map(|j| a.row(j)[..j].iter().position(|&v| v != 0.0).unwrap_or(j))
+            .collect();
+        let mut ch = Cholesky::with_profile(&first);
         ch.factor_in_place(|u| {
-            for j in 0..n {
-                for (k, &v) in a.row(j)[..=j].iter().enumerate() {
-                    u[Cholesky::packed_index(n, j, k)] = v;
+            for (j, &f) in first.iter().enumerate() {
+                for (k, &v) in a.row(j)[..=j].iter().enumerate().skip(f) {
+                    u.set(j, k, v);
                 }
             }
         })
@@ -272,36 +331,49 @@ impl Cholesky {
     }
 
     /// Factor, in the storage this factor already owns, the matrix whose
-    /// lower triangle `fill` writes into the zero-filled packed array
-    /// (`A[j, k]` at [`packed_index`](Self::packed_index)`(n, j, k)`) —
-    /// bit for bit [`factor`](Self::factor) of the same entries, without
-    /// the dense copy or a new allocation. Returns `false` if the matrix
-    /// is not (numerically) SPD; the storage then holds no factor.
-    pub fn factor_in_place(&mut self, fill: impl FnOnce(&mut [f64])) -> bool {
+    /// lower triangle `fill` writes into the zero-filled envelope through
+    /// [`EnvelopeFill::set`] — bit for bit [`factor`](Self::factor) of the
+    /// same entries with the same envelope, without a dense copy or a new
+    /// allocation. Returns `false` if the matrix is not (numerically) SPD;
+    /// the storage then holds no factor.
+    pub fn factor_in_place(&mut self, fill: impl FnOnce(&mut EnvelopeFill<'_>)) -> bool {
         let n = self.n;
         self.u.fill(0.0);
-        fill(&mut self.u);
-        let start = |k: usize| packed_row_start(n, k);
+        fill(&mut EnvelopeFill {
+            start: &self.start,
+            u: &mut self.u,
+        });
+        let start = &self.start[..];
+        // One past the last stored column of row `k`.
+        let end = |k: usize| k + start[k + 1] - start[k];
+        // The first group of eliminating rows that reaches the panel; the
+        // ends grow with the row, so it only moves forward.
+        let mut m0 = 0;
         for k0 in (0..n).step_by(PANEL) {
             let k1 = (k0 + PANEL).min(n);
-            let (done, panel) = self.u.split_at_mut(start(k0));
-            // Columns `from..n` of the finished rows `m..m + PANEL`.
+            while m0 < k0 && end(m0) <= k0 {
+                m0 += PANEL;
+            }
+            let (done, panel) = self.u.split_at_mut(start[k0]);
+            // Columns `from..` of the finished rows `m..m + PANEL`, up to
+            // their common end.
             let rows = |m: usize, from: usize| -> [&[f64]; PANEL] {
-                std::array::from_fn(|q| {
-                    let r = start(m + q);
-                    &done[r + from - (m + q)..r + n - (m + q)]
-                })
+                std::array::from_fn(|q| &done[start[m + q] + from - (m + q)..start[m + q + 1]])
             };
             // Rows above the panel, PANEL at a time (`k0` is a multiple).
             if k1 - k0 == PANEL {
-                let (t0, rest) = panel.split_at_mut(n - k0);
-                let (t1, rest) = rest.split_at_mut(n - k0 - 1);
-                let (t2, rest) = rest.split_at_mut(n - k0 - 2);
-                let t3 = &mut rest[..n - k0 - 3];
-                for m in (0..k0).step_by(PANEL) {
+                let w = end(k0) - k0;
+                let (t0, rest) = panel.split_at_mut(w);
+                let (t1, rest) = rest.split_at_mut(w - 1);
+                let (t2, rest) = rest.split_at_mut(w - 2);
+                let t3 = &mut rest[..w - 3];
+                for m in (m0..k0).step_by(PANEL) {
                     let e = rows(m, k0);
-                    let c: [[f64; PANEL]; PANEL] =
-                        std::array::from_fn(|q| std::array::from_fn(|p| e[q][p]));
+                    let reach = e[0].len();
+                    // Columns `k0..k1` the group does not store are zeros.
+                    let c: [[f64; PANEL]; PANEL] = std::array::from_fn(|q| {
+                        std::array::from_fn(|p| if p < reach { e[q][p] } else { 0.0 })
+                    });
                     // The panel's own triangle (columns `k0..k1`), whose
                     // eliminating entries are the coefficients themselves...
                     let heads: [&mut [f64]; PANEL] =
@@ -313,31 +385,35 @@ impl Cholesky {
                             }
                         }
                     }
-                    // ...then columns `k1..n` of all four rows together.
-                    eliminate_panel(
-                        &mut t0[4..],
-                        &mut t1[3..],
-                        &mut t2[2..],
-                        &mut t3[1..],
-                        e.map(|s| &s[PANEL..]),
-                        &c,
-                    );
+                    // ...then columns `k1..` of all four rows together, as
+                    // far as the eliminating rows reach.
+                    if reach > PANEL {
+                        let tail = reach - PANEL;
+                        eliminate_panel(
+                            &mut t0[4..][..tail],
+                            &mut t1[3..],
+                            &mut t2[2..],
+                            &mut t3[1..],
+                            e.map(|s| &s[PANEL..]),
+                            &c,
+                        );
+                    }
                 }
             } else {
                 for p in k0..k1 {
-                    let t = &mut panel[start(p) - start(k0)..][..n - p];
-                    for m in (0..k0).step_by(PANEL) {
+                    let t = &mut panel[start[p] - start[k0]..start[p + 1] - start[k0]];
+                    for m in (m0..k0).step_by(PANEL).filter(|&m| end(m) > p) {
                         let e = rows(m, p);
-                        eliminate_row(t, e, e.map(|s| s[0]));
+                        eliminate_row(&mut t[..e[0].len()], e, e.map(|s| s[0]));
                     }
                 }
             }
             // Inside the panel: the rows just above, then the pivot.
             for p in k0..k1 {
-                let (above, t) = panel.split_at_mut(start(p) - start(k0));
-                let t = &mut t[..n - p];
+                let (above, t) = panel.split_at_mut(start[p] - start[k0]);
+                let t = &mut t[..start[p + 1] - start[p]];
                 for m in k0..p {
-                    let e = &above[start(m) - start(k0) + p - m..][..n - p];
+                    let e = &above[start[m] - start[k0] + p - m..start[m + 1] - start[k0]];
                     let c = e[0];
                     for (tj, ej) in t.iter_mut().zip(e) {
                         *tj -= c * ej;
@@ -354,7 +430,7 @@ impl Cholesky {
                 }
             }
         }
-        flops::add((n * n * n / 3).max(1) as u64);
+        flops::add(self.factor_flops.max(1));
         true
     }
 
@@ -363,9 +439,16 @@ impl Cholesky {
         self.n
     }
 
-    /// Resident bytes of the packed factor.
+    /// Resident bytes of the envelope and its row offsets.
     pub fn memory_bytes(&self) -> u64 {
-        8 * self.u.len() as u64
+        8 * (self.u.len() + self.start.len()) as u64
+    }
+
+    /// Flops one [`solve_in_place`](Self::solve_in_place) performs: two
+    /// per stored off-diagonal entry and pass, and a divide per row and
+    /// pass (`2n²` for a full profile).
+    pub fn solve_flops(&self) -> u64 {
+        self.solve_flops
     }
 
     /// Solve `A x = b` in place.
@@ -374,21 +457,20 @@ impl Cholesky {
         assert_eq!(b.len(), n);
         // Forward: Uᵀ y = b, one axpy per finished `y[k]`.
         for k in 0..n {
-            let rk = self.row_start(k);
-            let yk = b[k] / self.u[rk];
+            let row = &self.u[self.start[k]..self.start[k + 1]];
+            let yk = b[k] / row[0];
             b[k] = yk;
-            let urow = &self.u[rk + 1..rk + n - k];
-            for (bj, ukj) in b[k + 1..].iter_mut().zip(urow) {
+            for (bj, ukj) in b[k + 1..k + row.len()].iter_mut().zip(&row[1..]) {
                 *bj -= ukj * yk;
             }
         }
         // Backward: U x = y, one lane dot over row `i` per unknown.
         for i in (0..n).rev() {
-            let ri = self.row_start(i);
-            let dot = lane_dot(&self.u[ri + 1..ri + n - i], &b[i + 1..]);
-            b[i] = (b[i] - dot) / self.u[ri];
+            let row = &self.u[self.start[i]..self.start[i + 1]];
+            let dot = lane_dot(&row[1..], &b[i + 1..i + row.len()]);
+            b[i] = (b[i] - dot) / row[0];
         }
-        flops::add((2 * n * n) as u64);
+        flops::add(self.solve_flops);
     }
 
     /// Solve `A x = b`, returning a fresh `x`.
@@ -502,9 +584,11 @@ mod tests {
     use proptest::prelude::*;
 
     /// The textbook row-by-row dot-product Cholesky (unpacked row-major
-    /// `L`). Kept as the bitwise oracle: the
-    /// packed factor must reproduce its entries bit for bit, and its
-    /// solutions in the summation order the bit contract defines.
+    /// `L`), every product taken, structural zeros included: bit for bit
+    /// the dense packed factor the envelope replaced. Kept as the bitwise
+    /// oracle: the envelope factor must reproduce its entries bit for bit
+    /// (and hold only `+0.0` where it stores nothing), and its solutions in
+    /// the summation order the bit contract defines.
     struct DotCholesky {
         l: DenseMatrix,
     }
@@ -642,6 +726,16 @@ mod tests {
         assert_eq!(x, y);
     }
 
+    /// `U[k, j]` as the factor holds it: `+0.0` outside the envelope.
+    fn u_at(ch: &Cholesky, k: usize, j: usize) -> f64 {
+        let len = ch.start[k + 1] - ch.start[k];
+        if j - k < len {
+            ch.u[ch.start[k] + j - k]
+        } else {
+            0.0
+        }
+    }
+
     #[test]
     fn packed_factor_entries_match_the_oracle() {
         // U[k, j] == L[j, k] bit for bit, at a size with ragged vector tails.
@@ -651,11 +745,12 @@ mod tests {
             .collect();
         let a = gram(n, &vals, 0.5);
         let ch = Cholesky::factor(&a).unwrap();
+        assert_eq!(ch.u.len(), n * (n + 1) / 2, "a full profile is dense");
         let oracle = DotCholesky::factor(&a).unwrap();
         for k in 0..n {
             for j in k..n {
                 assert_eq!(
-                    ch.u[ch.row_start(k) + j - k].to_bits(),
+                    u_at(&ch, k, j).to_bits(),
                     oracle.l[(j, k)].to_bits(),
                     "U[{k},{j}]"
                 );
@@ -671,14 +766,189 @@ mod tests {
         };
         for k in 0..a.nrows {
             for j in k..a.nrows {
-                let u = ch.u[ch.row_start(k) + j - k];
                 assert_eq!(
-                    u.to_bits(),
+                    u_at(&ch, k, j).to_bits(),
                     oracle.l[(j, k)].to_bits(),
                     "{what}: U[{k},{j}]"
                 );
             }
         }
+    }
+
+    fn assert_solve_is_the_oracle(a: &DenseMatrix, b: &[f64], what: &str) {
+        let ch = Cholesky::factor(a).unwrap();
+        let (x, want) = (ch.solve(b), DotCholesky::factor(a).unwrap().solve(b));
+        for (i, (u, v)) in x.iter().zip(&want).enumerate() {
+            assert_eq!(u.to_bits(), v.to_bits(), "{what}, x[{i}]: {u} vs {v}");
+        }
+    }
+
+    /// A symmetric, strictly diagonally dominant (so SPD) matrix whose row
+    /// `j` of the lower triangle starts in column `first[j]`; entries
+    /// inside the profile are pseudo-random, some of them zero.
+    fn profiled(first: &[usize], seed: usize) -> DenseMatrix {
+        let n = first.len();
+        let mut a = DenseMatrix::zeros(n, n);
+        for (j, &f) in first.iter().enumerate() {
+            for k in f..j {
+                let t = (j * 31 + k * 17 + seed) % 23;
+                // The first entry is nonzero, so the profile is exact.
+                let v = if t == 0 && k > f {
+                    0.0
+                } else {
+                    t as f64 / 11.0 - 1.05
+                };
+                a[(j, k)] = v;
+                a[(k, j)] = v;
+            }
+        }
+        for i in 0..n {
+            a[(i, i)] = 1.0 + (0..n).map(|k| a[(i, k)].abs()).sum::<f64>();
+        }
+        a
+    }
+
+    /// Every row's extent ends where the contract says: at or after the
+    /// last row that reaches its column, together with its panel, at the
+    /// end of a lane group counted from `n`.
+    fn assert_extents(ch: &Cholesky, first: &[usize], what: &str) {
+        let n = first.len();
+        for k in 0..n {
+            let end = k + ch.start[k + 1] - ch.start[k]; // one past
+            let e = (0..n).filter(|&j| first[j] <= k).max().unwrap();
+            assert!(end > e, "{what}: row {k} ends before row {e} reaches it");
+            assert_eq!((n - end) % LANES, 0, "{what}: row {k} ends mid-group");
+            let last = (k / PANEL * PANEL + PANEL - 1).min(n - 1);
+            let last_end = last + ch.start[last + 1] - ch.start[last];
+            assert_eq!(end, last_end, "{what}: row {k} and its panel");
+        }
+    }
+
+    #[test]
+    fn envelope_factor_and_solve_are_bitwise_the_dense_oracle() {
+        // Banded (half-widths 1, 3, 9) and variable profiles, at every size
+        // up to ten panels — each `n mod 4` remainder, rows whose envelope
+        // ends at every position of a lane group — and the smoother's
+        // block size; `n = 0` and `n = 1` included.
+        let mut cases: Vec<(String, Vec<usize>)> = Vec::new();
+        for n in (0..=40).chain([166]) {
+            for w in [1, 3, 9] {
+                cases.push((
+                    format!("n = {n}, band {w}"),
+                    (0..n).map(|j: usize| j.saturating_sub(w)).collect(),
+                ));
+            }
+            // Row `j` reaches back a pseudo-random 0..=12 columns, with an
+            // occasional long reach.
+            let first = (0..n)
+                .map(|j: usize| match (j * 7 + n) % 19 {
+                    0 => j / 3,
+                    r => j.saturating_sub(r % 13),
+                })
+                .collect();
+            cases.push((format!("n = {n}, variable"), first));
+        }
+        let mut saved = 0;
+        for (what, first) in &cases {
+            let n = first.len();
+            let a = profiled(first, n);
+            assert_factor_is_the_oracle(&a, what);
+            let ch = Cholesky::factor(&a).unwrap();
+            if n > 0 {
+                assert_extents(&ch, first, what);
+            }
+            saved += n * (n + 1) / 2 - ch.u.len();
+            let b: Vec<f64> = (0..n)
+                .map(|i| ((i * 29 + n) % 23) as f64 / 4.0 - 2.5)
+                .collect();
+            assert_solve_is_the_oracle(&a, &b, what);
+        }
+        assert!(saved > 0, "no profile was narrower than dense");
+        let narrow = Cholesky::factor(&profiled(
+            &(0..166)
+                .map(|j: usize| j.saturating_sub(3))
+                .collect::<Vec<_>>(),
+            1,
+        ))
+        .unwrap();
+        assert!(
+            narrow.u.len() < 166 * 167 / 8,
+            "a band of 3 stores {}",
+            narrow.u.len()
+        );
+        assert!(narrow.solve_flops() < 2 * 166 * 166 / 4);
+    }
+
+    #[test]
+    fn a_stored_negative_zero_may_change_only_the_sign_of_a_zero() {
+        // The documented exception. A tridiagonal matrix, except that row 5
+        // reaches back to column 0 (`A[5, 0] < 0`, zeros in columns 1..=3,
+        // `A[5, 4] > 0`) and row 12 to column 5 through a stored `-0.0`.
+        // Rows 0..=3 then end at column 7 (column 5, rounded up to a lane
+        // group counted from n = 16), so in the dense factor
+        // `U[5, 12] = -0.0 − U[0, 5]·(+0.0)` turns the zero positive; the
+        // envelope never takes that product, and the stored zero products
+        // it does take (`U[4, 5] > 0` times `+0.0`) keep its sign.
+        let n: usize = 16;
+        let mut first: Vec<usize> = (0..n).map(|j| j.saturating_sub(1)).collect();
+        first[5] = 0;
+        first[12] = 5;
+        let mut a = DenseMatrix::zeros(n, n);
+        for (j, &f) in first.iter().enumerate() {
+            for k in f..j {
+                let v = match (j, k) {
+                    (5, 1..=3) | (12, 6..=10) => 0.0,
+                    (5, 4) => 1.0,
+                    (12, 5) => -0.0,
+                    _ => -0.5,
+                };
+                a[(j, k)] = v;
+                a[(k, j)] = v;
+            }
+        }
+        for i in 0..n {
+            a[(i, i)] = 1.0 + (0..n).map(|k| a[(i, k)].abs()).sum::<f64>();
+        }
+        let mut ch = Cholesky::with_profile(&first);
+        assert!(ch.factor_in_place(|u| {
+            for (j, &f) in first.iter().enumerate() {
+                for k in f..=j {
+                    u.set(j, k, a[(j, k)]);
+                }
+            }
+        }));
+        let oracle = DotCholesky::factor(&a).unwrap();
+        for k in 0..n {
+            for j in k..n {
+                let (got, want) = (u_at(&ch, k, j), oracle.l[(j, k)]);
+                if (k, j) == (5, 12) {
+                    let signs = (got.to_bits(), want.to_bits());
+                    assert_eq!(signs, ((-0.0f64).to_bits(), 0), "U[5,12]");
+                } else {
+                    assert_eq!(got.to_bits(), want.to_bits(), "U[{k},{j}]");
+                }
+            }
+        }
+        // The solve on that factor, with `-0.0` in the right-hand side (the
+        // contract's other case): equal values, signs of zeros aside.
+        let b: Vec<f64> = (0..n)
+            .map(|i| if i % 5 == 2 { -0.0 } else { i as f64 - 7.5 })
+            .collect();
+        let (x, want) = (ch.solve(&b), oracle.solve(&b));
+        for (i, (u, v)) in x.iter().zip(&want).enumerate() {
+            let same = u.to_bits() == v.to_bits() || (*u == 0.0 && *v == 0.0);
+            assert!(same, "x[{i}]: {u} vs {v}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn filling_outside_the_envelope_panics() {
+        // Rows 0..=3 couple only among themselves: at n = 12 they end at
+        // column 3, the end of the lane group 4..12 leaves them.
+        let first: Vec<usize> = (0..12).map(|j| if j < 4 { 0 } else { j }).collect();
+        let mut ch = Cholesky::with_profile(&first);
+        ch.factor_in_place(|u| u.set(11, 0, 1.0));
     }
 
     #[test]
@@ -742,40 +1012,47 @@ mod tests {
             Cholesky::factor(&garbage).unwrap(),
         );
         let bits = |c: &Cholesky| -> Vec<u64> { c.u.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(got.start, want.start);
         assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
     fn in_place_factor_is_entry_for_entry_the_dense_one() {
-        // One storage factored three times: a matrix, a sparser one (the
-        // entries it does not write must read zero again, not the last
-        // factor), and a non-SPD one.
+        // One storage factored three times: a banded matrix, a sparser one
+        // in the same envelope (the entries it does not write must read
+        // zero again, not the last factor), and a non-SPD one.
         let n = 23;
-        let vals: Vec<f64> = (0..n * n).map(|t| (t % 19) as f64 / 9.0 - 1.0).collect();
-        let full = gram(n, &vals, 0.5);
-        let banded = DenseMatrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+        let first: Vec<usize> = (0..n).map(|j: usize| j.saturating_sub(5)).collect();
+        let banded = profiled(&first, 3);
+        let sparser = DenseMatrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
             0 => 4.0,
             1 | 5 => -1.0,
             _ => 0.0,
         });
-        let mut ch = Cholesky::with_dim(n);
-        for a in [&full, &banded] {
+        let mut ch = Cholesky::with_profile(&first);
+        for a in [&banded, &sparser] {
             let spd = ch.factor_in_place(|u| {
-                for j in 0..n {
-                    for k in 0..=j {
+                for (j, &f) in first.iter().enumerate() {
+                    for k in f..=j {
                         if a[(j, k)] != 0.0 {
-                            u[Cholesky::packed_index(n, j, k)] = a[(j, k)];
+                            u.set(j, k, a[(j, k)]);
                         }
                     }
                 }
             });
             assert!(spd);
-            let want = Cholesky::factor(a).unwrap();
-            for (i, (u, v)) in ch.u.iter().zip(&want.u).enumerate() {
-                assert_eq!(u.to_bits(), v.to_bits(), "packed entry {i}");
+            let want = DotCholesky::factor(a).unwrap();
+            for k in 0..n {
+                for j in k..n {
+                    assert_eq!(
+                        u_at(&ch, k, j).to_bits(),
+                        want.l[(j, k)].to_bits(),
+                        "U[{k},{j}]"
+                    );
+                }
             }
         }
-        assert!(!ch.factor_in_place(|u| u[Cholesky::packed_index(n, 7, 7)] = 1.0));
+        assert!(!ch.factor_in_place(|u| u.set(7, 7, 1.0)));
     }
 
     #[test]

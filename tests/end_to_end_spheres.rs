@@ -7,7 +7,7 @@ use pmg_mesh::SpheresParams;
 use prometheus::{MgOptions, Prometheus, PrometheusOptions};
 
 fn tiny_system() -> pmg_bench_free::System {
-    pmg_bench_free::build()
+    pmg_bench_free::build(&SpheresParams::tiny())
 }
 
 /// Local duplicate of the bench harness setup (tests are independent of
@@ -38,9 +38,8 @@ mod pmg_bench_free {
         }
     }
 
-    pub fn build() -> System {
-        let params = SpheresParams::tiny();
-        let mut problem = pmg_fem::spheres_problem(&params);
+    pub fn build(params: &SpheresParams) -> System {
+        let mut problem = pmg_fem::spheres_problem(params);
         let mesh = problem.fem.mesh.clone();
         let ndof = mesh.num_dof();
         let (k, r) = problem.fem.assemble(&vec![0.0; ndof]);
@@ -110,6 +109,36 @@ fn first_linear_solve_converges_quickly() {
             "matfree={matfree}: true residual {err:.3e} vs b {bn:.3e}"
         );
     }
+}
+
+/// FNV-1a over the iteration count and the solution's bit patterns.
+fn solution_hash(iterations: usize, x: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for word in std::iter::once(iterations as u64).chain(x.iter().map(|v| v.to_bits())) {
+        for b in word.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn spheres10k_first_solve_is_pinned_bit_for_bit() {
+    // The benchmark's `cold10k` mesh (9792 dof), its first-step system and
+    // the default solver: every kernel of the set-up and of FMG-PCG is on
+    // this path, the smoother's block factors and solves included. The
+    // hash was recorded before the block factors moved into their
+    // envelope; a change to any kernel's arithmetic order must re-pin it
+    // on purpose.
+    let sys = pmg_bench_free::build(&SpheresParams {
+        n_surf: 6,
+        ..SpheresParams::ladder(1)
+    });
+    let mut solver = Prometheus::from_mesh(&sys.mesh, &sys.matrix, PrometheusOptions::default());
+    let (x, res) = solver.solve(&sys.rhs, None, 1e-6);
+    assert!(res.converged, "{res:?}");
+    assert_eq!((x.len(), res.iterations), (9792, 23));
+    assert_eq!(solution_hash(res.iterations, &x), 0x81cb_6af9_cbaa_ef11);
 }
 
 #[test]
