@@ -4,7 +4,8 @@
 //! (random points, and the benchmark's first coarse grid with its exact
 //! `insphere` stage on its own), the block-Jacobi application,
 //! factorisation and block partition, a level operator's cold distribution
-//! against its value-only refresh, and one V-cycle/FMG cycle.
+//! against its value-only refresh, one Newton re-setup and its level-0
+//! consumers, and one V-cycle/FMG cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{machine, spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
@@ -14,7 +15,8 @@ use pmg_parallel::{DistMatrix, DistVec, Layout, Sim};
 use pmg_partition::{partition_graph, refine_kl, Graph};
 use pmg_solver::RankJacobi;
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
-use pmg_sparse::{Bsr3Matrix, Operator};
+use pmg_sparse::{Bsr3Matrix, CsrMatrix, Operator, PatternFingerprint};
+use prometheus::mg::Smoother;
 use prometheus::{
     classify_mesh, coarsen_level, greedy_mis, identify_faces, CoarsenOptions, MgHierarchy,
     MgOptions, MisOrdering, Prometheus, PrometheusOptions,
@@ -309,6 +311,83 @@ fn sorted_times(runs: usize, mut f: impl FnMut()) -> Vec<f64> {
     times
 }
 
+/// Sorted wall times of `runs` calls of `f`, each on a new input that
+/// `input` makes outside the timer, after one warm-up call.
+fn sorted_times_on<T>(runs: usize, mut input: impl FnMut() -> T, mut f: impl FnMut(T)) -> Vec<f64> {
+    let mut times: Vec<f64> = (0..=runs)
+        .map(|_| {
+            let x = input();
+            let t = std::time::Instant::now();
+            f(x);
+            t.elapsed().as_secs_f64()
+        })
+        .skip(1)
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times
+}
+
+/// One Newton re-setup on the 9.8k-dof spheres at one rank — the call
+/// `newton10k`'s `setup_s` times — beside its three level-0 consumers of
+/// the fine operator: the value refresh of the level's share, the
+/// smoother's refactor and the Galerkin product. Every call gets a new
+/// operator built with `CsrMatrix::from_parts` outside the timer, so it
+/// carries no fingerprint and the call pays the one hash a caller's fresh
+/// assembly costs. `refactor` checks the share's `diag`, which carries its
+/// fingerprint for the share's lifetime; `rap` is handed an operator
+/// fingerprinted outside the timer, as the refresh has already hashed it
+/// inside `update_matrix`.
+fn bench_newton_update(_c: &mut Criterion) {
+    let sys = newton10k_system();
+    let a = &sys.matrix;
+    let fresh = || {
+        let (rows, cols) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
+        CsrMatrix::from_parts(a.nrows(), a.ncols(), rows, cols, a.vals().to_vec())
+    };
+    let mut solver = Prometheus::from_mesh(&sys.mesh, a, PrometheusOptions::default());
+    let update = sorted_times_on(30, fresh, |m| solver.update_matrix(&m));
+    let refresh = sorted_times_on(30, fresh, |m| {
+        assert!(solver.mg.levels[0].a.refresh_from_global(&m));
+    });
+    let refactor = sorted_times(30, || {
+        let level = &mut solver.mg.levels[0];
+        let Smoother::BlockJacobi(bj) = &mut level.smoother else {
+            panic!("the default smoother is block Jacobi")
+        };
+        bj.refactor(&level.a);
+    });
+    let hashed = || {
+        let m = fresh();
+        PatternFingerprint::of(&m);
+        m
+    };
+    let rap = sorted_times_on(30, hashed, |m| {
+        let plan = solver.mg.levels[0]
+            .rap_plan
+            .as_mut()
+            .expect("level 0 has a plan");
+        black_box(plan.try_execute(&m).expect("same pattern"));
+    });
+    println!(
+        "# group: newton_update ({} dof, {} nnz, levels {:?}, one rank)",
+        a.nrows(),
+        a.nnz(),
+        solver.level_sizes()
+    );
+    for (name, times) in [
+        ("update_matrix", update),
+        ("refresh_lvl0", refresh),
+        ("refactor", refactor),
+        ("rap", rap),
+    ] {
+        println!(
+            "newton_update/{name:<14} min {:>8.3} ms   median {:>8.3} ms",
+            times[0] * 1e3,
+            times[times.len() / 2] * 1e3
+        );
+    }
+}
+
 /// The numeric half of the fine-grid smoother set-up at the same size: 59
 /// SPD 166-dof blocks factored one after the other (`n³/3` flops each).
 fn bench_block_factor(_c: &mut Criterion) {
@@ -526,6 +605,7 @@ criterion_group!(
     bench_block_factor,
     bench_rank_jacobi,
     bench_block_partition,
-    bench_distribute
+    bench_distribute,
+    bench_newton_update
 );
 criterion_main!(benches);

@@ -44,6 +44,42 @@ pub struct DistMatrix {
 /// One owned row, as `(global columns, values)`.
 type Row<'a> = (&'a [usize], &'a [f64]);
 
+/// The owned rows a share is built from or refreshed with: rows `owned` of
+/// a global matrix, or (`owned` = `None`) every row of an owned-rows matrix.
+#[derive(Clone, Copy)]
+struct OwnedRows<'a> {
+    a: &'a CsrMatrix,
+    owned: Option<&'a [u32]>,
+}
+
+impl<'a> OwnedRows<'a> {
+    fn len(&self) -> usize {
+        self.owned.map_or(self.a.nrows(), <[u32]>::len)
+    }
+
+    fn row(&self, li: usize) -> Row<'a> {
+        self.a.row(self.owned.map_or(li, |o| o[li] as usize))
+    }
+
+    /// Whether the rows are all of `a`'s, in order (an owned list is
+    /// ascending, so as long as `a` it is `0..n`).
+    fn whole(&self) -> bool {
+        self.len() == self.a.nrows()
+    }
+
+    /// The rows' pattern over `a`'s columns: the fingerprint `a` carries
+    /// when they are all of it, else one pass over the subset.
+    fn pattern(&self) -> PatternFingerprint {
+        match self.owned {
+            Some(o) if !self.whole() => PatternFingerprint::of_rows(
+                self.a.ncols(),
+                o.iter().map(|&g| self.a.row(g as usize).0),
+            ),
+            _ => PatternFingerprint::of(self.a),
+        }
+    }
+}
+
 /// **One** rank's owned share of a distributed matrix: its rows split into
 /// the owned-column block `diag` and the ghost-column block `off`, their
 /// 3x3-blocked copies, the row classes of the overlapped product and the
@@ -94,8 +130,11 @@ pub struct RankMatrix {
     /// The halo plan over every rank of `col_layout`; `None` until
     /// [`RankMatrix::install_plan`].
     plan: Option<Arc<HaloPlan>>,
-    /// Pattern of the owned rows the share was built from.
-    pattern: PatternFingerprint,
+    /// Pattern of the owned rows the share was built from, in global
+    /// columns — `None` when they were the whole input and this rank owns
+    /// every column: `diag` then *is* that pattern and carries its
+    /// fingerprint.
+    pattern: Option<PatternFingerprint>,
 }
 
 /// What one overlapped product hid: the interior-compute window that ran
@@ -139,9 +178,11 @@ impl DistMatrix {
         let mut ranks: Vec<RankMatrix> = (0..nranks)
             .into_par_iter()
             .map(|r| {
-                let owned = row_layout.owned(r);
-                let row = |li: usize| a.row(owned[li] as usize);
-                RankMatrix::build(row, row_layout.clone(), col_layout.clone(), r)
+                let rows = OwnedRows {
+                    a,
+                    owned: Some(row_layout.owned(r)),
+                };
+                RankMatrix::build(rows, row_layout.clone(), col_layout.clone(), r)
             })
             .collect();
 
@@ -194,8 +235,8 @@ impl DistMatrix {
         assert_eq!(a.nrows(), self.row_layout.num_global(), "row count changed");
         let (row_layout, changed) = (&self.row_layout, AtomicBool::new(false));
         self.ranks.par_iter_mut().for_each(|m| {
-            let owned = row_layout.owned(m.rank);
-            if !m.refresh_rows(a.ncols(), |li| a.row(owned[li] as usize)) {
+            let owned = Some(row_layout.owned(m.rank));
+            if !m.refresh_rows(OwnedRows { a, owned }) {
                 changed.store(true, Ordering::Relaxed);
             }
         });
@@ -356,64 +397,28 @@ impl DistMatrix {
 }
 
 impl RankMatrix {
-    /// Build rank `rank`'s share from its owned rows, `row(li)` being local
-    /// row `li` — read out of a global CSR through the row layout
-    /// ([`DistMatrix`]) or straight from an owned-rows CSR
-    /// ([`from_local_rows`](Self::from_local_rows)); one function for both
-    /// is what makes the two bitwise identical. Two passes, count then
-    /// fill: a source row ascends in global column and owned and ghost
-    /// columns keep that order locally, so the entries of both blocks land
-    /// in CSR order as they come. No halo plan yet.
-    fn build<'a>(
-        row: impl Fn(usize) -> Row<'a>,
+    /// Build rank `rank`'s share from its owned rows — read out of a
+    /// global CSR through the row layout ([`DistMatrix`]) or straight from
+    /// an owned-rows CSR ([`from_local_rows`](Self::from_local_rows)); one
+    /// function for both is what makes the two bitwise identical. Two
+    /// passes, count then fill: a source row ascends in global column and
+    /// owned and ghost columns keep that order locally, so the entries of
+    /// both blocks land in CSR order as they come. A rank that owns every
+    /// row and every column numbers them as the input does, so its `diag`
+    /// is a copy of the input (carrying its fingerprint) and `off` is
+    /// empty — what the two passes would build. No halo plan yet.
+    fn build(
+        rows: OwnedRows<'_>,
         row_layout: Arc<Layout>,
         col_layout: Arc<Layout>,
         rank: usize,
     ) -> RankMatrix {
         let nlocal = row_layout.local_len(rank);
-        let mine = |j: usize| col_layout.owner(j) as usize == rank;
-        // Until deduplicated, `ghosts` has one entry per off-diagonal entry.
-        let mut ghosts: Vec<u32> = Vec::new();
-        let (mut diag_ptr, mut off_ptr) = (vec![0usize], vec![0usize]);
-        let mut seen = 0;
-        for li in 0..nlocal {
-            let (cols, _) = row(li);
-            debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row not ascending");
-            ghosts.extend(cols.iter().filter(|&&j| !mine(j)).map(|&j| j as u32));
-            seen += cols.len();
-            off_ptr.push(ghosts.len());
-            diag_ptr.push(seen - ghosts.len());
-        }
-        // Row classes for the overlap: a row with any ghost-column entry is
-        // boundary, the rest are interior and can be computed while the halo
-        // messages are in flight.
-        let (interior, boundary) =
-            (0..nlocal as u32).partition(|&li| off_ptr[li as usize] == off_ptr[li as usize + 1]);
-        let (ndiag, noff) = (diag_ptr[nlocal], off_ptr[nlocal]);
-        ghosts.sort_unstable();
-        ghosts.dedup();
-
-        let (mut diag_cols, mut diag_vals) = (Vec::with_capacity(ndiag), Vec::with_capacity(ndiag));
-        let (mut off_cols, mut off_vals) = (Vec::with_capacity(noff), Vec::with_capacity(noff));
-        for li in 0..nlocal {
-            let (cols, vals) = row(li);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if mine(j) {
-                    diag_cols.push(col_layout.local_index(j) as usize);
-                    diag_vals.push(v);
-                } else {
-                    let ghost = ghosts.binary_search(&(j as u32));
-                    off_cols.push(ghost.expect("collected in the first pass"));
-                    off_vals.push(v);
-                }
-            }
-        }
+        debug_assert_eq!(rows.len(), nlocal);
         let ncols = col_layout.local_len(rank);
-        let pattern =
-            PatternFingerprint::of_rows(col_layout.num_global(), (0..nlocal).map(|li| row(li).0));
-        RankMatrix {
-            diag: CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals),
-            off: CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals),
+        let share = |diag, off, ghosts, (interior, boundary), pattern| RankMatrix {
+            diag,
+            off,
             diag_bsr: None,
             off_bsr: None,
             ghost_pad: Vec::new(),
@@ -425,9 +430,59 @@ impl RankMatrix {
             plan: None,
             pattern,
             rank,
-            row_layout,
-            col_layout,
+            row_layout: row_layout.clone(),
+            col_layout: col_layout.clone(),
+        };
+        if rows.whole() && ncols == col_layout.num_global() {
+            let classes = ((0..nlocal as u32).collect(), Vec::new());
+            let off = CsrMatrix::zeros(nlocal, 0);
+            return share(rows.a.clone(), off, Vec::new(), classes, None);
         }
+
+        let mine = |j: usize| col_layout.owner(j) as usize == rank;
+        // Until deduplicated, `ghosts` has one entry per off-diagonal entry.
+        let mut ghosts: Vec<u32> = Vec::new();
+        let (mut diag_ptr, mut off_ptr) = (vec![0usize], vec![0usize]);
+        let mut seen = 0;
+        for li in 0..nlocal {
+            let (cols, _) = rows.row(li);
+            debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row not ascending");
+            ghosts.extend(cols.iter().filter(|&&j| !mine(j)).map(|&j| j as u32));
+            seen += cols.len();
+            off_ptr.push(ghosts.len());
+            diag_ptr.push(seen - ghosts.len());
+        }
+        // Row classes for the overlap: a row with any ghost-column entry is
+        // boundary, the rest are interior and can be computed while the halo
+        // messages are in flight.
+        let classes =
+            (0..nlocal as u32).partition(|&li| off_ptr[li as usize] == off_ptr[li as usize + 1]);
+        let (ndiag, noff) = (diag_ptr[nlocal], off_ptr[nlocal]);
+        ghosts.sort_unstable();
+        ghosts.dedup();
+
+        let (mut diag_cols, mut diag_vals) = (Vec::with_capacity(ndiag), Vec::with_capacity(ndiag));
+        let (mut off_cols, mut off_vals) = (Vec::with_capacity(noff), Vec::with_capacity(noff));
+        for li in 0..nlocal {
+            let (cols, vals) = rows.row(li);
+            for (&j, &v) in cols.iter().zip(vals) {
+                if mine(j) {
+                    diag_cols.push(col_layout.local_index(j) as usize);
+                    diag_vals.push(v);
+                } else {
+                    let ghost = ghosts.binary_search(&(j as u32));
+                    off_cols.push(ghost.expect("collected in the first pass"));
+                    off_vals.push(v);
+                }
+            }
+        }
+        share(
+            CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals),
+            CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals),
+            ghosts,
+            classes,
+            Some(rows.pattern()),
+        )
     }
 
     /// Build this rank's blocks from an **owned-rows** CSR: one row per
@@ -448,37 +503,54 @@ impl RankMatrix {
             row_layout.local_len(rank),
             "one local row per owned row"
         );
-        RankMatrix::build(|li| a_local.row(li), row_layout, col_layout, rank)
+        let rows = OwnedRows {
+            a: a_local,
+            owned: None,
+        };
+        RankMatrix::build(rows, row_layout, col_layout, rank)
     }
 
     /// The numeric half of [`build`](Self::build) and
-    /// [`try_block3`](Self::try_block3), for
-    /// owned rows (`ncols` columns) of the pattern this share was built
-    /// from: one ordered walk rewrites the values of `diag` and `off`
-    /// through a running cursor each — same classification, same order, so
-    /// same slots — then the blocked copies take theirs. Nothing is
-    /// allocated, sorted or looked up. Rows of another pattern leave the
-    /// share as it was and return `false`.
-    fn refresh_rows<'a>(&mut self, ncols: usize, row: impl Fn(usize) -> Row<'a>) -> bool {
+    /// [`try_block3`](Self::try_block3), for owned rows of the pattern
+    /// this share was built from: one ordered walk rewrites the values of
+    /// `diag` and `off` — a row without ghost columns is one copy into
+    /// `diag`, any other row is split through a running cursor per block,
+    /// same classification, same order, so same slots — then the blocked
+    /// copies take theirs. Nothing is allocated, sorted or looked up. Rows
+    /// of another pattern leave the share as it was and return `false`.
+    ///
+    /// Rows that are the whole input are checked by the fingerprint the
+    /// input carries (hashed at most once in its life) against the one
+    /// `diag` or the share holds; a subset of a larger matrix is hashed
+    /// here, on every call.
+    fn refresh_rows(&mut self, rows: OwnedRows<'_>) -> bool {
         let nlocal = self.diag.nrows();
-        if PatternFingerprint::of_rows(ncols, (0..nlocal).map(|li| row(li).0)) != self.pattern {
+        let held = self
+            .pattern
+            .unwrap_or_else(|| PatternFingerprint::of(&self.diag));
+        if rows.len() != nlocal || rows.pattern() != held {
             return false;
         }
-        let (diag_vals, off_vals) = (self.diag.vals_mut(), self.off.vals_mut());
+        let diag_vals = self.diag.vals_mut();
         let (mut d, mut o) = (0, 0);
         for li in 0..nlocal {
-            let (cols, vals) = row(li);
+            let (cols, vals) = rows.row(li);
+            if self.off.row(li).0.is_empty() {
+                diag_vals[d..d + vals.len()].copy_from_slice(vals);
+                d += vals.len();
+                continue;
+            }
             for (&j, &v) in cols.iter().zip(vals) {
                 if self.col_layout.owner(j) as usize == self.rank {
                     diag_vals[d] = v;
                     d += 1;
                 } else {
-                    off_vals[o] = v;
+                    self.off.vals_mut()[o] = v;
                     o += 1;
                 }
             }
         }
-        assert_eq!((d, o), (diag_vals.len(), off_vals.len()), "pattern changed");
+        assert_eq!((d, o), (diag_vals.len(), self.off.nnz()), "pattern changed");
         if let Some(b) = &mut self.diag_bsr {
             b.refresh_from_csr(&self.diag, |j| j);
         }
@@ -496,8 +568,10 @@ impl RankMatrix {
     /// was and `false` returned, for the caller to go through the
     /// two-phase construction again.
     pub fn refresh_from_local_rows(&mut self, a_local: &CsrMatrix) -> bool {
-        a_local.nrows() == self.diag.nrows()
-            && self.refresh_rows(a_local.ncols(), |li| a_local.row(li))
+        self.refresh_rows(OwnedRows {
+            a: a_local,
+            owned: None,
+        })
     }
 
     /// Resident bytes of this rank's share: scalar diag/off CSR blocks plus
@@ -1087,7 +1161,7 @@ mod tests {
             .collect();
         let dx = DistVec::from_global(m.col_layout.clone(), &x);
         let mut dy = DistVec::zeros(m.row_layout.clone());
-        let mut sim = Sim::new(4, MachineModel::default());
+        let mut sim = Sim::new(m.row_layout.num_ranks(), MachineModel::default());
         m.spmv(&mut sim, &dx, &mut dy);
         dy.to_global().iter().map(|v| v.to_bits()).collect()
     }
@@ -1100,51 +1174,62 @@ mod tests {
     #[test]
     fn refresh_is_field_for_field_a_rebuild() {
         type Build = fn(&CsrMatrix, Arc<Layout>, Arc<Layout>) -> DistMatrix;
-        let (fine, coarse) = (scattered_layout(9), scattered_layout(5));
-        assert_eq!(fine.local_len(2), 0);
-        // Square and blocked, square and scalar (eligible but unpromoted:
-        // the matrix-free level 0), rectangular like a restriction.
-        let cases: [(usize, &Arc<Layout>, Build, bool); 3] = [
-            (9, &fine, DistMatrix::from_global_blocked, true),
-            (9, &fine, DistMatrix::from_global, false),
-            (5, &fine, DistMatrix::from_global, false),
+        // Four ranks (rank 2 empty), whose shares hash their own rows, and
+        // one, whose share is the whole input and reads its fingerprint.
+        let layouts = [
+            (scattered_layout(9), scattered_layout(5)),
+            (Layout::serial(27), Layout::serial(15)),
         ];
-        for (nbr, cols, build, blocked) in cases {
-            let rows = if nbr == 9 { &fine } else { &coarse };
-            let build = |a: &CsrMatrix| build(a, rows.clone(), cols.clone());
-            let (a1, a2) = (
-                partial_block_matrix(nbr, 9, 0),
-                partial_block_matrix(nbr, 9, 1),
-            );
-            let mut m = build(&a1);
-            assert_eq!(m.bsr3_routed(), blocked);
-            let partial = |r: &RankMatrix| {
-                let mut blocks: Vec<u32> = r.ghosts.iter().map(|g| g / 3).collect();
-                blocks.dedup();
-                3 * blocks.len() > r.ghosts.len()
-            };
-            assert!(m.ranks.iter().any(partial), "no partial ghost block");
+        for (fine, coarse) in &layouts {
+            // Square and blocked, square and scalar (eligible but
+            // unpromoted: the matrix-free level 0), rectangular like a
+            // restriction.
+            let cases: [(usize, &Arc<Layout>, Build, bool); 3] = [
+                (9, fine, DistMatrix::from_global_blocked, true),
+                (9, fine, DistMatrix::from_global, false),
+                (5, fine, DistMatrix::from_global, false),
+            ];
+            for (nbr, cols, build, blocked) in cases {
+                let rows = if nbr == 9 { fine } else { coarse };
+                let build = |a: &CsrMatrix| build(a, rows.clone(), cols.clone());
+                let (a1, a2) = (
+                    partial_block_matrix(nbr, 9, 0),
+                    partial_block_matrix(nbr, 9, 1),
+                );
+                let mut m = build(&a1);
+                assert_eq!(m.bsr3_routed(), blocked);
+                let partial = |r: &RankMatrix| {
+                    let mut blocks: Vec<u32> = r.ghosts.iter().map(|g| g / 3).collect();
+                    blocks.dedup();
+                    3 * blocks.len() > r.ghosts.len()
+                };
+                if fine.num_ranks() > 1 {
+                    assert!(m.ranks.iter().any(partial), "no partial ghost block");
+                } else {
+                    assert_eq!(m.ranks[0].diag, a1, "a one-rank share is its input");
+                }
 
-            assert!(m.refresh_from_global(&a2), "same pattern");
-            let cold = build(&a2);
-            assert_eq!(
-                fields(&m),
-                fields(&cold),
-                "nbr = {nbr}, blocked = {blocked}"
-            );
-            assert_eq!(spmv_bits(&m), spmv_bits(&cold));
-            assert_eq!(m.to_global(), a2);
+                assert!(m.refresh_from_global(&a2), "same pattern");
+                let cold = build(&a2);
+                assert_eq!(
+                    fields(&m),
+                    fields(&cold),
+                    "nbr = {nbr}, blocked = {blocked}"
+                );
+                assert_eq!(spmv_bits(&m), spmv_bits(&cold));
+                assert_eq!(m.to_global(), a2);
 
-            // One more stored entry: rebuilt, in the storage it had.
-            let mut b = CooBuilder::new(a2.nrows(), a2.ncols());
-            a2.iter().for_each(|(i, j, v)| b.push(i, j, v));
-            b.push(1, 3 * 7 + 2, 0.5);
-            let a3 = b.build();
-            assert_eq!(a3.nnz(), a2.nnz() + 1);
-            assert!(!m.refresh_from_global(&a3), "changed pattern");
-            assert_eq!(fields(&m), fields(&build(&a3)));
-            assert_eq!(m.bsr3_routed(), blocked);
-            assert!(m.refresh_from_global(&a3), "and refreshed from there on");
+                // One more stored entry: rebuilt, in the storage it had.
+                let mut b = CooBuilder::new(a2.nrows(), a2.ncols());
+                a2.iter().for_each(|(i, j, v)| b.push(i, j, v));
+                b.push(1, 3 * 7 + 2, 0.5);
+                let a3 = b.build();
+                assert_eq!(a3.nnz(), a2.nnz() + 1);
+                assert!(!m.refresh_from_global(&a3), "changed pattern");
+                assert_eq!(fields(&m), fields(&build(&a3)));
+                assert_eq!(m.bsr3_routed(), blocked);
+                assert!(m.refresh_from_global(&a3), "and refreshed from there on");
+            }
         }
     }
 

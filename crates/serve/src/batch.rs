@@ -27,6 +27,27 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+/// The most ranks one request may ask for on this host: four per core it
+/// offers, and never fewer than two. Every set-up and solve runs one OS
+/// thread per rank, so the bound is the host's; the protocol's own (4 096)
+/// only bounds the parser.
+pub fn max_ranks() -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (4 * cores).max(2)
+}
+
+/// [`max_ranks`] as the check a request passes before any rank thread is
+/// spawned or any shard is cut.
+fn check_ranks(nranks: usize) -> Result<(), String> {
+    let cap = max_ranks();
+    if nranks > cap {
+        return Err(format!(
+            "nranks {nranks} exceeds this host's limit of {cap} ranks"
+        ));
+    }
+    Ok(())
+}
+
 /// What a cache entry holds: every rank's share of the hierarchy plus the
 /// default right-hand side.
 fn resident_bytes(setups: &[DistributedSetup], rhs: &[f64]) -> usize {
@@ -152,6 +173,7 @@ impl Dispatcher {
     /// each rank taking its owned rows. Returns the cache key, whether it
     /// was a hit, and the setup seconds (0 on hit).
     fn ensure_spec(&mut self, spec: &ProblemSpec) -> Result<(u64, bool, f64), String> {
+        check_ranks(spec.nranks)?;
         if let Some(key) = self.cache.key_for_spec(&spec.canon()) {
             if self.cache.get_mut(key).is_some() {
                 pmg_telemetry::counter_add("serve/cache_hit", 1);
@@ -213,6 +235,9 @@ impl Dispatcher {
     /// never formed. The warm entry is then fingerprint-addressable by
     /// ordinary `solve` requests.
     fn handle_ingest(&mut self, req: &IngestRequest) -> Response {
+        if let Err(msg) = check_ranks(req.nranks) {
+            return Response::Error(msg);
+        }
         let mesh = match pmg_mesh::read_flat_bytes(&req.mesh) {
             Ok(m) => m,
             Err(e) => return Response::Error(format!("bad mesh payload: {e}")),

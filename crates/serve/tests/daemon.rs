@@ -368,3 +368,31 @@ fn ingested_mesh_solves_match_the_offline_oracle_bitwise() {
     c.shutdown().expect("shutdown ack");
     handle.wait();
 }
+
+/// A rank count above what the host can run is refused with an error reply
+/// before anything is built — warm, solve and ingest alike (the ingest
+/// payload is never even parsed) — and the daemon stays up.
+#[test]
+fn more_ranks_than_the_host_runs_are_refused() {
+    let path = sock("ranks");
+    let handle = serve(ServeConfig {
+        unix_path: Some(path.clone()),
+        ..Default::default()
+    })
+    .expect("start daemon");
+    let mut c = Client::connect_unix(&path).expect("connect");
+    let over = pmg_serve::batch::max_ranks() + 1;
+    let refused = |r: Result<_, ClientError>| match r {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("nranks"), "{msg}"),
+        Err(e) => panic!("expected a server error, got {e:?}"),
+        Ok(_) => panic!("{over} ranks were accepted"),
+    };
+    refused(c.warm(&spec(over)).map(|_| ()));
+    refused(c.solve_spec(&spec(over), None, 1e-6, "over").map(|_| ()));
+    refused(c.ingest(b"not parsed", over, "over").map(|_| ()));
+
+    let stats = c.stats().expect("the daemon is still up");
+    assert_eq!(stats.cache_entries, 0, "nothing was built");
+    c.shutdown().expect("shutdown ack");
+    handle.wait();
+}

@@ -202,7 +202,10 @@ impl RankJacobi {
     /// Refactor for a new local block: numeric-only when its sparsity
     /// pattern is the one the blocks were planned for (the values may have
     /// changed freely), a transparent rebuild otherwise. Either way the
-    /// result is bitwise what [`RankJacobi::new`] gives on `local`.
+    /// result is bitwise what [`RankJacobi::new`] gives on `local`. The
+    /// check reads the fingerprint `local` carries: a share's `diag` keeps
+    /// its pattern, and so its fingerprint, for the share's lifetime, so
+    /// checking it on every Newton update hashes nothing.
     pub fn refactor(&mut self, local: &CsrMatrix) {
         if self.pattern.matches(local) {
             pmg_telemetry::counter_add("smoother/plan_reuse", 1);

@@ -147,30 +147,49 @@ impl Bsr3Matrix {
 
     /// Overwrite the stored values with those of `a`, which must have the
     /// sparsity pattern this matrix was built from (with the same `col`,
-    /// see [`from_csr_cols`](Self::from_csr_cols)): one ordered walk with a
-    /// cursor per scalar row over the block row's ascending blocks — no
-    /// allocation, and the explicit zeros inside blocks stay zero.
+    /// see [`from_csr_cols`](Self::from_csr_cols)), allocating nothing. A
+    /// scalar row with exactly three entries per stored block of its block
+    /// row — every row of a fully coupled vertex — fills the tiles in
+    /// order, three values each; any other row takes one ordered walk with
+    /// a cursor over the block row's ascending blocks. The explicit zeros
+    /// inside blocks stay zero.
     ///
     /// # Panics
-    /// If an entry of `a` falls in a block this matrix does not store. An
-    /// entry *missing* from `a` is not detected (its old value stays), so
-    /// callers compare pattern fingerprints first.
+    /// If an entry of `a` falls in a block this matrix does not store (on
+    /// the full-row path: if a triple's first or last column is not its
+    /// tile's). An entry *missing* from `a` is not detected (its old value
+    /// stays), so callers compare pattern fingerprints first.
     pub fn refresh_from_csr(&mut self, a: &CsrMatrix, col: impl Fn(usize) -> usize) {
         assert_eq!(a.nrows(), self.nrows(), "pattern changed: rows");
         for br in 0..self.nblock_rows {
-            let end = self.row_ptr[br + 1];
+            let blocks = self.row_ptr[br]..self.row_ptr[br + 1];
             for local in 0..3 {
-                let mut k = self.row_ptr[br];
-                let (cols, vals) = a.row(3 * br + local);
+                let i = 3 * br + local;
+                let (cols, vals) = a.row(i);
+                if cols.len() == 3 * blocks.len() {
+                    let triples = cols.chunks_exact(3).zip(vals.chunks_exact(3));
+                    for (k, (c, v)) in blocks.clone().zip(triples) {
+                        let first = 3 * self.col_idx[k] as usize;
+                        assert!(
+                            col(c[0]) == first && col(c[2]) == first + 2,
+                            "pattern changed: row {i} is not whole tiles"
+                        );
+                        let tile = &mut self.vals[9 * k..9 * k + 9];
+                        tile[local] = v[0];
+                        tile[3 + local] = v[1];
+                        tile[6 + local] = v[2];
+                    }
+                    continue;
+                }
+                let mut k = blocks.start;
                 for (&j, &v) in cols.iter().zip(vals) {
                     let j = col(j);
-                    while k < end && (self.col_idx[k] as usize) < j / 3 {
+                    while k < blocks.end && (self.col_idx[k] as usize) < j / 3 {
                         k += 1;
                     }
                     assert!(
-                        k < end && self.col_idx[k] as usize == j / 3,
-                        "pattern changed: no block for entry ({}, {j})",
-                        3 * br + local
+                        k < blocks.end && self.col_idx[k] as usize == j / 3,
+                        "pattern changed: no block for entry ({i}, {j})"
                     );
                     self.vals[9 * k + 3 * (j % 3) + local] = v;
                 }
@@ -525,6 +544,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern changed")]
+    fn a_whole_tile_row_in_other_tiles_is_rejected() {
+        // Block row 0 stores tiles 0 and 1: six entries in tiles 0 and 2
+        // have the whole-row count, but the second triple is not tile 1's.
+        let mut b = Bsr3Matrix::from_csr(&block_laplacian(5));
+        let mut other = CooBuilder::new(15, 15);
+        for j in [0, 1, 2, 6, 7, 8] {
+            other.push(0, j, 1.0);
+        }
+        b.refresh_from_csr(&other.build(), |j| j);
     }
 
     #[test]

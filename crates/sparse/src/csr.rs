@@ -5,6 +5,8 @@
 use crate::dense::DenseMatrix;
 use crate::flops;
 use rayon::prelude::*;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Builder accumulating coordinate-format entries; duplicate `(i, j)`
 /// entries are summed on build (matching finite element assembly semantics).
@@ -76,6 +78,7 @@ impl CooBuilder {
             row_ptr,
             col_idx,
             vals,
+            pattern: OnceLock::new(),
         }
     }
 }
@@ -95,13 +98,137 @@ impl CooBuilder {
 /// assert_eq!(y, vec![0.0, 6.0]);
 /// assert_eq!(a.nnz(), 3);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The pattern (`nrows`, `ncols`, `row_ptr`, `col_idx`) is fixed at
+/// construction — every mutator writes values only — so its
+/// [`PatternFingerprint`] is hashed at most once in the matrix's life and
+/// carried with it (clones carry it too). The carried value is a cache: it
+/// takes no part in equality or in `Debug` output.
+#[derive(Clone)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     vals: Vec<f64>,
+    pattern: OnceLock<PatternFingerprint>,
+}
+
+impl PartialEq for CsrMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.nrows == other.nrows
+            && self.ncols == other.ncols
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self.vals == other.vals
+    }
+}
+
+impl fmt::Debug for CsrMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CsrMatrix")
+            .field("nrows", &self.nrows)
+            .field("ncols", &self.ncols)
+            .field("row_ptr", &self.row_ptr)
+            .field("col_idx", &self.col_idx)
+            .field("vals", &self.vals)
+            .finish()
+    }
+}
+
+/// Identity of a CSR sparsity pattern: the row count, the stored-entry
+/// count, and a hash of the full `(dimensions, row lengths, column
+/// indices)` structure — explicitly *not* of the values. The key the
+/// symbolic caches ([`RapPlan`](crate::RapPlan), the block-Jacobi
+/// smoother's block plan, a distributed share) hold to detect pattern drift
+/// between numeric re-executions.
+///
+/// The hash is FNV-1a in four independent lanes: within a row, column `k`
+/// feeds lane `k % 4`, each row's length feeds lane 0 first, and
+/// the dimensions and the lanes are folded together in a fixed order at
+/// the end. The lanes carry no dependency on each other, so the pass runs
+/// at the multiplier's throughput rather than its latency. A matrix's
+/// fingerprint is computed once and carried by it
+/// ([`of`](Self::of)); the value lives in memory only and is never sent or
+/// stored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PatternFingerprint {
+    rows: usize,
+    nnz: usize,
+    hash: u64,
+}
+
+/// Independent FNV-1a lanes of a [`PatternFingerprint`] pass.
+const LANES: usize = 4;
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+#[inline(always)]
+fn fnv(h: u64, x: usize) -> u64 {
+    (h ^ x as u64).wrapping_mul(FNV_PRIME)
+}
+
+impl PatternFingerprint {
+    /// `a`'s fingerprint: the value `a` carries, hashed on the first call
+    /// in `a`'s life.
+    pub fn of(a: &CsrMatrix) -> PatternFingerprint {
+        *a.pattern
+            .get_or_init(|| PatternFingerprint::of_rows(a.ncols, (0..a.nrows).map(|i| a.row(i).0)))
+    }
+
+    /// The fingerprint of the matrix of `ncols` columns whose rows have the
+    /// column indices `rows` yields, in order — rows of a larger matrix
+    /// fingerprinted where they are, without being copied out. Equal to
+    /// [`of`](Self::of) a matrix with those rows. Every call is a pass over
+    /// the rows (counted: `pattern/hashed_entries`); a whole matrix's is
+    /// [`of`](Self::of), which hashes once.
+    pub fn of_rows<'a>(
+        ncols: usize,
+        rows: impl ExactSizeIterator<Item = &'a [usize]>,
+    ) -> PatternFingerprint {
+        let mut lanes: [u64; LANES] = std::array::from_fn(|k| fnv(FNV_OFFSET, k));
+        let nrows = rows.len();
+        let mut nnz = 0;
+        for cols in rows {
+            lanes[0] = fnv(lanes[0], cols.len());
+            let mut quads = cols.chunks_exact(LANES);
+            for q in &mut quads {
+                for k in 0..LANES {
+                    lanes[k] = fnv(lanes[k], q[k]);
+                }
+            }
+            for (k, &j) in quads.remainder().iter().enumerate() {
+                lanes[k] = fnv(lanes[k], j);
+            }
+            nnz += cols.len();
+        }
+        pmg_telemetry::counter_add("pattern/hashed_entries", nnz as u64);
+        let hash = lanes
+            .iter()
+            .fold(fnv(fnv(FNV_OFFSET, nrows), ncols), |h, &lane| {
+                fnv(h, lane as usize)
+            });
+        PatternFingerprint {
+            rows: nrows,
+            nnz,
+            hash,
+        }
+    }
+
+    /// Whether `a` has exactly the fingerprinted pattern (the cheap shape
+    /// comparison runs first; the carried hash only when it passes).
+    pub fn matches(&self, a: &CsrMatrix) -> bool {
+        a.nrows() == self.rows && a.nnz() == self.nnz && *self == PatternFingerprint::of(a)
+    }
+
+    /// Give `a` the fingerprint its pattern is known to have — what a
+    /// producer whose output pattern is fixed (a [`RapPlan`](crate::RapPlan)
+    /// re-execution) uses instead of re-hashing. A no-op if `a` already
+    /// carries one.
+    pub(crate) fn stamp(self, a: &CsrMatrix) {
+        debug_assert!(a.nrows() == self.rows && a.nnz() == self.nnz);
+        let _ = a.pattern.set(self);
+    }
 }
 
 impl CsrMatrix {
@@ -124,6 +251,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             vals,
+            pattern: OnceLock::new(),
         }
     }
 
@@ -135,6 +263,7 @@ impl CsrMatrix {
             row_ptr: (0..=n).collect(),
             col_idx: (0..n).collect(),
             vals: vec![1.0; n],
+            pattern: OnceLock::new(),
         }
     }
 
@@ -146,6 +275,7 @@ impl CsrMatrix {
             row_ptr: vec![0; nrows + 1],
             col_idx: Vec::new(),
             vals: Vec::new(),
+            pattern: OnceLock::new(),
         }
     }
 
@@ -354,6 +484,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             vals,
+            pattern: OnceLock::new(),
         }
     }
 
@@ -403,6 +534,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             vals,
+            pattern: OnceLock::new(),
         }
     }
 
@@ -479,6 +611,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             vals,
+            pattern: OnceLock::new(),
         }
     }
 
@@ -629,6 +762,52 @@ mod tests {
         assert_eq!(a.get(0, 0), 3.0);
         assert_eq!(a.get(0, 1), 0.0);
         assert_eq!(a.nnz(), 2);
+    }
+
+    #[test]
+    fn a_carried_fingerprint_is_invisible_to_equality_and_debug() {
+        let plain = small();
+        let hashed = small();
+        let fp = PatternFingerprint::of(&hashed);
+        assert_eq!(plain, hashed);
+        assert_eq!(hashed, plain);
+        assert_eq!(format!("{plain:?}"), format!("{hashed:?}"));
+        assert_eq!(
+            format!("{plain:?}"),
+            "CsrMatrix { nrows: 3, ncols: 3, row_ptr: [0, 2, 3, 5], \
+             col_idx: [0, 2, 1, 0, 2], vals: [2.0, 1.0, 3.0, 4.0, 5.0] }"
+        );
+        // Values never move the pattern; clones carry the fingerprint.
+        let mut scaled = hashed.clone();
+        scaled.scale(-2.0);
+        scaled.vals_mut()[0] = 7.0;
+        assert!(fp.matches(&scaled));
+        assert_ne!(scaled, hashed);
+        assert_eq!(PatternFingerprint::of(&plain), fp);
+    }
+
+    #[test]
+    fn the_fingerprint_sees_every_structural_change() {
+        // Rows as column lists: a moved entry, a moved row boundary, a
+        // fifth lane's column and one more column all change the hash.
+        let fp = |ncols: usize, rows: &[&[usize]]| {
+            PatternFingerprint::of_rows(ncols, rows.iter().copied())
+        };
+        let base = fp(9, &[&[0, 1, 2, 3, 4, 8], &[1, 5]]);
+        assert_eq!(base, fp(9, &[&[0, 1, 2, 3, 4, 8], &[1, 5]]));
+        for other in [
+            fp(9, &[&[0, 1, 2, 3, 4, 7], &[1, 5]]),
+            fp(9, &[&[0, 1, 2, 3, 5, 8], &[1, 5]]),
+            fp(9, &[&[0, 1, 2, 3, 4, 8], &[1, 6]]),
+            fp(10, &[&[0, 1, 2, 3, 4, 8], &[1, 5]]),
+        ] {
+            assert_ne!(other, base);
+        }
+        assert_ne!(fp(4, &[&[0, 1], &[2, 3]]), fp(4, &[&[0, 1, 2], &[3]]));
+        // A whole matrix's fingerprint is its rows'.
+        let a = small();
+        let rows: Vec<&[usize]> = (0..3).map(|i| a.row(i).0).collect();
+        assert_eq!(PatternFingerprint::of(&a), fp(3, &rows));
     }
 
     #[test]

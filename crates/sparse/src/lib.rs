@@ -63,7 +63,7 @@ pub mod plan;
 pub mod vector;
 
 pub use bsr::Bsr3Matrix;
-pub use csr::{CooBuilder, CsrMatrix};
+pub use csr::{CooBuilder, CsrMatrix, PatternFingerprint};
 pub use dense::DenseMatrix;
 pub use op::Operator;
-pub use plan::{rap_local_rows, PatternFingerprint, RapPlan};
+pub use plan::{rap_local_rows, RapPlan};

@@ -52,7 +52,7 @@
 //! counts `rap/plan_reuse` — the reuse the paper's nonlinear runs (Fig. 13)
 //! depend on is thereby observable and testable.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, PatternFingerprint};
 use crate::flops;
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -421,61 +421,6 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
     ))
 }
 
-/// Identity of a CSR sparsity pattern: the row count, the stored-entry
-/// count, and an FNV-1a hash of the full `(row lengths, column indices)`
-/// structure — explicitly *not* of the values. The key the symbolic caches
-/// ([`RapPlan`], the block-Jacobi smoother's block plan) hold to detect
-/// pattern drift between numeric re-executions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PatternFingerprint {
-    rows: usize,
-    nnz: usize,
-    hash: u64,
-}
-
-impl PatternFingerprint {
-    /// Fingerprint `a`'s pattern.
-    pub fn of(a: &CsrMatrix) -> PatternFingerprint {
-        PatternFingerprint::of_rows(a.ncols(), (0..a.nrows()).map(|i| a.row(i).0))
-    }
-
-    /// [`of`](Self::of) the matrix of `ncols` columns whose rows have the
-    /// column indices `rows` yields, in order — rows of a larger matrix
-    /// fingerprinted where they are, without being copied out.
-    pub fn of_rows<'a>(
-        ncols: usize,
-        rows: impl ExactSizeIterator<Item = &'a [usize]>,
-    ) -> PatternFingerprint {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |x: usize| {
-            h ^= x as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        let nrows = rows.len();
-        eat(nrows);
-        eat(ncols);
-        let mut nnz = 0;
-        for cols in rows {
-            eat(cols.len());
-            for &j in cols {
-                eat(j);
-            }
-            nnz += cols.len();
-        }
-        PatternFingerprint {
-            rows: nrows,
-            nnz,
-            hash: h,
-        }
-    }
-
-    /// Whether `a` has exactly the fingerprinted pattern (the cheap shape
-    /// comparison runs first; the hash only when it passes).
-    pub fn matches(&self, a: &CsrMatrix) -> bool {
-        a.nrows() == self.rows && a.nnz() == self.nnz && *self == PatternFingerprint::of(a)
-    }
-}
-
 /// A reusable execution plan for the Galerkin triple product
 /// `A_c = R A Rᵀ` with `R` frozen and `A`'s sparsity pattern fixed.
 ///
@@ -490,8 +435,8 @@ impl PatternFingerprint {
 /// A plan is valid **only** for operators whose sparsity pattern is
 /// identical to the `A` it was built from; the values may change freely.
 /// Validity is checked by [`RapPlan::matches`], which compares the row
-/// count, the stored-nonzero count, and an FNV-1a fingerprint of the full
-/// `(row lengths, column indices)` structure — explicitly *not* of the
+/// count, the stored-nonzero count, and the [`PatternFingerprint`] of the
+/// full `(row lengths, column indices)` structure — explicitly *not* of the
 /// values, so Newton re-linearizations on a fixed mesh always reuse the
 /// plan. Anything that changes the pattern — remeshing, a different
 /// drop-tolerance, a new restriction `R` — must rebuild the plan.
@@ -499,6 +444,12 @@ impl PatternFingerprint {
 /// operator (`MgHierarchy::update_operator` rebuilds transparently on
 /// `None`); [`RapPlan::execute`] panics instead of scattering values
 /// through stale slots.
+///
+/// The check reads the fingerprint `A` carries, so it hashes `A` only if
+/// nothing has before in `A`'s life. The output's pattern is fixed by the
+/// plan: its fingerprint is hashed on the first execution and stamped on
+/// every later output, so the next level's consumers (its distribution,
+/// smoother and plan) check a Galerkin operator without hashing it.
 ///
 /// ```
 /// use pmg_sparse::{CooBuilder, RapPlan};
@@ -532,6 +483,9 @@ pub struct RapPlan {
     stage2: Stage,
     /// Scalar row pointer of the output.
     c_row_ptr: Vec<usize>,
+    /// Pattern of the output, fixed by the plan: hashed on the first
+    /// execution, stamped on every later output.
+    c_pattern: Option<PatternFingerprint>,
 }
 
 impl RapPlan {
@@ -616,6 +570,7 @@ impl RapPlan {
             rows2,
             stage2,
             c_row_ptr,
+            c_pattern: None,
         }
     }
 
@@ -656,10 +611,15 @@ impl RapPlan {
             return None;
         }
         pmg_telemetry::counter_add("rap/plan_reuse", 1);
-        Some(match self.block {
+        let c = match self.block {
             3 => self.run::<3, 9>(a),
             _ => self.run::<1, 1>(a),
-        })
+        };
+        match self.c_pattern {
+            Some(p) => p.stamp(&c),
+            None => self.c_pattern = Some(PatternFingerprint::of(&c)),
+        }
+        Some(c)
     }
 
     fn run<const B: usize, const BB: usize>(&self, a: &CsrMatrix) -> CsrMatrix {
@@ -1176,6 +1136,31 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_stamped_output_fingerprint_is_its_rows(
+            seed in 0u64..1000,
+            nc in 1usize..8,
+            block in 0usize..2,
+        ) {
+            let (a, r) = if block == 1 {
+                let r_v = random_restriction(nc, 12, seed.wrapping_add(1));
+                (random_elastic(12, seed), r_v.kron_identity(3))
+            } else {
+                (random_sym(30, 3, seed), random_restriction(nc, 30, seed.wrapping_add(1)))
+            };
+            let mut plan = RapPlan::new(&a, &r);
+            prop_assert_eq!(plan.block_size(), if block == 1 { 3 } else { 1 });
+            let mut a2 = a.clone();
+            a2.scale(0.5);
+            // The first execution hashes its output, the second is stamped.
+            for a in [&a, &a2] {
+                let c = plan.execute(a);
+                let rows = (0..c.nrows()).map(|i| c.row(i).0);
+                let fresh = PatternFingerprint::of_rows(c.ncols(), rows);
+                prop_assert_eq!(PatternFingerprint::of(&c), fresh);
+            }
+        }
+
         #[test]
         fn prop_local_rows_cover_full_product(
             seed in 0u64..1000,

@@ -11,21 +11,34 @@
 //! also checked numerically, level by level, against the unplanned
 //! `CsrMatrix::rap` reference.
 //!
-//! Telemetry is process-global, so this test lives alone in its own
-//! integration-test binary.
+//! The pattern checks are counted too: every sparsity pattern is hashed
+//! once in its matrix's life (`pattern/hashed_entries`), so a one-rank
+//! update hashes the caller's operator and nothing else, and an operator
+//! whose pattern moved is still caught by each consumer.
+//!
+//! Telemetry is process-global, so these tests live in their own
+//! integration-test binary and take turns.
 
-use pmg_bench::spheres_first_solve;
+use pmg_bench::{spheres_first_solve, FirstSolveSystem};
 use pmg_fem::bc::constrain_system;
 use pmg_parallel::{DistMatrix, DistVec, MachineModel, Sim};
 use pmg_sparse::{CooBuilder, CsrMatrix};
-use prometheus::{MgOptions, Prometheus, PrometheusOptions};
+use prometheus::{MgHierarchy, MgOptions, Prometheus, PrometheusOptions};
+use std::sync::{Mutex, MutexGuard};
 
 fn counter(report: &pmg_telemetry::Report, name: &str) -> u64 {
     report.counters.get(name).copied().unwrap_or(0)
 }
 
+/// One test at a time: each resets and reads the process-global counters.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn second_update_round_is_numeric_only() {
+    let _turn = one_at_a_time();
     pmg_telemetry::reset();
     pmg_telemetry::set_enabled(true);
 
@@ -201,4 +214,110 @@ fn assert_levels_are_cold_distributions(solver: &mut Prometheus, fine: &CsrMatri
             None => break,
         }
     }
+}
+
+/// `a`'s pattern and values in a matrix that has never been fingerprinted,
+/// as a caller's fresh assembly is.
+fn fresh(a: &CsrMatrix) -> CsrMatrix {
+    CsrMatrix::from_parts(
+        a.nrows(),
+        a.ncols(),
+        a.row_ptr().to_vec(),
+        a.col_idx().to_vec(),
+        a.vals().to_vec(),
+    )
+}
+
+/// A cold one-rank hierarchy on the tiny spheres operator, with the
+/// `pattern/hashed_entries` its build counted.
+fn one_rank_hierarchy(sys: &FirstSolveSystem, sim: &mut Sim) -> (MgHierarchy, u64) {
+    let opts = MgOptions {
+        coarse_dof_threshold: 200,
+        ..Default::default()
+    };
+    let graph = sys.mesh.vertex_graph();
+    let face_tol = PrometheusOptions::default().face_tol;
+    let classes = prometheus::classify_mesh_parallel(&sys.mesh, face_tol, 1);
+    let a = fresh(&sys.matrix);
+    let before = counter(&pmg_telemetry::snapshot(), "pattern/hashed_entries");
+    let mg = MgHierarchy::build(sim, &a, &sys.mesh.coords, &graph, &classes, opts);
+    let hashed = counter(&pmg_telemetry::snapshot(), "pattern/hashed_entries") - before;
+    assert!(mg.num_levels() >= 2, "need a real hierarchy");
+    (mg, hashed)
+}
+
+#[test]
+fn every_pattern_is_hashed_once() {
+    let _turn = one_at_a_time();
+    pmg_telemetry::reset();
+    pmg_telemetry::set_enabled(true);
+    let sys = spheres_first_solve(0);
+    let mut sim = Sim::new(1, MachineModel::default());
+
+    // Cold: each level's operator once — the fine one by its Galerkin
+    // plan, each coarse one by the plan that produced it; distribution and
+    // smoother read what the matrices carry, and R, P are never checked.
+    let (mut mg, cold) = one_rank_hierarchy(&sys, &mut sim);
+    let level_nnz: u64 = mg.levels.iter().map(|l| l.a.nnz() as u64).sum();
+    assert_eq!(cold, level_nnz);
+
+    // A Newton update on the same pattern: the caller's operator once, the
+    // Galerkin levels (stamped by their plans) not at all — and every
+    // consumer still checked and reused.
+    let mut a = fresh(&sys.matrix);
+    a.scale(1.5);
+    let c0 = pmg_telemetry::snapshot();
+    mg.update_operator(&mut sim, &a);
+    let c1 = pmg_telemetry::snapshot();
+    pmg_telemetry::set_enabled(false);
+    let per_update = |name| counter(&c1, name) - counter(&c0, name);
+    assert_eq!(per_update("pattern/hashed_entries"), a.nnz() as u64);
+    let nlevels = mg.num_levels() as u64;
+    assert_eq!(per_update("distribute/refresh"), nlevels);
+    assert_eq!(per_update("smoother/plan_reuse"), nlevels);
+    assert_eq!(per_update("rap/plan_reuse"), nlevels - 1);
+    assert_eq!(per_update("distribute/rebuild"), 0);
+    assert_eq!(per_update("smoother/plan_build"), 0);
+    assert_eq!(per_update("rap/plan_build"), 0);
+}
+
+#[test]
+fn a_moved_entry_is_rebuilt_by_every_consumer() {
+    let _turn = one_at_a_time();
+    pmg_telemetry::reset();
+    pmg_telemetry::set_enabled(true);
+    let sys = spheres_first_solve(0);
+    let mut sim = Sim::new(1, MachineModel::default());
+    let (mut mg, _) = one_rank_hierarchy(&sys, &mut sim);
+
+    // Same rows, same nnz: one off-diagonal entry of a middle row moves to
+    // a column the row does not have.
+    let a = &sys.matrix;
+    let i = a.nrows() / 2;
+    let (cols, _) = a.row(i);
+    let from = *cols.iter().rev().find(|&&j| j != i).expect("a coupling");
+    let to = (0..a.ncols())
+        .find(|j| cols.binary_search(j).is_err())
+        .expect("the row is not dense");
+    let mut b = CooBuilder::new(a.nrows(), a.ncols());
+    for (r, c, v) in a.iter() {
+        b.push(r, if (r, c) == (i, from) { to } else { c }, v);
+    }
+    let moved = b.build();
+    assert_eq!(moved.nnz(), a.nnz());
+
+    let c0 = pmg_telemetry::snapshot();
+    mg.update_operator(&mut sim, &moved);
+    let c1 = pmg_telemetry::snapshot();
+    pmg_telemetry::set_enabled(false);
+    let per_update = |name| counter(&c1, name) - counter(&c0, name);
+    for name in [
+        "distribute/rebuild",
+        "smoother/plan_build",
+        "rap/plan_build",
+    ] {
+        assert!(per_update(name) >= 1, "{name} did not see the moved entry");
+    }
+    let level0 = mg.levels[0].a.to_global();
+    assert_eq!(level0, moved);
 }
