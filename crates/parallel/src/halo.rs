@@ -1,9 +1,9 @@
 //! Coalesced persistent halo-exchange plans.
 //!
-//! A [`HaloPlan`] is built once per ([`Layout`], ghost-set) pair and reused
-//! for every subsequent exchange (MPI's persistent-request idiom: the
-//! paper's PETSc `VecScatter`s are created at setup and replayed each
-//! product). For each rank the plan coalesces all ghost values needed from
+//! A [`HaloPlan`] is built once per operator, from its column [`Layout`]
+//! and every rank's ghost set, and replayed for every subsequent exchange
+//! (MPI's persistent-request idiom: the paper's PETSc `VecScatter`s are
+//! created at setup and replayed each product). For each rank the plan coalesces all ghost values needed from
 //! one peer into a single message:
 //!
 //! * `recv` — one [`HaloMsg`] per owning peer; `idx` are slots into the
@@ -100,24 +100,6 @@ impl HaloPlan {
     }
 }
 
-/// FNV-1a fingerprint of a ghost-set, used as the plan-cache key.
-pub(crate) fn ghosts_fingerprint(ghosts: &[Vec<u32>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    eat(ghosts.len() as u64);
-    for list in ghosts {
-        eat(0xffff_ffff_ffff_fffe); // rank separator
-        eat(list.len() as u64);
-        for &g in list {
-            eat(g as u64);
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,14 +137,5 @@ mod tests {
                 assert_eq!(s.idx.len(), m.idx.len());
             }
         }
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_rank_boundaries() {
-        let a = vec![vec![1, 2], vec![3]];
-        let b = vec![vec![1], vec![2, 3]];
-        let c = vec![vec![1, 2], vec![3]];
-        assert_ne!(ghosts_fingerprint(&a), ghosts_fingerprint(&b));
-        assert_eq!(ghosts_fingerprint(&a), ghosts_fingerprint(&c));
     }
 }

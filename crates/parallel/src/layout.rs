@@ -1,35 +1,16 @@
 //! Ownership layout of global indices over virtual ranks.
 
-use crate::halo::{ghosts_fingerprint, HaloPlan};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A distribution of `n` global indices over `nranks` ranks. Each global
 /// index has a unique owner; each rank stores its owned indices in
 /// ascending global order, which defines the rank-local numbering.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Layout {
     nranks: usize,
     owner: Vec<u32>,
     locals: Vec<Vec<u32>>,
     global_to_local: Vec<u32>,
-    /// Persistent halo-exchange plans, keyed by a fingerprint of the
-    /// ghost-set; built once, replayed on every exchange.
-    plans: Mutex<HashMap<u64, Arc<HaloPlan>>>,
-}
-
-impl Clone for Layout {
-    fn clone(&self) -> Self {
-        // The plan cache is an optimization, not state: a clone starts
-        // empty and repopulates on demand.
-        Layout {
-            nranks: self.nranks,
-            owner: self.owner.clone(),
-            locals: self.locals.clone(),
-            global_to_local: self.global_to_local.clone(),
-            plans: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 impl Layout {
@@ -52,7 +33,6 @@ impl Layout {
             owner,
             locals,
             global_to_local,
-            plans: Mutex::new(HashMap::new()),
         })
     }
 
@@ -112,23 +92,6 @@ impl Layout {
     /// Largest / average owned count (load balance of the layout itself).
     pub fn max_local(&self) -> usize {
         self.locals.iter().map(|l| l.len()).max().unwrap_or(0)
-    }
-
-    /// The persistent coalesced exchange plan for `ghosts` (per-rank
-    /// ascending ghost global ids) under this layout's ownership. Built on
-    /// first request, cached and replayed afterwards — counted by the
-    /// `comm/plan_build` / `comm/plan_reuse` telemetry counters.
-    pub fn halo_plan(&self, ghosts: &[Vec<u32>]) -> Arc<HaloPlan> {
-        let fp = ghosts_fingerprint(ghosts);
-        let mut cache = self.plans.lock().expect("halo plan cache poisoned");
-        if let Some(plan) = cache.get(&fp) {
-            pmg_telemetry::counter_add("comm/plan_reuse", 1);
-            return Arc::clone(plan);
-        }
-        let plan = Arc::new(HaloPlan::build(self, ghosts));
-        pmg_telemetry::counter_add("comm/plan_build", 1);
-        cache.insert(fp, Arc::clone(&plan));
-        plan
     }
 }
 

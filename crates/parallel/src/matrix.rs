@@ -35,8 +35,7 @@ pub struct DistMatrix {
     col_layout: Arc<Layout>,
     ranks: Vec<RankMatrix>,
     /// Persistent coalesced ghost-exchange plan over `col_layout` (built
-    /// once at distribution time, cached on the layout, installed in every
-    /// share).
+    /// once at distribution time and installed in every share).
     plan: Arc<HaloPlan>,
     spmv_traffic: Vec<(u64, u64)>,
 }
@@ -81,9 +80,9 @@ impl<'a> OwnedRows<'a> {
 }
 
 /// **One** rank's owned share of a distributed matrix: its rows split into
-/// the owned-column block `diag` and the ghost-column block `off`, their
-/// 3x3-blocked copies, the row classes of the overlapped product and the
-/// halo plan. A [`DistMatrix`] holds one per virtual rank; a
+/// the owned-column block `diag` and the ghost-column block `off`, the
+/// 3x3-blocked copy of `diag`, the row classes of the overlapped product
+/// and the halo plan. A [`DistMatrix`] holds one per virtual rank; a
 /// message-passing rank builds only its own from the rows it owns
 /// (reading nothing of other ranks' rows beyond the replicated layout).
 ///
@@ -95,8 +94,7 @@ impl<'a> OwnedRows<'a> {
 /// needs every rank's ghost list: build locally
 /// ([`RankMatrix::from_local_rows`]), exchange [`RankMatrix::ghosts`] over a
 /// transport collective, then [`RankMatrix::install_plan`] with all ranks'
-/// lists (each rank builds the identical plan from the identical inputs,
-/// cached on the layout).
+/// lists (each rank builds the identical plan from the identical inputs).
 #[derive(Clone, Debug)]
 pub struct RankMatrix {
     rank: usize,
@@ -104,29 +102,24 @@ pub struct RankMatrix {
     col_layout: Arc<Layout>,
     /// Local rows × owned columns.
     diag: CsrMatrix,
-    /// Local rows × ghost columns.
+    /// Local rows × ghost columns, only ever scalar: a ghost block is a
+    /// thin, ragged slice of a row (a rank may reference one or two of a
+    /// remote vertex's dofs), so it has no blocked copy.
     off: CsrMatrix,
-    /// 3x3-blocked copies of `diag`/`off`, present when the operator was
-    /// promoted via [`RankMatrix::try_block3`]. The scalar matrices are
-    /// kept: block-Jacobi factors `diag` directly ([`RankMatrix::local_block`]).
+    /// 3x3-blocked copy of `diag`, present when the operator was promoted
+    /// via [`RankMatrix::try_block3`]. The scalar `diag` is kept:
+    /// block-Jacobi factors it directly ([`RankMatrix::local_block`]).
     diag_bsr: Option<Bsr3Matrix>,
-    off_bsr: Option<Bsr3Matrix>,
-    /// Padded ghost column of each ghost (`off_bsr` works on whole vertex
-    /// blocks; ghost columns missing from a block — e.g. dropped by
-    /// Dirichlet constraints — become explicit zero columns).
-    ghost_pad: Vec<u32>,
     /// Global ids of ghost columns, ascending.
     ghosts: Vec<u32>,
     /// Row classes for communication/computation overlap, fixed at
-    /// distribution time: *interior* rows reference no ghost column (their
-    /// product needs nothing from the wire), *boundary* rows do. Ascending
-    /// local row ids; together they partition `0..diag.nrows()`.
+    /// distribution time and counted in the rows the `diag` product runs —
+    /// scalar rows, or block rows once promoted: *interior* rows reference
+    /// no ghost column (their product needs nothing from the wire),
+    /// *boundary* rows do (a block row when any of its three scalar rows
+    /// does). Ascending ids; together they partition the local rows.
     interior: Vec<u32>,
     boundary: Vec<u32>,
-    /// Block-row classes for the BSR3 path (a block row is boundary when
-    /// any of its three scalar rows is), filled by `try_block3`.
-    interior_b: Vec<u32>,
-    boundary_b: Vec<u32>,
     /// The halo plan over every rank of `col_layout`; `None` until
     /// [`RankMatrix::install_plan`].
     plan: Option<Arc<HaloPlan>>,
@@ -189,7 +182,7 @@ impl DistMatrix {
         // Persistent exchange plan: the Sim charges exactly the plan's
         // messages, the transports send exactly the plan's messages.
         let ghost_lists: Vec<Vec<u32>> = ranks.iter().map(|m| m.ghosts.clone()).collect();
-        let plan = col_layout.halo_plan(&ghost_lists);
+        let plan = Arc::new(HaloPlan::build(&col_layout, &ghost_lists));
         for m in &mut ranks {
             m.plan = Some(plan.clone());
         }
@@ -225,7 +218,7 @@ impl DistMatrix {
     /// distributed from, in place. While `a` keeps that matrix's sparsity
     /// pattern (Newton on a fixed mesh) only values move — each share
     /// checks the pattern of its own owned rows and rewrites their values;
-    /// ghost lists, halo plan, row classes and the blocked copies'
+    /// ghost lists, halo plan, row classes and the blocked copy's
     /// structure stay, nothing is allocated — and the result is bitwise
     /// what [`from_global`](Self::from_global) (`_blocked`, if this one is)
     /// builds from `a`; a changed pattern is exactly that rebuild. Returns
@@ -253,7 +246,7 @@ impl DistMatrix {
         false
     }
 
-    /// Promote the per-rank `diag`/`off` blocks to [`Bsr3Matrix`] storage so
+    /// Promote the per-rank `diag` blocks to [`Bsr3Matrix`] storage so
     /// `spmv` runs on contiguous 3x3 tiles (PETSc's BAIJ optimization for
     /// 3-dof displacement operators).
     ///
@@ -263,13 +256,12 @@ impl DistMatrix {
     ///   triples `(3v, 3v+1, 3v+2)` (the layout produced by
     ///   `Layout::expand_dofs(vertex_layout, 3)`).
     ///
-    /// Ghost columns need not form whole blocks: the off-diagonal part is
-    /// padded up to whole vertex blocks (missing columns — e.g. dropped by
-    /// Dirichlet constraints — become explicit zero columns).
+    /// Ghost columns need not form whole blocks: the ghost-column block
+    /// stays scalar CSR either way.
     ///
     /// Returns whether promotion happened; ineligible operators are left
-    /// untouched (scalar CSR path). The blocked product is numerically
-    /// identical to the scalar one: blocks materialize explicit zeros and
+    /// untouched (scalar CSR path). On finite operands the blocked product
+    /// is bitwise the scalar one: blocks materialize explicit zeros and
     /// preserve the per-row accumulation order.
     pub fn try_block3(&mut self) -> bool {
         self.ranks.par_iter_mut().for_each(|m| {
@@ -416,27 +408,25 @@ impl RankMatrix {
         let nlocal = row_layout.local_len(rank);
         debug_assert_eq!(rows.len(), nlocal);
         let ncols = col_layout.local_len(rank);
-        let share = |diag, off, ghosts, (interior, boundary), pattern| RankMatrix {
-            diag,
-            off,
-            diag_bsr: None,
-            off_bsr: None,
-            ghost_pad: Vec::new(),
-            ghosts,
-            interior,
-            boundary,
-            interior_b: Vec::new(),
-            boundary_b: Vec::new(),
-            plan: None,
-            pattern,
-            rank,
-            row_layout: row_layout.clone(),
-            col_layout: col_layout.clone(),
+        let share = |diag, off, ghosts, pattern| {
+            let (interior, boundary) = row_classes(&off, 1);
+            RankMatrix {
+                diag,
+                off,
+                diag_bsr: None,
+                ghosts,
+                interior,
+                boundary,
+                plan: None,
+                pattern,
+                rank,
+                row_layout: row_layout.clone(),
+                col_layout: col_layout.clone(),
+            }
         };
         if rows.whole() && ncols == col_layout.num_global() {
-            let classes = ((0..nlocal as u32).collect(), Vec::new());
             let off = CsrMatrix::zeros(nlocal, 0);
-            return share(rows.a.clone(), off, Vec::new(), classes, None);
+            return share(rows.a.clone(), off, Vec::new(), None);
         }
 
         let mine = |j: usize| col_layout.owner(j) as usize == rank;
@@ -452,11 +442,6 @@ impl RankMatrix {
             off_ptr.push(ghosts.len());
             diag_ptr.push(seen - ghosts.len());
         }
-        // Row classes for the overlap: a row with any ghost-column entry is
-        // boundary, the rest are interior and can be computed while the halo
-        // messages are in flight.
-        let classes =
-            (0..nlocal as u32).partition(|&li| off_ptr[li as usize] == off_ptr[li as usize + 1]);
         let (ndiag, noff) = (diag_ptr[nlocal], off_ptr[nlocal]);
         ghosts.sort_unstable();
         ghosts.dedup();
@@ -480,7 +465,6 @@ impl RankMatrix {
             CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals),
             CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals),
             ghosts,
-            classes,
             Some(rows.pattern()),
         )
     }
@@ -516,8 +500,9 @@ impl RankMatrix {
     /// `diag` and `off` — a row without ghost columns is one copy into
     /// `diag`, any other row is split through a running cursor per block,
     /// same classification, same order, so same slots — then the blocked
-    /// copies take theirs. Nothing is allocated, sorted or looked up. Rows
-    /// of another pattern leave the share as it was and return `false`.
+    /// copy of `diag` takes the new values. Nothing is allocated, sorted or
+    /// looked up. Rows of another pattern leave the share as it was and
+    /// return `false`.
     ///
     /// Rows that are the whole input are checked by the fingerprint the
     /// input carries (hashed at most once in its life) against the one
@@ -552,10 +537,7 @@ impl RankMatrix {
         }
         assert_eq!((d, o), (diag_vals.len(), self.off.nnz()), "pattern changed");
         if let Some(b) = &mut self.diag_bsr {
-            b.refresh_from_csr(&self.diag, |j| j);
-        }
-        if let Some(b) = &mut self.off_bsr {
-            b.refresh_from_csr(&self.off, |j| self.ghost_pad[j] as usize);
+            b.refresh_from_csr(&self.diag);
         }
         true
     }
@@ -575,8 +557,8 @@ impl RankMatrix {
     }
 
     /// Resident bytes of this rank's share: scalar diag/off CSR blocks plus
-    /// any promoted BSR3 copies as they are stored (76 B per tile, see
-    /// [`Bsr3Matrix::memory_bytes`]; they keep the scalar blocks alive — the
+    /// a promoted BSR3 copy of `diag` as it is stored (76 B per tile, see
+    /// [`Bsr3Matrix::memory_bytes`]; it keeps the scalar block alive — the
     /// block-Jacobi smoother factors `diag` directly), the ghost-column map
     /// and the overlap row classes. Feeds the
     /// `mem/level{N}/operator_bytes` gauges of the sharded setup path.
@@ -586,13 +568,8 @@ impl RankMatrix {
         if let Some(b) = &self.diag_bsr {
             bytes += b.memory_bytes();
         }
-        if let Some(b) = &self.off_bsr {
-            bytes += b.memory_bytes();
-        }
-        let ghosts = self.ghosts.len() + self.ghost_pad.len();
-        let classes = self.interior.len() + self.boundary.len();
-        let block_classes = self.interior_b.len() + self.boundary_b.len();
-        bytes + 4 * (ghosts + classes + block_classes) as u64
+        let indices = self.ghosts.len() + self.interior.len() + self.boundary.len();
+        bytes + 4 * indices as u64
     }
 
     /// This rank's ghost-column global ids (ascending) — the payload each
@@ -603,8 +580,7 @@ impl RankMatrix {
 
     /// Install the halo-exchange plan from **all** ranks' ghost lists (as
     /// returned by the allgather of [`RankMatrix::ghosts`]). Every rank
-    /// derives the identical plan from the identical replicated inputs;
-    /// the layout's fingerprint cache dedupes plan construction.
+    /// derives the identical plan from the identical replicated inputs.
     ///
     /// The lists arrived from peers, so they are checked first: one list
     /// per rank, this rank's own unchanged, and every list strictly
@@ -627,14 +603,16 @@ impl RankMatrix {
                 )));
             }
         }
-        self.plan = Some(layout.halo_plan(ghost_lists));
+        self.plan = Some(Arc::new(HaloPlan::build(layout, ghost_lists)));
         Ok(())
     }
 
-    /// Promote this rank's blocks to BSR3 storage when the layouts are
+    /// Promote this rank's `diag` to BSR3 storage when the layouts are
     /// vertex-aligned (same structural test as [`DistMatrix::try_block3`],
-    /// evaluated on the replicated layouts — no communication). Returns
-    /// whether promotion happened (counted once per operator, by rank 0:
+    /// evaluated on the replicated layouts — no communication) and count
+    /// the row classes in block rows. Both are derived from the scalar
+    /// blocks, so promoting again changes nothing. Returns whether
+    /// promotion happened (counted once per operator, by rank 0:
     /// `spmv/bsr3_promoted`).
     pub fn try_block3(&mut self) -> bool {
         if !block3_eligible(&self.row_layout, &self.col_layout) {
@@ -644,26 +622,7 @@ impl RankMatrix {
             pmg_telemetry::counter_add("spmv/bsr3_promoted", 1);
         }
         self.diag_bsr = Some(Bsr3Matrix::from_csr(&self.diag));
-        // Remap ghost columns onto whole vertex blocks, then block the
-        // padded off-diagonal part. Ghosts are ascending, so padded
-        // columns are ascending too and the scalar accumulation order
-        // is preserved.
-        let mut blocks: Vec<u32> = self.ghosts.iter().map(|&g| g / 3).collect();
-        blocks.dedup();
-        let padded = |g: u32| 3 * blocks.partition_point(|&w| w < g / 3) as u32 + g % 3;
-        self.ghost_pad = self.ghosts.iter().map(|&g| padded(g)).collect();
-        let pad = |j: usize| self.ghost_pad[j] as usize;
-        self.off_bsr = Some(Bsr3Matrix::from_csr_cols(&self.off, 3 * blocks.len(), pad));
-        // Block-row classes: a block row is boundary when any of its
-        // three scalar rows references a ghost. `boundary` is
-        // ascending, so mapping to block ids and deduplicating keeps
-        // the ascending order.
-        let mut bb: Vec<u32> = self.boundary.iter().map(|&r| r / 3).collect();
-        bb.dedup();
-        self.interior_b = (0..(self.diag.nrows() / 3) as u32)
-            .filter(|br| bb.binary_search(br).is_err())
-            .collect();
-        self.boundary_b = bb;
+        (self.interior, self.boundary) = row_classes(&self.off, 3);
         true
     }
 
@@ -726,29 +685,46 @@ impl RankMatrix {
         }
     }
 
+    /// [`diag_spmv`](Self::diag_spmv) of one row class only (other entries
+    /// of `y_local` untouched); returns the scalar rows it computed.
+    fn diag_spmv_rows(&self, x_local: &[f64], y_local: &mut [f64], rows: &[u32]) -> u64 {
+        match &self.diag_bsr {
+            Some(db) => db.spmv_block_rows(x_local, y_local, rows),
+            None => self.diag.spmv_rows(x_local, y_local, rows),
+        }
+        (self.class_width() * rows.len()) as u64
+    }
+
+    /// Scalar rows per row-class entry: 3 once promoted, else 1.
+    fn class_width(&self) -> usize {
+        if self.diag_bsr.is_some() {
+            3
+        } else {
+            1
+        }
+    }
+
     /// The off-diagonal (ghost-column) product accumulated into `y_local`,
     /// shared verbatim between the blocking and overlapped paths and the
     /// simulated [`DistMatrix::spmv`], which the bitwise parity contract
-    /// rests on (the full-vector `+=` is kept even for rows whose `tmp`
-    /// entry is zero, so `-0.0 + 0.0 = +0.0` rounding is reproduced
-    /// exactly).
+    /// rests on. Each row of the boundary class sums its ghost entries in
+    /// column order from `+0.0`, as [`CsrMatrix::spmv`] does, and adds the
+    /// sum to its `diag` product. Interior rows are skipped: their sum
+    /// would be `+0.0`, and adding it changes only `-0.0`, which no
+    /// `diag` product leaves (its sums start from `+0.0` too).
     fn off_accumulate(&self, ghost_vals: &[f64], y_local: &mut [f64]) {
-        if self.off.nnz() > 0 {
-            let mut tmp = vec![0.0; self.off.nrows()];
-            match &self.off_bsr {
-                Some(ob) => {
-                    let mut padded = vec![0.0; ob.ncols()];
-                    for (l, &p) in self.ghost_pad.iter().enumerate() {
-                        padded[p as usize] = ghost_vals[l];
-                    }
-                    ob.spmv(&padded, &mut tmp);
-                }
-                None => self.off.spmv(ghost_vals, &mut tmp),
-            }
-            for (a, b) in y_local.iter_mut().zip(&tmp) {
-                *a += b;
+        let width = self.class_width();
+        for &g in &self.boundary {
+            let rows = width * g as usize..width * (g as usize + 1);
+            for (i, y) in rows.clone().zip(&mut y_local[rows]) {
+                let (cols, vals) = self.off.row(i);
+                *y += cols
+                    .iter()
+                    .zip(vals)
+                    .fold(0.0, |acc, (&j, &v)| acc + v * ghost_vals[j]);
             }
         }
+        pmg_sparse::flops::add(2 * self.off.nnz() as u64);
     }
 
     /// `y_local = A_rank · x` with a real halo exchange on message tag
@@ -787,9 +763,9 @@ impl RankMatrix {
     /// Bitwise identical to [`spmv`](Self::spmv): interior and boundary
     /// row classes partition the local rows, each row's accumulation runs
     /// the unchanged per-row kernel, and the ghost-column accumulate is the
-    /// same full-vector pass — only the *schedule* differs. Lockstep like
-    /// [`spmv`](Self::spmv); blocking and overlapped callers may not be
-    /// mixed across ranks of one product.
+    /// same pass over the boundary rows — only the *schedule* differs.
+    /// Lockstep like [`spmv`](Self::spmv); blocking and overlapped callers
+    /// may not be mixed across ranks of one product.
     pub fn spmv_overlapped<T: Transport>(
         &self,
         t: &mut T,
@@ -802,31 +778,28 @@ impl RankMatrix {
 
         let hx = self.start_exchange(t, tag, x_local)?;
         let window = Instant::now();
-        match &self.diag_bsr {
-            Some(db) => db.spmv_block_rows(x_local, y_local, &self.interior_b),
-            None => self.diag.spmv_rows(x_local, y_local, &self.interior),
-        }
+        let interior_rows = self.diag_spmv_rows(x_local, y_local, &self.interior);
         let hidden_s = window.elapsed().as_secs_f64();
         let mut ghost_vals = vec![0.0; self.ghosts.len()];
         hx.finish(t, &mut ghost_vals)?;
-        match &self.diag_bsr {
-            Some(db) => db.spmv_block_rows(x_local, y_local, &self.boundary_b),
-            None => self.diag.spmv_rows(x_local, y_local, &self.boundary),
-        }
+        let boundary_rows = self.diag_spmv_rows(x_local, y_local, &self.boundary);
         self.off_accumulate(&ghost_vals, y_local);
-        let (interior_rows, boundary_rows) = match &self.diag_bsr {
-            Some(_) => (
-                3 * self.interior_b.len() as u64,
-                3 * self.boundary_b.len() as u64,
-            ),
-            None => (self.interior.len() as u64, self.boundary.len() as u64),
-        };
         Ok(OverlapInfo {
             hidden_s,
             interior_rows,
             boundary_rows,
         })
     }
+}
+
+/// The overlap's row classes of a share with ghost block `off`, over groups
+/// of `width` rows (1: scalar rows, 3: block rows): a group with any
+/// ghost-column entry is *boundary*, the rest are *interior* and can be
+/// computed while the halo messages are in flight. Ascending group ids.
+fn row_classes(off: &CsrMatrix, width: usize) -> (Vec<u32>, Vec<u32>) {
+    let ptr = off.row_ptr();
+    let groups = (off.nrows() / width) as u32;
+    (0..groups).partition(|&g| ptr[width * g as usize] == ptr[width * (g as usize + 1)])
 }
 
 /// Do the (ascending) global ids form whole vertex blocks `(3v, 3v+1, 3v+2)`?
@@ -990,10 +963,11 @@ mod tests {
     }
 
     #[test]
-    fn blocked_spmv_pads_partial_ghost_blocks() {
+    fn blocked_spmv_takes_partial_ghost_blocks() {
         // Inter-vertex coupling through a single scalar column, so ghost
         // columns do NOT form whole vertex blocks (as after Dirichlet
-        // column elimination). The off part must be padded, not rejected.
+        // column elimination). Promotion must still happen: the ghost
+        // block is scalar CSR and never needs whole blocks.
         let nb = 6;
         let mut b = CooBuilder::new(3 * nb, 3 * nb);
         for v in 0..nb {
@@ -1089,6 +1063,11 @@ mod tests {
         for (r, s) in local_shares(&a, &l).iter().enumerate() {
             assert_eq!(format!("{s:?}"), format!("{:?}", dist.share(r)), "rank {r}");
             assert!(s.memory_bytes() > 0, "rank {r} resident accounting");
+            // Promoting again changes nothing: the row classes stay in
+            // block rows.
+            let mut again = s.clone();
+            assert!(again.try_block3());
+            assert_eq!(format!("{again:?}"), format!("{s:?}"), "rank {r}");
         }
     }
 

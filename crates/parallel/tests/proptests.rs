@@ -4,23 +4,20 @@
 //! be bitwise identical to the blocking path for every ownership map.
 
 use pmg_comm::{LocalTransport, Transport};
-use pmg_parallel::{DistMatrix, DistVec, Layout, MachineModel, Sim};
+use pmg_parallel::{DistMatrix, DistVec, HaloPlan, Layout, MachineModel, Sim};
 use pmg_sparse::{CooBuilder, CsrMatrix};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Run both the blocking and the overlapped SpMV of every rank's share of
-/// `a` on rank threads, inside one lockstep `run_ranks` call, and return,
+/// `da` on rank threads, inside one lockstep `run_ranks` call, and return,
 /// per rank, the two local products plus the overlap accounting.
 fn run_both_spmvs(
-    a: &CsrMatrix,
-    l: &Arc<Layout>,
-    p: usize,
+    da: &DistMatrix,
     x: &[f64],
 ) -> Vec<(Vec<f64>, Vec<f64>, pmg_parallel::OverlapInfo)> {
-    let da = DistMatrix::from_global(a, l.clone(), l.clone());
-    let da = &da;
-    LocalTransport::run_ranks(p, move |mut t| {
+    let l = da.row_layout();
+    LocalTransport::run_ranks(l.num_ranks(), move |mut t| {
         let r = t.rank();
         let share = da.share(r);
         let xl: Vec<f64> = l.owned(r).iter().map(|&g| x[g as usize]).collect();
@@ -30,6 +27,11 @@ fn run_both_spmvs(
         let info = share.spmv_overlapped(&mut t, 11, &xl, &mut y2).unwrap();
         (y1, y2, info)
     })
+}
+
+/// `a` distributed over `l` in scalar CSR.
+fn scalar(a: &CsrMatrix, l: &Arc<Layout>) -> DistMatrix {
+    DistMatrix::from_global(a, l.clone(), l.clone())
 }
 
 proptest! {
@@ -75,7 +77,7 @@ proptest! {
             }
         }
         prop_assert_eq!(seen, n);
-        let plan = l.halo_plan(&vec![Vec::new(); 6]);
+        let plan = HaloPlan::build(&l, &vec![Vec::new(); 6]);
         for rh in &plan.ranks {
             prop_assert!(rh.recv.is_empty() && rh.send.is_empty());
         }
@@ -162,7 +164,7 @@ proptest! {
         let a = b.build();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).sin()).collect();
         let l = Layout::from_part(owner, 4);
-        for (y1, y2, info) in run_both_spmvs(&a, &l, 4, &x).iter() {
+        for (y1, y2, info) in run_both_spmvs(&scalar(&a, &l), &x).iter() {
             prop_assert_eq!(
                 info.interior_rows + info.boundary_rows,
                 y1.len() as u64
@@ -192,7 +194,7 @@ proptest! {
         let a = b.build();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos()).collect();
         let l = Layout::from_part(owner, 6);
-        for (r, (y1, y2, info)) in run_both_spmvs(&a, &l, 6, &x).iter().enumerate() {
+        for (r, (y1, y2, info)) in run_both_spmvs(&scalar(&a, &l), &x).iter().enumerate() {
             if r % 2 == 1 {
                 prop_assert_eq!(info.interior_rows + info.boundary_rows, 0u64);
                 prop_assert!(y1.is_empty());
@@ -222,12 +224,65 @@ proptest! {
         let owner: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).sin()).collect();
         let l = Layout::from_part(owner, 2);
-        for (y1, y2, info) in run_both_spmvs(&a, &l, 2, &x).iter() {
+        for (y1, y2, info) in run_both_spmvs(&scalar(&a, &l), &x).iter() {
             prop_assert_eq!(info.interior_rows, 0u64);
             prop_assert_eq!(info.boundary_rows, y1.len() as u64);
             for (u, v) in y1.iter().zip(y2) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn overlapped_spmv_matches_blocking_promoted_any_ownership(
+        vowner in proptest::collection::vec(0u32..4, 2..14),
+        entries in proptest::collection::vec(
+            (0usize..14, 0usize..14, 0usize..9, -5.0f64..5.0), 0..80),
+        dropped in proptest::collection::vec(0u8..2, 42),
+    ) {
+        // A 3-dof operator over the dof layout of an arbitrary vertex
+        // ownership, promoted to 3x3 blocks. Every vertex couples to the
+        // next one through one scalar column only, and the dropped columns
+        // lose their off-diagonal entries (as Dirichlet elimination does),
+        // so ghost blocks are partial.
+        let nv = vowner.len();
+        let n = 3 * nv;
+        let mut b = CooBuilder::new(n, n);
+        for v in 0..nv {
+            for i in 0..3 {
+                b.push(3 * v + i, 3 * v + i, 4.0 + i as f64);
+                b.push(3 * v + i, 3 * ((v + 1) % nv) + 1, -0.5);
+            }
+        }
+        for (vi, vj, e, val) in entries {
+            let (row, col) = (3 * vi + e / 3, 3 * vj + e % 3);
+            if vi < nv && vj < nv && (vi == vj || dropped[col] == 0) {
+                b.push(row, col, val);
+            }
+        }
+        let a = b.build();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).cos()).collect();
+        let l = Layout::expand_dofs(&Layout::from_part(vowner, 4), 3);
+        let da = DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
+        prop_assert!(da.bsr3_routed());
+        // The simulated product of the promoted operator, which the scalar
+        // one computes too.
+        let mut sim = Sim::new(4, MachineModel::default());
+        let dx = DistVec::from_global(l.clone(), &x);
+        let (mut yb, mut ys) = (DistVec::zeros(l.clone()), DistVec::zeros(l.clone()));
+        da.spmv(&mut sim, &dx, &mut yb);
+        scalar(&a, &l).spmv(&mut sim, &dx, &mut ys);
+        let (yb, ys) = (yb.to_global(), ys.to_global());
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&yb), bits(&ys));
+        for (r, (y1, y2, info)) in run_both_spmvs(&da, &x).iter().enumerate() {
+            prop_assert_eq!(
+                info.interior_rows + info.boundary_rows,
+                y1.len() as u64
+            );
+            prop_assert_eq!(bits(y1), bits(y2));
+            let expect: Vec<f64> = l.owned(r).iter().map(|&g| yb[g as usize]).collect();
+            prop_assert_eq!(bits(y1), bits(&expect));
         }
     }
 

@@ -6,7 +6,10 @@
 //! run on contiguous 3x3 tiles — the standard optimization for elasticity
 //! operators (PETSc's BAIJ). Convertible to/from scalar CSR; `spmv`
 //! accumulates each row's blocks in the same column order as the CSR
-//! product, so the two are **bitwise identical**, not merely close.
+//! product, so on finite operands the two are **bitwise identical**, not
+//! merely close. A block materializes the zeros its scalar pattern lacks,
+//! and such a zero times a non-finite `x` entry (±∞ or NaN) is NaN where
+//! the CSR product skips the entry.
 //!
 //! # Tile layout and the product kernel
 //!
@@ -15,9 +18,8 @@
 //! `u32`: 76 B per tile. The value array carries one extra `0.0` after the
 //! last tile.
 //!
-//! Every product (`spmv`, `spmv_block_rows`, and through them the ghost
-//! product of a distributed operator) runs one private per-block-row body
-//! whose SIMD lanes are the tile's three **rows**: per tile
+//! Every product (`spmv` and `spmv_block_rows`) runs one private
+//! per-block-row body whose SIMD lanes are the tile's three **rows**: per tile
 //! `acc = acc + col_c · broadcast(x_c)` for `c = 0, 1, 2`. Lane `r` then
 //! executes `acc[r] += b[r][c] * x[c]` in ascending column order — exactly
 //! [`CsrMatrix::spmv`]'s sequence for scalar row `3·br + r` — so the bits
@@ -39,19 +41,6 @@
 //! and hints the tile stream 32 tiles ahead, which moves no bit; the
 //! portable body runs the same order in scalar code and is both the
 //! fallback and the oracle the vector body is tested against.
-//!
-//! # Ghost-padding rule (distributed use)
-//!
-//! A [`Bsr3Matrix`] requires both dimensions to be multiples of 3 and all
-//! entries to fall on vertex-aligned 3x3 tiles. On a distributed
-//! operator's off-process part the ghost-column space does not naturally
-//! satisfy this: a rank may reference only one or two of a remote
-//! vertex's three dofs. The distributed layer (`DistMatrix::try_block3`
-//! in `pmg-parallel`) therefore *pads* the ghost index space to whole
-//! vertex triples — missing ghost columns become explicit structural
-//! zeros inside materialized blocks — before converting to BSR. The
-//! padding only widens the gather; padded columns multiply zero values,
-//! so the routed product stays bitwise equal to the scalar CSR path.
 
 use crate::csr::CsrMatrix;
 use crate::flops;
@@ -87,24 +76,15 @@ impl Bsr3Matrix {
     /// Convert a scalar CSR operator whose dimensions are multiples of 3.
     /// Any scalar entry inside a touched block materializes the full block
     /// (absent entries are zero).
-    pub fn from_csr(a: &CsrMatrix) -> Bsr3Matrix {
-        Self::from_csr_cols(a, a.ncols(), |j| j)
-    }
-
-    /// [`from_csr`](Self::from_csr) of `a` with column `j` moved to
-    /// `col(j)` in a space of `ncols` columns — how a distributed
-    /// operator's ghost columns are padded to whole vertex triples without
-    /// building the padded CSR. `col` must be strictly increasing, so every
-    /// row keeps its entry order.
     ///
     /// # Panics
     /// If a dimension is not a multiple of 3, or `ncols / 3` exceeds
     /// `u32::MAX` (block columns are stored as `u32`).
-    pub fn from_csr_cols(a: &CsrMatrix, ncols: usize, col: impl Fn(usize) -> usize) -> Bsr3Matrix {
+    pub fn from_csr(a: &CsrMatrix) -> Bsr3Matrix {
         assert_eq!(a.nrows() % 3, 0, "rows not a multiple of 3");
-        assert_eq!(ncols % 3, 0, "cols not a multiple of 3");
+        assert_eq!(a.ncols() % 3, 0, "cols not a multiple of 3");
         let nbr = a.nrows() / 3;
-        let nbc = ncols / 3;
+        let nbc = a.ncols() / 3;
         assert!(
             nbc <= u32::MAX as usize,
             "{nbc} block columns do not fit the u32 block-column index"
@@ -121,7 +101,7 @@ impl Bsr3Matrix {
             let base = col_idx.len();
             for local in 0..3 {
                 for &j in a.row(3 * br + local).0 {
-                    let bc = col(j) / 3;
+                    let bc = j / 3;
                     if !seen[bc] {
                         seen[bc] = true;
                         col_idx.push(bc as u32);
@@ -141,13 +121,12 @@ impl Bsr3Matrix {
             vals: vec![0.0; 9 * col_idx.len() + TAIL],
             col_idx,
         };
-        m.refresh_from_csr(a, col);
+        m.refresh_from_csr(a);
         m
     }
 
     /// Overwrite the stored values with those of `a`, which must have the
-    /// sparsity pattern this matrix was built from (with the same `col`,
-    /// see [`from_csr_cols`](Self::from_csr_cols)), allocating nothing. A
+    /// sparsity pattern this matrix was built from, allocating nothing. A
     /// scalar row with exactly three entries per stored block of its block
     /// row — every row of a fully coupled vertex — fills the tiles in
     /// order, three values each; any other row takes one ordered walk with
@@ -159,7 +138,7 @@ impl Bsr3Matrix {
     /// the full-row path: if a triple's first or last column is not its
     /// tile's). An entry *missing* from `a` is not detected (its old value
     /// stays), so callers compare pattern fingerprints first.
-    pub fn refresh_from_csr(&mut self, a: &CsrMatrix, col: impl Fn(usize) -> usize) {
+    pub fn refresh_from_csr(&mut self, a: &CsrMatrix) {
         assert_eq!(a.nrows(), self.nrows(), "pattern changed: rows");
         for br in 0..self.nblock_rows {
             let blocks = self.row_ptr[br]..self.row_ptr[br + 1];
@@ -171,7 +150,7 @@ impl Bsr3Matrix {
                     for (k, (c, v)) in blocks.clone().zip(triples) {
                         let first = 3 * self.col_idx[k] as usize;
                         assert!(
-                            col(c[0]) == first && col(c[2]) == first + 2,
+                            c[0] == first && c[2] == first + 2,
                             "pattern changed: row {i} is not whole tiles"
                         );
                         let tile = &mut self.vals[9 * k..9 * k + 9];
@@ -183,7 +162,6 @@ impl Bsr3Matrix {
                 }
                 let mut k = blocks.start;
                 for (&j, &v) in cols.iter().zip(vals) {
-                    let j = col(j);
                     while k < blocks.end && (self.col_idx[k] as usize) < j / 3 {
                         k += 1;
                     }
@@ -235,10 +213,11 @@ impl Bsr3Matrix {
     /// `y = A x` over 3x3 tiles (serial).
     ///
     /// Accumulates one add per scalar entry, in column order within each
-    /// row — the same association as [`CsrMatrix::spmv`] — so the blocked
-    /// product is bitwise identical to the scalar one (explicit zeros only
-    /// add `0.0`). Solvers routed through BSR therefore take exactly the
-    /// same iteration path as the CSR-routed reference.
+    /// row — the same association as [`CsrMatrix::spmv`] — so on finite
+    /// operands the blocked product is bitwise identical to the scalar one
+    /// (explicit zeros only add `0.0`; times a non-finite `x` entry they
+    /// give NaN, see the module docs). Solvers routed through BSR therefore
+    /// take exactly the same iteration path as the CSR-routed reference.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         self.product(x, y, 0..self.nblock_rows);
     }
@@ -483,7 +462,7 @@ mod tests {
         let mut b = Bsr3Matrix::from_csr(&block_laplacian(5));
         let mut other = CooBuilder::new(15, 15);
         other.push(0, 13, 1.0);
-        b.refresh_from_csr(&other.build(), |j| j);
+        b.refresh_from_csr(&other.build());
     }
 
     #[test]
@@ -556,26 +535,25 @@ mod tests {
         for j in [0, 1, 2, 6, 7, 8] {
             other.push(0, j, 1.0);
         }
-        b.refresh_from_csr(&other.build(), |j| j);
+        b.refresh_from_csr(&other.build());
     }
 
     #[test]
     fn refresh_then_spmv_equals_a_fresh_conversion() {
-        // A padded ghost block (6 rows, 4 ghost columns spread over two
-        // vertex triples), refreshed to new values on the same pattern.
-        let pad = |j: usize| [0, 2, 3, 5][j];
+        // Partial tiles (6 rows, 4 of 6 columns stored, no scalar row a
+        // whole tile row), refreshed to new values on the same pattern.
         let pattern = [
             (0, 0),
-            (0, 2),
-            (1, 1),
-            (2, 3),
+            (0, 3),
+            (1, 2),
+            (2, 5),
             (3, 0),
-            (4, 1),
             (4, 2),
-            (5, 3),
+            (4, 3),
+            (5, 5),
         ];
         let with_values = |f: &dyn Fn(usize) -> f64| {
-            let mut coo = CooBuilder::new(6, 4);
+            let mut coo = CooBuilder::new(6, 6);
             for (e, &(i, j)) in pattern.iter().enumerate() {
                 coo.push(i, j, f(e));
             }
@@ -583,9 +561,9 @@ mod tests {
         };
         let first = with_values(&|e| 1.0 + e as f64);
         let second = with_values(&|e| -0.3 * (e as f64 + 2.0).sqrt());
-        let mut b = Bsr3Matrix::from_csr_cols(&first, 6, pad);
-        b.refresh_from_csr(&second, pad);
-        let fresh = Bsr3Matrix::from_csr_cols(&second, 6, pad);
+        let mut b = Bsr3Matrix::from_csr(&first);
+        b.refresh_from_csr(&second);
+        let fresh = Bsr3Matrix::from_csr(&second);
         assert_eq!(b, fresh);
         let x = [0.9, 7.0, -1.1, 0.4, 7.0, 2.5];
         let (mut y1, mut y2) = (vec![0.0; 6], vec![0.0; 6]);
@@ -593,15 +571,15 @@ mod tests {
         fresh.spmv(&x, &mut y2);
         assert_eq!(bits(&y1), bits(&y2));
         let mut y_csr = vec![0.0; 6];
-        second.spmv(&[x[0], x[2], x[3], x[5]], &mut y_csr);
+        second.spmv(&x, &mut y_csr);
         assert_eq!(bits(&y1), bits(&y_csr));
     }
 
     #[test]
     #[should_panic(expected = "do not fit the u32 block-column index")]
     fn more_than_u32_max_block_columns_are_rejected() {
-        let empty = CooBuilder::new(3, 3).build();
-        Bsr3Matrix::from_csr_cols(&empty, 3 * (u32::MAX as usize + 1), |j| j);
+        let empty = CooBuilder::new(3, 3 * (u32::MAX as usize + 1)).build();
+        Bsr3Matrix::from_csr(&empty);
     }
 
     #[test]

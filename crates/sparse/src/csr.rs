@@ -710,12 +710,6 @@ impl CsrMatrix {
         flops::add(self.vals.len() as u64);
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        flops::add(2 * self.vals.len() as u64);
-        self.vals.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Iterate over all stored entries as `(i, j, v)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.nrows).flat_map(move |i| {
@@ -971,11 +965,9 @@ mod tests {
     }
 
     #[test]
-    fn diag_and_norms() {
+    fn diag_and_scale() {
         let a = small();
         assert_eq!(a.diag(), vec![2.0, 3.0, 5.0]);
-        let f = a.frobenius();
-        assert!((f - (4.0f64 + 1.0 + 9.0 + 16.0 + 25.0).sqrt()).abs() < 1e-14);
         let mut a2 = a.clone();
         a2.scale(2.0);
         assert_eq!(a2.get(2, 2), 10.0);

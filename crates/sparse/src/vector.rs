@@ -87,26 +87,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     pairwise_sum(0, x.len(), &|i| x[i] * x[i]).sqrt()
 }
 
-/// Infinity norm.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, &a| m.max(a.abs()))
-}
-
-/// `z = x - y`.
-pub fn sub_into(x: &[f64], y: &[f64], z: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    assert_eq!(x.len(), z.len());
-    z.par_chunks_mut(ELEM_CHUNK)
-        .zip(x.par_chunks(ELEM_CHUNK))
-        .zip(y.par_chunks(ELEM_CHUNK))
-        .for_each(|((zc, xc), yc)| {
-            for ((zi, xi), yi) in zc.iter_mut().zip(xc).zip(yc) {
-                *zi = xi - yi;
-            }
-        });
-    flops::add(x.len() as u64);
-}
-
 /// `x *= s`.
 pub fn scale(x: &mut [f64], s: f64) {
     x.par_chunks_mut(ELEM_CHUNK).for_each(|xc| {
@@ -142,9 +122,9 @@ mod tests {
         assert_eq!(y, vec![7.0, 14.0, 21.0]);
         assert_eq!(dot(&x, &x), 14.0);
         assert!((norm2(&x) - 14.0f64.sqrt()).abs() < 1e-15);
-        assert_eq!(norm_inf(&[-5.0, 2.0]), 5.0);
         let mut z = vec![0.0; 3];
-        sub_into(&y, &x, &mut z);
+        copy(&y, &mut z);
+        axpy(-1.0, &x, &mut z);
         assert_eq!(z, vec![6.0, 12.0, 18.0]);
         scale(&mut z, 1.0 / 6.0);
         assert_eq!(z, vec![1.0, 2.0, 3.0]);

@@ -126,19 +126,35 @@ fn solution_hash(iterations: usize, x: &[f64]) -> u64 {
 fn spheres10k_first_solve_is_pinned_bit_for_bit() {
     // The benchmark's `cold10k` mesh (9792 dof), its first-step system and
     // the default solver: every kernel of the set-up and of FMG-PCG is on
-    // this path, the smoother's block factors and solves included. The
-    // hash was recorded before the block factors moved into their
-    // envelope; a change to any kernel's arithmetic order must re-pin it
-    // on purpose.
+    // this path, the smoother's block factors and solves included. One
+    // rank pins the shares' diagonal products; two ranks add the ghost
+    // products and the overlapped halo schedule of every promoted level.
+    // The one-rank hash was recorded before the block factors moved into
+    // their envelope, the two-rank one before the ghost block lost its
+    // padded BSR3 copy; a change to any kernel's arithmetic order must
+    // re-pin them on purpose.
     let sys = pmg_bench_free::build(&SpheresParams {
         n_surf: 6,
         ..SpheresParams::ladder(1)
     });
-    let mut solver = Prometheus::from_mesh(&sys.mesh, &sys.matrix, PrometheusOptions::default());
-    let (x, res) = solver.solve(&sys.rhs, None, 1e-6);
-    assert!(res.converged, "{res:?}");
-    assert_eq!((x.len(), res.iterations), (9792, 23));
-    assert_eq!(solution_hash(res.iterations, &x), 0x81cb_6af9_cbaa_ef11);
+    for (nranks, iterations, hash) in [
+        (1, 23, 0x81cb_6af9_cbaa_ef11u64),
+        (2, 23, 0x7560_73b5_b9c4_3720),
+    ] {
+        let opts = PrometheusOptions {
+            nranks,
+            ..Default::default()
+        };
+        let mut solver = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts);
+        let (x, res) = solver.solve(&sys.rhs, None, 1e-6);
+        assert!(res.converged, "nranks={nranks}: {res:?}");
+        assert_eq!(
+            (x.len(), res.iterations),
+            (9792, iterations),
+            "nranks={nranks}"
+        );
+        assert_eq!(solution_hash(res.iterations, &x), hash, "nranks={nranks}");
+    }
 }
 
 #[test]
