@@ -30,7 +30,6 @@ fn bench_spmv(c: &mut Criterion) {
     let mut y = vec![0.0; n];
     let mut g = c.benchmark_group("spmv");
     g.bench_function("serial", |b| b.iter(|| sys.matrix.spmv(&x, &mut y)));
-    g.bench_function("rayon", |b| b.iter(|| sys.matrix.spmv_par(&x, &mut y)));
     g.finish();
 }
 

@@ -8,7 +8,7 @@
 //! [`tree_combine`](crate::tree_combine) over the per-rank partials — the
 //! property the bitwise sim/threads/sockets parity rests on.
 
-use crate::{bytes_to_f64s, f64s_to_bytes, CommError, Transport};
+use crate::{CommError, LeReader, LeWriter, Transport};
 
 /// Tag used by all collective traffic. A constant tag is safe because the
 /// SPMD code runs collectives in lockstep (every rank enters the same
@@ -20,9 +20,10 @@ pub const COLLECTIVE_TAG: u32 = 0xA110;
 /// association order matches [`tree_combine`](crate::tree_combine).
 pub fn allreduce_sum<T: Transport>(t: &mut T, vals: &mut [f64]) -> Result<(), CommError> {
     reduce_to_root(t, vals)?;
-    let mut packed = f64s_to_bytes(vals);
+    let mut packed = f64_payload(vals);
     broadcast(t, &mut packed)?;
-    for (v, r) in vals.iter_mut().zip(bytes_to_f64s(&packed)) {
+    let sums = payload_values(&packed, vals.len())?;
+    for (v, r) in vals.iter_mut().zip(sums) {
         *v = r;
     }
     t.note_allreduce();
@@ -60,24 +61,36 @@ fn reduce_to_root<T: Transport>(t: &mut T, vals: &mut [f64]) -> Result<(), CommE
     let mut step = 1usize;
     while step < size {
         if rank & step != 0 {
-            t.send(rank - step, COLLECTIVE_TAG, &f64s_to_bytes(vals))?;
+            t.send(rank - step, COLLECTIVE_TAG, &f64_payload(vals))?;
             break;
         } else if rank + step < size {
-            let incoming = bytes_to_f64s(&t.recv(rank + step, COLLECTIVE_TAG)?);
-            if incoming.len() != vals.len() {
-                return Err(CommError::Invalid(format!(
-                    "allreduce shape mismatch: {} vs {} elements",
-                    vals.len(),
-                    incoming.len()
-                )));
-            }
-            for (v, inc) in vals.iter_mut().zip(&incoming) {
-                *v += *inc;
+            let bytes = t.recv(rank + step, COLLECTIVE_TAG)?;
+            let incoming = payload_values(&bytes, vals.len())?;
+            for (v, inc) in vals.iter_mut().zip(incoming) {
+                *v += inc;
             }
         }
         step <<= 1;
     }
     Ok(())
+}
+
+/// An allreduce payload: the values bit for bit, nothing else.
+fn f64_payload(vals: &[f64]) -> Vec<u8> {
+    let mut w = LeWriter::with_capacity(8 * vals.len());
+    w.f64s(vals.iter().copied());
+    w.into_bytes()
+}
+
+/// The `n` values of an allreduce payload; any other length is a shape
+/// mismatch.
+fn payload_values(bytes: &[u8], n: usize) -> Result<impl Iterator<Item = f64> + '_, CommError> {
+    LeReader::all_f64s(bytes, n).ok_or_else(|| {
+        CommError::Invalid(format!(
+            "allreduce shape mismatch: {n} elements vs {} bytes",
+            bytes.len()
+        ))
+    })
 }
 
 /// Binomial-tree broadcast of `buf` from rank 0 to all ranks (in place;
@@ -126,7 +139,7 @@ pub fn gather<T: Transport>(t: &mut T, payload: &[u8]) -> Result<Option<Vec<Vec<
             break;
         } else if rank + step < size {
             let bytes = t.recv(rank + step, COLLECTIVE_TAG)?;
-            acc.extend(unpack_pairs(&bytes)?);
+            acc.extend(decode_pairs(&bytes)?);
         }
         step <<= 1;
     }
@@ -155,7 +168,7 @@ pub fn allgather<T: Transport>(t: &mut T, payload: &[u8]) -> Result<Vec<Vec<u8>>
         None => Vec::new(),
     };
     broadcast(t, &mut packed)?;
-    let pairs = unpack_pairs(&packed)?;
+    let pairs = decode_pairs(&packed)?;
     Ok(pairs.into_iter().map(|(_, p)| p).collect())
 }
 
@@ -164,20 +177,14 @@ pub fn allgather<T: Transport>(t: &mut T, payload: &[u8]) -> Result<Vec<Vec<u8>>
 /// wire form of the distributed setup's ghost-list and face-ID merge
 /// collectives.
 pub fn allgather_u32s<T: Transport>(t: &mut T, vals: &[u32]) -> Result<Vec<Vec<u32>>, CommError> {
-    let mine: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let parts = allgather(t, &mine)?;
-    parts
+    let mut mine = LeWriter::with_capacity(4 * vals.len());
+    mine.u32s(vals.iter().copied());
+    let parts = allgather(t, mine.as_bytes())?;
+    let ragged = || CommError::Invalid("allgather_u32s: ragged payload".into());
+    let lists = parts
         .iter()
-        .map(|blob| {
-            if !blob.len().is_multiple_of(4) {
-                return Err(CommError::Invalid("allgather_u32s: ragged payload".into()));
-            }
-            Ok(blob
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect())
-        })
-        .collect()
+        .map(|blob| LeReader::all_u32s(blob).map(Iterator::collect));
+    lists.map(|l| l.ok_or_else(ragged)).collect()
 }
 
 /// Scatter per-rank payloads from rank 0: rank `r` receives `parts[r]`.
@@ -220,7 +227,7 @@ pub fn scatter<T: Transport>(t: &mut T, parts: Option<Vec<Vec<u8>>>) -> Result<V
             rank & rank.wrapping_neg()
         };
         if rank != 0 {
-            pairs = unpack_pairs(&t.recv(rank - lowbit, COLLECTIVE_TAG)?)?;
+            pairs = decode_pairs(&t.recv(rank - lowbit, COLLECTIVE_TAG)?)?;
         }
         let mut step = lowbit >> 1;
         while step >= 1 {
@@ -249,36 +256,34 @@ pub fn barrier<T: Transport>(t: &mut T) -> Result<(), CommError> {
     Ok(())
 }
 
+/// Pair frame of the tree collectives: `[count u32]` then
+/// `([rank u32][len u32][bytes…])*`.
 fn pack_pairs(pairs: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+    let bytes = pairs.iter().map(|(_, p)| 8 + p.len()).sum::<usize>();
+    let mut w = LeWriter::with_capacity(4 + bytes);
+    w.u32(pairs.len() as u32);
     for (r, p) in pairs {
-        out.extend_from_slice(&r.to_le_bytes());
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        out.extend_from_slice(p);
+        w.u32(*r).u32(p.len() as u32).bytes(p);
     }
-    out
+    w.into_bytes()
 }
 
-fn unpack_pairs(bytes: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, CommError> {
-    let bad = || CommError::Invalid("malformed gather frame".into());
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> Result<&[u8], CommError> {
-        let s = bytes.get(*at..*at + n).ok_or_else(bad)?;
-        *at += n;
-        Ok(s)
+/// The pairs of one [`pack_pairs`] frame; any frame that runs short, names
+/// more pairs than it carries or has bytes left over is
+/// [`CommError::Invalid`].
+fn decode_pairs(bytes: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, CommError> {
+    let r = &mut LeReader::new(bytes);
+    let mut decode = || {
+        let count = r.u32()?;
+        let mut out = Vec::new();
+        for _ in 0..count {
+            let rank = r.u32()?;
+            let len = r.u32()? as usize;
+            out.push((rank, r.bytes(len)?.to_vec()));
+        }
+        r.is_empty().then_some(out)
     };
-    let count = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap()) as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let r = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap());
-        let len = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap()) as usize;
-        out.push((r, take(&mut at, len)?.to_vec()));
-    }
-    if at != bytes.len() {
-        return Err(bad());
-    }
-    Ok(out)
+    decode().ok_or_else(|| CommError::Invalid("malformed gather frame".into()))
 }
 
 #[cfg(test)]
@@ -326,6 +331,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_gather_frame_promising_u32_max_pairs_is_a_typed_error() {
+        // A 4-byte frame whose pair count is u32::MAX: rejected before
+        // anything is allocated for the pairs.
+        let mut ends = LocalTransport::pairs(2);
+        ends[1]
+            .send(0, COLLECTIVE_TAG, &u32::MAX.to_le_bytes())
+            .unwrap();
+        let got = gather(&mut ends[0], b"root");
+        assert_eq!(
+            got,
+            Err(CommError::Invalid("malformed gather frame".into()))
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! untouched. Only the *blocked* time changes: receives that arrived during
 //! the compute window cost nothing in `finish`.
 
-use crate::{f64s_from_bytes, f64s_to_bytes, CommError, Transport};
+use crate::{CommError, LeReader, LeWriter, Transport};
 
 /// An in-flight halo exchange: all sends have been posted, the receive
 /// manifest is recorded, no receive has been drained yet.
@@ -35,10 +35,11 @@ pub struct HaloExchange<'a> {
 impl<'a> HaloExchange<'a> {
     /// Post every send immediately and record the receive manifest.
     ///
-    /// `sends` yields `(peer, values)` messages, `recvs` lists
-    /// `(peer, ghost slots)` for every expected message. All ranks of the
-    /// machine must start exchanges for the same `tag` in lockstep.
-    pub fn start<T, S>(
+    /// `sends` yields `(peer, values)` messages, each packed straight into
+    /// one message buffer that every send of the exchange reuses; `recvs`
+    /// lists `(peer, ghost slots)` for every expected message. All ranks
+    /// of the machine must start exchanges for the same `tag` in lockstep.
+    pub fn start<T, S, V>(
         t: &mut T,
         tag: u32,
         sends: S,
@@ -46,10 +47,13 @@ impl<'a> HaloExchange<'a> {
     ) -> Result<HaloExchange<'a>, CommError>
     where
         T: Transport,
-        S: IntoIterator<Item = (usize, Vec<f64>)>,
+        S: IntoIterator<Item = (usize, V)>,
+        V: IntoIterator<Item = f64>,
     {
+        let mut msg = LeWriter::new();
         for (peer, vals) in sends {
-            t.send(peer, tag, &f64s_to_bytes(&vals))?;
+            msg.clear();
+            t.send(peer, tag, msg.f64s(vals).as_bytes())?;
         }
         Ok(HaloExchange { tag, recvs })
     }
@@ -62,14 +66,14 @@ impl<'a> HaloExchange<'a> {
     pub fn finish<T: Transport>(self, t: &mut T, ghost_vals: &mut [f64]) -> Result<(), CommError> {
         for (peer, slots) in self.recvs {
             let bytes = t.recv(peer, self.tag)?;
-            if bytes.len() != 8 * slots.len() {
-                return Err(CommError::Invalid(format!(
+            let vals = LeReader::all_f64s(&bytes, slots.len()).ok_or_else(|| {
+                CommError::Invalid(format!(
                     "halo message from rank {peer} has {} bytes, plan expects {} values",
                     bytes.len(),
                     slots.len()
-                )));
-            }
-            for (&slot, v) in slots.iter().zip(f64s_from_bytes(&bytes)) {
+                ))
+            })?;
+            for (&slot, v) in slots.iter().zip(vals) {
                 ghost_vals[slot as usize] = v;
             }
         }
@@ -138,7 +142,8 @@ mod tests {
             let peer = 1 - t.rank();
             t.send(peer, 4, &[0u8; 11]).unwrap();
             let slots: Vec<u32> = vec![0];
-            let hx = HaloExchange::start(&mut t, 4, [], vec![(peer, slots.as_slice())]).unwrap();
+            let none: [(usize, [f64; 0]); 0] = [];
+            let hx = HaloExchange::start(&mut t, 4, none, vec![(peer, slots.as_slice())]).unwrap();
             hx.finish(&mut t, &mut [0.0]).is_err()
         });
         assert!(results.iter().all(|&bad| bad));

@@ -31,6 +31,17 @@
 //! which is what the orchestrated (`Sim`) path uses for inner products; a
 //! solve therefore produces **bitwise identical** results on the simulated
 //! machine, on rank threads, and across processes. See `docs/comm.md`.
+//!
+//! # Wire codec
+//!
+//! Every rank-to-rank payload — halo values, collective frames, set-up row
+//! blobs, ingest seeds, mesh shards, coarsening decisions — is written by
+//! [`LeWriter`] and read by [`LeReader`], little-endian with `f64` values
+//! as raw bits. The reader checks each count against the bytes left
+//! before it allocates, so a short, long or hostile payload is a
+//! [`CommError::Invalid`] (or `None`) in its decoder, never a panic or an
+//! allocation abort. The transports' own frame headers sit below the
+//! codec. The per-payload layouts are tabled in `docs/comm.md`.
 
 pub mod collectives;
 pub mod fault;
@@ -210,32 +221,95 @@ pub fn tree_combine(partials: &[f64]) -> f64 {
     v[0]
 }
 
-/// Serialize a slice of `f64` into little-endian bytes.
-pub fn f64s_to_bytes(vals: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * vals.len());
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Little-endian writer of the bytes sent to a peer: the encode half of
+/// [`LeReader`], and the only encoder of rank-to-rank payloads. A wire
+/// format is one sequence of `LeWriter` calls mirrored by the same
+/// sequence of `LeReader` calls; `f64` values travel as their raw bits.
+#[derive(Debug, Default)]
+pub struct LeWriter {
+    buf: Vec<u8>,
+}
+
+impl LeWriter {
+    /// An empty writer.
+    pub fn new() -> LeWriter {
+        LeWriter::default()
     }
-    out
+
+    /// An empty writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> LeWriter {
+        LeWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// Append one byte.
+    pub fn u8(&mut self, v: u8) -> &mut Self {
+        self.buf.push(v);
+        self
+    }
+
+    /// Append one `u32`.
+    pub fn u32(&mut self, v: u32) -> &mut Self {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Append `u32` values, no count ([`LeReader::u32s`] reads them back).
+    pub fn u32s(&mut self, vals: impl IntoIterator<Item = u32>) -> &mut Self {
+        let vals = vals.into_iter();
+        self.buf.reserve(4 * vals.size_hint().0);
+        for v in vals {
+            self.u32(v);
+        }
+        self
+    }
+
+    /// Append `f64` values bit for bit, no count ([`LeReader::f64s`]).
+    pub fn f64s(&mut self, vals: impl IntoIterator<Item = f64>) -> &mut Self {
+        let vals = vals.into_iter();
+        self.buf.reserve(8 * vals.size_hint().0);
+        for v in vals {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
+        self
+    }
+
+    /// Append a count-prefixed list `[len u32][vals u32…]`
+    /// ([`LeReader::u32_list`]).
+    pub fn u32_list(&mut self, vals: &[u32]) -> &mut Self {
+        self.u32(vals.len() as u32).u32s(vals.iter().copied())
+    }
+
+    /// Append raw bytes.
+    pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(b);
+        self
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drop the bytes written, keeping the buffer for the next message.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// The written bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
 }
 
-/// The `f64` values of little-endian bytes, in order, without a buffer of
-/// their own.
-pub fn f64s_from_bytes(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-}
-
-/// Deserialize little-endian bytes into `f64` values.
-pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
-    f64s_from_bytes(bytes).collect()
-}
-
-/// Checked little-endian reader over bytes received from a peer: every
-/// accessor returns `None` rather than read past the end, so a decoder
-/// turns a short blob into a typed error instead of a slice panic, and
-/// [`LeReader::is_empty`] lets it reject an over-long one.
+/// Checked little-endian reader over bytes received from a peer, and the
+/// only decoder of rank-to-rank payloads: every accessor returns `None`
+/// rather than read past the end, and every count is checked against the
+/// bytes left before anything is allocated for it. So a decoder turns a
+/// short, over-long or hostile blob into a typed error instead of a slice
+/// panic or an allocation abort, and [`LeReader::is_empty`] lets it reject
+/// trailing bytes.
 pub struct LeReader<'a> {
     rest: &'a [u8],
 }
@@ -246,7 +320,23 @@ impl<'a> LeReader<'a> {
         LeReader { rest: bytes }
     }
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// The whole of `bytes` as exactly `n` `f64` values; `None` for any
+    /// other length, short, long or ragged.
+    pub fn all_f64s(bytes: &'a [u8], n: usize) -> Option<impl Iterator<Item = f64> + 'a> {
+        let mut r = LeReader::new(bytes);
+        let vals = r.f64s(n)?;
+        r.is_empty().then_some(vals)
+    }
+
+    /// The whole of `bytes` as `u32` values; `None` on a ragged tail.
+    pub fn all_u32s(bytes: &'a [u8]) -> Option<impl Iterator<Item = u32> + 'a> {
+        let mut r = LeReader::new(bytes);
+        let vals = r.u32s(bytes.len() / 4)?;
+        r.is_empty().then_some(vals)
+    }
+
+    /// The next `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         if n > self.rest.len() {
             return None;
         }
@@ -257,7 +347,7 @@ impl<'a> LeReader<'a> {
 
     /// The next byte.
     pub fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
+        self.bytes(1).map(|b| b[0])
     }
 
     /// The next `u32`.
@@ -265,16 +355,11 @@ impl<'a> LeReader<'a> {
         self.u32s(1)?.next()
     }
 
-    /// The next `f64`, bit for bit.
-    pub fn f64(&mut self) -> Option<f64> {
-        self.f64s(1)?.next()
-    }
-
     /// The next `n` `u32` values. The length is checked against the bytes
     /// left before anything is read, so a hostile count cannot make the
     /// caller allocate for values that are not there.
     pub fn u32s(&mut self, n: usize) -> Option<impl Iterator<Item = u32> + 'a> {
-        let bytes = self.take(n.checked_mul(4)?)?;
+        let bytes = self.bytes(n.checked_mul(4)?)?;
         Some(
             bytes
                 .chunks_exact(4)
@@ -284,7 +369,18 @@ impl<'a> LeReader<'a> {
 
     /// The next `n` `f64` values, bit for bit; checked like [`LeReader::u32s`].
     pub fn f64s(&mut self, n: usize) -> Option<impl Iterator<Item = f64> + 'a> {
-        Some(f64s_from_bytes(self.take(n.checked_mul(8)?)?))
+        let bytes = self.bytes(n.checked_mul(8)?)?;
+        Some(
+            bytes
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+        )
+    }
+
+    /// The next count-prefixed list ([`LeWriter::u32_list`]).
+    pub fn u32_list(&mut self) -> Option<Vec<u32>> {
+        let n = self.u32()? as usize;
+        Some(self.u32s(n)?.collect())
     }
 
     /// Whether the blob is fully consumed.
@@ -304,8 +400,9 @@ mod tests {
         blob.push(9);
         let mut r = LeReader::new(&blob);
         assert_eq!(r.u32(), Some(7));
-        assert_eq!(r.f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
-        assert!(r.u32().is_none() && r.f64().is_none(), "one byte left");
+        let mut zero = r.f64s(1).unwrap();
+        assert_eq!(zero.next().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert!(r.u32().is_none() && r.f64s(1).is_none(), "one byte left");
         assert!(r.u32s(usize::MAX).is_none() && r.f64s(usize::MAX / 8 + 1).is_none());
         assert!(!r.is_empty());
         assert_eq!(r.u8(), Some(9));
@@ -324,11 +421,31 @@ mod tests {
     }
 
     #[test]
-    fn f64_bytes_roundtrip() {
-        let v = [1.5, -0.0, f64::MIN_POSITIVE, 1e300];
-        let back = bytes_to_f64s(&f64s_to_bytes(&v));
-        for (a, b) in v.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    fn writer_and_reader_roundtrip_bit_for_bit() {
+        let v = [1.5, -0.0, f64::MIN_POSITIVE, 1e300, f64::NAN];
+        let mut w = LeWriter::new();
+        w.u8(3).u32_list(&[7, 8]).f64s(v).u32s([9]);
+        let mut r = LeReader::new(w.as_bytes());
+        assert_eq!(r.u8(), Some(3));
+        assert_eq!(r.u32_list(), Some(vec![7, 8]));
+        let back: Vec<u64> = r.f64s(v.len()).unwrap().map(f64::to_bits).collect();
+        assert_eq!(back, v.map(f64::to_bits));
+        assert_eq!(r.u32(), Some(9));
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn whole_blob_readers_reject_any_other_length() {
+        let mut w = LeWriter::new();
+        w.f64s([1.0, 2.0]);
+        let blob = w.into_bytes();
+        assert_eq!(LeReader::all_f64s(&blob, 2).map(|v| v.count()), Some(2));
+        for n in [0, 1, 3] {
+            assert!(LeReader::all_f64s(&blob, n).is_none());
         }
+        assert!(LeReader::all_f64s(&blob[..15], 2).is_none());
+        assert_eq!(LeReader::all_u32s(&blob).map(|v| v.count()), Some(4));
+        assert!(LeReader::all_u32s(&blob[..15]).is_none());
+        assert!(LeReader::new(&u32::MAX.to_le_bytes()).u32_list().is_none());
     }
 }

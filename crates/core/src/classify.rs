@@ -99,7 +99,7 @@ pub fn identify_faces(facets: &[Facet], adjacency: &Graph, tol: f64) -> Vec<u32>
 
 /// What the §4.5 per-processor passes produce, as id pairs.
 #[derive(Default)]
-struct FacePasses {
+pub(crate) struct FacePasses {
     /// `(facet, id)` for every facet of the processors that ran.
     assigned: Vec<(u32, u32)>,
     /// `G_fid` edges between two ids of one processor.
@@ -110,11 +110,11 @@ struct FacePasses {
 }
 
 impl FacePasses {
-    fn lists(&self) -> [&Vec<(u32, u32)>; 3] {
+    pub(crate) fn lists(&self) -> [&Vec<(u32, u32)>; 3] {
         [&self.assigned, &self.edges, &self.candidates]
     }
 
-    fn lists_mut(&mut self) -> [&mut Vec<(u32, u32)>; 3] {
+    pub(crate) fn lists_mut(&mut self) -> [&mut Vec<(u32, u32)>; 3] {
         [&mut self.assigned, &mut self.edges, &mut self.candidates]
     }
 }
@@ -236,20 +236,17 @@ fn merge_face_ids(n: usize, all: &FacePasses) -> Option<Vec<u32>> {
 
 /// Wire form of a rank's passes: the three pair lists, each
 /// `[count u32] ([a u32][b u32])*`, little-endian.
-fn pack_passes(passes: &FacePasses) -> Vec<u8> {
-    let mut blob = Vec::new();
+pub(crate) fn pack_passes(passes: &FacePasses) -> Vec<u8> {
+    let mut w = pmg_comm::LeWriter::new();
     for pairs in passes.lists() {
-        blob.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-        for &(a, b) in pairs {
-            blob.extend_from_slice(&a.to_le_bytes());
-            blob.extend_from_slice(&b.to_le_bytes());
-        }
+        w.u32(pairs.len() as u32);
+        w.u32s(pairs.iter().flat_map(|&(a, b)| [a, b]));
     }
-    blob
+    w.into_bytes()
 }
 
 /// Append the passes of one [`pack_passes`] blob to `all`.
-fn unpack_passes(blob: &[u8], all: &mut FacePasses) -> Result<(), pmg_comm::CommError> {
+pub(crate) fn unpack_passes(blob: &[u8], all: &mut FacePasses) -> Result<(), pmg_comm::CommError> {
     let r = &mut pmg_comm::LeReader::new(blob);
     let mut decode = || {
         for pairs in all.lists_mut() {

@@ -32,7 +32,7 @@
 use crate::classify::{VertexClass, VertexClasses};
 use crate::coarsen::coarsen_level;
 use crate::mg::MgOptions;
-use pmg_comm::{CommError, LeReader, Transport};
+use pmg_comm::{CommError, LeReader, LeWriter, Transport};
 use pmg_geometry::Vec3;
 use pmg_parallel::Layout;
 use pmg_partition::{recursive_coordinate_bisection, Graph};
@@ -218,71 +218,43 @@ pub fn scatter_seeds<T: Transport>(
     RankSeed::decode(&mine).ok_or_else(|| CommError::Invalid("malformed ingest seed".into()))
 }
 
-// --- byte codec -----------------------------------------------------------
+// --- wire form -------------------------------------------------------------
 //
-// Little-endian, length-prefixed; f64s travel as raw bits so restriction
-// weights and coordinates roundtrip bitwise.
+// Length-prefixed, through `pmg_comm`'s `LeWriter` / `LeReader`; f64s travel
+// as raw bits so restriction weights and coordinates roundtrip bitwise.
 
 const SEED_MAGIC: u32 = 0x504D_5344; // "PMSD"
 
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
+fn put_csr(w: &mut LeWriter, m: &CsrMatrix) {
+    w.u32(m.nrows() as u32)
+        .u32(m.ncols() as u32)
+        .u32(m.nnz() as u32);
+    w.u32s((0..m.nrows()).map(|i| m.row(i).0.len() as u32));
+    w.u32s(m.col_idx().iter().map(|&c| c as u32));
+    w.f64s(m.vals().iter().copied());
 }
 
-fn put_u32s(b: &mut Vec<u8>, v: &[u32]) {
-    put_u32(b, v.len() as u32);
-    for &x in v {
-        put_u32(b, x);
-    }
+fn put_vec3s(w: &mut LeWriter, v: &[Vec3]) {
+    w.u32(v.len() as u32);
+    w.f64s(v.iter().flat_map(|p| [p.x, p.y, p.z]));
 }
 
-fn put_csr(b: &mut Vec<u8>, m: &CsrMatrix) {
-    put_u32(b, m.nrows() as u32);
-    put_u32(b, m.ncols() as u32);
-    put_u32(b, m.nnz() as u32);
-    for i in 0..m.nrows() {
-        let (cols, _) = m.row(i);
-        put_u32(b, cols.len() as u32);
-    }
-    for &c in m.col_idx() {
-        put_u32(b, c as u32);
-    }
-    for &v in m.vals() {
-        b.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
-
-fn put_vec3s(b: &mut Vec<u8>, v: &[Vec3]) {
-    put_u32(b, v.len() as u32);
-    for p in v {
-        for c in [p.x, p.y, p.z] {
-            b.extend_from_slice(&c.to_bits().to_le_bytes());
-        }
-    }
-}
-
-fn put_graph(b: &mut Vec<u8>, g: &Graph) {
-    put_u32(b, g.num_vertices() as u32);
+fn put_graph(w: &mut LeWriter, g: &Graph) {
+    w.u32(g.num_vertices() as u32);
     for v in 0..g.num_vertices() {
-        put_u32s(b, g.neighbors(v));
+        w.u32_list(g.neighbors(v));
     }
 }
 
-fn put_classes(b: &mut Vec<u8>, c: &VertexClasses) {
-    put_u32(b, c.class.len() as u32);
+fn put_classes(w: &mut LeWriter, c: &VertexClasses) {
+    w.u32(c.class.len() as u32);
     for &cl in &c.class {
-        b.push(cl as u8);
+        w.u8(cl as u8);
     }
-    put_u32(b, c.faces.len() as u32);
+    w.u32(c.faces.len() as u32);
     for f in &c.faces {
-        put_u32s(b, f);
+        w.u32_list(f);
     }
-}
-
-/// A length-prefixed `u32` list ([`put_u32s`]).
-fn get_u32s(c: &mut LeReader) -> Option<Vec<u32>> {
-    let n = c.u32()? as usize;
-    Some(c.u32s(n)?.collect())
 }
 
 fn get_csr(c: &mut LeReader) -> Option<CsrMatrix> {
@@ -311,13 +283,23 @@ fn get_vec3s(c: &mut LeReader) -> Option<Vec<Vec3>> {
     Some(points.collect())
 }
 
+/// The graph of `n` adjacency lists; `None` unless each list ascends
+/// strictly inside `0..n` and the lists are symmetric, as every `Graph`
+/// is ([`Graph::from_adjacency`] asserts it).
 fn get_graph(c: &mut LeReader) -> Option<Graph> {
     let n = c.u32()? as usize;
     let mut adj = Vec::new();
     for _ in 0..n {
-        adj.push(get_u32s(c)?);
+        let list = c.u32_list()?;
+        let ascending = list.windows(2).all(|w| w[0] < w[1]);
+        if !ascending || list.last().is_some_and(|&w| w as usize >= n) {
+            return None;
+        }
+        adj.push(list);
     }
-    Some(Graph::from_adjacency(&adj))
+    let has = |v: u32, w: usize| adj[w].binary_search(&v).is_ok();
+    let symmetric = (0..n).all(|v| adj[v].iter().all(|&w| has(v as u32, w as usize)));
+    symmetric.then(|| Graph::from_adjacency(&adj))
 }
 
 fn get_classes(c: &mut LeReader) -> Option<VertexClasses> {
@@ -337,7 +319,7 @@ fn get_classes(c: &mut LeReader) -> Option<VertexClasses> {
     }
     let mut faces = Vec::new();
     for _ in 0..n {
-        faces.push(get_u32s(c)?);
+        faces.push(c.u32_list()?);
     }
     Some(VertexClasses { class, faces })
 }
@@ -345,26 +327,27 @@ fn get_classes(c: &mut LeReader) -> Option<VertexClasses> {
 impl RankSeed {
     /// Serialize to the scatter payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u32(&mut b, SEED_MAGIC);
-        put_u32(&mut b, self.rank);
-        put_u32(&mut b, self.nranks);
-        put_u32(&mut b, self.dofs);
-        put_u32s(&mut b, &self.part);
-        put_u32s(&mut b, &self.elem_counts);
+        let mut w = LeWriter::new();
+        w.u32(SEED_MAGIC)
+            .u32(self.rank)
+            .u32(self.nranks)
+            .u32(self.dofs);
+        w.u32_list(&self.part).u32_list(&self.elem_counts);
         match &self.coarse {
-            None => put_u32(&mut b, 0),
+            None => {
+                w.u32(0);
+            }
             Some(c) => {
-                put_u32(&mut b, 1);
-                put_csr(&mut b, &c.r_rows);
-                put_csr(&mut b, &c.rt_rows);
-                put_u32s(&mut b, &c.rt_ids);
-                put_vec3s(&mut b, &c.coords);
-                put_graph(&mut b, &c.graph);
-                put_classes(&mut b, &c.classes);
+                w.u32(1);
+                put_csr(&mut w, &c.r_rows);
+                put_csr(&mut w, &c.rt_rows);
+                w.u32_list(&c.rt_ids);
+                put_vec3s(&mut w, &c.coords);
+                put_graph(&mut w, &c.graph);
+                put_classes(&mut w, &c.classes);
             }
         }
-        b
+        w.into_bytes()
     }
 
     /// Decode a payload produced by [`RankSeed::encode`]; `None` on a
@@ -377,14 +360,14 @@ impl RankSeed {
         let rank = c.u32()?;
         let nranks = c.u32()?;
         let dofs = c.u32()?;
-        let part = get_u32s(c)?;
-        let elem_counts = get_u32s(c)?;
+        let part = c.u32_list()?;
+        let elem_counts = c.u32_list()?;
         let coarse = match c.u32()? {
             0 => None,
             1 => Some(CoarseSeed {
                 r_rows: get_csr(c)?,
                 rt_rows: get_csr(c)?,
-                rt_ids: get_u32s(c)?,
+                rt_ids: c.u32_list()?,
                 coords: get_vec3s(c)?,
                 graph: get_graph(c)?,
                 classes: get_classes(c)?,

@@ -55,3 +55,6 @@ pub use spmd::{
     build_threads, solve_threads, spmd_pcg, DistributedSetup, PhaseWaits, RankHierarchy,
     SpmdSolveOutcome,
 };
+
+#[cfg(test)]
+mod decoder_fuzz;

@@ -238,6 +238,9 @@ impl MgHierarchy {
         opts: MgOptions,
         matrix_free: Option<Box<dyn Operator>>,
     ) -> MgHierarchy {
+        // The process-global counter still holds the caller's work (the
+        // assembly, a previous solve); only this build's is setup work.
+        pmg_sparse::flops::reset();
         let nranks = sim.num_ranks();
         let dofs = opts.dofs_per_vertex;
         assert_eq!(a_fine.nrows(), coords.len() * dofs);
@@ -439,6 +442,9 @@ impl MgHierarchy {
     /// all three are rebuilt transparently.
     pub fn update_operator(&mut self, sim: &mut Sim, a_fine: &CsrMatrix) {
         sim.phase("matrix setup");
+        // As at build: charge this update's flops only, not the solve's
+        // or the assembly's still on the counter.
+        pmg_sparse::flops::reset();
         // A matrix-free operator linearizes the *previous* operator; drop
         // it so the hierarchy runs on the fresh assembled matrix.
         self.fine_mf = None;

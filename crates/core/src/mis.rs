@@ -8,7 +8,7 @@
 //! never suppressed by a lower-ranked neighbor — the parallel algorithm
 //! enforces the same dominance rule across processor boundaries.
 
-use pmg_comm::{CommError, LeReader, Transport};
+use pmg_comm::{CommError, LeReader, LeWriter, Transport};
 use pmg_partition::{random_permutation, Graph};
 
 /// Vertex visiting order heuristic (§4.7).
@@ -221,39 +221,27 @@ pub fn parallel_mis_transport<T: Transport>(
 }
 
 /// One rank's share of a round: `(processor id, (selected, deleted))`.
-type ProcDecisions = Vec<(u32, (Vec<u32>, Vec<u32>))>;
+pub(crate) type ProcDecisions = Vec<(u32, (Vec<u32>, Vec<u32>))>;
 
 /// Wire format for one rank's round decisions:
 /// `[nproc u32] ([proc u32][nsel u32][sel u32…][ndel u32][del u32…])*`,
 /// all little-endian.
-fn pack_decisions(mine: &ProcDecisions) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(mine.len() as u32).to_le_bytes());
+pub(crate) fn pack_decisions(mine: &ProcDecisions) -> Vec<u8> {
+    let mut w = LeWriter::new();
+    w.u32(mine.len() as u32);
     for (p, (sel, del)) in mine {
-        out.extend_from_slice(&p.to_le_bytes());
-        out.extend_from_slice(&(sel.len() as u32).to_le_bytes());
-        for v in sel {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(del.len() as u32).to_le_bytes());
-        for v in del {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        w.u32(*p).u32_list(sel).u32_list(del);
     }
-    out
+    w.into_bytes()
 }
 
-fn unpack_decisions(buf: &[u8]) -> Result<ProcDecisions, CommError> {
+pub(crate) fn unpack_decisions(buf: &[u8]) -> Result<ProcDecisions, CommError> {
     fn decode(r: &mut LeReader) -> Option<ProcDecisions> {
-        let count = r.u32()? as usize;
+        let count = r.u32()?;
         let mut out = Vec::new();
         for _ in 0..count {
             let p = r.u32()?;
-            let nsel = r.u32()? as usize;
-            let sel = r.u32s(nsel)?.collect();
-            let ndel = r.u32()? as usize;
-            let del = r.u32s(ndel)?.collect();
-            out.push((p, (sel, del)));
+            out.push((p, (r.u32_list()?, r.u32_list()?)));
         }
         r.is_empty().then_some(out)
     }

@@ -28,9 +28,7 @@ use crate::coarsen::coarsen_level_transport;
 use crate::cycle::{self, CycleScratch, Done, LevelOps};
 use crate::ingest::{IngestPlan, RankSeed};
 use crate::mg::{expand_restriction, MgOptions, SmootherType};
-use pmg_comm::{
-    f64s_from_bytes, f64s_to_bytes, CommError, CommStats, LeReader, LocalTransport, Transport,
-};
+use pmg_comm::{CommError, CommStats, LeReader, LeWriter, LocalTransport, Transport};
 use pmg_geometry::Vec3;
 use pmg_parallel::{Layout, RankMatrix};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
@@ -270,41 +268,26 @@ fn exchange_ghosts<T: Transport>(t: &mut T, m: &mut RankMatrix) -> Result<(), Co
     m.install_plan(&lists)
 }
 
-fn u32s_to_bytes(v: &[u32]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(v.len() * 4);
-    for &x in v {
-        b.extend_from_slice(&x.to_le_bytes());
-    }
-    b
-}
-
-fn bytes_to_u32s(b: &[u8]) -> Result<Vec<u32>, CommError> {
-    let mut r = LeReader::new(b);
-    let vals: Vec<u32> = r.u32s(b.len() / 4).expect("length taken from b").collect();
-    if !r.is_empty() {
-        return Err(CommError::Invalid("malformed u32 list blob".into()));
-    }
-    Ok(vals)
+/// A request list of global row ids: the whole message is the ids.
+pub(crate) fn decode_row_ids(b: &[u8]) -> Result<Vec<u32>, CommError> {
+    let ids = LeReader::all_u32s(b).map(Iterator::collect);
+    ids.ok_or_else(|| CommError::Invalid("malformed u32 list blob".into()))
 }
 
 /// Encode a run of CSR rows as `[len, cols.., valbits..]` per row — the
 /// wire format of the setup's row exchanges and the bottom-level gather.
 /// Values travel as raw bits so the receiver reconstructs them verbatim.
-fn encode_rows_into(b: &mut Vec<u8>, a: &CsrMatrix, rows: impl Iterator<Item = usize>) {
+pub(crate) fn encode_rows_into(w: &mut LeWriter, a: &CsrMatrix, rows: impl Iterator<Item = usize>) {
     for i in rows {
         let (cols, vals) = a.row(i);
-        b.extend_from_slice(&(cols.len() as u32).to_le_bytes());
-        for &c in cols {
-            b.extend_from_slice(&(c as u32).to_le_bytes());
-        }
-        for &v in vals {
-            b.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        w.u32(cols.len() as u32);
+        w.u32s(cols.iter().map(|&c| c as u32));
+        w.f64s(vals.iter().copied());
     }
 }
 
 /// Where [`rows_from_blobs`] takes a row from.
-enum RowSource<'a> {
+pub(crate) enum RowSource<'a> {
     /// A row this rank holds: `(cols, vals)`.
     Local(&'a [usize], &'a [f64]),
     /// The next undecoded row of the blob at this index.
@@ -315,7 +298,7 @@ enum RowSource<'a> {
 /// `sources`' `i`-th item, peers' rows being decoded from their
 /// [`encode_rows_into`] blobs in order. A blob that runs short, names a
 /// column outside the matrix or is not used up is a malformed message.
-fn rows_from_blobs<'a>(
+pub(crate) fn rows_from_blobs<'a>(
     blobs: &[Vec<u8>],
     ncols: usize,
     nnz_bound: usize,
@@ -387,13 +370,14 @@ fn fetch_rows<T: Transport>(
         if q == rank {
             continue;
         }
-        let mine = u32s_to_bytes(&wanted[q]);
+        let mut mine = LeWriter::with_capacity(4 * wanted[q].len());
+        let mine = mine.u32s(wanted[q].iter().copied()).as_bytes();
         if rank < q {
-            t.send(q, tag, &mine)?;
-            asked_of_me[q] = bytes_to_u32s(&t.recv(q, tag)?)?;
+            t.send(q, tag, mine)?;
+            asked_of_me[q] = decode_row_ids(&t.recv(q, tag)?)?;
         } else {
-            asked_of_me[q] = bytes_to_u32s(&t.recv(q, tag)?)?;
-            t.send(q, tag, &mine)?;
+            asked_of_me[q] = decode_row_ids(&t.recv(q, tag)?)?;
+            t.send(q, tag, mine)?;
         }
         let n = layout.num_global();
         let mine_to_give = |&g: &u32| (g as usize) < n && layout.owner(g as usize) as usize == rank;
@@ -408,7 +392,7 @@ fn fetch_rows<T: Transport>(
         if q == rank {
             continue;
         }
-        let mut blob = Vec::new();
+        let mut blob = LeWriter::new();
         encode_rows_into(
             &mut blob,
             a_owned,
@@ -417,11 +401,11 @@ fn fetch_rows<T: Transport>(
                 .map(|&g| layout.local_index(g as usize) as usize),
         );
         if rank < q {
-            t.send(q, tag + 1, &blob)?;
+            t.send(q, tag + 1, blob.as_bytes())?;
             payloads[q] = t.recv(q, tag + 1)?;
         } else {
             payloads[q] = t.recv(q, tag + 1)?;
-            t.send(q, tag + 1, &blob)?;
+            t.send(q, tag + 1, blob.as_bytes())?;
         }
     }
 
@@ -474,9 +458,9 @@ fn bottom_level<T: Transport>(
     };
     let coarse = {
         let _t = pmg_telemetry::scope("coarse_direct");
-        let mut blob = Vec::new();
+        let mut blob = LeWriter::new();
         encode_rows_into(&mut blob, a_owned, 0..a_owned.nrows());
-        match pmg_comm::gather(t, &blob)? {
+        match pmg_comm::gather(t, blob.as_bytes())? {
             None => None,
             Some(parts) => {
                 // Owned lists are ascending and tile 0..n, so walking the
@@ -959,7 +943,8 @@ impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
         let level = self.level(self.num_levels() - 1);
         let (t, layout) = (&mut *self.t, level.a.row_layout());
         let before = t.stats().wait_s;
-        let gathered = pmg_comm::gather(t, &f64s_to_bytes(r))?;
+        let mut part = LeWriter::with_capacity(8 * r.len());
+        let gathered = pmg_comm::gather(t, part.f64s(r.iter().copied()).as_bytes())?;
         let shares = gathered.map(|parts| {
             // Only the gather root needs the factor, and only it holds one.
             let direct = level.coarse.as_ref();
@@ -973,8 +958,10 @@ impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
             }
             direct.solve_global_in_place(&mut global);
             let shares = (0..t.size()).map(|rk| {
-                let owned = layout.owned(rk).iter();
-                f64s_to_bytes(&owned.map(|&g| global[g as usize]).collect::<Vec<_>>())
+                let owned = layout.owned(rk);
+                let mut share = LeWriter::with_capacity(8 * owned.len());
+                share.f64s(owned.iter().map(|&g| global[g as usize]));
+                share.into_bytes()
             });
             Ok::<_, CommError>(shares.collect())
         });
@@ -1001,13 +988,12 @@ impl<T: Transport> LevelOps for RankLevels<'_, '_, T> {
 /// carry exactly `rows` of them: any other byte length — short, long or
 /// ragged — is [`CommError::Invalid`].
 fn coarse_values(blob: &[u8], rows: usize) -> Result<impl Iterator<Item = f64> + '_, CommError> {
-    if blob.len() != 8 * rows {
-        return Err(CommError::Invalid(format!(
+    LeReader::all_f64s(blob, rows).ok_or_else(|| {
+        CommError::Invalid(format!(
             "coarse-grid message of {} bytes for {rows} rows",
             blob.len()
-        )));
-    }
-    Ok(f64s_from_bytes(blob))
+        ))
+    })
 }
 
 /// The message-passing backend of [`pcg_generic`]: vectors are this rank's
@@ -1217,8 +1203,9 @@ mod tests {
     fn malformed_row_and_request_blobs_are_typed_errors() {
         // The wire form fetch_rows and the bottom-level gather both decode.
         let a = scalar_problem(2).0;
-        let mut blob = Vec::new();
-        encode_rows_into(&mut blob, &a, 0..a.nrows());
+        let mut w = LeWriter::new();
+        encode_rows_into(&mut w, &a, 0..a.nrows());
+        let blob = w.into_bytes();
         let decode = |blob: Vec<u8>, ncols: usize| {
             let rows = (0..a.nrows()).map(|_| RowSource::Blob(0));
             rows_from_blobs(&[blob], ncols, 0, rows)
@@ -1246,14 +1233,12 @@ mod tests {
 
         // The request lists of fetch_rows' first phase.
         let ids = [3u32, 1, 4];
-        let bytes = u32s_to_bytes(&ids);
-        assert_eq!(bytes_to_u32s(&bytes).unwrap(), ids);
-        for ragged in [
-            &bytes[..bytes.len() - 1],
-            &[&bytes[..], &[7u8][..]].concat()[..],
-        ] {
+        let mut w = LeWriter::new();
+        let bytes = w.u32s(ids).as_bytes();
+        assert_eq!(decode_row_ids(bytes).unwrap(), ids);
+        for ragged in [&bytes[..bytes.len() - 1], &[bytes, &[7u8][..]].concat()[..]] {
             assert_eq!(
-                bytes_to_u32s(ragged),
+                decode_row_ids(ragged),
                 Err(CommError::Invalid("malformed u32 list blob".into()))
             );
         }
@@ -1262,12 +1247,13 @@ mod tests {
     #[test]
     fn coarse_messages_carry_exactly_the_owned_rows() {
         let vals = [1.5, -0.0, 3.25];
-        let blob = f64s_to_bytes(&vals);
-        let got: Vec<f64> = coarse_values(&blob, 3).unwrap().collect();
+        let mut w = LeWriter::new();
+        let blob = w.f64s(vals).as_bytes();
+        let got: Vec<f64> = coarse_values(blob, 3).unwrap().collect();
         assert_eq!(bits(&got), bits(&vals));
         assert_eq!(coarse_values(&[], 0).unwrap().count(), 0);
-        let long = [&blob[..], &[0u8; 8]].concat();
-        let ragged = [&blob[..], &[0u8; 3]].concat();
+        let long = [blob, &[0u8; 8]].concat();
+        let ragged = [blob, &[0u8; 3]].concat();
         for (what, blob) in [("short", &blob[..16]), ("long", &long), ("ragged", &ragged)] {
             assert!(
                 matches!(coarse_values(blob, 3), Err(CommError::Invalid(_))),

@@ -14,10 +14,12 @@
 //! assembles each rank's owned rows from its shard.
 //!
 //! Shards serialize to a flat little-endian byte image ([`MeshShard::encode`]
-//! / [`MeshShard::decode`]) so rank 0 can scatter them over any transport;
-//! coordinates roundtrip bitwise.
+//! / [`MeshShard::decode`], through `pmg_comm`'s `LeWriter` / `LeReader`)
+//! so rank 0 can scatter them over any transport; coordinates roundtrip
+//! bitwise.
 
 use crate::mesh::{ElementKind, Mesh};
+use pmg_comm::{LeReader, LeWriter};
 use pmg_geometry::Vec3;
 
 /// One rank's share of a partitioned mesh: owned vertices, the ghost
@@ -72,9 +74,8 @@ impl MeshShard {
     pub fn encode(&self) -> Vec<u8> {
         let nv = self.mesh.num_vertices();
         let ne = self.mesh.num_elements();
-        let mut b = Vec::with_capacity(32 + 24 * nv + 4 * self.mesh.elem_verts.len() + 12 * ne);
-        b.extend_from_slice(&SHARD_MAGIC.to_le_bytes());
-        for v in [
+        let mut w = LeWriter::with_capacity(36 + 28 * nv + 4 * self.mesh.elem_verts.len() + 8 * ne);
+        w.u32(SHARD_MAGIC).u32s([
             self.rank,
             self.nranks,
             self.num_global_vertices,
@@ -83,33 +84,20 @@ impl MeshShard {
             self.num_owned as u32,
             nv as u32,
             ne as u32,
-        ] {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        for p in &self.mesh.coords {
-            for c in [p.x, p.y, p.z] {
-                b.extend_from_slice(&c.to_bits().to_le_bytes());
-            }
-        }
-        for &v in &self.mesh.elem_verts {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        for &m in &self.mesh.materials {
-            b.extend_from_slice(&m.to_le_bytes());
-        }
-        for &g in &self.global_vertices {
-            b.extend_from_slice(&g.to_le_bytes());
-        }
-        for &g in &self.global_elements {
-            b.extend_from_slice(&g.to_le_bytes());
-        }
-        b
+        ]);
+        w.f64s(self.mesh.coords.iter().flat_map(|p| [p.x, p.y, p.z]));
+        w.u32s(self.mesh.elem_verts.iter().copied());
+        w.u32s(self.mesh.materials.iter().copied());
+        w.u32s(self.global_vertices.iter().copied());
+        w.u32s(self.global_elements.iter().copied());
+        w.into_bytes()
     }
 
     /// Decode a byte image produced by [`MeshShard::encode`]. Returns
-    /// `None` on a malformed payload.
+    /// `None` on a malformed payload — never allocates for counts the
+    /// bytes do not back.
     pub fn decode(bytes: &[u8]) -> Option<MeshShard> {
-        let mut r = Reader { bytes, pos: 0 };
+        let r = &mut LeReader::new(bytes);
         if r.u32()? != SHARD_MAGIC {
             return None;
         }
@@ -121,18 +109,13 @@ impl MeshShard {
         let num_owned = r.u32()? as usize;
         let nv = r.u32()? as usize;
         let ne = r.u32()? as usize;
-        let mut coords = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            let x = r.f64()?;
-            let y = r.f64()?;
-            let z = r.f64()?;
-            coords.push(Vec3::new(x, y, z));
-        }
-        let elem_verts = r.u32s(ne * kind.nodes())?;
-        let materials = r.u32s(ne)?;
-        let global_vertices = r.u32s(nv)?;
-        let global_elements = r.u32s(ne)?;
-        if r.pos != bytes.len() || num_owned > nv {
+        let xyz: Vec<f64> = r.f64s(nv.checked_mul(3)?)?.collect();
+        let coords = xyz.chunks_exact(3).map(|p| Vec3::new(p[0], p[1], p[2]));
+        let elem_verts: Vec<u32> = r.u32s(ne.checked_mul(kind.nodes())?)?.collect();
+        let materials = r.u32s(ne)?.collect();
+        let global_vertices = r.u32s(nv)?.collect();
+        let global_elements = r.u32s(ne)?.collect();
+        if !r.is_empty() || num_owned > nv {
             return None;
         }
         if elem_verts.iter().any(|&v| v as usize >= nv) {
@@ -143,7 +126,7 @@ impl MeshShard {
             nranks,
             num_global_vertices,
             num_global_elements,
-            mesh: Mesh::new(coords, kind, elem_verts, materials),
+            mesh: Mesh::new(coords.collect(), kind, elem_verts, materials),
             global_vertices,
             global_elements,
             num_owned,
@@ -167,33 +150,6 @@ fn kind_from_code(c: u32) -> Option<ElementKind> {
         1 => Some(ElementKind::Tet4),
         2 => Some(ElementKind::Hex20),
         _ => None,
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.bytes.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        let b = self.bytes.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-    }
-
-    fn u32s(&mut self, n: usize) -> Option<Vec<u32>> {
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u32()?);
-        }
-        Some(v)
     }
 }
 
@@ -345,6 +301,16 @@ mod tests {
                 assert_eq!(got, expect, "element {e} closure");
             }
         }
+    }
+
+    #[test]
+    fn a_header_promising_u32_max_vertices_is_rejected() {
+        // The 36-byte header alone, with nv = u32::MAX: no 100 GB
+        // coordinate buffer may be allocated before the bytes run out.
+        let mut w = LeWriter::new();
+        w.u32(SHARD_MAGIC).u32s([0, 1, 8, 1, 0, 0, u32::MAX, 0]);
+        assert_eq!(w.as_bytes().len(), 36);
+        assert!(MeshShard::decode(w.as_bytes()).is_none());
     }
 
     #[test]

@@ -668,7 +668,7 @@ impl RankMatrix {
     ) -> Result<HaloExchange<'_>, CommError> {
         let halo = self.halo();
         let sends = halo.send.iter().map(|msg| {
-            let packed: Vec<f64> = msg.idx.iter().map(|&li| x_local[li as usize]).collect();
+            let packed = msg.idx.iter().map(|&li| x_local[li as usize]);
             (msg.peer as usize, packed)
         });
         let recvs = halo.recv.iter();

@@ -17,7 +17,7 @@
 //! makes the reply send a no-op.
 
 use crate::batch::{Dispatcher, Job, SharedCounters, SolveJob};
-use crate::protocol::{parse_request, render_response, write_frame, Request, Response};
+use crate::protocol::{parse_request, read_frame, render_response, write_frame, Request, Response};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -249,90 +249,51 @@ fn spawn_conn<S: ConnStream>(
     conns.lock().unwrap().push(handle);
 }
 
-/// Read one frame with the shutdown flag honoured while *between*
-/// frames: an idle wait returns `Ok(None)` once shutdown is requested,
-/// but a frame whose header has started is read to completion (bounded
-/// by a stall deadline, after which the peer counts as disconnected).
-fn read_frame_interruptible<S: ConnStream>(
-    s: &mut S,
-    shutdown: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
-    const STALL: Duration = Duration::from_secs(10);
-    s.set_read_timeout_ms(Some(50))?;
-    let mut header = [0u8; 4];
-    let mut got = 0;
-    let mut started = None::<Instant>;
-    while got < 4 {
-        match s.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-header",
-                ))
-            }
-            Ok(n) => {
-                got += n;
-                started.get_or_insert_with(Instant::now);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                match started {
-                    None if shutdown.load(Ordering::SeqCst) => return Ok(None),
-                    Some(t0) if t0.elapsed() > STALL => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "peer stalled mid-header",
-                        ))
+/// A connection stream as [`read_frame`] reads it, honouring the shutdown
+/// flag while *between* frames: reads poll a 50 ms timeout, and an idle
+/// wait ends as a clean end of stream once shutdown is requested. A frame
+/// whose first byte has arrived is read to completion, bounded by a stall
+/// deadline 10 s after that byte, past which the peer counts as
+/// disconnected. One adapter reads one frame.
+struct FrameReader<'a, S> {
+    stream: &'a mut S,
+    shutdown: &'a AtomicBool,
+    /// When this frame's first byte arrived.
+    started: Option<Instant>,
+}
+
+impl<S: Read> Read for FrameReader<'_, S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        const STALL: Duration = Duration::from_secs(10);
+        loop {
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    if n > 0 {
+                        self.started.get_or_insert_with(Instant::now);
                     }
-                    _ => {}
+                    return Ok(n);
                 }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    match self.started {
+                        None if self.shutdown.load(Ordering::SeqCst) => return Ok(0),
+                        Some(t0) if t0.elapsed() > STALL => {
+                            return Err(io::Error::new(
+                                io::ErrorKind::TimedOut,
+                                "peer stalled mid-frame",
+                            ))
+                        }
+                        _ => {}
+                    }
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > crate::protocol::MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("oversized frame ({len} bytes)"),
-        ));
-    }
-    let t0 = Instant::now();
-    let mut buf = vec![0u8; len];
-    let mut at = 0;
-    while at < len {
-        match s.read(&mut buf[at..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-payload",
-                ))
-            }
-            Ok(n) => at += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if t0.elapsed() > STALL {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "peer stalled mid-payload",
-                    ));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(buf))
 }
 
 /// One connection's request/response loop.
@@ -343,7 +304,14 @@ fn serve_conn<S: ConnStream>(
     shared: &SharedCounters,
 ) {
     loop {
-        let payload = match read_frame_interruptible(&mut stream, shutdown) {
+        let frame = stream.set_read_timeout_ms(Some(50)).and_then(|()| {
+            read_frame(&mut FrameReader {
+                stream: &mut stream,
+                shutdown,
+                started: None,
+            })
+        });
+        let payload = match frame {
             Ok(Some(p)) => p,
             Ok(None) => return, // clean close (or idle at shutdown)
             Err(_) => {

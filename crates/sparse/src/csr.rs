@@ -4,7 +4,6 @@
 
 use crate::dense::DenseMatrix;
 use crate::flops;
-use rayon::prelude::*;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -427,21 +426,6 @@ impl CsrMatrix {
         flops::add(2 * nnz);
     }
 
-    /// `y = A x` parallelized over rows with rayon.
-    pub fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-            let (cols, vals) = self.row(i);
-            let mut acc = 0.0;
-            for (&j, &v) in cols.iter().zip(vals) {
-                acc += v * x[j];
-            }
-            *yi = acc;
-        });
-        flops::add(2 * self.nnz() as u64);
-    }
-
     /// `y = Aᵀ x` without forming the transpose.
     pub fn spmv_transpose(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.nrows);
@@ -538,91 +522,13 @@ impl CsrMatrix {
         }
     }
 
-    /// Parallel sparse matrix product: Gustavson per row, rows processed in
-    /// rayon chunks with chunk-local accumulator workspaces, results
-    /// stitched afterwards. Identical output to [`CsrMatrix::matmul`].
-    pub fn matmul_par(&self, other: &CsrMatrix) -> CsrMatrix {
-        assert_eq!(self.ncols, other.nrows, "matmul dimension mismatch");
-        let n = self.nrows;
-        let m = other.ncols;
-        let chunk = matmul_chunk_rows(n, rayon::current_num_threads());
-        let nchunks = n.div_ceil(chunk.max(1)).max(1);
-        if n == 0 || nchunks <= 1 {
-            return self.matmul(other);
-        }
-        type Piece = (Vec<usize>, Vec<f64>, Vec<usize>, u64);
-        let pieces: Vec<Piece> = (0..nchunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * chunk;
-                let hi = ((c + 1) * chunk).min(n);
-                let mut acc = vec![0.0f64; m];
-                let mut marker = vec![usize::MAX; m];
-                let mut touched: Vec<usize> = Vec::new();
-                let mut col_idx = Vec::new();
-                let mut vals = Vec::new();
-                let mut lens = Vec::with_capacity(hi - lo);
-                let mut fl: u64 = 0;
-                for i in lo..hi {
-                    touched.clear();
-                    let (acols, avals) = self.row(i);
-                    for (&k, &av) in acols.iter().zip(avals) {
-                        let (bcols, bvals) = other.row(k);
-                        fl += 2 * bcols.len() as u64;
-                        for (&j, &bv) in bcols.iter().zip(bvals) {
-                            if marker[j] != i {
-                                marker[j] = i;
-                                acc[j] = av * bv;
-                                touched.push(j);
-                            } else {
-                                acc[j] += av * bv;
-                            }
-                        }
-                    }
-                    touched.sort_unstable();
-                    for &j in &touched {
-                        col_idx.push(j);
-                        vals.push(acc[j]);
-                    }
-                    lens.push(touched.len());
-                }
-                (col_idx, vals, lens, fl)
-            })
-            .collect();
-
-        let total: usize = pieces.iter().map(|p| p.0.len()).sum();
-        let mut col_idx = Vec::with_capacity(total);
-        let mut vals = Vec::with_capacity(total);
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let mut fl = 0u64;
-        for (ci, va, lens, f) in pieces {
-            for len in lens {
-                row_ptr.push(row_ptr.last().unwrap() + len);
-            }
-            col_idx.extend_from_slice(&ci);
-            vals.extend_from_slice(&va);
-            fl += f;
-        }
-        flops::add(fl);
-        CsrMatrix {
-            nrows: n,
-            ncols: m,
-            row_ptr,
-            col_idx,
-            vals,
-            pattern: OnceLock::new(),
-        }
-    }
-
     /// Galerkin triple product `A_c = R A Rᵀ` where `self = A` (n×n) and `r`
     /// is the restriction (n_c × n). This is the "Mat. Products (RAR')"
     /// operation in the paper's Epimetheus component.
     pub fn rap(&self, r: &CsrMatrix) -> CsrMatrix {
         assert_eq!(self.nrows, self.ncols);
         assert_eq!(r.ncols(), self.nrows);
-        let ra = r.matmul_par(self);
-        ra.matmul_par(&r.transpose())
+        r.matmul(self).matmul(&r.transpose())
     }
 
     /// The diagonal as a vector (missing entries are 0). One linear pass
@@ -719,15 +625,6 @@ impl CsrMatrix {
     }
 }
 
-/// Rows per parallel chunk for [`CsrMatrix::matmul_par`]: aim for a few
-/// chunks per worker thread (load balance without stitching overhead),
-/// but never chunks smaller than 256 rows — below that the per-chunk
-/// accumulator setup dominates and the serial path wins.
-fn matmul_chunk_rows(nrows: usize, threads: usize) -> usize {
-    let target_chunks = threads.max(1) * 4;
-    nrows.div_ceil(target_chunks).max(256)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -811,9 +708,6 @@ mod tests {
         let mut y = vec![0.0; 3];
         a.spmv(&x, &mut y);
         assert_eq!(y, vec![5.0, 6.0, 19.0]);
-        let mut y2 = vec![0.0; 3];
-        a.spmv_par(&x, &mut y2);
-        assert_eq!(y, y2);
     }
 
     #[test]
@@ -852,63 +746,6 @@ mod tests {
                 }
                 assert!((c.get(i, j) - acc).abs() < 1e-14);
             }
-        }
-    }
-
-    #[test]
-    fn matmul_par_matches_serial() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        // Big enough to cross the parallel-chunk threshold.
-        let n = 2600;
-        let mut ba = CooBuilder::new(n, n);
-        let mut bb = CooBuilder::new(n, n);
-        for i in 0..n {
-            for _ in 0..4 {
-                ba.push(i, rng.gen_range(0..n), rng.gen_range(-2.0..2.0));
-                bb.push(i, rng.gen_range(0..n), rng.gen_range(-2.0..2.0));
-            }
-        }
-        let a = ba.build();
-        let b = bb.build();
-        assert_eq!(a.matmul(&b), a.matmul_par(&b));
-    }
-
-    #[test]
-    fn matmul_chunk_rows_derivation() {
-        // Chunks follow available parallelism: ~4 chunks per thread.
-        assert_eq!(matmul_chunk_rows(100_000, 4), 100_000_usize.div_ceil(16));
-        assert_eq!(
-            matmul_chunk_rows(1_000_000, 8),
-            1_000_000_usize.div_ceil(32)
-        );
-        // ... but never shrink below the 256-row floor.
-        assert_eq!(matmul_chunk_rows(300, 64), 256);
-        assert_eq!(matmul_chunk_rows(0, 1), 256);
-        // Serial-fallback boundary at one thread: n <= 256 gives one chunk
-        // (matmul_par delegates to matmul), n = 257 gives two.
-        assert_eq!(256_usize.div_ceil(matmul_chunk_rows(256, 1)), 1);
-        assert_eq!(257_usize.div_ceil(matmul_chunk_rows(257, 1)), 2);
-    }
-
-    #[test]
-    fn matmul_par_across_fallback_boundary() {
-        use rand::{Rng, SeedableRng};
-        // Exercise both sides of the nchunks <= 1 serial-fallback boundary
-        // explicitly: 256 rows stays serial, 257 takes the chunked path.
-        for n in [255, 256, 257, 258] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
-            let mut ba = CooBuilder::new(n, n);
-            let mut bb = CooBuilder::new(n, n);
-            for i in 0..n {
-                for _ in 0..3 {
-                    ba.push(i, rng.gen_range(0..n), rng.gen_range(-2.0..2.0));
-                    bb.push(i, rng.gen_range(0..n), rng.gen_range(-2.0..2.0));
-                }
-            }
-            let a = ba.build();
-            let b = bb.build();
-            assert_eq!(a.matmul(&b), a.matmul_par(&b), "n={n}");
         }
     }
 

@@ -20,7 +20,7 @@
 //!
 //! Exits 0 iff the solve converged.
 
-use pmg_comm::{bytes_to_f64s, f64s_to_bytes, SocketTransport, Transport};
+use pmg_comm::{LeReader, LeWriter, SocketTransport, Transport};
 use pmg_solver::PcgOptions;
 use prometheus::{spmd_pcg, RankHierarchy};
 use std::io::Write;
@@ -105,12 +105,15 @@ fn main() -> ExitCode {
     let solve_s = solve_start.elapsed().as_secs_f64();
     let stats = t.stats(); // snapshot before the result gather adds traffic
 
-    let gathered = pmg_comm::gather(&mut t, &f64s_to_bytes(&xl)).expect("gather solution");
+    let mut part = LeWriter::with_capacity(8 * xl.len());
+    part.f64s(xl.iter().copied());
+    let gathered = pmg_comm::gather(&mut t, part.as_bytes()).expect("gather solution");
     if let Some(parts) = gathered {
         let mut x = vec![0.0; layout.num_global()];
         for (rk, blob) in parts.iter().enumerate() {
-            let vals = bytes_to_f64s(blob);
-            for (&g, &v) in layout.owned(rk).iter().zip(&vals) {
+            let owned = layout.owned(rk);
+            let vals = LeReader::all_f64s(blob, owned.len()).expect("rank's owned values");
+            for (&g, v) in owned.iter().zip(vals) {
                 x[g as usize] = v;
             }
         }

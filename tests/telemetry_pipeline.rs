@@ -141,14 +141,21 @@ fn spheres_solve_emits_full_telemetry_report() {
     }
     assert_eq!(report.labels["problem"], "spheres-tiny");
 
-    // The bridged machine-model phases arrive in the same artifact.
+    // The bridged machine-model phases arrive in the same artifact. No
+    // coarsening kernel counts flops, so "mesh setup" is charged
+    // supersteps but, now that the ledger no longer carries the caller's
+    // assembly flops into it, no flops; `tests/flop_ledger.rs` pins the
+    // counts alone in a binary.
     for name in ["mesh setup", "matrix setup", "solve"] {
         let s = report
             .sim_phases
             .iter()
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("missing sim phase {name}"));
-        assert!(s.total_flops > 0, "sim phase {name} has zero flops");
+        assert!(s.supersteps > 0, "sim phase {name} has no superstep");
+        if name != "mesh setup" {
+            assert!(s.total_flops > 0, "sim phase {name} has zero flops");
+        }
     }
 
     // One JSON-lines document round-trips the entire report.
