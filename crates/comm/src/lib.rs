@@ -12,10 +12,7 @@
 //! * [`LocalTransport`] — every rank is an OS thread with private memory,
 //!   exchanging `Vec<u8>` messages over channels,
 //! * [`SocketTransport`] — every rank is a separate OS process, wired over
-//!   Unix-domain sockets by the `pmg-launch` binary (see [`launch`]),
-//! * [`FaultTransport`] — a reliability wrapper over any transport that
-//!   injects message delay / drop / duplication and recovers with
-//!   sequence numbers, ACKs, and timeout+retry (plus a crash-rank mode).
+//!   Unix-domain sockets by the `pmg-launch` binary (see [`launch`]).
 //!
 //! The BSP `Sim` of `pmg-parallel` remains the third implementation of the
 //! same exchange plans — one that *counts instead of sends*: its modeled
@@ -42,9 +39,18 @@
 //! [`CommError::Invalid`] (or `None`) in its decoder, never a panic or an
 //! allocation abort. The transports' own frame headers sit below the
 //! codec. The per-payload layouts are tabled in `docs/comm.md`.
+//!
+//! # Failure model
+//!
+//! Like MPI, both transports deliver every message once and in order, so
+//! nothing here retries, resequences or acknowledges. What a run can meet
+//! is a peer that dies, a peer that stalls and a payload that is
+//! malformed, and each ends in a typed error rather than a hang: a closed
+//! socket or channel is [`CommError::Disconnected`], a receive that
+//! outlives the endpoint's deadline is [`CommError::Timeout`], and a
+//! payload its decoder cannot read whole is [`CommError::Invalid`].
 
 pub mod collectives;
-pub mod fault;
 pub mod halo;
 pub mod launch;
 pub mod local;
@@ -54,7 +60,6 @@ pub use collectives::{
     allgather, allgather_u32s, allreduce_many, allreduce_scalar, allreduce_sum, barrier, broadcast,
     gather, scatter,
 };
-pub use fault::{FaultConfig, FaultTransport};
 pub use halo::HaloExchange;
 pub use local::LocalTransport;
 pub use socket::SocketTransport;
@@ -64,8 +69,8 @@ use std::fmt;
 /// Errors surfaced by transports and collectives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// A receive (or a reliable send's acknowledgement) timed out — the
-    /// peer is unreachable or crashed.
+    /// A receive outlived the endpoint's deadline — the peer is stalled,
+    /// or crashed without its endpoint closing.
     Timeout {
         /// Rank we were waiting on.
         peer: usize,
@@ -74,13 +79,6 @@ pub enum CommError {
     Disconnected {
         /// Rank whose endpoint disappeared.
         peer: usize,
-    },
-    /// Retries were exhausted without an acknowledgement.
-    RetriesExhausted {
-        /// Destination rank of the unacknowledged message.
-        peer: usize,
-        /// Number of send attempts made.
-        attempts: u32,
     },
     /// An operating-system level I/O failure (socket setup, read, write).
     Io(String),
@@ -94,9 +92,6 @@ impl fmt::Display for CommError {
         match self {
             CommError::Timeout { peer } => write!(f, "timed out waiting on rank {peer}"),
             CommError::Disconnected { peer } => write!(f, "rank {peer} disconnected"),
-            CommError::RetriesExhausted { peer, attempts } => {
-                write!(f, "no ACK from rank {peer} after {attempts} attempts")
-            }
             CommError::Io(e) => write!(f, "comm I/O error: {e}"),
             CommError::Invalid(e) => write!(f, "invalid comm operation: {e}"),
         }
@@ -111,23 +106,12 @@ impl From<std::io::Error> for CommError {
     }
 }
 
-/// A received message: source rank, tag, and payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// Sending rank.
-    pub from: usize,
-    /// Application tag.
-    pub tag: u32,
-    /// Message body.
-    pub payload: Vec<u8>,
-}
-
 /// Cumulative per-endpoint communication statistics.
 ///
 /// `msgs`/`bytes` count *sent* traffic (matching the BSP model's send-side
-/// accounting); `wait_s` is real blocked-in-recv wall time, `retries` counts
-/// reliability-layer retransmissions, and `allreduces` counts collective
-/// reductions entered through [`collectives::allreduce_sum`].
+/// accounting); `wait_s` is real blocked-in-recv wall time, and
+/// `allreduces` counts collective reductions entered through
+/// [`collectives::allreduce_sum`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
     /// Point-to-point messages sent.
@@ -136,8 +120,6 @@ pub struct CommStats {
     pub bytes: u64,
     /// Wall-clock seconds spent blocked in `recv`.
     pub wait_s: f64,
-    /// Retransmissions performed by a reliability layer.
-    pub retries: u64,
     /// Allreduce collectives entered.
     pub allreduces: u64,
 }
@@ -177,9 +159,6 @@ pub trait Transport {
     fn send(&mut self, to: usize, tag: u32, payload: &[u8]) -> Result<(), CommError>;
     /// Receive the next message from rank `from` with tag `tag`.
     fn recv(&mut self, from: usize, tag: u32) -> Result<Vec<u8>, CommError>;
-    /// Non-blocking poll for any buffered or arriving message (used by
-    /// reliability layers that must demultiplex traffic themselves).
-    fn try_recv_any(&mut self) -> Result<Option<Message>, CommError>;
     /// Cumulative statistics of this endpoint.
     fn stats(&self) -> CommStats;
     /// Record entry into one allreduce collective on this endpoint

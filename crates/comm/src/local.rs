@@ -6,14 +6,14 @@
 //! one thread and sees nothing of the other ranks but the messages they
 //! send. This is the shared-memory analogue of one MPI process.
 
-use crate::{CommError, CommStats, Message, Transport};
+use crate::{CommError, CommStats, Transport};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 /// Default blocking-receive deadline. Generous enough that no healthy run
 /// ever hits it; small enough that a genuinely wedged machine (e.g. a
-/// crashed peer without a fault layer) fails instead of hanging CI.
+/// crashed or stalled peer) fails instead of hanging CI.
 const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 struct Frame {
@@ -63,8 +63,8 @@ impl LocalTransport {
             .collect()
     }
 
-    /// Override the blocking-receive deadline (used by fault tests to fail
-    /// fast instead of waiting out the default).
+    /// Override the blocking-receive deadline (fault tests shorten it so a
+    /// dead or stalled peer fails a case in seconds).
     pub fn set_recv_timeout(&mut self, d: Duration) {
         self.recv_timeout = d;
     }
@@ -157,31 +157,6 @@ impl Transport for LocalTransport {
                     return Err(CommError::Disconnected { peer: from });
                 }
             }
-        }
-    }
-
-    fn try_recv_any(&mut self) -> Result<Option<Message>, CommError> {
-        // Drain any stashed message first (oldest key order is fine —
-        // callers of try_recv_any resequence by their own sequence
-        // numbers).
-        if let Some((&key, _)) = self.pending.iter().find(|(_, q)| !q.is_empty()) {
-            let q = self.pending.get_mut(&key).expect("key exists");
-            let payload = q.pop_front().expect("non-empty");
-            return Ok(Some(Message {
-                from: key.0,
-                tag: key.1,
-                payload,
-            }));
-        }
-        match self.inbox.try_recv() {
-            Ok(fr) => Ok(Some(Message {
-                from: fr.from,
-                tag: fr.tag,
-                payload: fr.payload,
-            })),
-            Err(TryRecvError::Empty) => Ok(None),
-            // All peer senders gone: the machine is shutting down.
-            Err(TryRecvError::Disconnected) => Ok(None),
         }
     }
 

@@ -15,7 +15,7 @@
 //! the environment [`connect_from_env`](SocketTransport::connect_from_env)
 //! reads: `PMG_COMM_RANK`, `PMG_COMM_SIZE`, `PMG_COMM_DIR`.
 
-use crate::{CommError, CommStats, Message, Transport};
+use crate::{CommError, CommStats, Transport};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -28,6 +28,8 @@ const HELLO_TAG: u32 = 0xFFFF_FFFF;
 const WIRE_TIMEOUT: Duration = Duration::from_secs(20);
 /// Default blocking-receive deadline (see `local.rs` for rationale).
 const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
+/// The longest one blocking read waits before `recv` checks its deadline.
+const READ_SLICE: Duration = Duration::from_millis(50);
 
 struct Peer {
     stream: UnixStream,
@@ -148,24 +150,29 @@ impl SocketTransport {
         }
     }
 
-    /// Blocking-read more bytes from peer `from` (bounded by `slice`),
-    /// then parse. Returns `Ok(true)` if any bytes arrived.
-    fn pump_peer(&mut self, from: usize, slice: Duration) -> Result<bool, CommError> {
+    /// Blocking-read more bytes from peer `from` (for at most
+    /// [`READ_SLICE`]), then parse.
+    fn pump_peer(&mut self, from: usize) -> Result<(), CommError> {
         let peer = match self.peers[from].as_mut() {
             Some(p) => p,
             None => return Err(CommError::Invalid(format!("no connection to rank {from}"))),
         };
-        peer.stream.set_read_timeout(Some(slice))?;
+        peer.stream.set_read_timeout(Some(READ_SLICE))?;
         let mut chunk = [0u8; 64 * 1024];
         match peer.stream.read(&mut chunk) {
+            // End-of-stream, or a reset because the peer closed with bytes
+            // of ours unread: either way its endpoint is gone.
             Ok(0) => Err(CommError::Disconnected { peer: from }),
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {
+                Err(CommError::Disconnected { peer: from })
+            }
             Ok(n) => {
                 peer.buf.extend_from_slice(&chunk[..n]);
                 Self::drain_frames(&mut self.pending, from, peer);
-                Ok(true)
+                Ok(())
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                Ok(false)
+                Ok(())
             }
             Err(e) => Err(e.into()),
         }
@@ -214,8 +221,8 @@ impl Transport for SocketTransport {
                 self.stats.on_wait(start.elapsed().as_secs_f64());
                 return Err(CommError::Timeout { peer: from });
             }
-            match self.pump_peer(from, Duration::from_millis(50)) {
-                Ok(_) => {
+            match self.pump_peer(from) {
+                Ok(()) => {
                     if let Some(p) = self.pop_pending(from, tag) {
                         self.stats.on_wait(start.elapsed().as_secs_f64());
                         return Ok(p);
@@ -227,27 +234,6 @@ impl Transport for SocketTransport {
                 }
             }
         }
-    }
-
-    fn try_recv_any(&mut self) -> Result<Option<Message>, CommError> {
-        // Nonblocking pump of every connected peer.
-        for from in 0..self.size {
-            if self.peers[from].is_some() {
-                // A zero-ish timeout makes the read effectively
-                // nonblocking; WouldBlock/TimedOut is folded to Ok(false).
-                self.pump_peer(from, Duration::from_millis(1))?;
-            }
-        }
-        if let Some((&key, _)) = self.pending.iter().find(|(_, q)| !q.is_empty()) {
-            let q = self.pending.get_mut(&key).expect("key exists");
-            let payload = q.pop_front().expect("non-empty");
-            return Ok(Some(Message {
-                from: key.0,
-                tag: key.1,
-                payload,
-            }));
-        }
-        Ok(None)
     }
 
     fn stats(&self) -> CommStats {

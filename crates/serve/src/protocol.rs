@@ -675,9 +675,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn requests_roundtrip() {
-        let reqs = [
+    /// One request of every kind.
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Solve(SolveRequest {
                 id: "r1".into(),
                 target: SolveTarget::Spec(ProblemSpec {
@@ -706,47 +706,26 @@ mod tests {
             }),
             Request::Stats,
             Request::Shutdown,
-        ];
-        for req in reqs {
-            let rendered = render_request(&req);
-            assert_eq!(
-                parse_request(rendered.as_bytes()).unwrap(),
-                req,
-                "{rendered}"
-            );
-        }
+        ]
     }
 
-    #[test]
-    fn responses_roundtrip_bitwise() {
-        // The solution vector must survive the wire bit-for-bit.
-        let x = vec![1.0 / 3.0, -0.0, 6.02e23, 1e-300, f64::MIN_POSITIVE];
-        let resp = Response::Solved(SolveReply {
-            id: "q".into(),
-            fingerprint: 0x0123456789abcdef,
-            cache_hit: true,
-            batched: 1,
-            iterations: 13,
-            converged: false,
-            breakdown: true,
-            queue_s: 0.001,
-            setup_s: 0.0,
-            solve_s: 0.25,
-            x: x.clone(),
-        });
-        let rendered = render_response(&resp);
-        match parse_response(rendered.as_bytes()).unwrap() {
-            Response::Solved(r) => {
-                for (a, b) in r.x.iter().zip(&x) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-                assert!(r.cache_hit);
-                assert_eq!(r.batched, 1);
-                assert!(r.breakdown && !r.converged);
-            }
-            other => panic!("{other:?}"),
-        }
-        for resp in [
+    /// One response of every kind; the solution vector holds values whose
+    /// bits a lossy rendering would change.
+    fn sample_responses() -> Vec<Response> {
+        vec![
+            Response::Solved(SolveReply {
+                id: "q".into(),
+                fingerprint: 0x0123456789abcdef,
+                cache_hit: true,
+                batched: 1,
+                iterations: 13,
+                converged: false,
+                breakdown: true,
+                queue_s: 0.001,
+                setup_s: 0.0,
+                solve_s: 0.25,
+                x: vec![1.0 / 3.0, -0.0, 6.02e23, 1e-300, f64::MIN_POSITIVE],
+            }),
             Response::Warmed {
                 fingerprint: 7,
                 cache_hit: false,
@@ -775,13 +754,61 @@ mod tests {
             Response::ShuttingDown,
             Response::Busy,
             Response::Error("nope".into()),
-        ] {
-            let rendered = render_response(&resp);
+        ]
+    }
+
+    #[test]
+    fn requests_roundtrip() {
+        for req in sample_requests() {
+            let rendered = render_request(&req);
             assert_eq!(
-                parse_response(rendered.as_bytes()).unwrap(),
-                resp,
+                parse_request(rendered.as_bytes()).unwrap(),
+                req,
                 "{rendered}"
             );
+        }
+    }
+
+    #[test]
+    fn responses_roundtrip_bitwise() {
+        for resp in sample_responses() {
+            let rendered = render_response(&resp);
+            let back = parse_response(rendered.as_bytes()).unwrap();
+            assert_eq!(back, resp, "{rendered}");
+            // `==` holds for -0.0 against 0.0; the solution must keep its bits.
+            if let (Response::Solved(got), Response::Solved(sent)) = (&back, &resp) {
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.x), bits(&sent.x));
+            }
+        }
+    }
+
+    /// Every strict prefix of `rendered`, and `rendered` with one more
+    /// non-whitespace byte, must be an `Err` from `parse` (a panic fails
+    /// the test).
+    fn assert_cut_and_extended_rejected<T: std::fmt::Debug>(
+        rendered: &str,
+        parse: impl Fn(&[u8]) -> Result<T, String>,
+    ) {
+        let bytes = rendered.as_bytes();
+        for len in 0..bytes.len() {
+            let got = parse(&bytes[..len]);
+            assert!(got.is_err(), "{rendered} cut to {len} bytes: {got:?}");
+        }
+        for extra in *b"x0}]\"\xff" {
+            let longer = [bytes, &[extra]].concat();
+            let got = parse(&longer);
+            assert!(got.is_err(), "{rendered} + {extra:#04x}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn cut_or_extended_messages_are_errors() {
+        for req in sample_requests() {
+            assert_cut_and_extended_rejected(&render_request(&req), parse_request);
+        }
+        for resp in sample_responses() {
+            assert_cut_and_extended_rejected(&render_response(&resp), parse_response);
         }
     }
 

@@ -124,8 +124,8 @@ fn main() -> ExitCode {
             writeln!(f, "solve_s {solve_s:.9}").unwrap();
             writeln!(
                 f,
-                "stats {} {} {:.9} {} {}",
-                stats.msgs, stats.bytes, stats.wait_s, stats.retries, stats.allreduces
+                "stats {} {} {:.9} {}",
+                stats.msgs, stats.bytes, stats.wait_s, stats.allreduces
             )
             .unwrap();
             writeln!(
