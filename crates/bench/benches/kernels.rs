@@ -8,10 +8,10 @@
 //! consumers, and one V-cycle/FMG cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use pmg_bench::{machine, spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
+use pmg_bench::{spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
 use pmg_geometry::{Delaunay, Predicates, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
-use pmg_parallel::{DistMatrix, DistVec, Layout, Sim};
+use pmg_parallel::{DistMatrix, DistVec, Layout, MachineModel, Sim};
 use pmg_partition::{partition_graph, refine_kl, Graph};
 use pmg_solver::RankJacobi;
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
@@ -187,7 +187,7 @@ fn bench_cycles(c: &mut Criterion) {
     let mesh = &sys.mesh;
     let graph = mesh.vertex_graph();
     let classes = classify_mesh(mesh, 0.7);
-    let mut sim = Sim::new(2, machine());
+    let mut sim = Sim::new(2, MachineModel::default());
     let mg = MgHierarchy::build(
         &mut sim,
         &sys.matrix,
@@ -213,7 +213,7 @@ fn bench_smoother(c: &mut Criterion) {
     let mesh = &sys.mesh;
     let graph = mesh.vertex_graph();
     let classes = classify_mesh(mesh, 0.7);
-    let mut sim = Sim::new(2, machine());
+    let mut sim = Sim::new(2, MachineModel::default());
     let mg = MgHierarchy::build(
         &mut sim,
         &sys.matrix,

@@ -3,30 +3,17 @@
 //! and the matrix-setup-only update path used inside Newton.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pmg_bench::{machine, spheres_first_solve};
-use prometheus::{MgOptions, Prometheus, PrometheusOptions};
-
-fn opts(p: usize) -> PrometheusOptions {
-    PrometheusOptions {
-        nranks: p,
-        model: machine(),
-        mg: MgOptions {
-            coarse_dof_threshold: 600,
-            ..Default::default()
-        },
-        max_iters: 400,
-        ..Default::default()
-    }
-}
+use pmg_bench::{paper_options, spheres_first_solve};
+use prometheus::Prometheus;
 
 fn bench_first_solve(c: &mut Criterion) {
     let sys = spheres_first_solve(1);
     let mut grp = c.benchmark_group("spheres_k1");
     grp.sample_size(10);
     grp.bench_function("hierarchy_build", |b| {
-        b.iter(|| Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts(2)))
+        b.iter(|| Prometheus::from_mesh(&sys.mesh, &sys.matrix, paper_options(1)))
     });
-    let mut solver = Prometheus::from_mesh(&sys.mesh, &sys.matrix, opts(2));
+    let mut solver = Prometheus::from_mesh(&sys.mesh, &sys.matrix, paper_options(1));
     grp.bench_function("matrix_setup_update", |b| {
         b.iter(|| solver.update_matrix(&sys.matrix))
     });

@@ -1,16 +1,19 @@
-//! Shared harness for the table/figure reproduction binaries.
+//! Shared harness for reproducing the paper's evaluation (§7).
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (§7); `DESIGN.md` maps each to its paper artifact and
-//! `EXPERIMENTS.md` records paper-vs-measured. Common setup (the spheres
-//! ladder, its first constrained linear system, the rank schedule matching
-//! the paper's processor counts) lives here.
+//! [`paper`] computes every table and figure; the `reproduce` binary prints
+//! them and writes them into `EXPERIMENTS.md`, and `tests/paper_tables.rs`
+//! gates their exact columns at k = 1. Common setup (the spheres ladder,
+//! its first constrained linear system, the rank schedule matching the
+//! paper's processor counts) lives here, next to the transport-parity
+//! problem the consistency tests, `spheres_rank` and the daemon share.
 
 use pmg_fem::bc::constrain_system;
 use pmg_fem::SpheresProblem;
 use pmg_mesh::{Mesh, SpheresParams};
-use pmg_parallel::MachineModel;
 use pmg_sparse::CsrMatrix;
+
+pub mod paper;
+pub mod table;
 
 /// The paper's processor ladder (Table 2): problem `k` ran on `P` CPUs.
 pub const PAPER_RANKS: [usize; 8] = [2, 15, 50, 120, 240, 400, 640, 960];
@@ -19,42 +22,23 @@ pub const PAPER_RANKS: [usize; 8] = [2, 15, 50, 120, 240, 400, 640, 960];
 /// solve per ladder point.
 pub const PAPER_FIRST_SOLVE_ITERS: [usize; 8] = [29, 27, 22, 20, 20, 20, 20, 21];
 
-/// Virtual ranks for ladder point `k` (1-based).
+/// Virtual ranks for ladder point `k` (1-based; the tiny `k = 0` runs on
+/// the first point's two).
 pub fn ranks_for(k: usize) -> usize {
-    PAPER_RANKS[(k - 1).min(PAPER_RANKS.len() - 1)]
+    PAPER_RANKS[k.clamp(1, PAPER_RANKS.len()) - 1]
 }
 
-/// Ladder depth from the environment (`PMG_MAX_K`), with a default chosen
-/// for the binary's runtime.
-pub fn env_max_k(default: usize) -> usize {
-    env_depth("PMG_MAX_K", default)
-}
-
-/// A ladder depth read from variable `name`: unset or empty is `default`.
-///
-/// # Panics
-/// On anything but a non-negative integer — a mistyped depth must not
-/// silently run the default ladder.
-pub fn env_depth(name: &str, default: usize) -> usize {
-    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_depth(name, value.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
-}
-
-fn parse_depth(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
-    match value {
-        None | Some("") => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{name}={v}: expected a non-negative integer")),
+/// The ladder's solver options: ladder point `k` on the paper's processor
+/// count, with a Krylov cap the first solve never reaches.
+pub fn paper_options(k: usize) -> prometheus::PrometheusOptions {
+    prometheus::PrometheusOptions {
+        nranks: ranks_for(k),
+        max_iters: 400,
+        ..Default::default()
     }
 }
 
-/// The machine model used throughout (the paper's PowerPC cluster numbers).
-pub fn machine() -> MachineModel {
-    MachineModel::default()
-}
-
-/// Configure process-global telemetry for a bench binary from the
+/// Configure process-global telemetry for the daemon from the
 /// environment: collection is switched on exactly when `PMG_TELEMETRY`
 /// selects a real sink (`table` or `json`; see
 /// [`pmg_telemetry::sink_from_env`]), and the matching sink is returned
@@ -127,31 +111,6 @@ pub fn operator_complexity(solver: &prometheus::Prometheus) -> f64 {
     nnz.sum::<usize>() as f64 / solver.mg.levels[0].a.nnz() as f64
 }
 
-/// A built hierarchy's shape as an indented table under `label`:
-/// per-level vertices, operator nonzeros and vertex reduction to the next
-/// grid, then the operator complexity (Σ level nnz / fine nnz).
-pub fn hierarchy_shape(label: &str, solver: &prometheus::Prometheus) -> String {
-    use std::fmt::Write;
-    let levels = &solver.mg.levels;
-    let mut out = format!(
-        "  {label}:\n    {:>5} {:>9} {:>10} {:>10}\n",
-        "level", "vertices", "nnz", "reduction"
-    );
-    for (i, level) in levels.iter().enumerate() {
-        let reduction = levels.get(i + 1).map_or("-".into(), |next| {
-            format!(
-                "{:.2}",
-                level.num_vertices as f64 / next.num_vertices as f64
-            )
-        });
-        let (nv, nnz) = (level.num_vertices, level.a.nnz());
-        writeln!(out, "    {i:>5} {nv:>9} {nnz:>10} {reduction:>10}").unwrap();
-    }
-    let complexity = operator_complexity(solver);
-    writeln!(out, "    operator complexity {complexity:.2}").unwrap();
-    out
-}
-
 /// Relative tolerance used by the transport-parity runs.
 pub const PARITY_RTOL: f64 = 1e-6;
 
@@ -221,15 +180,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn depth_switches_reject_anything_but_an_integer() {
-        assert_eq!(parse_depth("PMG_MAX_K", None, 2), Ok(2));
-        assert_eq!(parse_depth("PMG_MAX_K", Some(""), 2), Ok(2));
-        assert_eq!(parse_depth("PMG_NONLINEAR_MAX_K", Some("0"), 2), Ok(0));
-        let err = parse_depth("PMG_NONLINEAR_MAX_K", Some("x"), 2).unwrap_err();
-        assert!(err.contains("PMG_NONLINEAR_MAX_K=x") && err.contains("integer"));
-    }
-
-    #[test]
     fn first_solve_system_builds() {
         let sys = spheres_first_solve(0);
         assert_eq!(sys.matrix.nrows(), sys.mesh.num_dof());
@@ -241,6 +191,7 @@ mod tests {
 
     #[test]
     fn rank_ladder() {
+        assert_eq!(ranks_for(0), 2);
         assert_eq!(ranks_for(1), 2);
         assert_eq!(ranks_for(5), 240);
         assert_eq!(ranks_for(99), 960);

@@ -246,7 +246,10 @@ impl MgHierarchy {
         assert_eq!(a_fine.nrows(), coords.len() * dofs);
 
         let make_layout = |coords: &[Vec3]| -> Arc<Layout> {
-            let part = recursive_coordinate_bisection(coords, nranks);
+            let part = {
+                let _t = pmg_telemetry::scope("partition");
+                recursive_coordinate_bisection(coords, nranks)
+            };
             let vlayout = Layout::from_part(part, nranks);
             Layout::expand_dofs(&vlayout, dofs)
         };

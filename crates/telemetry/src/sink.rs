@@ -38,7 +38,7 @@ impl Sink for NoopSink {
     }
 }
 
-/// Sink selected by the environment, for the bench binaries:
+/// Sink selected by the environment, for `reproduce` and the daemon:
 ///
 /// - `PMG_TELEMETRY=off` (or unset / empty) → [`NoopSink`];
 /// - `PMG_TELEMETRY=table` → [`TableSink`] on stdout;
