@@ -5,7 +5,8 @@
 //! `insphere` stage on its own), the block-Jacobi application,
 //! factorisation and block partition, a level operator's cold distribution
 //! against its value-only refresh, one Newton re-setup and its level-0
-//! consumers, and one V-cycle/FMG cycle.
+//! consumers, the matrix-free operator's apply, and one V-cycle/FMG
+//! cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
@@ -387,6 +388,35 @@ fn bench_newton_update(_c: &mut Criterion) {
     }
 }
 
+/// The matrix-free fine operator's apply on the 9.8k-dof spheres at its
+/// two linearisations: at rest (every Gauss point isotropic, so aligned
+/// runs of eight elements take the lane kernel) and strained (every
+/// Neo-Hookean point general-class, the 81-component kernel). The
+/// benchmark reads only the first, as the per-layer row
+/// `fem.matfree_apply_s` of a traced `cold10k` run.
+fn bench_matfree(_c: &mut Criterion) {
+    let sys = newton10k_system();
+    let n = sys.mesh.num_dof();
+    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
+    let strained: Vec<f64> = (0..n)
+        .map(|i| 1e-3 * ((i * 7 % 11) as f64 / 11.0 - 0.5))
+        .collect();
+    let mut y = vec![0.0; n];
+    println!(
+        "# group: matfree ({n} dof, {} elements)",
+        sys.mesh.num_elements()
+    );
+    for (name, u) in [("apply_rest", vec![0.0; n]), ("apply_strained", strained)] {
+        let op = pmg_fem::MatFreeOperator::new(&sys.problem.fem, &u, &sys.fixed, sys.scale);
+        let times = sorted_times(200, || op.apply(black_box(&x), black_box(&mut y)));
+        println!(
+            "matfree/{name:<14} min {:>8.3} ms   median {:>8.3} ms",
+            times[0] * 1e3,
+            times[times.len() / 2] * 1e3
+        );
+    }
+}
+
 /// The numeric half of the fine-grid smoother set-up at the same size: 59
 /// SPD 166-dof blocks factored one after the other (`n³/3` flops each).
 fn bench_block_factor(_c: &mut Criterion) {
@@ -605,6 +635,7 @@ criterion_group!(
     bench_rank_jacobi,
     bench_block_partition,
     bench_distribute,
-    bench_newton_update
+    bench_newton_update,
+    bench_matfree
 );
 criterion_main!(benches);

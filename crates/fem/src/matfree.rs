@@ -3,44 +3,35 @@
 //! Instead of assembling CSR/BSR3 and multiplying stored values, the
 //! product `y = K̂ x` is computed by an on-the-fly element loop. The
 //! operator is linearized once at construction (`respond` runs per Gauss
-//! point, exactly as one assembly would) and the result is **folded into a
-//! structure-of-arrays batch layout** that the apply loop streams:
+//! point, exactly as one assembly would) and each element is folded into
+//! one of two structure-of-arrays record classes:
 //!
-//! * Gauss points whose tangent is *bitwise* the isotropic elastic tensor
-//!   `λ δiJ δkL + μ (δik δJL + δiL δJk)` — every point of the spheres
-//!   problem at the first Newton linearization — are folded as
-//!   `[∂N/∂X…, λ·w, μ·w]` per point (`w = weight · det`): the closed-form
-//!   contraction needs nothing else, and the Gauss loop over this layout
-//!   is branch-free;
-//! * elements with any general point store `[∂N/∂X…, 81-component w·A]`
-//!   per point in a separate buffer, so the operator stays exact at
-//!   arbitrary displacement/history states;
-//! * inverted points (`det <= 0`) store zeros: the arithmetic runs but
-//!   integrates exactly nothing, as the assembler's skip does.
+//! * **isotropic** — every point's tangent is *bitwise* the elastic tensor
+//!   `λ δiJ δkL + μ (δik δJL + δiL δJk)` (every point of the spheres
+//!   problem at the first Newton linearization): `[∂N/∂X…, λ·w, μ·w]` per
+//!   point (`w = weight · det`), all the closed-form contraction needs;
+//! * **general** — any other point: `[∂N/∂X…, 81-component w·A]` per
+//!   point, so the operator stays exact at any displacement and history;
+//! * inverted points (`det <= 0`) store zeros in either class: the
+//!   arithmetic runs but integrates exactly nothing, as the assembler's
+//!   skip does.
 //!
-//! General-class records are **Gauss-transposed**: component-major with
-//! the Gauss points adjacent (`rec[comp * ngp + gp]`), so the
-//! single-vector kernel runs every Gauss point of the element
-//! simultaneously on unit-stride rows. Isotropic records are additionally
-//! **slot-blocked**: eight consecutive slots interleave one block
-//! (`block[(comp * ngp + gp) * 8 + slot % 8]`), and the single-vector
-//! apply runs aligned runs of eight elements through one **element-lane
-//! block kernel** — lane `l` of every vector register carries element
-//! `8b + l` and executes exactly the reference scalar sequence, so the
-//! bits match the one-element kernel while the arithmetic runs eight
-//! elements per instruction with zero cross-lane traffic. Elements off an
-//! aligned run (next to a general-class element, the mesh's last few)
-//! index the same blocked data at a single lane.
+//! Records are Gauss-transposed (component-major, points adjacent).
+//! Isotropic records are also lane-blocked: eight consecutive slots
+//! interleave one block (`block[(comp * ngp + gp) * 8 + slot % 8]`).
 //!
-//! One apply takes one vector. With a single pool worker the loop fuses
-//! gather → kernel → scatter per element (or per aligned run of eight)
-//! through L1-resident scratch. With more workers the elements are cut into
-//! fixed batches of `BATCH` (32): one parallel task gathers nothing and
-//! scatters nothing — it only computes its batch's element products into a
-//! staging region, so the inner loops are allocation-free and
-//! auto-vectorizable — while gather and scatter run serially through a
-//! reusable scratch, in fixed element order. Which shape runs is decided
-//! from the observed pool size; both produce the same bits.
+//! The apply is one loop over the elements in ascending order. An aligned
+//! run of eight isotropic elements goes through the lane kernel
+//! (`iso_block8`): lane `l` of every `[f64; 8]` accumulator carries
+//! element `8b + l` and runs exactly the one-element sequence of
+//! `iso_apply_1`, which takes every other isotropic element. A general
+//! element goes through `full_apply_1`, eight Gauss points per
+//! accumulator and a one-point tail. Gather and scatter go through stack
+//! buffers. Both kernels are portable Rust: the per-lane loops over
+//! `[f64; 8]` arrays and their explicit `f64::mul_add` calls are what the
+//! `target-cpu=native` build (`.cargo/config.toml`) turns into vector
+//! fused multiply-adds. Rust never contracts or reassociates on its own,
+//! so the bits do not depend on the vector width.
 //!
 //! Dirichlet rows are treated bitwise identically to
 //! [`constrain_system`](crate::bc::constrain_system): constrained sources
@@ -49,29 +40,32 @@
 //!
 //! # Determinism
 //!
-//! Element contributions are computed in parallel batch tasks but scattered
-//! serially in ascending element order (the assembler's scheme), so the
-//! result is bitwise identical for every `PMG_THREADS`.
+//! The apply runs on the calling thread and every dof receives its element
+//! contributions in ascending element order, each element's own sum in
+//! ascending Gauss-point order, so the result is bitwise identical for
+//! every `PMG_THREADS`. Construction linearizes the points on the pool;
+//! each point is computed independently.
 //!
-//! Telemetry: counts `op/mf_elements` (element loops executed),
-//! `op/mf_batches` (batches of `BATCH` elements), `op/mf_flops` and
-//! `op/mf_bytes` (estimated bytes touched) per apply.
+//! Telemetry: counts `op/mf_elements` (elements walked), `op/mf_flops`
+//! and `op/mf_bytes` (the record bytes each element's class streams,
+//! plus its gathered, scattered and mapped values) per apply.
 
 use crate::assembly::FemProblem;
 use crate::material::{elastic_tangent, Mat3, MAT3_ZERO};
+use crate::shape::MAX_NODES;
 use pmg_sparse::op::Operator;
 use rayon::prelude::*;
-use std::sync::Mutex;
 
-/// Elements per outer chunk (bounds staging memory; mirrors the
-/// assembler's bound).
-const CHUNK: usize = 2048;
+/// Element lanes per isotropic SoA block: eight consecutive slots share one
+/// interleaved record so the apply can run eight elements per vector
+/// register, each lane executing the one-element sequence.
+const ILANES: usize = 8;
 
-/// Elements per parallel batch task: each task runs `BATCH` whole element
-/// kernels, so scheduling overhead is amortized over the batch instead of
-/// paid per element. Only the task decomposition depends on it — the
-/// scatter order, and so the bits, do not.
-const BATCH: usize = 32;
+/// Gauss points per general-kernel accumulator.
+const GP_CHUNK: usize = 8;
+
+/// Per-element dof bound (Hex20: 3 · 20): sizes the apply's stack buffers.
+const MAX_EDOF: usize = 3 * MAX_NODES;
 
 /// Weighted tangent of one Gauss point (construction-time classification;
 /// the apply reads the folded SoA buffers, not this).
@@ -100,10 +94,10 @@ pub struct MatFreeOperator {
     /// `[g_0 … g_{3nv-1}, λw, μw]` (stride `3nv + 2`) Gauss-transposed and
     /// lane-interleaved — slot `s`'s value of component `c` at point `gp`
     /// lives at `block[(c * ngp + gp) * 8 + s % 8]`. Aligned runs of eight
-    /// consecutive slots feed the element-lane block kernel with pure
-    /// vertical loads; single-element access indexes the same data with a
-    /// lane offset. The tail block and skipped points are all-zero, so the
-    /// branch-free loops integrate exactly nothing there.
+    /// consecutive slots feed the lane kernel with whole `[f64; 8]` rows;
+    /// single-element access indexes the same data with a lane offset.
+    /// The tail block and skipped points are all-zero, so the branch-free
+    /// loops integrate exactly nothing there.
     iso_soa: Vec<f64>,
     /// General-class elements, same transposition with components
     /// `[g_0 … g_{3nv-1}, 81 weighted tangent components]`
@@ -120,9 +114,8 @@ pub struct MatFreeOperator {
     scale: f64,
     diag: Vec<f64>,
     flops: u64,
-    /// Gather/staging reuse: grown on first use, reused by every later
-    /// apply (no steady-state allocation). One apply runs at a time.
-    scratch: Mutex<MfScratch>,
+    /// Estimated bytes one apply streams, summed per element class.
+    bytes: u64,
 }
 
 impl MatFreeOperator {
@@ -133,13 +126,14 @@ impl MatFreeOperator {
     /// assembled system so Dirichlet rows agree bitwise.
     ///
     /// The shared geometry cache is read during construction and folded —
-    /// together with the per-point tangents — into the batch SoA layout;
+    /// together with the per-point tangents — into the class SoA buffers;
     /// no reference to it is retained.
     pub fn new(problem: &FemProblem, u: &[f64], fixed: &[u32], scale: f64) -> MatFreeOperator {
         let mesh = &problem.mesh;
         let ndof = mesh.num_dof();
         assert_eq!(u.len(), ndof);
         let nv = mesh.kind.nodes();
+        assert!(3 * nv <= MAX_EDOF);
         let ne = mesh.num_elements();
         let quad = problem.quad_points();
         let ngp = quad.len();
@@ -311,6 +305,11 @@ impl MatFreeOperator {
             flops += (ngp * (36 * nv + contraction)) as u64;
         }
 
+        // Bytes per apply: each element streams its class's record plus
+        // its gathered and scattered values and its dof map, 8 B a value.
+        let per_elem = |stride: usize| (8 * (ngp * stride + 2 * 3 * nv + nv)) as u64;
+        let bytes = n_iso as u64 * per_elem(iso_stride) + n_full as u64 * per_elem(full_stride);
+
         let mut op = MatFreeOperator {
             nv,
             ngp,
@@ -323,7 +322,7 @@ impl MatFreeOperator {
             scale,
             diag: Vec::new(),
             flops,
-            scratch: Mutex::new(MfScratch::default()),
+            bytes,
         };
         op.diag = op.assemble_diag();
         op
@@ -354,26 +353,16 @@ impl MatFreeOperator {
         diag
     }
 
-    /// Components per Gauss point of an isotropic record (the record is
-    /// slot-blocked and lane-interleaved; see `iso_soa`).
-    fn iso_stride(&self) -> usize {
-        3 * self.nv + 2
+    /// Isotropic slot block `blk`: eight interleaved element records of
+    /// `3nv + 2` components per Gauss point.
+    fn iso_block(&self, blk: usize) -> &[f64] {
+        let len = (3 * self.nv + 2) * self.ngp * ILANES;
+        &self.iso_soa[blk * len..][..len]
     }
 
-    /// Values per isotropic slot block (eight interleaved element
-    /// records).
-    fn iso_blk(&self) -> usize {
-        self.iso_stride() * self.ngp * ILANES
-    }
-
-    /// Components per Gauss point of a general record (same transposition).
-    fn full_stride(&self) -> usize {
-        3 * self.nv + 81
-    }
-
-    /// `ye = ke · xe` for one element, dispatching on its class. Isotropic
-    /// elements reach this only off an aligned lane run (the hot apply goes
-    /// through `iso_block8`) and take the scalar reference.
+    /// `ye = ke · xe` for one element, by its class. Isotropic elements
+    /// reach this only off an aligned lane run (the hot apply goes through
+    /// `iso_block8`).
     #[inline]
     fn element_apply(&self, e: usize, xe: &[f64], ye: &mut [f64]) {
         let slot = self.elem_slot[e];
@@ -386,10 +375,9 @@ impl MatFreeOperator {
 
     /// Slot-block index when elements `e0 .. e0 + 8` are exactly the
     /// aligned isotropic lane run `8b .. 8b + 8` — the only shape the
-    /// element-lane block kernel accepts. Slots are assigned in ascending
-    /// element order at construction, so every stretch of isotropic
-    /// elements decomposes into aligned runs plus short single-element
-    /// edges.
+    /// lane kernel accepts. Slots are assigned in ascending element order
+    /// at construction, so every stretch of isotropic elements decomposes
+    /// into aligned runs plus short single-element edges.
     #[inline]
     fn aligned_block(&self, e0: usize) -> Option<usize> {
         let slots = self.elem_slot.get(e0..e0 + ILANES)?;
@@ -401,156 +389,31 @@ impl MatFreeOperator {
         run.then_some(s0 as usize / ILANES)
     }
 
-    /// Element-lane block kernel: eight isotropic elements (slot block
-    /// `blk`), operands as tiles of eight lanes per dof — dof `j` of lane
-    /// `l` lives at `j * 8 + l`. Every operation is a vertical fused
-    /// multiply-add across the eight lanes, and lane `l`'s operation
-    /// sequence — gradient
-    /// accumulation in ascending `b` order, stress with the per-point
-    /// trace, scatter products joining the dof sums in ascending `gp`
-    /// order from 0.0 — is exactly the scalar reference (`iso_apply_1`),
-    /// so each lane's bits equal the one-element product.
-    #[inline]
-    fn iso_block8(&self, blk: usize, xe8: &[f64], ye8: &mut [f64]) {
-        let nv = self.nv;
-        let ngp = self.ngp;
-        let rec = &self.iso_soa[blk * self.iso_blk()..][..self.iso_blk()];
-        let (grads, tail) = rec.split_at(3 * nv * ngp * ILANES);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                unsafe { x86::iso_block8_512(nv, ngp, grads, tail, xe8, ye8) };
-                return;
-            }
-        }
-        ye8[..3 * nv * ILANES].fill(0.0);
-        for gp in 0..ngp {
-            let lw = &tail[gp * ILANES..][..ILANES];
-            let mw = &tail[(ngp + gp) * ILANES..][..ILANES];
-            let mut gm = [[0.0f64; ILANES]; 9];
-            for b in 0..nv {
-                for r in 0..3 {
-                    let xb = &xe8[(3 * b + r) * ILANES..][..ILANES];
-                    for l in 0..3 {
-                        let gl = &grads[((3 * b + l) * ngp + gp) * ILANES..][..ILANES];
-                        let dst = &mut gm[r * 3 + l];
-                        for c in 0..ILANES {
-                            dst[c] = xb[c].mul_add(gl[c], dst[c]);
-                        }
-                    }
-                }
-            }
-            let mut s = [[0.0f64; ILANES]; 9];
-            for i in 0..3 {
-                for j in 0..3 {
-                    for c in 0..ILANES {
-                        s[i * 3 + j][c] = mw[c] * (gm[i * 3 + j][c] + gm[j * 3 + i][c]);
-                    }
-                }
-            }
-            for i in 0..3 {
-                for c in 0..ILANES {
-                    let tr = gm[0][c] + gm[4][c] + gm[8][c];
-                    s[i * 3 + i][c] = lw[c].mul_add(tr, s[i * 3 + i][c]);
-                }
-            }
-            for a in 0..nv {
-                let ga0 = &grads[(3 * a * ngp + gp) * ILANES..][..ILANES];
-                let ga1 = &grads[((3 * a + 1) * ngp + gp) * ILANES..][..ILANES];
-                let ga2 = &grads[((3 * a + 2) * ngp + gp) * ILANES..][..ILANES];
-                for i in 0..3 {
-                    let dst = &mut ye8[(3 * a + i) * ILANES..][..ILANES];
-                    for c in 0..ILANES {
-                        let t = s[i * 3 + 2][c].mul_add(
-                            ga2[c],
-                            s[i * 3 + 1][c].mul_add(ga1[c], s[i * 3][c] * ga0[c]),
-                        );
-                        dst[c] += t;
-                    }
-                }
-            }
-        }
-    }
-
-    /// General-class kernel: the 81-component contraction, every Gauss
-    /// point of the element at once on unit-stride rows, with an in-order
-    /// per-dof reduction. The AVX forms execute `full_apply_1_scalar`'s
-    /// operation sequence.
+    /// General-class kernel: the 81-component contraction over chunks of
+    /// eight Gauss points and a one-point tail, each dof's sum taking its
+    /// points in ascending `gp` order from 0.0.
     #[inline]
     fn full_apply_1(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (nv, ngp) = (self.nv, self.ngp);
-            let (grads, aw) = self.full_record(slot);
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                unsafe { x86::full_apply_1_512(nv, ngp, grads, aw, xe, ye) };
-                return;
-            }
-            if std::arch::is_x86_feature_detected!("avx")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                unsafe { x86::full_apply_1(nv, ngp, grads, aw, xe, ye) };
-                return;
-            }
-        }
-        self.full_apply_1_scalar(slot, xe, ye);
-    }
-
-    /// General record `slot` as `(gradients, weighted tangent)` rows.
-    #[inline]
-    fn full_record(&self, slot: usize) -> (&[f64], &[f64]) {
-        let len = self.full_stride() * self.ngp;
-        self.full_soa[slot * len..][..len].split_at(3 * self.nv * self.ngp)
-    }
-
-    /// Portable body of [`MatFreeOperator::full_apply_1`]: the only path off x86-64
-    /// and the reference the vector forms are tested against.
-    fn full_apply_1_scalar(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
-        let nv = self.nv;
         let ngp = self.ngp;
-        debug_assert!(ngp <= MAX_GP);
-        let (grads, aw) = self.full_record(slot);
-        let mut gmbuf = [0.0f64; 9 * MAX_GP];
-        let gm = &mut gmbuf[..9 * ngp];
-        for b in 0..nv {
-            let gb = &grads[3 * b * ngp..(3 * b + 3) * ngp];
-            for r in 0..3 {
-                let xb = xe[3 * b + r];
-                for l in 0..3 {
-                    let gl = &gb[l * ngp..(l + 1) * ngp];
-                    let dst = &mut gm[(r * 3 + l) * ngp..][..ngp];
-                    for (d, &g) in dst.iter_mut().zip(gl) {
-                        *d = xb.mul_add(g, *d);
-                    }
-                }
-            }
+        let len = (3 * self.nv + 81) * ngp;
+        let rec = &self.full_soa[slot * len..][..len];
+        ye.fill(0.0);
+        let mut base = 0;
+        while base + GP_CHUNK <= ngp {
+            full_points::<GP_CHUNK>(ngp, base, rec, xe, ye);
+            base += GP_CHUNK;
         }
-        // S[i][J][gp] = Σ_{kL} wA[i][J][k][L]|_gp G[k][L][gp].
-        let mut sbuf = [0.0f64; 9 * MAX_GP];
-        let s = &mut sbuf[..9 * ngp];
-        for i in 0..3 {
-            for j in 0..3 {
-                let srow = &mut s[(i * 3 + j) * ngp..][..ngp];
-                for kk in 0..3 {
-                    for l in 0..3 {
-                        let ar = &aw[(((i * 3 + j) * 3 + kk) * 3 + l) * ngp..][..ngp];
-                        let gr = &gm[(kk * 3 + l) * ngp..][..ngp];
-                        for (sv, (&av, &gv)) in srow.iter_mut().zip(ar.iter().zip(gr)) {
-                            *sv = av.mul_add(gv, *sv);
-                        }
-                    }
-                }
-            }
+        for gp in base..ngp {
+            full_points::<1>(ngp, gp, rec, xe, ye);
         }
-        scatter_1(grads, ngp, s, ye, nv);
     }
 
-    /// Single isotropic element, scalar: the reference operation sequence
-    /// every lane of `iso_block8` replicates.
+    /// Single isotropic element: the one-element sequence every lane of
+    /// `iso_block8` replicates.
     fn iso_apply_1(&self, slot: usize, xe: &[f64], ye: &mut [f64]) {
         let nv = self.nv;
         let ngp = self.ngp;
-        let rec = &self.iso_soa[(slot / ILANES) * self.iso_blk()..][..self.iso_blk()];
+        let rec = self.iso_block(slot / ILANES);
         let lane = slot % ILANES;
         let (grads, tail) = rec.split_at(3 * nv * ngp * ILANES);
         let at = |comp: usize, gp: usize| grads[(comp * ngp + gp) * ILANES + lane];
@@ -591,36 +454,116 @@ impl MatFreeOperator {
     }
 }
 
-/// Largest supported quadrature (Hex20's 3×3×3 rule) — bounds the
-/// general kernel's stack rows.
-const MAX_GP: usize = 27;
-
-/// Element lanes per isotropic SoA block: eight consecutive slots share one
-/// interleaved record so the apply can run eight elements per vector
-/// register, each lane executing the reference scalar sequence.
-const ILANES: usize = 8;
-
-/// General-class scatter: `ye[3a+i] = Σ_gp S[i]·∇N_a |_gp`. The per-point
-/// products are one vectorizable unit-stride pass; the reduction over
-/// points runs in ascending `gp` order starting from 0.0.
-#[inline]
-fn scatter_1(grads: &[f64], ngp: usize, s: &[f64], ye: &mut [f64], nv: usize) {
-    let mut tvbuf = [0.0f64; MAX_GP];
-    let tv = &mut tvbuf[..ngp];
-    for a in 0..nv {
-        let ga = &grads[3 * a * ngp..(3 * a + 3) * ngp];
+/// Lane kernel: eight isotropic elements (one slot block `rec`), dof `j`
+/// of lane `l` at `xe8[j][l]`. Every operation is lane-wise, and lane
+/// `l`'s sequence — gradient accumulation in ascending `b` order,
+/// stress with the per-point trace, products joining each dof's sum in
+/// ascending `gp` order from 0.0 — is exactly `iso_apply_1`'s, so each
+/// lane's bits equal the one-element product.
+fn iso_block8(
+    nv: usize,
+    ngp: usize,
+    rec: &[f64],
+    xe8: &[[f64; ILANES]],
+    ye8: &mut [[f64; ILANES]],
+) {
+    // Component `c` at point `gp`, one value per lane.
+    let row = |c: usize, gp: usize| -> &[f64; ILANES] {
+        rec[(c * ngp + gp) * ILANES..][..ILANES]
+            .try_into()
+            .expect("one lane row")
+    };
+    ye8.fill([0.0; ILANES]);
+    for gp in 0..ngp {
+        let mut gm = [[0.0f64; ILANES]; 9];
+        for (b, xb) in xe8.chunks_exact(3).enumerate() {
+            for (r, xr) in xb.iter().enumerate() {
+                for l in 0..3 {
+                    let (g, dst) = (row(3 * b + l, gp), &mut gm[r * 3 + l]);
+                    for c in 0..ILANES {
+                        dst[c] = xr[c].mul_add(g[c], dst[c]);
+                    }
+                }
+            }
+        }
+        let (lw, mw) = (row(3 * nv, gp), row(3 * nv + 1, gp));
+        let mut s = [[0.0f64; ILANES]; 9];
         for i in 0..3 {
-            for (gp, t) in tv.iter_mut().enumerate() {
-                *t = s[(i * 3 + 2) * ngp + gp].mul_add(
-                    ga[2 * ngp + gp],
-                    s[(i * 3 + 1) * ngp + gp].mul_add(ga[ngp + gp], s[i * 3 * ngp + gp] * ga[gp]),
+            for j in 0..3 {
+                for c in 0..ILANES {
+                    s[i * 3 + j][c] = mw[c] * (gm[i * 3 + j][c] + gm[j * 3 + i][c]);
+                }
+            }
+        }
+        for c in 0..ILANES {
+            let tr = gm[0][c] + gm[4][c] + gm[8][c];
+            for i in 0..3 {
+                s[i * 4][c] = lw[c].mul_add(tr, s[i * 4][c]);
+            }
+        }
+        for (a, ya) in ye8.chunks_exact_mut(3).enumerate() {
+            let ga = [row(3 * a, gp), row(3 * a + 1, gp), row(3 * a + 2, gp)];
+            for (i, yi) in ya.iter_mut().enumerate() {
+                for c in 0..ILANES {
+                    yi[c] += s[i * 3 + 2][c].mul_add(
+                        ga[2][c],
+                        s[i * 3 + 1][c].mul_add(ga[1][c], s[i * 3][c] * ga[0][c]),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Gauss points `base .. base + W` of one general record (`3nv` gradient
+/// rows then 81 weighted-tangent rows, `ngp` points each): their products
+/// join each `ye` dof's sum in ascending point order. Kept out of line:
+/// inlined into the class dispatch it compiles to slower vector code.
+#[inline(never)]
+fn full_points<const W: usize>(ngp: usize, base: usize, rec: &[f64], xe: &[f64], ye: &mut [f64]) {
+    // Component `c` at the chunk's points.
+    let row = |c: usize| -> &[f64; W] {
+        rec[c * ngp + base..][..W]
+            .try_into()
+            .expect("one chunk row")
+    };
+    // Input-field gradient G[r][l] = Σ_b xe[3b+r] ∂N_b/∂X_l.
+    let mut gm = [[0.0f64; W]; 9];
+    for (b, xb) in xe.chunks_exact(3).enumerate() {
+        for (r, &xr) in xb.iter().enumerate() {
+            for l in 0..3 {
+                let (g, dst) = (row(3 * b + l), &mut gm[r * 3 + l]);
+                for c in 0..W {
+                    dst[c] = xr.mul_add(g[c], dst[c]);
+                }
+            }
+        }
+    }
+    // S[iJ] = Σ_kL wA[iJ][kL] G[kL].
+    let aw = xe.len();
+    let mut s = [[0.0f64; W]; 9];
+    for (ij, sij) in s.iter_mut().enumerate() {
+        for (kl, gkl) in gm.iter().enumerate() {
+            let a = row(aw + ij * 9 + kl);
+            for c in 0..W {
+                sij[c] = a[c].mul_add(gkl[c], sij[c]);
+            }
+        }
+    }
+    // ye[3a+i] += Σ_J S[i][J] ∂N_a/∂X_J, one point after another.
+    for (a, ya) in ye.chunks_exact_mut(3).enumerate() {
+        let ga = [row(3 * a), row(3 * a + 1), row(3 * a + 2)];
+        for (i, yi) in ya.iter_mut().enumerate() {
+            let mut t = [0.0f64; W];
+            for c in 0..W {
+                t[c] = s[i * 3 + 2][c].mul_add(
+                    ga[2][c],
+                    s[i * 3 + 1][c].mul_add(ga[1][c], s[i * 3][c] * ga[0][c]),
                 );
             }
-            let mut acc = 0.0f64;
-            for &t in tv.iter() {
-                acc += t;
+            for tc in t {
+                *yi += tc;
             }
-            ye[3 * a + i] = acc;
         }
     }
 }
@@ -634,6 +577,9 @@ impl Operator for MatFreeOperator {
         self.ndof
     }
 
+    /// One pass over the elements in ascending order: aligned isotropic
+    /// runs through the lane kernel, every other element through its class
+    /// kernel, each contribution scattered as soon as it is computed.
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ndof);
         assert_eq!(y.len(), self.ndof);
@@ -641,7 +587,51 @@ impl Operator for MatFreeOperator {
         for &g in &self.fixed {
             y[g as usize] = self.scale * x[g as usize];
         }
-        self.run_elements(x, y);
+        let edof = 3 * self.nv;
+        let ne = self.elem_slot.len();
+        // A constrained column gathers as zero; a constrained row takes no
+        // element contribution.
+        let source = |c: i32| if c >= 0 { x[c as usize] } else { 0.0 };
+        let mut xe8 = [[0.0f64; ILANES]; MAX_EDOF];
+        let mut ye8 = [[0.0f64; ILANES]; MAX_EDOF];
+        let (mut xe, mut ye) = ([0.0f64; MAX_EDOF], [0.0f64; MAX_EDOF]);
+        let mut e = 0;
+        while e < ne {
+            if let Some(blk) = self.aligned_block(e) {
+                let run = &self.codes[e * edof..][..ILANES * edof];
+                for (j, xj) in xe8[..edof].iter_mut().enumerate() {
+                    for (l, xv) in xj.iter_mut().enumerate() {
+                        *xv = source(run[l * edof + j]);
+                    }
+                }
+                let rec = self.iso_block(blk);
+                iso_block8(self.nv, self.ngp, rec, &xe8[..edof], &mut ye8[..edof]);
+                // Lane by lane, in ascending element order: the same
+                // `y[c] += yv` sequence as eight one-element steps.
+                for (l, ec) in run.chunks_exact(edof).enumerate() {
+                    for (&c, yj) in ec.iter().zip(&ye8) {
+                        if c >= 0 {
+                            y[c as usize] += yj[l];
+                        }
+                    }
+                }
+                e += ILANES;
+            } else {
+                let ec = &self.codes[e * edof..][..edof];
+                for (xv, &c) in xe.iter_mut().zip(ec) {
+                    *xv = source(c);
+                }
+                self.element_apply(e, &xe[..edof], &mut ye[..edof]);
+                for (&c, &yv) in ec.iter().zip(&ye) {
+                    if c >= 0 {
+                        y[c as usize] += yv;
+                    }
+                }
+                e += 1;
+            }
+        }
+        pmg_telemetry::counter_add("op/mf_elements", ne as u64);
+        pmg_telemetry::counter_add("op/mf_bytes", self.bytes);
         pmg_telemetry::counter_add("op/mf_flops", self.flops);
     }
 
@@ -651,9 +641,9 @@ impl Operator for MatFreeOperator {
 
     fn memory_bytes(&self) -> u64 {
         // The folded SoA buffers are what the apply streams (they subsume
-        // the geometry cache reads and the tangent table of an unbatched
-        // kernel), plus the class map, the per-element dof codes, the
-        // constrained rows and the diagonal.
+        // the geometry cache reads and the tangent table), plus the class
+        // map, the per-element dof codes, the constrained rows and the
+        // diagonal.
         (self.iso_soa.len() * 8
             + self.full_soa.len() * 8
             + self.elem_slot.len() * 4
@@ -667,626 +657,6 @@ impl Operator for MatFreeOperator {
     }
 }
 
-/// Transpose the contiguous 8×n lane-major staging rows of an aligned run
-/// (lane `l`'s element-major values at `src[l * n + m]`) into the n×8
-/// dof-interleaved tile the block kernel reads (`dst[m * 8 + l]`). Pure
-/// data movement, so it cannot change any result bits; the AVX-512 form
-/// moves whole cache lines through 8×8 register transposes instead of
-/// strided scalar stores.
-fn lanes_to_tile(src: &[f64], dst: &mut [f64], n: usize) {
-    debug_assert!(src.len() >= ILANES * n && dst.len() >= ILANES * n);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            unsafe { x86::lanes_to_tile_512(src, dst, n) };
-            return;
-        }
-    }
-    for m in 0..n {
-        for l in 0..ILANES {
-            dst[m * ILANES + l] = src[l * n + m];
-        }
-    }
-}
-
-/// Inverse of [`lanes_to_tile`]: tile `src[m * 8 + l]` back to lane-major
-/// rows `dst[l * n + m]`.
-fn tile_to_lanes(src: &[f64], dst: &mut [f64], n: usize) {
-    debug_assert!(src.len() >= ILANES * n && dst.len() >= ILANES * n);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            unsafe { x86::tile_to_lanes_512(src, dst, n) };
-            return;
-        }
-    }
-    for m in 0..n {
-        for l in 0..ILANES {
-            dst[l * n + m] = src[m * ILANES + l];
-        }
-    }
-}
-
-/// The element loop's gather and staging buffers.
-#[derive(Default)]
-struct MfScratch {
-    xbuf: Vec<f64>,
-    ybuf: Vec<f64>,
-}
-
-impl MatFreeOperator {
-    /// Run the element loop over every element, accumulating into `y` in
-    /// ascending element order. With more than one pool worker: serial
-    /// gather into the reused staging, parallel per-batch compute, serial
-    /// fixed-order scatter. With one worker the loop fuses gather → kernel →
-    /// scatter per element through L1-resident scratch instead of streaming
-    /// staged chunks; elements run in the same ascending order and every
-    /// dof receives its element contributions in that order either way, so
-    /// both shapes produce the same bits. Aligned eight-slot isotropic runs
-    /// route through the element-lane block kernel in both shapes. Each lane
-    /// is bitwise the single-element product and lanes gather/scatter in
-    /// ascending element order, so run detection cannot change the bits
-    /// either.
-    fn run_elements(&self, x: &[f64], y: &mut [f64]) {
-        let nv = self.nv;
-        let edof = 3 * nv;
-        let ne = self.elem_slot.len();
-        if ne == 0 {
-            return;
-        }
-        let codes = &self.codes;
-        pmg_telemetry::counter_add("op/mf_elements", ne as u64);
-        pmg_telemetry::counter_add(
-            "op/mf_bytes",
-            (ne * (self.ngp * self.iso_stride() + 2 * edof + nv) * 8) as u64,
-        );
-        pmg_telemetry::counter_add("op/mf_batches", ne.div_ceil(BATCH) as u64);
-        let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        let sc = &mut *guard;
-
-        // A constrained column is eliminated: it gathers as zero.
-        let source = |c: i32| if c >= 0 { x[c as usize] } else { 0.0 };
-        let scatter = |y: &mut [f64], ec: &[i32], ye: &[f64]| {
-            for (&c, &yv) in ec.iter().zip(ye) {
-                if c >= 0 {
-                    y[c as usize] += yv;
-                }
-            }
-        };
-
-        // The fused serial loop wins whenever no real parallelism is
-        // available: a 1-thread pool, or a pool of any size on a
-        // single-core machine (where parallel staging is pure scheduling
-        // overhead). Both arms produce identical bits at every thread
-        // count, so this routing is a pure perf choice.
-        let serial_hw = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
-        if rayon::current_num_threads() == 1 || serial_hw {
-            // Element buffers sized for the eight-lane block kernel.
-            let need = edof * ILANES;
-            if sc.xbuf.len() < need {
-                sc.xbuf.resize(need, 0.0);
-            }
-            if sc.ybuf.len() < need {
-                sc.ybuf.resize(need, 0.0);
-            }
-            let (xe, ye) = (&mut sc.xbuf[..need], &mut sc.ybuf[..need]);
-            let mut e = 0usize;
-            while e < ne {
-                if let Some(blk) = self.aligned_block(e) {
-                    // Gather straight into the tile: lane l is element e+l.
-                    for j in 0..edof {
-                        for l in 0..ILANES {
-                            xe[j * ILANES + l] = source(codes[(e + l) * edof + j]);
-                        }
-                    }
-                    self.iso_block8(blk, xe, ye);
-                    // Scatter lane by lane in ascending element order —
-                    // the same `y[c] += yv` operation sequence as eight
-                    // consecutive single-element loops.
-                    for l in 0..ILANES {
-                        let ec = &codes[(e + l) * edof..][..edof];
-                        for (j, &c) in ec.iter().enumerate() {
-                            if c >= 0 {
-                                y[c as usize] += ye[j * ILANES + l];
-                            }
-                        }
-                    }
-                    e += ILANES;
-                    continue;
-                }
-                let ec = &codes[e * edof..][..edof];
-                for (xv, &c) in xe.iter_mut().zip(ec) {
-                    *xv = source(c);
-                }
-                self.element_apply(e, &xe[..edof], &mut ye[..edof]);
-                scatter(y, ec, &ye[..edof]);
-                e += 1;
-            }
-            return;
-        }
-
-        // Each batch's staging region: its elements' outputs plus the in
-        // and out tiles of the eight-element block kernel.
-        let region = BATCH * edof + 2 * edof * ILANES;
-        let mut start = 0usize;
-        while start < ne {
-            let end = (start + CHUNK).min(ne);
-            let cnt = end - start;
-            let nb = cnt.div_ceil(BATCH);
-            if sc.xbuf.len() < cnt * edof {
-                sc.xbuf.resize(cnt * edof, 0.0);
-            }
-            if sc.ybuf.len() < nb * region {
-                sc.ybuf.resize(nb * region, 0.0);
-            }
-            // Gather is cheap and deterministic; do it serially so the
-            // parallel part carries no slice-of-x aliasing.
-            let chunk_codes = &codes[start * edof..end * edof];
-            for (xv, &c) in sc.xbuf.iter_mut().zip(chunk_codes) {
-                *xv = source(c);
-            }
-            {
-                let xb = &sc.xbuf[..cnt * edof];
-                sc.ybuf[..nb * region]
-                    .par_chunks_mut(region)
-                    .enumerate()
-                    .for_each(|(bi, reg)| {
-                        let b0 = bi * BATCH;
-                        let bcnt = BATCH.min(cnt - b0);
-                        let (ye_all, lane_buf) = reg.split_at_mut(BATCH * edof);
-                        let mut off = 0usize;
-                        while off < bcnt {
-                            if off + ILANES <= bcnt {
-                                if let Some(blk) = self.aligned_block(start + b0 + off) {
-                                    // The eight staged per-element source
-                                    // rows are contiguous: transpose them
-                                    // into the kernel's tile, run the
-                                    // block kernel, and transpose the
-                                    // products back into the per-element
-                                    // staging slots the serial scatter
-                                    // reads — the staged values are
-                                    // bitwise the single-element results.
-                                    let (xt, yt) = lane_buf.split_at_mut(edof * ILANES);
-                                    let rows = ILANES * edof;
-                                    lanes_to_tile(&xb[(b0 + off) * edof..][..rows], xt, edof);
-                                    self.iso_block8(blk, xt, yt);
-                                    tile_to_lanes(yt, &mut ye_all[off * edof..][..rows], edof);
-                                    off += ILANES;
-                                    continue;
-                                }
-                            }
-                            let xe = &xb[(b0 + off) * edof..][..edof];
-                            let ye = &mut ye_all[off * edof..][..edof];
-                            self.element_apply(start + b0 + off, xe, ye);
-                            off += 1;
-                        }
-                    });
-            }
-            for off in 0..cnt {
-                let ye = &sc.ybuf[(off / BATCH) * region + (off % BATCH) * edof..][..edof];
-                scatter(y, &codes[(start + off) * edof..][..edof], ye);
-            }
-            start = end;
-        }
-    }
-}
-
-/// AVX forms of the element kernels. Every lane operation is a vertical
-/// IEEE mul, add, or fused multiply-add exactly where the portable
-/// reference writes `f64::mul_add` — no compiler contraction, no
-/// reassociation — and per-dof
-/// reductions over Gauss points run in ascending `gp` order, so each
-/// kernel executes exactly the portable reference's floating-point
-/// sequence and produces the same bits. The general-class kernels
-/// vectorize across Gauss points (4 per `__m256d`, 8 per `__m512d`, scalar
-/// tail in the same order); the isotropic block kernel across elements.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::ILANES;
-    use std::arch::x86_64::*;
-
-    /// Per-element dof bound (Hex20: 3 · 20).
-    const MAX_EDOF: usize = 60;
-
-    /// `ye = ke·xe`, general class, one column.
-    ///
-    /// # Safety
-    /// Requires AVX; `grads` is `3nv` rows of `ngp`, `aw` 81 rows of `ngp`.
-    #[target_feature(enable = "avx,fma")]
-    pub unsafe fn full_apply_1(
-        nv: usize,
-        ngp: usize,
-        grads: &[f64],
-        aw: &[f64],
-        xe: &[f64],
-        ye: &mut [f64],
-    ) {
-        let mut accbuf = [0.0f64; MAX_EDOF];
-        let acc = &mut accbuf[..3 * nv];
-        let mut base = 0usize;
-        while base + 4 <= ngp {
-            let mut gm = [_mm256_setzero_pd(); 9];
-            for b in 0..nv {
-                let g0 = _mm256_loadu_pd(grads.as_ptr().add(3 * b * ngp + base));
-                let g1 = _mm256_loadu_pd(grads.as_ptr().add((3 * b + 1) * ngp + base));
-                let g2 = _mm256_loadu_pd(grads.as_ptr().add((3 * b + 2) * ngp + base));
-                for r in 0..3 {
-                    let xb = _mm256_set1_pd(xe[3 * b + r]);
-                    gm[r * 3] = _mm256_fmadd_pd(xb, g0, gm[r * 3]);
-                    gm[r * 3 + 1] = _mm256_fmadd_pd(xb, g1, gm[r * 3 + 1]);
-                    gm[r * 3 + 2] = _mm256_fmadd_pd(xb, g2, gm[r * 3 + 2]);
-                }
-            }
-            let mut s = [_mm256_setzero_pd(); 9];
-            for i in 0..3 {
-                for j in 0..3 {
-                    let mut sv = _mm256_setzero_pd();
-                    for kk in 0..3 {
-                        for l in 0..3 {
-                            let ar = _mm256_loadu_pd(
-                                aw.as_ptr()
-                                    .add((((i * 3 + j) * 3 + kk) * 3 + l) * ngp + base),
-                            );
-                            sv = _mm256_fmadd_pd(ar, gm[kk * 3 + l], sv);
-                        }
-                    }
-                    s[i * 3 + j] = sv;
-                }
-            }
-            scatter_chunk(nv, ngp, base, grads, &s, acc);
-            base += 4;
-        }
-        for gp in base..ngp {
-            full_tail_gp(nv, ngp, gp, grads, aw, xe, acc);
-        }
-        ye[..3 * nv].copy_from_slice(acc);
-    }
-
-    /// Element-lane block kernel (AVX-512F): lane `l` of every register is
-    /// element slot `8·blk + l`. All loads are unit-stride (the blocked
-    /// record IS the lane layout), every operation is a vertical fused
-    /// multiply-add matching the portable reference's `f64::mul_add`
-    /// calls, and the dof accumulators sum their per-point products in
-    /// ascending `gp` order from zero — each lane executes exactly the
-    /// scalar reference sequence of its element.
-    ///
-    /// # Safety
-    /// Requires AVX-512F. `grads` is `3nv · ngp` lane groups of 8, `tail`
-    /// the `[λw, μw]` lane groups, `xe8`/`ye8` hold dof `d` at lane group
-    /// `d`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn iso_block8_512(
-        nv: usize,
-        ngp: usize,
-        grads: &[f64],
-        tail: &[f64],
-        xe8: &[f64],
-        ye8: &mut [f64],
-    ) {
-        let mut acc = [_mm512_setzero_pd(); MAX_EDOF];
-        for gp in 0..ngp {
-            let mut gm = [_mm512_setzero_pd(); 9];
-            for b in 0..nv {
-                let g0 = _mm512_loadu_pd(grads.as_ptr().add((3 * b * ngp + gp) * ILANES));
-                let g1 = _mm512_loadu_pd(grads.as_ptr().add(((3 * b + 1) * ngp + gp) * ILANES));
-                let g2 = _mm512_loadu_pd(grads.as_ptr().add(((3 * b + 2) * ngp + gp) * ILANES));
-                for r in 0..3 {
-                    let xb = _mm512_loadu_pd(xe8.as_ptr().add((3 * b + r) * ILANES));
-                    gm[r * 3] = _mm512_fmadd_pd(xb, g0, gm[r * 3]);
-                    gm[r * 3 + 1] = _mm512_fmadd_pd(xb, g1, gm[r * 3 + 1]);
-                    gm[r * 3 + 2] = _mm512_fmadd_pd(xb, g2, gm[r * 3 + 2]);
-                }
-            }
-            let lwv = _mm512_loadu_pd(tail.as_ptr().add(gp * ILANES));
-            let mwv = _mm512_loadu_pd(tail.as_ptr().add((ngp + gp) * ILANES));
-            let mut s = [_mm512_setzero_pd(); 9];
-            for i in 0..3 {
-                for j in 0..3 {
-                    s[i * 3 + j] = _mm512_mul_pd(mwv, _mm512_add_pd(gm[i * 3 + j], gm[j * 3 + i]));
-                }
-            }
-            // tr(G) is the same bits whether computed once or per row.
-            let tr = _mm512_add_pd(_mm512_add_pd(gm[0], gm[4]), gm[8]);
-            for i in 0..3 {
-                s[i * 3 + i] = _mm512_fmadd_pd(lwv, tr, s[i * 3 + i]);
-            }
-            for a in 0..nv {
-                let ga0 = _mm512_loadu_pd(grads.as_ptr().add((3 * a * ngp + gp) * ILANES));
-                let ga1 = _mm512_loadu_pd(grads.as_ptr().add(((3 * a + 1) * ngp + gp) * ILANES));
-                let ga2 = _mm512_loadu_pd(grads.as_ptr().add(((3 * a + 2) * ngp + gp) * ILANES));
-                for i in 0..3 {
-                    let t = _mm512_fmadd_pd(
-                        s[i * 3 + 2],
-                        ga2,
-                        _mm512_fmadd_pd(s[i * 3 + 1], ga1, _mm512_mul_pd(s[i * 3], ga0)),
-                    );
-                    acc[3 * a + i] = _mm512_add_pd(acc[3 * a + i], t);
-                }
-            }
-        }
-        for d in 0..3 * nv {
-            _mm512_storeu_pd(ye8.as_mut_ptr().add(d * ILANES), acc[d]);
-        }
-    }
-
-    /// 8-wide form of `full_apply_1` (AVX-512F).
-    ///
-    /// # Safety
-    /// Requires AVX-512F; slice layout as in `full_apply_1`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn full_apply_1_512(
-        nv: usize,
-        ngp: usize,
-        grads: &[f64],
-        aw: &[f64],
-        xe: &[f64],
-        ye: &mut [f64],
-    ) {
-        let mut accbuf = [0.0f64; MAX_EDOF];
-        let acc = &mut accbuf[..3 * nv];
-        let mut base = 0usize;
-        while base + 8 <= ngp {
-            let mut gm = [_mm512_setzero_pd(); 9];
-            for b in 0..nv {
-                let g0 = _mm512_loadu_pd(grads.as_ptr().add(3 * b * ngp + base));
-                let g1 = _mm512_loadu_pd(grads.as_ptr().add((3 * b + 1) * ngp + base));
-                let g2 = _mm512_loadu_pd(grads.as_ptr().add((3 * b + 2) * ngp + base));
-                for r in 0..3 {
-                    let xb = _mm512_set1_pd(xe[3 * b + r]);
-                    gm[r * 3] = _mm512_fmadd_pd(xb, g0, gm[r * 3]);
-                    gm[r * 3 + 1] = _mm512_fmadd_pd(xb, g1, gm[r * 3 + 1]);
-                    gm[r * 3 + 2] = _mm512_fmadd_pd(xb, g2, gm[r * 3 + 2]);
-                }
-            }
-            let mut s = [_mm512_setzero_pd(); 9];
-            for i in 0..3 {
-                for j in 0..3 {
-                    let mut sv = _mm512_setzero_pd();
-                    for kk in 0..3 {
-                        for l in 0..3 {
-                            let ar = _mm512_loadu_pd(
-                                aw.as_ptr()
-                                    .add((((i * 3 + j) * 3 + kk) * 3 + l) * ngp + base),
-                            );
-                            sv = _mm512_fmadd_pd(ar, gm[kk * 3 + l], sv);
-                        }
-                    }
-                    s[i * 3 + j] = sv;
-                }
-            }
-            scatter_chunk8(nv, ngp, base, grads, &s, acc);
-            base += 8;
-        }
-        for gp in base..ngp {
-            full_tail_gp(nv, ngp, gp, grads, aw, xe, acc);
-        }
-        ye[..3 * nv].copy_from_slice(acc);
-    }
-
-    /// 8-point analogue of `scatter_chunk`: eight lane contributions join
-    /// each dof's running sum in ascending lane (gp) order. Groups of 8
-    /// dofs reduce through an in-register 8×8 transpose — row `g` of the
-    /// transpose holds the eight dofs' gp-`g` products, and the vertical
-    /// adds run `g = 0..8` left-associated, so lane `d` performs exactly
-    /// `((acc + t_d[0]) + t_d[1]) + …`: the scalar loop's sequence.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn scatter_chunk8(
-        nv: usize,
-        ngp: usize,
-        base: usize,
-        grads: &[f64],
-        s: &[__m512d; 9],
-        acc: &mut [f64],
-    ) {
-        let mut tbuf = [_mm512_setzero_pd(); MAX_EDOF];
-        for a in 0..nv {
-            let ga0 = _mm512_loadu_pd(grads.as_ptr().add(3 * a * ngp + base));
-            let ga1 = _mm512_loadu_pd(grads.as_ptr().add((3 * a + 1) * ngp + base));
-            let ga2 = _mm512_loadu_pd(grads.as_ptr().add((3 * a + 2) * ngp + base));
-            for i in 0..3 {
-                tbuf[3 * a + i] = _mm512_fmadd_pd(
-                    s[i * 3 + 2],
-                    ga2,
-                    _mm512_fmadd_pd(s[i * 3 + 1], ga1, _mm512_mul_pd(s[i * 3], ga0)),
-                );
-            }
-        }
-        let edof = 3 * nv;
-        let mut d0 = 0usize;
-        while d0 + 8 <= edof {
-            let u = transpose8(&tbuf[d0..d0 + 8]);
-            let mut av = _mm512_loadu_pd(acc.as_ptr().add(d0));
-            for ug in u.iter() {
-                av = _mm512_add_pd(av, *ug);
-            }
-            _mm512_storeu_pd(acc.as_mut_ptr().add(d0), av);
-            d0 += 8;
-        }
-        for d in d0..edof {
-            let mut tl = [0.0f64; 8];
-            _mm512_storeu_pd(tl.as_mut_ptr(), tbuf[d]);
-            let mut av = acc[d];
-            for &lane in tl.iter() {
-                av += lane;
-            }
-            acc[d] = av;
-        }
-    }
-
-    /// In-register 8×8 f64 transpose: `out[g][d] = r[d][g]`. Pure lane
-    /// permutation — no arithmetic, no effect on any computed bits.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn transpose8(r: &[__m512d]) -> [__m512d; 8] {
-        let t0 = _mm512_unpacklo_pd(r[0], r[1]);
-        let t1 = _mm512_unpackhi_pd(r[0], r[1]);
-        let t2 = _mm512_unpacklo_pd(r[2], r[3]);
-        let t3 = _mm512_unpackhi_pd(r[2], r[3]);
-        let t4 = _mm512_unpacklo_pd(r[4], r[5]);
-        let t5 = _mm512_unpackhi_pd(r[4], r[5]);
-        let t6 = _mm512_unpacklo_pd(r[6], r[7]);
-        let t7 = _mm512_unpackhi_pd(r[6], r[7]);
-        let u0 = _mm512_shuffle_f64x2::<0x88>(t0, t2);
-        let u1 = _mm512_shuffle_f64x2::<0x88>(t4, t6);
-        let u2 = _mm512_shuffle_f64x2::<0xDD>(t0, t2);
-        let u3 = _mm512_shuffle_f64x2::<0xDD>(t4, t6);
-        let v0 = _mm512_shuffle_f64x2::<0x88>(t1, t3);
-        let v1 = _mm512_shuffle_f64x2::<0x88>(t5, t7);
-        let v2 = _mm512_shuffle_f64x2::<0xDD>(t1, t3);
-        let v3 = _mm512_shuffle_f64x2::<0xDD>(t5, t7);
-        [
-            _mm512_shuffle_f64x2::<0x88>(u0, u1),
-            _mm512_shuffle_f64x2::<0x88>(v0, v1),
-            _mm512_shuffle_f64x2::<0x88>(u2, u3),
-            _mm512_shuffle_f64x2::<0x88>(v2, v3),
-            _mm512_shuffle_f64x2::<0xDD>(u0, u1),
-            _mm512_shuffle_f64x2::<0xDD>(v0, v1),
-            _mm512_shuffle_f64x2::<0xDD>(u2, u3),
-            _mm512_shuffle_f64x2::<0xDD>(v2, v3),
-        ]
-    }
-
-    /// `dst[m * 8 + l] = src[l * n + m]` through 8×8 register transposes
-    /// (AVX-512F); scalar tail when `n % 8 != 0`.
-    ///
-    /// # Safety
-    /// Requires AVX-512F; `src` and `dst` hold at least `8 * n` values.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn lanes_to_tile_512(src: &[f64], dst: &mut [f64], n: usize) {
-        let mut m = 0usize;
-        while m + 8 <= n {
-            let mut r = [_mm512_setzero_pd(); 8];
-            for (l, rv) in r.iter_mut().enumerate() {
-                *rv = _mm512_loadu_pd(src.as_ptr().add(l * n + m));
-            }
-            let t = transpose8(&r);
-            for (j, v) in t.iter().enumerate() {
-                _mm512_storeu_pd(dst.as_mut_ptr().add((m + j) * ILANES), *v);
-            }
-            m += 8;
-        }
-        while m < n {
-            for l in 0..ILANES {
-                dst[m * ILANES + l] = src[l * n + m];
-            }
-            m += 1;
-        }
-    }
-
-    /// `dst[l * n + m] = src[m * 8 + l]` — inverse of `lanes_to_tile_512`.
-    ///
-    /// # Safety
-    /// Requires AVX-512F; `src` and `dst` hold at least `8 * n` values.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn tile_to_lanes_512(src: &[f64], dst: &mut [f64], n: usize) {
-        let mut m = 0usize;
-        while m + 8 <= n {
-            let mut r = [_mm512_setzero_pd(); 8];
-            for (j, rv) in r.iter_mut().enumerate() {
-                *rv = _mm512_loadu_pd(src.as_ptr().add((m + j) * ILANES));
-            }
-            let t = transpose8(&r);
-            for (l, v) in t.iter().enumerate() {
-                _mm512_storeu_pd(dst.as_mut_ptr().add(l * n + m), *v);
-            }
-            m += 8;
-        }
-        while m < n {
-            for l in 0..ILANES {
-                dst[l * n + m] = src[m * ILANES + l];
-            }
-            m += 1;
-        }
-    }
-
-    /// Scatter one 4-point chunk: the per-point products are vertical; the
-    /// four lane contributions join each dof's running sum in ascending
-    /// lane (gp) order.
-    #[target_feature(enable = "avx,fma")]
-    unsafe fn scatter_chunk(
-        nv: usize,
-        ngp: usize,
-        base: usize,
-        grads: &[f64],
-        s: &[__m256d; 9],
-        acc: &mut [f64],
-    ) {
-        for a in 0..nv {
-            let ga0 = _mm256_loadu_pd(grads.as_ptr().add(3 * a * ngp + base));
-            let ga1 = _mm256_loadu_pd(grads.as_ptr().add((3 * a + 1) * ngp + base));
-            let ga2 = _mm256_loadu_pd(grads.as_ptr().add((3 * a + 2) * ngp + base));
-            for i in 0..3 {
-                let t = _mm256_fmadd_pd(
-                    s[i * 3 + 2],
-                    ga2,
-                    _mm256_fmadd_pd(s[i * 3 + 1], ga1, _mm256_mul_pd(s[i * 3], ga0)),
-                );
-                let mut tl = [0.0f64; 4];
-                _mm256_storeu_pd(tl.as_mut_ptr(), t);
-                let mut av = acc[3 * a + i];
-                av += tl[0];
-                av += tl[1];
-                av += tl[2];
-                av += tl[3];
-                acc[3 * a + i] = av;
-            }
-        }
-    }
-
-    /// One trailing Gauss point of the general kernel.
-    fn full_tail_gp(
-        nv: usize,
-        ngp: usize,
-        gp: usize,
-        grads: &[f64],
-        aw: &[f64],
-        xe: &[f64],
-        acc: &mut [f64],
-    ) {
-        let mut gm = [0.0f64; 9];
-        for b in 0..nv {
-            for r in 0..3 {
-                let xb = xe[3 * b + r];
-                for l in 0..3 {
-                    gm[r * 3 + l] = xb.mul_add(grads[(3 * b + l) * ngp + gp], gm[r * 3 + l]);
-                }
-            }
-        }
-        let mut s = [0.0f64; 9];
-        for i in 0..3 {
-            for j in 0..3 {
-                let mut sv = 0.0;
-                for kk in 0..3 {
-                    for l in 0..3 {
-                        sv = aw[(((i * 3 + j) * 3 + kk) * 3 + l) * ngp + gp]
-                            .mul_add(gm[kk * 3 + l], sv);
-                    }
-                }
-                s[i * 3 + j] = sv;
-            }
-        }
-        scatter_tail_gp(nv, ngp, gp, grads, &s, acc);
-    }
-
-    fn scatter_tail_gp(
-        nv: usize,
-        ngp: usize,
-        gp: usize,
-        grads: &[f64],
-        s: &[f64; 9],
-        acc: &mut [f64],
-    ) {
-        for a in 0..nv {
-            let ga0 = grads[3 * a * ngp + gp];
-            let ga1 = grads[(3 * a + 1) * ngp + gp];
-            let ga2 = grads[(3 * a + 2) * ngp + gp];
-            for i in 0..3 {
-                let t = s[i * 3 + 2].mul_add(ga2, s[i * 3 + 1].mul_add(ga1, s[i * 3] * ga0));
-                acc[3 * a + i] += t;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1294,7 +664,14 @@ mod tests {
     use crate::material::{J2Plasticity, LinearElastic, Material, NeoHookean};
     use pmg_geometry::Vec3;
     use pmg_mesh::generators::block;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard};
+
+    /// Telemetry is process-global: every test here that applies holds
+    /// this, so the counter test sees only its own apply.
+    fn apply_guard() -> MutexGuard<'static, ()> {
+        static GUARD: Mutex<()> = Mutex::new(());
+        GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn block_problem(mat: Arc<dyn Material>) -> FemProblem {
         let mesh = block(2, 2, 2, Vec3::splat(1.0), |_| 0);
@@ -1313,6 +690,7 @@ mod tests {
 
     #[test]
     fn matches_assembled_linear_elastic_unconstrained() {
+        let _g = apply_guard();
         let mut p = block_problem(Arc::new(LinearElastic::from_e_nu(1.0, 0.3)));
         let n = p.ndof();
         let (k, _) = p.assemble(&vec![0.0; n]);
@@ -1330,6 +708,7 @@ mod tests {
 
     #[test]
     fn matches_assembled_with_dirichlet_rows() {
+        let _g = apply_guard();
         let mut p = block_problem(Arc::new(NeoHookean::from_e_nu(1.0, 0.3)));
         let n = p.ndof();
         let (k, r) = p.assemble(&vec![0.0; n]);
@@ -1352,6 +731,7 @@ mod tests {
 
     #[test]
     fn full_tangent_path_matches_assembled_at_finite_strain() {
+        let _g = apply_guard();
         // At a nonzero displacement the Neo-Hookean tangent is anisotropic,
         // forcing the general-class SoA — the operator must stay exact.
         let mut p = block_problem(Arc::new(NeoHookean::from_e_nu(2.0, 0.3)));
@@ -1371,6 +751,7 @@ mod tests {
 
     #[test]
     fn stateful_material_linearizes_from_committed_history() {
+        let _g = apply_guard();
         let mut p = block_problem(Arc::new(J2Plasticity::from_e_nu(1.0, 0.3, 1e-3, 2e-3)));
         let n = p.ndof();
         let (k, _) = p.assemble(&vec![0.0; n]);
@@ -1398,16 +779,15 @@ mod tests {
         assert!(op.memory_bytes() > 0);
     }
 
-    #[test]
-    fn ragged_mixed_list_is_bitwise_the_per_element_scalar_reference() {
-        // A 45-element bar (a multiple of neither 8 nor BATCH) in which
-        // four finite-strain Neo-Hookean elements (general class) cut the
-        // linear-elastic ones into aligned eight-slot runs, runs broken by
-        // a general element, a run straddling the first batch boundary and
-        // a short tail — every routing decision of both loop shapes.
-        let general = [3usize, 20, 21, 40];
+    /// A 45-element bar (not a multiple of 8) in which four finite-strain
+    /// Neo-Hookean elements (general class) cut the linear-elastic ones
+    /// into aligned eight-slot runs, runs broken by a general element, and
+    /// a short tail.
+    const GENERAL: [usize; 4] = [3, 20, 21, 40];
+
+    fn mixed_bar() -> MatFreeOperator {
         let mesh = block(45, 1, 1, Vec3::new(45.0, 1.0, 1.0), |c| {
-            u32::from(general.contains(&(c.x as usize)))
+            u32::from(GENERAL.contains(&(c.x as usize)))
         });
         let p = FemProblem::new(
             mesh,
@@ -1421,12 +801,20 @@ mod tests {
             .map(|i| 0.05 * ((i * 7 % 11) as f64 / 11.0 - 0.5))
             .collect();
         let fixed: Vec<u32> = (0..n as u32).step_by(17).collect();
-        let op = MatFreeOperator::new(&p, &u, &fixed, 1.5);
-        let (ne, edof) = (op.elem_slot.len(), 3 * op.nv);
-        assert!(ne % ILANES != 0 && ne % BATCH != 0);
+        MatFreeOperator::new(&p, &u, &fixed, 1.5)
+    }
+
+    #[test]
+    fn ragged_mixed_list_is_bitwise_the_per_element_scalar_reference() {
+        // Every routing decision of the one loop: aligned runs, broken
+        // runs, general elements and the tail.
+        let _g = apply_guard();
+        let op = mixed_bar();
+        let (ne, edof, n) = (op.elem_slot.len(), 3 * op.nv, op.ndof);
+        assert!(ne % ILANES != 0);
         let runs: Vec<usize> = (0..ne).filter(|&e| op.aligned_block(e).is_some()).collect();
-        assert_eq!(runs, [9, 27], "two aligned runs, one across the batch edge");
-        for &e in &general {
+        assert_eq!(runs, [9, 27], "two aligned runs");
+        for &e in &GENERAL {
             assert!(op.elem_slot[e] < 0, "element {e} is general-class");
         }
 
@@ -1440,26 +828,44 @@ mod tests {
             for (xv, &c) in xe.iter_mut().zip(ec) {
                 *xv = if c >= 0 { x[c as usize] } else { 0.0 };
             }
-            match op.elem_slot[e] {
-                slot if slot >= 0 => op.iso_apply_1(slot as usize, &xe, &mut ye),
-                slot => op.full_apply_1_scalar((-slot - 1) as usize, &xe, &mut ye),
-            }
+            op.element_apply(e, &xe, &mut ye);
             for (&c, &yv) in ec.iter().zip(&ye) {
                 if c >= 0 {
                     want[c as usize] += yv;
                 }
             }
         }
-        for threads in [1usize, 2] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut y = vec![0.0; n];
-            pool.install(|| op.apply(&x, &mut y));
-            for (i, (a, b)) in y.iter().zip(&want).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} row={i}");
-            }
+        let mut y = vec![0.0; n];
+        op.apply(&x, &mut y);
+        for (i, (a, b)) in y.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
         }
+    }
+
+    #[test]
+    fn byte_counter_charges_each_element_its_class_record() {
+        // Hex8, 8 Gauss points: an isotropic element streams 8 · (3·8 + 2)
+        // record values, a general one 8 · (3·8 + 81); each also moves its
+        // 24 gathered and 24 scattered values and 8 map values.
+        let _g = apply_guard();
+        let op = mixed_bar();
+        let iso = 8 * (8 * 26 + 2 * 24 + 8);
+        let full = 8 * (8 * 105 + 2 * 24 + 8);
+        let want = 41 * iso + 4 * full;
+        let counted = || {
+            pmg_telemetry::snapshot()
+                .counters
+                .get("op/mf_bytes")
+                .copied()
+                .unwrap_or(0)
+        };
+        let x = vec![1.0; op.ndof];
+        let mut y = vec![0.0; op.ndof];
+        pmg_telemetry::set_enabled(true);
+        let before = counted();
+        op.apply(&x, &mut y);
+        let delta = counted() - before;
+        pmg_telemetry::set_enabled(false);
+        assert_eq!(delta, want);
     }
 }

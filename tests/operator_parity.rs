@@ -1,11 +1,13 @@
 //! The operator-parity contract pinning the matrix-free fine-grid path.
 //!
-//! One apply, two witnesses: the element-loop operator must (1) match the
-//! assembled CSR and BSR3 matrices to rounding on free rows and *bitwise*
-//! on Dirichlet rows, and (2) produce bit-identical results on any thread
-//! pool. Anything that reassociates the element sums or mishandles a
-//! constrained row breaks one of the two immediately. The operator runs on
-//! the simulator only; message-passing ranks assemble their fine rows.
+//! One apply, three witnesses: the element-loop operator must (1) match
+//! the assembled CSR and BSR3 matrices to rounding on free rows and
+//! *bitwise* on Dirichlet rows, (2) produce bit-identical results on any
+//! thread pool, and (3) reproduce pinned hashes of its output at rest and
+//! at a strained linearisation. Anything that reassociates the element
+//! sums or mishandles a constrained row breaks one of them immediately.
+//! The operator runs on the simulator only; message-passing ranks
+//! assemble their fine rows.
 
 use pmg_sparse::{Bsr3Matrix, Operator};
 
@@ -93,4 +95,45 @@ fn matrix_free_apply_bitwise_across_thread_pools() {
             );
         }
     }
+}
+
+/// FNV-1a over the little-endian bytes of every value's bits.
+fn hash_bits(y: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in y {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn matrix_free_apply_bits_are_pinned_at_rest_and_strained() {
+    // At rest every Gauss point is isotropic (the lane kernel and its
+    // one-element form); the strained displacement makes the Neo-Hookean
+    // points general-class. A kernel change that moves a bit must re-pin
+    // these on purpose.
+    let sys = pmg_bench::spheres_first_solve(0);
+    let n = sys.mesh.num_dof();
+    let x = probe(n);
+    let strained: Vec<f64> = (0..n)
+        .map(|i| 1e-3 * ((i * 7 % 11) as f64 / 11.0 - 0.5))
+        .collect();
+    let mut flops = Vec::new();
+    for (u, want) in [
+        (vec![0.0; n], 0x331d_9325_a82a_d106u64),
+        (strained, 0x81ca_3fa2_9f22_7174),
+    ] {
+        let mf = pmg_fem::MatFreeOperator::new(&sys.problem.fem, &u, &sys.fixed, sys.scale);
+        let mut y = vec![0.0; n];
+        mf.apply(&x, &mut y);
+        assert_eq!(hash_bits(&y), want, "apply bits moved");
+        flops.push(mf.flops_per_apply());
+    }
+    assert!(
+        flops[1] > flops[0],
+        "the strained state has general-class points"
+    );
 }
