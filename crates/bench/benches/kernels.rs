@@ -5,8 +5,8 @@
 //! `insphere` stage on its own), the block-Jacobi application,
 //! factorisation and block partition, a level operator's cold distribution
 //! against its value-only refresh, one Newton re-setup and its level-0
-//! consumers, the matrix-free operator's apply, and one V-cycle/FMG
-//! cycle.
+//! consumers, the sharded Galerkin product of one rank, the matrix-free
+//! operator's apply, and one V-cycle/FMG cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
@@ -388,6 +388,51 @@ fn bench_newton_update(_c: &mut Criterion) {
     }
 }
 
+/// The sharded Galerkin product as one rank runs it, on the 9.8k-dof
+/// spheres with the level-0 restriction of `coarsen_level`: this rank
+/// owns every vertex, so `rap_local_rows` tiles the whole operator once
+/// (read in place) and forms every coarse row. Beside it, the simulator's
+/// route to the same rows: `RapPlan::new` + `execute`. Both outputs are
+/// checked bit for bit before anything is timed.
+fn bench_rap_local_rows(_c: &mut Criterion) {
+    let sys = newton10k_system();
+    let (a, mesh) = (&sys.matrix, &sys.mesh);
+    let classes = classify_mesh(mesh, 0.7);
+    let opts = CoarsenOptions::default();
+    let r_v = coarsen_level(&mesh.coords, &mesh.vertex_graph(), &classes, &opts).restriction;
+    let (rt_v, r) = (r_v.transpose(), prometheus::mg::expand_restriction(&r_v, 3));
+    let all: Vec<u32> = (0..r_v.ncols() as u32).collect();
+    let local = || pmg_sparse::rap_local_rows(3, &r_v, &[(&all[..], a)], &all, &rt_v);
+    let planned = || pmg_sparse::RapPlan::new(a, &r).execute(a);
+    let (mine, want) = (local(), planned());
+    assert_eq!(mine.col_idx(), want.col_idx());
+    assert!(mine
+        .vals()
+        .iter()
+        .zip(want.vals())
+        .all(|(x, y)| x.to_bits() == y.to_bits()));
+    println!(
+        "# group: rap_local_rows ({} dof, {} nnz -> {} coarse rows, {} nnz, one rank)",
+        a.nrows(),
+        a.nnz(),
+        want.nrows(),
+        want.nnz()
+    );
+    for (name, times) in [
+        ("local_rows", sorted_times(30, || drop(black_box(local())))),
+        (
+            "plan_new_execute",
+            sorted_times(30, || drop(black_box(planned()))),
+        ),
+    ] {
+        println!(
+            "rap_local_rows/{name:<16} min {:>8.3} ms   median {:>8.3} ms",
+            times[0] * 1e3,
+            times[times.len() / 2] * 1e3
+        );
+    }
+}
+
 /// The matrix-free fine operator's apply on the 9.8k-dof spheres at its
 /// two linearisations: at rest (every Gauss point isotropic, so aligned
 /// runs of eight elements take the lane kernel) and strained (every
@@ -636,6 +681,7 @@ criterion_group!(
     bench_block_partition,
     bench_distribute,
     bench_newton_update,
+    bench_rap_local_rows,
     bench_matfree
 );
 criterion_main!(benches);

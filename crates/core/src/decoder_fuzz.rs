@@ -12,7 +12,7 @@
 use crate::classify::{pack_passes, unpack_passes, FacePasses, VertexClass, VertexClasses};
 use crate::ingest::{CoarseSeed, RankSeed};
 use crate::mis::{pack_decisions, unpack_decisions, ProcDecisions};
-use crate::spmd::{decode_row_ids, encode_rows_into, rows_from_blobs, RowSource};
+use crate::spmd::{decode_row_ids, encode_rows_into, rows_from_blobs};
 use pmg_comm::collectives::COLLECTIVE_TAG;
 use pmg_comm::{CommError, HaloExchange, LeWriter, LocalTransport, Transport};
 use pmg_geometry::Vec3;
@@ -150,11 +150,27 @@ proptest! {
         let mut w = LeWriter::new();
         encode_rows_into(&mut w, &a, 0..nrows);
         let decode = |b: &[u8]| {
-            let rows = (0..nrows).map(|_| RowSource::Blob(0));
-            invalid_as_none(rows_from_blobs(&[b.to_vec()], ncols, 0, rows))
+            invalid_as_none(rows_from_blobs(&[b.to_vec()], ncols, 0, (0..nrows).map(|_| 0)))
         };
         check_mutations(w.as_bytes(), &[0], None, decode)?;
         prop_assert_eq!(decode(w.as_bytes()).unwrap(), a);
+    }
+
+    #[test]
+    fn row_blob_decoder_wants_ascending_columns(first in 0u32..4, gap in 1u32..3, salt in 0u64..100) {
+        // One row of two entries: ascending decodes, a swapped pair or a
+        // repeated column is a malformed message (the Galerkin tiles and
+        // the coarse factor read rows as sorted, unique columns).
+        let row = |c0: u32, c1: u32| {
+            let mut w = LeWriter::new();
+            w.u32(2).u32s([c0, c1]).f64s([0.5, salt as f64]);
+            w.into_bytes()
+        };
+        let decode = |b: Vec<u8>| invalid_as_none(rows_from_blobs(&[b], 8, 0, [0].into_iter()));
+        let (lo, hi) = (first, first + gap);
+        prop_assert!(decode(row(lo, hi)).is_some());
+        prop_assert!(decode(row(hi, lo)).is_none(), "swapped pair");
+        prop_assert!(decode(row(lo, lo)).is_none(), "duplicate column");
     }
 
     #[test]

@@ -459,13 +459,16 @@ mod tests {
             let full = RapPlan::new(&a, &r_dof).execute(&a);
             for (r, seed) in plan.seeds.iter().enumerate() {
                 let c = seed.coarse.as_ref().unwrap();
-                let mut a_ids: Vec<u32> = c.r_rows.col_idx().iter().map(|&x| x as u32).collect();
-                a_ids.sort_unstable();
-                a_ids.dedup();
-                let a_rows = a.extract_rows(&a_ids);
-                let mine = pmg_sparse::rap_local_rows(
-                    1, &c.r_rows, &a_ids, &a_rows, &c.rt_ids, &c.rt_rows,
-                );
+                // Held as the sharded setup holds them: the rank's own
+                // fine rows, then the reached rows it does not own.
+                let own = fine_vlayout.owned(r);
+                let mut off: Vec<u32> = c.r_rows.col_idx().iter().map(|&x| x as u32).collect();
+                off.sort_unstable();
+                off.dedup();
+                off.retain(|&v| fine_vlayout.owner(v as usize) as usize != r);
+                let (own_rows, off_rows) = (a.extract_rows(own), a.extract_rows(&off));
+                let held = [(own, &own_rows), (&off[..], &off_rows)];
+                let mine = pmg_sparse::rap_local_rows(1, &c.r_rows, &held, &c.rt_ids, &c.rt_rows);
                 let expect = full.extract_rows(cvlayout.owned(r));
                 assert_eq!(mine.nnz(), expect.nnz(), "rank {r} segment length");
                 for (x, y) in mine.vals().iter().zip(expect.vals()) {

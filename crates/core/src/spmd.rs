@@ -286,47 +286,35 @@ pub(crate) fn encode_rows_into(w: &mut LeWriter, a: &CsrMatrix, rows: impl Itera
     }
 }
 
-/// Where [`rows_from_blobs`] takes a row from.
-pub(crate) enum RowSource<'a> {
-    /// A row this rank holds: `(cols, vals)`.
-    Local(&'a [usize], &'a [f64]),
-    /// The next undecoded row of the blob at this index.
-    Blob(usize),
-}
-
-/// Reassemble a matrix of `ncols` columns row by row: row `i` comes from
-/// `sources`' `i`-th item, peers' rows being decoded from their
-/// [`encode_rows_into`] blobs in order. A blob that runs short, names a
-/// column outside the matrix or is not used up is a malformed message.
-pub(crate) fn rows_from_blobs<'a>(
+/// Reassemble a matrix of `ncols` columns row by row from peers'
+/// [`encode_rows_into`] blobs: row `i` is the next undecoded row of blob
+/// `owners`' `i`-th item. A blob that runs short, is not used up, or holds
+/// a row whose column ids are not strictly ascending inside `0..ncols` is
+/// a malformed message — every consumer (the held-row tiles of the
+/// Galerkin product, the coarse factor) reads rows as sorted, unique
+/// columns.
+pub(crate) fn rows_from_blobs(
     blobs: &[Vec<u8>],
     ncols: usize,
     nnz_bound: usize,
-    sources: impl ExactSizeIterator<Item = RowSource<'a>>,
+    owners: impl ExactSizeIterator<Item = usize>,
 ) -> Result<CsrMatrix, CommError> {
     let bad = || CommError::Invalid("malformed row blob".into());
     let mut readers: Vec<LeReader> = blobs.iter().map(|b| LeReader::new(b)).collect();
-    let nrows = sources.len();
+    let nrows = owners.len();
     let mut row_ptr = Vec::with_capacity(nrows + 1);
     row_ptr.push(0usize);
     let mut col_idx = Vec::with_capacity(nnz_bound);
     let mut vals = Vec::with_capacity(nnz_bound);
-    for source in sources {
-        match source {
-            RowSource::Local(cols, vs) => {
-                col_idx.extend_from_slice(cols);
-                vals.extend_from_slice(vs);
-            }
-            RowSource::Blob(q) => {
-                let r = &mut readers[q];
-                let len = r.u32().ok_or_else(bad)? as usize;
-                let at = col_idx.len();
-                col_idx.extend(r.u32s(len).ok_or_else(bad)?.map(|c| c as usize));
-                vals.extend(r.f64s(len).ok_or_else(bad)?);
-                if col_idx[at..].iter().any(|&c| c >= ncols) {
-                    return Err(bad());
-                }
-            }
+    for q in owners {
+        let r = &mut readers[q];
+        let len = r.u32().ok_or_else(bad)? as usize;
+        let at = col_idx.len();
+        col_idx.extend(r.u32s(len).ok_or_else(bad)?.map(|c| c as usize));
+        vals.extend(r.f64s(len).ok_or_else(bad)?);
+        let cols = &col_idx[at..];
+        if cols.windows(2).any(|w| w[0] >= w[1]) || cols.last().is_some_and(|&c| c >= ncols) {
+            return Err(bad());
         }
         row_ptr.push(col_idx.len());
     }
@@ -336,13 +324,14 @@ pub(crate) fn rows_from_blobs<'a>(
     Ok(CsrMatrix::from_parts(nrows, ncols, row_ptr, col_idx, vals))
 }
 
-/// Fetch the global rows `need` (ascending) of an operator stored as
-/// owned-rows shares across the ranks: rows this rank owns are copied
-/// locally, the rest travel a deterministic pairwise exchange (lower rank
-/// sends first; request lists on `tag`, row payloads on `tag + 1` — every
-/// pair exchanges on both tags even when empty, keeping the lockstep
-/// schedule identical on all ranks). Returned rows are **verbatim bits**
-/// of the owners' rows, in `need` order, with global column ids.
+/// Fetch the global rows `need` (ascending, **none owned by this rank**)
+/// of an operator stored as owned-rows shares across the ranks, serving
+/// the rows peers ask of `a_owned` in turn. Rows travel a deterministic
+/// pairwise exchange (lower rank sends first; request lists on `tag`, row
+/// payloads on `tag + 1` — every pair exchanges on both tags even when
+/// empty, keeping the lockstep schedule identical on all ranks). Returned
+/// rows are **verbatim bits** of the owners' rows, in `need` order, with
+/// global column ids; the caller reads its own rows in place.
 fn fetch_rows<T: Transport>(
     t: &mut T,
     a_owned: &CsrMatrix,
@@ -357,9 +346,8 @@ fn fetch_rows<T: Transport>(
     let mut wanted: Vec<Vec<u32>> = vec![Vec::new(); p];
     for &g in need {
         let o = layout.owner(g as usize) as usize;
-        if o != rank {
-            wanted[o].push(g);
-        }
+        debug_assert_ne!(o, rank, "fetch_rows: row {g} is this rank's own");
+        wanted[o].push(g);
     }
 
     // Phase 1: request lists. Phase 2: row payloads, served in request
@@ -409,20 +397,11 @@ fn fetch_rows<T: Transport>(
         }
     }
 
-    // An upper bound on the entries (each wire entry costs 12 bytes): the
-    // result is most of a rank's operator share, and growing it by doubling
-    // leaves as much again behind in freed buffers.
-    let nnz_bound = a_owned.nnz() + payloads.iter().map(|b| b.len() / 12).sum::<usize>();
-    let sources = need.iter().map(|&g| {
-        let o = layout.owner(g as usize) as usize;
-        if o == rank {
-            let (cols, vs) = a_owned.row(layout.local_index(g as usize) as usize);
-            RowSource::Local(cols, vs)
-        } else {
-            RowSource::Blob(o)
-        }
-    });
-    rows_from_blobs(&payloads, layout.num_global(), nnz_bound, sources)
+    // An upper bound on the entries (each wire entry costs 12 bytes), so
+    // the off-rank rows are decoded into arrays that never grow.
+    let nnz_bound = payloads.iter().map(|b| b.len() / 12).sum::<usize>();
+    let owners = need.iter().map(|&g| layout.owner(g as usize) as usize);
+    rows_from_blobs(&payloads, layout.num_global(), nnz_bound, owners)
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -468,7 +447,7 @@ fn bottom_level<T: Transport>(
                 // the matrix the replicated path would have held — verbatim.
                 let layout = ra.row_layout();
                 let n = layout.num_global();
-                let owners = (0..n).map(|g| RowSource::Blob(layout.owner(g) as usize));
+                let owners = (0..n).map(|g| layout.owner(g) as usize);
                 Some(CoarseDirect::from_csr(&rows_from_blobs(
                     &parts, n, 0, owners,
                 )?))
@@ -510,29 +489,72 @@ struct Grid {
 }
 
 /// How one level reaches the next: this rank's owned rows of `R` and of
-/// `P = Rᵀ` (dof-expanded, global column ids) for the solve, the
-/// vertex-level tiles its Galerkin product reads, and the coarse grid with
-/// its layout.
+/// `P = Rᵀ` (dof-expanded, global column ids) for the solve, and the coarse
+/// grid with its layout.
 struct Transfer {
     r_owned: CsrMatrix,
     p_owned: CsrMatrix,
+    grid: Grid,
+    layout: Arc<Layout>,
+    imbalance: f64,
+}
+
+/// The vertex-level restriction tiles one level's Galerkin product reads
+/// (and nothing else does, so [`galerkin_rows`] consumes them).
+struct GalerkinTiles {
     /// Owned coarse-vertex rows of the scalar restriction `R_v`
-    /// (`r_owned` before dof expansion).
+    /// (`Transfer::r_owned` before dof expansion).
     rv_owned: CsrMatrix,
     /// Ascending global fine vertex ids of `rt_rows`' rows.
     rt_ids: Vec<u32>,
     /// Full `R_vᵀ` rows covering whatever the Galerkin product can touch
     /// ([`rap_local_rows`] tolerates a superset).
     rt_rows: CsrMatrix,
-    grid: Grid,
-    layout: Arc<Layout>,
-    imbalance: f64,
+}
+
+/// This rank's owned rows of the next level's operator, `R A Rᵀ`: the
+/// off-rank `A` rows under the owned restriction support arrive
+/// point-to-point ([`fetch_rows`] on `tag`), the owned ones are read in
+/// place from `a_owned`, and [`rap_local_rows`] tiles both once.
+fn galerkin_rows<T: Transport>(
+    t: &mut T,
+    tiles: GalerkinTiles,
+    a_owned: &CsrMatrix,
+    layout: &Arc<Layout>,
+    dofs: usize,
+    tag: u32,
+) -> Result<CsrMatrix, CommError> {
+    let _t = pmg_telemetry::scope("rap");
+    let rank = t.rank();
+    let d = dofs as u32;
+    let mut off_ids: Vec<u32> = tiles.rv_owned.col_idx().iter().map(|&v| v as u32).collect();
+    off_ids.sort_unstable();
+    off_ids.dedup();
+    off_ids.retain(|&v| layout.owner((v * d) as usize) as usize != rank);
+    let off_dofs: Vec<u32> = off_ids
+        .iter()
+        .flat_map(|&v| (0..d).map(move |c| v * d + c))
+        .collect();
+    let fetched = fetch_rows(t, a_owned, layout, &off_dofs, tag)?;
+    let own_ids = owned_vertices(layout, rank, dofs);
+    let held = [(&own_ids[..], a_owned), (&off_ids[..], &fetched)];
+    Ok(rap_local_rows(
+        dofs,
+        &tiles.rv_owned,
+        &held,
+        &tiles.rt_ids,
+        &tiles.rt_rows,
+    ))
 }
 
 /// Level 0's transfer, from the ingest seed: the fine grid was coarsened
 /// once at load time and split into per-rank restriction tiles. `None` when
 /// the plan found the fine grid to be the coarsest.
-fn seed_transfer(seed: &RankSeed, fine_vlayout: &Layout, dofs: usize) -> Option<Transfer> {
+fn seed_transfer(
+    seed: &RankSeed,
+    fine_vlayout: &Layout,
+    dofs: usize,
+) -> Option<(Transfer, GalerkinTiles)> {
     let cs = seed.coarse.as_ref()?;
     let nranks = seed.nranks as usize;
     // Owned prolongation rows: the Rᵀ rows of this rank's own fine
@@ -547,12 +569,9 @@ fn seed_transfer(seed: &RankSeed, fine_vlayout: &Layout, dofs: usize) -> Option<
         })
         .collect();
     let (layout, imbalance) = dof_layout(&cs.coords, nranks, dofs);
-    Some(Transfer {
+    let transfer = Transfer {
         r_owned: expand_restriction(&cs.r_rows, dofs),
         p_owned: expand_restriction(&cs.rt_rows.extract_rows(&pos), dofs),
-        rv_owned: cs.r_rows.clone(),
-        rt_ids: cs.rt_ids.clone(),
-        rt_rows: cs.rt_rows.clone(),
         grid: Grid {
             coords: cs.coords.clone(),
             graph: cs.graph.clone(),
@@ -560,7 +579,13 @@ fn seed_transfer(seed: &RankSeed, fine_vlayout: &Layout, dofs: usize) -> Option<
         },
         layout,
         imbalance,
-    })
+    };
+    let tiles = GalerkinTiles {
+        rv_owned: cs.r_rows.clone(),
+        rt_ids: cs.rt_ids.clone(),
+        rt_rows: cs.rt_rows.clone(),
+    };
+    Some((transfer, tiles))
 }
 
 /// A coarse level's transfer: coarsen the replicated grid over the
@@ -573,7 +598,7 @@ fn coarsen_transfer<T: Transport>(
     layout: &Layout,
     lvl: usize,
     opts: &MgOptions,
-) -> Result<Option<Transfer>, CommError> {
+) -> Result<Option<(Transfer, GalerkinTiles)>, CommError> {
     let (nranks, rank, dofs) = (t.size(), t.rank(), opts.dofs_per_vertex);
     let nv = grid.coords.len();
     let Some(copts) = opts.level_coarsen_options(lvl, nranks, layout.num_global(), nv) else {
@@ -592,14 +617,9 @@ fn coarsen_transfer<T: Transport>(
         .restriction
         .extract_rows(&owned_vertices(&next_layout, rank, dofs));
     let pv_owned = rt_v.extract_rows(&owned_vertices(layout, rank, dofs));
-    Ok(Some(Transfer {
+    let transfer = Transfer {
         r_owned: expand_restriction(&rv_owned, dofs),
         p_owned: expand_restriction(&pv_owned, dofs),
-        rv_owned,
-        // The restriction is replicated coarse-scale metadata, so every Rᵀ
-        // row is at hand.
-        rt_ids: (0..rt_v.nrows() as u32).collect(),
-        rt_rows: rt_v,
         grid: Grid {
             coords: cl.coords,
             graph: cl.graph,
@@ -607,7 +627,15 @@ fn coarsen_transfer<T: Transport>(
         },
         layout: next_layout,
         imbalance,
-    }))
+    };
+    let tiles = GalerkinTiles {
+        rv_owned,
+        // The restriction is replicated coarse-scale metadata, so every Rᵀ
+        // row is at hand.
+        rt_ids: (0..rt_v.nrows() as u32).collect(),
+        rt_rows: rt_v,
+    };
+    Ok(Some((transfer, tiles)))
 }
 
 impl RankHierarchy<'_> {
@@ -630,13 +658,15 @@ impl RankHierarchy<'_> {
     ///   sparsity stays inside the vertex adjacency of the graph the seed
     ///   was planned on (the Galerkin kernel panics otherwise).
     ///
-    /// Every level runs the same step: distribute the owned operator rows
-    /// (ghost columns resolved by one ghost-list allgather), compute the
-    /// owned Galerkin rows ([`rap_local_rows`] over the few off-rank `A`
-    /// rows fetched point-to-point — no value allgather, no replicated
-    /// coarse matrix), distribute the owned `R`/`P` rows, factor the
-    /// block-Jacobi smoother. Only *where `R` and `Rᵀ` come from* differs:
-    /// level 0 reads the seed's restriction tiles (the fine grid was
+    /// Every level runs the same step: compute the owned Galerkin rows
+    /// ([`rap_local_rows`] over the owned `A` rows, read in place, and the
+    /// few off-rank ones fetched point-to-point — no value allgather, no
+    /// replicated coarse matrix), then distribute the owned operator rows
+    /// (ghost columns resolved by one ghost-list allgather) and the owned
+    /// `R`/`P` rows, and factor the block-Jacobi smoother. The product
+    /// comes first so that its transient tiles are freed before the
+    /// level's share is allocated. Only *where `R` and `Rᵀ` come from*
+    /// differs: level 0 reads the seed's restriction tiles (the fine grid was
     /// coarsened once, at load time); coarser grids are replicated and
     /// coarsened here — the MIS as the §4.2 BSP rounds
     /// ([`crate::mis::parallel_mis_transport`]), the reclassification
@@ -731,6 +761,22 @@ impl RankHierarchy<'_> {
                 pmg_telemetry::gauge_set(&format!("mg/level{lvl}/imbalance"), cur_imbalance);
             }
 
+            let transfer = match &cur_grid {
+                None => seed_transfer(seed, &fine_vlayout, dofs),
+                Some(grid) => coarsen_transfer(t, grid, &cur_layout, lvl, &opts)?,
+            };
+            // The Galerkin product comes before this level's share, so the
+            // transient held-row tiles are freed before the share is
+            // allocated; the restriction tiles are freed with them.
+            let tag = setup_tag(lvl) + 8;
+            let next = match transfer {
+                None => None,
+                Some((tr, tiles)) => Some((
+                    tr,
+                    galerkin_rows(t, tiles, &cur_owned, &cur_layout, dofs, tag)?,
+                )),
+            };
+
             let ra = {
                 let _t = pmg_telemetry::scope("distribute");
                 let mut m = RankMatrix::from_local_rows(
@@ -745,35 +791,12 @@ impl RankHierarchy<'_> {
                 exchange_ghosts(t, &mut m)?;
                 m
             };
-
-            let transfer = match &cur_grid {
-                None => seed_transfer(seed, &fine_vlayout, dofs),
-                Some(grid) => coarsen_transfer(t, grid, &cur_layout, lvl, &opts)?,
-            };
-            let Some(tr) = transfer else {
+            let Some((tr, next_owned)) = next else {
                 levels.push(bottom_level(t, ra, &cur_owned, &opts)?);
                 break;
             };
             assert_eq!(tr.r_owned.nrows(), tr.layout.owned(rank).len());
 
-            // Galerkin product: the off-rank A rows under the owned
-            // restriction support arrive point-to-point; everything else is
-            // already local. The vertex-level tiles are read only here, so
-            // they move in and are freed before the smoother factors.
-            let next_owned = {
-                let _t = pmg_telemetry::scope("rap");
-                let (rv_owned, rt_ids, rt_rows) = (tr.rv_owned, tr.rt_ids, tr.rt_rows);
-                let mut a_ids: Vec<u32> = rv_owned.col_idx().iter().map(|&v| v as u32).collect();
-                a_ids.sort_unstable();
-                a_ids.dedup();
-                let d = dofs as u32;
-                let a_dofs: Vec<u32> = a_ids
-                    .iter()
-                    .flat_map(|&v| (0..d).map(move |c| v * d + c))
-                    .collect();
-                let a_rows = fetch_rows(t, &cur_owned, &cur_layout, &a_dofs, setup_tag(lvl) + 8)?;
-                rap_local_rows(dofs, &rv_owned, &a_ids, &a_rows, &rt_ids, &rt_rows)
-            };
             let (rr, rp) = {
                 let _t = pmg_telemetry::scope("distribute");
                 let mut rr = RankMatrix::from_local_rows(
@@ -1207,8 +1230,7 @@ mod tests {
         encode_rows_into(&mut w, &a, 0..a.nrows());
         let blob = w.into_bytes();
         let decode = |blob: Vec<u8>, ncols: usize| {
-            let rows = (0..a.nrows()).map(|_| RowSource::Blob(0));
-            rows_from_blobs(&[blob], ncols, 0, rows)
+            rows_from_blobs(&[blob], ncols, 0, (0..a.nrows()).map(|_| 0))
         };
         assert_eq!(decode(blob.clone(), a.ncols()).unwrap(), a);
         let malformed = Err(CommError::Invalid("malformed row blob".into()));
@@ -1578,7 +1600,8 @@ mod tests {
     proptest::proptest! {
         /// `fetch_rows` must serve verbatim row bits under *any* ownership
         /// map — unbalanced, interleaved, with empty ranks — because the
-        /// sharded Galerkin product trusts it for off-rank A rows.
+        /// sharded Galerkin product trusts it for off-rank A rows. Each
+        /// rank asks only for rows it does not own.
         #[test]
         fn fetch_rows_serves_arbitrary_ownership(
             part in proptest::collection::vec(0u32..3, 40),
@@ -1599,16 +1622,19 @@ mod tests {
             }
             let a = b.build();
             let layout = Layout::from_part(part, 3);
-            let need: Vec<u32> = (0..n as u32).filter(|&i| picks[i as usize] == 1).collect();
-            let want = a.extract_rows(&need);
             let a_ref = &a;
             let layout_ref = &layout;
-            let need_ref = &need;
+            let picks_ref = &picks;
             let oks = LocalTransport::run_ranks(3, move |mut t| {
                 let rank = t.rank();
+                let need: Vec<u32> = (0..n as u32)
+                    .filter(|&i| picks_ref[i as usize] == 1 && layout_ref.owner(i as usize) as usize != rank)
+                    .collect();
+                let want = a_ref.extract_rows(&need);
                 let a_owned = a_ref.extract_rows(layout_ref.owned(rank));
-                let got = fetch_rows(&mut t, &a_owned, layout_ref, need_ref, 0x7000).unwrap();
-                got.col_idx() == want.col_idx()
+                let got = fetch_rows(&mut t, &a_owned, layout_ref, &need, 0x7000).unwrap();
+                got.nrows() == need.len()
+                    && got.col_idx() == want.col_idx()
                     && got
                         .vals()
                         .iter()

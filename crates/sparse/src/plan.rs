@@ -35,7 +35,9 @@
 //! sharded row kernel, and every thread count agree bitwise.
 //!
 //! **Numeric phase**: `A.vals` is scattered into its tiles through a
-//! per-stored-entry slot map, then each coarse vertex row runs
+//! per-stored-entry slot map (the sharded [`rap_local_rows`] has no plan to
+//! keep: it tiles the `A` rows it holds once per call, values written
+//! straight into the tiles), then each coarse vertex row runs
 //! `tile[t] += w · tile[src]` over contiguous `B²`-wide tiles (stage 1 into
 //! a row-local scratch that stage 2 reads back), and the row's tiles are
 //! emitted through per-tile structural masks — the OR of the contributing
@@ -58,27 +60,70 @@ use rayon::prelude::*;
 use std::borrow::Cow;
 use std::ops::Range;
 
-/// Translated block column of an `A` tile whose `Rᵀ` row is not held.
-const ABSENT: u32 = u32::MAX;
-
 /// Block view of a set of `A` rows: `B` consecutive scalar rows form a
 /// block row, scalar column `j` falls in block column `j / B`.
 struct BlockRows {
     /// Block row `i`'s tiles are `row_ptr[i]..row_ptr[i + 1]`.
     row_ptr: Vec<u32>,
-    /// Block column of each tile, ascending per block row — as a position
-    /// in the caller's id list when one was given ([`ABSENT`] if missing).
+    /// Block column of each tile, ascending per block row — in the held
+    /// view of [`rap_local_rows`], as a position in its `rt_ids`.
     cols: Vec<u32>,
     /// Which of the tile's `B×B` entries are stored (bit `a*B + b`).
     masks: Vec<u16>,
-    /// Stored entry `q` of `A` is slot `slots[q]` of the flat tile array.
-    /// Empty for `B = 1`, where tiles are the stored entries themselves.
-    slots: Vec<u32>,
+}
+
+/// Walk one block row — its `B` scalar rows' sorted column ids — tile by
+/// tile in ascending block column `j`: `tile(j, from, to)` gets the range
+/// `from[s]..to[s]` of scalar row `s`'s entries that fall in the tile.
+fn for_each_tile<const B: usize>(
+    rows: [&[usize]; B],
+    mut tile: impl FnMut(usize, [usize; B], [usize; B]),
+) {
+    let mut at = [0usize; B];
+    loop {
+        let mut j = usize::MAX;
+        for s in 0..B {
+            if let Some(&c) = rows[s].get(at[s]) {
+                j = j.min(c / B);
+            }
+        }
+        if j == usize::MAX {
+            return;
+        }
+        let from = at;
+        for s in 0..B {
+            while at[s] < rows[s].len() && rows[s][at[s]] / B == j {
+                at[s] += 1;
+            }
+        }
+        tile(j, from, at);
+    }
+}
+
+/// Slot `s·B + b` of each entry in a tile's ranges, and the tile's mask.
+fn tile_slots<const B: usize>(
+    rows: &[&[usize]; B],
+    from: [usize; B],
+    to: [usize; B],
+    mut entry: impl FnMut(usize, usize, usize),
+) -> u16 {
+    let mut mask = 0u16;
+    for s in 0..B {
+        for q in from[s]..to[s] {
+            let slot = s * B + rows[s][q] % B;
+            mask |= 1 << slot;
+            entry(s, q, slot);
+        }
+    }
+    mask
 }
 
 impl BlockRows {
     /// Merge each block row's `B` sorted scalar rows into its tile list.
-    fn new<const B: usize>(a: &CsrMatrix, col_ids: Option<&[u32]>) -> BlockRows {
+    /// Also returns the slot map: stored entry `q` of `A` is slot
+    /// `slots[q]` of the flat tile array (empty for `B = 1`, where tiles
+    /// are the stored entries themselves).
+    fn new<const B: usize>(a: &CsrMatrix) -> (BlockRows, Vec<u32>) {
         assert_eq!(a.nrows() % B, 0, "A rows must come in runs of {B}");
         let (rp, ci) = (a.row_ptr(), a.col_idx());
         let nb = a.nrows() / B;
@@ -87,49 +132,98 @@ impl BlockRows {
         let mut cols = Vec::with_capacity(a.nnz() / (B * B));
         let mut masks = Vec::with_capacity(a.nnz() / (B * B));
         let mut slots = vec![0u32; if B == 1 { 0 } else { a.nnz() }];
-        let mut at = [0usize; B];
         for i in 0..nb {
-            at.copy_from_slice(&rp[i * B..(i + 1) * B]);
-            loop {
-                let mut j = usize::MAX;
-                for s in 0..B {
-                    if at[s] < rp[i * B + s + 1] {
-                        j = j.min(ci[at[s]] / B);
-                    }
-                }
-                if j == usize::MAX {
-                    break;
-                }
+            let rows: [&[usize]; B] =
+                std::array::from_fn(|s| &ci[rp[i * B + s]..rp[i * B + s + 1]]);
+            for_each_tile::<B>(rows, |j, from, to| {
                 let tile = cols.len();
-                let mut mask = 0u16;
-                for s in 0..B {
-                    while at[s] < rp[i * B + s + 1] && ci[at[s]] / B == j {
-                        let slot = s * B + ci[at[s]] % B;
-                        mask |= 1 << slot;
-                        if B > 1 {
-                            slots[at[s]] = (tile * B * B + slot) as u32;
-                        }
-                        at[s] += 1;
+                let mask = tile_slots::<B>(&rows, from, to, |s, q, slot| {
+                    if B > 1 {
+                        slots[rp[i * B + s] + q] = (tile * B * B + slot) as u32;
                     }
-                }
-                cols.push(match col_ids {
-                    None => j as u32,
-                    Some(ids) => ids.binary_search(&(j as u32)).map_or(ABSENT, |p| p as u32),
                 });
+                cols.push(j as u32);
                 masks.push(mask);
-            }
+            });
             row_ptr.push(cols.len() as u32);
         }
         assert!(
             cols.len() * B * B < u32::MAX as usize,
             "RapPlan: A has too many tiles for 32-bit slots"
         );
-        BlockRows {
+        let rows = BlockRows {
             row_ptr,
             cols,
             masks,
-            slots,
+        };
+        (rows, slots)
+    }
+
+    /// The held view of [`rap_local_rows`]: block row `i` is the run of `B`
+    /// scalar rows of `runs[i].0` starting at row `runs[i].1`. Every run is
+    /// tiled once, into exactly sized arrays, values written straight into
+    /// the returned flat tile array. Each tile's block column becomes its
+    /// position in `rt_ids` by a forward merge along the block row.
+    fn held<const B: usize, const BB: usize>(
+        runs: &[(&CsrMatrix, usize)],
+        rt_ids: &[u32],
+    ) -> (BlockRows, Vec<f64>) {
+        // Count first, so every array below is allocated at its final size.
+        let mut row_ptr = Vec::with_capacity(runs.len() + 1);
+        row_ptr.push(0u32);
+        let mut ntiles = 0usize;
+        for &(a, first) in runs {
+            let cis: [&[usize]; B] = std::array::from_fn(|s| a.row(first + s).0);
+            for_each_tile::<B>(cis, |_, _, _| ntiles += 1);
+            row_ptr.push(ntiles as u32);
         }
+        assert!(
+            ntiles * BB < u32::MAX as usize,
+            "rap_local_rows: too many held tiles for 32-bit tile numbers"
+        );
+        let mut cols = Vec::with_capacity(ntiles);
+        let mut masks = Vec::with_capacity(ntiles);
+        let mut vals = vec![0.0f64; ntiles * BB];
+        for &(a, first) in runs {
+            let cis: [&[usize]; B] = std::array::from_fn(|s| a.row(first + s).0);
+            let vs: [&[f64]; B] = std::array::from_fn(|s| a.row(first + s).1);
+            let mut cursor = 0usize;
+            for_each_tile::<B>(cis, |j, from, to| {
+                let tile = &mut vals[cols.len() * BB..][..BB];
+                let mask = tile_slots::<B>(&cis, from, to, |s, q, slot| tile[slot] = vs[s][q]);
+                // Every tile of a held row is read, so a missing `Rᵀ` row is
+                // an error here already.
+                let p = gallop(rt_ids, cursor, j as u32).unwrap_or_else(|_| {
+                    panic!("rap_local_rows: an Rᵀ row the product reaches is not held locally")
+                });
+                cursor = p + 1;
+                cols.push(p as u32);
+                masks.push(mask);
+            });
+        }
+        let view = BlockRows {
+            row_ptr,
+            cols,
+            masks,
+        };
+        (view, vals)
+    }
+}
+
+/// `ids[from..]` searched for `x` by doubling steps from `from`, then
+/// bisection: `Ok(position)` or `Err(insertion point)`, as
+/// `binary_search` — at a cost logarithmic in the distance moved.
+fn gallop(ids: &[u32], from: usize, x: u32) -> Result<usize, usize> {
+    let mut step = 1;
+    let mut lo = from;
+    while lo + step <= ids.len() && ids[lo + step - 1] < x {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(ids.len());
+    match ids[lo..hi].binary_search(&x) {
+        Ok(p) => Ok(lo + p),
+        Err(p) => Err(lo + p),
     }
 }
 
@@ -304,17 +398,11 @@ fn stage1_row(
 ) {
     stage.push_row(marker, || {
         block_rows.clone().zip(ws).flat_map(move |(k, &weight)| {
-            (a.row_ptr[k] as usize..a.row_ptr[k + 1] as usize).map(move |p| {
-                assert!(
-                    a.cols[p] != ABSENT,
-                    "rap_local_rows: an Rᵀ row the product reaches is not held locally"
-                );
-                Contrib {
-                    col: a.cols[p],
-                    weight,
-                    src: p as u32,
-                    mask: a.masks[p],
-                }
+            (a.row_ptr[k] as usize..a.row_ptr[k + 1] as usize).map(move |p| Contrib {
+                col: a.cols[p],
+                weight,
+                src: p as u32,
+                mask: a.masks[p],
             })
         })
     });
@@ -509,7 +597,7 @@ impl RapPlan {
 
     fn build<const B: usize>(a: &CsrMatrix, r_v: &CsrMatrix) -> RapPlan {
         let nc = r_v.nrows();
-        let ab = BlockRows::new::<B>(a, None);
+        let (ab, a_slots) = BlockRows::new::<B>(a);
         let rt_v = r_v.transpose();
         let mut marker = Marker::new(r_v.ncols().max(nc));
         let tiles_of = |k: usize| (ab.row_ptr[k + 1] - ab.row_ptr[k]) as usize;
@@ -563,7 +651,7 @@ impl RapPlan {
         RapPlan {
             a_pattern: PatternFingerprint::of(a),
             block: B,
-            a_slots: ab.slots,
+            a_slots,
             a_tiles_len: ab.cols.len() * B * B,
             rows1,
             stage1,
@@ -675,10 +763,13 @@ impl RapPlan {
 ///
 /// * `r_rows` — the owned coarse-vertex rows of `R_v` (one local row per
 ///   owned coarse vertex, in owned order; `ncols` = global fine vertices).
-/// * `a_ids` / `a_rows` — the fine vertices whose operator rows this rank
-///   holds (owned plus fetched), ids strictly ascending, `dofs` consecutive
-///   CSR rows per id (`ncols` = global fine dofs). Every fine vertex of
-///   `r_rows` must appear in `a_ids`.
+/// * `held` — the operator rows this rank holds, as sources `(ids, rows)`:
+///   `rows` carries `dofs` consecutive CSR rows per vertex of `ids`
+///   (strictly ascending within a source, no vertex in two sources;
+///   `ncols` = global fine dofs). The sharded setup passes its owned share
+///   as it is stored, then the off-rank rows it fetched. Every fine vertex
+///   of `r_rows` must be held; rows no owned coarse vertex reaches are
+///   ignored.
 /// * `rt_ids` / `rt_rows` — rows of the **full** transpose `R_vᵀ` (each
 ///   carrying every coarse vertex touching that fine vertex, ascending —
 ///   not just this rank's), ids strictly ascending. Every fine vertex of
@@ -688,45 +779,60 @@ impl RapPlan {
 /// Returns the owned coarse dof rows of `R·A·Rᵀ` (`dofs` per owned coarse
 /// vertex; `ncols` = global coarse dofs).
 ///
+/// Every held row the product reads is tiled once, into one exactly sized
+/// view read in place from its source (values written straight into the
+/// tiles, each tile's block column turned into its position in `rt_ids`
+/// once). The view lives for the call only, and is about the size of the
+/// rows it tiles.
+///
 /// # Bitwise contract
 ///
-/// Each output row runs the row kernels of [`RapPlan`] on the local row
-/// sets — the same symbolic enumeration (`R_v` row entries ascending × `A`
-/// tiles in stored order, then `RA` tiles ascending × `R_vᵀ` row entries in
+/// Each output row runs the row kernels of [`RapPlan`] over that view —
+/// the same symbolic enumeration (`R_v` row entries ascending × `A` tiles
+/// in stored order, then `RA` tiles ascending × `R_vᵀ` row entries in
 /// stored order; positions in the ascending id lists stand in for global
 /// ids, which preserves every order) and the same tile accumulation. The
 /// output values are therefore **bitwise identical** to the corresponding
-/// rows of the full planned product; the partition tests and the
-/// ownership-map proptests below pin this.
+/// rows of the full planned product, however the held rows are split into
+/// sources; the partition tests and the ownership-map proptests below pin
+/// this.
 pub fn rap_local_rows(
     dofs: usize,
     r_rows: &CsrMatrix,
-    a_ids: &[u32],
-    a_rows: &CsrMatrix,
+    held: &[(&[u32], &CsrMatrix)],
     rt_ids: &[u32],
     rt_rows: &CsrMatrix,
 ) -> CsrMatrix {
-    assert_eq!(a_rows.nrows(), a_ids.len() * dofs, "dofs A rows per id");
+    for &(ids, rows) in held {
+        assert_eq!(rows.nrows(), ids.len() * dofs, "dofs A rows per id");
+        assert_eq!(
+            r_rows.ncols() * dofs,
+            rows.ncols(),
+            "R columns must match A"
+        );
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    }
     assert_eq!(rt_rows.nrows(), rt_ids.len(), "one Rᵀ row per id");
-    assert_eq!(
-        r_rows.ncols() * dofs,
-        a_rows.ncols(),
-        "R columns must match A"
-    );
-    debug_assert!(a_ids.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(rt_ids.windows(2).all(|w| w[0] < w[1]));
     pmg_telemetry::counter_add("rap/local_rows", (r_rows.nrows() * dofs) as u64);
     match dofs {
-        3 => local_rows::<3, 9>(r_rows, a_ids, a_rows, rt_ids, rt_rows),
-        1 => local_rows::<1, 1>(r_rows, a_ids, a_rows, rt_ids, rt_rows),
+        3 => local_rows::<3, 9>(r_rows, held, rt_ids, rt_rows),
+        1 => local_rows::<1, 1>(r_rows, held, rt_ids, rt_rows),
         // Any other block size runs in scalars on the expanded restriction.
-        _ => local_rows::<1, 1>(
-            &r_rows.kron_identity(dofs),
-            &dof_ids(a_ids, dofs),
-            a_rows,
-            &dof_ids(rt_ids, dofs),
-            &rt_rows.kron_identity(dofs),
-        ),
+        _ => {
+            let ids: Vec<Vec<u32>> = held.iter().map(|(ids, _)| dof_ids(ids, dofs)).collect();
+            let held: Vec<(&[u32], &CsrMatrix)> = ids
+                .iter()
+                .zip(held)
+                .map(|(ids, &(_, rows))| (&ids[..], rows))
+                .collect();
+            local_rows::<1, 1>(
+                &r_rows.kron_identity(dofs),
+                &held,
+                &dof_ids(rt_ids, dofs),
+                &rt_rows.kron_identity(dofs),
+            )
+        }
     }
 }
 
@@ -739,11 +845,36 @@ fn dof_ids(vertices: &[u32], dofs: usize) -> Vec<u32> {
 
 fn local_rows<const B: usize, const BB: usize>(
     r_rows: &CsrMatrix,
-    a_ids: &[u32],
-    a_rows: &CsrMatrix,
+    held: &[(&[u32], &CsrMatrix)],
     rt_ids: &[u32],
     rt_rows: &CsrMatrix,
 ) -> CsrMatrix {
+    // The fine vertices the owned coarse vertices reach, ascending, and
+    // where each one's rows are held: one forward merge per source.
+    let mut a_ids: Vec<u32> = r_rows.col_idx().iter().map(|&k| k as u32).collect();
+    a_ids.sort_unstable();
+    a_ids.dedup();
+    let mut cursors = vec![0usize; held.len()];
+    let runs: Vec<(&CsrMatrix, usize)> = a_ids
+        .iter()
+        .map(|&k| {
+            let found = held
+                .iter()
+                .zip(&mut cursors)
+                .find_map(|(&(ids, rows), at)| {
+                    let hit = gallop(ids, *at, k);
+                    *at = hit.unwrap_or_else(|p| p);
+                    hit.ok().map(|p| (rows, p * B))
+                });
+            found.unwrap_or_else(|| panic!("rap_local_rows: A rows of vertex {k} not held locally"))
+        })
+        .collect();
+    let (view, a_tiles) = BlockRows::held::<B, BB>(&runs, rt_ids);
+    let block_row = |k: &usize| {
+        let at = a_ids.binary_search(&(*k as u32));
+        at.expect("every R_v column is a held block row")
+    };
+
     let nl = r_rows.nrows();
     let mut marker = Marker::new(rt_ids.len().max(rt_rows.ncols()));
     let mut row_ptr = Vec::with_capacity(nl * B + 1);
@@ -751,28 +882,18 @@ fn local_rows<const B: usize, const BB: usize>(
     let mut col_idx: Vec<usize> = Vec::new();
     let mut vals: Vec<f64> = Vec::new();
     // Per-row scratch, cleared between rows.
-    let mut held: Vec<u32> = Vec::new();
     let (mut stage1, mut stage2) = (Stage::new(), Stage::new());
     let (mut ra_tiles, mut c_tiles) = (Vec::new(), Vec::new());
     for c in 0..nl {
-        // Tile only the A rows under this coarse vertex (a handful), so
-        // nothing the size of the rank's operator share is ever built. Tile
-        // columns become positions in `rt_ids`: the marker and the stage-2
-        // row lookups then run over the local support only.
         let (ks, ws) = r_rows.row(c);
-        held.clear();
-        for &k in ks {
-            let at = a_ids.binary_search(&(k as u32)).unwrap_or_else(|_| {
-                panic!("rap_local_rows: A rows of vertex {k} not held locally")
-            });
-            held.extend((at * B..(at + 1) * B).map(|row| row as u32));
-        }
-        let under = a_rows.extract_rows(&held);
-        let ab = BlockRows::new::<B>(&under, Some(rt_ids));
-        let a_tiles = scatter_tiles(&ab.slots, ab.cols.len() * BB, under.vals());
-
         stage1.clear();
-        stage1_row(&mut stage1, &mut marker, 0..ks.len(), ws, &ab);
+        stage1_row(
+            &mut stage1,
+            &mut marker,
+            ks.iter().map(block_row),
+            ws,
+            &view,
+        );
         ra_tiles.clear();
         ra_tiles.resize(stage1.cols.len() * BB, 0.0);
         stage1.accumulate::<BB>(0..stage1.cols.len(), &a_tiles, &mut ra_tiles);
@@ -1040,45 +1161,87 @@ mod tests {
         assert!(block.memory_bytes() * 4 <= scalar.memory_bytes());
     }
 
-    /// Assemble the local-row-set inputs of [`rap_local_rows`] for a rank
-    /// owning the coarse vertices `owned` (global `a`, `r_v` in hand —
-    /// test-side only; the production path ships the rows instead).
-    fn local_inputs(
-        dofs: usize,
-        a: &CsrMatrix,
-        r_v: &CsrMatrix,
-        rt_v: &CsrMatrix,
-        owned: &[u32],
-    ) -> (CsrMatrix, Vec<u32>, CsrMatrix, Vec<u32>, CsrMatrix) {
-        let sorted_ids = |cols: &[usize], per: usize| -> Vec<u32> {
-            let mut ids: Vec<u32> = cols.iter().map(|&k| (k / per) as u32).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        };
-        let r_rows = r_v.extract_rows(owned);
-        let a_ids = sorted_ids(r_rows.col_idx(), 1);
-        let a_rows = a.extract_rows(&dof_ids(&a_ids, dofs));
-        let rt_ids = sorted_ids(a_rows.col_idx(), dofs);
-        let rt_rows = rt_v.extract_rows(&rt_ids);
-        (r_rows, a_ids, a_rows, rt_ids, rt_rows)
+    /// The row sets of one rank for [`rap_local_rows`], from the global
+    /// `a` and `r_v` (test-side only; the production path ships the rows):
+    /// its owned `R_v` rows (coarse vertices `owned`), its held `A` rows
+    /// split as the sharded setup splits them — every fine vertex it owns
+    /// (`fine_owner[v] == rank`, reached or not) as one source, then the
+    /// reached vertices it does not own — and the `R_vᵀ` rows those reach.
+    struct RankRows {
+        r_rows: CsrMatrix,
+        sources: [(Vec<u32>, CsrMatrix); 2],
+        rt_ids: Vec<u32>,
+        rt_rows: CsrMatrix,
+    }
+
+    impl RankRows {
+        fn new(
+            dofs: usize,
+            a: &CsrMatrix,
+            r_v: &CsrMatrix,
+            owned: &[u32],
+            fine_owner: &[u32],
+            rank: u32,
+        ) -> RankRows {
+            let sorted_ids = |cols: &[usize], per: usize| -> Vec<u32> {
+                let mut ids: Vec<u32> = cols.iter().map(|&k| (k / per) as u32).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            };
+            let r_rows = r_v.extract_rows(owned);
+            let reached = sorted_ids(r_rows.col_idx(), 1);
+            let rt_ids = sorted_ids(a.extract_rows(&dof_ids(&reached, dofs)).col_idx(), dofs);
+            let mine = |v: &u32| fine_owner[*v as usize] == rank;
+            let own: Vec<u32> = (0..fine_owner.len() as u32).filter(mine).collect();
+            let fetched: Vec<u32> = reached.into_iter().filter(|v| !mine(v)).collect();
+            RankRows {
+                r_rows,
+                sources: [own, fetched].map(|ids| {
+                    let rows = a.extract_rows(&dof_ids(&ids, dofs));
+                    (ids, rows)
+                }),
+                rt_rows: r_v.transpose().extract_rows(&rt_ids),
+                rt_ids,
+            }
+        }
+
+        fn held(&self) -> [(&[u32], &CsrMatrix); 2] {
+            let [(o, orows), (f, frows)] = &self.sources;
+            [(&o[..], orows), (&f[..], frows)]
+        }
+
+        fn rap(&self, dofs: usize) -> CsrMatrix {
+            rap_local_rows(
+                dofs,
+                &self.r_rows,
+                &self.held(),
+                &self.rt_ids,
+                &self.rt_rows,
+            )
+        }
     }
 
     /// The sharded-RAP contract: ranks holding only their owned `R_v` rows,
-    /// the referenced `A` rows, and the referenced full `R_vᵀ` rows compute
-    /// exactly their rows of the full planned product, and any *vertex*
-    /// ownership map (ranks owning nothing included) tiles it.
-    fn assert_local_rows_tile_plan(dofs: usize, a: &CsrMatrix, r_v: &CsrMatrix, owner: &[u32]) {
-        let rt_v = r_v.transpose();
+    /// their owned `A` rows plus the reached off-rank ones (two sources),
+    /// and the reached full `R_vᵀ` rows compute exactly their rows of the
+    /// full planned product, and any *vertex* ownership maps (ranks owning
+    /// nothing included) tile it.
+    fn assert_local_rows_tile_plan(
+        dofs: usize,
+        a: &CsrMatrix,
+        r_v: &CsrMatrix,
+        owner: &[u32],
+        fine_owner: &[u32],
+    ) {
         let full = RapPlan::new(a, &r_v.kron_identity(dofs)).execute(a);
         let mut seen = vec![false; full.nnz()];
-        for rank in 0..=owner.iter().copied().max().unwrap_or(0) + 1 {
+        let last = owner.iter().chain(fine_owner).copied().max().unwrap_or(0);
+        for rank in 0..=last + 1 {
             let owned: Vec<u32> = (0..r_v.nrows() as u32)
                 .filter(|&c| owner[c as usize] == rank)
                 .collect();
-            let (r_rows, a_ids, a_rows, rt_ids, rt_rows) =
-                local_inputs(dofs, a, r_v, &rt_v, &owned);
-            let local = rap_local_rows(dofs, &r_rows, &a_ids, &a_rows, &rt_ids, &rt_rows);
+            let local = RankRows::new(dofs, a, r_v, &owned, fine_owner, rank).rap(dofs);
             assert_eq!(local.nrows(), owned.len() * dofs);
             assert_eq!(local.ncols(), full.ncols());
             for (lc, &c) in owned.iter().enumerate() {
@@ -1102,17 +1265,40 @@ mod tests {
         let r_v = random_restriction(18, 50, 18);
         for nparts in [1u32, 2, 3, 5] {
             let owner: Vec<u32> = (0..18).map(|c| c % nparts).collect();
-            assert_local_rows_tile_plan(1, &random_sym(50, 4, 17), &r_v, &owner);
-            assert_local_rows_tile_plan(3, &random_elastic(50, 17), &r_v, &owner);
+            // Contiguous fine blocks, as a coordinate bisection leaves them.
+            let fine_owner: Vec<u32> = (0..50).map(|v| v * nparts / 50).collect();
+            assert_local_rows_tile_plan(1, &random_sym(50, 4, 17), &r_v, &owner, &fine_owner);
+            assert_local_rows_tile_plan(3, &random_elastic(50, 17), &r_v, &owner, &fine_owner);
         }
         // Any other block size runs the scalar kernel on expanded rows.
-        assert_local_rows_tile_plan(2, &random_sym(100, 4, 17), &r_v, &[0; 18]);
+        let fine_owner: Vec<u32> = (0..50).map(|v| v % 2).collect();
+        assert_local_rows_tile_plan(2, &random_sym(100, 4, 17), &r_v, &[0; 18], &fine_owner);
+    }
+
+    #[test]
+    fn local_rows_read_a_first_held_vertex_from_the_fetched_source() {
+        // The lowest fine vertex the rank reaches is off-rank, and so is
+        // every vertex above the owned block: the view interleaves the two
+        // sources from its first block row on.
+        let r_v = random_restriction(14, 40, 10);
+        let owner = [0u32; 14];
+        let mut reached: Vec<usize> = r_v.col_idx().to_vec();
+        reached.sort_unstable();
+        let fine_owner: Vec<u32> = (0..40)
+            .map(|v| u32::from(v == reached[0] || v >= 30))
+            .collect();
+        for (dofs, a) in [(1, random_sym(40, 4, 9)), (3, random_elastic(40, 9))] {
+            let rows = RankRows::new(dofs, &a, &r_v, &(0..14).collect::<Vec<_>>(), &fine_owner, 0);
+            assert_eq!(rows.sources[1].0[0], reached[0] as u32);
+            assert_local_rows_tile_plan(dofs, &a, &r_v, &owner, &fine_owner);
+        }
     }
 
     #[test]
     fn local_rows_tolerate_superset_row_sets() {
         // Extra A / Rᵀ rows beyond the needed closure must not change a
-        // single bit (the ingest path ships an adjacency superset).
+        // single bit (the ingest path ships an adjacency superset), however
+        // the held rows are split into sources.
         for (dofs, a) in [(1, random_sym(40, 4, 9)), (3, random_elastic(40, 9))] {
             let r_v = random_restriction(14, 40, 10);
             let owned: Vec<u32> = vec![2, 3, 7, 11];
@@ -1120,19 +1306,47 @@ mod tests {
                 .execute(&a)
                 .extract_rows(&dof_ids(&owned, dofs));
             let all: Vec<u32> = (0..40).collect();
-            let local = rap_local_rows(
-                dofs,
-                &r_v.extract_rows(&owned),
-                &all,
-                &a,
-                &all,
-                &r_v.transpose(),
+            let (low, high) = all.split_at(17);
+            let (low_rows, high_rows) = (
+                a.extract_rows(&dof_ids(low, dofs)),
+                a.extract_rows(&dof_ids(high, dofs)),
             );
-            assert_eq!(local.col_idx(), want.col_idx());
-            for (x, y) in local.vals().iter().zip(want.vals()) {
-                assert_eq!(x.to_bits(), y.to_bits());
+            let r_rows = r_v.extract_rows(&owned);
+            let rt_v = r_v.transpose();
+            for held in [
+                vec![(&all[..], &a)],
+                vec![(high, &high_rows), (low, &low_rows)],
+            ] {
+                let local = rap_local_rows(dofs, &r_rows, &held, &all, &rt_v);
+                assert_eq!(local.col_idx(), want.col_idx());
+                for (x, y) in local.vals().iter().zip(want.vals()) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "A rows of vertex")]
+    fn local_rows_panic_on_a_missing_a_row() {
+        let (a, r_v) = (random_elastic(20, 3), random_restriction(6, 20, 4));
+        let mut rows = RankRows::new(3, &a, &r_v, &[0, 1, 2], &[0; 20], 0);
+        // Drop the highest vertex an owned coarse vertex reaches.
+        let gone = *rows.r_rows.col_idx().iter().max().unwrap() as u32;
+        let (ids, held) = &mut rows.sources[0];
+        ids.retain(|&v| v != gone);
+        *held = a.extract_rows(&dof_ids(ids, 3));
+        rows.rap(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "an Rᵀ row the product reaches is not held locally")]
+    fn local_rows_panic_on_a_missing_rt_row() {
+        let (a, r_v) = (random_elastic(20, 3), random_restriction(6, 20, 4));
+        let mut rows = RankRows::new(3, &a, &r_v, &[0, 1, 2], &[0; 20], 0);
+        rows.rt_ids.remove(0);
+        rows.rt_rows = r_v.transpose().extract_rows(&rows.rt_ids);
+        rows.rap(3);
     }
 
     proptest! {
@@ -1165,10 +1379,11 @@ mod tests {
         fn prop_local_rows_cover_full_product(
             seed in 0u64..1000,
             owner in proptest::collection::vec(0u32..4, 12),
+            fine_owner in proptest::collection::vec(0u32..4, 36),
         ) {
             let r_v = random_restriction(12, 36, seed.wrapping_add(1));
-            assert_local_rows_tile_plan(1, &random_sym(36, 3, seed), &r_v, &owner);
-            assert_local_rows_tile_plan(3, &random_elastic(36, seed), &r_v, &owner);
+            assert_local_rows_tile_plan(1, &random_sym(36, 3, seed), &r_v, &owner, &fine_owner);
+            assert_local_rows_tile_plan(3, &random_elastic(36, seed), &r_v, &owner, &fine_owner);
         }
 
         #[test]
