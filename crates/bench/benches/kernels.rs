@@ -63,7 +63,10 @@ fn bench_bsr(_c: &mut Criterion) {
         let layout = Layout::expand_dofs(&Layout::block(n / 3, 2), 3);
         let owned = layout.owned(0);
         let dist = DistMatrix::from_global_blocked(a, layout.clone(), layout.clone());
-        let share = Bsr3Matrix::from_csr(dist.local_block(0));
+        let share = dist
+            .local_block(0)
+            .tiles()
+            .expect("a vertex-aligned 3-dof share");
         let (boundary, interior): (Vec<u32>, Vec<u32>) =
             (0..owned.len() as u32 / 3).partition(|&lb| {
                 let rows = &owned[3 * lb as usize..][..3];
@@ -497,6 +500,7 @@ fn bench_block_factor(_c: &mut Criterion) {
 /// The smoother's numeric half and its block solves on the real fine-level
 /// share: one `RankJacobi` of the 9.8k-dof spheres operator at the paper's
 /// density (59 blocks, the `cold10k` / `newton10k` level 0 at one rank),
+/// reading the share's rows through its tiles as the hierarchy does,
 /// refactored in place as a Newton re-setup does and swept once from zero,
 /// beside the bytes its envelope factors hold and the bytes dense packed
 /// triangles of the same blocks would. `block_solve_166` and
@@ -505,9 +509,13 @@ fn bench_block_factor(_c: &mut Criterion) {
 fn bench_rank_jacobi(_c: &mut Criterion) {
     let a = newton10k_system().matrix;
     let opts = MgOptions::default();
-    let mut rj = RankJacobi::new(&a, opts.blocks_per_1000, opts.omega);
+    let layout = Layout::serial(a.nrows());
+    let share = DistMatrix::from_global_blocked(&a, layout.clone(), layout);
+    let local = share.local_block(0);
+    assert!(local.tiles().is_some(), "the level-0 share is tiled");
+    let mut rj = RankJacobi::new(local, opts.blocks_per_1000, opts.omega);
     let dense: u64 = rj.block_sizes().map(|n| 4 * (n * (n + 1)) as u64).sum();
-    let refactor = sorted_times(40, || rj.refactor(black_box(&a)));
+    let refactor = sorted_times(40, || rj.refactor(black_box(local)));
     let r: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
     let mut x = vec![0.0; a.nrows()];
     let sweep = sorted_times(300, || rj.solve_from_zero(black_box(&r), &mut x));

@@ -10,6 +10,7 @@ use pmg_parallel::{DistMatFree, DistMatrix, DistVec, Layout, Sim, SimOperator};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
 use pmg_solver::{BlockJacobi, Chebyshev, CoarseDirect, Precond};
 use pmg_sparse::{CsrMatrix, Operator, RapPlan};
+use std::borrow::Cow;
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -302,7 +303,9 @@ impl MgHierarchy {
         let fine_nnz = a_fine.nnz();
         let mut total_nnz = 0usize;
 
-        let mut cur_a = a_fine.clone();
+        // Level 0 reads the caller's matrix; each Galerkin product below it
+        // is owned here until its level's share holds it.
+        let mut cur_a = Cow::Borrowed(a_fine);
         let mut cur_coords = coords.to_vec();
         let mut cur_graph = graph.clone();
         let mut cur_classes = classes.clone();
@@ -363,6 +366,9 @@ impl MgHierarchy {
                 cur_layout.clone(),
                 coarse_layout.clone(),
             );
+            // The share and the Galerkin product hold all that is needed of
+            // this level's input: free it before the smoother's set-up.
+            cur_a = Cow::Owned(a_coarse);
             let smoother = {
                 let _t = pmg_telemetry::scope("smoother");
                 Smoother::build(sim, &da, &opts)
@@ -380,7 +386,6 @@ impl MgHierarchy {
                 rap_plan: Some(rap_plan),
             });
 
-            cur_a = a_coarse;
             cur_coords = cl.coords;
             cur_graph = cl.graph;
             cur_classes = cl.classes;

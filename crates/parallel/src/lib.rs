@@ -18,7 +18,8 @@
 //! * [`sim::Sim`] — superstep accounting and the machine model,
 //! * [`vec::DistVec`] — rank-partitioned vectors,
 //! * [`matrix::RankMatrix`] — one rank's share of a matrix and its
-//!   products over a real transport,
+//!   products over a real transport, its owned-column block read in place
+//!   through [`matrix::LocalBlock`],
 //! * [`matrix::DistMatrix`] — every virtual rank's [`RankMatrix`] on one
 //!   ghost-column plan.
 
@@ -32,6 +33,6 @@ pub mod vec;
 pub use halo::{HaloMsg, HaloPlan, RankHalo};
 pub use layout::Layout;
 pub use matfree::{DistMatFree, SimOperator};
-pub use matrix::{DistMatrix, OverlapInfo, RankMatrix};
+pub use matrix::{DistMatrix, LocalBlock, OverlapInfo, RankMatrix};
 pub use sim::{MachineModel, PhaseStats, RankCounters, Sim};
 pub use vec::DistVec;

@@ -19,7 +19,7 @@ use crate::layout::Layout;
 use crate::sim::Sim;
 use crate::vec::DistVec;
 use pmg_comm::{CommError, HaloExchange, Transport};
-use pmg_sparse::{Bsr3Matrix, CsrMatrix, PatternFingerprint};
+use pmg_sparse::{Bsr3Matrix, CsrMatrix, MaskedBsr3, MaskedRow, PatternFingerprint};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -81,10 +81,10 @@ impl<'a> OwnedRows<'a> {
 
 /// **One** rank's owned share of a distributed matrix: its rows split into
 /// the owned-column block `diag` and the ghost-column block `off`, the
-/// 3x3-blocked copy of `diag`, the row classes of the overlapped product
-/// and the halo plan. A [`DistMatrix`] holds one per virtual rank; a
-/// message-passing rank builds only its own from the rows it owns
-/// (reading nothing of other ranks' rows beyond the replicated layout).
+/// row classes of the overlapped product and the halo plan. A
+/// [`DistMatrix`] holds one per virtual rank; a message-passing rank builds
+/// only its own from the rows it owns (reading nothing of other ranks'
+/// rows beyond the replicated layout).
 ///
 /// Both go through the same construction, so for the same layouts and the
 /// same global values the shares are **bitwise identical** — the parity
@@ -92,24 +92,21 @@ impl<'a> OwnedRows<'a> {
 ///
 /// A rank-local construction is two-phase because the halo-exchange plan
 /// needs every rank's ghost list: build locally
-/// ([`RankMatrix::from_local_rows`]), exchange [`RankMatrix::ghosts`] over a
-/// transport collective, then [`RankMatrix::install_plan`] with all ranks'
-/// lists (each rank builds the identical plan from the identical inputs).
+/// ([`RankMatrix::from_local_rows`], `_blocked`), exchange
+/// [`RankMatrix::ghosts`] over a transport collective, then
+/// [`RankMatrix::install_plan`] with all ranks' lists (each rank builds the
+/// identical plan from the identical inputs).
 #[derive(Clone, Debug)]
 pub struct RankMatrix {
     rank: usize,
     row_layout: Arc<Layout>,
     col_layout: Arc<Layout>,
-    /// Local rows × owned columns.
-    diag: CsrMatrix,
+    /// Local rows × owned columns, in the one form it is stored in.
+    diag: Diag,
     /// Local rows × ghost columns, only ever scalar: a ghost block is a
     /// thin, ragged slice of a row (a rank may reference one or two of a
-    /// remote vertex's dofs), so it has no blocked copy.
+    /// remote vertex's dofs), so it has no blocked form.
     off: CsrMatrix,
-    /// 3x3-blocked copy of `diag`, present when the operator was promoted
-    /// via [`RankMatrix::try_block3`]. The scalar `diag` is kept:
-    /// block-Jacobi factors it directly ([`RankMatrix::local_block`]).
-    diag_bsr: Option<Bsr3Matrix>,
     /// Global ids of ghost columns, ascending.
     ghosts: Vec<u32>,
     /// Row classes for communication/computation overlap, fixed at
@@ -123,11 +120,189 @@ pub struct RankMatrix {
     /// The halo plan over every rank of `col_layout`; `None` until
     /// [`RankMatrix::install_plan`].
     plan: Option<Arc<HaloPlan>>,
-    /// Pattern of the owned rows the share was built from, in global
-    /// columns — `None` when they were the whole input and this rank owns
-    /// every column: `diag` then *is* that pattern and carries its
-    /// fingerprint.
-    pattern: Option<PatternFingerprint>,
+}
+
+/// The owned-column block of a share, stored once — scalar CSR, or, for a
+/// 3-dof operator on a vertex-aligned partition, the 3x3 tiles its products
+/// run on, whose masks give back its scalar rows exactly — with the pattern
+/// of the owned rows it was built from, in global columns: what a refresh
+/// is checked against.
+#[derive(Clone, Debug)]
+enum Diag {
+    /// `None` when the rows were the whole input and this rank owns every
+    /// column: the block then *is* that input and carries its fingerprint.
+    Csr(CsrMatrix, Option<PatternFingerprint>),
+    /// The tiled block's pattern is also its [`LocalBlock::pattern`].
+    Tiles(MaskedBsr3, PatternFingerprint),
+}
+
+impl Diag {
+    fn pattern(&self) -> PatternFingerprint {
+        match self {
+            Diag::Csr(a, p) => p.unwrap_or_else(|| PatternFingerprint::of(a)),
+            Diag::Tiles(_, p) => *p,
+        }
+    }
+
+    /// Overwrite scalar row `i`'s values, in column order, from `vals`;
+    /// returns how many were taken (see [`MaskedBsr3::set_row`]).
+    fn set_row(&mut self, i: usize, vals: impl IntoIterator<Item = f64>) -> usize {
+        match self {
+            Diag::Csr(a, _) => (a.row_vals_mut(i).iter_mut().zip(vals))
+                .map(|(slot, v)| *slot = v)
+                .count(),
+            Diag::Tiles(t, _) => t.set_row(i, vals),
+        }
+    }
+}
+
+/// A share's local block (owned rows × owned columns) read as scalar rows,
+/// in the form the share stores it — no copy is made: CSR rows as they
+/// are, or the promoted tiles' values where their masks have bits, which
+/// are the same entries and the same value bits. What the block-Jacobi
+/// smoother partitions and factors and the diagonal smoothers read. A
+/// plain scalar matrix is a local block too (`From<&CsrMatrix>`).
+#[derive(Clone, Copy, Debug)]
+pub struct LocalBlock<'a> {
+    block: BlockRef<'a>,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum BlockRef<'a> {
+    Csr(&'a CsrMatrix),
+    Tiles(&'a MaskedBsr3, PatternFingerprint),
+}
+
+impl<'a> From<&'a CsrMatrix> for LocalBlock<'a> {
+    fn from(a: &'a CsrMatrix) -> LocalBlock<'a> {
+        LocalBlock {
+            block: BlockRef::Csr(a),
+        }
+    }
+}
+
+impl<'a> LocalBlock<'a> {
+    /// Scalar rows.
+    pub fn nrows(&self) -> usize {
+        match self.block {
+            BlockRef::Csr(a) => a.nrows(),
+            BlockRef::Tiles(t, _) => t.nrows(),
+        }
+    }
+
+    /// Scalar columns.
+    pub fn ncols(&self) -> usize {
+        match self.block {
+            BlockRef::Csr(a) => a.ncols(),
+            BlockRef::Tiles(t, _) => t.ncols(),
+        }
+    }
+
+    /// Stored scalar entries.
+    pub fn nnz(&self) -> usize {
+        match self.block {
+            BlockRef::Csr(a) => a.nnz(),
+            BlockRef::Tiles(t, _) => t.nnz(),
+        }
+    }
+
+    /// The key of the block's pattern, unchanged while its share is
+    /// refreshed in place: a scalar block's own fingerprint (the value it
+    /// carries, hashed at most once in its life), a tiled block's share's
+    /// owned-rows fingerprint (the tiles have no scalar pattern to hash).
+    pub fn pattern(&self) -> PatternFingerprint {
+        match self.block {
+            BlockRef::Csr(a) => PatternFingerprint::of(a),
+            BlockRef::Tiles(_, p) => p,
+        }
+    }
+
+    /// Resident bytes of the block as stored: the CSR arrays, or the tiles
+    /// and their masks.
+    pub fn memory_bytes(&self) -> u64 {
+        use pmg_sparse::Operator;
+        match self.block {
+            BlockRef::Csr(a) => a.memory_bytes(),
+            BlockRef::Tiles(t, _) => t.memory_bytes(),
+        }
+    }
+
+    /// Scalar row `i`: `(local column, value)` in ascending column order.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + 'a {
+        match self.block {
+            BlockRef::Csr(a) => {
+                let (cols, vals) = a.row(i);
+                LocalRow::Csr(cols.iter().zip(vals))
+            }
+            BlockRef::Tiles(t, _) => LocalRow::Tiles(t.row(i)),
+        }
+    }
+
+    /// `f(column, value)` for row `i`'s entries at or left of its
+    /// diagonal, in ascending column order — the lower triangle the
+    /// block-Jacobi smoother factors, read with one dispatch per row.
+    #[inline]
+    pub fn for_each_lower(&self, i: usize, mut f: impl FnMut(usize, f64)) {
+        match self.block {
+            BlockRef::Csr(a) => {
+                let (cols, vals) = a.row(i);
+                let cut = cols.partition_point(|&j| j <= i);
+                (cols[..cut].iter().zip(&vals[..cut])).for_each(|(&j, &v)| f(j, v));
+            }
+            BlockRef::Tiles(t, _) => t.for_each_lower(i, f),
+        }
+    }
+
+    /// The main diagonal (missing entries are `0.0`).
+    pub fn diag(&self) -> Vec<f64> {
+        match self.block {
+            BlockRef::Csr(a) => a.diag(),
+            BlockRef::Tiles(t, _) => t.diag(),
+        }
+    }
+
+    /// The block as scalar CSR, exactly (a copy, for tests and tools).
+    pub fn to_csr(&self) -> CsrMatrix {
+        match self.block {
+            BlockRef::Csr(a) => a.clone(),
+            BlockRef::Tiles(t, _) => t.to_csr(),
+        }
+    }
+
+    /// The 3x3 tiles of a promoted block (`None`: scalar CSR).
+    pub fn tiles(&self) -> Option<&'a Bsr3Matrix> {
+        match self.block {
+            BlockRef::Csr(_) => None,
+            BlockRef::Tiles(t, _) => Some(t.tiles()),
+        }
+    }
+}
+
+/// A [`LocalBlock::row`] of either form.
+enum LocalRow<'a> {
+    Csr(std::iter::Zip<std::slice::Iter<'a, usize>, std::slice::Iter<'a, f64>>),
+    Tiles(MaskedRow<'a>),
+}
+
+impl Iterator for LocalRow<'_> {
+    type Item = (usize, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, f64)> {
+        match self {
+            LocalRow::Csr(it) => it.next().map(|(&j, &v)| (j, v)),
+            LocalRow::Tiles(it) => it.next(),
+        }
+    }
+
+    /// One dispatch per row, then the form's own loop.
+    #[inline]
+    fn fold<B, F: FnMut(B, (usize, f64)) -> B>(self, init: B, mut f: F) -> B {
+        match self {
+            LocalRow::Csr(it) => it.fold(init, |acc, (&j, &v)| f(acc, (j, v))),
+            LocalRow::Tiles(it) => it.fold(init, f),
+        }
+    }
 }
 
 /// What one overlapped product hid: the interior-compute window that ran
@@ -157,11 +332,47 @@ fn block3_eligible(row_layout: &Layout, col_layout: &Layout) -> bool {
 }
 
 impl DistMatrix {
-    /// Distribute a global CSR matrix.
+    /// Distribute a global CSR matrix, every share's `diag` as scalar CSR.
     pub fn from_global(
         a: &CsrMatrix,
         row_layout: Arc<Layout>,
         col_layout: Arc<Layout>,
+    ) -> DistMatrix {
+        DistMatrix::distribute(a, row_layout, col_layout, false)
+    }
+
+    /// Distribute a global CSR matrix with every share's `diag` in 3x3
+    /// tiles ([`MaskedBsr3`]), so `spmv` runs on contiguous tiles (PETSc's
+    /// BAIJ optimization for 3-dof displacement operators), when the
+    /// partition allows it; scalar CSR otherwise.
+    ///
+    /// Structural eligibility — computable from the replicated layouts
+    /// alone, with no communication — all of:
+    /// - global dimensions are multiples of 3,
+    /// - every rank's owned rows and owned columns come in vertex-aligned
+    ///   triples `(3v, 3v+1, 3v+2)` (the layout produced by
+    ///   `Layout::expand_dofs(vertex_layout, 3)`).
+    ///
+    /// Ghost columns need not form whole blocks: the ghost-column block
+    /// stays scalar CSR either way. The tiles are built straight from the
+    /// owned rows, and the share keeps no scalar copy: its scalar rows are
+    /// read through the tiles' masks ([`LocalBlock`]). On finite operands
+    /// the blocked product is bitwise the scalar one: tiles materialize
+    /// explicit zeros and preserve the per-row accumulation order.
+    pub fn from_global_blocked(
+        a: &CsrMatrix,
+        row_layout: Arc<Layout>,
+        col_layout: Arc<Layout>,
+    ) -> DistMatrix {
+        let blocked = block3_eligible(&row_layout, &col_layout);
+        DistMatrix::distribute(a, row_layout, col_layout, blocked)
+    }
+
+    fn distribute(
+        a: &CsrMatrix,
+        row_layout: Arc<Layout>,
+        col_layout: Arc<Layout>,
+        blocked: bool,
     ) -> DistMatrix {
         assert_eq!(a.nrows(), row_layout.num_global());
         assert_eq!(a.ncols(), col_layout.num_global());
@@ -175,7 +386,7 @@ impl DistMatrix {
                     a,
                     owned: Some(row_layout.owned(r)),
                 };
-                RankMatrix::build(rows, row_layout.clone(), col_layout.clone(), r)
+                RankMatrix::build(rows, row_layout.clone(), col_layout.clone(), r, blocked)
             })
             .collect();
 
@@ -201,28 +412,15 @@ impl DistMatrix {
         }
     }
 
-    /// Distribute a global CSR matrix and promote it to the 3x3-blocked
-    /// storage when the partition is vertex-aligned (see
-    /// [`DistMatrix::try_block3`]); falls back to scalar CSR otherwise.
-    pub fn from_global_blocked(
-        a: &CsrMatrix,
-        row_layout: Arc<Layout>,
-        col_layout: Arc<Layout>,
-    ) -> DistMatrix {
-        let mut m = DistMatrix::from_global(a, row_layout, col_layout);
-        m.try_block3();
-        m
-    }
-
     /// Take the values of `a`, a new state of the global matrix this was
     /// distributed from, in place. While `a` keeps that matrix's sparsity
     /// pattern (Newton on a fixed mesh) only values move — each share
-    /// checks the pattern of its own owned rows and rewrites their values;
-    /// ghost lists, halo plan, row classes and the blocked copy's
-    /// structure stay, nothing is allocated — and the result is bitwise
-    /// what [`from_global`](Self::from_global) (`_blocked`, if this one is)
-    /// builds from `a`; a changed pattern is exactly that rebuild. Returns
-    /// whether the pattern held (counted: `distribute/refresh` /
+    /// checks the pattern of its own owned rows and rewrites their values
+    /// in the form it stores them; ghost lists, halo plan, row classes and
+    /// the tiles' structure stay, nothing is allocated — and the result is
+    /// bitwise what [`from_global`](Self::from_global) (`_blocked`, if this
+    /// one is) builds from `a`; a changed pattern is exactly that rebuild.
+    /// Returns whether the pattern held (counted: `distribute/refresh` /
     /// `distribute/rebuild`).
     pub fn refresh_from_global(&mut self, a: &CsrMatrix) -> bool {
         assert_eq!(a.nrows(), self.row_layout.num_global(), "row count changed");
@@ -239,35 +437,9 @@ impl DistMatrix {
         }
         pmg_telemetry::counter_add("distribute/rebuild", 1);
         let blocked = self.bsr3_routed();
-        *self = DistMatrix::from_global(a, self.row_layout.clone(), self.col_layout.clone());
-        if blocked {
-            self.try_block3();
-        }
+        let (rows, cols) = (self.row_layout.clone(), self.col_layout.clone());
+        *self = DistMatrix::distribute(a, rows, cols, blocked);
         false
-    }
-
-    /// Promote the per-rank `diag` blocks to [`Bsr3Matrix`] storage so
-    /// `spmv` runs on contiguous 3x3 tiles (PETSc's BAIJ optimization for
-    /// 3-dof displacement operators).
-    ///
-    /// Structural eligibility — all of:
-    /// - global dimensions are multiples of 3,
-    /// - every rank's owned rows and owned columns come in vertex-aligned
-    ///   triples `(3v, 3v+1, 3v+2)` (the layout produced by
-    ///   `Layout::expand_dofs(vertex_layout, 3)`).
-    ///
-    /// Ghost columns need not form whole blocks: the ghost-column block
-    /// stays scalar CSR either way.
-    ///
-    /// Returns whether promotion happened; ineligible operators are left
-    /// untouched (scalar CSR path). On finite operands the blocked product
-    /// is bitwise the scalar one: blocks materialize explicit zeros and
-    /// preserve the per-row accumulation order.
-    pub fn try_block3(&mut self) -> bool {
-        self.ranks.par_iter_mut().for_each(|m| {
-            m.try_block3();
-        });
-        self.bsr3_routed()
     }
 
     /// Whether products run through the 3x3-blocked path.
@@ -297,9 +469,9 @@ impl DistMatrix {
         &self.ranks[r]
     }
 
-    /// The local (owned-rows × owned-columns) block of rank `r` — the
-    /// sub-domain matrix the block-Jacobi smoother factors.
-    pub fn local_block(&self, r: usize) -> &CsrMatrix {
+    /// The local (owned-rows × owned-columns) block of rank `r`, read in
+    /// place — the sub-domain matrix the block-Jacobi smoother factors.
+    pub fn local_block(&self, r: usize) -> LocalBlock<'_> {
         self.ranks[r].local_block()
     }
 
@@ -359,7 +531,9 @@ impl DistMatrix {
     }
 
     /// Reassemble the global matrix (testing / coarse-grid gather): a row is
-    /// its owner's diag and off runs, each ascending in global id, merged.
+    /// its owner's diag and off runs, each ascending in global id, merged —
+    /// the input this was distributed from, entry for entry and bit for
+    /// bit, whichever form the shares store `diag` in.
     pub fn to_global(&self) -> CsrMatrix {
         let n = self.row_layout.num_global();
         let mut row_ptr = vec![0usize];
@@ -369,18 +543,21 @@ impl DistMatrix {
             let r = self.row_layout.owner(g) as usize;
             let (mat, li) = (&self.ranks[r], self.row_layout.local_index(g) as usize);
             let (owned, ghosts) = (self.col_layout.owned(r), &mat.ghosts);
-            let ((dc, dv), (oc, ov)) = (mat.diag.row(li), mat.off.row(li));
-            let (mut d, mut o) = (0, 0);
-            while d < dc.len() || o < oc.len() {
-                if o == oc.len() || (d < dc.len() && owned[dc[d]] < ghosts[oc[o]]) {
-                    col_idx.push(owned[dc[d]] as usize);
-                    vals.push(dv[d]);
-                    d += 1;
-                } else {
+            let (oc, ov) = mat.off.row(li);
+            let mut o = 0;
+            for (j, v) in mat.local_block().row(li) {
+                let jg = owned[j] as usize;
+                while o < oc.len() && (ghosts[oc[o]] as usize) < jg {
                     col_idx.push(ghosts[oc[o]] as usize);
                     vals.push(ov[o]);
                     o += 1;
                 }
+                col_idx.push(jg);
+                vals.push(v);
+            }
+            for (&k, &v) in oc[o..].iter().zip(&ov[o..]) {
+                col_idx.push(ghosts[k] as usize);
+                vals.push(v);
             }
             row_ptr.push(col_idx.len());
         }
@@ -392,41 +569,49 @@ impl RankMatrix {
     /// Build rank `rank`'s share from its owned rows — read out of a
     /// global CSR through the row layout ([`DistMatrix`]) or straight from
     /// an owned-rows CSR ([`from_local_rows`](Self::from_local_rows)); one
-    /// function for both is what makes the two bitwise identical. Two
-    /// passes, count then fill: a source row ascends in global column and
-    /// owned and ghost columns keep that order locally, so the entries of
-    /// both blocks land in CSR order as they come. A rank that owns every
-    /// row and every column numbers them as the input does, so its `diag`
-    /// is a copy of the input (carrying its fingerprint) and `off` is
-    /// empty — what the two passes would build. No halo plan yet.
+    /// function for both is what makes the two bitwise identical. A source
+    /// row ascends in global column and owned and ghost columns keep that
+    /// order locally, so the entries of both blocks land in order as they
+    /// come: a counting pass finds the ghost columns, a second fills `off`
+    /// and the scalar `diag`, or — `blocked` — the tiles read the owned
+    /// entries straight from the source rows (two passes of their own;
+    /// no scalar copy is made). A rank that owns every row and every
+    /// column numbers them as the input does, so its `diag` is the input's
+    /// (cloned, or tiled from it) and `off` is empty — what the passes
+    /// would build. No halo plan yet.
     fn build(
         rows: OwnedRows<'_>,
         row_layout: Arc<Layout>,
         col_layout: Arc<Layout>,
         rank: usize,
+        blocked: bool,
     ) -> RankMatrix {
         let nlocal = row_layout.local_len(rank);
         debug_assert_eq!(rows.len(), nlocal);
         let ncols = col_layout.local_len(rank);
-        let share = |diag, off, ghosts, pattern| {
-            let (interior, boundary) = row_classes(&off, 1);
+        if blocked && rank == 0 {
+            pmg_telemetry::counter_add("spmv/bsr3_promoted", 1);
+        }
+        let share = |diag, off, ghosts| {
+            let (interior, boundary) = row_classes(&off, if blocked { 3 } else { 1 });
             RankMatrix {
                 diag,
                 off,
-                diag_bsr: None,
                 ghosts,
                 interior,
                 boundary,
                 plan: None,
-                pattern,
                 rank,
                 row_layout: row_layout.clone(),
                 col_layout: col_layout.clone(),
             }
         };
         if rows.whole() && ncols == col_layout.num_global() {
-            let off = CsrMatrix::zeros(nlocal, 0);
-            return share(rows.a.clone(), off, Vec::new(), None);
+            let diag = match blocked {
+                true => Diag::Tiles(MaskedBsr3::from_csr(rows.a), rows.pattern()),
+                false => Diag::Csr(rows.a.clone(), None),
+            };
+            return share(diag, CsrMatrix::zeros(nlocal, 0), Vec::new());
         }
 
         let mine = |j: usize| col_layout.owner(j) as usize == rank;
@@ -442,30 +627,46 @@ impl RankMatrix {
             off_ptr.push(ghosts.len());
             diag_ptr.push(seen - ghosts.len());
         }
-        let (ndiag, noff) = (diag_ptr[nlocal], off_ptr[nlocal]);
+        let noff = off_ptr[nlocal];
         ghosts.sort_unstable();
         ghosts.dedup();
 
+        // A row without ghost columns is all `diag`: no owner to look up.
+        let ghost_free = |li: usize| off_ptr[li] == off_ptr[li + 1];
+        let ndiag = if blocked { 0 } else { diag_ptr[nlocal] };
         let (mut diag_cols, mut diag_vals) = (Vec::with_capacity(ndiag), Vec::with_capacity(ndiag));
         let (mut off_cols, mut off_vals) = (Vec::with_capacity(noff), Vec::with_capacity(noff));
-        for li in 0..nlocal {
+        for li in (0..nlocal).filter(|&li| !(blocked && ghost_free(li))) {
             let (cols, vals) = rows.row(li);
             for (&j, &v) in cols.iter().zip(vals) {
-                if mine(j) {
-                    diag_cols.push(col_layout.local_index(j) as usize);
-                    diag_vals.push(v);
-                } else {
+                if !ghost_free(li) && !mine(j) {
                     let ghost = ghosts.binary_search(&(j as u32));
                     off_cols.push(ghost.expect("collected in the first pass"));
                     off_vals.push(v);
+                } else if !blocked {
+                    diag_cols.push(col_layout.local_index(j) as usize);
+                    diag_vals.push(v);
                 }
             }
         }
+        let diag = if blocked {
+            let owned_entries = |li: usize| {
+                let (cols, vals) = rows.row(li);
+                let ghost_free = ghost_free(li);
+                let owned = cols.iter().zip(vals);
+                (owned.filter(move |&(&j, _)| ghost_free || mine(j)))
+                    .map(|(&j, &v)| (col_layout.local_index(j) as usize, v))
+            };
+            let tiles = MaskedBsr3::from_rows(nlocal, ncols, owned_entries);
+            Diag::Tiles(tiles, rows.pattern())
+        } else {
+            let diag = CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals);
+            Diag::Csr(diag, Some(rows.pattern()))
+        };
         share(
-            CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals),
+            diag,
             CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals),
             ghosts,
-            Some(rows.pattern()),
         )
     }
 
@@ -481,6 +682,30 @@ impl RankMatrix {
         col_layout: Arc<Layout>,
         rank: usize,
     ) -> RankMatrix {
+        RankMatrix::from_owned_rows(a_local, row_layout, col_layout, rank, false)
+    }
+
+    /// [`from_local_rows`](Self::from_local_rows) with `diag` in 3x3 tiles
+    /// when the layouts allow it — this rank's share of
+    /// [`DistMatrix::from_global_blocked`], decided on the replicated
+    /// layouts alone, so every rank decides alike with no communication.
+    pub fn from_local_rows_blocked(
+        a_local: &CsrMatrix,
+        row_layout: Arc<Layout>,
+        col_layout: Arc<Layout>,
+        rank: usize,
+    ) -> RankMatrix {
+        let blocked = block3_eligible(&row_layout, &col_layout);
+        RankMatrix::from_owned_rows(a_local, row_layout, col_layout, rank, blocked)
+    }
+
+    fn from_owned_rows(
+        a_local: &CsrMatrix,
+        row_layout: Arc<Layout>,
+        col_layout: Arc<Layout>,
+        rank: usize,
+        blocked: bool,
+    ) -> RankMatrix {
         assert_eq!(a_local.ncols(), col_layout.num_global());
         assert_eq!(
             a_local.nrows(),
@@ -491,64 +716,57 @@ impl RankMatrix {
             a: a_local,
             owned: None,
         };
-        RankMatrix::build(rows, row_layout, col_layout, rank)
+        RankMatrix::build(rows, row_layout, col_layout, rank, blocked)
     }
 
-    /// The numeric half of [`build`](Self::build) and
-    /// [`try_block3`](Self::try_block3), for owned rows of the pattern
-    /// this share was built from: one ordered walk rewrites the values of
-    /// `diag` and `off` — a row without ghost columns is one copy into
-    /// `diag`, any other row is split through a running cursor per block,
-    /// same classification, same order, so same slots — then the blocked
-    /// copy of `diag` takes the new values. Nothing is allocated, sorted or
-    /// looked up. Rows of another pattern leave the share as it was and
-    /// return `false`.
+    /// The numeric half of [`build`](Self::build), for owned rows of the
+    /// pattern this share was built from: one ordered walk rewrites the
+    /// values of `diag`, in the form it is stored in, and `off` — a row
+    /// without ghost columns goes whole into `diag`, any other row is split
+    /// by column owner, same classification, same order, so same slots.
+    /// Nothing is allocated, sorted or looked up. Rows of another pattern
+    /// leave the share as it was and return `false`.
     ///
     /// Rows that are the whole input are checked by the fingerprint the
-    /// input carries (hashed at most once in its life) against the one
-    /// `diag` or the share holds; a subset of a larger matrix is hashed
-    /// here, on every call.
+    /// input carries (hashed at most once in its life) against the one the
+    /// share holds; a subset of a larger matrix is hashed here, on every
+    /// call.
     fn refresh_rows(&mut self, rows: OwnedRows<'_>) -> bool {
-        let nlocal = self.diag.nrows();
-        let held = self
-            .pattern
-            .unwrap_or_else(|| PatternFingerprint::of(&self.diag));
-        if rows.len() != nlocal || rows.pattern() != held {
+        let nlocal = self.off.nrows();
+        if rows.len() != nlocal || rows.pattern() != self.diag.pattern() {
             return false;
         }
-        let diag_vals = self.diag.vals_mut();
         let (mut d, mut o) = (0, 0);
         for li in 0..nlocal {
             let (cols, vals) = rows.row(li);
             if self.off.row(li).0.is_empty() {
-                diag_vals[d..d + vals.len()].copy_from_slice(vals);
-                d += vals.len();
+                d += self.diag.set_row(li, vals.iter().copied());
                 continue;
             }
-            for (&j, &v) in cols.iter().zip(vals) {
-                if self.col_layout.owner(j) as usize == self.rank {
-                    diag_vals[d] = v;
-                    d += 1;
-                } else {
-                    self.off.vals_mut()[o] = v;
-                    o += 1;
+            let (layout, rank, off_vals) = (&self.col_layout, self.rank, self.off.vals_mut());
+            let mut owned = cols.iter().zip(vals).filter_map(|(&j, &v)| {
+                if layout.owner(j) as usize == rank {
+                    return Some(v);
                 }
-            }
+                off_vals[o] = v;
+                o += 1;
+                None
+            });
+            d += self.diag.set_row(li, &mut owned);
+            owned.for_each(drop);
         }
-        assert_eq!((d, o), (diag_vals.len(), self.off.nnz()), "pattern changed");
-        if let Some(b) = &mut self.diag_bsr {
-            b.refresh_from_csr(&self.diag);
-        }
+        let nnz = (self.local_block().nnz(), self.off.nnz());
+        assert_eq!((d, o), nnz, "pattern changed");
         true
     }
 
     /// [`DistMatrix::refresh_from_global`] for one rank's share: take the
     /// values of a new state of the owned-rows matrix in place (same
     /// kernel, so bitwise a fresh [`from_local_rows`](Self::from_local_rows)
-    /// plus promotion). A changed pattern changes the ghost list, which
-    /// every rank's halo plan depends on: the share is then left as it
-    /// was and `false` returned, for the caller to go through the
-    /// two-phase construction again.
+    /// or `_blocked`, whichever built it). A changed pattern changes the
+    /// ghost list, which every rank's halo plan depends on: the share is
+    /// then left as it was and `false` returned, for the caller to go
+    /// through the two-phase construction again.
     pub fn refresh_from_local_rows(&mut self, a_local: &CsrMatrix) -> bool {
         self.refresh_rows(OwnedRows {
             a: a_local,
@@ -556,18 +774,15 @@ impl RankMatrix {
         })
     }
 
-    /// Resident bytes of this rank's share: scalar diag/off CSR blocks plus
-    /// a promoted BSR3 copy of `diag` as it is stored (76 B per tile, see
-    /// [`Bsr3Matrix::memory_bytes`]; it keeps the scalar block alive — the
-    /// block-Jacobi smoother factors `diag` directly), the ghost-column map
-    /// and the overlap row classes. Feeds the
-    /// `mem/level{N}/operator_bytes` gauges of the sharded setup path.
+    /// Resident bytes of this rank's share as stored: `diag` (scalar CSR,
+    /// or the promoted tiles at 76 B per tile — see
+    /// [`Bsr3Matrix::memory_bytes`] — plus 2 B of mask per tile), the
+    /// scalar `off` block, the ghost-column map and the overlap row
+    /// classes. Feeds the `mem/level{N}/operator_bytes` gauges of the
+    /// sharded setup path.
     pub fn memory_bytes(&self) -> u64 {
         use pmg_sparse::Operator;
-        let mut bytes = self.diag.memory_bytes() + self.off.memory_bytes();
-        if let Some(b) = &self.diag_bsr {
-            bytes += b.memory_bytes();
-        }
+        let bytes = self.local_block().memory_bytes() + self.off.memory_bytes();
         let indices = self.ghosts.len() + self.interior.len() + self.boundary.len();
         bytes + 4 * indices as u64
     }
@@ -607,28 +822,9 @@ impl RankMatrix {
         Ok(())
     }
 
-    /// Promote this rank's `diag` to BSR3 storage when the layouts are
-    /// vertex-aligned (same structural test as [`DistMatrix::try_block3`],
-    /// evaluated on the replicated layouts — no communication) and count
-    /// the row classes in block rows. Both are derived from the scalar
-    /// blocks, so promoting again changes nothing. Returns whether
-    /// promotion happened (counted once per operator, by rank 0:
-    /// `spmv/bsr3_promoted`).
-    pub fn try_block3(&mut self) -> bool {
-        if !block3_eligible(&self.row_layout, &self.col_layout) {
-            return false;
-        }
-        if self.rank == 0 {
-            pmg_telemetry::counter_add("spmv/bsr3_promoted", 1);
-        }
-        self.diag_bsr = Some(Bsr3Matrix::from_csr(&self.diag));
-        (self.interior, self.boundary) = row_classes(&self.off, 3);
-        true
-    }
-
     /// Whether products run through the 3x3-blocked path.
     pub fn bsr3_routed(&self) -> bool {
-        self.diag_bsr.is_some()
+        matches!(self.diag, Diag::Tiles(..))
     }
 
     /// Row ownership layout (replicated).
@@ -641,15 +837,20 @@ impl RankMatrix {
         &self.col_layout
     }
 
-    /// The local (owned-rows × owned-columns) block — what the block-Jacobi
-    /// smoother factors.
-    pub fn local_block(&self) -> &CsrMatrix {
-        &self.diag
+    /// The local (owned-rows × owned-columns) block, read in place — what
+    /// the block-Jacobi smoother factors.
+    pub fn local_block(&self) -> LocalBlock<'_> {
+        let block = match &self.diag {
+            Diag::Csr(a, _) => BlockRef::Csr(a),
+            Diag::Tiles(t, p) => BlockRef::Tiles(t, *p),
+        };
+        LocalBlock { block }
     }
 
-    /// Stored nonzeros of this rank's share (diag + off).
+    /// Stored scalar nonzeros of this rank's share (diag + off) — the
+    /// source rows' count, not the tiles' nine per block.
     pub fn nnz_local(&self) -> usize {
-        self.diag.nnz() + self.off.nnz()
+        self.local_block().nnz() + self.off.nnz()
     }
 
     /// This rank's half of the halo plan.
@@ -676,28 +877,27 @@ impl RankMatrix {
         HaloExchange::start(t, tag, sends, recvs.collect())
     }
 
-    /// `y_local = diag · x_local`, through the blocked copy when there is
-    /// one.
+    /// `y_local = diag · x_local`, on the tiles once promoted.
     fn diag_spmv(&self, x_local: &[f64], y_local: &mut [f64]) {
-        match &self.diag_bsr {
-            Some(db) => db.spmv(x_local, y_local),
-            None => self.diag.spmv(x_local, y_local),
+        match &self.diag {
+            Diag::Csr(a, _) => a.spmv(x_local, y_local),
+            Diag::Tiles(t, _) => t.tiles().spmv(x_local, y_local),
         }
     }
 
     /// [`diag_spmv`](Self::diag_spmv) of one row class only (other entries
     /// of `y_local` untouched); returns the scalar rows it computed.
     fn diag_spmv_rows(&self, x_local: &[f64], y_local: &mut [f64], rows: &[u32]) -> u64 {
-        match &self.diag_bsr {
-            Some(db) => db.spmv_block_rows(x_local, y_local, rows),
-            None => self.diag.spmv_rows(x_local, y_local, rows),
+        match &self.diag {
+            Diag::Csr(a, _) => a.spmv_rows(x_local, y_local, rows),
+            Diag::Tiles(t, _) => t.tiles().spmv_block_rows(x_local, y_local, rows),
         }
         (self.class_width() * rows.len()) as u64
     }
 
     /// Scalar rows per row-class entry: 3 once promoted, else 1.
     fn class_width(&self) -> usize {
-        if self.diag_bsr.is_some() {
+        if self.bsr3_routed() {
             3
         } else {
             1
@@ -742,8 +942,9 @@ impl RankMatrix {
         x_local: &[f64],
         y_local: &mut [f64],
     ) -> Result<(), CommError> {
-        assert_eq!(x_local.len(), self.diag.ncols(), "x_local length");
-        assert_eq!(y_local.len(), self.diag.nrows(), "y_local length");
+        let local = self.local_block();
+        assert_eq!(x_local.len(), local.ncols(), "x_local length");
+        assert_eq!(y_local.len(), local.nrows(), "y_local length");
 
         // Sends first (buffered), then blocking receives: the classic
         // deadlock-free exchange order for eager transports.
@@ -773,8 +974,9 @@ impl RankMatrix {
         x_local: &[f64],
         y_local: &mut [f64],
     ) -> Result<OverlapInfo, CommError> {
-        assert_eq!(x_local.len(), self.diag.ncols(), "x_local length");
-        assert_eq!(y_local.len(), self.diag.nrows(), "y_local length");
+        let local = self.local_block();
+        assert_eq!(x_local.len(), local.ncols(), "x_local length");
+        assert_eq!(y_local.len(), local.nrows(), "y_local length");
 
         let hx = self.start_exchange(t, tag, x_local)?;
         let window = Instant::now();
@@ -1014,29 +1216,30 @@ mod tests {
         let a = block_laplacian(nb);
         let owner: Vec<u32> = (0..3 * nb).map(|i| (i % 2) as u32).collect();
         let l = Layout::from_part(owner, 2);
-        let mut m = DistMatrix::from_global(&a, l.clone(), l.clone());
-        assert!(!m.try_block3());
+        let m = DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
         assert!(!m.bsr3_routed());
+        assert_eq!(m.to_global(), a);
         // Dimensions not a multiple of 3.
         let a17 = laplacian(17);
         let l17 = Layout::block(17, 2);
-        let mut m17 = DistMatrix::from_global(&a17, l17.clone(), l17);
-        assert!(!m17.try_block3());
+        let m17 = DistMatrix::from_global_blocked(&a17, l17.clone(), l17);
+        assert!(!m17.bsr3_routed());
     }
 
-    /// Every rank's share built on its own from its owned rows of `a`, the
-    /// ghost lists then exchanged (here: collected in a plain Vec, standing
-    /// in for the allgather) and the shares promoted.
+    /// Every rank's promoted share built on its own from its owned rows of
+    /// `a`, the ghost lists then exchanged (here: collected in a plain Vec,
+    /// standing in for the allgather).
     fn local_shares(a: &CsrMatrix, l: &Arc<Layout>) -> Vec<RankMatrix> {
         let mut shares: Vec<RankMatrix> = (0..l.num_ranks())
             .map(|r| {
-                RankMatrix::from_local_rows(&a.extract_rows(l.owned(r)), l.clone(), l.clone(), r)
+                let rows = a.extract_rows(l.owned(r));
+                RankMatrix::from_local_rows_blocked(&rows, l.clone(), l.clone(), r)
             })
             .collect();
         let ghost_lists: Vec<Vec<u32>> = shares.iter().map(|s| s.ghosts().to_vec()).collect();
         for s in &mut shares {
             s.install_plan(&ghost_lists).unwrap();
-            assert!(s.try_block3());
+            assert!(s.bsr3_routed());
         }
         shares
     }
@@ -1063,11 +1266,67 @@ mod tests {
         for (r, s) in local_shares(&a, &l).iter().enumerate() {
             assert_eq!(format!("{s:?}"), format!("{:?}", dist.share(r)), "rank {r}");
             assert!(s.memory_bytes() > 0, "rank {r} resident accounting");
-            // Promoting again changes nothing: the row classes stay in
-            // block rows.
-            let mut again = s.clone();
-            assert!(again.try_block3());
-            assert_eq!(format!("{again:?}"), format!("{s:?}"), "rank {r}");
+        }
+    }
+
+    #[test]
+    fn a_promoted_share_holds_tiles_masks_off_and_index_lists_only() {
+        // Three vertices per rank: partial tiles inside `diag`, ghosts too.
+        let l = Layout::from_part((0..27).map(|d| d / 9).collect(), 3);
+        let a = partial_block_matrix(9, 9, 0);
+        let dist = DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
+        for r in 0..3 {
+            let s = dist.share(r);
+            let Diag::Tiles(t, _) = &s.diag else {
+                panic!("rank {r} not promoted")
+            };
+            let tiles = t.tiles().memory_bytes();
+            let masks = 2 * t.tiles().num_blocks() as u64;
+            let off = 16 * s.off.nnz() as u64 + 8 * (s.off.nrows() + 1) as u64;
+            let lists = 4 * (s.ghosts.len() + s.interior.len() + s.boundary.len()) as u64;
+            assert_eq!(s.memory_bytes(), tiles + masks + off + lists, "rank {r}");
+            assert_eq!(s.local_block().memory_bytes(), tiles + masks, "rank {r}");
+            // Stored scalar entries, not the tiles' nine per block.
+            assert_eq!(s.nnz_local(), a.extract_rows(l.owned(r)).nnz(), "rank {r}");
+            assert!(
+                9 * t.tiles().num_blocks() > t.nnz(),
+                "rank {r}: no partial tile"
+            );
+            assert!(!s.ghosts.is_empty(), "rank {r}: no ghost");
+        }
+    }
+
+    #[test]
+    fn to_global_gives_back_a_promoted_constrained_operator_exactly() {
+        // Partial tiles (single-column couplings, as Dirichlet column
+        // elimination leaves them) and stored zeros of both signs, on four
+        // ranks with ghost columns and on one rank.
+        let a = partial_block_matrix(9, 9, 2);
+        assert!(a.vals().iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
+        assert!(a.vals().iter().any(|v| v.to_bits() == 0));
+        for l in [scattered_layout(9), Layout::serial(27)] {
+            let dist = DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
+            assert!(dist.bsr3_routed());
+            assert_eq!(format!("{:?}", dist.to_global()), format!("{a:?}"));
+            for r in 0..l.num_ranks() {
+                let want = a.extract_rows(l.owned(r));
+                let got = dist.local_block(r);
+                assert_eq!(got.nnz() + dist.share(r).off.nnz(), want.nnz());
+                let diag: Vec<u64> = got.diag().iter().map(|v| v.to_bits()).collect();
+                let scalar = DistMatrix::from_global(&a, l.clone(), l.clone());
+                let want_diag: Vec<u64> = scalar
+                    .local_block(r)
+                    .diag()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(diag, want_diag, "rank {r}");
+                assert_eq!(
+                    format!("{:?}", got.to_csr()),
+                    format!("{:?}", scalar.local_block(r).to_csr()),
+                    "rank {r}"
+                );
+            }
         }
     }
 
@@ -1185,7 +1444,8 @@ mod tests {
                 if fine.num_ranks() > 1 {
                     assert!(m.ranks.iter().any(partial), "no partial ghost block");
                 } else {
-                    assert_eq!(m.ranks[0].diag, a1, "a one-rank share is its input");
+                    let diag = format!("{:?}", m.local_block(0).to_csr());
+                    assert_eq!(diag, format!("{a1:?}"), "a one-rank share is its input");
                 }
 
                 assert!(m.refresh_from_global(&a2), "same pattern");
@@ -1209,6 +1469,27 @@ mod tests {
                 assert_eq!(m.bsr3_routed(), blocked);
                 assert!(m.refresh_from_global(&a3), "and refreshed from there on");
             }
+        }
+    }
+
+    #[test]
+    fn a_promoted_share_rejects_an_entry_moved_inside_its_tile() {
+        // Same stored count, same tiles, one scalar entry moved within its
+        // tile: only the share's pattern fingerprint tells, and the share
+        // is rebuilt, in tiles again.
+        let a = partial_block_matrix(9, 9, 0);
+        let mut b = CooBuilder::new(27, 27);
+        a.iter()
+            .for_each(|(i, j, v)| b.push(i, if (i, j) == (0, 4) { 3 } else { j }, v));
+        let moved = b.build();
+        assert_eq!(moved.nnz(), a.nnz());
+        for l in [scattered_layout(9), Layout::serial(27)] {
+            let mut m = DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
+            assert!(!m.refresh_from_global(&moved), "moved entry");
+            let cold = DistMatrix::from_global_blocked(&moved, l.clone(), l.clone());
+            assert_eq!(fields(&m), fields(&cold));
+            assert!(m.bsr3_routed());
+            assert_eq!(format!("{:?}", m.to_global()), format!("{moved:?}"));
         }
     }
 

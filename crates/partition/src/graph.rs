@@ -41,47 +41,65 @@ impl Graph {
     /// `col_idx` with sorted, unique columns per row): vertices `i != j` are
     /// adjacent when `(i, j)` or `(j, i)` is stored. Equal to
     /// [`from_edges`](Self::from_edges) over the stored off-diagonal
-    /// entries, but built by counting — transpose the pattern, then merge
-    /// each row with its transpose — so it is linear in the entry count.
+    /// entries; see [`from_rows`](Self::from_rows).
     pub fn from_pattern(row_ptr: &[usize], col_idx: &[usize]) -> Graph {
-        let n = row_ptr.len() - 1;
+        Graph::from_rows(row_ptr.len() - 1, |i| {
+            col_idx[row_ptr[i]..row_ptr[i + 1]].iter().copied()
+        })
+    }
+
+    /// [`from_pattern`](Self::from_pattern) of the `n` rows `row(i)` yields
+    /// (sorted, unique columns), read where they are stored — each row is
+    /// read three times and nothing of the pattern is copied. Built by
+    /// counting — transpose the pattern, then merge each row with its
+    /// transpose — so it is linear in the entry count.
+    pub fn from_rows<I>(n: usize, row: impl Fn(usize) -> I) -> Graph
+    where
+        I: Iterator<Item = usize>,
+    {
         assert!(n <= u32::MAX as usize, "vertex ids are u32");
-        assert!(col_idx.iter().all(|&j| j < n), "pattern is not square");
-        let row = |i: usize| &col_idx[row_ptr[i]..row_ptr[i + 1]];
         // Transposed pattern; filling by ascending row keeps it sorted.
         let mut t_ptr = vec![0usize; n + 1];
-        for &j in col_idx {
-            t_ptr[j + 1] += 1;
+        for i in 0..n {
+            row(i).for_each(|j| {
+                assert!(j < n, "pattern is not square");
+                t_ptr[j + 1] += 1;
+            });
         }
         for j in 0..n {
             t_ptr[j + 1] += t_ptr[j];
         }
-        let mut t_idx = vec![0u32; col_idx.len()];
+        let mut t_idx = vec![0u32; t_ptr[n]];
         let mut next = t_ptr.clone();
         for i in 0..n {
-            for &j in row(i) {
+            row(i).for_each(|j| {
                 t_idx[next[j]] = i as u32;
                 next[j] += 1;
-            }
+            });
         }
         let mut xadj = Vec::with_capacity(n + 1);
         xadj.push(0);
-        let mut adjncy = Vec::with_capacity(col_idx.len());
+        let mut adjncy = Vec::with_capacity(t_idx.len());
         for i in 0..n {
             // Sorted-unique union of the row and its transpose, minus the
-            // diagonal. Ids are below `u32::MAX`, which marks a spent list.
-            let (a, b) = (row(i), &t_idx[t_ptr[i]..t_ptr[i + 1]]);
-            let (mut p, mut q) = (0, 0);
-            while p < a.len() || q < b.len() {
-                let x = a.get(p).map_or(u32::MAX, |&j| j as u32);
-                let y = b.get(q).copied().unwrap_or(u32::MAX);
-                let j = x.min(y);
-                p += usize::from(x == j);
-                q += usize::from(y == j);
+            // diagonal: the transpose's entries below each row entry go
+            // first, an entry both hold goes once.
+            let (b, mut q) = (&t_idx[t_ptr[i]..t_ptr[i + 1]], 0);
+            let mut push = |j: u32| {
                 if j as usize != i {
                     adjncy.push(j);
                 }
-            }
+            };
+            row(i).for_each(|j| {
+                let j = j as u32;
+                while q < b.len() && b[q] < j {
+                    push(b[q]);
+                    q += 1;
+                }
+                q += usize::from(q < b.len() && b[q] == j);
+                push(j);
+            });
+            b[q..].iter().for_each(|&j| push(j));
             xadj.push(adjncy.len());
         }
         Graph { xadj, adjncy }

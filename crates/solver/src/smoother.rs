@@ -19,21 +19,12 @@
 //! bits of the dense factor (see [`Cholesky`]).
 
 use crate::precond::Precond;
-use pmg_parallel::{DistMatrix, DistVec, Sim, SimOperator};
+use pmg_parallel::{DistMatrix, DistVec, LocalBlock, Sim, SimOperator};
 use pmg_partition::{partition_graph, Graph};
 use pmg_sparse::dense::{Cholesky, DenseMatrix, Lu};
-use pmg_sparse::{CsrMatrix, PatternFingerprint};
+use pmg_sparse::PatternFingerprint;
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex};
-
-/// Row `g` of `local` up to its diagonal. A block lists its dofs in
-/// ascending order and CSR columns are sorted, so of the row's entries in
-/// `g`'s block these are exactly those at or left of `g`'s slot.
-fn lower_row(local: &CsrMatrix, g: u32) -> (&[usize], &[f64]) {
-    let (cols, vals) = local.row(g as usize);
-    let cut = cols.partition_point(|&j| j <= g as usize);
-    (&cols[..cut], &vals[..cut])
-}
 
 enum BlockFactor {
     Chol(Cholesky),
@@ -44,14 +35,14 @@ enum BlockFactor {
 
 impl BlockFactor {
     /// Factor block `b` of `plan` out of `local`, where the factor lives:
-    /// the block's CSR rows are scattered straight into the envelope a
+    /// the block's rows are scattered straight into the envelope a
     /// Cholesky slot already owns — the lower triangle, row `l`'s entries
     /// with slot `<= l`, which is all Cholesky ever read, so round-off
     /// asymmetry in a Galerkin operator cannot reach the factor — and
     /// factored in place. Only a block that is not SPD is extracted densely,
     /// for pivoted LU (it lost definiteness) or, if singular too, the
     /// inverse diagonal; the next refactor gives it an envelope again.
-    fn refactor(&mut self, plan: &RankJacobi, local: &CsrMatrix, b: usize) {
+    fn refactor(&mut self, plan: &RankJacobi, local: LocalBlock<'_>, b: usize) {
         if !matches!(self, BlockFactor::Chol(_)) {
             *self = BlockFactor::Chol(Cholesky::with_profile(&plan.profile(local, b)));
         }
@@ -60,14 +51,17 @@ impl BlockFactor {
         };
         let blk = &plan.blocks[b];
         let spd = chol.factor_in_place(|u| {
+            // Row `g` up to its diagonal: a block lists its dofs in
+            // ascending order and a row's columns ascend, so of the row's
+            // entries in `g`'s block these are exactly those at or left of
+            // `g`'s slot.
             for (l, &g) in blk.iter().enumerate() {
-                let (cols, vals) = lower_row(local, g);
-                for (&j, &v) in cols.iter().zip(vals) {
+                local.for_each_lower(g as usize, |j, v| {
                     let (block, slot) = plan.home[j];
                     if block as usize == b {
                         u.set(l, slot as usize, v);
                     }
-                }
+                });
             }
         });
         if !spd {
@@ -146,13 +140,14 @@ impl RankJacobi {
     /// Partition this rank's local (owned × owned) operator block into
     /// METIS-style sub-domains at the paper's `blocks_per_1000` density
     /// and factor each inside its envelope; sweeps are damped by `omega`.
-    pub fn new(local: &CsrMatrix, blocks_per_1000: f64, omega: f64) -> RankJacobi {
+    /// The block is read in place, in the form its share stores it.
+    pub fn new(local: LocalBlock<'_>, blocks_per_1000: f64, omega: f64) -> RankJacobi {
         pmg_telemetry::counter_add("smoother/plan_build", 1);
         let n = local.nrows();
         let mut blocks = Vec::new();
         if n > 0 {
             let nblocks = ((blocks_per_1000 * n as f64 / 1000.0).round() as usize).clamp(1, n);
-            let g = Graph::from_pattern(local.row_ptr(), local.col_idx());
+            let g = Graph::from_rows(n, |i| local.row(i).map(|(j, _)| j));
             let part = partition_graph(&g, nblocks);
             blocks = vec![Vec::new(); nblocks];
             for (v, &p) in part.iter().enumerate() {
@@ -167,7 +162,7 @@ impl RankJacobi {
             }
         }
         let mut rj = RankJacobi {
-            pattern: PatternFingerprint::of(local),
+            pattern: local.pattern(),
             blocks_per_1000,
             omega,
             buf: Mutex::new(vec![0.0; blocks.iter().map(Vec::len).max().unwrap_or(0)]),
@@ -187,14 +182,17 @@ impl RankJacobi {
     /// in the block at or left of the diagonal (the diagonal itself if
     /// none) — the entries the numeric half scatters, one pass over the
     /// lower half of the block's rows.
-    fn profile(&self, local: &CsrMatrix, b: usize) -> Vec<usize> {
+    fn profile(&self, local: LocalBlock<'_>, b: usize) -> Vec<usize> {
         (self.blocks[b].iter().enumerate())
             .map(|(l, &g)| {
-                let (cols, _) = lower_row(local, g);
-                cols.iter()
-                    .map(|&j| self.home[j])
-                    .filter(|&(block, _)| block as usize == b)
-                    .fold(l, |f, (_, slot)| f.min(slot as usize))
+                let mut first = l;
+                local.for_each_lower(g as usize, |j, _| {
+                    let (block, slot) = self.home[j];
+                    if block as usize == b {
+                        first = first.min(slot as usize);
+                    }
+                });
+                first
             })
             .collect()
     }
@@ -203,11 +201,10 @@ impl RankJacobi {
     /// pattern is the one the blocks were planned for (the values may have
     /// changed freely), a transparent rebuild otherwise. Either way the
     /// result is bitwise what [`RankJacobi::new`] gives on `local`. The
-    /// check reads the fingerprint `local` carries: a share's `diag` keeps
-    /// its pattern, and so its fingerprint, for the share's lifetime, so
-    /// checking it on every Newton update hashes nothing.
-    pub fn refactor(&mut self, local: &CsrMatrix) {
-        if self.pattern.matches(local) {
+    /// check compares [`LocalBlock::pattern`], which a share keeps for its
+    /// lifetime, so checking it on every Newton update hashes nothing.
+    pub fn refactor(&mut self, local: LocalBlock<'_>) {
+        if self.pattern == local.pattern() {
             pmg_telemetry::counter_add("smoother/plan_reuse", 1);
             self.factor(local);
         } else {
@@ -218,7 +215,7 @@ impl RankJacobi {
     /// The numeric half: factor every block in the storage its factor
     /// already owns (independent, so in parallel, each into its own slot;
     /// nothing is allocated while every block stays SPD).
-    fn factor(&mut self, local: &CsrMatrix) {
+    fn factor(&mut self, local: LocalBlock<'_>) {
         let mut factors = std::mem::take(&mut self.factors);
         factors
             .par_iter_mut()
@@ -240,16 +237,15 @@ impl RankJacobi {
     }
 
     /// Dense principal submatrix of `local` on block `b` (what a block that
-    /// is not SPD falls back on): each of the block's CSR rows is scattered
+    /// is not SPD falls back on): each of the block's rows is scattered
     /// through the plan's dof → (block, slot) maps; entries whose column
     /// lies in another block are dropped.
-    fn extract(&self, local: &CsrMatrix, b: usize) -> DenseMatrix {
+    fn extract(&self, local: LocalBlock<'_>, b: usize) -> DenseMatrix {
         let blk = &self.blocks[b];
         let mut sub = DenseMatrix::zeros(blk.len(), blk.len());
         for (l, &g) in blk.iter().enumerate() {
-            let (cols, vals) = local.row(g as usize);
             let row = sub.row_mut(l);
-            for (&j, &v) in cols.iter().zip(vals) {
+            for (j, v) in local.row(g as usize) {
                 let (block, slot) = self.home[j];
                 if block as usize == b {
                     row[slot as usize] = v;
@@ -441,7 +437,7 @@ impl Precond for BlockJacobi {
 mod tests {
     use super::*;
     use pmg_parallel::{Layout, MachineModel};
-    use pmg_sparse::CooBuilder;
+    use pmg_sparse::{CooBuilder, CsrMatrix};
 
     fn laplacian(n: usize) -> CsrMatrix {
         let mut b = CooBuilder::new(n, n);
@@ -559,14 +555,14 @@ mod tests {
     #[test]
     fn extracted_blocks_are_the_principal_submatrices() {
         let a = grid_laplacian(9, 0.25);
-        let rb = RankJacobi::new(&a, 50.0, 1.0); // 81 dofs -> 4 blocks
+        let rb = RankJacobi::new((&a).into(), 50.0, 1.0); // 81 dofs -> 4 blocks
         assert_eq!(rb.blocks.len(), 4);
         let mut covered = 0;
         for (b, blk) in rb.blocks.iter().enumerate() {
             let want = DenseMatrix::from_fn(blk.len(), blk.len(), |i, j| {
                 a.get(blk[i] as usize, blk[j] as usize)
             });
-            assert_eq!(rb.extract(&a, b), want, "block {b}");
+            assert_eq!(rb.extract((&a).into(), b), want, "block {b}");
             covered += blk.len();
         }
         assert_eq!(covered, 81);
@@ -597,11 +593,11 @@ mod tests {
             rj.solve_from_zero(&r, &mut z);
             z.iter().map(|v| v.to_bits()).collect()
         };
-        let mut rj = RankJacobi::new(&a, 60.0, 0.7);
-        rj.refactor(&a2);
+        let mut rj = RankJacobi::new((&a).into(), 60.0, 0.7);
+        rj.refactor((&a2).into());
         assert_eq!(
             share_bits(&rj),
-            share_bits(&RankJacobi::new(&a2, 60.0, 0.7))
+            share_bits(&RankJacobi::new((&a2).into(), 60.0, 0.7))
         );
 
         // Pattern changes (a different grid numbering of the same size):
@@ -653,7 +649,7 @@ mod tests {
         b.push(0, 1, 2.0);
         b.push(1, 0, 2.0);
         b.push(1, 1, 1.0);
-        let rb = RankJacobi::new(&b.build(), 1.0, 1.0);
+        let rb = RankJacobi::new((&b.build()).into(), 1.0, 1.0);
         assert!(matches!(rb.factors[0], BlockFactor::Lu(_)));
         let mut z = [0.0f64; 2];
         rb.solve_add(&[5.0, 4.0], &mut z);
@@ -664,7 +660,7 @@ mod tests {
         for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
             b.push(i, j, 4.0);
         }
-        let rb = RankJacobi::new(&b.build(), 1.0, 0.5);
+        let rb = RankJacobi::new((&b.build()).into(), 1.0, 0.5);
         assert!(matches!(rb.factors[0], BlockFactor::Diag(_)));
         let mut z = [0.0; 2];
         rb.solve_add(&[8.0, 4.0], &mut z);

@@ -75,104 +75,14 @@ pub struct Bsr3Matrix {
 impl Bsr3Matrix {
     /// Convert a scalar CSR operator whose dimensions are multiples of 3.
     /// Any scalar entry inside a touched block materializes the full block
-    /// (absent entries are zero).
+    /// (absent entries are zero): the tiles of
+    /// [`MaskedBsr3::from_csr`], without the masks.
     ///
     /// # Panics
     /// If a dimension is not a multiple of 3, or `ncols / 3` exceeds
     /// `u32::MAX` (block columns are stored as `u32`).
     pub fn from_csr(a: &CsrMatrix) -> Bsr3Matrix {
-        assert_eq!(a.nrows() % 3, 0, "rows not a multiple of 3");
-        assert_eq!(a.ncols() % 3, 0, "cols not a multiple of 3");
-        let nbr = a.nrows() / 3;
-        let nbc = a.ncols() / 3;
-        assert!(
-            nbc <= u32::MAX as usize,
-            "{nbc} block columns do not fit the u32 block-column index"
-        );
-        let mut row_ptr = Vec::with_capacity(nbr + 1);
-        row_ptr.push(0usize);
-        let mut col_idx: Vec<u32> = Vec::new();
-
-        // The pattern first, so the values are allocated once at their
-        // final size: each block row's block columns, ascending (the
-        // product's accumulation order).
-        let mut seen = vec![false; nbc];
-        for br in 0..nbr {
-            let base = col_idx.len();
-            for local in 0..3 {
-                for &j in a.row(3 * br + local).0 {
-                    let bc = j / 3;
-                    if !seen[bc] {
-                        seen[bc] = true;
-                        col_idx.push(bc as u32);
-                    }
-                }
-            }
-            col_idx[base..].sort_unstable();
-            for &bc in &col_idx[base..] {
-                seen[bc as usize] = false;
-            }
-            row_ptr.push(col_idx.len());
-        }
-        let mut m = Bsr3Matrix {
-            nblock_rows: nbr,
-            nblock_cols: nbc,
-            row_ptr,
-            vals: vec![0.0; 9 * col_idx.len() + TAIL],
-            col_idx,
-        };
-        m.refresh_from_csr(a);
-        m
-    }
-
-    /// Overwrite the stored values with those of `a`, which must have the
-    /// sparsity pattern this matrix was built from, allocating nothing. A
-    /// scalar row with exactly three entries per stored block of its block
-    /// row — every row of a fully coupled vertex — fills the tiles in
-    /// order, three values each; any other row takes one ordered walk with
-    /// a cursor over the block row's ascending blocks. The explicit zeros
-    /// inside blocks stay zero.
-    ///
-    /// # Panics
-    /// If an entry of `a` falls in a block this matrix does not store (on
-    /// the full-row path: if a triple's first or last column is not its
-    /// tile's). An entry *missing* from `a` is not detected (its old value
-    /// stays), so callers compare pattern fingerprints first.
-    pub fn refresh_from_csr(&mut self, a: &CsrMatrix) {
-        assert_eq!(a.nrows(), self.nrows(), "pattern changed: rows");
-        for br in 0..self.nblock_rows {
-            let blocks = self.row_ptr[br]..self.row_ptr[br + 1];
-            for local in 0..3 {
-                let i = 3 * br + local;
-                let (cols, vals) = a.row(i);
-                if cols.len() == 3 * blocks.len() {
-                    let triples = cols.chunks_exact(3).zip(vals.chunks_exact(3));
-                    for (k, (c, v)) in blocks.clone().zip(triples) {
-                        let first = 3 * self.col_idx[k] as usize;
-                        assert!(
-                            c[0] == first && c[2] == first + 2,
-                            "pattern changed: row {i} is not whole tiles"
-                        );
-                        let tile = &mut self.vals[9 * k..9 * k + 9];
-                        tile[local] = v[0];
-                        tile[3 + local] = v[1];
-                        tile[6 + local] = v[2];
-                    }
-                    continue;
-                }
-                let mut k = blocks.start;
-                for (&j, &v) in cols.iter().zip(vals) {
-                    while k < blocks.end && (self.col_idx[k] as usize) < j / 3 {
-                        k += 1;
-                    }
-                    assert!(
-                        k < blocks.end && self.col_idx[k] as usize == j / 3,
-                        "pattern changed: no block for entry ({i}, {j})"
-                    );
-                    self.vals[9 * k + 3 * (j % 3) + local] = v;
-                }
-            }
-        }
+        MaskedBsr3::from_csr(a).tiles
     }
 
     /// Scalar rows (3 per block row).
@@ -421,6 +331,313 @@ impl Bsr3Matrix {
     }
 }
 
+/// A scalar matrix stored once, in 3x3 tiles: the [`Bsr3Matrix`] its
+/// products run on and, per tile, the 9-bit mask of the scalar entries the
+/// source stores (bit `3c + r` for entry `(r, c)`, the tile's value slot).
+/// The masks keep the scalar rows exact where the tiles alone cannot: a
+/// tile of a Dirichlet-trimmed row materializes zeros its source lacks,
+/// and a source may store a zero of either sign. Read through them, every
+/// scalar row is the source's — columns, order and value bits
+/// ([`row`](Self::row), [`to_csr`](Self::to_csr)) — at 2 B per tile on top
+/// of the tiles' 76.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MaskedBsr3 {
+    tiles: Bsr3Matrix,
+    mask: Vec<u16>,
+    /// Stored scalar entries: the masks' bits.
+    nnz: usize,
+}
+
+/// Of a tile's mask, the columns scalar row `r` stores: bit `c` set when
+/// entry `(r, c)` is.
+fn row_bits(mask: u16, r: usize) -> u32 {
+    let m = u32::from(mask) >> r;
+    (m & 1) | ((m >> 2) & 2) | ((m >> 4) & 4)
+}
+
+impl MaskedBsr3 {
+    /// Tile `nrows × ncols` scalar rows, row `i` being `row(i)`: its
+    /// `(column, value)` entries in ascending column order. Each row is
+    /// read twice — the block pattern first, so the tiles are allocated
+    /// once at their final size (block columns ascending, the product's
+    /// accumulation order), then the values and masks.
+    ///
+    /// # Panics
+    /// If a dimension is not a multiple of 3, `ncols / 3` exceeds
+    /// `u32::MAX` (block columns are stored as `u32`), or a row's columns
+    /// do not ascend.
+    pub fn from_rows<I>(nrows: usize, ncols: usize, row: impl Fn(usize) -> I) -> MaskedBsr3
+    where
+        I: Iterator<Item = (usize, f64)>,
+    {
+        assert_eq!(nrows % 3, 0, "rows not a multiple of 3");
+        assert_eq!(ncols % 3, 0, "cols not a multiple of 3");
+        let (nbr, nbc) = (nrows / 3, ncols / 3);
+        assert!(
+            nbc <= u32::MAX as usize,
+            "{nbc} block columns do not fit the u32 block-column index"
+        );
+        let mut row_ptr = Vec::with_capacity(nbr + 1);
+        row_ptr.push(0usize);
+        let mut col_idx: Vec<u32> = Vec::new();
+        let mut seen = vec![false; nbc];
+        for br in 0..nbr {
+            let base = col_idx.len();
+            for i in 3 * br..3 * br + 3 {
+                for (j, _) in row(i) {
+                    let bc = j / 3;
+                    if !seen[bc] {
+                        seen[bc] = true;
+                        col_idx.push(bc as u32);
+                    }
+                }
+            }
+            col_idx[base..].sort_unstable();
+            for &bc in &col_idx[base..] {
+                seen[bc as usize] = false;
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let mut tiles = Bsr3Matrix {
+            nblock_rows: nbr,
+            nblock_cols: nbc,
+            row_ptr,
+            vals: vec![0.0; 9 * col_idx.len() + TAIL],
+            col_idx,
+        };
+        let mut mask = vec![0u16; tiles.col_idx.len()];
+        let mut nnz = 0;
+        for br in 0..nbr {
+            let blocks = tiles.row_ptr[br]..tiles.row_ptr[br + 1];
+            for r in 0..3 {
+                // The row's blocks are among its block row's, both
+                // ascending: one cursor finds each entry's tile.
+                let (mut k, mut last) = (blocks.start, None);
+                for (j, v) in row(3 * br + r) {
+                    assert!(last < Some(j), "row {} not ascending", 3 * br + r);
+                    last = Some(j);
+                    while (tiles.col_idx[k] as usize) < j / 3 {
+                        k += 1;
+                    }
+                    let slot = 3 * (j % 3) + r;
+                    tiles.vals[9 * k + slot] = v;
+                    mask[k] |= 1 << slot;
+                    nnz += 1;
+                }
+            }
+        }
+        MaskedBsr3 { tiles, mask, nnz }
+    }
+
+    /// Tile the rows of a scalar CSR matrix (see [`from_rows`](Self::from_rows)).
+    pub fn from_csr(a: &CsrMatrix) -> MaskedBsr3 {
+        MaskedBsr3::from_rows(a.nrows(), a.ncols(), |i| {
+            let (cols, vals) = a.row(i);
+            cols.iter().copied().zip(vals.iter().copied())
+        })
+    }
+
+    /// The tiles every product runs on.
+    pub fn tiles(&self) -> &Bsr3Matrix {
+        &self.tiles
+    }
+
+    /// Scalar rows.
+    pub fn nrows(&self) -> usize {
+        self.tiles.nrows()
+    }
+
+    /// Scalar columns.
+    pub fn ncols(&self) -> usize {
+        self.tiles.ncols()
+    }
+
+    /// Stored scalar entries — the source's count, not the tiles' `9 ×`.
+    pub fn nnz(&self) -> usize {
+        self.nnz
+    }
+
+    /// Resident bytes: the tiles as stored ([`Bsr3Matrix::memory_bytes`])
+    /// and 2 per tile for the masks.
+    pub fn memory_bytes(&self) -> u64 {
+        self.tiles.memory_bytes() + std::mem::size_of_val(&self.mask[..]) as u64
+    }
+
+    /// Scalar row `i` as its source stored it: `(column, value)` in
+    /// ascending column order, the tiles' values where the masks have bits.
+    pub fn row(&self, i: usize) -> MaskedRow<'_> {
+        let (br, r) = (i / 3, i % 3);
+        let tiles = self.tiles.row_ptr[br]..self.tiles.row_ptr[br + 1];
+        MaskedRow {
+            cols: &self.tiles.col_idx[tiles.clone()],
+            masks: &self.mask[tiles.clone()],
+            vals: &self.tiles.vals[9 * tiles.start..9 * tiles.end],
+            r,
+            next: 0,
+            col: 0,
+            val: 0,
+            bits: 0,
+        }
+    }
+
+    /// `f(column, value)` for scalar row `i`'s stored entries at or left
+    /// of column `i`, in ascending column order: [`row`](Self::row) up to
+    /// the diagonal, with no comparison per entry — the tiles left of the
+    /// diagonal tile whole, the diagonal tile's columns up to the row's.
+    #[inline]
+    pub fn for_each_lower(&self, i: usize, mut f: impl FnMut(usize, f64)) {
+        let (br, r) = (i / 3, i % 3);
+        let t = &self.tiles;
+        for k in t.row_ptr[br]..t.row_ptr[br + 1] {
+            let bc = t.col_idx[k] as usize;
+            let mut bits = row_bits(self.mask[k], r);
+            if bc >= br {
+                if bc > br {
+                    break;
+                }
+                bits &= (2 << r) - 1;
+            }
+            let tile = &t.vals[9 * k + r..];
+            if bits == 0b111 {
+                // A whole tile row, the common case: no bit to walk.
+                f(3 * bc, tile[0]);
+                f(3 * bc + 1, tile[3]);
+                f(3 * bc + 2, tile[6]);
+                continue;
+            }
+            while bits != 0 {
+                let c = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                f(3 * bc + c, tile[3 * c]);
+            }
+        }
+    }
+
+    /// Overwrite scalar row `i`'s stored values, in column order, with the
+    /// first values `vals` yields — the numeric refresh from a source of
+    /// the pattern this was tiled from (the caller compares pattern
+    /// fingerprints first: no column is checked here). Returns how many
+    /// were taken: the row's stored count, unless `vals` ran out first;
+    /// values beyond it are left unread.
+    pub fn set_row(&mut self, i: usize, vals: impl IntoIterator<Item = f64>) -> usize {
+        let (br, r) = (i / 3, i % 3);
+        let mut vals = vals.into_iter();
+        let mut n = 0;
+        for k in self.tiles.row_ptr[br]..self.tiles.row_ptr[br + 1] {
+            let mut bits = row_bits(self.mask[k], r);
+            while bits != 0 {
+                let c = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let Some(v) = vals.next() else {
+                    return n;
+                };
+                self.tiles.vals[9 * k + 3 * c + r] = v;
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// The main diagonal (missing entries are `0.0`): a tile slot the mask
+    /// lacks holds `+0.0`, so the diagonal tiles alone give the source's.
+    pub fn diag(&self) -> Vec<f64> {
+        let t = &self.tiles;
+        let nb = t.nblock_rows.min(t.nblock_cols);
+        let mut d = vec![0.0; 3 * nb];
+        for br in 0..nb {
+            let cols = &t.col_idx[t.row_ptr[br]..t.row_ptr[br + 1]];
+            if let Ok(p) = cols.binary_search(&(br as u32)) {
+                let tile = t.tile(t.row_ptr[br] + p);
+                for r in 0..3 {
+                    d[3 * br + r] = tile[4 * r];
+                }
+            }
+        }
+        d
+    }
+
+    /// The source as scalar CSR, exactly: every stored entry and no other,
+    /// signed zeros included.
+    pub fn to_csr(&self) -> CsrMatrix {
+        let mut row_ptr = Vec::with_capacity(self.nrows() + 1);
+        row_ptr.push(0);
+        let (mut cols, mut vals) = (Vec::with_capacity(self.nnz), Vec::with_capacity(self.nnz));
+        for i in 0..self.nrows() {
+            for (j, v) in self.row(i) {
+                cols.push(j);
+                vals.push(v);
+            }
+            row_ptr.push(cols.len());
+        }
+        CsrMatrix::from_parts(self.nrows(), self.ncols(), row_ptr, cols, vals)
+    }
+}
+
+/// One scalar row of a [`MaskedBsr3`]: see [`MaskedBsr3::row`].
+#[derive(Clone, Debug)]
+pub struct MaskedRow<'a> {
+    /// The block row's tiles: block columns, masks and values.
+    cols: &'a [u32],
+    masks: &'a [u16],
+    vals: &'a [f64],
+    /// The row within its block row.
+    r: usize,
+    /// The next tile to open.
+    next: usize,
+    /// The open tile's first scalar column and this row's first value
+    /// slot in it, and its columns this row has not yet yielded.
+    col: usize,
+    val: usize,
+    bits: u32,
+}
+
+impl Iterator for MaskedRow<'_> {
+    type Item = (usize, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, f64)> {
+        while self.bits == 0 {
+            let k = self.next;
+            if k == self.cols.len() {
+                return None;
+            }
+            self.bits = row_bits(self.masks[k], self.r);
+            (self.col, self.val) = (3 * self.cols[k] as usize, 9 * k + self.r);
+            self.next += 1;
+        }
+        let c = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((self.col + c, self.vals[self.val + 3 * c]))
+    }
+
+    /// The rest of the row tile by tile, a whole tile row without walking
+    /// its bits.
+    #[inline]
+    fn fold<B, F: FnMut(B, (usize, f64)) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        loop {
+            if self.bits == 0b111 {
+                for c in 0..3 {
+                    acc = f(acc, (self.col + c, self.vals[self.val + 3 * c]));
+                }
+            } else {
+                while self.bits != 0 {
+                    let c = self.bits.trailing_zeros() as usize;
+                    self.bits &= self.bits - 1;
+                    acc = f(acc, (self.col + c, self.vals[self.val + 3 * c]));
+                }
+            }
+            let k = self.next;
+            if k == self.cols.len() {
+                return acc;
+            }
+            self.bits = row_bits(self.masks[k], self.r);
+            (self.col, self.val) = (3 * self.cols[k] as usize, 9 * k + self.r);
+            self.next += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,17 +669,6 @@ mod tests {
         let b = Bsr3Matrix::from_csr(&a);
         assert_eq!(b.num_blocks(), 7 + 2 * 6);
         assert_eq!(b.to_csr(), a);
-    }
-
-    #[test]
-    #[should_panic(expected = "pattern changed")]
-    fn refresh_rejects_an_entry_outside_the_stored_blocks() {
-        // Block (0, 4) is in range but not stored by the tridiagonal
-        // pattern: the walk must stop at the row's end, not write elsewhere.
-        let mut b = Bsr3Matrix::from_csr(&block_laplacian(5));
-        let mut other = CooBuilder::new(15, 15);
-        other.push(0, 13, 1.0);
-        b.refresh_from_csr(&other.build());
     }
 
     #[test]
@@ -526,16 +732,73 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pattern changed")]
-    fn a_whole_tile_row_in_other_tiles_is_rejected() {
-        // Block row 0 stores tiles 0 and 1: six entries in tiles 0 and 2
-        // have the whole-row count, but the second triple is not tile 1's.
-        let mut b = Bsr3Matrix::from_csr(&block_laplacian(5));
-        let mut other = CooBuilder::new(15, 15);
-        for j in [0, 1, 2, 6, 7, 8] {
-            other.push(0, j, 1.0);
+    fn set_row_takes_its_stored_count_and_leaves_the_rest_unread() {
+        let a = block_laplacian(3);
+        let mut b = MaskedBsr3::from_csr(&a);
+        // Scalar row 4 (middle block row): three whole tiles.
+        let mut vals = (0..20).map(|k| k as f64);
+        assert_eq!(b.set_row(4, vals.by_ref()), 9);
+        assert_eq!(vals.next(), Some(9.0));
+        let row4: Vec<(usize, f64)> = b.row(4).collect();
+        assert_eq!(row4, (0..9).map(|j| (j, j as f64)).collect::<Vec<_>>());
+        // A short supply rewrites a prefix only.
+        assert_eq!(b.set_row(0, [7.0, 8.0]), 2);
+        let row0: Vec<f64> = b.row(0).map(|(_, v)| v).collect();
+        assert_eq!(row0, [7.0, 8.0, -0.5, -0.25, -0.25, -0.25]);
+    }
+
+    #[test]
+    fn lower_rows_are_the_rows_up_to_the_diagonal() {
+        let mut coo = CooBuilder::new(9, 9);
+        for (i, j) in [
+            (0, 0),
+            (0, 5),
+            (1, 0),
+            (1, 2),
+            (3, 1),
+            (3, 3),
+            (3, 4),
+            (5, 0),
+            (5, 4),
+            (7, 8),
+            (8, 2),
+        ] {
+            coo.push(i, j, (10 * i + j) as f64);
         }
-        b.refresh_from_csr(&other.build());
+        let a = coo.build();
+        let b = MaskedBsr3::from_csr(&a);
+        for i in 0..9 {
+            let mut got = Vec::new();
+            b.for_each_lower(i, |j, v| got.push((j, v)));
+            let want: Vec<(usize, f64)> = b.row(i).filter(|&(j, _)| j <= i).collect();
+            assert_eq!(got, want, "row {i}");
+        }
+    }
+
+    #[test]
+    fn masked_diagonal_and_rows_keep_signed_zeros_and_gaps() {
+        // Row 0 stores -0.0 on its diagonal, row 1 no diagonal, row 2 a
+        // stored +0.0 beside a value; block (1, 0) is one entry of nine.
+        let mut coo = CooBuilder::new(6, 6);
+        for (i, j, v) in [
+            (0, 0, -0.0),
+            (0, 4, 1.5),
+            (1, 2, 2.0),
+            (2, 1, 0.0),
+            (2, 2, 3.0),
+            (4, 0, -1.0),
+        ] {
+            coo.push(i, j, v);
+        }
+        let a = coo.build();
+        let b = MaskedBsr3::from_csr(&a);
+        assert_eq!((b.nnz(), b.tiles().num_blocks()), (6, 3));
+        assert_eq!(bits(&b.diag()), bits(&a.diag()));
+        assert_eq!(b.diag()[0].to_bits(), (-0.0f64).to_bits());
+        let back = b.to_csr();
+        assert_eq!((back.row_ptr(), back.col_idx()), (a.row_ptr(), a.col_idx()));
+        assert_eq!(bits(back.vals()), bits(a.vals()));
+        assert_eq!(b.memory_bytes(), b.tiles().memory_bytes() + 2 * 3);
     }
 
     #[test]
@@ -561,14 +824,18 @@ mod tests {
         };
         let first = with_values(&|e| 1.0 + e as f64);
         let second = with_values(&|e| -0.3 * (e as f64 + 2.0).sqrt());
-        let mut b = Bsr3Matrix::from_csr(&first);
-        b.refresh_from_csr(&second);
-        let fresh = Bsr3Matrix::from_csr(&second);
+        let mut b = MaskedBsr3::from_csr(&first);
+        for i in 0..6 {
+            let vals = second.row(i).1;
+            assert_eq!(b.set_row(i, vals.iter().copied()), vals.len(), "row {i}");
+        }
+        let fresh = MaskedBsr3::from_csr(&second);
         assert_eq!(b, fresh);
+        assert_eq!(b.to_csr(), second);
         let x = [0.9, 7.0, -1.1, 0.4, 7.0, 2.5];
         let (mut y1, mut y2) = (vec![0.0; 6], vec![0.0; 6]);
-        b.spmv(&x, &mut y1);
-        fresh.spmv(&x, &mut y2);
+        b.tiles().spmv(&x, &mut y1);
+        fresh.tiles().spmv(&x, &mut y2);
         assert_eq!(bits(&y1), bits(&y2));
         let mut y_csr = vec![0.0; 6];
         second.spmv(&x, &mut y_csr);

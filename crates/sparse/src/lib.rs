@@ -62,7 +62,7 @@ pub mod op;
 pub mod plan;
 pub mod vector;
 
-pub use bsr::Bsr3Matrix;
+pub use bsr::{Bsr3Matrix, MaskedBsr3, MaskedRow};
 pub use csr::{CooBuilder, CsrMatrix, PatternFingerprint};
 pub use dense::DenseMatrix;
 pub use op::Operator;

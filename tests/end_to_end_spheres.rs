@@ -294,9 +294,9 @@ fn matrix_free_solve_reproduces_assembled_history() {
     assert!(num / den < 1e-8, "solution drift {}", num / den);
 
     // The memory story the matrix-free path exists for: the assembled fine
-    // operator keeps the scalar CSR (block Jacobi factors its diagonal) and
-    // its BSR3 promotion resident; the element kernel replaces both and
-    // must be at least 2x smaller — deterministic byte counts.
+    // operator is the caller's scalar CSR plus the level-0 share's BSR3
+    // tiles; the element kernel replaces both and must be at least 2x
+    // smaller — deterministic byte counts.
     let assembled =
         sys.matrix.memory_bytes() + pmg_sparse::Bsr3Matrix::from_csr(&sys.matrix).memory_bytes();
     assert!(
