@@ -4,15 +4,16 @@
 //! (random points, and the benchmark's first coarse grid with its exact
 //! `insphere` stage on its own), the block-Jacobi application,
 //! factorisation and block partition, a level operator's cold distribution
-//! against its value-only refresh, one Newton re-setup and its level-0
-//! consumers, the sharded Galerkin product of one rank, the matrix-free
+//! against its value-only refresh, one rank's promoted share built from
+//! its owned rows, one Newton re-setup and its parts level by level, the
+//! sharded Galerkin product of one rank, the matrix-free
 //! operator's apply, and one V-cycle/FMG cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
 use pmg_geometry::{Delaunay, Predicates, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
-use pmg_parallel::{DistMatrix, DistVec, Layout, MachineModel, Sim};
+use pmg_parallel::{DistMatrix, DistVec, Layout, MachineModel, RankMatrix, Sim};
 use pmg_partition::{partition_graph, refine_kl, Graph};
 use pmg_solver::RankJacobi;
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
@@ -331,15 +332,15 @@ fn sorted_times_on<T>(runs: usize, mut input: impl FnMut() -> T, mut f: impl FnM
 }
 
 /// One Newton re-setup on the 9.8k-dof spheres at one rank — the call
-/// `newton10k`'s `setup_s` times — beside its three level-0 consumers of
-/// the fine operator: the value refresh of the level's share, the
-/// smoother's refactor and the Galerkin product. Every call gets a new
-/// operator built with `CsrMatrix::from_parts` outside the timer, so it
-/// carries no fingerprint and the call pays the one hash a caller's fresh
-/// assembly costs. `refactor` checks the share's `diag`, which carries its
-/// fingerprint for the share's lifetime; `rap` is handed an operator
-/// fingerprinted outside the timer, as the refresh has already hashed it
-/// inside `update_matrix`.
+/// `newton10k`'s `setup_s` times — and its parts level by level: level 0's
+/// value refresh from the caller's operator (the only level refreshed from
+/// a CSR: every coarser one is written in place by the product above it),
+/// each level's Galerkin product into the next level's share, and each
+/// level's smoother refactor. Every call that takes the caller's operator
+/// gets a new one built with `CsrMatrix::from_parts` outside the timer, so
+/// it carries no fingerprint and the call pays the one hash a caller's
+/// fresh assembly costs. The products and refactors read the shares only,
+/// which carry their fingerprints for their lifetime.
 fn bench_newton_update(_c: &mut Criterion) {
     let sys = newton10k_system();
     let a = &sys.matrix;
@@ -348,47 +349,71 @@ fn bench_newton_update(_c: &mut Criterion) {
         CsrMatrix::from_parts(a.nrows(), a.ncols(), rows, cols, a.vals().to_vec())
     };
     let mut solver = Prometheus::from_mesh(&sys.mesh, a, PrometheusOptions::default());
-    let update = sorted_times_on(30, fresh, |m| solver.update_matrix(&m));
-    let refresh = sorted_times_on(30, fresh, |m| {
-        assert!(solver.mg.levels[0].a.refresh_from_global(&m));
-    });
-    let refactor = sorted_times(30, || {
-        let level = &mut solver.mg.levels[0];
+    let mut rows = vec![(
+        "update_matrix".to_string(),
+        sorted_times_on(30, fresh, |m| solver.update_matrix(&m)),
+    )];
+    rows.push((
+        "lvl0/refresh".into(),
+        sorted_times_on(30, fresh, |m| {
+            assert!(solver.mg.levels[0].a.refresh_from_global(&m));
+        }),
+    ));
+    let levels = &mut solver.mg.levels;
+    for lvl in 0..levels.len() {
+        let (upper, lower) = levels.split_at_mut(lvl + 1);
+        let level = &mut upper[lvl];
+        if let (Some(next), Some(plan)) = (lower.first_mut(), level.rap_plan.as_ref()) {
+            let product = sorted_times(30, || level.a.galerkin_into(plan, &mut next.a));
+            rows.push((format!("lvl{lvl}/product"), product));
+        }
         let Smoother::BlockJacobi(bj) = &mut level.smoother else {
             panic!("the default smoother is block Jacobi")
         };
-        bj.refactor(&level.a);
-    });
-    let hashed = || {
-        let m = fresh();
-        PatternFingerprint::of(&m);
-        m
-    };
-    let rap = sorted_times_on(30, hashed, |m| {
-        let plan = solver.mg.levels[0]
-            .rap_plan
-            .as_mut()
-            .expect("level 0 has a plan");
-        black_box(plan.try_execute(&m).expect("same pattern"));
-    });
+        rows.push((
+            format!("lvl{lvl}/refactor"),
+            sorted_times(30, || bj.refactor(&level.a)),
+        ));
+    }
     println!(
         "# group: newton_update ({} dof, {} nnz, levels {:?}, one rank)",
         a.nrows(),
         a.nnz(),
         solver.level_sizes()
     );
-    for (name, times) in [
-        ("update_matrix", update),
-        ("refresh_lvl0", refresh),
-        ("refactor", refactor),
-        ("rap", rap),
-    ] {
+    for (name, times) in rows {
         println!(
             "newton_update/{name:<14} min {:>8.3} ms   median {:>8.3} ms",
             times[0] * 1e3,
             times[times.len() / 2] * 1e3
         );
     }
+}
+
+/// One rank's promoted level-0 share built from its owned rows, as the
+/// sharded set-up builds it: rank 0 of the 9.8k-dof spheres split in two by
+/// coordinate bisection (vertex-aligned, so the owned block is tiled and
+/// the ghost columns go to the scalar `off` block).
+fn bench_rank_share(_c: &mut Criterion) {
+    let sys = newton10k_system();
+    let part = pmg_partition::recursive_coordinate_bisection(&sys.mesh.coords, 2);
+    let layout = Layout::expand_dofs(&Layout::from_part(part, 2), 3);
+    let a_local = sys.matrix.extract_rows(layout.owned(0));
+    PatternFingerprint::of(&a_local);
+    let build = || RankMatrix::from_local_rows_blocked(&a_local, layout.clone(), layout.clone(), 0);
+    assert!(build().bsr3_routed());
+    let times = sorted_times(30, || drop(black_box(build())));
+    println!(
+        "# group: rank_share ({} owned rows of {}, {} nnz, two ranks)",
+        a_local.nrows(),
+        sys.matrix.nrows(),
+        a_local.nnz()
+    );
+    println!(
+        "rank_share/p2_lvl0_rank0 min {:>8.3} ms   median {:>8.3} ms",
+        times[0] * 1e3,
+        times[times.len() / 2] * 1e3
+    );
 }
 
 /// The sharded Galerkin product as one rank runs it, on the 9.8k-dof
@@ -689,6 +714,7 @@ criterion_group!(
     bench_block_partition,
     bench_distribute,
     bench_newton_update,
+    bench_rank_share,
     bench_rap_local_rows,
     bench_matfree
 );

@@ -440,14 +440,18 @@ impl MgHierarchy {
     /// grids, layouts, and restriction operators. This is what each Newton
     /// iteration pays in the paper (the mesh setup is amortized, §6).
     ///
-    /// As long as a level's sparsity pattern is unchanged (the common case:
-    /// Newton only changes values) its re-setup is numeric-only: the
-    /// distributed operator takes the new values in place
-    /// ([`DistMatrix::refresh_from_global`]), the Galerkin product
-    /// re-executes its cached [`RapPlan`] and the block-Jacobi smoother
-    /// refactors its cached blocks — no redistribution, no symbolic
-    /// product, no graph, no partition. A pattern change is detected and
-    /// all three are rebuilt transparently.
+    /// As long as the fine sparsity pattern is unchanged (the common case:
+    /// Newton only changes values) the re-setup is numeric-only: level 0's
+    /// distributed operator takes the caller's values in place
+    /// ([`DistMatrix::refresh_from_global`]), each level's cached
+    /// [`RapPlan`] reads that level's operator where its shares store it
+    /// and writes the next level's in place ([`DistMatrix::galerkin_into`];
+    /// no global matrix is formed), and the block-Jacobi smoother refactors
+    /// its cached blocks — no redistribution, no symbolic product, no
+    /// graph, no partition. A pattern change is detected and the changed
+    /// level and every one below it go the build's way: Galerkin products
+    /// as CSR, each level redistributed or refreshed from its CSR, plans
+    /// and smoothers rebuilt where their pattern moved.
     pub fn update_operator(&mut self, sim: &mut Sim, a_fine: &CsrMatrix) {
         sim.phase("matrix setup");
         // As at build: charge this update's flops only, not the solve's
@@ -457,43 +461,57 @@ impl MgHierarchy {
         // it so the hierarchy runs on the fresh assembled matrix.
         self.fine_mf = None;
         let opts = self.opts;
-        // Level 0 reads the caller's matrix; only the Galerkin products
-        // below it are owned here.
-        let mut coarse: Option<CsrMatrix> = None;
+        // This level's operator as a global CSR while the update goes the
+        // build's way (level 0 reads the caller's matrix); `None` once the
+        // level above wrote it in place.
+        let mut csr = Some(Cow::Borrowed(a_fine));
         for lvl in 0..self.levels.len() {
-            let cur = coarse.as_ref().unwrap_or(a_fine);
-            let level = &mut self.levels[lvl];
-            assert_eq!(
-                cur.nrows(),
-                level.a.num_global_rows(),
-                "operator size changed"
-            );
-            // Values only while the pattern holds; a changed pattern is
-            // redistributed as at build, blocked iff the level was.
-            level.a.refresh_from_global(cur);
+            let (upper, lower) = self.levels.split_at_mut(lvl + 1);
+            let level = &mut upper[lvl];
+            if let Some(cur) = &csr {
+                assert_eq!(
+                    cur.nrows(),
+                    level.a.num_global_rows(),
+                    "operator size changed"
+                );
+                // Values only while the pattern holds; a changed pattern is
+                // redistributed as at build, blocked iff the level was.
+                level.a.refresh_from_global(cur);
+            }
             {
                 let _t = pmg_telemetry::scope("smoother");
                 level.smoother.refactor(sim, &level.a, &opts);
             }
-            let next = level.r_global.is_some().then(|| {
-                let _t = pmg_telemetry::scope("rap");
-                // One pattern check per level: the plan declines an operator
-                // it was not built for, and only then is it rebuilt.
-                let reused = level.rap_plan.as_mut().and_then(|p| p.try_execute(cur));
-                reused.unwrap_or_else(|| {
-                    let r = level.r_global.as_ref().expect("checked above");
-                    let plan = level.rap_plan.insert(RapPlan::new(cur, r));
-                    plan.execute(cur)
-                })
-            });
             if level.coarse.is_some() {
                 let _t = pmg_telemetry::scope("coarse_direct");
                 level.coarse = Some(CoarseDirect::new(&level.a));
             }
-            match next {
-                Some(ac) => coarse = Some(ac),
-                None => break,
-            }
+            let Some(next) = lower.first_mut() else {
+                break;
+            };
+            let _t = pmg_telemetry::scope("rap");
+            // A level written in place has the pattern its plan was built
+            // for; a CSR is checked once, and only a foreign one rebuilds.
+            let plan = match (&csr, level.rap_plan.as_mut()) {
+                (None, Some(plan)) => Some(plan),
+                (Some(cur), Some(plan)) if plan.matches(cur) => Some(plan),
+                _ => None,
+            };
+            csr = match (plan, &csr) {
+                (Some(plan), _) => {
+                    level.a.galerkin_into(plan, &mut next.a);
+                    None
+                }
+                (None, Some(cur)) => {
+                    let r = level
+                        .r_global
+                        .as_ref()
+                        .expect("a level above another keeps R");
+                    let plan = level.rap_plan.insert(RapPlan::new(cur, r));
+                    Some(Cow::Owned(plan.execute(cur)))
+                }
+                (None, None) => panic!("a level written in place lost its Galerkin plan"),
+            };
         }
         charge_setup_flops(sim);
     }

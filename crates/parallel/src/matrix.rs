@@ -19,7 +19,10 @@ use crate::layout::Layout;
 use crate::sim::Sim;
 use crate::vec::DistVec;
 use pmg_comm::{CommError, HaloExchange, Transport};
-use pmg_sparse::{Bsr3Matrix, CsrMatrix, MaskedBsr3, MaskedRow, PatternFingerprint};
+use pmg_sparse::{
+    for_each_tile, Bsr3Matrix, CsrMatrix, DenseMatrix, MaskedBsr3, MaskedBsr3Writer, MaskedRow,
+    PatternFingerprint, RapPlan,
+};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -541,27 +544,136 @@ impl DistMatrix {
         let mut vals = Vec::with_capacity(self.nnz());
         for g in 0..n {
             let r = self.row_layout.owner(g) as usize;
-            let (mat, li) = (&self.ranks[r], self.row_layout.local_index(g) as usize);
-            let (owned, ghosts) = (self.col_layout.owned(r), &mat.ghosts);
-            let (oc, ov) = mat.off.row(li);
-            let mut o = 0;
-            for (j, v) in mat.local_block().row(li) {
-                let jg = owned[j] as usize;
-                while o < oc.len() && (ghosts[oc[o]] as usize) < jg {
-                    col_idx.push(ghosts[oc[o]] as usize);
-                    vals.push(ov[o]);
-                    o += 1;
-                }
-                col_idx.push(jg);
+            let li = self.row_layout.local_index(g) as usize;
+            self.ranks[r].for_each_global(li, |j, v| {
+                col_idx.push(j);
                 vals.push(v);
-            }
-            for (&k, &v) in oc[o..].iter().zip(&ov[o..]) {
-                col_idx.push(ghosts[k] as usize);
-                vals.push(v);
-            }
+            });
             row_ptr.push(col_idx.len());
         }
         CsrMatrix::from_parts(n, self.col_layout.num_global(), row_ptr, col_idx, vals)
+    }
+
+    /// The global matrix as a dense one — what a coarse direct solve
+    /// gathers: [`to_global`](Self::to_global)'s entries, absent ones
+    /// zero, with no CSR in between.
+    pub fn to_dense(&self) -> DenseMatrix {
+        let n = self.row_layout.num_global();
+        let mut d = DenseMatrix::zeros(n, self.col_layout.num_global());
+        for g in 0..n {
+            let r = self.row_layout.owner(g) as usize;
+            let li = self.row_layout.local_index(g) as usize;
+            let row = d.row_mut(g);
+            self.ranks[r].for_each_global(li, |j, v| row[j] = v);
+        }
+        d
+    }
+
+    /// The Galerkin product `R A Rᵀ` of this operator through `plan` (built
+    /// from this operator's global matrix), written into `coarse` — a
+    /// distribution of the plan's output pattern — in place: values only,
+    /// as [`refresh_from_global`](Self::refresh_from_global) takes them,
+    /// and bitwise what that refresh takes from
+    /// [`RapPlan::execute`]'s CSR. No global matrix is formed. The plan
+    /// reads this operator's values where its one share stores them as the
+    /// plan's source tiles (one rank, promoted at `B = 3` or scalar at
+    /// `B = 1`) and writes `coarse`'s where they are stored likewise; any
+    /// other storage goes through a transient tile array — gathered from
+    /// each row's owner, `diag` and `off` merged, or scattered to the
+    /// owners' `diag` and `off` values. Counts `distribute/refresh` for
+    /// `coarse`.
+    ///
+    /// # Panics
+    /// If either operator's pattern is not the plan's (a tile or entry
+    /// count off).
+    pub fn galerkin_into(&self, plan: &RapPlan, coarse: &mut DistMatrix) {
+        let block = plan.block_size();
+        let gathered;
+        let a_tiles = match self.plan_tiles(block) {
+            Some(tiles) => tiles,
+            None => {
+                gathered = self.gather_tiles(plan);
+                &gathered[..]
+            }
+        };
+        match coarse.plan_tiles_mut(block) {
+            Some(c_tiles) => plan.execute_tiles(a_tiles, c_tiles),
+            None => {
+                let mut c_tiles = vec![0.0; plan.output_len()];
+                plan.execute_tiles(a_tiles, &mut c_tiles);
+                coarse.scatter_tiles(plan, &c_tiles);
+            }
+        }
+        pmg_telemetry::counter_add("distribute/refresh", 1);
+    }
+
+    /// The values as a plan's source tiles in `block`-vertex tiles, when
+    /// one share holds every row and column in the form of that array: its
+    /// tiles at `B = 3`, its scalar CSR values at `B = 1`.
+    fn plan_tiles(&self, block: usize) -> Option<&[f64]> {
+        let [m] = &self.ranks[..] else {
+            return None;
+        };
+        match (&m.diag, block) {
+            (Diag::Tiles(t, _), 3) => Some(t.tile_values()),
+            (Diag::Csr(a, _), 1) => Some(a.vals()),
+            _ => None,
+        }
+    }
+
+    /// [`plan_tiles`](Self::plan_tiles), to overwrite in place.
+    fn plan_tiles_mut(&mut self, block: usize) -> Option<&mut [f64]> {
+        let [m] = &mut self.ranks[..] else {
+            return None;
+        };
+        match (&mut m.diag, block) {
+            (Diag::Tiles(t, _), 3) => Some(t.tile_values_mut()),
+            (Diag::Csr(a, _), 1) => Some(a.vals_mut()),
+            _ => None,
+        }
+    }
+
+    /// A plan's source tiles read out of any storage: each global block
+    /// row's scalar rows from their owners, in global columns.
+    fn gather_tiles(&self, plan: &RapPlan) -> Vec<f64> {
+        let block = plan.block_size();
+        let mut tiles = vec![0.0; plan.source_len()];
+        let mut rows: [(Vec<usize>, Vec<f64>); 3] = Default::default();
+        for k in 0..self.num_global_rows() / block {
+            for (s, (cols, vals)) in rows[..block].iter_mut().enumerate() {
+                let g = k * block + s;
+                let m = &self.ranks[self.row_layout.owner(g) as usize];
+                cols.clear();
+                vals.clear();
+                m.for_each_global(self.row_layout.local_index(g) as usize, |j, v| {
+                    cols.push(j);
+                    vals.push(v);
+                });
+            }
+            let cols: [&[usize]; 3] = std::array::from_fn(|s| &rows[s].0[..]);
+            let vals: [&[f64]; 3] = std::array::from_fn(|s| &rows[s].1[..]);
+            plan.tile_source_row(k, &cols[..block], &vals[..block], &mut tiles);
+        }
+        tiles
+    }
+
+    /// A plan's output tiles written into any storage: each share takes
+    /// its owned rows' values in place.
+    fn scatter_tiles(&mut self, plan: &RapPlan, c_tiles: &[f64]) {
+        let row_layout = &self.row_layout;
+        self.ranks.par_iter_mut().for_each(|m| {
+            let (mut cols, mut vals) = (Vec::new(), Vec::new());
+            let mut written = 0;
+            for (li, &g) in row_layout.owned(m.rank).iter().enumerate() {
+                plan.output_row(g as usize, c_tiles, &mut cols, &mut vals);
+                written += m.set_row(li, &cols, &vals);
+            }
+            assert_eq!(
+                written,
+                m.nnz_local(),
+                "the product's pattern is not this share's"
+            );
+        });
     }
 }
 
@@ -573,12 +685,11 @@ impl RankMatrix {
     /// row ascends in global column and owned and ghost columns keep that
     /// order locally, so the entries of both blocks land in order as they
     /// come: a counting pass finds the ghost columns, a second fills `off`
-    /// and the scalar `diag`, or — `blocked` — the tiles read the owned
-    /// entries straight from the source rows (two passes of their own;
-    /// no scalar copy is made). A rank that owns every row and every
-    /// column numbers them as the input does, so its `diag` is the input's
-    /// (cloned, or tiled from it) and `off` is empty — what the passes
-    /// would build. No halo plan yet.
+    /// and `diag` — the scalar CSR, or, `blocked`, the tiles, written
+    /// straight from the source rows (no scalar copy is made). A rank
+    /// that owns every row and every column numbers them as the input
+    /// does, so its `diag` is the input's (cloned, or tiled from it) and
+    /// `off` is empty — what the passes would build. No halo plan yet.
     fn build(
         rows: OwnedRows<'_>,
         row_layout: Arc<Layout>,
@@ -592,28 +703,39 @@ impl RankMatrix {
         if blocked && rank == 0 {
             pmg_telemetry::counter_add("spmv/bsr3_promoted", 1);
         }
-        let share = |diag, off, ghosts| {
-            let (interior, boundary) = row_classes(&off, if blocked { 3 } else { 1 });
-            RankMatrix {
-                diag,
-                off,
-                ghosts,
-                interior,
-                boundary,
-                plan: None,
-                rank,
-                row_layout: row_layout.clone(),
-                col_layout: col_layout.clone(),
-            }
-        };
-        if rows.whole() && ncols == col_layout.num_global() {
+        let (diag, off, ghosts) = if rows.whole() && ncols == col_layout.num_global() {
             let diag = match blocked {
                 true => Diag::Tiles(MaskedBsr3::from_csr(rows.a), rows.pattern()),
                 false => Diag::Csr(rows.a.clone(), None),
             };
-            return share(diag, CsrMatrix::zeros(nlocal, 0), Vec::new());
+            (diag, CsrMatrix::zeros(nlocal, 0), Vec::new())
+        } else if blocked {
+            Self::split_tiled(rows, &col_layout, rank)
+        } else {
+            Self::split_scalar(rows, &col_layout, rank)
+        };
+        let (interior, boundary) = row_classes(&off, if blocked { 3 } else { 1 });
+        RankMatrix {
+            diag,
+            off,
+            ghosts,
+            interior,
+            boundary,
+            plan: None,
+            rank,
+            row_layout,
+            col_layout,
         }
+    }
 
+    /// The scalar split of [`build`](Self::build): `diag` and `off` as CSR,
+    /// and the ghost columns.
+    fn split_scalar(
+        rows: OwnedRows<'_>,
+        col_layout: &Layout,
+        rank: usize,
+    ) -> (Diag, CsrMatrix, Vec<u32>) {
+        let (nlocal, ncols) = (rows.len(), col_layout.local_len(rank));
         let mine = |j: usize| col_layout.owner(j) as usize == rank;
         // Until deduplicated, `ghosts` has one entry per off-diagonal entry.
         let mut ghosts: Vec<u32> = Vec::new();
@@ -632,42 +754,91 @@ impl RankMatrix {
         ghosts.dedup();
 
         // A row without ghost columns is all `diag`: no owner to look up.
-        let ghost_free = |li: usize| off_ptr[li] == off_ptr[li + 1];
-        let ndiag = if blocked { 0 } else { diag_ptr[nlocal] };
+        let ndiag = diag_ptr[nlocal];
         let (mut diag_cols, mut diag_vals) = (Vec::with_capacity(ndiag), Vec::with_capacity(ndiag));
         let (mut off_cols, mut off_vals) = (Vec::with_capacity(noff), Vec::with_capacity(noff));
-        for li in (0..nlocal).filter(|&li| !(blocked && ghost_free(li))) {
+        for li in 0..nlocal {
+            let ghost_free = off_ptr[li] == off_ptr[li + 1];
             let (cols, vals) = rows.row(li);
             for (&j, &v) in cols.iter().zip(vals) {
-                if !ghost_free(li) && !mine(j) {
+                if !ghost_free && !mine(j) {
                     let ghost = ghosts.binary_search(&(j as u32));
                     off_cols.push(ghost.expect("collected in the first pass"));
                     off_vals.push(v);
-                } else if !blocked {
+                } else {
                     diag_cols.push(col_layout.local_index(j) as usize);
                     diag_vals.push(v);
                 }
             }
         }
-        let diag = if blocked {
-            let owned_entries = |li: usize| {
-                let (cols, vals) = rows.row(li);
-                let ghost_free = ghost_free(li);
-                let owned = cols.iter().zip(vals);
-                (owned.filter(move |&(&j, _)| ghost_free || mine(j)))
-                    .map(|(&j, &v)| (col_layout.local_index(j) as usize, v))
-            };
-            let tiles = MaskedBsr3::from_rows(nlocal, ncols, owned_entries);
-            Diag::Tiles(tiles, rows.pattern())
-        } else {
-            let diag = CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals);
-            Diag::Csr(diag, Some(rows.pattern()))
-        };
-        share(
-            diag,
-            CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals),
-            ghosts,
-        )
+        let diag = CsrMatrix::from_parts(nlocal, ncols, diag_ptr, diag_cols, diag_vals);
+        let off = CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals);
+        (Diag::Csr(diag, Some(rows.pattern())), off, ghosts)
+    }
+
+    /// The tiled split of [`build`](Self::build): the owned rows come in
+    /// vertex triples and each vertex's columns have one owner, so a block
+    /// row is walked tile by tile ([`for_each_tile`]) and each tile's owner
+    /// and local block column are looked up once per walk — one walk
+    /// counts the tiles and collects the ghost columns, the second writes
+    /// the owned tiles ([`MaskedBsr3Writer`]) and `off`.
+    fn split_tiled(
+        rows: OwnedRows<'_>,
+        col_layout: &Layout,
+        rank: usize,
+    ) -> (Diag, CsrMatrix, Vec<u32>) {
+        let (nlocal, ncols) = (rows.len(), col_layout.local_len(rank));
+        let mine = |bc: usize| col_layout.owner(3 * bc) as usize == rank;
+        let block_row =
+            |br: usize| -> [Row<'_>; 3] { std::array::from_fn(|s| rows.row(3 * br + s)) };
+        // Until deduplicated, `ghosts` has one entry per off-diagonal entry.
+        let mut ghosts: Vec<u32> = Vec::new();
+        let mut off_ptr = vec![0usize; nlocal + 1];
+        let mut ntiles = 0;
+        for br in 0..nlocal / 3 {
+            let rs = block_row(br);
+            for_each_tile::<3>(rs.map(|r| r.0), |bc, from, to| {
+                if mine(bc) {
+                    ntiles += 1;
+                    return;
+                }
+                for s in 0..3 {
+                    ghosts.extend(rs[s].0[from[s]..to[s]].iter().map(|&j| j as u32));
+                    off_ptr[3 * br + s + 1] += to[s] - from[s];
+                }
+            });
+        }
+        for li in 0..nlocal {
+            off_ptr[li + 1] += off_ptr[li];
+        }
+        ghosts.sort_unstable();
+        ghosts.dedup();
+
+        let noff = off_ptr[nlocal];
+        let (mut off_cols, mut off_vals) = (vec![0usize; noff], vec![0.0; noff]);
+        let mut tiles = MaskedBsr3Writer::new(nlocal, ncols, ntiles);
+        for br in 0..nlocal / 3 {
+            let rs = block_row(br);
+            let mut at: [usize; 3] = std::array::from_fn(|s| off_ptr[3 * br + s]);
+            for_each_tile::<3>(rs.map(|r| r.0), |bc, from, to| {
+                if mine(bc) {
+                    let local = col_layout.local_index(3 * bc) as usize / 3;
+                    tiles.push_tile(local, &rs, from, to);
+                    return;
+                }
+                for s in 0..3 {
+                    for q in from[s]..to[s] {
+                        let ghost = ghosts.binary_search(&(rs[s].0[q] as u32));
+                        off_cols[at[s]] = ghost.expect("collected in the first pass");
+                        off_vals[at[s]] = rs[s].1[q];
+                        at[s] += 1;
+                    }
+                }
+            });
+            tiles.end_block_row();
+        }
+        let off = CsrMatrix::from_parts(nlocal, ghosts.len(), off_ptr, off_cols, off_vals);
+        (Diag::Tiles(tiles.finish(), rows.pattern()), off, ghosts)
     }
 
     /// Build this rank's blocks from an **owned-rows** CSR: one row per
@@ -736,28 +907,64 @@ impl RankMatrix {
         if rows.len() != nlocal || rows.pattern() != self.diag.pattern() {
             return false;
         }
-        let (mut d, mut o) = (0, 0);
-        for li in 0..nlocal {
-            let (cols, vals) = rows.row(li);
-            if self.off.row(li).0.is_empty() {
-                d += self.diag.set_row(li, vals.iter().copied());
-                continue;
-            }
-            let (layout, rank, off_vals) = (&self.col_layout, self.rank, self.off.vals_mut());
-            let mut owned = cols.iter().zip(vals).filter_map(|(&j, &v)| {
-                if layout.owner(j) as usize == rank {
-                    return Some(v);
-                }
-                off_vals[o] = v;
-                o += 1;
-                None
-            });
-            d += self.diag.set_row(li, &mut owned);
-            owned.for_each(drop);
-        }
-        let nnz = (self.local_block().nnz(), self.off.nnz());
-        assert_eq!((d, o), nnz, "pattern changed");
+        let written: usize = (0..nlocal)
+            .map(|li| {
+                let (cols, vals) = rows.row(li);
+                self.set_row(li, cols, vals)
+            })
+            .sum();
+        assert_eq!(written, self.nnz_local(), "pattern changed");
         true
+    }
+
+    /// Overwrite owned row `li`'s values from the row in global columns
+    /// (`cols` ascending, this share's pattern of the row): a row without
+    /// ghost columns goes whole into `diag`, any other row is split by
+    /// column owner into `diag` and `off` — the classification and order of
+    /// [`build`](Self::build), so the same slots. Returns the values
+    /// written; a row of another pattern writes a different count.
+    fn set_row(&mut self, li: usize, cols: &[usize], vals: &[f64]) -> usize {
+        let off = self.off.row_ptr()[li]..self.off.row_ptr()[li + 1];
+        if off.is_empty() {
+            return self.diag.set_row(li, vals.iter().copied());
+        }
+        let (layout, rank) = (&self.col_layout, self.rank);
+        let mut off_vals = self.off.vals_mut()[off].iter_mut();
+        let mut o = 0;
+        let mut owned = cols.iter().zip(vals).filter_map(|(&j, &v)| {
+            if layout.owner(j) as usize == rank {
+                return Some(v);
+            }
+            if let Some(slot) = off_vals.next() {
+                *slot = v;
+                o += 1;
+            }
+            None
+        });
+        let d = self.diag.set_row(li, &mut owned);
+        owned.for_each(drop);
+        d + o
+    }
+
+    /// Owned row `li` in global columns, `f(column, value)` per entry in
+    /// ascending column: its `diag` and `off` runs, each ascending, merged
+    /// — the row it was built or last refreshed from, entry for entry and
+    /// bit for bit, whichever form `diag` is stored in.
+    fn for_each_global(&self, li: usize, mut f: impl FnMut(usize, f64)) {
+        let (owned, ghosts) = (self.col_layout.owned(self.rank), &self.ghosts);
+        let (oc, ov) = self.off.row(li);
+        let mut o = 0;
+        for (j, v) in self.local_block().row(li) {
+            let jg = owned[j] as usize;
+            while o < oc.len() && (ghosts[oc[o]] as usize) < jg {
+                f(ghosts[oc[o]] as usize, ov[o]);
+                o += 1;
+            }
+            f(jg, v);
+        }
+        for (&k, &v) in oc[o..].iter().zip(&ov[o..]) {
+            f(ghosts[k] as usize, v);
+        }
     }
 
     /// [`DistMatrix::refresh_from_global`] for one rank's share: take the

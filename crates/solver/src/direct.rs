@@ -11,6 +11,7 @@
 use crate::precond::Precond;
 use pmg_parallel::{DistMatrix, DistVec, Sim};
 use pmg_sparse::dense::{Cholesky, Lu};
+use pmg_sparse::DenseMatrix;
 
 enum Factor {
     Chol(Cholesky),
@@ -28,18 +29,27 @@ pub struct CoarseDirect {
 /// the lower triangle, so it is guarded by a symmetry check), pivoted LU
 /// otherwise. Shared by [`CoarseDirect::new`] and [`CoarseDirect::from_csr`]
 /// so the orchestrated and distributed setups factor identically.
-fn factor_csr(global_csr: &pmg_sparse::CsrMatrix) -> (Factor, usize) {
-    let symmetric = global_csr.is_symmetric(1e-12);
-    let global = global_csr.to_dense();
+fn factor_dense(global: &DenseMatrix) -> (Factor, usize) {
     let n = global.nrows();
     let factor = match Some(())
-        .filter(|_| symmetric)
-        .and_then(|_| Cholesky::factor(&global))
+        .filter(|_| is_symmetric(global, 1e-12))
+        .and_then(|_| Cholesky::factor(global))
     {
         Some(c) => Factor::Chol(c),
-        None => Factor::Lu(Lu::factor(&global).expect("coarse operator is singular")),
+        None => Factor::Lu(Lu::factor(global).expect("coarse operator is singular")),
     };
     (factor, n)
+}
+
+/// [`CsrMatrix::is_symmetric`](pmg_sparse::CsrMatrix::is_symmetric) on
+/// the dense matrix, entry for entry the same verdict: every pair within
+/// `tol` of the largest entry (a `NaN` anywhere fails), absent entries
+/// zero — without the transpose a sparse check builds.
+fn is_symmetric(a: &DenseMatrix, tol: f64) -> bool {
+    let n = a.nrows();
+    let entries = (0..n).flat_map(|i| a.row(i).iter());
+    let scale = entries.fold(0.0f64, |m, v| m.max(v.abs())).max(1e-300);
+    a.ncols() == n && (0..n).all(|i| (0..n).all(|j| (a[(i, j)] - a[(j, i)]).abs() <= tol * scale))
 }
 
 impl CoarseDirect {
@@ -49,7 +59,7 @@ impl CoarseDirect {
     /// factorization is identical to [`CoarseDirect::new`] on a
     /// distribution of the same matrix.
     pub fn from_csr(a: &pmg_sparse::CsrMatrix) -> CoarseDirect {
-        let (factor, n) = factor_csr(a);
+        let (factor, n) = factor_dense(&a.to_dense());
         CoarseDirect {
             factor,
             n,
@@ -59,8 +69,7 @@ impl CoarseDirect {
 
     /// Factor the (global) matrix of `a`. Panics if the matrix is singular.
     pub fn new(a: &DistMatrix) -> CoarseDirect {
-        let global_csr = a.to_global();
-        let (factor, n) = factor_csr(&global_csr);
+        let (factor, n) = factor_dense(&a.to_dense());
         let layout = a.row_layout();
         let nranks = layout.num_ranks();
         // Gather: every non-root rank sends its local values to rank 0.

@@ -356,90 +356,54 @@ fn row_bits(mask: u16, r: usize) -> u32 {
 }
 
 impl MaskedBsr3 {
-    /// Tile `nrows × ncols` scalar rows, row `i` being `row(i)`: its
-    /// `(column, value)` entries in ascending column order. Each row is
-    /// read twice — the block pattern first, so the tiles are allocated
-    /// once at their final size (block columns ascending, the product's
-    /// accumulation order), then the values and masks.
+    /// Tile the rows of a scalar CSR matrix whose dimensions are multiples
+    /// of 3: each block row is walked twice ([`for_each_tile`]) — counting
+    /// its tiles first, so the arrays are allocated once at their final
+    /// size, then writing them ([`MaskedBsr3Writer`]), block columns
+    /// ascending (the product's accumulation order).
     ///
     /// # Panics
-    /// If a dimension is not a multiple of 3, `ncols / 3` exceeds
-    /// `u32::MAX` (block columns are stored as `u32`), or a row's columns
-    /// do not ascend.
-    pub fn from_rows<I>(nrows: usize, ncols: usize, row: impl Fn(usize) -> I) -> MaskedBsr3
-    where
-        I: Iterator<Item = (usize, f64)>,
-    {
-        assert_eq!(nrows % 3, 0, "rows not a multiple of 3");
-        assert_eq!(ncols % 3, 0, "cols not a multiple of 3");
-        let (nbr, nbc) = (nrows / 3, ncols / 3);
-        assert!(
-            nbc <= u32::MAX as usize,
-            "{nbc} block columns do not fit the u32 block-column index"
-        );
-        let mut row_ptr = Vec::with_capacity(nbr + 1);
-        row_ptr.push(0usize);
-        let mut col_idx: Vec<u32> = Vec::new();
-        let mut seen = vec![false; nbc];
-        for br in 0..nbr {
-            let base = col_idx.len();
-            for i in 3 * br..3 * br + 3 {
-                for (j, _) in row(i) {
-                    let bc = j / 3;
-                    if !seen[bc] {
-                        seen[bc] = true;
-                        col_idx.push(bc as u32);
-                    }
-                }
-            }
-            col_idx[base..].sort_unstable();
-            for &bc in &col_idx[base..] {
-                seen[bc as usize] = false;
-            }
-            row_ptr.push(col_idx.len());
-        }
-        let mut tiles = Bsr3Matrix {
-            nblock_rows: nbr,
-            nblock_cols: nbc,
-            row_ptr,
-            vals: vec![0.0; 9 * col_idx.len() + TAIL],
-            col_idx,
-        };
-        let mut mask = vec![0u16; tiles.col_idx.len()];
-        let mut nnz = 0;
-        for br in 0..nbr {
-            let blocks = tiles.row_ptr[br]..tiles.row_ptr[br + 1];
-            for r in 0..3 {
-                // The row's blocks are among its block row's, both
-                // ascending: one cursor finds each entry's tile.
-                let (mut k, mut last) = (blocks.start, None);
-                for (j, v) in row(3 * br + r) {
-                    assert!(last < Some(j), "row {} not ascending", 3 * br + r);
-                    last = Some(j);
-                    while (tiles.col_idx[k] as usize) < j / 3 {
-                        k += 1;
-                    }
-                    let slot = 3 * (j % 3) + r;
-                    tiles.vals[9 * k + slot] = v;
-                    mask[k] |= 1 << slot;
-                    nnz += 1;
-                }
-            }
-        }
-        MaskedBsr3 { tiles, mask, nnz }
-    }
-
-    /// Tile the rows of a scalar CSR matrix (see [`from_rows`](Self::from_rows)).
+    /// If a dimension is not a multiple of 3, or `ncols / 3` exceeds
+    /// `u32::MAX` (block columns are stored as `u32`).
     pub fn from_csr(a: &CsrMatrix) -> MaskedBsr3 {
-        MaskedBsr3::from_rows(a.nrows(), a.ncols(), |i| {
-            let (cols, vals) = a.row(i);
-            cols.iter().copied().zip(vals.iter().copied())
-        })
+        let (nbr, _) = block_dims(a.nrows(), a.ncols());
+        let rows =
+            |br: usize| -> [(&[usize], &[f64]); 3] { std::array::from_fn(|s| a.row(3 * br + s)) };
+        let mut ntiles = 0;
+        for br in 0..nbr {
+            for_each_tile::<3>(rows(br).map(|r| r.0), |_, _, _| ntiles += 1);
+        }
+        let mut w = MaskedBsr3Writer::new(a.nrows(), a.ncols(), ntiles);
+        for br in 0..nbr {
+            let rows = rows(br);
+            for_each_tile::<3>(rows.map(|r| r.0), |bc, from, to| {
+                w.push_tile(bc, &rows, from, to);
+            });
+            w.end_block_row();
+        }
+        w.finish()
     }
 
     /// The tiles every product runs on.
     pub fn tiles(&self) -> &Bsr3Matrix {
         &self.tiles
+    }
+
+    /// The tiles' values, nine per tile in stored order (column-major, no
+    /// tail): the source array of a planned Galerkin product
+    /// ([`RapPlan::execute_tiles`](crate::RapPlan::execute_tiles)).
+    pub fn tile_values(&self) -> &[f64] {
+        let t = &self.tiles;
+        &t.vals[..9 * t.col_idx.len()]
+    }
+
+    /// [`tile_values`](Self::tile_values) to overwrite in place — the
+    /// output array of a planned Galerkin product. A writer keeps every
+    /// slot the masks lack at `+0.0`, as the product does, so the tiles
+    /// stay this matrix's ([`diag`](Self::diag) reads them unmasked).
+    pub fn tile_values_mut(&mut self) -> &mut [f64] {
+        let t = &mut self.tiles;
+        &mut t.vals[..9 * t.col_idx.len()]
     }
 
     /// Scalar rows.
@@ -570,6 +534,136 @@ impl MaskedBsr3 {
             row_ptr.push(cols.len());
         }
         CsrMatrix::from_parts(self.nrows(), self.ncols(), row_ptr, cols, vals)
+    }
+}
+
+/// Block rows and block columns of `nrows × ncols` scalars, checked.
+fn block_dims(nrows: usize, ncols: usize) -> (usize, usize) {
+    assert_eq!(nrows % 3, 0, "rows not a multiple of 3");
+    assert_eq!(ncols % 3, 0, "cols not a multiple of 3");
+    let nbc = ncols / 3;
+    assert!(
+        nbc <= u32::MAX as usize,
+        "{nbc} block columns do not fit the u32 block-column index"
+    );
+    (nrows / 3, nbc)
+}
+
+/// Walk one block row — its `B` scalar rows' ascending column ids — tile
+/// by tile in ascending block column `j`: `tile(j, from, to)` gets the
+/// range `from[s]..to[s]` of scalar row `s`'s entries that fall in the
+/// tile. The one tiling walk: [`MaskedBsr3::from_csr`], a distributed
+/// share's owned block and the Galerkin plans all tile rows through it.
+pub fn for_each_tile<const B: usize>(
+    rows: [&[usize]; B],
+    mut tile: impl FnMut(usize, [usize; B], [usize; B]),
+) {
+    let mut at = [0usize; B];
+    loop {
+        let mut j = usize::MAX;
+        for s in 0..B {
+            if let Some(&c) = rows[s].get(at[s]) {
+                j = j.min(c / B);
+            }
+        }
+        if j == usize::MAX {
+            return;
+        }
+        let from = at;
+        for s in 0..B {
+            while at[s] < rows[s].len() && rows[s][at[s]] / B == j {
+                at[s] += 1;
+            }
+            debug_assert!(
+                rows[s].get(at[s]).is_none_or(|&c| c / B > j),
+                "row {s} of a block row does not ascend"
+            );
+        }
+        tile(j, from, at);
+    }
+}
+
+/// A [`MaskedBsr3`] written tile by tile, block row after block row, into
+/// arrays allocated once for the tile count a counting pass found — how a
+/// distributed share tiles the owned entries of its source rows in the
+/// same walk that sorts the rest into its ghost block.
+#[derive(Debug)]
+pub struct MaskedBsr3Writer {
+    m: MaskedBsr3,
+}
+
+impl MaskedBsr3Writer {
+    /// Room for `ntiles` tiles of an `nrows × ncols` matrix (both multiples
+    /// of 3; panics as [`MaskedBsr3::from_csr`] does otherwise).
+    pub fn new(nrows: usize, ncols: usize, ntiles: usize) -> MaskedBsr3Writer {
+        let (nbr, nbc) = block_dims(nrows, ncols);
+        let mut row_ptr = Vec::with_capacity(nbr + 1);
+        row_ptr.push(0);
+        let tiles = Bsr3Matrix {
+            nblock_rows: nbr,
+            nblock_cols: nbc,
+            row_ptr,
+            col_idx: Vec::with_capacity(ntiles),
+            vals: vec![0.0; 9 * ntiles + TAIL],
+        };
+        let mask = Vec::with_capacity(ntiles);
+        MaskedBsr3Writer {
+            m: MaskedBsr3 {
+                tiles,
+                mask,
+                nnz: 0,
+            },
+        }
+    }
+
+    /// Append a tile in block column `bc` to the open block row (block
+    /// columns strictly ascending within it), holding the entries
+    /// `from[r]..to[r]` of the block row's scalar rows `rows[r]` (columns
+    /// and values) — the ranges [`for_each_tile`] hands out. Panics past
+    /// the announced count.
+    pub fn push_tile(
+        &mut self,
+        bc: usize,
+        rows: &[(&[usize], &[f64]); 3],
+        from: [usize; 3],
+        to: [usize; 3],
+    ) {
+        let t = &mut self.m.tiles;
+        let k = t.col_idx.len();
+        assert!(9 * k + TAIL < t.vals.len(), "more tiles than announced");
+        debug_assert!(bc < t.nblock_cols);
+        debug_assert!(k == t.row_ptr[t.row_ptr.len() - 1] || t.col_idx[k - 1] < bc as u32);
+        let tile = &mut t.vals[9 * k..9 * k + 9];
+        let mut mask = 0u16;
+        for (r, &(cols, vals)) in rows.iter().enumerate() {
+            for q in from[r]..to[r] {
+                let slot = 3 * (cols[q] % 3) + r;
+                tile[slot] = vals[q];
+                mask |= 1 << slot;
+            }
+            self.m.nnz += to[r] - from[r];
+        }
+        t.col_idx.push(bc as u32);
+        self.m.mask.push(mask);
+    }
+
+    /// Close the open block row.
+    pub fn end_block_row(&mut self) {
+        let t = &mut self.m.tiles;
+        t.row_ptr.push(t.col_idx.len());
+    }
+
+    /// The matrix, once every block row is closed and every announced tile
+    /// written.
+    pub fn finish(self) -> MaskedBsr3 {
+        let t = &self.m.tiles;
+        assert_eq!(t.row_ptr.len(), t.nblock_rows + 1, "block rows left open");
+        assert_eq!(
+            9 * t.col_idx.len() + TAIL,
+            t.vals.len(),
+            "fewer tiles than announced"
+        );
+        self.m
     }
 }
 

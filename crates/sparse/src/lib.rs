@@ -62,7 +62,7 @@ pub mod op;
 pub mod plan;
 pub mod vector;
 
-pub use bsr::{Bsr3Matrix, MaskedBsr3, MaskedRow};
+pub use bsr::{for_each_tile, Bsr3Matrix, MaskedBsr3, MaskedBsr3Writer, MaskedRow};
 pub use csr::{CooBuilder, CsrMatrix, PatternFingerprint};
 pub use dense::DenseMatrix;
 pub use op::Operator;

@@ -34,16 +34,25 @@
 //! order is part of the contract: it is what makes the planned product, the
 //! sharded row kernel, and every thread count agree bitwise.
 //!
-//! **Numeric phase**: `A.vals` is scattered into its tiles through a
-//! per-stored-entry slot map (the sharded [`rap_local_rows`] has no plan to
-//! keep: it tiles the `A` rows it holds once per call, values written
-//! straight into the tiles), then each coarse vertex row runs
-//! `tile[t] += w · tile[src]` over contiguous `B²`-wide tiles (stage 1 into
-//! a row-local scratch that stage 2 reads back), and the row's tiles are
-//! emitted through per-tile structural masks — the OR of the contributing
-//! tiles' masks — so the output is exactly the scalar CSR pattern of
-//! `R A Rᵀ`, never a padded one. Rows are independent tasks; bits do not
-//! depend on `PMG_THREADS`.
+//! **Numeric phase**: each coarse vertex row runs `tile[t] += w · tile[src]`
+//! over contiguous `B²`-wide tiles — stage 1 into a row-local scratch that
+//! stage 2 reads back — straight into the row's output tiles. A tile's
+//! slots are column-major (entry `(r, c)` at `B·c + r`, mask bit alike), the
+//! layout of [`MaskedBsr3`](crate::MaskedBsr3)'s tiles, and the output
+//! tiles' structural masks are the OR of the contributing tiles' masks, so
+//! the output is exactly the scalar pattern of `R A Rᵀ`, never a padded
+//! one. Both stages work slot by slot with scalar weights, so the layout
+//! moves no bit. [`RapPlan::execute_tiles`] runs it from a source tile
+//! array to an output tile array: a level share that stores its operator as
+//! one such array (a one-rank promoted share: its tiles; a one-rank scalar
+//! share at `B = 1`: its CSR values) is read and written in place, any
+//! other share goes through a transient array ([`RapPlan::tile_source_row`]
+//! in, [`RapPlan::output_row`] out). [`RapPlan::execute`] takes and returns
+//! scalar CSR: it tiles `A` per call (at `B = 1` the values are the tiles)
+//! and emits each output row through the masks. The sharded
+//! [`rap_local_rows`] has no plan to keep: it tiles the `A` rows it holds
+//! once per call and runs the same row kernels. Rows are independent
+//! tasks; bits do not depend on `PMG_THREADS`.
 //!
 //! The flop charge is the structural *scalar* multiply-add count (taken from
 //! the masks at plan time), so machine-model columns stay comparable with
@@ -54,10 +63,10 @@
 //! counts `rap/plan_reuse` — the reuse the paper's nonlinear runs (Fig. 13)
 //! depend on is thereby observable and testable.
 
+use crate::bsr::for_each_tile;
 use crate::csr::{CsrMatrix, PatternFingerprint};
 use crate::flops;
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::ops::Range;
 
 /// Block view of a set of `A` rows: `B` consecutive scalar rows form a
@@ -72,35 +81,14 @@ struct BlockRows {
     masks: Vec<u16>,
 }
 
-/// Walk one block row — its `B` scalar rows' sorted column ids — tile by
-/// tile in ascending block column `j`: `tile(j, from, to)` gets the range
-/// `from[s]..to[s]` of scalar row `s`'s entries that fall in the tile.
-fn for_each_tile<const B: usize>(
-    rows: [&[usize]; B],
-    mut tile: impl FnMut(usize, [usize; B], [usize; B]),
-) {
-    let mut at = [0usize; B];
-    loop {
-        let mut j = usize::MAX;
-        for s in 0..B {
-            if let Some(&c) = rows[s].get(at[s]) {
-                j = j.min(c / B);
-            }
-        }
-        if j == usize::MAX {
-            return;
-        }
-        let from = at;
-        for s in 0..B {
-            while at[s] < rows[s].len() && rows[s][at[s]] / B == j {
-                at[s] += 1;
-            }
-        }
-        tile(j, from, at);
-    }
+/// Slot of entry `(s, b)` — row `s`, column `b` — of a `B×B` tile, and its
+/// mask bit: column-major, as [`MaskedBsr3`](crate::MaskedBsr3) stores its
+/// tiles, so a share's stored tiles are the product's tiles.
+fn slot(block: usize, s: usize, b: usize) -> usize {
+    b * block + s
 }
 
-/// Slot `s·B + b` of each entry in a tile's ranges, and the tile's mask.
+/// [`slot`] of each entry in a tile's ranges, and the tile's mask.
 fn tile_slots<const B: usize>(
     rows: &[&[usize]; B],
     from: [usize; B],
@@ -110,7 +98,7 @@ fn tile_slots<const B: usize>(
     let mut mask = 0u16;
     for s in 0..B {
         for q in from[s]..to[s] {
-            let slot = s * B + rows[s][q] % B;
+            let slot = slot(B, s, rows[s][q] % B);
             mask |= 1 << slot;
             entry(s, q, slot);
         }
@@ -120,10 +108,7 @@ fn tile_slots<const B: usize>(
 
 impl BlockRows {
     /// Merge each block row's `B` sorted scalar rows into its tile list.
-    /// Also returns the slot map: stored entry `q` of `A` is slot
-    /// `slots[q]` of the flat tile array (empty for `B = 1`, where tiles
-    /// are the stored entries themselves).
-    fn new<const B: usize>(a: &CsrMatrix) -> (BlockRows, Vec<u32>) {
+    fn new<const B: usize>(a: &CsrMatrix) -> BlockRows {
         assert_eq!(a.nrows() % B, 0, "A rows must come in runs of {B}");
         let (rp, ci) = (a.row_ptr(), a.col_idx());
         let nb = a.nrows() / B;
@@ -131,32 +116,24 @@ impl BlockRows {
         row_ptr.push(0u32);
         let mut cols = Vec::with_capacity(a.nnz() / (B * B));
         let mut masks = Vec::with_capacity(a.nnz() / (B * B));
-        let mut slots = vec![0u32; if B == 1 { 0 } else { a.nnz() }];
         for i in 0..nb {
             let rows: [&[usize]; B] =
                 std::array::from_fn(|s| &ci[rp[i * B + s]..rp[i * B + s + 1]]);
             for_each_tile::<B>(rows, |j, from, to| {
-                let tile = cols.len();
-                let mask = tile_slots::<B>(&rows, from, to, |s, q, slot| {
-                    if B > 1 {
-                        slots[rp[i * B + s] + q] = (tile * B * B + slot) as u32;
-                    }
-                });
                 cols.push(j as u32);
-                masks.push(mask);
+                masks.push(tile_slots::<B>(&rows, from, to, |_, _, _| {}));
             });
             row_ptr.push(cols.len() as u32);
         }
         assert!(
-            cols.len() * B * B < u32::MAX as usize,
-            "RapPlan: A has too many tiles for 32-bit slots"
+            cols.len() < u32::MAX as usize,
+            "RapPlan: A has too many tiles for 32-bit tile numbers"
         );
-        let rows = BlockRows {
+        BlockRows {
             row_ptr,
             cols,
             masks,
-        };
-        (rows, slots)
+        }
     }
 
     /// The held view of [`rap_local_rows`]: block row `i` is the run of `B`
@@ -227,16 +204,23 @@ fn gallop(ids: &[u32], from: usize, x: u32) -> Result<usize, usize> {
     }
 }
 
-/// `A.vals` as the flat zero-padded tile array the stage-1 gather reads.
-fn scatter_tiles<'a>(slots: &[u32], tiles_len: usize, a_vals: &'a [f64]) -> Cow<'a, [f64]> {
-    if slots.is_empty() {
-        return Cow::Borrowed(a_vals);
-    }
-    let mut tiles = vec![0.0; tiles_len];
-    for (&s, &v) in slots.iter().zip(a_vals) {
-        tiles[s as usize] = v;
-    }
-    Cow::Owned(tiles)
+/// Write one block row of `A` — its `B` scalar rows' sorted columns and
+/// values — into consecutive whole tiles of `out`, every slot the rows do
+/// not store `+0.0`: the tiles a plan reads, in its order. Returns the
+/// tiles written.
+fn fill_tiles<const B: usize, const BB: usize>(
+    cols: [&[usize]; B],
+    vals: [&[f64]; B],
+    out: &mut [f64],
+) -> usize {
+    let mut n = 0;
+    for_each_tile::<B>(cols, |_, from, to| {
+        let tile = &mut out[n * BB..][..BB];
+        tile.fill(0.0);
+        tile_slots::<B>(&cols, from, to, |s, q, slot| tile[slot] = vals[s][q]);
+        n += 1;
+    });
+    n
 }
 
 /// One tile contribution as the symbolic phase enumerates it: `weight`
@@ -437,7 +421,9 @@ fn scalar_row_lens<const B: usize>(masks: &[u16]) -> [usize; B] {
     let mut lens = [0usize; B];
     for &m in masks {
         for a in 0..B {
-            lens[a] += (m >> (a * B) & ((1 << B) - 1)).count_ones() as usize;
+            for b in 0..B {
+                lens[a] += usize::from(m >> slot(B, a, b) & 1 != 0);
+            }
         }
     }
     lens
@@ -456,9 +442,9 @@ fn emit_row<const B: usize, const BB: usize>(
     for a in 0..B {
         for ((&col, &mask), tile) in cols.iter().zip(masks).zip(tiles.chunks_exact(BB)) {
             for b in 0..B {
-                if mask >> (a * B + b) & 1 != 0 {
+                if mask >> slot(B, a, b) & 1 != 0 {
                     out_cols[q] = col as usize * B + b;
-                    out_vals[q] = tile[a * B + b];
+                    out_vals[q] = tile[slot(B, a, b)];
                     q += 1;
                 }
             }
@@ -513,10 +499,11 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
 /// `A_c = R A Rᵀ` with `R` frozen and `A`'s sparsity pattern fixed.
 ///
 /// The plan holds, per product stage, one `(weight, source tile)` pair per
-/// *tile* contribution, the slot map from `A`'s stored entries into its
-/// zero-padded tiles, and the output's structural tile masks — see the
+/// *tile* contribution, where each block row of `A` starts in the flat
+/// source tile array, and the output's structural tile masks — see the
 /// [module docs](self) for the layout and the defined summation order
-/// (ascending fine vertex within every output entry).
+/// (ascending fine vertex within every output entry). It keeps nothing per
+/// stored scalar of `A`.
 ///
 /// # Invalidation invariant
 ///
@@ -530,8 +517,11 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
 /// drop-tolerance, a new restriction `R` — must rebuild the plan.
 /// [`RapPlan::try_execute`] checks once and declines a non-matching
 /// operator (`MgHierarchy::update_operator` rebuilds transparently on
-/// `None`); [`RapPlan::execute`] panics instead of scattering values
-/// through stale slots.
+/// `None`); [`RapPlan::execute`] panics instead of reading values into
+/// the wrong tiles. [`RapPlan::execute_tiles`] has no pattern to check: its
+/// caller hands it tiles of the planned pattern (a share built from the
+/// operator the plan was, or from its output), and a tile count off the
+/// plan's panics.
 ///
 /// The check reads the fingerprint `A` carries, so it hashes `A` only if
 /// nothing has before in `A`'s life. The output's pattern is fixed by the
@@ -559,22 +549,24 @@ pub struct RapPlan {
     a_pattern: PatternFingerprint,
     /// Unknowns per vertex the plan runs in: 3 when `R = R_v ⊗ I₃`, else 1.
     block: usize,
-    /// Slot of each stored `A` entry in the flat tile array.
-    a_slots: Vec<u32>,
-    /// Length of the flat `A` tile array.
-    a_tiles_len: usize,
+    /// Block row `k` of `A` is source tiles `a_rows[k]..a_rows[k + 1]`.
+    a_rows: Vec<u32>,
     /// Coarse vertex `c`'s `RA` tiles are `rows1[c]..rows1[c + 1]`.
     rows1: Vec<u32>,
     stage1: Stage,
     /// Coarse vertex `c`'s output tiles are `rows2[c]..rows2[c + 1]`.
     rows2: Vec<u32>,
     stage2: Stage,
-    /// Scalar row pointer of the output.
-    c_row_ptr: Vec<usize>,
     /// Pattern of the output, fixed by the plan: hashed on the first
     /// execution, stamped on every later output.
     c_pattern: Option<PatternFingerprint>,
 }
+
+/// Tasks per pool thread of the numeric phase. Each task runs a range of
+/// coarse vertices on one pair of row scratch buffers (every tile is
+/// overwritten before it is read), so its allocations are per task, not
+/// per row; rows are independent, so the split moves no bit.
+const TASKS_PER_THREAD: usize = 4;
 
 impl RapPlan {
     /// Symbolic phase: fix the tile contribution lists and the output
@@ -597,7 +589,7 @@ impl RapPlan {
 
     fn build<const B: usize>(a: &CsrMatrix, r_v: &CsrMatrix) -> RapPlan {
         let nc = r_v.nrows();
-        let (ab, a_slots) = BlockRows::new::<B>(a);
+        let ab = BlockRows::new::<B>(a);
         let rt_v = r_v.transpose();
         let mut marker = Marker::new(r_v.ncols().max(nc));
         let tiles_of = |k: usize| (ab.row_ptr[k + 1] - ab.row_ptr[k]) as usize;
@@ -623,8 +615,6 @@ impl RapPlan {
         stage2.src.reserve_exact(contribs);
         let mut rows2 = Vec::with_capacity(nc + 1);
         rows2.push(0u32);
-        let mut c_row_ptr = Vec::with_capacity(nc * B + 1);
-        c_row_ptr.push(0usize);
         for c in 0..nc {
             let ra = rows1[c] as usize..rows1[c + 1] as usize;
             stage2_row(
@@ -634,11 +624,7 @@ impl RapPlan {
                 &stage1.masks[ra],
                 &rt_v,
             );
-            let first = rows2[c] as usize;
             rows2.push(stage2.cols.len() as u32);
-            for len in scalar_row_lens::<B>(&stage2.masks[first..]) {
-                c_row_ptr.push(c_row_ptr[c_row_ptr.len() - 1] + len);
-            }
         }
 
         // Stage 1's columns and masks only fed stage 2.
@@ -651,13 +637,11 @@ impl RapPlan {
         RapPlan {
             a_pattern: PatternFingerprint::of(a),
             block: B,
-            a_slots,
-            a_tiles_len: ab.cols.len() * B * B,
+            a_rows: ab.row_ptr,
             rows1,
             stage1,
             rows2,
             stage2,
-            c_row_ptr,
             c_pattern: None,
         }
     }
@@ -675,11 +659,96 @@ impl RapPlan {
 
     /// Heap bytes the plan holds between executions.
     pub fn memory_bytes(&self) -> usize {
-        self.a_slots.capacity() * 4
-            + (self.rows1.capacity() + self.rows2.capacity()) * 4
+        (self.a_rows.capacity() + self.rows1.capacity() + self.rows2.capacity()) * 4
             + self.stage1.memory_bytes()
             + self.stage2.memory_bytes()
-            + self.c_row_ptr.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// Length of the source tile array [`execute_tiles`](Self::execute_tiles)
+    /// reads: `B²` values per tile of `A`, block rows in order, block
+    /// columns ascending within a row — a one-rank promoted share's tiles
+    /// (`B = 3`), or `A`'s CSR values (`B = 1`).
+    pub fn source_len(&self) -> usize {
+        self.a_rows[self.a_rows.len() - 1] as usize * self.block * self.block
+    }
+
+    /// Length of the output tile array [`execute_tiles`](Self::execute_tiles)
+    /// writes, laid out as [`source_len`](Self::source_len)'s.
+    pub fn output_len(&self) -> usize {
+        self.rows2[self.rows2.len() - 1] as usize * self.block * self.block
+    }
+
+    /// Write block row `k` of `A`, given as its `B` scalar rows (columns
+    /// ascending, with their values), into its tiles of the source array
+    /// `a_tiles`, whole: every slot the rows do not store becomes `+0.0`.
+    /// How a source that does not store the plan's tiles contiguously is
+    /// read. Panics if the rows' tiles are not the planned ones' count.
+    pub fn tile_source_row(
+        &self,
+        k: usize,
+        cols: &[&[usize]],
+        vals: &[&[f64]],
+        a_tiles: &mut [f64],
+    ) {
+        let bb = self.block * self.block;
+        let tiles = self.a_rows[k] as usize..self.a_rows[k + 1] as usize;
+        let out = &mut a_tiles[tiles.start * bb..tiles.end * bb];
+        let n = match self.block {
+            3 => fill_tiles::<3, 9>(rows(cols), rows(vals), out),
+            _ => fill_tiles::<1, 1>(rows(cols), rows(vals), out),
+        };
+        assert_eq!(n, tiles.len(), "block row {k} is not the planned pattern's");
+    }
+
+    /// Scalar row `i` of an output tile array, as [`execute`](Self::execute)
+    /// emits it: into `cols` / `vals` (cleared first), ascending column,
+    /// exactly the entries the output masks mark. How an output is written
+    /// to a share that does not store the plan's tiles contiguously.
+    pub fn output_row(
+        &self,
+        i: usize,
+        c_tiles: &[f64],
+        cols: &mut Vec<usize>,
+        vals: &mut Vec<f64>,
+    ) {
+        let (block, bb) = (self.block, self.block * self.block);
+        let (c, a) = (i / block, i % block);
+        cols.clear();
+        vals.clear();
+        for t in self.rows2[c] as usize..self.rows2[c + 1] as usize {
+            let (col, mask) = (self.stage2.cols[t] as usize, self.stage2.masks[t]);
+            for b in 0..block {
+                let at = slot(block, a, b);
+                if mask >> at & 1 != 0 {
+                    cols.push(col * block + b);
+                    vals.push(c_tiles[t * bb + at]);
+                }
+            }
+        }
+    }
+
+    /// Numeric phase, tiles to tiles: `c_tiles` (every slot, the ones no
+    /// output mask marks `+0.0`) from `a_tiles`, both laid out as
+    /// [`source_len`](Self::source_len) says. [`execute`](Self::execute)
+    /// runs the same row kernel on a CSR's tiles. Panics if either array
+    /// is not the planned length.
+    pub fn execute_tiles(&self, a_tiles: &[f64], c_tiles: &mut [f64]) {
+        assert_eq!(
+            a_tiles.len(),
+            self.source_len(),
+            "A's tiles are not the planned pattern's"
+        );
+        assert_eq!(
+            c_tiles.len(),
+            self.output_len(),
+            "output tiles are not the planned pattern's"
+        );
+        pmg_telemetry::counter_add("rap/plan_reuse", 1);
+        match self.block {
+            3 => self.run_tiles::<9>(a_tiles, c_tiles),
+            _ => self.run_tiles::<1>(a_tiles, c_tiles),
+        }
+        self.charge_flops();
     }
 
     /// Numeric phase: compute `R A Rᵀ` for a new `A` with the planned
@@ -700,9 +769,10 @@ impl RapPlan {
         }
         pmg_telemetry::counter_add("rap/plan_reuse", 1);
         let c = match self.block {
-            3 => self.run::<3, 9>(a),
-            _ => self.run::<1, 1>(a),
+            3 => self.run_csr::<3, 9>(&self.tile_csr::<3, 9>(a)),
+            _ => self.run_csr::<1, 1>(a.vals()),
         };
+        self.charge_flops();
         match self.c_pattern {
             Some(p) => p.stamp(&c),
             None => self.c_pattern = Some(PatternFingerprint::of(&c)),
@@ -710,10 +780,88 @@ impl RapPlan {
         Some(c)
     }
 
-    fn run<const B: usize, const BB: usize>(&self, a: &CsrMatrix) -> CsrMatrix {
-        let a_tiles = scatter_tiles(&self.a_slots, self.a_tiles_len, a.vals());
+    fn charge_flops(&self) {
+        flops::add(2 * (self.stage1.scalar_madds + self.stage2.scalar_madds));
+    }
+
+    /// `a`'s values as the source tile array, tiled block row by block row.
+    fn tile_csr<const B: usize, const BB: usize>(&self, a: &CsrMatrix) -> Vec<f64> {
+        let (rp, ci, v) = (a.row_ptr(), a.col_idx(), a.vals());
+        let mut tiles = vec![0.0; self.source_len()];
+        for (k, at) in self.a_rows.windows(2).enumerate() {
+            let range = |s: usize| rp[k * B + s]..rp[k * B + s + 1];
+            let out = &mut tiles[at[0] as usize * BB..at[1] as usize * BB];
+            let n = fill_tiles::<B, BB>(
+                std::array::from_fn(|s| &ci[range(s)]),
+                std::array::from_fn(|s| &v[range(s)]),
+                out,
+            );
+            debug_assert_eq!(n, (at[1] - at[0]) as usize);
+        }
+        tiles
+    }
+
+    /// Output block row `c` into `out`, exactly its tiles; stage 1 goes
+    /// through the row scratch `ra`.
+    fn row_product<const BB: usize>(
+        &self,
+        c: usize,
+        a_tiles: &[f64],
+        ra: &mut Vec<f64>,
+        out: &mut [f64],
+    ) {
+        let ra_tiles = self.rows1[c] as usize..self.rows1[c + 1] as usize;
+        ra.resize(ra_tiles.len() * BB, 0.0);
+        self.stage1.accumulate::<BB>(ra_tiles, a_tiles, ra);
+        let out_tiles = self.rows2[c] as usize..self.rows2[c + 1] as usize;
+        self.stage2.accumulate::<BB>(out_tiles, ra, out);
+    }
+
+    /// Coarse vertices per task of the numeric phase.
+    fn run_len(&self) -> usize {
+        let tasks = TASKS_PER_THREAD * rayon::current_num_threads();
+        (self.rows2.len() - 1).div_ceil(tasks).max(1)
+    }
+
+    fn run_tiles<const BB: usize>(&self, a_tiles: &[f64], c_tiles: &mut [f64]) {
+        let (nc, run_len) = (self.rows2.len() - 1, self.run_len());
+        // One task per run of coarse vertices, each owning its output tiles.
+        let mut runs = Vec::with_capacity(nc.div_ceil(run_len));
+        let mut rest = c_tiles;
+        for first in (0..nc).step_by(run_len) {
+            let tiles = self.rows2[(first + run_len).min(nc)] - self.rows2[first];
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(tiles as usize * BB);
+            rest = tail;
+            runs.push(run);
+        }
+        runs.par_iter_mut().enumerate().for_each(|(k, run)| {
+            let rows = k * run_len..((k + 1) * run_len).min(nc);
+            // The task's stage-1 scratch, allocated once at its widest row.
+            let widest = rows
+                .clone()
+                .map(|c| self.rows1[c + 1] - self.rows1[c])
+                .max();
+            let mut ra = Vec::with_capacity(widest.unwrap_or(0) as usize * BB);
+            let mut at = 0;
+            for c in rows {
+                let len = (self.rows2[c + 1] - self.rows2[c]) as usize * BB;
+                self.row_product::<BB>(c, a_tiles, &mut ra, &mut run[at..at + len]);
+                at += len;
+            }
+        });
+    }
+
+    fn run_csr<const B: usize, const BB: usize>(&self, a_tiles: &[f64]) -> CsrMatrix {
         let nc = self.rows2.len() - 1;
-        let nnz = self.c_row_ptr[nc * B];
+        let mut row_ptr = Vec::with_capacity(nc * B + 1);
+        row_ptr.push(0usize);
+        for c in 0..nc {
+            let masks = &self.stage2.masks[self.rows2[c] as usize..self.rows2[c + 1] as usize];
+            for len in scalar_row_lens::<B>(masks) {
+                row_ptr.push(row_ptr[row_ptr.len() - 1] + len);
+            }
+        }
+        let nnz = row_ptr[nc * B];
         let mut col_idx = vec![0usize; nnz];
         let mut vals = vec![0.0f64; nnz];
 
@@ -721,38 +869,39 @@ impl RapPlan {
         let mut outs = Vec::with_capacity(nc);
         let (mut rest_cols, mut rest_vals) = (&mut col_idx[..], &mut vals[..]);
         for c in 0..nc {
-            let len = self.c_row_ptr[(c + 1) * B] - self.c_row_ptr[c * B];
+            let len = row_ptr[(c + 1) * B] - row_ptr[c * B];
             let (cols, tail) = std::mem::take(&mut rest_cols).split_at_mut(len);
             rest_cols = tail;
             let (vals, tail) = std::mem::take(&mut rest_vals).split_at_mut(len);
             rest_vals = tail;
             outs.push((cols, vals));
         }
-        // A run of coarse vertices per task shares one pair of tile
-        // buffers (every tile is overwritten before it is read).
-        const RUN: usize = 32;
-        outs.par_chunks_mut(RUN).enumerate().for_each(|(k, run)| {
-            let (mut ra_tiles, mut c_tiles) = (Vec::new(), Vec::new());
-            for (c, (out_cols, out_vals)) in (k * RUN..).zip(run) {
-                let ra = self.rows1[c] as usize..self.rows1[c + 1] as usize;
-                let out = self.rows2[c] as usize..self.rows2[c + 1] as usize;
-                ra_tiles.resize(ra.len() * BB, 0.0);
-                self.stage1.accumulate::<BB>(ra, &a_tiles, &mut ra_tiles);
-                c_tiles.resize(out.len() * BB, 0.0);
-                self.stage2
-                    .accumulate::<BB>(out.clone(), &ra_tiles, &mut c_tiles);
-                emit_row::<B, BB>(
-                    &self.stage2.cols[out.clone()],
-                    &self.stage2.masks[out],
-                    &c_tiles,
-                    out_cols,
-                    out_vals,
-                );
-            }
-        });
-        flops::add(2 * (self.stage1.scalar_madds + self.stage2.scalar_madds));
-        CsrMatrix::from_parts(nc * B, nc * B, self.c_row_ptr.clone(), col_idx, vals)
+        let run_len = self.run_len();
+        outs.par_chunks_mut(run_len)
+            .enumerate()
+            .for_each(|(k, run)| {
+                let (mut ra, mut c_tiles) = (Vec::new(), Vec::new());
+                for (c, (out_cols, out_vals)) in (k * run_len..).zip(run) {
+                    let out = self.rows2[c] as usize..self.rows2[c + 1] as usize;
+                    c_tiles.resize(out.len() * BB, 0.0);
+                    self.row_product::<BB>(c, a_tiles, &mut ra, &mut c_tiles);
+                    emit_row::<B, BB>(
+                        &self.stage2.cols[out.clone()],
+                        &self.stage2.masks[out],
+                        &c_tiles,
+                        out_cols,
+                        out_vals,
+                    );
+                }
+            });
+        CsrMatrix::from_parts(nc * B, nc * B, row_ptr, col_idx, vals)
     }
+}
+
+/// `B` scalar rows as the array the tile walk takes.
+fn rows<'a, T, const B: usize>(rows: &[&'a [T]]) -> [&'a [T]; B] {
+    rows.try_into()
+        .unwrap_or_else(|_| panic!("{B} scalar rows per block row"))
 }
 
 /// Owned Galerkin rows from purely **local** row sets — the kernel of the
@@ -932,6 +1081,7 @@ fn local_rows<const B: usize, const BB: usize>(
 mod tests {
     use super::*;
     use crate::csr::CooBuilder;
+    use crate::MaskedBsr3;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -1159,6 +1309,68 @@ mod tests {
             scalar.memory_bytes()
         );
         assert!(block.memory_bytes() * 4 <= scalar.memory_bytes());
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn tile_execution_is_bitwise_the_csr_execution() {
+        // Partial tiles, Dirichlet rows, an empty vertex and a stored
+        // `-0.0`; then the scalar plan, whose tiles are the CSR values.
+        let mut a3 = random_elastic(24, 5);
+        a3.vals_mut()[7] = -0.0;
+        let r3 = random_restriction(8, 24, 6).kron_identity(3);
+        let (a1, r1) = (random_sym(30, 3, 9), random_restriction(9, 30, 10));
+        for (a, r) in [(&a3, &r3), (&a1, &r1)] {
+            let mut plan = RapPlan::new(a, r);
+            let want = RapPlan::new(a, r).execute(a);
+            let block = plan.block_size();
+            // Read in place and written in place, as one rank's shares are
+            // (every output slot written: unmasked ones `+0.0`).
+            let (src, fresh) = match block {
+                3 => (
+                    MaskedBsr3::from_csr(a).tile_values().to_vec(),
+                    MaskedBsr3::from_csr(&want).tile_values().to_vec(),
+                ),
+                _ => (a.vals().to_vec(), want.vals().to_vec()),
+            };
+            let mut out = vec![f64::NAN; plan.output_len()];
+            for _ in 0..2 {
+                plan.execute_tiles(&src, &mut out);
+                assert_eq!(bits(&out), bits(&fresh));
+            }
+            // Through a transient array, as any other storage goes.
+            let mut tiles = vec![f64::NAN; plan.source_len()];
+            for k in 0..a.nrows() / block {
+                let rows: Vec<_> = (0..block).map(|s| a.row(k * block + s)).collect();
+                let (cols, vals): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+                plan.tile_source_row(k, &cols, &vals, &mut tiles);
+            }
+            assert_eq!(bits(&tiles), bits(&src));
+            let (mut cols, mut vals) = (Vec::new(), Vec::new());
+            for i in 0..want.nrows() {
+                plan.output_row(i, &out, &mut cols, &mut vals);
+                assert_eq!(&cols[..], want.row(i).0, "row {i}");
+                assert_eq!(bits(&vals), bits(want.row(i).1), "row {i}");
+            }
+            // The CSR route after the in-place executions is a fresh
+            // plan's, bit for bit.
+            let again = plan.execute(a);
+            assert_eq!(again.row_ptr(), want.row_ptr());
+            assert_eq!(again.col_idx(), want.col_idx());
+            assert_eq!(bits(again.vals()), bits(want.vals()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not the planned pattern's")]
+    fn tile_execution_rejects_a_foreign_tile_count() {
+        let a = random_elastic(12, 5);
+        let plan = RapPlan::new(&a, &random_restriction(4, 12, 6).kron_identity(3));
+        let src = vec![0.0; plan.source_len() + 9];
+        plan.execute_tiles(&src, &mut vec![0.0; plan.output_len()]);
     }
 
     /// The row sets of one rank for [`rap_local_rows`], from the global
