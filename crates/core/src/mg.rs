@@ -350,16 +350,18 @@ impl MgHierarchy {
             // setup).
             sim.phase("matrix setup");
             let r_dof = expand_restriction(&cl.restriction, dofs);
+            let da = make_da(&cur_a, &cur_layout, promote);
+            // The product reads the level's share where it stores its
+            // values, as an update does.
             let ((a_coarse, rap_plan), _) = {
                 let _t = pmg_telemetry::scope("rap");
                 pmg_sparse::flops::measure(|| {
                     let mut plan = RapPlan::new(&cur_a, &r_dof);
-                    let ac = plan.execute(&cur_a);
+                    let ac = da.galerkin(&mut plan);
                     (ac, plan)
                 })
             };
             let coarse_layout = make_layout(&cl.coords);
-            let da = make_da(&cur_a, &cur_layout, promote);
             let dr = DistMatrix::from_global(&r_dof, coarse_layout.clone(), cur_layout.clone());
             let dp = DistMatrix::from_global(
                 &r_dof.transpose(),
@@ -508,7 +510,7 @@ impl MgHierarchy {
                         .as_ref()
                         .expect("a level above another keeps R");
                     let plan = level.rap_plan.insert(RapPlan::new(cur, r));
-                    Some(Cow::Owned(plan.execute(cur)))
+                    Some(Cow::Owned(level.a.galerkin(plan)))
                 }
                 (None, None) => panic!("a level written in place lost its Galerkin plan"),
             };

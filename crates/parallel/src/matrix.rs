@@ -24,6 +24,7 @@ use pmg_sparse::{
     PatternFingerprint, RapPlan,
 };
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -576,47 +577,55 @@ impl DistMatrix {
     /// and bitwise what that refresh takes from
     /// [`RapPlan::execute`]'s CSR. No global matrix is formed. The plan
     /// reads this operator's values where its one share stores them as the
-    /// plan's source tiles (one rank, promoted at `B = 3` or scalar at
-    /// `B = 1`) and writes `coarse`'s where they are stored likewise; any
-    /// other storage goes through a transient tile array — gathered from
-    /// each row's owner, `diag` and `off` merged, or scattered to the
-    /// owners' `diag` and `off` values. Counts `distribute/refresh` for
-    /// `coarse`.
+    /// plan's source tiles (one rank, promoted, a 3x3 vertex-block plan)
+    /// and writes `coarse`'s where they are stored likewise; any other
+    /// storage goes through a transient tile array — gathered from each
+    /// row's owner, `diag` and `off` merged, or scattered to the owners'
+    /// `diag` and `off` values. Counts `distribute/refresh` for `coarse`.
     ///
     /// # Panics
     /// If either operator's pattern is not the plan's (a tile or entry
     /// count off).
     pub fn galerkin_into(&self, plan: &RapPlan, coarse: &mut DistMatrix) {
-        let block = plan.block_size();
-        let gathered;
-        let a_tiles = match self.plan_tiles(block) {
-            Some(tiles) => tiles,
-            None => {
-                gathered = self.gather_tiles(plan);
-                &gathered[..]
-            }
-        };
-        match coarse.plan_tiles_mut(block) {
-            Some(c_tiles) => plan.execute_tiles(a_tiles, c_tiles),
+        let a_tiles = self.source_tiles(plan);
+        match coarse.plan_tiles_mut(plan.block_size()) {
+            Some(c_tiles) => plan.execute_tiles(&a_tiles, c_tiles),
             None => {
                 let mut c_tiles = vec![0.0; plan.output_len()];
-                plan.execute_tiles(a_tiles, &mut c_tiles);
+                plan.execute_tiles(&a_tiles, &mut c_tiles);
                 coarse.scatter_tiles(plan, &c_tiles);
             }
         }
         pmg_telemetry::counter_add("distribute/refresh", 1);
     }
 
+    /// The Galerkin product `R A Rᵀ` of this operator through `plan` (built
+    /// from this operator's global matrix) as a global CSR — what a build
+    /// hands the next level — reading this operator's values as
+    /// [`galerkin_into`](Self::galerkin_into) does: bitwise
+    /// [`RapPlan::execute`] of the global matrix, without tiling it again.
+    pub fn galerkin(&self, plan: &mut RapPlan) -> CsrMatrix {
+        plan.execute_tiles_csr(&self.source_tiles(plan))
+    }
+
+    /// A plan's source tiles: this operator's own when its one share
+    /// stores them so, else gathered.
+    fn source_tiles(&self, plan: &RapPlan) -> Cow<'_, [f64]> {
+        match self.plan_tiles(plan.block_size()) {
+            Some(tiles) => Cow::Borrowed(tiles),
+            None => Cow::Owned(self.gather_tiles(plan)),
+        }
+    }
+
     /// The values as a plan's source tiles in `block`-vertex tiles, when
-    /// one share holds every row and column in the form of that array: its
-    /// tiles at `B = 3`, its scalar CSR values at `B = 1`.
+    /// one promoted share holds every row and column and the plan runs in
+    /// 3x3 tiles.
     fn plan_tiles(&self, block: usize) -> Option<&[f64]> {
         let [m] = &self.ranks[..] else {
             return None;
         };
         match (&m.diag, block) {
             (Diag::Tiles(t, _), 3) => Some(t.tile_values()),
-            (Diag::Csr(a, _), 1) => Some(a.vals()),
             _ => None,
         }
     }
@@ -628,7 +637,6 @@ impl DistMatrix {
         };
         match (&mut m.diag, block) {
             (Diag::Tiles(t, _), 3) => Some(t.tile_values_mut()),
-            (Diag::Csr(a, _), 1) => Some(a.vals_mut()),
             _ => None,
         }
     }

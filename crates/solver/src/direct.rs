@@ -32,24 +32,13 @@ pub struct CoarseDirect {
 fn factor_dense(global: &DenseMatrix) -> (Factor, usize) {
     let n = global.nrows();
     let factor = match Some(())
-        .filter(|_| is_symmetric(global, 1e-12))
+        .filter(|_| global.is_symmetric(1e-12))
         .and_then(|_| Cholesky::factor(global))
     {
         Some(c) => Factor::Chol(c),
         None => Factor::Lu(Lu::factor(global).expect("coarse operator is singular")),
     };
     (factor, n)
-}
-
-/// [`CsrMatrix::is_symmetric`](pmg_sparse::CsrMatrix::is_symmetric) on
-/// the dense matrix, entry for entry the same verdict: every pair within
-/// `tol` of the largest entry (a `NaN` anywhere fails), absent entries
-/// zero — without the transpose a sparse check builds.
-fn is_symmetric(a: &DenseMatrix, tol: f64) -> bool {
-    let n = a.nrows();
-    let entries = (0..n).flat_map(|i| a.row(i).iter());
-    let scale = entries.fold(0.0f64, |m, v| m.max(v.abs())).max(1e-300);
-    a.ncols() == n && (0..n).all(|i| (0..n).all(|j| (a[(i, j)] - a[(j, i)]).abs() <= tol * scale))
 }
 
 impl CoarseDirect {

@@ -79,8 +79,9 @@ impl Bsr3Matrix {
     /// [`MaskedBsr3::from_csr`], without the masks.
     ///
     /// # Panics
-    /// If a dimension is not a multiple of 3, or `ncols / 3` exceeds
-    /// `u32::MAX` (block columns are stored as `u32`).
+    /// If a dimension is not a multiple of 3, `ncols / 3` exceeds
+    /// `u32::MAX` (block columns are stored as `u32`), or a row's columns
+    /// do not strictly ascend.
     pub fn from_csr(a: &CsrMatrix) -> Bsr3Matrix {
         MaskedBsr3::from_csr(a).tiles
     }
@@ -363,8 +364,9 @@ impl MaskedBsr3 {
     /// ascending (the product's accumulation order).
     ///
     /// # Panics
-    /// If a dimension is not a multiple of 3, or `ncols / 3` exceeds
-    /// `u32::MAX` (block columns are stored as `u32`).
+    /// If a dimension is not a multiple of 3, `ncols / 3` exceeds
+    /// `u32::MAX` (block columns are stored as `u32`), or a row's columns
+    /// do not strictly ascend.
     pub fn from_csr(a: &CsrMatrix) -> MaskedBsr3 {
         let (nbr, _) = block_dims(a.nrows(), a.ncols());
         let rows =
@@ -619,8 +621,12 @@ impl MaskedBsr3Writer {
     /// Append a tile in block column `bc` to the open block row (block
     /// columns strictly ascending within it), holding the entries
     /// `from[r]..to[r]` of the block row's scalar rows `rows[r]` (columns
-    /// and values) — the ranges [`for_each_tile`] hands out. Panics past
-    /// the announced count.
+    /// and values) — the ranges [`for_each_tile`] hands out.
+    ///
+    /// # Panics
+    /// Past the announced count, if `bc` does not ascend within the block
+    /// row, or if a row's columns do not strictly ascend (a repeated or
+    /// out-of-order column would otherwise overwrite a slot).
     pub fn push_tile(
         &mut self,
         bc: usize,
@@ -631,12 +637,19 @@ impl MaskedBsr3Writer {
         let t = &mut self.m.tiles;
         let k = t.col_idx.len();
         assert!(9 * k + TAIL < t.vals.len(), "more tiles than announced");
-        debug_assert!(bc < t.nblock_cols);
-        debug_assert!(k == t.row_ptr[t.row_ptr.len() - 1] || t.col_idx[k - 1] < bc as u32);
+        assert!(bc < t.nblock_cols, "block column {bc} out of range");
+        assert!(
+            k == t.row_ptr[t.row_ptr.len() - 1] || t.col_idx[k - 1] < bc as u32,
+            "block column {bc} does not ascend within its block row"
+        );
         let tile = &mut t.vals[9 * k..9 * k + 9];
         let mut mask = 0u16;
         for (r, &(cols, vals)) in rows.iter().enumerate() {
             for q in from[r]..to[r] {
+                assert!(
+                    q == 0 || cols[q - 1] < cols[q],
+                    "row {r} of a block row does not ascend"
+                );
                 let slot = 3 * (cols[q] % 3) + r;
                 tile[slot] = vals[q];
                 mask |= 1 << slot;
@@ -941,6 +954,29 @@ mod tests {
     fn more_than_u32_max_block_columns_are_rejected() {
         let empty = CooBuilder::new(3, 3 * (u32::MAX as usize + 1)).build();
         Bsr3Matrix::from_csr(&empty);
+    }
+
+    #[test]
+    fn rows_that_do_not_ascend_are_rejected() {
+        // `from_parts` does not check column order, so the tiling must:
+        // row 1 repeats column 4; row 2 holds column 5 before column 4.
+        for (row_ptr, cols, msg) in [
+            (
+                vec![0, 1, 3, 4],
+                vec![0, 4, 4, 2],
+                "row 1 of a block row does not ascend",
+            ),
+            (
+                vec![0, 1, 2, 4],
+                vec![0, 4, 5, 4],
+                "row 2 of a block row does not ascend",
+            ),
+        ] {
+            let a = CsrMatrix::from_parts(3, 6, row_ptr, cols, vec![1.0; 4]);
+            let err = std::panic::catch_unwind(|| MaskedBsr3::from_csr(&a)).unwrap_err();
+            let text = err.downcast_ref::<String>().map_or("", |s| s.as_str());
+            assert!(text.contains(msg), "{text:?}");
+        }
     }
 
     #[test]

@@ -564,7 +564,8 @@ impl CsrMatrix {
         d
     }
 
-    /// Symmetry check up to `tol` relative to the largest entry.
+    /// Symmetry check up to `tol` relative to the largest entry; a pair
+    /// holding a `NaN` fails.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.nrows != self.ncols {
             return false;
@@ -577,15 +578,12 @@ impl CsrMatrix {
         let t = self.transpose();
         if t.row_ptr != self.row_ptr || t.col_idx != self.col_idx {
             // Structurally nonsymmetric: fall back to value comparison.
-            for i in 0..self.nrows {
+            return (0..self.nrows).all(|i| {
                 let (cols, vals) = self.row(i);
-                for (&j, &v) in cols.iter().zip(vals) {
-                    if (v - t.get(i, j)).abs() > tol * scale {
-                        return false;
-                    }
-                }
-            }
-            return true;
+                cols.iter()
+                    .zip(vals)
+                    .all(|(&j, &v)| (v - t.get(i, j)).abs() <= tol * scale)
+            });
         }
         self.vals
             .iter()
@@ -699,6 +697,28 @@ mod tests {
         let a = small();
         let rows: Vec<&[usize]> = (0..3).map(|i| a.row(i).0).collect();
         assert_eq!(PatternFingerprint::of(&a), fp(3, &rows));
+    }
+
+    #[test]
+    fn symmetry_verdict_is_the_dense_one() {
+        // Structurally symmetric and not, with a NaN or a skew in each.
+        let cases: [&[(usize, usize, f64)]; 5] = [
+            &[(0, 0, 2.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 2.0)],
+            &[(0, 0, 2.0), (0, 1, -1.0), (1, 0, -1.5), (1, 1, 2.0)],
+            &[(0, 0, 2.0), (0, 1, f64::NAN), (1, 0, -1.0), (1, 1, 2.0)],
+            &[(0, 0, 2.0), (0, 1, f64::NAN), (1, 1, 2.0)],
+            &[(0, 0, 2.0), (0, 1, 1e-20), (1, 1, 2.0)],
+        ];
+        let verdicts = cases.map(|entries| {
+            let mut b = CooBuilder::new(2, 2);
+            for &(i, j, v) in entries {
+                b.push(i, j, v);
+            }
+            let a = b.build();
+            assert_eq!(a.is_symmetric(1e-12), a.to_dense().is_symmetric(1e-12));
+            a.is_symmetric(1e-12)
+        });
+        assert_eq!(verdicts, [true, false, false, false, true]);
     }
 
     #[test]

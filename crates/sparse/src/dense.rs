@@ -79,6 +79,21 @@ impl DenseMatrix {
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.ncols..(i + 1) * self.ncols]
     }
+
+    /// Symmetry check up to `tol` relative to the largest entry — the
+    /// verdict [`CsrMatrix::is_symmetric`](crate::CsrMatrix::is_symmetric)
+    /// gives on the same entries (absent ones zero; a pair holding a `NaN`
+    /// fails), without the transpose a sparse check builds.
+    pub fn is_symmetric(&self, tol: f64) -> bool {
+        let n = self.nrows;
+        let scale = self
+            .data
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()))
+            .max(1e-300);
+        self.ncols == n
+            && (0..n).all(|i| (0..i).all(|j| (self[(i, j)] - self[(j, i)]).abs() <= tol * scale))
+    }
 }
 
 impl Index<(usize, usize)> for DenseMatrix {

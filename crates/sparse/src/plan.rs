@@ -44,12 +44,13 @@
 //! one. Both stages work slot by slot with scalar weights, so the layout
 //! moves no bit. [`RapPlan::execute_tiles`] runs it from a source tile
 //! array to an output tile array: a level share that stores its operator as
-//! one such array (a one-rank promoted share: its tiles; a one-rank scalar
-//! share at `B = 1`: its CSR values) is read and written in place, any
-//! other share goes through a transient array ([`RapPlan::tile_source_row`]
-//! in, [`RapPlan::output_row`] out). [`RapPlan::execute`] takes and returns
-//! scalar CSR: it tiles `A` per call (at `B = 1` the values are the tiles)
-//! and emits each output row through the masks. The sharded
+//! one such array (a one-rank promoted share: its tiles) is read and
+//! written in place, any other share goes through a transient array
+//! ([`RapPlan::tile_source_row`] in, [`RapPlan::output_row`] out).
+//! [`RapPlan::execute_tiles_csr`] reads a source tile array and emits
+//! scalar CSR, each output row through the masks (what a build hands the
+//! next level); [`RapPlan::execute`] takes a CSR and tiles it per call
+//! first (at `B = 1` the values are the tiles). The sharded
 //! [`rap_local_rows`] has no plan to keep: it tiles the `A` rows it holds
 //! once per call and runs the same row kernels. Rows are independent
 //! tasks; bits do not depend on `PMG_THREADS`.
@@ -68,6 +69,7 @@ use crate::csr::{CsrMatrix, PatternFingerprint};
 use crate::flops;
 use rayon::prelude::*;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Block view of a set of `A` rows: `B` consecutive scalar rows form a
 /// block row, scalar column `j` falls in block column `j / B`.
@@ -562,11 +564,10 @@ pub struct RapPlan {
     c_pattern: Option<PatternFingerprint>,
 }
 
-/// Tasks per pool thread of the numeric phase. Each task runs a range of
-/// coarse vertices on one pair of row scratch buffers (every tile is
-/// overwritten before it is read), so its allocations are per task, not
-/// per row; rows are independent, so the split moves no bit.
-const TASKS_PER_THREAD: usize = 4;
+/// Coarse vertices per task of the numeric phase. Rows are independent,
+/// and every scratch tile is overwritten before it is read, so neither the
+/// split nor the scratch a task reuses moves a bit.
+const RUN: usize = 32;
 
 impl RapPlan {
     /// Symbolic phase: fix the tile contribution lists and the output
@@ -767,17 +768,33 @@ impl RapPlan {
         if !self.matches(a) {
             return None;
         }
+        Some(match self.block {
+            3 => self.execute_tiles_csr(&self.tile_csr::<3, 9>(a)),
+            _ => self.execute_tiles_csr(a.vals()),
+        })
+    }
+
+    /// [`execute`](Self::execute) from a source tile array laid out as
+    /// [`source_len`](Self::source_len) says — a level share's tiles, read
+    /// where they are stored — instead of a CSR: the same product, the same
+    /// output. Panics if the array is not the planned length.
+    pub fn execute_tiles_csr(&mut self, a_tiles: &[f64]) -> CsrMatrix {
+        assert_eq!(
+            a_tiles.len(),
+            self.source_len(),
+            "A's tiles are not the planned pattern's"
+        );
         pmg_telemetry::counter_add("rap/plan_reuse", 1);
         let c = match self.block {
-            3 => self.run_csr::<3, 9>(&self.tile_csr::<3, 9>(a)),
-            _ => self.run_csr::<1, 1>(a.vals()),
+            3 => self.run_csr::<3, 9>(a_tiles),
+            _ => self.run_csr::<1, 1>(a_tiles),
         };
         self.charge_flops();
         match self.c_pattern {
             Some(p) => p.stamp(&c),
             None => self.c_pattern = Some(PatternFingerprint::of(&c)),
         }
-        Some(c)
+        c
     }
 
     fn charge_flops(&self) {
@@ -817,37 +834,35 @@ impl RapPlan {
         self.stage2.accumulate::<BB>(out_tiles, ra, out);
     }
 
-    /// Coarse vertices per task of the numeric phase.
-    fn run_len(&self) -> usize {
-        let tasks = TASKS_PER_THREAD * rayon::current_num_threads();
-        (self.rows2.len() - 1).div_ceil(tasks).max(1)
-    }
-
     fn run_tiles<const BB: usize>(&self, a_tiles: &[f64], c_tiles: &mut [f64]) {
-        let (nc, run_len) = (self.rows2.len() - 1, self.run_len());
+        let nc = self.rows2.len() - 1;
         // One task per run of coarse vertices, each owning its output tiles.
-        let mut runs = Vec::with_capacity(nc.div_ceil(run_len));
+        let mut runs = Vec::with_capacity(nc.div_ceil(RUN));
         let mut rest = c_tiles;
-        for first in (0..nc).step_by(run_len) {
-            let tiles = self.rows2[(first + run_len).min(nc)] - self.rows2[first];
+        for first in (0..nc).step_by(RUN) {
+            let tiles = self.rows2[(first + RUN).min(nc)] - self.rows2[first];
             let (run, tail) = std::mem::take(&mut rest).split_at_mut(tiles as usize * BB);
             rest = tail;
             runs.push(run);
         }
+        // Stage-1 row scratch, one per task in flight, handed from task to
+        // task and as wide as the plan's widest row: an execution
+        // allocates one per thread, not one per task.
+        let widest = self.rows1.windows(2).map(|w| w[1] - w[0]).max();
+        let spare = Mutex::new(Vec::new());
         runs.par_iter_mut().enumerate().for_each(|(k, run)| {
-            let rows = k * run_len..((k + 1) * run_len).min(nc);
-            // The task's stage-1 scratch, allocated once at its widest row.
-            let widest = rows
-                .clone()
-                .map(|c| self.rows1[c + 1] - self.rows1[c])
-                .max();
-            let mut ra = Vec::with_capacity(widest.unwrap_or(0) as usize * BB);
+            let mut ra = spare
+                .lock()
+                .unwrap()
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(widest.unwrap_or(0) as usize * BB));
             let mut at = 0;
-            for c in rows {
+            for c in k * RUN..((k + 1) * RUN).min(nc) {
                 let len = (self.rows2[c + 1] - self.rows2[c]) as usize * BB;
                 self.row_product::<BB>(c, a_tiles, &mut ra, &mut run[at..at + len]);
                 at += len;
             }
+            spare.lock().unwrap().push(ra);
         });
     }
 
@@ -876,24 +891,21 @@ impl RapPlan {
             rest_vals = tail;
             outs.push((cols, vals));
         }
-        let run_len = self.run_len();
-        outs.par_chunks_mut(run_len)
-            .enumerate()
-            .for_each(|(k, run)| {
-                let (mut ra, mut c_tiles) = (Vec::new(), Vec::new());
-                for (c, (out_cols, out_vals)) in (k * run_len..).zip(run) {
-                    let out = self.rows2[c] as usize..self.rows2[c + 1] as usize;
-                    c_tiles.resize(out.len() * BB, 0.0);
-                    self.row_product::<BB>(c, a_tiles, &mut ra, &mut c_tiles);
-                    emit_row::<B, BB>(
-                        &self.stage2.cols[out.clone()],
-                        &self.stage2.masks[out],
-                        &c_tiles,
-                        out_cols,
-                        out_vals,
-                    );
-                }
-            });
+        outs.par_chunks_mut(RUN).enumerate().for_each(|(k, run)| {
+            let (mut ra, mut c_tiles) = (Vec::new(), Vec::new());
+            for (c, (out_cols, out_vals)) in (k * RUN..).zip(run) {
+                let out = self.rows2[c] as usize..self.rows2[c + 1] as usize;
+                c_tiles.resize(out.len() * BB, 0.0);
+                self.row_product::<BB>(c, a_tiles, &mut ra, &mut c_tiles);
+                emit_row::<B, BB>(
+                    &self.stage2.cols[out.clone()],
+                    &self.stage2.masks[out],
+                    &c_tiles,
+                    out_cols,
+                    out_vals,
+                );
+            }
+        });
         CsrMatrix::from_parts(nc * B, nc * B, row_ptr, col_idx, vals)
     }
 }
@@ -1355,12 +1367,14 @@ mod tests {
                 assert_eq!(&cols[..], want.row(i).0, "row {i}");
                 assert_eq!(bits(&vals), bits(want.row(i).1), "row {i}");
             }
-            // The CSR route after the in-place executions is a fresh
-            // plan's, bit for bit.
-            let again = plan.execute(a);
-            assert_eq!(again.row_ptr(), want.row_ptr());
-            assert_eq!(again.col_idx(), want.col_idx());
-            assert_eq!(bits(again.vals()), bits(want.vals()));
+            // The CSR route after the in-place executions, from the CSR or
+            // from the tiles as a build reads a share, is a fresh plan's,
+            // bit for bit.
+            for again in [plan.execute(a), plan.execute_tiles_csr(&src)] {
+                assert_eq!(again.row_ptr(), want.row_ptr());
+                assert_eq!(again.col_idx(), want.col_idx());
+                assert_eq!(bits(again.vals()), bits(want.vals()));
+            }
         }
     }
 

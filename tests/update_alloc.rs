@@ -2,7 +2,7 @@
 //! level 0 takes the caller's values in place, each level's planned
 //! Galerkin product reads that level's tiles and writes the next level's
 //! in place, and the smoothers refactor their planned blocks. What is left
-//! is the coarsest level's dense factorisation and per-task scratch.
+//! is the coarsest level's dense factorisation and per-thread scratch.
 //!
 //! Asserted with a counting global allocator, so this lives in its own
 //! integration-test binary (the `#[global_allocator]` must not leak into
@@ -76,8 +76,8 @@ fn one_rank_update_allocates_under_a_megabyte() {
     solver.update_matrix(a);
 
     // A one-thread pool, as the benchmark runs: a larger pool allocates
-    // its own bookkeeping per parallel region, and each of its tasks its
-    // own row scratch.
+    // its own bookkeeping per parallel region, and each thread in flight
+    // its own row scratch.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
