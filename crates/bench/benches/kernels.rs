@@ -17,7 +17,7 @@ use pmg_parallel::{DistMatrix, DistVec, Layout, MachineModel, RankMatrix, Sim};
 use pmg_partition::{partition_graph, refine_kl, Graph};
 use pmg_solver::RankJacobi;
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
-use pmg_sparse::{Bsr3Matrix, CsrMatrix, Operator, PatternFingerprint};
+use pmg_sparse::{Bsr3Matrix, CsrMatrix, Operator, PatternFingerprint, RapPlan};
 use prometheus::mg::Smoother;
 use prometheus::{
     classify_mesh, coarsen_level, greedy_mis, identify_faces, CoarsenOptions, MgHierarchy,
@@ -417,12 +417,16 @@ fn bench_rank_share(_c: &mut Criterion) {
 }
 
 /// The sharded Galerkin product as one rank runs it, on the 9.8k-dof
-/// spheres with the level-0 restriction of `coarsen_level`: this rank
-/// owns every vertex, so `rap_local_rows` tiles the whole operator once
-/// (read in place) and forms every coarse row. Beside it, the simulator's
-/// route to the same rows: `RapPlan::new` + `execute`. Both outputs are
-/// checked bit for bit before anything is timed.
-fn bench_rap_local_rows(_c: &mut Criterion) {
+/// spheres with the level-0 restriction of `coarsen_level`: this rank owns
+/// every vertex and holds the whole operator as one source.
+/// `plan_tile_execute` is what a rank's set-up runs — a held-rows plan
+/// built, its rows tiled once, executed and dropped; `plan_new_execute` is
+/// the simulator's route to the same rows, `RapPlan::new` + `execute`;
+/// `warm_tile_execute` re-tiles and executes a built held-rows plan, what a
+/// rank-side Newton update that kept its plan would pay for this product
+/// (beside `newton_update/lvl0/product`). All three outputs are checked
+/// bit for bit before anything is timed.
+fn bench_held_rows(_c: &mut Criterion) {
     let sys = newton10k_system();
     let (a, mesh) = (&sys.matrix, &sys.mesh);
     let classes = classify_mesh(mesh, 0.7);
@@ -430,31 +434,51 @@ fn bench_rap_local_rows(_c: &mut Criterion) {
     let r_v = coarsen_level(&mesh.coords, &mesh.vertex_graph(), &classes, &opts).restriction;
     let (rt_v, r) = (r_v.transpose(), prometheus::mg::expand_restriction(&r_v, 3));
     let all: Vec<u32> = (0..r_v.ncols() as u32).collect();
-    let local = || pmg_sparse::rap_local_rows(3, &r_v, &[(&all[..], a)], &all, &rt_v);
-    let planned = || pmg_sparse::RapPlan::new(a, &r).execute(a);
-    let (mine, want) = (local(), planned());
-    assert_eq!(mine.col_idx(), want.col_idx());
-    assert!(mine
-        .vals()
-        .iter()
-        .zip(want.vals())
-        .all(|(x, y)| x.to_bits() == y.to_bits()));
+    let held = [(&all[..], a)];
+    let plan = || RapPlan::over_held(3, &r_v, &held, &all, &rt_v);
+    let cold = || {
+        let mut plan = plan();
+        let tiles = plan.tile_held(&held);
+        plan.execute_tiles_csr(&tiles)
+    };
+    let planned = || RapPlan::new(a, &r).execute(a);
+    let mut kept = plan();
+    let mut warm = || {
+        let tiles = kept.tile_held(&held);
+        kept.execute_tiles_csr(&tiles)
+    };
+    let want = planned();
+    for mine in [cold(), warm()] {
+        assert_eq!(mine.col_idx(), want.col_idx());
+        assert!(mine
+            .vals()
+            .iter()
+            .zip(want.vals())
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
     println!(
-        "# group: rap_local_rows ({} dof, {} nnz -> {} coarse rows, {} nnz, one rank)",
+        "# group: held_rows ({} dof, {} nnz -> {} coarse rows, {} nnz, one rank)",
         a.nrows(),
         a.nnz(),
         want.nrows(),
         want.nnz()
     );
     for (name, times) in [
-        ("local_rows", sorted_times(30, || drop(black_box(local())))),
+        (
+            "plan_tile_execute",
+            sorted_times(30, || drop(black_box(cold()))),
+        ),
         (
             "plan_new_execute",
             sorted_times(30, || drop(black_box(planned()))),
         ),
+        (
+            "warm_tile_execute",
+            sorted_times(30, || drop(black_box(warm()))),
+        ),
     ] {
         println!(
-            "rap_local_rows/{name:<16} min {:>8.3} ms   median {:>8.3} ms",
+            "held_rows/{name:<17} min {:>8.3} ms   median {:>8.3} ms",
             times[0] * 1e3,
             times[times.len() / 2] * 1e3
         );
@@ -715,7 +739,7 @@ criterion_group!(
     bench_distribute,
     bench_newton_update,
     bench_rank_share,
-    bench_rap_local_rows,
+    bench_held_rows,
     bench_matfree
 );
 criterion_main!(benches);

@@ -16,7 +16,7 @@
 //!   the transposed-restriction rows for the fine vertices the rank's
 //!   Galerkin product can touch (owned vertices ∪ restriction support ∪
 //!   its one-ring graph closure — a superset is harmless, a miss is a
-//!   panic in `rap_local_rows`),
+//!   panic in the rank's Galerkin plan, `RapPlan::over_held`),
 //! * the replicated **coarse** (level-1) geometry: coordinates, graph,
 //!   classification. Coarse grids shrink geometrically (§5), so
 //!   replicating their geometry — exactly what the distributed setup
@@ -454,7 +454,7 @@ mod tests {
             assert_eq!(rows_seen, cl.restriction.nrows());
 
             // The per-rank (r_rows, rt_rows) tiles reproduce the Galerkin
-            // product bitwise through rap_local_rows.
+            // product bitwise through a held-rows plan.
             let r_dof = expand_restriction(&cl.restriction, 1);
             let full = RapPlan::new(&a, &r_dof).execute(&a);
             for (r, seed) in plan.seeds.iter().enumerate() {
@@ -468,7 +468,8 @@ mod tests {
                 off.retain(|&v| fine_vlayout.owner(v as usize) as usize != r);
                 let (own_rows, off_rows) = (a.extract_rows(own), a.extract_rows(&off));
                 let held = [(own, &own_rows), (&off[..], &off_rows)];
-                let mine = pmg_sparse::rap_local_rows(1, &c.r_rows, &held, &c.rt_ids, &c.rt_rows);
+                let mut plan = RapPlan::over_held(1, &c.r_rows, &held, &c.rt_ids, &c.rt_rows);
+                let mine = plan.execute_tiles_csr(&plan.tile_held(&held));
                 let expect = full.extract_rows(cvlayout.owned(r));
                 assert_eq!(mine.nnz(), expect.nnz(), "rank {r} segment length");
                 for (x, y) in mine.vals().iter().zip(expect.vals()) {

@@ -449,8 +449,10 @@ impl MgHierarchy {
     /// [`RapPlan`] reads that level's operator where its shares store it
     /// and writes the next level's in place ([`DistMatrix::galerkin_into`];
     /// no global matrix is formed), and the block-Jacobi smoother refactors
-    /// its cached blocks — no redistribution, no symbolic product, no
-    /// graph, no partition. A pattern change is detected and the changed
+    /// its cached blocks, and the coarse direct solve refactors in the
+    /// storage its factor owns ([`CoarseDirect::refactor`]) — no
+    /// redistribution, no symbolic product, no graph, no partition, no
+    /// new dense matrix. A pattern change is detected and the changed
     /// level and every one below it go the build's way: Galerkin products
     /// as CSR, each level redistributed or refreshed from its CSR, plans
     /// and smoothers rebuilt where their pattern moved.
@@ -484,9 +486,9 @@ impl MgHierarchy {
                 let _t = pmg_telemetry::scope("smoother");
                 level.smoother.refactor(sim, &level.a, &opts);
             }
-            if level.coarse.is_some() {
+            if let Some(coarse) = &mut level.coarse {
                 let _t = pmg_telemetry::scope("coarse_direct");
-                level.coarse = Some(CoarseDirect::new(&level.a));
+                coarse.refactor(&level.a);
             }
             let Some(next) = lower.first_mut() else {
                 break;

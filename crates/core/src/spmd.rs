@@ -33,7 +33,7 @@ use pmg_geometry::Vec3;
 use pmg_parallel::{Layout, RankMatrix};
 use pmg_partition::{recursive_coordinate_bisection, Graph};
 use pmg_solver::{pcg_generic, CoarseDirect, PcgBackend, PcgOptions, PcgResult, RankJacobi};
-use pmg_sparse::{rap_local_rows, vector, CsrMatrix};
+use pmg_sparse::{vector, CsrMatrix, RapPlan};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -508,14 +508,16 @@ struct GalerkinTiles {
     /// Ascending global fine vertex ids of `rt_rows`' rows.
     rt_ids: Vec<u32>,
     /// Full `R_vᵀ` rows covering whatever the Galerkin product can touch
-    /// ([`rap_local_rows`] tolerates a superset).
+    /// ([`RapPlan::over_held`] tolerates a superset).
     rt_rows: CsrMatrix,
 }
 
 /// This rank's owned rows of the next level's operator, `R A Rᵀ`: the
 /// off-rank `A` rows under the owned restriction support arrive
 /// point-to-point ([`fetch_rows`] on `tag`), the owned ones are read in
-/// place from `a_owned`, and [`rap_local_rows`] tiles both once.
+/// place from `a_owned`. A [`RapPlan`] over both ([`RapPlan::over_held`])
+/// tiles them once, runs its numeric phase and is dropped: the rank's
+/// set-up keeps no plan.
 fn galerkin_rows<T: Transport>(
     t: &mut T,
     tiles: GalerkinTiles,
@@ -538,13 +540,9 @@ fn galerkin_rows<T: Transport>(
     let fetched = fetch_rows(t, a_owned, layout, &off_dofs, tag)?;
     let own_ids = owned_vertices(layout, rank, dofs);
     let held = [(&own_ids[..], a_owned), (&off_ids[..], &fetched)];
-    Ok(rap_local_rows(
-        dofs,
-        &tiles.rv_owned,
-        &held,
-        &tiles.rt_ids,
-        &tiles.rt_rows,
-    ))
+    let mut plan = RapPlan::over_held(dofs, &tiles.rv_owned, &held, &tiles.rt_ids, &tiles.rt_rows);
+    let a_tiles = plan.tile_held(&held);
+    Ok(plan.execute_tiles_csr(&a_tiles))
 }
 
 /// Level 0's transfer, from the ingest seed: the fine grid was coarsened
@@ -659,13 +657,14 @@ impl RankHierarchy<'_> {
     ///   was planned on (the Galerkin kernel panics otherwise).
     ///
     /// Every level runs the same step: compute the owned Galerkin rows
-    /// ([`rap_local_rows`] over the owned `A` rows, read in place, and the
+    /// (a [`RapPlan`] over the owned `A` rows, read in place, and the
     /// few off-rank ones fetched point-to-point — no value allgather, no
-    /// replicated coarse matrix), then distribute the owned operator rows
+    /// replicated coarse matrix; the plan is built, executed once and
+    /// dropped), then distribute the owned operator rows
     /// (ghost columns resolved by one ghost-list allgather) and the owned
     /// `R`/`P` rows, and factor the block-Jacobi smoother. The product
-    /// comes first so that its transient tiles are freed before the
-    /// level's share is allocated. Only *where `R` and `Rᵀ` come from*
+    /// comes first so that its transient plan and tiles are freed before
+    /// the level's share is allocated. Only *where `R` and `Rᵀ` come from*
     /// differs: level 0 reads the seed's restriction tiles (the fine grid was
     /// coarsened once, at load time); coarser grids are replicated and
     /// coarsened here — the MIS as the §4.2 BSP rounds

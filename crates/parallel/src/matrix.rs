@@ -555,19 +555,19 @@ impl DistMatrix {
         CsrMatrix::from_parts(n, self.col_layout.num_global(), row_ptr, col_idx, vals)
     }
 
-    /// The global matrix as a dense one — what a coarse direct solve
-    /// gathers: [`to_global`](Self::to_global)'s entries, absent ones
-    /// zero, with no CSR in between.
-    pub fn to_dense(&self) -> DenseMatrix {
+    /// The global matrix written into the dense `d` (of its shape) — what a
+    /// coarse direct solve gathers: [`to_global`](Self::to_global)'s
+    /// entries, absent ones zero, with no CSR in between and no allocation.
+    pub fn gather_dense(&self, d: &mut DenseMatrix) {
         let n = self.row_layout.num_global();
-        let mut d = DenseMatrix::zeros(n, self.col_layout.num_global());
+        assert_eq!((d.nrows(), d.ncols()), (n, self.col_layout.num_global()));
         for g in 0..n {
             let r = self.row_layout.owner(g) as usize;
             let li = self.row_layout.local_index(g) as usize;
             let row = d.row_mut(g);
+            row.fill(0.0);
             self.ranks[r].for_each_global(li, |j, v| row[j] = v);
         }
-        d
     }
 
     /// The Galerkin product `R A Rᵀ` of this operator through `plan` (built

@@ -3,7 +3,8 @@
 //! "else x_i ← A_i⁻¹ r_i — solve coarsest problem directly" (Figure 1 of the
 //! paper). The coarsest operator is gathered to a root rank, factored
 //! once per matrix setup (inside the envelope of its nonzeros, see
-//! `Cholesky::factor`), and each application gathers the
+//! `Cholesky::factor`; an operator update refactors in the same storage,
+//! [`CoarseDirect::refactor`]), and each application gathers the
 //! right-hand side, solves at the root, and scatters the result. Its size
 //! stays constant as the problem scales, so this is not a scalability
 //! bottleneck (§5).
@@ -22,23 +23,29 @@ enum Factor {
 pub struct CoarseDirect {
     factor: Factor,
     n: usize,
+    /// The operator [`new`](CoarseDirect::new) gathered, kept beside a
+    /// Cholesky factor so that [`refactor`](CoarseDirect::refactor)
+    /// gathers into it. Empty beside an LU factor, which works in the
+    /// gathered matrix itself, and from
+    /// [`from_csr`](CoarseDirect::from_csr), which is never refactored.
+    dense: DenseMatrix,
     gather_traffic: Vec<(u64, u64)>,
 }
 
 /// Factor a global coarse operator: Cholesky when symmetric (it only reads
 /// the lower triangle, so it is guarded by a symmetry check), pivoted LU
-/// otherwise. Shared by [`CoarseDirect::new`] and [`CoarseDirect::from_csr`]
-/// so the orchestrated and distributed setups factor identically.
-fn factor_dense(global: &DenseMatrix) -> (Factor, usize) {
-    let n = global.nrows();
-    let factor = match Some(())
-        .filter(|_| global.is_symmetric(1e-12))
-        .and_then(|_| Cholesky::factor(global))
-    {
-        Some(c) => Factor::Chol(c),
-        None => Factor::Lu(Lu::factor(global).expect("coarse operator is singular")),
-    };
-    (factor, n)
+/// otherwise, in the gathered matrix's own storage. Returns the factor and
+/// the gathered matrix when the factor does not work in it (empty when it
+/// does). Shared by [`CoarseDirect::new`], [`CoarseDirect::from_csr`] and
+/// [`CoarseDirect::refactor`], so every set-up factors identically.
+fn factor_dense(global: DenseMatrix) -> (Factor, DenseMatrix) {
+    if global.is_symmetric(1e-12) {
+        if let Some(c) = Cholesky::factor(&global) {
+            return (Factor::Chol(c), global);
+        }
+    }
+    let lu = Lu::factor_owned(global).expect("coarse operator is singular");
+    (Factor::Lu(lu), DenseMatrix::zeros(0, 0))
 }
 
 impl CoarseDirect {
@@ -48,17 +55,21 @@ impl CoarseDirect {
     /// factorization is identical to [`CoarseDirect::new`] on a
     /// distribution of the same matrix.
     pub fn from_csr(a: &pmg_sparse::CsrMatrix) -> CoarseDirect {
-        let (factor, n) = factor_dense(&a.to_dense());
+        let (factor, _) = factor_dense(a.to_dense());
         CoarseDirect {
             factor,
-            n,
+            n: a.nrows(),
+            dense: DenseMatrix::zeros(0, 0),
             gather_traffic: vec![(0, 0)],
         }
     }
 
     /// Factor the (global) matrix of `a`. Panics if the matrix is singular.
     pub fn new(a: &DistMatrix) -> CoarseDirect {
-        let (factor, n) = factor_dense(&a.to_dense());
+        let n = a.num_global_rows();
+        let mut dense = DenseMatrix::zeros(n, n);
+        a.gather_dense(&mut dense);
+        let (factor, dense) = factor_dense(dense);
         let layout = a.row_layout();
         let nranks = layout.num_ranks();
         // Gather: every non-root rank sends its local values to rank 0.
@@ -74,7 +85,50 @@ impl CoarseDirect {
         CoarseDirect {
             factor,
             n,
+            dense,
             gather_traffic,
+        }
+    }
+
+    /// Factor the new values of `a` — the operator this solver was built
+    /// from, after an update — as [`new`](Self::new) would, bit for bit,
+    /// in the storage this solver holds: gathered into the kept matrix
+    /// beside a Cholesky factor, which refactors in its own storage while
+    /// the operator stays symmetric and its envelope holds
+    /// (`Cholesky::refactor`), or into an LU factor's own storage, which
+    /// refactors there while the operator stays unsymmetric. Anything else
+    /// is factored afresh from the gathered matrix, as `new` does. Nothing
+    /// `n²`-sized is allocated.
+    pub fn refactor(&mut self, a: &DistMatrix) {
+        let n = a.num_global_rows();
+        let in_lu = matches!(&self.factor, Factor::Lu(l) if l.dim() == n);
+        let gathered = match &mut self.factor {
+            Factor::Lu(l) if in_lu => l.storage_mut(),
+            _ => {
+                if self.dense.nrows() != n {
+                    self.dense = DenseMatrix::zeros(n, n);
+                }
+                &mut self.dense
+            }
+        };
+        a.gather_dense(gathered);
+        let symmetric = gathered.is_symmetric(1e-12);
+        let in_place = match &mut self.factor {
+            Factor::Chol(c) => symmetric && c.refactor(&self.dense),
+            Factor::Lu(l) if in_lu && !symmetric => {
+                assert!(l.factor_in_place(), "coarse operator is singular");
+                true
+            }
+            Factor::Lu(_) => false,
+        };
+        if !in_place {
+            let empty = DenseMatrix::zeros(0, 0);
+            let gathered = match &mut self.factor {
+                Factor::Lu(l) if in_lu => std::mem::replace(l.storage_mut(), empty),
+                _ => std::mem::replace(&mut self.dense, empty),
+            };
+            (self.factor, self.dense) = factor_dense(gathered);
+            self.n = n;
         }
     }
 
@@ -82,12 +136,13 @@ impl CoarseDirect {
         self.n
     }
 
-    /// Resident bytes of the dense factor.
+    /// Resident bytes of the dense factor and of the kept dense operator.
     pub fn memory_bytes(&self) -> u64 {
-        match &self.factor {
+        let factor = match &self.factor {
             Factor::Chol(c) => c.memory_bytes(),
             Factor::Lu(l) => l.memory_bytes(),
-        }
+        };
+        factor + 8 * (self.dense.nrows() * self.dense.ncols()) as u64
     }
 
     /// Solve against the factored coarse operator for an already-gathered
@@ -129,7 +184,7 @@ impl Precond for CoarseDirect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmg_parallel::{Layout, MachineModel};
+    use pmg_parallel::{DistMatrix, Layout, MachineModel};
     use pmg_sparse::CooBuilder;
 
     #[test]
@@ -185,6 +240,51 @@ mod tests {
         a.spmv(&dz.to_global(), &mut ax);
         for (u, v) in ax.iter().zip(&rhs) {
             assert!((u - v).abs() < 1e-11);
+        }
+    }
+
+    /// An update refactors to the bits of a fresh factor of the new
+    /// operator: a Cholesky factor in place while the operator is
+    /// symmetric on the old envelope, an LU factor in place while it stays
+    /// unsymmetric, and afresh otherwise — into LU, back to Cholesky, and
+    /// a new envelope when a row's first entry drops out.
+    #[test]
+    fn refactor_is_bitwise_a_fresh_factor() {
+        let n = 9;
+        let op = |scale: f64, skew: f64, far: f64| {
+            let mut b = CooBuilder::new(n, n);
+            for i in 0..n {
+                b.push(i, i, 4.0 * scale + i as f64 * 0.25);
+                if i > 0 {
+                    b.push(i, i - 1, -scale);
+                    b.push(i - 1, i, -scale + skew);
+                }
+            }
+            b.push(n - 1, 2, far);
+            b.push(2, n - 1, far);
+            b.build()
+        };
+        for p in [1, 3] {
+            let l = Layout::block(n, p);
+            let dist = |a: &pmg_sparse::CsrMatrix| DistMatrix::from_global(a, l.clone(), l.clone());
+            let mut solver = CoarseDirect::new(&dist(&op(1.0, 0.0, -0.5)));
+            let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+            for (a, lu) in [
+                (op(1.5, 0.0, -0.25), false),
+                (op(1.5, 0.5, -0.25), true),
+                (op(1.75, 0.25, -0.25), true),
+                (op(2.0, 0.0, -0.75), false),
+                (op(2.0, 0.0, 0.0), false),
+            ] {
+                let da = dist(&a);
+                solver.refactor(&da);
+                let fresh = CoarseDirect::new(&da);
+                assert_eq!(matches!(solver.factor, Factor::Lu(_)), lu);
+                assert_eq!(solver.memory_bytes(), fresh.memory_bytes());
+                let (x, want) = (solver.solve_global(&rhs), fresh.solve_global(&rhs));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x), bits(&want), "{p} ranks, LU {lu}");
+            }
         }
     }
 

@@ -287,6 +287,20 @@ impl Cholesky {
     /// [`factor_in_place`](Self::factor_in_place); it solves nothing
     /// before that has returned `true`.
     pub fn with_profile(first: &[usize]) -> Cholesky {
+        let (start, factor_flops, solve_flops) = Self::profile(first);
+        Cholesky {
+            n: first.len(),
+            u: vec![0.0; start[first.len()]],
+            start,
+            factor_flops,
+            solve_flops,
+        }
+    }
+
+    /// Row offsets of the storage [`with_profile`](Self::with_profile)
+    /// lays out for `first`, and the flops of one factorization and of one
+    /// solve in it.
+    fn profile(first: &[usize]) -> (Vec<usize>, u64, u64) {
         let n = first.len();
         // e[k] = max{j : first[j] <= k}: the last row reaching column k,
         // as a running maximum (row k itself reaches it).
@@ -316,33 +330,44 @@ impl Cholesky {
                 solve_flops += 4 * l + 2;
             }
         }
-        Cholesky {
-            n,
-            u: vec![0.0; start[n]],
-            start,
-            factor_flops,
-            solve_flops,
-        }
+        (start, factor_flops, solve_flops)
     }
 
     /// Factor `a` (only its lower triangle is read) inside the envelope of
     /// its nonzeros: row `j` starts at its first entry that is not `±0.0`.
     /// Returns `None` if the matrix is not (numerically) SPD.
     pub fn factor(a: &DenseMatrix) -> Option<Cholesky> {
-        assert_eq!(a.nrows, a.ncols);
-        let n = a.nrows;
-        let first: Vec<usize> = (0..n)
-            .map(|j| a.row(j)[..j].iter().position(|&v| v != 0.0).unwrap_or(j))
-            .collect();
+        let first = Self::envelope(a);
         let mut ch = Cholesky::with_profile(&first);
-        ch.factor_in_place(|u| {
+        ch.fill_and_factor(a, &first).then_some(ch)
+    }
+
+    /// [`factor`](Self::factor) of `a` in the storage this factor owns, bit
+    /// for bit, when `a`'s envelope is laid out as this factor's (as it is
+    /// for new values on the same nonzeros); `false`, and nothing touched,
+    /// when it is not. Also `false` if `a` is not (numerically) SPD: the
+    /// storage then holds no factor.
+    pub fn refactor(&mut self, a: &DenseMatrix) -> bool {
+        let first = Self::envelope(a);
+        Self::profile(&first).0 == self.start && self.fill_and_factor(a, &first)
+    }
+
+    /// First column of each row of `a`'s lower triangle that is not `±0.0`.
+    fn envelope(a: &DenseMatrix) -> Vec<usize> {
+        assert_eq!(a.nrows, a.ncols);
+        let rows = 0..a.nrows;
+        rows.map(|j| a.row(j)[..j].iter().position(|&v| v != 0.0).unwrap_or(j))
+            .collect()
+    }
+
+    fn fill_and_factor(&mut self, a: &DenseMatrix, first: &[usize]) -> bool {
+        self.factor_in_place(|u| {
             for (j, &f) in first.iter().enumerate() {
                 for (k, &v) in a.row(j)[..=j].iter().enumerate().skip(f) {
                     u.set(j, k, v);
                 }
             }
         })
-        .then_some(ch)
     }
 
     /// Factor, in the storage this factor already owns, the matrix whose
@@ -508,10 +533,32 @@ pub struct Lu {
 impl Lu {
     /// Factor `a`; returns `None` for (numerically) singular matrices.
     pub fn factor(a: &DenseMatrix) -> Option<Lu> {
+        Lu::factor_owned(a.clone())
+    }
+
+    /// [`factor`](Self::factor) in `a`'s own storage, without the copy.
+    pub fn factor_owned(a: DenseMatrix) -> Option<Lu> {
         assert_eq!(a.nrows, a.ncols);
-        let n = a.nrows;
-        let mut lu = a.clone();
-        let mut swaps = Vec::with_capacity(n);
+        let swaps = Vec::with_capacity(a.nrows);
+        let mut lu = Lu { lu: a, swaps };
+        lu.factor_in_place().then_some(lu)
+    }
+
+    /// The matrix this factor works in, to be overwritten with a new one
+    /// and factored by [`factor_in_place`](Self::factor_in_place): it
+    /// solves nothing in between.
+    pub fn storage_mut(&mut self) -> &mut DenseMatrix {
+        &mut self.lu
+    }
+
+    /// Factor the matrix in [`storage_mut`](Self::storage_mut) where it is
+    /// stored — bit for bit [`factor`](Self::factor) of it, with no new
+    /// allocation. Returns `false` if it is (numerically) singular; the
+    /// storage then holds no factor.
+    pub fn factor_in_place(&mut self) -> bool {
+        let n = self.lu.nrows;
+        let lu = &mut self.lu;
+        self.swaps.clear();
         for k in 0..n {
             // Pivot search.
             let mut p = k;
@@ -524,7 +571,7 @@ impl Lu {
                 }
             }
             if pmax == 0.0 || !pmax.is_finite() {
-                return None;
+                return false;
             }
             if p != k {
                 for j in 0..n {
@@ -533,7 +580,7 @@ impl Lu {
                     lu[(p, j)] = tmp;
                 }
             }
-            swaps.push(p);
+            self.swaps.push(p);
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
                 let m = lu[(i, k)] / pivot;
@@ -545,7 +592,7 @@ impl Lu {
             }
         }
         flops::add((2 * n * n * n / 3).max(1) as u64);
-        Some(Lu { lu, swaps })
+        true
     }
 
     /// Dimension of the factored matrix.

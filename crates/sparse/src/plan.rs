@@ -25,59 +25,82 @@
 //! block size, serves both `B = 3` (chosen when `R` itself shows the
 //! `R_v ⊗ I₃` structure) and `B = 1` (any other `R`); there is no selector.
 //!
-//! **Symbolic phase** (per coarse vertex row, shared by [`RapPlan::new`]
-//! and [`rap_local_rows`]): a marker array discovers the row's output tiles
-//! and counts their contributions, the distinct output columns are sorted,
-//! and a second pass drops every contribution at its exact slot. No
-//! comparison sort ever touches the contributions, and they land per output
-//! tile in the order the sums above state — ascending fine vertex. That
-//! order is part of the contract: it is what makes the planned product, the
-//! sharded row kernel, and every thread count agree bitwise.
+//! **Symbolic phase** (`RapPlan::build`, the one driver): the simulator
+//! plans one whole `A` ([`RapPlan::new`], ids equal to positions), a rank
+//! of the sharded set-up its owned `R_v` rows over the `A` rows it holds
+//! ([`RapPlan::over_held`]: owned rows read in place, then fetched ones,
+//! each tile's block column addressed by its position in the held `R_vᵀ`
+//! rows). Per coarse vertex row a marker array discovers the row's output
+//! tiles and counts their contributions, the distinct output columns are
+//! sorted, and a second pass drops every contribution at its exact slot.
+//! No comparison sort ever touches the contributions, and they land per
+//! output tile in the order the sums above state — ascending fine vertex
+//! (positions in ascending id lists keep it). That order is part of the
+//! contract: it makes both routes and every thread count agree bitwise.
 //!
 //! **Numeric phase**: each coarse vertex row runs `tile[t] += w · tile[src]`
 //! over contiguous `B²`-wide tiles — stage 1 into a row-local scratch that
 //! stage 2 reads back — straight into the row's output tiles. A tile's
 //! slots are column-major (entry `(r, c)` at `B·c + r`, mask bit alike), the
 //! layout of [`MaskedBsr3`](crate::MaskedBsr3)'s tiles, and the output
-//! tiles' structural masks are the OR of the contributing tiles' masks, so
-//! the output is exactly the scalar pattern of `R A Rᵀ`, never a padded
-//! one. Both stages work slot by slot with scalar weights, so the layout
-//! moves no bit. [`RapPlan::execute_tiles`] runs it from a source tile
-//! array to an output tile array: a level share that stores its operator as
-//! one such array (a one-rank promoted share: its tiles) is read and
-//! written in place, any other share goes through a transient array
-//! ([`RapPlan::tile_source_row`] in, [`RapPlan::output_row`] out).
-//! [`RapPlan::execute_tiles_csr`] reads a source tile array and emits
-//! scalar CSR, each output row through the masks (what a build hands the
-//! next level); [`RapPlan::execute`] takes a CSR and tiles it per call
-//! first (at `B = 1` the values are the tiles). The sharded
-//! [`rap_local_rows`] has no plan to keep: it tiles the `A` rows it holds
-//! once per call and runs the same row kernels. Rows are independent
-//! tasks; bits do not depend on `PMG_THREADS`.
+//! tiles' masks are the OR of the contributing tiles' masks, so the output
+//! is exactly the scalar pattern of `R A Rᵀ`. Both stages work slot by slot
+//! with scalar weights, so the layout moves no bit.
+//! [`RapPlan::execute_tiles`] runs tiles to tiles (a one-rank promoted
+//! share's, in place; any other share's through [`RapPlan::tile_source_row`]
+//! and [`RapPlan::output_row`]); [`RapPlan::execute_tiles_csr`] emits CSR
+//! (what a build hands the next level) from a share's tiles, a CSR's
+//! ([`RapPlan::execute`]) or a rank's held rows ([`RapPlan::tile_held`]),
+//! all tiled by the one tiler behind [`RapPlan::tile_source_row`]. A rank
+//! builds its plan, tiles its held rows once, executes and drops the plan:
+//! its set-up has no update to keep it for. Rows are independent tasks;
+//! bits do not depend on `PMG_THREADS`.
 //!
 //! The flop charge is the structural *scalar* multiply-add count (taken from
 //! the masks at plan time), so machine-model columns stay comparable with
 //! the unblocked product.
 //!
 //! Telemetry: building a plan counts `rap/plan_build` (and
-//! `rap/block_plans` when it took `B = 3`), each numeric re-execution
-//! counts `rap/plan_reuse` — the reuse the paper's nonlinear runs (Fig. 13)
+//! `rap/block_plans` when it took `B = 3`; a held-rows plan also its coarse
+//! dof rows as `rap/local_rows`), each numeric execution counts
+//! `rap/plan_reuse` — the reuse the paper's nonlinear runs (Fig. 13)
 //! depend on is thereby observable and testable.
 
 use crate::bsr::for_each_tile;
 use crate::csr::{CsrMatrix, PatternFingerprint};
 use crate::flops;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// Block view of a set of `A` rows: `B` consecutive scalar rows form a
-/// block row, scalar column `j` falls in block column `j / B`.
+/// Where one block row of a plan's `A` is held: `B` consecutive scalar
+/// rows of a matrix, from the given row on.
+type Run<'a> = (&'a CsrMatrix, usize);
+
+/// Ascending vertex ids naming block rows, `per` per vertex: block id `j`
+/// is entry `j % per` of vertex `j / per`.
+#[derive(Clone, Copy)]
+struct Ids<'a> {
+    ids: &'a [u32],
+    per: usize,
+}
+
+impl Ids<'_> {
+    /// Positions of block id `j` and of its vertex, searched from `from` on.
+    fn find(&self, from: usize, j: usize) -> Option<(usize, usize)> {
+        let v = gallop(self.ids, from, (j / self.per) as u32).ok()?;
+        Some((v * self.per + j % self.per, v))
+    }
+}
+
+/// Block view of the `A` rows a plan reads: `B` consecutive scalar rows
+/// form a block row, scalar column `j` falls in block column `j / B`.
 struct BlockRows {
     /// Block row `i`'s tiles are `row_ptr[i]..row_ptr[i + 1]`.
     row_ptr: Vec<u32>,
-    /// Block column of each tile, ascending per block row — in the held
-    /// view of [`rap_local_rows`], as a position in its `rt_ids`.
+    /// Of each tile, the `R_vᵀ` row its block column meets (its position
+    /// in the plan's `R_vᵀ` rows), ascending per block row.
     cols: Vec<u32>,
     /// Which of the tile's `B×B` entries are stored (bit `a*B + b`).
     masks: Vec<u16>,
@@ -109,21 +132,44 @@ fn tile_slots<const B: usize>(
 }
 
 impl BlockRows {
-    /// Merge each block row's `B` sorted scalar rows into its tile list.
-    fn new<const B: usize>(a: &CsrMatrix) -> BlockRows {
-        assert_eq!(a.nrows() % B, 0, "A rows must come in runs of {B}");
-        let (rp, ci) = (a.row_ptr(), a.col_idx());
-        let nb = a.nrows() / B;
-        let mut row_ptr = Vec::with_capacity(nb + 1);
+    /// Merge the `B` sorted scalar rows of each of the `n` block rows
+    /// `run` yields into its tile list. A tile's block column is its own
+    /// `R_vᵀ` row (`rt` is `None`) or is found in `rt`'s ids by a forward
+    /// merge along the block row.
+    fn new<'a, const B: usize>(
+        n: usize,
+        run: impl Fn(usize) -> Run<'a>,
+        rt: Option<Ids>,
+    ) -> BlockRows {
+        let rows = |i: usize| -> [&'a [usize]; B] {
+            let (a, first) = run(i);
+            std::array::from_fn(|s| a.row(first + s).0)
+        };
+        let stored: usize = (0..n)
+            .map(|i| rows(i).iter().map(|r| r.len()).sum::<usize>())
+            .sum();
+        let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0u32);
-        let mut cols = Vec::with_capacity(a.nnz() / (B * B));
-        let mut masks = Vec::with_capacity(a.nnz() / (B * B));
-        for i in 0..nb {
-            let rows: [&[usize]; B] =
-                std::array::from_fn(|s| &ci[rp[i * B + s]..rp[i * B + s + 1]]);
-            for_each_tile::<B>(rows, |j, from, to| {
-                cols.push(j as u32);
-                masks.push(tile_slots::<B>(&rows, from, to, |_, _, _| {}));
+        let mut cols = Vec::with_capacity(stored / (B * B));
+        let mut masks = Vec::with_capacity(stored / (B * B));
+        for i in 0..n {
+            let rows = rows(i);
+            let mut from = 0;
+            for_each_tile::<B>(rows, |j, lo, hi| {
+                let col = match rt {
+                    None => j,
+                    // Every tile of a held row is read, so a missing `Rᵀ`
+                    // row is an error here already.
+                    Some(rt) => {
+                        let (p, v) = rt.find(from, j).unwrap_or_else(|| {
+                            panic!("RapPlan: an Rᵀ row the product reaches is not held locally")
+                        });
+                        from = v;
+                        p
+                    }
+                };
+                cols.push(col as u32);
+                masks.push(tile_slots::<B>(&rows, lo, hi, |_, _, _| {}));
             });
             row_ptr.push(cols.len() as u32);
         }
@@ -136,56 +182,6 @@ impl BlockRows {
             cols,
             masks,
         }
-    }
-
-    /// The held view of [`rap_local_rows`]: block row `i` is the run of `B`
-    /// scalar rows of `runs[i].0` starting at row `runs[i].1`. Every run is
-    /// tiled once, into exactly sized arrays, values written straight into
-    /// the returned flat tile array. Each tile's block column becomes its
-    /// position in `rt_ids` by a forward merge along the block row.
-    fn held<const B: usize, const BB: usize>(
-        runs: &[(&CsrMatrix, usize)],
-        rt_ids: &[u32],
-    ) -> (BlockRows, Vec<f64>) {
-        // Count first, so every array below is allocated at its final size.
-        let mut row_ptr = Vec::with_capacity(runs.len() + 1);
-        row_ptr.push(0u32);
-        let mut ntiles = 0usize;
-        for &(a, first) in runs {
-            let cis: [&[usize]; B] = std::array::from_fn(|s| a.row(first + s).0);
-            for_each_tile::<B>(cis, |_, _, _| ntiles += 1);
-            row_ptr.push(ntiles as u32);
-        }
-        assert!(
-            ntiles * BB < u32::MAX as usize,
-            "rap_local_rows: too many held tiles for 32-bit tile numbers"
-        );
-        let mut cols = Vec::with_capacity(ntiles);
-        let mut masks = Vec::with_capacity(ntiles);
-        let mut vals = vec![0.0f64; ntiles * BB];
-        for &(a, first) in runs {
-            let cis: [&[usize]; B] = std::array::from_fn(|s| a.row(first + s).0);
-            let vs: [&[f64]; B] = std::array::from_fn(|s| a.row(first + s).1);
-            let mut cursor = 0usize;
-            for_each_tile::<B>(cis, |j, from, to| {
-                let tile = &mut vals[cols.len() * BB..][..BB];
-                let mask = tile_slots::<B>(&cis, from, to, |s, q, slot| tile[slot] = vs[s][q]);
-                // Every tile of a held row is read, so a missing `Rᵀ` row is
-                // an error here already.
-                let p = gallop(rt_ids, cursor, j as u32).unwrap_or_else(|_| {
-                    panic!("rap_local_rows: an Rᵀ row the product reaches is not held locally")
-                });
-                cursor = p + 1;
-                cols.push(p as u32);
-                masks.push(mask);
-            });
-        }
-        let view = BlockRows {
-            row_ptr,
-            cols,
-            masks,
-        };
-        (view, vals)
     }
 }
 
@@ -206,6 +202,33 @@ fn gallop(ids: &[u32], from: usize, x: u32) -> Result<usize, usize> {
     }
 }
 
+/// The block rows of `block` scalar rows each of the ascending vertices
+/// `ids`, `dofs` rows per vertex, as held: in the first of the `held`
+/// sources that lists the vertex, one forward merge per source.
+fn held_runs<'a>(
+    ids: &[u32],
+    held: &[(&[u32], &'a CsrMatrix)],
+    dofs: usize,
+    block: usize,
+) -> Vec<Run<'a>> {
+    let mut cursors = vec![0usize; held.len()];
+    let mut runs = Vec::with_capacity(ids.len() * dofs / block);
+    for &k in ids {
+        let found = held
+            .iter()
+            .zip(&mut cursors)
+            .find_map(|(&(ids, rows), at)| {
+                let hit = gallop(ids, *at, k);
+                *at = hit.unwrap_or_else(|p| p);
+                hit.ok().map(|p| (rows, p * dofs))
+            });
+        let (rows, first) =
+            found.unwrap_or_else(|| panic!("RapPlan: A rows of vertex {k} not held locally"));
+        runs.extend((first..first + dofs).step_by(block).map(|f| (rows, f)));
+    }
+    runs
+}
+
 /// Write one block row of `A` — its `B` scalar rows' sorted columns and
 /// values — into consecutive whole tiles of `out`, every slot the rows do
 /// not store `+0.0`: the tiles a plan reads, in its order. Returns the
@@ -224,7 +247,6 @@ fn fill_tiles<const B: usize, const BB: usize>(
     });
     n
 }
-
 /// One tile contribution as the symbolic phase enumerates it: `weight`
 /// times source tile `src` (whose stored entries are `mask`) goes to the
 /// output tile in block column `col`.
@@ -252,17 +274,9 @@ struct Marker {
     slots: Vec<Slot>,
 }
 
-impl Marker {
-    fn new(ncols: usize) -> Marker {
-        Marker {
-            stamp: 0,
-            slots: vec![Slot::default(); ncols],
-        }
-    }
-}
-
 /// One product stage in tile form: output tiles (row after row, columns
 /// ascending within a row) and their contribution lists.
+#[derive(Default)]
 struct Stage {
     /// Block column of each output tile.
     cols: Vec<u32>,
@@ -280,23 +294,11 @@ struct Stage {
 
 impl Stage {
     fn new() -> Stage {
+        let offsets = vec![0];
         Stage {
-            cols: Vec::new(),
-            masks: Vec::new(),
-            offsets: vec![0],
-            weight: Vec::new(),
-            src: Vec::new(),
-            scalar_madds: 0,
+            offsets,
+            ..Stage::default()
         }
-    }
-
-    /// Forget the rows pushed so far (the flop tally keeps running).
-    fn clear(&mut self) {
-        self.cols.clear();
-        self.masks.clear();
-        self.offsets.truncate(1);
-        self.weight.clear();
-        self.src.clear();
     }
 
     /// Symbolic row kernel: append one block row whose contributions
@@ -311,10 +313,10 @@ impl Stage {
         each().for_each(|c| {
             let s = &mut marker.slots[c.col as usize];
             if s.seen != stamp {
+                let seen = stamp;
                 *s = Slot {
-                    seen: stamp,
-                    cursor: 0,
-                    mask: 0,
+                    seen,
+                    ..Slot::default()
                 };
                 self.cols.push(c.col);
             }
@@ -371,53 +373,6 @@ impl Stage {
     }
 }
 
-/// Stage-1 symbolics of one coarse vertex: its `R_v` row's entries in
-/// stored (ascending) order — entry `j` with weight `ws[j]` standing on
-/// block row `block_rows[j]` of `a` — each against that block row's tiles
-/// in stored order.
-fn stage1_row(
-    stage: &mut Stage,
-    marker: &mut Marker,
-    block_rows: impl Iterator<Item = usize> + Clone,
-    ws: &[f64],
-    a: &BlockRows,
-) {
-    stage.push_row(marker, || {
-        block_rows.clone().zip(ws).flat_map(move |(k, &weight)| {
-            (a.row_ptr[k] as usize..a.row_ptr[k + 1] as usize).map(move |p| Contrib {
-                col: a.cols[p],
-                weight,
-                src: p as u32,
-                mask: a.masks[p],
-            })
-        })
-    });
-}
-
-/// Stage-2 symbolics of one coarse vertex: its `RA` tiles ascending, each
-/// against that fine vertex's `R_vᵀ` row in stored order; sources are
-/// row-relative `RA` tile numbers.
-fn stage2_row(
-    stage: &mut Stage,
-    marker: &mut Marker,
-    ra_cols: &[u32],
-    ra_masks: &[u16],
-    rt: &CsrMatrix,
-) {
-    stage.push_row(marker, || {
-        let ra = ra_cols.iter().zip(ra_masks).enumerate();
-        ra.flat_map(move |(t, (&l, &mask))| {
-            let (ds, ws) = rt.row(l as usize);
-            ds.iter().zip(ws).map(move |(&d, &weight)| Contrib {
-                col: d as u32,
-                weight,
-                src: t as u32,
-                mask,
-            })
-        })
-    });
-}
-
 /// Stored entries of each of the `B` scalar rows a run of tiles spans.
 fn scalar_row_lens<const B: usize>(masks: &[u16]) -> [usize; B] {
     let mut lens = [0usize; B];
@@ -471,16 +426,11 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
         let (k0, w0) = r.row(c * B);
         for d in 0..B {
             let (kd, wd) = r.row(c * B + d);
-            let repeats = kd.len() == k0.len()
-                && kd
-                    .iter()
-                    .zip(k0)
-                    .all(|(&k, &base)| base % B == 0 && k == base + d)
-                && wd
-                    .iter()
-                    .zip(w0)
-                    .all(|(w, base)| w.to_bits() == base.to_bits());
-            if !repeats {
+            let mut pairs = kd.iter().zip(k0).zip(wd.iter().zip(w0));
+            let same = |((&k, &k0), (w, w0)): ((&usize, &usize), (&f64, &f64))| {
+                k0 % B == 0 && k == k0 + d && w.to_bits() == w0.to_bits()
+            };
+            if kd.len() != k0.len() || !pairs.all(same) {
                 return None;
             }
         }
@@ -488,13 +438,8 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
         vals.extend_from_slice(w0);
         row_ptr.push(col_idx.len());
     }
-    Some(CsrMatrix::from_parts(
-        nc,
-        r.ncols() / B,
-        row_ptr,
-        col_idx,
-        vals,
-    ))
+    let ncols = r.ncols() / B;
+    Some(CsrMatrix::from_parts(nc, ncols, row_ptr, col_idx, vals))
 }
 
 /// A reusable execution plan for the Galerkin triple product
@@ -516,14 +461,14 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
 /// full `(row lengths, column indices)` structure — explicitly *not* of the
 /// values, so Newton re-linearizations on a fixed mesh always reuse the
 /// plan. Anything that changes the pattern — remeshing, a different
-/// drop-tolerance, a new restriction `R` — must rebuild the plan.
-/// [`RapPlan::try_execute`] checks once and declines a non-matching
-/// operator (`MgHierarchy::update_operator` rebuilds transparently on
-/// `None`); [`RapPlan::execute`] panics instead of reading values into
-/// the wrong tiles. [`RapPlan::execute_tiles`] has no pattern to check: its
-/// caller hands it tiles of the planned pattern (a share built from the
-/// operator the plan was, or from its output), and a tile count off the
-/// plan's panics.
+/// drop-tolerance, a new restriction `R` — must rebuild the plan:
+/// `MgHierarchy::update_operator` asks [`matches`](RapPlan::matches) and
+/// builds a new plan for a foreign pattern, and [`RapPlan::execute`]
+/// panics instead of reading values into the wrong tiles.
+/// [`RapPlan::execute_tiles`] has no pattern to check: its caller hands it
+/// tiles of the planned pattern, and a tile count off the plan's panics,
+/// as in [`RapPlan::tile_held`]: a held-rows plan carries no input
+/// fingerprint (its rows are no one matrix's) and matches no CSR.
 ///
 /// The check reads the fingerprint `A` carries, so it hashes `A` only if
 /// nothing has before in `A`'s life. The output's pattern is fixed by the
@@ -547,10 +492,19 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
 /// assert!((ac.get(0, 0) - a.rap(&r).get(0, 0)).abs() < 1e-14);
 /// ```
 pub struct RapPlan {
-    /// Pattern of the `A` the plan was built for.
-    a_pattern: PatternFingerprint,
+    /// Pattern of the `A` the plan was built for; `None` for a held-rows
+    /// plan.
+    a_pattern: Option<PatternFingerprint>,
     /// Unknowns per vertex the plan runs in: 3 when `R = R_v ⊗ I₃`, else 1.
     block: usize,
+    /// A held-rows plan's fine vertices, ascending: the vertices whose rows
+    /// it reads, `dofs / block` block rows each. Empty for a plan of one
+    /// whole `A`, whose block rows are its own.
+    held: Vec<u32>,
+    /// Rows per held vertex.
+    dofs: usize,
+    /// Scalar columns of the output.
+    ncols: usize,
     /// Block row `k` of `A` is source tiles `a_rows[k]..a_rows[k + 1]`.
     a_rows: Vec<u32>,
     /// Coarse vertex `c`'s `RA` tiles are `rows1[c]..rows1[c + 1]`.
@@ -579,33 +533,141 @@ impl RapPlan {
         assert_eq!(a.nrows(), a.ncols(), "A must be square");
         assert_eq!(r.ncols(), a.nrows(), "R columns must match A");
         pmg_telemetry::counter_add("rap/plan_build", 1);
-        match vertex_restriction(r) {
+        let mut plan = match vertex_restriction(r) {
             Some(r_v) => {
                 pmg_telemetry::counter_add("rap/block_plans", 1);
-                Self::build::<3>(a, &r_v)
+                Self::whole::<3>(a, &r_v)
             }
-            None => Self::build::<1>(a, r),
-        }
+            None => Self::whole::<1>(a, r),
+        };
+        plan.a_pattern = Some(PatternFingerprint::of(a));
+        plan
     }
 
-    fn build<const B: usize>(a: &CsrMatrix, r_v: &CsrMatrix) -> RapPlan {
-        let nc = r_v.nrows();
-        let ab = BlockRows::new::<B>(a);
+    /// [`build`](Self::build) over every block row of `a`, in order.
+    fn whole<const B: usize>(a: &CsrMatrix, r_v: &CsrMatrix) -> RapPlan {
+        assert_eq!(a.nrows() % B, 0, "A rows must come in runs of {B}");
         let rt_v = r_v.transpose();
-        let mut marker = Marker::new(r_v.ncols().max(nc));
+        Self::build::<B>(a.nrows() / B, |k| (a, k * B), None, r_v, None, &rt_v)
+    }
+
+    /// Symbolic phase over a rank's held rows — the sharded set-up's,
+    /// where no rank holds the full `A` or `R`: the plan of this rank's
+    /// rows of `R A Rᵀ` (`dofs` per owned coarse vertex, global coarse dof
+    /// columns), read by [`tile_held`](Self::tile_held). All ids global:
+    ///
+    /// * `r_rows` — the owned coarse-vertex rows of `R_v`, in owned order
+    ///   (`R = R_v ⊗ I_dofs` is never formed).
+    /// * `held` — the `A` rows this rank holds, as sources `(ids, rows)`:
+    ///   `dofs` consecutive rows per vertex of `ids` (strictly ascending,
+    ///   no vertex in two sources) — its owned share as stored, then the
+    ///   off-rank rows it fetched. Every fine vertex of `r_rows` must be
+    ///   held; rows no owned coarse vertex reaches are ignored.
+    /// * `rt_ids` / `rt_rows` — rows of the **full** `R_vᵀ`, ids strictly
+    ///   ascending: every fine vertex the reached `A` rows touch, or a
+    ///   superset.
+    ///
+    /// Runs in 3×3 vertex tiles at `dofs = 3`, in scalars otherwise. The
+    /// plan is [`RapPlan::new`]'s with positions in the ascending id lists
+    /// standing in for ids, which keeps every order: its output is
+    /// **bitwise** the corresponding rows of the full planned product,
+    /// however the held rows are split into sources.
+    pub fn over_held(
+        dofs: usize,
+        r_rows: &CsrMatrix,
+        held: &[(&[u32], &CsrMatrix)],
+        rt_ids: &[u32],
+        rt_rows: &CsrMatrix,
+    ) -> RapPlan {
+        for &(ids, rows) in held {
+            assert_eq!(rows.nrows(), ids.len() * dofs, "dofs A rows per id");
+            assert_eq!(
+                r_rows.ncols() * dofs,
+                rows.ncols(),
+                "R columns must match A"
+            );
+            debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        }
+        assert_eq!(rt_rows.nrows(), rt_ids.len(), "one Rᵀ row per id");
+        debug_assert!(rt_ids.windows(2).all(|w| w[0] < w[1]));
+        pmg_telemetry::counter_add("rap/plan_build", 1);
+        pmg_telemetry::counter_add("rap/local_rows", (r_rows.nrows() * dofs) as u64);
+        // The fine vertices the owned coarse vertices reach, ascending.
+        let mut reached: Vec<u32> = r_rows.col_idx().iter().map(|&k| k as u32).collect();
+        reached.sort_unstable();
+        reached.dedup();
+        // 3x3 tiles at three dofs, else scalars on the expanded restriction.
+        let block = if dofs == 3 { 3 } else { 1 };
+        let runs = held_runs(&reached, held, dofs, block);
+        let per = dofs / block;
+        let expand = |m| match per {
+            1 => Cow::Borrowed(m),
+            _ => Cow::Owned(CsrMatrix::kron_identity(m, per)),
+        };
+        let (r, rt) = (expand(r_rows), expand(rt_rows));
+        let (ids, run) = (|ids| Some(Ids { ids, per }), |i| runs[i]);
+        let mut plan = if block == 3 {
+            pmg_telemetry::counter_add("rap/block_plans", 1);
+            Self::build::<3>(runs.len(), run, ids(&reached), &r, ids(rt_ids), &rt)
+        } else {
+            Self::build::<1>(runs.len(), run, ids(&reached), &r, ids(rt_ids), &rt)
+        };
+        plan.held = reached;
+        plan.dofs = dofs;
+        plan
+    }
+
+    /// The one symbolic driver: the rows of `R_v` given (their columns
+    /// block ids, found in `a_ids`, or positions of the `n` block rows
+    /// `run` yields when `None`) against those block rows of `A` and the
+    /// `R_vᵀ` rows `rt_v` (by position; a tile's block column found in
+    /// `rt_ids`, or a position itself when `None`).
+    fn build<'a, const B: usize>(
+        n: usize,
+        run: impl Fn(usize) -> Run<'a>,
+        a_ids: Option<Ids>,
+        r_v: &CsrMatrix,
+        rt_ids: Option<Ids>,
+        rt_v: &CsrMatrix,
+    ) -> RapPlan {
+        let nc = r_v.nrows();
+        let ab = BlockRows::new::<B>(n, run, rt_ids);
+        let block_row = |&k: &usize| match a_ids {
+            None => k,
+            Some(ids) => {
+                ids.find(0, k)
+                    .expect("every R_v column is a held block row")
+                    .0
+            }
+        };
+        let mut marker = Marker {
+            stamp: 0,
+            slots: vec![Slot::default(); rt_v.nrows().max(rt_v.ncols())],
+        };
         let tiles_of = |k: usize| (ab.row_ptr[k + 1] - ab.row_ptr[k]) as usize;
 
         // The contribution arrays are sized exactly up front; the (far
         // smaller) per-tile arrays are trimmed once the stage is complete.
         let mut stage1 = Stage::new();
-        let contribs: usize = r_v.col_idx().iter().map(|&k| tiles_of(k)).sum();
+        let contribs: usize = r_v.col_idx().iter().map(|k| tiles_of(block_row(k))).sum();
         stage1.weight.reserve_exact(contribs);
         stage1.src.reserve_exact(contribs);
         let mut rows1 = Vec::with_capacity(nc + 1);
         rows1.push(0u32);
+        // A coarse vertex's `R_v` entries ascending, each against its
+        // block row's tiles in stored order.
         for c in 0..nc {
-            let (ks, ws) = r_v.row(c);
-            stage1_row(&mut stage1, &mut marker, ks.iter().copied(), ws, &ab);
+            let ((ks, ws), ab) = (r_v.row(c), &ab);
+            stage1.push_row(&mut marker, || {
+                ks.iter().map(block_row).zip(ws).flat_map(|(k, &weight)| {
+                    (ab.row_ptr[k] as usize..ab.row_ptr[k + 1] as usize).map(move |p| Contrib {
+                        col: ab.cols[p],
+                        weight,
+                        src: p as u32,
+                        mask: ab.masks[p],
+                    })
+                })
+            });
             rows1.push(stage1.cols.len() as u32);
         }
 
@@ -616,15 +678,22 @@ impl RapPlan {
         stage2.src.reserve_exact(contribs);
         let mut rows2 = Vec::with_capacity(nc + 1);
         rows2.push(0u32);
+        // Its `RA` tiles ascending, each against that fine vertex's `R_vᵀ`
+        // row in stored order; sources are row-relative `RA` tile numbers.
         for c in 0..nc {
             let ra = rows1[c] as usize..rows1[c + 1] as usize;
-            stage2_row(
-                &mut stage2,
-                &mut marker,
-                &stage1.cols[ra.clone()],
-                &stage1.masks[ra],
-                &rt_v,
-            );
+            let ra = stage1.cols[ra.clone()].iter().zip(&stage1.masks[ra]);
+            stage2.push_row(&mut marker, || {
+                ra.clone().enumerate().flat_map(|(t, (&l, &mask))| {
+                    let (ds, ws) = rt_v.row(l as usize);
+                    ds.iter().zip(ws).map(move |(&d, &weight)| Contrib {
+                        col: d as u32,
+                        weight,
+                        src: t as u32,
+                        mask,
+                    })
+                })
+            });
             rows2.push(stage2.cols.len() as u32);
         }
 
@@ -636,8 +705,11 @@ impl RapPlan {
         stage2.masks.shrink_to_fit();
         stage2.offsets.shrink_to_fit();
         RapPlan {
-            a_pattern: PatternFingerprint::of(a),
+            a_pattern: None,
             block: B,
+            held: Vec::new(),
+            dofs: B,
+            ncols: rt_v.ncols() * B,
             a_rows: ab.row_ptr,
             rows1,
             stage1,
@@ -647,9 +719,10 @@ impl RapPlan {
         }
     }
 
-    /// Whether `a` has the exact sparsity pattern this plan was built for.
+    /// Whether `a` has the exact sparsity pattern this plan was built for
+    /// (never, for a held-rows plan).
     pub fn matches(&self, a: &CsrMatrix) -> bool {
-        self.a_pattern.matches(a)
+        self.a_pattern.is_some_and(|p| p.matches(a))
     }
 
     /// Unknowns per vertex the plan works in: 3 if the restriction it was
@@ -660,7 +733,11 @@ impl RapPlan {
 
     /// Heap bytes the plan holds between executions.
     pub fn memory_bytes(&self) -> usize {
-        (self.a_rows.capacity() + self.rows1.capacity() + self.rows2.capacity()) * 4
+        (self.held.capacity()
+            + self.a_rows.capacity()
+            + self.rows1.capacity()
+            + self.rows2.capacity())
+            * 4
             + self.stage1.memory_bytes()
             + self.stage2.memory_bytes()
     }
@@ -699,6 +776,28 @@ impl RapPlan {
             _ => fill_tiles::<1, 1>(rows(cols), rows(vals), out),
         };
         assert_eq!(n, tiles.len(), "block row {k} is not the planned pattern's");
+    }
+
+    /// The source tile array of the block rows `run` yields, in order.
+    fn tile_runs<'a>(&self, run: impl Fn(usize) -> Run<'a>) -> Vec<f64> {
+        let b = self.block;
+        let mut tiles = vec![0.0; self.source_len()];
+        for k in 0..self.a_rows.len() - 1 {
+            let (a, first) = run(k);
+            let rows: [_; 3] = std::array::from_fn(|s| a.row(first + s.min(b - 1)));
+            let (cols, vals) = (rows.map(|r| r.0), rows.map(|r| r.1));
+            self.tile_source_row(k, &cols[..b], &vals[..b], &mut tiles);
+        }
+        tiles
+    }
+
+    /// A held-rows plan's source tile array: the rows it reads, tiled from
+    /// `held` — its sources, or the same rows with new values. Panics on a
+    /// plan of one whole `A`, a vertex `held` misses, or a tile count off.
+    pub fn tile_held(&self, held: &[(&[u32], &CsrMatrix)]) -> Vec<f64> {
+        assert!(self.a_pattern.is_none(), "not a held-rows plan");
+        let runs = held_runs(&self.held, held, self.dofs, self.block);
+        self.tile_runs(|i| runs[i])
     }
 
     /// Scalar row `i` of an output tile array, as [`execute`](Self::execute)
@@ -753,31 +852,27 @@ impl RapPlan {
     }
 
     /// Numeric phase: compute `R A Rᵀ` for a new `A` with the planned
-    /// pattern. Panics if the pattern changed — callers that cannot
-    /// guarantee stability should use [`RapPlan::try_execute`] and rebuild.
+    /// pattern. Panics if the pattern changed — a caller that cannot
+    /// guarantee stability asks [`matches`](Self::matches) first and
+    /// rebuilds.
     pub fn execute(&mut self, a: &CsrMatrix) -> CsrMatrix {
-        self.try_execute(a).expect(
+        assert!(
+            self.matches(a),
             "RapPlan::execute: A's sparsity pattern changed since the plan \
-             was built (rebuild with RapPlan::new)",
-        )
-    }
-
-    /// [`execute`](Self::execute) behind its one pattern check: `None`
-    /// (and nothing computed) if `a` does not have the planned pattern.
-    pub fn try_execute(&mut self, a: &CsrMatrix) -> Option<CsrMatrix> {
-        if !self.matches(a) {
-            return None;
-        }
-        Some(match self.block {
-            3 => self.execute_tiles_csr(&self.tile_csr::<3, 9>(a)),
+             was built (rebuild with RapPlan::new)"
+        );
+        match self.block {
+            3 => self.execute_tiles_csr(&self.tile_runs(|k| (a, k * 3))),
             _ => self.execute_tiles_csr(a.vals()),
-        })
+        }
     }
 
     /// [`execute`](Self::execute) from a source tile array laid out as
     /// [`source_len`](Self::source_len) says — a level share's tiles, read
-    /// where they are stored — instead of a CSR: the same product, the same
-    /// output. Panics if the array is not the planned length.
+    /// where they are stored, or a rank's held rows
+    /// ([`tile_held`](Self::tile_held)) — instead of a CSR: the same
+    /// product, the same output. Panics if the array is not the planned
+    /// length.
     pub fn execute_tiles_csr(&mut self, a_tiles: &[f64]) -> CsrMatrix {
         assert_eq!(
             a_tiles.len(),
@@ -800,24 +895,6 @@ impl RapPlan {
     fn charge_flops(&self) {
         flops::add(2 * (self.stage1.scalar_madds + self.stage2.scalar_madds));
     }
-
-    /// `a`'s values as the source tile array, tiled block row by block row.
-    fn tile_csr<const B: usize, const BB: usize>(&self, a: &CsrMatrix) -> Vec<f64> {
-        let (rp, ci, v) = (a.row_ptr(), a.col_idx(), a.vals());
-        let mut tiles = vec![0.0; self.source_len()];
-        for (k, at) in self.a_rows.windows(2).enumerate() {
-            let range = |s: usize| rp[k * B + s]..rp[k * B + s + 1];
-            let out = &mut tiles[at[0] as usize * BB..at[1] as usize * BB];
-            let n = fill_tiles::<B, BB>(
-                std::array::from_fn(|s| &ci[range(s)]),
-                std::array::from_fn(|s| &v[range(s)]),
-                out,
-            );
-            debug_assert_eq!(n, (at[1] - at[0]) as usize);
-        }
-        tiles
-    }
-
     /// Output block row `c` into `out`, exactly its tiles; stage 1 goes
     /// through the row scratch `ra`.
     fn row_product<const BB: usize>(
@@ -906,7 +983,7 @@ impl RapPlan {
                 );
             }
         });
-        CsrMatrix::from_parts(nc * B, nc * B, row_ptr, col_idx, vals)
+        CsrMatrix::from_parts(nc * B, self.ncols, row_ptr, col_idx, vals)
     }
 }
 
@@ -914,179 +991,6 @@ impl RapPlan {
 fn rows<'a, T, const B: usize>(rows: &[&'a [T]]) -> [&'a [T]; B] {
     rows.try_into()
         .unwrap_or_else(|_| panic!("{B} scalar rows per block row"))
-}
-
-/// Owned Galerkin rows from purely **local** row sets — the kernel of the
-/// sharded setup path, where no rank ever holds the full `A` or `R`.
-///
-/// The restriction comes at vertex level (`R = R_v ⊗ I_dofs` is never
-/// formed), the operator at dof level, all with *global* column ids:
-///
-/// * `r_rows` — the owned coarse-vertex rows of `R_v` (one local row per
-///   owned coarse vertex, in owned order; `ncols` = global fine vertices).
-/// * `held` — the operator rows this rank holds, as sources `(ids, rows)`:
-///   `rows` carries `dofs` consecutive CSR rows per vertex of `ids`
-///   (strictly ascending within a source, no vertex in two sources;
-///   `ncols` = global fine dofs). The sharded setup passes its owned share
-///   as it is stored, then the off-rank rows it fetched. Every fine vertex
-///   of `r_rows` must be held; rows no owned coarse vertex reaches are
-///   ignored.
-/// * `rt_ids` / `rt_rows` — rows of the **full** transpose `R_vᵀ` (each
-///   carrying every coarse vertex touching that fine vertex, ascending —
-///   not just this rank's), ids strictly ascending. Every fine vertex of
-///   the held `A` rows reachable from `r_rows` must appear; a superset is
-///   fine, unused rows are ignored.
-///
-/// Returns the owned coarse dof rows of `R·A·Rᵀ` (`dofs` per owned coarse
-/// vertex; `ncols` = global coarse dofs).
-///
-/// Every held row the product reads is tiled once, into one exactly sized
-/// view read in place from its source (values written straight into the
-/// tiles, each tile's block column turned into its position in `rt_ids`
-/// once). The view lives for the call only, and is about the size of the
-/// rows it tiles.
-///
-/// # Bitwise contract
-///
-/// Each output row runs the row kernels of [`RapPlan`] over that view —
-/// the same symbolic enumeration (`R_v` row entries ascending × `A` tiles
-/// in stored order, then `RA` tiles ascending × `R_vᵀ` row entries in
-/// stored order; positions in the ascending id lists stand in for global
-/// ids, which preserves every order) and the same tile accumulation. The
-/// output values are therefore **bitwise identical** to the corresponding
-/// rows of the full planned product, however the held rows are split into
-/// sources; the partition tests and the ownership-map proptests below pin
-/// this.
-pub fn rap_local_rows(
-    dofs: usize,
-    r_rows: &CsrMatrix,
-    held: &[(&[u32], &CsrMatrix)],
-    rt_ids: &[u32],
-    rt_rows: &CsrMatrix,
-) -> CsrMatrix {
-    for &(ids, rows) in held {
-        assert_eq!(rows.nrows(), ids.len() * dofs, "dofs A rows per id");
-        assert_eq!(
-            r_rows.ncols() * dofs,
-            rows.ncols(),
-            "R columns must match A"
-        );
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
-    }
-    assert_eq!(rt_rows.nrows(), rt_ids.len(), "one Rᵀ row per id");
-    debug_assert!(rt_ids.windows(2).all(|w| w[0] < w[1]));
-    pmg_telemetry::counter_add("rap/local_rows", (r_rows.nrows() * dofs) as u64);
-    match dofs {
-        3 => local_rows::<3, 9>(r_rows, held, rt_ids, rt_rows),
-        1 => local_rows::<1, 1>(r_rows, held, rt_ids, rt_rows),
-        // Any other block size runs in scalars on the expanded restriction.
-        _ => {
-            let ids: Vec<Vec<u32>> = held.iter().map(|(ids, _)| dof_ids(ids, dofs)).collect();
-            let held: Vec<(&[u32], &CsrMatrix)> = ids
-                .iter()
-                .zip(held)
-                .map(|(ids, &(_, rows))| (&ids[..], rows))
-                .collect();
-            local_rows::<1, 1>(
-                &r_rows.kron_identity(dofs),
-                &held,
-                &dof_ids(rt_ids, dofs),
-                &rt_rows.kron_identity(dofs),
-            )
-        }
-    }
-}
-
-/// The `dofs` dof ids of each vertex id, in order.
-fn dof_ids(vertices: &[u32], dofs: usize) -> Vec<u32> {
-    let d = dofs as u32;
-    let ids = vertices.iter();
-    ids.flat_map(|&v| (0..d).map(move |c| v * d + c)).collect()
-}
-
-fn local_rows<const B: usize, const BB: usize>(
-    r_rows: &CsrMatrix,
-    held: &[(&[u32], &CsrMatrix)],
-    rt_ids: &[u32],
-    rt_rows: &CsrMatrix,
-) -> CsrMatrix {
-    // The fine vertices the owned coarse vertices reach, ascending, and
-    // where each one's rows are held: one forward merge per source.
-    let mut a_ids: Vec<u32> = r_rows.col_idx().iter().map(|&k| k as u32).collect();
-    a_ids.sort_unstable();
-    a_ids.dedup();
-    let mut cursors = vec![0usize; held.len()];
-    let runs: Vec<(&CsrMatrix, usize)> = a_ids
-        .iter()
-        .map(|&k| {
-            let found = held
-                .iter()
-                .zip(&mut cursors)
-                .find_map(|(&(ids, rows), at)| {
-                    let hit = gallop(ids, *at, k);
-                    *at = hit.unwrap_or_else(|p| p);
-                    hit.ok().map(|p| (rows, p * B))
-                });
-            found.unwrap_or_else(|| panic!("rap_local_rows: A rows of vertex {k} not held locally"))
-        })
-        .collect();
-    let (view, a_tiles) = BlockRows::held::<B, BB>(&runs, rt_ids);
-    let block_row = |k: &usize| {
-        let at = a_ids.binary_search(&(*k as u32));
-        at.expect("every R_v column is a held block row")
-    };
-
-    let nl = r_rows.nrows();
-    let mut marker = Marker::new(rt_ids.len().max(rt_rows.ncols()));
-    let mut row_ptr = Vec::with_capacity(nl * B + 1);
-    row_ptr.push(0usize);
-    let mut col_idx: Vec<usize> = Vec::new();
-    let mut vals: Vec<f64> = Vec::new();
-    // Per-row scratch, cleared between rows.
-    let (mut stage1, mut stage2) = (Stage::new(), Stage::new());
-    let (mut ra_tiles, mut c_tiles) = (Vec::new(), Vec::new());
-    for c in 0..nl {
-        let (ks, ws) = r_rows.row(c);
-        stage1.clear();
-        stage1_row(
-            &mut stage1,
-            &mut marker,
-            ks.iter().map(block_row),
-            ws,
-            &view,
-        );
-        ra_tiles.clear();
-        ra_tiles.resize(stage1.cols.len() * BB, 0.0);
-        stage1.accumulate::<BB>(0..stage1.cols.len(), &a_tiles, &mut ra_tiles);
-
-        stage2.clear();
-        stage2_row(
-            &mut stage2,
-            &mut marker,
-            &stage1.cols,
-            &stage1.masks,
-            rt_rows,
-        );
-        c_tiles.clear();
-        c_tiles.resize(stage2.cols.len() * BB, 0.0);
-        stage2.accumulate::<BB>(0..stage2.cols.len(), &ra_tiles, &mut c_tiles);
-
-        let first = col_idx.len();
-        for len in scalar_row_lens::<B>(&stage2.masks) {
-            row_ptr.push(row_ptr[row_ptr.len() - 1] + len);
-        }
-        col_idx.resize(row_ptr[row_ptr.len() - 1], 0);
-        vals.resize(col_idx.len(), 0.0);
-        emit_row::<B, BB>(
-            &stage2.cols,
-            &stage2.masks,
-            &c_tiles,
-            &mut col_idx[first..],
-            &mut vals[first..],
-        );
-    }
-    flops::add(2 * (stage1.scalar_madds + stage2.scalar_madds));
-    CsrMatrix::from_parts(nl * B, rt_rows.ncols() * B, row_ptr, col_idx, vals)
 }
 
 #[cfg(test)]
@@ -1237,7 +1141,7 @@ mod tests {
     fn pattern_change_detected() {
         let a = random_sym(30, 3, 21);
         let r = random_restriction(10, 30, 22);
-        let mut plan = RapPlan::new(&a, &r);
+        let plan = RapPlan::new(&a, &r);
         // Different pattern: extra entry.
         let mut b = CooBuilder::new(30, 30);
         for (i, j, v) in a.iter() {
@@ -1247,8 +1151,7 @@ mod tests {
         b.push(29, 0, 1e-9);
         let a2 = b.build();
         assert!(!plan.matches(&a2));
-        assert!(plan.try_execute(&a2).is_none());
-        assert!(plan.try_execute(&a).is_some());
+        assert!(plan.matches(&a));
     }
 
     #[test]
@@ -1310,7 +1213,7 @@ mod tests {
         );
         // The same product planned in scalars holds one pair per scalar
         // multiply; it charges the same flops.
-        let scalar = RapPlan::build::<1>(&a, &r);
+        let scalar = RapPlan::whole::<1>(&a, &r);
         assert_eq!(
             scalar.stage1.weight.len() + scalar.stage2.weight.len(),
             scalar_contribs
@@ -1387,7 +1290,35 @@ mod tests {
         plan.execute_tiles(&src, &mut vec![0.0; plan.output_len()]);
     }
 
-    /// The row sets of one rank for [`rap_local_rows`], from the global
+    /// The `dofs` dof ids of each vertex id, in order.
+    fn dofs_of(vertices: &[u32], dofs: usize) -> Vec<u32> {
+        let d = dofs as u32;
+        let ids = vertices.iter();
+        ids.flat_map(|&v| (0..d).map(move |c| v * d + c)).collect()
+    }
+
+    /// A held-rows plan's product, run as a rank runs it: plan, tile the
+    /// held rows once, execute.
+    fn held_product(
+        dofs: usize,
+        r_rows: &CsrMatrix,
+        held: &[(&[u32], &CsrMatrix)],
+        rt_ids: &[u32],
+        rt_rows: &CsrMatrix,
+    ) -> CsrMatrix {
+        let mut plan = RapPlan::over_held(dofs, r_rows, held, rt_ids, rt_rows);
+        let tiles = plan.tile_held(held);
+        plan.execute_tiles_csr(&tiles)
+    }
+
+    fn assert_same_bits(x: &CsrMatrix, y: &CsrMatrix) {
+        assert_eq!((x.nrows(), x.ncols()), (y.nrows(), y.ncols()));
+        assert_eq!(x.row_ptr(), y.row_ptr());
+        assert_eq!(x.col_idx(), y.col_idx());
+        assert_eq!(bits(x.vals()), bits(y.vals()));
+    }
+
+    /// The row sets of one rank for [`RapPlan::over_held`], from the global
     /// `a` and `r_v` (test-side only; the production path ships the rows):
     /// its owned `R_v` rows (coarse vertices `owned`), its held `A` rows
     /// split as the sharded setup splits them — every fine vertex it owns
@@ -1417,14 +1348,14 @@ mod tests {
             };
             let r_rows = r_v.extract_rows(owned);
             let reached = sorted_ids(r_rows.col_idx(), 1);
-            let rt_ids = sorted_ids(a.extract_rows(&dof_ids(&reached, dofs)).col_idx(), dofs);
+            let rt_ids = sorted_ids(a.extract_rows(&dofs_of(&reached, dofs)).col_idx(), dofs);
             let mine = |v: &u32| fine_owner[*v as usize] == rank;
             let own: Vec<u32> = (0..fine_owner.len() as u32).filter(mine).collect();
             let fetched: Vec<u32> = reached.into_iter().filter(|v| !mine(v)).collect();
             RankRows {
                 r_rows,
                 sources: [own, fetched].map(|ids| {
-                    let rows = a.extract_rows(&dof_ids(&ids, dofs));
+                    let rows = a.extract_rows(&dofs_of(&ids, dofs));
                     (ids, rows)
                 }),
                 rt_rows: r_v.transpose().extract_rows(&rt_ids),
@@ -1438,7 +1369,7 @@ mod tests {
         }
 
         fn rap(&self, dofs: usize) -> CsrMatrix {
-            rap_local_rows(
+            held_product(
                 dofs,
                 &self.r_rows,
                 &self.held(),
@@ -1453,7 +1384,7 @@ mod tests {
     /// and the reached full `R_vᵀ` rows compute exactly their rows of the
     /// full planned product, and any *vertex* ownership maps (ranks owning
     /// nothing included) tile it.
-    fn assert_local_rows_tile_plan(
+    fn assert_held_rows_tile_plan(
         dofs: usize,
         a: &CsrMatrix,
         r_v: &CsrMatrix,
@@ -1487,22 +1418,22 @@ mod tests {
     }
 
     #[test]
-    fn local_rows_are_bitwise_planned_rows() {
+    fn held_rows_are_bitwise_planned_rows() {
         let r_v = random_restriction(18, 50, 18);
         for nparts in [1u32, 2, 3, 5] {
             let owner: Vec<u32> = (0..18).map(|c| c % nparts).collect();
             // Contiguous fine blocks, as a coordinate bisection leaves them.
             let fine_owner: Vec<u32> = (0..50).map(|v| v * nparts / 50).collect();
-            assert_local_rows_tile_plan(1, &random_sym(50, 4, 17), &r_v, &owner, &fine_owner);
-            assert_local_rows_tile_plan(3, &random_elastic(50, 17), &r_v, &owner, &fine_owner);
+            assert_held_rows_tile_plan(1, &random_sym(50, 4, 17), &r_v, &owner, &fine_owner);
+            assert_held_rows_tile_plan(3, &random_elastic(50, 17), &r_v, &owner, &fine_owner);
         }
         // Any other block size runs the scalar kernel on expanded rows.
         let fine_owner: Vec<u32> = (0..50).map(|v| v % 2).collect();
-        assert_local_rows_tile_plan(2, &random_sym(100, 4, 17), &r_v, &[0; 18], &fine_owner);
+        assert_held_rows_tile_plan(2, &random_sym(100, 4, 17), &r_v, &[0; 18], &fine_owner);
     }
 
     #[test]
-    fn local_rows_read_a_first_held_vertex_from_the_fetched_source() {
+    fn held_rows_read_a_first_held_vertex_from_the_fetched_source() {
         // The lowest fine vertex the rank reaches is off-rank, and so is
         // every vertex above the owned block: the view interleaves the two
         // sources from its first block row on.
@@ -1516,12 +1447,12 @@ mod tests {
         for (dofs, a) in [(1, random_sym(40, 4, 9)), (3, random_elastic(40, 9))] {
             let rows = RankRows::new(dofs, &a, &r_v, &(0..14).collect::<Vec<_>>(), &fine_owner, 0);
             assert_eq!(rows.sources[1].0[0], reached[0] as u32);
-            assert_local_rows_tile_plan(dofs, &a, &r_v, &owner, &fine_owner);
+            assert_held_rows_tile_plan(dofs, &a, &r_v, &owner, &fine_owner);
         }
     }
 
     #[test]
-    fn local_rows_tolerate_superset_row_sets() {
+    fn held_rows_tolerate_superset_row_sets() {
         // Extra A / Rᵀ rows beyond the needed closure must not change a
         // single bit (the ingest path ships an adjacency superset), however
         // the held rows are split into sources.
@@ -1530,12 +1461,12 @@ mod tests {
             let owned: Vec<u32> = vec![2, 3, 7, 11];
             let want = RapPlan::new(&a, &r_v.kron_identity(dofs))
                 .execute(&a)
-                .extract_rows(&dof_ids(&owned, dofs));
+                .extract_rows(&dofs_of(&owned, dofs));
             let all: Vec<u32> = (0..40).collect();
             let (low, high) = all.split_at(17);
             let (low_rows, high_rows) = (
-                a.extract_rows(&dof_ids(low, dofs)),
-                a.extract_rows(&dof_ids(high, dofs)),
+                a.extract_rows(&dofs_of(low, dofs)),
+                a.extract_rows(&dofs_of(high, dofs)),
             );
             let r_rows = r_v.extract_rows(&owned);
             let rt_v = r_v.transpose();
@@ -1543,7 +1474,7 @@ mod tests {
                 vec![(&all[..], &a)],
                 vec![(high, &high_rows), (low, &low_rows)],
             ] {
-                let local = rap_local_rows(dofs, &r_rows, &held, &all, &rt_v);
+                let local = held_product(dofs, &r_rows, &held, &all, &rt_v);
                 assert_eq!(local.col_idx(), want.col_idx());
                 for (x, y) in local.vals().iter().zip(want.vals()) {
                     assert_eq!(x.to_bits(), y.to_bits());
@@ -1554,25 +1485,66 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "A rows of vertex")]
-    fn local_rows_panic_on_a_missing_a_row() {
+    fn held_rows_panic_on_a_missing_a_row() {
         let (a, r_v) = (random_elastic(20, 3), random_restriction(6, 20, 4));
         let mut rows = RankRows::new(3, &a, &r_v, &[0, 1, 2], &[0; 20], 0);
         // Drop the highest vertex an owned coarse vertex reaches.
         let gone = *rows.r_rows.col_idx().iter().max().unwrap() as u32;
         let (ids, held) = &mut rows.sources[0];
         ids.retain(|&v| v != gone);
-        *held = a.extract_rows(&dof_ids(ids, 3));
+        *held = a.extract_rows(&dofs_of(ids, 3));
         rows.rap(3);
     }
 
     #[test]
     #[should_panic(expected = "an Rᵀ row the product reaches is not held locally")]
-    fn local_rows_panic_on_a_missing_rt_row() {
+    fn held_rows_panic_on_a_missing_rt_row() {
         let (a, r_v) = (random_elastic(20, 3), random_restriction(6, 20, 4));
         let mut rows = RankRows::new(3, &a, &r_v, &[0, 1, 2], &[0; 20], 0);
         rows.rt_ids.remove(0);
         rows.rt_rows = r_v.transpose().extract_rows(&rows.rt_ids);
         rows.rap(3);
+    }
+
+    #[test]
+    fn a_held_plan_reexecuted_on_new_values_is_a_fresh_plan() {
+        // Two sources, as a rank holds them; then every held row with new
+        // values (a Newton step's), tiled again through the built plan.
+        let r_v = random_restriction(14, 40, 10);
+        let fine_owner: Vec<u32> = (0..40).map(|v| u32::from(v >= 23)).collect();
+        for (dofs, a) in [(1, random_sym(40, 4, 9)), (3, random_elastic(40, 9))] {
+            let owned: Vec<u32> = (0..14).filter(|c| c % 2 == 0).collect();
+            let rows = RankRows::new(dofs, &a, &r_v, &owned, &fine_owner, 0);
+            let mut plan = RapPlan::over_held(
+                dofs,
+                &rows.r_rows,
+                &rows.held(),
+                &rows.rt_ids,
+                &rows.rt_rows,
+            );
+            let first = plan.execute_tiles_csr(&plan.tile_held(&rows.held()));
+            assert_same_bits(&first, &rows.rap(dofs));
+            let mut next = RankRows::new(dofs, &a, &r_v, &owned, &fine_owner, 0);
+            for (_, m) in &mut next.sources {
+                m.scale(std::f64::consts::PI);
+            }
+            let again = plan.execute_tiles_csr(&plan.tile_held(&next.held()));
+            assert_same_bits(&again, &next.rap(dofs));
+            assert!(bits(again.vals()) != bits(first.vals()));
+        }
+    }
+
+    #[test]
+    fn a_one_rank_scalar_held_plan_is_the_simulators_product() {
+        // Serve's scalar ingest at one rank: every vertex owned and held as
+        // one source, every `R_vᵀ` row — the simulator's planned product,
+        // whole, bit for bit.
+        let (a, r_v) = (random_sym(50, 4, 17), random_restriction(18, 50, 18));
+        let all: Vec<u32> = (0..50).collect();
+        let plan = RapPlan::over_held(1, &r_v, &[(&all, &a)], &all, &r_v.transpose());
+        assert_eq!(plan.block_size(), 1);
+        let held = held_product(1, &r_v, &[(&all, &a)], &all, &r_v.transpose());
+        assert_same_bits(&held, &RapPlan::new(&a, &r_v).execute(&a));
     }
 
     proptest! {
@@ -1602,14 +1574,14 @@ mod tests {
         }
 
         #[test]
-        fn prop_local_rows_cover_full_product(
+        fn prop_held_rows_cover_full_product(
             seed in 0u64..1000,
             owner in proptest::collection::vec(0u32..4, 12),
             fine_owner in proptest::collection::vec(0u32..4, 36),
         ) {
             let r_v = random_restriction(12, 36, seed.wrapping_add(1));
-            assert_local_rows_tile_plan(1, &random_sym(36, 3, seed), &r_v, &owner, &fine_owner);
-            assert_local_rows_tile_plan(3, &random_elastic(36, seed), &r_v, &owner, &fine_owner);
+            assert_held_rows_tile_plan(1, &random_sym(36, 3, seed), &r_v, &owner, &fine_owner);
+            assert_held_rows_tile_plan(3, &random_elastic(36, seed), &r_v, &owner, &fine_owner);
         }
 
         #[test]

@@ -1,8 +1,10 @@
 //! A Newton re-setup on an unchanged pattern allocates next to nothing:
 //! level 0 takes the caller's values in place, each level's planned
 //! Galerkin product reads that level's tiles and writes the next level's
-//! in place, and the smoothers refactor their planned blocks. What is left
-//! is the coarsest level's dense factorisation and per-thread scratch.
+//! in place, the smoothers refactor their planned blocks, and the coarsest
+//! level's direct solve refactors in the storage it holds (here from its
+//! Cholesky factor into LU: this update's values are not symmetric). What
+//! is left is per-thread scratch and small per-level bookkeeping.
 //!
 //! Asserted with a counting global allocator, so this lives in its own
 //! integration-test binary (the `#[global_allocator]` must not leak into
@@ -88,12 +90,12 @@ fn one_rank_update_allocates_under_a_megabyte() {
     let bytes = BYTES.load(Ordering::Relaxed) - before;
     let largest = LARGEST.load(Ordering::Relaxed);
     println!("update_matrix: {bytes} B allocated, largest allocation {largest} B");
+    // 58 808 B, largest piece 21 888 B; 526 680 B and 233 928 B (the
+    // coarsest level's 171² dense gather, then its LU copy) before the
+    // coarse factor was refactored in place.
+    assert!(bytes <= 65_000, "a value-only update allocated {bytes} B");
     assert!(
-        bytes <= 1_000_000,
-        "a value-only update allocated {bytes} B"
-    );
-    assert!(
-        largest < 1 << 20,
+        largest < 233_928,
         "a value-only update allocated {largest} B at once"
     );
 }
