@@ -420,7 +420,8 @@ fn bench_rank_share(_c: &mut Criterion) {
 /// spheres with the level-0 restriction of `coarsen_level`: this rank owns
 /// every vertex and holds the whole operator as one source.
 /// `plan_tile_execute` is what a rank's set-up runs — a held-rows plan
-/// built, its rows tiled once, executed and dropped; `plan_new_execute` is
+/// built with its rows tiled in the same pass, executed and dropped;
+/// `plan_new_execute` is
 /// the simulator's route to the same rows, `RapPlan::new` + `execute`;
 /// `warm_tile_execute` re-tiles and executes a built held-rows plan, what a
 /// rank-side Newton update that kept its plan would pay for this product
@@ -437,12 +438,11 @@ fn bench_held_rows(_c: &mut Criterion) {
     let held = [(&all[..], a)];
     let plan = || RapPlan::over_held(3, &r_v, &held, &all, &rt_v);
     let cold = || {
-        let mut plan = plan();
-        let tiles = plan.tile_held(&held);
+        let (mut plan, tiles) = plan();
         plan.execute_tiles_csr(&tiles)
     };
     let planned = || RapPlan::new(a, &r).execute(a);
-    let mut kept = plan();
+    let mut kept = plan().0;
     let mut warm = || {
         let tiles = kept.tile_held(&held);
         kept.execute_tiles_csr(&tiles)

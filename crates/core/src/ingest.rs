@@ -468,8 +468,9 @@ mod tests {
                 off.retain(|&v| fine_vlayout.owner(v as usize) as usize != r);
                 let (own_rows, off_rows) = (a.extract_rows(own), a.extract_rows(&off));
                 let held = [(own, &own_rows), (&off[..], &off_rows)];
-                let mut plan = RapPlan::over_held(1, &c.r_rows, &held, &c.rt_ids, &c.rt_rows);
-                let mine = plan.execute_tiles_csr(&plan.tile_held(&held));
+                let (mut plan, a_tiles) =
+                    RapPlan::over_held(1, &c.r_rows, &held, &c.rt_ids, &c.rt_rows);
+                let mine = plan.execute_tiles_csr(&a_tiles);
                 let expect = full.extract_rows(cvlayout.owned(r));
                 assert_eq!(mine.nnz(), expect.nnz(), "rank {r} segment length");
                 for (x, y) in mine.vals().iter().zip(expect.vals()) {

@@ -515,9 +515,9 @@ struct GalerkinTiles {
 /// This rank's owned rows of the next level's operator, `R A Rᵀ`: the
 /// off-rank `A` rows under the owned restriction support arrive
 /// point-to-point ([`fetch_rows`] on `tag`), the owned ones are read in
-/// place from `a_owned`. A [`RapPlan`] over both ([`RapPlan::over_held`])
-/// tiles them once, runs its numeric phase and is dropped: the rank's
-/// set-up keeps no plan.
+/// place from `a_owned`. A [`RapPlan`] over both ([`RapPlan::over_held`],
+/// which tiles them in the same pass) runs its numeric phase once and is
+/// dropped: the rank's set-up keeps no plan.
 fn galerkin_rows<T: Transport>(
     t: &mut T,
     tiles: GalerkinTiles,
@@ -540,8 +540,8 @@ fn galerkin_rows<T: Transport>(
     let fetched = fetch_rows(t, a_owned, layout, &off_dofs, tag)?;
     let own_ids = owned_vertices(layout, rank, dofs);
     let held = [(&own_ids[..], a_owned), (&off_ids[..], &fetched)];
-    let mut plan = RapPlan::over_held(dofs, &tiles.rv_owned, &held, &tiles.rt_ids, &tiles.rt_rows);
-    let a_tiles = plan.tile_held(&held);
+    let (mut plan, a_tiles) =
+        RapPlan::over_held(dofs, &tiles.rv_owned, &held, &tiles.rt_ids, &tiles.rt_rows);
     Ok(plan.execute_tiles_csr(&a_tiles))
 }
 

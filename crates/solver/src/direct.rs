@@ -3,11 +3,11 @@
 //! "else x_i ← A_i⁻¹ r_i — solve coarsest problem directly" (Figure 1 of the
 //! paper). The coarsest operator is gathered to a root rank, factored
 //! once per matrix setup (inside the envelope of its nonzeros, see
-//! `Cholesky::factor`; an operator update refactors in the same storage,
-//! [`CoarseDirect::refactor`]), and each application gathers the
-//! right-hand side, solves at the root, and scatters the result. Its size
-//! stays constant as the problem scales, so this is not a scalability
-//! bottleneck (§5).
+//! `Cholesky::factor`; an operator update refactors a Cholesky factor in
+//! its own storage, [`CoarseDirect::refactor`]), and each application
+//! gathers the right-hand side, solves at the root, and scatters the
+//! result. Its size stays constant as the problem scales, so this is not a
+//! scalability bottleneck (§5).
 
 use crate::precond::Precond;
 use pmg_parallel::{DistMatrix, DistVec, Sim};
@@ -23,11 +23,10 @@ enum Factor {
 pub struct CoarseDirect {
     factor: Factor,
     n: usize,
-    /// The operator [`new`](CoarseDirect::new) gathered, kept beside a
-    /// Cholesky factor so that [`refactor`](CoarseDirect::refactor)
-    /// gathers into it. Empty beside an LU factor, which works in the
-    /// gathered matrix itself, and from
-    /// [`from_csr`](CoarseDirect::from_csr), which is never refactored.
+    /// The operator [`refactor`](CoarseDirect::refactor) gathers into, kept
+    /// beside a Cholesky factor from one update to the next. Empty until
+    /// the first update, so a build that is never updated holds no copy,
+    /// and beside an LU factor, which works in the gathered matrix itself.
     dense: DenseMatrix,
     gather_traffic: Vec<(u64, u64)>,
 }
@@ -65,11 +64,12 @@ impl CoarseDirect {
     }
 
     /// Factor the (global) matrix of `a`. Panics if the matrix is singular.
+    /// The gathered matrix is dropped (or is the LU factor's storage).
     pub fn new(a: &DistMatrix) -> CoarseDirect {
         let n = a.num_global_rows();
         let mut dense = DenseMatrix::zeros(n, n);
         a.gather_dense(&mut dense);
-        let (factor, dense) = factor_dense(dense);
+        let (factor, _) = factor_dense(dense);
         let layout = a.row_layout();
         let nranks = layout.num_ranks();
         // Gather: every non-root rank sends its local values to rank 0.
@@ -85,48 +85,31 @@ impl CoarseDirect {
         CoarseDirect {
             factor,
             n,
-            dense,
+            dense: DenseMatrix::zeros(0, 0),
             gather_traffic,
         }
     }
 
     /// Factor the new values of `a` — the operator this solver was built
-    /// from, after an update — as [`new`](Self::new) would, bit for bit,
-    /// in the storage this solver holds: gathered into the kept matrix
-    /// beside a Cholesky factor, which refactors in its own storage while
-    /// the operator stays symmetric and its envelope holds
-    /// (`Cholesky::refactor`), or into an LU factor's own storage, which
-    /// refactors there while the operator stays unsymmetric. Anything else
-    /// is factored afresh from the gathered matrix, as `new` does. Nothing
-    /// `n²`-sized is allocated.
+    /// from, after an update — as [`new`](Self::new) would, bit for bit.
+    /// The operator is gathered into the kept matrix (allocated on the
+    /// first update, or after an LU took it), and a Cholesky factor
+    /// refactors in its own storage while the operator stays symmetric and
+    /// its envelope holds (`Cholesky::refactor`). Anything else, LU
+    /// included, is factored afresh from the gathered matrix, as `new`
+    /// does.
     pub fn refactor(&mut self, a: &DistMatrix) {
         let n = a.num_global_rows();
-        let in_lu = matches!(&self.factor, Factor::Lu(l) if l.dim() == n);
-        let gathered = match &mut self.factor {
-            Factor::Lu(l) if in_lu => l.storage_mut(),
-            _ => {
-                if self.dense.nrows() != n {
-                    self.dense = DenseMatrix::zeros(n, n);
-                }
-                &mut self.dense
-            }
-        };
-        a.gather_dense(gathered);
-        let symmetric = gathered.is_symmetric(1e-12);
+        if self.dense.nrows() != n {
+            self.dense = DenseMatrix::zeros(n, n);
+        }
+        a.gather_dense(&mut self.dense);
         let in_place = match &mut self.factor {
-            Factor::Chol(c) => symmetric && c.refactor(&self.dense),
-            Factor::Lu(l) if in_lu && !symmetric => {
-                assert!(l.factor_in_place(), "coarse operator is singular");
-                true
-            }
+            Factor::Chol(c) => self.dense.is_symmetric(1e-12) && c.refactor(&self.dense),
             Factor::Lu(_) => false,
         };
         if !in_place {
-            let empty = DenseMatrix::zeros(0, 0);
-            let gathered = match &mut self.factor {
-                Factor::Lu(l) if in_lu => std::mem::replace(l.storage_mut(), empty),
-                _ => std::mem::replace(&mut self.dense, empty),
-            };
+            let gathered = std::mem::replace(&mut self.dense, DenseMatrix::zeros(0, 0));
             (self.factor, self.dense) = factor_dense(gathered);
             self.n = n;
         }
@@ -245,9 +228,11 @@ mod tests {
 
     /// An update refactors to the bits of a fresh factor of the new
     /// operator: a Cholesky factor in place while the operator is
-    /// symmetric on the old envelope, an LU factor in place while it stays
-    /// unsymmetric, and afresh otherwise — into LU, back to Cholesky, and
-    /// a new envelope when a row's first entry drops out.
+    /// symmetric on the old envelope, and afresh otherwise — into LU, LU
+    /// again, back to Cholesky, and a new envelope when a row's first
+    /// entry drops out. Beside a fresh factor it holds the gathered
+    /// operator it kept for the next update, and only beside a Cholesky
+    /// factor.
     #[test]
     fn refactor_is_bitwise_a_fresh_factor() {
         let n = 9;
@@ -280,7 +265,8 @@ mod tests {
                 solver.refactor(&da);
                 let fresh = CoarseDirect::new(&da);
                 assert_eq!(matches!(solver.factor, Factor::Lu(_)), lu);
-                assert_eq!(solver.memory_bytes(), fresh.memory_bytes());
+                let kept = if lu { 0 } else { 8 * n * n } as u64;
+                assert_eq!(solver.memory_bytes(), fresh.memory_bytes() + kept);
                 let (x, want) = (solver.solve_global(&rhs), fresh.solve_global(&rhs));
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&x), bits(&want), "{p} ranks, LU {lu}");

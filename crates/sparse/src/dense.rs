@@ -539,26 +539,9 @@ impl Lu {
     /// [`factor`](Self::factor) in `a`'s own storage, without the copy.
     pub fn factor_owned(a: DenseMatrix) -> Option<Lu> {
         assert_eq!(a.nrows, a.ncols);
-        let swaps = Vec::with_capacity(a.nrows);
-        let mut lu = Lu { lu: a, swaps };
-        lu.factor_in_place().then_some(lu)
-    }
-
-    /// The matrix this factor works in, to be overwritten with a new one
-    /// and factored by [`factor_in_place`](Self::factor_in_place): it
-    /// solves nothing in between.
-    pub fn storage_mut(&mut self) -> &mut DenseMatrix {
-        &mut self.lu
-    }
-
-    /// Factor the matrix in [`storage_mut`](Self::storage_mut) where it is
-    /// stored — bit for bit [`factor`](Self::factor) of it, with no new
-    /// allocation. Returns `false` if it is (numerically) singular; the
-    /// storage then holds no factor.
-    pub fn factor_in_place(&mut self) -> bool {
-        let n = self.lu.nrows;
-        let lu = &mut self.lu;
-        self.swaps.clear();
+        let n = a.nrows;
+        let mut lu = a;
+        let mut swaps = Vec::with_capacity(n);
         for k in 0..n {
             // Pivot search.
             let mut p = k;
@@ -571,7 +554,7 @@ impl Lu {
                 }
             }
             if pmax == 0.0 || !pmax.is_finite() {
-                return false;
+                return None;
             }
             if p != k {
                 for j in 0..n {
@@ -580,7 +563,7 @@ impl Lu {
                     lu[(p, j)] = tmp;
                 }
             }
-            self.swaps.push(p);
+            swaps.push(p);
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
                 let m = lu[(i, k)] / pivot;
@@ -592,7 +575,7 @@ impl Lu {
             }
         }
         flops::add((2 * n * n * n / 3).max(1) as u64);
-        true
+        Some(Lu { lu, swaps })
     }
 
     /// Dimension of the factored matrix.

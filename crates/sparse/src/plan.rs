@@ -30,9 +30,12 @@
 //! of the sharded set-up its owned `R_v` rows over the `A` rows it holds
 //! ([`RapPlan::over_held`]: owned rows read in place, then fetched ones,
 //! each tile's block column addressed by its position in the held `R_vᵀ`
-//! rows). Per coarse vertex row a marker array discovers the row's output
-//! tiles and counts their contributions, the distinct output columns are
-//! sorted, and a second pass drops every contribution at its exact slot.
+//! rows, `R_v`'s columns by their positions in the reached vertices). The
+//! view of `A` of either plan comes from one tile walk (`fill_tiles`),
+//! which also hands a held-rows plan its source tiles. Per coarse vertex
+//! row a marker array discovers the row's output tiles and counts their
+//! contributions, the distinct output columns are sorted, and a second
+//! pass drops every contribution at its exact slot.
 //! No comparison sort ever touches the contributions, and they land per
 //! output tile in the order the sums above state — ascending fine vertex
 //! (positions in ascending id lists keep it). That order is part of the
@@ -50,11 +53,12 @@
 //! share's, in place; any other share's through [`RapPlan::tile_source_row`]
 //! and [`RapPlan::output_row`]); [`RapPlan::execute_tiles_csr`] emits CSR
 //! (what a build hands the next level) from a share's tiles, a CSR's
-//! ([`RapPlan::execute`]) or a rank's held rows ([`RapPlan::tile_held`]),
-//! all tiled by the one tiler behind [`RapPlan::tile_source_row`]. A rank
-//! builds its plan, tiles its held rows once, executes and drops the plan:
-//! its set-up has no update to keep it for. Rows are independent tasks;
-//! bits do not depend on `PMG_THREADS`.
+//! ([`RapPlan::execute`]) or a rank's held rows (as
+//! [`RapPlan::over_held`] tiled them, or [`RapPlan::tile_held`] tiles
+//! them again), all tiled by the one tile walk. A rank builds its plan and
+//! tiles its held rows in one pass, executes and drops the plan: its
+//! set-up has no update to keep it for. Rows are independent tasks; bits
+//! do not depend on `PMG_THREADS`.
 //!
 //! The flop charge is the structural *scalar* multiply-add count (taken from
 //! the masks at plan time), so machine-model columns stay comparable with
@@ -78,22 +82,6 @@ use std::sync::Mutex;
 /// rows of a matrix, from the given row on.
 type Run<'a> = (&'a CsrMatrix, usize);
 
-/// Ascending vertex ids naming block rows, `per` per vertex: block id `j`
-/// is entry `j % per` of vertex `j / per`.
-#[derive(Clone, Copy)]
-struct Ids<'a> {
-    ids: &'a [u32],
-    per: usize,
-}
-
-impl Ids<'_> {
-    /// Positions of block id `j` and of its vertex, searched from `from` on.
-    fn find(&self, from: usize, j: usize) -> Option<(usize, usize)> {
-        let v = gallop(self.ids, from, (j / self.per) as u32).ok()?;
-        Some((v * self.per + j % self.per, v))
-    }
-}
-
 /// Block view of the `A` rows a plan reads: `B` consecutive scalar rows
 /// form a block row, scalar column `j` falls in block column `j / B`.
 struct BlockRows {
@@ -113,63 +101,55 @@ fn slot(block: usize, s: usize, b: usize) -> usize {
     b * block + s
 }
 
-/// [`slot`] of each entry in a tile's ranges, and the tile's mask.
-fn tile_slots<const B: usize>(
-    rows: &[&[usize]; B],
-    from: [usize; B],
-    to: [usize; B],
-    mut entry: impl FnMut(usize, usize, usize),
-) -> u16 {
-    let mut mask = 0u16;
-    for s in 0..B {
-        for q in from[s]..to[s] {
-            let slot = slot(B, s, rows[s][q] % B);
-            mask |= 1 << slot;
-            entry(s, q, slot);
-        }
-    }
-    mask
-}
-
 impl BlockRows {
     /// Merge the `B` sorted scalar rows of each of the `n` block rows
-    /// `run` yields into its tile list. A tile's block column is its own
-    /// `R_vᵀ` row (`rt` is `None`) or is found in `rt`'s ids by a forward
-    /// merge along the block row.
-    fn new<'a, const B: usize>(
+    /// `run` yields into its tile list, and their values into `values` when
+    /// given: the source tiles a plan over these rows reads. A tile's block
+    /// column is its own `R_vᵀ` row (`rt_ids` is `None`) or is found in the
+    /// ascending `rt_ids` by a forward merge along the block row.
+    fn new<'a, const B: usize, const BB: usize>(
         n: usize,
         run: impl Fn(usize) -> Run<'a>,
-        rt: Option<Ids>,
+        rt_ids: Option<&[u32]>,
+        mut values: Option<&mut Vec<f64>>,
     ) -> BlockRows {
-        let rows = |i: usize| -> [&'a [usize]; B] {
+        let rows = |i: usize| -> [_; B] {
             let (a, first) = run(i);
-            std::array::from_fn(|s| a.row(first + s).0)
+            std::array::from_fn(|s| a.row(first + s))
         };
-        let stored: usize = (0..n)
-            .map(|i| rows(i).iter().map(|r| r.len()).sum::<usize>())
-            .sum();
+        // Tiling values, count first: the tiles (8·B² bytes each) are then
+        // allocated once, at their final size, not grown by copies.
+        let mut ntiles = 0;
+        if let Some(v) = values.as_deref_mut() {
+            for i in 0..n {
+                for_each_tile::<B>(rows(i).map(|r| r.0), |_, _, _| ntiles += 1);
+            }
+            v.reserve_exact(ntiles * BB);
+        }
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0u32);
-        let mut cols = Vec::with_capacity(stored / (B * B));
-        let mut masks = Vec::with_capacity(stored / (B * B));
+        let (mut cols, mut masks) = (Vec::with_capacity(ntiles), Vec::with_capacity(ntiles));
         for i in 0..n {
             let rows = rows(i);
             let mut from = 0;
-            for_each_tile::<B>(rows, |j, lo, hi| {
-                let col = match rt {
+            fill_tiles::<B, BB>(rows.map(|r| r.0), rows.map(|r| r.1), |j, mask, tile| {
+                let col = match rt_ids {
                     None => j,
                     // Every tile of a held row is read, so a missing `Rᵀ`
                     // row is an error here already.
-                    Some(rt) => {
-                        let (p, v) = rt.find(from, j).unwrap_or_else(|| {
+                    Some(ids) => {
+                        let p = gallop(ids, from, j as u32).unwrap_or_else(|_| {
                             panic!("RapPlan: an Rᵀ row the product reaches is not held locally")
                         });
-                        from = v;
+                        from = p + 1;
                         p
                     }
                 };
                 cols.push(col as u32);
-                masks.push(tile_slots::<B>(&rows, lo, hi, |_, _, _| {}));
+                masks.push(mask);
+                if let Some(v) = values.as_deref_mut() {
+                    v.extend_from_slice(&tile);
+                }
             });
             row_ptr.push(cols.len() as u32);
         }
@@ -202,51 +182,61 @@ fn gallop(ids: &[u32], from: usize, x: u32) -> Result<usize, usize> {
     }
 }
 
-/// The block rows of `block` scalar rows each of the ascending vertices
-/// `ids`, `dofs` rows per vertex, as held: in the first of the `held`
-/// sources that lists the vertex, one forward merge per source.
-fn held_runs<'a>(
+/// Where the block rows of `block` scalar rows each of the ascending
+/// vertices `ids`, `dofs` rows per vertex, are held: the first of the
+/// `held` sources that lists the vertex, and the block row's first row
+/// there, found by one forward merge per source.
+fn held_runs(
     ids: &[u32],
-    held: &[(&[u32], &'a CsrMatrix)],
+    held: &[(&[u32], &CsrMatrix)],
     dofs: usize,
     block: usize,
-) -> Vec<Run<'a>> {
+) -> Vec<(usize, usize)> {
     let mut cursors = vec![0usize; held.len()];
     let mut runs = Vec::with_capacity(ids.len() * dofs / block);
     for &k in ids {
         let found = held
             .iter()
             .zip(&mut cursors)
-            .find_map(|(&(ids, rows), at)| {
+            .enumerate()
+            .find_map(|(s, (&(ids, _), at))| {
                 let hit = gallop(ids, *at, k);
                 *at = hit.unwrap_or_else(|p| p);
-                hit.ok().map(|p| (rows, p * dofs))
+                hit.ok().map(|p| (s, p * dofs))
             });
-        let (rows, first) =
+        let (s, first) =
             found.unwrap_or_else(|| panic!("RapPlan: A rows of vertex {k} not held locally"));
-        runs.extend((first..first + dofs).step_by(block).map(|f| (rows, f)));
+        runs.extend((first..first + dofs).step_by(block).map(|f| (s, f)));
     }
     runs
 }
 
-/// Write one block row of `A` — its `B` scalar rows' sorted columns and
-/// values — into consecutive whole tiles of `out`, every slot the rows do
-/// not store `+0.0`: the tiles a plan reads, in its order. Returns the
-/// tiles written.
+/// Walk one block row of `A` — its `B` scalar rows' sorted columns and
+/// values — tile by tile, block columns ascending: `tile` gets each tile's
+/// block column, mask and whole values (every slot the rows do not store
+/// `+0.0`). Returns the tiles walked. The one tiler: a plan's view of its
+/// `A` rows and the source tiles it reads both come from here.
 fn fill_tiles<const B: usize, const BB: usize>(
     cols: [&[usize]; B],
     vals: [&[f64]; B],
-    out: &mut [f64],
+    mut tile: impl FnMut(usize, u16, [f64; BB]),
 ) -> usize {
     let mut n = 0;
-    for_each_tile::<B>(cols, |_, from, to| {
-        let tile = &mut out[n * BB..][..BB];
-        tile.fill(0.0);
-        tile_slots::<B>(&cols, from, to, |s, q, slot| tile[slot] = vals[s][q]);
+    for_each_tile::<B>(cols, |j, from, to| {
+        let (mut mask, mut values) = (0u16, [0.0; BB]);
+        for s in 0..B {
+            for q in from[s]..to[s] {
+                let slot = slot(B, s, cols[s][q] % B);
+                mask |= 1 << slot;
+                values[slot] = vals[s][q];
+            }
+        }
+        tile(j, mask, values);
         n += 1;
     });
     n
 }
+
 /// One tile contribution as the symbolic phase enumerates it: `weight`
 /// times source tile `src` (whose stored entries are `mask`) goes to the
 /// output tile in block column `col`.
@@ -276,7 +266,6 @@ struct Marker {
 
 /// One product stage in tile form: output tiles (row after row, columns
 /// ascending within a row) and their contribution lists.
-#[derive(Default)]
 struct Stage {
     /// Block column of each output tile.
     cols: Vec<u32>,
@@ -294,10 +283,13 @@ struct Stage {
 
 impl Stage {
     fn new() -> Stage {
-        let offsets = vec![0];
         Stage {
-            offsets,
-            ..Stage::default()
+            cols: Vec::new(),
+            masks: Vec::new(),
+            offsets: vec![0],
+            weight: Vec::new(),
+            src: Vec::new(),
+            scalar_madds: 0,
         }
     }
 
@@ -313,10 +305,10 @@ impl Stage {
         each().for_each(|c| {
             let s = &mut marker.slots[c.col as usize];
             if s.seen != stamp {
-                let seen = stamp;
                 *s = Slot {
-                    seen,
-                    ..Slot::default()
+                    seen: stamp,
+                    cursor: 0,
+                    mask: 0,
                 };
                 self.cols.push(c.col);
             }
@@ -426,11 +418,16 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
         let (k0, w0) = r.row(c * B);
         for d in 0..B {
             let (kd, wd) = r.row(c * B + d);
-            let mut pairs = kd.iter().zip(k0).zip(wd.iter().zip(w0));
-            let same = |((&k, &k0), (w, w0)): ((&usize, &usize), (&f64, &f64))| {
-                k0 % B == 0 && k == k0 + d && w.to_bits() == w0.to_bits()
-            };
-            if kd.len() != k0.len() || !pairs.all(same) {
+            let repeats = kd.len() == k0.len()
+                && kd
+                    .iter()
+                    .zip(k0)
+                    .all(|(&k, &base)| base % B == 0 && k == base + d)
+                && wd
+                    .iter()
+                    .zip(w0)
+                    .all(|(w, base)| w.to_bits() == base.to_bits());
+            if !repeats {
                 return None;
             }
         }
@@ -438,8 +435,13 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
         vals.extend_from_slice(w0);
         row_ptr.push(col_idx.len());
     }
-    let ncols = r.ncols() / B;
-    Some(CsrMatrix::from_parts(nc, ncols, row_ptr, col_idx, vals))
+    Some(CsrMatrix::from_parts(
+        nc,
+        r.ncols() / B,
+        row_ptr,
+        col_idx,
+        vals,
+    ))
 }
 
 /// A reusable execution plan for the Galerkin triple product
@@ -497,12 +499,10 @@ pub struct RapPlan {
     a_pattern: Option<PatternFingerprint>,
     /// Unknowns per vertex the plan runs in: 3 when `R = R_v ⊗ I₃`, else 1.
     block: usize,
-    /// A held-rows plan's fine vertices, ascending: the vertices whose rows
-    /// it reads, `dofs / block` block rows each. Empty for a plan of one
-    /// whole `A`, whose block rows are its own.
-    held: Vec<u32>,
-    /// Rows per held vertex.
-    dofs: usize,
+    /// Where a held-rows plan's block rows are held: the source (in the
+    /// `held` it was built over) and the block row's first row there.
+    /// Empty for a plan of one whole `A`, whose block rows are its own.
+    held: Vec<(usize, usize)>,
     /// Scalar columns of the output.
     ncols: usize,
     /// Block row `k` of `A` is source tiles `a_rows[k]..a_rows[k + 1]`.
@@ -536,25 +536,28 @@ impl RapPlan {
         let mut plan = match vertex_restriction(r) {
             Some(r_v) => {
                 pmg_telemetry::counter_add("rap/block_plans", 1);
-                Self::whole::<3>(a, &r_v)
+                Self::whole::<3, 9>(a, &r_v)
             }
-            None => Self::whole::<1>(a, r),
+            None => Self::whole::<1, 1>(a, r),
         };
         plan.a_pattern = Some(PatternFingerprint::of(a));
         plan
     }
 
     /// [`build`](Self::build) over every block row of `a`, in order.
-    fn whole<const B: usize>(a: &CsrMatrix, r_v: &CsrMatrix) -> RapPlan {
+    fn whole<const B: usize, const BB: usize>(a: &CsrMatrix, r_v: &CsrMatrix) -> RapPlan {
         assert_eq!(a.nrows() % B, 0, "A rows must come in runs of {B}");
-        let rt_v = r_v.transpose();
-        Self::build::<B>(a.nrows() / B, |k| (a, k * B), None, r_v, None, &rt_v)
+        let ab = BlockRows::new::<B, BB>(a.nrows() / B, |k| (a, k * B), None, None);
+        Self::build::<B>(ab, r_v, &r_v.transpose())
     }
 
     /// Symbolic phase over a rank's held rows — the sharded set-up's,
     /// where no rank holds the full `A` or `R`: the plan of this rank's
     /// rows of `R A Rᵀ` (`dofs` per owned coarse vertex, global coarse dof
-    /// columns), read by [`tile_held`](Self::tile_held). All ids global:
+    /// columns), and its source tiles: the held rows it reads, tiled in
+    /// the same pass, for [`execute_tiles_csr`](Self::execute_tiles_csr)
+    /// ([`tile_held`](Self::tile_held) tiles new values again). All ids
+    /// global:
     ///
     /// * `r_rows` — the owned coarse-vertex rows of `R_v`, in owned order
     ///   (`R = R_v ⊗ I_dofs` is never formed).
@@ -578,7 +581,7 @@ impl RapPlan {
         held: &[(&[u32], &CsrMatrix)],
         rt_ids: &[u32],
         rt_rows: &CsrMatrix,
-    ) -> RapPlan {
+    ) -> (RapPlan, Vec<f64>) {
         for &(ids, rows) in held {
             assert_eq!(rows.nrows(), ids.len() * dofs, "dofs A rows per id");
             assert_eq!(
@@ -592,54 +595,52 @@ impl RapPlan {
         debug_assert!(rt_ids.windows(2).all(|w| w[0] < w[1]));
         pmg_telemetry::counter_add("rap/plan_build", 1);
         pmg_telemetry::counter_add("rap/local_rows", (r_rows.nrows() * dofs) as u64);
-        // The fine vertices the owned coarse vertices reach, ascending.
+        // The fine vertices the owned coarse vertices reach, ascending, and
+        // `R_v`'s columns as positions in them: the plan's block rows.
         let mut reached: Vec<u32> = r_rows.col_idx().iter().map(|&k| k as u32).collect();
         reached.sort_unstable();
         reached.dedup();
-        // 3x3 tiles at three dofs, else scalars on the expanded restriction.
+        let at = |&k: &usize| reached.partition_point(|&v| (v as usize) < k);
+        let (rp, vals) = (r_rows.row_ptr().to_vec(), r_rows.vals().to_vec());
+        let cols = r_rows.col_idx().iter().map(at).collect();
+        let r_pos = CsrMatrix::from_parts(r_rows.nrows(), reached.len(), rp, cols, vals);
+        // 3x3 tiles at three dofs, else scalars on the expanded restriction
+        // (block rows and `R_vᵀ` ids expanded alike).
         let block = if dofs == 3 { 3 } else { 1 };
         let runs = held_runs(&reached, held, dofs, block);
+        let run = |i: usize| (held[runs[i].0].1, runs[i].1);
         let per = dofs / block;
         let expand = |m| match per {
             1 => Cow::Borrowed(m),
             _ => Cow::Owned(CsrMatrix::kron_identity(m, per)),
         };
-        let (r, rt) = (expand(r_rows), expand(rt_rows));
-        let (ids, run) = (|ids| Some(Ids { ids, per }), |i| runs[i]);
+        let (r, rt) = (expand(&r_pos), expand(rt_rows));
+        let per = per as u32;
+        let ids: Cow<[u32]> = match per {
+            1 => Cow::Borrowed(rt_ids),
+            _ => rt_ids
+                .iter()
+                .flat_map(|&v| (0..per).map(move |d| v * per + d))
+                .collect(),
+        };
+        let (n, mut tiles) = (runs.len(), Vec::new());
+        let (ids, values) = (Some(&ids[..]), Some(&mut tiles));
         let mut plan = if block == 3 {
             pmg_telemetry::counter_add("rap/block_plans", 1);
-            Self::build::<3>(runs.len(), run, ids(&reached), &r, ids(rt_ids), &rt)
+            Self::build::<3>(BlockRows::new::<3, 9>(n, run, ids, values), &r, &rt)
         } else {
-            Self::build::<1>(runs.len(), run, ids(&reached), &r, ids(rt_ids), &rt)
+            Self::build::<1>(BlockRows::new::<1, 1>(n, run, ids, values), &r, &rt)
         };
-        plan.held = reached;
-        plan.dofs = dofs;
-        plan
+        plan.held = runs;
+        (plan, tiles)
     }
 
     /// The one symbolic driver: the rows of `R_v` given (their columns
-    /// block ids, found in `a_ids`, or positions of the `n` block rows
-    /// `run` yields when `None`) against those block rows of `A` and the
-    /// `R_vᵀ` rows `rt_v` (by position; a tile's block column found in
-    /// `rt_ids`, or a position itself when `None`).
-    fn build<'a, const B: usize>(
-        n: usize,
-        run: impl Fn(usize) -> Run<'a>,
-        a_ids: Option<Ids>,
-        r_v: &CsrMatrix,
-        rt_ids: Option<Ids>,
-        rt_v: &CsrMatrix,
-    ) -> RapPlan {
+    /// positions of the block rows of `ab`) against those block rows of
+    /// `A` and the `R_vᵀ` rows `rt_v` (by position, as `ab`'s block
+    /// columns are).
+    fn build<const B: usize>(ab: BlockRows, r_v: &CsrMatrix, rt_v: &CsrMatrix) -> RapPlan {
         let nc = r_v.nrows();
-        let ab = BlockRows::new::<B>(n, run, rt_ids);
-        let block_row = |&k: &usize| match a_ids {
-            None => k,
-            Some(ids) => {
-                ids.find(0, k)
-                    .expect("every R_v column is a held block row")
-                    .0
-            }
-        };
         let mut marker = Marker {
             stamp: 0,
             slots: vec![Slot::default(); rt_v.nrows().max(rt_v.ncols())],
@@ -649,7 +650,7 @@ impl RapPlan {
         // The contribution arrays are sized exactly up front; the (far
         // smaller) per-tile arrays are trimmed once the stage is complete.
         let mut stage1 = Stage::new();
-        let contribs: usize = r_v.col_idx().iter().map(|k| tiles_of(block_row(k))).sum();
+        let contribs: usize = r_v.col_idx().iter().map(|&k| tiles_of(k)).sum();
         stage1.weight.reserve_exact(contribs);
         stage1.src.reserve_exact(contribs);
         let mut rows1 = Vec::with_capacity(nc + 1);
@@ -659,7 +660,7 @@ impl RapPlan {
         for c in 0..nc {
             let ((ks, ws), ab) = (r_v.row(c), &ab);
             stage1.push_row(&mut marker, || {
-                ks.iter().map(block_row).zip(ws).flat_map(|(k, &weight)| {
+                ks.iter().zip(ws).flat_map(|(&k, &weight)| {
                     (ab.row_ptr[k] as usize..ab.row_ptr[k + 1] as usize).map(move |p| Contrib {
                         col: ab.cols[p],
                         weight,
@@ -708,7 +709,6 @@ impl RapPlan {
             a_pattern: None,
             block: B,
             held: Vec::new(),
-            dofs: B,
             ncols: rt_v.ncols() * B,
             a_rows: ab.row_ptr,
             rows1,
@@ -733,7 +733,7 @@ impl RapPlan {
 
     /// Heap bytes the plan holds between executions.
     pub fn memory_bytes(&self) -> usize {
-        (self.held.capacity()
+        (4 * self.held.capacity()
             + self.a_rows.capacity()
             + self.rows1.capacity()
             + self.rows2.capacity())
@@ -770,10 +770,12 @@ impl RapPlan {
     ) {
         let bb = self.block * self.block;
         let tiles = self.a_rows[k] as usize..self.a_rows[k + 1] as usize;
-        let out = &mut a_tiles[tiles.start * bb..tiles.end * bb];
+        let mut out = a_tiles[tiles.start * bb..tiles.end * bb].chunks_exact_mut(bb);
+        // A tile past the planned count is not written; the count is checked.
+        let mut put = |tile: &[f64]| out.next().map(|t| t.copy_from_slice(tile));
         let n = match self.block {
-            3 => fill_tiles::<3, 9>(rows(cols), rows(vals), out),
-            _ => fill_tiles::<1, 1>(rows(cols), rows(vals), out),
+            3 => fill_tiles::<3, 9>(rows(cols), rows(vals), |_, _, t| _ = put(&t)),
+            _ => fill_tiles::<1, 1>(rows(cols), rows(vals), |_, _, t| _ = put(&t)),
         };
         assert_eq!(n, tiles.len(), "block row {k} is not the planned pattern's");
     }
@@ -791,13 +793,15 @@ impl RapPlan {
         tiles
     }
 
-    /// A held-rows plan's source tile array: the rows it reads, tiled from
-    /// `held` — its sources, or the same rows with new values. Panics on a
-    /// plan of one whole `A`, a vertex `held` misses, or a tile count off.
+    /// A held-rows plan's source tile array, tiled from `held`: the
+    /// sources the plan was built over, in that order, with the same
+    /// values or new ones on the same pattern. The plan keeps no input
+    /// fingerprint to check that: a block row whose tile count moved
+    /// panics, but a column moved to another tile of the same count reads
+    /// into the wrong tile. Panics on a plan of one whole `A`.
     pub fn tile_held(&self, held: &[(&[u32], &CsrMatrix)]) -> Vec<f64> {
         assert!(self.a_pattern.is_none(), "not a held-rows plan");
-        let runs = held_runs(&self.held, held, self.dofs, self.block);
-        self.tile_runs(|i| runs[i])
+        self.tile_runs(|i| (held[self.held[i].0].1, self.held[i].1))
     }
 
     /// Scalar row `i` of an output tile array, as [`execute`](Self::execute)
@@ -1213,7 +1217,7 @@ mod tests {
         );
         // The same product planned in scalars holds one pair per scalar
         // multiply; it charges the same flops.
-        let scalar = RapPlan::whole::<1>(&a, &r);
+        let scalar = RapPlan::whole::<1, 1>(&a, &r);
         assert_eq!(
             scalar.stage1.weight.len() + scalar.stage2.weight.len(),
             scalar_contribs
@@ -1297,8 +1301,9 @@ mod tests {
         ids.flat_map(|&v| (0..d).map(move |c| v * d + c)).collect()
     }
 
-    /// A held-rows plan's product, run as a rank runs it: plan, tile the
-    /// held rows once, execute.
+    /// A held-rows plan's product, run as a rank runs it: plan and tile the
+    /// held rows in one pass, execute. Tiling them again through the plan
+    /// gives the same source tiles.
     fn held_product(
         dofs: usize,
         r_rows: &CsrMatrix,
@@ -1306,8 +1311,8 @@ mod tests {
         rt_ids: &[u32],
         rt_rows: &CsrMatrix,
     ) -> CsrMatrix {
-        let mut plan = RapPlan::over_held(dofs, r_rows, held, rt_ids, rt_rows);
-        let tiles = plan.tile_held(held);
+        let (mut plan, tiles) = RapPlan::over_held(dofs, r_rows, held, rt_ids, rt_rows);
+        assert_eq!(bits(&plan.tile_held(held)), bits(&tiles));
         plan.execute_tiles_csr(&tiles)
     }
 
@@ -1515,14 +1520,14 @@ mod tests {
         for (dofs, a) in [(1, random_sym(40, 4, 9)), (3, random_elastic(40, 9))] {
             let owned: Vec<u32> = (0..14).filter(|c| c % 2 == 0).collect();
             let rows = RankRows::new(dofs, &a, &r_v, &owned, &fine_owner, 0);
-            let mut plan = RapPlan::over_held(
+            let (mut plan, tiles) = RapPlan::over_held(
                 dofs,
                 &rows.r_rows,
                 &rows.held(),
                 &rows.rt_ids,
                 &rows.rt_rows,
             );
-            let first = plan.execute_tiles_csr(&plan.tile_held(&rows.held()));
+            let first = plan.execute_tiles_csr(&tiles);
             assert_same_bits(&first, &rows.rap(dofs));
             let mut next = RankRows::new(dofs, &a, &r_v, &owned, &fine_owner, 0);
             for (_, m) in &mut next.sources {
@@ -1541,7 +1546,7 @@ mod tests {
         // whole, bit for bit.
         let (a, r_v) = (random_sym(50, 4, 17), random_restriction(18, 50, 18));
         let all: Vec<u32> = (0..50).collect();
-        let plan = RapPlan::over_held(1, &r_v, &[(&all, &a)], &all, &r_v.transpose());
+        let (plan, _) = RapPlan::over_held(1, &r_v, &[(&all, &a)], &all, &r_v.transpose());
         assert_eq!(plan.block_size(), 1);
         let held = held_product(1, &r_v, &[(&all, &a)], &all, &r_v.transpose());
         assert_same_bits(&held, &RapPlan::new(&a, &r_v).execute(&a));

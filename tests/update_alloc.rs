@@ -2,9 +2,10 @@
 //! level 0 takes the caller's values in place, each level's planned
 //! Galerkin product reads that level's tiles and writes the next level's
 //! in place, the smoothers refactor their planned blocks, and the coarsest
-//! level's direct solve refactors in the storage it holds (here from its
-//! Cholesky factor into LU: this update's values are not symmetric). What
-//! is left is per-thread scratch and small per-level bookkeeping.
+//! level's direct solve gathers into the matrix it kept from the first
+//! update (here its Cholesky factor falls back to an LU in that matrix:
+//! this update's values are not symmetric). What is left is per-thread
+//! scratch and small per-level bookkeeping.
 //!
 //! Asserted with a counting global allocator, so this lives in its own
 //! integration-test binary (the `#[global_allocator]` must not leak into
@@ -74,7 +75,8 @@ fn one_rank_update_allocates_under_a_megabyte() {
         a.col_idx().to_vec(),
         vals,
     );
-    // The first update may size the smoothers' scratch.
+    // The first update may size the smoothers' scratch and the coarse
+    // solve's gather matrix.
     solver.update_matrix(a);
 
     // A one-thread pool, as the benchmark runs: a larger pool allocates
