@@ -8,6 +8,12 @@
 //! its owned rows, one Newton re-setup and its parts level by level, the
 //! sharded Galerkin product of one rank, the matrix-free
 //! operator's apply, and one V-cycle/FMG cycle.
+//!
+//! The first row printed is a fixed reference: the CSR SpMV of the 9.8k-dof
+//! spheres operator, min of 30. Every hand-timed row carries its time over
+//! that reference beside it (`x ref`), so two runs in different processes
+//! compare by the ratio, which the host's drift between them moves less than
+//! the absolute time.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
@@ -24,6 +30,7 @@ use prometheus::{
     MgOptions, MisOrdering, Prometheus, PrometheusOptions,
 };
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 fn bench_spmv(c: &mut Criterion) {
     let sys = spheres_first_solve(1);
@@ -42,6 +49,31 @@ fn newton10k_system() -> FirstSolveSystem {
         n_surf: 6,
         ..pmg_mesh::SpheresParams::ladder(1)
     })
+}
+
+/// The reference time: the CSR SpMV of the 9.8k-dof spheres operator, min
+/// of 30, measured once per process.
+fn reference_s() -> f64 {
+    static REFERENCE: OnceLock<f64> = OnceLock::new();
+    *REFERENCE.get_or_init(|| {
+        let a = newton10k_system().matrix;
+        let x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.1).sin()).collect();
+        let mut y = vec![0.0; a.nrows()];
+        sorted_times(30, || a.spmv(black_box(&x), &mut y))[0]
+    })
+}
+
+/// `t` over the reference time, as printed beside a hand-timed row.
+fn vs_ref(t: f64) -> String {
+    format!("{:>7.2}x ref", t / reference_s())
+}
+
+/// The reference row, printed before every other.
+fn bench_reference(_c: &mut Criterion) {
+    println!(
+        "reference/csr_spmv_9.8k min {:>8.3} ms",
+        reference_s() * 1e3
+    );
 }
 
 /// CSR against the 3x3-blocked product on what the benchmark's `newton10k`
@@ -79,11 +111,12 @@ fn bench_bsr(_c: &mut Criterion) {
         let report = |name: &str, tiles: usize, bytes: u64, times: Vec<f64>| {
             let t = times[times.len() / 2];
             println!(
-                "spmv_blocked/{:<22} median {:>8.1} us {:>6.2} ns/tile {:>6.2} GB/s",
+                "spmv_blocked/{:<22} median {:>8.1} us {:>6.2} ns/tile {:>6.2} GB/s   min {}",
                 format!("{level}/{name}"),
                 t * 1e6,
                 t * 1e9 / tiles as f64,
-                bytes as f64 / t / 1e9
+                bytes as f64 / t / 1e9,
+                vs_ref(times[0])
             );
         };
         let (tiles, vectors) = (bsr.num_blocks(), 16 * n as u64);
@@ -294,9 +327,10 @@ fn bench_block_solve(_c: &mut Criterion) {
     );
     for (name, t) in [("solve", solve), ("stream", read)] {
         println!(
-            "block_solve_166/{name:<24} min {:>9.3} ms   {:>6.2} GB/s",
+            "block_solve_166/{name:<24} min {:>9.3} ms   {:>6.2} GB/s   {}",
             t * 1e3,
-            bytes / t / 1e9
+            bytes / t / 1e9,
+            vs_ref(t)
         );
     }
 }
@@ -383,9 +417,10 @@ fn bench_newton_update(_c: &mut Criterion) {
     );
     for (name, times) in rows {
         println!(
-            "newton_update/{name:<14} min {:>8.3} ms   median {:>8.3} ms",
+            "newton_update/{name:<14} min {:>8.3} ms   median {:>8.3} ms   {}",
             times[0] * 1e3,
-            times[times.len() / 2] * 1e3
+            times[times.len() / 2] * 1e3,
+            vs_ref(times[0])
         );
     }
 }
@@ -410,9 +445,10 @@ fn bench_rank_share(_c: &mut Criterion) {
         a_local.nnz()
     );
     println!(
-        "rank_share/p2_lvl0_rank0 min {:>8.3} ms   median {:>8.3} ms",
+        "rank_share/p2_lvl0_rank0 min {:>8.3} ms   median {:>8.3} ms   {}",
         times[0] * 1e3,
-        times[times.len() / 2] * 1e3
+        times[times.len() / 2] * 1e3,
+        vs_ref(times[0])
     );
 }
 
@@ -478,9 +514,10 @@ fn bench_held_rows(_c: &mut Criterion) {
         ),
     ] {
         println!(
-            "held_rows/{name:<17} min {:>8.3} ms   median {:>8.3} ms",
+            "held_rows/{name:<17} min {:>8.3} ms   median {:>8.3} ms   {}",
             times[0] * 1e3,
-            times[times.len() / 2] * 1e3
+            times[times.len() / 2] * 1e3,
+            vs_ref(times[0])
         );
     }
 }
@@ -507,9 +544,10 @@ fn bench_matfree(_c: &mut Criterion) {
         let op = pmg_fem::MatFreeOperator::new(&sys.problem.fem, &u, &sys.fixed, sys.scale);
         let times = sorted_times(200, || op.apply(black_box(&x), black_box(&mut y)));
         println!(
-            "matfree/{name:<14} min {:>8.3} ms   median {:>8.3} ms",
+            "matfree/{name:<14} min {:>8.3} ms   median {:>8.3} ms   {}",
             times[0] * 1e3,
-            times[times.len() / 2] * 1e3
+            times[times.len() / 2] * 1e3,
+            vs_ref(times[0])
         );
     }
 }
@@ -539,9 +577,10 @@ fn bench_block_factor(_c: &mut Criterion) {
     println!("# group: cholesky_factor_166 ({BLOCKS} blocks)");
     for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
         println!(
-            "cholesky_factor_166/{name:<21} {:>9.3} ms   {:>6.2} Gflop/s",
+            "cholesky_factor_166/{name:<21} {:>9.3} ms   {:>6.2} Gflop/s   {}",
             t * 1e3,
-            flops / t / 1e9
+            flops / t / 1e9,
+            vs_ref(t)
         );
     }
 }
@@ -576,9 +615,10 @@ fn bench_rank_jacobi(_c: &mut Criterion) {
     );
     for (name, times) in [("refactor", refactor), ("solve_from_zero", sweep)] {
         println!(
-            "block_jacobi_lvl0/{name:<16} min {:>8.3} ms   median {:>8.3} ms",
+            "block_jacobi_lvl0/{name:<16} min {:>8.3} ms   median {:>8.3} ms   {}",
             times[0] * 1e3,
-            times[times.len() / 2] * 1e3
+            times[times.len() / 2] * 1e3,
+            vs_ref(times[0])
         );
     }
 }
@@ -617,9 +657,10 @@ fn bench_block_partition(_c: &mut Criterion) {
         ("refine_kl", refine),
     ] {
         println!(
-            "block_partition/{name:<17} min {:>8.3} ms   median {:>8.3} ms",
+            "block_partition/{name:<17} min {:>8.3} ms   median {:>8.3} ms   {}",
             times[0] * 1e3,
-            times[times.len() / 2] * 1e3
+            times[times.len() / 2] * 1e3,
+            vs_ref(times[0])
         );
     }
 }
@@ -655,10 +696,11 @@ fn bench_remesh(_c: &mut Criterion) {
     );
     for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
         println!(
-            "delaunay_spheres_{}/{name:<19} {:>9.3} ms   {:>6.2} us/point",
+            "delaunay_spheres_{}/{name:<19} {:>9.3} ms   {:>6.2} us/point   {}",
             pts.len(),
             t * 1e3,
-            t * 1e6 / pts.len() as f64
+            t * 1e6 / pts.len() as f64,
+            vs_ref(t)
         );
     }
 
@@ -698,8 +740,9 @@ fn bench_remesh(_c: &mut Criterion) {
     );
     for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
         println!(
-            "insphere_exact_diff/{name:<21} {:>9.3} us/call",
-            t * 1e6 / set.len() as f64
+            "insphere_exact_diff/{name:<21} {:>9.3} us/call   {}",
+            t * 1e6 / set.len() as f64,
+            vs_ref(t)
         );
     }
 }
@@ -722,6 +765,7 @@ fn bench_distribute(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_reference,
     bench_spmv,
     bench_bsr,
     bench_rap,

@@ -79,7 +79,7 @@ impl CoarseLevel {
 
 /// Coarsen one grid level in process: [`coarsen_level_transport`] on a
 /// one-rank endpoint built in the calling thread, which never sends. The
-/// `nproc` virtual processors' MIS passes run on the thread pool.
+/// `nproc` virtual processors' MIS passes run one after another.
 pub fn coarsen_level(
     coords: &[Vec3],
     graph: &Graph,

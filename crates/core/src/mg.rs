@@ -99,10 +99,10 @@ pub struct MgOptions {
     pub smoother: SmootherType,
     /// Coarsening (MIS + remesh) options per level.
     pub coarsen: CoarsenOptions,
-    /// Thread-pool size for this solver's parallel kernels. `None` uses
-    /// the process-global pool (sized by `PMG_THREADS`); `Some(n)` gives
-    /// the solver a dedicated pool of `n` threads. Results are bitwise
-    /// identical either way — the pool only changes who does the work.
+    /// Read by nothing: every kernel runs on its caller's thread, and rank
+    /// threads are the only parallelism. Still a field only because
+    /// `benchmark/`'s `pool.*_speedup_2t` probe sets it; it leaves with
+    /// that metric at the benchmark re-baseline (ROADMAP item 1).
     pub threads: Option<usize>,
 }
 

@@ -144,14 +144,14 @@ fn proc_pass(
 /// is a correct global MIS respecting any rank heuristic.
 ///
 /// Rounds are bulk-synchronous. Transport rank `r` owns the processors
-/// `p ≡ r (mod size)` and runs their passes in parallel on the thread pool,
-/// each against its replica of the round-start state plus the processor's
+/// `p ≡ r (mod size)` and runs their passes one after another, each
+/// against its replica of the round-start state plus the processor's
 /// own overlay. One deterministic allgather per round exchanges the
 /// decision lists, which every rank merges in processor order. Two
 /// processors can never select adjacent vertices in the same round — that
 /// would require each to dominate the other under the (rank, proc) rule —
 /// so the merge is conflict-free and every rank returns the same mask for
-/// any rank count and pool size. On a one-rank endpoint nothing is sent.
+/// any rank count. On a one-rank endpoint nothing is sent.
 pub fn parallel_mis_transport<T: Transport>(
     t: &mut T,
     g: &Graph,
@@ -159,8 +159,6 @@ pub fn parallel_mis_transport<T: Transport>(
     proc: &[u32],
     order: &[u32],
 ) -> Result<Vec<bool>, CommError> {
-    use rayon::prelude::*;
-
     let n = g.num_vertices();
     assert_eq!(rank.len(), n);
     assert_eq!(proc.len(), n);
@@ -179,7 +177,7 @@ pub fn parallel_mis_transport<T: Transport>(
     loop {
         rounds += 1;
         let decisions: ProcDecisions = mine
-            .par_iter()
+            .iter()
             .map(|&p| (p as u32, proc_pass(g, rank, proc, &state, &local[p])))
             .collect();
         let all = pmg_comm::allgather(t, &pack_decisions(&decisions))?;

@@ -43,27 +43,6 @@ pub struct Prometheus {
     /// The multigrid hierarchy the setup built.
     pub mg: MgHierarchy,
     opts: PrometheusOptions,
-    /// Dedicated thread pool when `MgOptions::threads` is `Some(n)`;
-    /// otherwise all parallel kernels run on the process-global pool.
-    pool: Option<rayon::ThreadPool>,
-}
-
-/// Build the dedicated pool requested by the options, if any.
-fn pool_for(opts: &PrometheusOptions) -> Option<rayon::ThreadPool> {
-    opts.mg.threads.map(|n| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("thread pool build is infallible")
-    })
-}
-
-/// Run `f` on the solver's pool (or inline on the current one).
-fn on_pool<R>(pool: &Option<rayon::ThreadPool>, f: impl FnOnce() -> R) -> R {
-    match pool {
-        Some(p) => p.install(f),
-        None => f(),
-    }
 }
 
 impl Prometheus {
@@ -95,29 +74,20 @@ impl Prometheus {
         matrix_free: Option<Box<dyn Operator>>,
     ) -> Prometheus {
         let _t = pmg_telemetry::scope("setup");
-        let pool = pool_for(&opts);
-        let (sim, mg) = on_pool(&pool, || {
-            let mut sim = Sim::new(opts.nranks, opts.model);
-            sim.phase("mesh setup");
-            let graph = mesh.vertex_graph();
-            let classes = crate::classify::classify_mesh_parallel(mesh, opts.face_tol, opts.nranks);
-            let mg = MgHierarchy::build_with_factory(
-                &mut sim,
-                a,
-                &mesh.coords,
-                &graph,
-                &classes,
-                opts.mg,
-                matrix_free,
-            );
-            (sim, mg)
-        });
-        Prometheus {
-            sim,
-            mg,
-            opts,
-            pool,
-        }
+        let mut sim = Sim::new(opts.nranks, opts.model);
+        sim.phase("mesh setup");
+        let graph = mesh.vertex_graph();
+        let classes = crate::classify::classify_mesh_parallel(mesh, opts.face_tol, opts.nranks);
+        let mg = MgHierarchy::build_with_factory(
+            &mut sim,
+            a,
+            &mesh.coords,
+            &graph,
+            &classes,
+            opts.mg,
+            matrix_free,
+        );
+        Prometheus { sim, mg, opts }
     }
 
     /// Solve `A x = b` to relative tolerance `rtol` with FMG-preconditioned
@@ -125,41 +95,34 @@ impl Prometheus {
     /// the Krylov statistics; work is charged to the sim phase `"solve"`.
     pub fn solve(&mut self, b: &[f64], x0: Option<&[f64]>, rtol: f64) -> (Vec<f64>, PcgResult) {
         let _t = pmg_telemetry::scope("solve");
-        let pool = self.pool.take();
-        let out = on_pool(&pool, || {
-            let layout = self.mg.levels[0].a.row_layout().clone();
-            assert_eq!(b.len(), layout.num_global());
-            self.sim.phase("solve");
-            let db = DistVec::from_global(layout.clone(), b);
-            let mut dx = match x0 {
-                Some(x) => DistVec::from_global(layout, x),
-                None => DistVec::zeros(layout),
-            };
-            let res = pcg(
-                &mut self.sim,
-                self.mg.fine_op(),
-                &self.mg,
-                &db,
-                &mut dx,
-                PcgOptions {
-                    rtol,
-                    max_iters: self.opts.max_iters,
-                    ..Default::default()
-                },
-            );
-            (dx.to_global(), res)
-        });
-        self.pool = pool;
-        out
+        let layout = self.mg.levels[0].a.row_layout().clone();
+        assert_eq!(b.len(), layout.num_global());
+        self.sim.phase("solve");
+        let db = DistVec::from_global(layout.clone(), b);
+        let mut dx = match x0 {
+            Some(x) => DistVec::from_global(layout, x),
+            None => DistVec::zeros(layout),
+        };
+        let res = pcg(
+            &mut self.sim,
+            self.mg.fine_op(),
+            &self.mg,
+            &db,
+            &mut dx,
+            PcgOptions {
+                rtol,
+                max_iters: self.opts.max_iters,
+                ..Default::default()
+            },
+        );
+        (dx.to_global(), res)
     }
 
     /// Replace the operator (new Newton tangent on the same mesh): re-runs
     /// only the matrix-setup phase, keeping the grid hierarchy.
     pub fn update_matrix(&mut self, a: &CsrMatrix) {
         let _t = pmg_telemetry::scope("setup");
-        let pool = self.pool.take();
-        on_pool(&pool, || self.mg.update_operator(&mut self.sim, a));
-        self.pool = pool;
+        self.mg.update_operator(&mut self.sim, a);
     }
 
     /// Grid sizes, finest first.
@@ -179,17 +142,6 @@ impl Prometheus {
     /// this does not consume the solver (the in-progress sim phase's wall
     /// time is not yet closed out).
     pub fn report(&self) -> pmg_telemetry::Report {
-        // Publish the thread pool's cumulative scheduling stats as
-        // `pool/*` gauges so they ride along in the snapshot (gauges, not
-        // counters, so repeated report() calls don't double-count).
-        let stats = match &self.pool {
-            Some(p) => p.stats(),
-            None => rayon::current_pool_stats(),
-        };
-        pmg_telemetry::gauge_set("pool/threads", stats.threads as f64);
-        pmg_telemetry::gauge_set("pool/batches", stats.batches as f64);
-        pmg_telemetry::gauge_set("pool/tasks", stats.tasks as f64);
-        pmg_telemetry::gauge_set("pool/stolen_tasks", stats.stolen_tasks as f64);
         let mut report = pmg_telemetry::snapshot();
         let names: Vec<String> = self.sim.phase_names().map(str::to_string).collect();
         for name in names {

@@ -1,22 +1,20 @@
-//! Parallel element assembly of the tangent stiffness and internal force.
+//! Element assembly of the tangent stiffness and internal force.
 //!
 //! The sparsity pattern is fixed by the mesh (3x3 dof blocks on the vertex
 //! connectivity graph) and reused across Newton iterations; per-element
-//! contributions are computed in parallel (rayon) in bounded chunks and
-//! scattered serially, and Gauss-point history is kept double-buffered
-//! (committed / trial) so Newton can re-evaluate from the committed state
-//! of the last converged step — exactly the structure nonlinear FE codes
-//! like FEAP use.
+//! contributions are computed in bounded chunks and scattered in element
+//! order, and Gauss-point history is kept double-buffered (committed /
+//! trial) so Newton can re-evaluate from the committed state of the last
+//! converged step — exactly the structure nonlinear FE codes like FEAP use.
 
 use crate::material::{Mat3, Material, MAT3_ZERO};
 use crate::shape::{quadrature, shape_grads_phys, shape_grads_ref, QuadPoint, MAX_NODES};
 use pmg_mesh::{ElementKind, Mesh};
 use pmg_sparse::CsrMatrix;
-use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Elements processed per parallel chunk (bounds the memory for the
-/// collected per-element matrices).
+/// Elements processed per chunk (bounds the memory for the collected
+/// per-element matrices).
 const CHUNK: usize = 2048;
 
 /// A finite element problem: mesh + materials + Gauss-point history.
@@ -159,44 +157,12 @@ impl FemProblem {
             let cnt = end - start;
             let kb = &mut kbuf[..cnt * edof * edof];
             let fb = &mut fbuf[..cnt * edof];
-            if esl > 0 {
-                self.trial[start * esl..end * esl]
-                    .par_chunks_mut(esl)
-                    .zip(kb.par_chunks_mut(edof * edof))
-                    .zip(fb.par_chunks_mut(edof))
-                    .enumerate()
-                    .for_each(|(off, ((st, ke), fe))| {
-                        element_kernel(
-                            mesh,
-                            materials,
-                            geom,
-                            quad,
-                            stride,
-                            start + off,
-                            u,
-                            st,
-                            ke,
-                            fe,
-                        )
-                    });
-            } else {
-                kb.par_chunks_mut(edof * edof)
-                    .zip(fb.par_chunks_mut(edof))
-                    .enumerate()
-                    .for_each(|(off, (ke, fe))| {
-                        element_kernel(
-                            mesh,
-                            materials,
-                            geom,
-                            quad,
-                            stride,
-                            start + off,
-                            u,
-                            &mut [],
-                            ke,
-                            fe,
-                        )
-                    });
+            let outputs = kb
+                .chunks_exact_mut(edof * edof)
+                .zip(fb.chunks_exact_mut(edof));
+            for (e, (ke, fe)) in (start..end).zip(outputs) {
+                let state = &mut self.trial[e * esl..(e + 1) * esl];
+                element_kernel(mesh, materials, geom, quad, stride, e, u, state, ke, fe);
             }
             for off in 0..cnt {
                 let e = start + off;

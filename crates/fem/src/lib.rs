@@ -13,7 +13,7 @@
 //!   (the "soft" rubber), and J2 plasticity with kinematic hardening via
 //!   radial return (the "hard" shells; see DESIGN.md for the small-strain
 //!   substitution),
-//! * [`assembly`] — parallel element assembly into CSR, with history-state
+//! * [`assembly`] — element assembly into CSR, with history-state
 //!   management for the plastic material,
 //! * [`bc`] — symmetric Dirichlet elimination for the symmetry planes and
 //!   the prescribed crushing displacement,

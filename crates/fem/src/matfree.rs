@@ -42,9 +42,8 @@
 //!
 //! The apply runs on the calling thread and every dof receives its element
 //! contributions in ascending element order, each element's own sum in
-//! ascending Gauss-point order, so the result is bitwise identical for
-//! every `PMG_THREADS`. Construction linearizes the points on the pool;
-//! each point is computed independently.
+//! ascending Gauss-point order, so the result is bitwise identical on
+//! every call. Construction linearizes each point independently.
 //!
 //! Telemetry: counts `op/mf_elements` (elements walked), `op/mf_flops`
 //! and `op/mf_bytes` (the record bytes each element's class streams,
@@ -54,7 +53,6 @@ use crate::assembly::FemProblem;
 use crate::material::{elastic_tangent, Mat3, MAT3_ZERO};
 use crate::shape::MAX_NODES;
 use pmg_sparse::op::Operator;
-use rayon::prelude::*;
 
 /// Element lanes per isotropic SoA block: eight consecutive slots share one
 /// interleaved record so the apply can run eight elements per vector
@@ -149,12 +147,11 @@ impl MatFreeOperator {
         }
 
         // Linearize every Gauss point once (the cost of one assembly's
-        // material loop) and classify the tangent. Each slot is computed
-        // independently, so chunked parallelism cannot change the bits.
+        // material loop) and classify the tangent.
         let mut gp_tan: Vec<GpTan> = Vec::with_capacity(ne * ngp);
         gp_tan.resize_with(ne * ngp, || GpTan::Skip);
         gp_tan
-            .par_chunks_mut(ngp.max(1))
+            .chunks_mut(ngp.max(1))
             .enumerate()
             .for_each(|(e, slots)| {
                 let mat = &materials[mesh.materials[e] as usize];

@@ -5,8 +5,8 @@
 //! reproduce the *algorithmic* parallel structure exactly — a partition of
 //! every vector and matrix over `P` virtual ranks, ghost exchanges before
 //! off-rank matrix columns are touched, allreduce for inner products — while
-//! executing on one address space (virtual ranks run data-parallel under
-//! rayon). Every superstep is charged to per-rank performance counters and
+//! executing on one address space (virtual ranks run one after another on
+//! the calling thread). Every superstep is charged to per-rank performance counters and
 //! to a BSP machine model (latency `α`, inverse bandwidth `β`, per-rank flop
 //! rate), from which the paper's efficiency metrics (§6: work efficiency
 //! `e_w`, flop scale efficiency `e_s^F`, communication efficiency `e_c`,

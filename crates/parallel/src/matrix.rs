@@ -23,9 +23,7 @@ use pmg_sparse::{
     for_each_tile, Bsr3Matrix, CsrMatrix, DenseMatrix, MaskedBsr3, MaskedBsr3Writer, MaskedRow,
     PatternFingerprint, RapPlan,
 };
-use rayon::prelude::*;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -384,7 +382,6 @@ impl DistMatrix {
         assert_eq!(nranks, col_layout.num_ranks());
 
         let mut ranks: Vec<RankMatrix> = (0..nranks)
-            .into_par_iter()
             .map(|r| {
                 let rows = OwnedRows {
                     a,
@@ -428,14 +425,12 @@ impl DistMatrix {
     /// `distribute/rebuild`).
     pub fn refresh_from_global(&mut self, a: &CsrMatrix) -> bool {
         assert_eq!(a.nrows(), self.row_layout.num_global(), "row count changed");
-        let (row_layout, changed) = (&self.row_layout, AtomicBool::new(false));
-        self.ranks.par_iter_mut().for_each(|m| {
-            let owned = Some(row_layout.owned(m.rank));
-            if !m.refresh_rows(OwnedRows { a, owned }) {
-                changed.store(true, Ordering::Relaxed);
-            }
-        });
-        if !changed.into_inner() {
+        let mut changed = false;
+        for m in &mut self.ranks {
+            let owned = Some(self.row_layout.owned(m.rank));
+            changed |= !m.refresh_rows(OwnedRows { a, owned });
+        }
+        if !changed {
             pmg_telemetry::counter_add("distribute/refresh", 1);
             return true;
         }
@@ -508,13 +503,13 @@ impl DistMatrix {
         // Replay the persistent plan: each rank's ghost buffer is filled
         // from its peers' send lists (reads other ranks' parts — the
         // simulated message payloads), then the rank computes its rows
-        // straight into its part of `y`, all ranks in parallel. Same pack
-        // order as the real transports. A rank without ghosts — every rank
+        // straight into its part of `y`, rank after rank. Same pack order
+        // as the real transports. A rank without ghosts — every rank
         // of a one-rank run — allocates nothing.
         let plan = &self.plan;
         self.ranks
-            .par_iter()
-            .zip(y.par_parts_mut())
+            .iter()
+            .zip(y.parts_mut())
             .enumerate()
             .for_each(|(r, (m, yl))| {
                 m.diag_spmv(x.part(r), yl);
@@ -668,11 +663,10 @@ impl DistMatrix {
     /// A plan's output tiles written into any storage: each share takes
     /// its owned rows' values in place.
     fn scatter_tiles(&mut self, plan: &RapPlan, c_tiles: &[f64]) {
-        let row_layout = &self.row_layout;
-        self.ranks.par_iter_mut().for_each(|m| {
-            let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for m in &mut self.ranks {
             let mut written = 0;
-            for (li, &g) in row_layout.owned(m.rank).iter().enumerate() {
+            for (li, &g) in self.row_layout.owned(m.rank).iter().enumerate() {
                 plan.output_row(g as usize, c_tiles, &mut cols, &mut vals);
                 written += m.set_row(li, &cols, &vals);
             }
@@ -681,7 +675,7 @@ impl DistMatrix {
                 m.nnz_local(),
                 "the product's pattern is not this share's"
             );
-        });
+        }
     }
 }
 

@@ -2,7 +2,6 @@
 
 use crate::layout::Layout;
 use crate::sim::Sim;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// A vector distributed over the ranks of a [`Layout`]: rank `r` stores the
@@ -67,10 +66,10 @@ impl DistVec {
         &mut self.parts[r]
     }
 
-    /// Every rank's part at once, for rank-parallel kernels that write
+    /// Every rank's part at once, for rank-by-rank kernels that write
     /// their own share (item `r` is [`part_mut`](Self::part_mut)`(r)`).
-    pub fn par_parts_mut(&mut self) -> impl ParallelIterator<Item = &mut [f64]> {
-        self.parts.par_iter_mut().map(Vec::as_mut_slice)
+    pub fn parts_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        self.parts.iter_mut().map(Vec::as_mut_slice)
     }
 
     pub fn num_global(&self) -> usize {

@@ -23,7 +23,6 @@ use pmg_parallel::{DistMatrix, DistVec, LocalBlock, Sim, SimOperator};
 use pmg_partition::{partition_graph, Graph};
 use pmg_sparse::dense::{Cholesky, DenseMatrix, Lu};
 use pmg_sparse::PatternFingerprint;
-use rayon::prelude::*;
 use std::sync::{Arc, Mutex};
 
 enum BlockFactor {
@@ -213,14 +212,13 @@ impl RankJacobi {
     }
 
     /// The numeric half: factor every block in the storage its factor
-    /// already owns (independent, so in parallel, each into its own slot;
-    /// nothing is allocated while every block stays SPD).
+    /// already owns (each into its own slot; nothing is allocated while
+    /// every block stays SPD).
     fn factor(&mut self, local: LocalBlock<'_>) {
         let mut factors = std::mem::take(&mut self.factors);
-        factors
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(b, f)| f.refactor(self, local, b));
+        for (b, f) in factors.iter_mut().enumerate() {
+            f.refactor(self, local, b);
+        }
         self.factors = factors;
         self.apply_flops = self.factors.iter().map(|f| f.solve_flops()).sum();
         let (mut chol, mut lu, mut diag) = (0, 0, 0);
@@ -317,7 +315,6 @@ impl BlockJacobi {
     pub fn new(a: &DistMatrix, blocks_per_1000: f64, omega: f64) -> BlockJacobi {
         let nranks = a.row_layout().num_ranks();
         let ranks: Vec<RankJacobi> = (0..nranks)
-            .into_par_iter()
             .map(|r| RankJacobi::new(a.local_block(r), blocks_per_1000, omega))
             .collect();
         BlockJacobi {
@@ -338,10 +335,9 @@ impl BlockJacobi {
             self.ranks.len(),
             "rank count changed"
         );
-        self.ranks
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(r, rj)| rj.refactor(a.local_block(r)));
+        for (r, rj) in self.ranks.iter_mut().enumerate() {
+            rj.refactor(a.local_block(r));
+        }
     }
 
     /// Number of blocks on rank `r` (diagnostics).
@@ -355,14 +351,12 @@ impl BlockJacobi {
         &self.ranks[r]
     }
 
-    /// `x += ω · B⁻¹ r`: every rank's block solves on its own parts (in
-    /// parallel over ranks), plus the model's charge for them.
+    /// `x += ω · B⁻¹ r`: every rank's block solves on its own parts, plus
+    /// the model's charge for them.
     fn solve_add(&self, sim: &mut Sim, r: &DistVec, x: &mut DistVec) {
-        self.ranks
-            .par_iter()
-            .zip(x.par_parts_mut())
-            .enumerate()
-            .for_each(|(rank, (rj, xp))| rj.solve_add(r.part(rank), xp));
+        for (rank, (rj, xp)) in self.ranks.iter().zip(x.parts_mut()).enumerate() {
+            rj.solve_add(r.part(rank), xp);
+        }
         sim.compute_each(|rank| self.ranks[rank].apply_flops);
     }
 

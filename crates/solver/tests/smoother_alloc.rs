@@ -172,20 +172,12 @@ fn block_jacobi_sweeps_allocate_nothing() {
     let rhs = DistVec::from_global(l.clone(), &bg);
     let mut x = DistVec::zeros(l.clone());
 
-    // The one sweep that may allocate is the first. A one-thread pool
-    // runs the rank-parallel region inline: a larger pool allocates its
-    // own bookkeeping per region, which is not the smoother's doing.
+    // The one sweep that may allocate is the first.
     bj.smooth(&mut sim, &op, &rhs, &mut x, 1);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
 
     let n_alloc = min_allocations_during(|| {
-        pool.install(|| {
-            bj.smooth_from_zero(&mut sim, &op, &rhs, &mut x, 2);
-            bj.smooth(&mut sim, &op, &rhs, &mut x, 1);
-        })
+        bj.smooth_from_zero(&mut sim, &op, &rhs, &mut x, 2);
+        bj.smooth(&mut sim, &op, &rhs, &mut x, 1);
     });
     assert_eq!(
         n_alloc, 0,
@@ -220,17 +212,11 @@ fn same_pattern_refresh_and_refactor_allocate_nothing() {
     assert_eq!(bj.num_blocks(0), 2);
 
     let states = [operator(1.0), operator(2.0)];
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
     let mut round = 0;
     let n_alloc = min_allocations_during(|| {
-        pool.install(|| {
-            assert!(da.refresh_from_global(&states[round % 2]));
-            bj.refactor(&da);
-            round += 1;
-        })
+        assert!(da.refresh_from_global(&states[round % 2]));
+        bj.refactor(&da);
+        round += 1;
     });
     assert_eq!(
         n_alloc, 0,

@@ -11,9 +11,8 @@
 //! accounting ([`flops`]) that the paper's efficiency metrics (§6) are
 //! defined in terms of. The distributed layer lives in `pmg-parallel`.
 //!
-//! The `*_par` kernels run on the workspace thread pool (the vendored
-//! `rayon` shim) and are bitwise deterministic independent of thread
-//! count; see [`vector`] for the reduction contract.
+//! Every kernel runs on its caller's thread; see [`vector`] for the
+//! reduction contract.
 //!
 //! # Quickstart
 //!
@@ -49,7 +48,7 @@
 //! assert_eq!(coarse.nrows(), 2);
 //! assert_eq!(coarse.get(0, 0), 2.0); // 2+2-1-1
 //!
-//! // Deterministic BLAS-1: same bits for any PMG_THREADS.
+//! // Deterministic BLAS-1: a fixed pairwise summation tree.
 //! let d = vector::dot(&x, &x);
 //! assert_eq!(d, 30.0);
 //! ```

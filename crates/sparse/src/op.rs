@@ -11,7 +11,7 @@
 //! # Determinism contract
 //!
 //! Implementations must be bitwise deterministic: the same `(x, operator)`
-//! input produces the same bits regardless of `PMG_THREADS`.
+//! input produces the same bits on every call.
 
 use crate::bsr::Bsr3Matrix;
 use crate::csr::CsrMatrix;

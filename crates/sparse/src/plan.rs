@@ -39,7 +39,7 @@
 //! No comparison sort ever touches the contributions, and they land per
 //! output tile in the order the sums above state — ascending fine vertex
 //! (positions in ascending id lists keep it). That order is part of the
-//! contract: it makes both routes and every thread count agree bitwise.
+//! contract: it makes both routes agree bitwise.
 //!
 //! **Numeric phase**: each coarse vertex row runs `tile[t] += w · tile[src]`
 //! over contiguous `B²`-wide tiles — stage 1 into a row-local scratch that
@@ -57,8 +57,8 @@
 //! [`RapPlan::over_held`] tiled them, or [`RapPlan::tile_held`] tiles
 //! them again), all tiled by the one tile walk. A rank builds its plan and
 //! tiles its held rows in one pass, executes and drops the plan: its
-//! set-up has no update to keep it for. Rows are independent tasks; bits
-//! do not depend on `PMG_THREADS`.
+//! set-up has no update to keep it for. Rows run one after another on the
+//! calling thread, each through one reused stage-1 scratch.
 //!
 //! The flop charge is the structural *scalar* multiply-add count (taken from
 //! the masks at plan time), so machine-model columns stay comparable with
@@ -73,10 +73,8 @@
 use crate::bsr::for_each_tile;
 use crate::csr::{CsrMatrix, PatternFingerprint};
 use crate::flops;
-use rayon::prelude::*;
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Where one block row of a plan's `A` is held: `B` consecutive scalar
 /// rows of a matrix, from the given row on.
@@ -518,11 +516,6 @@ pub struct RapPlan {
     c_pattern: Option<PatternFingerprint>,
 }
 
-/// Coarse vertices per task of the numeric phase. Rows are independent,
-/// and every scratch tile is overwritten before it is read, so neither the
-/// split nor the scratch a task reuses moves a bit.
-const RUN: usize = 32;
-
 impl RapPlan {
     /// Symbolic phase: fix the tile contribution lists and the output
     /// pattern of `R A Rᵀ` from `A`'s pattern (values are ignored) and
@@ -916,35 +909,14 @@ impl RapPlan {
     }
 
     fn run_tiles<const BB: usize>(&self, a_tiles: &[f64], c_tiles: &mut [f64]) {
-        let nc = self.rows2.len() - 1;
-        // One task per run of coarse vertices, each owning its output tiles.
-        let mut runs = Vec::with_capacity(nc.div_ceil(RUN));
-        let mut rest = c_tiles;
-        for first in (0..nc).step_by(RUN) {
-            let tiles = self.rows2[(first + RUN).min(nc)] - self.rows2[first];
-            let (run, tail) = std::mem::take(&mut rest).split_at_mut(tiles as usize * BB);
-            rest = tail;
-            runs.push(run);
-        }
-        // Stage-1 row scratch, one per task in flight, handed from task to
-        // task and as wide as the plan's widest row: an execution
-        // allocates one per thread, not one per task.
+        // One stage-1 row scratch, as wide as the plan's widest row, for
+        // every coarse vertex in turn; each row overwrites its own tiles.
         let widest = self.rows1.windows(2).map(|w| w[1] - w[0]).max();
-        let spare = Mutex::new(Vec::new());
-        runs.par_iter_mut().enumerate().for_each(|(k, run)| {
-            let mut ra = spare
-                .lock()
-                .unwrap()
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(widest.unwrap_or(0) as usize * BB));
-            let mut at = 0;
-            for c in k * RUN..((k + 1) * RUN).min(nc) {
-                let len = (self.rows2[c + 1] - self.rows2[c]) as usize * BB;
-                self.row_product::<BB>(c, a_tiles, &mut ra, &mut run[at..at + len]);
-                at += len;
-            }
-            spare.lock().unwrap().push(ra);
-        });
+        let mut ra = Vec::with_capacity(widest.unwrap_or(0) as usize * BB);
+        for (c, w) in self.rows2.windows(2).enumerate() {
+            let out = w[0] as usize * BB..w[1] as usize * BB;
+            self.row_product::<BB>(c, a_tiles, &mut ra, &mut c_tiles[out]);
+        }
     }
 
     fn run_csr<const B: usize, const BB: usize>(&self, a_tiles: &[f64]) -> CsrMatrix {
@@ -961,32 +933,20 @@ impl RapPlan {
         let mut col_idx = vec![0usize; nnz];
         let mut vals = vec![0.0f64; nnz];
 
-        // One task per coarse vertex, each owning its B scalar output rows.
-        let mut outs = Vec::with_capacity(nc);
-        let (mut rest_cols, mut rest_vals) = (&mut col_idx[..], &mut vals[..]);
+        let (mut ra, mut c_tiles) = (Vec::new(), Vec::new());
         for c in 0..nc {
-            let len = row_ptr[(c + 1) * B] - row_ptr[c * B];
-            let (cols, tail) = std::mem::take(&mut rest_cols).split_at_mut(len);
-            rest_cols = tail;
-            let (vals, tail) = std::mem::take(&mut rest_vals).split_at_mut(len);
-            rest_vals = tail;
-            outs.push((cols, vals));
+            let out = self.rows2[c] as usize..self.rows2[c + 1] as usize;
+            let scalar = row_ptr[c * B]..row_ptr[(c + 1) * B];
+            c_tiles.resize(out.len() * BB, 0.0);
+            self.row_product::<BB>(c, a_tiles, &mut ra, &mut c_tiles);
+            emit_row::<B, BB>(
+                &self.stage2.cols[out.clone()],
+                &self.stage2.masks[out],
+                &c_tiles,
+                &mut col_idx[scalar.clone()],
+                &mut vals[scalar],
+            );
         }
-        outs.par_chunks_mut(RUN).enumerate().for_each(|(k, run)| {
-            let (mut ra, mut c_tiles) = (Vec::new(), Vec::new());
-            for (c, (out_cols, out_vals)) in (k * RUN..).zip(run) {
-                let out = self.rows2[c] as usize..self.rows2[c + 1] as usize;
-                c_tiles.resize(out.len() * BB, 0.0);
-                self.row_product::<BB>(c, a_tiles, &mut ra, &mut c_tiles);
-                emit_row::<B, BB>(
-                    &self.stage2.cols[out.clone()],
-                    &self.stage2.masks[out],
-                    &c_tiles,
-                    out_cols,
-                    out_vals,
-                );
-            }
-        });
         CsrMatrix::from_parts(nc * B, self.ncols, row_ptr, col_idx, vals)
     }
 }

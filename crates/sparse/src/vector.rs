@@ -1,36 +1,25 @@
 //! Dense vector kernels (the BLAS-1 layer of the solver).
 //!
-//! All kernels run on the workspace thread pool and are **bitwise
-//! deterministic independent of thread count**. Elementwise updates
-//! (`axpy`, `aypx`, ...) are trivially so — each slot is written once.
-//! Reductions ([`dot`], [`norm2`]) use a *fixed-shape pairwise tree*: the
-//! input is cut into [`REDUCE_CHUNK`]-aligned blocks, adjacent halves are
-//! combined recursively, and the recursion shape depends only on the
-//! vector length — never on how many threads happen to execute the two
-//! halves. A 1-thread pool and a 16-thread pool therefore produce the
-//! same floating-point result bit for bit, which keeps CG residual
-//! histories reproducible across `PMG_THREADS` settings.
+//! All kernels run on the calling thread. Reductions ([`dot`], [`norm2`])
+//! use a *fixed-shape pairwise tree*: the input is cut into
+//! [`REDUCE_CHUNK`]-aligned blocks and adjacent halves are combined
+//! recursively, so the summation order depends only on the vector length.
+//! Every rank layout that hands a kernel the same slice gets the same bits.
 
 use crate::flops;
-use rayon::prelude::*;
 
 /// Leaf size of the pairwise reduction tree, in elements. Part of the
 /// determinism contract: changing it changes the summation order (and so
 /// the low-order bits) of every [`dot`]/[`norm2`] in the solver.
 pub const REDUCE_CHUNK: usize = 1024;
 
-/// Chunk size for parallel elementwise kernels. Only affects scheduling
-/// granularity, never results (each element is written exactly once).
-const ELEM_CHUNK: usize = 4096;
-
 /// Fixed-shape pairwise reduction of `f(i)` over `lo..hi`.
 ///
 /// Splits at a `REDUCE_CHUNK`-aligned midpoint and combines the halves
-/// with `+` via `rayon::join`; the tree shape is a function of the index
-/// range alone, so the result is identical for every pool size.
+/// with `+`; the tree shape is a function of the index range alone.
 fn pairwise_sum<F>(lo: usize, hi: usize, f: &F) -> f64
 where
-    F: Fn(usize) -> f64 + Sync,
+    F: Fn(usize) -> f64,
 {
     let n = hi - lo;
     if n <= REDUCE_CHUNK {
@@ -44,33 +33,24 @@ where
     // boundaries are stable as vectors grow.
     let nchunks = n.div_ceil(REDUCE_CHUNK);
     let mid = lo + (nchunks / 2) * REDUCE_CHUNK;
-    let (a, b) = rayon::join(|| pairwise_sum(lo, mid, f), || pairwise_sum(mid, hi, f));
-    a + b
+    pairwise_sum(lo, mid, f) + pairwise_sum(mid, hi, f)
 }
 
 /// `y += alpha * x`.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    y.par_chunks_mut(ELEM_CHUNK)
-        .zip(x.par_chunks(ELEM_CHUNK))
-        .for_each(|(yc, xc)| {
-            for (yi, xi) in yc.iter_mut().zip(xc) {
-                *yi += alpha * xi;
-            }
-        });
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
+    }
     flops::add(2 * x.len() as u64);
 }
 
 /// `y = x + beta * y` (the CG update for the search direction).
 pub fn aypx(beta: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    y.par_chunks_mut(ELEM_CHUNK)
-        .zip(x.par_chunks(ELEM_CHUNK))
-        .for_each(|(yc, xc)| {
-            for (yi, xi) in yc.iter_mut().zip(xc) {
-                *yi = xi + beta * *yi;
-            }
-        });
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi = xi + beta * *yi;
+    }
     flops::add(2 * x.len() as u64);
 }
 
@@ -89,11 +69,9 @@ pub fn norm2(x: &[f64]) -> f64 {
 
 /// `x *= s`.
 pub fn scale(x: &mut [f64], s: f64) {
-    x.par_chunks_mut(ELEM_CHUNK).for_each(|xc| {
-        for xi in xc.iter_mut() {
-            *xi *= s;
-        }
-    });
+    for xi in x.iter_mut() {
+        *xi *= s;
+    }
     flops::add(x.len() as u64);
 }
 
@@ -143,8 +121,8 @@ mod tests {
         axpy(1.0, &x, &mut y);
     }
 
-    /// Plain sequential evaluation of the identical reduction tree — the
-    /// bitwise reference the parallel execution must reproduce.
+    /// The reduction tree written out for one product — the bitwise
+    /// reference [`dot`] must reproduce.
     fn pairwise_ref(x: &[f64], y: &[f64], lo: usize, hi: usize) -> f64 {
         let n = hi - lo;
         if n <= REDUCE_CHUNK {
@@ -159,39 +137,17 @@ mod tests {
         pairwise_ref(x, y, lo, mid) + pairwise_ref(x, y, mid, hi)
     }
 
-    fn pool(n: usize) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn dot_bitwise_identical_across_pools() {
-        let x: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 37 % 101) as f64 - 50.0) * 0.031)
-            .collect();
-        let y: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 17 % 97) as f64 - 48.0) * 0.047)
-            .collect();
-        let reference = pairwise_ref(&x, &y, 0, x.len());
-        for threads in [1usize, 2, 4] {
-            let d = pool(threads).install(|| dot(&x, &y));
-            assert_eq!(d.to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
     proptest! {
         #[test]
         fn pairwise_dot_matches_sequential_exactly(
             x in proptest::collection::vec(-2.0f64..2.0, 0..5000usize),
         ) {
             let reference = pairwise_ref(&x, &x, 0, x.len());
-            let par4 = pool(4).install(|| dot(&x, &x));
-            prop_assert_eq!(par4.to_bits(), reference.to_bits());
+            let d = dot(&x, &x);
+            prop_assert_eq!(d.to_bits(), reference.to_bits());
             // Pairwise association error vs the naive left-fold is tiny.
             let naive: f64 = x.iter().map(|a| a * a).sum();
-            prop_assert!((par4 - naive).abs() <= 1e-12 * (1.0 + naive.abs()));
+            prop_assert!((d - naive).abs() <= 1e-12 * (1.0 + naive.abs()));
         }
 
         #[test]
@@ -199,10 +155,10 @@ mod tests {
             x in proptest::collection::vec(-3.0f64..3.0, 0..9000usize),
         ) {
             let y0: Vec<f64> = x.iter().map(|v| 0.5 * v + 1.0).collect();
-            let mut par_y = y0.clone();
-            pool(4).install(|| axpy(1.5, &x, &mut par_y));
+            let mut y = y0.clone();
+            axpy(1.5, &x, &mut y);
             let seq_y: Vec<f64> = y0.iter().zip(&x).map(|(y, x)| y + 1.5 * x).collect();
-            prop_assert!(par_y.iter().zip(&seq_y).all(|(a, b)| a.to_bits() == b.to_bits()));
+            prop_assert!(y.iter().zip(&seq_y).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }

@@ -39,7 +39,7 @@
 //!
 //! The phase-name schema used by the solver stack is documented in
 //! `docs/telemetry.md` (stable slash-hierarchical phase names, counter
-//! families like `rap/plan_*` and `pool/*`, and the JSON-lines format)
+//! families like `rap/plan_*` and `assembly/pattern_*`, and the JSON-lines format)
 //! and summarized in the repository README.
 
 #![warn(missing_docs)]

@@ -13,9 +13,8 @@
 //!   fine matrix's smallest component array — the direct "no rank ever
 //!   held the fine CSR" witness.
 //!
-//! Tracking is per-thread: rank work on `LocalTransport` threads is
-//! counted, anything a kernel offloads to the shared rayon pool is not —
-//! identically at every rank count, so the comparisons stay fair.
+//! Tracking is per-thread: every kernel runs on its rank's
+//! `LocalTransport` thread, so all of a rank's set-up work is counted.
 
 use pmg_comm::{CommError, LocalTransport, Transport};
 use pmg_parallel::Layout;
