@@ -18,6 +18,13 @@ pub const COLLECTIVE_TAG: u32 = 0xA110;
 /// In-place elementwise binomial-tree sum-allreduce of `vals` across all
 /// ranks. After return, every rank holds bitwise-identical sums whose
 /// association order matches [`tree_combine`](crate::tree_combine).
+///
+/// Several independent sums share **one** collective: the tree reduces the
+/// slice elementwise (`acc[i] += incoming[i]` on every merge), so component
+/// `i` of the result is bitwise what [`allreduce_scalar`] of the per-rank
+/// `vals[i]` alone gives. Fusing reductions therefore never changes a
+/// solver's arithmetic — only the number of collective rounds (visible in
+/// `comm/allreduces`, which counts this as one).
 pub fn allreduce_sum<T: Transport>(t: &mut T, vals: &mut [f64]) -> Result<(), CommError> {
     reduce_to_root(t, vals)?;
     let mut packed = f64_payload(vals);
@@ -29,20 +36,6 @@ pub fn allreduce_sum<T: Transport>(t: &mut T, vals: &mut [f64]) -> Result<(), Co
     t.note_allreduce();
     pmg_telemetry::counter_add("comm/allreduces", 1);
     Ok(())
-}
-
-/// Fused (batched) allreduce of several independent scalars in **one**
-/// collective — the latency-hiding form of N back-to-back
-/// [`allreduce_scalar`] calls.
-///
-/// Ordering guarantee: the binomial tree reduces the array *elementwise*
-/// (`acc[i] += incoming[i]` on every merge), so component `i` of the result
-/// is bitwise identical to what a standalone scalar allreduce of the
-/// per-rank `vals[i]` partials would produce. Fusing reductions therefore
-/// never changes a solver's arithmetic — only the number of collective
-/// rounds (visible in `comm/allreduces`, which counts this as one).
-pub fn allreduce_many<T: Transport>(t: &mut T, vals: &mut [f64]) -> Result<(), CommError> {
-    allreduce_sum(t, vals)
 }
 
 /// Allreduce a single scalar; convenience wrapper over [`allreduce_sum`].
@@ -382,7 +375,7 @@ mod tests {
 
     #[test]
     fn fused_allreduce_matches_scalar_pair_bitwise() {
-        // Fusing two reductions into one allreduce_many must reproduce the
+        // Fusing two reductions into one allreduce_sum must reproduce the
         // two scalar allreduces component for component, bit for bit.
         for size in 1..=8usize {
             let results = LocalTransport::run_ranks(size, move |mut t| {
@@ -391,7 +384,7 @@ mod tests {
                 let sa = allreduce_scalar(&mut t, a).unwrap();
                 let sb = allreduce_scalar(&mut t, b).unwrap();
                 let mut fused = [a, b];
-                allreduce_many(&mut t, &mut fused).unwrap();
+                allreduce_sum(&mut t, &mut fused).unwrap();
                 (sa, sb, fused)
             });
             for (r, (sa, sb, fused)) in results.iter().enumerate() {

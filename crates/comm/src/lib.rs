@@ -57,8 +57,7 @@ pub mod local;
 pub mod socket;
 
 pub use collectives::{
-    allgather, allgather_u32s, allreduce_many, allreduce_scalar, allreduce_sum, barrier, broadcast,
-    gather, scatter,
+    allgather, allgather_u32s, allreduce_scalar, allreduce_sum, barrier, broadcast, gather, scatter,
 };
 pub use halo::HaloExchange;
 pub use local::LocalTransport;

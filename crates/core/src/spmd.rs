@@ -1018,7 +1018,7 @@ fn coarse_values(blob: &[u8], rows: usize) -> Result<impl Iterator<Item = f64> +
 
 /// The message-passing backend of [`pcg_generic`]: vectors are this rank's
 /// owned slices, the operator and preconditioner come from the rank's
-/// [`RankHierarchy`], and every reduction point is one `allreduce_many`.
+/// [`RankHierarchy`], and every reduction point is one `allreduce_sum`.
 struct TransportPcg<'a, 'h, T: Transport> {
     ops: RankLevels<'a, 'h, T>,
     /// The cycle's temporaries, allocated once per solve and shared by
@@ -1050,7 +1050,7 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
         let mut partials: Vec<f64> = pairs.iter().map(|(u, v)| vector::dot(u, v)).collect();
         let ops = &mut self.ops;
         let before = ops.t.stats().wait_s;
-        pmg_comm::allreduce_many(ops.t, &mut partials)?;
+        pmg_comm::allreduce_sum(ops.t, &mut partials)?;
         ops.waits.allreduce_s += ops.t.stats().wait_s - before;
         Ok(partials)
     }
@@ -1460,8 +1460,9 @@ mod tests {
         let classes = classify_mesh(&pmg_mesh::generators::cube(n), 0.7);
         let (spd, coords, g) = scalar_problem(n);
         let nv = spd.nrows();
-        // Indefinite diagonal, right-hand side on its negative part: with
-        // the one-level hierarchy's exact preconditioner, p·Ap = bᵀA⁻¹b < 0.
+        // Indefinite diagonal: the one-level hierarchy's only level is its
+        // coarse grid, whose Cholesky factor fails, so the preconditioner
+        // writes NaN and p·Ap is NaN at the first iteration.
         let mut diag = CooBuilder::new(nv, nv);
         for i in 0..nv {
             diag.push(i, i, if i < nv / 2 { 2.0 } else { -1.0 });
@@ -1471,7 +1472,8 @@ mod tests {
             .collect();
         let mut poisoned = vec![1.0; nv];
         poisoned[nv / 3] = f64::NAN;
-        // p·Ap < 0 shows at the first iteration, a NaN at the first reduction.
+        // The failed factor shows at the first iteration, a NaN in the data
+        // at the first reduction.
         for (a, b, iters) in [(diag.build(), on_negative, 1), (spd, poisoned, 0)] {
             for p in [1usize, 2] {
                 let mg_opts = MgOptions {

@@ -299,8 +299,8 @@ fn element_kernel<const NV: usize>(
         let slot = &geom[(e * quad.len() + gp) * gstride..][..gstride];
         let det = slot[gstride - 1];
         if det <= 0.0 {
-            // Inverted element: skip this point; the material fallback plus
-            // the Newton line search context recovers or fails loudly later.
+            // Inverted element: skip this point; the material fallback
+            // recovers, or the Newton step fails to converge.
             continue;
         }
         let grads = &slot[..3 * nv]; // flat: grads[3*a + j] = ∂N_a/∂X_j

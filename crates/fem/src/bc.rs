@@ -113,8 +113,8 @@ mod tests {
         let r = vec![0.5, -0.25, 0.0];
         let (kc, rhs) = constrain_system(&k, &r, &[(0, 0.1)]);
         // Solve densely and verify the constrained dof and free equations.
-        let lu = pmg_sparse::dense::Lu::factor(&kc.to_dense()).unwrap();
-        let x = lu.solve(&rhs);
+        let ch = pmg_sparse::dense::Cholesky::factor(&kc.to_dense()).unwrap();
+        let x = ch.solve(&rhs);
         assert!((x[0] - 0.1).abs() < 1e-12);
         // Free equations: K_ff x_f = -r_f - K_fc * delta.
         // Row 1: 4 x1 - 1 x2 = 0.25 - (-1)(0.1) = 0.35.

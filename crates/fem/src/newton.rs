@@ -27,10 +27,6 @@ pub struct NewtonOptions {
     pub rtol_cap: f64,
     /// Dynamic factor (paper: 1e-1).
     pub rtol_factor: f64,
-    /// Backtracking line search: maximum number of step halvings when the
-    /// free-dof residual grows (0 disables; never applied to the first
-    /// iteration of a step, which carries the BC increment).
-    pub max_backtracks: usize,
 }
 
 impl Default for NewtonOptions {
@@ -42,7 +38,6 @@ impl Default for NewtonOptions {
             rtol_first: 1e-4,
             rtol_cap: 1e-3,
             rtol_factor: 1e-1,
-            max_backtracks: 0,
         }
     }
 }
@@ -57,8 +52,6 @@ pub struct StepStats {
     pub residual_norms: Vec<f64>,
     /// |Δuᵀ rhs| per Newton iteration.
     pub energies: Vec<f64>,
-    /// Line-search halvings taken per Newton iteration.
-    pub backtracks: Vec<usize>,
     pub converged: bool,
 }
 
@@ -127,34 +120,6 @@ impl NewtonDriver {
                 *ui += di;
             }
 
-            // Backtracking line search (Armijo on the free-dof residual
-            // norm): if the full step increased the residual, halve until
-            // it no longer does. Skipped on the first iteration of a step,
-            // which must carry the boundary condition increment in full.
-            let mut backtracks = 0usize;
-            if self.opts.max_backtracks > 0 && m > 0 && rnorm > 0.0 {
-                let mut alpha = 1.0f64;
-                while backtracks < self.opts.max_backtracks {
-                    let (_, r_try) = problem.assemble(u);
-                    let fixed_try: Vec<(u32, f64)> = bcs
-                        .iter()
-                        .map(|bc| (bc.dof, bc.value - u[bc.dof as usize]))
-                        .collect();
-                    let (_, rhs_try) = constrain_system(&k, &r_try, &fixed_try);
-                    let rnorm_try = rhs_try.iter().map(|v| v * v).sum::<f64>().sqrt();
-                    if rnorm_try <= rnorm || rnorm_try <= 1e-14 * rnorm.max(1.0) {
-                        break;
-                    }
-                    // Retreat half of the remaining step.
-                    alpha *= 0.5;
-                    for (ui, di) in u.iter_mut().zip(&du) {
-                        *ui -= alpha * di;
-                    }
-                    backtracks += 1;
-                }
-            }
-            stats.backtracks.push(backtracks);
-
             let energy: f64 = du.iter().zip(&rhs).map(|(a, b)| a * b).sum::<f64>().abs();
             stats.energies.push(energy);
             if energy <= self.opts.energy_atol {
@@ -189,12 +154,13 @@ mod tests {
     use crate::material::NeoHookean;
     use pmg_geometry::Vec3;
     use pmg_mesh::generators::block;
-    use pmg_sparse::dense::Lu;
+    use pmg_sparse::dense::Cholesky;
     use std::sync::Arc;
 
     fn direct_solve(k: &CsrMatrix, rhs: &[f64], _rtol: f64) -> (Vec<f64>, usize) {
-        let lu = Lu::factor(&k.to_dense()).unwrap();
-        (lu.solve(rhs), 1)
+        // The constrained tangent is SPD.
+        let ch = Cholesky::factor(&k.to_dense()).unwrap();
+        (ch.solve(rhs), 1)
     }
 
     #[test]
@@ -295,56 +261,6 @@ mod tests {
         let s3 = driver.solve_step(&mut prob, &mut u, &make_bcs(0.10), &mut direct_solve);
         assert!(s3.converged);
         assert!(s3.newton_iters <= 2, "{}", s3.newton_iters);
-    }
-
-    #[test]
-    fn line_search_rescues_aggressive_step() {
-        // A 35% crush in ONE step: full Newton steps can overshoot on the
-        // hyperelastic block; backtracking keeps the residual decreasing.
-        let mesh = block(2, 2, 2, Vec3::splat(1.0), |_| 0);
-        let make_prob = || {
-            crate::assembly::FemProblem::new(
-                mesh.clone(),
-                vec![Arc::new(NeoHookean::from_e_nu(1.0, 0.45))],
-            )
-        };
-        let mut bcs = Vec::new();
-        for (v, p) in mesh.coords.iter().enumerate() {
-            if p.z == 0.0 {
-                for c in 0..3 {
-                    bcs.push(DirichletBc {
-                        dof: 3 * v as u32 + c,
-                        value: 0.0,
-                    });
-                }
-            }
-            if p.z == 1.0 {
-                bcs.push(DirichletBc {
-                    dof: 3 * v as u32 + 2,
-                    value: -0.35,
-                });
-            }
-        }
-        let run = |max_backtracks: usize| {
-            let mut prob = make_prob();
-            let mut u = vec![0.0; prob.ndof()];
-            let driver = NewtonDriver::new(NewtonOptions {
-                max_iters: 30,
-                max_backtracks,
-                ..Default::default()
-            });
-            driver.solve_step(&mut prob, &mut u, &bcs, &mut direct_solve)
-        };
-        let with = run(6);
-        assert!(with.converged, "line search failed: {with:?}");
-        // Either plain Newton also converges (then the line search must not
-        // be much worse) or the search visibly engaged.
-        let without = run(0);
-        if without.converged {
-            assert!(with.newton_iters <= without.newton_iters + 2);
-        } else {
-            assert!(with.backtracks.iter().any(|&b| b > 0));
-        }
     }
 
     #[test]

@@ -34,10 +34,12 @@ pub struct PcgResult {
     pub iterations: usize,
     pub converged: bool,
     /// The solve stopped because `p·Ap` was non-positive or non-finite (the
-    /// operator or preconditioner is not positive definite) or because
-    /// `‖b‖` or the initial `‖r‖` was (the data carried a NaN or `±∞`).
-    /// Distinguishes that stop from running out of `max_iters` — both leave
-    /// `converged` false.
+    /// operator or preconditioner is not positive definite — a smoother
+    /// block or the coarsest operator that failed its Cholesky factor makes
+    /// every preconditioner application NaN) or because `‖b‖` or the
+    /// initial `‖r‖` was (the data carried a NaN or `±∞`). Distinguishes
+    /// that stop from running out of `max_iters` — both leave `converged`
+    /// false.
     pub breakdown: bool,
     /// `‖r‖ / ‖b‖` at exit.
     pub rel_residual: f64,

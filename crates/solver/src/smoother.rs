@@ -17,93 +17,19 @@
 //! submatrix's pattern — about half of the dense triangle and a quarter of
 //! its factor flops at the paper's density on the spheres meshes — with the
 //! bits of the dense factor (see [`Cholesky`]).
+//!
+//! Every block of an SPD operator is a principal submatrix, so it is SPD
+//! and Cholesky is its only factor. A block that is not numerically SPD
+//! keeps its envelope and a factor that records the failure: every sweep
+//! through it writes NaN, which PCG reports as a breakdown, and the next
+//! refactor factors into the same envelope again.
 
 use crate::precond::Precond;
 use pmg_parallel::{DistMatrix, DistVec, LocalBlock, Sim, SimOperator};
 use pmg_partition::{partition_graph, Graph};
-use pmg_sparse::dense::{Cholesky, DenseMatrix, Lu};
+use pmg_sparse::dense::Cholesky;
 use pmg_sparse::PatternFingerprint;
 use std::sync::{Arc, Mutex};
-
-enum BlockFactor {
-    Chol(Cholesky),
-    Lu(Lu),
-    /// Last-resort inverse diagonal (singular block).
-    Diag(Vec<f64>),
-}
-
-impl BlockFactor {
-    /// Factor block `b` of `plan` out of `local`, where the factor lives:
-    /// the block's rows are scattered straight into the envelope a
-    /// Cholesky slot already owns — the lower triangle, row `l`'s entries
-    /// with slot `<= l`, which is all Cholesky ever read, so round-off
-    /// asymmetry in a Galerkin operator cannot reach the factor — and
-    /// factored in place. Only a block that is not SPD is extracted densely,
-    /// for pivoted LU (it lost definiteness) or, if singular too, the
-    /// inverse diagonal; the next refactor gives it an envelope again.
-    fn refactor(&mut self, plan: &RankJacobi, local: LocalBlock<'_>, b: usize) {
-        if !matches!(self, BlockFactor::Chol(_)) {
-            *self = BlockFactor::Chol(Cholesky::with_profile(&plan.profile(local, b)));
-        }
-        let BlockFactor::Chol(chol) = self else {
-            unreachable!("set just above")
-        };
-        let blk = &plan.blocks[b];
-        let spd = chol.factor_in_place(|u| {
-            // Row `g` up to its diagonal: a block lists its dofs in
-            // ascending order and a row's columns ascend, so of the row's
-            // entries in `g`'s block these are exactly those at or left of
-            // `g`'s slot.
-            for (l, &g) in blk.iter().enumerate() {
-                local.for_each_lower(g as usize, |j, v| {
-                    let (block, slot) = plan.home[j];
-                    if block as usize == b {
-                        u.set(l, slot as usize, v);
-                    }
-                });
-            }
-        });
-        if !spd {
-            let n = blk.len();
-            let sub = plan.extract(local, b);
-            let inv = |i: usize| {
-                if sub[(i, i)] != 0.0 {
-                    1.0 / sub[(i, i)]
-                } else {
-                    1.0
-                }
-            };
-            *self = match Lu::factor(&sub) {
-                Some(lu) => BlockFactor::Lu(lu),
-                None => BlockFactor::Diag((0..n).map(inv).collect()),
-            };
-        }
-    }
-
-    fn solve_in_place(&self, b: &mut [f64]) {
-        match self {
-            BlockFactor::Chol(c) => c.solve_in_place(b),
-            BlockFactor::Lu(l) => l.solve_in_place(b),
-            BlockFactor::Diag(d) => b.iter_mut().zip(d).for_each(|(x, di)| *x *= di),
-        }
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        match self {
-            BlockFactor::Chol(c) => c.memory_bytes(),
-            BlockFactor::Lu(l) => l.memory_bytes(),
-            BlockFactor::Diag(d) => 8 * d.len() as u64,
-        }
-    }
-
-    fn solve_flops(&self) -> u64 {
-        match self {
-            BlockFactor::Chol(c) => c.solve_flops(),
-            BlockFactor::Lu(l) => 2 * (l.dim() * l.dim()) as u64,
-            BlockFactor::Diag(d) => d.len() as u64,
-        }
-    }
-}
 
 /// **One** rank's block-Jacobi smoother: block Jacobi is purely
 /// rank-local, so a rank's share is its sub-domain factorizations of its
@@ -131,7 +57,7 @@ pub struct RankJacobi {
     /// the plan, so no sweep allocates. One sweep at a time per rank; the
     /// lock is uncontended in every solve path.
     buf: Mutex<Vec<f64>>,
-    factors: Vec<BlockFactor>,
+    factors: Vec<Cholesky>,
     apply_flops: u64,
 }
 
@@ -171,8 +97,9 @@ impl RankJacobi {
             apply_flops: 0,
         };
         rj.factors = (0..rj.blocks.len())
-            .map(|b| BlockFactor::Chol(Cholesky::with_profile(&rj.profile(local, b))))
+            .map(|b| Cholesky::with_profile(&rj.profile(local, b)))
             .collect();
+        rj.apply_flops = rj.factors.iter().map(Cholesky::solve_flops).sum();
         rj.factor(local);
         rj
     }
@@ -211,46 +138,32 @@ impl RankJacobi {
         }
     }
 
-    /// The numeric half: factor every block in the storage its factor
-    /// already owns (each into its own slot; nothing is allocated while
-    /// every block stays SPD).
+    /// The numeric half: every block's rows are scattered straight into
+    /// the envelope its factor already owns — the lower triangle, row `l`'s
+    /// entries with slot `<= l`, which is all Cholesky ever reads, so
+    /// round-off asymmetry in a Galerkin operator cannot reach the factor —
+    /// and factored there, allocating nothing. A block that is not SPD
+    /// keeps the failed factor (`smoother/blocks_not_spd`).
     fn factor(&mut self, local: LocalBlock<'_>) {
-        let mut factors = std::mem::take(&mut self.factors);
-        for (b, f) in factors.iter_mut().enumerate() {
-            f.refactor(self, local, b);
-        }
-        self.factors = factors;
-        self.apply_flops = self.factors.iter().map(|f| f.solve_flops()).sum();
-        let (mut chol, mut lu, mut diag) = (0, 0, 0);
-        for f in &self.factors {
-            match f {
-                BlockFactor::Chol(_) => chol += 1,
-                BlockFactor::Lu(_) => lu += 1,
-                BlockFactor::Diag(_) => diag += 1,
-            }
-        }
-        pmg_telemetry::counter_add("smoother/blocks_chol", chol);
-        pmg_telemetry::counter_add("smoother/blocks_lu", lu);
-        pmg_telemetry::counter_add("smoother/blocks_diag", diag);
-    }
-
-    /// Dense principal submatrix of `local` on block `b` (what a block that
-    /// is not SPD falls back on): each of the block's rows is scattered
-    /// through the plan's dof → (block, slot) maps; entries whose column
-    /// lies in another block are dropped.
-    fn extract(&self, local: LocalBlock<'_>, b: usize) -> DenseMatrix {
-        let blk = &self.blocks[b];
-        let mut sub = DenseMatrix::zeros(blk.len(), blk.len());
-        for (l, &g) in blk.iter().enumerate() {
-            let row = sub.row_mut(l);
-            for (j, v) in local.row(g as usize) {
-                let (block, slot) = self.home[j];
-                if block as usize == b {
-                    row[slot as usize] = v;
+        let mut not_spd = 0;
+        for ((b, blk), chol) in self.blocks.iter().enumerate().zip(&mut self.factors) {
+            let spd = chol.factor_in_place(|u| {
+                // Row `g` up to its diagonal: a block lists its dofs in
+                // ascending order and a row's columns ascend, so of the
+                // row's entries in `g`'s block these are exactly those at
+                // or left of `g`'s slot.
+                for (l, &g) in blk.iter().enumerate() {
+                    local.for_each_lower(g as usize, |j, v| {
+                        let (block, slot) = self.home[j];
+                        if block as usize == b {
+                            u.set(l, slot as usize, v);
+                        }
+                    });
                 }
-            }
+            });
+            not_spd += u64::from(!spd);
         }
-        sub
+        pmg_telemetry::counter_add("smoother/blocks_not_spd", not_spd);
     }
 
     /// Number of sub-domain blocks (diagnostics).
@@ -266,7 +179,7 @@ impl RankJacobi {
     /// Resident bytes: the block factors as stored, the block index maps
     /// and the sweep buffer.
     pub fn memory_bytes(&self) -> u64 {
-        let factors: u64 = self.factors.iter().map(BlockFactor::memory_bytes).sum();
+        let factors: u64 = self.factors.iter().map(Cholesky::memory_bytes).sum();
         let buf = self.blocks.iter().map(Vec::len).max().unwrap_or(0);
         factors + (12 * self.home.len() + 8 * buf) as u64
     }
@@ -326,7 +239,7 @@ impl BlockJacobi {
     /// Refactor for a new operator on the same ranks, at the density and
     /// damping the smoother was built with. While a rank's local sparsity
     /// pattern is unchanged (Newton only changes values) this is
-    /// numeric-only — no graph, no partition, just extract and factor the
+    /// numeric-only — no graph, no partition, just scatter and factor the
     /// planned blocks; a rank whose pattern changed is rebuilt
     /// transparently. The result is bitwise a fresh [`BlockJacobi::new`].
     pub fn refactor(&mut self, a: &DistMatrix) {
@@ -547,22 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn extracted_blocks_are_the_principal_submatrices() {
-        let a = grid_laplacian(9, 0.25);
-        let rb = RankJacobi::new((&a).into(), 50.0, 1.0); // 81 dofs -> 4 blocks
-        assert_eq!(rb.blocks.len(), 4);
-        let mut covered = 0;
-        for (b, blk) in rb.blocks.iter().enumerate() {
-            let want = DenseMatrix::from_fn(blk.len(), blk.len(), |i, j| {
-                a.get(blk[i] as usize, blk[j] as usize)
-            });
-            assert_eq!(rb.extract((&a).into(), b), want, "block {b}");
-            covered += blk.len();
-        }
-        assert_eq!(covered, 81);
-    }
-
-    #[test]
     fn refactor_is_bitwise_a_fresh_build() {
         let l = Layout::block(144, 2);
         let dist = |a: &CsrMatrix| DistMatrix::from_global(a, l.clone(), l.clone());
@@ -634,37 +531,46 @@ mod tests {
         );
     }
 
+    /// A block that is not SPD sweeps to NaN on its own dofs only, keeps
+    /// its envelope, and the next refactor factors into it again — bitwise
+    /// the factor it had.
     #[test]
-    fn indefinite_and_singular_blocks_fall_back() {
-        // One block per matrix (density rounds to the minimum of one).
-        // Indefinite: Cholesky refuses, pivoted LU solves it exactly.
-        let mut b = CooBuilder::new(2, 2);
-        b.push(0, 0, 1.0);
-        b.push(0, 1, 2.0);
-        b.push(1, 0, 2.0);
-        b.push(1, 1, 1.0);
-        let rb = RankJacobi::new((&b.build()).into(), 1.0, 1.0);
-        assert!(matches!(rb.factors[0], BlockFactor::Lu(_)));
-        let mut z = [0.0f64; 2];
-        rb.solve_add(&[5.0, 4.0], &mut z);
-        assert!((z[0] - 1.0).abs() < 1e-14 && (z[1] - 2.0).abs() < 1e-14);
-
-        // Singular: LU refuses too, the inverse diagonal is what is left.
-        let mut b = CooBuilder::new(2, 2);
-        for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-            b.push(i, j, 4.0);
+    fn a_block_that_is_not_spd_sweeps_to_nan_and_recovers_in_place() {
+        let spd = grid_laplacian(6, 0.0);
+        let mut poisoned = CooBuilder::new(36, 36);
+        for (i, j, v) in spd.iter() {
+            poisoned.push(i, j, v);
         }
-        let rb = RankJacobi::new((&b.build()).into(), 1.0, 0.5);
-        assert!(matches!(rb.factors[0], BlockFactor::Diag(_)));
-        let mut z = [0.0; 2];
-        rb.solve_add(&[8.0, 4.0], &mut z);
-        assert_eq!(z, [1.0, 0.5]);
+        poisoned.push(0, 0, f64::NAN);
+        let sweep = |rj: &RankJacobi| -> Vec<f64> {
+            let r: Vec<f64> = (0..36).map(|i| (i as f64 * 0.61).sin()).collect();
+            let mut x = vec![0.0; 36];
+            rj.solve_from_zero(&r, &mut x);
+            x
+        };
+        let bits = |x: &[f64]| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
+        let mut rj = RankJacobi::new((&spd).into(), 100.0, 1.0); // 36 dofs -> 4 blocks
+        assert_eq!(rj.num_blocks(), 4);
+        let (good, bytes) = (bits(&sweep(&rj)), rj.memory_bytes());
+        // The NaN fails dof 0's block; a negative diagonal fails them all.
+        let dof0_block: Vec<bool> = (0..36).map(|v| rj.home[v].0 == rj.home[0].0).collect();
+        for (a, failed) in [
+            (poisoned.build(), dof0_block),
+            (grid_laplacian(6, -8.0), vec![true; 36]),
+        ] {
+            rj.refactor((&a).into());
+            let nan: Vec<bool> = sweep(&rj).iter().map(|v| v.is_nan()).collect();
+            assert_eq!(nan, failed);
+            assert_eq!(rj.memory_bytes(), bytes);
+            rj.refactor((&spd).into());
+            assert_eq!(bits(&sweep(&rj)), good);
+        }
     }
 
-    /// Four ranks, 44 dofs: rank 0 owns a 40-dof SPD chain (four Cholesky
-    /// blocks), rank 1 owns nothing, rank 2 an indefinite pair (pivoted
-    /// LU), rank 3 a singular pair (inverse diagonal).
-    fn fallback_problem() -> (DistMatrix, Arc<Layout>, BlockJacobi) {
+    /// Four ranks, 44 dofs: rank 0 owns a 40-dof SPD chain (four blocks),
+    /// rank 1 owns nothing, rank 2 a coupled SPD pair and rank 3 a
+    /// decoupled one (a block each).
+    fn four_rank_problem() -> (DistMatrix, Arc<Layout>, BlockJacobi) {
         let mut b = CooBuilder::new(44, 44);
         for i in 0..40 {
             b.push(i, i, 2.5);
@@ -673,11 +579,11 @@ mod tests {
                 b.push(i + 1, i, -1.0);
             }
         }
-        for (i, j, v) in [(40, 40, 1.0), (40, 41, 2.0), (41, 40, 2.0), (41, 41, 1.0)] {
+        for (i, j, v) in [(40, 40, 3.0), (40, 41, 1.0), (41, 40, 1.0), (41, 41, 3.0)] {
             b.push(i, j, v);
         }
-        for (i, j) in [(42, 42), (42, 43), (43, 42), (43, 43)] {
-            b.push(i, j, 4.0);
+        for i in [42, 43] {
+            b.push(i, i, 4.0);
         }
         // Couplings across ranks, so the residual refresh has a halo.
         for (i, j) in [(39, 40), (41, 42)] {
@@ -690,8 +596,7 @@ mod tests {
         let bj = BlockJacobi::new(&da, 100.0, 0.7);
         assert_eq!(l.local_len(1), 0);
         assert_eq!(bj.num_blocks(0), 4);
-        assert!(matches!(bj.ranks[2].factors[..], [BlockFactor::Lu(_)]));
-        assert!(matches!(bj.ranks[3].factors[..], [BlockFactor::Diag(_)]));
+        assert_eq!((bj.num_blocks(2), bj.num_blocks(3)), (1, 1));
         (da, l, bj)
     }
 
@@ -699,7 +604,7 @@ mod tests {
         v.to_global().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Ordinary values, zeros, and `-0.0` — on dof 42, the singular pair's
+    /// Ordinary values, zeros, and `-0.0` — on dof 42, the decoupled pair's
     /// first, among others.
     fn signed_zero_rhs(l: &Arc<Layout>) -> DistVec {
         let g: Vec<f64> = (0..l.num_global())
@@ -714,7 +619,7 @@ mod tests {
 
     #[test]
     fn from_zero_sweep_is_bitwise_a_sweep_on_zeros() {
-        let (da, l, bj) = fallback_problem();
+        let (da, l, bj) = four_rank_problem();
         let b = signed_zero_rhs(&l);
         let mut sim = Sim::new(4, MachineModel::default());
         for sweeps in 0..=3 {
@@ -741,7 +646,7 @@ mod tests {
     fn scatter_add_is_bitwise_apply_then_axpy() {
         // The unfused form, spelled out: `z = ω B⁻¹ r` into a vector of
         // its own, then `x += 1.0 · z`.
-        let (_, l, bj) = fallback_problem();
+        let (_, l, bj) = four_rank_problem();
         let r = signed_zero_rhs(&l);
         let x0: Vec<f64> = (0..44)
             .map(|i| {
@@ -775,7 +680,7 @@ mod tests {
             assert_eq!(as_bits(&got), as_bits(&want), "rank {rank}");
         }
         // From zero the update lands on `+0.0`: a block solve that returns
-        // `-0.0` (the singular pair's, from a `-0.0` residual) reads
+        // `-0.0` (the decoupled pair's, from a `-0.0` residual) reads
         // `+0.0` in `x` — as `0.0 + z` always did in `smooth`, and unlike
         // the `z` of the unfused `Precond::apply`, which kept the sign.
         let mut sim = Sim::new(4, MachineModel::default());

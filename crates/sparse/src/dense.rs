@@ -1,12 +1,15 @@
-//! Small dense matrices and factorizations.
+//! Small dense matrices and the one factorization.
 //!
 //! Used for the coarsest-grid direct solve and for the block-Jacobi
 //! smoother's per-block factorizations (the paper factors each METIS block
-//! once per matrix setup). [`Cholesky`] stores, factors and solves only
-//! inside the matrix's envelope — the profile of its lower triangle, which
-//! fill never leaves — with the bits of the dense factor: what it skips
-//! subtracts products with exact zeros. A full profile is the dense packed
-//! triangle. [`Lu`] is dense.
+//! once per matrix setup). Both factor SPD matrices — principal submatrices
+//! and Galerkin products of an SPD operator — so [`Cholesky`] is the only
+//! factorization: it stores, factors and solves only inside the matrix's
+//! envelope — the profile of its lower triangle, which fill never leaves —
+//! with the bits of the dense factor: what it skips subtracts products with
+//! exact zeros. A full profile is the dense packed triangle. Factoring a
+//! matrix that is not numerically SPD in place leaves a factor that
+//! records the failure, and every solve through it writes NaN.
 
 use crate::flops;
 use std::ops::{Index, IndexMut};
@@ -262,6 +265,10 @@ pub struct Cholesky {
     /// Flops of one factorization and of one solve inside the envelope.
     factor_flops: u64,
     solve_flops: u64,
+    /// Whether `u` holds a factor: `false` until
+    /// [`factor_in_place`](Self::factor_in_place) succeeds, and again after
+    /// it fails; every solve then writes NaN.
+    spd: bool,
 }
 
 /// The zero-filled envelope [`Cholesky::factor_in_place`] hands its `fill`.
@@ -284,8 +291,8 @@ impl Cholesky {
     /// Storage for the factor of an `n × n` matrix whose row `j` has its
     /// first possibly nonzero lower-triangle entry in column `first[j]`
     /// (`<= j`; `n = first.len()`), to be filled and factored by
-    /// [`factor_in_place`](Self::factor_in_place); it solves nothing
-    /// before that has returned `true`.
+    /// [`factor_in_place`](Self::factor_in_place); until that has returned
+    /// `true` it is a failed factor, whose every solve writes NaN.
     pub fn with_profile(first: &[usize]) -> Cholesky {
         let (start, factor_flops, solve_flops) = Self::profile(first);
         Cholesky {
@@ -294,6 +301,7 @@ impl Cholesky {
             start,
             factor_flops,
             solve_flops,
+            spd: false,
         }
     }
 
@@ -346,7 +354,7 @@ impl Cholesky {
     /// for bit, when `a`'s envelope is laid out as this factor's (as it is
     /// for new values on the same nonzeros); `false`, and nothing touched,
     /// when it is not. Also `false` if `a` is not (numerically) SPD: the
-    /// storage then holds no factor.
+    /// factor then records the failure, and every solve writes NaN.
     pub fn refactor(&mut self, a: &DenseMatrix) -> bool {
         let first = Self::envelope(a);
         Self::profile(&first).0 == self.start && self.fill_and_factor(a, &first)
@@ -374,10 +382,13 @@ impl Cholesky {
     /// lower triangle `fill` writes into the zero-filled envelope through
     /// [`EnvelopeFill::set`] — bit for bit [`factor`](Self::factor) of the
     /// same entries with the same envelope, without a dense copy or a new
-    /// allocation. Returns `false` if the matrix is not (numerically) SPD;
-    /// the storage then holds no factor.
+    /// allocation. Returns `false` if the matrix is not (numerically) SPD —
+    /// a pivot that is not positive, a non-finite entry in the lower
+    /// triangle — and the factor then records the failure: every solve
+    /// through it writes NaN until a later call succeeds.
     pub fn factor_in_place(&mut self, fill: impl FnOnce(&mut EnvelopeFill<'_>)) -> bool {
         let n = self.n;
+        self.spd = false;
         self.u.fill(0.0);
         fill(&mut EnvelopeFill {
             start: &self.start,
@@ -471,6 +482,7 @@ impl Cholesky {
             }
         }
         flops::add(self.factor_flops.max(1));
+        self.spd = true;
         true
     }
 
@@ -491,10 +503,14 @@ impl Cholesky {
         self.solve_flops
     }
 
-    /// Solve `A x = b` in place.
+    /// Solve `A x = b` in place; all NaN if the factorization failed.
     pub fn solve_in_place(&self, b: &mut [f64]) {
         let n = self.n;
         assert_eq!(b.len(), n);
+        if !self.spd {
+            b.fill(f64::NAN);
+            return;
+        }
         // Forward: Uᵀ y = b, one axpy per finished `y[k]`.
         for k in 0..n {
             let row = &self.u[self.start[k]..self.start[k + 1]];
@@ -511,108 +527,6 @@ impl Cholesky {
             b[i] = (b[i] - dot) / row[0];
         }
         flops::add(self.solve_flops);
-    }
-
-    /// Solve `A x = b`, returning a fresh `x`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = b.to_vec();
-        self.solve_in_place(&mut x);
-        x
-    }
-}
-
-/// LU factorization with partial pivoting (for indefinite or unsymmetric
-/// systems, e.g. coarse operators that lost definiteness to roundoff).
-#[derive(Clone, Debug)]
-pub struct Lu {
-    lu: DenseMatrix,
-    /// Row `k` was swapped with row `swaps[k] >= k` at elimination step `k`.
-    swaps: Vec<usize>,
-}
-
-impl Lu {
-    /// Factor `a`; returns `None` for (numerically) singular matrices.
-    pub fn factor(a: &DenseMatrix) -> Option<Lu> {
-        Lu::factor_owned(a.clone())
-    }
-
-    /// [`factor`](Self::factor) in `a`'s own storage, without the copy.
-    pub fn factor_owned(a: DenseMatrix) -> Option<Lu> {
-        assert_eq!(a.nrows, a.ncols);
-        let n = a.nrows;
-        let mut lu = a;
-        let mut swaps = Vec::with_capacity(n);
-        for k in 0..n {
-            // Pivot search.
-            let mut p = k;
-            let mut pmax = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > pmax {
-                    pmax = v;
-                    p = i;
-                }
-            }
-            if pmax == 0.0 || !pmax.is_finite() {
-                return None;
-            }
-            if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-            }
-            swaps.push(p);
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
-                for j in (k + 1)..n {
-                    let v = m * lu[(k, j)];
-                    lu[(i, j)] -= v;
-                }
-            }
-        }
-        flops::add((2 * n * n * n / 3).max(1) as u64);
-        Some(Lu { lu, swaps })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.nrows
-    }
-
-    /// Resident bytes of the dense factor and its row swaps.
-    pub fn memory_bytes(&self) -> u64 {
-        8 * (self.lu.data.len() + self.swaps.len()) as u64
-    }
-
-    /// Solve `A x = b` in place.
-    pub fn solve_in_place(&self, b: &mut [f64]) {
-        let n = self.lu.nrows;
-        assert_eq!(b.len(), n);
-        // b ← P b: replay the elimination's row swaps.
-        for (k, &p) in self.swaps.iter().enumerate() {
-            b.swap(k, p);
-        }
-        // Forward: L y = P b (unit diagonal).
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.lu[(i, k)] * b[k];
-            }
-            b[i] = sum;
-        }
-        // Backward: U x = y.
-        for i in (0..n).rev() {
-            let mut sum = b[i];
-            for k in (i + 1)..n {
-                sum -= self.lu[(i, k)] * b[k];
-            }
-            b[i] = sum / self.lu[(i, i)];
-        }
-        flops::add((2 * n * n) as u64);
     }
 
     /// Solve `A x = b`, returning a fresh `x`.
@@ -727,39 +641,6 @@ mod tests {
         let mut a = spd3();
         a[(1, 1)] = -5.0;
         assert!(Cholesky::factor(&a).is_none());
-    }
-
-    #[test]
-    fn lu_solves_unsymmetric() {
-        let a = DenseMatrix::from_fn(3, 3, |i, j| {
-            (1 + i * 3 + j) as f64 + if i == j { 10.0 } else { 0.0 }
-        });
-        let lu = Lu::factor(&a).unwrap();
-        let b = vec![3.0, -1.0, 4.0];
-        let x = lu.solve(&b);
-        let mut ax = vec![0.0; 3];
-        a.matvec(&x, &mut ax);
-        for (u, v) in ax.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn lu_needs_pivoting() {
-        // Zero on the leading diagonal forces a row swap.
-        let mut a = DenseMatrix::zeros(2, 2);
-        a[(0, 1)] = 1.0;
-        a[(1, 0)] = 1.0;
-        let lu = Lu::factor(&a).unwrap();
-        let x = lu.solve(&[2.0, 3.0]);
-        assert!((x[0] - 3.0).abs() < 1e-15);
-        assert!((x[1] - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn lu_rejects_singular() {
-        let a = DenseMatrix::from_fn(2, 2, |i, _| (i + 1) as f64);
-        assert!(Lu::factor(&a).is_none());
     }
 
     #[test]
@@ -1101,6 +982,30 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_factor_solves_to_nan_until_it_is_refactored() {
+        // A tridiagonal 3 × 3 with diagonal `d`: SPD for `d = 4`, its last
+        // pivot fails for `d = 1.2`, its first for a NaN.
+        let mut ch = Cholesky::with_profile(&[0, 0, 1]);
+        let fill = |d: f64| {
+            move |u: &mut EnvelopeFill<'_>| {
+                for j in 0..3 {
+                    u.set(j, j, d);
+                }
+                u.set(1, 0, -1.0);
+                u.set(2, 1, -1.0);
+            }
+        };
+        let solves_to_nan = |ch: &Cholesky| ch.solve(&[1.0, -0.0, 2.0]).iter().all(|v| v.is_nan());
+        assert!(solves_to_nan(&ch), "never factored");
+        for (d, spd) in [(1.2, false), (4.0, true), (f64::NAN, false), (4.0, true)] {
+            assert_eq!(ch.factor_in_place(fill(d)), spd, "d = {d}");
+            assert_eq!(solves_to_nan(&ch), !spd, "d = {d}");
+        }
+        let x = ch.solve(&[3.0, 2.0, 3.0]);
+        assert!(x.iter().all(|v| (v - 1.0).abs() < 1e-15), "{x:?}");
+    }
+
+    #[test]
     fn cholesky_rejects_non_finite() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for (i, j) in [(0, 0), (2, 1), (2, 2)] {
@@ -1156,32 +1061,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lu_solves_in_place_through_several_row_swaps() {
-        // The dominant entry of column `j` sits in row `j - 2 (mod 5)`, so
-        // elimination swaps rows at more than one step.
-        let a = DenseMatrix::from_fn(5, 5, |i, j| {
-            ((i * 7 + j * 3) % 11) as f64 - 4.0 + if (i + 2) % 5 == j { 9.0 } else { 0.0 }
-        });
-        let lu = Lu::factor(&a).unwrap();
-        assert!(
-            lu.swaps
-                .iter()
-                .enumerate()
-                .filter(|&(k, &p)| p != k)
-                .count()
-                > 1
-        );
-        let b = [3.0, -1.0, 4.0, 1.5, -2.5];
-        let mut x = b;
-        lu.solve_in_place(&mut x);
-        let mut ax = vec![0.0; 5];
-        a.matvec(&x, &mut ax);
-        for (u, v) in ax.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-10);
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_cholesky_random_spd(
@@ -1205,12 +1084,6 @@ mod tests {
             let mut ax = vec![0.0; 4];
             a.matvec(&x, &mut ax);
             for (u, v) in ax.iter().zip(&b) {
-                prop_assert!((u - v).abs() < 1e-8);
-            }
-            // LU must agree with Cholesky.
-            let lu = Lu::factor(&a).unwrap();
-            let x2 = lu.solve(&b);
-            for (u, v) in x.iter().zip(&x2) {
                 prop_assert!((u - v).abs() < 1e-8);
             }
         }

@@ -6,8 +6,8 @@
 //! The paper's solver is built on PETSc's distributed CSR matrices; this
 //! crate provides the serial kernels — CSR storage ([`csr::CsrMatrix`]),
 //! sparse matrix-vector products, sparse matrix-matrix products and the
-//! Galerkin triple product `R A Rᵀ` ([`csr`]), dense Cholesky/LU for coarse
-//! and block solves ([`dense`]), vector kernels ([`vector`]) — plus the flop
+//! Galerkin triple product `R A Rᵀ` ([`csr`]), the dense envelope Cholesky
+//! factor for coarse and block solves ([`dense`]), vector kernels ([`vector`]) — plus the flop
 //! accounting ([`flops`]) that the paper's efficiency metrics (§6) are
 //! defined in terms of. The distributed layer lives in `pmg-parallel`.
 //!

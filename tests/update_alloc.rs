@@ -5,9 +5,9 @@
 //! level's direct solve gathers into the matrix it kept from the first
 //! update. Two updates are measured: a symmetric one, as a Newton tangent
 //! is, whose coarsest factor is refactored in its own Cholesky storage,
-//! and an unsymmetric one, whose factor falls back to an LU in the
-//! gathered matrix. What is left is row scratch and small per-level
-//! bookkeeping.
+//! and an unsymmetric one, whose coarsest operator fails the factor's
+//! symmetry guard, so the next solve is a breakdown. What is left is row
+//! scratch and small per-level bookkeeping.
 //!
 //! Asserted with a counting global allocator, so this lives in its own
 //! integration-test binary (the `#[global_allocator]` must not leak into
@@ -108,14 +108,16 @@ fn one_rank_update_allocates_under_a_megabyte() {
         "a symmetric update allocated {largest} B at once"
     );
 
-    // The factor goes to LU, factored in the gathered matrix.
+    // The coarsest operator is not symmetric, so it has no factor and the
+    // next solve stops as a breakdown: 56 336 B, largest piece 21 888 B.
     let (bytes, largest) = measured(&unsymmetric, "unsymmetric");
-    // 57 704 B, largest piece 21 888 B; 526 680 B and 233 928 B (the
-    // coarsest level's 171² dense gather, then its LU copy) before the
-    // coarse factor was refactored in place.
     assert!(bytes <= 65_000, "a value-only update allocated {bytes} B");
     assert!(
-        largest < 233_928,
+        largest < 23_392,
         "a value-only update allocated {largest} B at once"
     );
+    let b = vec![1.0; a.nrows()];
+    let (x, res) = solver.solve(&b, None, 1e-8);
+    assert!(res.breakdown && !res.converged, "{res:?}");
+    assert!(x.iter().all(|&v| v == 0.0), "x untouched");
 }
