@@ -78,8 +78,6 @@ fn bench_reference(_c: &mut Criterion) {
 
 /// CSR against the 3x3-blocked product on what the benchmark's `newton10k`
 /// reads: the 9.8k-dof fine operator and its level-1 Galerkin operator.
-/// `bsr3_block_rows` is the product as one rank of two runs it around its
-/// halo wait — its share's interior block rows, then the boundary ones.
 /// Every row prints ns per stored tile and GB/s over the resident bytes,
 /// to be read against the floor of 76 B per tile at the host's L3 rate.
 fn bench_bsr(_c: &mut Criterion) {
@@ -92,20 +90,6 @@ fn bench_bsr(_c: &mut Criterion) {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
         let mut y = vec![0.0; n];
         let bsr = Bsr3Matrix::from_csr(a);
-
-        let layout = Layout::expand_dofs(&Layout::block(n / 3, 2), 3);
-        let owned = layout.owned(0);
-        let dist = DistMatrix::from_global_blocked(a, layout.clone(), layout.clone());
-        let share = dist
-            .local_block(0)
-            .tiles()
-            .expect("a vertex-aligned 3-dof share");
-        let (boundary, interior): (Vec<u32>, Vec<u32>) =
-            (0..owned.len() as u32 / 3).partition(|&lb| {
-                let rows = &owned[3 * lb as usize..][..3];
-                (rows.iter()).any(|&g| a.row(g as usize).0.iter().any(|&j| layout.owner(j) != 0))
-            });
-        let (xs, mut ys) = (&x[..share.ncols()], vec![0.0; share.nrows()]);
 
         // Bytes one product reads and writes: the operator plus `x` and `y`.
         let report = |name: &str, tiles: usize, bytes: u64, times: Vec<f64>| {
@@ -124,12 +108,6 @@ fn bench_bsr(_c: &mut Criterion) {
         report("csr", tiles, a.memory_bytes() + vectors, t);
         let t = sorted_times(200, || bsr.spmv(black_box(&x), &mut y));
         report("bsr3", tiles, bsr.memory_bytes() + vectors, t);
-        let t = sorted_times(200, || {
-            share.spmv_block_rows(black_box(xs), &mut ys, &interior);
-            share.spmv_block_rows(black_box(xs), &mut ys, &boundary);
-        });
-        let bytes = share.memory_bytes() + 16 * share.nrows() as u64;
-        report("bsr3_block_rows", share.num_blocks(), bytes, t);
     }
 }
 

@@ -40,19 +40,6 @@ pub fn launch<S: AsRef<OsStr>>(
     args: &[S],
     dir: Option<&Path>,
 ) -> Result<Vec<RankExit>, CommError> {
-    launch_with_env(n, program, args, dir, &[])
-}
-
-/// [`launch`] with extra environment variables set on every rank — the
-/// per-launch way to flip rank knobs (e.g. `PMG_OVERLAP=0`) without
-/// mutating the launcher's own process environment.
-pub fn launch_with_env<S: AsRef<OsStr>>(
-    n: usize,
-    program: &Path,
-    args: &[S],
-    dir: Option<&Path>,
-    env: &[(&str, &str)],
-) -> Result<Vec<RankExit>, CommError> {
     if n == 0 {
         return Err(CommError::Invalid("cannot launch 0 ranks".into()));
     }
@@ -65,15 +52,12 @@ pub fn launch_with_env<S: AsRef<OsStr>>(
     };
     let mut children: Vec<Child> = Vec::with_capacity(n);
     for rank in 0..n {
-        let mut cmd = Command::new(program);
-        cmd.args(args)
+        let spawned = Command::new(program)
+            .args(args)
             .env("PMG_COMM_RANK", rank.to_string())
             .env("PMG_COMM_SIZE", n.to_string())
-            .env("PMG_COMM_DIR", &dir);
-        for (k, v) in env {
-            cmd.env(k, v);
-        }
-        let spawned = cmd.spawn();
+            .env("PMG_COMM_DIR", &dir)
+            .spawn();
         match spawned {
             Ok(c) => children.push(c),
             Err(e) => {

@@ -59,7 +59,7 @@ pub mod socket;
 pub use collectives::{
     allgather, allgather_u32s, allreduce_scalar, allreduce_sum, barrier, broadcast, gather, scatter,
 };
-pub use halo::HaloExchange;
+pub use halo::halo_exchange;
 pub use local::LocalTransport;
 pub use socket::SocketTransport;
 

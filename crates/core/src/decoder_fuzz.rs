@@ -14,7 +14,7 @@ use crate::ingest::{CoarseSeed, RankSeed};
 use crate::mis::{pack_decisions, unpack_decisions, ProcDecisions};
 use crate::spmd::{decode_row_ids, encode_rows_into, rows_from_blobs};
 use pmg_comm::collectives::COLLECTIVE_TAG;
-use pmg_comm::{CommError, HaloExchange, LeWriter, LocalTransport, Transport};
+use pmg_comm::{halo_exchange, CommError, LeWriter, LocalTransport, Transport};
 use pmg_geometry::Vec3;
 use pmg_mesh::MeshShard;
 use pmg_partition::Graph;
@@ -240,15 +240,17 @@ proptest! {
         let vals: Vec<f64> = (0..n).map(|i| (i as f64 + salt as f64) * -0.25).collect();
         let mut ends = LocalTransport::pairs(2);
         let none: Vec<(usize, Vec<f64>)> = Vec::new();
-        HaloExchange::start(&mut ends[1], 5, [(0, vals.clone())], Vec::new()).unwrap();
+        let no_recvs: [(usize, &[u32]); 0] = [];
+        halo_exchange(&mut ends[1], 5, [(0, vals.clone())], no_recvs, &mut []).unwrap();
         let msg = ends[0].recv(1, 5).unwrap();
         let slots: Vec<u32> = (0..n as u32).rev().collect();
         let decode = |b: &[u8]| {
             let mut ends = LocalTransport::pairs(2);
             ends[1].send(0, 5, b).unwrap();
-            let hx = HaloExchange::start(&mut ends[0], 5, none.clone(), vec![(1, &slots[..])]);
             let mut ghosts = vec![0.0; n];
-            invalid_as_none(hx.unwrap().finish(&mut ends[0], &mut ghosts)).map(|()| ghosts)
+            let recvs = [(1, &slots[..])];
+            invalid_as_none(halo_exchange(&mut ends[0], 5, none.clone(), recvs, &mut ghosts))
+                .map(|()| ghosts)
         };
         check_mutations(&msg, &[], None, decode)?;
         let ghosts = decode(&msg).unwrap();

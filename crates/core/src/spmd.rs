@@ -38,28 +38,20 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Real time (seconds) a rank spent blocked on each communication phase,
-/// measured from the transport's wait clock — not modeled — plus what the
-/// communication/computation overlap hid from that clock.
+/// measured from the transport's wait clock — not modeled.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseWaits {
     /// Waiting on halo-exchange receives (level operator, R, P products).
-    /// With overlap enabled this is only the *blocked remainder* after the
-    /// interior-compute window: latency hidden behind interior work never
-    /// reaches the transport's wait clock and is accounted in
-    /// [`halo_hidden_s`](PhaseWaits::halo_hidden_s) instead — the two are
-    /// never double-counted.
     pub halo_s: f64,
     /// Waiting inside allreduces (inner products and norms).
     pub allreduce_s: f64,
     /// Waiting in the coarse-grid gather/solve/scatter.
     pub coarse_s: f64,
-    /// Wall-clock seconds of interior-compute windows that ran between
-    /// halo `start` and `finish` — message latency the overlap could hide.
+    /// Always 0: every halo exchange blocks, so no latency is hidden
+    /// behind local work. Still a field only because `benchmark/`'s
+    /// `comm.halo_hidden_s` reads it; it leaves with that metric at the
+    /// benchmark re-baseline (ROADMAP item 1).
     pub halo_hidden_s: f64,
-    /// Scalar rows computed inside overlap windows (no ghost references).
-    pub interior_rows: u64,
-    /// Scalar rows computed after their halo messages arrived.
-    pub boundary_rows: u64,
 }
 
 impl PhaseWaits {
@@ -67,9 +59,6 @@ impl PhaseWaits {
         pmg_telemetry::gauge_set("comm/wait/halo", self.halo_s);
         pmg_telemetry::gauge_set("comm/wait/allreduce", self.allreduce_s);
         pmg_telemetry::gauge_set("comm/wait/coarse", self.coarse_s);
-        pmg_telemetry::gauge_set("comm/overlap/halo_hidden_s", self.halo_hidden_s);
-        pmg_telemetry::counter_add("comm/overlap/interior_rows", self.interior_rows);
-        pmg_telemetry::counter_add("comm/overlap/boundary_rows", self.boundary_rows);
     }
 }
 
@@ -77,14 +66,10 @@ impl PhaseWaits {
 /// counterpart of the simulated hierarchy's `Precond` implementation.
 pub struct RankHierarchy<'a> {
     setup: &'a DistributedSetup,
-    /// The halo schedule (default on): operator, restriction, and
-    /// prolongation products — including the smoother's residual refresh —
-    /// compute interior rows between halo `start` and `finish`
-    /// (`spmv_overlapped`) instead of waiting for the ghosts first
-    /// (`spmv`). Nothing else depends on it: both settings send the same
-    /// messages, enter the same allreduces, and produce the same bits (see
-    /// `docs/comm.md`); flip off for A/B wait-time measurements of the
-    /// blocking schedule.
+    /// Read by nothing: every product runs the one blocking halo exchange
+    /// (`docs/comm.md`, "Halo schedule"). Still a field only because
+    /// `benchmark/`'s `comm.overlap_gain_frac` probe sets it; it leaves
+    /// with that metric at the benchmark re-baseline (ROADMAP item 1).
     pub overlap: bool,
 }
 
@@ -867,23 +852,11 @@ impl<'h, T: Transport> RankLevels<'_, 'h, T> {
     }
 
     /// `y = op · x` on message tag `tag`, with the wait time booked to the
-    /// halo phase. With overlap, the overlapped schedule runs and only the
-    /// blocked remainder reaches `halo_s` (the transport's wait clock ticks
-    /// inside blocking receives only, so latency spent computing interior
-    /// rows never enters it); the hidden window and row-split sizes
-    /// accumulate alongside.
+    /// halo phase.
     fn halo_spmv(&mut self, op: &RankMatrix, tag: u32, x: &[f64], y: &mut [f64]) -> Done<Self> {
-        let (t, w) = (&mut *self.t, &mut self.waits);
-        let before = t.stats().wait_s;
-        if self.h.overlap {
-            let info = op.spmv_overlapped(t, tag, x, y)?;
-            w.halo_hidden_s += info.hidden_s;
-            w.interior_rows += info.interior_rows;
-            w.boundary_rows += info.boundary_rows;
-        } else {
-            op.spmv(t, tag, x, y)?;
-        }
-        w.halo_s += t.stats().wait_s - before;
+        let before = self.t.stats().wait_s;
+        op.spmv(self.t, tag, x, y)?;
+        self.waits.halo_s += self.t.stats().wait_s - before;
         Ok(())
     }
 }
@@ -1080,16 +1053,13 @@ impl<T: Transport> PcgBackend for TransportPcg<'_, '_, T> {
 /// [`RankHierarchy`]: [`pmg_solver::pcg_generic`] on this rank's shares, and
 /// so the same recurrence as [`pmg_solver::pcg()`]. `b_local`/`x_local` are
 /// this rank's shares in the fine layout's owned order; `x_local` holds the
-/// initial guess and the solution. The schedule is the same for either
-/// setting of [`RankHierarchy::overlap`]: same messages, same allreduces.
+/// initial guess and the solution.
 ///
 /// Telemetry (rank 0 only): `pcg/iterations`, the `pcg/residuals` series,
 /// the cycle's scopes — `precond` and under it
 /// `level{N}/{smooth,restrict,prolong,coarse}`, entered as often as the
 /// simulator enters them — the real per-phase wait gauges
-/// `comm/wait/{halo,allreduce,coarse}`, and the overlap accounting
-/// `comm/overlap/{interior_rows,boundary_rows}` counters plus the
-/// `comm/overlap/halo_hidden_s` gauge.
+/// `comm/wait/{halo,allreduce,coarse}`.
 pub fn spmd_pcg<T: Transport>(
     t: &mut T,
     h: &RankHierarchy<'_>,
@@ -1151,7 +1121,6 @@ pub fn build_threads(
 /// [`build_threads`] returns them), connected by a [`LocalTransport`]
 /// machine. The returned solution is bitwise identical to the simulated
 /// [`pmg_solver::pcg()`] solve of the same problem at any rank count.
-/// Halos run on the overlapped schedule ([`RankHierarchy::overlap`]).
 pub fn solve_threads(
     setups: &[DistributedSetup],
     b: &[f64],
@@ -1315,37 +1284,6 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// [`solve_threads`] on the blocking halo schedule: [`spmd_pcg`] with
-    /// [`RankHierarchy::overlap`] off on every rank.
-    fn solve_blocking(
-        setups: &[DistributedSetup],
-        b: &[f64],
-        opts: PcgOptions,
-    ) -> SpmdSolveOutcome {
-        let layout = setups[0].fine_layout();
-        let per_rank = LocalTransport::run_ranks(setups.len(), |mut t| {
-            let rank = t.rank();
-            let mut h = setups[rank].rank_hierarchy();
-            h.overlap = false;
-            let bl: Vec<f64> = layout.owned(rank).iter().map(|&g| b[g as usize]).collect();
-            let mut xl = vec![0.0; bl.len()];
-            let (result, waits) = spmd_pcg(&mut t, &h, &bl, &mut xl, opts).unwrap();
-            (xl, result, waits, t.stats())
-        });
-        let mut x = vec![0.0; layout.num_global()];
-        for (rank, (xl, ..)) in per_rank.iter().enumerate() {
-            for (&g, &v) in layout.owned(rank).iter().zip(xl) {
-                x[g as usize] = v;
-            }
-        }
-        SpmdSolveOutcome {
-            x,
-            result: per_rank[0].1.clone(),
-            stats: per_rank.iter().map(|r| r.3).collect(),
-            waits: per_rank.iter().map(|r| r.2).collect(),
-        }
-    }
-
     #[test]
     fn shards_match_the_simulated_hierarchy() {
         // A hierarchy grown from partition-at-ingest seeds and per-rank
@@ -1353,7 +1291,7 @@ mod tests {
         // vectors, no coarse value allgather, the direct factor on rank 0
         // alone — holds level shares bitwise the simulated hierarchy's
         // local blocks, and its solve reproduces the simulated solve bit for
-        // bit under either halo schedule.
+        // bit.
         let opts = PcgOptions {
             rtol: 1e-8,
             max_iters: 60,
@@ -1416,37 +1354,17 @@ mod tests {
                     }
                 }
 
-                // The schedule flag changes only the schedule: the blocking
-                // run is the same arithmetic *and* the same traffic — every
-                // rank sends the same messages and enters the same
-                // allreduces — it just hides no halo window.
-                let over = solve_threads(&setups, &bg, opts).unwrap();
-                let block = solve_blocking(&setups, &bg, opts);
-                for (spmd, overlap) in [(&over, true), (&block, false)] {
-                    let at = format!("dofs={dofs} p={p} overlap={overlap}");
-                    let res = &spmd.result;
-                    assert_eq!(
-                        (res.converged, res.iterations),
-                        (sim_res.converged, sim_res.iterations),
-                        "{at}"
-                    );
-                    assert_eq!(bits(&res.residuals), bits(&sim_res.residuals), "{at}");
-                    assert_eq!(bits(&spmd.x), bits(&sim_x), "{at} solution");
-                }
-                assert!(over.stats.iter().any(|s| s.msgs > 0) || p == 1, "p={p}");
-                for (rank, (o, b)) in over.stats.iter().zip(&block.stats).enumerate() {
-                    assert_eq!(
-                        (o.msgs, o.bytes, o.allreduces),
-                        (b.msgs, b.bytes, b.allreduces),
-                        "p={p} rank={rank}: overlap must not change (msgs, bytes, allreduces)"
-                    );
-                }
-                let w0 = over.waits[0];
-                assert!(
-                    w0.interior_rows + w0.boundary_rows > 0,
-                    "p={p}: overlap row accounting must tick"
+                let spmd = solve_threads(&setups, &bg, opts).unwrap();
+                let at = format!("dofs={dofs} p={p}");
+                let res = &spmd.result;
+                assert_eq!(
+                    (res.converged, res.iterations),
+                    (sim_res.converged, sim_res.iterations),
+                    "{at}"
                 );
-                assert_eq!(block.waits[0].interior_rows, 0, "p={p}");
+                assert_eq!(bits(&res.residuals), bits(&sim_res.residuals), "{at}");
+                assert_eq!(bits(&spmd.x), bits(&sim_x), "{at} solution");
+                assert!(spmd.stats.iter().any(|s| s.msgs > 0) || p == 1, "p={p}");
             }
         }
     }

@@ -33,6 +33,6 @@ pub mod vec;
 pub use halo::{HaloMsg, HaloPlan, RankHalo};
 pub use layout::Layout;
 pub use matfree::{DistMatFree, SimOperator};
-pub use matrix::{DistMatrix, LocalBlock, OverlapInfo, RankMatrix};
+pub use matrix::{DistMatrix, LocalBlock, RankMatrix};
 pub use sim::{MachineModel, PhaseStats, RankCounters, Sim};
 pub use vec::DistVec;

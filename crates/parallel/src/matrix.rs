@@ -11,21 +11,20 @@
 //! A rank's share is one [`RankMatrix`] on both runtimes: the simulator's
 //! [`DistMatrix`] holds one per virtual rank and replays the halo plan in
 //! memory, a message-passing rank holds its own and sends the plan's
-//! messages ([`RankMatrix::spmv`], [`RankMatrix::spmv_overlapped`]) — the
-//! same kernels on the same storage, so the two are bitwise identical.
+//! messages ([`RankMatrix::spmv`]) — the same kernels on the same storage,
+//! so the two are bitwise identical.
 
 use crate::halo::{HaloPlan, RankHalo};
 use crate::layout::Layout;
 use crate::sim::Sim;
 use crate::vec::DistVec;
-use pmg_comm::{CommError, HaloExchange, Transport};
+use pmg_comm::{halo_exchange, CommError, Transport};
 use pmg_sparse::{
     for_each_tile, Bsr3Matrix, CsrMatrix, DenseMatrix, MaskedBsr3, MaskedBsr3Writer, MaskedRow,
     PatternFingerprint, RapPlan,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A sparse matrix distributed by rows over `row_layout`, whose columns are
 /// distributed by `col_layout` (square operators share one layout;
@@ -82,11 +81,10 @@ impl<'a> OwnedRows<'a> {
 }
 
 /// **One** rank's owned share of a distributed matrix: its rows split into
-/// the owned-column block `diag` and the ghost-column block `off`, the
-/// row classes of the overlapped product and the halo plan. A
-/// [`DistMatrix`] holds one per virtual rank; a message-passing rank builds
-/// only its own from the rows it owns (reading nothing of other ranks'
-/// rows beyond the replicated layout).
+/// the owned-column block `diag` and the ghost-column block `off`, and the
+/// halo plan. A [`DistMatrix`] holds one per virtual rank; a
+/// message-passing rank builds only its own from the rows it owns (reading
+/// nothing of other ranks' rows beyond the replicated layout).
 ///
 /// Both go through the same construction, so for the same layouts and the
 /// same global values the shares are **bitwise identical** — the parity
@@ -111,14 +109,6 @@ pub struct RankMatrix {
     off: CsrMatrix,
     /// Global ids of ghost columns, ascending.
     ghosts: Vec<u32>,
-    /// Row classes for communication/computation overlap, fixed at
-    /// distribution time and counted in the rows the `diag` product runs —
-    /// scalar rows, or block rows once promoted: *interior* rows reference
-    /// no ghost column (their product needs nothing from the wire),
-    /// *boundary* rows do (a block row when any of its three scalar rows
-    /// does). Ascending ids; together they partition the local rows.
-    interior: Vec<u32>,
-    boundary: Vec<u32>,
     /// The halo plan over every rank of `col_layout`; `None` until
     /// [`RankMatrix::install_plan`].
     plan: Option<Arc<HaloPlan>>,
@@ -307,21 +297,6 @@ impl Iterator for LocalRow<'_> {
     }
 }
 
-/// What one overlapped product hid: the interior-compute window that ran
-/// while the halo messages were in flight, and the row-split sizes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OverlapInfo {
-    /// Wall-clock seconds of the interior-compute window between
-    /// [`HaloExchange::start`] and [`HaloExchange::finish`] — latency the
-    /// overlap can hide (the blocked remainder shows up in the transport's
-    /// wait clock, not here).
-    pub hidden_s: f64,
-    /// Scalar rows computed inside the window (no ghost references).
-    pub interior_rows: u64,
-    /// Scalar rows computed after the ghosts arrived.
-    pub boundary_rows: u64,
-}
-
 /// Structural BSR3 eligibility — computable from the (replicated) layouts
 /// alone, with no communication: global dimensions are multiples of 3 and
 /// every rank's owned rows/columns come in vertex-aligned triples.
@@ -417,8 +392,8 @@ impl DistMatrix {
     /// distributed from, in place. While `a` keeps that matrix's sparsity
     /// pattern (Newton on a fixed mesh) only values move — each share
     /// checks the pattern of its own owned rows and rewrites their values
-    /// in the form it stores them; ghost lists, halo plan, row classes and
-    /// the tiles' structure stay, nothing is allocated — and the result is
+    /// in the form it stores them; ghost lists, halo plan and the tiles'
+    /// structure stay, nothing is allocated — and the result is
     /// bitwise what [`from_global`](Self::from_global) (`_blocked`, if this
     /// one is) builds from `a`; a changed pattern is exactly that rebuild.
     /// Returns whether the pattern held (counted: `distribute/refresh` /
@@ -716,13 +691,10 @@ impl RankMatrix {
         } else {
             Self::split_scalar(rows, &col_layout, rank)
         };
-        let (interior, boundary) = row_classes(&off, if blocked { 3 } else { 1 });
         RankMatrix {
             diag,
             off,
             ghosts,
-            interior,
-            boundary,
             plan: None,
             rank,
             row_layout,
@@ -986,14 +958,12 @@ impl RankMatrix {
     /// Resident bytes of this rank's share as stored: `diag` (scalar CSR,
     /// or the promoted tiles at 76 B per tile — see
     /// [`Bsr3Matrix::memory_bytes`] — plus 2 B of mask per tile), the
-    /// scalar `off` block, the ghost-column map and the overlap row
-    /// classes. Feeds the `mem/level{N}/operator_bytes` gauges of the
-    /// sharded setup path.
+    /// scalar `off` block and the ghost-column map. Feeds the
+    /// `mem/level{N}/operator_bytes` gauges of the sharded setup path.
     pub fn memory_bytes(&self) -> u64 {
         use pmg_sparse::Operator;
         let bytes = self.local_block().memory_bytes() + self.off.memory_bytes();
-        let indices = self.ghosts.len() + self.interior.len() + self.boundary.len();
-        bytes + 4 * indices as u64
+        bytes + 4 * self.ghosts.len() as u64
     }
 
     /// This rank's ghost-column global ids (ascending) — the payload each
@@ -1068,24 +1038,6 @@ impl RankMatrix {
         &plan.expect("RankMatrix product before install_plan").ranks[self.rank]
     }
 
-    /// Post this share's halo sends on `tag` (packing `x_local` per the
-    /// plan) and return the in-flight exchange.
-    fn start_exchange<T: Transport>(
-        &self,
-        t: &mut T,
-        tag: u32,
-        x_local: &[f64],
-    ) -> Result<HaloExchange<'_>, CommError> {
-        let halo = self.halo();
-        let sends = halo.send.iter().map(|msg| {
-            let packed = msg.idx.iter().map(|&li| x_local[li as usize]);
-            (msg.peer as usize, packed)
-        });
-        let recvs = halo.recv.iter();
-        let recvs = recvs.map(|msg| (msg.peer as usize, msg.idx.as_slice()));
-        HaloExchange::start(t, tag, sends, recvs.collect())
-    }
-
     /// `y_local = diag · x_local`, on the tiles once promoted.
     fn diag_spmv(&self, x_local: &[f64], y_local: &mut [f64]) {
         match &self.diag {
@@ -1094,44 +1046,21 @@ impl RankMatrix {
         }
     }
 
-    /// [`diag_spmv`](Self::diag_spmv) of one row class only (other entries
-    /// of `y_local` untouched); returns the scalar rows it computed.
-    fn diag_spmv_rows(&self, x_local: &[f64], y_local: &mut [f64], rows: &[u32]) -> u64 {
-        match &self.diag {
-            Diag::Csr(a, _) => a.spmv_rows(x_local, y_local, rows),
-            Diag::Tiles(t, _) => t.tiles().spmv_block_rows(x_local, y_local, rows),
-        }
-        (self.class_width() * rows.len()) as u64
-    }
-
-    /// Scalar rows per row-class entry: 3 once promoted, else 1.
-    fn class_width(&self) -> usize {
-        if self.bsr3_routed() {
-            3
-        } else {
-            1
-        }
-    }
-
     /// The off-diagonal (ghost-column) product accumulated into `y_local`,
-    /// shared verbatim between the blocking and overlapped paths and the
-    /// simulated [`DistMatrix::spmv`], which the bitwise parity contract
-    /// rests on. Each row of the boundary class sums its ghost entries in
-    /// column order from `+0.0`, as [`CsrMatrix::spmv`] does, and adds the
-    /// sum to its `diag` product. Interior rows are skipped: their sum
-    /// would be `+0.0`, and adding it changes only `-0.0`, which no
-    /// `diag` product leaves (its sums start from `+0.0` too).
+    /// shared verbatim between the transport product and the simulated
+    /// [`DistMatrix::spmv`], which the bitwise parity contract rests on.
+    /// Each row of `off` sums its ghost entries in column order from
+    /// `+0.0`, as [`CsrMatrix::spmv`] does, and adds the sum to its `diag`
+    /// product. A row without ghost entries adds `+0.0`, which changes
+    /// only `-0.0`, and no `diag` product leaves one (its sums start from
+    /// `+0.0` too).
     fn off_accumulate(&self, ghost_vals: &[f64], y_local: &mut [f64]) {
-        let width = self.class_width();
-        for &g in &self.boundary {
-            let rows = width * g as usize..width * (g as usize + 1);
-            for (i, y) in rows.clone().zip(&mut y_local[rows]) {
-                let (cols, vals) = self.off.row(i);
-                *y += cols
-                    .iter()
-                    .zip(vals)
-                    .fold(0.0, |acc, (&j, &v)| acc + v * ghost_vals[j]);
-            }
+        for (i, y) in y_local.iter_mut().enumerate() {
+            let (cols, vals) = self.off.row(i);
+            *y += cols
+                .iter()
+                .zip(vals)
+                .fold(0.0, |acc, (&j, &v)| acc + v * ghost_vals[j]);
         }
         pmg_sparse::flops::add(2 * self.off.nnz() as u64);
     }
@@ -1155,62 +1084,21 @@ impl RankMatrix {
         assert_eq!(x_local.len(), local.ncols(), "x_local length");
         assert_eq!(y_local.len(), local.nrows(), "y_local length");
 
-        // Sends first (buffered), then blocking receives: the classic
-        // deadlock-free exchange order for eager transports.
-        let hx = self.start_exchange(t, tag, x_local)?;
+        let halo = self.halo();
+        let sends = halo.send.iter().map(|msg| {
+            let packed = msg.idx.iter().map(|&li| x_local[li as usize]);
+            (msg.peer as usize, packed)
+        });
+        let recvs = halo
+            .recv
+            .iter()
+            .map(|msg| (msg.peer as usize, &msg.idx[..]));
         let mut ghost_vals = vec![0.0; self.ghosts.len()];
-        hx.finish(t, &mut ghost_vals)?;
+        halo_exchange(t, tag, sends, recvs, &mut ghost_vals)?;
         self.diag_spmv(x_local, y_local);
         self.off_accumulate(&ghost_vals, y_local);
         Ok(())
     }
-
-    /// `y_local = A_rank · x` with communication/computation overlap:
-    /// sends post, the interior rows (no ghost references) are computed
-    /// while the halo messages are in flight, then receives drain and the
-    /// boundary rows and ghost-column product finish the job.
-    ///
-    /// Bitwise identical to [`spmv`](Self::spmv): interior and boundary
-    /// row classes partition the local rows, each row's accumulation runs
-    /// the unchanged per-row kernel, and the ghost-column accumulate is the
-    /// same pass over the boundary rows — only the *schedule* differs.
-    /// Lockstep like [`spmv`](Self::spmv); blocking and overlapped callers
-    /// may not be mixed across ranks of one product.
-    pub fn spmv_overlapped<T: Transport>(
-        &self,
-        t: &mut T,
-        tag: u32,
-        x_local: &[f64],
-        y_local: &mut [f64],
-    ) -> Result<OverlapInfo, CommError> {
-        let local = self.local_block();
-        assert_eq!(x_local.len(), local.ncols(), "x_local length");
-        assert_eq!(y_local.len(), local.nrows(), "y_local length");
-
-        let hx = self.start_exchange(t, tag, x_local)?;
-        let window = Instant::now();
-        let interior_rows = self.diag_spmv_rows(x_local, y_local, &self.interior);
-        let hidden_s = window.elapsed().as_secs_f64();
-        let mut ghost_vals = vec![0.0; self.ghosts.len()];
-        hx.finish(t, &mut ghost_vals)?;
-        let boundary_rows = self.diag_spmv_rows(x_local, y_local, &self.boundary);
-        self.off_accumulate(&ghost_vals, y_local);
-        Ok(OverlapInfo {
-            hidden_s,
-            interior_rows,
-            boundary_rows,
-        })
-    }
-}
-
-/// The overlap's row classes of a share with ghost block `off`, over groups
-/// of `width` rows (1: scalar rows, 3: block rows): a group with any
-/// ghost-column entry is *boundary*, the rest are *interior* and can be
-/// computed while the halo messages are in flight. Ascending group ids.
-fn row_classes(off: &CsrMatrix, width: usize) -> (Vec<u32>, Vec<u32>) {
-    let ptr = off.row_ptr();
-    let groups = (off.nrows() / width) as u32;
-    (0..groups).partition(|&g| ptr[width * g as usize] == ptr[width * (g as usize + 1)])
 }
 
 /// Do the (ascending) global ids form whole vertex blocks `(3v, 3v+1, 3v+2)`?
@@ -1492,7 +1380,7 @@ mod tests {
             let tiles = t.tiles().memory_bytes();
             let masks = 2 * t.tiles().num_blocks() as u64;
             let off = 16 * s.off.nnz() as u64 + 8 * (s.off.nrows() + 1) as u64;
-            let lists = 4 * (s.ghosts.len() + s.interior.len() + s.boundary.len()) as u64;
+            let lists = 4 * s.ghosts.len() as u64;
             assert_eq!(s.memory_bytes(), tiles + masks + off + lists, "rank {r}");
             assert_eq!(s.local_block().memory_bytes(), tiles + masks, "rank {r}");
             // Stored scalar entries, not the tiles' nine per block.
@@ -1774,78 +1662,6 @@ mod tests {
             }
             for (a, b) in got.iter().zip(&expect) {
                 assert_eq!(a.to_bits(), b.to_bits(), "p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_spmv_bitwise_matches_blocking() {
-        let n = 29;
-        let a = laplacian(n);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
-        for p in [1, 2, 3, 5] {
-            let l = Layout::block(n, p);
-            let da = DistMatrix::from_global(&a, l.clone(), l.clone());
-            let da = &da;
-            let l2 = &l;
-            let x2 = &x;
-            let parts = LocalTransport::run_ranks(p, move |mut t| {
-                let r = t.rank();
-                let op = da.share(r);
-                let xl: Vec<f64> = l2.owned(r).iter().map(|&g| x2[g as usize]).collect();
-                let mut y1 = vec![0.0; op.local_block().nrows()];
-                op.spmv(&mut t, 7, &xl, &mut y1).unwrap();
-                let mut y2 = vec![0.0; op.local_block().nrows()];
-                let info = op.spmv_overlapped(&mut t, 7, &xl, &mut y2).unwrap();
-                (y1, y2, info)
-            });
-            for (r, (y1, y2, info)) in parts.iter().enumerate() {
-                assert_eq!(
-                    info.interior_rows + info.boundary_rows,
-                    y1.len() as u64,
-                    "p={p} r={r} row split must partition the local rows"
-                );
-                for (a, b) in y1.iter().zip(y2) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "p={p} r={r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_spmv_bitwise_matches_blocking_bsr3() {
-        let nb = 10;
-        let a = block_laplacian(nb);
-        let p = 3;
-        // Contiguous vertex blocks so ranks have both interior and
-        // boundary block rows.
-        let mut owner = vec![0u32; 3 * nb];
-        for v in 0..nb {
-            for c in 0..3 {
-                owner[3 * v + c] = ((v * p / nb) as u32).min(p as u32 - 1);
-            }
-        }
-        let l = Layout::from_part(owner, p);
-        let da = DistMatrix::from_global_blocked(&a, l.clone(), l.clone());
-        assert!(da.bsr3_routed());
-        let x: Vec<f64> = (0..3 * nb).map(|i| (i as f64 * 0.7).sin()).collect();
-        let da = &da;
-        let l2 = &l;
-        let x2 = &x;
-        let parts = LocalTransport::run_ranks(p, move |mut t| {
-            let r = t.rank();
-            let op = da.share(r);
-            let xl: Vec<f64> = l2.owned(r).iter().map(|&g| x2[g as usize]).collect();
-            let mut y1 = vec![0.0; op.local_block().nrows()];
-            op.spmv(&mut t, 5, &xl, &mut y1).unwrap();
-            let mut y2 = vec![0.0; op.local_block().nrows()];
-            let info = op.spmv_overlapped(&mut t, 5, &xl, &mut y2).unwrap();
-            (y1, y2, info)
-        });
-        for (r, (y1, y2, info)) in parts.iter().enumerate() {
-            assert_eq!(info.interior_rows + info.boundary_rows, y1.len() as u64);
-            for (a, b) in y1.iter().zip(y2) {
-                assert_eq!(a.to_bits(), b.to_bits(), "r={r}");
             }
         }
     }

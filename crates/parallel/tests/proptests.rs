@@ -1,7 +1,7 @@
 //! Property tests of the virtual-rank runtime: layouts, distributed
 //! vectors, and the ghost-exchange SpMV against arbitrary ownership maps —
-//! including the overlapped (interior/boundary row-split) SpMV, which must
-//! be bitwise identical to the blocking path for every ownership map.
+//! every rank's product over a real transport must be bitwise its slice of
+//! the simulated product for every ownership map.
 
 use pmg_comm::{LocalTransport, Transport};
 use pmg_parallel::{DistMatrix, DistVec, HaloPlan, Layout, MachineModel, Sim};
@@ -9,24 +9,28 @@ use pmg_sparse::{CooBuilder, CsrMatrix};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Run both the blocking and the overlapped SpMV of every rank's share of
-/// `da` on rank threads, inside one lockstep `run_ranks` call, and return,
-/// per rank, the two local products plus the overlap accounting.
-fn run_both_spmvs(
-    da: &DistMatrix,
-    x: &[f64],
-) -> Vec<(Vec<f64>, Vec<f64>, pmg_parallel::OverlapInfo)> {
+/// Run the SpMV of every rank's share of `da` on rank threads, inside one
+/// lockstep `run_ranks` call, and return, per rank, its local product
+/// beside its owned slice of the simulated `DistMatrix::spmv`.
+fn rank_and_sim_spmvs(da: &DistMatrix, x: &[f64]) -> Vec<(Vec<f64>, Vec<f64>)> {
     let l = da.row_layout();
-    LocalTransport::run_ranks(l.num_ranks(), move |mut t| {
+    let mut sim = Sim::new(l.num_ranks(), MachineModel::default());
+    let mut dy = DistVec::zeros(l.clone());
+    da.spmv(&mut sim, &DistVec::from_global(l.clone(), x), &mut dy);
+    let ys = dy.to_global();
+    let ranks = LocalTransport::run_ranks(l.num_ranks(), move |mut t| {
         let r = t.rank();
-        let share = da.share(r);
         let xl: Vec<f64> = l.owned(r).iter().map(|&g| x[g as usize]).collect();
-        let mut y1 = vec![0.0; xl.len()];
-        share.spmv(&mut t, 11, &xl, &mut y1).unwrap();
-        let mut y2 = vec![0.0; xl.len()];
-        let info = share.spmv_overlapped(&mut t, 11, &xl, &mut y2).unwrap();
-        (y1, y2, info)
-    })
+        let mut yl = vec![0.0; xl.len()];
+        da.share(r).spmv(&mut t, 11, &xl, &mut yl).unwrap();
+        yl
+    });
+    let slice = |r: usize| l.owned(r).iter().map(|&g| ys[g as usize]).collect();
+    ranks
+        .into_iter()
+        .enumerate()
+        .map(|(r, yl)| (yl, slice(r)))
+        .collect()
 }
 
 /// `a` distributed over `l` in scalar CSR.
@@ -150,7 +154,7 @@ proptest! {
     }
 
     #[test]
-    fn overlapped_spmv_matches_blocking_any_ownership(
+    fn rank_spmv_matches_simulated_any_ownership(
         owner in proptest::collection::vec(0u32..4, 10..40),
         entries in proptest::collection::vec((0usize..10, 0usize..10, -5.0f64..5.0), 0..80),
     ) {
@@ -164,11 +168,8 @@ proptest! {
         let a = b.build();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).sin()).collect();
         let l = Layout::from_part(owner, 4);
-        for (y1, y2, info) in run_both_spmvs(&scalar(&a, &l), &x).iter() {
-            prop_assert_eq!(
-                info.interior_rows + info.boundary_rows,
-                y1.len() as u64
-            );
+        for (r, (y1, y2)) in rank_and_sim_spmvs(&scalar(&a, &l), &x).iter().enumerate() {
+            prop_assert_eq!(y1.len(), l.owned(r).len());
             for (u, v) in y1.iter().zip(y2) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
             }
@@ -176,13 +177,12 @@ proptest! {
     }
 
     #[test]
-    fn overlapped_spmv_matches_blocking_with_empty_ranks(
+    fn rank_spmv_matches_simulated_with_empty_ranks(
         owner in proptest::collection::vec(0u32..3, 5..30),
         entries in proptest::collection::vec((0usize..8, 0usize..8, -5.0f64..5.0), 0..60),
     ) {
-        // Odd ranks of a 6-rank layout own nothing: the overlapped path
-        // must handle zero-row ranks (empty interior and boundary classes)
-        // without deadlocking the lockstep exchange.
+        // Odd ranks of a 6-rank layout own nothing: the exchange must
+        // handle zero-row ranks without deadlocking the lockstep program.
         let owner: Vec<u32> = owner.into_iter().map(|r| 2 * r).collect();
         let n = owner.len();
         let mut b = CooBuilder::new(n, n);
@@ -194,9 +194,8 @@ proptest! {
         let a = b.build();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos()).collect();
         let l = Layout::from_part(owner, 6);
-        for (r, (y1, y2, info)) in run_both_spmvs(&scalar(&a, &l), &x).iter().enumerate() {
+        for (r, (y1, y2)) in rank_and_sim_spmvs(&scalar(&a, &l), &x).iter().enumerate() {
             if r % 2 == 1 {
-                prop_assert_eq!(info.interior_rows + info.boundary_rows, 0u64);
                 prop_assert!(y1.is_empty());
             }
             for (u, v) in y1.iter().zip(y2) {
@@ -206,14 +205,13 @@ proptest! {
     }
 
     #[test]
-    fn overlapped_spmv_matches_blocking_all_boundary(
+    fn rank_spmv_matches_simulated_all_boundary(
         k in 1usize..12,
         diag in 1.0f64..5.0,
     ) {
         // Alternating ownership of a cyclic bidiagonal matrix (n even):
-        // every row references a column on the other rank, so the interior
-        // class is empty everywhere and the whole product runs after
-        // finish() — the degenerate worst case for overlap.
+        // every row of both ranks references a column on the other one,
+        // so every row's sum takes a ghost value.
         let n = 2 * k;
         let mut b = CooBuilder::new(n, n);
         for i in 0..n {
@@ -224,9 +222,8 @@ proptest! {
         let owner: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).sin()).collect();
         let l = Layout::from_part(owner, 2);
-        for (y1, y2, info) in run_both_spmvs(&scalar(&a, &l), &x).iter() {
-            prop_assert_eq!(info.interior_rows, 0u64);
-            prop_assert_eq!(info.boundary_rows, y1.len() as u64);
+        for (y1, y2) in rank_and_sim_spmvs(&scalar(&a, &l), &x).iter() {
+            prop_assert_eq!(y1.len(), k);
             for (u, v) in y1.iter().zip(y2) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
             }
@@ -234,7 +231,7 @@ proptest! {
     }
 
     #[test]
-    fn overlapped_spmv_matches_blocking_promoted_any_ownership(
+    fn rank_spmv_matches_simulated_promoted_any_ownership(
         vowner in proptest::collection::vec(0u32..4, 2..14),
         entries in proptest::collection::vec(
             (0usize..14, 0usize..14, 0usize..9, -5.0f64..5.0), 0..80),
@@ -275,14 +272,9 @@ proptest! {
         let (yb, ys) = (yb.to_global(), ys.to_global());
         let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&yb), bits(&ys));
-        for (r, (y1, y2, info)) in run_both_spmvs(&da, &x).iter().enumerate() {
-            prop_assert_eq!(
-                info.interior_rows + info.boundary_rows,
-                y1.len() as u64
-            );
+        for (r, (y1, y2)) in rank_and_sim_spmvs(&da, &x).iter().enumerate() {
+            prop_assert_eq!(y1.len(), l.owned(r).len());
             prop_assert_eq!(bits(y1), bits(y2));
-            let expect: Vec<f64> = l.owned(r).iter().map(|&g| yb[g as usize]).collect();
-            prop_assert_eq!(bits(y1), bits(&expect));
         }
     }
 

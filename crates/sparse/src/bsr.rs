@@ -18,8 +18,8 @@
 //! `u32`: 76 B per tile. The value array carries one extra `0.0` after the
 //! last tile.
 //!
-//! Every product (`spmv` and `spmv_block_rows`) runs one private
-//! per-block-row body whose SIMD lanes are the tile's three **rows**: per tile
+//! The product runs one private per-block-row body whose SIMD lanes are
+//! the tile's three **rows**: per tile
 //! `acc = acc + col_c · broadcast(x_c)` for `c = 0, 1, 2`. Lane `r` then
 //! executes `acc[r] += b[r][c] * x[c]` in ascending column order — exactly
 //! [`CsrMatrix::spmv`]'s sequence for scalar row `3·br + r` — so the bits
@@ -44,6 +44,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::flops;
+use std::ops::Range;
 
 /// `f64`s after the last tile: the four-lane read of a tile's third column
 /// ends one element past the tile, so the last tile needs one to land on.
@@ -133,20 +134,9 @@ impl Bsr3Matrix {
         self.product(x, y, 0..self.nblock_rows);
     }
 
-    /// `y[3·br .. 3·br+3] = (A x)[3·br .. 3·br+3]` for the listed block
-    /// rows only; other entries of `y` are untouched. The same per-block-
-    /// row body as [`spmv`], so computing a partition of the block rows in
-    /// any number of calls is bitwise equal to one full [`spmv`] — the
-    /// blocked counterpart of [`CsrMatrix::spmv_rows`].
-    ///
-    /// [`spmv`]: Bsr3Matrix::spmv
-    pub fn spmv_block_rows(&self, x: &[f64], y: &mut [f64], brows: &[u32]) {
-        self.product(x, y, brows.iter().map(|&br| br as usize));
-    }
-
     /// The product of the block rows `brows`, on the widest body the host
     /// runs (see the module docs for the order both bodies keep).
-    fn product(&self, x: &[f64], y: &mut [f64], brows: impl Iterator<Item = usize>) {
+    fn product(&self, x: &[f64], y: &mut [f64], brows: Range<usize>) {
         assert_eq!(x.len(), self.ncols());
         assert_eq!(y.len(), self.nrows());
         #[cfg(target_arch = "x86_64")]
@@ -165,12 +155,7 @@ impl Bsr3Matrix {
     /// Portable body of [`product`](Self::product): the only path off
     /// AVX2 hosts and the reference the vector body is tested against.
     /// Returns the tiles visited.
-    fn product_portable(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        brows: impl Iterator<Item = usize>,
-    ) -> usize {
+    fn product_portable(&self, x: &[f64], y: &mut [f64], brows: Range<usize>) -> usize {
         let mut tiles = 0;
         for br in brows {
             let (lo, hi) = (self.row_ptr[br], self.row_ptr[br + 1]);
@@ -202,12 +187,7 @@ impl Bsr3Matrix {
     /// `vals[9k + 9]`, is at worst the tail.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn product_avx2(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        brows: impl Iterator<Item = usize>,
-    ) -> usize {
+    unsafe fn product_avx2(&self, x: &[f64], y: &mut [f64], brows: Range<usize>) -> usize {
         use std::arch::x86_64::*;
         debug_assert_eq!(self.vals.len(), 9 * self.col_idx.len() + TAIL);
         let (vals, cols, x) = (self.vals.as_ptr(), self.col_idx.as_ptr(), x.as_ptr());
@@ -785,14 +765,10 @@ mod tests {
         let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut y1 = vec![0.0; a.nrows()];
         let mut y2 = vec![0.0; a.nrows()];
-        let mut y3 = vec![0.0; a.nrows()];
         a.spmv(&x, &mut y1);
         b.spmv(&x, &mut y2);
-        let all: Vec<u32> = (0..9).collect();
-        b.spmv_block_rows(&x, &mut y3, &all);
-        for ((u, v), w) in y1.iter().zip(&y2).zip(&y3) {
+        for (u, v) in y1.iter().zip(&y2) {
             assert!((u - v).abs() < 1e-14);
-            assert!((u - w).abs() < 1e-14);
         }
     }
 
@@ -1043,18 +1019,16 @@ mod tests {
 
     proptest! {
         /// The host's body (AVX2 where detected), the portable body and
-        /// `CsrMatrix::spmv` agree bit for bit, and so does any partition
-        /// of the block rows through `spmv_block_rows`: rectangular shapes,
-        /// empty and one-tile block rows, the last tile against the tail.
+        /// `CsrMatrix::spmv` agree bit for bit: rectangular shapes, empty
+        /// and one-tile block rows, the last tile against the tail.
         #[test]
-        fn prop_every_body_and_partition_equals_csr_bitwise(
+        fn prop_every_body_equals_csr_bitwise(
             shape in (1usize..6, 1usize..6),
             tiles in proptest::collection::vec(
                 (0usize..6, 0usize..6, 1usize..512,
                  proptest::collection::vec((0usize..6, -4.0f64..4.0), 9)),
                 0..14),
             x in proptest::collection::vec((0usize..6, -3.0f64..3.0), 15),
-            part in proptest::collection::vec(0usize..3, 5),
         ) {
             let (nbr, nbc) = shape;
             let mut coo = CooBuilder::new(3 * nbr, 3 * nbc);
@@ -1074,13 +1048,6 @@ mod tests {
             b.spmv(&x, &mut y);
             prop_assert_eq!(bits(&y), bits(&y_csr));
             prop_assert_eq!(bits(&portable_product(&b, &x)), bits(&y_csr));
-            let mut y_rows = vec![f64::NAN; 3 * nbr];
-            for class in 0..3 {
-                let brows: Vec<u32> =
-                    (0..nbr as u32).filter(|&br| part[br as usize] == class).collect();
-                b.spmv_block_rows(&x, &mut y_rows, &brows);
-            }
-            prop_assert_eq!(bits(&y_rows), bits(&y_csr));
         }
     }
 

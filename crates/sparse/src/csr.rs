@@ -401,31 +401,6 @@ impl CsrMatrix {
         flops::add(2 * self.nnz() as u64);
     }
 
-    /// `y[i] = (A x)[i]` for the listed `rows` only; other entries of `y`
-    /// are untouched. The per-row accumulation is identical to [`spmv`]
-    /// (same loop body, same order), so computing a partition of the rows
-    /// in any number of `spmv_rows` calls produces bitwise the same `y` as
-    /// one full [`spmv`] — the property the communication/computation
-    /// overlap in the SPMD solve path relies on.
-    ///
-    /// [`spmv`]: CsrMatrix::spmv
-    pub fn spmv_rows(&self, x: &[f64], y: &mut [f64], rows: &[u32]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        let mut nnz = 0u64;
-        for &i in rows {
-            let i = i as usize;
-            let (cols, vals) = self.row(i);
-            let mut acc = 0.0;
-            for (&j, &v) in cols.iter().zip(vals) {
-                acc += v * x[j];
-            }
-            y[i] = acc;
-            nnz += cols.len() as u64;
-        }
-        flops::add(2 * nnz);
-    }
-
     /// `y = Aᵀ x` without forming the transpose.
     pub fn spmv_transpose(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.nrows);

@@ -32,15 +32,6 @@ impl DenseMatrix {
         }
     }
 
-    /// The `n` x `n` identity.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Fill an `nrows` x `ncols` matrix from `f(i, j)`.
     pub fn from_fn(nrows: usize, ncols: usize, f: impl Fn(usize, usize) -> f64) -> Self {
         let mut m = Self::zeros(nrows, ncols);
@@ -486,11 +477,6 @@ impl Cholesky {
         true
     }
 
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Resident bytes of the envelope and its row offsets.
     pub fn memory_bytes(&self) -> u64 {
         8 * (self.u.len() + self.start.len()) as u64
@@ -645,7 +631,7 @@ mod tests {
 
     #[test]
     fn identity_matvec() {
-        let i = DenseMatrix::identity(4);
+        let i = DenseMatrix::from_fn(4, 4, |r, c| if r == c { 1.0 } else { 0.0 });
         let x = vec![1.0, 2.0, 3.0, 4.0];
         let mut y = vec![0.0; 4];
         i.matvec(&x, &mut y);

@@ -58,17 +58,11 @@ proptest! {
         let bsr = Bsr3Matrix::from_csr(&a);
         let mut y_csr = vec![0.0; 3 * NB];
         let mut y_bsr = vec![0.0; 3 * NB];
-        let mut y_rows = vec![0.0; 3 * NB];
         a.spmv(&x, &mut y_csr);
         bsr.spmv(&x, &mut y_bsr);
-        // Odd block rows first, then even: a partition in two calls.
-        let (odd, even): (Vec<u32>, Vec<u32>) = (0..NB as u32).partition(|br| br % 2 == 1);
-        bsr.spmv_block_rows(&x, &mut y_rows, &odd);
-        bsr.spmv_block_rows(&x, &mut y_rows, &even);
-        // The blocked kernels accumulate in the scalar kernel's per-row
+        // The blocked kernel accumulates in the scalar kernel's per-row
         // column order, so equality is exact — not approximate.
         prop_assert_eq!(&y_csr, &y_bsr);
-        prop_assert_eq!(&y_csr, &y_rows);
     }
 
     /// Scalar rows read through the tiles and their masks are the source

@@ -12,12 +12,6 @@
 //! residual-history bit patterns for the parity test to compare against the
 //! simulated solve.
 //!
-//! `PMG_OVERLAP=0` selects the blocking halo schedule for A/B wait-time
-//! measurements (`1`, unset or empty: overlapped; anything else is refused
-//! before the rendezvous); the solve — bits, messages, allreduces — is
-//! identical either way. The rank-0 artifact records the overlap accounting on an
-//! `overlap <interior_rows> <boundary_rows> <hidden_s>` line.
-//!
 //! Exits 0 iff the solve converged.
 
 use pmg_comm::{LeReader, LeWriter, SocketTransport, Transport};
@@ -25,16 +19,6 @@ use pmg_solver::PcgOptions;
 use prometheus::{spmd_pcg, RankHierarchy};
 use std::io::Write;
 use std::process::ExitCode;
-
-/// `PMG_OVERLAP`: `0` for the blocking halo schedule, `1` (or unset, or
-/// empty) for the overlapped one.
-fn parse_overlap(value: Option<&str>) -> Result<bool, String> {
-    match value {
-        None | Some("") | Some("1") => Ok(true),
-        Some("0") => Ok(false),
-        Some(v) => Err(format!("PMG_OVERLAP={v}: expected 0|1")),
-    }
-}
 
 fn main() -> ExitCode {
     let mut out_path = None;
@@ -52,17 +36,6 @@ fn main() -> ExitCode {
             }
         }
     }
-
-    let overlap = {
-        let value = std::env::var_os("PMG_OVERLAP").map(|v| v.to_string_lossy().into_owned());
-        match parse_overlap(value.as_deref()) {
-            Ok(overlap) => overlap,
-            Err(e) => {
-                eprintln!("spheres_rank: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
 
     let mut t = SocketTransport::connect_from_env()
         .expect("PMG_COMM_RANK/SIZE/DIR must be set (run under pmg-launch)");
@@ -85,8 +58,7 @@ fn main() -> ExitCode {
     let a_owned = sys.matrix.extract_rows(layout.owned(rank));
     let setup = RankHierarchy::build_from_shards(&mut t, &seed, &a_owned, opts.mg)
         .expect("sharded setup over sockets");
-    let mut h = setup.rank_hierarchy();
-    h.overlap = overlap;
+    let h = setup.rank_hierarchy();
 
     let bl: Vec<f64> = layout
         .owned(rank)
@@ -134,12 +106,6 @@ fn main() -> ExitCode {
                 waits.halo_s, waits.allreduce_s, waits.coarse_s
             )
             .unwrap();
-            writeln!(
-                f,
-                "overlap {} {} {:.9}",
-                waits.interior_rows, waits.boundary_rows, waits.halo_hidden_s
-            )
-            .unwrap();
             for v in &x {
                 writeln!(f, "x {:016x}", v.to_bits()).unwrap();
             }
@@ -161,22 +127,5 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_overlap;
-
-    #[test]
-    fn overlap_switch_rejects_anything_but_0_or_1() {
-        assert_eq!(parse_overlap(None), Ok(true));
-        assert_eq!(parse_overlap(Some("")), Ok(true));
-        assert_eq!(parse_overlap(Some("1")), Ok(true));
-        assert_eq!(parse_overlap(Some("0")), Ok(false));
-        for bad in ["false", "off", "2", "no"] {
-            let err = parse_overlap(Some(bad)).unwrap_err();
-            assert!(err.contains("PMG_OVERLAP") && err.contains("0|1"));
-        }
     }
 }

@@ -128,7 +128,7 @@ fn spheres10k_first_solve_is_pinned_bit_for_bit() {
     // the default solver: every kernel of the set-up and of FMG-PCG is on
     // this path, the smoother's block factors and solves included. One
     // rank pins the shares' diagonal products; two ranks add the ghost
-    // products and the overlapped halo schedule of every promoted level.
+    // products of every promoted level.
     // The one-rank hash was recorded before the block factors moved into
     // their envelope, the two-rank one before the ghost block lost its
     // padded BSR3 copy; a change to any kernel's arithmetic order must

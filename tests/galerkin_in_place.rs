@@ -4,7 +4,7 @@
 //! be, bit for bit, what the CSR route leaves — the product as a global CSR
 //! (`RapPlan::execute` of a fresh plan), distributed from scratch — in the
 //! shares (field for field: tiles, masks, the scalar ghost block `off`, its
-//! ghost list and row classes), in each rank's local block read as scalar
+//! ghost list), in each rank's local block read as scalar
 //! rows, and in the refactored smoother's application.
 
 use pmg_bench::spheres_first_solve;

@@ -182,14 +182,12 @@ fn block_jacobi_blocks_scale_with_local_size() {
 }
 
 /// Parse the `spheres_rank --out` artifact: iteration count, convergence
-/// flag, solution / residual-history bit patterns, and the interior-row
-/// count from the overlap accounting line.
-fn parse_rank_out(text: &str) -> (usize, bool, Vec<u64>, Vec<u64>, u64) {
+/// flag, and solution / residual-history bit patterns.
+fn parse_rank_out(text: &str) -> (usize, bool, Vec<u64>, Vec<u64>) {
     let mut iterations = 0usize;
     let mut converged = false;
     let mut x = Vec::new();
     let mut res = Vec::new();
-    let mut interior = 0u64;
     for line in text.lines() {
         let mut it = line.split_whitespace();
         match (it.next(), it.next()) {
@@ -197,13 +195,12 @@ fn parse_rank_out(text: &str) -> (usize, bool, Vec<u64>, Vec<u64>, u64) {
             (Some("converged"), Some(v)) => converged = v == "1",
             (Some("x"), Some(v)) => x.push(u64::from_str_radix(v, 16).unwrap()),
             (Some("res"), Some(v)) => res.push(u64::from_str_radix(v, 16).unwrap()),
-            (Some("overlap"), Some(v)) => interior = v.parse().unwrap(),
             // Timing/traffic lines are for the bench snapshot, not parity.
             (Some("solve_s" | "stats" | "waits"), _) => {}
             _ => panic!("unexpected line in rank output: {line}"),
         }
     }
-    (iterations, converged, x, res, interior)
+    (iterations, converged, x, res)
 }
 
 #[test]
@@ -246,139 +243,34 @@ fn spheres_solve_bitwise_identical_across_transports() {
     }
 
     // Multi-process: launch 2 ranks of the worker binary over sockets,
-    // once with the comm/compute overlap on (the default) and once forced
-    // off — both must reproduce the 2-rank simulated solve bitwise, and
-    // the overlapped run must actually have classified interior rows.
+    // which must reproduce the 2-rank simulated solve bitwise.
     let (ref_iters, ref_x, ref_res) = two_rank_reference.unwrap();
     let dir = std::env::temp_dir().join(format!("pmg-parity-{}", std::process::id()));
-    for overlap in [true, false] {
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("rank0.out");
-        let exits = pmg_comm::launch::launch_with_env(
-            2,
-            std::path::Path::new(env!("CARGO_BIN_EXE_spheres_rank")),
-            &["--out", out.to_str().unwrap()],
-            None,
-            &[("PMG_OVERLAP", if overlap { "1" } else { "0" })],
-        )
-        .expect("launch 2 socket ranks");
-        assert!(
-            exits.iter().all(|e| e.status.success()),
-            "socket ranks failed (overlap={overlap}): {exits:?}"
-        );
-        let (iters, converged, x_bits, res_bits, interior) =
-            parse_rank_out(&std::fs::read_to_string(&out).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
-        assert!(converged);
-        assert_eq!(
-            iters, ref_iters,
-            "socket iteration count (overlap={overlap})"
-        );
-        assert_eq!(x_bits.len(), ref_x.len());
-        for (got, want) in x_bits.iter().zip(&ref_x) {
-            assert_eq!(
-                *got,
-                want.to_bits(),
-                "socket solution bits (overlap={overlap})"
-            );
-        }
-        assert_eq!(res_bits.len(), ref_res.len());
-        for (got, want) in res_bits.iter().zip(&ref_res) {
-            assert_eq!(
-                *got,
-                want.to_bits(),
-                "socket residual bits (overlap={overlap})"
-            );
-        }
-        if overlap {
-            assert!(interior > 0, "overlapped run classified no interior rows");
-        } else {
-            assert_eq!(interior, 0, "blocking run must report no overlap work");
-        }
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("rank0.out");
+    let exits = pmg_comm::launch::launch(
+        2,
+        std::path::Path::new(env!("CARGO_BIN_EXE_spheres_rank")),
+        &["--out", out.to_str().unwrap()],
+        None,
+    )
+    .expect("launch 2 socket ranks");
+    assert!(
+        exits.iter().all(|e| e.status.success()),
+        "socket ranks failed: {exits:?}"
+    );
+    let (iters, converged, x_bits, res_bits) =
+        parse_rank_out(&std::fs::read_to_string(&out).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(converged);
+    assert_eq!(iters, ref_iters, "socket iteration count");
+    assert_eq!(x_bits.len(), ref_x.len());
+    for (got, want) in x_bits.iter().zip(&ref_x) {
+        assert_eq!(*got, want.to_bits(), "socket solution bits");
     }
-}
-
-/// `prometheus::solve_threads` on the blocking halo schedule: `spmd_pcg`
-/// with `RankHierarchy::overlap` off on every rank.
-fn solve_blocking(
-    setups: &[prometheus::DistributedSetup],
-    b: &[f64],
-    opts: PcgOptions,
-) -> prometheus::SpmdSolveOutcome {
-    let layout = setups[0].fine_layout();
-    let per_rank = pmg_comm::LocalTransport::run_ranks(setups.len(), |mut t| {
-        let rank = pmg_comm::Transport::rank(&t);
-        let mut h = setups[rank].rank_hierarchy();
-        h.overlap = false;
-        let bl: Vec<f64> = layout.owned(rank).iter().map(|&g| b[g as usize]).collect();
-        let mut xl = vec![0.0; bl.len()];
-        let (result, waits) = prometheus::spmd_pcg(&mut t, &h, &bl, &mut xl, opts).unwrap();
-        (xl, result, waits, pmg_comm::Transport::stats(&t))
-    });
-    let mut x = vec![0.0; layout.num_global()];
-    for (rank, (xl, ..)) in per_rank.iter().enumerate() {
-        for (&g, &v) in layout.owned(rank).iter().zip(xl) {
-            x[g as usize] = v;
-        }
-    }
-    prometheus::SpmdSolveOutcome {
-        x,
-        result: per_rank[0].1.clone(),
-        stats: per_rank.iter().map(|r| r.3).collect(),
-        waits: per_rank.iter().map(|r| r.2).collect(),
-    }
-}
-
-#[test]
-fn overlap_flag_changes_only_the_halo_schedule() {
-    // `RankHierarchy::overlap` picks `spmv_overlapped` over `spmv` and
-    // nothing else: on the spheres solve both settings give the same
-    // result bits *and* the same traffic on every rank. (Until PR 13 the
-    // flag also fused r·r with r·z behind a speculative preconditioner
-    // application: 28 vs 41 allreduces here, and one extra FMG cycle.)
-    let sys = pmg_bench::spheres_first_solve(0);
-    let pcg_opts = pmg_solver::PcgOptions {
-        rtol: pmg_bench::PARITY_RTOL,
-        max_iters: 200,
-        ..Default::default()
-    };
-    for p in [1usize, 2, 4] {
-        let setups = pmg_bench::parity_setups(&sys, p).unwrap();
-        let over = prometheus::solve_threads(&setups, &sys.rhs, pcg_opts).unwrap();
-        let block = solve_blocking(&setups, &sys.rhs, pcg_opts);
-        let (ro, rb) = (&over.result, &block.result);
-        assert!(ro.converged, "p={p}: {ro:?}");
-        assert_eq!(
-            (ro.iterations, ro.converged, ro.breakdown),
-            (rb.iterations, rb.converged, rb.breakdown),
-            "p={p}"
-        );
-        assert_eq!(
-            ro.rel_residual.to_bits(),
-            rb.rel_residual.to_bits(),
-            "p={p}"
-        );
-        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&ro.residuals),
-            bits(&rb.residuals),
-            "p={p} residual history"
-        );
-        assert_eq!(bits(&over.x), bits(&block.x), "p={p} solution");
-        for (rank, (o, b)) in over.stats.iter().zip(&block.stats).enumerate() {
-            assert_eq!(
-                (o.msgs, o.bytes, o.allreduces),
-                (b.msgs, b.bytes, b.allreduces),
-                "p={p} rank={rank}: (msgs, bytes, allreduces)"
-            );
-        }
-        // Textbook PCG: ‖b‖/‖r‖ fused, the first r·z, then p·w, r·r, r·z per
-        // iteration — the last iteration stops before its r·z.
-        assert_eq!(
-            over.stats[0].allreduces,
-            3 * ro.iterations as u64 + 1,
-            "p={p}"
-        );
+    assert_eq!(res_bits.len(), ref_res.len());
+    for (got, want) in res_bits.iter().zip(&ref_res) {
+        assert_eq!(*got, want.to_bits(), "socket residual bits");
     }
 }
 
@@ -500,19 +392,18 @@ fn spheres_sharded_ingest_bitwise_identical_over_sockets() {
         let dir = std::env::temp_dir().join(format!("pmg-shard-ingest-{p}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("rank0.out");
-        let exits = pmg_comm::launch::launch_with_env(
+        let exits = pmg_comm::launch::launch(
             p,
             std::path::Path::new(env!("CARGO_BIN_EXE_spheres_rank")),
             &["--out", out.to_str().unwrap()],
             None,
-            &[],
         )
         .expect("launch socket ranks with sharded ingest");
         assert!(
             exits.iter().all(|e| e.status.success()),
             "sharded-ingest socket ranks failed (p={p}): {exits:?}"
         );
-        let (iters, converged, x_bits, res_bits, _) =
+        let (iters, converged, x_bits, res_bits) =
             parse_rank_out(&std::fs::read_to_string(&out).unwrap());
         std::fs::remove_dir_all(&dir).ok();
         assert!(converged);
