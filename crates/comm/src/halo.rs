@@ -1,4 +1,5 @@
-//! Blocking halo exchange: every send posts, then every receive drains.
+//! The halo exchange: every send posts, the caller's local work runs while
+//! the messages are in flight, then every receive drains.
 //!
 //! [`Transport::send`] is asynchronous (buffered or eagerly written, never
 //! blocking on the receiver), so posting all sends before the first
@@ -8,22 +9,26 @@
 
 use crate::{CommError, LeReader, LeWriter, Transport};
 
-/// One halo exchange on `tag`: post every send, then drain every receive
-/// into `ghost_vals`.
+/// One halo exchange on `tag`: post every send, run `window`, then drain
+/// every receive into `ghost_vals`.
 ///
 /// `sends` yields `(peer, values)` messages, each packed straight into one
 /// message buffer that every send of the exchange reuses; `recvs` lists
 /// `(peer, ghost slots)` for every expected message — the slots (from a
 /// persistent halo plan) name, in wire order, the entries of `ghost_vals`
 /// the peer's message fills. A message that is not exactly 8 bytes per
-/// slot is [`CommError::Invalid`]. All ranks of the machine must exchange
-/// on the same `tag` in lockstep.
+/// slot is [`CommError::Invalid`]. `window` is the caller's work that
+/// needs no ghost value (a product's `diag` block): it runs while the
+/// messages are in flight, so a rank waits only for what is still on the
+/// wire after it. All ranks of the machine must exchange on the same `tag`
+/// in lockstep.
 pub fn halo_exchange<'a, T, S, V, R>(
     t: &mut T,
     tag: u32,
     sends: S,
     recvs: R,
     ghost_vals: &mut [f64],
+    window: impl FnOnce(),
 ) -> Result<(), CommError>
 where
     T: Transport,
@@ -36,6 +41,7 @@ where
         msg.clear();
         t.send(peer, tag, msg.f64s(vals).as_bytes())?;
     }
+    window();
     for (peer, slots) in recvs {
         let bytes = t.recv(peer, tag)?;
         let vals = LeReader::all_f64s(&bytes, slots.len()).ok_or_else(|| {
@@ -74,6 +80,7 @@ mod tests {
                 [(next, vec![r as f64 + 0.5])],
                 [(prev, slots.as_slice())],
                 &mut ghosts,
+                || (),
             )
             .unwrap();
             ghosts[0]
@@ -98,6 +105,7 @@ mod tests {
                 [(peer, vec![1.0])],
                 [(peer, slots.as_slice())],
                 &mut ghosts,
+                || (),
             )
             .is_err()
         });
@@ -113,7 +121,8 @@ mod tests {
             t.send(peer, 4, &[0u8; 11]).unwrap();
             let slots: Vec<u32> = vec![0];
             let none: [(usize, [f64; 0]); 0] = [];
-            halo_exchange(&mut t, 4, none, [(peer, slots.as_slice())], &mut [0.0]).is_err()
+            let recvs = [(peer, slots.as_slice())];
+            halo_exchange(&mut t, 4, none, recvs, &mut [0.0], || ()).is_err()
         });
         assert!(results.iter().all(|&bad| bad));
     }

@@ -241,7 +241,7 @@ proptest! {
         let mut ends = LocalTransport::pairs(2);
         let none: Vec<(usize, Vec<f64>)> = Vec::new();
         let no_recvs: [(usize, &[u32]); 0] = [];
-        halo_exchange(&mut ends[1], 5, [(0, vals.clone())], no_recvs, &mut []).unwrap();
+        halo_exchange(&mut ends[1], 5, [(0, vals.clone())], no_recvs, &mut [], || ()).unwrap();
         let msg = ends[0].recv(1, 5).unwrap();
         let slots: Vec<u32> = (0..n as u32).rev().collect();
         let decode = |b: &[u8]| {
@@ -249,8 +249,8 @@ proptest! {
             ends[1].send(0, 5, b).unwrap();
             let mut ghosts = vec![0.0; n];
             let recvs = [(1, &slots[..])];
-            invalid_as_none(halo_exchange(&mut ends[0], 5, none.clone(), recvs, &mut ghosts))
-                .map(|()| ghosts)
+            let got = halo_exchange(&mut ends[0], 5, none.clone(), recvs, &mut ghosts, || ());
+            invalid_as_none(got).map(|()| ghosts)
         };
         check_mutations(&msg, &[], None, decode)?;
         let ghosts = decode(&msg).unwrap();

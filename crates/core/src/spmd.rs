@@ -41,14 +41,16 @@ use std::sync::Arc;
 /// measured from the transport's wait clock — not modeled.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseWaits {
-    /// Waiting on halo-exchange receives (level operator, R, P products).
+    /// Waiting on halo-exchange receives (level operator, R, P products):
+    /// what was still on the wire after the product's `diag` block, which
+    /// runs while the halo is in flight.
     pub halo_s: f64,
     /// Waiting inside allreduces (inner products and norms).
     pub allreduce_s: f64,
     /// Waiting in the coarse-grid gather/solve/scatter.
     pub coarse_s: f64,
-    /// Always 0: every halo exchange blocks, so no latency is hidden
-    /// behind local work. Still a field only because `benchmark/`'s
+    /// Always 0: the `diag` product each halo exchange runs in flight is
+    /// not timed apart. Still a field only because `benchmark/`'s
     /// `comm.halo_hidden_s` reads it; it leaves with that metric at the
     /// benchmark re-baseline (ROADMAP item 1).
     pub halo_hidden_s: f64,
@@ -66,7 +68,7 @@ impl PhaseWaits {
 /// counterpart of the simulated hierarchy's `Precond` implementation.
 pub struct RankHierarchy<'a> {
     setup: &'a DistributedSetup,
-    /// Read by nothing: every product runs the one blocking halo exchange
+    /// Read by nothing: every product runs the one halo schedule
     /// (`docs/comm.md`, "Halo schedule"). Still a field only because
     /// `benchmark/`'s `comm.overlap_gain_frac` probe sets it; it leaves
     /// with that metric at the benchmark re-baseline (ROADMAP item 1).

@@ -1051,24 +1051,31 @@ impl RankMatrix {
     /// [`DistMatrix::spmv`], which the bitwise parity contract rests on.
     /// Each row of `off` sums its ghost entries in column order from
     /// `+0.0`, as [`CsrMatrix::spmv`] does, and adds the sum to its `diag`
-    /// product. A row without ghost entries adds `+0.0`, which changes
-    /// only `-0.0`, and no `diag` product leaves one (its sums start from
-    /// `+0.0` too).
+    /// product. A row without ghost entries — most rows of a share — is
+    /// skipped on its row pointers alone: its sum would be `+0.0`, which
+    /// changes only `-0.0`, and no `diag` product leaves one (its sums
+    /// start from `+0.0` too).
     fn off_accumulate(&self, ghost_vals: &[f64], y_local: &mut [f64]) {
-        for (i, y) in y_local.iter_mut().enumerate() {
-            let (cols, vals) = self.off.row(i);
-            *y += cols
+        let (cols, vals) = (self.off.col_idx(), self.off.vals());
+        for (ends, y) in self.off.row_ptr().windows(2).zip(y_local) {
+            if ends[0] == ends[1] {
+                continue;
+            }
+            let row = ends[0]..ends[1];
+            *y += cols[row.clone()]
                 .iter()
-                .zip(vals)
+                .zip(&vals[row])
                 .fold(0.0, |acc, (&j, &v)| acc + v * ghost_vals[j]);
         }
         pmg_sparse::flops::add(2 * self.off.nnz() as u64);
     }
 
     /// `y_local = A_rank · x` with a real halo exchange on message tag
-    /// `tag`: sends this rank's owned values per the plan, receives its
-    /// ghosts, computes locally — bitwise this rank's part of
-    /// [`DistMatrix::spmv`] (including the BSR3 branch).
+    /// `tag`: sends this rank's owned values per the plan, computes the
+    /// `diag` product while they are in flight, receives its ghosts and
+    /// adds the `off` product — bitwise this rank's part of
+    /// [`DistMatrix::spmv`] (including the BSR3 branch), which runs the
+    /// same two kernels in the same order.
     ///
     /// All ranks of the machine must call this in lockstep with their own
     /// shares of the same operator and the same tag (each operator of a
@@ -1094,8 +1101,8 @@ impl RankMatrix {
             .iter()
             .map(|msg| (msg.peer as usize, &msg.idx[..]));
         let mut ghost_vals = vec![0.0; self.ghosts.len()];
-        halo_exchange(t, tag, sends, recvs, &mut ghost_vals)?;
-        self.diag_spmv(x_local, y_local);
+        let diag = || self.diag_spmv(x_local, y_local);
+        halo_exchange(t, tag, sends, recvs, &mut ghost_vals, diag)?;
         self.off_accumulate(&ghost_vals, y_local);
         Ok(())
     }

@@ -44,7 +44,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::flops;
-use std::ops::Range;
 
 /// `f64`s after the last tile: the four-lane read of a tile's third column
 /// ends one element past the tile, so the last tile needs one to land on.
@@ -131,33 +130,33 @@ impl Bsr3Matrix {
     /// give NaN, see the module docs). Solvers routed through BSR therefore
     /// take exactly the same iteration path as the CSR-routed reference.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        self.product(x, y, 0..self.nblock_rows);
+        self.product(x, y);
     }
 
-    /// The product of the block rows `brows`, on the widest body the host
-    /// runs (see the module docs for the order both bodies keep).
-    fn product(&self, x: &[f64], y: &mut [f64], brows: Range<usize>) {
+    /// The product on the widest body the host runs (see the module docs
+    /// for the order both bodies keep).
+    fn product(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols());
         assert_eq!(y.len(), self.nrows());
         #[cfg(target_arch = "x86_64")]
         let tiles = if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 was just detected, and `x` has the `ncols()`
             // entries the body's unchecked reads rely on.
-            unsafe { self.product_avx2(x, y, brows) }
+            unsafe { self.product_avx2(x, y) }
         } else {
-            self.product_portable(x, y, brows)
+            self.product_portable(x, y)
         };
         #[cfg(not(target_arch = "x86_64"))]
-        let tiles = self.product_portable(x, y, brows);
+        let tiles = self.product_portable(x, y);
         flops::add(2 * 9 * tiles as u64);
     }
 
     /// Portable body of [`product`](Self::product): the only path off
     /// AVX2 hosts and the reference the vector body is tested against.
     /// Returns the tiles visited.
-    fn product_portable(&self, x: &[f64], y: &mut [f64], brows: Range<usize>) -> usize {
+    fn product_portable(&self, x: &[f64], y: &mut [f64]) -> usize {
         let mut tiles = 0;
-        for br in brows {
+        for br in 0..self.nblock_rows {
             let (lo, hi) = (self.row_ptr[br], self.row_ptr[br + 1]);
             let mut acc = [0.0f64; 3];
             for k in lo..hi {
@@ -180,19 +179,19 @@ impl Bsr3Matrix {
     /// lanes 0–2 of one `__m256d`, lane 3 accumulated and dropped.
     ///
     /// # Safety
-    /// Requires AVX2 and `x.len() == self.ncols()`. `brows` and `y` are
+    /// Requires AVX2 and `x.len() == self.ncols()`. `row_ptr` and `y` are
     /// bounds-checked; the per-tile reads are not, and hold by the struct
     /// invariants: `k < col_idx.len()` inside a block row, `col_idx[k] <
     /// nblock_cols` keeps `x[3·bc + c]` in range, and the last lane read,
     /// `vals[9k + 9]`, is at worst the tail.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn product_avx2(&self, x: &[f64], y: &mut [f64], brows: Range<usize>) -> usize {
+    unsafe fn product_avx2(&self, x: &[f64], y: &mut [f64]) -> usize {
         use std::arch::x86_64::*;
         debug_assert_eq!(self.vals.len(), 9 * self.col_idx.len() + TAIL);
         let (vals, cols, x) = (self.vals.as_ptr(), self.col_idx.as_ptr(), x.as_ptr());
         let mut tiles = 0;
-        for br in brows {
+        for br in 0..self.nblock_rows {
             let (lo, hi) = (self.row_ptr[br], self.row_ptr[br + 1]);
             let mut acc = _mm256_setzero_pd();
             for k in lo..hi {
@@ -775,7 +774,7 @@ mod tests {
     /// `x` through the portable body alone (`spmv` takes the host's widest).
     fn portable_product(b: &Bsr3Matrix, x: &[f64]) -> Vec<f64> {
         let mut y = vec![f64::NAN; b.nrows()];
-        b.product_portable(x, &mut y, 0..b.nblock_rows);
+        b.product_portable(x, &mut y);
         y
     }
 
