@@ -20,7 +20,7 @@ use pmg_bench::{spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
 use pmg_geometry::{Delaunay, Predicates, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
 use pmg_parallel::{DistMatrix, DistVec, Layout, MachineModel, RankMatrix, Sim};
-use pmg_partition::{partition_graph, refine_kl, Graph};
+use pmg_partition::{partition_graph, Graph, TwinQuotient};
 use pmg_solver::RankJacobi;
 use pmg_sparse::dense::{Cholesky, DenseMatrix};
 use pmg_sparse::{Bsr3Matrix, CsrMatrix, Operator, PatternFingerprint, RapPlan};
@@ -458,7 +458,9 @@ fn bench_held_rows(_c: &mut Criterion) {
     let planned = || RapPlan::new(a, &r).execute(a);
     let mut kept = plan().0;
     let mut warm = || {
-        let tiles = kept.tile_held(&held);
+        let tiles = kept
+            .tile_held(&held)
+            .expect("the rows the plan was built over");
         kept.execute_tiles_csr(&tiles)
     };
     let want = planned();
@@ -601,18 +603,25 @@ fn bench_rank_jacobi(_c: &mut Criterion) {
     }
 }
 
-/// The symbolic half of the fine-grid smoother set-up at the same size: the
-/// 9.8k-dof spheres operator's pattern cut into 6 blocks per 1000 dofs, as
-/// one rank's block is. `refine_kl` runs its 4 passes from index runs of the
-/// regions' size, so `partition_graph` less `refine_kl` is about what the
-/// seed search and region growth cost.
+/// The smoother's symbolic half at the same size: the 9.8k-dof spheres
+/// operator's pattern cut into 6 blocks per 1000 dofs, as one rank's block
+/// is. `partition_graph` partitions the dof graph (`from_pattern`) through
+/// its twin quotient, as the benchmark's `partition.blocks_s` does;
+/// `refine_kl` is the quotient's refinement, 4 passes from index runs of
+/// the regions' size; `smoother_symbolic_lvl{0,1}` is `RankJacobi::new`
+/// less its numeric half (the fastest `refactor`) on the `cold10k`
+/// hierarchy's level-0 and level-1 shares, read through their tiles as the
+/// hierarchy reads them — quotient, growth, refinement, index maps and
+/// envelopes, and the factors' first allocation.
 fn bench_block_partition(_c: &mut Criterion) {
-    let a = newton10k_system().matrix;
+    let sys = newton10k_system();
+    let a = &sys.matrix;
     let n = a.nrows();
-    let per_1000 = MgOptions::default().blocks_per_1000;
-    let nblocks = ((per_1000 * n as f64 / 1000.0).round() as usize).clamp(1, n);
+    let opts = MgOptions::default();
+    let nblocks = ((opts.blocks_per_1000 * n as f64 / 1000.0).round() as usize).clamp(1, n);
     let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
     let g = Graph::from_pattern(row_ptr, col_idx);
+    let q = TwinQuotient::of_graph(&g);
     let runs: Vec<u32> = (0..n).map(|v| (v / n.div_ceil(nblocks)) as u32).collect();
     let from_pattern = sorted_times(40, || {
         black_box(Graph::from_pattern(black_box(row_ptr), col_idx));
@@ -622,20 +631,33 @@ fn bench_block_partition(_c: &mut Criterion) {
     });
     let refine = sorted_times(40, || {
         let mut part = runs.clone();
-        refine_kl(black_box(&g), &mut part, nblocks, 4);
+        q.refine_kl(black_box(&mut part), nblocks, 4);
         black_box(part);
     });
+    let mut rows = vec![
+        ("from_pattern".to_string(), from_pattern),
+        ("partition_graph".to_string(), partition),
+        ("refine_kl".to_string(), refine),
+    ];
+    let solver = Prometheus::from_mesh(&sys.mesh, a, PrometheusOptions::default());
+    for lvl in 0..2 {
+        let local = solver.mg.levels[lvl].a.local_block(0);
+        assert!(local.tiles().is_some(), "the level-{lvl} share is tiled");
+        let build = || RankJacobi::new(black_box(local), opts.blocks_per_1000, opts.omega);
+        let new = sorted_times(20, || _ = black_box(build()));
+        let mut rj = build();
+        let numeric = sorted_times(20, || rj.refactor(black_box(local)));
+        let symbolic = new.iter().map(|t| t - numeric[0]).collect();
+        rows.push((format!("smoother_symbolic_lvl{lvl}"), symbolic));
+    }
     println!(
-        "# group: block_partition (n = {n}, nnz = {}, {nblocks} blocks)",
-        col_idx.len()
+        "# group: block_partition (n = {n}, nnz = {}, {nblocks} blocks, {} twin classes)",
+        col_idx.len(),
+        q.num_classes()
     );
-    for (name, times) in [
-        ("from_pattern", from_pattern),
-        ("partition_graph", partition),
-        ("refine_kl", refine),
-    ] {
+    for (name, times) in rows {
         println!(
-            "block_partition/{name:<17} min {:>8.3} ms   median {:>8.3} ms   {}",
+            "block_partition/{name:<23} min {:>8.3} ms   median {:>8.3} ms   {}",
             times[0] * 1e3,
             times[times.len() / 2] * 1e3,
             vs_ref(times[0])

@@ -230,6 +230,29 @@ impl<'a> LocalBlock<'a> {
         }
     }
 
+    /// Rows per block row of [`for_each_block`](Self::for_each_block): 3
+    /// for a promoted block, 1 for scalar CSR.
+    pub fn block_size(&self) -> usize {
+        match self.block {
+            BlockRef::Csr(_) => 1,
+            BlockRef::Tiles(..) => 3,
+        }
+    }
+
+    /// The pattern of block row `br`, values unread: `f(block column,
+    /// mask)` per stored block, block columns ascending, bit `B·c + r` of
+    /// the mask set when entry `(r, c)` is stored — a promoted block's
+    /// tiles and their masks as stored, a scalar block's row `br` as
+    /// `1 × 1` blocks (mask 1). The walk the smoother's partitioner reads
+    /// its twin classes and their adjacency from.
+    #[inline]
+    pub fn for_each_block(&self, br: usize, mut f: impl FnMut(usize, u16)) {
+        match self.block {
+            BlockRef::Csr(a) => a.row(br).0.iter().for_each(|&j| f(j, 1)),
+            BlockRef::Tiles(t, _) => t.block_row(br).for_each(|(bc, m)| f(bc, m)),
+        }
+    }
+
     /// `f(column, value)` for row `i`'s entries at or left of its
     /// diagonal, in ascending column order — the lower triangle the
     /// block-Jacobi smoother factors, read with one dispatch per row.

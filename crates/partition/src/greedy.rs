@@ -2,261 +2,19 @@
 //!
 //! This is the METIS stand-in used to build the block-Jacobi smoother blocks
 //! (the paper: "block Jacobi with 6 blocks for every 1,000 unknowns (these
-//! block Jacobi sub-domains are constructed with METIS)").
+//! block Jacobi sub-domains are constructed with METIS)"). The algorithm
+//! runs on the twin quotient ([`crate::quotient`]); the vertex-level
+//! algorithm it replays is kept as the `#[cfg(test)]` oracle.
 
 use crate::graph::Graph;
+use crate::quotient::TwinQuotient;
 
 /// Partition `g` into `nparts` parts of near-equal size by repeated greedy
-/// region growing, then improve the edge cut with [`refine_kl`].
-///
-/// Each region is a plain FIFO breadth-first search from a pseudo-peripheral
-/// seed of the unassigned remainder, enqueuing neighbours in ascending
-/// order, until it holds `⌈n / nparts⌉` vertices. Linear in `n + E` apart
-/// from the seed search, which is still one search per region, but over
-/// the twin quotient: runs of consecutive vertices with equal closed
-/// neighbourhoods (the dofs of one mesh vertex) are searched as one class.
+/// region growing, then improve the edge cut with Kernighan–Lin style
+/// refinement: [`TwinQuotient::partition`] on the quotient of `g` by its
+/// maximal runs of consecutive closed twins (the dofs of one mesh vertex).
 pub fn partition_graph(g: &Graph, nparts: usize) -> Vec<u32> {
-    assert!(nparts >= 1);
-    let n = g.num_vertices();
-    let mut part = vec![u32::MAX; n];
-    if nparts == 1 || n == 0 {
-        part.iter_mut().for_each(|p| *p = 0);
-        return part;
-    }
-    let target = n.div_ceil(nparts);
-    let mut assigned = 0usize;
-    let mut current = 0u32;
-    let mut count = 0usize;
-    // Assignments are never undone, so the first unassigned vertex only
-    // moves forward.
-    let mut first_unassigned = 0usize;
-    let mut quotient = TwinQuotient::new(g);
-    let mut queue = std::collections::VecDeque::new();
-    while assigned < n {
-        while part[first_unassigned] != u32::MAX {
-            first_unassigned += 1;
-        }
-        let seed = quotient.peripheral_unassigned(&part, first_unassigned);
-        queue.clear();
-        queue.push_back(seed as u32);
-        while let Some(v) = queue.pop_front() {
-            let v = v as usize;
-            if part[v] != u32::MAX {
-                continue;
-            }
-            part[v] = current;
-            quotient.assign(v);
-            assigned += 1;
-            count += 1;
-            if count >= target && current + 1 < nparts as u32 {
-                current += 1;
-                count = 0;
-                break;
-            }
-            for &w in g.neighbors(v) {
-                if part[w as usize] == u32::MAX {
-                    queue.push_back(w);
-                }
-            }
-        }
-        // Region ran out of frontier (disconnected remainder): loop finds a
-        // new seed and keeps filling the same part until it reaches target.
-    }
-    refine_kl(g, &mut part, nparts, 4);
-    part
-}
-
-/// The seed search's graph: the quotient of `g` by its twin classes,
-/// maximal runs of consecutive vertices whose closed neighbourhoods
-/// `adj(v) ∪ {v}` are equal, with a per-class count of unassigned members.
-///
-/// A search over classes finds the vertex the scalar BFS over unassigned
-/// vertices finds (`oracle::peripheral_unassigned`). Every vertex adjacent
-/// to one member of a class is adjacent to all of them, and a class's
-/// members are consecutive, so the first scan that reaches a class appends
-/// all of its unassigned members together, in ascending order; their twins
-/// scan the same neighbourhood and find nothing new. The root's own class
-/// is the one exception: the root's scan appends the class's other
-/// unassigned members at the class's sorted position. The root is the
-/// lowest unassigned vertex, so no class below its own has an unassigned
-/// member and that position is first, right after the root: the class
-/// order is the scalar order with each class's run collapsed.
-///
-/// `stamp[c] == epoch` marks class `c` visited by the current search, so
-/// starting a search is a counter bump, not a clear.
-struct TwinQuotient {
-    /// The class of each vertex.
-    class_of: Vec<u32>,
-    /// Class `c` is the vertex run `start[c]..start[c + 1]`.
-    start: Vec<u32>,
-    /// Class adjacency in CSR form, ascending, without self loops.
-    xadj: Vec<usize>,
-    adjncy: Vec<u32>,
-    unassigned: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    order: Vec<u32>,
-}
-
-impl TwinQuotient {
-    /// O(n + E): each list is compared with the next one, and a class's
-    /// adjacency is read off its first member's list.
-    fn new(g: &Graph) -> TwinQuotient {
-        let n = g.num_vertices();
-        let mut class_of = Vec::with_capacity(n);
-        let mut start = vec![0u32];
-        for v in 0..n {
-            if v > 0 && !closed_twins(g, v - 1) {
-                start.push(v as u32);
-            }
-            class_of.push(start.len() as u32 - 1);
-        }
-        let classes = start.len();
-        start.push(n as u32);
-        let mut xadj = Vec::with_capacity(classes + 1);
-        xadj.push(0);
-        let mut adjncy = Vec::new();
-        for (c, &first) in start[..classes].iter().enumerate() {
-            // The list is sorted and classes are index runs, so the class
-            // ids come non-decreasing: a repeat is the last one pushed.
-            let row = adjncy.len();
-            for &w in g.neighbors(first as usize) {
-                let d = class_of[w as usize];
-                if d as usize != c && adjncy[row..].last() != Some(&d) {
-                    adjncy.push(d);
-                }
-            }
-            xadj.push(adjncy.len());
-        }
-        TwinQuotient {
-            class_of,
-            unassigned: start.windows(2).map(|r| r[1] - r[0]).collect(),
-            start,
-            xadj,
-            adjncy,
-            stamp: vec![0; classes],
-            epoch: 0,
-            order: Vec::new(),
-        }
-    }
-
-    /// Record that vertex `v` was assigned to a part.
-    fn assign(&mut self, v: usize) {
-        self.unassigned[self.class_of[v] as usize] -= 1;
-    }
-
-    /// BFS-farthest vertex from `root`, the lowest unassigned vertex,
-    /// restricted to unassigned vertices (a cheap pseudo-peripheral
-    /// heuristic): the highest unassigned member of the last class the
-    /// search appends, the root's own class if it appends no other.
-    fn peripheral_unassigned(&mut self, part: &[u32], root: usize) -> usize {
-        // At most one search per vertex, so the epoch cannot wrap.
-        self.epoch += 1;
-        let root_class = self.class_of[root];
-        self.order.clear();
-        self.order.push(root_class);
-        self.stamp[root_class as usize] = self.epoch;
-        let mut head = 0;
-        while head < self.order.len() {
-            self.scan(self.order[head]);
-            head += 1;
-        }
-        let last = self.order[self.order.len() - 1];
-        let mut v = self.start[last as usize + 1] as usize - 1;
-        while part[v] != u32::MAX {
-            v -= 1;
-        }
-        v
-    }
-
-    /// Append the unvisited classes next to `c` that still have an
-    /// unassigned member, in ascending order.
-    fn scan(&mut self, c: u32) {
-        let c = c as usize;
-        for &d in &self.adjncy[self.xadj[c]..self.xadj[c + 1]] {
-            if self.stamp[d as usize] != self.epoch && self.unassigned[d as usize] > 0 {
-                self.stamp[d as usize] = self.epoch;
-                self.order.push(d);
-            }
-        }
-    }
-}
-
-/// Whether `v` and `v + 1` are closed twins: `v + 1` is in `adj(v)` and
-/// stands where `v` stands in `adj(v + 1)`, every other entry equal.
-fn closed_twins(g: &Graph, v: usize) -> bool {
-    let (a, b) = (g.neighbors(v), g.neighbors(v + 1));
-    let (v, next) = (v as u32, v as u32 + 1);
-    a.len() == b.len()
-        && a.binary_search(&next).is_ok()
-        && a.iter()
-            .zip(b)
-            .all(|(&x, &y)| x == y || (x == next && y == v))
-}
-
-/// Greedy boundary refinement: repeatedly move boundary vertices to the
-/// neighboring part where they have more neighbors, when balance permits
-/// (parts may not shrink below `ideal - slack`). A lightweight
-/// Kernighan–Lin / Fiduccia–Mattheyses variant; `passes` bounds the sweeps.
-///
-/// O(deg) per vertex: one pass over the neighbors counts them per part,
-/// remembering the parts in first-seen order; the winner is the first of
-/// those whose gain is strictly greater than every earlier one's.
-pub fn refine_kl(g: &Graph, part: &mut [u32], nparts: usize, passes: usize) {
-    let n = g.num_vertices();
-    if n == 0 || nparts <= 1 {
-        return;
-    }
-    let mut sizes = vec![0usize; nparts];
-    for &p in part.iter() {
-        sizes[p as usize] += 1;
-    }
-    let ideal = n / nparts;
-    let min_size = ideal.saturating_sub(ideal / 4 + 1).max(1);
-    // Neighbors of the current vertex per part (all zero between vertices)
-    // and the parts with a nonzero count, in first-seen order.
-    let mut neighbors_in = vec![0i64; nparts];
-    let mut touched: Vec<u32> = Vec::new();
-
-    for _ in 0..passes {
-        let mut moved = 0usize;
-        for v in 0..n {
-            let pv = part[v] as usize;
-            if sizes[pv] <= min_size {
-                continue;
-            }
-            for &w in g.neighbors(v) {
-                let p = part[w as usize];
-                if neighbors_in[p as usize] == 0 {
-                    touched.push(p);
-                }
-                neighbors_in[p as usize] += 1;
-            }
-            let internal = neighbors_in[pv];
-            let mut best_part = pv;
-            let mut best_gain = 0i64;
-            for &cand in &touched {
-                let cand = cand as usize;
-                let gain = neighbors_in[cand] - internal;
-                if cand != pv && gain > best_gain {
-                    best_gain = gain;
-                    best_part = cand;
-                }
-            }
-            for p in touched.drain(..) {
-                neighbors_in[p as usize] = 0;
-            }
-            if best_part != pv {
-                part[v] = best_part as u32;
-                sizes[pv] -= 1;
-                sizes[best_part] += 1;
-                moved += 1;
-            }
-        }
-        if moved == 0 {
-            break;
-        }
-    }
+    TwinQuotient::of_graph(g).partition(nparts)
 }
 
 /// Group vertex indices by part: `groups[p]` lists the vertices of part `p`.
@@ -289,12 +47,11 @@ pub fn part_imbalance(part: &[u32], nparts: usize) -> f64 {
     max as f64 * nparts as f64 / part.len() as f64
 }
 
-/// The quadratic partitioner the linear-time kernels above replaced — an
-/// O(n) seed scan, a fresh visited array and a BFS over vertices per region
-/// (the scalar seed search the twin quotient replaced), an O(deg²)
-/// refinement step — kept verbatim as the oracle: the fast kernels must
-/// return the identical `part` vector (the smoother's blocks, and with
-/// them every solution bit, depend on it).
+/// The vertex-level partitioner the quotient replays — an O(n) seed scan,
+/// a fresh visited array and a BFS over vertices per region, an O(deg²)
+/// refinement step — kept verbatim as the oracle: the quotient partitioner
+/// must return the identical `part` vector (the smoother's blocks, and
+/// with them every solution bit, depend on it).
 #[cfg(test)]
 mod oracle {
     use crate::graph::Graph;
@@ -418,6 +175,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quotient::BlockPattern;
     use proptest::prelude::*;
 
     fn grid_graph(nx: usize, ny: usize) -> Graph {
@@ -481,7 +239,7 @@ mod tests {
         // Intentionally bad partition: striped by parity.
         let mut part: Vec<u32> = (0..144).map(|v| (v % 2) as u32).collect();
         let before = g.edge_cut(&part);
-        refine_kl(&g, &mut part, 2, 8);
+        TwinQuotient::of_graph(&g).refine_kl(&mut part, 2, 8);
         let after = g.edge_cut(&part);
         assert!(after < before, "refinement failed: {before} -> {after}");
     }
@@ -541,35 +299,138 @@ mod tests {
         Graph::from_edges(n, edges)
     }
 
-    /// `base` with each vertex `i` blown up into a run of `runs[i] % 4 + 1`
-    /// consecutive closed twins, adjacent to one another and to every member
-    /// of `i`'s neighbours as a mesh vertex's dofs are; then the members
-    /// `fixed` names lose every edge, as a Dirichlet dof does.
-    fn twin_graph(base: &Graph, runs: &[usize], fixed: &[usize]) -> Graph {
-        let m = base.num_vertices();
-        let mut first = vec![0usize; m + 1];
-        for i in 0..m {
-            first[i + 1] = first[i] + runs[i] % 4 + 1;
+    /// A stored square pattern in CSR form, columns ascending per row.
+    struct Pattern {
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+    }
+
+    impl Pattern {
+        /// The entries `(i, j)` of an `n × n` pattern that `stored` names.
+        fn of(n: usize, stored: impl Fn(usize, usize) -> bool) -> Pattern {
+            let (mut row_ptr, mut col_idx) = (vec![0], Vec::new());
+            for i in 0..n {
+                col_idx.extend((0..n).filter(|&j| stored(i, j)));
+                row_ptr.push(col_idx.len());
+            }
+            Pattern { row_ptr, col_idx }
         }
-        let n = first[m];
+
+        /// The graph the partitioner sees: symmetrised, no diagonal.
+        fn graph(&self) -> Graph {
+            Graph::from_pattern(&self.row_ptr, &self.col_idx)
+        }
+
+        /// Read in `b × b` blocks.
+        fn blocks(&self, b: usize) -> Blocks<'_> {
+            Blocks { p: self, b }
+        }
+    }
+
+    struct Blocks<'a> {
+        p: &'a Pattern,
+        b: usize,
+    }
+
+    impl BlockPattern for Blocks<'_> {
+        fn nrows(&self) -> usize {
+            self.p.row_ptr.len() - 1
+        }
+
+        fn block_size(&self) -> usize {
+            self.b
+        }
+
+        fn for_each_block(&self, br: usize, mut f: impl FnMut(usize, u16)) {
+            let (b, p) = (self.b, self.p);
+            let mut blocks = std::collections::BTreeMap::<usize, u16>::new();
+            for r in 0..b {
+                let i = b * br + r;
+                for &j in &p.col_idx[p.row_ptr[i]..p.row_ptr[i + 1]] {
+                    *blocks.entry(j / b).or_default() |= 1 << (b * (j % b) + r);
+                }
+            }
+            blocks.into_iter().for_each(|(bc, mask)| f(bc, mask));
+        }
+    }
+
+    /// The pattern of `base` with vertex `i` blown up into `dofs[i]`
+    /// consecutive dofs, coupled to one another and to every dof of `i`'s
+    /// neighbours as a mesh vertex's dofs are, padded with uncoupled dofs
+    /// to a multiple of 3. The dofs `fixed` names keep only their
+    /// diagonal, as a Dirichlet dof does, and each `(a, k)` of `drop`
+    /// removes entry `(a, b)`, `b = a + 1 + k % 5`, and column `a` from
+    /// the rows of `b`'s vertex: a structurally unsymmetric pattern, whose
+    /// rows of `b`'s vertex still agree while their columns do not.
+    fn fe_pattern(
+        base: &Graph,
+        dofs: &[usize],
+        fixed: &[usize],
+        drop: &[(usize, usize)],
+    ) -> Pattern {
+        let mut vertex: Vec<usize> = (0..base.num_vertices())
+            .flat_map(|i| std::iter::repeat_n(i, dofs[i]))
+            .collect();
+        while !vertex.len().is_multiple_of(3) {
+            vertex.push(usize::MAX);
+        }
+        let n = vertex.len();
         let mut free = vec![true; n];
         for &f in fixed {
             free[f % n] = false;
         }
-        let mut edges = Vec::new();
-        for i in 0..m {
-            let coupled = base.neighbors(i).iter().map(|&j| j as usize);
-            for j in std::iter::once(i).chain(coupled.filter(|&j| j > i)) {
-                for a in first[i]..first[i + 1] {
-                    for b in first[j]..first[j + 1] {
-                        if free[a] && free[b] {
-                            edges.push((a as u32, b as u32));
-                        }
-                    }
-                }
+        let dropped: Vec<(usize, usize)> = (drop.iter())
+            .map(|&(a, k)| (a % n, (a % n + 1 + k % 5) % n))
+            .collect();
+        let of_vertex =
+            |i: usize, b: usize| i == b || (vertex[b] != usize::MAX && vertex[i] == vertex[b]);
+        Pattern::of(n, |i, j| {
+            let (u, v) = (vertex[i], vertex[j]);
+            let coupled = u != usize::MAX && v != usize::MAX && (u == v || base.has_edge(u, v));
+            let gone =
+                (dropped.iter()).any(|&(a, b)| (i, j) == (a, b) || (j == a && of_vertex(i, b)));
+            i == j || (coupled && free[i] && free[j] && !gone)
+        })
+    }
+
+    /// Every route to the blocks — the quotients of the graph and of the
+    /// pattern read in 3x3 and in 1x1 blocks — partitions as the oracle
+    /// does on the symmetrised pattern, at 1, 2, a drawn and `n` parts, and
+    /// refines an arbitrary start as the oracle does.
+    fn assert_partitions_are_the_oracles(
+        p: &Pattern,
+        nparts_draw: usize,
+        labels: &[usize],
+    ) -> Result<(), TestCaseError> {
+        let g = p.graph();
+        let n = g.num_vertices();
+        let quotients = [
+            TwinQuotient::of_graph(&g),
+            TwinQuotient::of_block_rows(&p.blocks(3)),
+            TwinQuotient::of_block_rows(&p.blocks(1)),
+        ];
+        for nparts in [1, 2, 1 + nparts_draw % n, n] {
+            let want = oracle::partition_graph(&g, nparts);
+            for (route, q) in quotients.iter().enumerate() {
+                prop_assert_eq!(
+                    (nparts, route, q.partition(nparts)),
+                    (nparts, route, want.clone())
+                );
             }
         }
-        Graph::from_edges(n, edges)
+        // Classes split across parts: the refinement's per-member counts.
+        let nparts = 2 + nparts_draw % 7;
+        let start: Vec<u32> = (0..n)
+            .map(|v| (labels[v % labels.len()] % nparts) as u32)
+            .collect();
+        let mut want = start.clone();
+        oracle::refine_kl(&g, &mut want, nparts, 6);
+        for (route, q) in quotients.iter().enumerate() {
+            let mut got = start.clone();
+            q.refine_kl(&mut got, nparts, 6);
+            prop_assert_eq!((route, got), (route, want.clone()));
+        }
+        Ok(())
     }
 
     #[test]
@@ -579,24 +440,48 @@ mod tests {
         // row and column keep only the diagonal.
         let quads = [[0, 1, 3, 4], [1, 2, 4, 5]];
         let fixed = 5;
-        let (mut row_ptr, mut col_idx) = (vec![0], Vec::new());
-        for i in 0..18 {
-            col_idx.extend((0..18).filter(|&j| {
-                let coupled = (quads.iter()).any(|q| q.contains(&(i / 3)) && q.contains(&(j / 3)));
-                i == j || (coupled && i != fixed && j != fixed)
-            }));
-            row_ptr.push(col_idx.len());
-        }
-        let g = Graph::from_pattern(&row_ptr, &col_idx);
-        let q = TwinQuotient::new(&g);
-        // Classes of 3, 2 (vertex 1's free dofs) and 1 (its fixed dof).
-        assert_eq!(q.start, [0, 3, 5, 6, 9, 12, 15, 18]);
-        assert_eq!(q.unassigned, [3, 2, 1, 3, 3, 3, 3]);
+        let p = Pattern::of(18, |i, j| {
+            let coupled = (quads.iter()).any(|q| q.contains(&(i / 3)) && q.contains(&(j / 3)));
+            i == j || (coupled && i != fixed && j != fixed)
+        });
+        let g = p.graph();
         // Regions of ⌈18 / 4⌉ = 5 dofs: the first, seeded at dof 17, is
         // {17, 3, 4, 6, 7}, splitting the classes {6, 7, 8} and {15, 16, 17}.
         let part = [2, 2, 2, 2, 2, 3, 1, 0, 1, 2, 2, 2, 2, 2, 2, 3, 2, 0];
         assert_eq!(oracle::partition_graph(&g, 4), part);
-        assert_eq!(partition_graph(&g, 4), part);
+        for q in [
+            TwinQuotient::of_graph(&g),
+            TwinQuotient::of_block_rows(&p.blocks(3)),
+        ] {
+            // Classes of 3, 2 (vertex 1's free dofs) and 1 (its fixed dof).
+            assert_eq!(q.start, [0, 3, 5, 6, 9, 12, 15, 18]);
+            assert_eq!(q.classes.num_edges(), 11);
+            assert_eq!(q.partition(4), part);
+        }
+    }
+
+    #[test]
+    fn an_unsymmetric_column_splits_a_block_row_and_keeps_the_blocks() {
+        // Two fully coupled 3-dof vertices, but row 3 does not store
+        // column 1: the symmetrised graph is still complete (row 1 stores
+        // column 3), so the graph's quotient is one class of 6. Read in
+        // blocks, column 1 differs from columns 0 and 2, and row 3 from row
+        // 4, so dofs 0 | 1 | 2 and 3 | 4 5 are cut: finer classes, the same
+        // blocks.
+        let p = Pattern::of(6, |i, j| (i, j) != (3, 1));
+        let g = p.graph();
+        assert_eq!(g.num_edges(), 15);
+        let (whole, cut) = (
+            TwinQuotient::of_graph(&g),
+            TwinQuotient::of_block_rows(&p.blocks(3)),
+        );
+        assert_eq!(whole.start, [0, 6]);
+        assert_eq!(cut.start, [0, 1, 2, 3, 4, 6]);
+        for nparts in 1..=6 {
+            let want = oracle::partition_graph(&g, nparts);
+            assert_eq!(whole.partition(nparts), want);
+            assert_eq!(cut.partition(nparts), want);
+        }
     }
 
     proptest! {
@@ -620,26 +505,63 @@ mod tests {
         }
 
         #[test]
-        fn prop_partition_is_the_oracles_on_twins(
+        fn prop_quotients_are_the_oracles_on_constrained_twins(
+            m in 1usize..25,
+            islands in 1usize..4,
+            density in 0usize..8,
+            draws in proptest::collection::vec((0usize..1000, 0usize..1000), 200),
+            fixed in proptest::collection::vec(0usize..1000, 0..6),
+            drop in proptest::collection::vec((0usize..1000, 0usize..1000), 0..3),
+            nparts_draw in 0usize..1000,
+            labels in proptest::collection::vec(0usize..1000, 40),
+        ) {
+            // Three dofs a mesh vertex, a few fixed: twin runs fill or
+            // split a vertex's block row and never cross one.
+            let base = island_graph(m, islands, &draws[..(m * density).min(draws.len())]);
+            let p = fe_pattern(&base, &vec![3; m], &fixed, &drop);
+            assert_partitions_are_the_oracles(&p, nparts_draw, &labels)?;
+        }
+
+        #[test]
+        fn prop_quotients_are_the_oracles_on_cut_twin_runs(
             m in 1usize..30,
             islands in 1usize..4,
             density in 0usize..8,
             draws in proptest::collection::vec((0usize..1000, 0usize..1000), 240),
             runs in proptest::collection::vec(0usize..1000, 30),
             fixed in proptest::collection::vec(0usize..1000, 0..4),
+            drop in proptest::collection::vec((0usize..1000, 0usize..1000), 0..3),
             nparts_draw in 0usize..1000,
+            labels in proptest::collection::vec(0usize..1000, 40),
         ) {
-            // Runs of 1-4 twins a vertex, so regions and seeds land inside
-            // classes, with a few members cut loose mid-run.
+            // Runs of 1-4 twins a mesh vertex read in blocks of 3: a run
+            // starts anywhere in a block and the block's end cuts it, and
+            // regions and seeds land inside classes.
             let base = island_graph(m, islands, &draws[..(m * density).min(draws.len())]);
-            let g = twin_graph(&base, &runs[..m], &fixed);
-            let n = g.num_vertices();
-            for nparts in [1, 2, 1 + nparts_draw % n, n] {
-                prop_assert_eq!(
-                    (nparts, partition_graph(&g, nparts)),
-                    (nparts, oracle::partition_graph(&g, nparts))
-                );
-            }
+            let dofs: Vec<usize> = runs[..m].iter().map(|r| r % 4 + 1).collect();
+            let p = fe_pattern(&base, &dofs, &fixed, &drop);
+            assert_partitions_are_the_oracles(&p, nparts_draw, &labels)?;
+        }
+
+        #[test]
+        fn prop_quotients_are_the_oracles_on_a_run_over_two_vertices(
+            m in 1usize..25,
+            density in 0usize..8,
+            draws in proptest::collection::vec((0usize..1000, 0usize..1000), 200),
+            wide in 0usize..1000,
+            extra in 1usize..4,
+            fixed in proptest::collection::vec(0usize..1000, 0..3),
+            nparts_draw in 0usize..1000,
+            labels in proptest::collection::vec(0usize..1000, 40),
+        ) {
+            // Three dofs a mesh vertex but one with 4-6: its twin run
+            // crosses a block boundary, which cuts it where the graph's
+            // quotient keeps one class.
+            let base = island_graph(m, 1, &draws[..(m * density).min(draws.len())]);
+            let mut dofs = vec![3; m];
+            dofs[wide % m] += extra;
+            let p = fe_pattern(&base, &dofs, &fixed, &[]);
+            assert_partitions_are_the_oracles(&p, nparts_draw, &labels)?;
         }
 
         #[test]
@@ -655,7 +577,7 @@ mod tests {
             let g = island_graph(n, 1, &draws[..(n * density).min(draws.len())]);
             let start: Vec<u32> = labels[..n].iter().map(|&l| (l % nparts) as u32).collect();
             let (mut fast, mut slow) = (start.clone(), start);
-            refine_kl(&g, &mut fast, nparts, 6);
+            TwinQuotient::of_graph(&g).refine_kl(&mut fast, nparts, 6);
             oracle::refine_kl(&g, &mut slow, nparts, 6);
             prop_assert_eq!(fast, slow);
         }

@@ -7,10 +7,13 @@
 //! once per matrix setup, and applied with damping `ω` so the smoothing
 //! iteration contracts the high-frequency error.
 //!
-//! The setup has a symbolic half (graph, partition, block index maps and
-//! each block's envelope — a function of the sparsity pattern alone) and a
-//! numeric half (scatter each block into its factor's envelope and factor
-//! it there). [`BlockJacobi::refactor`] keeps the first and redoes only the
+//! The setup has a symbolic half (the twin quotient of the local block's
+//! pattern, its partition, block index maps and each block's envelope — a
+//! function of the sparsity pattern alone) and a numeric half (scatter
+//! each block into its factor's envelope and factor it there). The
+//! partition runs on the quotient read straight from the block as stored
+//! (its tiles' masks, or its CSR rows): no dof-level graph is built.
+//! [`BlockJacobi::refactor`] keeps the first and redoes only the
 //! second — allocating nothing — while the pattern is unchanged, which is
 //! every Newton iteration on a fixed mesh. A block's Cholesky factor is
 //! stored, factored and solved only inside the envelope of its principal
@@ -26,7 +29,7 @@
 
 use crate::precond::Precond;
 use pmg_parallel::{DistMatrix, DistVec, LocalBlock, Sim, SimOperator};
-use pmg_partition::{partition_graph, Graph};
+use pmg_partition::{BlockPattern, TwinQuotient};
 use pmg_sparse::dense::Cholesky;
 use pmg_sparse::PatternFingerprint;
 use std::sync::{Arc, Mutex};
@@ -66,19 +69,27 @@ impl RankJacobi {
     /// METIS-style sub-domains at the paper's `blocks_per_1000` density
     /// and factor each inside its envelope; sweeps are damped by `omega`.
     /// The block is read in place, in the form its share stores it.
+    ///
+    /// Telemetry: the symbolic half — the twin quotient, region growing
+    /// and refinement, the block index maps and envelopes — under
+    /// `partition`, the numeric half under `factor`;
+    /// `smoother/blocks_short` counts the blocks asked for that came out
+    /// empty (regions of `⌈n / nblocks⌉` dofs can run out before the last
+    /// one).
     pub fn new(local: LocalBlock<'_>, blocks_per_1000: f64, omega: f64) -> RankJacobi {
         pmg_telemetry::counter_add("smoother/plan_build", 1);
+        let partition = pmg_telemetry::scope("partition");
         let n = local.nrows();
         let mut blocks = Vec::new();
         if n > 0 {
             let nblocks = ((blocks_per_1000 * n as f64 / 1000.0).round() as usize).clamp(1, n);
-            let g = Graph::from_rows(n, |i| local.row(i).map(|(j, _)| j));
-            let part = partition_graph(&g, nblocks);
+            let part = TwinQuotient::of_block_rows(&Pattern(local)).partition(nblocks);
             blocks = vec![Vec::new(); nblocks];
             for (v, &p) in part.iter().enumerate() {
                 blocks[p as usize].push(v as u32);
             }
             blocks.retain(|b| !b.is_empty());
+            pmg_telemetry::counter_add("smoother/blocks_short", (nblocks - blocks.len()) as u64);
         }
         let mut home = vec![(0u32, 0u32); n];
         for (b, blk) in blocks.iter().enumerate() {
@@ -96,9 +107,11 @@ impl RankJacobi {
             home,
             apply_flops: 0,
         };
-        rj.factors = (0..rj.blocks.len())
-            .map(|b| Cholesky::with_profile(&rj.profile(local, b)))
-            .collect();
+        let profiles: Vec<Vec<usize>> =
+            (0..rj.blocks.len()).map(|b| rj.profile(local, b)).collect();
+        drop(partition);
+        let _factor = pmg_telemetry::scope("factor");
+        rj.factors = profiles.iter().map(|p| Cholesky::with_profile(p)).collect();
         rj.apply_flops = rj.factors.iter().map(Cholesky::solve_flops).sum();
         rj.factor(local);
         rj
@@ -106,19 +119,15 @@ impl RankJacobi {
 
     /// Block `b`'s envelope: per row `l`, the lowest slot among its entries
     /// in the block at or left of the diagonal (the diagonal itself if
-    /// none) — the entries the numeric half scatters, one pass over the
-    /// lower half of the block's rows.
+    /// none). A block lists its dofs in ascending order and a row's
+    /// columns ascend, so that is the slot of the row's first column in
+    /// the block: each row is read up to there.
     fn profile(&self, local: LocalBlock<'_>, b: usize) -> Vec<usize> {
         (self.blocks[b].iter().enumerate())
             .map(|(l, &g)| {
-                let mut first = l;
-                local.for_each_lower(g as usize, |j, _| {
-                    let (block, slot) = self.home[j];
-                    if block as usize == b {
-                        first = first.min(slot as usize);
-                    }
-                });
-                first
+                let mut row = local.row(g as usize);
+                let first = row.find(|&(j, _)| self.home[j].0 as usize == b);
+                first.map_or(l, |(j, _)| l.min(self.home[j].1 as usize))
             })
             .collect()
     }
@@ -209,6 +218,24 @@ impl RankJacobi {
     pub fn solve_from_zero(&self, b: &[f64], x: &mut [f64]) {
         x.fill(0.0);
         self.solve_add(b, x);
+    }
+}
+
+/// A local block as the partitioner reads it: block row by block row,
+/// tiles and masks or CSR rows ([`LocalBlock::for_each_block`]).
+struct Pattern<'a>(LocalBlock<'a>);
+
+impl BlockPattern for Pattern<'_> {
+    fn nrows(&self) -> usize {
+        self.0.nrows()
+    }
+
+    fn block_size(&self) -> usize {
+        self.0.block_size()
+    }
+
+    fn for_each_block(&self, br: usize, f: impl FnMut(usize, u16)) {
+        self.0.for_each_block(br, f)
     }
 }
 
@@ -344,6 +371,7 @@ impl Precond for BlockJacobi {
 mod tests {
     use super::*;
     use pmg_parallel::{Layout, MachineModel};
+    use pmg_partition::{partition_graph, Graph};
     use pmg_sparse::{CooBuilder, CsrMatrix};
 
     fn laplacian(n: usize) -> CsrMatrix {
@@ -688,6 +716,95 @@ mod tests {
         bj.apply(&mut sim, &r, &mut z);
         assert_eq!(r.part(3)[0].to_bits(), (-0.0f64).to_bits());
         assert_eq!(z.part(3)[0].to_bits(), 0.0f64.to_bits());
+    }
+
+    /// Three dofs on each vertex of an `nx × nx × 2` grid, coupled to the
+    /// vertices around it, diagonally dominant; the dofs `fixed` keep only
+    /// their diagonal, and the entries `dropped` are not stored.
+    fn elastic(nx: usize, fixed: &[usize], dropped: &[(usize, usize)]) -> CsrMatrix {
+        // Vertex `(i * nx + j) * 2 + k` sits at `(i, j, k)`.
+        let nv = 2 * nx * nx;
+        let at = |u: usize| (u / 2 / nx, u / 2 % nx, u % 2);
+        let near = |u: usize, v: usize| {
+            let ((ui, uj, uk), (vi, vj, vk)) = (at(u), at(v));
+            ui.abs_diff(vi) <= 1 && uj.abs_diff(vj) <= 1 && uk.abs_diff(vk) <= 1
+        };
+        let mut b = CooBuilder::new(3 * nv, 3 * nv);
+        for u in 0..nv {
+            for v in (0..nv).filter(|&v| near(u, v)) {
+                for (r, c) in (0..9).map(|k| (3 * u + k / 3, 3 * v + k % 3)) {
+                    let kept =
+                        !fixed.contains(&r) && !fixed.contains(&c) && !dropped.contains(&(r, c));
+                    if r == c {
+                        b.push(r, c, 40.0);
+                    } else if kept {
+                        b.push(r, c, -0.1 - 0.01 * ((r + 2 * c) % 5) as f64);
+                    }
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// The blocks are the dof graph's partition whichever form the block
+    /// is stored in — promoted 3x3 tiles, or the same rows as scalar CSR —
+    /// on a constrained pattern and on a structurally unsymmetric one:
+    /// rows 6 and 7 store no column 9 while row 9 stores column 6 only,
+    /// so dofs 6 and 7 are not twins although their rows agree.
+    #[test]
+    fn blocks_are_the_dof_graph_partition_in_every_stored_form() {
+        let symmetric = elastic(4, &[4, 17, 18, 19, 50], &[]);
+        let unsymmetric = elastic(4, &[50], &[(9, 7), (6, 9), (7, 9), (20, 21), (33, 40)]);
+        assert!(unsymmetric.get(9, 6) != 0.0 && unsymmetric.get(6, 9) == 0.0);
+        for a in [symmetric, unsymmetric] {
+            assert_blocks_are_the_dof_graph_partition(&a, 60.0);
+        }
+    }
+
+    /// `RankJacobi::new`'s blocks on `a`, promoted to 3x3 tiles and as
+    /// scalar CSR, are the dof graph's partition grouped by part.
+    fn assert_blocks_are_the_dof_graph_partition(a: &CsrMatrix, per_1000: f64) {
+        let n = a.nrows();
+        let nblocks = ((per_1000 * n as f64 / 1000.0).round() as usize).clamp(1, n);
+        let graph = Graph::from_rows(n, |i| a.row(i).0.iter().copied());
+        let mut want = vec![Vec::new(); nblocks];
+        for (v, &p) in partition_graph(&graph, nblocks).iter().enumerate() {
+            want[p as usize].push(v as u32);
+        }
+        want.retain(|b: &Vec<u32>| !b.is_empty());
+        let l = Layout::serial(n);
+        let tiled = DistMatrix::from_global_blocked(a, l.clone(), l);
+        assert!(tiled.local_block(0).tiles().is_some());
+        for (form, local) in [("tiles", tiled.local_block(0)), ("csr", a.into())] {
+            let rj = RankJacobi::new(local, per_1000, 0.7);
+            assert_eq!(rj.blocks, want, "{form}");
+        }
+    }
+
+    proptest::proptest! {
+        /// [`blocks_are_the_dof_graph_partition_in_every_stored_form`] on
+        /// drawn constraints, one-way drops and densities.
+        #[test]
+        fn prop_blocks_are_the_dof_graph_partition_in_every_stored_form(
+            nx in 1usize..5,
+            fixed in proptest::collection::vec(0usize..1000, 0..6),
+            drops in proptest::collection::vec((0usize..1000, 0usize..1000), 0..8),
+            per_1000 in 10.0f64..400.0,
+        ) {
+            // Each draw `(a, k)` drops entry `(a, b)` near the diagonal,
+            // where the entries are, and column `a` from the rows of `b`'s
+            // vertex: those rows agree, their columns do not.
+            let n = 6 * nx * nx;
+            let fixed: Vec<usize> = fixed.iter().map(|f| f % n).collect();
+            let drops: Vec<(usize, usize)> = (drops.iter())
+                .flat_map(|&(a, k)| {
+                    let (a, b) = (a % n, (a % n + 1 + k % 9) % n);
+                    (b - b % 3..b - b % 3 + 3).map(move |t| (t, a)).chain([(a, b)])
+                })
+                .collect();
+            let a = elastic(nx, &fixed, &drops);
+            assert_blocks_are_the_dof_graph_partition(&a, per_1000);
+        }
     }
 
     #[test]

@@ -408,6 +408,15 @@ impl MaskedBsr3 {
         self.tiles.memory_bytes() + std::mem::size_of_val(&self.mask[..]) as u64
     }
 
+    /// Block row `br`'s tiles as `(block column, mask)`, block columns
+    /// ascending: the scalar pattern of three rows at once, values unread.
+    pub fn block_row(&self, br: usize) -> impl Iterator<Item = (usize, u16)> + '_ {
+        let tiles = self.tiles.row_ptr[br]..self.tiles.row_ptr[br + 1];
+        let cols = self.tiles.col_idx[tiles.clone()].iter();
+        cols.zip(&self.mask[tiles])
+            .map(|(&bc, &m)| (bc as usize, m))
+    }
+
     /// Scalar row `i` as its source stored it: `(column, value)` in
     /// ascending column order, the tiles' values where the masks have bits.
     pub fn row(&self, i: usize) -> MaskedRow<'_> {

@@ -65,4 +65,4 @@ pub use bsr::{for_each_tile, Bsr3Matrix, MaskedBsr3, MaskedBsr3Writer, MaskedRow
 pub use csr::{CooBuilder, CsrMatrix, PatternFingerprint};
 pub use dense::DenseMatrix;
 pub use op::Operator;
-pub use plan::RapPlan;
+pub use plan::{HeldRowsMismatch, RapPlan};

@@ -442,6 +442,27 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
     ))
 }
 
+/// Held rows handed to [`RapPlan::tile_held`] off the pattern the plan was
+/// built over: a source is missing or short, or its rows tile block row
+/// `block_row` of the plan into other tiles (block columns or masks).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HeldRowsMismatch {
+    /// The first block row of the plan's rows that does not match.
+    pub block_row: usize,
+}
+
+impl std::fmt::Display for HeldRowsMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "held rows are not the planned pattern's at block row {}",
+            self.block_row
+        )
+    }
+}
+
+impl std::error::Error for HeldRowsMismatch {}
+
 /// A reusable execution plan for the Galerkin triple product
 /// `A_c = R A Rᵀ` with `R` frozen and `A`'s sparsity pattern fixed.
 ///
@@ -466,9 +487,11 @@ fn vertex_restriction(r: &CsrMatrix) -> Option<CsrMatrix> {
 /// builds a new plan for a foreign pattern, and [`RapPlan::execute`]
 /// panics instead of reading values into the wrong tiles.
 /// [`RapPlan::execute_tiles`] has no pattern to check: its caller hands it
-/// tiles of the planned pattern, and a tile count off the plan's panics,
-/// as in [`RapPlan::tile_held`]: a held-rows plan carries no input
-/// fingerprint (its rows are no one matrix's) and matches no CSR.
+/// tiles of the planned pattern, and a tile count off the plan's panics.
+/// A held-rows plan carries no input fingerprint (its rows are no one
+/// matrix's) and matches no CSR: [`RapPlan::tile_held`] checks new held
+/// rows tile by tile against the block columns and masks it was built
+/// over instead.
 ///
 /// The check reads the fingerprint `A` carries, so it hashes `A` only if
 /// nothing has before in `A`'s life. The output's pattern is fixed by the
@@ -501,6 +524,11 @@ pub struct RapPlan {
     /// `held` it was built over) and the block row's first row there.
     /// Empty for a plan of one whole `A`, whose block rows are its own.
     held: Vec<(usize, usize)>,
+    /// Of a held-rows plan, each source tile's block column (an id, not a
+    /// position) and mask: the pattern [`tile_held`](Self::tile_held)
+    /// checks new rows against. Empty for a plan of one whole `A`.
+    held_cols: Vec<u32>,
+    held_masks: Vec<u16>,
     /// Scalar columns of the output.
     ncols: usize,
     /// Block row `k` of `A` is source tiles `a_rows[k]..a_rows[k + 1]`.
@@ -617,14 +645,22 @@ impl RapPlan {
                 .collect(),
         };
         let (n, mut tiles) = (runs.len(), Vec::new());
-        let (ids, values) = (Some(&ids[..]), Some(&mut tiles));
+        let (rt_pos, values) = (Some(&ids[..]), Some(&mut tiles));
+        let ab = match block {
+            3 => BlockRows::new::<3, 9>(n, run, rt_pos, values),
+            _ => BlockRows::new::<1, 1>(n, run, rt_pos, values),
+        };
+        let held_cols = ab.cols.iter().map(|&p| ids[p as usize]).collect();
+        let held_masks = ab.masks.clone();
         let mut plan = if block == 3 {
             pmg_telemetry::counter_add("rap/block_plans", 1);
-            Self::build::<3>(BlockRows::new::<3, 9>(n, run, ids, values), &r, &rt)
+            Self::build::<3>(ab, &r, &rt)
         } else {
-            Self::build::<1>(BlockRows::new::<1, 1>(n, run, ids, values), &r, &rt)
+            Self::build::<1>(ab, &r, &rt)
         };
         plan.held = runs;
+        plan.held_cols = held_cols;
+        plan.held_masks = held_masks;
         (plan, tiles)
     }
 
@@ -702,6 +738,8 @@ impl RapPlan {
             a_pattern: None,
             block: B,
             held: Vec::new(),
+            held_cols: Vec::new(),
+            held_masks: Vec::new(),
             ncols: rt_v.ncols() * B,
             a_rows: ab.row_ptr,
             rows1,
@@ -727,12 +765,14 @@ impl RapPlan {
     /// Heap bytes the plan holds between executions.
     pub fn memory_bytes(&self) -> usize {
         (4 * self.held.capacity()
+            + self.held_cols.capacity()
             + self.a_rows.capacity()
             + self.rows1.capacity()
             + self.rows2.capacity())
             * 4
             + self.stage1.memory_bytes()
             + self.stage2.memory_bytes()
+            + 2 * self.held_masks.capacity()
     }
 
     /// Length of the source tile array [`execute_tiles`](Self::execute_tiles)
@@ -789,12 +829,50 @@ impl RapPlan {
     /// A held-rows plan's source tile array, tiled from `held`: the
     /// sources the plan was built over, in that order, with the same
     /// values or new ones on the same pattern. The plan keeps no input
-    /// fingerprint to check that: a block row whose tile count moved
-    /// panics, but a column moved to another tile of the same count reads
-    /// into the wrong tile. Panics on a plan of one whole `A`.
-    pub fn tile_held(&self, held: &[(&[u32], &CsrMatrix)]) -> Vec<f64> {
+    /// fingerprint; instead each block row's tiles are checked against
+    /// the block columns and masks it was built over, so rows on another
+    /// pattern — a column moved to another tile, even where the row's tile
+    /// count holds — are a [`HeldRowsMismatch`], never values read into
+    /// the wrong tile. Panics on a plan of one whole `A`.
+    pub fn tile_held(&self, held: &[(&[u32], &CsrMatrix)]) -> Result<Vec<f64>, HeldRowsMismatch> {
         assert!(self.a_pattern.is_none(), "not a held-rows plan");
-        self.tile_runs(|i| (held[self.held[i].0].1, self.held[i].1))
+        let mut tiles = vec![0.0; self.source_len()];
+        for (k, &(s, first)) in self.held.iter().enumerate() {
+            let a = (held.get(s).map(|h| h.1)).filter(|a| first + self.block <= a.nrows());
+            let same = a.is_some_and(|a| match self.block {
+                3 => self.tile_held_row::<3, 9>(k, a, first, &mut tiles),
+                _ => self.tile_held_row::<1, 1>(k, a, first, &mut tiles),
+            });
+            if !same {
+                return Err(HeldRowsMismatch { block_row: k });
+            }
+        }
+        Ok(tiles)
+    }
+
+    /// Block row `k`'s tiles from `B` rows of `a` from `first` on, into
+    /// the source array: whether they are the planned ones, block column
+    /// by block column and mask by mask (nothing is written past the first
+    /// that is not).
+    fn tile_held_row<const B: usize, const BB: usize>(
+        &self,
+        k: usize,
+        a: &CsrMatrix,
+        first: usize,
+        a_tiles: &mut [f64],
+    ) -> bool {
+        let planned = self.a_rows[k] as usize..self.a_rows[k + 1] as usize;
+        let rows: [_; B] = std::array::from_fn(|s| a.row(first + s));
+        let (mut t, mut same) = (planned.start, true);
+        let n = fill_tiles::<B, BB>(rows.map(|r| r.0), rows.map(|r| r.1), |j, mask, tile| {
+            same &=
+                t < planned.end && self.held_cols[t] as usize == j && self.held_masks[t] == mask;
+            if same {
+                a_tiles[t * BB..(t + 1) * BB].copy_from_slice(&tile);
+            }
+            t += 1;
+        });
+        same && n == planned.len()
     }
 
     /// Scalar row `i` of an output tile array, as [`execute`](Self::execute)
@@ -1272,7 +1350,10 @@ mod tests {
         rt_rows: &CsrMatrix,
     ) -> CsrMatrix {
         let (mut plan, tiles) = RapPlan::over_held(dofs, r_rows, held, rt_ids, rt_rows);
-        assert_eq!(bits(&plan.tile_held(held)), bits(&tiles));
+        assert_eq!(
+            bits(&plan.tile_held(held).expect("same rows")),
+            bits(&tiles)
+        );
         plan.execute_tiles_csr(&tiles)
     }
 
@@ -1493,9 +1574,50 @@ mod tests {
             for (_, m) in &mut next.sources {
                 m.scale(std::f64::consts::PI);
             }
-            let again = plan.execute_tiles_csr(&plan.tile_held(&next.held()));
+            let tiles = plan.tile_held(&next.held()).expect("same pattern");
+            let again = plan.execute_tiles_csr(&tiles);
             assert_same_bits(&again, &next.rap(dofs));
             assert!(bits(again.vals()) != bits(first.vals()));
+        }
+    }
+
+    #[test]
+    fn held_rows_off_the_planned_pattern_are_a_typed_error() {
+        // One entry of a fetched row changed where the row's tile count
+        // holds, so only the block columns and masks tell it apart: at one
+        // dof (one-entry tiles) moved to a column the row does not store,
+        // at three dofs dropped from a tile that keeps other entries.
+        let r_v = random_restriction(14, 40, 10);
+        let fine_owner: Vec<u32> = (0..40).map(|v| u32::from(v >= 23)).collect();
+        let owned: Vec<u32> = (0..14).filter(|c| c % 2 == 0).collect();
+        for (dofs, a) in [(1, random_sym(40, 4, 9)), (3, random_elastic(40, 9))] {
+            let rows = RankRows::new(dofs, &a, &r_v, &owned, &fine_owner, 0);
+            let held = rows.held();
+            let (plan, tiles) =
+                RapPlan::over_held(dofs, &rows.r_rows, &held, &rows.rt_ids, &rows.rt_rows);
+            assert_eq!(bits(&plan.tile_held(&held).unwrap()), bits(&tiles));
+
+            let fetched = &rows.sources[1].1;
+            let (cols, _) = fetched.row(0);
+            let unstored = (0..fetched.ncols()).find(|j| !cols.contains(j)).unwrap();
+            let mut b = CooBuilder::new(fetched.nrows(), fetched.ncols());
+            for (i, j, v) in fetched.iter() {
+                match (i, j == cols[0], dofs) {
+                    (0, true, 1) => b.push(0, unstored, v),
+                    (0, true, _) => {}
+                    _ => b.push(i, j, v),
+                }
+            }
+            let changed = b.build();
+            assert_eq!(changed.nnz() + dofs / 3, fetched.nnz());
+            let [own, (ids, _)] = held;
+            let err = plan.tile_held(&[own, (ids, &changed)]).unwrap_err();
+            assert!(
+                err.to_string().contains("not the planned pattern's"),
+                "{err}"
+            );
+            // A source missing altogether is the same error.
+            assert!(plan.tile_held(&[own]).is_err());
         }
     }
 
