@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks of the solver's kernels: SpMV, the Galerkin
 //! triple product, element assembly (serial, and one rank's owned rows),
 //! MIS, face identification, Delaunay tetrahedralization
-//! (random points, and the benchmark's first coarse grid with its exact
-//! `insphere` stage on its own), the block-Jacobi application,
+//! (random points, and the benchmark's first coarse grid with its
+//! double-word and exact-diff `insphere` stages on their own), the
+//! block-Jacobi application,
 //! factorisation and block partition, a level operator's cold distribution
 //! against its value-only refresh, one rank's promoted share built from
 //! its owned rows, one Newton re-setup and its parts level by level, the
@@ -17,7 +18,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pmg_bench::{spheres_first_solve, spheres_first_solve_of, FirstSolveSystem};
-use pmg_geometry::{Delaunay, Predicates, Vec3};
+use pmg_geometry::{Delaunay, Predicates, StageCounts, Vec3};
 use pmg_mesh::{boundary_facets, facet_adjacency};
 use pmg_parallel::{DistMatrix, DistVec, Layout, MachineModel, RankMatrix, Sim};
 use pmg_partition::{partition_graph, Graph, TwinQuotient};
@@ -668,8 +669,10 @@ fn bench_block_partition(_c: &mut Criterion) {
 /// The remesh layer at the benchmark's size: the first coarse grid of the
 /// 9.8k-dof spheres (`cold10k`'s mesh; 1250 points on concentric shells,
 /// so coarse cells have cospherical corners and 7 % of the predicate calls
-/// defeat the f64 filter), and the exact-diff `insphere` stage those calls
-/// land in, on a fixed near-cospherical set.
+/// defeat the f64 filter), and the two `insphere` stages those calls land
+/// in, each on a fixed set of quintuples it resolves: the double-word stage
+/// on near-cospherical ones, the exact-diff stage on the exact zeros the
+/// double-word stage cannot sign.
 fn bench_remesh(_c: &mut Criterion) {
     let mesh = pmg_mesh::sphere_in_cube(&pmg_mesh::SpheresParams {
         n_surf: 6,
@@ -683,16 +686,20 @@ fn bench_remesh(_c: &mut Criterion) {
         &CoarsenOptions::default(),
     );
     let pts = lvl.coords;
-    let (filter, exact_diff, full_exact) = Delaunay::new(&pts)
+    let counts = Delaunay::new(&pts)
         .expect("triangulation")
         .predicate_counts();
     let times = sorted_times(20, || {
         black_box(Delaunay::new(black_box(&pts)));
     });
     println!(
-        "# group: delaunay_spheres_{} ({} predicate calls, {exact_diff} exact-diff + {full_exact} full-exact fallbacks)",
+        "# group: delaunay_spheres_{} ({} predicate calls: {} filter, {} double-word, {} exact-diff, {} full-exact)",
         pts.len(),
-        filter + exact_diff + full_exact
+        counts.total(),
+        counts.filter,
+        counts.double_word,
+        counts.exact_diff,
+        counts.full_exact
     );
     for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
         println!(
@@ -704,10 +711,10 @@ fn bench_remesh(_c: &mut Criterion) {
         );
     }
 
-    // Quintuples rounded onto a common sphere and a 2^-24 lattice: every
-    // coordinate difference is exact, and the ones kept defeat the filter.
     let mut rng = rand::rngs::StdRng::seed_from_u64(5208);
-    let mut on_sphere = || loop {
+    // Rounded onto a common sphere and a 2^-24 lattice: every coordinate
+    // difference is exact, and most quintuples defeat the filter.
+    let near_sphere = |rng: &mut rand::rngs::StdRng| loop {
         let v = Vec3::new(
             rng.gen_range(-1.0..1.0),
             rng.gen_range(-1.0..1.0),
@@ -719,31 +726,61 @@ fn bench_remesh(_c: &mut Criterion) {
             return Vec3::new(q(p.x), q(p.y), q(p.z));
         }
     };
+    // Exactly on a common sphere: integer points of norm 3 about an integer
+    // centre, so every quintuple is an exact zero.
+    let on_sphere = |rng: &mut rand::rngs::StdRng| {
+        let mut v = if rng.gen::<bool>() {
+            [3.0, 0.0, 0.0]
+        } else {
+            [1.0, 2.0, 2.0]
+        };
+        v.rotate_left(rng.gen_range(0..3usize));
+        let mut s = || if rng.gen::<bool>() { 1.0 } else { -1.0 };
+        Vec3::new(2.0 + s() * v[0], -1.0 + s() * v[1], 4.0 + s() * v[2])
+    };
+    // The first 1000 quintuples drawn from `point` that `stage` resolves.
+    let mut resolved_by =
+        |stage: fn(StageCounts) -> u64, point: &dyn Fn(&mut rand::rngs::StdRng) -> Vec3| {
+            let mut predicates = Predicates::new();
+            let mut set: Vec<[Vec3; 5]> = Vec::new();
+            while set.len() < 1000 {
+                let q = [(); 5].map(|_| point(&mut rng));
+                let before = stage(predicates.counts());
+                predicates.insphere(q[0], q[1], q[2], q[3], q[4]);
+                if stage(predicates.counts()) > before {
+                    set.push(q);
+                }
+            }
+            set
+        };
+    let rows = [
+        (
+            "insphere_double_word",
+            "near-cospherical quintuples",
+            resolved_by(|c| c.double_word, &near_sphere),
+        ),
+        (
+            "insphere_exact_diff",
+            "exactly cospherical quintuples",
+            resolved_by(|c| c.exact_diff, &on_sphere),
+        ),
+    ];
     let mut predicates = Predicates::new();
-    let mut set: Vec<[Vec3; 5]> = Vec::new();
-    while set.len() < 1000 {
-        let q = [(); 5].map(|_| on_sphere());
-        let before = predicates.counts().1;
-        predicates.insphere(q[0], q[1], q[2], q[3], q[4]);
-        if predicates.counts().1 > before {
-            set.push(q);
+    for (group, what, set) in rows {
+        let times = sorted_times(40, || {
+            for q in &set {
+                black_box(predicates.insphere(q[0], q[1], q[2], q[3], black_box(q[4])));
+            }
+        });
+        println!("# group: {group} ({} {what})", set.len());
+        for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
+            println!(
+                "{:<41} {:>9.3} us/call   {}",
+                format!("{group}/{name}"),
+                t * 1e6 / set.len() as f64,
+                vs_ref(t)
+            );
         }
-    }
-    let times = sorted_times(40, || {
-        for q in &set {
-            black_box(predicates.insphere(q[0], q[1], q[2], q[3], black_box(q[4])));
-        }
-    });
-    println!(
-        "# group: insphere_exact_diff ({} near-cospherical quintuples)",
-        set.len()
-    );
-    for (name, t) in [("min", times[0]), ("median", times[times.len() / 2])] {
-        println!(
-            "insphere_exact_diff/{name:<21} {:>9.3} us/call   {}",
-            t * 1e6 / set.len() as f64,
-            vs_ref(t)
-        );
     }
 }
 

@@ -21,7 +21,7 @@
 //! [`insphere`]: crate::predicates::insphere
 
 use crate::aabb::Aabb;
-use crate::predicates::{orient3d, orient3d_fast, Orientation, Predicates};
+use crate::predicates::{in_range, orient3d, orient3d_fast, Orientation, Predicates, StageCounts};
 use crate::vec3::Vec3;
 use std::collections::HashMap;
 
@@ -195,17 +195,16 @@ pub struct Delaunay {
     /// For each input point, the index it was stored under (deduplicated
     /// points map to their first occurrence).
     canonical: Vec<usize>,
-    predicate_counts: (u64, u64, u64),
+    predicate_counts: StageCounts,
 }
 
 /// The input points and the bounding tetrahedron's four corners after them
-/// (positively oriented), or `None` for an empty or non-finite input.
+/// (positively oriented), or `None` for an empty input or one whose points
+/// or bounding tetrahedron leave the predicates' range ([`in_range`]: no
+/// NaN or infinity, and no coordinate whose arithmetic could overflow or
+/// underflow and so return a wrong sign).
 fn points_with_bounding_tet(input: &[Vec3]) -> Option<Vec<Vec3>> {
-    if input.is_empty()
-        || input
-            .iter()
-            .any(|p| !p.to_array().iter().all(|c| c.is_finite()))
-    {
+    if input.is_empty() || !in_range(input) {
         return None;
     }
     let bbox = Aabb::from_points(input.iter().copied());
@@ -217,6 +216,9 @@ fn points_with_bounding_tet(input: &[Vec3]) -> Option<Vec<Vec3>> {
     let b1 = center + Vec3::new(-2.0 * s, -s, -s);
     let b2 = center + Vec3::new(2.0 * s, -s, -s);
     let b3 = center + Vec3::new(0.0, 2.0 * s, -s);
+    if !in_range(&[b0, b1, b2, b3]) {
+        return None;
+    }
     // Fix orientation of the bounding tet.
     let (b1, b2) = match orient3d(b0, b1, b2, b3) {
         Orientation::Positive => (b1, b2),
@@ -241,7 +243,9 @@ impl Delaunay {
     /// to their first occurrence (see [`Delaunay::canonical_index`]).
     ///
     /// Returns `None` when the input is degenerate in a way that prevents
-    /// triangulation (fewer than one point or non-finite coordinates).
+    /// triangulation: no points, or a coordinate of a point or of the
+    /// bounding tetrahedron outside the predicates' range (see
+    /// [`in_range`]; NaN and infinity are outside it).
     pub fn new(input: &[Vec3]) -> Option<Delaunay> {
         let _t = pmg_telemetry::scope("triangulate");
         let points = points_with_bounding_tet(input)?;
@@ -260,7 +264,7 @@ impl Delaunay {
             bound_start: n,
             last_tet: 0,
             canonical: Vec::with_capacity(n),
-            predicate_counts: (0, 0, 0),
+            predicate_counts: StageCounts::default(),
         };
         let mut scratch = InsertScratch {
             predicates: Predicates::new(),
@@ -281,17 +285,20 @@ impl Delaunay {
         }
 
         dt.predicate_counts = scratch.predicates.counts();
-        let (filter, exact_diff, full_exact) = dt.predicate_counts;
-        pmg_telemetry::counter_add("delaunay/predicates_filter", filter);
-        pmg_telemetry::counter_add("delaunay/predicates_exact_diff", exact_diff);
-        pmg_telemetry::counter_add("delaunay/predicates_full_exact", full_exact);
+        let counts = dt.predicate_counts;
+        pmg_telemetry::counter_add("delaunay/predicates_filter", counts.filter);
+        pmg_telemetry::counter_add("delaunay/predicates_double_word", counts.double_word);
+        pmg_telemetry::counter_add("delaunay/predicates_exact_diff", counts.exact_diff);
+        pmg_telemetry::counter_add("delaunay/predicates_full_exact", counts.full_exact);
         Some(dt)
     }
 
-    /// How many predicate calls of the build each precision level resolved:
-    /// `(f64 filter, exact-diff stage, full-exact stage)`. The second and
-    /// third say how degenerate the input was.
-    pub fn predicate_counts(&self) -> (u64, u64, u64) {
+    /// How many predicate calls of the build each precision level resolved.
+    /// The exact stages' counts say how degenerate the input was: they take
+    /// `orient3d`'s filter failures and the `insphere` calls the double-word
+    /// stage cannot sign, which on mesh data are the exact zeros
+    /// (cospherical corners).
+    pub fn predicate_counts(&self) -> StageCounts {
         self.predicate_counts
     }
 
@@ -1020,6 +1027,82 @@ mod tests {
         ] {
             for set in vertex_sets(&mesh, 1) {
                 assert_matches_oracle(&format!("{name}, {} points", set.len()), &set);
+            }
+        }
+    }
+
+    #[test]
+    fn stage_counts_on_the_spheres_first_coarse_grid() {
+        // The benchmark's cold10k remesh: of the calls the filter leaves,
+        // the double-word stage resolves all but the exact zeros.
+        let spheres = pmg_mesh::sphere_in_cube(&pmg_mesh::SpheresParams {
+            n_surf: 6,
+            ..pmg_mesh::SpheresParams::ladder(1)
+        });
+        let set = &vertex_sets(&spheres, 1)[1];
+        assert_eq!(set.len(), 1250);
+        let dt = Delaunay::new(set).expect("triangulation");
+        assert_eq!(dt.real_tets().count(), 5380);
+        assert_eq!(
+            dt.predicate_counts(),
+            StageCounts {
+                filter: 89_499,
+                double_word: 4_446,
+                exact_diff: 1_549,
+                full_exact: 1_020,
+            }
+        );
+    }
+
+    #[test]
+    fn out_of_range_inputs_are_refused() {
+        // The 4^3 lattice scaled by powers of two: no exact sign changes,
+        // so inside the predicates' range every scale has the same tets.
+        let lattice = |exp: i32| -> Vec<Vec3> {
+            let scale = 2f64.powi(exp);
+            integer_grid(4).into_iter().map(|p| scale * p).collect()
+        };
+        for exp in [-100, 0, 100] {
+            let dt = Delaunay::new(&lattice(exp)).expect("in range");
+            assert_eq!(dt.real_tets().count(), 162, "scale 2^{exp}");
+        }
+        // Out of range the arithmetic overflows (2^250) or underflows
+        // (2^-1000): no triangulation rather than a wrong one.
+        for exp in [250, -1000] {
+            assert!(Delaunay::new(&lattice(exp)).is_none(), "scale 2^{exp}");
+        }
+        let mut nan = lattice(0);
+        nan[5].y = f64::NAN;
+        assert!(Delaunay::new(&nan).is_none());
+    }
+
+    #[test]
+    fn the_daemon_benchmark_units_are_in_range() {
+        // The serve2 workload sends the tiny spheres in units 2^-40 to 2^80
+        // and checks every reply against the unscaled solve: every coarse
+        // grid must triangulate in every unit, into the same tets. (Their
+        // ids may differ: the bounding tetrahedron does not shrink below
+        // unit size.)
+        let tiny = pmg_mesh::sphere_in_cube(&pmg_mesh::SpheresParams::tiny());
+        let tets = |dt: &Delaunay| {
+            let mut tets: Vec<[usize; 4]> = dt
+                .real_tets()
+                .map(|(_, t)| {
+                    let mut v = t.verts();
+                    v.sort_unstable();
+                    v
+                })
+                .collect();
+            tets.sort_unstable();
+            tets
+        };
+        for set in &vertex_sets(&tiny, 2)[1..] {
+            let unscaled = tets(&Delaunay::new(set).expect("unit 1"));
+            for exp in -40..=80 {
+                let scale = 2f64.powi(exp);
+                let scaled: Vec<Vec3> = set.iter().map(|&p| scale * p).collect();
+                let dt = Delaunay::new(&scaled).expect("in range");
+                assert_eq!(tets(&dt), unscaled, "unit 2^{exp}, {} points", set.len());
             }
         }
     }

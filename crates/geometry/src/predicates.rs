@@ -4,15 +4,25 @@
 //! *permanent* (the same computation with every subtraction replaced by an
 //! addition of absolute values). If the magnitude of the determinant exceeds
 //! a forward-error bound proportional to the permanent, the f64 sign is
-//! provably correct and is returned; otherwise we fall back to an exact
-//! evaluation with expansion arithmetic ([`crate::expansion`]): on the
-//! coordinate differences when all of them are exactly representable (the
-//! *exact-diff* stage), else on the raw coordinates (the *full-exact* stage).
+//! provably correct and is returned. What the filter leaves of `insphere`
+//! goes to a *double-word* stage: the same determinant in double-word
+//! arithmetic, against a bound of 49 ε² times the same permanent (derived
+//! at `insphere_double_word`). What no such stage resolves falls back to
+//! an exact evaluation with expansion arithmetic ([`crate::expansion`]): on
+//! the coordinate differences when all of them are exactly representable
+//! (the *exact-diff* stage), else on the raw coordinates (the *full-exact*
+//! stage). An exact zero (cospherical or coplanar points) always ends
+//! there: only an exact stage can certify it.
 //!
 //! The exact stages are Shewchuk's, laid out per determinant on
 //! fixed-capacity expansions and free of heap traffic per call: `orient3d`
 //! works on the stack, `insphere` on scratch that a [`Predicates`] allocates
 //! on its first fallback and keeps, so a triangulation pays for it once.
+//!
+//! Every stage's analysis assumes its arithmetic neither overflows nor
+//! underflows. [`in_range`] states the coordinates for which that holds;
+//! outside it the signs may be wrong, and [`crate::Delaunay::new`] refuses
+//! such input.
 //!
 //! Sign conventions follow Shewchuk:
 //!
@@ -23,8 +33,9 @@
 //!   the tetrahedron `(a, b, c, d)`, **assuming** `orient3d(a,b,c,d) > 0`.
 //!   (For negatively oriented tetrahedra the sign flips.)
 
-use crate::expansion::{cross_product_2x2, two_diff, Exp};
+use crate::expansion::{cross_product_2x2, fast_two_sum, two_diff, two_sum, Exp};
 use crate::vec3::Vec3;
+use std::ops::{Add, Mul, Neg, Sub};
 
 /// True when `x = fl(a - b)` is the exact difference (two_diff tail is
 /// zero) — common for mesh coordinates on structured or rational grids.
@@ -47,6 +58,54 @@ const O3D_ERRBOUND: f64 = (7.0 + 56.0 * EPS) * EPS;
 
 /// Forward-error coefficient for the 4x4 insphere determinant.
 const ISP_ERRBOUND: f64 = (16.0 + 224.0 * EPS) * EPS;
+
+/// Forward-error coefficient of the double-word insphere determinant,
+/// derived at [`insphere_double_word`]. Exact: 49 times a power of two.
+const ISP_DW_ERRBOUND: f64 = 49.0 * EPS * EPS;
+
+/// The predicates' range: coordinates are integer multiples of
+/// `2^-RANGE_EXP` and below `2^RANGE_EXP` in magnitude (see [`in_range`]).
+const RANGE_EXP: i32 = 180;
+
+/// True when every coordinate of `points` is zero or an integer multiple of
+/// `2^-180` below `2^180` in magnitude: the range in which no stage of
+/// [`orient3d`] or [`insphere`] overflows or underflows, so each is exactly
+/// what its error analysis assumes. NaN and infinity are outside it.
+///
+/// Every stage computes polynomials of degree at most 5 in the coordinates:
+/// differences (1), 2x2 minors and lifts (2), 3x3 minors (3), lifted
+/// cofactors and the determinant (5), and in the exact stages the
+/// components of their expansions. When every coordinate is a multiple of
+/// `q = 2^-180`, a value of degree `k` is a multiple of `q^k >= 2^-900`,
+/// and rounding or splitting it keeps it one (the result lies on a grid of
+/// powers of two no finer than `q^k`, or is exact). So no nonzero value
+/// falls below the normal range `2^-1022`: every error-free transform is
+/// exact and every rounding obeys `fl(x) = x(1 + δ)`, `|δ| <= 2^-53`; the
+/// error bounds' own products (a constant of at least `2^-106` times a
+/// permanent) stay above `2^-1006`. When every coordinate is below `2^180`,
+/// a difference is below `2^181` and a degree-5 value, at most 360
+/// monomials, below `2^914`; Veltkamp's split scales a component of degree
+/// at most 4 by `2^27 + 1`, below `2^760`. Nothing reaches `2^1024`.
+///
+/// Translating or scaling a point set moves it in and out of the range:
+/// [`crate::Delaunay::new`] checks its input and bounding tetrahedron once.
+pub fn in_range(points: &[Vec3]) -> bool {
+    points
+        .iter()
+        .all(|p| p.to_array().into_iter().all(coordinate_in_range))
+}
+
+/// One coordinate of [`in_range`].
+#[inline]
+fn coordinate_in_range(c: f64) -> bool {
+    let bits = c.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    // With the implicit bit set, the lowest set bit of the significand:
+    // `c` is an odd multiple of 2^(biased - 1075 + low). Subnormals,
+    // infinities and NaN fail one of the two tests.
+    let low = (bits | 1 << 52).trailing_zeros() as i32;
+    c == 0.0 || (biased - 1023 < RANGE_EXP && biased - 1075 + low >= -RANGE_EXP)
+}
 
 /// Qualitative result of an orientation test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,16 +179,22 @@ fn orient3d_stage(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Stage {
     if det > errbound || -det > errbound {
         return Stage::Filter(if det > 0.0 { 1 } else { -1 });
     }
-    // Adaptive stage (Shewchuk's structure): when every coordinate
-    // difference is exactly representable — the common case for mesh
-    // coordinates — the determinant of the *differences* is the true
-    // determinant, and it evaluates exactly at a fraction of the
-    // full-precision cost.
-    if diffs_are_exact(a, d) && diffs_are_exact(b, d) && diffs_are_exact(c, d) {
+    if all_diffs_are_exact(&[a, b, c], d) {
         Stage::ExactDiff
     } else {
         Stage::FullExact
     }
+}
+
+/// True when every coordinate difference `p - apex` of `points` is exact.
+///
+/// Adaptive stage (Shewchuk's structure): when every coordinate difference
+/// is exactly representable — the common case for mesh coordinates — the
+/// determinant of the *differences* is the true determinant, and it
+/// evaluates exactly at a fraction of the full-precision cost.
+#[inline]
+fn all_diffs_are_exact(points: &[Vec3], apex: Vec3) -> bool {
+    points.iter().all(|&p| diffs_are_exact(p, apex))
 }
 
 /// Exact sign of the orientation determinant of exact differences
@@ -178,9 +243,10 @@ fn orient3d_exact_sign(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> i32 {
     det.sign()
 }
 
-/// The f64 filter of `insphere`, and the exact stage to use when it fails.
+/// The f64 filter of `insphere`: the sign when the determinant clears its
+/// error bound, else the permanent that bound was proportional to.
 #[inline]
-fn insphere_stage(a: Vec3, b: Vec3, c: Vec3, d: Vec3, e: Vec3) -> Stage {
+fn insphere_filter(a: Vec3, b: Vec3, c: Vec3, d: Vec3, e: Vec3) -> Result<i32, f64> {
     let aex = a.x - e.x;
     let aey = a.y - e.y;
     let aez = a.z - e.z;
@@ -227,12 +293,166 @@ fn insphere_stage(a: Vec3, b: Vec3, c: Vec3, d: Vec3, e: Vec3) -> Stage {
     let permanent = dlift * abc_p + clift * dab_p + blift * cda_p + alift * bcd_p;
     let errbound = ISP_ERRBOUND * permanent;
     if det > errbound || -det > errbound {
-        return Stage::Filter(if det > 0.0 { 1 } else { -1 });
-    }
-    if [a, b, c, d].iter().all(|&p| diffs_are_exact(p, e)) {
-        Stage::ExactDiff
+        Ok(if det > 0.0 { 1 } else { -1 })
     } else {
-        Stage::FullExact
+        Err(permanent)
+    }
+}
+
+/// A double-word number: the unevaluated sum `hi + lo` of two doubles with
+/// `hi = fl(hi + lo)`.
+#[derive(Clone, Copy)]
+struct DoubleWord {
+    hi: f64,
+    lo: f64,
+}
+
+impl DoubleWord {
+    /// `a - b`, exactly.
+    #[inline(always)]
+    fn diff(a: f64, b: f64) -> Self {
+        let (hi, lo) = two_diff(a, b);
+        DoubleWord { hi, lo }
+    }
+}
+
+impl Add for DoubleWord {
+    type Output = Self;
+
+    /// Joldes, Muller & Popescu's `AccurateDWPlusDW` (their Algorithm 6).
+    #[inline(always)]
+    fn add(self, y: Self) -> Self {
+        let (sh, sl) = two_sum(self.hi, y.hi);
+        let (th, tl) = two_sum(self.lo, y.lo);
+        let (vh, vl) = fast_two_sum(sh, sl + th);
+        let (hi, lo) = fast_two_sum(vh, tl + vl);
+        DoubleWord { hi, lo }
+    }
+}
+
+impl Neg for DoubleWord {
+    type Output = Self;
+
+    #[inline(always)]
+    fn neg(self) -> Self {
+        DoubleWord {
+            hi: -self.hi,
+            lo: -self.lo,
+        }
+    }
+}
+
+impl Sub for DoubleWord {
+    type Output = Self;
+
+    #[inline(always)]
+    fn sub(self, y: Self) -> Self {
+        self + -y
+    }
+}
+
+impl Mul for DoubleWord {
+    type Output = Self;
+
+    /// Joldes, Muller & Popescu's `DWTimesDW3` (their Algorithm 12): the
+    /// high product's error by one FMA, the cross terms by two more.
+    #[inline(always)]
+    fn mul(self, y: Self) -> Self {
+        let ch = self.hi * y.hi;
+        let cl1 = self.hi.mul_add(y.hi, -ch);
+        let tl1 = self.hi.mul_add(y.lo, self.lo * y.lo);
+        let cl2 = self.lo.mul_add(y.hi, tl1);
+        let (hi, lo) = fast_two_sum(ch, cl1 + cl2);
+        DoubleWord { hi, lo }
+    }
+}
+
+/// The double-word stage of `insphere`, for a call the f64 filter left
+/// with `permanent`: the filter's determinant on the same tree of minors,
+/// evaluated in double-word arithmetic. Differences by [`two_diff`]
+/// (exact), products by `DWTimesDW3` (FMA error-free transforms), sums by
+/// `AccurateDWPlusDW` (J. Joldes, J.-M. Muller, V. Popescu, "Tight and
+/// rigorous error bounds for basic building blocks of double-word
+/// arithmetic", ACM TOMS 44(2), 2017). Returns the sign when `|hi|` of
+/// the determinant clears `49 u² · permanent` (`u = 2^-53`), and `None` —
+/// defer to the exact stages — otherwise or when a coordinate is outside
+/// [`in_range`] (which includes NaN and infinity). An exact zero always
+/// defers: its computed value is within the bound of zero.
+///
+/// # The bound
+///
+/// Inside [`in_range`] nothing overflows or underflows, so the published
+/// bounds hold: a double-word product has relative error at most
+/// `c_m u²`, `c_m = 5` (`DWTimesDW3`), and a sum at most `3u²` plus a term
+/// of order `u³` (`AccurateDWPlusDW`; the higher-order term as proved
+/// formally by Muller & Rideau, ACM TOMS 48(1), 2022), below `c_a u²`,
+/// `c_a = 4`.
+/// Write `|v̂ - v| <= k_v u² π_v` for each node `v` of the tree, `π_v` its
+/// exact permanent (a difference is its own absolute value, products
+/// multiply permanents, sums add them). To first order in `u²` a product
+/// `xy` has `k = k_x + k_y + c_m` and a sum or difference
+/// `k = max(k_x, k_y) + c_a`, so:
+///
+/// * differences: 0;
+/// * 2x2 minors `p q - r s`: `c_m + c_a`;
+/// * 3x3 minors `(z₁ m₁ - z₂ m₂) + z₃ m₃`: `2 c_m + 3 c_a`;
+/// * lifts `(x² + y²) + z²`: `c_m + 2 c_a`;
+/// * lifted cofactors: `4 c_m + 5 c_a`;
+/// * the determinant `(L₁ - L₂) + (L₃ - L₄)`: `4 c_m + 7 c_a = 48`.
+///
+/// The exact permanent of the determinant is the filter's permanent
+/// computed without rounding; the filter rounds at most 17 times along
+/// each of its monomials (five differences, twelve operations), all on
+/// nonnegative values, so `π <= permanent / (1 - u)^17`. Together with
+/// the `u⁴` terms, `|hi + lo| >= |hi| (1 - u)` and the one rounding of
+/// the bound's product, these are relative `O(u)` corrections to 48 that
+/// stay far below the 49th unit: `|hi| > fl(49 u² permanent)` implies
+/// that the computed determinant is farther from zero than its error, and
+/// the sign of `hi` is the sign of the determinant.
+fn insphere_double_word(
+    a: Vec3,
+    b: Vec3,
+    c: Vec3,
+    d: Vec3,
+    e: Vec3,
+    permanent: f64,
+) -> Option<i32> {
+    if !in_range(&[a, b, c, d, e]) {
+        return None;
+    }
+    let diff = |p: Vec3| {
+        [
+            DoubleWord::diff(p.x, e.x),
+            DoubleWord::diff(p.y, e.y),
+            DoubleWord::diff(p.z, e.z),
+        ]
+    };
+    let [ae, be, ce, de] = [a, b, c, d].map(diff);
+
+    // The filter's minors, in its order of operations.
+    let xy = |p: [DoubleWord; 3], q: [DoubleWord; 3]| p[0] * q[1] - q[0] * p[1];
+    let (ab, bc, cd, da, ac, bd) = (
+        xy(ae, be),
+        xy(be, ce),
+        xy(ce, de),
+        xy(de, ae),
+        xy(ae, ce),
+        xy(be, de),
+    );
+    let abc = ae[2] * bc - be[2] * ac + ce[2] * ab;
+    let bcd = be[2] * cd - ce[2] * bd + de[2] * bc;
+    let cda = ce[2] * da + de[2] * ac + ae[2] * cd;
+    let dab = de[2] * ab + ae[2] * bd + be[2] * da;
+    let lift = |p: [DoubleWord; 3]| p[0] * p[0] + p[1] * p[1] + p[2] * p[2];
+
+    let det = (lift(de) * abc - lift(ce) * dab) + (lift(be) * cda - lift(ae) * bcd);
+    let bound = ISP_DW_ERRBOUND * permanent;
+    if det.hi > bound {
+        Some(1)
+    } else if -det.hi > bound {
+        Some(-1)
+    } else {
+        None
     }
 }
 
@@ -438,14 +658,32 @@ impl InsphereFullScratch {
     }
 }
 
+/// How many predicate calls each stage resolved.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageCounts {
+    /// The f64 filter (`orient3d` and `insphere`).
+    pub filter: u64,
+    /// The double-word stage (`insphere` only).
+    pub double_word: u64,
+    /// The exact stage on exactly representable coordinate differences.
+    pub exact_diff: u64,
+    /// The exact stage on the raw coordinates.
+    pub full_exact: u64,
+}
+
+impl StageCounts {
+    /// Every call counted.
+    pub fn total(&self) -> u64 {
+        self.filter + self.double_word + self.exact_diff + self.full_exact
+    }
+}
+
 /// A predicate evaluator: the `insphere` scratch and a count of how often
 /// each precision level resolved a call. One per triangulation; the free
 /// functions [`orient3d`] and [`insphere`] make a throw-away one per call.
 #[derive(Default)]
 pub struct Predicates {
-    filter: u64,
-    exact_diff: u64,
-    full_exact: u64,
+    counts: StageCounts,
     insphere_diff: Option<Box<InsphereDiffScratch>>,
     insphere_full: Option<Box<InsphereFullScratch>>,
 }
@@ -456,61 +694,69 @@ impl Predicates {
         Self::default()
     }
 
-    /// `(filter, exact-diff stage, full-exact stage)` call counts so far.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (self.filter, self.exact_diff, self.full_exact)
+    /// Call counts per resolving stage so far.
+    pub fn counts(&self) -> StageCounts {
+        self.counts
     }
 
-    /// Robust orientation test; the returned sign is exact.
+    /// Robust orientation test; the returned sign is exact for
+    /// coordinates [`in_range`].
     pub fn orient3d(&mut self, a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Orientation {
         Orientation::from_sign(match orient3d_stage(a, b, c, d) {
             Stage::Filter(sign) => {
-                self.filter += 1;
+                self.counts.filter += 1;
                 sign
             }
             Stage::ExactDiff => {
-                self.exact_diff += 1;
+                self.counts.exact_diff += 1;
                 orient3d_diff_sign(a - d, b - d, c - d)
             }
             Stage::FullExact => {
-                self.full_exact += 1;
+                self.counts.full_exact += 1;
                 orient3d_exact_sign(a, b, c, d)
             }
         })
     }
 
-    /// Robust insphere test; the returned sign is exact.
+    /// Robust insphere test; the returned sign is exact for coordinates
+    /// [`in_range`].
     ///
     /// Positive means `e` is strictly inside the circumsphere of the
     /// positively oriented tetrahedron `(a, b, c, d)`.
     pub fn insphere(&mut self, a: Vec3, b: Vec3, c: Vec3, d: Vec3, e: Vec3) -> Orientation {
-        Orientation::from_sign(match insphere_stage(a, b, c, d, e) {
-            Stage::Filter(sign) => {
-                self.filter += 1;
-                sign
+        let permanent = match insphere_filter(a, b, c, d, e) {
+            Ok(sign) => {
+                self.counts.filter += 1;
+                return Orientation::from_sign(sign);
             }
-            Stage::ExactDiff => {
-                self.exact_diff += 1;
-                self.insphere_diff
-                    .get_or_insert_with(|| Box::new(InsphereDiffScratch::ZERO))
-                    .sign(a - e, b - e, c - e, d - e)
-            }
-            Stage::FullExact => {
-                self.full_exact += 1;
-                self.insphere_full
-                    .get_or_insert_with(|| Box::new(InsphereFullScratch::ZERO))
-                    .sign([a, b, c, d, e])
-            }
+            Err(permanent) => permanent,
+        };
+        if let Some(sign) = insphere_double_word(a, b, c, d, e, permanent) {
+            self.counts.double_word += 1;
+            return Orientation::from_sign(sign);
+        }
+        Orientation::from_sign(if all_diffs_are_exact(&[a, b, c, d], e) {
+            self.counts.exact_diff += 1;
+            self.insphere_diff
+                .get_or_insert_with(|| Box::new(InsphereDiffScratch::ZERO))
+                .sign(a - e, b - e, c - e, d - e)
+        } else {
+            self.counts.full_exact += 1;
+            self.insphere_full
+                .get_or_insert_with(|| Box::new(InsphereFullScratch::ZERO))
+                .sign([a, b, c, d, e])
         })
     }
 }
 
-/// Robust orientation test; the returned sign is exact.
+/// Robust orientation test; the returned sign is exact for coordinates
+/// [`in_range`].
 pub fn orient3d(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Orientation {
     Predicates::new().orient3d(a, b, c, d)
 }
 
-/// Robust insphere test; the returned sign is exact.
+/// Robust insphere test; the returned sign is exact for coordinates
+/// [`in_range`].
 ///
 /// Positive means `e` is strictly inside the circumsphere of the positively
 /// oriented tetrahedron `(a, b, c, d)`.
@@ -539,12 +785,13 @@ pub fn circumsphere(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Option<(Vec3, f64)> {
 }
 
 /// The predicates as they were before their exact stages moved onto fixed
-/// buffers: the same filter and stage choice, the signs from the general
+/// buffers and `insphere` gained its double-word stage: the same filter and
+/// exact-stage choice, every call the filter leaves signed by the general
 /// [`Expansion`] calculator. The oracle of the tests here and of the
 /// triangulation oracle in [`crate::delaunay`].
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{insphere_stage, orient3d_stage, Orientation, Stage};
+    use super::{all_diffs_are_exact, insphere_filter, orient3d_stage, Orientation, Stage};
     use crate::expansion::oracle::Expansion;
     use crate::vec3::Vec3;
 
@@ -557,15 +804,15 @@ pub(crate) mod oracle {
     }
 
     pub fn insphere(a: Vec3, b: Vec3, c: Vec3, d: Vec3, e: Vec3) -> Orientation {
-        Orientation::from_sign(match insphere_stage(a, b, c, d, e) {
-            Stage::Filter(sign) => sign,
-            Stage::ExactDiff => insphere_from_diffs(
+        Orientation::from_sign(match insphere_filter(a, b, c, d, e) {
+            Ok(sign) => sign,
+            Err(_) if all_diffs_are_exact(&[a, b, c, d], e) => insphere_from_diffs(
                 (a - e).to_array(),
                 (b - e).to_array(),
                 (c - e).to_array(),
                 (d - e).to_array(),
             ),
-            Stage::FullExact => insphere_exact_sign(a, b, c, d, e),
+            Err(_) => insphere_exact_sign(a, b, c, d, e),
         })
     }
 
@@ -919,7 +1166,7 @@ mod tests {
 
         // insphere: the full-exact stage is valid on any input.
         let exact = full.sign(pts);
-        let diffs_exact = [a, b, c, d].iter().all(|&p| diffs_are_exact(p, e));
+        let diffs_exact = all_diffs_are_exact(&[a, b, c, d], e);
         if diffs_exact {
             assert_eq!(diff.sign(a - e, b - e, c - e, d - e), exact, "{pts:?}");
             let want = oracle::insphere_from_diffs(
@@ -938,7 +1185,7 @@ mod tests {
             );
             seen.full[(exact + 1) as usize] += 1;
         }
-        if let Stage::Filter(sign) = insphere_stage(a, b, c, d, e) {
+        if let Ok(sign) = insphere_filter(a, b, c, d, e) {
             assert_eq!(sign, exact, "insphere filter {pts:?}");
         }
         assert_eq!(insphere(a, b, c, d, e), Orientation::from_sign(exact));
@@ -987,18 +1234,130 @@ mod tests {
         }
     }
 
+    /// Five points of family 3's exactly cospherical construction, about
+    /// half of them moved off the sphere by up to four ulps per coordinate.
+    fn ulps_off_a_sphere(rng: &mut rand::rngs::StdRng) -> [Vec3; 5] {
+        // `x` moved by `k` ulps; zero stays put (its neighbours are
+        // subnormal).
+        let step = |x: f64, k: i32| {
+            (0..k.abs()).fold(x, |x, _| match (x == 0.0, k > 0) {
+                (true, _) => x,
+                (false, true) => x.next_up(),
+                (false, false) => x.next_down(),
+            })
+        };
+        let mut pts = near_degenerate(rng, 3);
+        for p in &mut pts {
+            if rng.gen::<bool>() {
+                let mut k = || rng.gen_range(-4i32..5);
+                *p = Vec3::new(step(p.x, k()), step(p.y, k()), step(p.z, k()));
+            }
+        }
+        pts
+    }
+
+    /// The families of [`near_degenerate`] and [`ulps_off_a_sphere`] (the
+    /// last).
+    const FAMILIES: usize = 9;
+
+    fn family(rng: &mut rand::rngs::StdRng, kind: usize) -> [Vec3; 5] {
+        if kind < 8 {
+            near_degenerate(rng, kind)
+        } else {
+            ulps_off_a_sphere(rng)
+        }
+    }
+
+    /// Per family, the `insphere` calls the filter left that the
+    /// double-word stage resolved, and those it deferred to the exact
+    /// stages; every resolved sign checked against the full-exact stage.
+    fn double_word_verdicts(seed: u64, calls: usize) -> [[usize; 2]; FAMILIES] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut full = Box::new(InsphereFullScratch::ZERO);
+        let mut predicates = Predicates::new();
+        let mut seen = [[0usize; 2]; FAMILIES];
+        for i in 0..calls {
+            let kind = i % FAMILIES;
+            let pts = family(&mut rng, kind);
+            let [a, b, c, d, e] = pts;
+            let before = predicates.counts();
+            let sign = predicates.insphere(a, b, c, d, e);
+            let after = predicates.counts();
+            if after.filter > before.filter {
+                continue;
+            }
+            let resolved = after.double_word > before.double_word;
+            if resolved {
+                assert_eq!(
+                    sign,
+                    Orientation::from_sign(full.sign(pts)),
+                    "double-word stage, family {kind}: {pts:?}"
+                );
+            }
+            seen[kind][usize::from(!resolved)] += 1;
+        }
+        seen
+    }
+
+    proptest! {
+        /// 64 cases of 1 800 inputs through the public
+        /// [`Predicates::insphere`]: every sign the double-word stage
+        /// returns is the exact sign.
+        #[test]
+        fn double_word_stage_agrees_with_the_exact_stages(seed in 0u64..u64::MAX) {
+            let seen = double_word_verdicts(seed, 1800);
+            // Exact zeros by construction: the stage must defer them all.
+            for kind in [2, 3, 5, 6] {
+                prop_assert!(seen[kind][0] == 0, "family {}: {:?}", kind, seen);
+            }
+        }
+    }
+
+    #[test]
+    fn double_word_stage_resolves_and_defers_in_every_family_that_reaches_it() {
+        let mut seen = [[0usize; 2]; FAMILIES];
+        for seed in 0..16 {
+            for (total, s) in seen.iter_mut().zip(double_word_verdicts(seed, 1800)) {
+                total[0] += s[0];
+                total[1] += s[1];
+            }
+        }
+        let [resolved, deferred] = [0, 1].map(|i| seen.map(|s| s[i] > 0));
+        // Generic points rounded near a sphere or a plane (0, 4) leave the
+        // stage nonzero determinants only; the lattice and exact
+        // constructions (2, 3, 5, 6) exact zeros only; a perturbed lattice
+        // (7) and points ulps off a sphere (8) both. The filter resolves
+        // every call of family 1.
+        assert_eq!(
+            resolved,
+            [true, false, false, false, true, false, false, true, true],
+            "{seen:?}"
+        );
+        assert_eq!(
+            deferred,
+            [false, false, true, true, false, true, true, true, true],
+            "{seen:?}"
+        );
+    }
+
     #[test]
     fn counts_follow_the_resolving_stage() {
+        let counts = |filter, double_word, exact_diff, full_exact| StageCounts {
+            filter,
+            double_word,
+            exact_diff,
+            full_exact,
+        };
         let mut p = Predicates::new();
         let far = Vec3::new(0.3, 0.3, -5.0);
         assert_eq!(p.orient3d(A, B, C, far), Orientation::Positive);
-        assert_eq!(p.counts(), (1, 0, 0));
+        assert_eq!(p.counts(), counts(1, 0, 0, 0));
         // Coplanar on a lattice: exact differences.
         assert_eq!(
             p.orient3d(A, B, C, Vec3::new(0.5, 0.25, 0.0)),
             Orientation::Zero
         );
-        assert_eq!(p.counts(), (1, 1, 0));
+        assert_eq!(p.counts(), counts(1, 0, 1, 0));
         // Coplanar off the lattice: 1e10 + 0.3 - 1e10 is inexact.
         let s = 1e10;
         assert_eq!(
@@ -1010,9 +1369,9 @@ mod tests {
             ),
             Orientation::Zero
         );
-        assert_eq!(p.counts(), (1, 1, 1));
+        assert_eq!(p.counts(), counts(1, 0, 1, 1));
         // insphere: cospherical lattice points, then a repeated point among
-        // unrelated magnitudes.
+        // unrelated magnitudes. Exact zeros: the double-word stage defers.
         let (a, b, c, d) = (
             Vec3::new(1.0, 0.0, 0.0),
             Vec3::new(-1.0, 0.0, 0.0),
@@ -1023,10 +1382,16 @@ mod tests {
             p.insphere(a, b, c, d, Vec3::new(0.0, -1.0, 0.0)),
             Orientation::Zero
         );
-        assert_eq!(p.counts(), (1, 2, 1));
+        assert_eq!(p.counts(), counts(1, 0, 2, 1));
+        // Half an ulp inside the sphere: too close for the filter.
+        assert_eq!(
+            p.insphere(a, b, c, d, Vec3::new(0.0, (-1.0f64).next_up(), 0.0)),
+            Orientation::Positive
+        );
+        assert_eq!(p.counts(), counts(1, 1, 2, 1));
         let a = Vec3::new(1e10 + 2.0, 0.3, 0.7);
         let b = Vec3::new(0.1, 1e-9, 3.0);
         assert_eq!(p.insphere(a, b, c, d, a), Orientation::Zero);
-        assert_eq!(p.counts(), (1, 2, 2));
+        assert_eq!(p.counts(), counts(1, 1, 2, 2));
     }
 }

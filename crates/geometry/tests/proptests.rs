@@ -132,11 +132,18 @@ fn adaptive_stage_resolves_grid_degeneracies_without_full_exact() {
     let dt = Delaunay::new(&pts).expect("triangulation");
     assert!(dt.verify_delaunay());
     // Counted per triangulation: other tests' predicates do not show here.
-    let (filter, exact_diff, full_exact) = dt.predicate_counts();
-    assert!(filter > 0);
-    assert!(exact_diff > 0, "grid ties must hit the exact-diff shortcut");
+    let counts = dt.predicate_counts();
+    assert!(counts.filter > 0);
     assert_eq!(
-        full_exact, 0,
+        counts.double_word, 0,
+        "what the filter leaves on a grid is an exact zero"
+    );
+    assert!(
+        counts.exact_diff > 0,
+        "grid ties must hit the exact-diff shortcut"
+    );
+    assert_eq!(
+        counts.full_exact, 0,
         "grid coordinates never need the full exact path"
     );
 }
@@ -160,9 +167,8 @@ fn adaptive_stage_agrees_with_full_exact_on_perturbed_grids() {
     }
     let dt = Delaunay::new(&pts).expect("triangulation");
     assert!(dt.verify_delaunay());
-    let (_, _, full_exact) = dt.predicate_counts();
     assert!(
-        full_exact > 0,
+        dt.predicate_counts().full_exact > 0,
         "inexact differences engage the full exact path"
     );
 }
