@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the solver's kernels: SpMV, the Galerkin
-//! triple product, element assembly (serial, and one rank's owned rows),
+//! triple product, element assembly (serial, and one rank's cold context
+//! build and owned rows),
 //! MIS, face identification, Delaunay tetrahedralization
 //! (random points, and the benchmark's first coarse grid with its
 //! double-word and exact-diff `insphere` stages on their own), the
@@ -129,8 +130,9 @@ fn bench_rap(c: &mut Criterion) {
 }
 
 fn bench_assembly(c: &mut Criterion) {
-    // Cold = sparsity pattern + scatter map + values; pattern_reuse = the
-    // value-only refill every Newton iteration after the first takes.
+    // Cold = vertex pattern + scatter positions + values; pattern_reuse =
+    // the value-only refill every Newton iteration after the first takes.
+    // What the problem keeps between assemblies prints beside them.
     let params = pmg_mesh::SpheresParams::tiny();
     let mesh = pmg_mesh::sphere_in_cube(&params);
     let mats = pmg_fem::table1_materials();
@@ -145,17 +147,27 @@ fn bench_assembly(c: &mut Criterion) {
     });
     let mut fem = pmg_fem::FemProblem::new(mesh.clone(), mats.clone());
     fem.assemble(&u);
+    println!(
+        "assemble/cold, pattern_reuse: memory_bytes {} B ({} dof)",
+        fem.memory_bytes(),
+        fem.ndof()
+    );
     g.bench_function("pattern_reuse", |b| b.iter(|| fem.assemble(&u)));
 
-    // One rank's warm assembly of its owned rows on the benchmark's
-    // `spmd2_17k` block (18^3 vertices, rank 1 of 2): the element kernel
-    // over the shard plus the merge into global columns.
+    // One rank's context on the benchmark's `spmd2_17k` block (18^3
+    // vertices, rank 1 of 2): its cold build (owned-row vertex pattern and
+    // scatter positions, geometry, history), then its warm assembly of the
+    // owned rows (the element kernel over the shard, rows in global
+    // columns as assembled).
     let block = pmg_mesh::generators::block(17, 17, 17, Vec3::splat(1.0), |_| 0);
     let part = pmg_partition::recursive_coordinate_bisection(&block.coords, 2);
     let shard = &pmg_mesh::shard_mesh(&block, &part, 2)[1];
     let elastic: Vec<std::sync::Arc<dyn pmg_fem::Material>> = vec![std::sync::Arc::new(
         pmg_fem::LinearElastic::from_e_nu(1.0, 0.3),
     )];
+    g.bench_function("rank_from_shard", |b| {
+        b.iter(|| pmg_fem::RankAssembly::from_shard(shard, &elastic))
+    });
     let mut rank = pmg_fem::RankAssembly::from_shard(shard, &elastic);
     let u_local = vec![0.0; rank.num_local_dof()];
     g.bench_function("rank_assemble_owned", |b| {

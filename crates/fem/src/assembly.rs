@@ -18,6 +18,13 @@ use std::sync::Arc;
 const CHUNK: usize = 2048;
 
 /// A finite element problem: mesh + materials + Gauss-point history.
+///
+/// The symbolic data is kept at vertex granularity: a value-free vertex
+/// pattern over the rows this problem assembles and one scatter position
+/// per element vertex pair. Serially the rows are every vertex and the
+/// columns are local vertex ids; a rank's context
+/// ([`crate::RankAssembly`]) assembles only its owned vertices' rows, with
+/// global column ids.
 pub struct FemProblem {
     pub mesh: Mesh,
     materials: Vec<Arc<dyn Material>>,
@@ -25,13 +32,21 @@ pub struct FemProblem {
     trial: Vec<f64>,
     stride: usize,
     quad: Vec<QuadPoint>,
-    sparsity: CsrMatrix,
-    /// Per-element scatter map: for element `e` and the entry of its
-    /// stiffness at row `row = 3a + i`, column `3b + k`, the flat index into
-    /// the CSR value array, in the element kernel's `(row, k, b)` order
-    /// (`scatter[e * edof² + (row * 3 + k) * nv + b]`). Built once with the
-    /// sparsity; every re-assembly then writes values by direct indexing —
-    /// no per-entry binary search, no COO sort.
+    /// Vertex pattern: row vertex `v` (local vertices `0..rows`) has the
+    /// column vertex ids `vcols[vrow_ptr[v]..vrow_ptr[v + 1]]`, ascending,
+    /// its neighbours with `v` itself slotted in. The vertex's three dof
+    /// rows share that list, each column vertex `w` standing for the dof
+    /// columns `3w..3w + 3`, so dof row `3v + i` holds entries
+    /// `9·vrow_ptr[v] + 3·i·deg(v) ..` of the expanded CSR.
+    vrow_ptr: Vec<usize>,
+    vcols: Vec<u32>,
+    /// Per-element scatter positions: for element `e` and its vertex pair
+    /// `(a, b)`, the position of vertex `b`'s column in row vertex `a`'s
+    /// list (`scatter[e * nv² + a * nv + b]`; `u32::MAX` where vertex `a`
+    /// is not a row). The 3×3 block `(a, b)` then lands at slot
+    /// `9·vrow_ptr[v_a] + 3·i·deg(v_a) + 3·pos + k` for row `i`, column
+    /// `k`. Built once with the pattern; every re-assembly writes values by
+    /// direct indexing — no per-entry binary search, no COO sort.
     scatter: Vec<u32>,
     /// Cached physical shape gradients and Jacobian determinant per
     /// (element, Gauss point): `3*nv` gradient components then `det`
@@ -48,13 +63,29 @@ pub struct FemProblem {
 
 impl FemProblem {
     /// `materials[id]` is the model for elements with that material id.
+    /// Assembles every vertex's rows, in local column numbering.
     pub fn new(mesh: Mesh, materials: Vec<Arc<dyn Material>>) -> FemProblem {
+        let rows = mesh.num_vertices();
+        FemProblem::over_rows(mesh, materials, rows, |w| w)
+    }
+
+    /// A problem over the whole of `mesh` (every element's work and
+    /// history) that assembles the rows of local vertices `0..rows` only,
+    /// in local order, with column vertex `w` numbered `column_id(w)`
+    /// (injective).
+    pub(crate) fn over_rows(
+        mesh: Mesh,
+        materials: Vec<Arc<dyn Material>>,
+        rows: usize,
+        column_id: impl Fn(u32) -> u32,
+    ) -> FemProblem {
         assert!(
             mesh.materials
                 .iter()
                 .all(|&m| (m as usize) < materials.len()),
             "element references unknown material"
         );
+        assert!(rows <= mesh.num_vertices());
         let quad = quadrature(mesh.kind);
         let stride = materials.iter().map(|m| m.state_size()).max().unwrap_or(0);
         let mut committed = vec![0.0; mesh.num_elements() * quad.len() * stride];
@@ -67,47 +98,71 @@ impl FemProblem {
             }
         }
         let trial = committed.clone();
-        let sparsity = {
+        let (vrow_ptr, vcols) = {
             let _t = pmg_telemetry::scope("sparsity");
-            build_sparsity(&mesh)
+            build_pattern(&mesh, rows, &column_id)
         };
         let scatter = {
             let _t = pmg_telemetry::scope("scatter_map");
-            build_scatter(&mesh, &sparsity)
+            build_scatter(&mesh, &vrow_ptr, &vcols, &column_id)
         };
         let geom = {
             let _t = pmg_telemetry::scope("geom");
             Arc::new(build_geom(&mesh, &quad))
         };
         let coords_fp = coords_fingerprint(&mesh.coords);
-        pmg_telemetry::gauge_set("fem/ndof", mesh.num_dof() as f64);
-        pmg_telemetry::gauge_set("fem/nnz", sparsity.nnz() as f64);
-        FemProblem {
+        let fem = FemProblem {
             mesh,
             materials,
             committed,
             trial,
             stride,
             quad,
-            sparsity,
+            vrow_ptr,
+            vcols,
             scatter,
             geom,
             coords_fp,
-        }
+        };
+        pmg_telemetry::gauge_set("fem/ndof", (3 * rows) as f64);
+        pmg_telemetry::gauge_set("fem/nnz", fem.nnz() as f64);
+        pmg_telemetry::gauge_set("mem/fem_bytes", fem.memory_bytes() as f64);
+        fem
     }
 
     pub fn ndof(&self) -> usize {
         self.mesh.num_dof()
     }
 
+    /// Stored entries of the stiffness [`FemProblem::assemble`] returns.
     pub fn nnz(&self) -> usize {
-        self.sparsity.nnz()
+        9 * self.vcols.len()
+    }
+
+    /// Heap bytes this problem keeps between assemblies: the vertex
+    /// pattern, the scatter positions, the geometry cache and both history
+    /// buffers.
+    pub fn memory_bytes(&self) -> u64 {
+        (size_of_val(&self.vrow_ptr[..])
+            + size_of_val(&self.vcols[..])
+            + size_of_val(&self.scatter[..])
+            + size_of_val(&self.geom[..])
+            + size_of_val(&self.committed[..])
+            + size_of_val(&self.trial[..])) as u64
     }
 
     /// Assemble the tangent stiffness and internal force at displacement
     /// `u`. History enters from the committed state; the trial state is
     /// updated (call [`FemProblem::commit`] once the step converges).
     pub fn assemble(&mut self, u: &[f64]) -> (CsrMatrix, Vec<f64>) {
+        let ncols = self.ndof();
+        self.assemble_rows(u, ncols)
+    }
+
+    /// [`FemProblem::assemble`] for the rows this problem holds, in a
+    /// column space of `ncols` dofs: the stiffness rows (the vertex pattern
+    /// expanded to dofs) and the matching internal force entries.
+    pub(crate) fn assemble_rows(&mut self, u: &[f64], ncols: usize) -> (CsrMatrix, Vec<f64>) {
         let _t = pmg_telemetry::scope("assemble");
         assert_eq!(u.len(), self.ndof());
         let nelems = self.mesh.num_elements();
@@ -128,15 +183,16 @@ impl FemProblem {
             self.coords_fp = fp;
         }
 
-        let mut k = self.sparsity.clone();
-        let mut f = vec![0.0f64; self.ndof()];
+        let mut k = self.expand_pattern(ncols);
+        let rows = self.vrow_ptr.len() - 1;
+        let mut f = vec![0.0f64; 3 * rows];
 
         let mesh = &self.mesh;
         let materials = &self.materials;
         let quad = &self.quad;
         let geom: &[f64] = &self.geom;
         let stride = self.stride;
-        let scatter = &self.scatter;
+        let (vrow_ptr, scatter) = (&self.vrow_ptr, &self.scatter);
         let kv = k.vals_mut();
         // One kernel, compiled per node count so that every node loop has a
         // fixed trip count.
@@ -164,29 +220,67 @@ impl FemProblem {
                 let state = &mut self.trial[e * esl..(e + 1) * esl];
                 element_kernel(mesh, materials, geom, quad, stride, e, u, state, ke, fe);
             }
-            for off in 0..cnt {
-                let e = start + off;
-                let verts = mesh.elem(e);
-                let fe = &fb[off * edof..(off + 1) * edof];
-                for a in 0..nv {
-                    for i in 0..3 {
-                        f[3 * verts[a] as usize + i] += fe[3 * a + i];
+            // Scatter each element's blocks through its pair positions: a
+            // row vertex's three rows share one column list, so the block
+            // `(a, b)` is located once for all nine of its entries. Every
+            // slot receives at most one addition per element, in element
+            // order.
+            let outputs = kb.chunks_exact(edof * edof).zip(fb.chunks_exact(edof));
+            for (e, (ke, fe)) in (start..end).zip(outputs) {
+                let pos = &scatter[e * nv * nv..][..nv * nv];
+                for (a, (&va, pos_a)) in mesh.elem(e).iter().zip(pos.chunks_exact(nv)).enumerate() {
+                    let va = va as usize;
+                    if va >= rows {
+                        continue;
                     }
-                }
-                // Scatter the element stiffness through the precomputed map:
-                // one indexed add per entry, no binary search.
-                let base = e * edof * edof;
-                for (le, &v) in kb[off * edof * edof..(off + 1) * edof * edof]
-                    .iter()
-                    .enumerate()
-                {
-                    kv[scatter[base + le] as usize] += v;
+                    let (lo, deg) = (vrow_ptr[va], vrow_ptr[va + 1] - vrow_ptr[va]);
+                    for i in 0..3 {
+                        f[3 * va + i] += fe[3 * a + i];
+                        let row = &mut kv[9 * lo + 3 * i * deg..][..3 * deg];
+                        for kk in 0..3 {
+                            let kr = &ke[((3 * a + i) * 3 + kk) * nv..][..nv];
+                            for (&p, &v) in pos_a.iter().zip(kr) {
+                                row[3 * p as usize + kk] += v;
+                            }
+                        }
+                    }
                 }
             }
             start = end;
         }
         pmg_sparse::flops::add((nelems * self.quad.len() * edof * edof * 2) as u64);
         (k, f)
+    }
+
+    /// The vertex pattern expanded to the dof-level CSR, values zero: each
+    /// column vertex `w` becomes the dof columns `3w, 3w + 1, 3w + 2`, and
+    /// a row vertex's three rows repeat its list. The zeros are written
+    /// row by row, so every page of the value array is first touched by a
+    /// write; a zeroed allocation would be faulted twice by the scatter's
+    /// read-modify-write (once onto the shared zero page, once to copy it).
+    fn expand_pattern(&self, ncols: usize) -> CsrMatrix {
+        let rows = self.vrow_ptr.len() - 1;
+        let nnz = self.nnz();
+        let mut row_ptr = Vec::with_capacity(3 * rows + 1);
+        row_ptr.push(0usize);
+        let mut col_idx: Vec<usize> = Vec::with_capacity(nnz);
+        let mut vals: Vec<f64> = Vec::with_capacity(nnz);
+        for w in self.vrow_ptr.windows(2) {
+            let start = col_idx.len();
+            col_idx.extend(self.vcols[w[0]..w[1]].iter().flat_map(|&c| {
+                let d = 3 * c as usize;
+                [d, d + 1, d + 2]
+            }));
+            let end = col_idx.len();
+            row_ptr.push(end);
+            for _ in 0..2 {
+                col_idx.extend_from_within(start..end);
+                row_ptr.push(col_idx.len());
+            }
+            vals.resize(col_idx.len(), 0.0);
+        }
+        debug_assert_eq!(col_idx.len(), nnz);
+        CsrMatrix::from_parts(3 * rows, ncols, row_ptr, col_idx, vals)
     }
 
     /// Promote the trial history to committed (end of a converged step).
@@ -410,72 +504,55 @@ fn coords_fingerprint(coords: &[pmg_geometry::Vec3]) -> u64 {
     h
 }
 
-/// CSR sparsity of the assembled operator: 3x3 blocks on the vertex graph
-/// (plus the diagonal block), values zero.
-fn build_sparsity(mesh: &Mesh) -> CsrMatrix {
+/// The vertex pattern of rows `0..rows`: per row vertex `v`, the column ids
+/// of its neighbours in the vertex graph with `v` itself slotted in,
+/// ascending, without values.
+fn build_pattern(
+    mesh: &Mesh,
+    rows: usize,
+    column_id: &impl Fn(u32) -> u32,
+) -> (Vec<usize>, Vec<u32>) {
     pmg_telemetry::counter_add("assembly/pattern_build", 1);
-    let n = mesh.num_vertices();
     let g = mesh.vertex_graph();
-    let ndof = 3 * n;
-    let nnz = 9 * (2 * g.num_edges() + n);
-    let mut row_ptr = Vec::with_capacity(ndof + 1);
-    row_ptr.push(0usize);
-    let mut col_idx: Vec<usize> = Vec::with_capacity(nnz);
-    for v in 0..n {
-        // The sorted neighbours with `v` itself slotted in, written once as
-        // the vertex's first row and copied for its other two.
-        let nbrs = g.neighbors(v);
-        let split = nbrs.partition_point(|&w| (w as usize) < v);
-        let start = col_idx.len();
-        let cols = nbrs[..split]
-            .iter()
-            .map(|&w| w as usize)
-            .chain([v])
-            .chain(nbrs[split..].iter().map(|&w| w as usize));
-        for w in cols {
-            col_idx.extend([3 * w, 3 * w + 1, 3 * w + 2]);
-        }
-        let end = col_idx.len();
-        row_ptr.push(end);
-        for _ in 0..2 {
-            col_idx.extend_from_within(start..end);
-            row_ptr.push(col_idx.len());
-        }
+    let mut vrow_ptr = Vec::with_capacity(rows + 1);
+    vrow_ptr.push(0usize);
+    for v in 0..rows {
+        vrow_ptr.push(vrow_ptr[v] + g.neighbors(v).len() + 1);
     }
-    debug_assert_eq!(col_idx.len(), nnz);
-    CsrMatrix::from_parts(ndof, ndof, row_ptr, col_idx, vec![0.0; nnz])
+    let mut vcols = Vec::with_capacity(vrow_ptr[rows]);
+    for v in 0..rows {
+        let start = vcols.len();
+        let row = g.neighbors(v).iter().copied().chain([v as u32]);
+        vcols.extend(row.map(column_id));
+        vcols[start..].sort_unstable();
+    }
+    (vrow_ptr, vcols)
 }
 
-/// Resolve every element's local stiffness entry to its flat index in the
-/// CSR value array, once, in the element kernel's `(row, k, b)` order. The
-/// three dofs of a vertex are contiguous columns in the pattern and its
-/// three rows share one column list ([`build_sparsity`]), so one binary
-/// search per vertex pair locates the whole 3×3 block.
-fn build_scatter(mesh: &Mesh, sparsity: &CsrMatrix) -> Vec<u32> {
-    assert!(
-        sparsity.nnz() <= u32::MAX as usize,
-        "stiffness nnz exceeds u32 scatter index range"
-    );
+/// Resolve every element vertex pair `(a, b)` whose vertex `a` is a row to
+/// the position of `b`'s column in `a`'s row, once: one binary search per
+/// pair locates the whole 3×3 block, since a vertex's three rows share one
+/// column list ([`build_pattern`]).
+fn build_scatter(
+    mesh: &Mesh,
+    vrow_ptr: &[usize],
+    vcols: &[u32],
+    column_id: &impl Fn(u32) -> u32,
+) -> Vec<u32> {
+    let rows = vrow_ptr.len() - 1;
     let nv = mesh.kind.nodes();
-    let edof = 3 * nv;
-    let row_ptr = sparsity.row_ptr();
-    let col_idx = sparsity.col_idx();
-    let mut scatter = vec![0u32; mesh.num_elements() * edof * edof];
-    for (e, map) in scatter.chunks_exact_mut(edof * edof).enumerate() {
+    let mut scatter = vec![u32::MAX; mesh.num_elements() * nv * nv];
+    for (e, map) in scatter.chunks_exact_mut(nv * nv).enumerate() {
         let verts = mesh.elem(e);
-        for a in 0..nv {
-            let gi = 3 * verts[a] as usize;
-            let cols = &col_idx[row_ptr[gi]..row_ptr[gi + 1]];
-            for b in 0..nv {
-                let gj = 3 * verts[b] as usize;
-                let p = cols.binary_search(&gj).expect("entry outside sparsity");
-                for i in 0..3 {
-                    let lo = row_ptr[gi + i] + p;
-                    for kk in 0..3 {
-                        debug_assert_eq!(col_idx[lo + kk], gj + kk);
-                        map[((3 * a + i) * 3 + kk) * nv + b] = (lo + kk) as u32;
-                    }
-                }
+        for (&va, map_a) in verts.iter().zip(map.chunks_exact_mut(nv)) {
+            let va = va as usize;
+            if va >= rows {
+                continue;
+            }
+            let cols = &vcols[vrow_ptr[va]..vrow_ptr[va + 1]];
+            for (&vb, pos) in verts.iter().zip(map_a) {
+                let p = cols.binary_search(&column_id(vb));
+                *pos = p.expect("entry outside sparsity") as u32;
             }
         }
     }

@@ -12,8 +12,9 @@
 //! rank gets all elements touching at least one of its owned vertices
 //! (ghost elements included), with local vertex numbering and the
 //! local→global maps. [`RankAssembly::from_shard`] turns one such
-//! [`MeshShard`] into the rank's persistent finite element problem, and
-//! [`RankAssembly::assemble_owned_local`] computes only the rows that rank
+//! [`MeshShard`] into the rank's persistent finite element problem: the
+//! element work covers the whole sub-domain, but the context stores, and
+//! [`RankAssembly::assemble_owned_local`] computes, only the rows that rank
 //! owns.
 
 use crate::assembly::FemProblem;
@@ -23,46 +24,51 @@ use pmg_sparse::CsrMatrix;
 use std::sync::Arc;
 
 /// One rank's persistent assembly context: a [`FemProblem`] over the
-/// sub-domain whose sparsity pattern and scatter map are built once and
-/// reused across every re-assembly (Newton iterations, load steps). Each
-/// call to [`RankAssembly::assemble_owned_local`] produces only the rows
-/// this rank owns, with **global** column ids — the form
-/// `pmg_parallel::RankMatrix` ingests — so no rank ever materializes the
-/// global operator.
+/// sub-domain that assembles only the rows of the vertices this rank owns,
+/// with **global** column ids — the form `pmg_parallel::RankMatrix`
+/// ingests — so no rank stores a ghost row or ever materializes the global
+/// operator. Its vertex pattern and scatter positions are built once and
+/// reused across every re-assembly (Newton iterations, load steps).
 pub struct RankAssembly {
     fem: FemProblem,
-    global_vertices: Vec<u32>,
-    num_owned: usize,
+    owned_vertices: Vec<u32>,
 }
 
 impl RankAssembly {
     /// Build the per-rank problem from a partition-at-ingest [`MeshShard`]
-    /// (pattern + scatter map built here, reused by every subsequent
-    /// assembly) — no rank ever sees the global mesh.
+    /// (pattern + scatter positions built here over the owned rows, reused
+    /// by every subsequent assembly) — no rank ever sees the global mesh.
+    ///
+    /// The shard numbers its vertices owned-ascending then ghost-ascending
+    /// in global id (checked here), so the owned vertices are the local
+    /// prefix and their rows come out in global order; each row's global
+    /// columns are sorted once, here.
     pub fn from_shard(shard: &MeshShard, materials: &[Arc<dyn Material>]) -> RankAssembly {
-        let (owned, ghosts) = shard.global_vertices.split_at(shard.num_owned());
+        let global = &shard.global_vertices;
+        let (owned, ghosts) = global.split_at(shard.num_owned());
         let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
         assert!(
             ascending(owned) && ascending(ghosts),
             "shard vertices must be owned-ascending then ghost-ascending"
         );
         RankAssembly {
-            fem: FemProblem::new(shard.mesh.clone(), materials.to_vec()),
-            global_vertices: shard.global_vertices.clone(),
-            num_owned: shard.num_owned(),
+            fem: FemProblem::over_rows(shard.mesh.clone(), materials.to_vec(), owned.len(), |w| {
+                global[w as usize]
+            }),
+            owned_vertices: owned.to_vec(),
         }
     }
 
     /// Local dof count (3 per local vertex, owned + ghost).
     pub fn num_local_dof(&self) -> usize {
-        3 * self.global_vertices.len()
+        self.fem.ndof()
     }
 
     /// Global dof ids of the owned rows, ascending (owned vertices come
     /// first in the local numbering and are sorted by global id, so this
     /// matches `pmg_parallel::Layout`'s owned ordering).
     pub fn owned_rows(&self) -> Vec<u32> {
-        self.global_vertices[..self.num_owned]
+        self.owned_vertices
             .iter()
             .flat_map(|&g| (0..3).map(move |c| 3 * g + c))
             .collect()
@@ -74,45 +80,14 @@ impl RankAssembly {
     /// with global column ids, plus the owned entries of the internal
     /// force. `num_global_dof` only sizes the column space of the returned
     /// rows. The pattern is reused — the `assembly/pattern_reuse` counter
-    /// ticks once per call.
-    ///
-    /// The shard numbers its vertices owned-ascending then ghost-ascending
-    /// in global id (checked in [`RankAssembly::from_shard`]), so each local
-    /// row is two runs that both ascend in global column: the owned columns,
-    /// then the ghost ones. One merge per row emits it in global column
-    /// order — no sort, and no second pattern stored.
+    /// ticks once per call — and the assembled rows are returned as they
+    /// are: the context holds no other rows.
     pub fn assemble_owned_local(
         &mut self,
         u_local: &[f64],
         num_global_dof: usize,
     ) -> (CsrMatrix, Vec<f64>) {
-        assert_eq!(u_local.len(), 3 * self.global_vertices.len());
-        let (k, f) = self.fem.assemble(u_local);
-        let owned_dof = 3 * self.num_owned;
-        let nnz = k.row_ptr()[owned_dof];
-        let global = |lj: usize| 3 * self.global_vertices[lj / 3] as usize + lj % 3;
-        let mut row_ptr = Vec::with_capacity(owned_dof + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        for li in 0..owned_dof {
-            let (cols, v) = k.row(li);
-            let split = cols.partition_point(|&lj| lj < owned_dof);
-            let (mut p, mut q) = (0, split);
-            while p < split || q < cols.len() {
-                let next = if q == cols.len() || (p < split && global(cols[p]) < global(cols[q])) {
-                    &mut p
-                } else {
-                    &mut q
-                };
-                col_idx.push(global(cols[*next]));
-                vals.push(v[*next]);
-                *next += 1;
-            }
-            row_ptr.push(col_idx.len());
-        }
-        let k_owned = CsrMatrix::from_parts(owned_dof, num_global_dof, row_ptr, col_idx, vals);
-        (k_owned, f[..owned_dof].to_vec())
+        self.fem.assemble_rows(u_local, num_global_dof)
     }
 
     /// Commit the trial Gauss-point history after a converged step.
@@ -156,6 +131,11 @@ mod tests {
                     .collect();
                 assert_eq!(u_local.len(), ra.num_local_dof());
                 let rows = ra.owned_rows();
+                // The context stores the owned rows and nothing else.
+                let owned_nnz: usize = (rows.iter())
+                    .map(|&g| k_serial.row(g as usize).0.len())
+                    .sum();
+                assert_eq!(ra.fem.nnz(), owned_nnz, "stored entries (p={p})");
                 // The second pass reuses the pattern; both must reproduce
                 // the serial rows bit for bit.
                 for pass in 0..2 {
